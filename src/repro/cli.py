@@ -737,17 +737,12 @@ def _packed_replay_stream():
 
 
 def _bench_packed(repeat: int) -> dict:
-    """The packed replay engine ladder on one tape.
+    """The packed replay engines on one tape.
 
     Times the same single-processor replay on every available backend
-    (python reference loop, numpy vector tier, native C tier) and
-    cross-checks that all of them produce bit-identical statistics.
-    ``speedup`` entries are relative to the python loop.
-
-    One untimed warmup replay precedes the timed repeats: sweeps
-    replay each recorded tape once per ladder rung, so the number that
-    matters is the steady-state rate with the numpy tier's per-stream
-    decode cache warm, not the first-touch decode cost.
+    (python reference loop, native C tier) and cross-checks that they
+    produce bit-identical statistics.  ``speedup`` entries are relative
+    to the python loop.
     """
     import time
     from .trace.engine import available_backends
@@ -756,13 +751,10 @@ def _bench_packed(repeat: int) -> dict:
     stream = _packed_replay_stream()
     app = ReplayApplication({0: stream}, name="bench-packed")
     backends = available_backends()
-    if "python" not in backends:
-        backends.append("python")
     rates = {}
     reference = None
     for name in backends:
         best = None
-        run_simulation(config, app, backend=name)  # warmup (decode cache)
         for _ in range(max(1, repeat)):
             begin = time.perf_counter()
             result = run_simulation(config, app, backend=name)
@@ -1023,10 +1015,10 @@ def _cmd_bench(args) -> int:
         print(f"  speedup         : {point['speedup']:.2f}x")
     if args.scenario in ("all", "packed"):
         print("timing packed replay engines "
-              "(python vs numpy vs native on one tape)...")
+              "(python vs native on one tape)...")
         report["packed_engines"] = packed = _bench_packed(args.repeat)
         print(f"  events          : {packed['events']:,}")
-        for name in ("python", "numpy", "native"):
+        for name in ("python", "native"):
             rate = packed.get(f"{name}_events_per_s")
             if rate is None:
                 continue

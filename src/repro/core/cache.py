@@ -51,10 +51,10 @@ class DirectMappedArray:
             raise ValueError("cache must hold at least one line")
         self.num_lines = num_lines
         # ``array('q')`` rather than plain lists: the storage supports the
-        # buffer protocol, so the numpy and native replay backends
+        # buffer protocol, so the native replay backend
         # (:mod:`repro.trace.engine`) can operate on the very same memory
-        # (zero-copy ``np.frombuffer`` views / raw ``int64_t*`` pointers)
-        # while the python paths keep indexing it unchanged.
+        # (raw ``int64_t*`` pointers) while the python paths keep indexing
+        # it unchanged.
         self._tags = array("q", bytes(8 * num_lines))
         self._states = array("q", bytes(8 * num_lines))
         # Power-of-two line counts (every paper configuration) replace the

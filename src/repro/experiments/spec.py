@@ -257,7 +257,7 @@ class SweepSpec:
 
     backend: Optional[str] = None
     """Packed-replay engine for simulated points (``auto``/``python``/
-    ``numpy``/``native``; see :mod:`repro.trace.engine`).  Execution
+    ``native``; see :mod:`repro.trace.engine`).  Execution
     knob only: every backend produces bit-identical statistics, so it is
     deliberately absent from :meth:`describe`, :meth:`signature` and
     :meth:`point_key` -- switching engines never invalidates a journal
@@ -334,8 +334,8 @@ class SweepSpec:
         object.__setattr__(self, "variants",
                            tuple(sorted(cleaned.items())))
         if self.backend is not None:
-            from ..trace.engine import BACKEND_CHOICES
-            _require(self.backend in BACKEND_CHOICES,
+            from ..trace.engine import BACKEND_CHOICES, RETIRED_BACKENDS
+            _require(self.backend in BACKEND_CHOICES + RETIRED_BACKENDS,
                      f"backend must be one of {BACKEND_CHOICES}")
         _require(self.jobs is None or self.jobs >= 1,
                  "jobs must be None or >= 1")

@@ -102,7 +102,7 @@ def run_simulation(config: SystemConfig, application,
     one pointer comparison per event.
 
     ``backend`` picks the packed-replay engine (``auto``/``python``/
-    ``numpy``/``native``; see :mod:`repro.trace.engine`).  It is an
+    ``native``; see :mod:`repro.trace.engine`).  It is an
     execution knob, not part of the machine: every backend produces
     identical statistics, so results and caches never depend on it.
     ``None`` defers to ``$REPRO_ENGINE``.

@@ -1,14 +1,11 @@
-"""Selectable multi-backend for packed replay.
+"""Selectable backend for packed replay.
 
-The :class:`~repro.trace.interleave.TimingInterleaver` fast path has three
-interchangeable implementations ("backends", psim's ``EVAL_MODE`` pattern):
+The :class:`~repro.trace.interleave.TimingInterleaver` fast path has two
+interchangeable implementations ("backends", psim's ``EVAL_MODE`` pattern:
+one reference, one fast):
 
 * ``python`` -- the inline ``_run_fast`` loop in
   :mod:`repro.trace.interleave`.  Always available; the semantic reference.
-* ``numpy`` -- :mod:`repro.trace.engine.numpy_backend`.  Batch-decodes
-  packed chunks into flat opcode/address arrays
-  (:mod:`repro.trace.engine.flatten`) and vectorizes whole quiet runs of
-  hits between coherence/sync events for single-processor replay.
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) running the full interleaver inner loop over the shared
   ``array('q')`` tag/state/bank storage, calling back into python only for
@@ -16,13 +13,15 @@ interchangeable implementations ("backends", psim's ``EVAL_MODE`` pattern):
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
-environment variable; otherwise ``auto``, which probes native -> numpy ->
-python.  Requests degrade gracefully (a missing compiler or numpy falls
-back down the ladder) unless ``strict=True``.
+environment variable; otherwise ``auto``, which probes native -> python.
+A ``native`` request degrades gracefully to python (a missing compiler)
+unless ``strict=True``.  The retired ``numpy`` tier's name is still
+accepted from stored requests (environment, specs, 1.2 wire payloads) and
+treated like any unavailable tier: it resolves to python.
 
-Every backend must be fingerprint-identical to the python loop; the
-differential verifier (:mod:`repro.verify.differ`) runs all importable
-backends as additional engines over the golden suites and the fuzz corpus.
+The native backend must be fingerprint-identical to the python loop; the
+differential verifier (:mod:`repro.verify.differ`) runs it as an
+additional engine over the golden suites and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -30,29 +29,19 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-__all__ = ["BACKEND_CHOICES", "ENGINE_ENV", "available_backends",
-           "backend_info", "engine_degradation", "native_available",
-           "native_unavailable_reason", "numpy_available",
+__all__ = ["BACKEND_CHOICES", "ENGINE_ENV", "RETIRED_BACKENDS",
+           "available_backends", "backend_info", "engine_degradation",
+           "native_available", "native_unavailable_reason",
            "resolve_backend"]
 
-#: Accepted values for ``REPRO_ENGINE`` and every ``backend=`` knob.
-BACKEND_CHOICES = ("auto", "python", "numpy", "native")
+#: Values offered for ``REPRO_ENGINE`` and every ``backend=`` knob.
+BACKEND_CHOICES = ("auto", "python", "native")
+
+#: Names of removed tiers.  Not offered anywhere, but a stored request
+#: naming one still validates and resolves to ``python``.
+RETIRED_BACKENDS = ("numpy",)
 
 ENGINE_ENV = "REPRO_ENGINE"
-
-_numpy_ok: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """Whether the numpy-vectorized tier can be used."""
-    global _numpy_ok
-    if _numpy_ok is None:
-        try:
-            import numpy  # noqa: F401
-            _numpy_ok = True
-        except Exception:  # pragma: no cover - numpy is a hard test dep
-            _numpy_ok = False
-    return _numpy_ok
 
 
 def native_available() -> bool:
@@ -68,87 +57,74 @@ def native_unavailable_reason() -> Optional[str]:
     return native.LOAD_ERROR
 
 
+def _normalize(request: Optional[str]) -> str:
+    """Validated request name; ``None`` reads ``$REPRO_ENGINE``."""
+    if request is None:
+        request = os.environ.get(ENGINE_ENV, "").strip() or "auto"
+    request = request.strip().lower()
+    if request not in BACKEND_CHOICES + RETIRED_BACKENDS:
+        raise ValueError(
+            f"unknown replay backend {request!r}; "
+            f"choose from {', '.join(BACKEND_CHOICES)}")
+    return request
+
+
 def resolve_backend(request: Optional[str] = None,
                     strict: bool = False) -> str:
     """Concrete backend for a request.
 
     ``None`` reads ``$REPRO_ENGINE`` (default ``auto``).  ``auto`` probes
-    native -> numpy -> python; explicit requests degrade down the same
-    ladder when their tier is unavailable, unless ``strict`` is set, in
-    which case a missing tier raises ``RuntimeError`` with the reason.
+    native -> python; a request for an unavailable tier (``native``
+    without the extension, or a retired name) degrades to ``python``
+    unless ``strict`` is set, in which case it raises ``RuntimeError``
+    with the reason.
     """
-    if request is None:
-        request = os.environ.get(ENGINE_ENV, "").strip() or "auto"
-    request = request.strip().lower()
-    if request not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown replay backend {request!r}; "
-            f"choose from {', '.join(BACKEND_CHOICES)}")
-    if request == "auto":
-        if native_available():
-            return "native"
-        return "numpy" if numpy_available() else "python"
-    if request == "native" and not native_available():
-        if strict:
-            raise RuntimeError(
-                f"native replay backend unavailable: "
-                f"{native_unavailable_reason()}")
-        return "numpy" if numpy_available() else "python"
-    if request == "numpy" and not numpy_available():
-        if strict:
-            raise RuntimeError("numpy replay backend unavailable")
-        return "python"
-    return request
+    request = _normalize(request)
+    if request in ("auto", "native") and native_available():
+        return "native"
+    if strict and request == "native":
+        raise RuntimeError(
+            f"native replay backend unavailable: "
+            f"{native_unavailable_reason()}")
+    if strict and request in RETIRED_BACKENDS:
+        raise RuntimeError(f"{request} replay backend was removed")
+    return "python"
 
 
 def engine_degradation(request: Optional[str] = None) -> Optional[str]:
-    """Human-readable note when resolution lands below the best tier the
-    request allows, or ``None`` when nothing degraded.
+    """Human-readable note when resolution lands below the tier the
+    request names, or ``None`` when nothing degraded.
 
     ``auto`` (and an explicit ``native`` request) aim for the native
     tier, so resolving anything else means a toolchain problem worth
     surfacing -- the sweep/bench CLIs print this instead of silently
-    running slower.  Explicit ``numpy``/``python`` requests never
-    degrade silently upward of what they asked for.
+    running slower.
     """
-    if request is None:
-        request = os.environ.get(ENGINE_ENV, "").strip() or "auto"
-    request = request.strip().lower()
-    resolved = resolve_backend(request)
-    if request in ("auto", "native") and resolved != "native":
+    request = _normalize(request)
+    if request in RETIRED_BACKENDS:
+        return (f"{request} tier was removed; "
+                f"running on the python tier")
+    if request != "python" and not native_available():
         reason = native_unavailable_reason() or "unknown"
         return (f"native tier unavailable ({reason}); "
-                f"running on the {resolved} tier")
-    if request == "numpy" and resolved != "numpy":
-        return (f"numpy tier unavailable; "
-                f"running on the {resolved} tier")
+                f"running on the python tier")
     return None
 
 
 def available_backends() -> list:
     """Concrete backends importable right now, fastest first."""
-    names = []
-    if native_available():
-        names.append("native")
-    if numpy_available():
-        names.append("numpy")
-    names.append("python")
-    return names
+    return ["native", "python"] if native_available() else ["python"]
 
 
 def backend_info(request: Optional[str] = None) -> Dict[str, object]:
     """Backend metadata for bench reports and diagnostics."""
     from . import native
-    resolved = resolve_backend(request)
     info: Dict[str, object] = {
         "requested": request or os.environ.get(ENGINE_ENV, "").strip()
         or "auto",
-        "resolved": resolved,
+        "resolved": resolve_backend(request),
         "available": available_backends(),
     }
-    if numpy_available():
-        import numpy
-        info["numpy_version"] = numpy.__version__
     if native_available():
         info["native_version"] = native.NATIVE_VERSION
         info["native_ladder"] = native.ladder_available()

@@ -852,8 +852,8 @@ fail:
  * fold of the shared clock into per-size finish times, the same
  * hot-window bookkeeping, the same write-buffer heap arithmetic (the
  * per-size heaps are python lists shared with the flush).  A
- * non-positive span stride raises ValueError exactly like the decoded
- * tiers instead of spinning (the ladder has no cycle limit to bail it
+ * non-positive span stride raises ValueError exactly like the python
+ * ladder instead of spinning (the ladder has no cycle limit to bail it
  * out).
  */
 
@@ -1544,8 +1544,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
             long long size = data[i + 2];
             long long stride = data[i + 3];
             if (size > 0 && stride <= 0) {
-                /* The scalar loop would spin forever; fail like the
-                 * decoded tiers do (error parity for the differ). */
+                /* The loop below would spin forever; fail like the
+                 * python ladder does (error parity for the differ). */
                 PyErr_Format(PyExc_ValueError,
                              "non-positive span stride at %lld", i);
                 goto fail;

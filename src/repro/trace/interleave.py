@@ -49,7 +49,7 @@ from ..core.cache import DirectMappedArray, MODIFIED
 from ..core.coherence import CoherenceController
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import NULL_PROBE
-from .engine import resolve_backend
+from .engine import native_available, resolve_backend
 from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                      Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
 from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
@@ -193,7 +193,7 @@ class TimingInterleaver:
         self.backend = resolve_backend(backend)
         self.engine_used: Optional[str] = None
         """Concrete engine the last :meth:`run` executed on
-        (``generic``/``python``/``numpy``/``native``)."""
+        (``generic``/``python``/``native``)."""
 
     # ------------------------------------------------------------------
     # Setup
@@ -226,22 +226,15 @@ class TimingInterleaver:
         if not self._processes:
             raise RuntimeError("no processes registered")
         if self._fast_ok:
-            backend = self.backend
-            if backend == "native":
+            if self.backend == "native" and native_available():
                 from .engine import native as native_backend
-                if native_backend.load() is not None:
-                    self.engine_used = "native"
-                    finish_time = native_backend.run(self, max_cycles)
-                else:
-                    # The extension disappeared after resolution (e.g.
-                    # cache cleared mid-process); degrade like auto.
-                    backend = self.backend = resolve_backend("auto")
-            if backend == "numpy":
-                from .engine import numpy_backend
-                self.engine_used = "numpy"
-                finish_time = numpy_backend.run(self, max_cycles)
-            elif backend == "python":
-                self.engine_used = "python"
+                self.engine_used = "native"
+                finish_time = native_backend.run(self, max_cycles)
+            else:
+                # Also where a native resolution lands when the
+                # extension disappeared afterwards (e.g. cache cleared
+                # mid-process).
+                self.backend = self.engine_used = "python"
                 finish_time = self._run_fast(max_cycles)
         else:
             self.engine_used = "generic"

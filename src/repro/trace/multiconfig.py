@@ -145,9 +145,8 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
     ``$REPRO_ENGINE`` -> ``auto``): a ``native`` resolution runs the
     pass through the C extension's ladder entry points, degrading to
     the python pass when the extension is missing, disabled via
-    ``REPRO_NATIVE=0``, or predates the ladder ABI.  There is no
-    vectorized middle tier for the ladder, so a ``numpy`` resolution
-    also runs the (scalar) python pass.  The choice is execution-only:
+    ``REPRO_NATIVE=0``, or predates the ladder ABI.  The choice is
+    execution-only:
     results are bit-identical across engines and the knob never enters
     spec signatures or cache keys.
     """
@@ -638,7 +637,7 @@ def _fused_pass(ladder: List[SystemConfig],
             if size > 0 and stride <= 0:
                 # The element loop below would spin forever (the ladder
                 # has no cycle limit to bail it out); fail exactly like
-                # the decoded replay tiers so the differ sees parity.
+                # the native ladder so the differ sees parity.
                 raise ValueError(f"non-positive span stride at {i}")
             i += 4
             is_read = op == OP_READ_SPAN

@@ -11,11 +11,10 @@ exposes:
   automatically whenever the machine qualifies); compared on cycle
   counts, per-cluster statistics, bus counters, and final tag/state
   arrays.
-* **numpy** / **native** -- the replay backends from
+* **native** -- the compiled replay backend from
   :mod:`repro.trace.engine`, run through the same packed fast path with
-  ``backend=`` forced; compared on the full fingerprint.  Backends are
-  discovered through :func:`engine_registry`, so a new backend is diffed
-  automatically once it reports itself available.
+  ``backend=`` forced; compared on the full fingerprint.  Registered by
+  :func:`engine_registry` whenever the extension is available.
 * **fused** -- the multi-configuration ladder engine, run as a
   two-rung ladder and compared on its bottom rung (final arrays are
   internal to the fused engine, so the diff covers statistics and
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
-from ..trace.engine import available_backends
+from ..trace.engine import native_available
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace import multiconfig
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
@@ -116,26 +115,25 @@ def _always(tape: Tape) -> bool:
 
 _FULL = ("events", "stats", "bus", "arrays")
 
-#: Packed-path replay backends, keyed by differ mode name.  ``fast`` is
-#: the python reference loop; the rest come from repro.trace.engine.
-_BACKEND_MODES = {"fast": "python", "numpy": "numpy", "native": "native"}
+#: Packed-path replay backends (repro.trace.engine), keyed by differ
+#: mode name.  ``fast`` is the python reference loop.
+_BACKEND_MODES = {"fast": "python", "native": "native"}
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
     """Engines to diff against the generic loop, in comparison order.
 
-    Replay backends register themselves by being available: a freshly
-    built native extension is picked up here without any differ change,
-    which is what keeps "every backend is diffed" a structural property
-    rather than a checklist item.
+    The compiled engines register themselves by being available: a
+    freshly built native extension is picked up here without any differ
+    change, which is what keeps "every backend is diffed" a structural
+    property rather than a checklist item.
     """
     registry: Dict[str, EngineSpec] = {
         "oracle": EngineSpec("oracle", _FULL, _always),
         "fast": EngineSpec("fast", _FULL, _always),
     }
-    for backend in available_backends():
-        if backend != "python":
-            registry[backend] = EngineSpec(backend, _FULL, _always)
+    if native_available():
+        registry["native"] = EngineSpec("native", _FULL, _always)
     registry["fused"] = EngineSpec("fused", ("events", "stats"),
                                    fused_eligible)
     if _native_ladder_available():
@@ -203,7 +201,7 @@ def fused_eligible(tape: Tape) -> bool:
 
 def _native_ladder_available() -> bool:
     """Whether the compiled fused ladder can actually run here."""
-    if "native" not in available_backends():
+    if not native_available():
         return False
     from ..trace.engine import native
     return native.ladder_available()

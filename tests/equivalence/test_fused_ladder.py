@@ -77,18 +77,18 @@ def test_fused_fingerprints_match_per_size_replay(variant):
         assert fingerprint(fused) == fingerprint(per_size)
 
 
-@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("backend", COMPILED + ["numpy"])
 @pytest.mark.parametrize("variant", sorted(FUSED_VARIANTS))
 def test_fused_fingerprints_on_every_backend(variant, backend,
                                              monkeypatch):
-    """The fingerprint grid above re-run with each compiled backend
+    """The fingerprint grid above re-run with each requestable backend
     forced through ``$REPRO_ENGINE``, resolution asserted (mirrors
-    ``test_backends.py``).  The ladder itself has python and native
-    implementations only, so a ``numpy`` request must degrade to the
-    python ladder while per-size replay rides the numpy tier -- and a
+    ``test_backends.py``).  A request naming the removed ``numpy`` tier
+    must run both the ladder and per-size replay on python -- and a
     ``native`` request must genuinely engage the compiled ladder."""
     monkeypatch.setenv("REPRO_ENGINE", backend)
-    assert resolve_backend() == backend
+    assert resolve_backend() == ("python" if backend == "numpy"
+                                 else backend)
     if backend == "native" and not ladder_available():
         pytest.skip("native extension loaded but predates the ladder "
                     "ABI; python ladder covers it")

@@ -145,9 +145,10 @@ class TestSignature:
     def test_backend_absent_from_identity_and_point_keys(self,
                                                          tiny_profile):
         """The replay engine is execution-only: warm result caches and
-        journals must survive switching between the python, numpy, and
-        native tiers (and the compiled fused ladder rides the same
-        knob)."""
+        journals must survive switching between the python and native
+        tiers (and the compiled fused ladder rides the same knob).  The
+        removed ``numpy`` tier's name still validates, so a spec stored
+        or sent by a 1.2 client keeps addressing the same entries."""
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
         config = SystemConfig.paper_parallel(2, 1 * KB)
         for backend in ("python", "numpy", "native", "auto"):
@@ -156,6 +157,12 @@ class TestSignature:
             assert "backend" not in other.describe()
             assert other.signature() == base.signature()
             assert other.point_key(config) == base.point_key(config)
+            back = SweepSpec.from_wire(other.to_wire())
+            assert back.backend == backend
+            assert back.point_key(config) == base.point_key(config)
+        with pytest.raises(ValueError):
+            SweepSpec.parallel("mp3d", profile=tiny_profile,
+                               backend="fortran")
 
     def test_identity_fields_change_signature(self, tiny_profile):
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
