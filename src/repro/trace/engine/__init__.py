@@ -7,9 +7,11 @@ one reference, one fast):
 * ``python`` -- the inline ``_run_fast`` loop in
   :mod:`repro.trace.interleave`.  Always available; the semantic reference.
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
-  (``_native.c``) running the full interleaver inner loop over the shared
-  ``array('q')`` tag/state/bank storage, calling back into python only for
-  misses, instruction-cache refills, and synchronization.
+  (``_native.c``) that owns hits, bank/write-buffer timing and scheduling:
+  it drains chunks over the shared ``array('q')`` tag/state/bank storage
+  and switches processes in place on the interleaver's heap.  Python owns
+  the generators, the synchronization handlers and the coherence model
+  (misses and instruction-cache refills call back into it).
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``

@@ -1,31 +1,46 @@
-/* Packed-chunk drain loop for the repro timing interleaver.
+/* Packed-chunk scheduler and drain loop for the repro timing interleaver.
  *
- * This is a transcription of the inner loop of
- * ``TimingInterleaver._run_fast`` (src/repro/trace/interleave.py) into C
- * over raw ``int64_t*`` views of the ``array('q')`` storage the python
- * model already uses for cache tags/states and bank free times.  The
- * python wrapper (engine/native.py) keeps the scheduler: heap switches,
- * generator resumes and synchronization handlers happen in python, and
- * coherence misses / icache refills call back into the python model.
+ * This is a transcription of ``TimingInterleaver._run_fast``
+ * (src/repro/trace/interleave.py) into C over raw ``int64_t*`` views of
+ * the ``array('q')`` storage the python model already uses for cache
+ * tags/states and bank free times.  C owns hits, bank/write-buffer timing
+ * and scheduling: it keeps each process's chunk cursor and switches
+ * processes itself, in place on ``interleaver._heap``.  Python
+ * (engine/native.py) owns the generators, the synchronization handlers
+ * and the coherence model: misses and icache refills call back into it.
  * Everything here must stay observably identical to the python loop --
  * the differential verifier diffs fingerprints and error messages.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
- * with all buffers acquired once; ``drain(ctx, chunk)`` consumes events
- * starting at the position in ``regs`` until the chunk is exhausted
- * (returns 0), the process is preempted by the cached heap top
- * (returns 1), or a synchronization / unknown opcode needs the python
- * handler (returns 2, with ``regs`` pointing at the opcode);
+ * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
+ * drains processes until python is needed, and returns why:
+ *
+ *   0  the current process's chunk is exhausted (its cursor is dropped);
+ *      python resumes the generator
+ *   1  the ready heap is empty: the run is over
+ *   2  a synchronization / unknown opcode at ``regs[R_POS]`` needs the
+ *      python handler (the cursor already points past it)
+ *   3  the popped process has no chunk installed; python runs it through
+ *      ``_advance``'s object path
+ *
+ * On return ``regs`` hold the current process and its clock.  On entry
+ * they say how to carry on: ``chunk`` (an ``array('q')``, else None) is
+ * installed as process ``regs[R_PID]``'s cursor and drained from clock
+ * ``regs[R_TIME]``; without a chunk, ``regs[R_PID] >= 0`` resumes that
+ * process after its sync handler and ``-1`` pops the next ready process.
+ * ``regs[R_SEQ]`` is ``interleaver._seq``, shared in both directions.
  * ``release(ctx)`` drops the buffer views deterministically.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 
 #define OP_READ 1
 #define OP_WRITE 2
 #define OP_COMPUTE 3
 #define OP_IFETCH 4
+#define OP_BARRIER 7
 #define OP_ENQUEUE 8
 #define OP_DEQUEUE 9
 #define OP_READ_SPAN 10
@@ -33,9 +48,18 @@
 
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 
+#define ABI_VERSION "3"  /* == engine/native.py NATIVE_VERSION */
+
+#define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
-#define STATUS_PREEMPT 1
+#define STATUS_DONE 1
 #define STATUS_SYNC 2
+#define STATUS_OBJECT 3
+
+#define R_POS 0
+#define R_TIME 1
+#define R_PID 2
+#define R_SEQ 3
 
 static PyObject *g_deque = NULL;      /* collections.deque */
 static PyObject *s_append = NULL;
@@ -43,10 +67,17 @@ static PyObject *s_popleft = NULL;
 static PyObject *s_complete = NULL;
 static PyObject *s_retire = NULL;
 
+/* Where a process stands in its installed chunk. */
+typedef struct {
+    Py_buffer view;           /* the chunk; ``view.obj`` NULL when none */
+    long long pos, sub;       /* next opcode; offset inside a span */
+} Cursor;
+
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int n_cl;
     int nproc;
+    int n_cursors;
     int released;
     long long idx_mask, tag_shift, line_shift, nbanks, bank_cycle;
     long long wb_depth, iline_shift, limit;
@@ -57,8 +88,11 @@ typedef struct {
     long long *ic_mask, *ic_shift;
     long long *d_reads, *d_writes, *d_conf, *d_wbuf;
     long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *misc;
-    long long *regs;          /* i, sub, time, next_time, pid, cl */
+    long long *regs;          /* R_POS, R_TIME, R_PID, R_SEQ */
+    long long *proc_cluster;
+    Cursor *cursors;          /* by pid */
     PyObject *read_miss, *write_line, *ifetch, *queues;
+    PyObject *heap;           /* interleaver._heap */
     Py_buffer *views;
     int nviews;
 } Ctx;
@@ -449,6 +483,8 @@ ctx_release(Ctx *ctx)
     if (ctx->released)
         return;
     ctx->released = 1;
+    for (int p = 0; p < ctx->n_cursors; p++)
+        PyBuffer_Release(&ctx->cursors[p].view);    /* no-op when empty */
     for (int i = 0; i < ctx->nviews; i++)
         PyBuffer_Release(&ctx->views[i]);
     ctx->nviews = 0;
@@ -456,26 +492,32 @@ ctx_release(Ctx *ctx)
 }
 
 static void
-ctx_destructor(PyObject *capsule)
+ctx_free(Ctx *ctx)
 {
-    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
-    if (!ctx)
-        return;
     ctx_release(ctx);
     PyMem_Free(ctx->views);
     PyMem_Free(ctx->cl_states);
     PyMem_Free(ctx->cl_inflight);
     PyMem_Free(ctx->ic_states);
     PyMem_Free(ctx->ic_mask);
+    PyMem_Free(ctx->cursors);
     PyMem_Free(ctx);
+}
+
+static void
+ctx_destructor(PyObject *capsule)
+{
+    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
+    if (ctx)
+        ctx_free(ctx);
 }
 
 static PyObject *
 native_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 6) {
-        PyErr_SetString(PyExc_TypeError, "plan must be a 6-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 7) {
+        PyErr_SetString(PyExc_TypeError, "plan must be a 7-tuple");
         return NULL;
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
@@ -484,6 +526,7 @@ native_setup(PyObject *self, PyObject *plan)
     PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 3);
     PyObject *deltas = PyTuple_GET_ITEM(plan, 4);
     PyObject *regs = PyTuple_GET_ITEM(plan, 5);
+    PyObject *sched = PyTuple_GET_ITEM(plan, 6);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
@@ -500,12 +543,7 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
     if (!ctx->views || !ctx->cl_states || !ctx->cl_inflight
         || !ctx->ic_states || !ctx->ic_mask) {
-        PyMem_Free(ctx->views);
-        PyMem_Free(ctx->cl_states);
-        PyMem_Free(ctx->cl_inflight);
-        PyMem_Free(ctx->ic_states);
-        PyMem_Free(ctx->ic_mask);
-        PyMem_Free(ctx);
+        ctx_free(ctx);
         return PyErr_NoMemory();
     }
     ctx->cl_tags = ctx->cl_states + ctx->n_cl;
@@ -579,19 +617,28 @@ native_setup(PyObject *self, PyObject *plan)
     if (!(ctx->regs = acquire_ll(ctx, regs)))
         goto fail;
 
+    ctx->heap = PyTuple_GET_ITEM(sched, 0);
+    if (!PyList_CheckExact(ctx->heap)) {
+        PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
+        goto fail;
+    }
+    if (!(ctx->proc_cluster = acquire_ll(ctx, PyTuple_GET_ITEM(sched, 1))))
+        goto fail;
+    Py_ssize_t n_cursors = ctx->views[ctx->nviews - 1].len / 8;
+    ctx->cursors = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Cursor));
+    if (!ctx->cursors) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    ctx->n_cursors = (int)n_cursors;
+
     PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
     if (!capsule)
         goto fail;
     return capsule;
 
 fail:
-    ctx_release(ctx);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->cl_states);
-    PyMem_Free(ctx->cl_inflight);
-    PyMem_Free(ctx->ic_states);
-    PyMem_Free(ctx->ic_mask);
-    PyMem_Free(ctx);
+    ctx_free(ctx);
     return NULL;
 }
 
@@ -606,10 +653,115 @@ native_release(PyObject *self, PyObject *capsule)
     Py_RETURN_NONE;
 }
 
-/* --------------------------------------------------------------- drain */
+/* ------------------------------------------------------------ scheduler */
+
+/* The ready heap is ``interleaver._heap`` itself: a python list of
+ * ``(time, seq, pid)`` tuples shared with the heapq-based python code
+ * (``_push`` from the sync handlers and ``_advance``).  ``seq`` is
+ * unique, so the order on ``(time, seq)`` is total and pop order does
+ * not depend on heap layout -- the same argument as for the write-buffer
+ * heaps above. */
+
+static int
+sched_key(PyObject *entry, long long *time, long long *seq)
+{
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "scheduler heap entries must be (time, seq, pid)");
+        return -1;
+    }
+    *time = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
+    if (*time == -1 && PyErr_Occurred())
+        return -1;
+    *seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+    if (*seq == -1 && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
+/* Clock of the earliest ready process (LLONG_MAX when none is ready). */
+static int
+sched_top_time(PyObject *heap, long long *time)
+{
+    long long seq;
+    if (PyList_GET_SIZE(heap) == 0) {
+        *time = LLONG_MAX;
+        return 0;
+    }
+    return sched_key(PyList_GET_ITEM(heap, 0), time, &seq);
+}
+
+/* Take the earliest entry off the heap (its clock and pid come back in
+ * ``time``/``pid``) and put ``entry`` in its place -- heapq.heappushpop
+ * for an entry known to sort after the root -- or, when ``entry`` is
+ * NULL, the heap's last element (heapq.heappop).  Steals ``entry``. */
+static int
+sched_switch(PyObject *heap, PyObject *entry, long long *time,
+             long long *pid)
+{
+    Py_ssize_t n = PyList_GET_SIZE(heap);
+    PyObject *top = PyList_GET_ITEM(heap, 0);
+    long long seq;
+    Py_INCREF(top);
+    if (!entry) {
+        entry = PyList_GET_ITEM(heap, n - 1);
+        Py_INCREF(entry);
+        if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
+            Py_DECREF(entry);
+            Py_DECREF(top);
+            return -1;
+        }
+        n--;
+    }
+    if (n > 0)
+        PyList_SetItem(heap, 0, entry);     /* steals; drops the old root */
+    else
+        Py_DECREF(entry);                   /* popped the only element */
+    int bad = sched_key(top, time, &seq) < 0;
+    if (!bad) {
+        *pid = PyLong_AsLongLong(PyTuple_GET_ITEM(top, 2));
+        bad = *pid == -1 && PyErr_Occurred();
+    }
+    Py_DECREF(top);
+    if (bad)
+        return -1;
+
+    /* Sift the new root down (swaps keep the list whole on error). */
+    long long t, s;
+    Py_ssize_t pos = 0;
+    if (n > 1 && sched_key(PyList_GET_ITEM(heap, 0), &t, &s) < 0)
+        return -1;
+    for (;;) {
+        Py_ssize_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        long long ct, cs;
+        if (sched_key(PyList_GET_ITEM(heap, child), &ct, &cs) < 0)
+            return -1;
+        if (child + 1 < n) {
+            long long rt, rs;
+            if (sched_key(PyList_GET_ITEM(heap, child + 1), &rt, &rs) < 0)
+                return -1;
+            if (rt < ct || (rt == ct && rs < cs)) {
+                ct = rt;
+                cs = rs;
+                child++;
+            }
+        }
+        if (!(ct < t || (ct == t && cs < s)))
+            break;
+        PyObject *a = PyList_GET_ITEM(heap, pos);
+        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
+        PyList_SET_ITEM(heap, child, a);
+        pos = child;
+    }
+    return 0;
+}
+
+/* ----------------------------------------------------------------- run */
 
 static PyObject *
-native_drain(PyObject *self, PyObject *args)
+native_run(PyObject *self, PyObject *args)
 {
     (void)self;
     PyObject *capsule, *chunk;
@@ -619,219 +771,282 @@ native_drain(PyObject *self, PyObject *args)
     if (!ctx)
         return NULL;
     if (ctx->released) {
-        PyErr_SetString(PyExc_RuntimeError, "drain on released context");
+        PyErr_SetString(PyExc_RuntimeError, "run on released context");
         return NULL;
     }
-    Py_buffer cview;
-    if (PyObject_GetBuffer(chunk, &cview, PyBUF_SIMPLE) < 0)
-        return NULL;
-    const long long *data = (const long long *)cview.buf;
-    long long end = (long long)(cview.len / 8);
 
     long long *regs = ctx->regs;
-    long long i = regs[0];
-    long long sub = regs[1];
-    long long time = regs[2];
-    long long next_time = regs[3];
-    long long pid = regs[4];
-    long long cl = regs[5];
+    long long time = regs[R_TIME];
+    long long pid = regs[R_PID];
+    long long seq = regs[R_SEQ];
     long long limit = ctx->limit;
     long long *misc = ctx->misc;
-    int status = STATUS_EXHAUSTED;
+    PyObject *heap = ctx->heap;
+    /* Only a process coming back from a sync handler is checked against
+     * the heap top before its next event; a refilled one runs on, like
+     * the python loop. */
+    int after_sync = chunk == Py_None && pid >= 0;
+    long long i = 0, sub = 0;
+    int status;
 
-    while (i < end) {
-        long long op = data[i];
-        if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
-            if (time > limit)
-                goto limit_exceeded;
-            long long operand = data[i + 1];
-            i += 2;
-            misc[0]++;
-            if (op == OP_COMPUTE) {
-                if (operand) {
-                    ctx->d_busy[pid] += operand;
-                    time += operand;
+    if (chunk != Py_None) {
+        if (pid < 0 || pid >= ctx->n_cursors) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "process id %lld outside the machine", pid);
+            return NULL;
+        }
+        Cursor *cur = &ctx->cursors[pid];
+        if (cur->view.obj) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "process %lld already has a chunk installed", pid);
+            return NULL;
+        }
+        if (PyObject_GetBuffer(chunk, &cur->view, PyBUF_SIMPLE) < 0)
+            return NULL;
+        cur->pos = 0;
+        cur->sub = 0;
+    }
+
+    PyObject *entry = NULL;     /* a preempted process's heap entry */
+    for (;;) {      /* one round per scheduled process */
+        if (pid < 0 || entry) {
+            if (!entry && PyList_GET_SIZE(heap) == 0) {
+                status = STATUS_DONE;
+                break;
+            }
+            int rc = sched_switch(heap, entry, &time, &pid);
+            entry = NULL;
+            if (rc < 0)
+                goto fail;
+            if (pid < 0 || pid >= ctx->n_cursors) {
+                PyErr_Format(PyExc_RuntimeError,
+                             "process id %lld outside the machine", pid);
+                goto fail;
+            }
+        }
+        Cursor *cur = &ctx->cursors[pid];
+        if (!cur->view.obj) {
+            status = STATUS_OBJECT;
+            break;
+        }
+        const long long *data = (const long long *)cur->view.buf;
+        long long end = (long long)(cur->view.len / 8);
+        long long cl = ctx->proc_cluster[pid];
+        long long next_time;
+        i = cur->pos;
+        sub = cur->sub;
+        if (sched_top_time(heap, &next_time) < 0)
+            goto fail;
+        status = STATUS_EXHAUSTED;
+        if (after_sync) {
+            after_sync = 0;
+            if (time > next_time)
+                status = STATUS_PREEMPT;
+        }
+
+        while (status == STATUS_EXHAUSTED && i < end) {
+            long long op = data[i];
+            if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
+                if (time > limit)
+                    goto limit_exceeded;
+                long long operand = data[i + 1];
+                i += 2;
+                misc[0]++;
+                if (op == OP_COMPUTE) {
+                    if (operand) {
+                        ctx->d_busy[pid] += operand;
+                        time += operand;
+                        if (time > next_time)
+                            status = STATUS_PREEMPT;
+                    }
+                    continue;
+                }
+                if (do_access(ctx, cl, pid, op == OP_READ, operand,
+                              &time) < 0)
+                    goto fail;
+                if (time > next_time)
+                    status = STATUS_PREEMPT;
+            }
+            else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
+                long long base = data[i + 1];
+                long long size = data[i + 2];
+                long long stride = data[i + 3];
+                long long offset = sub;
+                sub = 0;
+                int is_read = op == OP_READ_SPAN;
+                while (offset < size) {
+                    if (time > limit)
+                        goto limit_exceeded;
+                    misc[0]++;
+                    if (do_access(ctx, cl, pid, is_read, base + offset,
+                                  &time) < 0)
+                        goto fail;
+                    offset += stride;
                     if (time > next_time) {
                         status = STATUS_PREEMPT;
                         break;
                     }
                 }
-                continue;
+                if (offset >= size)
+                    i += 4;
+                else
+                    sub = offset;
             }
-            if (do_access(ctx, cl, pid, op == OP_READ, operand,
-                          &time) < 0)
-                goto fail;
-            if (time > next_time) {
-                status = STATUS_PREEMPT;
-                break;
-            }
-        }
-        else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
-            long long base = data[i + 1];
-            long long size = data[i + 2];
-            long long stride = data[i + 3];
-            long long offset = sub;
-            sub = 0;
-            int preempted = 0;
-            int is_read = op == OP_READ_SPAN;
-            while (offset < size) {
+            else if (op == OP_IFETCH) {
                 if (time > limit)
                     goto limit_exceeded;
                 misc[0]++;
-                if (do_access(ctx, cl, pid, is_read, base + offset,
-                              &time) < 0)
-                    goto fail;
-                offset += stride;
-                if (time > next_time) {
-                    preempted = 1;
-                    break;
-                }
-            }
-            if (offset >= size)
-                i += 4;
-            else
-                sub = offset;
-            if (preempted) {
-                status = STATUS_PREEMPT;
-                break;
-            }
-        }
-        else if (op == OP_IFETCH) {
-            if (time > limit)
-                goto limit_exceeded;
-            misc[0]++;
-            long long count = data[i + 2];
-            if (ctx->icache_mode == 0) {
-                ctx->d_busy[pid] += count;
-                time += count;
-            }
-            else if (ctx->icache_mode == 1) {
-                long long addr = data[i + 1];
-                long long iline_no = addr >> ctx->iline_shift;
-                long long ilast =
-                    (addr + count * 4 - 1) >> ctx->iline_shift;
-                long long *istates = ctx->ic_states[pid];
-                long long *itags = ctx->ic_tags[pid];
-                long long imask = ctx->ic_mask[pid];
-                long long ishift = ctx->ic_shift[pid];
-                while (iline_no <= ilast) {
-                    long long idxi = iline_no & imask;
-                    if (istates[idxi]
-                        && itags[idxi] == (iline_no >> ishift))
-                        iline_no++;
-                    else
-                        break;
-                }
-                if (iline_no > ilast) {
-                    ctx->d_icfetch[pid] +=
-                        ilast - (addr >> ctx->iline_shift) + 1;
+                long long count = data[i + 2];
+                if (ctx->icache_mode == 0) {
                     ctx->d_busy[pid] += count;
                     time += count;
                 }
+                else if (ctx->icache_mode == 1) {
+                    long long addr = data[i + 1];
+                    long long iline_no = addr >> ctx->iline_shift;
+                    long long ilast =
+                        (addr + count * 4 - 1) >> ctx->iline_shift;
+                    long long *istates = ctx->ic_states[pid];
+                    long long *itags = ctx->ic_tags[pid];
+                    long long imask = ctx->ic_mask[pid];
+                    long long ishift = ctx->ic_shift[pid];
+                    while (iline_no <= ilast) {
+                        long long idxi = iline_no & imask;
+                        if (istates[idxi]
+                            && itags[idxi] == (iline_no >> ishift))
+                            iline_no++;
+                        else
+                            break;
+                    }
+                    if (iline_no > ilast) {
+                        ctx->d_icfetch[pid] +=
+                            ilast - (addr >> ctx->iline_shift) + 1;
+                        ctx->d_busy[pid] += count;
+                        time += count;
+                    }
+                    else {
+                        int err = 0;
+                        time = call_ifetch(ctx, pid, addr, count, time, &err);
+                        if (err)
+                            goto fail;
+                    }
+                }
                 else {
                     int err = 0;
-                    time = call_ifetch(ctx, pid, addr, count, time, &err);
+                    time = call_ifetch(ctx, pid, data[i + 1], count, time,
+                                       &err);
                     if (err)
                         goto fail;
                 }
+                i += 3;
+                if (time > next_time)
+                    status = STATUS_PREEMPT;
             }
-            else {
-                int err = 0;
-                time = call_ifetch(ctx, pid, data[i + 1], count, time,
-                                   &err);
-                if (err)
+            else if (op == OP_ENQUEUE) {
+                if (time > limit)
+                    goto limit_exceeded;
+                misc[0]++;
+                PyObject *key = PyLong_FromLongLong(data[i + 1]);
+                if (!key)
                     goto fail;
-            }
-            i += 3;
-            if (time > next_time) {
-                status = STATUS_PREEMPT;
-                break;
-            }
-        }
-        else if (op == OP_ENQUEUE) {
-            if (time > limit)
-                goto limit_exceeded;
-            misc[0]++;
-            PyObject *key = PyLong_FromLongLong(data[i + 1]);
-            if (!key)
-                goto fail;
-            PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
-            if (q) {
-                Py_INCREF(q);
-            }
-            else {
-                if (PyErr_Occurred()) {
-                    Py_DECREF(key);
-                    goto fail;
+                PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
+                if (q) {
+                    Py_INCREF(q);
                 }
-                q = PyObject_CallNoArgs(g_deque);
-                if (!q || PyDict_SetItem(ctx->queues, key, q) < 0) {
-                    Py_XDECREF(q);
-                    Py_DECREF(key);
-                    goto fail;
-                }
-            }
-            Py_DECREF(key);
-            PyObject *item = PyLong_FromLongLong(data[i + 2]);
-            PyObject *r = item ? PyObject_CallMethodObjArgs(
-                q, s_append, item, NULL) : NULL;
-            Py_XDECREF(item);
-            Py_DECREF(q);
-            if (!r)
-                goto fail;
-            Py_DECREF(r);
-            i += 3;
-        }
-        else if (op == OP_DEQUEUE) {
-            if (time > limit)
-                goto limit_exceeded;
-            misc[0]++;
-            PyObject *key = PyLong_FromLongLong(data[i + 1]);
-            if (!key)
-                goto fail;
-            PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
-            Py_DECREF(key);
-            if (!q && PyErr_Occurred())
-                goto fail;
-            if (q) {
-                int truthy = PyObject_IsTrue(q);
-                if (truthy < 0)
-                    goto fail;
-                if (truthy) {
-                    PyObject *r = PyObject_CallMethodObjArgs(
-                        q, s_popleft, NULL);
-                    if (!r)
+                else {
+                    if (PyErr_Occurred()) {
+                        Py_DECREF(key);
                         goto fail;
-                    Py_DECREF(r);
+                    }
+                    q = PyObject_CallNoArgs(g_deque);
+                    if (!q || PyDict_SetItem(ctx->queues, key, q) < 0) {
+                        Py_XDECREF(q);
+                        Py_DECREF(key);
+                        goto fail;
+                    }
                 }
+                Py_DECREF(key);
+                PyObject *item = PyLong_FromLongLong(data[i + 2]);
+                PyObject *r = item ? PyObject_CallMethodObjArgs(
+                    q, s_append, item, NULL) : NULL;
+                Py_XDECREF(item);
+                Py_DECREF(q);
+                if (!r)
+                    goto fail;
+                Py_DECREF(r);
+                i += 3;
             }
-            i += 2;
+            else if (op == OP_DEQUEUE) {
+                if (time > limit)
+                    goto limit_exceeded;
+                misc[0]++;
+                PyObject *key = PyLong_FromLongLong(data[i + 1]);
+                if (!key)
+                    goto fail;
+                PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
+                Py_DECREF(key);
+                if (!q && PyErr_Occurred())
+                    goto fail;
+                if (q) {
+                    int truthy = PyObject_IsTrue(q);
+                    if (truthy < 0)
+                        goto fail;
+                    if (truthy) {
+                        PyObject *r = PyObject_CallMethodObjArgs(
+                            q, s_popleft, NULL);
+                        if (!r)
+                            goto fail;
+                        Py_DECREF(r);
+                    }
+                }
+                i += 2;
+            }
+            else {
+                /* Synchronization or unknown opcode: the wrapper runs the
+                 * handler (or raises the unknown-opcode error) for exact
+                 * error/accounting parity with the python loop. */
+                if (time > limit)
+                    goto limit_exceeded;
+                status = STATUS_SYNC;
+            }
         }
-        else {
-            /* Synchronization or unknown opcode: the wrapper runs the
-             * handler (or raises the unknown-opcode error) for exact
-             * error/accounting parity with the python loop. */
-            if (time > limit)
-                goto limit_exceeded;
-            status = STATUS_SYNC;
+
+        if (status == STATUS_SYNC) {
+            /* The cursor already points past the opcode python is about
+             * to handle; regs[R_POS] tells it where the opcode is. */
+            cur->pos = i + (data[i] == OP_BARRIER ? 3 : 2);
+            cur->sub = 0;
             break;
         }
+        if (status == STATUS_EXHAUSTED) {
+            PyBuffer_Release(&cur->view);
+            break;
+        }
+        /* Preempted by the heap top.  ``time`` exceeds the top's clock,
+         * so the pushed entry cannot be the one that comes back out and
+         * push-and-pop fuse into one sift, exactly like the python fast
+         * path's heappushpop. */
+        cur->pos = i;
+        cur->sub = sub;
+        entry = Py_BuildValue("(LLL)", time, ++seq, pid);
+        if (!entry)
+            goto fail;
     }
 
-    regs[0] = i;
-    regs[1] = sub;
-    regs[2] = time;
-    PyBuffer_Release(&cview);
+    regs[R_POS] = i;
+    regs[R_TIME] = time;
+    regs[R_PID] = pid;
+    regs[R_SEQ] = seq;
     return PyLong_FromLong(status);
 
 limit_exceeded:
     PyErr_Format(PyExc_RuntimeError, "simulation exceeded %lld cycles",
                  limit);
 fail:
-    regs[0] = i;
-    regs[1] = sub;
-    regs[2] = time;
-    PyBuffer_Release(&cview);
+    regs[R_POS] = i;
+    regs[R_TIME] = time;
+    regs[R_PID] = pid;
+    regs[R_SEQ] = seq;
     return NULL;
 }
 
@@ -1622,9 +1837,10 @@ fail:
 
 static PyMethodDef methods[] = {
     {"setup", native_setup, METH_O,
-     "Parse a drain plan into a context capsule."},
-    {"drain", native_drain, METH_VARARGS,
-     "Consume packed events; returns 0/1/2 (exhausted/preempt/sync)."},
+     "Parse a run plan into a context capsule."},
+    {"run", native_run, METH_VARARGS,
+     "Schedule and drain processes; returns 0/1/2/3 "
+     "(refill/done/sync/object hand-off)."},
     {"release", native_release, METH_O,
      "Release the buffer views held by a context."},
     {"ladder_setup", native_ladder_setup, METH_O,
@@ -1638,7 +1854,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
-    "C inner loop for the packed replay interleaver.", -1, methods,
+    "C scheduler and inner loop for the packed replay interleaver.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 
@@ -1658,5 +1874,12 @@ PyInit__native(void)
     s_retire = PyUnicode_InternFromString("retire");
     if (!s_append || !s_popleft || !s_complete || !s_retire)
         return NULL;
-    return PyModule_Create(&moduledef);
+    PyObject *module = PyModule_Create(&moduledef);
+    if (module
+        && PyModule_AddStringConstant(module, "ABI_VERSION",
+                                      ABI_VERSION) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -1,17 +1,20 @@
 """C-extension packed replay backend: loader, on-demand build, wrapper.
 
-``_native.c`` implements the interleaver's chunk-drain inner loop over
-raw ``int64_t*`` views of the shared ``array('q')`` tag/state/bank
-storage.  Python keeps everything rare: process switches (heap
-scheduling), generator resumes, synchronization handlers, and the
-coherence callbacks for misses -- the same division of labor the python
-fast path uses between its inline hit code and ``CoherenceController``.
+``_native.c`` implements the interleaver's scheduler and chunk-drain
+loop over raw ``int64_t*`` views of the shared ``array('q')``
+tag/state/bank storage: C owns hits, bank/write-buffer timing and
+scheduling (process switches happen in place on ``interleaver._heap``).
+Python owns what is rare: generator resumes, synchronization handlers,
+and the coherence model, which C calls back for misses and icache
+refills -- the same division of labor the python fast path uses between
+its inline hit code and ``CoherenceController``.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
 
 1. ``repro.trace.engine._native`` -- the setuptools ``Extension`` built
-   by ``pip install`` / ``python setup.py build_ext --inplace``.
+   by ``pip install`` / ``python setup.py build_ext --inplace``, unless
+   it is stale (its ``ABI_VERSION`` is not ``NATIVE_VERSION``).
 2. On-demand compile of ``_native.c`` into a content-addressed cache
    directory (``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro-native``),
    because the repo's documented mode of use is ``PYTHONPATH=src`` from
@@ -26,7 +29,6 @@ to assert the clean-fallback path).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import importlib.util
 import os
 import subprocess
@@ -41,8 +43,9 @@ from ..packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
 __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run"]
 
-#: Bump when the C ABI (plan layout, drain contract) changes.
-NATIVE_VERSION = "2"
+#: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
+#: layout, run contract, ladder entry points) changes.
+NATIVE_VERSION = "3"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -51,10 +54,12 @@ _mod = _UNSET
 
 _NO_LIMIT = (1 << 63) - 1
 
-# drain() statuses
+# _native.run() statuses and the registers it shares with this module
 _EXHAUSTED = 0
-_PREEMPT = 1
+_DONE = 1
 _SYNC = 2
+_OBJECT = 3
+_R_POS, _R_TIME, _R_PID, _R_SEQ = range(4)
 
 
 def _source_path() -> Path:
@@ -131,51 +136,56 @@ def load(rebuild: bool = False):
     if os.environ.get("REPRO_NATIVE", "").strip() == "0":
         LOAD_ERROR = "disabled via REPRO_NATIVE=0"
         return None
+    stale = None
     try:
         from . import _native  # type: ignore[attr-defined]
-        _mod = _native
-        LOAD_ERROR = None
-        return _mod
     except ImportError:
         pass
+    else:
+        stale = _stale_reason(_native)
+        if stale is None:
+            _mod = _native
+            LOAD_ERROR = None
+            return _mod
+    # No in-place build, or a stale one: build this tree's source.
     _mod = _compile_on_demand()
     if _mod is not None:
-        LOAD_ERROR = None
+        LOAD_ERROR = _stale_reason(_mod)
+        if LOAD_ERROR is not None:
+            _mod = None
+    elif stale is not None:
+        LOAD_ERROR = f"{stale}; {LOAD_ERROR}"
     return _mod
 
 
+def _stale_reason(module) -> Optional[str]:
+    """Why ``module`` cannot serve this wrapper (``None``: it can).
+
+    One check covers every entry point, the fused ladder's included: an
+    ``_native`` left behind by an older ``setup.py build_ext --inplace``
+    would otherwise shadow the on-demand build and fail mid-sweep.
+    """
+    abi = getattr(module, "ABI_VERSION", None)
+    if abi == NATIVE_VERSION:
+        return None
+    return (f"stale extension {getattr(module, '__file__', '?')}: "
+            f"ABI {abi!r}, need {NATIVE_VERSION!r}")
+
+
 def ladder_available() -> bool:
-    """Whether the loaded extension has the fused-ladder entry points.
-
-    A stale ``setup.py``-built ``_native`` predating the ladder ABI can
-    shadow the on-demand build; callers degrade to the python ladder
-    rather than fail.
-    """
-    mod = load()
-    return mod is not None and hasattr(mod, "ladder_setup")
-
-
-def _qchunk(process):
-    """The process's chunk as ``array('q')`` (installed back in place).
-
-    Chunks are fully consumed before their generator resumes, so
-    swapping the sequence object mid-drain is invisible to workloads
-    that reuse builder lists.
-    """
-    data = process.chunk
-    if type(data) is array and data.typecode == "q":
-        return data
-    data = array("q", data)
-    process.chunk = data
-    return data
+    """Whether the fused-ladder entry points can run: they ship in the
+    same extension, so exactly when it loaded (:func:`_stale_reason`
+    is the one check)."""
+    return load() is not None
 
 
 def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_fast``.
 
-    Clone of the python fast path's scheduler frame; the inner
-    chunk-drain loop runs in C (``drain``), returning only for process
-    switches, chunk exhaustion, and synchronization opcodes.
+    The scheduler and the chunk-drain loop run in C (``_native.run``) on
+    the interleaver's own ``_heap``; this frame is re-entered only to
+    resume a generator (chunk exhausted, or a popped process with no
+    chunk installed) and to run a synchronization handler.
     """
     native = load()
     self = interleaver
@@ -242,7 +252,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     d_finish = array("q", [-1] * nproc)
     d_icfetch = array("q", bytes(8 * nproc))
     misc = array("q", [0])
-    regs = array("q", [0] * 6)
+    regs = array("q", [0, 0, -1, 0])     # R_PID -1: pop the first process
     plan = (
         per_cluster,
         (system.coherence.read_miss, system.coherence.write_line,
@@ -252,122 +262,81 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         (d_reads, d_writes, d_conf, d_wbuf, d_refs, d_busy, d_stall,
          d_finish, d_icfetch, misc),
         regs,
+        (heap, array("q", proc_cluster)),
     )
     ctx = native.setup(plan)
-    drain = native.drain
+    run_c = native.run
 
-    pop = heapq.heappop
-    pushpop = heapq.heappushpop
     advance = self._advance
+    returns = [0, 0, 0, 0]      # by status; _DONE stays 0
     ev = 0
     finish_time = 0
-    pending = -1
+    chunk = None
     try:
         while True:
-            if pending >= 0:
-                pid = pending
-                pending = -1
-                process = processes[pid]
-            else:
-                if not heap:
-                    break
-                pid = pop(heap)[2]
-                process = processes[pid]
-                process.in_heap = False
-            if process.chunk is None:
-                finish = advance(process, max_cycles)
-                if finish is not None and finish > finish_time:
-                    finish_time = finish
-                if process.chunk is None:
-                    continue
-            data = _qchunk(process)
-            regs[0] = process.chunk_pos
-            regs[1] = process.chunk_sub
-            regs[2] = process.time
-            regs[3] = heap[0][0] if heap else _NO_LIMIT
-            regs[4] = pid
-            regs[5] = proc_cluster[pid]
-            while True:
-                status = drain(ctx, data)
-                if status == _SYNC:
-                    i = regs[0]
-                    time = regs[2]
-                    op = data[i]
-                    ev += 1
-                    process.time = time
-                    if op == OP_LOCK_ACQ:
-                        self._lock_acquire(process, data[i + 1])
-                        i += 2
-                    elif op == OP_LOCK_REL:
-                        self._lock_release(process, data[i + 1])
-                        i += 2
-                    elif op == OP_BARRIER:
-                        self._barrier(process, data[i + 1], data[i + 2])
-                        i += 3
-                    else:
-                        # C defers unknown opcodes here so the error and
-                        # the accounting before it match the python loop.
-                        raise ValueError(
-                            f"unknown packed opcode {op} at {i}")
-                    time = process.time
-                    if process.blocked or process.in_heap:
-                        process.chunk_pos = i
-                        process.chunk_sub = 0
-                        break
-                    next_time = heap[0][0] if heap else _NO_LIMIT
-                    if time <= next_time:
-                        regs[0] = i
-                        regs[1] = 0
-                        regs[2] = time
-                        regs[3] = next_time
-                        continue
-                    process.chunk_pos = i
-                    process.chunk_sub = 0
-                elif status == _EXHAUSTED:
-                    process.time = regs[2]
-                    process.chunk = None
-                    process.chunk_pos = 0
-                    process.chunk_sub = 0
-                    finish = advance(process, max_cycles)
-                    if finish is not None:
-                        if finish > finish_time:
-                            finish_time = finish
-                        break
-                    if process.chunk is None:
-                        break
-                    data = _qchunk(process)
-                    regs[0] = 0
-                    regs[1] = 0
-                    regs[2] = process.time
-                    regs[3] = heap[0][0] if heap else _NO_LIMIT
-                    continue
+            regs[_R_SEQ] = self._seq
+            try:
+                status = run_c(ctx, chunk)
+            finally:
+                self._seq = regs[_R_SEQ]
+            if status == _DONE:
+                break
+            returns[status] += 1
+            chunk = None
+            # C switched processes without touching the process objects;
+            # bring them up to date before any handler looks: every one
+            # exactly as ``_push`` / the python loop's pop would leave it.
+            process = processes[regs[_R_PID]]
+            process.time = regs[_R_TIME]
+            process.in_heap = False
+            for clock, _, pid in heap:
+                ready = processes[pid]
+                ready.time = clock
+                ready.in_heap = True
+            if status == _SYNC:
+                data = process.chunk
+                i = regs[_R_POS]
+                op = data[i]
+                ev += 1
+                if op == OP_LOCK_ACQ:
+                    self._lock_acquire(process, data[i + 1])
+                elif op == OP_LOCK_REL:
+                    self._lock_release(process, data[i + 1])
+                elif op == OP_BARRIER:
+                    self._barrier(process, data[i + 1], data[i + 2])
                 else:
-                    time = regs[2]
-                    process.chunk_pos = regs[0]
-                    process.chunk_sub = regs[1]
-                # Preempted by the heap top (either by the C loop or by a
-                # sync handler that advanced past it): one fused
-                # push-and-pop, exactly like the python fast path.
-                time = regs[2] if status == _PREEMPT else process.time
-                process.time = time
-                self._seq += 1
-                process.in_heap = True
-                npid = pushpop(heap, (time, self._seq, pid))[2]
-                process = processes[npid]
-                process.in_heap = False
-                if process.chunk is None:
-                    pending = npid
-                    break
-                pid = npid
-                data = _qchunk(process)
-                regs[0] = process.chunk_pos
-                regs[1] = process.chunk_sub
-                regs[2] = process.time
-                regs[3] = heap[0][0] if heap else _NO_LIMIT
-                regs[4] = pid
-                regs[5] = proc_cluster[pid]
+                    # C defers unknown opcodes here so the error and
+                    # the accounting before it match the python loop.
+                    raise ValueError(
+                        f"unknown packed opcode {op} at {i}")
+                if process.blocked or process.in_heap:
+                    regs[_R_PID] = -1
+                else:
+                    # C checks the clock against the heap top, which the
+                    # handler may have changed by waking processes.
+                    regs[_R_TIME] = process.time
+                continue
+            if status == _EXHAUSTED:
+                process.chunk = None
+            finish = advance(process, max_cycles)
+            if finish is not None and finish > finish_time:
+                finish_time = finish
+            data = process.chunk
+            if data is None:
+                regs[_R_PID] = -1   # blocked, rescheduled, or finished
+                continue
+            # Chunks are fully consumed before their generator resumes,
+            # so swapping the sequence object for ``array('q')`` storage
+            # is invisible to workloads that reuse builder lists.
+            if type(data) is not array or data.typecode != "q":
+                data = process.chunk = array("q", data)
+            chunk = data
+            regs[_R_TIME] = process.time
     finally:
         native.release(ctx)
+        self.engine_returns = {"refill": returns[_EXHAUSTED],
+                               "sync": returns[_SYNC],
+                               "object": returns[_OBJECT]}
         self.events_processed += ev + misc[0]
         for c in range(n_cl):
             sstats = cl_scc[c].stats

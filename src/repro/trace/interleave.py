@@ -194,6 +194,10 @@ class TimingInterleaver:
         self.engine_used: Optional[str] = None
         """Concrete engine the last :meth:`run` executed on
         (``generic``/``python``/``native``)."""
+        self.engine_returns: Dict[str, int] = {}
+        """How often the native engine's C loop handed control back to
+        python during the last :meth:`run`, by reason (``refill``/
+        ``sync``/``object``); empty on the other engines."""
 
     # ------------------------------------------------------------------
     # Setup

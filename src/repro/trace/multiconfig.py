@@ -795,15 +795,15 @@ def _fused_pass_native(ladder: List[SystemConfig],
 
     Returns ``(events_processed, per-size finish times)`` exactly like
     :func:`_fused_pass`, or ``None`` when the extension is unavailable
-    or predates the ladder ABI (callers degrade to the python pass).
+    or stale (callers degrade to the python pass).
     Queue, lock and barrier opcodes are deferred back here (drain status
     2) so their error messages and accounting match the python pass
     byte for byte.
     """
     from .engine import native as _native
-    if not _native.ladder_available():
-        return None
     native = _native.load()
+    if native is None:
+        return None
     config = ladder[0]
     n_sizes = len(ladder)
     per_size = []

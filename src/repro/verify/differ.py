@@ -20,10 +20,10 @@ exposes:
   internal to the fused engine, so the diff covers statistics and
   event counts).
 * **fused-native** -- the same two-rung ladder forced through the
-  compiled ladder (``backend="native"``); registered only when the
-  extension actually exposes the ladder entry points, and asserted to
-  have engaged (a silent degradation to the python ladder would make
-  the comparison trivially green).
+  compiled ladder (``backend="native"``); registered whenever the
+  extension is available, and asserted to have engaged (a silent
+  degradation to the python ladder would make the comparison trivially
+  green).
 
 Two paths that fail with the *same* exception type are in agreement --
 error parity is part of the contract (the golden suites already pin
@@ -41,9 +41,8 @@ from ..trace.engine import native_available
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace import multiconfig
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
-from ..trace.packed import PackedChunk
 from .oracle import FunctionalOracle
-from .tapes import Tape
+from .tapes import Tape, TapeApplication
 
 __all__ = ["DEFAULT_MAX_CYCLES", "EngineSpec", "PathResult",
            "TapeDivergence", "diff_tape", "engine_registry",
@@ -95,9 +94,9 @@ class TapeDivergence:
 
 
 def _chunk_processes(interleaver: TimingInterleaver, tape: Tape) -> None:
-    for pid, stream in sorted(tape.streams.items()):
-        interleaver.add_process(pid, iter([PackedChunk(array("q",
-                                                             stream))]))
+    processes = TapeApplication(tape).processes(interleaver.system.config)
+    for pid, pieces in processes.items():
+        interleaver.add_process(pid, pieces)
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def engine_registry() -> Dict[str, EngineSpec]:
         registry["native"] = EngineSpec("native", _FULL, _always)
     registry["fused"] = EngineSpec("fused", ("events", "stats"),
                                    fused_eligible)
-    if _native_ladder_available():
+    if native_available():   # one extension: the ladder ships with it
         registry["fused-native"] = EngineSpec("fused-native",
                                               ("events", "stats"),
                                               fused_eligible)
@@ -197,14 +196,6 @@ def fused_eligible(tape: Tape) -> bool:
         return False
     ladder = [config, config.with_updates(scc_size=config.scc_size * 2)]
     return fused_ladder_supported(ladder)
-
-
-def _native_ladder_available() -> bool:
-    """Whether the compiled fused ladder can actually run here."""
-    if not native_available():
-        return False
-    from ..trace.engine import native
-    return native.ladder_available()
 
 
 def _run_fused(tape: Tape, config,

@@ -27,11 +27,13 @@ from typing import Dict, Iterator, List
 from ..core.config import SystemConfig
 from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                             OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
-                            OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WRITE,
-                            OP_WRITE_SPAN, PackedChunk, event_count)
+                            OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WIDTH,
+                            OP_WRITE, OP_WRITE_SPAN, PackedChunk,
+                            decode_events, event_count)
 
 __all__ = ["TAPE_FORMAT_VERSION", "Tape", "TapeApplication",
-           "generate_tape", "tape_to_json", "tape_from_json"]
+           "chunk_cuts", "generate_tape", "tape_to_json",
+           "tape_from_json"]
 
 TAPE_FORMAT_VERSION = 1
 
@@ -60,17 +62,71 @@ class Tape:
                     streams=streams)
 
 
+_SYNC_OPS = (OP_LOCK_ACQ, OP_LOCK_REL, OP_BARRIER)
+
+
+def chunk_cuts(stream: List[int], rng: random.Random) -> List[int]:
+    """Sorted positions at which ``stream`` is cut into chunks.
+
+    Every cut is an opcode boundary (a span is never split; nothing is
+    cut after an opcode the encoding does not know).  Where the stream
+    has them, the cuts include the boundaries immediately before and
+    after one synchronization opcode and one between two adjacent
+    computes; a repeated position, ``0`` or ``len(stream)`` makes an
+    empty chunk.  About a quarter of the streams stay in one chunk.
+    """
+    if rng.random() < 0.25:
+        return []
+    starts = []
+    i = 0
+    while i < len(stream) and stream[i] in OP_WIDTH:
+        starts.append(i)
+        i += OP_WIDTH[stream[i]]
+    if not starts:
+        return []
+    cuts = rng.sample(starts, k=min(len(starts), rng.randrange(3)))
+    syncs = [i for i in starts if stream[i] in _SYNC_OPS]
+    if syncs:
+        at = rng.choice(syncs)
+        cuts += [at, at + OP_WIDTH[stream[at]]]
+    compute_runs = [i for before, i in zip(starts, starts[1:])
+                    if stream[before] == stream[i] == OP_COMPUTE]
+    if compute_runs:
+        cuts.append(rng.choice(compute_runs))
+    cuts.append(rng.choice(cuts + [0, len(stream)]))    # an empty chunk
+    return sorted(cuts)
+
+
+def _deliver(pieces) -> Iterator:
+    for data, as_objects in pieces:
+        if as_objects:
+            yield from decode_events(data)
+        else:
+            yield PackedChunk(data)
+
+
 class TapeApplication:
     """Adapter presenting a tape as a traced application: each stream is
-    yielded as a single :class:`PackedChunk`, identically to every
-    execution path."""
+    yielded as one or more pieces, identically to every execution path.
+    Most pieces are a :class:`PackedChunk`; some arrive as the event
+    objects they decode to.  The cuts (:func:`chunk_cuts`) and that
+    choice are a function of the tape alone -- its seed, the processor
+    id and the stream -- so the hand-offs between an engine's scheduler
+    and the generators (chunk refill, a scheduled process with no chunk
+    installed) are fuzzed, and replays and shrinks stay deterministic."""
 
     def __init__(self, tape: Tape):
         self.tape = tape
 
     def processes(self, config: SystemConfig) -> Dict[int, Iterator]:
-        return {pid: iter([PackedChunk(array("q", stream))])
-                for pid, stream in sorted(self.tape.streams.items())}
+        processes = {}
+        for pid, stream in sorted(self.tape.streams.items()):
+            rng = random.Random(f"{self.tape.seed}/chunks/{pid}")
+            edges = [0, *chunk_cuts(stream, rng), len(stream)]
+            processes[pid] = _deliver([
+                (array("q", stream[lo:hi]), rng.random() < 0.2)
+                for lo, hi in zip(edges, edges[1:])])
+        return processes
 
 
 # ----------------------------------------------------------------------

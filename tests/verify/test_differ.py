@@ -1,9 +1,13 @@
 """Tests for the differential runner."""
 
+from array import array
+
 import pytest
 
+from repro.trace.packed import PackedChunk
 from repro.verify import PathResult, TapeDivergence, diff_tape, \
     generate_tape, run_tape
+from repro.verify import differ
 from repro.verify.differ import _compare, _diff_values, fused_eligible
 
 SEEDS = [f"differ:{i}" for i in range(12)]
@@ -30,6 +34,27 @@ class TestAgreement:
         fast = run_tape(tape, "fast")
         assert generic.error is None and fast.error is None
         assert generic.fingerprint == fast.fingerprint
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generic_fingerprint_is_invariant_under_the_split(
+            self, seed, monkeypatch):
+        """How a stream is cut into chunks and event objects is not an
+        input of the simulation: the baseline every engine is diffed
+        against reads the same as on whole single-chunk streams."""
+        class WholeStreams:
+            def __init__(self, tape):
+                self.tape = tape
+
+            def processes(self, config):
+                return {pid: iter([PackedChunk(array("q", stream))])
+                        for pid, stream in self.tape.streams.items()}
+
+        tape = generate_tape(seed)
+        split = run_tape(tape, "generic")
+        monkeypatch.setattr(differ, "TapeApplication", WholeStreams)
+        whole = run_tape(tape, "generic")
+        assert split.error is None and whole.error is None
+        assert split.fingerprint == whole.fingerprint
 
     def test_fused_engine_compared_when_eligible(self):
         tapes = [generate_tape(f"fused:{i}") for i in range(60)]

@@ -1,11 +1,16 @@
 """Tests for the seeded adversarial tape generator."""
 
+import random
+
 import pytest
 
 from repro.trace.events import Barrier, LockAcquire, LockRelease
-from repro.trace.packed import PackedChunk, decode_events
+from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_LOCK_ACQ,
+                                OP_LOCK_REL, OP_READ, OP_READ_SPAN,
+                                OP_WIDTH, PackedChunk, decode_events)
 from repro.verify import (Tape, TapeApplication, generate_tape,
                           tape_from_json, tape_to_json)
+from repro.verify.tapes import chunk_cuts
 
 SEEDS = [f"tapes:{i}" for i in range(25)]
 
@@ -90,14 +95,92 @@ class TestTapeContainer:
         assert set(slim.streams) == {0}
 
     def test_application_yields_packed_chunks(self):
+        """Each stream arrives whole and in order, as chunks and (for
+        some pieces) the event objects they decode to."""
+        kinds = set()
+        for seed in SEEDS:
+            tape = generate_tape(seed)
+            processes = TapeApplication(tape).processes(tape.config())
+            assert set(processes) == set(tape.streams)
+            for pid, iterator in processes.items():
+                decoded = []
+                for piece in iterator:
+                    kinds.add(type(piece) is PackedChunk)
+                    decoded.extend(decode_events(piece.data)
+                                   if type(piece) is PackedChunk
+                                   else [piece])
+                assert decoded == list(decode_events(tape.streams[pid]))
+        assert kinds == {True, False}
+
+    def test_application_is_a_function_of_the_tape(self):
         tape = generate_tape("application")
-        processes = TapeApplication(tape).processes(tape.config())
-        assert set(processes) == set(tape.streams)
-        for pid, iterator in processes.items():
-            chunks = list(iterator)
-            assert len(chunks) == 1
-            assert isinstance(chunks[0], PackedChunk)
-            assert list(chunks[0].data) == list(tape.streams[pid])
+
+        def pieces():
+            return {pid: [list(p.data) if type(p) is PackedChunk else p
+                          for p in iterator]
+                    for pid, iterator in TapeApplication(tape).processes(
+                        tape.config()).items()}
+
+        first = pieces()
+        random.seed(1234)   # global RNG state must not matter
+        assert pieces() == first
+
+
+def _starts(stream):
+    starts, i = [], 0
+    while i < len(stream):
+        starts.append(i)
+        i += OP_WIDTH[stream[i]]
+    return starts
+
+
+class TestChunkCuts:
+    STREAMS = [(seed, pid, stream) for seed in SEEDS
+               for pid, stream in generate_tape(seed).streams.items()]
+
+    def _cuts(self, seed, pid, stream):
+        return chunk_cuts(stream, random.Random(f"{seed}/chunks/{pid}"))
+
+    def test_cuts_are_sorted_opcode_boundaries(self):
+        for seed, pid, stream in self.STREAMS:
+            cuts = self._cuts(seed, pid, stream)
+            assert cuts == sorted(cuts)
+            assert set(cuts) <= set(_starts(stream)) | {len(stream)}
+
+    def test_corpus_covers_the_hand_off_shapes(self):
+        """Single-chunk streams, empty chunks, a cut on both sides of a
+        sync opcode and one between two adjacent computes all occur."""
+        seen = set()
+        for seed, pid, stream in self.STREAMS:
+            cuts = self._cuts(seed, pid, stream)
+            if not cuts:
+                seen.add("whole")
+            edges = [0, *cuts, len(stream)]
+            if any(lo == hi for lo, hi in zip(edges, edges[1:])):
+                seen.add("empty")
+            for at in cuts:
+                if at == len(stream):
+                    continue
+                op = stream[at]
+                if (op in (OP_LOCK_ACQ, OP_LOCK_REL, OP_BARRIER)
+                        and at + OP_WIDTH[op] in cuts):
+                    seen.add("around-sync")
+                if op == OP_COMPUTE and at >= 2 \
+                        and stream[at - 2] == OP_COMPUTE \
+                        and at - 2 in _starts(stream):
+                    seen.add("inside-compute-run")
+        assert seen == {"whole", "empty", "around-sync",
+                        "inside-compute-run"}
+
+    def test_spans_and_unknown_opcodes_are_never_cut_into(self):
+        stream = [OP_READ_SPAN, 0, 64, 16, OP_READ, 0, 99, 1, 2,
+                  OP_READ, 16]
+        for k in range(50):
+            cuts = chunk_cuts(stream, random.Random(k))
+            assert set(cuts) <= {0, 4, len(stream)}
+
+    def test_empty_stream_has_no_cuts(self):
+        assert chunk_cuts([], random.Random(0)) == []
 
 
 class TestPersistence:
