@@ -6,10 +6,12 @@ classic setuptools entry point.  All real metadata lives in pyproject.toml.
 
 The native replay backend (``repro.trace.engine._native``) is built here
 when a C toolchain is present, and skipped -- loudly but non-fatally --
-when it is not: the package is pure-python-complete, the extension is an
-accelerator tier, and :mod:`repro.trace.engine.native` can also compile
-it on demand at import time.  Set ``REPRO_BUILD_NATIVE=0`` to skip the
-build attempt entirely.
+when it is not: the package is pure-python-complete (without the
+extension every run is on the per-event reference loop and ladders replay
+once per size -- same results, slower; README "Replay engines" has the
+measured cost), the extension is the one fast engine, and
+:mod:`repro.trace.engine.native` can also compile it on demand at import
+time.  Set ``REPRO_BUILD_NATIVE=0`` to skip the build attempt entirely.
 """
 
 import os
@@ -35,7 +37,7 @@ class optional_build_ext(build_ext):
 
     def _skip(self, exc):
         print(f"WARNING: native replay backend not built ({exc}); "
-              f"the python tier remains fully functional")
+              f"the reference loop remains fully functional, slower")
 
 
 if os.environ.get("REPRO_BUILD_NATIVE", "1") == "0":

@@ -19,9 +19,10 @@ Python:
 * ``bench`` -- time the simulator itself (packed fast path vs the
   event-object path, trace-cached sweep vs instrumented resimulation)
   and optionally write the numbers to a JSON file;
-* ``fuzz`` -- differentially verify the three timing engines against
-  each other and a functional oracle over seeded adversarial tapes,
-  shrinking any divergence to a minimal repro;
+* ``fuzz`` -- differentially verify the native engine and its fused
+  ladder against the reference loop, and that against a functional
+  oracle, over seeded adversarial tapes, shrinking any divergence to a
+  minimal repro;
 * ``serve`` -- run the sweep fabric: an HTTP broker with in-process
   workers sharing the node's result/trace cache as the artifact store;
 * ``submit`` -- send a sweep to a running fabric, stream its per-point
@@ -273,9 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_ENGINE, then auto)")
 
     fuzz = commands.add_parser(
-        "fuzz", help="differentially fuzz the three timing engines "
-                     "(generic vs packed fast path vs fused ladder, "
-                     "checked against a functional oracle)")
+        "fuzz", help="differentially fuzz the timing engines "
+                     "(reference loop vs native engine vs native fused "
+                     "ladder, checked against a functional oracle)")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N",
                       help="master seed naming the tape set (default 0)")
     fuzz.add_argument("--budget", type=int, default=200, metavar="N",
@@ -740,9 +741,10 @@ def _bench_packed(repeat: int) -> dict:
     """The packed replay engines on one tape.
 
     Times the same single-processor replay on every available backend
-    (python reference loop, native C tier) and cross-checks that they
-    produce bit-identical statistics.  ``speedup`` entries are relative
-    to the python loop.
+    (``python``: the per-event reference loop; ``native``: the C
+    engine) and cross-checks that they produce bit-identical
+    statistics.  ``speedup`` entries are relative to the reference
+    loop.
     """
     import time
     from .trace.engine import available_backends
@@ -869,7 +871,8 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
     RunStats (asserted here); only wall-clock differs.  Both modes run
     on the same requested backend, so with the default ``auto`` on a
     machine with a compiler this is the compiled ladder versus native
-    per-size replay.
+    per-size replay; on the reference loop there is no fused pass and
+    the two modes are the same work (``ladder_engine`` says which).
     """
     import shutil
     import tempfile
@@ -878,7 +881,6 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
     from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
     from .experiments.session import run_sweep
     from .experiments.spec import SweepSpec
-    from .trace import multiconfig
     from .trace.engine import backend_info
     from .trace.record import TraceCache
     profile = PROFILES["quick"]
@@ -912,11 +914,13 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
         shutil.rmtree(scratch, ignore_errors=True)
     per_size_s = min(timings[False])
     fused_s = min(timings[True])
+    engine = backend_info(backend)
     return {
         "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
                 f"procs={list(procs)}, warm trace cache",
-        "engine": backend_info(backend),
-        "ladder_engine": multiconfig.LAST_LADDER_ENGINE,
+        "engine": engine,
+        # the fused pass exists on the native engine only
+        "ladder_engine": engine["resolved"],
         "per_size_warm_s": round(per_size_s, 4),
         "fused_warm_s": round(fused_s, 4),
         "speedup": round(per_size_s / fused_s, 2),
@@ -1015,7 +1019,7 @@ def _cmd_bench(args) -> int:
         print(f"  speedup         : {point['speedup']:.2f}x")
     if args.scenario in ("all", "packed"):
         print("timing packed replay engines "
-              "(python vs native on one tape)...")
+              "(reference loop vs native on one tape)...")
         report["packed_engines"] = packed = _bench_packed(args.repeat)
         print(f"  events          : {packed['events']:,}")
         for name in ("python", "native"):
@@ -1023,7 +1027,7 @@ def _cmd_bench(args) -> int:
             if rate is None:
                 continue
             extra = (f" ({packed[f'{name}_speedup']:.1f}x)"
-                     if name != "python" else "")
+                     if name != "python" else " (reference loop)")
             print(f"  {name:<16}: {rate:,} events/s{extra}")
     if args.scenario in ("all", "sweep"):
         print("timing multiprogramming sweep "
@@ -1044,7 +1048,9 @@ def _cmd_bench(args) -> int:
         print(f"  per-size (warm) : {fused['per_size_warm_s']:.3f} s "
               f"({fused['engine']['resolved']} replay)")
         print(f"  fused (warm)    : {fused['fused_warm_s']:.3f} s "
-              f"({fused['ladder_engine']} ladder)")
+              + ("(native ladder)" if fused["ladder_engine"] == "native"
+                 else "(no fused ladder on the reference loop: "
+                      "per-size replay again)"))
         print(f"  speedup         : {fused['speedup']:.2f}x")
     if args.scenario in ("all", "analytical"):
         print("timing analytical surrogate "
@@ -1174,6 +1180,7 @@ def _cmd_optimize(args) -> int:
     from .experiments.session import QuarantinedPointError
     from .optimize import (BudgetLedger, DesignSpace, FunnelEvaluator,
                            optimize, render_frontier)
+    from .trace.engine import engine_degradation
 
     unknown = sorted(set(args.benchmarks) - set(BENCHMARKS))
     if unknown:
@@ -1221,6 +1228,9 @@ def _cmd_optimize(args) -> int:
         return 1
     print()
     print(render_frontier(result))
+    degraded = engine_degradation(args.backend)
+    if degraded is not None:
+        print(f"engine: {degraded}", flush=True)
     return 0 if result.rediscovers_paper() else 1
 
 

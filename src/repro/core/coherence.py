@@ -101,9 +101,9 @@ class CoherenceController:
                   start: int) -> AccessOutcome:
         """Protocol action for one read reaching ``scc`` at ``start``.
 
-        Public (rather than ``_read``) because the interleaver's packed
-        fast path calls it directly on the miss branch after performing
-        the tag check inline.
+        Public (rather than ``_read``) alongside :meth:`write_line` and
+        :meth:`read_miss`, which the native engine takes as its miss
+        callbacks after performing the tag check in C.
         """
         scc.stats.reads += 1
         if scc.array.state(line) != INVALID:
@@ -139,10 +139,10 @@ class CoherenceController:
 
     def read_miss(self, scc: SharedClusterCache, line: int,
                   start: int) -> int:
-        """Known-miss read entry for the interleaver's packed fast path.
+        """Known-miss read entry for the native engine.
 
-        The caller has already performed the tag check inline and the
-        fast-path gate guarantees no probe is attached, so this skips the
+        The caller has already performed the tag check inline and native
+        eligibility guarantees no probe is attached, so this skips the
         hit branch, the probe hooks, and the :class:`AccessOutcome` /
         :class:`~repro.core.bus.BusTransaction` allocations of
         :meth:`read_line` -- the protocol actions and statistics are

@@ -1,29 +1,34 @@
-"""Selectable backend for packed replay.
+"""The two timing engines and how one is selected.
 
-The :class:`~repro.trace.interleave.TimingInterleaver` fast path has two
-interchangeable implementations ("backends", psim's ``EVAL_MODE`` pattern:
-one reference, one fast):
+The SCC/bus timing model has two implementations ("backends", psim's
+``EVAL_MODE`` pattern: one reference, one fast):
 
-* ``python`` -- the inline ``_run_fast`` loop in
-  :mod:`repro.trace.interleave`.  Always available; the semantic reference.
+* ``python`` -- the per-event reference loop of
+  :class:`~repro.trace.interleave.TimingInterleaver` over the
+  :mod:`repro.core` objects.  Always available, runs every machine, and
+  is what an attached observer or probe always gets; there is no fused
+  ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
+  replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) that owns hits, bank/write-buffer timing and scheduling:
   it drains chunks over the shared ``array('q')`` tag/state/bank storage
-  and switches processes in place on the interleaver's heap.  Python owns
-  the generators, the synchronization handlers and the coherence model
-  (misses and instruction-cache refills call back into it).
+  and switches processes in place on the interleaver's heap, and carries
+  the fused ladder.  Python owns the generators, the synchronization
+  handlers and the coherence model (misses and instruction-cache refills
+  call back into it).
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
 environment variable; otherwise ``auto``, which probes native -> python.
 A ``native`` request degrades gracefully to python (a missing compiler)
-unless ``strict=True``.  The retired ``numpy`` tier's name is still
-accepted from stored requests (environment, specs, 1.2 wire payloads) and
-treated like any unavailable tier: it resolves to python.
+unless ``strict=True`` -- :func:`engine_degradation` says what that
+costs.  The retired ``numpy`` tier's name is still accepted from stored
+requests (environment, specs, 1.2 wire payloads) and treated like any
+unavailable tier: it resolves to python.
 
-The native backend must be fingerprint-identical to the python loop; the
-differential verifier (:mod:`repro.verify.differ`) runs it as an
-additional engine over the golden suites and the fuzz corpus.
+The native engine must be fingerprint-identical to the reference loop;
+the differential verifier (:mod:`repro.verify.differ`) diffs the two
+over the golden suites and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ BACKEND_CHOICES = ("auto", "python", "native")
 RETIRED_BACKENDS = ("numpy",)
 
 ENGINE_ENV = "REPRO_ENGINE"
+
+# What a run that wanted the native tier is told it got instead; the
+# factors are the compiler-less cost measured in README "Replay engines".
+_REFERENCE_LOOP_NOTE = (
+    "running on the per-event reference loop with no fused ladder "
+    "(same results; live paper points up to ~3x slower, tape replay "
+    "~3-5x, a warm uniprocessor ladder ~100x)")
 
 
 def native_available() -> bool:
@@ -99,17 +111,18 @@ def engine_degradation(request: Optional[str] = None) -> Optional[str]:
 
     ``auto`` (and an explicit ``native`` request) aim for the native
     tier, so resolving anything else means a toolchain problem worth
-    surfacing -- the sweep/bench CLIs print this instead of silently
-    running slower.
+    surfacing -- the sweep/bench/optimize CLIs print this instead of
+    silently running slower.
     """
     request = _normalize(request)
     if request in RETIRED_BACKENDS:
-        return (f"{request} tier was removed; "
-                f"running on the python tier")
+        return (f"{request} tier was removed; {_REFERENCE_LOOP_NOTE}; "
+                f"request auto or native for the fast engine")
     if request != "python" and not native_available():
         reason = native_unavailable_reason() or "unknown"
         return (f"native tier unavailable ({reason}); "
-                f"running on the python tier")
+                f"{_REFERENCE_LOOP_NOTE}; "
+                f"a C compiler restores the fast engine")
     return None
 
 

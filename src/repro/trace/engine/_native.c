@@ -1,15 +1,17 @@
 /* Packed-chunk scheduler and drain loop for the repro timing interleaver.
  *
- * This is a transcription of ``TimingInterleaver._run_fast``
- * (src/repro/trace/interleave.py) into C over raw ``int64_t*`` views of
- * the ``array('q')`` storage the python model already uses for cache
- * tags/states and bank free times.  C owns hits, bank/write-buffer timing
- * and scheduling: it keeps each process's chunk cursor and switches
- * processes itself, in place on ``interleaver._heap``.  Python
- * (engine/native.py) owns the generators, the synchronization handlers
- * and the coherence model: misses and icache refills call back into it.
- * Everything here must stay observably identical to the python loop --
- * the differential verifier diffs fingerprints and error messages.
+ * The one fast implementation of the timing model.  Its contract is the
+ * reference loop's -- ``TimingInterleaver._run_generic`` driving the
+ * repro.core objects one event at a time (src/repro/trace/interleave.py)
+ * -- computed over raw ``int64_t*`` views of the ``array('q')`` storage
+ * those objects already use for cache tags/states and bank free times.
+ * C owns hits, bank/write-buffer timing and scheduling: it keeps each
+ * process's chunk cursor and switches processes itself, in place on
+ * ``interleaver._heap``.  Python (engine/native.py) owns the generators,
+ * the synchronization handlers and the coherence model: misses and
+ * icache refills call back into it.  Everything here must stay
+ * observably identical to the reference loop -- the differential
+ * verifier diffs fingerprints and error messages.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
@@ -215,8 +217,8 @@ wb_heappop(PyObject *heap, int *err)
     return result;
 }
 
-/* BankInterconnect.reserve_write_slot, minus the probe (the fast path
- * guarantees NULL_PROBE) and minus write_stall_cycles, which the
+/* BankInterconnect.reserve_write_slot, minus the probe (native
+ * eligibility guarantees NULL_PROBE) and minus write_stall_cycles, which the
  * wrapper settles from d_wbuf at flush time. */
 static long long
 c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
@@ -784,7 +786,7 @@ native_run(PyObject *self, PyObject *args)
     PyObject *heap = ctx->heap;
     /* Only a process coming back from a sync handler is checked against
      * the heap top before its next event; a refilled one runs on, like
-     * the python loop. */
+     * the reference loop. */
     int after_sync = chunk == Py_None && pid >= 0;
     long long i = 0, sub = 0;
     int status;
@@ -1004,7 +1006,7 @@ native_run(PyObject *self, PyObject *args)
             else {
                 /* Synchronization or unknown opcode: the wrapper runs the
                  * handler (or raises the unknown-opcode error) for exact
-                 * error/accounting parity with the python loop. */
+                 * error/accounting parity with the reference loop. */
                 if (time > limit)
                     goto limit_exceeded;
                 status = STATUS_SYNC;
@@ -1024,8 +1026,8 @@ native_run(PyObject *self, PyObject *args)
         }
         /* Preempted by the heap top.  ``time`` exceeds the top's clock,
          * so the pushed entry cannot be the one that comes back out and
-         * push-and-pop fuse into one sift, exactly like the python fast
-         * path's heappushpop. */
+         * push-and-pop fuse into one sift: what ``_push`` followed by the
+         * reference loop's ``heappop`` leaves. */
         cur->pos = i;
         cur->sub = sub;
         entry = Py_BuildValue("(LLL)", time, ++seq, pid);
@@ -1054,8 +1056,9 @@ fail:
 /* Fused multi-configuration ladder (repro.trace.multiconfig)           */
 /* ==================================================================== */
 
-/* Transcription of ``multiconfig._fused_pass``: one pass over a
- * single-process tape driving every rung of an SCC ladder at once.
+/* The fused pass of repro.trace.multiconfig (its only implementation;
+ * the module docstring there carries the exactness argument): one pass
+ * over a single-process tape driving every rung of an SCC ladder at once.
  * Per-size timing is a skew against the shared base clock; hits with no
  * live fill/write-buffer window anywhere (``hot_n == 0``) cost a single
  * smallest-size tag probe.  The wrapper
@@ -1063,13 +1066,12 @@ fail:
  * python-side synchronization handlers (status 2), and the statistics
  * flush; every array here is ``array('q')`` storage it allocated.
  *
- * Exactness is inherited from the python engine line by line: the same
- * fold of the shared clock into per-size finish times, the same
- * hot-window bookkeeping, the same write-buffer heap arithmetic (the
- * per-size heaps are python lists shared with the flush).  A
- * non-positive span stride raises ValueError exactly like the python
- * ladder instead of spinning (the ladder has no cycle limit to bail it
- * out).
+ * The contract is per-size replay on the reference loop, statistic for
+ * statistic: the shared clock is folded into per-size finish times,
+ * hot windows are tracked per size, and the write-buffer heaps use the
+ * interconnect's arithmetic (the per-size heaps are python lists shared
+ * with the flush).  A non-positive span stride raises ValueError
+ * instead of spinning (the ladder has no cycle limit to bail it out).
  */
 
 #define ST_SHARED 1     /* repro.core.cache.SHARED */
@@ -1759,8 +1761,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
             long long size = data[i + 2];
             long long stride = data[i + 3];
             if (size > 0 && stride <= 0) {
-                /* The loop below would spin forever; fail like the
-                 * python ladder does (error parity for the differ). */
+                /* The loop below would spin forever. */
                 PyErr_Format(PyExc_ValueError,
                              "non-positive span stride at %lld", i);
                 goto fail;

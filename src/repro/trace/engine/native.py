@@ -6,8 +6,9 @@ tag/state/bank storage: C owns hits, bank/write-buffer timing and
 scheduling (process switches happen in place on ``interleaver._heap``).
 Python owns what is rare: generator resumes, synchronization handlers,
 and the coherence model, which C calls back for misses and icache
-refills -- the same division of labor the python fast path uses between
-its inline hit code and ``CoherenceController``.
+refills.  The contract is the reference loop's
+(``TimingInterleaver._run_generic``): same statistics, same clocks,
+same errors.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
@@ -22,8 +23,9 @@ step failed):
    (atomic rename); rebuilds happen only when the source, interpreter,
    or ``NATIVE_VERSION`` changes.
 
-Set ``REPRO_NATIVE=0`` to refuse the extension outright (tests use this
-to assert the clean-fallback path).
+Set ``REPRO_NATIVE=0`` to refuse the extension outright: the
+compiler-less configuration (reference loop, per-size replay for
+ladders), which tests and CI pin to the same goldens.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ def ladder_available() -> bool:
 
 
 def run(interleaver, max_cycles: Optional[int]) -> int:
-    """Drop-in replacement for ``TimingInterleaver._run_fast``.
+    """Drop-in replacement for ``TimingInterleaver._run_generic`` on
+    machines the interleaver found native-eligible.
 
     The scheduler and the chunk-drain loop run in C (``_native.run``) on
     the interleaver's own ``_heap``; this frame is re-entered only to
@@ -285,7 +288,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             chunk = None
             # C switched processes without touching the process objects;
             # bring them up to date before any handler looks: every one
-            # exactly as ``_push`` / the python loop's pop would leave it.
+            # exactly as ``_push`` / the reference loop's pop would leave
+            # it.
             process = processes[regs[_R_PID]]
             process.time = regs[_R_TIME]
             process.in_heap = False
@@ -306,7 +310,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                     self._barrier(process, data[i + 1], data[i + 2])
                 else:
                     # C defers unknown opcodes here so the error and
-                    # the accounting before it match the python loop.
+                    # the accounting before it match the reference loop.
                     raise ValueError(
                         f"unknown packed opcode {op} at {i}")
                 if process.blocked or process.in_heap:
@@ -350,7 +354,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             if d_wbuf[c]:
                 # The C loop inlines reserve_write_slot, so the
                 # interconnect's own stall counter is settled here too
-                # (the python method updates it as it goes).
+                # (the interconnect's method updates it as it goes).
                 sstats.write_buffer_stall_cycles += d_wbuf[c]
                 cl_icn[c].write_stall_cycles += d_wbuf[c]
         for p in range(nproc):

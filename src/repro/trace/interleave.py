@@ -16,16 +16,19 @@ process can emit an event in that window, so this batching is *exactly*
 equivalent to strict global time ordering while avoiding one heap operation
 per event.
 
-Packed fast path: a generator may yield a
+Packed chunks: a generator may yield a
 :class:`~repro.trace.packed.PackedChunk` of integer-encoded events instead
 of individual event objects (see :mod:`repro.trace.packed` for the
-validity contract).  Chunks are consumed without resuming the generator or
-allocating an event object per reference, with the same per-event
-scheduling checks as the object path; on machines with a direct-mapped
-power-of-two SCC, the default snoopy protocol, and no observer or probe
-attached, the common read-hit/write-hit memory path is additionally
-inlined here (statistics are accumulated in flat delta arrays and flushed
-once when the run ends, preserving bit-identical totals).
+validity contract).  Chunks are consumed without resuming the generator,
+with the same per-event scheduling checks as the object path.
+
+Two engines run this contract (:mod:`repro.trace.engine`).  The loop in
+this module is the *reference*: one event at a time through the
+:mod:`repro.core` objects, on every machine, with or without an observer
+or probe.  On machines with a direct-mapped power-of-two SCC, the default
+snoopy protocol, and no observer or probe attached, a ``native``
+resolution hands scheduling and chunk draining to the C extension instead
+(bit-identical statistics, pinned by :mod:`repro.verify`).
 
 Synchronization (ANL macro equivalents):
 
@@ -45,7 +48,7 @@ import heapq
 from collections import deque
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
-from ..core.cache import DirectMappedArray, MODIFIED
+from ..core.cache import DirectMappedArray
 from ..core.coherence import CoherenceController
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import NULL_PROBE
@@ -61,8 +64,6 @@ __all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError",
 
 ProcessGenerator = Generator[TraceEvent, Any, None]
 
-_NO_LIMIT = (1 << 63) - 1   # max_cycles sentinel (one int compare per event)
-
 
 class DeadlockError(RuntimeError):
     """All unfinished processes are blocked on synchronization."""
@@ -77,11 +78,12 @@ def fused_replay_ok(config) -> bool:
     """Whether one recorded tape on ``config`` can drive the fused
     multi-configuration engine (:mod:`repro.trace.multiconfig`).
 
-    Stricter than the interleaver's own ``_fast_ok``: the fused engine
-    inlines the single-process scheduling loop, so it needs exactly one
-    processor (interleave order is then configuration-independent and the
-    size-ladder inclusion argument holds), the plain shared-SCC snoopy
-    machine, direct-mapped power-of-two geometry, write buffering enabled
+    Stricter than the interleaver's own ``_native_eligible``: the fused
+    engine inlines the single-process scheduling loop, so it needs
+    exactly one processor (interleave order is then
+    configuration-independent and the size-ladder inclusion argument
+    holds), the plain shared-SCC snoopy machine, direct-mapped
+    power-of-two geometry, write buffering enabled
     (``stall_on_writes`` changes the write path shape), and
     ``bank_cycle_time == 1`` (a single processor then provably never
     conflicts on a bank, so the engine can skip bank arbitration).
@@ -140,8 +142,7 @@ class TimingInterleaver:
     def __init__(self, system: MultiprocessorSystem,
                  lock_overhead: Optional[int] = None,
                  barrier_overhead: Optional[int] = None,
-                 observer=None, force_generic: bool = False,
-                 backend: Optional[str] = None):
+                 observer=None, backend: Optional[str] = None):
         self.system = system
         self.observer = observer
         """Optional event observer (e.g.
@@ -161,43 +162,38 @@ class TimingInterleaver:
         self._barriers: Dict[int, List[int]] = {}
         self._queues: Dict[int, Deque[Any]] = {}
         self.events_processed = 0
-        # The inline memory fast path is only exact for the plain
-        # shared-SCC machine: snoopy MSI/MESI protocol, direct-mapped
-        # arrays with a power-of-two line count (mask/shift indexing), no
-        # observer and no instrumentation probe.  Everything else drains
-        # chunks through the generic per-event dispatch (still without
-        # per-event generator resumes or event objects).
-        # ``force_generic`` opts out even when the machine qualifies --
-        # the differential verifier (repro.verify) uses it to run the
-        # same tape through both loops.
+        # The native engine is only exact for the plain shared-SCC
+        # machine: snoopy MSI/MESI protocol, direct-mapped arrays with a
+        # power-of-two line count (mask/shift indexing), no observer and
+        # no instrumentation probe.  Everything else runs the reference
+        # loop whatever the backend resolves to.
         lines = config.scc_lines
-        self._fast_ok = (
-            not force_generic
-            and observer is None
+        self._native_eligible = (
+            observer is None
             and type(system) is MultiprocessorSystem
             and type(system.coherence) is CoherenceController
             and system.probe is NULL_PROBE
             and lines & (lines - 1) == 0
             and all(type(cluster.scc.array) is DirectMappedArray
                     for cluster in system.clusters))
-        if self._fast_ok:
+        if self._native_eligible:
             self._proc_cluster = [config.cluster_of(p)
                                   for p in range(config.total_processors)]
             self._idx_mask = lines - 1
             self._tag_shift = lines.bit_length() - 1
-        # Replay backend for the fast path (repro.trace.engine): an
-        # execution knob, never an identity knob -- every backend is
-        # fingerprint-identical, so results and cache keys do not depend
-        # on it.  ``None`` defers to $REPRO_ENGINE (default ``auto``).
+        # Engine request (repro.trace.engine): an execution knob, never
+        # an identity knob -- both engines are fingerprint-identical, so
+        # results and cache keys do not depend on it.  ``None`` defers
+        # to $REPRO_ENGINE (default ``auto``).
         self.backend_requested = backend
         self.backend = resolve_backend(backend)
         self.engine_used: Optional[str] = None
-        """Concrete engine the last :meth:`run` executed on
-        (``generic``/``python``/``native``)."""
+        """Concrete engine the last :meth:`run` executed on: ``python``
+        (the reference loop) or ``native``."""
         self.engine_returns: Dict[str, int] = {}
         """How often the native engine's C loop handed control back to
         python during the last :meth:`run`, by reason (``refill``/
-        ``sync``/``object``); empty on the other engines."""
+        ``sync``/``object``); empty on the reference loop."""
 
     # ------------------------------------------------------------------
     # Setup
@@ -229,19 +225,15 @@ class TimingInterleaver:
         """
         if not self._processes:
             raise RuntimeError("no processes registered")
-        if self._fast_ok:
-            if self.backend == "native" and native_available():
-                from .engine import native as native_backend
-                self.engine_used = "native"
-                finish_time = native_backend.run(self, max_cycles)
-            else:
-                # Also where a native resolution lands when the
-                # extension disappeared afterwards (e.g. cache cleared
-                # mid-process).
-                self.backend = self.engine_used = "python"
-                finish_time = self._run_fast(max_cycles)
+        if (self._native_eligible and self.backend == "native"
+                and native_available()):
+            from .engine import native as native_backend
+            self.engine_used = "native"
+            finish_time = native_backend.run(self, max_cycles)
         else:
-            self.engine_used = "generic"
+            # Also where a native resolution lands when the extension
+            # disappeared afterwards (e.g. cache cleared mid-process).
+            self.engine_used = "python"
             finish_time = self._run_generic(max_cycles)
         unfinished = [p.pid for p in self._processes.values()
                       if not p.finished]
@@ -270,15 +262,15 @@ class TimingInterleaver:
         """Run ``process`` until it blocks, finishes, or falls behind the
         next-earliest process.  Returns its finish time if it ended.
 
-        On the fast path this only ever runs *object* events: chunks are
-        drained by :meth:`_run_fast`, so a freshly yielded chunk is
-        installed on the process and control returns to the caller."""
+        Under the native engine this only ever runs *object* events:
+        chunks are drained in C, so a freshly yielded chunk is installed
+        on the process and control returns to the caller."""
         heap = self._heap
-        fast = self._fast_ok
+        native = self.engine_used == "native"
         while True:
             if process.chunk is not None:
-                # Only the generic path resumes a partially drained chunk
-                # here; _run_fast never enters with one pending.
+                # The native engine drains chunks in C and never
+                # enters with one pending.
                 if not self._consume_chunk_generic(process, max_cycles):
                     return None
                 process.chunk = None
@@ -301,7 +293,7 @@ class TimingInterleaver:
                 process.chunk = event.data
                 process.chunk_pos = 0
                 process.chunk_sub = 0
-                if fast:
+                if native:
                     return None
                 continue
             self.events_processed += 1
@@ -321,493 +313,12 @@ class TimingInterleaver:
     # Packed-chunk consumption
     # ------------------------------------------------------------------
 
-    def _run_fast(self, max_cycles: Optional[int]) -> int:
-        """Scheduler main loop fused with the inline chunk consumer.
-
-        With many processors the scheduler preempts after nearly every
-        event, so the cost that matters is the *process switch*, not the
-        per-event work.  This loop keeps everything a switch needs in
-        locals -- per-cluster tag arrays, bank tables and in-flight maps
-        in small lists indexed by cluster id -- and performs the common
-        switch (current process preempted by the heap top, next process
-        also mid-chunk) with a single ``heappushpop`` and a handful of
-        list lookups, never leaving this frame.  Object events (sync
-        handshakes, generator resumes) drop out to :meth:`_advance`.
-
-        Per-event semantics -- preemption against the heap top,
-        ``max_cycles``, statistics -- are identical to the object path.
-        The heap top is cached in ``next_time``: while a chunk drains,
-        every other process is suspended, so only this process's own
-        pushes and sync handlers can change it, and those points refresh
-        the cache.  Statistic deltas accumulate in flat arrays indexed by
-        processor/cluster and flush once in the ``finally`` (also on
-        abort); nothing reads the affected counters mid-run on the fast
-        path (no probe, no observer).
-        """
-        heap = self._heap
-        processes = self._processes
-        system = self.system
-        config = system.config
-        n_cl = config.clusters
-        cl_scc = [cluster.scc for cluster in system.clusters]
-        cl_states = [scc.array._states for scc in cl_scc]
-        cl_tags = [scc.array._tags for scc in cl_scc]
-        cl_icn = [scc.interconnect for scc in cl_scc]
-        cl_bank_free = [icn._bank_free for icn in cl_icn]
-        cl_inflight = [scc._inflight for scc in cl_scc]
-        cl_reserve = [icn.reserve_write_slot for icn in cl_icn]
-        nbanks = cl_icn[0].num_banks
-        bank_cycle = cl_icn[0].bank_cycle_time
-        idx_mask = self._idx_mask
-        tag_shift = self._tag_shift
-        line_shift = config.line_offset_bits
-        coherence = system.coherence
-        read_miss = coherence.read_miss
-        write_line = coherence.write_line
-        stall_on_writes = config.stall_on_writes
-        proc_cluster = self._proc_cluster
-        procs = system._procs
-        nproc = config.total_processors
-        queues = self._queues
-        ifetch = system.ifetch
-        # Instruction-fetch inline.  Without an icache the event is pure
-        # accounting; with one, the every-line-resident case skips the
-        # system call, the per-line method dispatches, and the stats
-        # walk, falling back to system.ifetch whenever any line misses
-        # (bus refills, installs).  Only power-of-two icache geometries
-        # qualify (every paper configuration).
-        model_icache = config.model_icache
-        ic_objs = None
-        iline_shift = 0
-        if model_icache:
-            iline = config.icache_line_size
-            if iline > 0 and iline & (iline - 1) == 0:
-                iline_shift = iline.bit_length() - 1
-                caches = [system.clusters[proc_cluster[p]]
-                          .icaches[config.port_of(p)]
-                          for p in range(nproc)]
-                if all(ic.array._index_mask for ic in caches):
-                    ic_objs = caches
-                    ic_states = [ic.array._states for ic in caches]
-                    ic_tags = [ic.array._tags for ic in caches]
-                    ic_mask = [ic.array._index_mask for ic in caches]
-                    ic_shift = [ic.array._tag_shift for ic in caches]
-        pop = heapq.heappop
-        pushpop = heapq.heappushpop
-        advance = self._advance
-        limit = _NO_LIMIT if max_cycles is None else max_cycles
-        # Statistic deltas (busy == instructions on this path: both grow
-        # by 1 per reference and by the cycle count per compute).
-        ev = 0
-        d_reads = [0] * n_cl
-        d_writes = [0] * n_cl
-        d_conf = [0] * n_cl
-        d_wbuf = [0] * n_cl
-        d_refs = [0] * nproc
-        d_busy = [0] * nproc
-        d_stall = [0] * nproc
-        d_finish = [-1] * nproc
-        finish_time = 0
-        pending = -1    # pid handed over by a preempt switch, not yet run
-        try:
-            while True:
-                if pending >= 0:
-                    pid = pending
-                    pending = -1
-                    process = processes[pid]
-                else:
-                    if not heap:
-                        break
-                    pid = pop(heap)[2]
-                    process = processes[pid]
-                    process.in_heap = False
-                if process.chunk is None:
-                    finish = advance(process, max_cycles)
-                    if finish is not None and finish > finish_time:
-                        finish_time = finish
-                    if process.chunk is None:
-                        continue
-                # ---- drain chunks inline, switching processes in-frame --
-                data = process.chunk
-                i = process.chunk_pos
-                sub = process.chunk_sub
-                end = len(data)
-                time = process.time
-                cl = proc_cluster[pid]
-                states = cl_states[cl]
-                tags = cl_tags[cl]
-                bank_free = cl_bank_free[cl]
-                inflight = cl_inflight[cl]
-                scc = cl_scc[cl]
-                reserve = cl_reserve[cl]
-                next_time = heap[0][0] if heap else _NO_LIMIT
-                while True:
-                    yielded = False
-                    while i < end:
-                        op = data[i]
-                        if (op == OP_READ or op == OP_WRITE
-                                or op == OP_COMPUTE):
-                            if time > limit:
-                                raise RuntimeError(
-                                    f"simulation exceeded {max_cycles} "
-                                    f"cycles")
-                            operand = data[i + 1]
-                            i += 2
-                            ev += 1
-                            if op == OP_COMPUTE:
-                                if operand:
-                                    d_busy[pid] += operand
-                                    time += operand
-                                    if time > next_time:
-                                        yielded = True
-                                        break
-                                continue
-                            line = operand >> line_shift
-                            bank = line % nbanks
-                            free = bank_free[bank]
-                            if free > time:
-                                d_conf[cl] += free - time
-                                start = free
-                            else:
-                                start = time
-                            bank_free[bank] = start + bank_cycle
-                            idx = line & idx_mask
-                            if op == OP_READ:
-                                if (states[idx]
-                                        and tags[idx] == line >> tag_shift):
-                                    d_reads[cl] += 1
-                                    if inflight:
-                                        ready = inflight.get(line)
-                                        if ready is None:
-                                            done = start + 1
-                                        elif ready <= start:
-                                            del inflight[line]
-                                            done = start + 1
-                                        else:
-                                            done = ready + 1
-                                    else:
-                                        done = start + 1
-                                else:
-                                    done = read_miss(scc, line, start)
-                            else:
-                                if (states[idx] >= MODIFIED
-                                        and tags[idx] == line >> tag_shift):
-                                    # MODIFIED write hit (or the MESI
-                                    # silent EXCLUSIVE -> MODIFIED
-                                    # upgrade): no bus.
-                                    states[idx] = MODIFIED
-                                    d_writes[cl] += 1
-                                    if inflight:
-                                        ready = inflight.get(line)
-                                        if ready is None:
-                                            done = start + 1
-                                        elif ready <= start:
-                                            del inflight[line]
-                                            done = start + 1
-                                        else:
-                                            done = ready + 1
-                                    else:
-                                        done = start + 1
-                                    if not stall_on_writes:
-                                        stall = reserve(bank, done, done)
-                                        d_wbuf[cl] += stall
-                                        done += stall
-                                else:
-                                    outcome = write_line(scc, line, start)
-                                    done = outcome.complete
-                                    if stall_on_writes:
-                                        if outcome.retire > done:
-                                            done = outcome.retire
-                                    else:
-                                        stall = reserve(bank, done,
-                                                        outcome.retire)
-                                        d_wbuf[cl] += stall
-                                        done += stall
-                            d_refs[pid] += 1
-                            d_busy[pid] += 1
-                            d_stall[pid] += done - time - 1
-                            d_finish[pid] = done
-                            time = done
-                            if time > next_time:
-                                yielded = True
-                                break
-                        elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-                            base = data[i + 1]
-                            size = data[i + 2]
-                            stride = data[i + 3]
-                            offset = sub
-                            sub = 0
-                            preempted = False
-                            is_read = op == OP_READ_SPAN
-                            while offset < size:
-                                if time > limit:
-                                    raise RuntimeError(
-                                        f"simulation exceeded {max_cycles}"
-                                        f" cycles")
-                                ev += 1
-                                line = (base + offset) >> line_shift
-                                bank = line % nbanks
-                                free = bank_free[bank]
-                                if free > time:
-                                    d_conf[cl] += free - time
-                                    start = free
-                                else:
-                                    start = time
-                                bank_free[bank] = start + bank_cycle
-                                idx = line & idx_mask
-                                if is_read:
-                                    if (states[idx] and tags[idx]
-                                            == line >> tag_shift):
-                                        d_reads[cl] += 1
-                                        if inflight:
-                                            ready = inflight.get(line)
-                                            if ready is None:
-                                                done = start + 1
-                                            elif ready <= start:
-                                                del inflight[line]
-                                                done = start + 1
-                                            else:
-                                                done = ready + 1
-                                        else:
-                                            done = start + 1
-                                    else:
-                                        done = read_miss(scc, line, start)
-                                else:
-                                    if (states[idx] >= MODIFIED
-                                            and tags[idx]
-                                            == line >> tag_shift):
-                                        states[idx] = MODIFIED
-                                        d_writes[cl] += 1
-                                        if inflight:
-                                            ready = inflight.get(line)
-                                            if ready is None:
-                                                done = start + 1
-                                            elif ready <= start:
-                                                del inflight[line]
-                                                done = start + 1
-                                            else:
-                                                done = ready + 1
-                                        else:
-                                            done = start + 1
-                                        if not stall_on_writes:
-                                            stall = reserve(bank, done,
-                                                            done)
-                                            d_wbuf[cl] += stall
-                                            done += stall
-                                    else:
-                                        outcome = write_line(scc, line,
-                                                             start)
-                                        done = outcome.complete
-                                        if stall_on_writes:
-                                            if outcome.retire > done:
-                                                done = outcome.retire
-                                        else:
-                                            stall = reserve(bank, done,
-                                                            outcome.retire)
-                                            d_wbuf[cl] += stall
-                                            done += stall
-                                d_refs[pid] += 1
-                                d_busy[pid] += 1
-                                d_stall[pid] += done - time - 1
-                                d_finish[pid] = done
-                                time = done
-                                offset += stride
-                                if time > next_time:
-                                    preempted = True
-                                    break
-                            if offset >= size:
-                                i += 4
-                            else:
-                                sub = offset
-                            if preempted:
-                                yielded = True
-                                break
-                        elif op == OP_IFETCH:
-                            if time > limit:
-                                raise RuntimeError(
-                                    f"simulation exceeded {max_cycles} "
-                                    f"cycles")
-                            ev += 1
-                            count = data[i + 2]
-                            if not model_icache:
-                                # account_ifetch(count, 0) inline.
-                                d_busy[pid] += count
-                                time += count
-                            elif ic_objs is not None:
-                                addr = data[i + 1]
-                                iline_no = addr >> iline_shift
-                                ilast = (addr + count * 4
-                                         - 1) >> iline_shift
-                                istates = ic_states[pid]
-                                itags = ic_tags[pid]
-                                imask = ic_mask[pid]
-                                ishift = ic_shift[pid]
-                                while iline_no <= ilast:
-                                    idxi = iline_no & imask
-                                    if (istates[idxi] and itags[idxi]
-                                            == iline_no >> ishift):
-                                        iline_no += 1
-                                    else:
-                                        break
-                                if iline_no > ilast:
-                                    # Every line resident: no installs,
-                                    # no bus, no refill stall.
-                                    ic_objs[pid].fetch_lines += (
-                                        ilast - (addr >> iline_shift) + 1)
-                                    d_busy[pid] += count
-                                    time += count
-                                else:
-                                    time = ifetch(pid, addr, count, time)
-                            else:
-                                time = ifetch(pid, data[i + 1], count,
-                                              time)
-                            i += 3
-                            if time > next_time:
-                                yielded = True
-                                break
-                        elif op == OP_ENQUEUE:
-                            if time > limit:
-                                raise RuntimeError(
-                                    f"simulation exceeded {max_cycles} "
-                                    f"cycles")
-                            ev += 1
-                            queues.setdefault(data[i + 1],
-                                              deque()).append(data[i + 2])
-                            i += 3
-                        elif op == OP_DEQUEUE:
-                            if time > limit:
-                                raise RuntimeError(
-                                    f"simulation exceeded {max_cycles} "
-                                    f"cycles")
-                            ev += 1
-                            # Replay-only (see repro.trace.packed): the
-                            # recorded stream already took the branch, so
-                            # the item is popped and discarded.
-                            queue = queues.get(data[i + 1])
-                            if queue:
-                                queue.popleft()
-                            i += 2
-                        else:
-                            # Synchronization opcode: run the object-path
-                            # handler (rare relative to memory events).
-                            if time > limit:
-                                raise RuntimeError(
-                                    f"simulation exceeded {max_cycles} "
-                                    f"cycles")
-                            ev += 1
-                            process.time = time
-                            if op == OP_LOCK_ACQ:
-                                self._lock_acquire(process, data[i + 1])
-                                i += 2
-                            elif op == OP_LOCK_REL:
-                                self._lock_release(process, data[i + 1])
-                                i += 2
-                            elif op == OP_BARRIER:
-                                self._barrier(process, data[i + 1],
-                                              data[i + 2])
-                                i += 3
-                            else:
-                                raise ValueError(
-                                    f"unknown packed opcode {op} at {i}")
-                            time = process.time
-                            if process.blocked or process.in_heap:
-                                yielded = True
-                                break
-                            # The handler may have pushed woken processes.
-                            next_time = heap[0][0] if heap else _NO_LIMIT
-                            if time > next_time:
-                                yielded = True
-                                break
-                    if not yielded:
-                        # Chunk exhausted: resume the generator; it may
-                        # hand back another chunk for the same process.
-                        process.time = time
-                        process.chunk = None
-                        process.chunk_pos = 0
-                        process.chunk_sub = 0
-                        finish = advance(process, max_cycles)
-                        if finish is not None:
-                            if finish > finish_time:
-                                finish_time = finish
-                            break
-                        if process.chunk is None:
-                            break   # blocked, rescheduled, or finished
-                        data = process.chunk
-                        i = 0
-                        sub = 0
-                        end = len(data)
-                        time = process.time
-                        next_time = heap[0][0] if heap else _NO_LIMIT
-                        continue
-                    process.time = time
-                    process.chunk_pos = i
-                    process.chunk_sub = sub
-                    if process.blocked or process.in_heap:
-                        break
-                    # Preempted by the heap top.  Because time exceeds the
-                    # cached top, the pushed entry cannot be the one that
-                    # comes back out, so push-and-pop fuse into one sift.
-                    self._seq += 1
-                    process.in_heap = True
-                    npid = pushpop(heap, (time, self._seq, pid))[2]
-                    process = processes[npid]
-                    process.in_heap = False
-                    if process.chunk is None:
-                        pending = npid
-                        break   # object path runs through the outer loop
-                    pid = npid
-                    data = process.chunk
-                    i = process.chunk_pos
-                    sub = process.chunk_sub
-                    end = len(data)
-                    time = process.time
-                    cl = proc_cluster[pid]
-                    states = cl_states[cl]
-                    tags = cl_tags[cl]
-                    bank_free = cl_bank_free[cl]
-                    inflight = cl_inflight[cl]
-                    scc = cl_scc[cl]
-                    reserve = cl_reserve[cl]
-                    next_time = heap[0][0] if heap else _NO_LIMIT
-        finally:
-            self.events_processed += ev
-            for c in range(n_cl):
-                sstats = cl_scc[c].stats
-                if d_reads[c]:
-                    sstats.reads += d_reads[c]
-                if d_writes[c]:
-                    sstats.writes += d_writes[c]
-                if d_conf[c]:
-                    sstats.bank_conflict_cycles += d_conf[c]
-                    cl_icn[c].conflict_cycles += d_conf[c]
-                if d_wbuf[c]:
-                    sstats.write_buffer_stall_cycles += d_wbuf[c]
-            for p in range(nproc):
-                refs = d_refs[p]
-                busy = d_busy[p]
-                if refs or busy:
-                    pstats = procs[p].stats
-                    pstats.references += refs
-                    pstats.instructions += busy
-                    pstats.busy_cycles += busy
-                    pstats.memory_stall_cycles += d_stall[p]
-                if d_finish[p] > procs[p].finish_time:
-                    # Reference completions are monotonic per processor,
-                    # so "time of the last reference" is a max -- and max
-                    # does not go stale if a process's final references
-                    # came through the object path after its last chunk.
-                    procs[p].finish_time = d_finish[p]
-        return finish_time
-
     def _consume_chunk_generic(self, process: _Process,
                                max_cycles: Optional[int]) -> bool:
         """Drain ``process.chunk`` through the per-event dispatch.
 
-        Used whenever the inline fast path is not exact (observer or
-        probe attached, set-associative or non-power-of-two arrays,
-        directory transport, private-cache organization).  Still avoids
-        the per-event generator resume and, for spans, most event-object
-        allocations' framing overhead.
+        Runs every machine.  Avoids the per-event generator resume of
+        the object path.
         """
         data = process.chunk
         i = process.chunk_pos
@@ -826,6 +337,10 @@ class TimingInterleaver:
                 base = data[i + 1]
                 size = data[i + 2]
                 stride = data[i + 3]
+                if size > 0 and stride <= 0:
+                    # The element loop below would spin forever; same
+                    # error as the native ladder.
+                    raise ValueError(f"non-positive span stride at {i}")
                 cls = Read if op == OP_READ_SPAN else Write
                 offset = sub
                 sub = 0

@@ -5,9 +5,11 @@ author but expensive to simulate: a quick Barnes-Hut run allocates one
 object and one ``generator.send`` round trip per reference, and that
 Python churn -- not the cache model -- dominates wall-clock time.  This
 module encodes the same vocabulary as integer opcodes in flat ``int``
-sequences (``list`` while being built, ``array('q')`` at rest), which the
-interleaver consumes without allocating an event object or resuming the
-generator per event (see ``TimingInterleaver``'s chunk loop).
+sequences (``list`` while being built, ``array('q')`` at rest).  Both
+engines consume a chunk without resuming the generator per event; the
+native engine also allocates no event object (the reference loop decodes
+each one for its per-event dispatch -- see ``TimingInterleaver``'s chunk
+consumer and :mod:`repro.trace.engine`).
 
 Encoding (one row per opcode; all operands are non-negative ints):
 

@@ -112,8 +112,8 @@ class ReplayApplication(TracedApplication):
     """A workload reconstituted from recorded streams.
 
     Each process yields its entire recorded stream as a single
-    :class:`~repro.trace.packed.PackedChunk`, so replay runs on the
-    interleaver's fast path with zero workload Python.
+    :class:`~repro.trace.packed.PackedChunk`, so replay runs with zero
+    workload Python (and, on the native engine, entirely in C).
     """
 
     def __init__(self, streams: Dict[int, array], name: str = "replay"):

@@ -1,12 +1,13 @@
-"""Differential verification of the three execution paths.
+"""Differential verification of the execution paths.
 
-The simulator has three independently-evolved timing engines -- the
-generic per-event interleaver loop, the allocation-free ``_run_fast``
-packed loop, and the fused multi-configuration ladder replay -- kept
-equivalent, until now, only by a fixed set of golden fingerprints.
-This package closes the gap the way cache-simulator reproductions
-normally do: differential testing against a slow, obviously-correct
-reference model over seeded adversarial inputs.
+The simulator has one reference timing engine -- the per-event
+interleaver loop over the :mod:`repro.core` objects -- and one compiled
+engine with two entry points, packed replay and the fused
+multi-configuration ladder.  Golden fingerprints pin a fixed set of
+runs; this package closes the gap the way cache-simulator reproductions
+normally do: differential testing of the compiled engine against the
+reference loop, and of the reference loop against a slow,
+obviously-correct functional model, over seeded adversarial inputs.
 
 * :mod:`repro.verify.tapes` -- seeded random generator of packed event
   tapes (all opcodes, lock/barrier/queue sync, pathological line

@@ -1,29 +1,25 @@
 """Differential execution of one tape across every timing engine.
 
-The generic per-event loop is the semantic baseline.  Each other engine
-runs the same tape and must agree with it on everything the engine
-exposes:
+The per-event reference loop (mode ``generic``: ``backend="python"``)
+is the semantic baseline.  Each other engine runs the same tape and
+must agree with it on everything the engine exposes:
 
-* **oracle** -- the generic loop observed by the functional model
+* **oracle** -- the reference loop observed by the functional model
   (:class:`~repro.verify.oracle.FunctionalOracle`); agreement covers
   the full fingerprint *and* the model's own invariants.
-* **fast** -- the allocation-free ``_run_fast`` packed loop (engaged
-  automatically whenever the machine qualifies); compared on cycle
-  counts, per-cluster statistics, bus counters, and final tag/state
-  arrays.
-* **native** -- the compiled replay backend from
-  :mod:`repro.trace.engine`, run through the same packed fast path with
-  ``backend=`` forced; compared on the full fingerprint.  Registered by
-  :func:`engine_registry` whenever the extension is available.
-* **fused** -- the multi-configuration ladder engine, run as a
+* **native** -- the compiled engine from :mod:`repro.trace.engine`
+  (``backend="native"``, engaged whenever the machine qualifies);
+  compared on cycle counts, per-cluster statistics, bus counters, and
+  final tag/state arrays.
+* **fused** -- the compiled multi-configuration ladder, run as a
   two-rung ladder and compared on its bottom rung (final arrays are
   internal to the fused engine, so the diff covers statistics and
   event counts).
-* **fused-native** -- the same two-rung ladder forced through the
-  compiled ladder (``backend="native"``); registered whenever the
-  extension is available, and asserted to have engaged (a silent
-  degradation to the python ladder would make the comparison trivially
-  green).
+
+``native`` and ``fused`` ship in one extension and are registered by
+:func:`engine_registry` exactly when it is available; a run that did
+not resolve to it is reported as degraded, not compared (both would
+degrade to the baseline itself and agree by construction).
 
 Two paths that fail with the *same* exception type are in agreement --
 error parity is part of the contract (the golden suites already pin
@@ -37,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
-from ..trace.engine import native_available
+from ..trace.engine import native_available, resolve_backend
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
-from ..trace import multiconfig
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
 from .oracle import FunctionalOracle
 from .tapes import Tape, TapeApplication
@@ -63,14 +58,13 @@ class PathResult:
 
     fingerprint: Optional[Dict[str, object]] = None
     fast_engaged: Optional[bool] = None
-    """For packed-path engines: whether the fast path actually ran (the
-    interleaver falls back to the generic loop for e.g. set-associative
-    arrays, making the comparison trivially green)."""
+    """For the ``native`` mode: whether the machine is one the native
+    engine runs (the interleaver stays on the reference loop for e.g.
+    set-associative arrays, making the comparison trivially green)."""
 
     engine_used: Optional[str] = None
-    """The interleaver's resolved backend, for diagnosing silent
-    fallbacks (a ``native`` run that degraded to ``python`` would
-    otherwise pass trivially)."""
+    """The engine that ran (``python``/``native``), for diagnosing
+    silent fallbacks."""
 
 
 @dataclass
@@ -79,7 +73,7 @@ class TapeDivergence:
 
     tape: Tape
     kind: str
-    """Name of the diverging path (``"oracle"``/``"fast"``/``"fused"``)."""
+    """Name of the diverging path (``"oracle"``/``"native"``/``"fused"``)."""
 
     base: PathResult
     other: PathResult
@@ -101,7 +95,7 @@ def _chunk_processes(interleaver: TimingInterleaver, tape: Tape) -> None:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One engine the differ compares against the generic baseline."""
+    """One engine the differ compares against the ``generic`` baseline."""
 
     name: str
     sections: Tuple[str, ...]
@@ -114,13 +108,13 @@ def _always(tape: Tape) -> bool:
 
 _FULL = ("events", "stats", "bus", "arrays")
 
-#: Packed-path replay backends (repro.trace.engine), keyed by differ
-#: mode name.  ``fast`` is the python reference loop.
-_BACKEND_MODES = {"fast": "python", "native": "native"}
+#: Modes that drive a :class:`TimingInterleaver`; only ``native`` asks
+#: for the compiled engine, the others are the reference loop.
+_INTERLEAVER_MODES = ("generic", "oracle", "native")
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
-    """Engines to diff against the generic loop, in comparison order.
+    """Engines to diff against the reference loop, in comparison order.
 
     The compiled engines register themselves by being available: a
     freshly built native extension is picked up here without any differ
@@ -129,16 +123,11 @@ def engine_registry() -> Dict[str, EngineSpec]:
     """
     registry: Dict[str, EngineSpec] = {
         "oracle": EngineSpec("oracle", _FULL, _always),
-        "fast": EngineSpec("fast", _FULL, _always),
     }
-    if native_available():
-        registry["native"] = EngineSpec("native", _FULL, _always)
-    registry["fused"] = EngineSpec("fused", ("events", "stats"),
-                                   fused_eligible)
     if native_available():   # one extension: the ladder ships with it
-        registry["fused-native"] = EngineSpec("fused-native",
-                                              ("events", "stats"),
-                                              fused_eligible)
+        registry["native"] = EngineSpec("native", _FULL, _always)
+        registry["fused"] = EngineSpec("fused", ("events", "stats"),
+                                       fused_eligible)
     return registry
 
 
@@ -150,19 +139,17 @@ def run_tape(tape: Tape, mode: str,
     config = tape.config()
     if mode == "fused":
         return _run_fused(tape, config)
-    if mode == "fused-native":
-        return _run_fused(tape, config, backend="native")
-    if mode not in ("generic", "oracle") and mode not in _BACKEND_MODES:
+    if mode not in _INTERLEAVER_MODES:
         raise ValueError(f"unknown differ mode {mode!r}")
     system = MultiprocessorSystem(config)
     oracle = FunctionalOracle(system) if mode == "oracle" else None
-    interleaver = TimingInterleaver(system, observer=oracle,
-                                    force_generic=(mode == "generic"),
-                                    backend=_BACKEND_MODES.get(mode))
+    interleaver = TimingInterleaver(
+        system, observer=oracle,
+        backend="native" if mode == "native" else "python")
     _chunk_processes(interleaver, tape)
     result = PathResult(name=mode)
-    if mode in _BACKEND_MODES:
-        result.fast_engaged = interleaver._fast_ok
+    if mode == "native":
+        result.fast_engaged = interleaver._native_eligible
     try:
         execution_time = interleaver.run(max_cycles=max_cycles)
         if oracle is not None:
@@ -198,26 +185,16 @@ def fused_eligible(tape: Tape) -> bool:
     return fused_ladder_supported(ladder)
 
 
-def _run_fused(tape: Tape, config,
-               backend: Optional[str] = None) -> PathResult:
-    result = PathResult(name="fused" if backend is None
-                        else f"fused-{backend}")
+def _run_fused(tape: Tape, config) -> PathResult:
+    result = PathResult(name="fused",
+                        engine_used=resolve_backend("native"))
     ladder = [config, config.with_updates(scc_size=config.scc_size * 2)]
     streams = {0: array("q", tape.streams[0])}
     try:
         bottom = fused_ladder_results(ladder, streams,
-                                      backend=backend)[0]
+                                      backend="native")[0]
     except Exception as exc:
         result.error = (type(exc).__name__, str(exc))
-        result.engine_used = multiconfig.LAST_LADDER_ENGINE
-        return result
-    result.engine_used = multiconfig.LAST_LADDER_ENGINE
-    if backend is not None and result.engine_used != backend:
-        # A silently degraded ladder would agree with the baseline by
-        # construction; make the degradation a loud divergence instead.
-        result.error = ("EngineDegraded",
-                        f"requested {backend} ladder, "
-                        f"ran {result.engine_used}")
         return result
     result.fingerprint = {
         "events": bottom.events_processed,

@@ -2,9 +2,10 @@
 
 Two layers of pinning:
 
-* engine level -- the fused pass must reproduce the per-size replay's
-  golden-style fingerprint on every configuration variant the gate
-  admits (the same fingerprint the ``golden_stats.json`` suite uses);
+* engine level -- the fused pass (native engine) must reproduce the
+  golden-style fingerprint of per-size replay on the reference loop, on
+  every configuration variant the gate admits (the same fingerprint
+  the ``golden_stats.json`` suite uses);
 * runner level -- a sweep resolved through the fused path must return
   RunStats equal to the same sweep with ``fused=False``, and rows the
   engine cannot cover (multi-process, instrumented) must route to the
@@ -22,7 +23,6 @@ from repro.trace import multiconfig
 from repro.trace.engine import (available_backends, native_available,
                                 native_unavailable_reason,
                                 resolve_backend)
-from repro.trace.engine.native import ladder_available
 from repro.trace.multiconfig import (fused_ladder_results,
                                      fused_ladder_supported)
 from repro.trace.record import ReplayApplication, StreamRecorder, TraceCache
@@ -83,15 +83,13 @@ def test_fused_fingerprints_on_every_backend(variant, backend,
                                              monkeypatch):
     """The fingerprint grid above re-run with each requestable backend
     forced through ``$REPRO_ENGINE``, resolution asserted (mirrors
-    ``test_backends.py``).  A request naming the removed ``numpy`` tier
-    must run both the ladder and per-size replay on python -- and a
-    ``native`` request must genuinely engage the compiled ladder."""
+    ``test_backends.py``), against per-size replay pinned to the
+    reference loop.  A ``native`` request runs the compiled ladder; a
+    request naming the removed ``numpy`` tier resolves to python, where
+    the ladder *is* per-size replay."""
     monkeypatch.setenv("REPRO_ENGINE", backend)
     assert resolve_backend() == ("python" if backend == "numpy"
                                  else backend)
-    if backend == "native" and not ladder_available():
-        pytest.skip("native extension loaded but predates the ladder "
-                    "ABI; python ladder covers it")
     configs = golden_ladder(**FUSED_VARIANTS[variant])
     recorder = StreamRecorder(golden_workload())
     run_simulation(configs[0], recorder)
@@ -99,13 +97,18 @@ def test_fused_fingerprints_on_every_backend(variant, backend,
     for config, fused in zip(configs, fused_ladder_results(configs,
                                                            streams)):
         per_size = run_simulation(config,
-                                  ReplayApplication(streams, name="mp"))
+                                  ReplayApplication(streams, name="mp"),
+                                  backend="python")
         assert fingerprint(fused) == fingerprint(per_size)
-    expected = "native" if backend == "native" else "python"
-    assert multiconfig.LAST_LADDER_ENGINE == expected
 
 
-def test_native_ladder_present_or_reason():
+def _forbid(name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} must not run here")
+    return forbidden
+
+
+def test_native_ladder_present_or_reason(monkeypatch):
     """The compiled ladder either engages for real or this machine
     reports *why* not -- a visible skip instead of one silently
     uncovered engine (mirrors ``test_backends
@@ -114,34 +117,64 @@ def test_native_ladder_present_or_reason():
         reason = native_unavailable_reason()
         assert reason, "unavailable native tier must carry a reason"
         pytest.skip(f"native replay backend unavailable: {reason}")
-    if not ladder_available():
-        pytest.skip("native extension loaded but predates the ladder "
-                    "ABI")
     configs = golden_ladder()
     recorder = StreamRecorder(golden_workload())
     run_simulation(configs[0], recorder)
+    # Engaged means: one fused pass, no per-size replay behind it.
+    monkeypatch.setattr(multiconfig, "ReplayApplication",
+                        _forbid("per-size replay"))
     fused_ladder_results(configs, recorder.streams, backend="native")
-    assert multiconfig.LAST_LADDER_ENGINE == "native"
 
 
 def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
-    """An unavailable native ladder falls back to the python ladder
-    with identical results -- never an error, never a wrong answer."""
-    import repro.trace.engine as engine_mod
+    """An unavailable native ladder falls back to per-size replay on
+    the reference loop with identical results -- never an error, never
+    a wrong answer, never a half-loaded extension."""
     configs = golden_ladder()
     recorder = StreamRecorder(golden_workload())
     run_simulation(configs[0], recorder)
     streams = recorder.streams
     reference = [fingerprint(r)
-                 for r in fused_ladder_results(configs, streams,
-                                               backend="python")]
+                 for r in fused_ladder_results(configs, streams)]
     monkeypatch.setattr(multiconfig, "resolve_backend",
                         lambda request=None, strict=False: "python")
+    monkeypatch.setattr(multiconfig, "_fused_pass_native",
+                        _forbid("the native ladder"))
     degraded = [fingerprint(r)
                 for r in fused_ladder_results(configs, streams,
                                               backend="native")]
     assert degraded == reference
-    assert multiconfig.LAST_LADDER_ENGINE == "python"
+
+
+def test_compiler_less_host_keeps_the_contract(tmp_path, monkeypatch):
+    """``REPRO_NATIVE=0`` is a host with no C compiler: every engine
+    request lands on the reference loop and the ladder *is* per-size
+    replay.  A quick uniprocessor multiprogramming row through
+    ``run_sweep`` must return the RunStats of the native-fused run."""
+    from repro.experiments.runner import PROFILES
+    from repro.experiments.session import run_sweep
+    from repro.experiments.spec import SweepSpec
+    from repro.trace.engine import native
+    if not native_available():
+        pytest.skip(f"no native-fused run to compare with: "
+                    f"{native_unavailable_reason()}")
+    spec = SweepSpec.multiprogramming(
+        profile=PROFILES["quick"], ladder=(8192, 131072),
+        procs=(1,), instrument=False)
+    trace_cache = TraceCache(tmp_path / "traces")
+    with_extension = run_sweep(spec, cache=ResultCache(tmp_path / "a"),
+                               trace_cache=trace_cache)
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    monkeypatch.setattr(native, "_mod", native._UNSET)
+    monkeypatch.setattr(native, "LOAD_ERROR", None)
+    assert resolve_backend("native") == "python"
+    assert available_backends() == ["python"]
+    monkeypatch.setattr(multiconfig, "_fused_pass_native",
+                        _forbid("the native ladder"))
+    # Off the tape the first run recorded: both rungs go to the ladder.
+    without = run_sweep(spec, cache=ResultCache(tmp_path / "b"),
+                        trace_cache=trace_cache)
+    assert without == with_extension
 
 
 def test_sweep_results_identical_with_and_without_fusion(tmp_path):

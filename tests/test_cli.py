@@ -97,6 +97,13 @@ class TestCommands:
     def test_fuzz_divergence_exit_code(self, capsys, tmp_path,
                                        monkeypatch):
         from repro.core.coherence import CoherenceController
+        from repro.trace.engine import (native_available,
+                                        native_unavailable_reason)
+        if not native_available():
+            # ``read_miss`` is the native engine's entry; nothing else
+            # calls the mutant.
+            pytest.skip(f"native replay backend unavailable: "
+                        f"{native_unavailable_reason()}")
         monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path))
         original = CoherenceController.read_miss
 

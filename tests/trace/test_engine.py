@@ -3,7 +3,7 @@
 The cross-backend *timing* equivalence lives in ``tests/equivalence``
 and the fuzz corpus; this module covers the selection machinery
 (:mod:`repro.trace.engine`) -- the one piece with behavior of its own
-beyond "same numbers as the python loop".
+beyond "same numbers as the reference loop".
 """
 
 import pytest
@@ -43,7 +43,12 @@ class TestResolveBackend:
                             lambda: "no compiler")
         assert engine.resolve_backend("auto") == "python"
         assert engine.resolve_backend("native") == "python"
-        assert "no compiler" in engine.engine_degradation("native")
+        note = engine.engine_degradation("native")
+        assert "no compiler" in note
+        # loud about what was lost and how to get it back
+        assert "reference loop" in note and "no fused ladder" in note
+        assert "C compiler" in note
+        assert engine.engine_degradation("auto") == note
         assert engine.engine_degradation("python") is None
         with pytest.raises(RuntimeError, match="no compiler"):
             engine.resolve_backend("native", strict=True)
@@ -57,6 +62,7 @@ class TestResolveBackend:
         assert resolve_backend() == "python"
         assert backend_info()["resolved"] == "python"
         assert "removed" in engine_degradation()
+        assert "reference loop" in engine_degradation()
         with pytest.raises(RuntimeError, match="removed"):
             resolve_backend("numpy", strict=True)
 
@@ -68,20 +74,22 @@ class TestResolveBackend:
     def test_backend_info_shape(self):
         info = backend_info()
         assert info["resolved"] in info["available"]
+        common = {"requested", "resolved", "available"}
         if native_available():
-            assert "native_version" in info
+            assert set(info) == common | {"native_version",
+                                          "native_ladder"}
         else:
+            assert set(info) == common | {"native_error"}
             assert info["native_error"]
 
 
 def test_differ_registry_covers_available_backends():
-    from repro.trace.engine.native import ladder_available
+    """One extension carries both compiled entry points; without it
+    only the oracle is left to diff against the reference loop."""
     from repro.verify.differ import engine_registry
-    expected = {"oracle", "fast", "fused"}
+    expected = {"oracle"}
     if native_available():
-        expected.add("native")
-        if ladder_available():
-            expected.add("fused-native")
+        expected |= {"native", "fused"}
     assert set(engine_registry()) == expected
 
 
@@ -170,6 +178,7 @@ class TestNativeScheduler:
         assert sum(returns.values()) < 0.05 * interleaver.events_processed
 
     def test_other_engines_report_no_returns(self):
+        """(the one other engine: the reference loop)"""
         from repro.core.config import SystemConfig
         from repro.trace.packed import OP_COMPUTE
         config = SystemConfig(clusters=1, processors_per_cluster=1,
@@ -182,7 +191,7 @@ class TestNativeScheduler:
     def test_tied_clocks_schedule_like_the_python_loop(self):
         """Identical compute-only tapes keep every clock tied, so only
         ``seq`` orders the heap -- shared between C's pushes and
-        python's."""
+        python's, and equal to the reference loop's count."""
         from repro.core.config import SystemConfig
         from repro.trace.packed import OP_COMPUTE
         config = SystemConfig(clusters=4, processors_per_cluster=2,
@@ -216,7 +225,7 @@ class TestNativeScheduler:
         """Process 0 overshoots the limit and is preempted; process 1
         overtakes it with one long compute, so C switches back to
         process 0, whose next event must raise -- same message, same
-        partial statistics as the python loop."""
+        partial statistics as the reference loop."""
         from repro.core.config import SystemConfig
         from repro.trace.packed import OP_COMPUTE, OP_READ
         config = SystemConfig(clusters=1, processors_per_cluster=2,
@@ -231,6 +240,11 @@ class TestNativeScheduler:
                                   max_cycles=300)
 
     def test_exception_in_read_miss_flushes_deltas_once(self, monkeypatch):
+        """A coherence callback that raises mid-run: C's deltas are
+        flushed exactly once, leaving what the reference loop -- which
+        counts as it goes -- has at the same failure.  The fault sits in
+        ``_snoop_downgrade``, the one step the native engine's
+        ``read_miss`` and the reference loop's ``read_line`` share."""
         from repro.core.coherence import CoherenceController
         from repro.core.config import SystemConfig
         from repro.trace.packed import OP_COMPUTE, OP_READ, OP_WRITE
@@ -241,20 +255,21 @@ class TestNativeScheduler:
                          [OP_READ, 4096 + 64 * pid, OP_COMPUTE, 1]]
                    for pid in range(4)}
 
-        real = CoherenceController.read_miss
+        real = CoherenceController._snoop_downgrade
         budget = []
 
-        def read_miss(self, scc, line, start):
+        def snoop_downgrade(self, requester, line):
             if not budget:
-                raise KeyError("injected read_miss failure")
+                raise KeyError("injected read-miss failure")
             budget.pop()
-            return real(self, scc, line, start)
+            return real(self, requester, line)
 
-        monkeypatch.setattr(CoherenceController, "read_miss", read_miss)
+        monkeypatch.setattr(CoherenceController, "_snoop_downgrade",
+                            snoop_downgrade)
         budget[:] = [1, 1]
         native = _outcome(config, streams, "native")
         assert native["error"] == ("KeyError",
-                                   "'injected read_miss failure'")
+                                   "'injected read-miss failure'")
         assert native["events"] > 0
         budget[:] = [1, 1]
         assert native == _outcome(config, streams, "python")

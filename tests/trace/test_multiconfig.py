@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.simulation import run_simulation
+from repro.trace.engine import native_available
 from repro.trace.interleave import (DeadlockError, SyncProtocolError,
                                     fused_replay_ok)
 from repro.trace.multiconfig import (MissSurfacePoint, fused_ladder_results,
@@ -199,22 +200,15 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-# Compiled ladder error parity
+# Compiled ladder error parity with per-size reference replay
 # ----------------------------------------------------------------------
 
-def _native_ladder_ready():
-    from repro.trace.engine import native_available
-    if not native_available():
-        return False
-    from repro.trace.engine.native import ladder_available
-    return ladder_available()
-
-
-@pytest.mark.skipif(not _native_ladder_ready(),
+@pytest.mark.skipif(not native_available(),
                     reason="native ladder unavailable")
 class TestNativeLadderErrorParity:
-    """The C ladder must fail exactly like the python ladder -- same
-    exception type, raised before any partial results escape."""
+    """The C ladder must fail exactly like per-size replay on the
+    reference loop (what ``backend="python"`` runs) -- same exception
+    type, raised before any partial results escape."""
 
     def both(self, streams):
         outcomes = {}
@@ -233,12 +227,14 @@ class TestNativeLadderErrorParity:
         ([OP_LOCK_REL, 3], SyncProtocolError),
         ([OP_LOCK_ACQ, 1, OP_LOCK_ACQ, 1], DeadlockError),
         ([99, 0], ValueError),
+        ([OP_READ, 0, OP_READ_SPAN, 0, 64, 0], ValueError),
+        ([OP_WRITE_SPAN, 0, 64, -16], ValueError),
     ])
     def test_error_tapes_agree(self, tape, exc_type):
         outcomes = self.both({0: array("q", tape)})
         assert outcomes["python"] is not None
-        assert outcomes["native"] is not None
-        assert outcomes["native"][0] is outcomes["python"][0] is exc_type
+        assert outcomes["native"] == outcomes["python"]
+        assert outcomes["native"][0] is exc_type
 
     def test_error_after_real_work_agrees(self):
         """A mid-tape failure after thousands of good events must not
@@ -247,16 +243,14 @@ class TestNativeLadderErrorParity:
         tape.extend([OP_LOCK_REL, 3])
         outcomes = self.both({0: tape})
         assert outcomes["python"] is not None
-        assert outcomes["native"][0] is outcomes["python"][0]
+        assert outcomes["native"] == outcomes["python"]
 
     def test_synthetic_tape_bit_identical_on_native(self):
-        from repro.trace import multiconfig
         streams = synthetic_tape()
         python = fused_ladder_results(ladder(), streams,
                                       backend="python")
         native = fused_ladder_results(ladder(), streams,
                                       backend="native")
-        assert multiconfig.LAST_LADDER_ENGINE == "native"
         for py_r, nat_r in zip(python, native):
             assert nat_r.stats.as_dict() == py_r.stats.as_dict()
             assert nat_r.events_processed == py_r.events_processed

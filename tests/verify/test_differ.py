@@ -4,6 +4,8 @@ from array import array
 
 import pytest
 
+from repro.trace.engine import (native_available,
+                                native_unavailable_reason)
 from repro.trace.packed import PackedChunk
 from repro.verify import PathResult, TapeDivergence, diff_tape, \
     generate_tape, run_tape
@@ -12,6 +14,13 @@ from repro.verify.differ import _compare, _diff_values, fused_eligible
 
 SEEDS = [f"differ:{i}" for i in range(12)]
 
+# The compiled modes have nothing to run without the extension (they
+# would degrade to the baseline itself); skip with the loader's reason.
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native replay backend unavailable: "
+           f"{native_unavailable_reason()}")
+
 
 class TestAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -19,19 +28,26 @@ class TestAgreement:
         divergence = diff_tape(generate_tape(seed))
         assert divergence is None, divergence.summary()
 
+    @needs_native
     def test_fast_path_actually_engages(self):
-        """The comparison is vacuous if ``_run_fast`` never runs; the
-        sampled envelope must include machines that qualify."""
-        engaged = [run_tape(generate_tape(seed), "fast").fast_engaged
-                   for seed in SEEDS]
-        assert any(engaged)
+        """The comparison is vacuous if the native engine never runs;
+        the sampled envelope must include machines that qualify, and
+        exactly those run on it."""
+        runs = [run_tape(generate_tape(seed), "native") for seed in SEEDS]
+        assert any(run.fast_engaged for run in runs)
+        assert all(run.engine_used == ("native" if run.fast_engaged
+                                       else "python") for run in runs)
 
+    @needs_native
     def test_generic_and_fast_fingerprints_match_fully(self):
         seed = next(seed for seed in SEEDS
-                    if run_tape(generate_tape(seed), "fast").fast_engaged)
+                    if run_tape(generate_tape(seed),
+                                "native").fast_engaged)
         tape = generate_tape(seed)
         generic = run_tape(tape, "generic")
-        fast = run_tape(tape, "fast")
+        fast = run_tape(tape, "native")
+        assert generic.engine_used == "python"
+        assert fast.engine_used == "native"
         assert generic.error is None and fast.error is None
         assert generic.fingerprint == fast.fingerprint
 
@@ -56,6 +72,7 @@ class TestAgreement:
         assert split.error is None and whole.error is None
         assert split.fingerprint == whole.fingerprint
 
+    @needs_native
     def test_fused_engine_compared_when_eligible(self):
         tapes = [generate_tape(f"fused:{i}") for i in range(60)]
         eligible = [t for t in tapes if fused_eligible(t)]
@@ -80,7 +97,7 @@ class TestComparison:
         base = PathResult(name="generic",
                           fingerprint={"events": 10,
                                        "stats": {"reads": 4}})
-        other = PathResult(name="fast",
+        other = PathResult(name="native",
                            fingerprint={"events": 10,
                                         "stats": {"reads": 4}})
         for key, value in overrides.items():
@@ -98,9 +115,9 @@ class TestComparison:
             fingerprint={"events": 10, "stats": {"reads": 5}})
         divergence = _compare(tape, base, other, ("events", "stats"))
         assert isinstance(divergence, TapeDivergence)
-        assert divergence.kind == "fast"
+        assert divergence.kind == "native"
         assert any("stats.reads" in line for line in divergence.detail)
-        assert "fast diverges from generic" in divergence.summary()
+        assert "native diverges from generic" in divergence.summary()
 
     def test_same_error_type_is_agreement(self):
         tape = generate_tape("cmp:2")
@@ -129,8 +146,9 @@ class TestComparison:
         assert out == ["stats.a.b: 1 != 2"]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_tape(generate_tape("cmp:5"), "turbo")
+        for mode in ("turbo", "fast", "fused-native"):
+            with pytest.raises(ValueError):
+                run_tape(generate_tape("cmp:5"), mode)
 
 
 class TestRunawayGuard:

@@ -1,13 +1,17 @@
 """Mutation check: the differential verifier must catch a deliberately
-injected off-by-one in the packed fast path and shrink it to a small
-repro.  ``CoherenceController.read_miss`` is the fast-path-only protocol
-entry (the generic loop goes through ``read_line``), so perturbing it
-diverges exactly the ``fast`` engine from the generic baseline."""
+injected off-by-one in the native engine's path and shrink it to a small
+repro.  ``CoherenceController.read_miss`` is the native-only protocol
+entry (the reference loop goes through ``read_line``), so perturbing it
+diverges exactly the ``native`` engine from the generic baseline."""
 
 import pytest
 
 from repro.core.coherence import CoherenceController
 from repro.verify import diff_tape, generate_tape, run_fuzz, shrink_tape
+
+# Nothing calls the mutated entry without the extension; skip with the
+# loader's reason rather than pass vacuously.
+from .test_differ import needs_native
 
 MUTANT_SEED_LIMIT = 40
 
@@ -28,14 +32,15 @@ def _first_diverging_tape():
         divergence = diff_tape(tape)
         if divergence is not None:
             return tape, divergence
-    pytest.fail("no generated tape engaged the mutated fast path")
+    pytest.fail("no generated tape engaged the mutated native path")
 
 
+@needs_native
 class TestMutationIsCaught:
     def test_injected_off_by_one_diverges_the_fast_path(
             self, off_by_one_read_miss):
         _tape, divergence = _first_diverging_tape()
-        assert divergence.kind == "fast"
+        assert divergence.kind == "native"
         assert divergence.detail  # field-level diff, not a crash
 
     def test_divergence_shrinks_to_a_small_repro(self,
@@ -52,7 +57,7 @@ class TestMutationIsCaught:
         assert not report.ok
         assert report.divergences
         record = report.divergences[0]
-        assert record.kind == "fast"
+        assert record.kind == "native"
         assert record.shrunk_events is not None
         assert record.shrunk_events <= 50
         assert record.shrunk_events <= record.original_events
@@ -67,6 +72,7 @@ class TestUnmutatedBaseline:
         assert report.counters["clean"] == 10
         assert not list(tmp_path.iterdir())  # no repro files written
 
+    @needs_native
     def test_shrunk_mutant_repro_is_clean_on_the_fixed_tree(self):
         """The tape that reproduces under the mutation must not diverge
         on the real implementation -- proving the shrink predicate

@@ -108,15 +108,16 @@ class TestShrink:
 class TestWriteRepro:
     def _divergence(self, tape):
         return TapeDivergence(
-            tape=tape, kind="fast",
-            base=PathResult(name="generic"), other=PathResult(name="fast"),
+            tape=tape, kind="native",
+            base=PathResult(name="generic"),
+            other=PathResult(name="native"),
             detail=["stats.execution_time: 849 != 866"])
 
     def test_repro_file_is_self_contained(self, tmp_path):
         tape = generate_tape("repro:0")
         path = write_repro(tape, self._divergence(tape), tmp_path)
         assert path.exists()
-        assert path.name.startswith("repro-fast-")
+        assert path.name.startswith("repro-native-")
         payload = json.loads(path.read_text())
         assert payload["seed"] == tape.seed
         assert payload["events"] == tape.total_events()
