@@ -12,6 +12,7 @@ invalidation-heavy workloads (MP3D, Section 3.1.2).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from ..instrument.probes import NULL_PROBE
@@ -33,20 +34,36 @@ class BusTransaction:
     done: int
 
 
+def _clock_field(index: int, doc: str) -> property:
+    """A :class:`SnoopyBus` attribute stored in its ``_clock`` array."""
+    def fget(self) -> int:
+        return self._clock[index]
+
+    def fset(self, value: int) -> None:
+        self._clock[index] = value
+
+    return property(fget, fset, doc=doc)
+
+
 class SnoopyBus:
     """Single shared split-transaction bus with FCFS arbitration."""
 
-    __slots__ = ("_busy_until", "transactions", "busy_cycles", "probe",
-                 "name")
+    __slots__ = ("_clock", "probe", "name")
 
     def __init__(self, probe=NULL_PROBE, name: str = "bus") -> None:
-        self._busy_until = 0
-        self.transactions = 0
-        self.busy_cycles = 0
+        # Busy-until, transactions, busy cycles.  One ``array('q')`` so
+        # the native engine (:mod:`repro.trace.engine`) arbitrates on
+        # this very memory: python callers that interleave with it
+        # (object-path events, icache refills) need no hand-over.
+        self._clock = array("q", [0, 0, 0])
         self.probe = probe
         """Instrumentation sink (:data:`~repro.instrument.probes.
         NULL_PROBE` when profiling is off)."""
         self.name = name
+
+    _busy_until = _clock_field(0, "Time the bus next becomes free.")
+    transactions = _clock_field(1, "Transactions granted so far.")
+    busy_cycles = _clock_field(2, "Cycles the bus has been held so far.")
 
     def acquire(self, now: int, occupancy: int, latency: int) -> BusTransaction:
         """Arbitrate for the bus at time ``now``.
@@ -60,10 +77,13 @@ class SnoopyBus:
         """
         if occupancy < 0 or latency < 0:
             raise ValueError("occupancy and latency must be non-negative")
-        start = max(now, self._busy_until)
-        self._busy_until = start + occupancy
-        self.transactions += 1
-        self.busy_cycles += occupancy
+        clock = self._clock
+        start = clock[0]
+        if start < now:
+            start = now
+        clock[0] = start + occupancy
+        clock[1] += 1
+        clock[2] += occupancy
         probe = self.probe
         if probe is not NULL_PROBE:
             probe.bus_acquire(self.name, now, start, occupancy)

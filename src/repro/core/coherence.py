@@ -101,9 +101,11 @@ class CoherenceController:
                   start: int) -> AccessOutcome:
         """Protocol action for one read reaching ``scc`` at ``start``.
 
-        Public (rather than ``_read``) alongside :meth:`write_line` and
-        :meth:`read_miss`, which the native engine takes as its miss
-        callbacks after performing the tag check in C.
+        With :meth:`write_line` this is the contract of the native
+        engine's miss path (``_native.c``, "coherence" section), which
+        transcribes both over the same arrays, in-flight dicts, lost-line
+        sets and bus clock and never calls in here: change one, change
+        the other (the differential verifier diffs them).
         """
         scc.stats.reads += 1
         if scc.array.state(line) != INVALID:
@@ -137,42 +139,6 @@ class CoherenceController:
         return AccessOutcome(complete=tx.done + 1, retire=tx.done + 1,
                              hit=False, bus_wait=tx.wait)
 
-    def read_miss(self, scc: SharedClusterCache, line: int,
-                  start: int) -> int:
-        """Known-miss read entry for the native engine.
-
-        The caller has already performed the tag check inline and native
-        eligibility guarantees no probe is attached, so this skips the
-        hit branch, the probe hooks, and the :class:`AccessOutcome` /
-        :class:`~repro.core.bus.BusTransaction` allocations of
-        :meth:`read_line` -- the protocol actions and statistics are
-        identical.  Returns the completion cycle.
-        """
-        stats = scc.stats
-        stats.reads += 1
-        stats.read_misses += 1
-        if scc.consume_lost(line):
-            stats.coherence_read_misses += 1
-        config = self.config
-        occupancy = config.bus_occupancy
-        bus = self.bus
-        grant = bus._busy_until
-        if grant < start:
-            grant = start
-        bus._busy_until = grant + occupancy
-        bus.transactions += 1
-        bus.busy_cycles += occupancy
-        if bus.probe is not NULL_PROBE:
-            bus.probe.bus_acquire(bus.name, start, grant, occupancy)
-        stats.bus_wait_cycles += grant - start
-        done = grant + config.memory_latency
-        state = SHARED
-        if not self._snoop_downgrade(scc, line) \
-                and config.protocol == "mesi":
-            state = EXCLUSIVE
-        self._install(scc, line, state, start=start, ready=done)
-        return done + 1
-
     def _snoop_downgrade(self, requester: SharedClusterCache,
                          line: int) -> bool:
         """A read miss downgrades remote MODIFIED/EXCLUSIVE copies to
@@ -199,7 +165,7 @@ class CoherenceController:
     def write_line(self, scc: SharedClusterCache, line: int,
                    start: int) -> AccessOutcome:
         """Protocol action for one write reaching ``scc`` at ``start``
-        (public for the same reason as :meth:`read_line`)."""
+        (transcribed by the native engine, see :meth:`read_line`)."""
         scc.stats.writes += 1
         state = scc.array.state(line)
         if state == MODIFIED or state == EXCLUSIVE:

@@ -10,12 +10,13 @@ The SCC/bus timing model has two implementations ("backends", psim's
   ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
-  (``_native.c``) that owns hits, bank/write-buffer timing and scheduling:
-  it drains chunks over the shared ``array('q')`` tag/state/bank storage
-  and switches processes in place on the interleaver's heap, and carries
-  the fused ladder.  Python owns the generators, the synchronization
-  handlers and the coherence model (misses and instruction-cache refills
-  call back into it).
+  (``_native.c``) that owns the data path -- hits, bank/write-buffer
+  timing, the snoopy MSI/MESI miss path and its bus -- and scheduling:
+  it drains chunks over the shared ``array('q')`` tag/state/bank/bus
+  storage and switches processes in place on the interleaver's heap,
+  and carries the fused ladder.  Python owns the generators, the
+  synchronization handlers and instruction-cache refills (the one
+  callback left).
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
@@ -54,8 +55,8 @@ ENGINE_ENV = "REPRO_ENGINE"
 # factors are the compiler-less cost measured in README "Replay engines".
 _REFERENCE_LOOP_NOTE = (
     "running on the per-event reference loop with no fused ladder "
-    "(same results; live paper points up to ~3x slower, tape replay "
-    "~3-5x, a warm uniprocessor ladder ~100x)")
+    "(same results; live paper points up to ~8x slower, tape replay "
+    "~10-25x, a warm uniprocessor ladder ~100x)")
 
 
 def native_available() -> bool:

@@ -4,14 +4,15 @@
  * reference loop's -- ``TimingInterleaver._run_generic`` driving the
  * repro.core objects one event at a time (src/repro/trace/interleave.py)
  * -- computed over raw ``int64_t*`` views of the ``array('q')`` storage
- * those objects already use for cache tags/states and bank free times.
- * C owns hits, bank/write-buffer timing and scheduling: it keeps each
- * process's chunk cursor and switches processes itself, in place on
- * ``interleaver._heap``.  Python (engine/native.py) owns the generators,
- * the synchronization handlers and the coherence model: misses and
- * icache refills call back into it.  Everything here must stay
- * observably identical to the reference loop -- the differential
- * verifier diffs fingerprints and error messages.
+ * those objects already use for cache tags/states, bank free times and
+ * the bus clock.  C owns the whole data path -- hits, bank/write-buffer
+ * timing, the snoopy MSI/MESI miss path with its bus arbitration -- and
+ * scheduling: it keeps each process's chunk cursor and switches
+ * processes itself, in place on ``interleaver._heap``.  Python
+ * (engine/native.py) owns the generators, the synchronization handlers
+ * and instruction-cache refills (the one callback left).  Everything
+ * here must stay observably identical to the reference loop -- the
+ * differential verifier diffs fingerprints and error messages.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
@@ -48,9 +49,11 @@
 #define OP_READ_SPAN 10
 #define OP_WRITE_SPAN 11
 
+#define ST_SHARED 1     /* repro.core.cache.SHARED */
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
+#define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "3"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "4"  /* == engine/native.py NATIVE_VERSION */
 
 #define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
@@ -63,11 +66,24 @@
 #define R_PID 2
 #define R_SEQ 3
 
+/* SnoopyBus._clock */
+#define BUS_BUSY_UNTIL 0
+#define BUS_TRANSACTIONS 1
+#define BUS_BUSY_CYCLES 2
+
+/* Per-cluster SccStats deltas; slot order is engine/native.py's
+ * ``_SCC_FIELDS``. */
+enum {
+    S_READS, S_READ_MISSES, S_WRITES, S_WRITE_MISSES, S_UPGRADES,
+    S_INVALIDATIONS_SENT, S_INVALIDATIONS_RECEIVED, S_INTERVENTIONS,
+    S_WRITEBACKS, S_EVICTIONS, S_COHERENCE_READ_MISSES,
+    S_BANK_CONFLICT_CYCLES, S_BUS_WAIT_CYCLES, S_WRITE_BUFFER_STALL_CYCLES,
+    S_FIELDS
+};
+
 static PyObject *g_deque = NULL;      /* collections.deque */
 static PyObject *s_append = NULL;
 static PyObject *s_popleft = NULL;
-static PyObject *s_complete = NULL;
-static PyObject *s_retire = NULL;
 
 /* Where a process stands in its installed chunk. */
 typedef struct {
@@ -83,17 +99,19 @@ typedef struct {
     int released;
     long long idx_mask, tag_shift, line_shift, nbanks, bank_cycle;
     long long wb_depth, iline_shift, limit;
-    int stall_on_writes, icache_mode;
+    long long bus_occ, upgrade_occ, mem_latency;
+    int stall_on_writes, icache_mode, mesi;
     long long **cl_states, **cl_tags, **cl_bank_free;
-    PyObject **cl_inflight, **cl_scc, **cl_wbufs;
+    PyObject **cl_inflight, **cl_lost, **cl_wbufs;
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
-    long long *d_reads, *d_writes, *d_conf, *d_wbuf;
+    long long *d_scc;         /* [cluster * S_FIELDS + field] */
     long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *misc;
+    long long *bus;           /* BUS_* */
     long long *regs;          /* R_POS, R_TIME, R_PID, R_SEQ */
     long long *proc_cluster;
     Cursor *cursors;          /* by pid */
-    PyObject *read_miss, *write_line, *ifetch, *queues;
+    PyObject *ifetch, *queues;
     PyObject *heap;           /* interleaver._heap */
     Py_buffer *views;
     int nviews;
@@ -111,6 +129,18 @@ acquire_ll(Ctx *ctx, PyObject *obj)
         return NULL;
     ctx->nviews++;
     return (long long *)view->buf;
+}
+
+/* ... of exactly ``n`` slots (layouts C indexes by constant). */
+static long long *
+acquire_ll_n(Ctx *ctx, PyObject *obj, Py_ssize_t n)
+{
+    long long *buf = acquire_ll(ctx, obj);
+    if (buf && ctx->views[ctx->nviews - 1].len != 8 * n) {
+        PyErr_Format(PyExc_ValueError, "plan array must hold %zd slots", n);
+        return NULL;
+    }
+    return buf;
 }
 
 static int
@@ -219,7 +249,7 @@ wb_heappop(PyObject *heap, int *err)
 
 /* BankInterconnect.reserve_write_slot, minus the probe (native
  * eligibility guarantees NULL_PROBE) and minus write_stall_cycles, which the
- * wrapper settles from d_wbuf at flush time. */
+ * wrapper settles from the SCC's delta at flush time. */
 static long long
 c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
           long long retire, int *err)
@@ -256,6 +286,53 @@ c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
     return stall;
 }
 
+/* ``scc._inflight`` (line -> cycle its fill lands) and ``scc._lost_lines``
+ * stay the python dict and set: object-path events between two C stints
+ * use them through the SCC's own methods. */
+
+/* ``inflight.pop(key, None)`` */
+static int
+inflight_pop(PyObject *infl, long long key)
+{
+    if (PyDict_GET_SIZE(infl) == 0)
+        return 0;
+    PyObject *k = PyLong_FromLongLong(key);
+    if (!k)
+        return -1;
+    PyObject *v = PyDict_GetItemWithError(infl, k);
+    if (v) {
+        if (PyDict_DelItem(infl, k) < 0) {
+            Py_DECREF(k);
+            return -1;
+        }
+    }
+    else if (PyErr_Occurred()) {
+        Py_DECREF(k);
+        return -1;
+    }
+    Py_DECREF(k);
+    return 0;
+}
+
+/* ``inflight[line] = ready`` */
+static int
+inflight_set(PyObject *infl, long long line, long long ready)
+{
+    PyObject *k = PyLong_FromLongLong(line);
+    PyObject *v = k ? PyLong_FromLongLong(ready) : NULL;
+    if (!k || !v) {
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+        return -1;
+    }
+    int rc = PyDict_SetItem(infl, k, v);
+    Py_DECREF(k);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* Completion of a hit at ``start``: it merges with a fill still in
+ * flight (``scc.fill_ready_time``; landed fills are forgotten here). */
 static long long
 inflight_done(PyObject *infl, long long line, long long start, int *err)
 {
@@ -295,67 +372,30 @@ inflight_done(PyObject *infl, long long line, long long start, int *err)
     return done;
 }
 
-static long long
-call_read_miss(Ctx *ctx, long long cl, long long line, long long start,
-               int *err)
+/* ``scc.note_lost(line)`` */
+static int
+lost_note(PyObject *lost, long long line)
 {
-    PyObject *pl = PyLong_FromLongLong(line);
-    PyObject *ps = pl ? PyLong_FromLongLong(start) : NULL;
-    if (!pl || !ps) {
-        Py_XDECREF(pl);
-        Py_XDECREF(ps);
-        *err = 1;
-        return 0;
-    }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->read_miss, ctx->cl_scc[cl], pl, ps, NULL);
-    Py_DECREF(pl);
-    Py_DECREF(ps);
-    if (!res) {
-        *err = 1;
-        return 0;
-    }
-    long long v = PyLong_AsLongLong(res);
-    Py_DECREF(res);
-    if (v == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    return v;
+    PyObject *k = PyLong_FromLongLong(line);
+    if (!k)
+        return -1;
+    int rc = PySet_Add(lost, k);
+    Py_DECREF(k);
+    return rc;
 }
 
+/* ``scc.consume_lost(line)``: 1 when the line was marked, -1 on error. */
 static int
-call_write_line(Ctx *ctx, long long cl, long long line, long long start,
-                long long *complete, long long *retire)
+lost_consume(PyObject *lost, long long line)
 {
-    PyObject *pl = PyLong_FromLongLong(line);
-    PyObject *ps = pl ? PyLong_FromLongLong(start) : NULL;
-    if (!pl || !ps) {
-        Py_XDECREF(pl);
-        Py_XDECREF(ps);
+    if (PySet_GET_SIZE(lost) == 0)
+        return 0;
+    PyObject *k = PyLong_FromLongLong(line);
+    if (!k)
         return -1;
-    }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->write_line, ctx->cl_scc[cl], pl, ps, NULL);
-    Py_DECREF(pl);
-    Py_DECREF(ps);
-    if (!res)
-        return -1;
-    PyObject *c = PyObject_GetAttr(res, s_complete);
-    PyObject *r = c ? PyObject_GetAttr(res, s_retire) : NULL;
-    Py_DECREF(res);
-    if (!c || !r) {
-        Py_XDECREF(c);
-        Py_XDECREF(r);
-        return -1;
-    }
-    *complete = PyLong_AsLongLong(c);
-    *retire = PyLong_AsLongLong(r);
-    Py_DECREF(c);
-    Py_DECREF(r);
-    if (PyErr_Occurred())
-        return -1;
-    return 0;
+    int rc = PySet_Discard(lost, k);
+    Py_DECREF(k);
+    return rc;
 }
 
 static long long
@@ -393,7 +433,159 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
     return v;
 }
 
-/* One read/write reference; mirrors the python data-event body. */
+/* ------------------------------------------------------------ coherence */
+
+/* The snoopy write-invalidate protocol of repro.core.coherence: what
+ * ``CoherenceController.read_line`` / ``write_line`` do past their hit
+ * branches, minus the probe hooks (native eligibility guarantees
+ * NULL_PROBE).  It works on the state the python objects own -- tag/state
+ * arrays, in-flight dicts, lost-line sets, the bus clock -- so an
+ * object-path event or an icache refill handled in python between two C
+ * stints sees, and leaves, current state.  Every SCC has the machine's
+ * one geometry: ``idx``/``tag`` address all of them. */
+
+/* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; the grant cycle. */
+static inline long long
+bus_acquire(Ctx *ctx, long long now, long long occupancy)
+{
+    long long *bus = ctx->bus;
+    long long grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
+    bus[BUS_BUSY_UNTIL] = grant + occupancy;
+    bus[BUS_TRANSACTIONS]++;
+    bus[BUS_BUSY_CYCLES] += occupancy;
+    return grant;
+}
+
+/* ``_snoop_downgrade``: a read miss turns remote MODIFIED/EXCLUSIVE
+ * copies SHARED; whether any other SCC holds the line. */
+static int
+snoop_downgrade(Ctx *ctx, long long cl, long long idx, long long tag)
+{
+    int held = 0;
+    for (int c = 0; c < ctx->n_cl; c++) {
+        long long *states = ctx->cl_states[c];
+        if (c == cl || !states[idx] || ctx->cl_tags[c][idx] != tag)
+            continue;
+        held = 1;
+        if (states[idx] == ST_MODIFIED)
+            ctx->d_scc[cl * S_FIELDS + S_INTERVENTIONS]++;
+        states[idx] = ST_SHARED;
+    }
+    return held;
+}
+
+/* ``_invalidate_remote``: a write kills every other SCC's copy. */
+static int
+invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
+                  long long tag)
+{
+    long long killed = 0;
+    for (int c = 0; c < ctx->n_cl; c++) {
+        if (c == cl)
+            continue;
+        /* Before, and whatever, the residency check: a stale entry could
+         * satisfy a later miss to another tag at this index. */
+        if (inflight_pop(ctx->cl_inflight[c], line) < 0)
+            return -1;
+        long long *states = ctx->cl_states[c];
+        if (!states[idx] || ctx->cl_tags[c][idx] != tag)
+            continue;
+        states[idx] = 0;
+        if (lost_note(ctx->cl_lost[c], line) < 0)
+            return -1;
+        ctx->d_scc[c * S_FIELDS + S_INVALIDATIONS_RECEIVED]++;
+        killed++;
+    }
+    ctx->d_scc[cl * S_FIELDS + S_INVALIDATIONS_SENT] += killed;
+    return 0;
+}
+
+/* ``_install`` after a miss (a valid slot holds another tag): the fill
+ * lands at ``ready``.  A dirty victim's write-back takes the bus at the
+ * request time ``start`` -- arbitration is in arrival order, a
+ * reservation dated at fill completion would stall every later requester
+ * -- and nobody waits on it. */
+static int
+install(Ctx *ctx, long long cl, long long line, long long idx,
+        long long state, long long start, long long ready)
+{
+    long long *states = ctx->cl_states[cl];
+    long long *tags = ctx->cl_tags[cl];
+    long long *st = ctx->d_scc + cl * S_FIELDS;
+    PyObject *infl = ctx->cl_inflight[cl];
+    long long victim_state = states[idx];
+    long long victim_line = tags[idx] * (ctx->idx_mask + 1) + idx;
+    tags[idx] = line >> ctx->tag_shift;
+    states[idx] = state;
+    if (inflight_set(infl, line, ready) < 0)
+        return -1;
+    if (victim_state) {
+        if (inflight_pop(infl, victim_line) < 0)
+            return -1;
+        st[S_EVICTIONS]++;
+        if (victim_state == ST_MODIFIED) {
+            st[S_WRITEBACKS]++;
+            bus_acquire(ctx, start, ctx->bus_occ);
+        }
+    }
+    return 0;
+}
+
+/* ``read_line`` on a miss; ``done`` is when the processor carries on. */
+static int
+read_miss(Ctx *ctx, long long cl, long long line, long long idx,
+          long long start, long long *done)
+{
+    long long *st = ctx->d_scc + cl * S_FIELDS;
+    st[S_READ_MISSES]++;
+    int lost = lost_consume(ctx->cl_lost[cl], line);
+    if (lost < 0)
+        return -1;
+    st[S_COHERENCE_READ_MISSES] += lost;
+    long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+    st[S_BUS_WAIT_CYCLES] += grant - start;
+    long long fill = grant + ctx->mem_latency;
+    long long state = ST_SHARED;
+    if (!snoop_downgrade(ctx, cl, idx, line >> ctx->tag_shift) && ctx->mesi)
+        state = ST_EXCLUSIVE;   /* nobody else has it */
+    if (install(ctx, cl, line, idx, state, start, fill) < 0)
+        return -1;
+    *done = fill + 1;
+    return 0;
+}
+
+/* ``write_line`` on a SHARED hit (``resident``: an upgrade broadcast, no
+ * data moves) or a miss (fetch with ownership).  Either way the store
+ * drains from the write buffer: the processor carries on at
+ * ``start + 1`` and ``retire`` is when the store is performed. */
+static int
+write_shared_or_miss(Ctx *ctx, long long cl, long long line, long long idx,
+                     int resident, long long start, long long *retire)
+{
+    long long *st = ctx->d_scc + cl * S_FIELDS;
+    long long tag = line >> ctx->tag_shift;
+    if (resident) {
+        st[S_UPGRADES]++;
+        /* (an upgrade's bus wait is not counted: nothing waits on it) */
+        *retire = bus_acquire(ctx, start, ctx->upgrade_occ)
+                  + ctx->upgrade_occ;
+        if (invalidate_remote(ctx, cl, line, idx, tag) < 0)
+            return -1;
+        ctx->cl_states[cl][idx] = ST_MODIFIED;
+        return 0;
+    }
+    st[S_WRITE_MISSES]++;
+    if (lost_consume(ctx->cl_lost[cl], line) < 0)   /* not a read miss */
+        return -1;
+    long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+    st[S_BUS_WAIT_CYCLES] += grant - start;
+    *retire = grant + ctx->mem_latency;
+    if (invalidate_remote(ctx, cl, line, idx, tag) < 0)
+        return -1;
+    return install(ctx, cl, line, idx, ST_MODIFIED, start, *retire);
+}
+
+/* One read/write reference; mirrors ``MultiprocessorSystem.data_access``. */
 static int
 do_access(Ctx *ctx, long long cl, long long pid, int is_read,
           long long addr, long long *time_io)
@@ -403,11 +595,12 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     long long bank = line % ctx->nbanks;   /* python %: floored */
     if (bank < 0)
         bank += ctx->nbanks;
+    long long *st = ctx->d_scc + cl * S_FIELDS;
     long long *bank_free = ctx->cl_bank_free[cl];
     long long free_t = bank_free[bank];
     long long start;
     if (free_t > time) {
-        ctx->d_conf[cl] += free_t - time;
+        st[S_BANK_CONFLICT_CYCLES] += free_t - time;
         start = free_t;
     }
     else {
@@ -416,57 +609,48 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     bank_free[bank] = start + ctx->bank_cycle;
     long long idx = line & ctx->idx_mask;
     long long *states = ctx->cl_states[cl];
-    long long *tags = ctx->cl_tags[cl];
+    int resident = states[idx]
+        && ctx->cl_tags[cl][idx] == (line >> ctx->tag_shift);
     long long done;
     int err = 0;
     if (is_read) {
-        if (states[idx] && tags[idx] == (line >> ctx->tag_shift)) {
-            ctx->d_reads[cl]++;
+        st[S_READS]++;
+        if (resident) {
             done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
             if (err)
                 return -1;
         }
-        else {
-            done = call_read_miss(ctx, cl, line, start, &err);
-            if (err)
-                return -1;
+        else if (read_miss(ctx, cl, line, idx, start, &done) < 0) {
+            return -1;
         }
     }
     else {
-        if (states[idx] >= ST_MODIFIED
-            && tags[idx] == (line >> ctx->tag_shift)) {
+        long long retire;
+        st[S_WRITES]++;
+        if (resident && states[idx] >= ST_MODIFIED) {
+            /* MODIFIED, or EXCLUSIVE's silent upgrade: no bus traffic */
             states[idx] = ST_MODIFIED;
-            ctx->d_writes[cl]++;
             done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
             if (err)
                 return -1;
-            if (!ctx->stall_on_writes) {
-                long long stall =
-                    c_reserve(ctx, cl, bank, done, done, &err);
-                if (err)
-                    return -1;
-                ctx->d_wbuf[cl] += stall;
-                done += stall;
-            }
+            retire = done;
         }
         else {
-            long long complete, retire;
-            if (call_write_line(ctx, cl, line, start, &complete,
-                                &retire) < 0)
+            if (write_shared_or_miss(ctx, cl, line, idx, resident, start,
+                                     &retire) < 0)
                 return -1;
-            done = complete;
-            if (ctx->stall_on_writes) {
-                if (retire > done)
-                    done = retire;
-            }
-            else {
-                long long stall =
-                    c_reserve(ctx, cl, bank, done, retire, &err);
-                if (err)
-                    return -1;
-                ctx->d_wbuf[cl] += stall;
-                done += stall;
-            }
+            done = start + 1;
+        }
+        if (ctx->stall_on_writes) {
+            if (retire > done)
+                done = retire;
+        }
+        else {
+            long long stall = c_reserve(ctx, cl, bank, done, retire, &err);
+            if (err)
+                return -1;
+            st[S_WRITE_BUFFER_STALL_CYCLES] += stall;
+            done += stall;
         }
     }
     ctx->d_refs[pid]++;
@@ -550,7 +734,7 @@ native_setup(PyObject *self, PyObject *plan)
     }
     ctx->cl_tags = ctx->cl_states + ctx->n_cl;
     ctx->cl_bank_free = ctx->cl_states + 2 * ctx->n_cl;
-    ctx->cl_scc = ctx->cl_inflight + ctx->n_cl;
+    ctx->cl_lost = ctx->cl_inflight + ctx->n_cl;
     ctx->cl_wbufs = ctx->cl_inflight + 2 * ctx->n_cl;
     ctx->ic_tags = ctx->ic_states + nic;
     ctx->ic_shift = ctx->ic_mask + nic;
@@ -558,8 +742,8 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->plan = plan;
     Py_INCREF(plan);
 
-    long long sc[10];
-    for (Py_ssize_t k = 0; k < 10; k++) {
+    long long sc[14];
+    for (Py_ssize_t k = 0; k < 14; k++) {
         if (get_ll_item(scal, k, &sc[k]) < 0)
             goto fail;
     }
@@ -573,6 +757,10 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->icache_mode = (int)sc[7];
     ctx->iline_shift = sc[8];
     ctx->limit = sc[9];
+    ctx->bus_occ = sc[10];
+    ctx->upgrade_occ = sc[11];
+    ctx->mem_latency = sc[12];
+    ctx->mesi = (int)sc[13];
 
     for (int c = 0; c < ctx->n_cl; c++) {
         PyObject *entry = PyTuple_GET_ITEM(per_cluster, c);
@@ -586,8 +774,14 @@ native_setup(PyObject *self, PyObject *plan)
                   acquire_ll(ctx, PyTuple_GET_ITEM(entry, 2))))
             goto fail;
         ctx->cl_inflight[c] = PyTuple_GET_ITEM(entry, 3);
-        ctx->cl_scc[c] = PyTuple_GET_ITEM(entry, 4);
+        ctx->cl_lost[c] = PyTuple_GET_ITEM(entry, 4);
         ctx->cl_wbufs[c] = PyTuple_GET_ITEM(entry, 5);
+        if (!PyDict_CheckExact(ctx->cl_inflight[c])
+            || !PySet_CheckExact(ctx->cl_lost[c])) {
+            PyErr_SetString(PyExc_TypeError,
+                            "in-flight fills must be a dict, lost lines a set");
+            goto fail;
+        }
     }
     for (int p = 0; p < ctx->nproc; p++) {
         PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
@@ -602,18 +796,18 @@ native_setup(PyObject *self, PyObject *plan)
         if (get_ll_item(entry, 3, &ctx->ic_shift[p]) < 0)
             goto fail;
     }
-    ctx->read_miss = PyTuple_GET_ITEM(callbacks, 0);
-    ctx->write_line = PyTuple_GET_ITEM(callbacks, 1);
-    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 2);
-    ctx->queues = PyTuple_GET_ITEM(callbacks, 3);
+    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 0);
+    ctx->queues = PyTuple_GET_ITEM(callbacks, 1);
 
-    long long **dptr[10] = {
-        &ctx->d_reads, &ctx->d_writes, &ctx->d_conf, &ctx->d_wbuf,
+    if (!(ctx->d_scc = acquire_ll_n(ctx, PyTuple_GET_ITEM(deltas, 0),
+                                    (Py_ssize_t)ctx->n_cl * S_FIELDS)))
+        goto fail;
+    long long **dptr[6] = {
         &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
         &ctx->d_icfetch, &ctx->misc,
     };
-    for (int k = 0; k < 10; k++) {
-        if (!(*dptr[k] = acquire_ll(ctx, PyTuple_GET_ITEM(deltas, k))))
+    for (int k = 0; k < 6; k++) {
+        if (!(*dptr[k] = acquire_ll(ctx, PyTuple_GET_ITEM(deltas, k + 1))))
             goto fail;
     }
     if (!(ctx->regs = acquire_ll(ctx, regs)))
@@ -627,6 +821,8 @@ native_setup(PyObject *self, PyObject *plan)
     if (!(ctx->proc_cluster = acquire_ll(ctx, PyTuple_GET_ITEM(sched, 1))))
         goto fail;
     Py_ssize_t n_cursors = ctx->views[ctx->nviews - 1].len / 8;
+    if (!(ctx->bus = acquire_ll_n(ctx, PyTuple_GET_ITEM(sched, 2), 3)))
+        goto fail;
     ctx->cursors = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Cursor));
     if (!ctx->cursors) {
         PyErr_NoMemory();
@@ -874,6 +1070,14 @@ native_run(PyObject *self, PyObject *args)
                 long long size = data[i + 2];
                 long long stride = data[i + 3];
                 long long offset = sub;
+                if (size > 0 && stride <= 0) {
+                    /* the element loop would never end */
+                    if (time > limit)
+                        goto limit_exceeded;
+                    PyErr_Format(PyExc_ValueError,
+                                 "non-positive span stride at %lld", i);
+                    goto fail;
+                }
                 sub = 0;
                 int is_read = op == OP_READ_SPAN;
                 while (offset < size) {
@@ -1074,8 +1278,6 @@ fail:
  * instead of spinning (the ladder has no cycle limit to bail it out).
  */
 
-#define ST_SHARED 1     /* repro.core.cache.SHARED */
-
 typedef struct {
     PyObject *plan;
     int n_sizes;
@@ -1135,47 +1337,6 @@ l_update_hot(LCtx *c, int s, long long done, long long *hot_n)
         c->hot[s] = 0;
         (*hot_n)--;
     }
-}
-
-/* ``inflight[s].pop(key, None)`` guarded by ``if inflight[s]:``. */
-static int
-l_inflight_pop(PyObject *infl, long long key)
-{
-    if (PyDict_GET_SIZE(infl) == 0)
-        return 0;
-    PyObject *k = PyLong_FromLongLong(key);
-    if (!k)
-        return -1;
-    PyObject *v = PyDict_GetItemWithError(infl, k);
-    if (v) {
-        if (PyDict_DelItem(infl, k) < 0) {
-            Py_DECREF(k);
-            return -1;
-        }
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(k);
-        return -1;
-    }
-    Py_DECREF(k);
-    return 0;
-}
-
-/* ``inflight[s][line] = fetch_done`` */
-static int
-l_inflight_set(PyObject *infl, long long line, long long fetch_done)
-{
-    PyObject *k = PyLong_FromLongLong(line);
-    PyObject *v = k ? PyLong_FromLongLong(fetch_done) : NULL;
-    if (!k || !v) {
-        Py_XDECREF(k);
-        Py_XDECREF(v);
-        return -1;
-    }
-    int rc = PyDict_SetItem(infl, k, v);
-    Py_DECREF(k);
-    Py_DECREF(v);
-    return rc;
 }
 
 /* ``inflight[s].get(line)`` with the hot-hit resolution: delete stale
@@ -1288,9 +1449,9 @@ l_slow_read(LCtx *c, long long line, long long base, long long uref,
                 c->bus_tx[s]++;
                 c->bus_cyc[s] += c->occ;
             }
-            if (l_inflight_pop(c->inflight[s],
-                               (c->s_tags[s][index] << c->s_shift[s])
-                               | index) < 0)
+            if (inflight_pop(c->inflight[s],
+                             (c->s_tags[s][index] << c->s_shift[s])
+                             | index) < 0)
                 return -1;
         }
         c->s_tags[s][index] = tag;
@@ -1358,14 +1519,14 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
                 c->bus_tx[s]++;
                 c->bus_cyc[s] += c->occ;
             }
-            if (l_inflight_pop(c->inflight[s],
-                               (c->s_tags[s][index] << c->s_shift[s])
-                               | index) < 0)
+            if (inflight_pop(c->inflight[s],
+                             (c->s_tags[s][index] << c->s_shift[s])
+                             | index) < 0)
                 return -1;
         }
         c->s_tags[s][index] = tag;
         states[index] = ST_MODIFIED;
-        if (l_inflight_set(c->inflight[s], line, fetch_done) < 0)
+        if (inflight_set(c->inflight[s], line, fetch_done) < 0)
             return -1;
         if (fetch_done > c->fill_live[s])
             c->fill_live[s] = fetch_done;
@@ -1871,9 +2032,7 @@ PyInit__native(void)
         return NULL;
     s_append = PyUnicode_InternFromString("append");
     s_popleft = PyUnicode_InternFromString("popleft");
-    s_complete = PyUnicode_InternFromString("complete");
-    s_retire = PyUnicode_InternFromString("retire");
-    if (!s_append || !s_popleft || !s_complete || !s_retire)
+    if (!s_append || !s_popleft)
         return NULL;
     PyObject *module = PyModule_Create(&moduledef);
     if (module

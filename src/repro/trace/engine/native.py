@@ -2,11 +2,12 @@
 
 ``_native.c`` implements the interleaver's scheduler and chunk-drain
 loop over raw ``int64_t*`` views of the shared ``array('q')``
-tag/state/bank storage: C owns hits, bank/write-buffer timing and
-scheduling (process switches happen in place on ``interleaver._heap``).
-Python owns what is rare: generator resumes, synchronization handlers,
-and the coherence model, which C calls back for misses and icache
-refills.  The contract is the reference loop's
+tag/state/bank/bus storage: C owns the whole data path -- hits,
+bank/write-buffer timing, the snoopy miss path with its bus arbitration
+-- and scheduling (process switches happen in place on
+``interleaver._heap``).  Python owns what is rare: generator resumes,
+synchronization handlers, and instruction-cache refills, the one
+callback left.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors.
 
@@ -47,7 +48,7 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder entry points) changes.
-NATIVE_VERSION = "3"
+NATIVE_VERSION = "4"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -62,6 +63,13 @@ _DONE = 1
 _SYNC = 2
 _OBJECT = 3
 _R_POS, _R_TIME, _R_PID, _R_SEQ = range(4)
+
+# Slot order of the per-cluster ``SccStats`` deltas (``S_*`` in _native.c)
+_SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
+               "invalidations_sent", "invalidations_received",
+               "interventions", "writebacks", "evictions",
+               "coherence_read_misses", "bank_conflict_cycles",
+               "bus_wait_cycles", "write_buffer_stall_cycles")
 
 
 def _source_path() -> Path:
@@ -233,10 +241,14 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         icache_mode,
         iline_shift,
         limit,
+        config.bus_occupancy,
+        config.upgrade_bus_occupancy,
+        config.memory_latency,
+        1 if config.protocol == "mesi" else 0,
     ])
     per_cluster = tuple(
         (scc.array._states, scc.array._tags, icn._bank_free,
-         scc._inflight, scc, icn._write_buffers)
+         scc._inflight, scc._lost_lines, icn._write_buffers)
         for scc, icn in zip(cl_scc, cl_icn))
     if icache_mode == 1:
         ic_tuple = tuple(
@@ -245,10 +257,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             for ic in ic_objs)
     else:
         ic_tuple = ()
-    d_reads = array("q", bytes(8 * n_cl))
-    d_writes = array("q", bytes(8 * n_cl))
-    d_conf = array("q", bytes(8 * n_cl))
-    d_wbuf = array("q", bytes(8 * n_cl))
+    n_fields = len(_SCC_FIELDS)
+    d_scc = array("q", bytes(8 * n_cl * n_fields))
     d_refs = array("q", bytes(8 * nproc))
     d_busy = array("q", bytes(8 * nproc))
     d_stall = array("q", bytes(8 * nproc))
@@ -258,14 +268,12 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     regs = array("q", [0, 0, -1, 0])     # R_PID -1: pop the first process
     plan = (
         per_cluster,
-        (system.coherence.read_miss, system.coherence.write_line,
-         system.ifetch, self._queues),
+        (system.ifetch, self._queues),
         scal,
         ic_tuple,
-        (d_reads, d_writes, d_conf, d_wbuf, d_refs, d_busy, d_stall,
-         d_finish, d_icfetch, misc),
+        (d_scc, d_refs, d_busy, d_stall, d_finish, d_icfetch, misc),
         regs,
-        (heap, array("q", proc_cluster)),
+        (heap, array("q", proc_cluster), system.bus._clock),
     )
     ctx = native.setup(plan)
     run_c = native.run
@@ -301,18 +309,18 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 data = process.chunk
                 i = regs[_R_POS]
                 op = data[i]
+                if op not in (OP_LOCK_ACQ, OP_LOCK_REL, OP_BARRIER):
+                    # C defers unknown opcodes here so the error and
+                    # the accounting before it match the reference loop.
+                    raise ValueError(
+                        f"unknown packed opcode {op} at {i}")
                 ev += 1
                 if op == OP_LOCK_ACQ:
                     self._lock_acquire(process, data[i + 1])
                 elif op == OP_LOCK_REL:
                     self._lock_release(process, data[i + 1])
-                elif op == OP_BARRIER:
-                    self._barrier(process, data[i + 1], data[i + 2])
                 else:
-                    # C defers unknown opcodes here so the error and
-                    # the accounting before it match the reference loop.
-                    raise ValueError(
-                        f"unknown packed opcode {op} at {i}")
+                    self._barrier(process, data[i + 1], data[i + 2])
                 if process.blocked or process.in_heap:
                     regs[_R_PID] = -1
                 else:
@@ -344,19 +352,16 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         self.events_processed += ev + misc[0]
         for c in range(n_cl):
             sstats = cl_scc[c].stats
-            if d_reads[c]:
-                sstats.reads += d_reads[c]
-            if d_writes[c]:
-                sstats.writes += d_writes[c]
-            if d_conf[c]:
-                sstats.bank_conflict_cycles += d_conf[c]
-                cl_icn[c].conflict_cycles += d_conf[c]
-            if d_wbuf[c]:
-                # The C loop inlines reserve_write_slot, so the
-                # interconnect's own stall counter is settled here too
-                # (the interconnect's method updates it as it goes).
-                sstats.write_buffer_stall_cycles += d_wbuf[c]
-                cl_icn[c].write_stall_cycles += d_wbuf[c]
+            deltas = dict(zip(_SCC_FIELDS,
+                              d_scc[c * n_fields:(c + 1) * n_fields]))
+            for name, delta in deltas.items():
+                if delta:
+                    setattr(sstats, name, getattr(sstats, name) + delta)
+            # The C loop inlines the interconnect's bank and write-buffer
+            # arbitration, so its own two counters are settled here too.
+            cl_icn[c].conflict_cycles += deltas["bank_conflict_cycles"]
+            cl_icn[c].write_stall_cycles += \
+                deltas["write_buffer_stall_cycles"]
         for p in range(nproc):
             refs = d_refs[p]
             busy = d_busy[p]

@@ -60,6 +60,12 @@ _PARTITION_COMPUTE = 40     # per-body share of the partitioning pass
 # Lock-id namespace: cell locks start here (cell index + base).
 _CELL_LOCK_BASE = 100
 
+# Cells this deep stop halving space.  Halving never separates bodies
+# that are coincident for the model's purposes (0.0 next to 5e-324: the
+# cell size underflows first), so without a bound such a pair splits
+# cells until memory runs out.  The paper workloads reach depth 6-8.
+_MAX_DEPTH = 32
+
 
 class Body:
     """One simulated body (state lives here; the trace names its record)."""
@@ -104,6 +110,24 @@ class Cell:
         return [self.centre[axis]
                 + (quarter if octant & (1 << axis) else -quarter)
                 for axis in range(3)]
+
+    def slot_of(self, pos) -> int:
+        """Child slot a body at ``pos`` goes into: its octant -- or, in
+        a cell at the depth bound (a bucket of bodies too close to
+        separate), the first free slot, and the last one once full."""
+        if self.depth < _MAX_DEPTH:
+            return self.octant_of(pos)
+        for slot, child in enumerate(self.children):
+            if child is None:
+                return slot
+        return len(self.children) - 1
+
+    def subcell_cube(self, slot: int):
+        """``(centre, half)`` of the subcell a body in ``slot`` splits
+        into; a bucket overflows into another bucket on the same cube."""
+        if self.depth < _MAX_DEPTH:
+            return self.child_centre(slot), self.half / 2.0
+        return self.centre, self.half
 
 
 class BarnesHut(TracedApplication):
@@ -294,7 +318,7 @@ class _BarnesHutRun:
         """
         cell = self.root
         while True:
-            octant = cell.octant_of(body.pos)
+            octant = cell.slot_of(body.pos)
             yield Compute(_INSERT_COMPUTE)
             yield Read(self.cell_addr(cell, _CELL_CHILDREN + octant * 8))
             child = cell.children[octant]
@@ -318,9 +342,9 @@ class _BarnesHutRun:
                 return
             # The slot holds a body: split it into a subcell and resume
             # the descent inside the new subcell.
-            subcell = self._new_cell(proc, cell.child_centre(octant),
-                                     cell.half / 2.0, cell.depth + 1)
-            sub_octant = subcell.octant_of(child.pos)
+            subcell = self._new_cell(proc, *cell.subcell_cube(octant),
+                                     cell.depth + 1)
+            sub_octant = subcell.slot_of(child.pos)
             subcell.children[sub_octant] = child
             yield Read(self.body_addr(child, _BODY_POS))
             yield Write(self.cell_addr(subcell,
@@ -591,15 +615,15 @@ def _quiet_build(bodies: Sequence[Body]) -> Cell:
     for body in bodies:
         cell = root
         while True:
-            octant = cell.octant_of(body.pos)
+            octant = cell.slot_of(body.pos)
             child = cell.children[octant]
             if child is None:
                 cell.children[octant] = body
                 break
             if isinstance(child, Body):
-                subcell = Cell(-1, cell.child_centre(octant),
-                               cell.half / 2.0, cell.depth + 1)
-                subcell.children[subcell.octant_of(child.pos)] = child
+                subcell = Cell(-1, *cell.subcell_cube(octant),
+                               cell.depth + 1)
+                subcell.children[subcell.slot_of(child.pos)] = child
                 cell.children[octant] = subcell
                 cell = subcell
                 continue

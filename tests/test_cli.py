@@ -95,22 +95,9 @@ class TestCommands:
         assert "0 diverged" in out
 
     def test_fuzz_divergence_exit_code(self, capsys, tmp_path,
-                                       monkeypatch):
-        from repro.core.coherence import CoherenceController
-        from repro.trace.engine import (native_available,
-                                        native_unavailable_reason)
-        if not native_available():
-            # ``read_miss`` is the native engine's entry; nothing else
-            # calls the mutant.
-            pytest.skip(f"native replay backend unavailable: "
-                        f"{native_unavailable_reason()}")
+                                       monkeypatch, off_by_one_read_miss):
+        # (a mutant build of the native engine; skips without a compiler)
         monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path))
-        original = CoherenceController.read_miss
-
-        def patched(self, scc, line, start):
-            return original(self, scc, line, start) + 1
-
-        monkeypatch.setattr(CoherenceController, "read_miss", patched)
         assert main(["fuzz", "--seed", "0", "--budget", "5",
                      "--no-shrink"]) == 1
         out = capsys.readouterr().out

@@ -11,6 +11,8 @@ import pytest
 from repro.trace.engine import (BACKEND_CHOICES, available_backends,
                                 backend_info, engine_degradation,
                                 native_available, resolve_backend)
+from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
+                                OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN)
 
 
 # ----------------------------------------------------------------------
@@ -103,15 +105,18 @@ needs_native = pytest.mark.skipif(not native_available(),
 
 
 def _interleaver(config, streams, backend):
-    """``streams``: per-processor lists of packed chunks."""
+    """``streams``: per-processor lists of pieces, each a packed chunk
+    (a list of ints) or an event object (the object path)."""
     from repro.core.system import MultiprocessorSystem
     from repro.trace.interleave import TimingInterleaver
     from repro.trace.packed import PackedChunk
     system = MultiprocessorSystem(config)
     interleaver = TimingInterleaver(system, backend=backend)
-    for pid, chunks in streams.items():
+    for pid, pieces in streams.items():
         interleaver.add_process(
-            pid, iter([PackedChunk(list(chunk)) for chunk in chunks]))
+            pid, iter([PackedChunk(list(piece))
+                       if isinstance(piece, list) else piece
+                       for piece in pieces]))
     return system, interleaver
 
 
@@ -134,6 +139,8 @@ def _outcome(config, streams, backend, max_cycles=None):
         "last_reference": [proc.finish_time for proc in system._procs],
         "events": interleaver.events_processed,
         "stats": system.stats(finish).as_dict(),
+        "bus": (system.bus.transactions, system.bus.busy_cycles,
+                system.bus.busy_until),
         "seq": interleaver._seq,
     }
 
@@ -240,39 +247,201 @@ class TestNativeScheduler:
                                   max_cycles=300)
 
     def test_exception_in_read_miss_flushes_deltas_once(self, monkeypatch):
-        """A coherence callback that raises mid-run: C's deltas are
-        flushed exactly once, leaving what the reference loop -- which
-        counts as it goes -- has at the same failure.  The fault sits in
-        ``_snoop_downgrade``, the one step the native engine's
-        ``read_miss`` and the reference loop's ``read_line`` share."""
-        from repro.core.coherence import CoherenceController
+        """A python frame that raises under ``_native.run`` mid-run: C's
+        deltas -- the miss path's included, it counts everything there
+        now -- are flushed exactly once, leaving what the reference loop,
+        which counts as it goes, has at the same failure.  The fault sits
+        in the icache refill, the one callback the data path has left; a
+        fetch that hits in C's inline icache never reaches it."""
         from repro.core.config import SystemConfig
-        from repro.trace.packed import OP_COMPUTE, OP_READ, OP_WRITE
+        from repro.core.system import MultiprocessorSystem
+        from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
+                                        OP_WRITE)
         config = SystemConfig(clusters=2, processors_per_cluster=2,
-                              scc_size=1024)
-        streams = {pid: [[OP_WRITE, 64 * pid, OP_COMPUTE, 9,
-                          OP_READ, 64 * pid],
-                         [OP_READ, 4096 + 64 * pid, OP_COMPUTE, 1]]
+                              scc_size=1024, model_icache=True,
+                              icache_size=1024)
+        streams = {pid: [[OP_IFETCH, 0, 4, OP_WRITE, 64 * pid,
+                          OP_COMPUTE, 9, OP_READ, 64 * pid],
+                         [OP_IFETCH, 0, 4, OP_READ, 4096 + 64 * pid,
+                          OP_IFETCH, 4096 * (pid == 3), 2, OP_COMPUTE, 1]]
                    for pid in range(4)}
+        real = MultiprocessorSystem.ifetch
 
-        real = CoherenceController._snoop_downgrade
-        budget = []
+        def ifetch(self, proc, addr, count, now):
+            if addr == 4096:
+                raise KeyError("injected refill failure")
+            return real(self, proc, addr, count, now)
 
-        def snoop_downgrade(self, requester, line):
-            if not budget:
-                raise KeyError("injected read-miss failure")
-            budget.pop()
-            return real(self, requester, line)
-
-        monkeypatch.setattr(CoherenceController, "_snoop_downgrade",
-                            snoop_downgrade)
-        budget[:] = [1, 1]
+        monkeypatch.setattr(MultiprocessorSystem, "ifetch", ifetch)
         native = _outcome(config, streams, "native")
-        assert native["error"] == ("KeyError",
-                                   "'injected read-miss failure'")
-        assert native["events"] > 0
-        budget[:] = [1, 1]
+        assert native["error"] == ("KeyError", "'injected refill failure'")
+        assert native["stats"]["scc"][0]["read_misses"] > 0
         assert native == _outcome(config, streams, "python")
+
+    @pytest.mark.parametrize("tape", [
+        [99, 0],
+        [OP_READ_SPAN, 0, 64, 0],
+        [OP_READ, 0, OP_WRITE_SPAN, 0, 64, -16],
+    ])
+    def test_error_tapes_match_the_python_loop(self, tape):
+        """Same exception, same message, same partial accounting; a
+        non-positive span stride used to spin C to ``max_cycles``."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024)
+        streams = {0: [tape], 1: [[OP_READ, 256]]}
+        native = _outcome(config, streams, "native", max_cycles=10_000)
+        assert native["error"][0] == "ValueError"
+        assert native == _outcome(config, streams, "python",
+                                  max_cycles=10_000)
+
+    def test_a_miss_never_reenters_python(self):
+        """Quick Barnes-Hut 8p/8KB: while ``_native.run`` is on the C
+        stack no ``repro.core.coherence`` frame is entered (75,375 read
+        misses and 2,495 writes called back when the protocol was
+        python's alone); the reference protocol code still runs, but
+        only under ``_advance``'s object path.  The hand-backs
+        themselves did not move."""
+        import sys
+        import repro.core.coherence as coherence
+        from repro.core.config import SystemConfig
+        from repro.experiments.spec import PROFILES
+        from repro.simulation import build_system
+        from repro.trace.engine import native
+        from repro.trace.interleave import TimingInterleaver
+
+        run_c = native.load().run
+        protocol_file = coherence.__file__
+        advance = TimingInterleaver._advance.__code__
+        frames = {"under_c": 0, "object_path": 0, "elsewhere": 0}
+        in_c = [False]
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                if frame.f_code.co_filename != protocol_file:
+                    return
+                if in_c[0]:
+                    frames["under_c"] += 1
+                    return
+                while frame is not None and frame.f_code is not advance:
+                    frame = frame.f_back
+                frames["object_path" if frame else "elsewhere"] += 1
+            elif arg is run_c:
+                in_c[0] = event == "c_call"
+
+        profile = PROFILES["quick"]
+        config = SystemConfig.paper_parallel(
+            8, 8 * 1024 // profile.ladder_scale)
+        interleaver = TimingInterleaver(build_system(config),
+                                        backend="native")
+        for pid, generator in profile.barnes_hut().processes(
+                config).items():
+            interleaver.add_process(pid, generator)
+        sys.setprofile(profiler)
+        try:
+            interleaver.run()
+        finally:
+            sys.setprofile(None)
+        assert interleaver.engine_used == "native"
+        assert frames["under_c"] == 0 and frames["elsewhere"] == 0
+        assert frames["object_path"] > 0
+        assert interleaver.engine_returns == {
+            "refill": 299, "object": 5133, "sync": 0}
+
+
+# ----------------------------------------------------------------------
+# Native miss path: directed tapes against the reference protocol code
+# ----------------------------------------------------------------------
+
+A, B = 0, 1024      # two tags of one SCC slot (64 lines of 16 bytes)
+
+
+def _coherence_tapes():
+    """name -> (streams, check): what each tape is for, asserted on the
+    reference loop's statistics so a tape that stops exercising its case
+    fails rather than passes vacuously.  Processors 0-1 share cluster 0,
+    2-3 cluster 1."""
+    from repro.trace.events import Read
+
+    def scc(outcome, cluster):
+        return outcome["stats"]["scc"][cluster]
+
+    return {
+        # cluster 1's write steals A; B then refills A's slot; the
+        # re-read of A is still an invalidation miss
+        "lost-line-remissed-after-slot-refill": (
+            {0: [[OP_READ, A, OP_COMPUTE, 300, OP_READ, B,
+                  OP_COMPUTE, 300, OP_READ, A]],
+             2: [[OP_COMPUTE, 150, OP_WRITE, A]]},
+            lambda out: scc(out, 0)["coherence_read_misses"] == 1
+            and scc(out, 0)["evictions"] == 1),
+        # processor 1 merges with the fill (lands at 100) and, at 101,
+        # forgets it; processor 0, also at 101, arrives after that.  (The
+        # scheduler issues accesses in clock order, so "earlier clock,
+        # later arrival" can only be a tie.)
+        "merge-with-one-in-flight-fill": (
+            {0: [[OP_READ, A, OP_READ, A, OP_COMPUTE, 50, OP_READ, A]],
+             1: [[OP_COMPUTE, 5, OP_READ, A, OP_READ, A]]},
+            lambda out: scc(out, 0)["read_misses"] == 1
+            and out["clocks"] == {0: 154, 1: 102}),
+        # the writer kills the fill under way: the cluster-mate's read
+        # misses again instead of merging, and B finds no stale entry
+        "invalidate-a-line-in-flight": (
+            {0: [[OP_READ, A]],
+             1: [[OP_COMPUTE, 20, OP_READ, A, OP_READ, B]],
+             2: [[OP_COMPUTE, 10, OP_WRITE, A]]},
+            lambda out: scc(out, 0)["read_misses"] == 3
+            and scc(out, 0)["coherence_read_misses"] == 1
+            and scc(out, 1)["invalidations_sent"] == 1),
+        # fetch of B holds the bus 201-205, A's write-back 205-209 (it
+        # is requested at 201, not at the fill): cluster 1 waits 7
+        "dirty-victim-write-back-behind-the-fetch": (
+            {0: [[OP_WRITE, A, OP_COMPUTE, 200, OP_READ, B]],
+             2: [[OP_COMPUTE, 202, OP_READ, 2048]]},
+            lambda out: scc(out, 0)["writebacks"] == 1
+            and scc(out, 1)["bus_wait_cycles"] == 7),
+        # cluster 1's fetch holds the bus 199-203, the upgrade (at 200)
+        # 203-205, the write miss (at 201) 205-209: only the miss counts
+        # its wait.  The last pair is a line nobody else holds: a second
+        # upgrade under MSI, EXCLUSIVE's silent one under MESI
+        "upgrade-vs-write-miss-bus-accounting": (
+            {0: [[OP_READ, A, OP_COMPUTE, 99, OP_WRITE, A,
+                  OP_WRITE, 4096 + 16, OP_COMPUTE, 200,
+                  OP_READ, 2048 + 32, OP_WRITE, 2048 + 32]],
+             2: [[OP_COMPUTE, 50, OP_READ, A, OP_COMPUTE, 48,
+                  OP_READ, 512]]},
+            lambda out: scc(out, 0)["upgrades"] == 2
+            and scc(out, 0)["write_misses"] == 1
+            and scc(out, 0)["invalidations_sent"] == 1
+            and scc(out, 0)["bus_wait_cycles"] == 4
+            and out["bus"] == (7, 24, 505)),
+        # C fetch at 100, python object-path fetch at 101, python icache
+        # refill at 102, C fetch at 103: each queues behind the last
+        "python-between-two-c-stints-sees-the-bus": (
+            {0: [[OP_READ, A], Read(B + 16), [OP_COMPUTE, 1]],
+             1: [[OP_COMPUTE, 102, OP_IFETCH, 0, 1]],
+             2: [[OP_COMPUTE, 100, OP_READ, 512]],
+             3: [[OP_COMPUTE, 103, OP_READ, 768]]},
+            lambda out: out["bus"] == (5, 20, 116)
+            and scc(out, 0)["bus_wait_cycles"] == 3
+            and scc(out, 1)["bus_wait_cycles"] == 9),
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("protocol", ["msi", "mesi"])
+@pytest.mark.parametrize("name", sorted(_coherence_tapes()))
+def test_native_miss_path_matches_the_reference_protocol(name, protocol):
+    from repro.core.config import SystemConfig
+    streams, check = _coherence_tapes()[name]
+    config = SystemConfig(clusters=2, processors_per_cluster=2,
+                          scc_size=1024, protocol=protocol,
+                          model_icache=True, icache_size=1024)
+    reference = _outcome(config, streams, "python")
+    assert reference["error"] is None
+    if protocol == "msi":
+        assert check(reference), reference
+    assert _outcome(config, streams, "native") == reference
 
 
 @needs_native
@@ -293,13 +462,21 @@ class TestNativeAbiGuard:
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
         """An ``_native`` left by an older ``build_ext --inplace`` must
-        not be handed out (it would fail mid-sweep on the first missing
-        entry point)."""
+        not be handed out: the previous ABI has every entry point by
+        name and would misread the plan (its ``setup`` expects the two
+        coherence callbacks this ABI dropped)."""
         from types import SimpleNamespace
         import repro.trace.engine as engine
         from repro.trace.engine import native
-        stale = SimpleNamespace(ABI_VERSION="2", __file__="old.so",
-                                ladder_setup=None, drain=None)
+        real = native.load()
+        stale = SimpleNamespace(
+            ABI_VERSION="3", __file__="old.so", setup=real.setup,
+            run=real.run, release=real.release,
+            ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
+            ladder_release=real.ladder_release)
+        assert native.NATIVE_VERSION == "4"
+        assert native._stale_reason(stale) == (
+            "stale extension old.so: ABI '3', need '4'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()

@@ -1,29 +1,21 @@
 """Mutation check: the differential verifier must catch a deliberately
 injected off-by-one in the native engine's path and shrink it to a small
-repro.  ``CoherenceController.read_miss`` is the native-only protocol
-entry (the reference loop goes through ``read_line``), so perturbing it
-diverges exactly the ``native`` engine from the generic baseline."""
+repro.  The snoopy miss path lives twice -- ``CoherenceController`` for
+the reference loop, ``_native.c`` for the native engine -- so the mutant
+is a second build of the C source with one statement changed (the
+``off_by_one_read_miss`` fixture, ``tests/conftest.py``): it diverges
+exactly the ``native`` engine from the generic baseline."""
 
 import pytest
 
-from repro.core.coherence import CoherenceController
+from repro.trace.engine import native
 from repro.verify import diff_tape, generate_tape, run_fuzz, shrink_tape
 
-# Nothing calls the mutated entry without the extension; skip with the
-# loader's reason rather than pass vacuously.
+# The mutant cannot be built without a compiler; skip with the loader's
+# reason rather than pass vacuously.
 from .test_differ import needs_native
 
 MUTANT_SEED_LIMIT = 40
-
-
-@pytest.fixture
-def off_by_one_read_miss(monkeypatch):
-    original = CoherenceController.read_miss
-
-    def patched(self, scc, line, start):
-        return original(self, scc, line, start) + 1
-
-    monkeypatch.setattr(CoherenceController, "read_miss", patched)
 
 
 def _first_diverging_tape():
@@ -73,19 +65,13 @@ class TestUnmutatedBaseline:
         assert not list(tmp_path.iterdir())  # no repro files written
 
     @needs_native
-    def test_shrunk_mutant_repro_is_clean_on_the_fixed_tree(self):
+    def test_shrunk_mutant_repro_is_clean_on_the_fixed_tree(
+            self, mutant_native):
         """The tape that reproduces under the mutation must not diverge
         on the real implementation -- proving the shrink predicate
         tracked the injected bug, not generator noise."""
-        original = CoherenceController.read_miss
-
-        def patched(self, scc, line, start):
-            return original(self, scc, line, start) + 1
-
-        CoherenceController.read_miss = patched
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", mutant_native)
             tape, _ = _first_diverging_tape()
             shrunk, _ = shrink_tape(tape)
-        finally:
-            CoherenceController.read_miss = original
         assert diff_tape(shrunk) is None

@@ -44,6 +44,36 @@ class TestOctree:
         ordered = _tree_ordered_bodies(root)
         assert sorted(b.index for b in ordered) == list(range(64))
 
+    def test_near_coincident_bodies_share_bucket_cells(self, monkeypatch):
+        """The traced insert (locks, races and all) bounds its depth like
+        the quiet build: ten bodies a denormal apart overflow one bucket
+        cell into a second instead of splitting forever."""
+        from repro.workloads import barnes_hut
+        real = barnes_hut._plummer_bodies
+
+        def crowded(count, rng):
+            bodies = real(count, rng)
+            for index, body in enumerate(bodies[:10]):
+                body.pos = [index * 5e-324, 0.0, 0.0]
+                body.vel = [0.0, 0.0, 0.0]
+            return bodies
+
+        monkeypatch.setattr(barnes_hut, "_plummer_bodies", crowded)
+        app = BarnesHut(n_bodies=24, steps=1)
+        config = small_config()
+        run = _BarnesHutRun(app, config)
+
+        class ThisRun:      # BarnesHut.processes, keeping hold of the run
+            def processes(self, config):
+                return {proc: run.process(proc)
+                        for proc in range(config.total_processors)}
+
+        assert run_simulation(config, ThisRun()).execution_time > 0
+        ordered = _tree_ordered_bodies(run.root)
+        assert sorted(b.index for b in ordered) == list(range(24))
+        deepest = max(len(run.levels) - 1, 0)
+        assert barnes_hut._MAX_DEPTH < deepest <= barnes_hut._MAX_DEPTH + 2
+
     def test_bounding_cube_covers_all_bodies(self):
         app = BarnesHut(n_bodies=64, steps=1)
         run = _BarnesHutRun(app, small_config())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import KB, SystemConfig
 from repro.workloads.barnes_hut import (Body, Cell, _bounding_cube,
@@ -17,6 +17,13 @@ POSITIONS = st.lists(
     min_size=2, max_size=80, unique=True)
 
 
+# Hypothesis drew this pair once: halving the cell never separates them
+# (the cell size underflows first) and the build ran out of memory.
+NEAR_COINCIDENT = [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)]
+# More of them than one bucket cell has slots.
+CROWD = [(index * 5e-324, 1.0, -1.0) for index in range(20)]
+
+
 def bodies_from(positions):
     return [Body(index, list(pos), [0.0, 0.0, 0.0], 1.0)
             for index, pos in enumerate(positions)]
@@ -24,6 +31,8 @@ def bodies_from(positions):
 
 class TestOctreeProperties:
     @given(POSITIONS)
+    @example(NEAR_COINCIDENT)
+    @example(NEAR_COINCIDENT + [(1.0, 2.0, 3.0)] + CROWD)
     @settings(max_examples=80, deadline=None)
     def test_build_preserves_every_body_exactly_once(self, positions):
         bodies = bodies_from(positions)
@@ -33,6 +42,7 @@ class TestOctreeProperties:
             list(range(len(bodies)))
 
     @given(POSITIONS)
+    @example(NEAR_COINCIDENT + [(1.0, 2.0, 3.0)] + CROWD)
     @settings(max_examples=60, deadline=None)
     def test_bodies_lie_inside_their_cells(self, positions):
         """Walking the tree, every body must sit inside the cube of the
