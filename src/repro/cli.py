@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro``.
 
-Three subcommands cover the library's everyday uses without writing any
+Its subcommands cover the library's everyday uses without writing any
 Python:
 
 * ``simulate`` -- run one benchmark on one machine configuration and
@@ -16,9 +16,8 @@ Python:
 * ``model`` -- the :mod:`repro.model` analytical surrogate: predict a
   row's miss-ratio curve without simulation, or cross-validate the
   model against the simulator and gate on the aggregate error;
-* ``bench`` -- time the simulator itself (packed fast path vs the
-  event-object path, trace-cached sweep vs instrumented resimulation)
-  and optionally write the numbers to a JSON file;
+* ``bench`` -- the checkout's benchmark: ``bench/run.py`` with the
+  arguments given, verbatim (see ``bench/README.md``);
 * ``fuzz`` -- differentially verify the native engine and its fused
   ladder against the reference loop, and that against a functional
   oracle, over seeded adversarial tapes, shrinking any divergence to a
@@ -26,7 +25,10 @@ Python:
 * ``serve`` -- run the sweep fabric: an HTTP broker with in-process
   workers sharing the node's result/trace cache as the artifact store;
 * ``submit`` -- send a sweep to a running fabric, stream its per-point
-  progress, and print the same tables ``sweep`` would.
+  progress, and print the same tables ``sweep`` would;
+* ``optimize`` -- seeded Pareto-frontier search over the cluster design
+  space for the best cost/performance, instead of sweeping it;
+* ``list`` -- name the benchmarks and the reports.
 
 Examples::
 
@@ -38,10 +40,11 @@ Examples::
     python -m repro model mp3d --profile quick --procs 1
     python -m repro model --validate --profile quick
     python -m repro report table6
-    python -m repro bench --repeat 3 --out BENCH.json
+    python -m repro bench --repeats 5 --traced --probes --out BENCH.json
     python -m repro fuzz --seed 0 --budget 200
     python -m repro serve --port 8765 --workers 4
     python -m repro submit mp3d --url http://127.0.0.1:8765 --profile quick
+    python -m repro optimize --profile quick --seed 0
     python -m repro list
 """
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .core.config import KB, SystemConfig
@@ -63,6 +67,10 @@ BENCHMARKS = KNOWN_BENCHMARKS
 SIMULATION_REPORTS = ("figure2", "table3", "table4", "figure3", "figure4",
                       "figure5", "figure6", "table6", "table7")
 MODEL_REPORTS = ("table5", "costs")
+
+BENCH_SCRIPT = Path(__file__).resolve().parents[2] / "bench" / "run.py"
+"""The benchmark of the checkout this module runs from (``bench/`` sits
+beside ``src/``; an installed copy of the package has none)."""
 
 
 def parse_size(text: str) -> int:
@@ -251,27 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--profile", default=None,
                         choices=("quick", "paper"))
 
-    bench = commands.add_parser(
-        "bench", help="time the simulator (packed vs event-object paths)")
-    bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="take the best of N timed runs (default 3)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="also write the measurements as JSON")
-    bench.add_argument("--scenario", default="all",
-                       choices=("all", "point", "packed", "sweep",
-                                "fused", "analytical"),
-                       help="point: one quick Barnes-Hut configuration; "
-                            "packed: a cache-resident uniprocessor "
-                            "replay timed on every available engine "
-                            "backend; sweep: a Figure-5-style grid; "
-                            "fused: the one-pass multi-configuration "
-                            "ladder vs per-size replay; analytical: the "
-                            "repro.model surrogate vs the fused ladder "
-                            "(default: all)")
-    bench.add_argument("--backend", default=None,
-                       choices=BACKEND_CHOICES,
-                       help="replay engine for the simulated scenarios "
-                            "(default: $REPRO_ENGINE, then auto)")
+    # Listed for --help only: main() hands ``bench`` and everything
+    # after it to bench/run.py before this parser sees the arguments.
+    commands.add_parser(
+        "bench", add_help=False,
+        help="run the checkout's benchmark (bench/run.py; every "
+             "argument is passed to it verbatim)")
 
     fuzz = commands.add_parser(
         "fuzz", help="differentially fuzz the timing engines "
@@ -678,39 +671,7 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _bench_point(repeat: int, backend: Optional[str] = None) -> dict:
-    """Quick Barnes-Hut on the paper's 8x8 machine: packed fast path vs
-    the event-object generator path (identical statistics, same events)."""
-    import time
-    from .trace.engine import resolve_backend
-    from .workloads.barnes_hut import BarnesHut
-    config = SystemConfig.paper_parallel(8, 8 * KB)
-    timings = {True: [], False: []}
-    events = None
-    for _ in range(max(1, repeat)):
-        for packed in (True, False):
-            workload = BarnesHut(n_bodies=192, steps=2)
-            workload.packed = packed
-            begin = time.perf_counter()
-            result = run_simulation(config, workload, backend=backend)
-            timings[packed].append(time.perf_counter() - begin)
-            if events is None:
-                events = result.events_processed
-    packed_s = min(timings[True])
-    generator_s = min(timings[False])
-    return {
-        "workload": "BarnesHut(n_bodies=192, steps=2)",
-        "config": "paper_parallel(procs_per_cluster=8, scc=8KB)",
-        "backend": resolve_backend(backend),
-        "events": events,
-        "packed_s": round(packed_s, 4),
-        "generator_s": round(generator_s, 4),
-        "speedup": round(generator_s / packed_s, 2),
-        "packed_events_per_s": int(events / packed_s),
-        "repeats": repeat,
-    }
-
-
+# Kept for bench/probes.py, which imports it by name (bench/ is frozen).
 def _packed_replay_stream():
     """A cache-resident uniprocessor loop in the packed encoding.
 
@@ -737,335 +698,15 @@ def _packed_replay_stream():
     return stream
 
 
-def _bench_packed(repeat: int) -> dict:
-    """The packed replay engines on one tape.
-
-    Times the same single-processor replay on every available backend
-    (``python``: the per-event reference loop; ``native``: the C
-    engine) and cross-checks that they produce bit-identical
-    statistics.  ``speedup`` entries are relative to the reference
-    loop.
-    """
-    import time
-    from .trace.engine import available_backends
-    from .trace.record import ReplayApplication
-    config = SystemConfig.paper_multiprogramming(1, scc_size=16 * KB)
-    stream = _packed_replay_stream()
-    app = ReplayApplication({0: stream}, name="bench-packed")
-    backends = available_backends()
-    rates = {}
-    reference = None
-    for name in backends:
-        best = None
-        for _ in range(max(1, repeat)):
-            begin = time.perf_counter()
-            result = run_simulation(config, app, backend=name)
-            elapsed = time.perf_counter() - begin
-            best = elapsed if best is None else min(best, elapsed)
-        if reference is None:
-            reference = result
-        elif (result.stats.as_dict() != reference.stats.as_dict()
-                or result.events_processed != reference.events_processed):
-            raise AssertionError(
-                f"backend {name} diverges from {backends[0]}")
-        rates[name] = result.events_processed / best
-    report = {
-        "workload": "synthetic cache-resident replay "
-                    "(1 processor, 16KB SCC, one packed chunk)",
-        "events": reference.events_processed,
-        "repeats": repeat,
-    }
-    python_rate = rates["python"]
-    for name, rate in rates.items():
-        report[f"{name}_events_per_s"] = int(rate)
-        if name != "python":
-            report[f"{name}_speedup"] = round(rate / python_rate, 2)
-    return report
-
-
-def _bench_sweep(repeat: int, backend: Optional[str] = None) -> dict:
-    """A miss-rate-vs-cache-size curve (Figure 2/5 style) two ways.
-
-    The curve is the multiprogramming workload on one processor across
-    the full SCC ladder.  Baseline is how sweeps ran before the packed
-    encoding existed: every rung resimulated on the event-object path
-    with the observability digest attached.  The fast mode is the
-    current sweep pipeline with ``instrument=False``: the stream is
-    recorded once (single-processor streams are configuration-
-    independent, so the determinism guard holds) and replayed from the
-    trace cache at every other rung as packed chunks.  Statistics are
-    identical either way; only wall-clock differs.
-    """
-    import shutil
-    import tempfile
-    import time
-    from pathlib import Path
-    from .experiments.runner import (PAPER_LADDER, PROFILES,
-                                     InstrumentationProbe, ResultCache)
-    from .experiments.session import run_sweep
-    from .experiments.spec import SweepSpec
-    from .trace.engine import backend_info
-    from .trace.record import TraceCache
-    profile = PROFILES["quick"]
-    ladder = PAPER_LADDER
-    procs = (1,)
-    icache = max(16 * KB // profile.ladder_scale, 512)
-
-    def grid_configs():
-        for procs_per_cluster in procs:
-            for paper_bytes in ladder:
-                yield SystemConfig.paper_multiprogramming(
-                    procs_per_cluster,
-                    paper_bytes // profile.ladder_scale).with_updates(
-                        icache_size=icache)
-
-    baseline_times = []
-    for _ in range(max(1, repeat)):
-        begin = time.perf_counter()
-        for config in grid_configs():
-            workload = profile.multiprogramming()
-            workload.packed = False
-            probe = InstrumentationProbe(bin_width=4096,
-                                         record_events=False)
-            run_simulation(config, workload, instrumentation=probe)
-        baseline_times.append(time.perf_counter() - begin)
-
-    scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    fast_times = []
-    try:
-        trace_cache = TraceCache(scratch / "traces")
-        spec = SweepSpec.from_cli_args(
-            argparse.Namespace(), benchmark="multiprogramming",
-            profile=profile, ladder=ladder, procs=procs,
-            instrument=False, backend=backend)
-        for index in range(max(2, repeat + 1)):
-            # Fresh result cache each round so every point simulates or
-            # replays; the trace cache stays warm after round one.
-            begin = time.perf_counter()
-            run_sweep(spec, cache=ResultCache(scratch / f"results{index}"),
-                      trace_cache=trace_cache)
-            fast_times.append(time.perf_counter() - begin)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    baseline_s = min(baseline_times)
-    cold_s = fast_times[0]
-    warm_s = min(fast_times[1:])
-    return {
-        "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
-                f"procs={list(procs)}",
-        "engine": backend_info(backend),
-        "baseline_instrumented_generator_s": round(baseline_s, 4),
-        "fast_cold_s": round(cold_s, 4),
-        "fast_warm_s": round(warm_s, 4),
-        "speedup_cold": round(baseline_s / cold_s, 2),
-        "speedup_warm": round(baseline_s / warm_s, 2),
-        "repeats": repeat,
-    }
-
-
-def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
-    """The quick multiprogramming ladder with a warm trace cache, two
-    ways: one replay per rung (``fused=False``) versus the one-pass
-    multi-configuration engine (:mod:`repro.trace.multiconfig`).  Both
-    start from the same recorded tape and produce bit-identical
-    RunStats (asserted here); only wall-clock differs.  Both modes run
-    on the same requested backend, so with the default ``auto`` on a
-    machine with a compiler this is the compiled ladder versus native
-    per-size replay; on the reference loop there is no fused pass and
-    the two modes are the same work (``ladder_engine`` says which).
-    """
-    import shutil
-    import tempfile
-    import time
-    from pathlib import Path
-    from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
-    from .experiments.session import run_sweep
-    from .experiments.spec import SweepSpec
-    from .trace.engine import backend_info
-    from .trace.record import TraceCache
-    profile = PROFILES["quick"]
-    ladder = PAPER_LADDER
-    procs = (1,)
-    scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    timings = {False: [], True: []}
-    try:
-        trace_cache = TraceCache(scratch / "traces")
-        specs = {fused: SweepSpec.from_cli_args(
-                     argparse.Namespace(), benchmark="multiprogramming",
-                     profile=profile, ladder=ladder, procs=procs,
-                     instrument=False, fused=fused, backend=backend)
-                 for fused in (False, True)}
-        # Record the row's tape once so both modes run trace-warm.
-        reference = run_sweep(specs[False],
-                              cache=ResultCache(scratch / "warmup"),
-                              trace_cache=trace_cache)
-        for index in range(max(1, repeat)):
-            for fused in (False, True):
-                begin = time.perf_counter()
-                sweep = run_sweep(
-                    specs[fused],
-                    cache=ResultCache(scratch / f"results-{fused}-{index}"),
-                    trace_cache=trace_cache)
-                timings[fused].append(time.perf_counter() - begin)
-                if sweep != reference:
-                    raise AssertionError(
-                        "fused and per-size ladder results diverge")
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    per_size_s = min(timings[False])
-    fused_s = min(timings[True])
-    engine = backend_info(backend)
-    return {
-        "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
-                f"procs={list(procs)}, warm trace cache",
-        "engine": engine,
-        # the fused pass exists on the native engine only
-        "ladder_engine": engine["resolved"],
-        "per_size_warm_s": round(per_size_s, 4),
-        "fused_warm_s": round(fused_s, 4),
-        "speedup": round(per_size_s / fused_s, 2),
-        "repeats": repeat,
-    }
-
-
-def _bench_analytical(repeat: int) -> dict:
-    """The quick multiprogramming ladder, warm caches, two ways: the
-    fused one-pass replay versus the :mod:`repro.model` surrogate.
-
-    The warm-up round records the row's tape (shared by both modes)
-    and builds the row profile; timed rounds then get a fresh result
-    cache each, so fused pays one pass over the tape while the
-    surrogate only prices points from the cached profile.  Exactness
-    differs by construction here -- the model is exact on this row --
-    but the bench reports the observed error rather than asserting it.
-    """
-    import shutil
-    import tempfile
-    import time
-    from pathlib import Path
-    from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
-    from .experiments.session import run_sweep
-    from .experiments.spec import SweepSpec
-    from .trace.record import TraceCache
-    profile = PROFILES["quick"]
-    ladder = PAPER_LADDER
-    procs = (1,)
-    scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    timings = {"fused": [], "analytical": []}
-    try:
-        trace_cache = TraceCache(scratch / "traces")
-        specs = {fidelity: SweepSpec.from_cli_args(
-                     argparse.Namespace(), benchmark="multiprogramming",
-                     profile=profile, ladder=ladder, procs=procs,
-                     instrument=False, fidelity=fidelity)
-                 for fidelity in ("fused", "analytical")}
-        reference = run_sweep(specs["fused"],
-                              cache=ResultCache(scratch / "warm-f"),
-                              trace_cache=trace_cache)
-        surrogate = run_sweep(specs["analytical"],
-                              cache=ResultCache(scratch / "warm-a"),
-                              trace_cache=trace_cache)
-        error = max(abs(surrogate[point].miss_rate
-                        - reference[point].miss_rate)
-                    for point in reference)
-        for index in range(max(1, repeat)):
-            for fidelity in ("fused", "analytical"):
-                begin = time.perf_counter()
-                run_sweep(specs[fidelity],
-                          cache=ResultCache(
-                              scratch / f"results-{fidelity}-{index}"),
-                          trace_cache=trace_cache)
-                timings[fidelity].append(time.perf_counter() - begin)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    fused_s = min(timings["fused"])
-    analytical_s = min(timings["analytical"])
-    return {
-        "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
-                f"procs={list(procs)}, warm trace+profile caches",
-        "fused_warm_s": round(fused_s, 4),
-        "analytical_warm_s": round(analytical_s, 4),
-        "speedup": round(fused_s / analytical_s, 2),
-        "max_abs_miss_ratio_error": round(error, 6),
-        "repeats": repeat,
-    }
-
-
-def _cmd_bench(args) -> int:
-    import json
-    import platform
-    import time
-    from .trace.engine import backend_info, engine_degradation
-    report = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "engine": backend_info(args.backend),
-    }
-    degraded = engine_degradation(args.backend)
-    if degraded is not None:
-        report["engine_degradation"] = degraded
-        print(f"warning: {degraded}")
-    if args.scenario in ("all", "point"):
-        print("timing quick Barnes-Hut point "
-              "(packed vs event-object path)...")
-        report["quick_barnes_hut"] = point = _bench_point(args.repeat,
-                                                          args.backend)
-        print(f"  events          : {point['events']:,}")
-        print(f"  backend         : {point['backend']}")
-        print(f"  packed          : {point['packed_s']:.3f} s "
-              f"({point['packed_events_per_s']:,} events/s)")
-        print(f"  event objects   : {point['generator_s']:.3f} s")
-        print(f"  speedup         : {point['speedup']:.2f}x")
-    if args.scenario in ("all", "packed"):
-        print("timing packed replay engines "
-              "(reference loop vs native on one tape)...")
-        report["packed_engines"] = packed = _bench_packed(args.repeat)
-        print(f"  events          : {packed['events']:,}")
-        for name in ("python", "native"):
-            rate = packed.get(f"{name}_events_per_s")
-            if rate is None:
-                continue
-            extra = (f" ({packed[f'{name}_speedup']:.1f}x)"
-                     if name != "python" else " (reference loop)")
-            print(f"  {name:<16}: {rate:,} events/s{extra}")
-    if args.scenario in ("all", "sweep"):
-        print("timing multiprogramming sweep "
-              "(trace-cached vs instrumented resimulation)...")
-        report["multiprog_sweep"] = sweep = _bench_sweep(args.repeat,
-                                                         args.backend)
-        print(f"  baseline        : "
-              f"{sweep['baseline_instrumented_generator_s']:.3f} s")
-        print(f"  fast (cold)     : {sweep['fast_cold_s']:.3f} s "
-              f"({sweep['speedup_cold']:.2f}x)")
-        print(f"  fast (warm)     : {sweep['fast_warm_s']:.3f} s "
-              f"({sweep['speedup_warm']:.2f}x)")
-    if args.scenario in ("all", "fused"):
-        print("timing fused multi-configuration ladder "
-              "(one pass vs per-size replay, warm trace cache)...")
-        report["fused_ladder"] = fused = _bench_fused(args.repeat,
-                                                      args.backend)
-        print(f"  per-size (warm) : {fused['per_size_warm_s']:.3f} s "
-              f"({fused['engine']['resolved']} replay)")
-        print(f"  fused (warm)    : {fused['fused_warm_s']:.3f} s "
-              + ("(native ladder)" if fused["ladder_engine"] == "native"
-                 else "(no fused ladder on the reference loop: "
-                      "per-size replay again)"))
-        print(f"  speedup         : {fused['speedup']:.2f}x")
-    if args.scenario in ("all", "analytical"):
-        print("timing analytical surrogate "
-              "(repro.model vs fused replay, warm caches)...")
-        report["analytical_model"] = model = _bench_analytical(args.repeat)
-        print(f"  fused (warm)    : {model['fused_warm_s']:.3f} s")
-        print(f"  analytical      : {model['analytical_warm_s']:.3f} s")
-        print(f"  speedup         : {model['speedup']:.2f}x")
-        print(f"  max miss error  : {model['max_abs_miss_ratio_error']}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
+def _bench_front(argv: List[str]) -> int:
+    """``bench`` has no flags of its own: it *is* ``bench/run.py``."""
+    import subprocess
+    if not BENCH_SCRIPT.is_file():
+        print(f"bench: no bench/run.py in {BENCH_SCRIPT.parent.parent} "
+              f"(the benchmark ships with the source checkout, not the "
+              f"installed package)", file=sys.stderr)
+        return 2
+    return subprocess.call([sys.executable, str(BENCH_SCRIPT), *argv])
 
 
 def _cmd_serve(args) -> int:
@@ -1147,6 +788,7 @@ def _cmd_submit(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from .verify import run_fuzz
+    from .verify.differ import engine_registry
 
     def progress(index, budget, status, case_seed):
         # One line per noteworthy case; clean cases tick silently every
@@ -1157,7 +799,7 @@ def _cmd_fuzz(args) -> int:
             print(f"  [{index + 1}/{budget}] clean so far")
 
     print(f"fuzzing {args.budget} tape(s) from seed {args.seed} "
-          f"(generic vs fast vs fused vs oracle)...")
+          f"(generic vs {' vs '.join(engine_registry())})...")
     report = run_fuzz(seed=args.seed, budget=args.budget,
                       shrink=args.shrink, out_dir=args.out_dir,
                       progress=progress)
@@ -1246,6 +888,10 @@ def _cmd_list() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["bench"]:
+        return _bench_front(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.command == "simulate":
         return _cmd_simulate(args)
@@ -1257,8 +903,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_model(args)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     if args.command == "serve":

@@ -17,11 +17,13 @@ scaled runs recorded in EXPERIMENTS.md.  Select with the
 ``REPRO_PROFILE`` environment variable.
 
 Sweeps are *described* by a :class:`~repro.experiments.spec.SweepSpec`
-and *driven* by :func:`~repro.experiments.session.run_sweep` (which
-adds journaled resume, retries, and quarantine on top of the machinery
-here).  The historical entry points -- :func:`parallel_sweep`,
-:func:`multiprogramming_sweep`, :func:`miss_surface_sweep` -- remain as
-thin deprecated shims over that API.
+and *driven* by :func:`~repro.experiments.session.run_sweep`, whose
+stages (journal, result cache, surrogate, replay, supervised
+simulation) and their bookkeeping live in ``session.py``.  This module
+is those stages' only door to the engines: every simulation, recording,
+tape replay and fused ladder pass a sweep makes is a call from here
+(:func:`row_tape`, :func:`replay_row`, :func:`_simulate`), which is
+also where ``bench/spans.py`` and the CI smoke scripts count them.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ import logging
 import os
 import signal
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
 from ..instrument import InstrumentationProbe
@@ -46,13 +47,11 @@ from ..trace.multiconfig import (fused_ladder_results,
                                  fused_ladder_supported)
 from ..trace.record import ReplayApplication, StreamRecorder, TraceCache
 from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
-                   ExperimentProfile, GridPoint, SweepSpec,
-                   active_profile, point_cache_key)
+                   ExperimentProfile, active_profile)
 
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
-           "ResultCache", "default_cache", "run_point", "parallel_sweep",
-           "multiprogramming_sweep", "miss_surface_sweep", "PAPER_LADDER",
-           "PROCS_SWEPT", "CACHE_VERSION"]
+           "ResultCache", "default_cache", "row_tape", "replay_row",
+           "PAPER_LADDER", "PROCS_SWEPT", "CACHE_VERSION"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -159,13 +158,6 @@ def default_cache() -> ResultCache:
 # Point simulation
 # ----------------------------------------------------------------------
 
-def _stats_key(benchmark: str, profile: ExperimentProfile,
-               config: SystemConfig, instrument: bool = True) -> str:
-    """Back-compat alias for
-    :func:`repro.experiments.spec.point_cache_key`."""
-    return point_cache_key(benchmark, profile, config, instrument)
-
-
 def _stats_from_result(result, probe=None) -> RunStats:
     """Reduce a :class:`~repro.simulation.SimulationResult` to RunStats."""
     total = result.stats.total_scc
@@ -192,22 +184,53 @@ def _simulate(application, config: SystemConfig, instrument: bool,
     return _stats_from_result(result, probe)
 
 
-def _compute_point(benchmark: str, profile: ExperimentProfile,
-                   config: SystemConfig,
-                   instrument: bool = True,
-                   backend: Optional[str] = None) -> RunStats:
-    """Actually simulate one configuration (no cache involved).
+def row_tape(workload, config: SystemConfig,
+             trace_cache: Optional[TraceCache], key: Optional[str],
+             instrument: bool, backend: Optional[str]):
+    """Find or record one grid row's tape: ``(streams, recording_stats)``.
 
-    Module-level (not nested) so ``ProcessPoolExecutor`` can pickle it
-    for ``--jobs`` parallel sweeps.  By default every point runs with
-    summary-only instrumentation: the observability digest rides along
-    in the cached payload.  ``instrument=False`` drops the digest and
-    keeps the simulation on the interleaver's packed fast path (an
-    attached probe forces the event-at-a-time path), which is what the
-    benchmark harness measures.
+    A trace-cache hit under ``key`` is ``(streams, None)``.  Otherwise
+    ``workload`` is simulated once on ``config`` behind a recorder -- a
+    real simulation of that point, whose :class:`RunStats` come back so
+    the caller can bank them -- and the tape is stored under ``key``.
+    The key rule (when a tape may be shared, and with whom) is the
+    caller's; ``key=None`` means record, don't cache.  ``streams`` is
+    ``None`` when the workload emitted something a tape cannot hold.
     """
-    return _simulate(profile.workload(benchmark), config, instrument,
-                     backend)
+    cached = trace_cache is not None and key is not None
+    streams = trace_cache.get(key) if cached else None
+    if streams is not None:
+        return streams, None
+    recorder = StreamRecorder(workload)
+    stats = _simulate(recorder, config, instrument, backend)
+    if cached and recorder.streams is not None:
+        trace_cache.put(key, recorder.streams)
+    return recorder.streams, stats
+
+
+def replay_row(configs: List[SystemConfig], streams, instrument: bool,
+               fused: bool, backend: Optional[str],
+               name: str) -> Iterator[RunStats]:
+    """Time one recorded row on each of ``configs``, yielding every
+    rung's :class:`RunStats` in order, as soon as it is known.
+
+    When the rungs form a fused-replayable ladder (uninstrumented
+    single-process row whose configurations differ only in SCC size --
+    :func:`~repro.trace.multiconfig.fused_ladder_supported`) the whole
+    row is *one* pass of the multi-configuration engine and every rung
+    is known at once; otherwise each rung is its own replay.  The
+    results are bit-identical by construction (pinned by
+    ``tests/equivalence``).  Multi-process rows never qualify.
+    """
+    if (fused and not instrument and len(configs) > 1
+            and set(streams) == {0} and fused_ladder_supported(configs)):
+        for result in fused_ladder_results(configs, streams,
+                                           backend=backend):
+            yield _stats_from_result(result)
+        return
+    for config in configs:
+        yield _simulate(ReplayApplication(streams, name=name), config,
+                        instrument, backend)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +254,8 @@ def _compute_point_pooled(benchmark: str, profile: ExperimentProfile,
                           config: SystemConfig,
                           instrument: bool = True,
                           backend: Optional[str] = None) -> RunStats:
-    """`_compute_point` with a warm per-worker workload object."""
+    """Simulate one configuration live, on this worker's warm workload
+    object (module-level so ``ProcessPoolExecutor`` can pickle it)."""
     key = (benchmark, profile)
     workload = _WORKER_WORKLOADS.get(key)
     if workload is None:
@@ -346,179 +370,5 @@ def _install_exit_hooks() -> None:
             pass
 
 
-def run_point(benchmark: str, profile: ExperimentProfile,
-              config: SystemConfig,
-              cache: Optional[ResultCache] = None,
-              instrument: bool = True) -> RunStats:
-    """Simulate one configuration (or fetch it from the cache)."""
-    key = _stats_key(benchmark, profile, config, instrument)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    stats = _compute_point(benchmark, profile, config, instrument)
-    if cache is not None:
-        cache.put(key, stats)
-    return stats
-
-
 Sweep = Dict[Tuple[int, int], RunStats]
 """(processors per cluster, paper SCC bytes) -> stats."""
-
-
-def _resolve_via_traces(benchmark: str, profile: ExperimentProfile,
-                        configs: Dict[GridPoint, SystemConfig],
-                        missing: List[GridPoint], sweep: Sweep,
-                        cache: Optional[ResultCache],
-                        instrument: bool,
-                        trace_cache: Optional[TraceCache],
-                        fused: bool = True,
-                        backend: Optional[str] = None) -> List[GridPoint]:
-    """Record-once/replay-everywhere for the grid rows that allow it.
-
-    A row is all missing points with the same processor count (the
-    ladder rungs); its per-process streams are identical across the row
-    exactly when :meth:`~repro.workloads.base.TracedApplication
-    .stream_is_deterministic` holds there, and the recording is keyed by
-    :meth:`~repro.workloads.base.TracedApplication.trace_signature`.
-    Rows that fail either guard are returned for normal simulation.
-
-    When a row's remaining rungs form a fused-replayable ladder
-    (uninstrumented single-process row whose configurations differ only
-    in SCC size -- :func:`~repro.trace.multiconfig.fused_ladder_supported`),
-    the whole row is resolved by *one* pass of the multi-configuration
-    engine instead of one replay per rung; the results are bit-identical
-    by construction (pinned by ``tests/equivalence``).  Multi-process
-    rows never qualify and keep the per-rung replay automatically.
-    """
-    by_row: Dict[int, List[GridPoint]] = {}
-    for point in missing:
-        by_row.setdefault(point[0], []).append(point)
-    remainder: List[GridPoint] = []
-    resolved: Dict[GridPoint, RunStats] = {}
-    for row_points in by_row.values():
-        row_points = sorted(row_points)
-        probe_workload = profile.workload(benchmark)
-        config0 = configs[row_points[0]]
-        signature = probe_workload.trace_signature(config0)
-        if (signature is None
-                or not probe_workload.stream_is_deterministic(config0)):
-            remainder.extend(row_points)
-            continue
-        tcache = trace_cache if trace_cache is not None else TraceCache()
-        streams = tcache.get(signature)
-        if streams is None:
-            # Record the row's stream while computing its first point.
-            point = row_points.pop(0)
-            recorder = StreamRecorder(profile.workload(benchmark))
-            resolved[point] = _simulate(recorder, configs[point],
-                                        instrument, backend)
-            streams = recorder.streams
-            if streams is not None:
-                tcache.put(signature, streams)
-        if streams is None:
-            remainder.extend(row_points)
-            continue
-        if (fused and not instrument and len(row_points) > 1
-                and set(streams) == {0}):
-            row_configs = [configs[point] for point in row_points]
-            if fused_ladder_supported(row_configs):
-                for point, result in zip(
-                        row_points,
-                        fused_ladder_results(row_configs, streams,
-                                             backend=backend)):
-                    resolved[point] = _stats_from_result(result)
-                continue
-        for point in row_points:
-            replay = ReplayApplication(streams, name=benchmark)
-            resolved[point] = _simulate(replay, configs[point],
-                                        instrument, backend)
-    for point, stats in resolved.items():
-        if cache is not None:
-            cache.put(_stats_key(benchmark, profile, configs[point],
-                                 instrument),
-                      stats)
-        sweep[point] = stats
-    return remainder
-
-
-# ----------------------------------------------------------------------
-# Legacy sweep entry points (shims over run_sweep)
-# ----------------------------------------------------------------------
-
-_SHIM_DEPRECATION = ("{}() is deprecated and will be removed in "
-                     "repro 2.0; build a repro.experiments.SweepSpec "
-                     "and call run_sweep(spec) instead")
-
-
-def parallel_sweep(benchmark: str,
-                   profile: Optional[ExperimentProfile] = None,
-                   cache: Optional[ResultCache] = None,
-                   ladder: Optional[Tuple[int, ...]] = None,
-                   procs: Tuple[int, ...] = PROCS_SWEPT,
-                   jobs: Optional[int] = None,
-                   instrument: bool = True,
-                   trace_cache: Optional[TraceCache] = None,
-                   fused: bool = True) -> Sweep:
-    """Deprecated: the Section 3.1 grid for one parallel benchmark.
-
-    Equivalent to ``run_sweep(SweepSpec.parallel(...))`` with the old
-    fail-fast semantics (``max_attempts=1``, no journal); results are
-    bit-identical to the new path (pinned by
-    ``tests/experiments/test_session.py``).
-    """
-    # stacklevel=2: the warning must point at the *caller* of the shim.
-    warnings.warn(_SHIM_DEPRECATION.format("parallel_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.parallel(benchmark, profile=profile,
-                              ladder=ladder, procs=procs, jobs=jobs,
-                              instrument=instrument, fused=fused,
-                              max_attempts=1)
-    return run_sweep(spec, cache=cache if cache is not None
-                     else default_cache(),
-                     trace_cache=trace_cache)
-
-
-def multiprogramming_sweep(profile: Optional[ExperimentProfile] = None,
-                           cache: Optional[ResultCache] = None,
-                           ladder: Optional[Tuple[int, ...]] = None,
-                           procs: Tuple[int, ...] = PROCS_SWEPT,
-                           jobs: Optional[int] = None,
-                           instrument: bool = True,
-                           trace_cache: Optional[TraceCache] = None,
-                           fused: bool = True) -> Sweep:
-    """Deprecated: the Section 3.2 grid (single cluster, icache
-    modelled and scaled).  See :func:`parallel_sweep`."""
-    warnings.warn(_SHIM_DEPRECATION.format("multiprogramming_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.multiprogramming(profile=profile, ladder=ladder,
-                                      procs=procs, jobs=jobs,
-                                      instrument=instrument, fused=fused,
-                                      max_attempts=1)
-    return run_sweep(spec, cache=cache if cache is not None
-                     else default_cache(),
-                     trace_cache=trace_cache)
-
-
-def miss_surface_sweep(benchmark: str,
-                       profile: Optional[ExperimentProfile] = None,
-                       procs_per_cluster: int = 4,
-                       ladder: Optional[Tuple[int, ...]] = None,
-                       trace_cache: Optional[TraceCache] = None):
-    """Deprecated: approximate per-process miss surface of one
-    parallel-grid row; equivalent to
-    ``run_sweep(SweepSpec.miss_surface(...))``.
-
-    Returns ``{process: {paper_bytes: MissSurfacePoint}}`` -- miss
-    *counts* under fixed interleaving, not RunStats; use it to find
-    working-set knees before spending full simulations on them.
-    """
-    warnings.warn(_SHIM_DEPRECATION.format("miss_surface_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.miss_surface(benchmark, profile=profile,
-                                  procs_per_cluster=procs_per_cluster,
-                                  ladder=ladder)
-    return run_sweep(spec, trace_cache=trace_cache)

@@ -45,8 +45,8 @@ from ..core.config import SystemConfig
 from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache
 from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
-                     _resolve_via_traces, _shutdown_pool, _worker_pool,
-                     default_cache)
+                     _shutdown_pool, _worker_pool, default_cache,
+                     replay_row, row_tape)
 from .spec import GridPoint, SweepSpec, point_cache_key
 
 __all__ = ["SweepSession", "SessionResult", "SessionJournal",
@@ -386,6 +386,25 @@ class SweepSession:
             self.progress(point, status, self._done, self._total,
                           self.counters)
 
+    def _bank(self, point: GridPoint, status: str, stats: RunStats,
+              sweep: Sweep) -> None:
+        """One point resolved by a row stage: result cache, sweep,
+        journal -- at once, so a kill loses only what is in flight."""
+        if self.cache is not None:
+            self.cache.put(self.spec.point_key(self._configs[point]),
+                           stats)
+        sweep[point] = stats
+        self._settle(point, status, stats)
+
+    @staticmethod
+    def _rows(points: List[GridPoint]) -> List[List[GridPoint]]:
+        """The points grouped into rows -- one processor count, so one
+        tape -- in processor-count order, each row's rungs sorted."""
+        by_row: Dict[int, List[GridPoint]] = {}
+        for point in points:
+            by_row.setdefault(point[0], []).append(point)
+        return [sorted(by_row[procs]) for procs in sorted(by_row)]
+
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
@@ -443,13 +462,7 @@ class SweepSession:
         # Stage 2: record-once/replay-everywhere and the fused ladder
         # (fidelity="full" insists on per-point simulation instead).
         if missing and spec.fidelity != "full":
-            before = set(sweep)
-            missing = _resolve_via_traces(
-                spec.benchmark, spec.profile, self._configs, missing,
-                sweep, self.cache, spec.instrument, self.trace_cache,
-                spec.fused, spec.backend)
-            for point in sorted(set(sweep) - before):
-                self._settle(point, "replayed", sweep[point])
+            missing = self._resolve_via_traces(missing, sweep)
 
         # Stage 3: supervised simulation of whatever is left.
         if missing:
@@ -481,18 +494,13 @@ class SweepSession:
         """
         from ..model.predictor import predict_point
         from ..model.profile import ProfileCache, build_row_profile
-        from ..trace.record import StreamRecorder
-        from .runner import _simulate
         spec = self.spec
-        by_row: Dict[int, List[GridPoint]] = {}
-        for point in missing:
-            by_row.setdefault(point[0], []).append(point)
         trace_dir = getattr(self.trace_cache, "directory", None)
         profile_cache = (ProfileCache(Path(trace_dir) / "profiles")
                          if trace_dir is not None else None)
         remainder: List[GridPoint] = []
-        for procs, row_points in sorted(by_row.items()):
-            row_points = sorted(row_points)
+        for row_points in self._rows(missing):
+            procs = row_points[0][0]
             config0 = self._configs[(procs, min(spec.ladder))]
             if spec.analytical_refused(config0):
                 # strict_parallel: the surrogate is known-bad on
@@ -526,40 +534,70 @@ class SweepSession:
             row_profile = (profile_cache.get(profile_key)
                            if profile_cache is not None else None)
             if row_profile is None:
-                streams = (self.trace_cache.get(tape_key)
-                           if self.trace_cache is not None else None)
+                streams, stats0 = row_tape(workload, config0,
+                                           self.trace_cache, tape_key,
+                                           False, spec.backend)
                 if streams is None:
-                    recorder = StreamRecorder(workload)
-                    stats0 = _simulate(recorder, config0, False,
-                                       spec.backend)
-                    streams = recorder.streams
-                    if streams is None:
-                        remainder.extend(row_points)
-                        continue
-                    if self.trace_cache is not None:
-                        self.trace_cache.put(tape_key, streams)
-                    if self.cache is not None:
-                        # The recording pass was a real simulation of
-                        # the smallest rung; bank it under its
-                        # *full-fidelity* key (it is exact, not a
-                        # prediction; the analytical entry for that
-                        # rung is still the model's own output).
-                        self.cache.put(
-                            point_cache_key(spec.benchmark, spec.profile,
-                                            config0, False),
-                            stats0)
+                    remainder.extend(row_points)
+                    continue
+                if stats0 is not None and self.cache is not None:
+                    # The recording pass was a real simulation of the
+                    # smallest rung; bank it under its *full-fidelity*
+                    # key (it is exact, not a prediction; the
+                    # analytical entry for that rung is still the
+                    # model's own output).
+                    self.cache.put(
+                        point_cache_key(spec.benchmark, spec.profile,
+                                        config0, False),
+                        stats0)
                 row_profile = build_row_profile(streams, config0, tracked)
                 if profile_cache is not None:
                     profile_cache.put(profile_key, row_profile)
             for point in row_points:
-                stats = predict_point(row_profile, self._configs[point],
-                                      benchmark=spec.benchmark,
-                                      strict_parallel=spec.strict_parallel)
-                if self.cache is not None:
-                    self.cache.put(spec.point_key(self._configs[point]),
-                                   stats)
-                sweep[point] = stats
-                self._settle(point, "analytical", stats)
+                self._bank(point, "analytical", predict_point(
+                    row_profile, self._configs[point],
+                    benchmark=spec.benchmark,
+                    strict_parallel=spec.strict_parallel), sweep)
+        return remainder
+
+    def _resolve_via_traces(self, missing: List[GridPoint],
+                            sweep: Sweep) -> List[GridPoint]:
+        """Stage 2: record-once/replay-everywhere, row by row.
+
+        A row's streams are identical across its rungs exactly when
+        :meth:`~repro.workloads.base.TracedApplication
+        .stream_is_deterministic` holds there, and its tape is keyed by
+        ``trace_signature``; rows failing either guard are returned for
+        normal simulation.  The recording run doubles as the row's
+        first point, :func:`~repro.experiments.runner.replay_row` times
+        the rest, and each point is banked as it is yielded.
+        """
+        spec = self.spec
+        remainder: List[GridPoint] = []
+        for row_points in self._rows(missing):
+            config0 = self._configs[row_points[0]]
+            workload = spec.profile.workload(spec.benchmark)
+            signature = workload.trace_signature(config0)
+            if (signature is None
+                    or not workload.stream_is_deterministic(config0)):
+                remainder.extend(row_points)
+                continue
+            # No trace cache given means the default on-disk one here.
+            streams, stats0 = row_tape(
+                workload, config0,
+                self.trace_cache if self.trace_cache is not None
+                else TraceCache(),
+                signature, spec.instrument, spec.backend)
+            if stats0 is not None:
+                self._bank(row_points.pop(0), "replayed", stats0, sweep)
+            if streams is None:
+                remainder.extend(row_points)
+                continue
+            rungs = replay_row(
+                [self._configs[point] for point in row_points], streams,
+                spec.instrument, spec.fused, spec.backend, spec.benchmark)
+            for point, stats in zip(row_points, rungs):
+                self._bank(point, "replayed", stats, sweep)
         return remainder
 
     def _heal_cache(self, point: GridPoint, stats: RunStats) -> None:
@@ -717,9 +755,7 @@ def _run_miss_surface(spec: SweepSpec,
                       trace_cache: Optional[TraceCache]):
     """Content-only per-process miss surface of one parallel-grid row
     (see :func:`repro.trace.multiconfig.per_process_miss_surface`)."""
-    from ..simulation import run_simulation
     from ..trace.multiconfig import per_process_miss_surface
-    from ..trace.record import StreamRecorder
     profile = spec.profile
     ladder = spec.ladder
     procs_per_cluster = spec.procs[0]
@@ -731,19 +767,12 @@ def _run_miss_surface(spec: SweepSpec,
     # cache (its key does not cover scc_size); otherwise record ad hoc.
     signature = (workload.trace_signature(config)
                  if workload.stream_is_deterministic(config) else None)
-    streams = None
-    if signature is not None and trace_cache is not None:
-        streams = trace_cache.get(signature)
+    streams, _ = row_tape(workload, config, trace_cache, signature, False,
+                          spec.backend)
     if streams is None:
-        recorder = StreamRecorder(workload)
-        run_simulation(config, recorder, backend=spec.backend)
-        streams = recorder.streams
-        if streams is None:
-            raise ValueError(
-                f"{spec.benchmark!r} did not produce a recordable packed "
-                f"stream on {procs_per_cluster} processors per cluster")
-        if signature is not None and trace_cache is not None:
-            trace_cache.put(signature, streams)
+        raise ValueError(
+            f"{spec.benchmark!r} did not produce a recordable packed "
+            f"stream on {procs_per_cluster} processors per cluster")
     surface = per_process_miss_surface(config, sizes, streams)
     by_paper = {}
     for proc, row in surface.items():

@@ -3,9 +3,9 @@
 :class:`SweepSpec` is the single description of a design-space sweep:
 which workload, which processor counts, which SCC ladder, and how to
 run it (instrumentation, trace/fused policy, worker processes, retry
-budget).  The legacy entry points in :mod:`repro.experiments.runner`
-and the checkpointed :class:`~repro.experiments.session.SweepSession`
-both consume one of these instead of threading an ever-growing
+budget).  :func:`~repro.experiments.session.run_sweep`, the
+checkpointed :class:`~repro.experiments.session.SweepSession` and the
+fabric all consume one of these instead of threading an ever-growing
 keyword list through every layer.
 
 This module also owns the experiment profiles (workload sizings) and
@@ -387,12 +387,11 @@ class SweepSpec:
         """The single CLI-namespace -> spec path.
 
         Every subcommand that turns parsed arguments into a sweep
-        (``sweep``, ``model``, ``bench``, ``submit``) goes through here:
+        (``sweep``, ``model``, ``submit``) goes through here:
         attributes missing from the namespace fall back to the spec
         defaults, and keyword ``overrides`` pin whatever the subcommand
-        fixes itself (e.g. ``model`` passes ``fidelity="analytical"``,
-        ``bench`` pins its scenario grid).  An override wins over the
-        namespace unconditionally.
+        fixes itself (e.g. ``model`` passes ``fidelity="analytical"``).
+        An override wins over the namespace unconditionally.
         """
 
         def pick(name, default=None):

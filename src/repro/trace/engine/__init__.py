@@ -112,7 +112,7 @@ def engine_degradation(request: Optional[str] = None) -> Optional[str]:
 
     ``auto`` (and an explicit ``native`` request) aim for the native
     tier, so resolving anything else means a toolchain problem worth
-    surfacing -- the sweep/bench/optimize CLIs print this instead of
+    surfacing -- the sweep/optimize CLIs print this instead of
     silently running slower.
     """
     request = _normalize(request)

@@ -16,8 +16,9 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.experiments import runner
-from repro.experiments.runner import (ExperimentProfile, ResultCache,
-                                      multiprogramming_sweep)
+from repro.experiments.runner import ExperimentProfile, ResultCache
+from repro.experiments.session import run_sweep
+from repro.experiments.spec import SweepSpec
 from repro.simulation import run_simulation
 from repro.trace import multiconfig
 from repro.trace.engine import (available_backends, native_available,
@@ -48,6 +49,16 @@ TINY = ExperimentProfile(
     mp3d_particles=60, mp3d_steps=1,
     cholesky_n=64,
     multiprog_instructions=3000, multiprog_quantum=1200)
+
+
+def tiny_row(tmp_path, ladder, procs=1, results="results", **knobs):
+    """One fail-fast TINY multiprogramming row through ``run_sweep``,
+    over the trace cache every row of the test shares."""
+    spec = SweepSpec.multiprogramming(profile=TINY, ladder=ladder,
+                                      procs=(procs,), max_attempts=1,
+                                      **knobs)
+    return run_sweep(spec, cache=ResultCache(tmp_path / results),
+                     trace_cache=TraceCache(tmp_path / "traces"))
 
 
 def golden_workload():
@@ -152,8 +163,6 @@ def test_compiler_less_host_keeps_the_contract(tmp_path, monkeypatch):
     replay.  A quick uniprocessor multiprogramming row through
     ``run_sweep`` must return the RunStats of the native-fused run."""
     from repro.experiments.runner import PROFILES
-    from repro.experiments.session import run_sweep
-    from repro.experiments.spec import SweepSpec
     from repro.trace.engine import native
     if not native_available():
         pytest.skip(f"no native-fused run to compare with: "
@@ -178,13 +187,11 @@ def test_compiler_less_host_keeps_the_contract(tmp_path, monkeypatch):
 
 
 def test_sweep_results_identical_with_and_without_fusion(tmp_path):
-    trace_cache = TraceCache(tmp_path / "traces")
     sweeps = {}
     for fused in (False, True):
-        sweeps[fused] = multiprogramming_sweep(
-            TINY, ResultCache(tmp_path / f"results-{fused}"),
-            ladder=(32768, 65536, 131072, 262144), procs=(1,),
-            instrument=False, trace_cache=trace_cache, fused=fused)
+        sweeps[fused] = tiny_row(
+            tmp_path, (32768, 65536, 131072, 262144),
+            results=f"results-{fused}", instrument=False, fused=fused)
     assert sweeps[True] == sweeps[False]
     assert len(sweeps[True]) == 4
 
@@ -198,10 +205,7 @@ def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
         return real(configs, streams, *args, **kwargs)
 
     monkeypatch.setattr(runner, "fused_ladder_results", spy)
-    multiprogramming_sweep(
-        TINY, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536, 131072), procs=(1,),
-        instrument=False, trace_cache=TraceCache(tmp_path / "traces"))
+    tiny_row(tmp_path, (32768, 65536, 131072), instrument=False)
     # One fused pass covering the rungs left after the recording run.
     assert calls == [2]
 
@@ -235,10 +239,8 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
             super().__init__(streams, name=name)
 
     monkeypatch.setattr(runner, "ReplayApplication", SpyReplay)
-    sweep = multiprogramming_sweep(
-        profile, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536, 131072), procs=(2,),
-        instrument=False, trace_cache=TraceCache(tmp_path / "traces"))
+    sweep = tiny_row(tmp_path, (32768, 65536, 131072), procs=2,
+                     instrument=False)
     assert len(sweep) == 3
     # Two rungs after the recording run, each via per-size replay.
     assert len(replays) == 2
@@ -252,9 +254,6 @@ def test_instrumented_row_routes_to_per_size_replay(tmp_path, monkeypatch):
         raise AssertionError("fused engine used on an instrumented row")
 
     monkeypatch.setattr(runner, "fused_ladder_results", forbidden)
-    sweep = multiprogramming_sweep(
-        TINY, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536), procs=(1,),
-        instrument=True, trace_cache=TraceCache(tmp_path / "traces"))
+    sweep = tiny_row(tmp_path, (32768, 65536), instrument=True)
     assert len(sweep) == 2
     assert all(stats.instrument is not None for stats in sweep.values())

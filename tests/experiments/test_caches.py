@@ -13,6 +13,8 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.runner import (ExperimentProfile, ResultCache,
                                       RunStats, _worker_pool)
+from repro.experiments.session import run_sweep
+from repro.experiments.spec import SweepSpec
 from repro.trace.packed import OP_COMPUTE, OP_READ
 from repro.trace.record import TraceCache
 
@@ -137,15 +139,15 @@ class TestWorkerPool:
             runner._shutdown_pool()
 
     def test_parallel_grid_matches_serial(self, tmp_path, tiny_profile):
-        kwargs = dict(ladder=(32768, 65536), procs=(1, 2),
-                      instrument=False)
-        serial = runner.multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "serial"), jobs=1,
-            **kwargs)
+        def sweep(jobs):
+            spec = SweepSpec.multiprogramming(
+                profile=tiny_profile, ladder=(32768, 65536), procs=(1, 2),
+                instrument=False, jobs=jobs, max_attempts=1)
+            return run_sweep(spec, cache=ResultCache(tmp_path / str(jobs)),
+                             trace_cache=TraceCache(tmp_path / "traces"))
+        serial = sweep(1)
         try:
-            parallel = runner.multiprogramming_sweep(
-                tiny_profile, ResultCache(tmp_path / "parallel"), jobs=2,
-                **kwargs)
+            parallel = sweep(2)
         finally:
             runner._shutdown_pool()
         assert parallel == serial

@@ -2,10 +2,25 @@
 
 import pytest
 
-from repro.core.config import KB, SystemConfig
+from repro.core.config import KB
 from repro.experiments.runner import (PAPER_LADDER, PROFILES, ResultCache,
-                                      RunStats, active_profile,
-                                      parallel_sweep, run_point)
+                                      RunStats, active_profile)
+from repro.experiments.session import run_sweep
+from repro.experiments.spec import SweepSpec
+from repro.trace.record import TraceCache
+
+
+def mp3d_grid(profile, cache, **knobs):
+    """A fail-fast MP3D grid (one attempt, no journal)."""
+    return run_sweep(SweepSpec.parallel("mp3d", profile=profile,
+                                        max_attempts=1, **knobs),
+                     cache=cache)
+
+
+def mp3d_point(profile, cache, **knobs):
+    """One MP3D configuration (or its cache entry): a one-point spec."""
+    return mp3d_grid(profile, cache, procs=(1,), ladder=(8 * KB,),
+                     **knobs)[(1, 8 * KB)]
 
 
 @pytest.fixture
@@ -74,32 +89,29 @@ class TestResultCache:
 class TestRunPoint:
     def test_run_point_populates_cache(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        first = run_point("mp3d", tiny_profile, config, cache)
+        first = mp3d_point(tiny_profile, cache)
         assert first.execution_time > 0
         assert first.reads > 0
         # A second call is served from the cache (same values).
-        second = run_point("mp3d", tiny_profile, config, cache)
+        second = mp3d_point(tiny_profile, cache)
         assert second == first
         assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_sweep_covers_the_grid(self, tmp_path, tiny_profile):
-        cache = ResultCache(tmp_path)
-        sweep = parallel_sweep("mp3d", tiny_profile, cache,
-                               ladder=(4 * KB, 64 * KB), procs=(1, 2))
+        sweep = mp3d_grid(tiny_profile, ResultCache(tmp_path),
+                          ladder=(4 * KB, 64 * KB), procs=(1, 2))
         assert set(sweep) == {(1, 4 * KB), (2, 4 * KB),
                               (1, 64 * KB), (2, 64 * KB)}
 
     def test_run_point_carries_instrument_digest(self, tmp_path,
                                                  tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        stats = run_point("mp3d", tiny_profile, config, cache)
+        stats = mp3d_point(tiny_profile, cache)
         assert stats.instrument is not None
         assert stats.instrument["bus_transactions"] > 0
         assert "bus_peak_utilization" in stats.instrument
         # The digest survives the JSON cache round trip.
-        cached = run_point("mp3d", tiny_profile, config, cache)
+        cached = mp3d_point(tiny_profile, cache)
         assert cached.instrument == stats.instrument
 
     def test_instrument_digest_excluded_from_equality(self):
@@ -117,32 +129,27 @@ class TestParallelJobs:
         cache entries a later serial sweep is fully served from."""
         cache = ResultCache(tmp_path)
         grid = dict(ladder=(2 * KB, 4 * KB), procs=(1, 2))
-        parallel = parallel_sweep("mp3d", tiny_profile, cache, jobs=2,
-                                  **grid)
+        parallel = mp3d_grid(tiny_profile, cache, jobs=2, **grid)
         entries = len(list(tmp_path.glob("*.json")))
         assert entries == 4
-        serial = parallel_sweep("mp3d", tiny_profile, cache, jobs=None,
-                                **grid)
+        serial = mp3d_grid(tiny_profile, cache, jobs=None, **grid)
         assert serial == parallel
         # Fully cache-served: no new entries were written.
         assert len(list(tmp_path.glob("*.json"))) == entries
 
     def test_jobs_one_is_serial(self, tmp_path, tiny_profile):
-        cache = ResultCache(tmp_path)
-        sweep = parallel_sweep("mp3d", tiny_profile, cache, jobs=1,
-                               ladder=(2 * KB,), procs=(1,))
+        sweep = mp3d_grid(tiny_profile, ResultCache(tmp_path), jobs=1,
+                          ladder=(2 * KB,), procs=(1,))
         assert sweep[(1, 2 * KB)].execution_time > 0
 
 
 class TestInstrumentFlag:
     def test_instrument_false_skips_digest(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        bare = run_point("mp3d", tiny_profile, config, cache,
-                         instrument=False)
+        bare = mp3d_point(tiny_profile, cache, instrument=False)
         assert bare.instrument is None
         # The digest-less payload must not shadow the instrumented one.
-        instrumented = run_point("mp3d", tiny_profile, config, cache)
+        instrumented = mp3d_point(tiny_profile, cache)
         assert instrumented.instrument is not None
         # Physics identical either way (probes must not perturb stats).
         assert instrumented == bare
@@ -155,26 +162,24 @@ class TestTraceCachedSweep:
         """The single-processor multiprogramming row is recorded at one
         ladder rung and replayed at the others -- with statistics equal
         to simulating each point directly."""
-        from repro.experiments.runner import (_stats_key,
-                                              multiprogramming_sweep)
-        from repro.trace.record import TraceCache
         ladder = (2 * KB, 8 * KB, 32 * KB)
         trace_dir = tmp_path / "traces"
-        sweep = multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "results"),
-            ladder=ladder, procs=(1,),
+        sweep = run_sweep(
+            SweepSpec.multiprogramming(profile=tiny_profile, ladder=ladder,
+                                       procs=(1,), max_attempts=1),
+            cache=ResultCache(tmp_path / "results"),
             trace_cache=TraceCache(trace_dir))
         assert set(sweep) == {(1, size) for size in ladder}
         # One recording serves the whole row.
         assert len(list(trace_dir.glob("*.trace"))) == 1
         # Every point equals a direct, replay-free simulation.
-        icache = max(16 * KB // tiny_profile.ladder_scale, 512)
         for (procs, paper_bytes), stats in sweep.items():
-            config = SystemConfig.paper_multiprogramming(
-                procs, paper_bytes // tiny_profile.ladder_scale
-            ).with_updates(icache_size=icache)
-            direct = run_point("multiprogramming", tiny_profile, config,
-                               cache=None)
+            direct = run_sweep(
+                SweepSpec.multiprogramming(
+                    profile=tiny_profile, procs=(procs,),
+                    ladder=(paper_bytes,), fidelity="full",
+                    max_attempts=1),
+                cache=None)[(procs, paper_bytes)]
             assert direct == stats
             assert direct.events == stats.events
 
@@ -182,12 +187,12 @@ class TestTraceCachedSweep:
                                                       tiny_profile):
         """Multi-processor rows race on the run queue, so they must
         simulate normally and leave no recordings behind."""
-        from repro.experiments.runner import multiprogramming_sweep
-        from repro.trace.record import TraceCache
         trace_dir = tmp_path / "traces"
-        sweep = multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "results"),
-            ladder=(2 * KB, 8 * KB), procs=(2,),
+        sweep = run_sweep(
+            SweepSpec.multiprogramming(profile=tiny_profile,
+                                       ladder=(2 * KB, 8 * KB), procs=(2,),
+                                       max_attempts=1),
+            cache=ResultCache(tmp_path / "results"),
             trace_cache=TraceCache(trace_dir))
         assert len(sweep) == 2
         assert list(trace_dir.glob("*.trace")) == []

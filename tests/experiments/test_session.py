@@ -7,10 +7,9 @@ import time
 import pytest
 
 from repro.core.config import KB
+from repro.experiments import runner
 from repro.experiments.runner import (ResultCache, RunStats,
-                                      _shutdown_pool, miss_surface_sweep,
-                                      multiprogramming_sweep,
-                                      parallel_sweep)
+                                      _shutdown_pool)
 from repro.experiments.session import (FAULT_INJECT_ENV,
                                        STALE_TMP_AGE_S,
                                        QuarantinedPointError,
@@ -18,6 +17,8 @@ from repro.experiments.session import (FAULT_INJECT_ENV,
                                        _maybe_inject_fault,
                                        prune_stale_journals, run_sweep)
 from repro.experiments.spec import ExperimentProfile, SweepSpec
+from repro.trace.record import ReplayApplication, TraceCache
+from repro.workloads.mp3d import MP3D
 
 
 @pytest.fixture
@@ -34,13 +35,8 @@ def tiny_profile():
 def no_trace_stage(monkeypatch):
     """Disable record/replay resolution so every uncached point reaches
     the supervised-execution stage (where retries/faults live)."""
-    from repro.experiments import session
-
-    def passthrough(benchmark, profile, configs, missing, sweep, cache,
-                    instrument, trace_cache, fused=True, backend=None):
-        return missing
-
-    monkeypatch.setattr(session, "_resolve_via_traces", passthrough)
+    monkeypatch.setattr(SweepSession, "_resolve_via_traces",
+                        lambda self, missing, sweep: missing)
 
 
 @pytest.fixture
@@ -79,49 +75,6 @@ class RecordingCompute:
             self.fail[point] -= 1
             raise RuntimeError(f"scripted failure at {point}")
         return _stats(point[0] * 1000 + point[1])
-
-
-class TestShimEquivalence:
-    def test_parallel_shim_bit_identical(self, tmp_path, tiny_profile):
-        """The deprecated entry point and run_sweep(spec) compute the
-        same grid bit-for-bit from independent caches."""
-        grid = dict(ladder=(4 * KB, 8 * KB), procs=(1, 2))
-        with pytest.warns(DeprecationWarning) as caught:
-            old = parallel_sweep("mp3d", tiny_profile,
-                                 ResultCache(tmp_path / "old"), **grid)
-        # stacklevel=2: the warning must blame the shim's caller.
-        assert caught[0].filename == __file__
-        new = run_sweep(
-            SweepSpec.parallel("mp3d", profile=tiny_profile, **grid),
-            cache=ResultCache(tmp_path / "new"))
-        assert set(old) == set(new)
-        for point in old:
-            assert old[point].as_dict() == new[point].as_dict()
-
-    def test_multiprogramming_shim_bit_identical(self, tmp_path,
-                                                 tiny_profile):
-        grid = dict(ladder=(2 * KB, 4 * KB), procs=(1,))
-        with pytest.warns(DeprecationWarning) as caught:
-            old = multiprogramming_sweep(
-                tiny_profile, ResultCache(tmp_path / "old"), **grid)
-        assert caught[0].filename == __file__
-        new = run_sweep(
-            SweepSpec.multiprogramming(profile=tiny_profile, **grid),
-            cache=ResultCache(tmp_path / "new"))
-        assert set(old) == set(new)
-        for point in old:
-            assert old[point].as_dict() == new[point].as_dict()
-
-    def test_miss_surface_shim_equivalent(self, tiny_profile):
-        ladder = (2 * KB, 8 * KB)
-        with pytest.warns(DeprecationWarning) as caught:
-            old = miss_surface_sweep("mp3d", tiny_profile,
-                                     procs_per_cluster=2, ladder=ladder)
-        assert caught[0].filename == __file__
-        new = run_sweep(SweepSpec.miss_surface(
-            "mp3d", profile=tiny_profile, procs_per_cluster=2,
-            ladder=ladder))
-        assert old == new
 
 
 class TestJournal:
@@ -348,6 +301,79 @@ class TestSessionStages:
         assert len(seen) == 4
         assert [done for _, _, done, _ in seen] == [1, 2, 3, 4]
         assert all(status == "computed" for _, status, _, _ in seen)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Every application the sweep machinery hands the simulator, in
+    call order -- counted at ``runner.run_simulation``, the seam
+    ``bench/spans.py`` and the CI smoke scripts also count on.  Set
+    ``die_on`` to *n* and the *n*-th call raises instead of running."""
+    real, seen = runner.run_simulation, []
+
+    def counting(config, application, **kwargs):
+        seen.append(application)
+        if len(seen) == counting.die_on:
+            raise RuntimeError("killed mid-stage")
+        return real(config, application, **kwargs)
+
+    counting.die_on, counting.seen = None, seen
+    monkeypatch.setattr(runner, "run_simulation", counting)
+    return counting
+
+
+class TestEngineDoor:
+    def test_miss_surface_records_through_the_runner(
+            self, tmp_path, tiny_profile, monkeypatch, simulations):
+        """One recording cold, none once the (deterministic) row's tape
+        is in the trace cache handed in."""
+        monkeypatch.setattr(MP3D, "deterministic_stream", True)
+        ladder = (2 * KB, 8 * KB)
+        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile,
+                                      procs_per_cluster=2, ladder=ladder)
+        tapes = TraceCache(tmp_path)
+        cold = run_sweep(spec, trace_cache=tapes)
+        assert len(simulations.seen) == 1
+        assert sorted(cold) == list(range(8))
+        assert all(tuple(row) == ladder for row in cold.values())
+        assert run_sweep(spec, trace_cache=tapes) == cold
+        assert len(simulations.seen) == 1
+
+    def test_kill_mid_replay_stage_loses_only_the_rung_in_flight(
+            self, tmp_path, tiny_profile, simulations):
+        """An instrumented uniprocessor row replays rung by rung; dying
+        in rung 3 leaves rungs 1-2 journaled and cached, and the resumed
+        run replays the other two off the recorded tape."""
+        ladder = (2 * KB, 4 * KB, 8 * KB, 16 * KB)
+        spec = SweepSpec.multiprogramming(profile=tiny_profile,
+                                          procs=(1,), ladder=ladder,
+                                          instrument=True)
+        cache = ResultCache(tmp_path / "cache")
+        stores = dict(cache=cache, trace_cache=TraceCache(tmp_path / "t"),
+                      session_dir=tmp_path / "sessions")
+        simulations.die_on = 3
+        with pytest.raises(RuntimeError, match="killed mid-stage"):
+            run_sweep(spec, **stores)
+        journal = SessionJournal(spec, tmp_path / "sessions")
+        assert journal.load()
+        assert {label: entry["status"]
+                for label, entry in journal.points.items()} == {
+            f"1/{2 * KB}": "done", f"1/{4 * KB}": "done"}
+        assert [cache.get(spec.point_key(config)) is not None
+                for config in spec.configs().values()] == [
+            True, True, False, False]
+
+        simulations.die_on = None
+        del simulations.seen[:]
+        resumed = SweepSession(spec, resume=True, **stores).run()
+        assert resumed.counters["journaled"] == 2
+        assert resumed.counters["replayed"] == 2
+        assert [type(application) for application in simulations.seen] \
+            == [ReplayApplication, ReplayApplication]
+        pristine = run_sweep(spec, cache=None,
+                             trace_cache=TraceCache(tmp_path / "t2"))
+        assert {p: s.as_dict() for p, s in resumed.sweep.items()} == \
+            {p: s.as_dict() for p, s in pristine.items()}
 
 
 class TestRetriesAndQuarantine:

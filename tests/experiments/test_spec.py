@@ -116,12 +116,6 @@ class TestCacheKeys:
                                instrument=False) == (
             expected + "|instrument=False")
 
-    def test_runner_alias_unchanged(self, tiny_profile):
-        from repro.experiments.runner import _stats_key
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        assert _stats_key("mp3d", tiny_profile, config) == \
-            point_cache_key("mp3d", tiny_profile, config)
-
     def test_spec_point_key_uses_instrument_flag(self, tiny_profile):
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile,
                                   instrument=False)

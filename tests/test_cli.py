@@ -187,19 +187,25 @@ class TestSweepAndReportPaths:
 
 
 class TestBench:
-    def test_bench_point_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--repeat", "1", "--scenario", "point",
-                     "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "packed" in out
-        assert "speedup" in out
-        import json
-        payload = json.loads(out_path.read_text())
-        point = payload["quick_barnes_hut"]
-        assert point["events"] > 0
-        assert point["packed_s"] > 0
-        assert point["generator_s"] > 0
+    """``bench`` is a front for the checkout's ``bench/run.py``."""
+
+    def test_arguments_reach_bench_run_verbatim(self, capfd):
+        assert main(["bench", "--help"]) == 0
+        out = capfd.readouterr().out
+        assert out.startswith("usage: run.py")
+        for flag in ("--workload", "--repeats", "--traced", "--probes",
+                     "--smoke"):
+            assert flag in out
+
+    def test_without_a_checkout_it_says_so(self, capsys, monkeypatch,
+                                           tmp_path):
+        from repro import cli
+        monkeypatch.setattr(cli, "BENCH_SCRIPT",
+                            tmp_path / "bench" / "run.py")
+        assert main(["bench", "--smoke"]) == 2
+        err = capsys.readouterr().err
+        assert "no bench/run.py" in err and str(tmp_path) in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestOptimizeCommand:
