@@ -11,7 +11,17 @@ Design contract (this is the zero-overhead-when-disabled rule):
   method surface can be plugged in, and :class:`InstrumentationProbe`
   is the standard implementation that feeds a
   :class:`~repro.instrument.registry.MetricsRegistry` and a bounded
-  :class:`~repro.instrument.sampling.EventLog`.
+  :class:`~repro.instrument.sampling.EventLog`;
+* the standard implementation -- exactly that class, with
+  ``record_events=False`` -- may also be *told* instead of called: the
+  native engine (:mod:`repro.trace.engine.native`) bins what these
+  callbacks would have recorded for the events it executes and hands
+  the totals to :meth:`InstrumentationProbe.absorb` once, after the
+  run, leaving the registry the calls would have.  A change to what a
+  callback below records is therefore made twice, here and in the
+  "metrics" section of ``_native.c``; the differential verifier's
+  ``instrumented`` engine diffs every counter and bin.  Subclasses,
+  duck-typed probes and the event log are always called.
 
 Event vocabulary (one method per hardware phenomenon):
 
@@ -84,7 +94,9 @@ class InstrumentationProbe(NullProbe):
     ``bin_width`` sets timeline resolution in cycles.  ``record_events``
     keeps raw event records (bounded by ``max_events`` via deterministic
     decimation) for slice-level Chrome-trace export; disable it for
-    cheap summary-only instrumentation (what sweep caching uses).
+    cheap summary-only instrumentation (what sweep caching uses) --
+    the log needs every event as a call, so keeping one keeps the run
+    on the per-event reference loop.
     """
 
     enabled = True
@@ -125,25 +137,14 @@ class InstrumentationProbe(NullProbe):
         self.registry.count("bank_accesses")
         if not wait:
             return
-        key = (cluster, bank)
-        timeline = self._bank_conflict.get(key)
-        if timeline is None:
-            timeline = self.registry.timeline(
-                f"cluster{cluster}.bank{bank}.conflict")
-            self._bank_conflict[key] = timeline
-        timeline.add_span(now, start)
+        self._conflict_timeline(cluster, bank).add_span(now, start)
         self.registry.count("bank_conflict_events")
         if self.events is not None:
             self.events.append(("bank", now, wait, cluster, bank))
 
     def write_buffer(self, cluster: int, bank: int, now: int, depth: int,
                      stall: int) -> None:
-        timeline = self._wb_depth.get(cluster)
-        if timeline is None:
-            timeline = self.registry.timeline(
-                f"cluster{cluster}.write_buffer", mode="max")
-            self._wb_depth[cluster] = timeline
-        timeline.add_sample(now, depth)
+        self._wb_timeline(cluster).add_sample(now, depth)
         if stall:
             self.registry.count("write_buffer_stalls")
             self.registry.count("write_buffer_stall_cycles", stall)
@@ -182,6 +183,23 @@ class InstrumentationProbe(NullProbe):
         if self.events is not None:
             self.events.append(("proc", start, end - start, proc, kind))
 
+    def _conflict_timeline(self, cluster: int, bank: int) -> Timeline:
+        key = (cluster, bank)
+        timeline = self._bank_conflict.get(key)
+        if timeline is None:
+            timeline = self.registry.timeline(
+                f"cluster{cluster}.bank{bank}.conflict")
+            self._bank_conflict[key] = timeline
+        return timeline
+
+    def _wb_timeline(self, cluster: int) -> Timeline:
+        timeline = self._wb_depth.get(cluster)
+        if timeline is None:
+            timeline = self.registry.timeline(
+                f"cluster{cluster}.write_buffer", mode="max")
+            self._wb_depth[cluster] = timeline
+        return timeline
+
     def _proc_timeline(self, proc: int, kind: str) -> Timeline:
         key = (proc, kind)
         timeline = self._proc_tl.get(key)
@@ -189,6 +207,48 @@ class InstrumentationProbe(NullProbe):
             timeline = self.registry.timeline(f"proc{proc}.{kind}")
             self._proc_tl[key] = timeline
         return timeline
+
+    # ------------------------------------------------------------------
+    # Bulk intake (the native engine)
+    # ------------------------------------------------------------------
+
+    def absorb(self, counts: Dict[str, int], bus, bank_conflict,
+               write_buffer, busy, memory) -> None:
+        """Fold in what an engine recorded on this probe's behalf --
+        the callbacks above, pre-binned at ``registry.bin_width`` --
+        leaving the registry as the callbacks themselves would have.
+
+        ``counts`` maps counter names to totals.  The rest are integer
+        bin series, empty where nothing was recorded: ``bus`` is
+        (occupancy, wait, invalidations), ``bank_conflict`` is indexed
+        ``[cluster][bank]``, ``write_buffer`` by cluster, ``busy`` and
+        ``memory`` by processor.  A counter or timeline nothing touched
+        is not created, sums add and high-water marks max, so the
+        result does not depend on what the callbacks recorded before,
+        or on the order of the merge.
+        """
+        count = self.registry.count
+        if counts.get("bus_transactions"):
+            # ``bus_acquire`` counts all three per grant, zeros included
+            count("bus_busy_cycles", 0)
+            count("bus_wait_cycles", 0)
+        for name, amount in counts.items():
+            if amount:
+                count(name, amount)
+        for timeline, bins in zip((self._bus_occupancy, self._bus_wait,
+                                   self._bus_invalidations), bus):
+            timeline.absorb(bins)
+        for cluster, banks in enumerate(bank_conflict):
+            for bank, bins in enumerate(banks):
+                if len(bins):
+                    self._conflict_timeline(cluster, bank).absorb(bins)
+        for cluster, bins in enumerate(write_buffer):
+            if len(bins):
+                self._wb_timeline(cluster).absorb(bins)
+        for kind, series in (("busy", busy), ("memory", memory)):
+            for proc, bins in enumerate(series):
+                if len(bins):
+                    self._proc_timeline(proc, kind).absorb(bins)
 
     # ------------------------------------------------------------------
     # Post-run API

@@ -15,6 +15,7 @@ or export (:meth:`Timeline.rebinned`).
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List
 
 __all__ = ["Timeline"]
@@ -87,9 +88,22 @@ class Timeline:
         self._grow_to(index)
         if self.mode == "max":
             if value > self.bins[index]:
-                self.bins[index] = value
+                self.bins[index] = float(value)     # bins are floats
         else:
             self.bins[index] += value
+
+    def absorb(self, values) -> None:
+        """Combine a series recorded elsewhere at this ``bin_width``,
+        bin by bin: ``sum`` bins add, ``max`` bins keep the larger.
+        Grows to ``len(values)`` like the recording methods would have.
+        """
+        count = len(values)
+        if not count:
+            return
+        self._grow_to(count - 1)
+        combine = max if self.mode == "max" else operator.add
+        self.bins[:count] = map(combine, self.bins[:count],
+                                map(float, values))
 
     # ------------------------------------------------------------------
     # Reading

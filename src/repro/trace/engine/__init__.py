@@ -6,8 +6,8 @@ The SCC/bus timing model has two implementations ("backends", psim's
 * ``python`` -- the per-event reference loop of
   :class:`~repro.trace.interleave.TimingInterleaver` over the
   :mod:`repro.core` objects.  Always available, runs every machine, and
-  is what an attached observer or probe always gets; there is no fused
-  ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
+  is what an attached observer, the probe's event log or a non-standard
+  probe always gets; there is no fused ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) that owns the data path -- hits, bank/write-buffer
@@ -16,7 +16,9 @@ The SCC/bus timing model has two implementations ("backends", psim's
   storage and switches processes in place on the interleaver's heap,
   and carries the fused ladder.  Python owns the generators, the
   synchronization handlers and instruction-cache refills (the one
-  callback left).
+  callback left).  The standard
+  :class:`~repro.instrument.probes.InstrumentationProbe` (no event
+  log) rides along: C bins its timelines and counters.
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
@@ -27,9 +29,10 @@ costs.  The retired ``numpy`` tier's name is still accepted from stored
 requests (environment, specs, 1.2 wire payloads) and treated like any
 unavailable tier: it resolves to python.
 
-The native engine must be fingerprint-identical to the reference loop;
-the differential verifier (:mod:`repro.verify.differ`) diffs the two
-over the golden suites and the fuzz corpus.
+The native engine must be fingerprint-identical to the reference loop,
+the probe's registry included; the differential verifier
+(:mod:`repro.verify.differ`) diffs the two over the golden suites and
+the fuzz corpus.
 """
 
 from __future__ import annotations

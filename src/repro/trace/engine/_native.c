@@ -10,9 +10,13 @@
  * scheduling: it keeps each process's chunk cursor and switches
  * processes itself, in place on ``interleaver._heap``.  Python
  * (engine/native.py) owns the generators, the synchronization handlers
- * and instruction-cache refills (the one callback left).  Everything
- * here must stay observably identical to the reference loop -- the
- * differential verifier diffs fingerprints and error messages.
+ * and instruction-cache refills (the one callback left).  Under the
+ * standard ``InstrumentationProbe`` C also owns observability of what it
+ * executes: the "metrics" section bins what the python objects would
+ * have told the probe, and the wrapper folds it into the probe's
+ * registry once, after the run.  Everything here must stay observably
+ * identical to the reference loop -- the differential verifier diffs
+ * fingerprints, error messages and (probed) every counter and bin.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
@@ -53,7 +57,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "4"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "5"  /* == engine/native.py NATIVE_VERSION */
 
 #define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
@@ -81,6 +85,16 @@ enum {
     S_FIELDS
 };
 
+/* Probe counters of one run (``InstrumentationProbe``'s registry
+ * counters); slot order is engine/native.py's ``_METRIC_FIELDS``. */
+enum {
+    M_BUS_TRANSACTIONS, M_BUS_BUSY_CYCLES, M_BUS_WAIT_CYCLES,
+    M_BANK_ACCESSES, M_BANK_CONFLICT_EVENTS, M_WRITE_BUFFER_STALLS,
+    M_WRITE_BUFFER_STALL_CYCLES, M_CACHE_HITS, M_CACHE_MISSES,
+    M_INVALIDATIONS,
+    M_FIELDS
+};
+
 static PyObject *g_deque = NULL;      /* collections.deque */
 static PyObject *s_append = NULL;
 static PyObject *s_popleft = NULL;
@@ -90,6 +104,29 @@ typedef struct {
     Py_buffer view;           /* the chunk; ``view.obj`` NULL when none */
     long long pos, sub;       /* next opcode; offset inside a span */
 } Cursor;
+
+/* One timeline's bins: int64 slots of a python ``bytearray`` the
+ * wrapper allocated empty.  It grows by ``PyByteArray_Resize`` -- C holds
+ * no buffer view on it -- so ``bins`` is re-read after every resize. */
+typedef struct {
+    PyObject *buf;
+    long long *bins;
+    Py_ssize_t n;
+} Series;
+
+/* What the standard probe records, for the events C executes.  Series
+ * layout (the wrapper's, in this order): the bus trio, one conflict
+ * series per (cluster, bank), one write-buffer high-water series per
+ * cluster, busy then memory-stall series per processor. */
+typedef struct {
+    long long width;          /* cycles per bin */
+    long long *counts;        /* M_* */
+    Series *series;
+    Series *bus_occupancy, *bus_wait, *bus_invalidations;
+    Series *conflict;         /* [cluster * nbanks + bank] */
+    Series *write_buffer;     /* [cluster] */
+    Series *busy, *memory;    /* [pid] */
+} Metrics;
 
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
@@ -113,6 +150,7 @@ typedef struct {
     Cursor *cursors;          /* by pid */
     PyObject *ifetch, *queues;
     PyObject *heap;           /* interleaver._heap */
+    Metrics *mx;              /* NULL: no probe attached */
     Py_buffer *views;
     int nviews;
 } Ctx;
@@ -154,6 +192,158 @@ get_ll_item(PyObject *seq, Py_ssize_t i, long long *out)
     if (*out == -1 && PyErr_Occurred())
         return -1;
     return 0;
+}
+
+/* -------------------------------------------------------------- metrics */
+
+/* What the python objects tell their probe, recorded here for the events
+ * C executes: transcriptions of ``Timeline.add_span`` / ``add_at`` /
+ * ``add_sample`` (repro.instrument.timeline) over integer bins, and of
+ * ``InstrumentationProbe``'s callbacks on top of them, called where
+ * ``SnoopyBus``, ``BankInterconnect``, ``CoherenceController`` and
+ * ``ProcessorState`` call theirs.  Every mass the probe records is a
+ * whole number of cycles or copies, so the wrapper's merge into the
+ * probe's float bins is exact in any order.  Call sites test ``ctx->mx``
+ * first: an unprobed run pays that one never-taken branch per site. */
+
+/* A clock no bin can hold: negative (python would index its bin list
+ * from the end), or past what a buffer can address. */
+static int
+series_range_error(void)
+{
+    PyErr_SetString(PyExc_ValueError, "cycle outside the timeline range");
+    return -1;
+}
+
+static int
+series_grow(Series *s, long long index)
+{
+    if (index < 0 || index >= PY_SSIZE_T_MAX / 8)
+        return series_range_error();
+    Py_ssize_t n = (Py_ssize_t)index + 1;
+    if (PyByteArray_Resize(s->buf, 8 * n) < 0)
+        return -1;
+    s->bins = (long long *)PyByteArray_AS_STRING(s->buf);
+    memset(s->bins + s->n, 0, 8 * (size_t)(n - s->n));
+    s->n = n;
+    return 0;
+}
+
+/* ``Timeline._grow_to``: make bin ``index`` addressable. */
+static inline int
+series_reach(Series *s, long long index)
+{
+    if ((unsigned long long)index < (unsigned long long)s->n)
+        return 0;
+    return series_grow(s, index);
+}
+
+/* ``Timeline.add_span``: one unit per cycle of ``[start, end)``, split
+ * across the bins the span overlaps. */
+static int
+series_add_span(Series *s, long long width, long long start, long long end)
+{
+    if (end <= start)
+        return 0;
+    if (start < 0)
+        return series_range_error();
+    long long first = start / width;
+    long long room = (first + 1) * width - start;   /* left in that bin */
+    if (end - start <= room) {
+        if (series_reach(s, first) < 0)
+            return -1;
+        s->bins[first] += end - start;
+        return 0;
+    }
+    long long last = (end - 1) / width;
+    if (series_reach(s, last) < 0)
+        return -1;
+    s->bins[first] += room;
+    for (long long k = first + 1; k < last; k++)
+        s->bins[k] += width;
+    s->bins[last] += end - last * width;
+    return 0;
+}
+
+/* ``Timeline.add_at`` */
+static int
+series_add_at(Series *s, long long width, long long t, long long value)
+{
+    long long index = t / width;
+    if (series_reach(s, index) < 0)
+        return -1;
+    s->bins[index] += value;
+    return 0;
+}
+
+/* ``Timeline.add_sample`` in ``max`` mode: the bin's high-water mark. */
+static int
+series_add_sample(Series *s, long long width, long long t, long long value)
+{
+    long long index = t / width;
+    if (series_reach(s, index) < 0)
+        return -1;
+    if (value > s->bins[index])
+        s->bins[index] = value;
+    return 0;
+}
+
+/* ``bus_acquire``: occupancy from the grant, queueing before it. */
+static int
+mx_bus_acquire(Metrics *mx, long long now, long long grant,
+               long long occupancy)
+{
+    mx->counts[M_BUS_TRANSACTIONS]++;
+    mx->counts[M_BUS_BUSY_CYCLES] += occupancy;
+    mx->counts[M_BUS_WAIT_CYCLES] += grant - now;
+    if (series_add_span(mx->bus_occupancy, mx->width, grant,
+                        grant + occupancy) < 0)
+        return -1;
+    return series_add_span(mx->bus_wait, mx->width, now, grant);
+}
+
+/* ``bank_access`` on conflict series ``slot``; the claim made at ``now``
+ * got the bank at ``start``. */
+static int
+mx_bank_access(Metrics *mx, long long slot, long long now, long long start)
+{
+    mx->counts[M_BANK_ACCESSES]++;
+    if (start == now)
+        return 0;
+    mx->counts[M_BANK_CONFLICT_EVENTS]++;
+    return series_add_span(&mx->conflict[slot], mx->width, now, start);
+}
+
+/* ``write_buffer``: the cluster's depth high-water; stalls are counted. */
+static int
+mx_write_buffer(Metrics *mx, long long cl, long long now, long long depth,
+                long long stall)
+{
+    if (stall) {
+        mx->counts[M_WRITE_BUFFER_STALLS]++;
+        mx->counts[M_WRITE_BUFFER_STALL_CYCLES] += stall;
+    }
+    return series_add_sample(&mx->write_buffer[cl], mx->width, now, depth);
+}
+
+/* ``proc_busy``: straight-line execution (``account_compute``, and
+ * ``account_ifetch`` where C executes the fetch). */
+static inline int
+mx_proc_busy(Metrics *mx, long long pid, long long start, long long cycles)
+{
+    return series_add_span(&mx->busy[pid], mx->width, start, start + cycles);
+}
+
+/* ``ProcessorState.account_reference``'s two spans: the issue slot is
+ * busy, whatever follows it until ``complete`` is memory stall. */
+static int
+mx_reference(Metrics *mx, long long pid, long long issued,
+             long long complete)
+{
+    if (mx_proc_busy(mx, pid, issued, 1) < 0)
+        return -1;
+    return series_add_span(&mx->memory[pid], mx->width, issued + 1,
+                           complete);
 }
 
 /* Write-buffer heaps are plain python lists of ints, shared with
@@ -247,8 +437,7 @@ wb_heappop(PyObject *heap, int *err)
     return result;
 }
 
-/* BankInterconnect.reserve_write_slot, minus the probe (native
- * eligibility guarantees NULL_PROBE) and minus write_stall_cycles, which the
+/* BankInterconnect.reserve_write_slot, minus write_stall_cycles, which the
  * wrapper settles from the SCC's delta at flush time. */
 static long long
 c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
@@ -279,7 +468,9 @@ c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
     long long push = now + stall;
     if (retire > push)
         push = retire;
-    if (wb_heappush(buf, push) < 0) {
+    if (wb_heappush(buf, push) < 0
+        || (ctx->mx && mx_write_buffer(ctx->mx, cl, now,
+                                       PyList_GET_SIZE(buf), stall) < 0)) {
         *err = 1;
         return 0;
     }
@@ -437,23 +628,26 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
 
 /* The snoopy write-invalidate protocol of repro.core.coherence: what
  * ``CoherenceController.read_line`` / ``write_line`` do past their hit
- * branches, minus the probe hooks (native eligibility guarantees
- * NULL_PROBE).  It works on the state the python objects own -- tag/state
+ * branches (their probe hooks are the "metrics" section's).  It works on
+ * the state the python objects own -- tag/state
  * arrays, in-flight dicts, lost-line sets, the bus clock -- so an
  * object-path event or an icache refill handled in python between two C
  * stints sees, and leaves, current state.  Every SCC has the machine's
  * one geometry: ``idx``/``tag`` address all of them. */
 
-/* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; the grant cycle. */
-static inline long long
-bus_acquire(Ctx *ctx, long long now, long long occupancy)
+/* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; ``grant`` is the
+ * cycle the bus was granted. */
+static inline int
+bus_acquire(Ctx *ctx, long long now, long long occupancy, long long *grant)
 {
     long long *bus = ctx->bus;
-    long long grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
-    bus[BUS_BUSY_UNTIL] = grant + occupancy;
+    *grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
+    bus[BUS_BUSY_UNTIL] = *grant + occupancy;
     bus[BUS_TRANSACTIONS]++;
     bus[BUS_BUSY_CYCLES] += occupancy;
-    return grant;
+    if (ctx->mx)
+        return mx_bus_acquire(ctx->mx, now, *grant, occupancy);
+    return 0;
 }
 
 /* ``_snoop_downgrade``: a read miss turns remote MODIFIED/EXCLUSIVE
@@ -474,10 +668,11 @@ snoop_downgrade(Ctx *ctx, long long cl, long long idx, long long tag)
     return held;
 }
 
-/* ``_invalidate_remote``: a write kills every other SCC's copy. */
+/* ``_invalidate_remote``: a write whose bus transaction was granted at
+ * ``grant`` kills every other SCC's copy. */
 static int
 invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
-                  long long tag)
+                  long long tag, long long grant)
 {
     long long killed = 0;
     for (int c = 0; c < ctx->n_cl; c++) {
@@ -497,6 +692,12 @@ invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
         killed++;
     }
     ctx->d_scc[cl * S_FIELDS + S_INVALIDATIONS_SENT] += killed;
+    if (killed && ctx->mx) {
+        /* ``invalidation``: stamped with the grant, as ``write_line`` does */
+        ctx->mx->counts[M_INVALIDATIONS] += killed;
+        return series_add_at(ctx->mx->bus_invalidations, ctx->mx->width,
+                             grant, killed);
+    }
     return 0;
 }
 
@@ -524,8 +725,10 @@ install(Ctx *ctx, long long cl, long long line, long long idx,
             return -1;
         st[S_EVICTIONS]++;
         if (victim_state == ST_MODIFIED) {
+            long long grant;
             st[S_WRITEBACKS]++;
-            bus_acquire(ctx, start, ctx->bus_occ);
+            if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+                return -1;
         }
     }
     return 0;
@@ -542,7 +745,9 @@ read_miss(Ctx *ctx, long long cl, long long line, long long idx,
     if (lost < 0)
         return -1;
     st[S_COHERENCE_READ_MISSES] += lost;
-    long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+    long long grant;
+    if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+        return -1;
     st[S_BUS_WAIT_CYCLES] += grant - start;
     long long fill = grant + ctx->mem_latency;
     long long state = ST_SHARED;
@@ -564,12 +769,14 @@ write_shared_or_miss(Ctx *ctx, long long cl, long long line, long long idx,
 {
     long long *st = ctx->d_scc + cl * S_FIELDS;
     long long tag = line >> ctx->tag_shift;
+    long long grant;
     if (resident) {
         st[S_UPGRADES]++;
         /* (an upgrade's bus wait is not counted: nothing waits on it) */
-        *retire = bus_acquire(ctx, start, ctx->upgrade_occ)
-                  + ctx->upgrade_occ;
-        if (invalidate_remote(ctx, cl, line, idx, tag) < 0)
+        if (bus_acquire(ctx, start, ctx->upgrade_occ, &grant) < 0)
+            return -1;
+        *retire = grant + ctx->upgrade_occ;
+        if (invalidate_remote(ctx, cl, line, idx, tag, grant) < 0)
             return -1;
         ctx->cl_states[cl][idx] = ST_MODIFIED;
         return 0;
@@ -577,10 +784,11 @@ write_shared_or_miss(Ctx *ctx, long long cl, long long line, long long idx,
     st[S_WRITE_MISSES]++;
     if (lost_consume(ctx->cl_lost[cl], line) < 0)   /* not a read miss */
         return -1;
-    long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+    if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+        return -1;
     st[S_BUS_WAIT_CYCLES] += grant - start;
     *retire = grant + ctx->mem_latency;
-    if (invalidate_remote(ctx, cl, line, idx, tag) < 0)
+    if (invalidate_remote(ctx, cl, line, idx, tag, grant) < 0)
         return -1;
     return install(ctx, cl, line, idx, ST_MODIFIED, start, *retire);
 }
@@ -590,6 +798,7 @@ static int
 do_access(Ctx *ctx, long long cl, long long pid, int is_read,
           long long addr, long long *time_io)
 {
+    Metrics *mx = ctx->mx;
     long long time = *time_io;
     long long line = addr >> ctx->line_shift;
     long long bank = line % ctx->nbanks;   /* python %: floored */
@@ -607,10 +816,14 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         start = time;
     }
     bank_free[bank] = start + ctx->bank_cycle;
+    if (mx && mx_bank_access(mx, cl * ctx->nbanks + bank, time, start) < 0)
+        return -1;
     long long idx = line & ctx->idx_mask;
     long long *states = ctx->cl_states[cl];
     int resident = states[idx]
         && ctx->cl_tags[cl][idx] == (line >> ctx->tag_shift);
+    if (mx)     /* ``cache_access``: a SHARED write hit (upgrade) is a hit */
+        mx->counts[resident ? M_CACHE_HITS : M_CACHE_MISSES]++;
     long long done;
     int err = 0;
     if (is_read) {
@@ -658,7 +871,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     ctx->d_stall[pid] += done - time - 1;
     ctx->d_finish[pid] = done;
     *time_io = done;
-    return 0;
+    return mx ? mx_reference(mx, pid, time, done) : 0;
 }
 
 /* ------------------------------------------------------------ lifecycle */
@@ -687,6 +900,9 @@ ctx_free(Ctx *ctx)
     PyMem_Free(ctx->ic_states);
     PyMem_Free(ctx->ic_mask);
     PyMem_Free(ctx->cursors);
+    if (ctx->mx)
+        PyMem_Free(ctx->mx->series);
+    PyMem_Free(ctx->mx);
     PyMem_Free(ctx);
 }
 
@@ -698,12 +914,69 @@ ctx_destructor(PyObject *capsule)
         ctx_free(ctx);
 }
 
+/* The plan's metrics entry: ``(bin_width, counts, series)`` -- an
+ * ``array('q')`` of ``M_FIELDS`` counters and a tuple of empty
+ * ``bytearray`` objects in ``Metrics``' layout.  Needs the geometry and
+ * the processor count, so it is parsed last. */
+static int
+metrics_setup(Ctx *ctx, PyObject *spec)
+{
+    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "metrics must be (bin_width, counts, series)");
+        return -1;
+    }
+    Metrics *mx = ctx->mx = PyMem_Calloc(1, sizeof(Metrics));
+    if (!mx) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (get_ll_item(spec, 0, &mx->width) < 0)
+        return -1;
+    if (mx->width < 1) {
+        PyErr_SetString(PyExc_ValueError, "bin_width must be >= 1");
+        return -1;
+    }
+    if (!(mx->counts = acquire_ll_n(ctx, PyTuple_GET_ITEM(spec, 1),
+                                    M_FIELDS)))
+        return -1;
+    PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
+    Py_ssize_t banks = (Py_ssize_t)(ctx->n_cl * ctx->nbanks);
+    Py_ssize_t n = 3 + banks + ctx->n_cl + 2 * (Py_ssize_t)ctx->n_cursors;
+    if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "metrics plan must hold %zd series", n);
+        return -1;
+    }
+    if (!(mx->series = PyMem_Calloc(n, sizeof(Series)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *buf = PyTuple_GET_ITEM(bufs, k);
+        if (!PyByteArray_CheckExact(buf) || PyByteArray_GET_SIZE(buf)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "metrics series must be empty bytearrays");
+            return -1;
+        }
+        mx->series[k].buf = buf;
+    }
+    mx->bus_occupancy = mx->series;
+    mx->bus_wait = mx->series + 1;
+    mx->bus_invalidations = mx->series + 2;
+    mx->conflict = mx->series + 3;
+    mx->write_buffer = mx->conflict + banks;
+    mx->busy = mx->write_buffer + ctx->n_cl;
+    mx->memory = mx->busy + ctx->n_cursors;
+    return 0;
+}
+
 static PyObject *
 native_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 7) {
-        PyErr_SetString(PyExc_TypeError, "plan must be a 7-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 8) {
+        PyErr_SetString(PyExc_TypeError, "plan must be an 8-tuple");
         return NULL;
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
@@ -713,6 +986,7 @@ native_setup(PyObject *self, PyObject *plan)
     PyObject *deltas = PyTuple_GET_ITEM(plan, 4);
     PyObject *regs = PyTuple_GET_ITEM(plan, 5);
     PyObject *sched = PyTuple_GET_ITEM(plan, 6);
+    PyObject *metrics = PyTuple_GET_ITEM(plan, 7);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
@@ -829,6 +1103,8 @@ native_setup(PyObject *self, PyObject *plan)
         goto fail;
     }
     ctx->n_cursors = (int)n_cursors;
+    if (metrics != Py_None && metrics_setup(ctx, metrics) < 0)
+        goto fail;
 
     PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
     if (!capsule)
@@ -979,6 +1255,7 @@ native_run(PyObject *self, PyObject *args)
     long long seq = regs[R_SEQ];
     long long limit = ctx->limit;
     long long *misc = ctx->misc;
+    Metrics *mx = ctx->mx;
     PyObject *heap = ctx->heap;
     /* Only a process coming back from a sync handler is checked against
      * the heap top before its next event; a refilled one runs on, like
@@ -1053,6 +1330,8 @@ native_run(PyObject *self, PyObject *args)
                 if (op == OP_COMPUTE) {
                     if (operand) {
                         ctx->d_busy[pid] += operand;
+                        if (mx && mx_proc_busy(mx, pid, time, operand) < 0)
+                            goto fail;
                         time += operand;
                         if (time > next_time)
                             status = STATUS_PREEMPT;
@@ -1105,6 +1384,8 @@ native_run(PyObject *self, PyObject *args)
                 long long count = data[i + 2];
                 if (ctx->icache_mode == 0) {
                     ctx->d_busy[pid] += count;
+                    if (mx && mx_proc_busy(mx, pid, time, count) < 0)
+                        goto fail;
                     time += count;
                 }
                 else if (ctx->icache_mode == 1) {
@@ -1128,6 +1409,8 @@ native_run(PyObject *self, PyObject *args)
                         ctx->d_icfetch[pid] +=
                             ilast - (addr >> ctx->iline_shift) + 1;
                         ctx->d_busy[pid] += count;
+                        if (mx && mx_proc_busy(mx, pid, time, count) < 0)
+                            goto fail;
                         time += count;
                     }
                     else {

@@ -9,7 +9,11 @@ bank/write-buffer timing, the snoopy miss path with its bus arbitration
 synchronization handlers, and instruction-cache refills, the one
 callback left.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
-same errors.
+same errors -- and, when the system carries the standard
+:class:`~repro.instrument.probes.InstrumentationProbe`, the same
+registry: C bins what it executes into buffers this wrapper hands it
+and folds into the probe once, after the run, while whatever python
+still executes emits into the probe directly.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
@@ -38,9 +42,11 @@ import subprocess
 import sys
 import sysconfig
 from array import array
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
+from ...instrument.probes import NULL_PROBE
 from ..packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
 
 __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
@@ -48,7 +54,7 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder entry points) changes.
-NATIVE_VERSION = "4"
+NATIVE_VERSION = "5"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -70,6 +76,13 @@ _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
                "interventions", "writebacks", "evictions",
                "coherence_read_misses", "bank_conflict_cycles",
                "bus_wait_cycles", "write_buffer_stall_cycles")
+
+# Slot order of the probe counters (``M_*`` in _native.c), by the names
+# ``InstrumentationProbe`` counts them under
+_METRIC_FIELDS = ("bus_transactions", "bus_busy_cycles", "bus_wait_cycles",
+                  "bank_accesses", "bank_conflict_events",
+                  "write_buffer_stalls", "write_buffer_stall_cycles",
+                  "cache_hits", "cache_misses", "invalidations")
 
 
 def _source_path() -> Path:
@@ -210,6 +223,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     proc_cluster = self._proc_cluster
     procs = system._procs
     nproc = config.total_processors
+    n_banks = cl_icn[0].num_banks
     model_icache = config.model_icache
     ic_objs = None
     iline_shift = 0
@@ -234,7 +248,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         self._idx_mask,
         self._tag_shift,
         config.line_offset_bits,
-        cl_icn[0].num_banks,
+        n_banks,
         cl_icn[0].bank_cycle_time,
         1 if config.stall_on_writes else 0,
         cl_icn[0].write_buffer_depth,
@@ -266,6 +280,19 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     d_icfetch = array("q", bytes(8 * nproc))
     misc = array("q", [0])
     regs = array("q", [0, 0, -1, 0])     # R_PID -1: pop the first process
+    # What C tells the probe (eligibility made it NULL_PROBE or the
+    # standard one): counters, and one growable bin buffer per timeline
+    # -- the bus trio, (cluster, bank) conflicts, per-cluster write
+    # buffers, per-processor busy then memory -- each a bytearray of
+    # int64 bins C resizes in place.  No probe, no buffers: C's sites
+    # test one NULL pointer.
+    probe = system.probe
+    metrics = None
+    if probe is not NULL_PROBE:
+        m_counts = array("q", bytes(8 * len(_METRIC_FIELDS)))
+        m_series = tuple(bytearray() for _ in range(
+            3 + n_cl * n_banks + n_cl + 2 * nproc))
+        metrics = (probe.registry.bin_width, m_counts, m_series)
     plan = (
         per_cluster,
         (system.ifetch, self._queues),
@@ -274,6 +301,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         (d_scc, d_refs, d_busy, d_stall, d_finish, d_icfetch, misc),
         regs,
         (heap, array("q", proc_cluster), system.bus._clock),
+        metrics,
     )
     ctx = native.setup(plan)
     run_c = native.run
@@ -375,4 +403,17 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 procs[p].finish_time = d_finish[p]
             if d_icfetch[p]:
                 ic_objs[p].fetch_lines += d_icfetch[p]
+        if metrics is not None:
+            series = (array("q", buffer) for buffer in m_series)
+
+            def take(count):    # the next ``count`` series of the layout
+                return list(islice(series, count))
+
+            probe.absorb(
+                dict(zip(_METRIC_FIELDS, m_counts)),
+                bus=take(3),
+                bank_conflict=[take(n_banks) for _ in range(n_cl)],
+                write_buffer=take(n_cl),
+                busy=take(nproc),
+                memory=take(nproc))
     return finish_time

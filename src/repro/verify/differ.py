@@ -10,16 +10,23 @@ must agree with it on everything the engine exposes:
 * **native** -- the compiled engine from :mod:`repro.trace.engine`
   (``backend="native"``, engaged whenever the machine qualifies);
   compared on cycle counts, per-cluster statistics, bus counters, and
-  final tag/state arrays.
+  final tag/state arrays.  It runs unprobed: the loop whose metrics
+  pointer is NULL.
+* **instrumented** -- the same engine carrying the standard probe
+  (:class:`~repro.instrument.probes.InstrumentationProbe`, no event
+  log); compared on all of the above plus ``metrics``, the probe's
+  whole registry -- every counter and every bin of every timeline.
+  The baseline carries the same probe (a probe never changes timing,
+  so the one baseline still serves every other engine).
 * **fused** -- the compiled multi-configuration ladder, run as a
   two-rung ladder and compared on its bottom rung (final arrays are
   internal to the fused engine, so the diff covers statistics and
   event counts).
 
-``native`` and ``fused`` ship in one extension and are registered by
-:func:`engine_registry` exactly when it is available; a run that did
-not resolve to it is reported as degraded, not compared (both would
-degrade to the baseline itself and agree by construction).
+``native``, ``instrumented`` and ``fused`` ship in one extension and are
+registered by :func:`engine_registry` exactly when it is available; a
+run that did not resolve to it is reported as degraded, not compared
+(it would degrade to the baseline itself and agree by construction).
 
 Two paths that fail with the *same* exception type are in agreement --
 error parity is part of the contract (the golden suites already pin
@@ -33,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
+from ..instrument.probes import InstrumentationProbe
 from ..trace.engine import native_available, resolve_backend
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
@@ -58,9 +66,10 @@ class PathResult:
 
     fingerprint: Optional[Dict[str, object]] = None
     fast_engaged: Optional[bool] = None
-    """For the ``native`` mode: whether the machine is one the native
-    engine runs (the interleaver stays on the reference loop for e.g.
-    set-associative arrays, making the comparison trivially green)."""
+    """For the modes that ask for the native engine: whether the
+    machine is one it runs (the interleaver stays on the reference loop
+    for e.g. set-associative arrays, making the comparison trivially
+    green)."""
 
     engine_used: Optional[str] = None
     """The engine that ran (``python``/``native``), for diagnosing
@@ -73,7 +82,7 @@ class TapeDivergence:
 
     tape: Tape
     kind: str
-    """Name of the diverging path (``"oracle"``/``"native"``/``"fused"``)."""
+    """Name of the diverging path (a key of :func:`engine_registry`)."""
 
     base: PathResult
     other: PathResult
@@ -108,9 +117,16 @@ def _always(tape: Tape) -> bool:
 
 _FULL = ("events", "stats", "bus", "arrays")
 
-#: Modes that drive a :class:`TimingInterleaver`; only ``native`` asks
-#: for the compiled engine, the others are the reference loop.
-_INTERLEAVER_MODES = ("generic", "oracle", "native")
+#: Modes that drive a :class:`TimingInterleaver`, by the backend they
+#: ask for (``python`` is the reference loop) ...
+_INTERLEAVER_MODES = {"generic": "python", "oracle": "python",
+                      "native": "native", "instrumented": "native"}
+#: ... and the ones that carry the standard probe.
+_PROBED_MODES = ("generic", "instrumented")
+
+_PROBE_BIN_WIDTH = 16
+"""Fuzz tapes run a few thousand cycles and their misses take 20-120:
+narrow bins make most stall spans straddle a boundary or two."""
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
@@ -126,6 +142,8 @@ def engine_registry() -> Dict[str, EngineSpec]:
     }
     if native_available():   # one extension: the ladder ships with it
         registry["native"] = EngineSpec("native", _FULL, _always)
+        registry["instrumented"] = EngineSpec(
+            "instrumented", _FULL + ("metrics",), _always)
         registry["fused"] = EngineSpec("fused", ("events", "stats"),
                                        fused_eligible)
     return registry
@@ -141,14 +159,17 @@ def run_tape(tape: Tape, mode: str,
         return _run_fused(tape, config)
     if mode not in _INTERLEAVER_MODES:
         raise ValueError(f"unknown differ mode {mode!r}")
-    system = MultiprocessorSystem(config)
+    probe = (InstrumentationProbe(bin_width=_PROBE_BIN_WIDTH,
+                                  record_events=False)
+             if mode in _PROBED_MODES else None)
+    system = MultiprocessorSystem(config, instrumentation=probe)
     oracle = FunctionalOracle(system) if mode == "oracle" else None
-    interleaver = TimingInterleaver(
-        system, observer=oracle,
-        backend="native" if mode == "native" else "python")
+    backend = _INTERLEAVER_MODES[mode]
+    interleaver = TimingInterleaver(system, observer=oracle,
+                                    backend=backend)
     _chunk_processes(interleaver, tape)
     result = PathResult(name=mode)
-    if mode == "native":
+    if backend == "native":
         result.fast_engaged = interleaver._native_eligible
     try:
         execution_time = interleaver.run(max_cycles=max_cycles)
@@ -172,6 +193,8 @@ def run_tape(tape: Tape, mode: str,
                    for cluster_id, cluster
                    in enumerate(system.clusters)},
     }
+    if probe is not None:
+        result.fingerprint["metrics"] = probe.registry.as_dict()
     return result
 
 

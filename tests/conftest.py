@@ -4,48 +4,87 @@ import sys
 
 import pytest
 
-#: The one statement the mutant changes: when a read miss lets its
-#: processor carry on.
-_READ_MISS_DONE = "*done = fill + 1;"
+#: The statements the mutants change, each ``(needle, replacement)``:
+#: when a read miss lets its processor carry on (the timing path) ...
+READ_MISS_DONE = ("*done = fill + 1;", "*done = fill + 2;")
+#: ... and the last bin's share of a span that straddles a bin boundary
+#: (the metrics section: no clock, no statistic depends on it).
+SPAN_LAST_BIN = ("s->bins[last] += end - last * width;",
+                 "s->bins[last] += end - last * width + 1;")
 
 
 @pytest.fixture(scope="session")
 def mutant_native(tmp_path_factory):
-    """``_native`` with an off-by-one in its read-miss path, built from
-    the source text into a cache of its own -- the production object
-    carries no mutation switch.  Skips, with the loader's reason, on a
-    host that cannot build the extension at all."""
+    """``mutant_native(needle, replacement)``: ``_native`` with that one
+    statement changed, built from the source text into a cache of its
+    own (once per session) -- the production object carries no mutation
+    switch.  Skips, with the loader's reason, on a host that cannot
+    build the extension at all."""
     from repro.trace.engine import native, native_unavailable_reason
-    if native.load() is None:
-        pytest.skip(f"native replay backend unavailable: "
-                    f"{native_unavailable_reason()}")
-    source = native._source_path().read_text()
-    assert source.count(_READ_MISS_DONE) == 1
+    built = {}
     root = tmp_path_factory.mktemp("mutant-native")
-    mutated = root / "_native.c"
-    mutated.write_text(source.replace(_READ_MISS_DONE, "*done = fill + 2;"))
-    # Loading a single-phase extension also registers it in sys.modules,
-    # where a later ``load()`` would find the mutant as the in-place build.
-    name = "repro.trace.engine._native"
-    registered = sys.modules.get(name)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_NATIVE_CACHE", str(root / "cache"))
-        patch.setattr(native, "_source_path", lambda: mutated)
-        patch.setattr(native, "LOAD_ERROR", None)
-        try:
-            module = native._compile_on_demand()
-            assert module is not None, native.LOAD_ERROR
-        finally:
-            if registered is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = registered
-    return module
+
+    def build(needle, replacement):
+        if (needle, replacement) in built:
+            return built[needle, replacement]
+        if native.load() is None:
+            pytest.skip(f"native replay backend unavailable: "
+                        f"{native_unavailable_reason()}")
+        source = native._source_path().read_text()
+        assert source.count(needle) == 1
+        mutated = root / f"mutant{len(built)}" / "_native.c"
+        mutated.parent.mkdir()
+        mutated.write_text(source.replace(needle, replacement))
+        # Loading a single-phase extension also registers it in
+        # sys.modules, where a later ``load()`` would find the mutant as
+        # the in-place build.
+        name = "repro.trace.engine._native"
+        registered = sys.modules.get(name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_CACHE", str(root / "cache"))
+            patch.setattr(native, "_source_path", lambda: mutated)
+            patch.setattr(native, "LOAD_ERROR", None)
+            try:
+                module = native._compile_on_demand()
+                assert module is not None, native.LOAD_ERROR
+            finally:
+                if registered is None:
+                    sys.modules.pop(name, None)
+                else:
+                    sys.modules[name] = registered
+        built[needle, replacement] = module
+        return module
+
+    return build
 
 
 @pytest.fixture
 def off_by_one_read_miss(mutant_native, monkeypatch):
     """Run the native engine (and only it: the reference loop shares no
-    code with ``_native.c``) on the mutant for one test."""
+    code with ``_native.c``) on the timing mutant for one test."""
     from repro.trace.engine import native
-    monkeypatch.setattr(native, "_mod", mutant_native)
+    monkeypatch.setattr(native, "_mod", mutant_native(*READ_MISS_DONE))
+
+
+@pytest.fixture
+def off_by_one_last_bin(mutant_native, monkeypatch):
+    """... on the metrics mutant for one test."""
+    from repro.trace.engine import native
+    monkeypatch.setattr(native, "_mod", mutant_native(*SPAN_LAST_BIN))
+
+
+@pytest.fixture
+def engines_used(monkeypatch):
+    """``engine_used`` of every interleaver run in the test, in order."""
+    from repro.trace.interleave import TimingInterleaver
+    used = []
+    real = TimingInterleaver.run
+
+    def run(self, max_cycles=None):
+        try:
+            return real(self, max_cycles)
+        finally:
+            used.append(self.engine_used)
+
+    monkeypatch.setattr(TimingInterleaver, "run", run)
+    return used

@@ -10,8 +10,11 @@ too.  The removed ``numpy`` tier's name rides the same grid: a stored
 request naming it must still run, on python, to the same fingerprints.
 """
 
+import json
+
 import pytest
 
+from repro.instrument import InstrumentationProbe
 from repro.trace.engine import (available_backends, native_available,
                                 native_unavailable_reason,
                                 resolve_backend)
@@ -29,6 +32,31 @@ def test_backend_matches_golden(key, backend, monkeypatch):
     assert resolve_backend() == ("python" if backend == "numpy"
                                  else backend)
     assert fingerprint(run_key(key)) == GOLDEN[key]
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="native extension unavailable")
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_native_probe_registry_matches_the_reference_loop(
+        key, monkeypatch, engines_used):
+    """Every golden point under the standard probe: the registry and
+    the cached digest are the same text on both engines -- same keys,
+    same bins, same types -- on top of the fingerprint.  The
+    ``instrumented`` keys (and every machine the engine runs) must get
+    there natively; variants it does not run compare python to python.
+    """
+    text = {}
+    for backend in ("python", "native"):
+        monkeypatch.setenv("REPRO_ENGINE", backend)
+        probe = InstrumentationProbe(bin_width=512, record_events=False)
+        assert fingerprint(run_key(key, probe=probe)) == GOLDEN[key]
+        text[backend] = (
+            json.dumps(probe.registry.as_dict(), sort_keys=True),
+            json.dumps(probe.summary(), sort_keys=True))
+    assert text["native"] == text["python"]
+    reference_only = key.endswith(("|assoc2", "|private", "|directory"))
+    assert engines_used == ["python",
+                            "python" if reference_only else "native"]
 
 
 def test_native_tier_present_or_reason():

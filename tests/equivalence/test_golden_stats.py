@@ -62,8 +62,9 @@ def fingerprint(result):
     }
 
 
-def run_key(key, packed=True):
-    """Reproduce the run a golden key describes on the current tree."""
+def run_key(key, packed=True, probe=None):
+    """Reproduce the run a golden key describes on the current tree
+    (``probe``: carry this one whatever the key says)."""
     parts = key.split("|")
     name, procs, scc = parts[0], int(parts[1][1:]), int(parts[2][1:])
     tail = parts[3] if len(parts) > 3 else None
@@ -75,8 +76,8 @@ def run_key(key, packed=True):
                           **extra)
     workload = WORKLOADS[name]()
     workload.packed = packed
-    probe = (InstrumentationProbe(bin_width=512, record_events=False)
-             if tail == "instrumented" else None)
+    if probe is None and tail == "instrumented":
+        probe = InstrumentationProbe(bin_width=512, record_events=False)
     return run_simulation(config, workload, instrumentation=probe)
 
 

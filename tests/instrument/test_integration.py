@@ -33,6 +33,40 @@ class TestBusSaturation:
         assert hot > cool
 
 
+@pytest.mark.parametrize("backend", ["python", "native"])
+def test_probe_agrees_with_the_machines_own_statistics(backend):
+    """What the probe counted and binned equals what the simulator's
+    end-of-run statistics say, on either engine (the native one bins in
+    C and folds in after the run; without the extension the request
+    degrades to the reference loop and the check is the same)."""
+    config = SystemConfig.paper_parallel(processors_per_cluster=4,
+                                         scc_size=4 * KB)
+    probe = InstrumentationProbe(bin_width=64, record_events=False)
+    result = run_simulation(config, MP3D(n_particles=120, steps=2),
+                            instrumentation=probe, backend=backend)
+    stats = result.stats
+    scc = stats.total_scc
+    counters = probe.registry.counters
+    digest = probe.summary()
+    assert counters["cache_misses"] == scc.read_misses + scc.write_misses
+    assert counters["cache_hits"] + counters["cache_misses"] \
+        == counters["bank_accesses"] == scc.reads + scc.writes
+    assert counters["invalidations"] == stats.total_invalidations > 0
+    assert digest["bank_conflict_cycles"] == scc.bank_conflict_cycles > 0
+    assert counters.get("write_buffer_stall_cycles", 0) \
+        == scc.write_buffer_stall_cycles
+    assert probe.registry.timeline("bus.occupancy").total() \
+        == counters["bus_busy_cycles"]
+    assert probe.registry.timeline("bus.invalidations").total() \
+        == counters["invalidations"]
+    for proc_id, proc in enumerate(stats.processors):
+        for kind, cycles in (("busy", proc.busy_cycles),
+                             ("memory", proc.memory_stall_cycles),
+                             ("sync", proc.sync_stall_cycles)):
+            assert probe.registry.timeline(
+                f"proc{proc_id}.{kind}").total() == cycles
+
+
 class TestProbeThreading:
     def test_uninstrumented_result_has_no_probe(self):
         config = SystemConfig.paper_parallel(processors_per_cluster=2,

@@ -196,6 +196,57 @@ class TestRegistry:
                 == registry.timeline("bus.occupancy").series())
 
 
+class TestAbsorb:
+    """``absorb`` leaves the registry as the callbacks would have."""
+
+    def test_equals_the_callbacks_it_stands_in_for(self):
+        called = InstrumentationProbe(bin_width=10, record_events=False)
+        called.bus_acquire("bus", 3, 8, 4)
+        called.bank_access(1, 2, 20, 25, 5)
+        called.bank_access(0, 0, 30, 30, 0)
+        called.write_buffer(1, 0, 31, 2, 0)
+        called.cache_access(0, 7, False, False, 0, 9)
+        called.invalidation(0, 7, 2, 8)
+        called.proc_busy(3, 0, 1)
+        called.proc_stall(3, "memory", 1, 12)
+        told = InstrumentationProbe(bin_width=10, record_events=False)
+        told.absorb(
+            {"bus_transactions": 1, "bus_busy_cycles": 4,
+             "bus_wait_cycles": 5, "bank_accesses": 2,
+             "bank_conflict_events": 1, "write_buffer_stalls": 0,
+             "write_buffer_stall_cycles": 0, "cache_hits": 0,
+             "cache_misses": 1, "invalidations": 2},
+            bus=([2, 2], [5], [2]),
+            bank_conflict=[[[], [], []], [[], [], [0, 0, 5]]],
+            write_buffer=[[], [0, 0, 0, 2]],
+            busy=[[], [], [], [1]],
+            memory=[[], [], [], [9, 2]])
+        assert told.registry.as_dict() == called.registry.as_dict()
+        assert "cache_hits" not in told.registry.counters
+        assert "cluster0.bank0.conflict" not in told.registry.timelines
+
+    def test_a_grant_counts_its_zero_wait(self):
+        probe = InstrumentationProbe(record_events=False)
+        probe.absorb({"bus_transactions": 2, "bus_busy_cycles": 8,
+                      "bus_wait_cycles": 0},
+                     bus=([8], [], []), bank_conflict=[],
+                     write_buffer=[], busy=[], memory=[])
+        assert probe.registry.counters == {
+            "bus_transactions": 2, "bus_busy_cycles": 8,
+            "bus_wait_cycles": 0}
+
+    def test_merges_with_what_the_callbacks_recorded(self):
+        probe = InstrumentationProbe(bin_width=10, record_events=False)
+        probe.write_buffer(0, 0, 5, 3, 0)
+        probe.proc_busy(0, 8, 4)
+        probe.absorb({}, bus=([], [], []), bank_conflict=[[[]]],
+                     write_buffer=[[1, 4]], busy=[[5]], memory=[[]])
+        timelines = probe.registry.timelines
+        assert timelines["cluster0.write_buffer"].series() == [3.0, 4.0]
+        assert timelines["proc0.busy"].series() == [7.0, 2.0]
+        assert "proc0.memory" not in timelines
+
+
 class TestProbeLifecycle:
     def test_finalize_and_summary(self):
         probe = InstrumentationProbe(bin_width=100)

@@ -1,5 +1,7 @@
 """Unit tests for interval-binned timelines."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,21 @@ class TestRecording:
             Timeline(bin_width=0)
         with pytest.raises(ValueError):
             Timeline(bin_width=10, mode="median")
+
+    def test_absorb_adds_sum_bins_and_grows(self):
+        tl = Timeline(bin_width=10)
+        tl.add_span(5, 15)
+        tl.absorb([1, 0, 4])
+        assert tl.series() == [6.0, 5.0, 4.0]
+        tl.absorb([])
+        assert tl.series() == [6.0, 5.0, 4.0]
+
+    def test_absorb_keeps_the_high_water_in_max_mode(self):
+        tl = Timeline(bin_width=10, mode="max")
+        tl.add_sample(5, 3)
+        tl.absorb([2, 7])
+        assert tl.series() == [3.0, 7.0]
+        assert {type(value) for value in tl.series()} == {float}
 
 
 class TestReading:
@@ -134,6 +151,10 @@ class TestSerialization:
         assert clone.bin_width == tl.bin_width
         assert clone.mode == tl.mode
         assert clone.series() == tl.series()
+        # the identity, types included: a max-mode bin used to hold the
+        # caller's int until the first round trip made it a float
+        assert json.dumps(clone.as_dict()) == json.dumps(tl.as_dict())
+        assert {type(value) for value in tl.series()} == {float}
 
 
 class TestTimelineProperties:

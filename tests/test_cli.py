@@ -5,6 +5,10 @@ import argparse
 import pytest
 
 from repro.cli import main, parse_size
+from repro.trace.engine import native_available
+
+needs_native = pytest.mark.skipif(not native_available(),
+                                  reason="native extension unavailable")
 
 
 class TestParseSize:
@@ -86,6 +90,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bus utilization" in out
         assert "trace written" not in out
+
+    @needs_native
+    def test_profile_rides_the_native_engine(self, capsys, monkeypatch,
+                                             engines_used):
+        """Without ``--trace-out`` nothing reads the event log, so the
+        probe keeps none and the run stays native -- to the same bytes
+        on stdout as the reference loop."""
+        out = {}
+        for engine in ("python", "native"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            assert main(["profile", "mp3d", "--procs", "8",
+                         "--scc", "4KB"]) == 0
+            out[engine] = capsys.readouterr().out
+        assert engines_used == ["python", "native"]
+        assert out["native"] == out["python"]
+        assert "bank conflicts" in out["native"]
+
+    @needs_native
+    def test_profile_trace_out_keeps_the_reference_loop(
+            self, capsys, monkeypatch, tmp_path, engines_used):
+        """The Chrome trace needs the event log, which only the
+        per-event loop can fill; the file does not depend on the engine
+        that was asked for."""
+        for engine in ("python", "native"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            assert main(["profile", "mp3d", "--procs", "2", "--scc", "2KB",
+                         "--trace-out", str(tmp_path / engine)]) == 0
+            assert "trace written" in capsys.readouterr().out
+        assert engines_used == ["python", "python"]
+        assert ((tmp_path / "native").read_bytes()
+                == (tmp_path / "python").read_bytes())
 
     def test_fuzz_clean_campaign(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path))

@@ -6,6 +6,8 @@ and the fuzz corpus; this module covers the selection machinery
 beyond "same numbers as the reference loop".
 """
 
+import json
+
 import pytest
 
 from repro.trace.engine import (BACKEND_CHOICES, available_backends,
@@ -91,7 +93,7 @@ def test_differ_registry_covers_available_backends():
     from repro.verify.differ import engine_registry
     expected = {"oracle"}
     if native_available():
-        expected |= {"native", "fused"}
+        expected |= {"native", "instrumented", "fused"}
     assert set(engine_registry()) == expected
 
 
@@ -104,13 +106,13 @@ needs_native = pytest.mark.skipif(not native_available(),
                                   reason="native extension unavailable")
 
 
-def _interleaver(config, streams, backend):
+def _interleaver(config, streams, backend, probe=None):
     """``streams``: per-processor lists of pieces, each a packed chunk
     (a list of ints) or an event object (the object path)."""
     from repro.core.system import MultiprocessorSystem
     from repro.trace.interleave import TimingInterleaver
     from repro.trace.packed import PackedChunk
-    system = MultiprocessorSystem(config)
+    system = MultiprocessorSystem(config, instrumentation=probe)
     interleaver = TimingInterleaver(system, backend=backend)
     for pid, pieces in streams.items():
         interleaver.add_process(
@@ -120,9 +122,13 @@ def _interleaver(config, streams, backend):
     return system, interleaver
 
 
-def _outcome(config, streams, backend, max_cycles=None):
-    """Everything observable about one run, errors included."""
-    system, interleaver = _interleaver(config, streams, backend)
+def _outcome(config, streams, backend, max_cycles=None, bin_width=None):
+    """Everything observable about one run, errors included; with a
+    ``bin_width``, under the standard probe and with its registry."""
+    from repro.instrument import InstrumentationProbe
+    probe = (InstrumentationProbe(bin_width=bin_width, record_events=False)
+             if bin_width else None)
+    system, interleaver = _interleaver(config, streams, backend, probe)
     error = None
     finish = 0
     try:
@@ -131,6 +137,9 @@ def _outcome(config, streams, backend, max_cycles=None):
         error = (type(exc).__name__, str(exc))
     assert interleaver.engine_used == backend
     return {
+        # (text, so that 4 and 4.0, or a missing key and a zero, differ)
+        "metrics": probe and json.dumps(probe.registry.as_dict(),
+                                        sort_keys=True),
         "error": error,
         "finish": finish,
         # (an abort leaves the clocks wherever the engine last stored them)
@@ -302,51 +311,115 @@ class TestNativeScheduler:
         python's alone); the reference protocol code still runs, but
         only under ``_advance``'s object path.  The hand-backs
         themselves did not move."""
-        import sys
         import repro.core.coherence as coherence
-        from repro.core.config import SystemConfig
-        from repro.experiments.spec import PROFILES
-        from repro.simulation import build_system
-        from repro.trace.engine import native
-        from repro.trace.interleave import TimingInterleaver
-
-        run_c = native.load().run
-        protocol_file = coherence.__file__
-        advance = TimingInterleaver._advance.__code__
-        frames = {"under_c": 0, "object_path": 0, "elsewhere": 0}
-        in_c = [False]
-
-        def profiler(frame, event, arg):
-            if event == "call":
-                if frame.f_code.co_filename != protocol_file:
-                    return
-                if in_c[0]:
-                    frames["under_c"] += 1
-                    return
-                while frame is not None and frame.f_code is not advance:
-                    frame = frame.f_back
-                frames["object_path" if frame else "elsewhere"] += 1
-            elif arg is run_c:
-                in_c[0] = event == "c_call"
-
-        profile = PROFILES["quick"]
-        config = SystemConfig.paper_parallel(
-            8, 8 * 1024 // profile.ladder_scale)
-        interleaver = TimingInterleaver(build_system(config),
-                                        backend="native")
-        for pid, generator in profile.barnes_hut().processes(
-                config).items():
-            interleaver.add_process(pid, generator)
-        sys.setprofile(profiler)
-        try:
-            interleaver.run()
-        finally:
-            sys.setprofile(None)
-        assert interleaver.engine_used == "native"
+        interleaver, frames = _profiled_bh8p(coherence.__file__)
         assert frames["under_c"] == 0 and frames["elsewhere"] == 0
         assert frames["object_path"] > 0
         assert interleaver.engine_returns == {
             "refill": 299, "object": 5133, "sync": 0}
+
+    def test_neither_does_telling_the_probe(self):
+        """The same point under the standard probe: the same hand-backs
+        (the probe costs no re-entry), and no ``repro.instrument.probes``
+        frame while ``_native.run`` is on the C stack -- C bins what it
+        executes, the object path's events still call the probe."""
+        import repro.instrument.probes as probes
+        probe = probes.InstrumentationProbe(record_events=False)
+        interleaver, frames = _profiled_bh8p(probes.__file__, probe)
+        assert frames["under_c"] == 0
+        assert frames["object_path"] > 0
+        assert interleaver.engine_returns == {
+            "refill": 299, "object": 5133, "sync": 0}
+        counters = probe.registry.counters
+        assert counters["bank_accesses"] == \
+            counters["cache_hits"] + counters["cache_misses"] > 100_000
+
+
+def _profiled_bh8p(source_file, probe=None):
+    """Run quick Barnes-Hut 8p/8KB on the native engine under
+    ``sys.setprofile``; counts the python frames of ``source_file``
+    entered while ``_native.run`` was on the C stack (``under_c``),
+    under ``_advance``'s object path, and elsewhere."""
+    import sys
+    from repro.core.config import SystemConfig
+    from repro.experiments.spec import PROFILES
+    from repro.simulation import build_system
+    from repro.trace.engine import native
+    from repro.trace.interleave import TimingInterleaver
+
+    run_c = native.load().run
+    advance = TimingInterleaver._advance.__code__
+    frames = {"under_c": 0, "object_path": 0, "elsewhere": 0}
+    in_c = [False]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            if frame.f_code.co_filename != source_file:
+                return
+            if in_c[0]:
+                frames["under_c"] += 1
+                return
+            while frame is not None and frame.f_code is not advance:
+                frame = frame.f_back
+            frames["object_path" if frame else "elsewhere"] += 1
+        elif arg is run_c:
+            in_c[0] = event == "c_call"
+
+    profile = PROFILES["quick"]
+    config = SystemConfig.paper_parallel(
+        8, 8 * 1024 // profile.ladder_scale)
+    interleaver = TimingInterleaver(build_system(config, probe),
+                                    backend="native")
+    for pid, generator in profile.barnes_hut().processes(config).items():
+        interleaver.add_process(pid, generator)
+    sys.setprofile(profiler)
+    try:
+        interleaver.run()
+    finally:
+        sys.setprofile(None)
+    assert interleaver.engine_used == "native"
+    return interleaver, frames
+
+
+@needs_native
+class TestNativeEligibility:
+    """Which probes the native engine can stand in for: none, and
+    exactly the standard one without its event log."""
+
+    @staticmethod
+    def _engine_used(probe=None, observer=None):
+        from repro.core.config import SystemConfig
+        from repro.core.system import MultiprocessorSystem
+        from repro.trace.interleave import TimingInterleaver
+        from repro.trace.packed import PackedChunk
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=512)
+        system = MultiprocessorSystem(config, instrumentation=probe)
+        interleaver = TimingInterleaver(system, observer=observer,
+                                        backend="native")
+        interleaver.add_process(
+            0, iter([PackedChunk([OP_READ, 0, OP_COMPUTE, 3])]))
+        interleaver.run()
+        return interleaver.engine_used
+
+    def test_no_probe_and_the_standard_probe_run_native(self):
+        from repro.instrument import InstrumentationProbe
+        assert self._engine_used() == "native"
+        probe = InstrumentationProbe(record_events=False)
+        assert self._engine_used(probe) == "native"
+        assert probe.registry.counters["cache_misses"] == 1
+
+    def test_everything_that_needs_the_calls_keeps_the_reference_loop(self):
+        from repro.instrument import InstrumentationProbe, NullProbe
+        from repro.trace.racecheck import RaceDetector
+
+        class Subclass(InstrumentationProbe):
+            pass
+
+        assert self._engine_used(InstrumentationProbe()) == "python"
+        assert self._engine_used(Subclass(record_events=False)) == "python"
+        assert self._engine_used(NullProbe()) == "python"   # duck-typed
+        assert self._engine_used(observer=RaceDetector()) == "python"
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +517,93 @@ def test_native_miss_path_matches_the_reference_protocol(name, protocol):
     assert _outcome(config, streams, "native") == reference
 
 
+def _probed_tapes():
+    """The directed tapes again, for the probed run, plus one whose
+    spans straddle bins: at ``bin_width=4`` processor 0's 9-cycle compute
+    (cycles 3-12) crosses two boundaries, and three misses queue behind
+    its fetch (granted at 12) -- the last, a write that first loses a
+    cycle to a bank conflict, waits 14-24 and kills cluster 0's copy of
+    A, still in flight, at its grant."""
+    def bins(outcome, name):
+        timelines = json.loads(outcome["metrics"])["timelines"]
+        return timelines[name]["bins"]
+
+    tapes = _coherence_tapes()
+    tapes["spans-straddling-bin-boundaries"] = (
+        {0: [[OP_COMPUTE, 3, OP_COMPUTE, 9, OP_READ, A]],
+         1: [[OP_COMPUTE, 13, OP_READ, B + 16]],
+         2: [[OP_COMPUTE, 13, OP_READ, 512]],
+         3: [[OP_COMPUTE, 13, OP_WRITE, A]]},
+        lambda out: bins(out, "proc0.busy") == [4.0, 4.0, 4.0, 1.0]
+        and bins(out, "bus.wait") == [0.0, 0.0, 0.0, 8.0, 8.0, 4.0]
+        and bins(out, "bus.invalidations") == [0.0] * 6 + [1.0]
+        and bins(out, "cluster1.bank0.conflict") == [0.0, 0.0, 0.0, 1.0]
+        and len(bins(out, "proc0.memory")) == 29)
+    return tapes
+
+
+@needs_native
+@pytest.mark.parametrize("protocol", ["msi", "mesi"])
+@pytest.mark.parametrize("name", sorted(_probed_tapes()))
+def test_native_timelines_match_the_reference_probe(name, protocol):
+    """Under the standard probe both engines leave the same registry,
+    counter for counter and bin for bin, and the timing they leave does
+    not know a probe was there.  "python-between-two-c-stints" is the
+    merge: its object-path read and its icache refill reach the probe
+    through the python objects, between two stints that C binned."""
+    from repro.core.config import SystemConfig
+    streams, check = _probed_tapes()[name]
+    config = SystemConfig(clusters=2, processors_per_cluster=2,
+                          scc_size=1024, protocol=protocol,
+                          model_icache=True, icache_size=1024)
+    reference = _outcome(config, streams, "python", bin_width=4)
+    assert reference["error"] is None
+    if protocol == "msi":
+        assert check(reference), reference
+    probed = _outcome(config, streams, "native", bin_width=4)
+    assert probed == reference
+    unprobed = _outcome(config, streams, "native")
+    assert dict(probed, metrics=None) == unprobed
+
+
+@needs_native
+def test_max_cycles_abort_leaves_the_same_partial_registry():
+    """The abort tape of ``TestNativeScheduler``, probed: what C had
+    binned when the limit hit is folded in on the way out, and equals
+    what the reference loop's callbacks had recorded by then."""
+    from repro.core.config import SystemConfig
+    config = SystemConfig(clusters=1, processors_per_cluster=2,
+                          scc_size=1024)
+    streams = {0: [[OP_READ, 0, OP_COMPUTE, 500, OP_READ, 64]],
+               1: [[OP_READ, 128, OP_COMPUTE, 1000, OP_READ, 256]]}
+    native = _outcome(config, streams, "native", max_cycles=300,
+                      bin_width=64)
+    assert native["error"] == ("RuntimeError",
+                               "simulation exceeded 300 cycles")
+    counters = json.loads(native["metrics"])["counters"]
+    assert counters["cache_misses"] == 2 and "cache_hits" not in counters
+    assert native == _outcome(config, streams, "python", max_cycles=300,
+                              bin_width=64)
+
+
+@needs_native
+def test_a_negative_clock_cannot_index_before_the_bins():
+    """A hostile tape: the reference loop refuses negative compute
+    cycles; C runs them and the clock goes backwards.  The bin buffers
+    are indexed by the clock, so the probed engine must refuse too
+    rather than write before them (ASan watches this test in CI)."""
+    from repro.core.config import SystemConfig
+    config = SystemConfig(clusters=1, processors_per_cluster=1,
+                          scc_size=1024)
+    streams = {0: [[OP_COMPUTE, -50, OP_READ, 0]]}
+    reference = _outcome(config, streams, "python", bin_width=4)
+    assert reference["error"] == ("ValueError",
+                                  "compute cycles must be non-negative")
+    native = _outcome(config, streams, "native", bin_width=4)
+    assert native["error"] == ("ValueError",
+                               "cycle outside the timeline range")
+
+
 @needs_native
 class TestNativeAbiGuard:
     def test_source_and_wrapper_agree_on_the_abi(self):
@@ -463,20 +623,20 @@ class TestNativeAbiGuard:
                                                           monkeypatch):
         """An ``_native`` left by an older ``build_ext --inplace`` must
         not be handed out: the previous ABI has every entry point by
-        name and would misread the plan (its ``setup`` expects the two
-        coherence callbacks this ABI dropped)."""
+        name and would misread the plan (its ``setup`` expects seven
+        entries, not the eighth that carries the probe's buffers)."""
         from types import SimpleNamespace
         import repro.trace.engine as engine
         from repro.trace.engine import native
         real = native.load()
         stale = SimpleNamespace(
-            ABI_VERSION="3", __file__="old.so", setup=real.setup,
+            ABI_VERSION="4", __file__="old.so", setup=real.setup,
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "4"
+        assert native.NATIVE_VERSION == "5"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '3', need '4'")
+            "stale extension old.so: ABI '4', need '5'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()

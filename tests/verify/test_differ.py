@@ -46,9 +46,14 @@ class TestAgreement:
         tape = generate_tape(seed)
         generic = run_tape(tape, "generic")
         fast = run_tape(tape, "native")
+        probed = run_tape(tape, "instrumented")
         assert generic.engine_used == "python"
-        assert fast.engine_used == "native"
+        assert fast.engine_used == probed.engine_used == "native"
         assert generic.error is None and fast.error is None
+        # the baseline carries the probe for ``instrumented``'s sake
+        assert generic.fingerprint == probed.fingerprint
+        assert generic.fingerprint["metrics"]["counters"]["bank_accesses"]
+        del generic.fingerprint["metrics"]
         assert generic.fingerprint == fast.fingerprint
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -4,12 +4,18 @@ repro.  The snoopy miss path lives twice -- ``CoherenceController`` for
 the reference loop, ``_native.c`` for the native engine -- so the mutant
 is a second build of the C source with one statement changed (the
 ``off_by_one_read_miss`` fixture, ``tests/conftest.py``): it diverges
-exactly the ``native`` engine from the generic baseline."""
+exactly the ``native`` engine from the generic baseline.  So do the
+probe's callbacks -- ``InstrumentationProbe`` and the C "metrics"
+section -- and a second mutant (``off_by_one_last_bin``) changes one
+statement there: it diverges exactly the ``instrumented`` engine."""
 
 import pytest
 
 from repro.trace.engine import native
-from repro.verify import diff_tape, generate_tape, run_fuzz, shrink_tape
+from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
+                          shrink_tape)
+
+from ..conftest import READ_MISS_DONE
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -57,6 +63,43 @@ class TestMutationIsCaught:
         assert report.counters["diverged"] >= 1
 
 
+@needs_native
+class TestMetricsMutationIsCaught:
+    """A bug in the metrics section cannot hide in the timing path, or
+    leak into it: the unprobed ``native`` engine stays clean on the
+    mutant, the ``instrumented`` one is the kind reported."""
+
+    def test_last_bin_off_by_one_diverges_only_the_metrics(
+            self, off_by_one_last_bin):
+        tape, divergence = _first_diverging_tape()
+        assert divergence.kind == "instrumented"
+        assert divergence.detail
+        assert all(line.startswith("metrics.timelines.")
+                   for line in divergence.detail)
+        assert run_tape(tape, "native").fingerprint == {
+            section: value for section, value
+            in run_tape(tape, "generic").fingerprint.items()
+            if section != "metrics"}
+
+    def test_divergence_shrinks_and_is_clean_unmutated(
+            self, off_by_one_last_bin):
+        tape, _ = _first_diverging_tape()
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert diff_tape(shrunk).kind == "instrumented"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", native._UNSET)
+            assert diff_tape(shrunk) is None
+
+    def test_fuzz_campaign_reports_the_instrumented_engine(
+            self, off_by_one_last_bin, tmp_path):
+        report = run_fuzz(seed=0, budget=10, out_dir=tmp_path)
+        assert report.divergences
+        assert {record.kind for record in report.divergences} \
+            == {"instrumented"}
+
+
 class TestUnmutatedBaseline:
     def test_same_seeds_are_clean_without_the_mutation(self, tmp_path):
         report = run_fuzz(seed=0, budget=10, out_dir=tmp_path)
@@ -71,7 +114,7 @@ class TestUnmutatedBaseline:
         on the real implementation -- proving the shrink predicate
         tracked the injected bug, not generator noise."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", mutant_native)
+            patch.setattr(native, "_mod", mutant_native(*READ_MISS_DONE))
             tape, _ = _first_diverging_tape()
             shrunk, _ = shrink_tape(tape)
         assert diff_tape(shrunk) is None
