@@ -31,6 +31,21 @@ The profile has four parts:
 
 Profiles are cached on disk (:class:`ProfileCache`) keyed by the tape
 they came from, so a warm sweep never touches the tape again.
+
+Two kernels compute the numbers, one assembler shapes them.
+:func:`build_row_profile` runs the "profile" section of
+``trace/engine/_native.c`` (``row_profile``: the whole job over flat
+64-bit buffers, ~60x faster) exactly when the native extension loaded,
+and the python functions of this module -- :func:`extract_process`,
+:func:`merge_refs`, ``_histogram_of``, :func:`coherence_ladder`,
+``_sharing_summary`` -- otherwise (``REPRO_NATIVE=0``, no compiler).
+The python functions are the reference: the C kernel's contract is
+their payload, byte for byte under ``json.dumps(sort_keys=True)``, and
+their exceptions; the differ's ``profile`` engine and
+``tests/model/test_profile.py`` hold it to that.  Both return the same
+flat tuple (see ``_reference_kernel``) and ``_row_payload`` alone knows
+the payload's shape, so a cached profile does not say -- or depend on
+-- which kernel wrote it.
 """
 
 from __future__ import annotations
@@ -40,16 +55,19 @@ import heapq
 import json
 import logging
 import os
+from array import array
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..core.icache import INSTRUCTION_BYTES
-from ..trace.analysis import _Fenwick
-from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
-                            OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
-                            OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WRITE,
-                            OP_WRITE_SPAN)
+from ..trace.analysis import _distances_from_lines
+from ..trace.engine import native
+from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_IFETCH,
+                            OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
+                            OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN,
+                            record_width)
 
 __all__ = ["MODEL_VERSION", "RowProfile", "ProfileCache",
            "build_row_profile", "extract_process", "merge_refs",
@@ -69,6 +87,11 @@ two (error bounded by ~1/16 of the distance, far below the model's
 other approximations)."""
 
 _BUCKETS_PER_OCTAVE = 8
+
+_SUMMARY_FIELDS = ("reads", "writes", "instructions", "compute_cycles",
+                   "lock_ops", "barriers", "events", "icache_misses")
+"""A process's work summary, in the slot order both kernels report it
+(``PF_*`` in ``_native.c``)."""
 
 
 def bucket_floor(distance: int) -> int:
@@ -102,13 +125,12 @@ class _BucketedHistogram:
         bucket = self.buckets.setdefault(bucket_floor(distance), [0, 0])
         bucket[is_write] += 1
 
-    def as_dict(self) -> dict:
-        return {
-            "cold_reads": self.cold_reads,
-            "cold_writes": self.cold_writes,
-            "buckets": [[floor, counts[0], counts[1]]
-                        for floor, counts in sorted(self.buckets.items())],
-        }
+    def flat(self) -> tuple:
+        """``(cold_reads, cold_writes, [[floor, reads, writes], ...])``
+        by ascending floor: a kernel's report of one histogram."""
+        return (self.cold_reads, self.cold_writes,
+                [[floor, counts[0], counts[1]]
+                 for floor, counts in sorted(self.buckets.items())])
 
     @classmethod
     def from_dict(cls, data: dict) -> "_BucketedHistogram":
@@ -130,7 +152,9 @@ def extract_process(data, line_shift: int,
     compute cycles, lock operations, barriers, events, and (when
     ``icache_config.model_icache``) exact instruction-cache misses at
     the recorded geometry -- the geometry is ladder-invariant, so these
-    are row constants.
+    are row constants.  A record that is unknown, cut off by the end of
+    the stream, or a non-empty span of non-positive stride raises
+    ``ValueError`` (:func:`~repro.trace.packed.record_width`).
     """
     refs: List[Tuple[int, int]] = []
     append = refs.append
@@ -146,14 +170,13 @@ def extract_process(data, line_shift: int,
     index, end = 0, len(data)
     while index < end:
         op = data[index]
+        width = record_width(data, index)
         if op == OP_READ:
             append((0, data[index + 1] >> line_shift))
             events += 1
-            index += 2
         elif op == OP_WRITE:
             append((1, data[index + 1] >> line_shift))
             events += 1
-            index += 2
         elif op == OP_IFETCH:
             count = data[index + 2]
             instructions += count
@@ -166,46 +189,28 @@ def extract_process(data, line_shift: int,
                     if itags[line & imask] != line:
                         itags[line & imask] = line
                         icache_misses += 1
-            index += 3
         elif op == OP_COMPUTE:
             compute += data[index + 1]
             events += 1
-            index += 2
         elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-            base = data[index + 1]
-            size = data[index + 2]
-            stride = data[index + 3]
+            base, size = data[index + 1], data[index + 2]
             is_write = 1 if op == OP_WRITE_SPAN else 0
-            for offset in range(0, size, stride):
-                append((is_write, (base + offset) >> line_shift))
-            events += (size + stride - 1) // stride
-            index += 4
-        elif op == OP_LOCK_ACQ or op == OP_LOCK_REL:
-            locks += 1
-            events += 1
-            index += 2
-        elif op == OP_BARRIER:
-            barriers += 1
-            events += 1
-            index += 3
-        elif op == OP_ENQUEUE:
-            events += 1
-            index += 3
-        elif op == OP_DEQUEUE:
-            events += 1
-            index += 2
+            if size > 0:    # (an empty span may carry any stride)
+                walked = range(0, size, data[index + 3])
+                for offset in walked:
+                    append((is_write, (base + offset) >> line_shift))
+                events += len(walked)
         else:
-            raise ValueError(f"unknown packed opcode {op} at word {index}")
-    summary = {
-        "reads": sum(1 for is_write, _ in refs if not is_write),
-        "writes": sum(1 for is_write, _ in refs if is_write),
-        "instructions": instructions,
-        "compute_cycles": compute,
-        "lock_ops": locks,
-        "barriers": barriers,
-        "events": events,
-        "icache_misses": icache_misses,
-    }
+            if op == OP_LOCK_ACQ or op == OP_LOCK_REL:
+                locks += 1
+            elif op == OP_BARRIER:
+                barriers += 1
+            events += 1     # ... and the two task-queue opcodes
+        index += width
+    writes = sum(is_write for is_write, _ in refs)
+    summary = dict(zip(_SUMMARY_FIELDS, (
+        len(refs) - writes, writes, instructions, compute, locks,
+        barriers, events, icache_misses)))
     return refs, summary
 
 
@@ -269,6 +274,8 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
     per_rung = [{"read_misses": 0, "write_misses": 0, "invalidations": 0,
                  "proc_read_misses": {}, "proc_write_misses": {}}
                 for _ in range(rungs)]
+    if not rungs:
+        return per_rung
     mask0, shift0 = geometry[0]
     for proc, is_write, line in refs:
         cluster = proc // procs_per_cluster
@@ -381,96 +388,147 @@ def build_row_profile(streams: Dict[int, Sequence], config:
     geometry prices the instruction caches; its line size and cluster
     layout shape everything else).  ``tracked_line_counts`` are the
     SCC line counts the exact ladder covers, ascending powers of two.
+
+    The C kernel does the work when the native extension is loaded, the
+    reference kernel otherwise; the profile is the same either way.
     """
-    line_shift = config.line_offset_bits
-    procs_per_cluster = config.processors_per_cluster
-    clusters = config.clusters
-    tracked = tuple(sorted(set(int(count)
-                               for count in tracked_line_counts)))
+    kernel = (_reference_kernel if native.load() is None
+              else _native_kernel)
+    return RowProfile(_row_payload(kernel, streams, config,
+                                   tracked_line_counts))
 
-    per_process: Dict[int, dict] = {}
-    proc_refs: Dict[int, List[Tuple[int, int]]] = {}
-    for proc in sorted(streams):
-        refs, summary = extract_process(streams[proc], line_shift,
-                                        icache_config=config)
-        proc_refs[proc] = refs
-        per_process[proc] = summary
 
-    process_histograms = {}
-    for proc, refs in proc_refs.items():
-        process_histograms[str(proc)] = _histogram_of(refs).as_dict()
+def _row_payload(kernel, streams: Dict[int, Sequence],
+                 config: SystemConfig,
+                 tracked_line_counts: Sequence[int]) -> dict:
+    """The payload ``kernel`` yields for a row: the one place that turns
+    a kernel's flat report (see :func:`_reference_kernel`) into the
+    JSON shape :class:`RowProfile` reads and :class:`ProfileCache`
+    stores."""
+    procs = sorted(streams)
+    tracked = sorted(set(int(count) for count in tracked_line_counts))
+    (summaries, process_histograms, cluster_histograms, ladder,
+     (shared_lines, interprocess_reuses, writer_sets,
+      exposure)) = kernel(streams, procs, config, tracked)
 
-    # Per-cluster merged streams (what the shared cache sees), tagged
-    # with the owning process for miss attribution.
-    cluster_refs: Dict[int, List[Tuple[int, int, int]]] = {}
-    cluster_histograms = {}
-    for cluster in range(clusters):
-        members = [proc for proc in sorted(proc_refs)
-                   if proc // procs_per_cluster == cluster]
-        tagged = [[(proc, is_write, line)
-                   for is_write, line in proc_refs[proc]]
-                  for proc in members]
-        merged = merge_refs(tagged)
-        cluster_refs[cluster] = merged
-        cluster_histograms[str(cluster)] = _histogram_of(
-            [(is_write, line) for _, is_write, line in merged]).as_dict()
+    def histograms(flat):
+        return {str(key): {"cold_reads": cold_reads,
+                           "cold_writes": cold_writes,
+                           "buckets": buckets}
+                for key, (cold_reads, cold_writes, buckets) in flat}
 
-    merged_global = merge_refs([cluster_refs[cluster]
-                                for cluster in range(clusters)])
-    ladder = coherence_ladder(merged_global, clusters,
-                              procs_per_cluster, tracked)
-    for entry in ladder:
-        entry["proc_read_misses"] = {
-            str(proc): count
-            for proc, count in sorted(entry["proc_read_misses"].items())}
-        entry["proc_write_misses"] = {
-            str(proc): count
-            for proc, count in sorted(entry["proc_write_misses"].items())}
+    def by_process(counts):
+        return {str(proc): count
+                for proc, count in zip(procs, counts) if count}
 
-    sharing = _sharing_summary(merged_global, clusters,
-                               procs_per_cluster)
-
-    payload = {
+    per_process = {str(proc): dict(zip(_SUMMARY_FIELDS, summary))
+                   for proc, summary in zip(procs, summaries)}
+    return {
         "model_version": MODEL_VERSION,
         "line_size": config.line_size,
-        "clusters": clusters,
-        "procs_per_cluster": procs_per_cluster,
-        "tracked_line_counts": list(tracked),
+        "clusters": config.clusters,
+        "procs_per_cluster": config.processors_per_cluster,
+        "tracked_line_counts": tracked,
         "reads": sum(summary["reads"] for summary in per_process.values()),
         "writes": sum(summary["writes"]
                       for summary in per_process.values()),
-        "per_process": {str(proc): summary
-                        for proc, summary in per_process.items()},
-        "process_histograms": process_histograms,
-        "cluster_histograms": cluster_histograms,
-        "ladder": ladder,
-        "sharing": sharing,
+        "per_process": per_process,
+        "process_histograms": histograms(zip(procs, process_histograms)),
+        "cluster_histograms": histograms(enumerate(cluster_histograms)),
+        "ladder": [{"read_misses": read_misses,
+                    "write_misses": write_misses,
+                    "invalidations": invalidations,
+                    "proc_read_misses": by_process(proc_read_misses),
+                    "proc_write_misses": by_process(proc_write_misses)}
+                   for (read_misses, write_misses, invalidations,
+                        proc_read_misses, proc_write_misses) in ladder],
+        "sharing": {
+            "shared_lines": shared_lines,
+            "writer_sets": {str(writers): lines
+                            for writers, lines in writer_sets},
+            "interprocess_reuses": interprocess_reuses,
+            "exposure": {str(cluster): value
+                         for cluster, value in enumerate(exposure)},
+        },
     }
-    return RowProfile(payload)
+
+
+def _native_kernel(streams: Dict[int, Sequence], procs: List[int],
+                   config: SystemConfig, tracked: List[int]) -> tuple:
+    """:func:`_reference_kernel`'s report, computed by ``row_profile``
+    in the native extension (which must be loaded)."""
+    tapes = tuple(data if type(data) is array and data.typecode == "q"
+                  else array("q", data)
+                  for data in (streams[proc] for proc in procs))
+    icache = ((config.icache_size // config.icache_line_size,
+               config.icache_line_size) if config.model_icache else None)
+    return native.load().row_profile(
+        tapes, procs, config.line_offset_bits, config.clusters,
+        config.processors_per_cluster, icache, tracked)
+
+
+def _reference_kernel(streams: Dict[int, Sequence], procs: List[int],
+                      config: SystemConfig, tracked: List[int]) -> tuple:
+    """The numbers of a row profile, from the python functions above.
+
+    Returns ``(summaries, process_histograms, cluster_histograms,
+    ladder, sharing)``: per process (in ``procs`` order) its work
+    summary in :data:`_SUMMARY_FIELDS` order and its
+    ``_BucketedHistogram.flat()``; per cluster the histogram of its
+    merged stream; per tracked rung ``(read_misses, write_misses,
+    invalidations, read misses by process, write misses by process)``;
+    and :func:`_sharing_summary`'s tuple.
+    """
+    procs_per_cluster = config.processors_per_cluster
+    clusters = config.clusters
+    summaries = []
+    proc_refs: List[List[Tuple[int, int]]] = []
+    for proc in procs:
+        refs, summary = extract_process(streams[proc],
+                                        config.line_offset_bits,
+                                        icache_config=config)
+        proc_refs.append(refs)
+        summaries.append(tuple(summary[name] for name in _SUMMARY_FIELDS))
+    process_histograms = [_histogram_of(refs).flat() for refs in proc_refs]
+
+    # Per-cluster merged streams (what the shared cache sees), tagged
+    # with the owning process for miss attribution.
+    cluster_refs: List[List[Tuple[int, int, int]]] = []
+    for cluster in range(clusters):
+        cluster_refs.append(merge_refs([
+            [(proc, is_write, line) for is_write, line in refs]
+            for proc, refs in zip(procs, proc_refs)
+            if proc // procs_per_cluster == cluster]))
+    cluster_histograms = [
+        _histogram_of([(is_write, line)
+                       for _, is_write, line in merged]).flat()
+        for merged in cluster_refs]
+
+    merged_global = merge_refs(cluster_refs)
+    ladder = [
+        (entry["read_misses"], entry["write_misses"],
+         entry["invalidations"],
+         [entry["proc_read_misses"].get(proc, 0) for proc in procs],
+         [entry["proc_write_misses"].get(proc, 0) for proc in procs])
+        for entry in coherence_ladder(merged_global, clusters,
+                                      procs_per_cluster, tracked)]
+    return (summaries, process_histograms, cluster_histograms, ladder,
+            _sharing_summary(merged_global, clusters, procs_per_cluster))
 
 
 def _histogram_of(refs: Sequence[Tuple[int, int]]) -> _BucketedHistogram:
     """Fully-associative stack-distance histogram of a reference
-    sequence, read/write split (Bennett-Kruskal over the line stream)."""
+    sequence, read/write split: a fold over the Bennett-Kruskal
+    distances of its line stream."""
     histogram = _BucketedHistogram()
-    tree = _Fenwick(len(refs))
-    last_position: Dict[int, int] = {}
-    for position, (is_write, line) in enumerate(refs):
-        previous = last_position.get(line)
-        if previous is None:
-            histogram.add(None, is_write)
-        else:
-            marks_before = tree.prefix_sum(previous + 1)
-            marks_total = tree.prefix_sum(position)
-            histogram.add(marks_total - marks_before, is_write)
-            tree.add(previous, -1)
-        tree.add(position, +1)
-        last_position[line] = position
+    distances = _distances_from_lines([line for _, line in refs])
+    for (is_write, _), distance in zip(refs, distances):
+        histogram.add(distance, is_write)
     return histogram
 
 
 def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
-                     clusters: int, procs_per_cluster: int) -> dict:
+                     clusters: int, procs_per_cluster: int) -> tuple:
     """Writer sets, inter-process reuse, and per-cluster exposure.
 
     Exposure estimates, per cluster, how many of its reads land on
@@ -481,6 +539,14 @@ def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
     least one remote write is ``w / (w + r)``; summed over shared
     lines this prices the interleaved-reuse correction for
     configurations the exact ladder does not track.
+
+    Returns ``(shared_lines, interprocess_reuses, writer_sets,
+    exposure)``: ``writer_sets`` is ``(writers, lines)`` pairs by
+    ascending writer count, ``exposure`` one float per cluster.  The
+    exposure sums are floats, so their order is part of the contract
+    the C kernel keeps: each cluster accumulates one term per shared
+    line, in the order ``refs`` first touches the lines, and each term
+    is a single int / int division.
     """
     line_writers: Dict[int, set] = {}
     line_cluster_counts: Dict[int, Dict[int, List[int]]] = {}
@@ -498,31 +564,23 @@ def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
             per_cluster = line_cluster_counts.setdefault(line, {})
             counts = per_cluster.setdefault(cluster, [0, 0])
             counts[is_write] += 1
-    writer_sets: Dict[str, int] = {}
-    for writers in line_writers.values():
-        key = str(len(writers))
-        writer_sets[key] = writer_sets.get(key, 0) + 1
-    exposure = {str(cluster): 0.0 for cluster in range(clusters)}
+    writer_sets = sorted(Counter(
+        len(writers) for writers in line_writers.values()).items())
+    exposure = [0.0] * clusters
     shared_lines = 0
-    if clusters > 1:
-        for line, per_cluster in line_cluster_counts.items():
-            if len(per_cluster) < 2:
-                continue
-            shared_lines += 1
-            for cluster, (reads, writes) in per_cluster.items():
-                remote_writes = sum(
-                    counts[1] for other, counts in per_cluster.items()
-                    if other != cluster)
-                if remote_writes and reads:
-                    local = reads + writes
-                    exposure[str(cluster)] += (
-                        reads * remote_writes / (remote_writes + local))
-    return {
-        "shared_lines": shared_lines,
-        "writer_sets": writer_sets,
-        "interprocess_reuses": interprocess_reuses,
-        "exposure": exposure,
-    }
+    for per_cluster in line_cluster_counts.values():
+        if len(per_cluster) < 2:
+            continue
+        shared_lines += 1
+        for cluster, (reads, writes) in per_cluster.items():
+            remote_writes = sum(
+                counts[1] for other, counts in per_cluster.items()
+                if other != cluster)
+            if remote_writes and reads:
+                local = reads + writes
+                exposure[cluster] += (
+                    reads * remote_writes / (remote_writes + local))
+    return shared_lines, interprocess_reuses, writer_sets, exposure
 
 
 class ProfileCache:

@@ -38,9 +38,8 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .events import Read, TraceEvent, Write
-from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
-                     OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk)
+from .packed import (OP_READ, OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN,
+                     PackedChunk, record_width)
 
 __all__ = ["data_lines", "stack_distances", "distance_histogram",
            "DistanceHistogram", "miss_ratio_curve", "working_set_lines"]
@@ -92,22 +91,15 @@ def _packed_data_lines(data, shift: int, out: List[int]) -> None:
     index, end = 0, len(data)
     while index < end:
         op = data[index]
+        width = record_width(data, index)
         if op == OP_READ or op == OP_WRITE:
             append(data[index + 1] >> shift)
-            index += 2
         elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-            base = data[index + 1]
-            size = data[index + 2]
-            stride = data[index + 3]
-            for offset in range(0, size, stride):
-                append((base + offset) >> shift)
-            index += 4
-        elif op in (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_DEQUEUE):
-            index += 2
-        elif op in (OP_IFETCH, OP_BARRIER, OP_ENQUEUE):
-            index += 3
-        else:
-            raise ValueError(f"unknown packed opcode {op} at word {index}")
+            base, size = data[index + 1], data[index + 2]
+            if size > 0:    # (an empty span may carry any stride)
+                for offset in range(0, size, data[index + 3]):
+                    append((base + offset) >> shift)
+        index += width
 
 
 def _line_shift(line_size: int) -> int:

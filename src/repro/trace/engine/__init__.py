@@ -18,7 +18,12 @@ The SCC/bus timing model has two implementations ("backends", psim's
   synchronization handlers and instruction-cache refills (the one
   callback left).  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
-  log) rides along: C bins its timelines and counters.
+  log) rides along: C bins its timelines and counters.  The same
+  extension carries the analytical tier's row-profile kernel
+  (:func:`repro.model.profile.build_row_profile` runs it when the
+  extension loaded, its python reference otherwise); that choice
+  follows the loader, not ``backend=``: a profile is the same either
+  way and no request can ask for the slow one.
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
@@ -59,7 +64,8 @@ ENGINE_ENV = "REPRO_ENGINE"
 _REFERENCE_LOOP_NOTE = (
     "running on the per-event reference loop with no fused ladder "
     "(same results; live paper points up to ~8x slower, tape replay "
-    "~10-25x, a warm uniprocessor ladder ~100x)")
+    "~10-25x, a warm uniprocessor ladder ~100x, an analytical row "
+    "profile ~60x)")
 
 
 def native_available() -> bool:

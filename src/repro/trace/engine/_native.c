@@ -37,16 +37,25 @@
  * process after its sync handler and ``-1`` pops the next ready process.
  * ``regs[R_SEQ]`` is ``interleaver._seq``, shared in both directions.
  * ``release(ctx)`` drops the buffer views deterministically.
+ *
+ * Two more sections share the build, the ``ABI_VERSION`` guard and the
+ * differ, and nothing else: the fused multi-configuration ladder
+ * (``ladder_*``) and the row-profile kernel (``row_profile``), each
+ * introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define OP_READ 1
 #define OP_WRITE 2
 #define OP_COMPUTE 3
 #define OP_IFETCH 4
+#define OP_LOCK_ACQ 5
+#define OP_LOCK_REL 6
 #define OP_BARRIER 7
 #define OP_ENQUEUE 8
 #define OP_DEQUEUE 9
@@ -57,7 +66,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "5"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "6"  /* == engine/native.py NATIVE_VERSION */
 
 #define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
@@ -2278,6 +2287,852 @@ fail:
     return NULL;
 }
 
+/* ==================================================================== */
+/* Row profiles (repro.model.profile)                                   */
+/* ==================================================================== */
+
+/* The numeric half of ``build_row_profile``: ``row_profile`` takes one
+ * row's packed streams and its geometry and returns, as flat tuples and
+ * lists, everything the payload is assembled from.  The contract is the
+ * reference kernel in src/repro/model/profile.py, function for function
+ * -- ``extract_process`` (pf_walk), ``merge_refs`` (pf_merge),
+ * ``_histogram_of`` over ``trace.analysis._distances_from_lines``
+ * (pf_histogram), ``coherence_ladder`` (pf_ladder), ``_sharing_summary``
+ * (pf_sharing) -- and the payloads must stay byte-identical, errors
+ * included: the differ's ``profile`` engine and tests/model compare them.
+ *
+ * Unlike ``run`` this section reads tapes it cannot trust (a profile is
+ * built from the on-disk trace cache): every record is checked to be
+ * known, whole and walkable before an operand is read, every table is
+ * sized from what the walk found, and every allocation is checked.  It
+ * touches no python object between parsing its arguments and building
+ * its result.
+ *
+ * Every data reference becomes a ``Ref``.  Lines are interned to dense
+ * ids as they are walked (one open-addressing table for the row), so the
+ * passes after the walk -- a histogram per process and per cluster, the
+ * sharing summary -- index arrays instead of hashing.  Where python's
+ * integers would outgrow 64 bits (a span or fetch running past the
+ * address space, 2^26 references in one row: past that a product in the
+ * exposure term stops being an exact double) the kernel raises
+ * OverflowError rather than differ.
+ */
+
+#define PF_MAX_REFS_LOG2 26
+#define PF_MAX_REFS (1LL << PF_MAX_REFS_LOG2)
+#define PF_EXACT 128            /* profile._EXACT_DISTANCES = 2^7 */
+#define PF_PER_OCTAVE_LOG2 3    /* profile._BUCKETS_PER_OCTAVE = 8 */
+#define PF_BUCKETS \
+    (PF_EXACT + ((PF_MAX_REFS_LOG2 - 7) << PF_PER_OCTAVE_LOG2))
+#define PF_INSTRUCTION_BYTES 4  /* repro.core.icache.INSTRUCTION_BYTES */
+
+/* packed.OP_WIDTH, by opcode */
+static const int PF_WIDTH[] = {0, 2, 2, 2, 3, 2, 2, 3, 3, 2, 4, 4};
+
+/* One process's work summary; slot order is profile._SUMMARY_FIELDS. */
+enum {
+    PF_READS, PF_WRITES, PF_INSTRUCTIONS, PF_COMPUTE, PF_LOCKS,
+    PF_BARRIERS, PF_EVENTS, PF_ICACHE_MISSES,
+    PF_SUMMARY
+};
+
+typedef struct {
+    long long line;
+    unsigned id;                /* dense: rank of first appearance */
+    unsigned proc : 31;         /* index into the sorted processor ids */
+    unsigned write : 1;
+} Ref;
+
+typedef struct {
+    Ref *refs;
+    long long n, cap;
+} RefVec;
+
+typedef struct {
+    long long line;
+    unsigned id_plus_1;         /* 0: empty slot */
+} LineSlot;
+
+typedef struct {
+    LineSlot *slots;
+    size_t cap;                 /* a power of two, or 0 before first use */
+    unsigned count;
+} LineTable;
+
+/* Read/write-split stack-distance histogram (``_BucketedHistogram``). */
+typedef struct {
+    long long cold[2];
+    long long buckets[PF_BUCKETS][2];
+} Hist;
+
+typedef struct {
+    double key;                 /* position / length */
+    int seq;
+} MergeSlot;
+
+/* ``count`` zeroed slots (calloc checks the product). */
+static void *
+pf_alloc(size_t count, size_t size)
+{
+    void *block = calloc(count ? count : 1, size);
+    if (!block)
+        PyErr_NoMemory();
+    return block;
+}
+
+static long long *
+pf_alloc_filled(size_t count, long long value)
+{
+    long long *block = pf_alloc(count, sizeof(long long));
+    if (block)
+        for (size_t i = 0; i < count; i++)
+            block[i] = value;
+    return block;
+}
+
+static inline long long
+pf_floor_div(long long a, long long b)      /* b > 0 */
+{
+    long long q = a / b;
+    return a % b < 0 ? q - 1 : q;
+}
+
+static inline size_t
+pf_line_hash(long long line)
+{
+    return (size_t)(((unsigned long long)line * 0x9E3779B97F4A7C15ULL)
+                    >> 32);
+}
+
+static int
+pf_lines_grow(LineTable *t)
+{
+    size_t cap = t->cap ? t->cap * 2 : 1024;
+    LineSlot *slots = pf_alloc(cap, sizeof(LineSlot));
+    if (!slots)
+        return -1;
+    for (size_t i = 0; i < t->cap; i++) {
+        if (!t->slots[i].id_plus_1)
+            continue;
+        size_t j = pf_line_hash(t->slots[i].line) & (cap - 1);
+        while (slots[j].id_plus_1)
+            j = (j + 1) & (cap - 1);
+        slots[j] = t->slots[i];
+    }
+    free(t->slots);
+    t->slots = slots;
+    t->cap = cap;
+    return 0;
+}
+
+/* The dense id of ``line``, interning it on first sight. */
+static int
+pf_lines_intern(LineTable *t, long long line, unsigned *id)
+{
+    if ((size_t)t->count * 2 >= t->cap && pf_lines_grow(t) < 0)
+        return -1;
+    size_t mask = t->cap - 1;
+    size_t i = pf_line_hash(line) & mask;
+    while (t->slots[i].id_plus_1) {
+        if (t->slots[i].line == line) {
+            *id = t->slots[i].id_plus_1 - 1;
+            return 0;
+        }
+        i = (i + 1) & mask;
+    }
+    t->slots[i].line = line;
+    t->slots[i].id_plus_1 = ++t->count;
+    *id = t->count - 1;
+    return 0;
+}
+
+/* Room for ``extra`` more references, counted against the row's bound. */
+static int
+pf_refs_reserve(RefVec *v, long long extra, long long *row_refs)
+{
+    if (extra > PF_MAX_REFS - *row_refs) {
+        PyErr_Format(PyExc_OverflowError,
+                     "row holds more than 2^%d data references",
+                     PF_MAX_REFS_LOG2);
+        return -1;
+    }
+    *row_refs += extra;
+    if (v->n + extra > v->cap) {
+        long long cap = v->cap ? v->cap * 2 : 256;
+        if (cap < v->n + extra)
+            cap = v->n + extra;
+        Ref *refs = realloc(v->refs, (size_t)cap * sizeof(Ref));
+        if (!refs) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        v->refs = refs;
+        v->cap = cap;
+    }
+    return 0;
+}
+
+/* ``extract_process``: one stream's data references (appended to ``out``)
+ * and work summary.  ``ilines`` 0: no instruction cache modelled. */
+static int
+pf_walk(const long long *data, long long end, unsigned proc,
+        long long line_shift, long long ilines, long long iline_size,
+        LineTable *table, RefVec *out, long long *row_refs, long long *sum)
+{
+    long long *itags = NULL;
+    long long i = 0;
+    if (ilines && !(itags = pf_alloc_filled((size_t)ilines, -1)))
+        return -1;
+    while (i < end) {
+        long long op = data[i];
+        if (op < OP_READ || op > OP_WRITE_SPAN) {
+            PyErr_Format(PyExc_ValueError,
+                         "unknown packed opcode %lld at word %lld", op, i);
+            goto fail;
+        }
+        int width = PF_WIDTH[op];
+        if (width > end - i) {
+            PyErr_Format(PyExc_ValueError,
+                         "truncated packed record at word %lld", i);
+            goto fail;
+        }
+        sum[PF_EVENTS]++;
+        if (op == OP_READ || op == OP_WRITE
+                || op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
+            long long base = data[i + 1], count = 1, stride = 0;
+            unsigned write = op == OP_WRITE || op == OP_WRITE_SPAN;
+            if (width == 4) {
+                long long size = data[i + 2];
+                long long furthest;
+                stride = data[i + 3];
+                if (size > 0 && stride <= 0) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "non-positive span stride at %lld", i);
+                    goto fail;
+                }
+                /* elements walked: a non-positive size is none */
+                count = size > 0 ? (size - 1) / stride + 1 : 0;
+                if (count && __builtin_add_overflow(
+                        base, (count - 1) * stride, &furthest))
+                    goto overflow;
+                sum[PF_EVENTS] += count - 1;
+            }
+            if (pf_refs_reserve(out, count, row_refs) < 0)
+                goto fail;
+            for (long long k = 0; k < count; k++) {
+                Ref *ref = &out->refs[out->n];
+                ref->line = (base + k * stride) >> line_shift;
+                ref->proc = proc;
+                ref->write = write;
+                if (pf_lines_intern(table, ref->line, &ref->id) < 0)
+                    goto fail;
+                out->n++;
+            }
+            sum[write ? PF_WRITES : PF_READS] += count;
+        }
+        else if (op == OP_IFETCH) {
+            long long addr = data[i + 1], count = data[i + 2];
+            if (__builtin_add_overflow(sum[PF_INSTRUCTIONS], count,
+                                       &sum[PF_INSTRUCTIONS]))
+                goto overflow;
+            if (itags) {
+                long long last;     /* (the loop must step past it) */
+                if (__builtin_mul_overflow(count, PF_INSTRUCTION_BYTES,
+                                           &last)
+                        || __builtin_add_overflow(addr, last, &last)
+                        || __builtin_sub_overflow(last, 1, &last)
+                        || last == LLONG_MAX)
+                    goto overflow;
+                last = pf_floor_div(last, iline_size);
+                for (long long line = pf_floor_div(addr, iline_size);
+                        line <= last; line++) {
+                    long long slot = line & (ilines - 1);
+                    if (itags[slot] != line) {
+                        itags[slot] = line;
+                        sum[PF_ICACHE_MISSES]++;
+                    }
+                }
+            }
+        }
+        else if (op == OP_COMPUTE) {
+            if (__builtin_add_overflow(sum[PF_COMPUTE], data[i + 1],
+                                       &sum[PF_COMPUTE]))
+                goto overflow;
+        }
+        else if (op == OP_LOCK_ACQ || op == OP_LOCK_REL)
+            sum[PF_LOCKS]++;
+        else if (op == OP_BARRIER)
+            sum[PF_BARRIERS]++;
+        i += width;
+    }
+    free(itags);
+    return 0;
+
+overflow:
+    PyErr_Format(PyExc_OverflowError,
+                 "packed operands at word %lld overflow 64 bits", i);
+fail:
+    free(itags);
+    return -1;
+}
+
+static inline int
+pf_slot_less(MergeSlot a, MergeSlot b)
+{
+    return a.key < b.key || (a.key == b.key && a.seq < b.seq);
+}
+
+/* ``merge_refs``: each step takes the next item of the sequence least far
+ * through itself.  ``heapq`` on ``(position / length, index)`` pops a
+ * total order (no two keys are equal), so any min-heap pops the same
+ * one; this one replaces its root instead of popping and pushing.
+ * ``heap`` and ``pos`` are scratch for ``k`` sequences. */
+static long long
+pf_merge(const Ref *const *seqs, const long long *lens, int k,
+         MergeSlot *heap, long long *pos, Ref *out)
+{
+    int size = 0;
+    long long n = 0;
+    for (int s = 0; s < k; s++) {
+        pos[s] = 0;
+        if (lens[s]) {      /* equal keys, ascending index: a heap */
+            heap[size].key = 0.0;
+            heap[size++].seq = s;
+        }
+    }
+    while (size) {
+        int s = heap[0].seq;
+        MergeSlot item;
+        out[n++] = seqs[s][pos[s]++];
+        if (pos[s] < lens[s]) {
+            item.key = (double)pos[s] / (double)lens[s];
+            item.seq = s;
+        }
+        else if (--size)
+            item = heap[size];
+        else
+            break;
+        int hole = 0;
+        for (;;) {
+            int child = 2 * hole + 1;
+            if (child >= size)
+                break;
+            if (child + 1 < size
+                    && pf_slot_less(heap[child + 1], heap[child]))
+                child++;
+            if (!pf_slot_less(heap[child], item))
+                break;
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = item;
+    }
+    return n;
+}
+
+static inline int
+pf_bucket(long long distance)
+{
+    if (distance < PF_EXACT)
+        return (int)distance;
+    int octave = 7;
+    while (distance >> (octave + 1))
+        octave++;
+    return PF_EXACT + ((octave - 7) << PF_PER_OCTAVE_LOG2)
+        + (int)((distance - (1LL << octave))
+                >> (octave - PF_PER_OCTAVE_LOG2));
+}
+
+/* ``bucket_floor`` of every distance ``pf_bucket`` sends to ``bucket``. */
+static inline long long
+pf_bucket_floor(int bucket)
+{
+    if (bucket < PF_EXACT)
+        return bucket;
+    int octave = 7 + ((bucket - PF_EXACT) >> PF_PER_OCTAVE_LOG2);
+    long long sub = (bucket - PF_EXACT) & ((1 << PF_PER_OCTAVE_LOG2) - 1);
+    return (1LL << octave) + (sub << (octave - PF_PER_OCTAVE_LOG2));
+}
+
+/* Bennett-Kruskal over ``refs``: a Fenwick tree over positions marks
+ * each line's most recent occurrence.  ``tree`` is scratch for ``n + 1``
+ * slots; ``last`` (by line id) is all -1 on entry and on return.  The
+ * reference's second query, the marks before ``position``, is every mark
+ * there is: the distinct lines seen so far. */
+static void
+pf_histogram(const Ref *refs, long long n, int *last, int *tree, Hist *h)
+{
+    int marks = 0;
+    memset(h, 0, sizeof(Hist));
+    memset(tree, 0, (size_t)(n + 1) * sizeof(int));
+    for (long long position = 0; position < n; position++) {
+        const Ref *ref = &refs[position];
+        long long previous = last[ref->id];
+        long long at;
+        if (previous < 0) {
+            h->cold[ref->write]++;
+            marks++;
+        }
+        else {
+            /* distinct lines touched strictly after the previous access */
+            long long distance = marks;
+            for (at = previous + 1; at > 0; at -= at & -at)
+                distance -= tree[at];
+            h->buckets[pf_bucket(distance)][ref->write]++;
+            for (at = previous + 1; at <= n; at += at & -at)
+                tree[at]--;
+        }
+        for (at = position + 1; at <= n; at += at & -at)
+            tree[at]++;
+        last[ref->id] = (int)position;
+    }
+    for (long long position = 0; position < n; position++)
+        last[refs[position].id] = -1;
+}
+
+/* ``(cold_reads, cold_writes, [[floor, reads, writes], ...])`` */
+static PyObject *
+pf_histogram_object(const Hist *h)
+{
+    PyObject *buckets = PyList_New(0);
+    if (!buckets)
+        return NULL;
+    for (int b = 0; b < PF_BUCKETS; b++) {
+        if (!h->buckets[b][0] && !h->buckets[b][1])
+            continue;
+        PyObject *row = Py_BuildValue("[LLL]", pf_bucket_floor(b),
+                                      h->buckets[b][0], h->buckets[b][1]);
+        if (!row || PyList_Append(buckets, row) < 0) {
+            Py_XDECREF(row);
+            Py_DECREF(buckets);
+            return NULL;
+        }
+        Py_DECREF(row);
+    }
+    return Py_BuildValue("(LLN)", h->cold[0], h->cold[1], buckets);
+}
+
+static PyObject *
+pf_ll_list(const long long *values, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    for (Py_ssize_t i = 0; list && i < n; i++) {
+        PyObject *value = PyLong_FromLongLong(values[i]);
+        if (!value) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, value);
+    }
+    return list;
+}
+
+/* ``coherence_ladder`` over the globally merged stream: per rung
+ * ``(read_misses, write_misses, invalidations, [read misses by
+ * process], [write misses by process])``.  Empty slots hold -1, as the
+ * reference's do. */
+static PyObject *
+pf_ladder(const Ref *refs, long long n, const int *proc_cluster,
+          int n_procs, int n_clusters, const long long *rung_lines,
+          int n_rungs)
+{
+    PyObject *result = NULL;
+    size_t n_arrays = (size_t)n_clusters * n_rungs;
+    long long **tags = pf_alloc(n_arrays, sizeof(long long *));
+    long long *shift = pf_alloc(n_rungs, sizeof(long long));
+    /* per rung: the three totals, then read and write misses by process */
+    size_t row = 3 + 2 * (size_t)n_procs;
+    long long *counts = pf_alloc((size_t)n_rungs * row, sizeof(long long));
+    if (!tags || !shift || !counts)
+        goto done;
+    for (int rung = 0; rung < n_rungs; rung++)
+        while (rung_lines[rung] >> (shift[rung] + 1))
+            shift[rung]++;
+    for (size_t a = 0; a < n_arrays; a++)
+        if (!(tags[a] = pf_alloc_filled(
+                (size_t)rung_lines[a % n_rungs], -1)))
+            goto done;
+
+    for (long long position = 0; n_rungs && position < n; position++) {
+        const Ref *ref = &refs[position];
+        long long line = ref->line;
+        int cluster = proc_cluster[ref->proc];
+        long long **own = tags + (size_t)cluster * n_rungs;
+        /* Inclusion: resident at a rung means resident at every larger
+         * one, so the probe stops at the first rung that holds it. */
+        for (int rung = 0; rung < n_rungs; rung++) {
+            long long *slot = &own[rung][line & (rung_lines[rung] - 1)];
+            if (*slot == line >> shift[rung])
+                break;
+            *slot = line >> shift[rung];
+            counts[rung * row + ref->write]++;
+            counts[rung * row + 3 + ref->write * n_procs + ref->proc]++;
+        }
+        if (!ref->write)
+            continue;
+        for (int other = 0; other < n_clusters; other++) {
+            if (other == cluster)
+                continue;
+            long long **remote = tags + (size_t)other * n_rungs;
+            for (int rung = 0; rung < n_rungs; rung++) {
+                long long *slot =
+                    &remote[rung][line & (rung_lines[rung] - 1)];
+                if (*slot == line >> shift[rung]) {
+                    *slot = -1;
+                    counts[rung * row + 2]++;
+                }
+            }
+        }
+    }
+
+    if (!(result = PyList_New(n_rungs)))
+        goto done;
+    for (int rung = 0; rung < n_rungs; rung++) {
+        const long long *c = counts + rung * row;
+        PyObject *reads = pf_ll_list(c + 3, n_procs);
+        PyObject *writes = pf_ll_list(c + 3 + n_procs, n_procs);
+        PyObject *entry = NULL;
+        if (reads && writes)
+            entry = Py_BuildValue("(LLLOO)", c[0], c[1], c[2],
+                                  reads, writes);
+        Py_XDECREF(reads);
+        Py_XDECREF(writes);
+        if (!entry) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, rung, entry);
+    }
+
+done:
+    for (size_t a = 0; tags && a < n_arrays; a++)
+        free(tags[a]);
+    free(tags);
+    free(shift);
+    free(counts);
+    return result;
+}
+
+/* ``_sharing_summary`` over the globally merged stream:
+ * ``(shared_lines, interprocess_reuses, [(writers, lines), ...],
+ * [exposure by cluster])``.  Exposure is a float sum, so its order is
+ * part of the contract: per cluster, one term per shared line in the
+ * order the merged stream first touches the lines (the reference's
+ * dict order), each term one correctly rounded int / int division. */
+static PyObject *
+pf_sharing(const Ref *refs, long long n, unsigned n_lines,
+           const int *proc_cluster, int n_procs, int n_clusters)
+{
+    PyObject *result = NULL, *writer_sets = NULL, *exposure_list = NULL;
+    size_t words = ((size_t)n_procs + 63) / 64;
+    size_t width = n_clusters > 1 ? 2 * (size_t)n_clusters : 0;
+    long long shared_lines = 0, reuses = 0;
+    long long n_touched = 0;
+    long long *toucher = pf_alloc_filled(n_lines, -1);
+    unsigned long long *writers =
+        pf_alloc((size_t)n_lines * words, sizeof(unsigned long long));
+    /* [line id][cluster][reads, writes]; only kept with several clusters */
+    long long *counts =
+        pf_alloc((size_t)n_lines * width, sizeof(long long));
+    unsigned *touched = pf_alloc(n_lines, sizeof(unsigned));
+    long long *by_writers =
+        pf_alloc((size_t)n_procs + 1, sizeof(long long));
+    double *exposure = pf_alloc((size_t)n_clusters, sizeof(double));
+    if (!toucher || !writers || !counts || !touched || !by_writers
+            || !exposure)
+        goto done;
+
+    for (long long position = 0; position < n; position++) {
+        const Ref *ref = &refs[position];
+        if (ref->write)
+            writers[ref->id * words + ref->proc / 64] |=
+                1ULL << (ref->proc % 64);
+        if (toucher[ref->id] < 0)
+            touched[n_touched++] = ref->id;
+        else if (toucher[ref->id] != ref->proc)
+            reuses++;
+        toucher[ref->id] = ref->proc;
+        if (width)
+            counts[ref->id * width + 2 * proc_cluster[ref->proc]
+                   + ref->write]++;
+    }
+
+    for (long long t = 0; t < n_touched; t++) {
+        unsigned id = touched[t];
+        int n_writers = 0;
+        for (size_t w = 0; w < words; w++)
+            for (unsigned long long bits = writers[id * words + w]; bits;
+                    bits &= bits - 1)
+                n_writers++;
+        by_writers[n_writers]++;
+        if (!width)
+            continue;
+        const long long *c = counts + id * width;
+        long long all_writes = 0;
+        int present = 0;
+        for (int cluster = 0; cluster < n_clusters; cluster++) {
+            present += c[2 * cluster] + c[2 * cluster + 1] > 0;
+            all_writes += c[2 * cluster + 1];
+        }
+        if (present < 2)
+            continue;
+        shared_lines++;
+        for (int cluster = 0; cluster < n_clusters; cluster++) {
+            long long reads = c[2 * cluster];
+            long long local = reads + c[2 * cluster + 1];
+            long long remote_writes = all_writes - c[2 * cluster + 1];
+            /* both operands < 2^53 (PF_MAX_REFS): exact doubles */
+            if (remote_writes && reads)
+                exposure[cluster] += (double)(reads * remote_writes)
+                    / (double)(remote_writes + local);
+        }
+    }
+
+    if (!(writer_sets = PyList_New(0))
+            || !(exposure_list = PyList_New(n_clusters)))
+        goto done;
+    for (int k = 1; k <= n_procs; k++) {
+        if (!by_writers[k])
+            continue;
+        PyObject *pair = Py_BuildValue("(iL)", k, by_writers[k]);
+        if (!pair || PyList_Append(writer_sets, pair) < 0) {
+            Py_XDECREF(pair);
+            goto done;
+        }
+        Py_DECREF(pair);
+    }
+    for (int cluster = 0; cluster < n_clusters; cluster++) {
+        PyObject *value = PyFloat_FromDouble(exposure[cluster]);
+        if (!value)
+            goto done;
+        PyList_SET_ITEM(exposure_list, cluster, value);
+    }
+    result = Py_BuildValue("(LLOO)", shared_lines, reuses, writer_sets,
+                           exposure_list);
+
+done:
+    Py_XDECREF(writer_sets);
+    Py_XDECREF(exposure_list);
+    free(toucher);
+    free(writers);
+    free(counts);
+    free(touched);
+    free(by_writers);
+    free(exposure);
+    return result;
+}
+
+/* row_profile(streams, procs, line_shift, clusters, procs_per_cluster,
+ *             icache, tracked)
+ *
+ * ``streams``: a tuple of ``array('q')`` tapes, one per entry of
+ * ``procs`` (the ascending processor ids); ``icache``: None or ``(lines,
+ * line_size)``; ``tracked``: the ladder's ascending power-of-two line
+ * counts.  Returns ``(summaries, process_histograms,
+ * cluster_histograms, ladder, sharing)``, lists by process index,
+ * cluster and rung -- the shapes ``profile._row_payload`` reads. */
+static PyObject *
+native_row_profile(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *streams, *procs, *icache, *tracked;
+    long long line_shift, clusters, ppc, ilines = 0, iline_size = 1;
+    if (!PyArg_ParseTuple(args, "O!OLLLOO", &PyTuple_Type, &streams,
+                          &procs, &line_shift, &clusters, &ppc, &icache,
+                          &tracked))
+        return NULL;
+    Py_ssize_t n_procs = PyTuple_GET_SIZE(streams);
+    Py_ssize_t n_rungs = PySequence_Size(tracked);
+    if (n_rungs < 0)
+        return NULL;
+    if (PySequence_Size(procs) != n_procs) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError,
+                            "row_profile needs one stream per processor");
+        return NULL;
+    }
+    if (icache != Py_None
+            && !PyArg_ParseTuple(icache, "LL", &ilines, &iline_size))
+        return NULL;
+    if (line_shift < 0 || line_shift > 62 || clusters < 0
+            || clusters > INT_MAX / 2 || ppc < 1 || n_procs > INT_MAX / 2
+            || n_rungs > INT_MAX / 2 || iline_size < 1
+            || (icache != Py_None && ilines < 1)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "row_profile geometry out of range");
+        return NULL;
+    }
+    int n_clusters = (int)clusters;
+
+    PyObject *result = NULL;
+    PyObject *summaries = NULL, *process_hists = NULL, *cluster_hists = NULL;
+    PyObject *ladder = NULL, *sharing = NULL;
+    Py_ssize_t n_views = 0;
+    long long row_refs = 0, global_n = 0, longest = 0;
+    LineTable table = {NULL, 0, 0};
+    Hist *hist = NULL;
+    Ref *global = NULL;
+    int *last = NULL, *tree = NULL;
+    int n_seqs = (int)n_procs > n_clusters ? (int)n_procs : n_clusters;
+
+    Py_buffer *views = pf_alloc(n_procs, sizeof(Py_buffer));
+    RefVec *proc_refs = pf_alloc(n_procs, sizeof(RefVec));
+    RefVec *cluster_refs = pf_alloc(n_clusters, sizeof(RefVec));
+    int *proc_cluster = pf_alloc(n_procs, sizeof(int));
+    long long *rung_lines = pf_alloc(n_rungs, sizeof(long long));
+    long long *sums = pf_alloc((size_t)n_procs * PF_SUMMARY,
+                               sizeof(long long));
+    const Ref **seqs = pf_alloc(n_seqs, sizeof(Ref *));
+    long long *lens = pf_alloc(n_seqs, sizeof(long long));
+    long long *pos = pf_alloc(n_seqs, sizeof(long long));
+    MergeSlot *heap = pf_alloc(n_seqs, sizeof(MergeSlot));
+    if (!views || !proc_refs || !cluster_refs || !proc_cluster
+            || !rung_lines || !sums || !seqs || !lens || !pos || !heap
+            || !(hist = pf_alloc(1, sizeof(Hist))))
+        goto done;
+
+    for (Py_ssize_t p = 0; p < n_procs; p++) {
+        long long id;
+        if (get_ll_item(procs, p, &id) < 0)
+            goto done;
+        /* ``proc // procs_per_cluster`` names a cluster, or the process
+         * is profiled on its own only */
+        proc_cluster[p] = id >= 0 && id / ppc < clusters
+            ? (int)(id / ppc) : -1;
+    }
+    for (Py_ssize_t r = 0; r < n_rungs; r++)
+        if (get_ll_item(tracked, r, &rung_lines[r]) < 0)
+            goto done;
+
+    /* The walk: every tape error surfaces here, in stream order. */
+    for (Py_ssize_t p = 0; p < n_procs; p++) {
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(streams, p), &views[p],
+                               PyBUF_SIMPLE) < 0)
+            goto done;
+        n_views++;
+        if (views[p].len % 8) {
+            PyErr_SetString(PyExc_ValueError,
+                            "packed streams are arrays of 64-bit words");
+            goto done;
+        }
+        if (pf_walk((const long long *)views[p].buf, views[p].len / 8,
+                    (unsigned)p, line_shift, ilines, iline_size, &table,
+                    &proc_refs[p], &row_refs,
+                    sums + p * PF_SUMMARY) < 0)
+            goto done;
+        if (proc_refs[p].n > longest)
+            longest = proc_refs[p].n;
+    }
+    for (Py_ssize_t r = 0; r < n_rungs; r++) {
+        if (rung_lines[r] < 1 || rung_lines[r] & (rung_lines[r] - 1)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tracked line counts must be powers of two");
+            goto done;
+        }
+        if (r && rung_lines[r] < rung_lines[r - 1]) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tracked line counts must be ascending");
+            goto done;
+        }
+    }
+
+    /* Per-cluster merged streams (what each shared cache sees), then
+     * the global one (what the bus sees). */
+    for (int cluster = 0; cluster < n_clusters; cluster++) {
+        int k = 0;
+        long long total = 0;
+        for (Py_ssize_t p = 0; p < n_procs; p++) {
+            if (proc_cluster[p] != cluster)
+                continue;
+            seqs[k] = proc_refs[p].refs;
+            lens[k++] = proc_refs[p].n;
+            total += proc_refs[p].n;
+        }
+        RefVec *merged = &cluster_refs[cluster];
+        if (!(merged->refs = pf_alloc((size_t)total, sizeof(Ref))))
+            goto done;
+        merged->n = pf_merge(seqs, lens, k, heap, pos, merged->refs);
+        global_n += merged->n;
+        if (merged->n > longest)
+            longest = merged->n;
+    }
+    for (int cluster = 0; cluster < n_clusters; cluster++) {
+        seqs[cluster] = cluster_refs[cluster].refs;
+        lens[cluster] = cluster_refs[cluster].n;
+    }
+    if (!(global = pf_alloc((size_t)global_n, sizeof(Ref))))
+        goto done;
+    pf_merge(seqs, lens, n_clusters, heap, pos, global);
+
+    if (!(last = pf_alloc(table.count, sizeof(int)))
+            || !(tree = pf_alloc((size_t)longest + 1, sizeof(int))))
+        goto done;
+    memset(last, 0xff, table.count * sizeof(int));
+
+    if (!(summaries = PyList_New(n_procs))
+            || !(process_hists = PyList_New(n_procs))
+            || !(cluster_hists = PyList_New(n_clusters)))
+        goto done;
+    for (Py_ssize_t p = 0; p < n_procs; p++) {
+        const long long *s = sums + p * PF_SUMMARY;
+        PyObject *summary = Py_BuildValue(
+            "(LLLLLLLL)", s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]);
+        if (!summary)
+            goto done;
+        PyList_SET_ITEM(summaries, p, summary);
+        pf_histogram(proc_refs[p].refs, proc_refs[p].n, last, tree, hist);
+        PyObject *object = pf_histogram_object(hist);
+        if (!object)
+            goto done;
+        PyList_SET_ITEM(process_hists, p, object);
+    }
+    for (int cluster = 0; cluster < n_clusters; cluster++) {
+        pf_histogram(cluster_refs[cluster].refs, cluster_refs[cluster].n,
+                     last, tree, hist);
+        PyObject *object = pf_histogram_object(hist);
+        if (!object)
+            goto done;
+        PyList_SET_ITEM(cluster_hists, cluster, object);
+    }
+    if (!(ladder = pf_ladder(global, global_n, proc_cluster, (int)n_procs,
+                             n_clusters, rung_lines, (int)n_rungs))
+            || !(sharing = pf_sharing(global, global_n, table.count,
+                                      proc_cluster, (int)n_procs,
+                                      n_clusters)))
+        goto done;
+    result = PyTuple_Pack(5, summaries, process_hists, cluster_hists,
+                          ladder, sharing);
+
+done:
+    Py_XDECREF(summaries);
+    Py_XDECREF(process_hists);
+    Py_XDECREF(cluster_hists);
+    Py_XDECREF(ladder);
+    Py_XDECREF(sharing);
+    for (Py_ssize_t p = 0; p < n_views; p++)
+        PyBuffer_Release(&views[p]);
+    for (Py_ssize_t p = 0; proc_refs && p < n_procs; p++)
+        free(proc_refs[p].refs);
+    for (int cluster = 0; cluster_refs && cluster < n_clusters; cluster++)
+        free(cluster_refs[cluster].refs);
+    free(views);
+    free(proc_refs);
+    free(cluster_refs);
+    free(proc_cluster);
+    free(rung_lines);
+    free(sums);
+    free(seqs);
+    free(lens);
+    free(pos);
+    free(heap);
+    free(hist);
+    free(global);
+    free(last);
+    free(tree);
+    free(table.slots);
+    return result;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -2294,12 +3149,15 @@ static PyMethodDef methods[] = {
      "Run the fused ladder over packed events; returns 0/2."},
     {"ladder_release", native_ladder_release, METH_O,
      "Release the buffer views held by a ladder context."},
+    {"row_profile", native_row_profile, METH_VARARGS,
+     "Reduce one row's packed streams to the numbers of its RowProfile."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
-    "C scheduler and inner loop for the packed replay interleaver.", -1, methods,
+    "C scheduler and inner loop for the packed replay interleaver, "
+    "its fused ladder, and the row-profile kernel.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

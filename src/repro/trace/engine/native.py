@@ -15,6 +15,13 @@ registry: C bins what it executes into buffers this wrapper hands it
 and folds into the probe once, after the run, while whatever python
 still executes emits into the probe directly.
 
+The extension has two more sections this module only loads: the fused
+ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
+row-profile kernel (``row_profile``, called by
+:func:`repro.model.profile.build_row_profile` with its python functions
+as the contract).  One build, one ``ABI_VERSION`` check, serves all
+three.
+
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
 
@@ -53,8 +60,8 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
-#: layout, run contract, ladder entry points) changes.
-NATIVE_VERSION = "5"
+#: layout, run contract, ladder or profile entry points) changes.
+NATIVE_VERSION = "6"
 
 LOAD_ERROR: Optional[str] = None
 

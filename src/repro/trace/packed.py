@@ -72,6 +72,7 @@ __all__ = [
     "OP_READ_SPAN", "OP_WRITE_SPAN", "OP_WIDTH",
     "PackedChunk", "PackedEncodingError",
     "append_event", "encode_events", "decode_events", "event_count",
+    "record_width",
     "packed_to_bytes", "packed_from_bytes",
 ]
 
@@ -220,6 +221,23 @@ def decode_events(data: PackedData) -> Iterator[TraceEvent]:
             i += 2
         else:
             raise ValueError(f"unknown packed opcode {op} at {i}")
+
+
+def record_width(data: PackedData, index: int) -> int:
+    """Ints the record at ``index`` occupies, once it is known to be
+    walkable: a known opcode, every operand inside ``data``, and -- a
+    non-empty span -- a positive stride.  For walkers of tapes that may
+    come from disk; raises ``ValueError`` in the engines' words."""
+    op = data[index]
+    width = OP_WIDTH.get(op)
+    if width is None:
+        raise ValueError(f"unknown packed opcode {op} at word {index}")
+    if index + width > len(data):
+        raise ValueError(f"truncated packed record at word {index}")
+    if ((op == OP_READ_SPAN or op == OP_WRITE_SPAN)
+            and data[index + 2] > 0 and data[index + 3] <= 0):
+        raise ValueError(f"non-positive span stride at {index}")
+    return width
 
 
 def event_count(data: PackedData) -> int:

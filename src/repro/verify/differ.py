@@ -22,15 +22,26 @@ must agree with it on everything the engine exposes:
   two-rung ladder and compared on its bottom rung (final arrays are
   internal to the fused engine, so the diff covers statistics and
   event counts).
+* **profile** -- not a timing engine: the extension's row-profile
+  kernel (``row_profile``, what :func:`~repro.model.profile
+  .build_row_profile` runs when the extension is loaded), compared on
+  ``profile``, the whole :class:`~repro.model.profile.RowProfile`
+  payload of the tape's streams -- exposure floats included.  The
+  baseline's ``profile`` section is the reference kernel's payload for
+  the same streams; it reads the tape, not the run, so it is there even
+  when the baseline's timing run raised.
 
-``native``, ``instrumented`` and ``fused`` ship in one extension and are
-registered by :func:`engine_registry` exactly when it is available; a
-run that did not resolve to it is reported as degraded, not compared
-(it would degrade to the baseline itself and agree by construction).
+``native``, ``instrumented``, ``fused`` and ``profile`` ship in one
+extension and are registered by :func:`engine_registry` exactly when it
+is available; a run that did not resolve to it is reported as degraded,
+not compared (it would degrade to the baseline itself and agree by
+construction).
 
 Two paths that fail with the *same* exception type are in agreement --
 error parity is part of the contract (the golden suites already pin
-it); anything else is a :class:`TapeDivergence`.
+it); anything else is a :class:`TapeDivergence`.  The profile kernels
+keep the same rule inside their section: a kernel that raised reports
+the exception's type in place of a payload.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import InstrumentationProbe
+from ..model.profile import _native_kernel, _reference_kernel, _row_payload
 from ..trace.engine import native_available, resolve_backend
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
@@ -65,6 +77,9 @@ class PathResult:
     """``(exception type name, message)`` if the run raised."""
 
     fingerprint: Optional[Dict[str, object]] = None
+    """By section.  A run that raised keeps the sections it produced
+    before that (the baseline's ``profile``)."""
+
     fast_engaged: Optional[bool] = None
     """For the modes that ask for the native engine: whether the
     machine is one it runs (the interleaver stays on the reference loop
@@ -146,6 +161,7 @@ def engine_registry() -> Dict[str, EngineSpec]:
             "instrumented", _FULL + ("metrics",), _always)
         registry["fused"] = EngineSpec("fused", ("events", "stats"),
                                        fused_eligible)
+        registry["profile"] = EngineSpec("profile", ("profile",), _always)
     return registry
 
 
@@ -157,6 +173,11 @@ def run_tape(tape: Tape, mode: str,
     config = tape.config()
     if mode == "fused":
         return _run_fused(tape, config)
+    if mode == "profile":
+        return PathResult(
+            name="profile", engine_used=resolve_backend("native"),
+            fingerprint={"profile": _profile_section(_native_kernel,
+                                                     tape, config)})
     if mode not in _INTERLEAVER_MODES:
         raise ValueError(f"unknown differ mode {mode!r}")
     probe = (InstrumentationProbe(bin_width=_PROBE_BIN_WIDTH,
@@ -169,6 +190,9 @@ def run_tape(tape: Tape, mode: str,
                                     backend=backend)
     _chunk_processes(interleaver, tape)
     result = PathResult(name=mode)
+    if mode == "generic":
+        result.fingerprint = {"profile": _profile_section(
+            _reference_kernel, tape, config)}
     if backend == "native":
         result.fast_engaged = interleaver._native_eligible
     try:
@@ -184,6 +208,7 @@ def run_tape(tape: Tape, mode: str,
     stats = system.stats(execution_time)
     bus = system.coherence.bus
     result.fingerprint = {
+        **(result.fingerprint or {}),
         "events": interleaver.events_processed,
         "stats": stats.as_dict(),
         "bus": {"transactions": bus.transactions,
@@ -196,6 +221,17 @@ def run_tape(tape: Tape, mode: str,
     if probe is not None:
         result.fingerprint["metrics"] = probe.registry.as_dict()
     return result
+
+
+def _profile_section(kernel, tape: Tape, config) -> Dict[str, object]:
+    """``kernel``'s row-profile payload for the tape's streams, the
+    exact ladder tracking the SCC's own line count and the next two
+    sizes up -- or, if the kernel raised, the exception's type."""
+    tracked = [config.scc_lines * factor for factor in (1, 2, 4)]
+    try:
+        return _row_payload(kernel, tape.streams, config, tracked)
+    except Exception as exc:    # diffed, not propagated
+        return {"error": type(exc).__name__}
 
 
 def fused_eligible(tape: Tape) -> bool:
@@ -247,7 +283,9 @@ def _diff_values(path: str, base, other, out: List[str]) -> None:
 
 def _compare(tape: Tape, base: PathResult, other: PathResult,
              sections: Tuple[str, ...]) -> Optional[TapeDivergence]:
-    if base.error is not None or other.error is not None:
+    produced = base.fingerprint or {}
+    if other.error is not None or any(section not in produced
+                                      for section in sections):
         base_type = base.error[0] if base.error else None
         other_type = other.error[0] if other.error else None
         if base_type == other_type:

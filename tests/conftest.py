@@ -11,6 +11,11 @@ READ_MISS_DONE = ("*done = fill + 1;", "*done = fill + 2;")
 #: (the metrics section: no clock, no statistic depends on it).
 SPAN_LAST_BIN = ("s->bins[last] += end - last * width;",
                  "s->bins[last] += end - last * width + 1;")
+#: ... and where a stack distance stops counting marks (the profile
+#: section: the query forgets that the line's own previous occurrence
+#: is marked, so every warm distance reads one too many).
+STACK_DISTANCE_QUERY = ("for (at = previous + 1; at > 0; at -= at & -at)",
+                        "for (at = previous; at > 0; at -= at & -at)")
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +76,22 @@ def off_by_one_last_bin(mutant_native, monkeypatch):
     """... on the metrics mutant for one test."""
     from repro.trace.engine import native
     monkeypatch.setattr(native, "_mod", mutant_native(*SPAN_LAST_BIN))
+
+
+@pytest.fixture
+def off_by_one_stack_distance(mutant_native, monkeypatch):
+    """... on the profile mutant for one test."""
+    from repro.trace.engine import native
+    monkeypatch.setattr(native, "_mod",
+                        mutant_native(*STACK_DISTANCE_QUERY))
+
+
+@pytest.fixture
+def no_native_extension(monkeypatch):
+    """The loader as ``REPRO_NATIVE=0`` leaves it, for one test: the
+    reference loop, and ``build_row_profile`` on its python kernel."""
+    from repro.trace.engine import native
+    monkeypatch.setattr(native, "_mod", None)
 
 
 @pytest.fixture

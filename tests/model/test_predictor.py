@@ -1,14 +1,28 @@
-"""Exactness and sanity tests for the analytical predictor."""
+"""Exactness and sanity tests for the analytical predictor.
+
+Every profile here comes from ``build_row_profile``, which runs the C
+kernel when the native extension loaded and the python reference
+otherwise: each class runs as written and again pinned to the reference
+(the ``...OnTheReferenceKernel`` subclasses at the bottom), and
+``TestEitherKernel`` holds whole analytical sweeps -- and the profile
+cache between them -- equal across the two.
+"""
 
 import pytest
 
 from repro.core.config import KB, SystemConfig
-from repro.experiments.runner import _simulate
-from repro.model import build_row_profile, predict_point
+from repro.experiments.runner import ResultCache, _simulate
+from repro.experiments.session import run_sweep
+from repro.experiments.spec import ExperimentProfile, SweepSpec
+from repro.model import build_row_profile, predict_point, predictor
+from repro.model import profile as profile_module
+from repro.trace.engine import native
 from repro.trace.events import Read, Write
 from repro.trace.packed import encode_events
-from repro.trace.record import ReplayApplication, StreamRecorder
+from repro.trace.record import ReplayApplication, StreamRecorder, TraceCache
 from repro.workloads.barnes_hut import BarnesHut
+
+from .test_profile import needs_native
 
 
 def p1_config(scc_size, **kwargs):
@@ -230,3 +244,97 @@ class TestParallelFidelityGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             predict_point(profile, config, strict_parallel=True)
+
+
+class _OnTheReferenceKernel:
+    @pytest.fixture(autouse=True)
+    def _pin(self, no_native_extension):
+        pass
+
+
+class TestExactCasesOnTheReferenceKernel(_OnTheReferenceKernel,
+                                         TestExactCases):
+    pass
+
+
+class TestCrossClusterSharingOnTheReferenceKernel(_OnTheReferenceKernel,
+                                                  TestCrossClusterSharing):
+    pass
+
+
+class TestBinomialPathOnTheReferenceKernel(_OnTheReferenceKernel,
+                                           TestBinomialPath):
+    pass
+
+
+class TestGeometryGuardsOnTheReferenceKernel(_OnTheReferenceKernel,
+                                             TestGeometryGuards):
+    pass
+
+
+class TestParallelFidelityGuardOnTheReferenceKernel(
+        _OnTheReferenceKernel, TestParallelFidelityGuard):
+    pass
+
+
+@needs_native
+class TestEitherKernel:
+    """Which kernel built a profile is not an input of anything after
+    it: not of the predictions, not of the profile cache."""
+
+    SPEC = SweepSpec.parallel(
+        "mp3d", ladder=(2 * KB, 4 * KB, 8 * KB), procs=(1, 2),
+        fidelity="analytical", instrument=False,
+        profile=ExperimentProfile(
+            name="tiny", ladder_scale=8, barnes_bodies=32, barnes_steps=1,
+            mp3d_particles=60, mp3d_steps=1, cholesky_n=64,
+            multiprog_instructions=2000, multiprog_quantum=500))
+
+    def _sweep(self, root, traces, calls, extension=True):
+        """One session on fresh result caches; ``extension=False`` is
+        the loader as ``REPRO_NATIVE=0`` leaves it."""
+        real = profile_module.build_row_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if not extension:
+                patch.setattr(native, "_mod", None)
+            patch.setattr(profile_module, "build_row_profile", counted)
+            # (the 2-processor row is a parallel one: warned about once
+            # per process, and not here)
+            patch.setattr(predictor, "_PARALLEL_WARNING_EMITTED", True)
+            sweep = run_sweep(self.SPEC, cache=ResultCache(root),
+                              trace_cache=TraceCache(traces))
+        return {point: stats.as_dict() for point, stats in sweep.items()}
+
+    def test_analytical_sweep_is_the_same_sweep(self, tmp_path):
+        built = []
+        with_extension = self._sweep(tmp_path / "r1", tmp_path / "t1",
+                                     built)
+        without = self._sweep(tmp_path / "r2", tmp_path / "t2", built,
+                              extension=False)
+        assert len(built) == 2 * len(self.SPEC.procs)
+        assert with_extension == without
+        assert len(without) == len(self.SPEC.configs())
+
+    @pytest.mark.parametrize("writer_has_extension", [True, False])
+    def test_profile_cache_is_shared(self, tmp_path,
+                                     writer_has_extension):
+        """A session on one kernel reads the entries a session on the
+        other wrote: no rebuild, same bytes on disk, same sweep."""
+        traces = tmp_path / "traces"
+        built = []
+        first = self._sweep(tmp_path / "r1", traces, built,
+                            extension=writer_has_extension)
+        entries = {path: path.read_bytes()
+                   for path in (traces / "profiles").glob("*.json")}
+        assert len(built) == len(entries) == len(self.SPEC.procs)
+        second = self._sweep(tmp_path / "r2", traces, built,
+                             extension=not writer_has_extension)
+        assert len(built) == len(entries)           # none rebuilt
+        assert second == first
+        assert {path: path.read_bytes() for path
+                in (traces / "profiles").glob("*.json")} == entries

@@ -88,12 +88,13 @@ class TestResolveBackend:
 
 
 def test_differ_registry_covers_available_backends():
-    """One extension carries both compiled entry points; without it
+    """One extension carries every compiled entry point -- the run
+    (probed and not), the ladder, the row-profile kernel; without it
     only the oracle is left to diff against the reference loop."""
     from repro.verify.differ import engine_registry
     expected = {"oracle"}
     if native_available():
-        expected |= {"native", "instrumented", "fused"}
+        expected |= {"native", "instrumented", "fused", "profile"}
     assert set(engine_registry()) == expected
 
 
@@ -617,26 +618,26 @@ class TestNativeAbiGuard:
                     if not name.startswith("__")}
         assert exported == {"ABI_VERSION", "setup", "run", "release",
                             "ladder_setup", "ladder_drain",
-                            "ladder_release"}
+                            "ladder_release", "row_profile"}
 
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
         """An ``_native`` left by an older ``build_ext --inplace`` must
-        not be handed out: the previous ABI has every entry point by
-        name and would misread the plan (its ``setup`` expects seven
-        entries, not the eighth that carries the probe's buffers)."""
+        not be handed out: the previous ABI has the timing entry points
+        by name and no ``row_profile`` for ``build_row_profile`` to
+        call."""
         from types import SimpleNamespace
         import repro.trace.engine as engine
         from repro.trace.engine import native
         real = native.load()
         stale = SimpleNamespace(
-            ABI_VERSION="4", __file__="old.so", setup=real.setup,
+            ABI_VERSION="5", __file__="old.so", setup=real.setup,
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "5"
+        assert native.NATIVE_VERSION == "6"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '4', need '5'")
+            "stale extension old.so: ABI '5', need '6'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()

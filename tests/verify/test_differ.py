@@ -50,7 +50,9 @@ class TestAgreement:
         assert generic.engine_used == "python"
         assert fast.engine_used == probed.engine_used == "native"
         assert generic.error is None and fast.error is None
-        # the baseline carries the probe for ``instrumented``'s sake
+        # the baseline carries the probe for ``instrumented``'s sake,
+        # and the reference profile for ``profile``'s
+        assert generic.fingerprint.pop("profile")["model_version"]
         assert generic.fingerprint == probed.fingerprint
         assert generic.fingerprint["metrics"]["counters"]["bank_accesses"]
         del generic.fingerprint["metrics"]
@@ -89,6 +91,27 @@ class TestAgreement:
         assert fused.fingerprint["events"] == \
             generic.fingerprint["events"]
         assert fused.fingerprint["stats"] == generic.fingerprint["stats"]
+
+    @needs_native
+    def test_profile_engine_diffs_the_whole_payload(self):
+        """Both kernels, same streams, same tracked sizes -- and a tape
+        neither can walk is the same exception type on both sides, not
+        a crash of the differ."""
+        tape = generate_tape(SEEDS[0])
+        generic = run_tape(tape, "generic")
+        profiled = run_tape(tape, "profile")
+        assert profiled.error is None and profiled.engine_used == "native"
+        assert set(profiled.fingerprint) == {"profile"}
+        payload = profiled.fingerprint["profile"]
+        assert payload == generic.fingerprint["profile"]
+        lines = tape.config().scc_lines
+        assert payload["tracked_line_counts"] == [lines, 2 * lines,
+                                                  4 * lines]
+        assert payload["reads"] + payload["writes"] > 0
+        cut = tape.replaced({**tape.streams, 0: tape.streams[0][:-1]})
+        assert run_tape(cut, "profile").fingerprint["profile"] == \
+            run_tape(cut, "generic").fingerprint["profile"] == \
+            {"error": "ValueError"}
 
     def test_multiprocessor_tapes_are_never_fused_eligible(self):
         tape = next(t for t in (generate_tape(f"mp:{i}")
@@ -143,6 +166,26 @@ class TestComparison:
         base, other = self._results(error=("ValueError", "boom"))
         base.error = ("RuntimeError", "bang")
         assert _compare(tape, base, other, ("events",)) is not None
+
+    def test_failed_baseline_answers_for_what_it_produced(self):
+        """The reference profile reads the tape, not the run: it is in
+        the baseline's fingerprint even when the timing run raised, and
+        is diffed; every other section of that run is still an error."""
+        tape = generate_tape("cmp:6")
+        base = PathResult(name="generic",
+                          error=("RuntimeError", "cycle budget"),
+                          fingerprint={"profile": {"reads": 4}})
+        same = PathResult(name="profile",
+                          fingerprint={"profile": {"reads": 4}})
+        assert _compare(tape, base, same, ("profile",)) is None
+        off = PathResult(name="profile",
+                         fingerprint={"profile": {"reads": 5}})
+        divergence = _compare(tape, base, off, ("profile",))
+        assert divergence.kind == "profile"
+        assert divergence.detail == ["profile.reads: 4 != 5"]
+        timing = PathResult(name="native", fingerprint={"events": 10})
+        assert "error" in _compare(tape, base, timing,
+                                   ("events",)).detail[0]
 
     def test_diff_values_reports_nested_paths(self):
         out = []

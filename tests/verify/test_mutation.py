@@ -7,13 +7,18 @@ is a second build of the C source with one statement changed (the
 exactly the ``native`` engine from the generic baseline.  So do the
 probe's callbacks -- ``InstrumentationProbe`` and the C "metrics"
 section -- and a second mutant (``off_by_one_last_bin``) changes one
-statement there: it diverges exactly the ``instrumented`` engine."""
+statement there: it diverges exactly the ``instrumented`` engine.  And
+so do row profiles -- the python functions of ``repro.model.profile``
+and the C "profile" section -- where a third mutant
+(``off_by_one_stack_distance``) diverges exactly the ``profile``
+engine."""
 
 import pytest
 
 from repro.trace.engine import native
 from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
+from repro.verify.differ import _compare, engine_registry
 
 from ..conftest import READ_MISS_DONE
 
@@ -79,7 +84,7 @@ class TestMetricsMutationIsCaught:
         assert run_tape(tape, "native").fingerprint == {
             section: value for section, value
             in run_tape(tape, "generic").fingerprint.items()
-            if section != "metrics"}
+            if section not in ("metrics", "profile")}
 
     def test_divergence_shrinks_and_is_clean_unmutated(
             self, off_by_one_last_bin):
@@ -98,6 +103,49 @@ class TestMetricsMutationIsCaught:
         assert report.divergences
         assert {record.kind for record in report.divergences} \
             == {"instrumented"}
+
+
+@needs_native
+class TestProfileMutationIsCaught:
+    """A bug in the C profile kernel is the ``profile`` engine's to
+    report, and nobody else's: the timing engines share the extension
+    with it, not a line of code."""
+
+    def test_stack_distance_off_by_one_diverges_only_the_profile(
+            self, off_by_one_stack_distance):
+        tape, divergence = _first_diverging_tape()
+        assert divergence.kind == "profile"
+        assert divergence.detail
+        assert all("_histograms." in line for line in divergence.detail)
+        clean = set()
+        for index in range(20):
+            tape = generate_tape(f"0:{index}")
+            generic = run_tape(tape, "generic")
+            for spec in engine_registry().values():
+                if spec.name != "profile" and spec.applies(tape):
+                    assert _compare(tape, generic,
+                                    run_tape(tape, spec.name),
+                                    spec.sections) is None, spec.name
+                    clean.add(spec.name)
+        assert clean == {"oracle", "native", "instrumented", "fused"}
+
+    def test_divergence_shrinks_and_is_clean_unmutated(
+            self, off_by_one_stack_distance):
+        tape, _ = _first_diverging_tape()
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert diff_tape(shrunk).kind == "profile"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", native._UNSET)
+            assert diff_tape(shrunk) is None
+
+    def test_fuzz_campaign_reports_the_profile_engine(
+            self, off_by_one_stack_distance, tmp_path):
+        report = run_fuzz(seed=0, budget=10, out_dir=tmp_path)
+        assert report.divergences
+        assert {record.kind for record in report.divergences} \
+            == {"profile"}
 
 
 class TestUnmutatedBaseline:
