@@ -53,8 +53,8 @@ class SnoopyBus:
     def __init__(self, probe=NULL_PROBE, name: str = "bus") -> None:
         # Busy-until, transactions, busy cycles.  One ``array('q')`` so
         # the native engine (:mod:`repro.trace.engine`) arbitrates on
-        # this very memory: python callers that interleave with it
-        # (object-path events, icache refills) need no hand-over.
+        # this very memory: the python caller that interleaves with it
+        # (an icache refill) needs no hand-over.
         self._clock = array("q", [0, 0, 0])
         self.probe = probe
         """Instrumentation sink (:data:`~repro.instrument.probes.

@@ -118,6 +118,18 @@ class SharedClusterCache:
         return tuple(line for line in self._inflight
                      if line not in resident)
 
+    def check_fill_tracking(self) -> None:
+        """Raise ``AssertionError`` if :meth:`stale_inflight` finds a
+        leak.  The native engine also runs this on an SCC that enters a
+        run with fills outstanding: it keeps one fill per index, which is
+        exact only while the invariant holds."""
+        stale = self.stale_inflight()
+        if stale:
+            raise AssertionError(
+                f"cluster {self.cluster_id} tracks in-flight "
+                f"fills for non-resident lines {sorted(stale)} "
+                f"(fill-tracking leak)")
+
     # ------------------------------------------------------------------
     # Coherence-loss tracking
     # ------------------------------------------------------------------

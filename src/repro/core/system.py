@@ -156,12 +156,7 @@ class MultiprocessorSystem:
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on any coherence invariant violation."""
         for cluster in self.clusters:
-            stale = cluster.scc.stale_inflight()
-            if stale:
-                raise AssertionError(
-                    f"cluster {cluster.scc.cluster_id} tracks in-flight "
-                    f"fills for non-resident lines {sorted(stale)} "
-                    f"(fill-tracking leak)")
+            cluster.scc.check_fill_tracking()
         if isinstance(self.coherence, DirectoryController):
             self.coherence.check_consistency()
             return

@@ -63,8 +63,8 @@ ENGINE_ENV = "REPRO_ENGINE"
 # factors are the compiler-less cost measured in README "Replay engines".
 _REFERENCE_LOOP_NOTE = (
     "running on the per-event reference loop with no fused ladder "
-    "(same results; live paper points up to ~8x slower, tape replay "
-    "~10-25x, a warm uniprocessor ladder ~100x, an analytical row "
+    "(same results; live paper points up to ~15x slower, tape replay "
+    "~35-65x, a warm uniprocessor ladder ~100x, an analytical row "
     "profile ~60x)")
 
 

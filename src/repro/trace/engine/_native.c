@@ -3,20 +3,37 @@
  * The one fast implementation of the timing model.  Its contract is the
  * reference loop's -- ``TimingInterleaver._run_generic`` driving the
  * repro.core objects one event at a time (src/repro/trace/interleave.py)
- * -- computed over raw ``int64_t*`` views of the ``array('q')`` storage
- * those objects already use for cache tags/states, bank free times and
- * the bus clock.  C owns the whole data path -- hits, bank/write-buffer
- * timing, the snoopy MSI/MESI miss path with its bus arbitration -- and
- * scheduling: it keeps each process's chunk cursor and switches
- * processes itself, in place on ``interleaver._heap``.  Python
- * (engine/native.py) owns the generators, the synchronization handlers
- * and instruction-cache refills (the one callback left).  Under the
- * standard ``InstrumentationProbe`` C also owns observability of what it
- * executes: the "metrics" section bins what the python objects would
- * have told the probe, and the wrapper folds it into the probe's
- * registry once, after the run.  Everything here must stay observably
- * identical to the reference loop -- the differential verifier diffs
- * fingerprints, error messages and (probed) every counter and bin.
+ * -- and C owns the whole data path: hits, bank/write-buffer timing, the
+ * snoopy MSI/MESI miss path with its bus arbitration, and scheduling.
+ * Python (engine/native.py) owns the generators, the synchronization
+ * handlers, the task queues' python items and instruction-cache refills
+ * (the one callback left).  Under the standard ``InstrumentationProbe`` C
+ * also owns observability of what it executes: the "metrics" section bins
+ * what the python objects would have told the probe, and the wrapper
+ * folds it into the probe's registry once, after the run.  Everything
+ * here must stay observably identical to the reference loop -- the
+ * differential verifier diffs fingerprints, error messages and (probed)
+ * every counter and bin.
+ *
+ * Ownership: python containers are the machine's state *at rest*; between
+ * ``setup`` and ``release`` C works on its own copy, and nothing in
+ * python reads or writes the machine in between (every memory event a
+ * generator yields as an object reaches C as a one-event chunk).
+ *
+ *   - tag/state arrays, bank free times, the bus clock: ``array('q')``
+ *     storage C reads and writes in place through buffer views;
+ *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``.
+ *     ``interleaver._heap`` is the *mailbox*: ``_push`` (``add_process``,
+ *     the lock/barrier handlers' wake-ups) appends to it, ``run`` drains
+ *     it on entry, and ``release`` writes back whatever is still ready;
+ *   - in-flight fills: per-index ``fill_line``/``fill_ready`` words,
+ *     imported from each ``scc._inflight`` dict at ``setup`` and written
+ *     back to it at ``release`` (the "fills" section has the argument).
+ *
+ * What C still touches as python objects, all off the hit path: the
+ * lost-line sets (``scc._lost_lines``) and the write-buffer heaps
+ * (lists of ints shared with ``BankInterconnect``) on misses and stores,
+ * and the task-queue deques for packed ``OP_ENQUEUE``/``OP_DEQUEUE``.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
@@ -27,16 +44,18 @@
  *   1  the ready heap is empty: the run is over
  *   2  a synchronization / unknown opcode at ``regs[R_POS]`` needs the
  *      python handler (the cursor already points past it)
- *   3  the popped process has no chunk installed; python runs it through
- *      ``_advance``'s object path
+ *   3  the popped process has no chunk installed; python resumes its
+ *      generator (``_advance``)
  *
  * On return ``regs`` hold the current process and its clock.  On entry
- * they say how to carry on: ``chunk`` (an ``array('q')``, else None) is
- * installed as process ``regs[R_PID]``'s cursor and drained from clock
- * ``regs[R_TIME]``; without a chunk, ``regs[R_PID] >= 0`` resumes that
- * process after its sync handler and ``-1`` pops the next ready process.
+ * they say how to carry on: ``chunk`` (an ``array('q')`` or a ``list`` of
+ * ints, else None) is installed as process ``regs[R_PID]``'s cursor and
+ * drained from clock ``regs[R_TIME]``; without a chunk, ``regs[R_PID] >=
+ * 0`` resumes that process after its sync handler and ``-1`` pops the
+ * next ready process.
  * ``regs[R_SEQ]`` is ``interleaver._seq``, shared in both directions.
- * ``release(ctx)`` drops the buffer views deterministically.
+ * ``release(ctx)`` writes the working copy back and drops the buffer
+ * views deterministically.
  *
  * Two more sections share the build, the ``ABI_VERSION`` guard and the
  * differ, and nothing else: the fused multi-configuration ladder
@@ -66,7 +85,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "6"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "7"  /* == engine/native.py NATIVE_VERSION */
 
 #define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
@@ -110,9 +129,21 @@ static PyObject *s_popleft = NULL;
 
 /* Where a process stands in its installed chunk. */
 typedef struct {
-    Py_buffer view;           /* the chunk; ``view.obj`` NULL when none */
+    const long long *data;    /* the chunk's words; NULL when none */
+    long long end;            /* how many */
     long long pos, sub;       /* next opcode; offset inside a span */
+    Py_buffer view;           /* behind ``data``: an ``array('q')`` ... */
+    long long *copy;          /* ... or C's own copy of a ``list`` */
 } Cursor;
+
+/* One ready process: the reference loop's ``(time, seq, pid)`` heap
+ * entry.  ``seq`` is unique, so the order on ``(time, seq)`` is total and
+ * pop order does not depend on heap layout. */
+typedef struct {
+    long long time, seq, pid;
+} Ready;
+
+#define FILL_NONE LLONG_MIN     /* ``fill_ready`` of a slot with no fill */
 
 /* One timeline's bins: int64 slots of a python ``bytearray`` the
  * wrapper allocated empty.  It grows by ``PyByteArray_Resize`` -- C holds
@@ -148,7 +179,11 @@ typedef struct {
     long long bus_occ, upgrade_occ, mem_latency;
     int stall_on_writes, icache_mode, mesi;
     long long **cl_states, **cl_tags, **cl_bank_free;
-    PyObject **cl_inflight, **cl_lost, **cl_wbufs;
+    long long *fills;         /* one block behind the two below */
+    long long **cl_fill_line, **cl_fill_ready;  /* [cluster][index] */
+    PyObject **cl_inflight;   /* scc._inflight: read at setup, rewritten
+                                 at release, untouched in between */
+    PyObject **cl_lost, **cl_wbufs;
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
     long long *d_scc;         /* [cluster * S_FIELDS + field] */
@@ -158,7 +193,9 @@ typedef struct {
     long long *proc_cluster;
     Cursor *cursors;          /* by pid */
     PyObject *ifetch, *queues;
-    PyObject *heap;           /* interleaver._heap */
+    Ready *ready;             /* binary min-heap, room for every process */
+    int n_ready;
+    PyObject *mailbox;        /* interleaver._heap */
     Metrics *mx;              /* NULL: no probe attached */
     Py_buffer *views;
     int nviews;
@@ -167,6 +204,50 @@ typedef struct {
 static const char CTX_NAME[] = "repro.trace.engine._native.ctx";
 
 /* ---------------------------------------------------------------- utils */
+
+/* Install ``chunk`` on an empty cursor.  An ``array('q')`` is read in
+ * place; a ``list`` -- what the workloads' builders produce -- is copied
+ * into words of C's own, with the errors ``array('q', chunk)`` raises for
+ * an element that is no int64 (TypeError, OverflowError). */
+static int
+cursor_install(Cursor *cur, PyObject *chunk)
+{
+    if (PyList_CheckExact(chunk)) {
+        Py_ssize_t n = PyList_GET_SIZE(chunk);
+        long long *copy = PyMem_Malloc(n ? 8 * (size_t)n : 1);
+        if (!copy) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t k = 0; k < n; k++) {
+            copy[k] = PyLong_AsLongLong(PyList_GET_ITEM(chunk, k));
+            if (copy[k] == -1 && PyErr_Occurred()) {
+                PyMem_Free(copy);
+                return -1;
+            }
+        }
+        cur->data = cur->copy = copy;
+        cur->end = n;
+    }
+    else {
+        if (PyObject_GetBuffer(chunk, &cur->view, PyBUF_SIMPLE) < 0)
+            return -1;
+        cur->data = (const long long *)cur->view.buf;
+        cur->end = (long long)(cur->view.len / 8);
+    }
+    cur->pos = 0;
+    cur->sub = 0;
+    return 0;
+}
+
+static void
+cursor_drop(Cursor *cur)
+{
+    PyBuffer_Release(&cur->view);       /* no-op when there is none */
+    PyMem_Free(cur->copy);
+    cur->copy = NULL;
+    cur->data = NULL;
+}
 
 static long long *
 acquire_ll(Ctx *ctx, PyObject *obj)
@@ -486,91 +567,97 @@ c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
     return stall;
 }
 
-/* ``scc._inflight`` (line -> cycle its fill lands) and ``scc._lost_lines``
- * stay the python dict and set: object-path events between two C stints
- * use them through the SCC's own methods. */
+/* ---------------------------------------------------------------- fills */
 
-/* ``inflight.pop(key, None)`` */
-static int
-inflight_pop(PyObject *infl, long long key)
+/* In-flight fills -- ``scc._inflight``: line -> cycle its fill lands -- as
+ * C keeps them between ``setup`` and ``release``: two words per SCC slot,
+ * the line being filled there and when it lands.  Exact, because every
+ * native-eligible SCC is direct-mapped and a line with an outstanding
+ * fill is resident (``SharedClusterCache.stale_inflight``'s invariant,
+ * which the wrapper checks on a non-empty dict before ``setup``): at most
+ * one fill is outstanding at an index.  The dict stays the at-rest form
+ * and the reference loop's. */
+
+/* ``inflight[line] = ready``; the slot's previous entry is its victim's,
+ * which ``_install`` drops. */
+static inline void
+fill_set(Ctx *ctx, long long cl, long long line, long long idx,
+         long long ready)
 {
-    if (PyDict_GET_SIZE(infl) == 0)
-        return 0;
-    PyObject *k = PyLong_FromLongLong(key);
-    if (!k)
-        return -1;
-    PyObject *v = PyDict_GetItemWithError(infl, k);
-    if (v) {
-        if (PyDict_DelItem(infl, k) < 0) {
-            Py_DECREF(k);
-            return -1;
-        }
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(k);
-        return -1;
-    }
-    Py_DECREF(k);
-    return 0;
+    ctx->cl_fill_line[cl][idx] = line;
+    ctx->cl_fill_ready[cl][idx] = ready;
 }
 
-/* ``inflight[line] = ready`` */
-static int
-inflight_set(PyObject *infl, long long line, long long ready)
+/* ``inflight.pop(line, None)`` */
+static inline void
+fill_drop(Ctx *ctx, long long cl, long long line, long long idx)
 {
-    PyObject *k = PyLong_FromLongLong(line);
-    PyObject *v = k ? PyLong_FromLongLong(ready) : NULL;
-    if (!k || !v) {
-        Py_XDECREF(k);
-        Py_XDECREF(v);
-        return -1;
-    }
-    int rc = PyDict_SetItem(infl, k, v);
-    Py_DECREF(k);
-    Py_DECREF(v);
-    return rc;
+    if (ctx->cl_fill_line[cl][idx] == line)
+        ctx->cl_fill_ready[cl][idx] = FILL_NONE;
 }
 
 /* Completion of a hit at ``start``: it merges with a fill still in
  * flight (``scc.fill_ready_time``; landed fills are forgotten here). */
-static long long
-inflight_done(PyObject *infl, long long line, long long start, int *err)
+static inline long long
+fill_done(Ctx *ctx, long long cl, long long line, long long idx,
+          long long start)
 {
-    if (PyDict_GET_SIZE(infl) == 0)
+    long long *ready = &ctx->cl_fill_ready[cl][idx];
+    if (*ready == FILL_NONE || ctx->cl_fill_line[cl][idx] != line)
         return start + 1;
-    PyObject *key = PyLong_FromLongLong(line);
-    if (!key) {
-        *err = 1;
-        return 0;
+    if (*ready <= start) {
+        *ready = FILL_NONE;
+        return start + 1;
     }
-    PyObject *val = PyDict_GetItemWithError(infl, key);
-    long long done = start + 1;
-    if (val) {
-        long long ready = PyLong_AsLongLong(val);
-        if (ready == -1 && PyErr_Occurred()) {
-            Py_DECREF(key);
-            *err = 1;
-            return 0;
-        }
-        if (ready <= start) {
-            if (PyDict_DelItem(infl, key) < 0) {
-                Py_DECREF(key);
-                *err = 1;
-                return 0;
-            }
-        }
-        else {
-            done = ready + 1;
-        }
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(key);
-        *err = 1;
-        return 0;
-    }
-    Py_DECREF(key);
-    return done;
+    return *ready + 1;
 }
+
+/* Read every ``scc._inflight`` into the (freshly emptied) fill words;
+ * the dicts are left as they are. */
+static int
+fills_import(Ctx *ctx)
+{
+    for (int c = 0; c < ctx->n_cl; c++) {
+        PyObject *key, *value;
+        Py_ssize_t at = 0;
+        while (PyDict_Next(ctx->cl_inflight[c], &at, &key, &value)) {
+            long long line = PyLong_AsLongLong(key);
+            if (line == -1 && PyErr_Occurred())
+                return -1;
+            long long ready = PyLong_AsLongLong(value);
+            if (ready == -1 && PyErr_Occurred())
+                return -1;
+            fill_set(ctx, c, line, line & ctx->idx_mask, ready);
+        }
+    }
+    return 0;
+}
+
+/* ... and write them back: each dict becomes exactly what the reference
+ * loop would have left in it. */
+static int
+fills_export(Ctx *ctx)
+{
+    for (int c = 0; c < ctx->n_cl; c++) {
+        PyObject *infl = ctx->cl_inflight[c];
+        PyDict_Clear(infl);
+        for (long long idx = 0; idx <= ctx->idx_mask; idx++) {
+            if (ctx->cl_fill_ready[c][idx] == FILL_NONE)
+                continue;
+            PyObject *k = PyLong_FromLongLong(ctx->cl_fill_line[c][idx]);
+            PyObject *v = k ? PyLong_FromLongLong(ctx->cl_fill_ready[c][idx])
+                            : NULL;
+            int rc = v ? PyDict_SetItem(infl, k, v) : -1;
+            Py_XDECREF(k);
+            Py_XDECREF(v);
+            if (rc < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* ``scc._lost_lines`` stays the python set: misses only. */
 
 /* ``scc.note_lost(line)`` */
 static int
@@ -637,12 +724,11 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
 
 /* The snoopy write-invalidate protocol of repro.core.coherence: what
  * ``CoherenceController.read_line`` / ``write_line`` do past their hit
- * branches (their probe hooks are the "metrics" section's).  It works on
- * the state the python objects own -- tag/state
- * arrays, in-flight dicts, lost-line sets, the bus clock -- so an
- * object-path event or an icache refill handled in python between two C
- * stints sees, and leaves, current state.  Every SCC has the machine's
- * one geometry: ``idx``/``tag`` address all of them. */
+ * branches (their probe hooks are the "metrics" section's).  The bus
+ * clock is the python object's own storage, so an icache refill handled
+ * in python between two C stints sees, and leaves, the current bus.
+ * Every SCC has the machine's one geometry: ``idx``/``tag`` address all
+ * of them. */
 
 /* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; ``grant`` is the
  * cycle the bus was granted. */
@@ -689,8 +775,7 @@ invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
             continue;
         /* Before, and whatever, the residency check: a stale entry could
          * satisfy a later miss to another tag at this index. */
-        if (inflight_pop(ctx->cl_inflight[c], line) < 0)
-            return -1;
+        fill_drop(ctx, c, line, idx);
         long long *states = ctx->cl_states[c];
         if (!states[idx] || ctx->cl_tags[c][idx] != tag)
             continue;
@@ -722,16 +807,12 @@ install(Ctx *ctx, long long cl, long long line, long long idx,
     long long *states = ctx->cl_states[cl];
     long long *tags = ctx->cl_tags[cl];
     long long *st = ctx->d_scc + cl * S_FIELDS;
-    PyObject *infl = ctx->cl_inflight[cl];
     long long victim_state = states[idx];
-    long long victim_line = tags[idx] * (ctx->idx_mask + 1) + idx;
     tags[idx] = line >> ctx->tag_shift;
     states[idx] = state;
-    if (inflight_set(infl, line, ready) < 0)
-        return -1;
+    /* (this also drops the victim's fill: the slot's only possible one) */
+    fill_set(ctx, cl, line, idx, ready);
     if (victim_state) {
-        if (inflight_pop(infl, victim_line) < 0)
-            return -1;
         st[S_EVICTIONS]++;
         if (victim_state == ST_MODIFIED) {
             long long grant;
@@ -838,9 +919,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     if (is_read) {
         st[S_READS]++;
         if (resident) {
-            done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
-            if (err)
-                return -1;
+            done = fill_done(ctx, cl, line, idx, start);
         }
         else if (read_miss(ctx, cl, line, idx, start, &done) < 0) {
             return -1;
@@ -852,9 +931,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         if (resident && states[idx] >= ST_MODIFIED) {
             /* MODIFIED, or EXCLUSIVE's silent upgrade: no bus traffic */
             states[idx] = ST_MODIFIED;
-            done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
-            if (err)
-                return -1;
+            done = fill_done(ctx, cl, line, idx, start);
             retire = done;
         }
         else {
@@ -892,7 +969,7 @@ ctx_release(Ctx *ctx)
         return;
     ctx->released = 1;
     for (int p = 0; p < ctx->n_cursors; p++)
-        PyBuffer_Release(&ctx->cursors[p].view);    /* no-op when empty */
+        cursor_drop(&ctx->cursors[p]);
     for (int i = 0; i < ctx->nviews; i++)
         PyBuffer_Release(&ctx->views[i]);
     ctx->nviews = 0;
@@ -906,6 +983,9 @@ ctx_free(Ctx *ctx)
     PyMem_Free(ctx->views);
     PyMem_Free(ctx->cl_states);
     PyMem_Free(ctx->cl_inflight);
+    PyMem_Free(ctx->fills);
+    PyMem_Free(ctx->cl_fill_line);
+    PyMem_Free(ctx->ready);
     PyMem_Free(ctx->ic_states);
     PyMem_Free(ctx->ic_mask);
     PyMem_Free(ctx->cursors);
@@ -1007,16 +1087,18 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
     ctx->cl_states = PyMem_Calloc(3 * ctx->n_cl, sizeof(long long *));
     ctx->cl_inflight = PyMem_Calloc(3 * ctx->n_cl, sizeof(PyObject *));
+    ctx->cl_fill_line = PyMem_Calloc(2 * ctx->n_cl, sizeof(long long *));
     int nic = ctx->nproc > 0 ? ctx->nproc : 1;
     ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
     ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
     if (!ctx->views || !ctx->cl_states || !ctx->cl_inflight
-        || !ctx->ic_states || !ctx->ic_mask) {
+        || !ctx->cl_fill_line || !ctx->ic_states || !ctx->ic_mask) {
         ctx_free(ctx);
         return PyErr_NoMemory();
     }
     ctx->cl_tags = ctx->cl_states + ctx->n_cl;
     ctx->cl_bank_free = ctx->cl_states + 2 * ctx->n_cl;
+    ctx->cl_fill_ready = ctx->cl_fill_line + ctx->n_cl;
     ctx->cl_lost = ctx->cl_inflight + ctx->n_cl;
     ctx->cl_wbufs = ctx->cl_inflight + 2 * ctx->n_cl;
     ctx->ic_tags = ctx->ic_states + nic;
@@ -1045,13 +1127,18 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->mem_latency = sc[12];
     ctx->mesi = (int)sc[13];
 
+    if (ctx->idx_mask < 0 || ctx->idx_mask >= PY_SSIZE_T_MAX / 16) {
+        PyErr_SetString(PyExc_ValueError, "index mask out of range");
+        goto fail;
+    }
+    Py_ssize_t lines = (Py_ssize_t)ctx->idx_mask + 1;
     for (int c = 0; c < ctx->n_cl; c++) {
         PyObject *entry = PyTuple_GET_ITEM(per_cluster, c);
         if (!(ctx->cl_states[c] =
-                  acquire_ll(ctx, PyTuple_GET_ITEM(entry, 0))))
+                  acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 0), lines)))
             goto fail;
         if (!(ctx->cl_tags[c] =
-                  acquire_ll(ctx, PyTuple_GET_ITEM(entry, 1))))
+                  acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 1), lines)))
             goto fail;
         if (!(ctx->cl_bank_free[c] =
                   acquire_ll(ctx, PyTuple_GET_ITEM(entry, 2))))
@@ -1066,6 +1153,21 @@ native_setup(PyObject *self, PyObject *plan)
             goto fail;
         }
     }
+    /* One block: every cluster's ``fill_line`` words (zeroed), then every
+     * cluster's ``fill_ready``. */
+    size_t words = (size_t)ctx->n_cl * (size_t)lines;
+    if (!(ctx->fills = PyMem_Calloc(2 * words, sizeof(long long)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (size_t k = words; k < 2 * words; k++)
+        ctx->fills[k] = FILL_NONE;
+    for (int c = 0; c < ctx->n_cl; c++) {
+        ctx->cl_fill_line[c] = ctx->fills + (size_t)c * lines;
+        ctx->cl_fill_ready[c] = ctx->fills + words + (size_t)c * lines;
+    }
+    if (fills_import(ctx) < 0)
+        goto fail;
     for (int p = 0; p < ctx->nproc; p++) {
         PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
         if (!(ctx->ic_states[p] =
@@ -1096,8 +1198,8 @@ native_setup(PyObject *self, PyObject *plan)
     if (!(ctx->regs = acquire_ll(ctx, regs)))
         goto fail;
 
-    ctx->heap = PyTuple_GET_ITEM(sched, 0);
-    if (!PyList_CheckExact(ctx->heap)) {
+    ctx->mailbox = PyTuple_GET_ITEM(sched, 0);
+    if (!PyList_CheckExact(ctx->mailbox)) {
         PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
         goto fail;
     }
@@ -1107,7 +1209,8 @@ native_setup(PyObject *self, PyObject *plan)
     if (!(ctx->bus = acquire_ll_n(ctx, PyTuple_GET_ITEM(sched, 2), 3)))
         goto fail;
     ctx->cursors = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Cursor));
-    if (!ctx->cursors) {
+    ctx->ready = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Ready));
+    if (!ctx->cursors || !ctx->ready) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -1125,6 +1228,123 @@ fail:
     return NULL;
 }
 
+/* ------------------------------------------------------------ scheduler */
+
+/* The ready heap is C's: a binary min-heap of ``Ready`` triples ordered
+ * on ``(time, seq)``, with room for every process (a process is ready at
+ * most once).  ``interleaver._heap`` is its mailbox: python's ``_push``
+ * -- ``add_process``, the lock/barrier handlers' wake-ups -- heappushes
+ * ``(time, seq, pid)`` tuples there as it always did, ``run`` moves them
+ * over on entry, and ``release`` writes back whatever is still ready, so
+ * an aborted run leaves the entries the reference loop leaves. */
+
+static inline int
+ready_before(const Ready *a, const Ready *b)
+{
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* ``heapq.heappush`` */
+static void
+sched_push(Ctx *ctx, Ready item)
+{
+    Ready *heap = ctx->ready;
+    int pos = ctx->n_ready++;
+    while (pos > 0) {
+        int parent = (pos - 1) >> 1;
+        if (!ready_before(&item, &heap[parent]))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+}
+
+/* Take the earliest entry off the (non-empty) heap and put ``*self`` in
+ * its place -- heapq.heappushpop for an entry known to sort after the
+ * root: one sift for a preempted process's push and the pop that follows
+ * it -- or, when ``self`` is NULL, the heap's last entry (heapq.heappop). */
+static Ready
+sched_switch(Ctx *ctx, const Ready *self)
+{
+    Ready *heap = ctx->ready;
+    Ready top = heap[0];
+    Ready item = self ? *self : heap[--ctx->n_ready];
+    int n = ctx->n_ready, pos = 0;
+    for (;;) {
+        int child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && ready_before(&heap[child + 1], &heap[child]))
+            child++;
+        if (!ready_before(&heap[child], &item))
+            break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    if (pos < n)    /* (not when the pop emptied the heap) */
+        heap[pos] = item;
+    return top;
+}
+
+/* Empty the mailbox into the heap.  All or nothing: an entry that is not
+ * a ``(time, seq, pid)`` of this machine leaves both as they were. */
+static int
+sched_drain(Ctx *ctx)
+{
+    PyObject *box = ctx->mailbox;
+    Py_ssize_t n = PyList_GET_SIZE(box);
+    if (n == 0)
+        return 0;
+    if (n > ctx->n_cursors - ctx->n_ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "more ready entries than processes");
+        return -1;
+    }
+    Ready *in = ctx->ready + ctx->n_ready;      /* parsed, not yet pushed */
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *entry = PyList_GET_ITEM(box, k);
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "scheduler heap entries must be (time, seq, pid)");
+            return -1;
+        }
+        if (get_ll_item(entry, 0, &in[k].time) < 0
+            || get_ll_item(entry, 1, &in[k].seq) < 0
+            || get_ll_item(entry, 2, &in[k].pid) < 0)
+            return -1;
+        if (in[k].pid < 0 || in[k].pid >= ctx->n_cursors) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "process id %lld outside the machine", in[k].pid);
+            return -1;
+        }
+    }
+    if (PyList_SetSlice(box, 0, n, NULL) < 0)
+        return -1;
+    for (Py_ssize_t k = 0; k < n; k++)
+        sched_push(ctx, ctx->ready[ctx->n_ready]);
+    return 0;
+}
+
+/* Hand what is still ready back to the mailbox (which the wrapper
+ * re-heapifies: it may hold undrained pushes too). */
+static int
+sched_export(Ctx *ctx)
+{
+    for (int k = 0; k < ctx->n_ready; k++) {
+        const Ready *r = &ctx->ready[k];
+        PyObject *entry = Py_BuildValue("(LLL)", r->time, r->seq, r->pid);
+        int rc = entry ? PyList_Append(ctx->mailbox, entry) : -1;
+        Py_XDECREF(entry);
+        if (rc < 0)
+            return -1;
+    }
+    ctx->n_ready = 0;
+    return 0;
+}
+
+/* The end of C's ownership: the ready entries and the in-flight fills go
+ * back to the python containers they came from, the views are dropped. */
 static PyObject *
 native_release(PyObject *self, PyObject *capsule)
 {
@@ -1132,113 +1352,13 @@ native_release(PyObject *self, PyObject *capsule)
     Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
     if (!ctx)
         return NULL;
-    ctx_release(ctx);
+    if (!ctx->released) {
+        int failed = sched_export(ctx) < 0 || fills_export(ctx) < 0;
+        ctx_release(ctx);
+        if (failed)
+            return NULL;
+    }
     Py_RETURN_NONE;
-}
-
-/* ------------------------------------------------------------ scheduler */
-
-/* The ready heap is ``interleaver._heap`` itself: a python list of
- * ``(time, seq, pid)`` tuples shared with the heapq-based python code
- * (``_push`` from the sync handlers and ``_advance``).  ``seq`` is
- * unique, so the order on ``(time, seq)`` is total and pop order does
- * not depend on heap layout -- the same argument as for the write-buffer
- * heaps above. */
-
-static int
-sched_key(PyObject *entry, long long *time, long long *seq)
-{
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "scheduler heap entries must be (time, seq, pid)");
-        return -1;
-    }
-    *time = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
-    if (*time == -1 && PyErr_Occurred())
-        return -1;
-    *seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-    if (*seq == -1 && PyErr_Occurred())
-        return -1;
-    return 0;
-}
-
-/* Clock of the earliest ready process (LLONG_MAX when none is ready). */
-static int
-sched_top_time(PyObject *heap, long long *time)
-{
-    long long seq;
-    if (PyList_GET_SIZE(heap) == 0) {
-        *time = LLONG_MAX;
-        return 0;
-    }
-    return sched_key(PyList_GET_ITEM(heap, 0), time, &seq);
-}
-
-/* Take the earliest entry off the heap (its clock and pid come back in
- * ``time``/``pid``) and put ``entry`` in its place -- heapq.heappushpop
- * for an entry known to sort after the root -- or, when ``entry`` is
- * NULL, the heap's last element (heapq.heappop).  Steals ``entry``. */
-static int
-sched_switch(PyObject *heap, PyObject *entry, long long *time,
-             long long *pid)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *top = PyList_GET_ITEM(heap, 0);
-    long long seq;
-    Py_INCREF(top);
-    if (!entry) {
-        entry = PyList_GET_ITEM(heap, n - 1);
-        Py_INCREF(entry);
-        if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-            Py_DECREF(entry);
-            Py_DECREF(top);
-            return -1;
-        }
-        n--;
-    }
-    if (n > 0)
-        PyList_SetItem(heap, 0, entry);     /* steals; drops the old root */
-    else
-        Py_DECREF(entry);                   /* popped the only element */
-    int bad = sched_key(top, time, &seq) < 0;
-    if (!bad) {
-        *pid = PyLong_AsLongLong(PyTuple_GET_ITEM(top, 2));
-        bad = *pid == -1 && PyErr_Occurred();
-    }
-    Py_DECREF(top);
-    if (bad)
-        return -1;
-
-    /* Sift the new root down (swaps keep the list whole on error). */
-    long long t, s;
-    Py_ssize_t pos = 0;
-    if (n > 1 && sched_key(PyList_GET_ITEM(heap, 0), &t, &s) < 0)
-        return -1;
-    for (;;) {
-        Py_ssize_t child = 2 * pos + 1;
-        if (child >= n)
-            break;
-        long long ct, cs;
-        if (sched_key(PyList_GET_ITEM(heap, child), &ct, &cs) < 0)
-            return -1;
-        if (child + 1 < n) {
-            long long rt, rs;
-            if (sched_key(PyList_GET_ITEM(heap, child + 1), &rt, &rs) < 0)
-                return -1;
-            if (rt < ct || (rt == ct && rs < cs)) {
-                ct = rt;
-                cs = rs;
-                child++;
-            }
-        }
-        if (!(ct < t || (ct == t && cs < s)))
-            break;
-        PyObject *a = PyList_GET_ITEM(heap, pos);
-        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
-        PyList_SET_ITEM(heap, child, a);
-        pos = child;
-    }
-    return 0;
 }
 
 /* ----------------------------------------------------------------- run */
@@ -1265,7 +1385,6 @@ native_run(PyObject *self, PyObject *args)
     long long limit = ctx->limit;
     long long *misc = ctx->misc;
     Metrics *mx = ctx->mx;
-    PyObject *heap = ctx->heap;
     /* Only a process coming back from a sync handler is checked against
      * the heap top before its next event; a refilled one runs on, like
      * the reference loop. */
@@ -1273,54 +1392,58 @@ native_run(PyObject *self, PyObject *args)
     long long i = 0, sub = 0;
     int status;
 
+    /* First: a sync handler's wake-ups may have changed the heap top the
+     * resumed process is about to be checked against. */
+    if (sched_drain(ctx) < 0)
+        return NULL;
+    if (pid >= ctx->n_cursors || (pid < 0 && chunk != Py_None)) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "process id %lld outside the machine", pid);
+        return NULL;
+    }
     if (chunk != Py_None) {
-        if (pid < 0 || pid >= ctx->n_cursors) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "process id %lld outside the machine", pid);
-            return NULL;
-        }
         Cursor *cur = &ctx->cursors[pid];
-        if (cur->view.obj) {
+        if (cur->data) {
             PyErr_Format(PyExc_RuntimeError,
                          "process %lld already has a chunk installed", pid);
             return NULL;
         }
-        if (PyObject_GetBuffer(chunk, &cur->view, PyBUF_SIMPLE) < 0)
+        if (cursor_install(cur, chunk) < 0)
             return NULL;
-        cur->pos = 0;
-        cur->sub = 0;
     }
 
-    PyObject *entry = NULL;     /* a preempted process's heap entry */
+    status = STATUS_EXHAUSTED;
     for (;;) {      /* one round per scheduled process */
-        if (pid < 0 || entry) {
-            if (!entry && PyList_GET_SIZE(heap) == 0) {
+        if (status == STATUS_PREEMPT) {
+            /* ``time`` exceeds the top's clock, so the pushed entry
+             * cannot be the one that comes back out: what ``_push``
+             * followed by the reference loop's ``heappop`` leaves. */
+            Ready preempted = {time, ++seq, pid};
+            Ready next = sched_switch(ctx, &preempted);
+            time = next.time;
+            pid = next.pid;
+        }
+        else if (pid < 0) {
+            if (ctx->n_ready == 0) {
                 status = STATUS_DONE;
                 break;
             }
-            int rc = sched_switch(heap, entry, &time, &pid);
-            entry = NULL;
-            if (rc < 0)
-                goto fail;
-            if (pid < 0 || pid >= ctx->n_cursors) {
-                PyErr_Format(PyExc_RuntimeError,
-                             "process id %lld outside the machine", pid);
-                goto fail;
-            }
+            Ready next = sched_switch(ctx, NULL);
+            time = next.time;
+            pid = next.pid;
         }
         Cursor *cur = &ctx->cursors[pid];
-        if (!cur->view.obj) {
+        if (!cur->data) {
             status = STATUS_OBJECT;
             break;
         }
-        const long long *data = (const long long *)cur->view.buf;
-        long long end = (long long)(cur->view.len / 8);
+        const long long *data = cur->data;
+        long long end = cur->end;
         long long cl = ctx->proc_cluster[pid];
-        long long next_time;
+        /* clock of the earliest ready process */
+        long long next_time = ctx->n_ready ? ctx->ready[0].time : LLONG_MAX;
         i = cur->pos;
         sub = cur->sub;
-        if (sched_top_time(heap, &next_time) < 0)
-            goto fail;
         status = STATUS_EXHAUSTED;
         if (after_sync) {
             after_sync = 0;
@@ -1517,18 +1640,12 @@ native_run(PyObject *self, PyObject *args)
             break;
         }
         if (status == STATUS_EXHAUSTED) {
-            PyBuffer_Release(&cur->view);
+            cursor_drop(cur);
             break;
         }
-        /* Preempted by the heap top.  ``time`` exceeds the top's clock,
-         * so the pushed entry cannot be the one that comes back out and
-         * push-and-pop fuse into one sift: what ``_push`` followed by the
-         * reference loop's ``heappop`` leaves. */
+        /* Preempted by the heap top: the next round switches. */
         cur->pos = i;
         cur->sub = sub;
-        entry = Py_BuildValue("(LLL)", time, ++seq, pid);
-        if (!entry)
-            goto fail;
     }
 
     regs[R_POS] = i;
@@ -1629,6 +1746,50 @@ l_update_hot(LCtx *c, int s, long long done, long long *hot_n)
         c->hot[s] = 0;
         (*hot_n)--;
     }
+}
+
+/* Each rung's in-flight fills are its SCC's own ``_inflight`` dict (line
+ * -> cycle the fill lands), worked on in place. */
+
+/* ``inflight.pop(key, None)`` */
+static int
+inflight_pop(PyObject *infl, long long key)
+{
+    if (PyDict_GET_SIZE(infl) == 0)
+        return 0;
+    PyObject *k = PyLong_FromLongLong(key);
+    if (!k)
+        return -1;
+    PyObject *v = PyDict_GetItemWithError(infl, k);
+    if (v) {
+        if (PyDict_DelItem(infl, k) < 0) {
+            Py_DECREF(k);
+            return -1;
+        }
+    }
+    else if (PyErr_Occurred()) {
+        Py_DECREF(k);
+        return -1;
+    }
+    Py_DECREF(k);
+    return 0;
+}
+
+/* ``inflight[line] = ready`` */
+static int
+inflight_set(PyObject *infl, long long line, long long ready)
+{
+    PyObject *k = PyLong_FromLongLong(line);
+    PyObject *v = k ? PyLong_FromLongLong(ready) : NULL;
+    if (!k || !v) {
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+        return -1;
+    }
+    int rc = PyDict_SetItem(infl, k, v);
+    Py_DECREF(k);
+    Py_DECREF(v);
+    return rc;
 }
 
 /* ``inflight[s].get(line)`` with the hot-hit resolution: delete stale

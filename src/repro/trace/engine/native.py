@@ -1,19 +1,31 @@
 """C-extension packed replay backend: loader, on-demand build, wrapper.
 
 ``_native.c`` implements the interleaver's scheduler and chunk-drain
-loop over raw ``int64_t*`` views of the shared ``array('q')``
-tag/state/bank/bus storage: C owns the whole data path -- hits,
-bank/write-buffer timing, the snoopy miss path with its bus arbitration
--- and scheduling (process switches happen in place on
-``interleaver._heap``).  Python owns what is rare: generator resumes,
-synchronization handlers, and instruction-cache refills, the one
-callback left.  The contract is the reference loop's
+loop: C owns the whole data path -- hits, bank/write-buffer timing, the
+snoopy miss path with its bus arbitration -- and scheduling.  Python
+owns what is rare: generator resumes, synchronization handlers,
+task-queue events yielded as objects, and instruction-cache refills, the
+one callback left.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors -- and, when the system carries the standard
 :class:`~repro.instrument.probes.InstrumentationProbe`, the same
 registry: C bins what it executes into buffers this wrapper hands it
 and folds into the probe once, after the run, while whatever python
 still executes emits into the probe directly.
+
+Ownership rule: the python containers are the machine's state *at
+rest*; between ``setup`` and ``release`` C works on its own copy and no
+python code reads or writes the machine (``MultiprocessorSystem
+.data_access`` never runs in a native run).  Tag/state arrays, bank free
+times and the bus clock are ``array('q')`` storage C works on in place;
+each ``scc._inflight`` dict is read into per-index fill words at
+``setup`` and rewritten from them at ``release``; the ready heap lives
+in C, with ``interleaver._heap`` as its *mailbox* -- ``_push`` (from
+``add_process`` and the lock/barrier handlers) appends there as on the
+reference loop, ``_native.run`` drains it on entry, ``release`` writes
+back what is still ready -- so a run that ends, or aborts, leaves every
+container as the reference loop would, and the next run on the same
+objects may be either engine's.
 
 The extension has two more sections this module only loads: the fused
 ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
@@ -43,6 +55,7 @@ ladders), which tests and CI pin to the same goldens.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib.util
 import os
 import subprocess
@@ -61,7 +74,7 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder or profile entry points) changes.
-NATIVE_VERSION = "6"
+NATIVE_VERSION = "7"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -213,10 +226,11 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_generic`` on
     machines the interleaver found native-eligible.
 
-    The scheduler and the chunk-drain loop run in C (``_native.run``) on
-    the interleaver's own ``_heap``; this frame is re-entered only to
-    resume a generator (chunk exhausted, or a popped process with no
-    chunk installed) and to run a synchronization handler.
+    The scheduler and the chunk-drain loop run in C (``_native.run``);
+    this frame is re-entered only to resume a generator (chunk exhausted,
+    or a popped process with no chunk installed) and to run a
+    synchronization handler; ``interleaver.engine_returns`` counts those
+    hand-backs by reason.
     """
     native = load()
     self = interleaver
@@ -231,6 +245,9 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     procs = system._procs
     nproc = config.total_processors
     n_banks = cl_icn[0].num_banks
+    for scc in cl_scc:
+        if scc._inflight:   # C keeps one fill per index: the invariant's
+            scc.check_fill_tracking()
     model_icache = config.model_icache
     ic_objs = None
     iline_shift = 0
@@ -330,16 +347,12 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             returns[status] += 1
             chunk = None
             # C switched processes without touching the process objects;
-            # bring them up to date before any handler looks: every one
-            # exactly as ``_push`` / the reference loop's pop would leave
-            # it.
+            # bring the current one up to date, as the reference loop's
+            # pop would leave it.  (Ready ones are brought up to date once,
+            # at the end: no handler looks at a process that is ready.)
             process = processes[regs[_R_PID]]
             process.time = regs[_R_TIME]
             process.in_heap = False
-            for clock, _, pid in heap:
-                ready = processes[pid]
-                ready.time = clock
-                ready.in_heap = True
             if status == _SYNC:
                 data = process.chunk
                 i = regs[_R_POS]
@@ -370,17 +383,27 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 finish_time = finish
             data = process.chunk
             if data is None:
-                regs[_R_PID] = -1   # blocked, rescheduled, or finished
+                regs[_R_PID] = -1   # finished
                 continue
-            # Chunks are fully consumed before their generator resumes,
-            # so swapping the sequence object for ``array('q')`` storage
-            # is invisible to workloads that reuse builder lists.
-            if type(data) is not array or data.typecode != "q":
+            # C reads an ``array('q')`` in place and takes its own copy
+            # of a builder ``list``; any other int sequence becomes an
+            # array here.  Chunks are fully consumed before their
+            # generator resumes, so neither is visible to a workload
+            # that reuses its builder.
+            if type(data) is not list and (type(data) is not array
+                                           or data.typecode != "q"):
                 data = process.chunk = array("q", data)
             chunk = data
             regs[_R_TIME] = process.time
     finally:
+        # Whatever is still ready (an aborted run) comes back as the
+        # reference loop would have left it: entries, clocks, flags.
         native.release(ctx)
+        heapq.heapify(heap)
+        for clock, _, pid in heap:
+            ready = processes[pid]
+            ready.time = clock
+            ready.in_heap = True
         self.engine_returns = {"refill": returns[_EXHAUSTED],
                                "sync": returns[_SYNC],
                                "object": returns[_OBJECT]}

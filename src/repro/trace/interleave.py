@@ -28,9 +28,15 @@ this module is the *reference*: one event at a time through the
 or probe.  On machines with a direct-mapped power-of-two SCC, the default
 snoopy protocol, no observer, and either no probe or the standard
 :class:`~repro.instrument.probes.InstrumentationProbe` without its event
-log, a ``native`` resolution hands scheduling and chunk draining to the C
-extension instead (bit-identical statistics and probe registry, pinned by
-:mod:`repro.verify`).
+log, a ``native`` resolution hands scheduling and every memory event to
+the C extension instead (bit-identical statistics and probe registry,
+pinned by :mod:`repro.verify`).  A native run shares this module's
+generator resumes (:meth:`TimingInterleaver._advance`), its lock and
+barrier handlers and ``_dispatch``'s task-queue branches; ``_dispatch``'s
+memory and synchronization branches, ``_consume_chunk_generic`` and
+:meth:`~repro.core.system.MultiprocessorSystem.data_access` are the
+reference loop's alone -- an event object a generator yields reaches C as
+a one-event chunk.
 
 Synchronization (ANL macro equivalents):
 
@@ -59,12 +65,19 @@ from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                      Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
 from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                      OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk)
+                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk,
+                     append_event)
 
 __all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError",
            "fused_replay_ok"]
 
 ProcessGenerator = Generator[TraceEvent, Any, None]
+
+# Event objects the native engine executes itself, each as a one-event
+# chunk; task-queue events carry python items and responses and stay in
+# ``_dispatch`` on both engines.
+_CHUNKED_EVENTS = frozenset((Read, Write, Compute, Ifetch, LockAcquire,
+                             LockRelease, Barrier))
 
 
 class DeadlockError(RuntimeError):
@@ -200,8 +213,13 @@ class TimingInterleaver:
         (the reference loop) or ``native``."""
         self.engine_returns: Dict[str, int] = {}
         """How often the native engine's C loop handed control back to
-        python during the last :meth:`run`, by reason (``refill``/
-        ``sync``/``object``); empty on the reference loop."""
+        python during the last :meth:`run`, by reason; empty on the
+        reference loop.  ``refill``: the current process's chunk ran out
+        and its generator must be resumed -- a one-event chunk made from
+        an event object counts like any other; ``sync``: a lock or
+        barrier, packed or yielded as an object, needs its handler;
+        ``object``: a process was scheduled with no chunk installed --
+        its first scheduling, once per process."""
 
     # ------------------------------------------------------------------
     # Setup
@@ -270,9 +288,13 @@ class TimingInterleaver:
         """Run ``process`` until it blocks, finishes, or falls behind the
         next-earliest process.  Returns its finish time if it ended.
 
-        Under the native engine this only ever runs *object* events:
-        chunks are drained in C, so a freshly yielded chunk is installed
-        on the process and control returns to the caller."""
+        Under the native engine this only resumes the generator: chunks
+        are drained in C, so a freshly yielded chunk -- or an event
+        object, packed as a chunk of one -- is installed on the process
+        and control returns to the caller, who counts the event where it
+        executes.  Task-queue events are handled here on both engines;
+        they move no clock, so the native branch has nothing to
+        reschedule after one."""
         heap = self._heap
         native = self.engine_used == "native"
         while True:
@@ -304,8 +326,14 @@ class TimingInterleaver:
                 if native:
                     return None
                 continue
+            if native and type(event) in _CHUNKED_EVENTS:
+                process.chunk = data = []
+                append_event(data, event)
+                return None
             self.events_processed += 1
             self._dispatch(process, event)
+            if native:
+                continue
             if process.blocked:
                 return None
             if process.in_heap:

@@ -9,9 +9,11 @@ must agree with it on everything the engine exposes:
   the full fingerprint *and* the model's own invariants.
 * **native** -- the compiled engine from :mod:`repro.trace.engine`
   (``backend="native"``, engaged whenever the machine qualifies);
-  compared on cycle counts, per-cluster statistics, bus counters, and
-  final tag/state arrays.  It runs unprobed: the loop whose metrics
-  pointer is NULL.
+  compared on cycle counts, per-cluster statistics, bus counters,
+  final tag/state arrays and the in-flight fill tables it leaves (it
+  works on a copy of them and writes that back; a fill forgotten a
+  cycle late changes no clock, only the next run's starting state).
+  It runs unprobed: the loop whose metrics pointer is NULL.
 * **instrumented** -- the same engine carrying the standard probe
   (:class:`~repro.instrument.probes.InstrumentationProbe`, no event
   log); compared on all of the above plus ``metrics``, the probe's
@@ -130,7 +132,7 @@ def _always(tape: Tape) -> bool:
     return True
 
 
-_FULL = ("events", "stats", "bus", "arrays")
+_FULL = ("events", "stats", "bus", "arrays", "fills")
 
 #: Modes that drive a :class:`TimingInterleaver`, by the backend they
 #: ask for (``python`` is the reference loop) ...
@@ -217,6 +219,9 @@ def run_tape(tape: Tape, mode: str,
                    sorted(cluster.scc.array.resident_lines())
                    for cluster_id, cluster
                    in enumerate(system.clusters)},
+        "fills": {cluster_id: sorted(cluster.scc._inflight.items())
+                  for cluster_id, cluster
+                  in enumerate(system.clusters)},
     }
     if probe is not None:
         result.fingerprint["metrics"] = probe.registry.as_dict()

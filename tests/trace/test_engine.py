@@ -12,7 +12,8 @@ import pytest
 
 from repro.trace.engine import (BACKEND_CHOICES, available_backends,
                                 backend_info, engine_degradation,
-                                native_available, resolve_backend)
+                                native_available,
+                                native_unavailable_reason, resolve_backend)
 from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
                                 OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN)
 
@@ -99,17 +100,20 @@ def test_differ_registry_covers_available_backends():
 
 
 # ----------------------------------------------------------------------
-# Native scheduler: C switches processes; python is re-entered only for
-# refills, sync handlers and the object path
+# Native scheduler: C switches processes; python is re-entered only to
+# resume a generator and to run a sync handler
 # ----------------------------------------------------------------------
 
-needs_native = pytest.mark.skipif(not native_available(),
-                                  reason="native extension unavailable")
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native replay backend unavailable: "
+           f"{native_unavailable_reason()}")
 
 
 def _interleaver(config, streams, backend, probe=None):
     """``streams``: per-processor lists of pieces, each a packed chunk
-    (a list of ints) or an event object (the object path)."""
+    (a list of ints) or an event object -- or generator functions, for
+    processes that need their events' responses."""
     from repro.core.system import MultiprocessorSystem
     from repro.trace.interleave import TimingInterleaver
     from repro.trace.packed import PackedChunk
@@ -117,9 +121,10 @@ def _interleaver(config, streams, backend, probe=None):
     interleaver = TimingInterleaver(system, backend=backend)
     for pid, pieces in streams.items():
         interleaver.add_process(
-            pid, iter([PackedChunk(list(piece))
-                       if isinstance(piece, list) else piece
-                       for piece in pieces]))
+            pid, pieces() if callable(pieces) else
+            iter([PackedChunk(list(piece))
+                  if isinstance(piece, list) else piece
+                  for piece in pieces]))
     return system, interleaver
 
 
@@ -152,6 +157,11 @@ def _outcome(config, streams, backend, max_cycles=None, bin_width=None):
         "bus": (system.bus.transactions, system.bus.busy_cycles,
                 system.bus.busy_until),
         "seq": interleaver._seq,
+        # the containers a native run works on a copy of, as it leaves
+        # them: who is still ready (an abort), which fills are in flight
+        "ready": sorted(interleaver._heap),
+        "fills": [dict(cluster.scc._inflight)
+                  for cluster in system.clusters],
     }
 
 
@@ -162,11 +172,7 @@ class TestNativeScheduler:
         the three reasons, and together they stay under 5% of the events
         (the python scheduler frame took 78%: one per process switch)."""
         from types import SimpleNamespace
-        from repro.core.config import SystemConfig
-        from repro.experiments.spec import PROFILES
-        from repro.simulation import build_system
         from repro.trace.engine import native
-        from repro.trace.interleave import TimingInterleaver
 
         real = native.load()
         calls = []
@@ -177,14 +183,7 @@ class TestNativeScheduler:
 
         monkeypatch.setattr(native, "_mod", SimpleNamespace(
             setup=real.setup, run=counting_run, release=real.release))
-        profile = PROFILES["quick"]
-        config = SystemConfig.paper_parallel(
-            8, 8 * 1024 // profile.ladder_scale)
-        interleaver = TimingInterleaver(build_system(config),
-                                        backend="native")
-        application = profile.barnes_hut()
-        for pid, generator in application.processes(config).items():
-            interleaver.add_process(pid, generator)
+        interleaver = _quick_8p("barnes_hut", "native")
         interleaver.run()
         assert interleaver.engine_used == "native"
         returns = interleaver.engine_returns
@@ -253,6 +252,10 @@ class TestNativeScheduler:
         assert native["error"] == ("RuntimeError",
                                    "simulation exceeded 300 cycles")
         assert native["events"] == 4    # neither trailing read ran
+        # process 1 is left ready; its first fill and process 0's were
+        # never forgotten
+        assert native["ready"] == [(1105, 6, 1)]
+        assert native["fills"] == [{0: 100, 8: 104}]
         assert native == _outcome(config, streams, "python",
                                   max_cycles=300)
 
@@ -260,9 +263,11 @@ class TestNativeScheduler:
         """A python frame that raises under ``_native.run`` mid-run: C's
         deltas -- the miss path's included, it counts everything there
         now -- are flushed exactly once, leaving what the reference loop,
-        which counts as it goes, has at the same failure.  The fault sits
-        in the icache refill, the one callback the data path has left; a
-        fetch that hits in C's inline icache never reaches it."""
+        which counts as it goes, has at the same failure -- and so are
+        C's ready heap and fill words, to the containers they came from.
+        The fault sits in the icache refill, the one callback the data
+        path has left; a fetch that hits in C's inline icache never
+        reaches it."""
         from repro.core.config import SystemConfig
         from repro.core.system import MultiprocessorSystem
         from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
@@ -273,7 +278,7 @@ class TestNativeScheduler:
         streams = {pid: [[OP_IFETCH, 0, 4, OP_WRITE, 64 * pid,
                           OP_COMPUTE, 9, OP_READ, 64 * pid],
                          [OP_IFETCH, 0, 4, OP_READ, 4096 + 64 * pid,
-                          OP_IFETCH, 4096 * (pid == 3), 2, OP_COMPUTE, 1]]
+                          OP_IFETCH, 4096 * (pid == 1), 2, OP_COMPUTE, 1]]
                    for pid in range(4)}
         real = MultiprocessorSystem.ifetch
 
@@ -286,6 +291,9 @@ class TestNativeScheduler:
         native = _outcome(config, streams, "native")
         assert native["error"] == ("KeyError", "'injected refill failure'")
         assert native["stats"]["scc"][0]["read_misses"] > 0
+        # processes 2 and 3 are left ready, four fills in flight
+        assert [pid for _, _, pid in native["ready"]] == [2, 3]
+        assert sorted(map(len, native["fills"])) == [2, 2]
         assert native == _outcome(config, streams, "python")
 
     @pytest.mark.parametrize("tape", [
@@ -306,45 +314,88 @@ class TestNativeScheduler:
                                   max_cycles=10_000)
 
     def test_a_miss_never_reenters_python(self):
-        """Quick Barnes-Hut 8p/8KB: while ``_native.run`` is on the C
-        stack no ``repro.core.coherence`` frame is entered (75,375 read
-        misses and 2,495 writes called back when the protocol was
-        python's alone); the reference protocol code still runs, but
-        only under ``_advance``'s object path.  The hand-backs
-        themselves did not move."""
+        """Quick Barnes-Hut 8p/8KB: no ``repro.core.coherence`` frame is
+        entered anywhere in a native run -- not under ``_native.run``
+        (75,375 read misses and 2,495 writes called back when the
+        protocol was python's alone), and not from ``_advance`` either
+        (5,133 event objects went through ``_dispatch`` when python
+        executed them): an event object reaches C as a chunk of one.
+        So every object is a round trip of its own -- the ``refill``
+        that finds its chunk exhausted, or the ``sync`` that runs its
+        handler -- and ``object`` is left with each process's first
+        scheduling."""
         import repro.core.coherence as coherence
-        interleaver, frames = _profiled_bh8p(coherence.__file__)
-        assert frames["under_c"] == 0 and frames["elsewhere"] == 0
-        assert frames["object_path"] > 0
+        interleaver, frames = _profiled_native_run(
+            "barnes_hut",
+            lambda code: code.co_filename == coherence.__file__)
+        assert frames == {"under_c": 0, "object_path": 0, "elsewhere": 0}
         assert interleaver.engine_returns == {
-            "refill": 299, "object": 5133, "sync": 0}
+            "refill": 7152, "sync": 2272, "object": 32}
 
     def test_neither_does_telling_the_probe(self):
         """The same point under the standard probe: the same hand-backs
         (the probe costs no re-entry), and no ``repro.instrument.probes``
-        frame while ``_native.run`` is on the C stack -- C bins what it
-        executes, the object path's events still call the probe."""
+        frame on the memory path -- none while ``_native.run`` is on the
+        C stack, none under ``_advance``: C bins every memory event.  The
+        lock and barrier handlers still tell the probe themselves, and
+        the registry is the reference loop's."""
         import repro.instrument.probes as probes
         probe = probes.InstrumentationProbe(record_events=False)
-        interleaver, frames = _profiled_bh8p(probes.__file__, probe)
-        assert frames["under_c"] == 0
-        assert frames["object_path"] > 0
+        interleaver, frames = _profiled_native_run(
+            "barnes_hut",
+            lambda code: code.co_filename == probes.__file__, probe)
+        assert frames["under_c"] == 0 and frames["object_path"] == 0
+        assert frames["elsewhere"] > 0
         assert interleaver.engine_returns == {
-            "refill": 299, "object": 5133, "sync": 0}
+            "refill": 7152, "sync": 2272, "object": 32}
         counters = probe.registry.counters
         assert counters["bank_accesses"] == \
             counters["cache_hits"] + counters["cache_misses"] > 100_000
+        reference = probes.InstrumentationProbe(record_events=False)
+        _quick_8p("barnes_hut", "python", reference).run()
+        assert json.dumps(probe.registry.as_dict(), sort_keys=True) == \
+            json.dumps(reference.registry.as_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("application", ["barnes_hut", "cholesky"])
+    def test_data_access_never_runs_in_a_native_run(self, application):
+        """``MultiprocessorSystem.data_access`` is the reference loop's
+        alone: Barnes-Hut's lock-racing tree inserts and Cholesky's
+        task-queue phases yield their references as objects, and not one
+        of them is executed by python."""
+        from repro.core.system import MultiprocessorSystem
+        data_access = MultiprocessorSystem.data_access.__code__
+        interleaver, frames = _profiled_native_run(
+            application, lambda code: code is data_access)
+        assert sum(frames.values()) == 0
+        assert interleaver.engine_returns["object"] == 32
 
 
-def _profiled_bh8p(source_file, probe=None):
-    """Run quick Barnes-Hut 8p/8KB on the native engine under
-    ``sys.setprofile``; counts the python frames of ``source_file``
-    entered while ``_native.run`` was on the C stack (``under_c``),
-    under ``_advance``'s object path, and elsewhere."""
-    import sys
+def _quick_8p(application, backend, probe=None):
+    """A quick-profile paper application on the 8p/8KB machine, ready
+    to run."""
     from repro.core.config import SystemConfig
     from repro.experiments.spec import PROFILES
     from repro.simulation import build_system
+    from repro.trace.interleave import TimingInterleaver
+
+    profile = PROFILES["quick"]
+    config = SystemConfig.paper_parallel(
+        8, 8 * 1024 // profile.ladder_scale)
+    interleaver = TimingInterleaver(build_system(config, probe),
+                                    backend=backend)
+    processes = getattr(profile, application)().processes(config)
+    for pid, generator in processes.items():
+        interleaver.add_process(pid, generator)
+    return interleaver
+
+
+def _profiled_native_run(application, counted, probe=None):
+    """Run ``_quick_8p`` on the native engine under ``sys.setprofile``;
+    counts the python frames whose code object ``counted`` accepts,
+    entered while ``_native.run`` was on the C stack (``under_c``),
+    under ``_advance`` (``object_path``: where python used to execute
+    event objects), and elsewhere."""
+    import sys
     from repro.trace.engine import native
     from repro.trace.interleave import TimingInterleaver
 
@@ -355,7 +406,7 @@ def _profiled_bh8p(source_file, probe=None):
 
     def profiler(frame, event, arg):
         if event == "call":
-            if frame.f_code.co_filename != source_file:
+            if not counted(frame.f_code):
                 return
             if in_c[0]:
                 frames["under_c"] += 1
@@ -366,13 +417,7 @@ def _profiled_bh8p(source_file, probe=None):
         elif arg is run_c:
             in_c[0] = event == "c_call"
 
-    profile = PROFILES["quick"]
-    config = SystemConfig.paper_parallel(
-        8, 8 * 1024 // profile.ladder_scale)
-    interleaver = TimingInterleaver(build_system(config, probe),
-                                    backend="native")
-    for pid, generator in profile.barnes_hut().processes(config).items():
-        interleaver.add_process(pid, generator)
+    interleaver = _quick_8p(application, "native", probe)
     sys.setprofile(profiler)
     try:
         interleaver.run()
@@ -605,6 +650,233 @@ def test_a_negative_clock_cannot_index_before_the_bins():
                                "cycle outside the timeline range")
 
 
+# ----------------------------------------------------------------------
+# Directed scheduling tapes: event objects as one-event chunks, the
+# mailbox, the task-queue events python keeps
+# ----------------------------------------------------------------------
+
+def _scheduling_tapes():
+    """name -> (config overrides, streams, check); ``check`` is asserted
+    on the reference loop's outcome, so a tape that stops exercising its
+    case fails rather than passes vacuously."""
+    from repro.trace.events import (Barrier, Compute, Ifetch, LockAcquire,
+                                    LockRelease, Read, TaskDequeue,
+                                    TaskEnqueue, Write)
+    from repro.trace.packed import (OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL,
+                                    PackedChunk)
+
+    def dequeuer():
+        # The refilled chunk's miss runs ~100 cycles past the heap top:
+        # the dequeue must wait its turn behind processor 1's enqueue at
+        # 50 (the Cholesky shape: a task's chunk, then the next task).
+        yield PackedChunk([OP_READ, A])
+        item = yield TaskDequeue(7)
+        yield PackedChunk([OP_COMPUTE, 1000 if item == 42 else 1])
+        assert (yield TaskDequeue(7)) is None       # a poll, twice over
+        assert (yield TaskDequeue(8)) is None
+        yield Read(A + 16)
+
+    def enqueuer():
+        yield Compute(50)
+        yield TaskEnqueue(7, 42)
+        yield TaskEnqueue(9, "never taken")
+        yield Write(B)
+
+    icache_objects = {
+        0: [Compute(0), Ifetch(0, 4), Read(A), Compute(0), Ifetch(0, 4),
+            Ifetch(4096, 40), Compute(0)],
+        1: [Ifetch(64, 2), Compute(0), [OP_COMPUTE, 0], Write(A),
+            Ifetch(64, 2)],
+    }
+    return {
+        "dequeue-right-after-a-refill-that-ran-ahead": (
+            {}, {0: dequeuer, 1: enqueuer},
+            lambda out: out["clocks"][0] > 1000),
+        # every arrival but the last blocks; the last one wakes itself
+        # along with the others, and is found scheduled by its own event
+        # -- as an object on processors 0-1, packed on 2-3; then a lock
+        # handed from holder to waiter, objects again
+        "barrier-whose-last-arrival-is-the-current-process": (
+            {}, {0: [Compute(30), Barrier(0, 4), LockAcquire(5), Write(A),
+                     LockRelease(5)],
+                 1: [Compute(10), Barrier(0, 4), LockAcquire(5), Write(A),
+                     LockRelease(5), Barrier(1, 1), Read(B)],
+                 2: [[OP_COMPUTE, 20, OP_BARRIER, 0, 4, OP_LOCK_ACQ, 5,
+                      OP_READ, A, OP_LOCK_REL, 5]],
+                 3: [[OP_COMPUTE, 40, OP_BARRIER, 0, 4], Read(512)]},
+            lambda out: out["error"] is None
+            and sum(proc["sync_stall_cycles"]
+                    for proc in out["stats"]["processors"]) > 60),
+        # eight processors leave one barrier on one clock and miss on
+        # eight lines of one bank: the wake-ups cross the mailbox tied,
+        # ``seq`` alone orders them, and the bus queue shows the order
+        "tied-clocks-across-a-mailbox-drain": (
+            {"clusters": 4},
+            {pid: [Compute(7), Barrier(0, 8), Read(4096 * pid),
+                   [OP_BARRIER, 1, 8, OP_READ, 4096 * pid + 1024],
+                   Compute(3)] for pid in range(8)},
+            lambda out: len(set(out["clocks"].values())) == 8),
+        "compute-0-and-ifetch-objects-no-icache": (
+            {"model_icache": False}, icache_objects,
+            lambda out: out["events"] == 12),
+        "compute-0-and-ifetch-objects-inline-icache": (
+            {}, icache_objects,
+            lambda out: out["stats"]["icache_misses"] == 7),
+        # one line of 1024 bytes: no index mask, every fetch is python's
+        "compute-0-and-ifetch-objects-python-icache": (
+            {"icache_line_size": 1024}, icache_objects,
+            lambda out: out["stats"]["icache_misses"] == 3),
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(_scheduling_tapes()))
+def test_native_scheduling_matches_the_reference_loop(name):
+    """Message, clocks, ``_seq``, events, statistics, what is left ready
+    and in flight: the whole outcome."""
+    from repro.core.config import SystemConfig
+    overrides, streams, check = _scheduling_tapes()[name]
+    config = SystemConfig(**{
+        "clusters": 2, "processors_per_cluster": 2, "scc_size": 1024,
+        "model_icache": True, "icache_size": 1024, **overrides})
+    reference = _outcome(config, streams, "python")
+    assert reference["error"] is None
+    assert check(reference), reference
+    assert _outcome(config, streams, "native") == reference
+    assert _outcome(config, streams, "native", bin_width=4) == \
+        _outcome(config, streams, "python", bin_width=4)
+
+
+@needs_native
+def test_an_operand_beyond_int64_raises_before_any_accounting():
+    """An event object is packed before C sees it, so an address no
+    ``int64`` holds is refused up front: nothing counted, nothing
+    claimed.  The reference loop, working in python ints, gets as far
+    as the tag array before the same ``OverflowError``."""
+    from repro.core.config import SystemConfig
+    from repro.trace.events import Read
+    config = SystemConfig(clusters=1, processors_per_cluster=2,
+                          scc_size=1024)
+    streams = {0: [[OP_COMPUTE, 3], Read(1 << 80)], 1: [[OP_READ, 256]]}
+    native = _outcome(config, streams, "native")
+    reference = _outcome(config, streams, "python")
+    assert native["error"][0] == reference["error"][0] == "OverflowError"
+    assert native["events"] == 2        # the compute, processor 1's read
+    assert native["stats"]["scc"][0]["reads"] == 1
+    assert native["bus"] == (1, 4, 4)
+    assert reference["events"] == 3 and reference["bus"] == (2, 8, 8)
+    assert native["ready"] == reference["ready"] == [(101, 4, 1)]
+    assert native["seq"] == reference["seq"] == 4
+
+
+# ----------------------------------------------------------------------
+# State continuity: what one run leaves, the next one -- either
+# engine's -- picks up
+# ----------------------------------------------------------------------
+
+def _two_runs(first, second):
+    """One machine, two interleavers back to back; the first run ends
+    with three fills in flight (two of one cluster) that the second --
+    started on the cycle the first ended -- merges with, evicts,
+    invalidates and, once landed, forgets."""
+    from repro.core.config import SystemConfig
+    from repro.core.system import MultiprocessorSystem
+    from repro.trace.events import Read, Write
+    from repro.trace.interleave import TimingInterleaver
+    from repro.trace.packed import PackedChunk
+    config = SystemConfig(clusters=2, processors_per_cluster=2,
+                          scc_size=1024)
+    system = MultiprocessorSystem(config)
+    stages = [
+        (first, {0: [[OP_READ, A, OP_COMPUTE, 120, OP_WRITE, B + 16]],
+                 1: [[OP_COMPUTE, 218], Write(512)],
+                 2: [[OP_COMPUTE, 219, OP_WRITE, 768]],
+                 3: [[OP_COMPUTE, 60]]}),
+        (second, {0: [Read(B + 16), [OP_READ, 512, OP_COMPUTE, 200,
+                                      OP_READ, B + 16]],
+                  1: [[OP_READ, 512 + 1024, OP_READ, 512]],
+                  2: [[OP_COMPUTE, 2, OP_READ, 768], Read(A),
+                      [OP_COMPUTE, 300, OP_READ, 768]],
+                  3: [[OP_WRITE, B + 16]]}),
+    ]
+    observed = []
+    start = 0
+    for backend, streams in stages:
+        interleaver = TimingInterleaver(system, backend=backend)
+        for pid, pieces in streams.items():
+            interleaver.add_process(
+                pid, iter([PackedChunk(piece) if isinstance(piece, list)
+                           else piece for piece in pieces]),
+                start_time=start)
+        start = interleaver.run()
+        assert interleaver.engine_used == backend
+        observed.append({
+            "finish": start,
+            "fills": [dict(cluster.scc._inflight)
+                      for cluster in system.clusters],
+            "ready": sorted(interleaver._heap),
+            "seq": interleaver._seq,
+            "clocks": {pid: process.time for pid, process
+                       in interleaver._processes.items()},
+            "stats": system.stats(start).as_dict(),
+        })
+    system.check_invariants()
+    return observed
+
+
+@needs_native
+class TestStateContinuity:
+    def test_fills_outstanding_across_two_runs(self):
+        reference = _two_runs("python", "python")
+        # not vacuous: three fills land after the boundary (222), and
+        # the second run forgets cluster 1's and kills one of cluster 0's
+        assert reference[0]["finish"] == 222
+        assert reference[0]["fills"] == [{0: 100, 32: 318, 65: 326},
+                                         {48: 322}]
+        assert 48 not in reference[1]["fills"][1]
+        assert reference[1]["stats"]["scc"][1]["invalidations_sent"] == 1
+        for first, second in [("native", "python"), ("python", "native"),
+                              ("native", "native")]:
+            assert _two_runs(first, second) == reference, (first, second)
+
+    @pytest.mark.parametrize("bad, stale", [
+        # line 64 shares index 0 with the resident line 0
+        ({0: 500, 64: 500}, [64]),
+        # nothing is resident at index 5
+        ({0: 500, 5: 400}, [5]),
+    ])
+    def test_setup_refuses_a_dict_that_breaks_the_invariant(self, bad,
+                                                            stale):
+        """C keeps one fill per index: a dict with two lines of one
+        index, or a line that is not resident, cannot be imported --
+        ``check_invariants``' own complaint, before anything is run or
+        rewritten."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024)
+        system, first = _interleaver(config, {0: [[OP_READ, 0]]}, "native")
+        first.run()
+        inflight = system.clusters[0].scc._inflight
+        assert inflight == {0: 100}
+        inflight.clear()
+        inflight.update(bad)
+        from repro.trace.interleave import TimingInterleaver
+        from repro.trace.packed import PackedChunk
+        second = TimingInterleaver(system, backend="native")
+        second.add_process(0, iter([PackedChunk([OP_READ, 0])]),
+                           start_time=101)
+        with pytest.raises(AssertionError) as refused:
+            second.run()
+        assert str(refused.value) == (
+            f"cluster 0 tracks in-flight fills for non-resident lines "
+            f"{stale} (fill-tracking leak)")
+        assert inflight == bad
+        assert second.events_processed == 0
+        assert sorted(second._heap) == [(101, 1, 0)]
+        with pytest.raises(AssertionError, match="fill-tracking leak"):
+            system.check_invariants()
+
+
 @needs_native
 class TestNativeAbiGuard:
     def test_source_and_wrapper_agree_on_the_abi(self):
@@ -635,9 +907,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "6"
+        assert native.NATIVE_VERSION == "7"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '6'")
+            "stale extension old.so: ABI '5', need '7'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()

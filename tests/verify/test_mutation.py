@@ -11,7 +11,10 @@ statement there: it diverges exactly the ``instrumented`` engine.  And
 so do row profiles -- the python functions of ``repro.model.profile``
 and the C "profile" section -- where a third mutant
 (``off_by_one_stack_distance``) diverges exactly the ``profile``
-engine."""
+engine.  Two more sit in the state a native run keeps for itself between
+``setup`` and ``release`` -- the ready heap (``READY_TIE_BREAK``) and the
+in-flight fill words (``FILL_FORGOTTEN``) -- and are the ``native``
+engine's to answer for."""
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry
 
-from ..conftest import READ_MISS_DONE
+from ..conftest import FILL_FORGOTTEN, READ_MISS_DONE, READY_TIE_BREAK
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -146,6 +149,35 @@ class TestProfileMutationIsCaught:
         assert report.divergences
         assert {record.kind for record in report.divergences} \
             == {"profile"}
+
+
+@needs_native
+class TestWorkingStateMutationIsCaught:
+    """The heap and the fill words have no python twin to disagree with
+    during a run; what they decide, and what they hand back, must still
+    be the reference loop's."""
+
+    @pytest.mark.parametrize("mutation, only_fills", [
+        (READY_TIE_BREAK, False),
+        # no clock moves: only the table written back differs
+        (FILL_FORGOTTEN, True),
+    ], ids=["ready_heap_ignores_seq", "fill_forgotten_a_cycle_late"])
+    def test_divergence_is_native_shrinks_and_is_clean_unmutated(
+            self, mutation, only_fills, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod", mutant_native(*mutation))
+        tape, divergence = _first_diverging_tape()
+        assert divergence.kind == "native"
+        assert divergence.detail
+        if only_fills:
+            assert all(line.startswith("fills.")
+                       for line in divergence.detail)
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert diff_tape(shrunk).kind == "native"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", native._UNSET)
+            assert diff_tape(shrunk) is None
 
 
 class TestUnmutatedBaseline:
