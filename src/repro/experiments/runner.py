@@ -241,27 +241,41 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_JOBS = 0
 
 _WORKER_WORKLOADS: Dict[Tuple[str, ExperimentProfile], object] = {}
-"""Worker-process-side cache of constructed workload objects.
+"""This process's constructed workload objects (a pool worker's, or the
+sweep's own when it runs in-process).
 
 Every workload builds its run state (bodies, particles, RNG) freshly per
 ``processes()`` call, so the application object itself is reusable across
-simulations; constructing it once per worker instead of once per point
-removes the per-point workload setup from parallel sweeps.
+simulations -- and a workload may keep on the object what it has worked
+out that no machine configuration changes (Barnes-Hut's force plans;
+DESIGN.md section 7), so every stage of a sweep takes its object from
+:func:`process_workload`: a row's recording and its points then meet the
+same one.
 """
+
+
+def process_workload(benchmark: str, profile: ExperimentProfile):
+    """The workload object this process keeps for ``(benchmark,
+    profile)``, constructed on first use."""
+    key = (benchmark, profile)
+    workload = _WORKER_WORKLOADS.get(key)
+    if workload is None:
+        # setdefault: two threads arriving together leave with one object
+        workload = _WORKER_WORKLOADS.setdefault(
+            key, profile.workload(benchmark))
+    return workload
 
 
 def _compute_point_pooled(benchmark: str, profile: ExperimentProfile,
                           config: SystemConfig,
                           instrument: bool = True,
                           backend: Optional[str] = None) -> RunStats:
-    """Simulate one configuration live, on this worker's warm workload
-    object (module-level so ``ProcessPoolExecutor`` can pickle it)."""
-    key = (benchmark, profile)
-    workload = _WORKER_WORKLOADS.get(key)
-    if workload is None:
-        workload = profile.workload(benchmark)
-        _WORKER_WORKLOADS[key] = workload
-    return _simulate(workload, config, instrument, backend)
+    """Simulate one configuration live on this process's workload object
+    -- a pool worker's under ``--jobs N``, a fabric worker thread's, or
+    the sweep's own when it runs serially (module-level so
+    ``ProcessPoolExecutor`` can pickle it)."""
+    return _simulate(process_workload(benchmark, profile), config,
+                     instrument, backend)
 
 
 def _pool_worker_init() -> None:

@@ -46,7 +46,7 @@ from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache
 from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
                      _shutdown_pool, _worker_pool, default_cache,
-                     replay_row, row_tape)
+                     process_workload, replay_row, row_tape)
 from .spec import GridPoint, SweepSpec, point_cache_key
 
 __all__ = ["SweepSession", "SessionResult", "SessionJournal",
@@ -511,7 +511,7 @@ class SweepSession:
             tracked = tuple(sorted({
                 self._configs[(procs, paper_bytes)].scc_lines
                 for paper_bytes in spec.ladder}))
-            workload = spec.profile.workload(spec.benchmark)
+            workload = process_workload(spec.benchmark, spec.profile)
             signature = workload.trace_signature(config0)
             if signature is None:
                 remainder.extend(row_points)
@@ -576,7 +576,7 @@ class SweepSession:
         remainder: List[GridPoint] = []
         for row_points in self._rows(missing):
             config0 = self._configs[row_points[0]]
-            workload = spec.profile.workload(spec.benchmark)
+            workload = process_workload(spec.benchmark, spec.profile)
             signature = workload.trace_signature(config0)
             if (signature is None
                     or not workload.stream_is_deterministic(config0)):
@@ -762,7 +762,7 @@ def _run_miss_surface(spec: SweepSpec,
     sizes = tuple(paper_bytes // profile.ladder_scale
                   for paper_bytes in ladder)
     config = SystemConfig.paper_parallel(procs_per_cluster, sizes[0])
-    workload = profile.workload(spec.benchmark)
+    workload = process_workload(spec.benchmark, profile)
     # Only a configuration-independent tape may live in the shared trace
     # cache (its key does not cover scc_size); otherwise record ad hoc.
     signature = (workload.trace_signature(config)

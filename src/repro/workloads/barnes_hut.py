@@ -20,15 +20,27 @@ data structures themselves:
   accelerations/positions are written only by its owner, so invalidation
   traffic does not grow with processors per cluster.
 
-Scaled down from the paper's 1024 bodies to keep pure-Python simulation
-tractable; the footprint/cache-size ratio is preserved by scaling the SCC
-ladder by the matching factor (see DESIGN.md).
+Scaled down from the paper's 1024 bodies: the timing engines are
+compiled, but the algorithm itself -- insertion under locks, the tree
+walks -- runs here in Python, once per machine configuration; the
+footprint/cache-size ratio is preserved by scaling the SCC ladder by the
+matching factor (see DESIGN.md).
+
+A sweep prices many machine configurations of this one program, and a
+:class:`BarnesHut` object remembers between runs what no configuration
+can change: the cost-seeding pre-pass and, per tree, the *force plan* --
+every body's walk with no address in it (:class:`_ForcePlan`).  Which
+cell sits at which address is decided by lock races during insertion, so
+each run fills the addresses in from its own tree (DESIGN.md section 7,
+"What a workload object may remember between runs").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Generator, List, Optional, Sequence
+from array import array
+from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -66,6 +78,54 @@ _CELL_LOCK_BASE = 100
 # cells until memory runs out.  The paper workloads reach depth 6-8.
 _MAX_DEPTH = 32
 
+# Child-slot codes in a tree's content key (a body is its index, >= 0).
+_SLOT_EMPTY = -1
+_SLOT_CELL = -2
+
+
+def _pattern(*events: Tuple[int, int]):
+    """A fixed run of ``(opcode, operand)`` events as packed words, and
+    which of those words are offsets from the address of the record the
+    run is about (every operand but a ``Compute``'s cycles)."""
+    words = np.array([word for event in events for word in event],
+                     dtype=np.int64)
+    relative = np.array([flag for op, _ in events
+                         for flag in (0, op != OP_COMPUTE)], dtype=np.int64)
+    return words, relative
+
+
+# What one node visit of the force walk emits, by visit kind: the low two
+# bits of a plan word (the rest is the node: a body's index, or a cell's
+# pre-order number in its tree).
+_VISIT_BODY, _VISIT_ACCEPTED, _VISIT_OPENED = range(3)
+_VISIT_WORDS = (
+    # another body: read its position, interact
+    _pattern((OP_READ, _BODY_POS), (OP_READ, _BODY_POS + 16),
+             (OP_COMPUTE, _INTERACTION_COMPUTE)),
+    # a cell far enough away: its centre of mass stands for its bodies
+    _pattern((OP_READ, _CELL_COM), (OP_READ, _CELL_COM + 16),
+             (OP_COMPUTE, _OPEN_TEST_COMPUTE),
+             (OP_COMPUTE, _INTERACTION_COMPUTE)),
+    # a cell too close: read its child slots and descend
+    _pattern((OP_READ, _CELL_COM), (OP_READ, _CELL_COM + 16),
+             (OP_COMPUTE, _OPEN_TEST_COMPUTE),
+             (OP_READ, _CELL_CHILDREN), (OP_READ, _CELL_CHILDREN + 32)),
+)
+_VISIT_WIDTH = np.array([len(words) for words, _ in _VISIT_WORDS])
+# Around each body's visits: read its own position, store the result.
+_WALK_BEGIN = _pattern((OP_READ, _BODY_POS))
+_WALK_END = _pattern((OP_WRITE, _BODY_ACC), (OP_WRITE, _BODY_ACC + 16))
+
+
+class _ForcePlan(NamedTuple):
+    """The force phase over one tree with no address in it: what the
+    walks visit and what they compute, for every body.  Read-only."""
+
+    visits: np.ndarray   # int32 ``node * 4 + kind``, bodies' walks end to end
+    starts: np.ndarray   # body b's walk is visits[starts[b]:starts[b + 1]]
+    acc: np.ndarray      # float64 (n_bodies, 3)
+    cost: np.ndarray     # interactions per body, at least 1
+
 
 class Body:
     """One simulated body (state lives here; the trace names its record)."""
@@ -84,11 +144,12 @@ class Body:
 class Cell:
     """One octree cell; children are Body, Cell or None."""
 
-    __slots__ = ("index", "centre", "half", "children", "com", "mass",
-                 "depth")
+    __slots__ = ("index", "order", "centre", "half", "children", "com",
+                 "mass", "depth")
 
     def __init__(self, index: int, centre, half: float, depth: int):
-        self.index = index
+        self.index = index      # which record of the cell array: its address
+        self.order = -1         # pre-order number, once the tree is built
         self.centre = centre
         self.half = half
         self.depth = depth
@@ -155,6 +216,17 @@ class BarnesHut(TracedApplication):
         self.dt = dt
         self.softening = softening
         self.seed = seed
+        # What runs on this object have worked out that the machine
+        # configuration cannot change, keyed by all of the content it
+        # was worked out from.  Neither dict is ever mutated in place --
+        # a new one replaces it -- so threads running different
+        # configurations on one object need no lock: at worst both work
+        # out the same plan.
+        self._seeded: Dict[tuple, Tuple[int, ...]] = {}
+        self._plans: Dict[tuple, _ForcePlan] = {}
+        # One tree per step, and room for each to come out a second way
+        # (a ``_MAX_DEPTH`` bucket fills in arrival order).
+        self._plans_kept = 2 * steps
 
     def __repr__(self) -> str:
         return (f"BarnesHut(n_bodies={self.n_bodies}, steps={self.steps}, "
@@ -182,6 +254,9 @@ class _BarnesHutRun:
         self.cell_region = heap.alloc_array(
             "cells", 4 * app.n_bodies, _CELL_RECORD)
         self.root: Optional[Cell] = None
+        # The force phase of the step named first, one packed chunk per
+        # processor, each taken (and dropped) by its processor.
+        self._force_chunks: Tuple[int, List[Optional[array]]] = (-1, [])
         # Per-processor cell-index pools so parallel insertion needs no
         # global allocation lock (the SPLASH code uses per-process pools
         # the same way).
@@ -210,7 +285,7 @@ class _BarnesHutRun:
     def cell_lock(cell: Cell) -> int:
         return _CELL_LOCK_BASE + cell.index
 
-    def _flush(self, buf: List[int]) -> Generator:
+    def _flush(self, buf: Sequence[int]) -> Generator:
         """Yield a built-up packed buffer in the form the app is set to.
 
         Chunk safety (see repro.trace.packed): the summarize, force and
@@ -219,8 +294,14 @@ class _BarnesHutRun:
         mutations (cell.com, body.acc, body.vel/pos, body.cost) are read
         by other processes only after a later barrier -- so computing a
         whole phase's events up front observes exactly the values the
-        event-at-a-time path would.  The *insert* phase races on per-cell
-        locks and must keep yielding objects; it never comes through here.
+        event-at-a-time path would.  The force phase goes one step
+        further on the same argument: whichever processor resumes first
+        after barrier 4 works it out for *every* processor
+        (:meth:`_plan_force_phase`), because nothing a walk reads changes
+        before barrier 5 and what it writes (``acc``, ``cost``) is read
+        only after barrier 5 and by the next step's :meth:`_partition`.
+        The *insert* phase races on per-cell locks and must keep yielding
+        objects; it never comes through here.
         """
         if not buf:
             return
@@ -240,7 +321,7 @@ class _BarnesHutRun:
         then the parallel force and integration phases.
         """
         n = self.n_procs
-        for _step in range(self.app.steps):
+        for step in range(self.app.steps):
             yield Barrier(0, n)
             if proc == 0:
                 self._reset_tree()
@@ -256,17 +337,30 @@ class _BarnesHutRun:
                 self._partition()
             yield Compute(_PARTITION_COMPUTE * len(self.assignments[proc]))
             yield Barrier(4, n)
-            yield from self._force_phase(proc)
+            yield from self._force_phase(proc, step)
             yield Barrier(5, n)
             yield from self._update_phase(proc)
             yield Barrier(6, n)
 
     def _seed_costs(self) -> None:
-        """Quietly (no events) build one tree and count interactions per
-        body, so the first measured step starts cost-balanced."""
+        """Start every body with the interaction count of a quiet (no
+        events) tree walk, so the first measured step is cost-balanced.
+        A pure function of where the bodies start, so the object's first
+        run does it for the rest."""
+        app = self.app
+        key = (app.theta, app.softening, _positions(self.bodies))
+        costs = app._seeded.get(key)
+        if costs is None:
+            costs = self._count_interactions()
+            app._seeded = {key: costs}
+        for body, cost in zip(self.bodies, costs):
+            body.cost = cost
+
+    def _count_interactions(self) -> Tuple[int, ...]:
         root = _quiet_build(self.bodies)
         theta2 = self.app.theta ** 2
         eps2 = self.app.softening ** 2
+        costs = []
         for body in self.bodies:
             cost = 0
             stack: List[object] = [root]
@@ -283,7 +377,8 @@ class _BarnesHutRun:
                 for child in node.children:
                     if child is not None:
                         stack.append(child)
-            body.cost = max(cost, 1)
+            costs.append(max(cost, 1))
+        return tuple(costs)
 
     # -- tree construction -------------------------------------------------
 
@@ -435,45 +530,85 @@ class _BarnesHutRun:
 
     # -- force computation -------------------------------------------------
 
-    def _force_phase(self, proc: int) -> Generator:
-        buf: List[int] = []
-        for body in self.assignments[proc]:
-            buf.append(OP_READ)
-            buf.append(self.body_addr(body, _BODY_POS))
-            self._gravity(body, buf)
-            buf.append(OP_WRITE)
-            buf.append(self.body_addr(body, _BODY_ACC))
-            buf.append(OP_WRITE)
-            buf.append(self.body_addr(body, _BODY_ACC + 16))
-        yield from self._flush(buf)
+    def _force_phase(self, proc: int, step: int) -> Generator:
+        if self._force_chunks[0] != step:
+            self._force_chunks = (step, self._plan_force_phase())
+        chunks = self._force_chunks[1]
+        chunk, chunks[proc] = chunks[proc], None
+        yield from self._flush(chunk)
 
-    def _gravity(self, body: Body, buf: List[int]) -> None:
-        """Traverse the tree accumulating acceleration on ``body``.
+    def _plan_force_phase(self) -> List[Optional[array]]:
+        """This step's force phase for every processor: accelerations
+        and costs onto the bodies, and one packed chunk per processor.
 
-        The hottest generator loop in the workload: interaction physics
-        and address arithmetic are inlined (no per-node helper calls) and
-        each node appends its events with a single tuple extend.
+        The walks are the object's to remember (:class:`_ForcePlan`);
+        only where this run's insert races put each cell is taken from
+        the live tree.
+        """
+        app = self.app
+        slots, cells = _tree_content(self.root)
+        key = (app.theta, app.softening, slots, _positions(self.bodies))
+        plan = app._plans.get(key)
+        if plan is None:
+            plan = self._walk_tree()
+            app._plans = dict([*app._plans.items(),
+                               (key, plan)][-app._plans_kept:])
+        for body, acc, cost in zip(self.bodies, plan.acc.tolist(),
+                                   plan.cost.tolist()):
+            body.acc = acc
+            body.cost = cost
+        body_address = (self.body_region.base
+                        + np.arange(len(self.bodies)) * _BODY_RECORD)
+        cell_address = (self.cell_region.base
+                        + _cell_indexes(cells) * _CELL_RECORD)
+        return _expand(plan, self.assignments, body_address, cell_address)
+
+    def _walk_tree(self) -> _ForcePlan:
+        """Walk the tree for every body (the object's first run on a
+        tree does; later runs find the plan)."""
+        visits: List[int] = []
+        starts = [0]
+        accs = []
+        costs = []
+        for body in self.bodies:
+            acc, cost = self._gravity(body, visits)
+            starts.append(len(visits))
+            accs.append(acc)
+            costs.append(cost)
+        plan = _ForcePlan(np.array(visits, dtype=np.int32),
+                          np.array(starts, dtype=np.int64),
+                          np.array(accs, dtype=np.float64),
+                          np.array(costs, dtype=np.int64))
+        for stored in plan:
+            stored.flags.writeable = False
+        return plan
+
+    def _gravity(self, body: Body, visits: List[int]):
+        """Traverse the tree accumulating acceleration on ``body``;
+        returns it with the body's cost (its interaction count).
+
+        The hottest loop the workload has left in Python: interaction
+        physics is inlined (no per-node helper calls) and each node
+        visited costs one ``append`` of ``node * 4 + kind`` -- the
+        events and addresses come later, from :func:`_expand`.
         """
         eps2 = self.app.softening ** 2
         theta2 = self.app.theta ** 2
         interactions = 0
-        body_base = self.body_region.base
-        cell_base = self.cell_region.base
         bpos = body.pos
         bx = bpos[0]
         by = bpos[1]
         bz = bpos[2]
         ax = ay = az = 0.0
         sqrt = math.sqrt
+        visit = visits.append
         stack: List[object] = [self.root]
         while stack:
             node = stack.pop()
             if node.__class__ is Body:
                 if node is body:
                     continue
-                addr = body_base + node.index * _BODY_RECORD + _BODY_POS
-                buf += (OP_READ, addr, OP_READ, addr + 16,
-                        OP_COMPUTE, _INTERACTION_COMPUTE)
+                visit(node.index * 4 + _VISIT_BODY)
                 src = node.pos
                 dx = src[0] - bx
                 dy = src[1] - by
@@ -486,7 +621,6 @@ class _BarnesHutRun:
                 interactions += 1
                 continue
             cell = node
-            caddr = cell_base + cell.index * _CELL_RECORD
             com = cell.com
             dx = com[0] - bx
             dy = com[1] - by
@@ -495,26 +629,18 @@ class _BarnesHutRun:
             size = 2.0 * cell.half
             if size * size < dist2 * theta2:
                 # Far enough: use the cell's centre-of-mass approximation.
-                buf += (OP_READ, caddr + _CELL_COM,
-                        OP_READ, caddr + _CELL_COM + 16,
-                        OP_COMPUTE, _OPEN_TEST_COMPUTE,
-                        OP_COMPUTE, _INTERACTION_COMPUTE)
+                visit(cell.order * 4 + _VISIT_ACCEPTED)
                 inv = cell.mass / (dist2 * sqrt(dist2))
                 ax += dx * inv
                 ay += dy * inv
                 az += dz * inv
                 interactions += 1
                 continue
-            buf += (OP_READ, caddr + _CELL_COM,
-                    OP_READ, caddr + _CELL_COM + 16,
-                    OP_COMPUTE, _OPEN_TEST_COMPUTE,
-                    OP_READ, caddr + _CELL_CHILDREN,
-                    OP_READ, caddr + _CELL_CHILDREN + 32)
+            visit(cell.order * 4 + _VISIT_OPENED)
             for child in cell.children:
                 if child is not None:
                     stack.append(child)
-        body.acc = [ax, ay, az]
-        body.cost = max(interactions, 1)
+        return [ax, ay, az], max(interactions, 1)
 
     # -- integration ---------------------------------------------------------
 
@@ -675,13 +801,87 @@ def _distance2(a, b) -> float:
     return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
-def _accumulate(acc, pos, source, mass: float, eps2: float) -> None:
-    """Add the softened gravitational pull of ``source`` onto ``acc``."""
-    dx = source[0] - pos[0]
-    dy = source[1] - pos[1]
-    dz = source[2] - pos[2]
-    dist2 = dx * dx + dy * dy + dz * dz + eps2
-    inv = mass / (dist2 * math.sqrt(dist2))
-    acc[0] += dx * inv
-    acc[1] += dy * inv
-    acc[2] += dz * inv
+def _positions(bodies: Sequence[Body]) -> bytes:
+    """Every body's position, exactly, as part of a content key."""
+    return array("d", [x for body in bodies for x in body.pos]).tobytes()
+
+
+def _tree_content(root: Cell) -> Tuple[bytes, List[Cell]]:
+    """One pre-order pass over a built tree: number its cells
+    (``cell.order``) and write down its structure -- per cell, eight
+    slots, each empty, a cell or a body's index.
+
+    With the bodies' positions that is everything a force walk reads:
+    cell geometry, centres of mass and masses are functions of the two.
+    Cell *indexes* are left out on purpose -- lock races during insertion
+    choose them, and they only say where a cell's record lives.
+    """
+    slots = array("i")
+    cells: List[Cell] = []
+    stack = [root]
+    while stack:
+        cell = stack.pop()
+        cell.order = len(cells)
+        cells.append(cell)
+        for child in cell.children:
+            if child is None:
+                slots.append(_SLOT_EMPTY)
+            elif child.__class__ is Cell:
+                slots.append(_SLOT_CELL)
+                stack.append(child)
+            else:
+                slots.append(child.index)
+    return slots.tobytes(), cells
+
+
+def _cell_indexes(cells: List[Cell]) -> np.ndarray:
+    """This run's pre-order number -> cell index map: the relocation a
+    remembered plan goes through before it names a single cache line."""
+    return np.array([cell.index for cell in cells], dtype=np.int64)
+
+
+def _scatter(out: np.ndarray, at: np.ndarray, pattern,
+             address: np.ndarray) -> None:
+    """Write ``pattern`` at each word offset in ``at``, about the record
+    at the matching ``address``."""
+    words, relative = pattern
+    out[at[:, None] + np.arange(len(words))] = (
+        words + relative * address[:, None])
+
+
+def _expand(plan: _ForcePlan, assignments: List[List[Body]],
+            body_address: np.ndarray,
+            cell_address: np.ndarray) -> List[Optional[array]]:
+    """The packed force-phase chunk of each processor: its bodies' walks
+    from ``plan`` in assignment order, every visit written out as the
+    events of its kind at this run's addresses."""
+    owned = [len(bodies) for bodies in assignments]
+    order = np.array([body.index for bodies in assignments
+                      for body in bodies], dtype=np.int64)
+    # Gather the walks in that order.
+    first = plan.starts[order]
+    count = plan.starts[order + 1] - first
+    ends = np.cumsum(count)
+    visits = plan.visits[np.repeat(first - (ends - count), count)
+                         + np.arange(ends[-1])]
+    kind = visits & 3
+    node = visits >> 2
+    # Word offsets: each walk is its begin words, its visits, its end
+    # words; ``walk_at`` has one entry past the last walk.
+    width = _VISIT_WIDTH[kind]
+    visited = np.cumsum(width)      # visit words up to and including each
+    begin, end = len(_WALK_BEGIN[0]), len(_WALK_END[0])
+    walk = np.arange(len(order) + 1)
+    walk_at = np.append(0, visited[ends - 1]) + (begin + end) * walk
+    at = visited - width + np.repeat((begin + end) * walk[:-1] + begin,
+                                     count)
+    out = np.empty(walk_at[-1], dtype=np.int64)
+    _scatter(out, walk_at[:-1], _WALK_BEGIN, body_address[order])
+    _scatter(out, walk_at[1:] - end, _WALK_END, body_address[order])
+    for which, pattern in enumerate(_VISIT_WORDS):
+        chosen = np.flatnonzero(kind == which)
+        address = body_address if which == _VISIT_BODY else cell_address
+        _scatter(out, at[chosen], pattern, address[node[chosen]])
+    bounds = walk_at[np.append(0, np.cumsum(owned))].tolist()
+    return [array("q", out[low:high].tobytes())
+            for low, high in zip(bounds, bounds[1:])]

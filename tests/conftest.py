@@ -25,6 +25,16 @@ READY_TIE_BREAK = ("(a->time == b->time && a->seq < b->seq)", "0")
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")
 
 
+@pytest.fixture(autouse=True)
+def no_workload_kept_from_another_test():
+    """Every sweep stage takes its workload object from the process's
+    table (``runner.process_workload``), and the object remembers things
+    between runs; a test must not meet one an earlier test left -- some
+    patch a profile's factory and expect it to be called."""
+    from repro.experiments import runner
+    runner._WORKER_WORKLOADS.clear()
+
+
 @pytest.fixture(scope="session")
 def mutant_native(tmp_path_factory):
     """``mutant_native(needle, replacement)``: ``_native`` with that one

@@ -1,14 +1,22 @@
 """Tests for the instrumented Barnes-Hut application."""
 
 import math
+import random
+import sys
+import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import KB, SystemConfig
 from repro.simulation import run_simulation
+from repro.trace.engine import native_available, native_unavailable_reason
 from repro.trace.events import (Barrier, Compute, LockAcquire, LockRelease,
                                 Read, Write)
 from repro.trace.packed import PackedChunk, decode_events
+from repro.trace.record import StreamRecorder
+from repro.workloads import barnes_hut
 from repro.workloads.barnes_hut import (BarnesHut, Body, Cell,
                                         _BarnesHutRun, _bounding_cube,
                                         _cost_chunks, _quiet_build,
@@ -231,3 +239,209 @@ class TestArchitecturalBehaviour:
             SystemConfig.paper_parallel(4, 8 * KB), app)
         assert (wide.stats.total_invalidations
                 < narrow.stats.total_invalidations * 1.5 + 50)
+
+
+# ----------------------------------------------------------------------
+# What a BarnesHut object remembers between runs (its cost seeds and
+# force plans) must never show: a run on a used object is, byte for
+# byte, the run a fresh object makes.
+# ----------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native replay backend unavailable: "
+           f"{native_unavailable_reason()}")
+ENGINES = [pytest.param("python", id="python"),
+           pytest.param("native", id="native", marks=needs_native)]
+
+GRID = [(procs, scc, protocol)
+        for procs in (1, 2, 4, 8)
+        for scc in (8 * KB, 128 * KB)
+        for protocol in ("msi", "mesi")]
+
+
+def new_app(packed=True, **parameters):
+    app = BarnesHut(**{"n_bodies": 40, "steps": 2, **parameters})
+    app.packed = packed
+    return app
+
+
+def run_point(app, point, engine=None):
+    """Everything a run leaves behind: the machine's statistics and the
+    tape of every processor's event stream."""
+    procs, scc, protocol = point
+    config = replace(SystemConfig.paper_parallel(procs, scc),
+                     protocol=protocol)
+    recorder = StreamRecorder(app)
+    result = run_simulation(config, recorder, backend=engine)
+    return (result.stats.as_dict(),
+            {proc: tape.tobytes()
+             for proc, tape in recorder.streams.items()})
+
+
+def fresh_runs(packed, engine, points=GRID, **parameters):
+    return {point: run_point(new_app(packed, **parameters), point, engine)
+            for point in points}
+
+
+def assert_remembered_equals_fresh(app, engine, fresh):
+    """Run ``fresh``'s points on the one ``app``, in an order of their
+    own, each against the fresh object's run of the same point."""
+    points = list(fresh)
+    random.Random(7).shuffle(points)
+    for point in points:
+        stats, tapes = run_point(app, point, engine)
+        assert stats == fresh[point][0], point
+        assert tapes == fresh[point][1], point
+
+
+@pytest.fixture
+def relocations(monkeypatch):
+    """Every pre-order -> cell-index map the runs of one test took."""
+    taken = []
+    real = barnes_hut._cell_indexes
+
+    def spy(cells):
+        indexes = real(cells)
+        taken.append(tuple(indexes.tolist()))
+        return indexes
+
+    monkeypatch.setattr(barnes_hut, "_cell_indexes", spy)
+    return taken
+
+
+def nudged_plummer(monkeypatch, ulps_of):
+    """Sample the usual bodies, then move body 0's x up by
+    ``ulps_of()`` units in the last place."""
+    real = barnes_hut._plummer_bodies
+
+    def nudged(count, rng):
+        bodies = real(count, rng)
+        for _ in range(ulps_of()):
+            bodies[0].pos[0] = math.nextafter(bodies[0].pos[0], math.inf)
+        return bodies
+
+    monkeypatch.setattr(barnes_hut, "_plummer_bodies", nudged)
+
+
+class TestRememberedRuns:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("packed", [True, False],
+                             ids=["packed", "objects"])
+    def test_grid_on_one_object_equals_fresh_objects(self, packed, engine,
+                                                     relocations):
+        fresh = fresh_runs(packed, engine)
+        del relocations[:]
+        app = new_app(packed)
+        assert_remembered_equals_fresh(app, engine, fresh)
+        # Not vacuously: the runs shared their walks (one plan per step
+        # for all 16 machines) and did not share their addresses.
+        assert len(app._plans) == app.steps
+        assert len(relocations) == len(GRID) * app.steps
+        assert len(set(relocations)) > app.steps
+
+    @pytest.mark.parametrize("mutant", ["identity", "first run's"])
+    def test_a_plan_used_without_relocation_is_caught(self, monkeypatch,
+                                                      mutant):
+        """The bug the grid test exists for -- a remembered walk naming
+        cells where *another* run (or no run) put them -- fails it."""
+        fresh = fresh_runs(True, None)
+        first = {}
+
+        def unrelocated(cells):
+            if mutant == "identity":
+                return np.arange(len(cells))
+            return first.setdefault(
+                len(cells), np.array([cell.index for cell in cells]))
+
+        monkeypatch.setattr(barnes_hut, "_cell_indexes", unrelocated)
+        with pytest.raises(AssertionError):
+            assert_remembered_equals_fresh(new_app(), None, fresh)
+
+    def test_coincident_bodies_on_two_machines(self, monkeypatch):
+        """Two bodies a denormal apart end in a ``_MAX_DEPTH`` bucket
+        whose slot order is arrival order -- the one place structure
+        depends on the interleaving.  The key covers structure, so that
+        is at worst a miss."""
+        real = barnes_hut._plummer_bodies
+
+        def coincident(count, rng):
+            bodies = real(count, rng)
+            bodies[0].pos = [0.0, 0.0, 0.0]
+            bodies[1].pos = [5e-324, 0.0, 0.0]
+            return bodies
+
+        monkeypatch.setattr(barnes_hut, "_plummer_bodies", coincident)
+        # (bodies enough that the chain of cells down to the bucket fits
+        # the one processor's cell pool it comes out of)
+        points = [(1, 8 * KB, "msi"), (2, 8 * KB, "msi")]
+        fresh = fresh_runs(True, None, points, n_bodies=96, steps=1)
+        app = new_app(n_bodies=96, steps=1)
+        assert_remembered_equals_fresh(app, None, fresh)
+        assert app.steps <= len(app._plans) <= app._plans_kept
+
+    def test_one_ulp_is_a_miss(self, monkeypatch):
+        ulps = 0
+        nudged_plummer(monkeypatch, lambda: ulps)
+        point = (2, 8 * KB, "msi")
+        app = new_app()
+        run_point(app, point)
+        seeds, plans = set(app._seeded), set(app._plans)
+        ulps = 1
+        assert run_point(app, point) == run_point(new_app(), point)
+        assert not seeds & set(app._seeded)
+        assert len(set(app._plans) - plans) == app.steps
+
+    def test_plans_kept_are_bounded_oldest_out(self, monkeypatch):
+        ulps = 0
+        nudged_plummer(monkeypatch, lambda: ulps)
+        app = new_app(steps=1)
+        seen = []
+        for ulps in range(app._plans_kept + 2):
+            run_point(app, (1, 8 * KB, "msi"))
+            assert len(app._plans) <= app._plans_kept
+            assert len(app._seeded) == 1
+            seen += [key for key in app._plans if key not in seen]
+        assert len(seen) == app._plans_kept + 2
+        assert list(app._plans) == seen[-app._plans_kept:]
+
+    def test_threads_sharing_one_object(self):
+        """What ``LocalFabric(workers=2)`` does: threads of one process
+        running different machines on the process's one object."""
+        points = GRID[::4]
+        fresh = fresh_runs(True, None, points)
+        app = new_app()
+        results, errors = {}, []
+
+        def work(point):
+            try:
+                for _ in range(3):
+                    results[point] = run_point(app, point)
+            except Exception as error:     # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(point,))
+                   for point in points]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == fresh
+        assert len(app._plans) <= app._plans_kept
+
+    def test_what_is_stored_is_read_only(self):
+        app = new_app()
+        run_point(app, GRID[0])
+        stored = [part for plan in app._plans.values() for part in plan]
+        assert stored
+        for part in stored:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0
