@@ -114,9 +114,8 @@ class SharedClusterCache:
         a *different* tag that maps to the same index.  The differential
         oracle checks this after every transaction.
         """
-        resident = {line for line, _state in self.array.resident_lines()}
-        return tuple(line for line in self._inflight
-                     if line not in resident)
+        contains = self.array.contains
+        return tuple(line for line in self._inflight if not contains(line))
 
     def check_fill_tracking(self) -> None:
         """Raise ``AssertionError`` if :meth:`stale_inflight` finds a

@@ -26,14 +26,15 @@
  *     ``interleaver._heap`` is the *mailbox*: ``_push`` (``add_process``,
  *     the lock/barrier handlers' wake-ups) appends to it, ``run`` drains
  *     it on entry, and ``release`` writes back whatever is still ready;
- *   - in-flight fills: per-index ``fill_line``/``fill_ready`` words,
- *     imported from each ``scc._inflight`` dict at ``setup`` and written
- *     back to it at ``release`` (the "fills" section has the argument).
+ *   - in-flight fills and write buffers: each SCC's ``Words`` -- per-index
+ *     ``fill_line``/``fill_ready`` and a heap of retire times per bank --
+ *     imported from ``scc._inflight`` and ``interconnect._write_buffers``
+ *     at ``setup`` and written back to them at ``release`` (the "words"
+ *     section has the argument, and is the ladder's too).
  *
  * What C still touches as python objects, all off the hit path: the
- * lost-line sets (``scc._lost_lines``) and the write-buffer heaps
- * (lists of ints shared with ``BankInterconnect``) on misses and stores,
- * and the task-queue deques for packed ``OP_ENQUEUE``/``OP_DEQUEUE``.
+ * lost-line sets (``scc._lost_lines``) on misses, and the task-queue
+ * deques for packed ``OP_ENQUEUE``/``OP_DEQUEUE``.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
@@ -58,9 +59,10 @@
  * views deterministically.
  *
  * Two more sections share the build, the ``ABI_VERSION`` guard and the
- * differ, and nothing else: the fused multi-configuration ladder
- * (``ladder_*``) and the row-profile kernel (``row_profile``), each
- * introduced by its own banner below.
+ * differ: the fused multi-configuration ladder (``ladder_*``), whose
+ * rungs keep their fills and write buffers in the same ``Words``, and the
+ * row-profile kernel (``row_profile``), which shares nothing else; each
+ * is introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -145,6 +147,16 @@ typedef struct {
 
 #define FILL_NONE LLONG_MIN     /* ``fill_ready`` of a slot with no fill */
 
+/* What one SCC -- a cluster of a ``run``, a rung of the ladder -- keeps in
+ * C between ``setup`` and ``release`` (the "words" section). */
+typedef struct {
+    long long *fill_line, *fill_ready;  /* [index]; one block with ``wb`` */
+    long long *wb;            /* [bank * (depth + 1)]: how many entries,
+                                 then their retire times as a min-heap */
+    long long lines, nbanks, depth;
+    PyObject *inflight, *wbufs;         /* the at-rest forms (the plan's) */
+} Words;
+
 /* One timeline's bins: int64 slots of a python ``bytearray`` the
  * wrapper allocated empty.  It grows by ``PyByteArray_Resize`` -- C holds
  * no buffer view on it -- so ``bins`` is re-read after every resize. */
@@ -175,15 +187,12 @@ typedef struct {
     int n_cursors;
     int released;
     long long idx_mask, tag_shift, line_shift, nbanks, bank_cycle;
-    long long wb_depth, iline_shift, limit;
+    long long iline_shift, limit;
     long long bus_occ, upgrade_occ, mem_latency;
     int stall_on_writes, icache_mode, mesi;
     long long **cl_states, **cl_tags, **cl_bank_free;
-    long long *fills;         /* one block behind the two below */
-    long long **cl_fill_line, **cl_fill_ready;  /* [cluster][index] */
-    PyObject **cl_inflight;   /* scc._inflight: read at setup, rewritten
-                                 at release, untouched in between */
-    PyObject **cl_lost, **cl_wbufs;
+    Words *words;             /* [cluster] */
+    PyObject **cl_lost;
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
     long long *d_scc;         /* [cluster * S_FIELDS + field] */
@@ -436,174 +445,108 @@ mx_reference(Metrics *mx, long long pid, long long issued,
                            complete);
 }
 
-/* Write-buffer heaps are plain python lists of ints, shared with
- * heapq-based python code.  Heap layout may differ from heapq's after
- * mixed use, but the multiset of retire times and the min element --
- * the only observable properties -- are identical. */
+/* ---------------------------------------------------------------- words */
 
+/* An SCC's in-flight fills (``scc._inflight``: line -> cycle its fill
+ * lands) and write buffers (``interconnect._write_buffers``: per bank, a
+ * heapq of retire times) as C keeps them between ``setup`` and
+ * ``release`` -- of a ``run`` for each cluster, of a ladder pass for each
+ * rung.  The python containers stay the at-rest form and the reference
+ * loop's; only ``words_setup``, ``words_import`` and ``words_export``
+ * touch them.
+ *
+ * Fills are two words per SCC slot: the line being filled there and when
+ * it lands.  Exact, because every SCC that gets here is direct-mapped and
+ * a line with an outstanding fill is resident
+ * (``SharedClusterCache.stale_inflight``'s invariant, which the wrapper
+ * checks on a non-empty dict before ``setup``): at most one fill is
+ * outstanding at an index.  A bank's write buffer is ``depth + 1`` words:
+ * how many entries it holds, then their retire times as a binary min-heap
+ * rooted at word 1.  Heap layout may differ from heapq's, but the multiset
+ * and its minimum -- all ``reserve_write_slot`` observes -- do not. */
+
+#define WBUF_MAX (1 << 16)      /* banks of an SCC, entries of a bank */
+
+/* Empty words for an SCC of ``mask + 1`` lines whose state at rest is
+ * ``inflight`` (a dict) and ``wbufs`` (a list of ``nbanks`` lists). */
 static int
-wb_heappush(PyObject *heap, long long val)
+words_setup(Words *w, long long mask, long long nbanks, long long depth,
+            PyObject *inflight, PyObject *wbufs)
 {
-    PyObject *obj = PyLong_FromLongLong(val);
-    if (!obj)
-        return -1;
-    if (PyList_Append(heap, obj) < 0) {
-        Py_DECREF(obj);
+    if (!PyDict_CheckExact(inflight) || !PyList_CheckExact(wbufs)) {
+        PyErr_SetString(PyExc_TypeError, "in-flight fills must be a dict, "
+                        "write buffers a list of lists");
         return -1;
     }
-    Py_DECREF(obj);
-    Py_ssize_t pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        long long pv = PyLong_AsLongLong(PyList_GET_ITEM(heap, parent));
-        if (pv == -1 && PyErr_Occurred())
+    if (mask < 0 || mask >= PY_SSIZE_T_MAX / 32
+        || nbanks < 1 || nbanks > WBUF_MAX
+        || depth < 1 || depth > WBUF_MAX) {
+        PyErr_SetString(PyExc_ValueError, "index mask, bank count or "
+                        "write-buffer depth out of range");
+        return -1;
+    }
+    if (PyList_GET_SIZE(wbufs) != nbanks) {
+        PyErr_Format(PyExc_ValueError, "need %lld write buffers", nbanks);
+        return -1;
+    }
+    for (Py_ssize_t bank = 0; bank < nbanks; bank++) {
+        if (!PyList_CheckExact(PyList_GET_ITEM(wbufs, bank))) {
+            PyErr_SetString(PyExc_TypeError, "a write buffer must be a list");
             return -1;
-        if (val >= pv)
-            break;
-        PyObject *a = PyList_GET_ITEM(heap, pos);
-        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, parent));
-        PyList_SET_ITEM(heap, parent, a);
-        pos = parent;
+        }
     }
+    size_t lines = (size_t)mask + 1;
+    w->fill_line = PyMem_Calloc(2 * lines + (size_t)(nbanks * (depth + 1)),
+                                sizeof(long long));
+    if (!w->fill_line) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    w->fill_ready = w->fill_line + lines;
+    w->wb = w->fill_ready + lines;
+    for (size_t idx = 0; idx < lines; idx++)
+        w->fill_ready[idx] = FILL_NONE;
+    w->lines = mask + 1;
+    w->nbanks = nbanks;
+    w->depth = depth;
+    w->inflight = inflight;
+    w->wbufs = wbufs;
     return 0;
 }
 
-static long long
-wb_heappop(PyObject *heap, int *err)
+/* The words of ``n`` SCCs (each one block), and their array. */
+static void
+words_free(Words *words, int n)
 {
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    long long result = PyLong_AsLongLong(PyList_GET_ITEM(heap, 0));
-    if (result == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    PyObject *last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
-        *err = 1;
-        return 0;
-    }
-    if (n > 1) {
-        long long lv = PyLong_AsLongLong(last);
-        PyList_SetItem(heap, 0, last);  /* steals our ref, frees old root */
-        if (lv == -1 && PyErr_Occurred()) {
-            *err = 1;
-            return 0;
-        }
-        Py_ssize_t m = n - 1, pos = 0;
-        for (;;) {
-            Py_ssize_t child = 2 * pos + 1;
-            if (child >= m)
-                break;
-            long long cv = PyLong_AsLongLong(PyList_GET_ITEM(heap, child));
-            if (cv == -1 && PyErr_Occurred()) {
-                *err = 1;
-                return 0;
-            }
-            if (child + 1 < m) {
-                long long cv2 =
-                    PyLong_AsLongLong(PyList_GET_ITEM(heap, child + 1));
-                if (cv2 == -1 && PyErr_Occurred()) {
-                    *err = 1;
-                    return 0;
-                }
-                if (cv2 < cv) {
-                    cv = cv2;
-                    child++;
-                }
-            }
-            if (cv >= lv)
-                break;
-            PyObject *a = PyList_GET_ITEM(heap, pos);
-            PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
-            PyList_SET_ITEM(heap, child, a);
-            pos = child;
-        }
-    }
-    else {
-        Py_DECREF(last);
-    }
-    return result;
+    for (int k = 0; words && k < n; k++)
+        PyMem_Free(words[k].fill_line);
+    PyMem_Free(words);
 }
-
-/* BankInterconnect.reserve_write_slot, minus write_stall_cycles, which the
- * wrapper settles from the SCC's delta at flush time. */
-static long long
-c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
-          long long retire, int *err)
-{
-    PyObject *buf = PyList_GET_ITEM(ctx->cl_wbufs[cl], bank);
-    while (PyList_GET_SIZE(buf) > 0) {
-        long long top = PyLong_AsLongLong(PyList_GET_ITEM(buf, 0));
-        if (top == -1 && PyErr_Occurred()) {
-            *err = 1;
-            return 0;
-        }
-        if (top > now)
-            break;
-        wb_heappop(buf, err);
-        if (*err)
-            return 0;
-    }
-    long long stall = 0;
-    if (PyList_GET_SIZE(buf) >= ctx->wb_depth) {
-        long long oldest = wb_heappop(buf, err);
-        if (*err)
-            return 0;
-        stall = oldest - now;
-        if (stall < 0)
-            stall = 0;
-    }
-    long long push = now + stall;
-    if (retire > push)
-        push = retire;
-    if (wb_heappush(buf, push) < 0
-        || (ctx->mx && mx_write_buffer(ctx->mx, cl, now,
-                                       PyList_GET_SIZE(buf), stall) < 0)) {
-        *err = 1;
-        return 0;
-    }
-    return stall;
-}
-
-/* ---------------------------------------------------------------- fills */
-
-/* In-flight fills -- ``scc._inflight``: line -> cycle its fill lands -- as
- * C keeps them between ``setup`` and ``release``: two words per SCC slot,
- * the line being filled there and when it lands.  Exact, because every
- * native-eligible SCC is direct-mapped and a line with an outstanding
- * fill is resident (``SharedClusterCache.stale_inflight``'s invariant,
- * which the wrapper checks on a non-empty dict before ``setup``): at most
- * one fill is outstanding at an index.  The dict stays the at-rest form
- * and the reference loop's. */
 
 /* ``inflight[line] = ready``; the slot's previous entry is its victim's,
  * which ``_install`` drops. */
 static inline void
-fill_set(Ctx *ctx, long long cl, long long line, long long idx,
-         long long ready)
+fill_set(Words *w, long long line, long long idx, long long ready)
 {
-    ctx->cl_fill_line[cl][idx] = line;
-    ctx->cl_fill_ready[cl][idx] = ready;
+    w->fill_line[idx] = line;
+    w->fill_ready[idx] = ready;
 }
 
 /* ``inflight.pop(line, None)`` */
 static inline void
-fill_drop(Ctx *ctx, long long cl, long long line, long long idx)
+fill_drop(Words *w, long long line, long long idx)
 {
-    if (ctx->cl_fill_line[cl][idx] == line)
-        ctx->cl_fill_ready[cl][idx] = FILL_NONE;
+    if (w->fill_line[idx] == line)
+        w->fill_ready[idx] = FILL_NONE;
 }
 
 /* Completion of a hit at ``start``: it merges with a fill still in
  * flight (``scc.fill_ready_time``; landed fills are forgotten here). */
 static inline long long
-fill_done(Ctx *ctx, long long cl, long long line, long long idx,
-          long long start)
+fill_done(Words *w, long long line, long long idx, long long start)
 {
-    long long *ready = &ctx->cl_fill_ready[cl][idx];
-    if (*ready == FILL_NONE || ctx->cl_fill_line[cl][idx] != line)
+    long long *ready = &w->fill_ready[idx];
+    if (*ready == FILL_NONE || w->fill_line[idx] != line)
         return start + 1;
     if (*ready <= start) {
         *ready = FILL_NONE;
@@ -612,47 +555,141 @@ fill_done(Ctx *ctx, long long cl, long long line, long long idx,
     return *ready + 1;
 }
 
-/* Read every ``scc._inflight`` into the (freshly emptied) fill words;
- * the dicts are left as they are. */
-static int
-fills_import(Ctx *ctx)
+/* The order a bank's stores leave its buffer in: oldest retire first. */
+static inline int
+wbuf_before(long long a, long long b)
 {
-    for (int c = 0; c < ctx->n_cl; c++) {
-        PyObject *key, *value;
-        Py_ssize_t at = 0;
-        while (PyDict_Next(ctx->cl_inflight[c], &at, &key, &value)) {
-            long long line = PyLong_AsLongLong(key);
-            if (line == -1 && PyErr_Occurred())
+    return a < b;
+}
+
+/* ``heapq.heappush`` on one bank's words */
+static inline void
+wbuf_push(long long *heap, long long retire)
+{
+    long long pos = ++heap[0];
+    while (pos > 1 && wbuf_before(retire, heap[pos >> 1])) {
+        heap[pos] = heap[pos >> 1];
+        pos >>= 1;
+    }
+    heap[pos] = retire;
+}
+
+/* ``heapq.heappop`` (the bank holds at least one entry) */
+static inline long long
+wbuf_pop(long long *heap)
+{
+    long long n = --heap[0], top = heap[1], last = heap[n + 1], pos = 1;
+    for (long long child = 2; child <= n; child = 2 * pos) {
+        if (child < n && wbuf_before(heap[child + 1], heap[child]))
+            child++;
+        if (!wbuf_before(heap[child], last))
+            break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = last;
+    return top;
+}
+
+/* ``BankInterconnect.reserve_write_slot`` for a store that reaches
+ * ``bank`` at ``now`` and is performed at ``retire``: retire what has
+ * landed, stall on the oldest entry when the buffer is still full (it is
+ * later than ``now``, or it had just been retired), enter the store.
+ * Returns the stall; ``wbuf_held`` is then what the probe samples.  The
+ * callers settle ``write_stall_cycles`` from their own deltas. */
+static inline long long
+wbuf_reserve(Words *w, long long bank, long long now, long long retire)
+{
+    long long *heap = w->wb + bank * (w->depth + 1);
+    while (heap[0] && heap[1] <= now)
+        wbuf_pop(heap);
+    long long stall = heap[0] >= w->depth ? wbuf_pop(heap) - now : 0;
+    wbuf_push(heap, retire > now + stall ? retire : now + stall);
+    return stall;
+}
+
+static inline long long
+wbuf_held(const Words *w, long long bank)
+{
+    return w->wb[bank * (w->depth + 1)];
+}
+
+/* Read the containers into the (empty) words, leaving them as they are:
+ * what a ``run`` starts from.  A ladder pass has nothing to read -- its
+ * rungs are fresh, and one that began mid-machine would need the windows
+ * its skew arithmetic keeps, which no container holds. */
+static int
+words_import(Words *w)
+{
+    PyObject *key, *value;
+    Py_ssize_t at = 0;
+    while (PyDict_Next(w->inflight, &at, &key, &value)) {
+        long long line = PyLong_AsLongLong(key);
+        if (line == -1 && PyErr_Occurred())
+            return -1;
+        long long ready = PyLong_AsLongLong(value);
+        if (ready == -1 && PyErr_Occurred())
+            return -1;
+        fill_set(w, line, line & (w->lines - 1), ready);
+    }
+    for (long long bank = 0; bank < w->nbanks; bank++) {
+        PyObject *buf = PyList_GET_ITEM(w->wbufs, bank);
+        if (PyList_GET_SIZE(buf) > w->depth) {
+            PyErr_Format(PyExc_ValueError, "write buffer of bank %lld holds "
+                         "more than its %lld entries", bank, w->depth);
+            return -1;
+        }
+        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(buf); k++) {
+            long long retire = PyLong_AsLongLong(PyList_GET_ITEM(buf, k));
+            if (retire == -1 && PyErr_Occurred())
                 return -1;
-            long long ready = PyLong_AsLongLong(value);
-            if (ready == -1 && PyErr_Occurred())
-                return -1;
-            fill_set(ctx, c, line, line & ctx->idx_mask, ready);
+            wbuf_push(w->wb + bank * (w->depth + 1), retire);
         }
     }
     return 0;
 }
 
-/* ... and write them back: each dict becomes exactly what the reference
- * loop would have left in it. */
-static int
-fills_export(Ctx *ctx)
+static PyObject *
+words_list(const long long *words, long long n)
 {
-    for (int c = 0; c < ctx->n_cl; c++) {
-        PyObject *infl = ctx->cl_inflight[c];
-        PyDict_Clear(infl);
-        for (long long idx = 0; idx <= ctx->idx_mask; idx++) {
-            if (ctx->cl_fill_ready[c][idx] == FILL_NONE)
-                continue;
-            PyObject *k = PyLong_FromLongLong(ctx->cl_fill_line[c][idx]);
-            PyObject *v = k ? PyLong_FromLongLong(ctx->cl_fill_ready[c][idx])
-                            : NULL;
-            int rc = v ? PyDict_SetItem(infl, k, v) : -1;
-            Py_XDECREF(k);
-            Py_XDECREF(v);
-            if (rc < 0)
-                return -1;
-        }
+    PyObject *list = PyList_New((Py_ssize_t)n);
+    for (long long k = 0; list && k < n; k++) {
+        PyObject *item = PyLong_FromLongLong(words[k]);
+        if (!item)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, k, item);
+    }
+    return list;
+}
+
+/* ... and write the words back: the dict and every bank's list (the same
+ * objects, which python holds) become exactly what the reference loop
+ * would have left in them -- a heap rooted at word 1 is a heapq list. */
+static int
+words_export(Words *w)
+{
+    PyDict_Clear(w->inflight);
+    for (long long idx = 0; idx < w->lines; idx++) {
+        if (w->fill_ready[idx] == FILL_NONE)
+            continue;
+        PyObject *k = PyLong_FromLongLong(w->fill_line[idx]);
+        PyObject *v = k ? PyLong_FromLongLong(w->fill_ready[idx]) : NULL;
+        int rc = v ? PyDict_SetItem(w->inflight, k, v) : -1;
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+        if (rc < 0)
+            return -1;
+    }
+    for (long long bank = 0; bank < w->nbanks; bank++) {
+        const long long *heap = w->wb + bank * (w->depth + 1);
+        PyObject *buf = PyList_GET_ITEM(w->wbufs, bank);
+        PyObject *held = words_list(heap + 1, heap[0]);
+        int rc = held ? PyList_SetSlice(buf, 0, PyList_GET_SIZE(buf), held)
+                      : -1;
+        Py_XDECREF(held);
+        if (rc < 0)
+            return -1;
     }
     return 0;
 }
@@ -775,7 +812,7 @@ invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
             continue;
         /* Before, and whatever, the residency check: a stale entry could
          * satisfy a later miss to another tag at this index. */
-        fill_drop(ctx, c, line, idx);
+        fill_drop(&ctx->words[c], line, idx);
         long long *states = ctx->cl_states[c];
         if (!states[idx] || ctx->cl_tags[c][idx] != tag)
             continue;
@@ -811,7 +848,7 @@ install(Ctx *ctx, long long cl, long long line, long long idx,
     tags[idx] = line >> ctx->tag_shift;
     states[idx] = state;
     /* (this also drops the victim's fill: the slot's only possible one) */
-    fill_set(ctx, cl, line, idx, ready);
+    fill_set(&ctx->words[cl], line, idx, ready);
     if (victim_state) {
         st[S_EVICTIONS]++;
         if (victim_state == ST_MODIFIED) {
@@ -915,11 +952,10 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     if (mx)     /* ``cache_access``: a SHARED write hit (upgrade) is a hit */
         mx->counts[resident ? M_CACHE_HITS : M_CACHE_MISSES]++;
     long long done;
-    int err = 0;
     if (is_read) {
         st[S_READS]++;
         if (resident) {
-            done = fill_done(ctx, cl, line, idx, start);
+            done = fill_done(&ctx->words[cl], line, idx, start);
         }
         else if (read_miss(ctx, cl, line, idx, start, &done) < 0) {
             return -1;
@@ -931,7 +967,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         if (resident && states[idx] >= ST_MODIFIED) {
             /* MODIFIED, or EXCLUSIVE's silent upgrade: no bus traffic */
             states[idx] = ST_MODIFIED;
-            done = fill_done(ctx, cl, line, idx, start);
+            done = fill_done(&ctx->words[cl], line, idx, start);
             retire = done;
         }
         else {
@@ -945,8 +981,10 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
                 done = retire;
         }
         else {
-            long long stall = c_reserve(ctx, cl, bank, done, retire, &err);
-            if (err)
+            Words *w = &ctx->words[cl];
+            long long stall = wbuf_reserve(w, bank, done, retire);
+            if (mx && mx_write_buffer(mx, cl, done, wbuf_held(w, bank),
+                                      stall) < 0)
                 return -1;
             st[S_WRITE_BUFFER_STALL_CYCLES] += stall;
             done += stall;
@@ -982,9 +1020,8 @@ ctx_free(Ctx *ctx)
     ctx_release(ctx);
     PyMem_Free(ctx->views);
     PyMem_Free(ctx->cl_states);
-    PyMem_Free(ctx->cl_inflight);
-    PyMem_Free(ctx->fills);
-    PyMem_Free(ctx->cl_fill_line);
+    words_free(ctx->words, ctx->n_cl);
+    PyMem_Free(ctx->cl_lost);
     PyMem_Free(ctx->ready);
     PyMem_Free(ctx->ic_states);
     PyMem_Free(ctx->ic_mask);
@@ -1086,21 +1123,18 @@ native_setup(PyObject *self, PyObject *plan)
     int max_views = 3 * ctx->n_cl + 2 * ctx->nproc + 16;
     ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
     ctx->cl_states = PyMem_Calloc(3 * ctx->n_cl, sizeof(long long *));
-    ctx->cl_inflight = PyMem_Calloc(3 * ctx->n_cl, sizeof(PyObject *));
-    ctx->cl_fill_line = PyMem_Calloc(2 * ctx->n_cl, sizeof(long long *));
+    ctx->words = PyMem_Calloc(ctx->n_cl, sizeof(Words));
+    ctx->cl_lost = PyMem_Calloc(ctx->n_cl, sizeof(PyObject *));
     int nic = ctx->nproc > 0 ? ctx->nproc : 1;
     ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
     ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
-    if (!ctx->views || !ctx->cl_states || !ctx->cl_inflight
-        || !ctx->cl_fill_line || !ctx->ic_states || !ctx->ic_mask) {
+    if (!ctx->views || !ctx->cl_states || !ctx->words || !ctx->cl_lost
+        || !ctx->ic_states || !ctx->ic_mask) {
         ctx_free(ctx);
         return PyErr_NoMemory();
     }
     ctx->cl_tags = ctx->cl_states + ctx->n_cl;
     ctx->cl_bank_free = ctx->cl_states + 2 * ctx->n_cl;
-    ctx->cl_fill_ready = ctx->cl_fill_line + ctx->n_cl;
-    ctx->cl_lost = ctx->cl_inflight + ctx->n_cl;
-    ctx->cl_wbufs = ctx->cl_inflight + 2 * ctx->n_cl;
     ctx->ic_tags = ctx->ic_states + nic;
     ctx->ic_shift = ctx->ic_mask + nic;
 
@@ -1118,7 +1152,6 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->nbanks = sc[3];
     ctx->bank_cycle = sc[4];
     ctx->stall_on_writes = (int)sc[5];
-    ctx->wb_depth = sc[6];
     ctx->icache_mode = (int)sc[7];
     ctx->iline_shift = sc[8];
     ctx->limit = sc[9];
@@ -1127,47 +1160,30 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->mem_latency = sc[12];
     ctx->mesi = (int)sc[13];
 
-    if (ctx->idx_mask < 0 || ctx->idx_mask >= PY_SSIZE_T_MAX / 16) {
-        PyErr_SetString(PyExc_ValueError, "index mask out of range");
-        goto fail;
-    }
-    Py_ssize_t lines = (Py_ssize_t)ctx->idx_mask + 1;
     for (int c = 0; c < ctx->n_cl; c++) {
         PyObject *entry = PyTuple_GET_ITEM(per_cluster, c);
+        Words *w = &ctx->words[c];
+        if (words_setup(w, ctx->idx_mask, ctx->nbanks, sc[6],
+                        PyTuple_GET_ITEM(entry, 3),
+                        PyTuple_GET_ITEM(entry, 5)) < 0
+            || words_import(w) < 0)
+            goto fail;
+        Py_ssize_t lines = (Py_ssize_t)w->lines;
         if (!(ctx->cl_states[c] =
                   acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 0), lines)))
             goto fail;
         if (!(ctx->cl_tags[c] =
                   acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 1), lines)))
             goto fail;
-        if (!(ctx->cl_bank_free[c] =
-                  acquire_ll(ctx, PyTuple_GET_ITEM(entry, 2))))
+        if (!(ctx->cl_bank_free[c] = acquire_ll_n(
+                  ctx, PyTuple_GET_ITEM(entry, 2), (Py_ssize_t)ctx->nbanks)))
             goto fail;
-        ctx->cl_inflight[c] = PyTuple_GET_ITEM(entry, 3);
         ctx->cl_lost[c] = PyTuple_GET_ITEM(entry, 4);
-        ctx->cl_wbufs[c] = PyTuple_GET_ITEM(entry, 5);
-        if (!PyDict_CheckExact(ctx->cl_inflight[c])
-            || !PySet_CheckExact(ctx->cl_lost[c])) {
-            PyErr_SetString(PyExc_TypeError,
-                            "in-flight fills must be a dict, lost lines a set");
+        if (!PySet_CheckExact(ctx->cl_lost[c])) {
+            PyErr_SetString(PyExc_TypeError, "lost lines must be a set");
             goto fail;
         }
     }
-    /* One block: every cluster's ``fill_line`` words (zeroed), then every
-     * cluster's ``fill_ready``. */
-    size_t words = (size_t)ctx->n_cl * (size_t)lines;
-    if (!(ctx->fills = PyMem_Calloc(2 * words, sizeof(long long)))) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (size_t k = words; k < 2 * words; k++)
-        ctx->fills[k] = FILL_NONE;
-    for (int c = 0; c < ctx->n_cl; c++) {
-        ctx->cl_fill_line[c] = ctx->fills + (size_t)c * lines;
-        ctx->cl_fill_ready[c] = ctx->fills + words + (size_t)c * lines;
-    }
-    if (fills_import(ctx) < 0)
-        goto fail;
     for (int p = 0; p < ctx->nproc; p++) {
         PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
         if (!(ctx->ic_states[p] =
@@ -1343,8 +1359,9 @@ sched_export(Ctx *ctx)
     return 0;
 }
 
-/* The end of C's ownership: the ready entries and the in-flight fills go
- * back to the python containers they came from, the views are dropped. */
+/* The end of C's ownership: the ready entries, the in-flight fills and the
+ * write buffers go back to the python containers they came from, the views
+ * are dropped. */
 static PyObject *
 native_release(PyObject *self, PyObject *capsule)
 {
@@ -1353,7 +1370,9 @@ native_release(PyObject *self, PyObject *capsule)
     if (!ctx)
         return NULL;
     if (!ctx->released) {
-        int failed = sched_export(ctx) < 0 || fills_export(ctx) < 0;
+        int failed = sched_export(ctx) < 0;
+        for (int c = 0; !failed && c < ctx->n_cl; c++)
+            failed = words_export(&ctx->words[c]) < 0;
         ctx_release(ctx);
         if (failed)
             return NULL;
@@ -1680,22 +1699,26 @@ fail:
  * flush; every array here is ``array('q')`` storage it allocated.
  *
  * The contract is per-size replay on the reference loop, statistic for
- * statistic: the shared clock is folded into per-size finish times,
- * hot windows are tracked per size, and the write-buffer heaps use the
- * interconnect's arithmetic (the per-size heaps are python lists shared
- * with the flush).  A non-positive span stride raises ValueError
- * instead of spinning (the ladder has no cycle limit to bail it out).
+ * statistic: the shared clock is folded into per-size finish times, hot
+ * windows are tracked per size, and each rung's fills and write buffers
+ * are a ``Words`` worked with ``run``'s own helpers.  The ownership rule
+ * is ``run``'s too: a rung's ``_inflight`` dict and write-buffer lists
+ * are empty from ``ladder_setup`` (which refuses anything else: nothing
+ * could supply the live windows of a pass begun mid-machine) until
+ * ``ladder_release`` writes them, and the event loop touches no python
+ * object.  A non-positive span stride raises ValueError instead of
+ * spinning (the ladder has no cycle limit to bail it out).
  */
 
 typedef struct {
     PyObject *plan;
     int n_sizes;
     int released;
-    long long line_shift, nbanks, occ, up_occ, mem_lat, ic_lat, wb_depth;
+    long long line_shift, nbanks, occ, up_occ, mem_lat, ic_lat;
     long long install_state, model_icache, il_shift, ic_mask, ic_shift;
     long long **s_states, **s_tags;
     long long *s_mask, *s_shift;
-    PyObject **inflight, **wbufs;
+    Words *words;             /* [rung] */
     long long *skew, *fin, *folded, *fill_live, *wb_live, *hot;
     long long *bus_busy, *bus_tx, *bus_cyc;
     long long *d_rmiss, *d_wmiss, *d_upg, *d_evict, *d_wb, *d_wbuf;
@@ -1709,13 +1732,19 @@ typedef struct {
 
 static const char LCTX_NAME[] = "repro.trace.engine._native.ladder";
 
+/* A writable view on the ``n`` int64 slots of ``obj``. */
 static long long *
-l_acquire(LCtx *ctx, PyObject *obj)
+l_acquire(LCtx *ctx, PyObject *obj, long long n)
 {
     Py_buffer *view = &ctx->views[ctx->nviews];
     if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE) < 0)
         return NULL;
     ctx->nviews++;
+    if (view->len % 8 || view->len / 8 != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "ladder plan array must hold %lld slots", n);
+        return NULL;
+    }
     return (long long *)view->buf;
 }
 
@@ -1748,252 +1777,132 @@ l_update_hot(LCtx *c, int s, long long done, long long *hot_n)
     }
 }
 
-/* Each rung's in-flight fills are its SCC's own ``_inflight`` dict (line
- * -> cycle the fill lands), worked on in place. */
-
-/* ``inflight.pop(key, None)`` */
-static int
-inflight_pop(PyObject *infl, long long key)
+/* ``wbuf_reserve`` on rung ``s``, plus the live-window watermark: the
+ * store just entered is the last to retire. */
+static inline long long
+l_reserve(LCtx *c, int s, long long bank, long long now, long long retire)
 {
-    if (PyDict_GET_SIZE(infl) == 0)
-        return 0;
-    PyObject *k = PyLong_FromLongLong(key);
-    if (!k)
-        return -1;
-    PyObject *v = PyDict_GetItemWithError(infl, k);
-    if (v) {
-        if (PyDict_DelItem(infl, k) < 0) {
-            Py_DECREF(k);
-            return -1;
-        }
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(k);
-        return -1;
-    }
-    Py_DECREF(k);
-    return 0;
-}
-
-/* ``inflight[line] = ready`` */
-static int
-inflight_set(PyObject *infl, long long line, long long ready)
-{
-    PyObject *k = PyLong_FromLongLong(line);
-    PyObject *v = k ? PyLong_FromLongLong(ready) : NULL;
-    if (!k || !v) {
-        Py_XDECREF(k);
-        Py_XDECREF(v);
-        return -1;
-    }
-    int rc = PyDict_SetItem(infl, k, v);
-    Py_DECREF(k);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* ``inflight[s].get(line)`` with the hot-hit resolution: delete stale
- * entries, otherwise return the fill-adjusted completion. */
-static long long
-l_inflight_hit(PyObject *infl, long long line, long long t, long long done,
-               int *err)
-{
-    PyObject *k = PyLong_FromLongLong(line);
-    if (!k) {
-        *err = 1;
-        return 0;
-    }
-    PyObject *v = PyDict_GetItemWithError(infl, k);
-    if (v) {
-        long long ready = PyLong_AsLongLong(v);
-        if (ready == -1 && PyErr_Occurred()) {
-            Py_DECREF(k);
-            *err = 1;
-            return 0;
-        }
-        if (ready <= t) {
-            if (PyDict_DelItem(infl, k) < 0) {
-                Py_DECREF(k);
-                *err = 1;
-                return 0;
-            }
-        }
-        else {
-            done = ready + 1;
-        }
-    }
-    else if (PyErr_Occurred()) {
-        Py_DECREF(k);
-        *err = 1;
-        return 0;
-    }
-    Py_DECREF(k);
-    return done;
-}
-
-/* ``reserve()`` on rung ``s``: c_reserve arithmetic over the rung's
- * write-buffer heaps plus the live-window watermark. */
-static long long
-l_reserve(LCtx *ctx, int s, long long bank, long long now,
-          long long retire, int *err)
-{
-    PyObject *buf = PyList_GET_ITEM(ctx->wbufs[s], bank);
-    while (PyList_GET_SIZE(buf) > 0) {
-        long long top = PyLong_AsLongLong(PyList_GET_ITEM(buf, 0));
-        if (top == -1 && PyErr_Occurred()) {
-            *err = 1;
-            return 0;
-        }
-        if (top > now)
-            break;
-        wb_heappop(buf, err);
-        if (*err)
-            return 0;
-    }
-    long long stall = 0;
-    if (PyList_GET_SIZE(buf) >= ctx->wb_depth) {
-        long long oldest = wb_heappop(buf, err);
-        if (*err)
-            return 0;
-        if (oldest > now)
-            stall = oldest - now;
-    }
-    long long push = now + stall;
-    if (retire > push)
-        push = retire;
-    if (wb_heappush(buf, push) < 0) {
-        *err = 1;
-        return 0;
-    }
-    if (push > ctx->wb_live[s])
-        ctx->wb_live[s] = push;
+    long long stall = wbuf_reserve(&c->words[s], bank, now, retire);
+    if (retire < now + stall)
+        retire = now + stall;
+    if (retire > c->wb_live[s])
+        c->wb_live[s] = retire;
     return stall;
 }
 
+/* A miss of rung ``s`` at its local time ``t``: the bus transaction, the
+ * victim (its fill goes with it: the rung tracks write-miss fills only,
+ * so a read miss leaves the slot without one) and the install.  Returns
+ * the cycle the data arrives. */
+static inline long long
+l_miss(LCtx *c, int s, long long index, long long tag, long long state,
+       long long t)
+{
+    long long *states = c->s_states[s];
+    long long *tags = c->s_tags[s];
+    long long grant = c->bus_busy[s];
+    if (grant < t)
+        grant = t;
+    c->bus_busy[s] = grant + c->occ;
+    c->bus_tx[s]++;
+    c->bus_cyc[s] += c->occ;
+    c->d_bus_wait[s] += grant - t;
+    if (states[index]) {                    /* tag differs: eviction */
+        c->d_evict[s]++;
+        if (states[index] == ST_MODIFIED) {
+            c->d_wb[s]++;
+            c->bus_busy[s] += c->occ;
+            c->bus_tx[s]++;
+            c->bus_cyc[s] += c->occ;
+        }
+        long long victim = (tags[index] << c->s_shift[s]) | index;
+        fill_drop(&c->words[s], victim, index);
+    }
+    tags[index] = tag;
+    states[index] = state;
+    return grant + c->mem_lat;
+}
+
+/* A hit of hot rung ``s`` at ``t`` completed at ``done``: the rung leaves
+ * its live windows once both are behind it. */
+static inline void
+l_hot_hit(LCtx *c, int s, long long base, long long t, long long done,
+          long long *hot_n)
+{
+    c->d_stall[s] += done - t - 1;
+    c->fin[s] = done;
+    c->skew[s] = done - base - 1;
+    if (c->fill_live[s] <= done && c->wb_live[s] <= done) {
+        c->hot[s] = 0;
+        (*hot_n)--;
+    }
+}
+
 /* Per-size processing for a read that is not uniformly quiet. */
-static int
+static void
 l_slow_read(LCtx *c, long long line, long long base, long long uref,
             long long *hot_n)
 {
     int s = 0;
     int n = c->n_sizes;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        long long *states = c->s_states[s];
         long long index = line & c->s_mask[s];
         long long tag = line >> c->s_shift[s];
-        if (states[index] && c->s_tags[s][index] == tag)
+        if (c->s_states[s][index] && c->s_tags[s][index] == tag)
             break;
         long long t = l_fold(c, s, base, uref);
         c->d_rmiss[s]++;
-        long long grant = c->bus_busy[s];
-        if (grant < t)
-            grant = t;
-        c->bus_busy[s] = grant + c->occ;
-        c->bus_tx[s]++;
-        c->bus_cyc[s] += c->occ;
-        c->d_bus_wait[s] += grant - t;
-        long long done = grant + c->mem_lat;
-        long long old = states[index];
-        if (old) {                          /* tag differs: eviction */
-            c->d_evict[s]++;
-            if (old == ST_MODIFIED) {
-                c->d_wb[s]++;
-                c->bus_busy[s] += c->occ;
-                c->bus_tx[s]++;
-                c->bus_cyc[s] += c->occ;
-            }
-            if (inflight_pop(c->inflight[s],
-                             (c->s_tags[s][index] << c->s_shift[s])
-                             | index) < 0)
-                return -1;
-        }
-        c->s_tags[s][index] = tag;
-        states[index] = c->install_state;
-        long long ret = done + 1;
+        long long ret = l_miss(c, s, index, tag, c->install_state, t) + 1;
         c->d_stall[s] += ret - t - 1;
         c->fin[s] = ret;
         c->skew[s] = ret - base - 1;
         l_update_hot(c, s, ret, hot_n);
     }
-    if (*hot_n) {                           /* hits inside live windows */
-        for (; s < n; s++) {
-            if (!c->hot[s])
-                continue;
-            long long t = l_fold(c, s, base, uref);
-            long long done = t + 1;
-            if (c->fill_live[s] > t) {
-                int err = 0;
-                done = l_inflight_hit(c->inflight[s], line, t, done, &err);
-                if (err)
-                    return -1;
-            }
-            c->d_stall[s] += done - t - 1;
-            c->fin[s] = done;
-            c->skew[s] = done - base - 1;
-            if (c->fill_live[s] <= done && c->wb_live[s] <= done) {
-                c->hot[s] = 0;
-                (*hot_n)--;
-            }
-        }
+    for (; *hot_n && s < n; s++) {          /* hits inside live windows */
+        if (!c->hot[s])
+            continue;
+        long long t = l_fold(c, s, base, uref);
+        long long done = t + 1;
+        if (c->fill_live[s] > t)
+            done = fill_done(&c->words[s], line, line & c->s_mask[s], t);
+        l_hot_hit(c, s, base, t, done, hot_n);
     }
-    return 0;
+}
+
+/* A buffered store of rung ``s`` issued at ``t``, performed at ``retire``:
+ * the processor carries on a cycle later, plus any write-buffer stall. */
+static inline void
+l_store(LCtx *c, int s, long long bank, long long base, long long t,
+        long long retire, long long *hot_n)
+{
+    long long stall = l_reserve(c, s, bank, t + 1, retire);
+    long long done = t + 1 + stall;
+    c->d_wbuf[s] += stall;
+    c->d_stall[s] += done - t - 1;
+    c->fin[s] = done;
+    c->skew[s] = done - base - 1;
+    l_update_hot(c, s, done, hot_n);
 }
 
 /* Per-size processing for a write that is not uniformly quiet. */
-static int
+static void
 l_slow_write(LCtx *c, long long line, long long bank, long long base,
              long long uref, long long *hot_n)
 {
     int s = 0;
     int n = c->n_sizes;
-    int err = 0;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        long long *states = c->s_states[s];
         long long index = line & c->s_mask[s];
         long long tag = line >> c->s_shift[s];
-        if (states[index] && c->s_tags[s][index] == tag)
+        if (c->s_states[s][index] && c->s_tags[s][index] == tag)
             break;
         long long t = l_fold(c, s, base, uref);
         c->d_wmiss[s]++;
-        long long grant = c->bus_busy[s];
-        if (grant < t)
-            grant = t;
-        c->bus_busy[s] = grant + c->occ;
-        c->bus_tx[s]++;
-        c->bus_cyc[s] += c->occ;
-        c->d_bus_wait[s] += grant - t;
-        long long fetch_done = grant + c->mem_lat;
-        long long old = states[index];
-        if (old) {
-            c->d_evict[s]++;
-            if (old == ST_MODIFIED) {
-                c->d_wb[s]++;
-                c->bus_busy[s] += c->occ;
-                c->bus_tx[s]++;
-                c->bus_cyc[s] += c->occ;
-            }
-            if (inflight_pop(c->inflight[s],
-                             (c->s_tags[s][index] << c->s_shift[s])
-                             | index) < 0)
-                return -1;
-        }
-        c->s_tags[s][index] = tag;
-        states[index] = ST_MODIFIED;
-        if (inflight_set(c->inflight[s], line, fetch_done) < 0)
-            return -1;
+        long long fetch_done = l_miss(c, s, index, tag, ST_MODIFIED, t);
+        fill_set(&c->words[s], line, index, fetch_done);
         if (fetch_done > c->fill_live[s])
             c->fill_live[s] = fetch_done;
-        long long complete = t + 1;
-        long long stall = l_reserve(c, s, bank, complete, fetch_done,
-                                    &err);
-        if (err)
-            return -1;
-        c->d_wbuf[s] += stall;
-        long long done = complete + stall;
-        c->d_stall[s] += done - t - 1;
-        c->fin[s] = done;
-        c->skew[s] = done - base - 1;
-        l_update_hot(c, s, done, hot_n);
+        l_store(c, s, bank, base, t, fetch_done, hot_n);
     }
     for (; s < n; s++) {                    /* resident sizes */
         long long *states = c->s_states[s];
@@ -2009,17 +1918,7 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
             c->bus_tx[s]++;
             c->bus_cyc[s] += c->up_occ;
             states[index] = ST_MODIFIED;
-            long long complete = t + 1;
-            long long stall = l_reserve(c, s, bank, complete,
-                                        grant + c->up_occ, &err);
-            if (err)
-                return -1;
-            c->d_wbuf[s] += stall;
-            long long done = complete + stall;
-            c->d_stall[s] += done - t - 1;
-            c->fin[s] = done;
-            c->skew[s] = done - base - 1;
-            l_update_hot(c, s, done, hot_n);
+            l_store(c, s, bank, base, t, grant + c->up_occ, hot_n);
         }
         else {
             if (state != ST_MODIFIED)       /* MESI silent E -> M */
@@ -2027,31 +1926,17 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
             if (c->hot[s]) {
                 long long t = l_fold(c, s, base, uref);
                 long long done = t + 1;
-                if (c->fill_live[s] > t) {
-                    done = l_inflight_hit(c->inflight[s], line, t, done,
-                                          &err);
-                    if (err)
-                        return -1;
-                }
+                if (c->fill_live[s] > t)
+                    done = fill_done(&c->words[s], line, index, t);
                 if (c->wb_live[s] > done) {
-                    long long stall = l_reserve(c, s, bank, done, done,
-                                                &err);
-                    if (err)
-                        return -1;
+                    long long stall = l_reserve(c, s, bank, done, done);
                     c->d_wbuf[s] += stall;
                     done += stall;
                 }
-                c->d_stall[s] += done - t - 1;
-                c->fin[s] = done;
-                c->skew[s] = done - base - 1;
-                if (c->fill_live[s] <= done && c->wb_live[s] <= done) {
-                    c->hot[s] = 0;
-                    (*hot_n)--;
-                }
+                l_hot_hit(c, s, base, t, done, hot_n);
             }
         }
     }
-    return 0;
 }
 
 static void
@@ -2067,22 +1952,29 @@ lctx_release(LCtx *ctx)
 }
 
 static void
-lctx_destructor(PyObject *capsule)
+lctx_free(LCtx *ctx)
 {
-    LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
-    if (!ctx)
-        return;
     lctx_release(ctx);
+    words_free(ctx->words, ctx->n_sizes);
     PyMem_Free(ctx->views);
     PyMem_Free(ctx->s_states);
     PyMem_Free(ctx->s_mask);
-    PyMem_Free(ctx->inflight);
     PyMem_Free(ctx);
+}
+
+static void
+lctx_destructor(PyObject *capsule)
+{
+    LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
+    if (ctx)
+        lctx_free(ctx);
 }
 
 /* plan: (per_size, scal, state, deltas, ic, regs)
  *   per_size -- tuple per rung: (states, tags, index_mask, tag_shift,
- *               inflight dict, write-buffer list-of-heaps)
+ *               inflight dict, write-buffer list-of-heaps); the last two
+ *               must be empty -- a rung starts as a fresh machine -- and
+ *               are written at ``ladder_release``
  *   scal     -- array('q'): line_shift, nbanks, occ, up_occ, mem_lat,
  *               ic_lat, wb_depth, install_state, model_icache, il_shift,
  *               ic_mask, ic_shift
@@ -2119,18 +2011,13 @@ native_ladder_setup(PyObject *self, PyObject *plan)
     ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
     ctx->s_states = PyMem_Calloc(2 * ctx->n_sizes, sizeof(long long *));
     ctx->s_mask = PyMem_Calloc(2 * ctx->n_sizes, sizeof(long long));
-    ctx->inflight = PyMem_Calloc(2 * ctx->n_sizes, sizeof(PyObject *));
-    if (!ctx->views || !ctx->s_states || !ctx->s_mask || !ctx->inflight) {
-        PyMem_Free(ctx->views);
-        PyMem_Free(ctx->s_states);
-        PyMem_Free(ctx->s_mask);
-        PyMem_Free(ctx->inflight);
-        PyMem_Free(ctx);
+    ctx->words = PyMem_Calloc(ctx->n_sizes, sizeof(Words));
+    if (!ctx->views || !ctx->s_states || !ctx->s_mask || !ctx->words) {
+        lctx_free(ctx);
         return PyErr_NoMemory();
     }
     ctx->s_tags = ctx->s_states + ctx->n_sizes;
     ctx->s_shift = ctx->s_mask + ctx->n_sizes;
-    ctx->wbufs = ctx->inflight + ctx->n_sizes;
 
     ctx->plan = plan;
     Py_INCREF(plan);
@@ -2146,7 +2033,6 @@ native_ladder_setup(PyObject *self, PyObject *plan)
     ctx->up_occ = sc[3];
     ctx->mem_lat = sc[4];
     ctx->ic_lat = sc[5];
-    ctx->wb_depth = sc[6];
     ctx->install_state = sc[7];
     ctx->model_icache = sc[8];
     ctx->il_shift = sc[9];
@@ -2155,18 +2041,27 @@ native_ladder_setup(PyObject *self, PyObject *plan)
 
     for (int s = 0; s < ctx->n_sizes; s++) {
         PyObject *entry = PyTuple_GET_ITEM(per_size, s);
+        Words *w = &ctx->words[s];
+        if (get_ll_item(entry, 2, &ctx->s_mask[s]) < 0
+            || get_ll_item(entry, 3, &ctx->s_shift[s]) < 0
+            || words_setup(w, ctx->s_mask[s], ctx->nbanks, sc[6],
+                           PyTuple_GET_ITEM(entry, 4),
+                           PyTuple_GET_ITEM(entry, 5)) < 0)
+            goto fail;
+        int fresh = PyDict_GET_SIZE(w->inflight) == 0;
+        for (Py_ssize_t bank = 0; fresh && bank < w->nbanks; bank++)
+            fresh = PyList_GET_SIZE(PyList_GET_ITEM(w->wbufs, bank)) == 0;
+        if (!fresh) {
+            PyErr_SetString(PyExc_ValueError, "a ladder rung must start "
+                            "with no fill in flight and no buffered write");
+            goto fail;
+        }
         if (!(ctx->s_states[s] =
-                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 0))))
+                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 0), w->lines)))
             goto fail;
         if (!(ctx->s_tags[s] =
-                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 1))))
+                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 1), w->lines)))
             goto fail;
-        if (get_ll_item(entry, 2, &ctx->s_mask[s]) < 0)
-            goto fail;
-        if (get_ll_item(entry, 3, &ctx->s_shift[s]) < 0)
-            goto fail;
-        ctx->inflight[s] = PyTuple_GET_ITEM(entry, 4);
-        ctx->wbufs[s] = PyTuple_GET_ITEM(entry, 5);
     }
 
     long long **sptr[9] = {
@@ -2175,7 +2070,8 @@ native_ladder_setup(PyObject *self, PyObject *plan)
         &ctx->bus_cyc,
     };
     for (int k = 0; k < 9; k++) {
-        if (!(*sptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(state, k))))
+        if (!(*sptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(state, k),
+                                   ctx->n_sizes)))
             goto fail;
     }
     long long **dptr[9] = {
@@ -2184,16 +2080,19 @@ native_ladder_setup(PyObject *self, PyObject *plan)
         &ctx->d_ic,
     };
     for (int k = 0; k < 9; k++) {
-        if (!(*dptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(deltas, k))))
+        if (!(*dptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(deltas, k),
+                                   ctx->n_sizes)))
             goto fail;
     }
     if (ctx->model_icache) {
-        if (!(ctx->ic_states = l_acquire(ctx, PyTuple_GET_ITEM(ic, 0))))
+        if (!(ctx->ic_states = l_acquire(ctx, PyTuple_GET_ITEM(ic, 0),
+                                         ctx->ic_mask + 1)))
             goto fail;
-        if (!(ctx->ic_tags = l_acquire(ctx, PyTuple_GET_ITEM(ic, 1))))
+        if (!(ctx->ic_tags = l_acquire(ctx, PyTuple_GET_ITEM(ic, 1),
+                                       ctx->ic_mask + 1)))
             goto fail;
     }
-    if (!(ctx->regs = l_acquire(ctx, regs)))
+    if (!(ctx->regs = l_acquire(ctx, regs, 10)))
         goto fail;
 
     PyObject *capsule = PyCapsule_New(ctx, LCTX_NAME, lctx_destructor);
@@ -2202,15 +2101,13 @@ native_ladder_setup(PyObject *self, PyObject *plan)
     return capsule;
 
 fail:
-    lctx_release(ctx);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->s_states);
-    PyMem_Free(ctx->s_mask);
-    PyMem_Free(ctx->inflight);
-    PyMem_Free(ctx);
+    lctx_free(ctx);
     return NULL;
 }
 
+/* The end of the pass, completed or aborted: every rung's fills and write
+ * buffers go to the containers of its SCC -- what ``check_invariants``
+ * then checks -- before the views are dropped, as ``release`` does. */
 static PyObject *
 native_ladder_release(PyObject *self, PyObject *capsule)
 {
@@ -2218,7 +2115,14 @@ native_ladder_release(PyObject *self, PyObject *capsule)
     LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
     if (!ctx)
         return NULL;
-    lctx_release(ctx);
+    if (!ctx->released) {
+        int failed = 0;
+        for (int s = 0; !failed && s < ctx->n_sizes; s++)
+            failed = words_export(&ctx->words[s]) < 0;
+        lctx_release(ctx);
+        if (failed)
+            return NULL;
+    }
     Py_RETURN_NONE;
 }
 
@@ -2270,8 +2174,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
             long long index = line & mask0;
             if (!(hot_n == 0 && states0[index]
                   && tags0[index] == (line >> shift0))) {
-                if (l_slow_read(ctx, line, base, uref, &hot_n) < 0)
-                    goto fail;
+                l_slow_read(ctx, line, base, uref, &hot_n);
             }
             n_reads++;
             base++;
@@ -2287,8 +2190,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 long long bank = line % nbanks;
                 if (bank < 0)
                     bank += nbanks;
-                if (l_slow_write(ctx, line, bank, base, uref, &hot_n) < 0)
-                    goto fail;
+                l_slow_write(ctx, line, bank, base, uref, &hot_n);
             }
             n_writes++;
             base++;
@@ -2390,9 +2292,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 if (is_read) {
                     if (!(hot_n == 0 && states0[index]
                           && tags0[index] == (line >> shift0))) {
-                        if (l_slow_read(ctx, line, base, uref,
-                                        &hot_n) < 0)
-                            goto fail;
+                        l_slow_read(ctx, line, base, uref, &hot_n);
                     }
                     n_reads++;
                 }
@@ -2402,9 +2302,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
                         long long bank = line % nbanks;
                         if (bank < 0)
                             bank += nbanks;
-                        if (l_slow_write(ctx, line, bank, base, uref,
-                                         &hot_n) < 0)
-                            goto fail;
+                        l_slow_write(ctx, line, bank, base, uref, &hot_n);
                     }
                     n_writes++;
                 }

@@ -18,9 +18,10 @@ rest*; between ``setup`` and ``release`` C works on its own copy and no
 python code reads or writes the machine (``MultiprocessorSystem
 .data_access`` never runs in a native run).  Tag/state arrays, bank free
 times and the bus clock are ``array('q')`` storage C works on in place;
-each ``scc._inflight`` dict is read into per-index fill words at
-``setup`` and rewritten from them at ``release``; the ready heap lives
-in C, with ``interleaver._heap`` as its *mailbox* -- ``_push`` (from
+each ``scc._inflight`` dict and each bank's ``_write_buffers`` list is
+read into C words at ``setup`` (per-index fill words, a heap of retire
+times per bank) and rewritten from them at ``release``; the ready heap
+lives in C, with ``interleaver._heap`` as its *mailbox* -- ``_push`` (from
 ``add_process`` and the lock/barrier handlers) appends there as on the
 reference loop, ``_native.run`` drains it on entry, ``release`` writes
 back what is still ready -- so a run that ends, or aborts, leaves every
@@ -28,11 +29,12 @@ container as the reference loop would, and the next run on the same
 objects may be either engine's.
 
 The extension has two more sections this module only loads: the fused
-ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
-row-profile kernel (``row_profile``, called by
-:func:`repro.model.profile.build_row_profile` with its python functions
-as the contract).  One build, one ``ABI_VERSION`` check, serves all
-three.
+ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`; its
+rungs keep their fills and write buffers in the same words, written to
+the containers at ``ladder_release``) and the row-profile kernel
+(``row_profile``, called by :func:`repro.model.profile.build_row_profile`
+with its python functions as the contract).  One build, one
+``ABI_VERSION`` check, serves all three.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):

@@ -247,6 +247,14 @@ def _fused_pass_native(ladder: List[SystemConfig],
     and barrier opcodes are deferred back here (drain status 2) so their
     error messages and accounting match the reference loop's byte for
     byte.
+
+    State: each rung's tag/state arrays are its system's own, worked on
+    in place; its in-flight fills and write buffers are C words from
+    ``ladder_setup`` to ``ladder_release`` (``native.run``'s ownership
+    rule, one way).  ``systems`` must be fresh -- ``ladder_setup``
+    refuses a rung whose ``_inflight`` dict or write-buffer lists hold
+    anything -- and ``ladder_release``, reached on every path out of the
+    pass, writes both containers; nothing may read them in between.
     """
     from .engine import native as _native
     native = _native.load()

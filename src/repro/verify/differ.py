@@ -10,10 +10,11 @@ must agree with it on everything the engine exposes:
 * **native** -- the compiled engine from :mod:`repro.trace.engine`
   (``backend="native"``, engaged whenever the machine qualifies);
   compared on cycle counts, per-cluster statistics, bus counters,
-  final tag/state arrays and the in-flight fill tables it leaves (it
-  works on a copy of them and writes that back; a fill forgotten a
-  cycle late changes no clock, only the next run's starting state).
-  It runs unprobed: the loop whose metrics pointer is NULL.
+  final tag/state arrays and the in-flight fill tables and write
+  buffers it leaves (it works on a copy of them and writes that back;
+  a fill forgotten a cycle late changes no clock, only the next run's
+  starting state).  It runs unprobed: the loop whose metrics pointer
+  is NULL.
 * **instrumented** -- the same engine carrying the standard probe
   (:class:`~repro.instrument.probes.InstrumentationProbe`, no event
   log); compared on all of the above plus ``metrics``, the probe's
@@ -21,9 +22,11 @@ must agree with it on everything the engine exposes:
   The baseline carries the same probe (a probe never changes timing,
   so the one baseline still serves every other engine).
 * **fused** -- the compiled multi-configuration ladder, run as a
-  two-rung ladder and compared on its bottom rung (final arrays are
-  internal to the fused engine, so the diff covers statistics and
-  event counts).
+  two-rung ladder and compared on its bottom rung: statistics, event
+  counts and final tag/state arrays (the rung's arrays *are* its
+  system's, worked on in place).  Not ``fills``: the ladder tracks
+  write-miss fills only, which a uniprocessor cannot observe.  Every
+  rung's invariants are checked on what the pass wrote back.
 * **profile** -- not a timing engine: the extension's row-profile
   kernel (``row_profile``, what :func:`~repro.model.profile
   .build_row_profile` runs when the extension is loaded), compared on
@@ -57,7 +60,7 @@ from ..instrument.probes import InstrumentationProbe
 from ..model.profile import _native_kernel, _reference_kernel, _row_payload
 from ..trace.engine import native_available, resolve_backend
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
-from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
+from ..trace.multiconfig import _fused_pass_native, fused_ladder_supported
 from .oracle import FunctionalOracle
 from .tapes import Tape, TapeApplication
 
@@ -132,7 +135,7 @@ def _always(tape: Tape) -> bool:
     return True
 
 
-_FULL = ("events", "stats", "bus", "arrays", "fills")
+_FULL = ("events", "stats", "bus", "arrays", "fills", "write_buffers")
 
 #: Modes that drive a :class:`TimingInterleaver`, by the backend they
 #: ask for (``python`` is the reference loop) ...
@@ -161,8 +164,8 @@ def engine_registry() -> Dict[str, EngineSpec]:
         registry["native"] = EngineSpec("native", _FULL, _always)
         registry["instrumented"] = EngineSpec(
             "instrumented", _FULL + ("metrics",), _always)
-        registry["fused"] = EngineSpec("fused", ("events", "stats"),
-                                       fused_eligible)
+        registry["fused"] = EngineSpec(
+            "fused", ("events", "stats", "arrays"), fused_eligible)
         registry["profile"] = EngineSpec("profile", ("profile",), _always)
     return registry
 
@@ -215,17 +218,28 @@ def run_tape(tape: Tape, mode: str,
         "stats": stats.as_dict(),
         "bus": {"transactions": bus.transactions,
                 "busy_cycles": bus.busy_cycles},
-        "arrays": {cluster_id:
-                   sorted(cluster.scc.array.resident_lines())
-                   for cluster_id, cluster
-                   in enumerate(system.clusters)},
-        "fills": {cluster_id: sorted(cluster.scc._inflight.items())
-                  for cluster_id, cluster
-                  in enumerate(system.clusters)},
+        **_state_at_rest(system),
     }
     if probe is not None:
         result.fingerprint["metrics"] = probe.registry.as_dict()
     return result
+
+
+def _state_at_rest(system: MultiprocessorSystem) -> Dict[str, object]:
+    """What a run leaves in each SCC's containers, by section: resident
+    lines, in-flight fills, and every bank's write buffer as a multiset
+    (heap layout is not part of the contract)."""
+    sccs = dict(enumerate(cluster.scc for cluster in system.clusters))
+    return {
+        "arrays": {cluster_id: sorted(scc.array.resident_lines())
+                   for cluster_id, scc in sccs.items()},
+        "fills": {cluster_id: sorted(scc._inflight.items())
+                  for cluster_id, scc in sccs.items()},
+        "write_buffers": {cluster_id:
+                          [sorted(buffer) for buffer
+                           in scc.interconnect._write_buffers]
+                          for cluster_id, scc in sccs.items()},
+    }
 
 
 def _profile_section(kernel, tape: Tape, config) -> Dict[str, object]:
@@ -253,16 +267,20 @@ def _run_fused(tape: Tape, config) -> PathResult:
     result = PathResult(name="fused",
                         engine_used=resolve_backend("native"))
     ladder = [config, config.with_updates(scc_size=config.scc_size * 2)]
-    streams = {0: array("q", tape.streams[0])}
+    systems = [MultiprocessorSystem(rung) for rung in ladder]
     try:
-        bottom = fused_ladder_results(ladder, streams,
-                                      backend="native")[0]
+        events, times = _fused_pass_native(ladder, systems,
+                                           array("q", tape.streams[0]))
+        for system in systems:
+            system.check_invariants()
     except Exception as exc:
         result.error = (type(exc).__name__, str(exc))
         return result
     result.fingerprint = {
-        "events": bottom.events_processed,
-        "stats": bottom.stats.as_dict(),
+        "events": events,
+        "stats": systems[0].stats(times[0]).as_dict(),
+        # (its ``fills`` are there to read, not to diff: see above)
+        **_state_at_rest(systems[0]),
     }
     return result
 

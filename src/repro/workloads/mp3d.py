@@ -110,11 +110,16 @@ class _MP3DRun:
         self.n_cells = nx * ny * nz
         rng = np.random.default_rng(app.seed)
         # Particles enter from the left with a strong +x drift (hypersonic
-        # free stream) plus thermal scatter.
-        self.pos = rng.uniform(0.0, 1.0, size=(app.n_particles, 3))
-        self.pos[:, 0] *= 0.5            # start in the left half
-        self.vel = rng.normal(scale=0.015, size=(app.n_particles, 3))
-        self.vel[:, 0] += 0.03           # free-stream drift
+        # free stream) plus thermal scatter.  The draws are numpy's; the
+        # physics then runs on python floats (``[x, y, z]`` per particle):
+        # the same IEEE doubles, component by component, without an
+        # ``ndarray`` scalar per access.
+        pos = rng.uniform(0.0, 1.0, size=(app.n_particles, 3))
+        pos[:, 0] *= 0.5                 # start in the left half
+        vel = rng.normal(scale=0.015, size=(app.n_particles, 3))
+        vel[:, 0] += 0.03                # free-stream drift
+        self.pos: List[List[float]] = pos.tolist()
+        self.vel: List[List[float]] = vel.tolist()
         # Per-particle RNGs would be slow; draw per-step random numbers in
         # bulk, deterministically.
         self._rng = rng
@@ -136,16 +141,17 @@ class _MP3DRun:
             for proc in range(self.n_procs)
         ]
         # Pre-drawn collision coin flips, one per particle per step.
-        self.collision_draw = rng.uniform(
-            size=(app.steps, app.n_particles))
+        self.collision_draw: List[List[float]] = rng.uniform(
+            size=(app.steps, app.n_particles)).tolist()
 
     # -- geometry -----------------------------------------------------------
 
     def cell_index_of(self, particle: int) -> int:
         nx, ny, nz = self.app.grid
-        x = min(int(self.pos[particle, 0] * nx), nx - 1)
-        y = min(int(self.pos[particle, 1] * ny), ny - 1)
-        z = min(int(self.pos[particle, 2] * nz), nz - 1)
+        px, py, pz = self.pos[particle]
+        x = min(int(px * nx), nx - 1)
+        y = min(int(py * ny), ny - 1)
+        z = min(int(pz * nz), nz - 1)
         return (x * ny + y) * nz + z
 
     def _in_wedge(self, particle: int) -> bool:
@@ -194,7 +200,7 @@ class _MP3DRun:
         cbase = self.cell_region.base
         tbase = self.table_region.base
         cell_partner = self.cell_partner
-        draws = self.collision_draw
+        draws = self.collision_draw[step]
         p_col = self.app.collision_probability
         buf: List[int] = []
         for particle in mine:
@@ -224,7 +230,7 @@ class _MP3DRun:
             # cell, whoever owns it.
             partner = cell_partner[cell]
             if (partner >= 0 and partner != particle
-                    and draws[step, particle] < p_col):
+                    and draws[particle] < p_col):
                 vaddr = pbase + partner * _PARTICLE_RECORD + _PARTICLE_VEL
                 myvel = paddr + _PARTICLE_VEL
                 buf = [OP_READ_SPAN, vaddr, 24, 8,
@@ -253,7 +259,9 @@ class _MP3DRun:
         """Ballistic move with reflecting walls and the wedge."""
         pos = self.pos[particle]
         vel = self.vel[particle]
-        pos += vel
+        pos[0] += vel[0]
+        pos[1] += vel[1]
+        pos[2] += vel[2]
         # Reflect off tunnel walls in y and z; recycle in x (wind tunnel).
         for axis in (1, 2):
             if pos[axis] < 0.0:
@@ -272,7 +280,9 @@ class _MP3DRun:
 
     def _collide(self, particle: int, partner: int) -> None:
         """Hard-sphere-like velocity exchange with mixing."""
-        v1 = self.vel[particle].copy()
-        v2 = self.vel[partner].copy()
-        self.vel[particle] = 0.5 * (v1 + v2) + 0.5 * (v2 - v1)
-        self.vel[partner] = 0.5 * (v1 + v2) + 0.5 * (v1 - v2)
+        v1 = self.vel[particle]
+        v2 = self.vel[partner]
+        self.vel[particle] = [0.5 * (a + b) + 0.5 * (b - a)
+                              for a, b in zip(v1, v2)]
+        self.vel[partner] = [0.5 * (a + b) + 0.5 * (a - b)
+                             for a, b in zip(v1, v2)]

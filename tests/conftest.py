@@ -23,6 +23,14 @@ READY_TIE_BREAK = ("(a->time == b->time && a->seq < b->seq)", "0")
 #: ... and when a hit forgets the fill it found landed (a cycle late
 #: moves no clock: only the table the run writes back shows it).
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")
+#: ... and two in the words a ladder rung keeps for itself: the victim's
+#: fill surviving its eviction (again no clock moves: the rung writes
+#: back a fill for a line it no longer holds) ...
+VICTIM_FILL_KEPT = ("fill_drop(&c->words[s], victim, index);",
+                    "(void)victim;")
+#: ... and a write buffer that gives up its newest entry first -- one
+#: helper under both the run and the ladder.
+WBUF_NEWEST_FIRST = ("return a < b;", "return a > b;")
 
 
 @pytest.fixture(autouse=True)

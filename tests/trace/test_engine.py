@@ -158,10 +158,14 @@ def _outcome(config, streams, backend, max_cycles=None, bin_width=None):
                 system.bus.busy_until),
         "seq": interleaver._seq,
         # the containers a native run works on a copy of, as it leaves
-        # them: who is still ready (an abort), which fills are in flight
+        # them: who is still ready (an abort), which fills are in flight,
+        # which stores are buffered (as multisets: heap layout is free)
         "ready": sorted(interleaver._heap),
         "fills": [dict(cluster.scc._inflight)
                   for cluster in system.clusters],
+        "write_buffers": [[sorted(bank) for bank
+                           in cluster.scc.interconnect._write_buffers]
+                          for cluster in system.clusters],
     }
 
 
@@ -824,6 +828,49 @@ def _two_runs(first, second):
     return observed
 
 
+def _store_runs(engines):
+    """A store-heavy uniprocessor tape on one machine with two-entry
+    write buffers: in one run (one engine), or cut in two with the
+    second run started on the cycle the first ended (two engines).  The
+    first half leaves bank 0's buffer full of stores still draining; the
+    second stalls on them."""
+    from repro.core.config import SystemConfig
+    from repro.core.system import MultiprocessorSystem
+    from repro.trace.interleave import TimingInterleaver
+    from repro.trace.packed import PackedChunk
+    config = SystemConfig(clusters=1, processors_per_cluster=1,
+                          scc_size=1024, write_buffer_depth=2)
+    system = MultiprocessorSystem(config)
+    buffers = system.clusters[0].scc.interconnect._write_buffers
+    # lines 0, 4, 8, ... all live in bank 0; line 1 in bank 1
+    halves = [[OP_WRITE, 0, OP_WRITE, 64, OP_WRITE, 128, OP_WRITE, 16],
+              [OP_WRITE, 192, OP_WRITE, 256, OP_READ, 0, OP_WRITE, 64,
+               OP_COMPUTE, 400, OP_WRITE, 320]]
+    if len(engines) == 1:
+        halves = [halves[0] + halves[1]]
+    start = events = 0
+    cuts = []
+    for backend, half in zip(engines, halves):
+        interleaver = TimingInterleaver(system, backend=backend)
+        interleaver.add_process(0, iter([PackedChunk(half)]),
+                                start_time=start)
+        start = interleaver.run()
+        assert interleaver.engine_used == backend
+        events += interleaver.events_processed
+        cuts.append((start, [sorted(bank) for bank in buffers],
+                     system.clusters[0].scc.stats.write_buffer_stall_cycles))
+    system.check_invariants()
+    return cuts, {
+        "events": events,
+        "stats": system.stats(start).as_dict(),
+        "bus": (system.bus.transactions, system.bus.busy_cycles,
+                system.bus.busy_until),
+        "fills": dict(system.clusters[0].scc._inflight),
+        "write_buffers": cuts[-1][1],
+        "lines": sorted(system.clusters[0].scc.array.resident_lines()),
+    }
+
+
 @needs_native
 class TestStateContinuity:
     def test_fills_outstanding_across_two_runs(self):
@@ -838,6 +885,39 @@ class TestStateContinuity:
         for first, second in [("native", "python"), ("python", "native"),
                               ("native", "native")]:
             assert _two_runs(first, second) == reference, (first, second)
+
+    def test_write_buffers_outstanding_across_two_runs(self):
+        """``setup`` imports each bank's heap, ``release`` writes it
+        back: whichever engine runs a half, the machine ends where one
+        reference-loop run of the whole tape leaves it."""
+        _, reference = _store_runs(["python"])
+        for engines in [("python", "python"), ("python", "native"),
+                        ("native", "python"), ("native", "native")]:
+            cuts, outcome = _store_runs(engines)
+            assert outcome == reference, engines
+            # not vacuous: at the cut bank 0 is full of stores that
+            # retire after it, bank 1 holds one more, and the second
+            # half waits for them
+            finish, buffers, stalled = cuts[0]
+            assert (finish, buffers) == (101, [[104, 108], [200], [], []])
+            assert cuts[1][2] > stalled > 0
+
+    def test_setup_refuses_a_buffer_deeper_than_the_machine(self):
+        """A bank's heap has ``write_buffer_depth`` words: a longer list
+        is refused, a ``ValueError`` before anything is run or
+        rewritten."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024, write_buffer_depth=2)
+        system, interleaver = _interleaver(config, {0: [[OP_WRITE, 0]]},
+                                           "native")
+        buffers = system.clusters[0].scc.interconnect._write_buffers
+        buffers[3].extend([40, 50, 60])
+        with pytest.raises(ValueError, match="bank 3"):
+            interleaver.run()
+        assert buffers == [[], [], [], [40, 50, 60]]
+        assert interleaver.events_processed == 0
+        assert sorted(interleaver._heap) == [(0, 1, 0)]
 
     @pytest.mark.parametrize("bad, stale", [
         # line 64 shares index 0 with the resident line 0

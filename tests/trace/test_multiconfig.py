@@ -7,16 +7,20 @@ payloads (every SCC counter, every processor counter, the icache), not
 just a summary fingerprint.
 """
 
+import hashlib
+import json
 from array import array
 
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.system import MultiprocessorSystem
 from repro.simulation import run_simulation
 from repro.trace.engine import native_available
 from repro.trace.interleave import (DeadlockError, SyncProtocolError,
                                     fused_replay_ok)
-from repro.trace.multiconfig import (MissSurfacePoint, fused_ladder_results,
+from repro.trace.multiconfig import (MissSurfacePoint, _fused_pass_native,
+                                     fused_ladder_results,
                                      fused_ladder_supported,
                                      per_process_miss_surface)
 from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
@@ -24,6 +28,7 @@ from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                                 OP_LOCK_REL, OP_READ, OP_READ_SPAN,
                                 OP_WRITE, OP_WRITE_SPAN)
 from repro.trace.record import ReplayApplication, StreamRecorder
+from repro.verify.tapes import generate_tape
 from repro.workloads.multiprog import MultiprogrammingWorkload
 
 SIZES = (512, 1024, 2048, 4096)
@@ -254,6 +259,108 @@ class TestNativeLadderErrorParity:
         for py_r, nat_r in zip(python, native):
             assert nat_r.stats.as_dict() == py_r.stats.as_dict()
             assert nat_r.events_processed == py_r.events_processed
+
+
+# ----------------------------------------------------------------------
+# What a pass leaves in each rung's containers
+# ----------------------------------------------------------------------
+
+def end_state(system, time, events=None):
+    """Everything a pass leaves behind on one rung (heap layout of a
+    write buffer is not part of the contract, its multiset is)."""
+    scc = system.clusters[0].scc
+    state = [sorted(scc._inflight.items()),
+             [sorted(bank) for bank in scc.interconnect._write_buffers],
+             sorted(scc.array.resident_lines()),
+             system.stats(time).as_dict()]
+    return state if events is None else [events] + state
+
+
+def fused_pass(configs, data):
+    systems = [MultiprocessorSystem(config) for config in configs]
+    events, times = _fused_pass_native(configs, systems, data)
+    return systems, events, times
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="native ladder unavailable")
+class TestRungState:
+    """A rung's fills and write buffers are C words between
+    ``ladder_setup`` and ``ladder_release``; the python containers are
+    written once, at release, and must read as they always did."""
+
+    #: sha256 over ``end_state`` of every rung, recorded on the ladder
+    #: that worked on the dicts and lists in place (the parent of the
+    #: change that gave the rungs words): 226 tapes x 3 rungs, all but
+    #: one leaving fills and buffered writes behind.
+    PINNED = ("77d8aff9fcf41874ce15c5e98b0f9d70"
+              "e06d0aea5c40ea1c07f0724c62fd404b")
+
+    def test_end_states_are_the_ones_recorded_before_the_words(self):
+        digest = hashlib.sha256()
+        eligible = 0
+        for number in range(1700):
+            tape = generate_tape(("ladder-state", number))
+            config = tape.config()
+            rungs = [config.with_updates(scc_size=config.scc_size << k)
+                     for k in range(3)]
+            if not fused_ladder_supported(rungs):
+                continue
+            eligible += 1
+            systems, events, times = fused_pass(rungs, tape.streams[0])
+            for system, time in zip(systems, times):
+                system.check_invariants()
+                digest.update(json.dumps(end_state(system, time, events),
+                                         sort_keys=True).encode())
+        assert eligible == 226
+        assert digest.hexdigest() == self.PINNED
+
+    @pytest.mark.parametrize("spoil, error", [
+        (lambda scc: setattr(scc, "_inflight", []), TypeError),
+        (lambda scc: setattr(scc.interconnect, "_write_buffers",
+                             tuple(scc.interconnect._write_buffers)),
+         TypeError),
+        (lambda scc: scc.interconnect._write_buffers.__setitem__(2, ()),
+         TypeError),
+        (lambda scc: scc.interconnect._write_buffers.pop(), ValueError),
+        # a pass cannot begin mid-machine: nothing could tell it the
+        # live windows and skew these entries come with
+        (lambda scc: scc._inflight.update({0: 100}), ValueError),
+        (lambda scc: scc.interconnect._write_buffers[1].append(50),
+         ValueError),
+    ], ids=["fills-not-a-dict", "buffers-not-a-list", "bank-not-a-list",
+            "a-bank-short", "fill-in-flight", "write-buffered"])
+    def test_setup_refuses_a_rung_it_cannot_own(self, spoil, error):
+        configs = ladder()
+        systems = [MultiprocessorSystem(config) for config in configs]
+        scc = systems[1].clusters[0].scc
+        spoil(scc)
+        before = (repr(scc._inflight),
+                  repr(scc.interconnect._write_buffers))
+        with pytest.raises(error):
+            _fused_pass_native(configs, systems, synthetic_tape()[0])
+        assert (repr(scc._inflight),
+                repr(scc.interconnect._write_buffers)) == before
+        for system in systems:      # nothing ran, nothing was written
+            assert not list(system.clusters[0].scc.array.resident_lines())
+
+    def test_a_pass_that_raises_mid_tape_still_writes_its_state(self):
+        """``ladder_release`` runs in a ``finally``: the rungs get the
+        state of the events that were executed, as an aborted ``run``
+        leaves its machine."""
+        configs = ladder(write_buffer_depth=2)
+        good = array("q", [OP_WRITE, 0, OP_WRITE, 1024, OP_WRITE_SPAN,
+                           2048, 64, 16, OP_READ, 4096])
+        systems, events, times = fused_pass(configs, good)
+        expected = [end_state(system, time)[:3]
+                    for system, time in zip(systems, times)]
+        assert all(fills and any(buffers)
+                   for fills, buffers, _ in expected)
+        bad = good + array("q", [OP_READ_SPAN, 0, 64, 0])
+        aborted = [MultiprocessorSystem(config) for config in configs]
+        with pytest.raises(ValueError, match="stride"):
+            _fused_pass_native(configs, aborted, bad)
+        assert [end_state(system, 0)[:3] for system in aborted] == expected
 
 
 # ----------------------------------------------------------------------

@@ -14,16 +14,20 @@ and the C "profile" section -- where a third mutant
 engine.  Two more sit in the state a native run keeps for itself between
 ``setup`` and ``release`` -- the ready heap (``READY_TIE_BREAK``) and the
 in-flight fill words (``FILL_FORGOTTEN``) -- and are the ``native``
-engine's to answer for."""
+engine's to answer for.  The last two sit in the words the fused ladder
+keeps the same way: one in the ladder's own code (``VICTIM_FILL_KEPT``:
+the ``fused`` engine's alone), one in the write-buffer helper the ladder
+shares with the run (``WBUF_NEWEST_FIRST``: both engines')."""
 
 import pytest
 
 from repro.trace.engine import native
 from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
-from repro.verify.differ import _compare, engine_registry
+from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import FILL_FORGOTTEN, READ_MISS_DONE, READY_TIE_BREAK
+from ..conftest import (FILL_FORGOTTEN, READ_MISS_DONE, READY_TIE_BREAK,
+                        VICTIM_FILL_KEPT, WBUF_NEWEST_FIRST)
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -175,6 +179,67 @@ class TestWorkingStateMutationIsCaught:
         assert checks >= 1
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "native"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", native._UNSET)
+            assert diff_tape(shrunk) is None
+
+
+def _diff_of(tape, engine):
+    spec = engine_registry()[engine]
+    return _compare(tape, run_tape(tape, "generic"), run_tape(tape, engine),
+                    spec.sections)
+
+
+@needs_native
+class TestLadderStateMutationIsCaught:
+    """A rung's fills and write buffers live in C words from
+    ``ladder_setup`` to ``ladder_release``; what the pass writes back,
+    and what the words decide on the way, are the ``fused`` engine's to
+    answer for."""
+
+    def test_a_victims_fill_kept_fails_the_fill_tracking_check(
+            self, mutant_native, monkeypatch):
+        """No clock moves and no statistic: the rung hands back a fill
+        for a line it evicted, and ``check_invariants`` on what was
+        written back is what says so."""
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*VICTIM_FILL_KEPT))
+        tape, divergence = _first_diverging_tape()
+        assert divergence.kind == "fused"
+        assert divergence.other.error[0] == "AssertionError"
+        assert "fill-tracking leak" in divergence.other.error[1]
+        assert _diff_of(tape, "native") is None     # not the run's code
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert diff_tape(shrunk).kind == "fused"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_mod", native._UNSET)
+            assert diff_tape(shrunk) is None
+
+    def test_a_write_buffer_popping_its_newest_entry_diverges_both(
+            self, mutant_native, monkeypatch):
+        """One helper under the run and the ladder: on a tape both
+        engines take, whichever the registry asks first reports it and
+        the other's diff of the shrunk tape is dirty too."""
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*WBUF_NEWEST_FIRST))
+        for index in range(100):
+            tape = generate_tape(f"0:{index}")
+            divergence = fused_eligible(tape) and diff_tape(tape)
+            if divergence:
+                break
+        else:
+            pytest.fail("no fused-eligible tape met a full write buffer")
+        engines = [name for name in engine_registry()
+                   if name in ("native", "fused")]
+        assert divergence.kind == engines[0]
+        assert divergence.detail
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert diff_tape(shrunk).kind == engines[0]
+        assert _diff_of(shrunk, engines[1]) is not None
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native, "_mod", native._UNSET)
             assert diff_tape(shrunk) is None

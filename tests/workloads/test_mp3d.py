@@ -1,5 +1,6 @@
 """Tests for the instrumented MP3D application."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import KB, SystemConfig
@@ -47,8 +48,9 @@ class TestGeometry:
         interleaver = TimingInterleaver(MultiprocessorSystem(config))
         interleaver.add_process(0, run.process(0))
         interleaver.run()
-        assert (run.pos >= -1e-9).all()
-        assert (run.pos <= 1.0 + 1e-9).all()
+        pos = np.asarray(run.pos)
+        assert (pos >= -1e-9).all()
+        assert (pos <= 1.0 + 1e-9).all()
 
 
 def iter_events(stream):
