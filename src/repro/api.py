@@ -6,12 +6,11 @@ internal and may move between minor versions.  The surface is small on
 purpose:
 
 * describe an experiment: :class:`SweepSpec` (one validated value
-  object covering the paper's parallel, multiprogramming and
-  miss-surface sweeps), sized by an :class:`ExperimentProfile` from
-  :data:`PROFILES`;
-* run it locally: :func:`grid_sweep` for the design-space grids (or
-  :class:`SweepSession` to drive journaling/resume/progress yourself;
-  :func:`run_sweep` additionally accepts miss-surface specs);
+  object covering the paper's parallel and multiprogramming sweeps),
+  sized by an :class:`ExperimentProfile` from :data:`PROFILES`;
+* run it locally: :func:`grid_sweep` (also spelled :func:`run_sweep`;
+  or :class:`SweepSession` to drive journaling/resume/progress
+  yourself);
 * run it on the fabric: :class:`SweepClient` against
   ``python -m repro serve`` (or an in-process :class:`LocalFabric`) --
   ``client.result(client.submit(spec))`` equals ``grid_sweep(spec)``

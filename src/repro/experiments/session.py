@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..core.config import SystemConfig
 from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache
 from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
@@ -341,9 +340,6 @@ class SweepSession:
                  resume: bool = False,
                  progress: Optional[Callable] = None,
                  compute: Optional[Callable] = None):
-        if spec.kind == "miss-surface":
-            raise ValueError("miss-surface sweeps have no point grid; "
-                             "use run_sweep(spec)")
         self.spec = spec
         self.cache: Optional[ResultCache] = (
             default_cache() if cache is _DEFAULT_CACHE else cache)
@@ -387,14 +383,15 @@ class SweepSession:
                           self.counters)
 
     def _bank(self, point: GridPoint, status: str, stats: RunStats,
-              sweep: Sweep) -> None:
-        """One point resolved by a row stage: result cache, sweep,
-        journal -- at once, so a kill loses only what is in flight."""
+              sweep: Sweep, attempts: int = 1) -> None:
+        """One point resolved: result cache, sweep, journal -- at once,
+        so a kill loses only what is in flight, and in that order, so
+        whoever hears of the point as progress finds it in the cache."""
         if self.cache is not None:
             self.cache.put(self.spec.point_key(self._configs[point]),
                            stats)
         sweep[point] = stats
-        self._settle(point, status, stats)
+        self._settle(point, status, stats, attempts=attempts)
 
     @staticmethod
     def _rows(points: List[GridPoint]) -> List[List[GridPoint]]:
@@ -466,12 +463,7 @@ class SweepSession:
 
         # Stage 3: supervised simulation of whatever is left.
         if missing:
-            computed, quarantined = self._run_points(missing)
-            for point, stats in computed.items():
-                if self.cache is not None:
-                    self.cache.put(spec.point_key(self._configs[point]),
-                                   stats)
-                sweep[point] = stats
+            quarantined = self._run_points(missing, sweep)
 
         return SessionResult(spec=spec, sweep=sweep,
                              quarantined=quarantined,
@@ -502,12 +494,6 @@ class SweepSession:
         for row_points in self._rows(missing):
             procs = row_points[0][0]
             config0 = self._configs[(procs, min(spec.ladder))]
-            if spec.analytical_refused(config0):
-                # strict_parallel: the surrogate is known-bad on
-                # multi-processor parallel rows; hand the whole row to
-                # the exact tiers below instead of predicting it.
-                remainder.extend(row_points)
-                continue
             tracked = tuple(sorted({
                 self._configs[(procs, paper_bytes)].scc_lines
                 for paper_bytes in spec.ladder}))
@@ -556,8 +542,7 @@ class SweepSession:
             for point in row_points:
                 self._bank(point, "analytical", predict_point(
                     row_profile, self._configs[point],
-                    benchmark=spec.benchmark,
-                    strict_parallel=spec.strict_parallel), sweep)
+                    benchmark=spec.benchmark), sweep)
         return remainder
 
     def _resolve_via_traces(self, missing: List[GridPoint],
@@ -613,13 +598,16 @@ class SweepSession:
     # Supervised execution
     # ------------------------------------------------------------------
 
-    def _run_points(self, points: List[GridPoint]):
+    def _run_points(self, points: List[GridPoint],
+                    sweep: Sweep) -> Dict[GridPoint, str]:
+        """Stage 3: simulate ``points``, each banked as it is computed;
+        the ones given up on, with the reason."""
         spec = self.spec
         use_pool = ((spec.jobs or 1) > 1
                     or spec.point_timeout is not None)
         if use_pool:
-            return self._run_pooled(points, max(1, spec.jobs or 1))
-        return self._run_serial(points)
+            return self._run_pooled(points, max(1, spec.jobs or 1), sweep)
+        return self._run_serial(points, sweep)
 
     def _record_failure(self, point: GridPoint, attempts: int,
                         exc: BaseException,
@@ -641,9 +629,8 @@ class SweepSession:
                      reason=reason)
         return False
 
-    def _run_serial(self, points: List[GridPoint]):
+    def _run_serial(self, points: List[GridPoint], sweep: Sweep):
         spec = self.spec
-        computed: Dict[GridPoint, RunStats] = {}
         quarantined: Dict[GridPoint, str] = {}
         for point in points:
             attempts = 0
@@ -660,19 +647,18 @@ class SweepSession:
                         time.sleep(spec.retry_backoff * attempts)
                         continue
                     break
-                computed[point] = stats
-                self._settle(point, "computed", stats, attempts=attempts)
+                self._bank(point, "computed", stats, sweep, attempts)
                 break
-        return computed, quarantined
+        return quarantined
 
-    def _run_pooled(self, points: List[GridPoint], jobs: int):
+    def _run_pooled(self, points: List[GridPoint], jobs: int,
+                    sweep: Sweep):
         """Submit each point as its own future so hung or crashed
         workers only cost their own point.  A timeout kills the whole
         pool (a hung worker cannot be cancelled), charges the expired
         points an attempt, and resubmits the innocent in-flight points
         without penalty."""
         spec = self.spec
-        computed: Dict[GridPoint, RunStats] = {}
         quarantined: Dict[GridPoint, str] = {}
         attempts: Dict[GridPoint, int] = {p: 0 for p in points}
         ready_at: Dict[GridPoint, float] = {p: 0.0 for p in points}
@@ -724,9 +710,8 @@ class SweepSession:
                 deadlines.pop(future, None)
                 exc = future.exception()
                 if exc is None:
-                    computed[point] = future.result()
-                    self._settle(point, "computed", computed[point],
-                                 attempts=attempts[point])
+                    self._bank(point, "computed", future.result(), sweep,
+                               attempts[point])
                 else:
                     handle_failure(point, exc)
             now = time.monotonic()
@@ -748,37 +733,7 @@ class SweepSession:
                         queue.append(point)
                 _shutdown_pool(kill=True)
                 pool = _worker_pool(jobs)
-        return computed, quarantined
-
-
-def _run_miss_surface(spec: SweepSpec,
-                      trace_cache: Optional[TraceCache]):
-    """Content-only per-process miss surface of one parallel-grid row
-    (see :func:`repro.trace.multiconfig.per_process_miss_surface`)."""
-    from ..trace.multiconfig import per_process_miss_surface
-    profile = spec.profile
-    ladder = spec.ladder
-    procs_per_cluster = spec.procs[0]
-    sizes = tuple(paper_bytes // profile.ladder_scale
-                  for paper_bytes in ladder)
-    config = SystemConfig.paper_parallel(procs_per_cluster, sizes[0])
-    workload = process_workload(spec.benchmark, profile)
-    # Only a configuration-independent tape may live in the shared trace
-    # cache (its key does not cover scc_size); otherwise record ad hoc.
-    signature = (workload.trace_signature(config)
-                 if workload.stream_is_deterministic(config) else None)
-    streams, _ = row_tape(workload, config, trace_cache, signature, False,
-                          spec.backend)
-    if streams is None:
-        raise ValueError(
-            f"{spec.benchmark!r} did not produce a recordable packed "
-            f"stream on {procs_per_cluster} processors per cluster")
-    surface = per_process_miss_surface(config, sizes, streams)
-    by_paper = {}
-    for proc, row in surface.items():
-        by_paper[proc] = {paper_bytes: row[size]
-                          for paper_bytes, size in zip(ladder, sizes)}
-    return by_paper
+        return quarantined
 
 
 def run_sweep(spec: SweepSpec,
@@ -786,21 +741,18 @@ def run_sweep(spec: SweepSpec,
               trace_cache: Optional[TraceCache] = None,
               session_dir: Optional[Path] = None,
               resume: bool = False,
-              progress: Optional[Callable] = None):
-    """Resolve one :class:`SweepSpec` and return its results.
-
-    Grid sweeps return ``{(procs, paper_bytes): RunStats}``;
-    miss-surface sweeps return
-    ``{process: {paper_bytes: MissSurfacePoint}}``.  Pass a
-    ``session_dir`` to journal progress for crash-safe ``resume``;
-    without one the session is ephemeral (exactly the old sweeps'
-    behaviour).  If any point is quarantined the rest of the grid is
-    still resolved (and journaled) before
-    :class:`QuarantinedPointError` is raised; callers that want the
-    partial grid instead should drive :class:`SweepSession` directly.
+              progress: Optional[Callable] = None) -> Sweep:
+    """Resolve one :class:`SweepSpec` locally and return its grid,
+    ``{(procs, paper_bytes): RunStats}`` -- the type a
+    :class:`~repro.fabric.client.SweepClient` submission returns, so
+    ``run_sweep(spec) == client.result(client.submit(spec))`` point for
+    point.  Pass a ``session_dir`` to journal progress for crash-safe
+    ``resume``; without one the session is ephemeral.  If any point is
+    quarantined the rest of the grid is still resolved (and journaled)
+    before :class:`QuarantinedPointError` is raised; callers that want
+    the partial grid instead should drive :class:`SweepSession`
+    directly.
     """
-    if spec.kind == "miss-surface":
-        return _run_miss_surface(spec, trace_cache)
     session = SweepSession(spec, cache=cache, trace_cache=trace_cache,
                            session_dir=session_dir, resume=resume,
                            progress=progress)
@@ -810,19 +762,5 @@ def run_sweep(spec: SweepSpec,
     return result.sweep
 
 
-def grid_sweep(spec: SweepSpec, **kwargs) -> Sweep:
-    """Resolve a *grid* spec locally: always
-    ``{(procs, paper_bytes): RunStats}``.
-
-    The blessed :mod:`repro.api` spelling of :func:`run_sweep` for the
-    paper's two-dimensional design-space grids -- the type a
-    :class:`~repro.fabric.client.SweepClient` submission returns, so
-    ``grid_sweep(spec) == client.result(client.submit(spec))`` point
-    for point.  Miss-surface specs (whose result shape differs) are
-    rejected; run those through :func:`run_sweep`.
-    """
-    if spec.kind == "miss-surface":
-        raise ValueError("grid_sweep() resolves point grids; "
-                         "miss-surface sweeps return per-process "
-                         "surfaces -- use run_sweep(spec)")
-    return run_sweep(spec, **kwargs)
+grid_sweep = run_sweep
+"""The :mod:`repro.api` spelling of :func:`run_sweep`."""

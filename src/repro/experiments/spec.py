@@ -47,8 +47,7 @@ PROCS_SWEPT: Tuple[int, ...] = (1, 2, 4, 8)
 KNOWN_BENCHMARKS: Tuple[str, ...] = ("barnes-hut", "mp3d", "cholesky",
                                      "multiprogramming")
 
-SWEEP_KINDS: Tuple[str, ...] = ("parallel", "multiprogramming",
-                                "miss-surface")
+SWEEP_KINDS: Tuple[str, ...] = ("parallel", "multiprogramming")
 
 FIDELITIES: Tuple[str, ...] = ("analytical", "fused", "full")
 """Resolution tiers for a sweep: ``analytical`` prices every point from
@@ -209,9 +208,8 @@ class SweepSpec:
     """
 
     kind: str
-    """``"parallel"`` (Section 3.1), ``"multiprogramming"``
-    (Section 3.2) or ``"miss-surface"`` (per-process content-only
-    ladder analysis)."""
+    """``"parallel"`` (Section 3.1) or ``"multiprogramming"``
+    (Section 3.2)."""
 
     benchmark: str
     profile: ExperimentProfile
@@ -221,7 +219,7 @@ class SweepSpec:
     divided by the profile's ladder scale."""
 
     procs: Tuple[int, ...] = PROCS_SWEPT
-    """Processors per cluster (miss-surface sweeps use exactly one)."""
+    """Processors per cluster."""
 
     instrument: bool = True
     """Attach the summary-only observability digest to every point."""
@@ -245,15 +243,6 @@ class SweepSpec:
     :meth:`describe` (when non-empty; preset sweeps keep their existing
     signatures) and in every :meth:`point_key` via the knob's cache-key
     component."""
-
-    strict_parallel: bool = False
-    """Analytical sweeps only: refuse the surrogate for multi-processor
-    *parallel* rows (where its error is known to be large, MAE ~ 0.09)
-    and resolve them through the exact trace/fused tiers instead.  The
-    optimizer sets this so tier-one triage never ranks candidates on
-    known-bad predictions.  Affects which rows are predictions, so it
-    is identity when set (refused rows use their exact, full-fidelity
-    point keys)."""
 
     backend: Optional[str] = None
     """Packed-replay engine for simulated points (``auto``/``python``/
@@ -302,22 +291,12 @@ class SweepSpec:
         _require(all(isinstance(count, int) and count >= 1
                      for count in self.procs),
                  "procs entries must be positive processor counts")
-        if self.kind == "miss-surface":
-            _require(len(self.procs) == 1,
-                     "miss-surface sweeps analyse exactly one row; "
-                     "pass procs=(n,)")
         _require(self.fidelity in FIDELITIES,
                  f"fidelity must be one of {FIDELITIES}")
         if self.fidelity == "analytical":
             _require(not self.instrument,
                      "analytical results carry no observability digest; "
                      "pass instrument=False")
-            _require(self.kind != "miss-surface",
-                     "miss-surface sweeps are already content-only "
-                     "analyses; fidelity does not apply")
-        _require(not self.strict_parallel or self.fidelity == "analytical",
-                 "strict_parallel gates the analytical surrogate; it has "
-                 "no meaning for exact fidelities")
         # Variants: canonicalize to sorted pairs with preset-valued
         # entries dropped, so equal machines always spell equal specs.
         defaults = SystemConfig()
@@ -369,18 +348,6 @@ class SweepSpec:
         return cls(kind="multiprogramming", benchmark="multiprogramming",
                    profile=profile or active_profile(),
                    ladder=ladder or PAPER_LADDER, procs=procs, **knobs)
-
-    @classmethod
-    def miss_surface(cls, benchmark: str,
-                     profile: Optional[ExperimentProfile] = None,
-                     procs_per_cluster: int = 4,
-                     ladder: Optional[Tuple[int, ...]] = None,
-                     **knobs) -> "SweepSpec":
-        """Per-process miss surface of one parallel-grid row."""
-        return cls(kind="miss-surface", benchmark=benchmark,
-                   profile=profile or active_profile(),
-                   ladder=ladder or PAPER_LADDER,
-                   procs=(procs_per_cluster,), **knobs)
 
     @classmethod
     def from_cli_args(cls, args, **overrides) -> "SweepSpec":
@@ -442,10 +409,6 @@ class SweepSpec:
     def configs(self) -> Dict[GridPoint, SystemConfig]:
         """Every grid point's machine configuration, keyed by
         (processors per cluster, paper SCC bytes)."""
-        if self.kind == "miss-surface":
-            raise ValueError(
-                "miss-surface sweeps are row analyses, not point grids; "
-                "run them through run_sweep()")
         scale = self.profile.ladder_scale
         overrides = dict(self.variants)
         if self.kind == "multiprogramming":
@@ -475,21 +438,10 @@ class SweepSpec:
         """
         key = point_cache_key(self.benchmark, self.profile, config,
                               self.instrument)
-        if self.fidelity == "analytical" \
-                and not self.analytical_refused(config):
+        if self.fidelity == "analytical":
             from ..model.profile import MODEL_VERSION
             key += f"|fidelity=analytical|model=v{MODEL_VERSION}"
         return key
-
-    def analytical_refused(self, config: SystemConfig) -> bool:
-        """Whether ``strict_parallel`` routes this point to the exact
-        tiers: multi-processor *parallel* rows are where the surrogate
-        is known-bad (interleaving-aware merge still missing).  Refused
-        points resolve exactly, so they keep their exact point keys --
-        a strict sweep can be warmed by (and warms) ordinary fused
-        sweeps, and never serves a stale prediction."""
-        return (self.strict_parallel and config.clusters > 1
-                and config.processors_per_cluster > 1)
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe identity payload (the fields that determine the
@@ -508,8 +460,6 @@ class SweepSpec:
         }
         if self.fidelity == "analytical":
             payload["fidelity"] = "analytical"
-            if self.strict_parallel:
-                payload["strict_parallel"] = True
         if self.variants:
             payload["variants"] = [list(pair) for pair in self.variants]
         return payload
@@ -545,7 +495,6 @@ class SweepSpec:
             "fused": self.fused,
             "fidelity": self.fidelity,
             "variants": [list(pair) for pair in self.variants],
-            "strict_parallel": self.strict_parallel,
             "backend": self.backend,
             "jobs": self.jobs,
             "max_attempts": self.max_attempts,
@@ -555,7 +504,9 @@ class SweepSpec:
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_wire`."""
+        """Rebuild (and re-validate) a spec from :meth:`to_wire`.  Keys
+        this build has no field for -- a 1.4 payload's
+        ``strict_parallel`` -- are ignored."""
         if not isinstance(payload, dict):
             raise ValueError("wire spec must be a JSON object")
         version = payload.get("version")
@@ -575,8 +526,6 @@ class SweepSpec:
                 fidelity=payload["fidelity"],
                 variants=tuple((str(knob), value) for knob, value
                                in payload.get("variants") or ()),
-                strict_parallel=bool(payload.get("strict_parallel",
-                                                 False)),
                 backend=payload.get("backend"),
                 jobs=payload.get("jobs"),
                 max_attempts=int(payload.get("max_attempts", 3)),

@@ -112,22 +112,13 @@ class Worker:
         # standalone spec so the session keeps its fused-ladder and
         # record-once fast paths.  Execution knobs are forced local:
         # workers run serially (the fabric is the pool) and journal-less
-        # (the store is the durability layer).
+        # (the store is the durability layer: the session's cache is
+        # ``store.results``, and every stage writes each point there
+        # before it reports it, so a crash loses only what is in flight).
         row_spec = dataclasses.replace(
             spec, procs=(int(lease["procs"]),),
             ladder=tuple(int(b) for b in lease["ladder"]),
             jobs=None, point_timeout=None)
-        configs = row_spec.configs()
-
-        def publishing_compute(benchmark, profile, config, instrument,
-                               point, backend):
-            stats = self._compute(benchmark, profile, config,
-                                  instrument, point, backend)
-            # Make stage-3 results durable *per point* (the session
-            # itself only write-through-caches them after the whole
-            # stage) so a later crash loses nothing already computed.
-            self.store.publish(row_spec.point_key(config), stats)
-            return stats
 
         def report(point, status, done, total, counters):
             self.broker.progress(self.worker_id, unit_id,
@@ -141,7 +132,7 @@ class Worker:
             session = SweepSession(row_spec, cache=self.store.results,
                                    trace_cache=self.store.traces,
                                    progress=report,
-                                   compute=publishing_compute)
+                                   compute=self._compute)
             result = session.run()
         finally:
             pump.stop()

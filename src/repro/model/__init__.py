@@ -15,7 +15,7 @@ repro sweep --fidelity analytical``); ``python -m repro model
 (:mod:`repro.model.validate`).
 """
 
-from .predictor import ParallelFidelityError, predict_point
+from .predictor import predict_point
 from .profile import (MODEL_VERSION, ProfileCache, RowProfile,
                       build_row_profile, bucket_floor, coherence_ladder,
                       extract_process, merge_refs)
@@ -24,6 +24,5 @@ from .validate import DEFAULT_ROWS, cross_validate
 __all__ = [
     "MODEL_VERSION", "RowProfile", "ProfileCache", "build_row_profile",
     "extract_process", "merge_refs", "coherence_ladder", "bucket_floor",
-    "ParallelFidelityError", "predict_point", "DEFAULT_ROWS",
-    "cross_validate",
+    "predict_point", "DEFAULT_ROWS", "cross_validate",
 ]

@@ -35,16 +35,7 @@ from ..cost import latency_factor
 from ..experiments.runner import RunStats
 from .profile import RowProfile, _BucketedHistogram
 
-__all__ = ["ParallelFidelityError", "predict_point"]
-
-
-class ParallelFidelityError(ValueError):
-    """Raised by :func:`predict_point` with ``strict_parallel=True`` for
-    multi-processor *parallel* rows, where the surrogate's error is
-    known to be large (MAE ~ 0.09; the interleaving-aware merge is
-    still an open item).  Callers that must not rank on bad predictions
-    -- the design-space optimizer -- catch this and fall back to the
-    exact fused tier."""
+__all__ = ["predict_point"]
 
 
 _PARALLEL_WARNING_EMITTED = False
@@ -52,24 +43,20 @@ _PARALLEL_WARNING_EMITTED = False
 tests via monkeypatch)."""
 
 
-def _check_parallel_fidelity(profile: RowProfile,
-                             strict_parallel: bool) -> None:
-    """Refuse or warn (once) on multi-processor parallel rows."""
+def _check_parallel_fidelity(profile: RowProfile) -> None:
+    """Warn (once) on multi-processor parallel rows."""
     global _PARALLEL_WARNING_EMITTED
     if profile.clusters <= 1 or profile.procs_per_cluster <= 1:
         return
-    message = (
-        f"analytical predictions for multi-processor parallel rows "
-        f"({profile.clusters} clusters x {profile.procs_per_cluster} "
-        f"procs) are known-bad (miss-ratio MAE ~ 0.09): the surrogate "
-        f"lacks an interleaving-aware merge for them; prefer the fused "
-        f"tier (fidelity='fused') or pass strict_parallel=True to "
-        f"refuse instead")
-    if strict_parallel:
-        raise ParallelFidelityError(message)
     if not _PARALLEL_WARNING_EMITTED:
         _PARALLEL_WARNING_EMITTED = True
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        warnings.warn(
+            f"analytical predictions for multi-processor parallel rows "
+            f"({profile.clusters} clusters x {profile.procs_per_cluster} "
+            f"procs) are known-bad (miss-ratio MAE ~ 0.09): the surrogate "
+            f"lacks an interleaving-aware merge for them; prefer the "
+            f"fused tier (fidelity='fused')",
+            RuntimeWarning, stacklevel=3)
 
 
 def _set_hit_probability(distance: int, sets: int, ways: int) -> float:
@@ -123,8 +110,7 @@ def _nearest_tracked(profile: RowProfile, lines: int) -> Optional[dict]:
 
 def predict_point(profile: RowProfile, config: SystemConfig,
                   benchmark: Optional[str] = None,
-                  load_latency: int = 2,
-                  strict_parallel: bool = False) -> RunStats:
+                  load_latency: int = 2) -> RunStats:
     """Analytical :class:`RunStats` of ``config`` from a row profile.
 
     ``config`` must share the profile's line size and cluster layout
@@ -135,10 +121,10 @@ def predict_point(profile: RowProfile, config: SystemConfig,
 
     Multi-processor *parallel* rows (several clusters with several
     processors each) are a documented weak spot of the surrogate; they
-    warn once per process, or raise :class:`ParallelFidelityError` when
-    ``strict_parallel=True``.
+    warn once per process (the design-space optimizer routes them to the
+    exact fused tier instead: ``FunnelEvaluator._effective_tier``).
     """
-    _check_parallel_fidelity(profile, strict_parallel)
+    _check_parallel_fidelity(profile)
     if config.line_size != profile.line_size:
         raise ValueError(
             f"profile recorded at line size {profile.line_size}, "

@@ -6,9 +6,9 @@ Candidates are priced through a funnel of increasing fidelity:
   of the population for free (no simulation).  Parallel rows with more
   than one processor per cluster -- exactly where the surrogate is
   known-bad (miss-ratio MAE ~ 0.09) -- skip this tier: the evaluator
-  routes them straight to the fused tier, and the specs it does build
-  carry ``strict_parallel=True`` so the session would refuse such rows
-  anyway.
+  routes them straight to the fused tier before any spec is built
+  (:meth:`FunnelEvaluator._effective_tier`, the one place that policy
+  lives).
 * **fused** -- the exact trace/fused-replay engines score the
   survivors.  These specs use the default instrumented cache keys, so
   an optimizer run warms (and is warmed by) ordinary ``repro sweep``
@@ -193,8 +193,9 @@ class FunnelEvaluator:
     def _effective_tier(self, tier: str, benchmark: str,
                         procs: int) -> str:
         """Route known-bad surrogate rows past the analytical tier:
-        multi-processor *parallel* rows go straight to fused (the
-        strict-parallel policy, applied before any spec is built)."""
+        multi-processor *parallel* rows go straight to fused, before any
+        spec is built -- triage never ranks on a prediction the
+        surrogate is known to get wrong."""
         if (tier == "analytical" and self._kind(benchmark) == "parallel"
                 and procs > 1):
             return "fused"
@@ -214,7 +215,6 @@ class FunnelEvaluator:
             fidelity=tier,
             instrument=tier != "analytical",
             fused=tier != "full",
-            strict_parallel=tier == "analytical",
             backend=self.backend,
             jobs=self.jobs,
         )

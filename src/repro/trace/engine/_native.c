@@ -21,7 +21,8 @@
  * generator yields as an object reaches C as a one-event chunk).
  *
  *   - tag/state arrays, bank free times, the bus clock: ``array('q')``
- *     storage C reads and writes in place through buffer views;
+ *     storage C reads and writes in place through buffer views (an
+ *     SCC's share of them is its ``Scc`` view);
  *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``.
  *     ``interleaver._heap`` is the *mailbox*: ``_push`` (``add_process``,
  *     the lock/barrier handlers' wake-ups) appends to it, ``run`` drains
@@ -30,7 +31,7 @@
  *     ``fill_line``/``fill_ready`` and a heap of retire times per bank --
  *     imported from ``scc._inflight`` and ``interconnect._write_buffers``
  *     at ``setup`` and written back to them at ``release`` (the "words"
- *     section has the argument, and is the ladder's too).
+ *     section has the argument).
  *
  * What C still touches as python objects, all off the hit path: the
  * lost-line sets (``scc._lost_lines``) on misses, and the task-queue
@@ -59,10 +60,12 @@
  * views deterministically.
  *
  * Two more sections share the build, the ``ABI_VERSION`` guard and the
- * differ: the fused multi-configuration ladder (``ladder_*``), whose
- * rungs keep their fills and write buffers in the same ``Words``, and the
- * row-profile kernel (``row_profile``), which shares nothing else; each
- * is introduced by its own banner below.
+ * differ.  The fused multi-configuration ladder (``ladder_*``) is a second
+ * driver of the same memory system: each of its rungs is a ``Machine`` of
+ * one ``Scc`` on a bus of its own, and its misses, upgrades and icache
+ * refills are the "coherence" section's, called as ``run`` calls them.
+ * The row-profile kernel (``row_profile``) shares nothing else.  Each is
+ * introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -87,7 +90,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "7"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "8"  /* == engine/native.py NATIVE_VERSION */
 
 #define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
 #define STATUS_EXHAUSTED 0
@@ -147,8 +150,8 @@ typedef struct {
 
 #define FILL_NONE LLONG_MIN     /* ``fill_ready`` of a slot with no fill */
 
-/* What one SCC -- a cluster of a ``run``, a rung of the ladder -- keeps in
- * C between ``setup`` and ``release`` (the "words" section). */
+/* What C keeps for one SCC between ``setup`` and ``release`` (the "words"
+ * section). */
 typedef struct {
     long long *fill_line, *fill_ready;  /* [index]; one block with ``wb`` */
     long long *wb;            /* [bank * (depth + 1)]: how many entries,
@@ -180,24 +183,50 @@ typedef struct {
     Series *busy, *memory;    /* [pid] */
 } Metrics;
 
+/* One shared cluster cache as the protocol sees it -- a cluster of a
+ * ``run``, a rung of the ladder: python's own tag/state storage worked on
+ * in place, the words C keeps for it, the row its events are counted in
+ * and the bus it sits on. */
+typedef struct {
+    long long *states, *tags; /* [index] */
+    long long mask, shift;    /* index = line & mask, tag = line >> shift */
+    Words words;
+    long long *stats;         /* S_* */
+    PyObject *lost;           /* ``scc._lost_lines``; NULL where no other
+                                 SCC can take a line away (a rung) */
+    long long *bus;           /* BUS_* */
+} Scc;
+
+/* The SCCs that snoop one another -- every one on the same bus, with the
+ * same geometry -- and the protocol's constants. */
+typedef struct {
+    Scc *sccs;
+    int n;
+    long long bus_occ, upgrade_occ, mem_latency;
+    int mesi;
+    Metrics *mx;              /* NULL: no probe attached */
+} Machine;
+
+/* The ``array('q')`` storage a context works on in place: buffer views
+ * taken at setup, dropped together. */
+typedef struct {
+    Py_buffer *bufs;          /* room for every view the plan needs */
+    int n;
+} Views;
+
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
-    int n_cl;
     int nproc;
     int n_cursors;
     int released;
-    long long idx_mask, tag_shift, line_shift, nbanks, bank_cycle;
+    long long line_shift, nbanks, bank_cycle;
     long long iline_shift, limit;
-    long long bus_occ, upgrade_occ, mem_latency;
-    int stall_on_writes, icache_mode, mesi;
-    long long **cl_states, **cl_tags, **cl_bank_free;
-    Words *words;             /* [cluster] */
-    PyObject **cl_lost;
+    int stall_on_writes, icache_mode;
+    Machine m;                /* one SCC per cluster */
+    long long **bank_free;    /* [cluster] */
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
-    long long *d_scc;         /* [cluster * S_FIELDS + field] */
     long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *misc;
-    long long *bus;           /* BUS_* */
     long long *regs;          /* R_POS, R_TIME, R_PID, R_SEQ */
     long long *proc_cluster;
     Cursor *cursors;          /* by pid */
@@ -205,9 +234,7 @@ typedef struct {
     Ready *ready;             /* binary min-heap, room for every process */
     int n_ready;
     PyObject *mailbox;        /* interleaver._heap */
-    Metrics *mx;              /* NULL: no probe attached */
-    Py_buffer *views;
-    int nviews;
+    Views views;
 } Ctx;
 
 static const char CTX_NAME[] = "repro.trace.engine._native.ctx";
@@ -258,26 +285,34 @@ cursor_drop(Cursor *cur)
     cur->data = NULL;
 }
 
+/* A writable view on the int64 slots of ``obj`` ... */
 static long long *
-acquire_ll(Ctx *ctx, PyObject *obj)
+acquire_ll(Views *views, PyObject *obj)
 {
-    Py_buffer *view = &ctx->views[ctx->nviews];
+    Py_buffer *view = &views->bufs[views->n];
     if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE) < 0)
         return NULL;
-    ctx->nviews++;
+    views->n++;
     return (long long *)view->buf;
 }
 
 /* ... of exactly ``n`` slots (layouts C indexes by constant). */
 static long long *
-acquire_ll_n(Ctx *ctx, PyObject *obj, Py_ssize_t n)
+acquire_ll_n(Views *views, PyObject *obj, Py_ssize_t n)
 {
-    long long *buf = acquire_ll(ctx, obj);
-    if (buf && ctx->views[ctx->nviews - 1].len != 8 * n) {
+    long long *buf = acquire_ll(views, obj);
+    if (buf && views->bufs[views->n - 1].len != 8 * n) {
         PyErr_Format(PyExc_ValueError, "plan array must hold %zd slots", n);
         return NULL;
     }
     return buf;
+}
+
+static void
+views_release(Views *views)
+{
+    while (views->n)
+        PyBuffer_Release(&views->bufs[--views->n]);
 }
 
 static int
@@ -302,8 +337,9 @@ get_ll_item(PyObject *seq, Py_ssize_t i, long long *out)
  * ``SnoopyBus``, ``BankInterconnect``, ``CoherenceController`` and
  * ``ProcessorState`` call theirs.  Every mass the probe records is a
  * whole number of cycles or copies, so the wrapper's merge into the
- * probe's float bins is exact in any order.  Call sites test ``ctx->mx``
- * first: an unprobed run pays that one never-taken branch per site. */
+ * probe's float bins is exact in any order.  Call sites test the machine's
+ * ``mx`` first: an unprobed run pays that one never-taken branch per site,
+ * and so does a ladder rung, which never carries a probe. */
 
 /* A clock no bin can hold: negative (python would index its bin list
  * from the end), or past what a buffer can address. */
@@ -450,10 +486,9 @@ mx_reference(Metrics *mx, long long pid, long long issued,
 /* An SCC's in-flight fills (``scc._inflight``: line -> cycle its fill
  * lands) and write buffers (``interconnect._write_buffers``: per bank, a
  * heapq of retire times) as C keeps them between ``setup`` and
- * ``release`` -- of a ``run`` for each cluster, of a ladder pass for each
- * rung.  The python containers stay the at-rest form and the reference
- * loop's; only ``words_setup``, ``words_import`` and ``words_export``
- * touch them.
+ * ``release``, and the ``Scc`` view they belong to.  The python containers
+ * stay the at-rest form and the reference loop's; only ``words_setup``,
+ * ``words_import`` and ``words_export`` touch them.
  *
  * Fills are two words per SCC slot: the line being filled there and when
  * it lands.  Exact, because every SCC that gets here is direct-mapped and
@@ -512,15 +547,6 @@ words_setup(Words *w, long long mask, long long nbanks, long long depth,
     w->inflight = inflight;
     w->wbufs = wbufs;
     return 0;
-}
-
-/* The words of ``n`` SCCs (each one block), and their array. */
-static void
-words_free(Words *words, int n)
-{
-    for (int k = 0; words && k < n; k++)
-        PyMem_Free(words[k].fill_line);
-    PyMem_Free(words);
 }
 
 /* ``inflight[line] = ready``; the slot's previous entry is its victim's,
@@ -694,6 +720,52 @@ words_export(Words *w)
     return 0;
 }
 
+/* One SCC's entry of a plan, the same for a cluster of ``setup`` and a
+ * rung of ``ladder_setup`` (engine/native.py's ``scc_plan`` builds it):
+ * ``(states, tags, index_mask, tag_shift, inflight, write_buffers,
+ * lost_lines or None, bus clock, S_* row)``.  The words come back empty;
+ * the caller imports the containers, or insists that they are empty. */
+static int
+scc_setup(Scc *scc, Views *views, PyObject *entry, long long nbanks,
+          long long depth)
+{
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 9) {
+        PyErr_SetString(PyExc_TypeError, "an SCC entry must be a 9-tuple");
+        return -1;
+    }
+    if (get_ll_item(entry, 2, &scc->mask) < 0
+        || get_ll_item(entry, 3, &scc->shift) < 0
+        || words_setup(&scc->words, scc->mask, nbanks, depth,
+                       PyTuple_GET_ITEM(entry, 4),
+                       PyTuple_GET_ITEM(entry, 5)) < 0)
+        return -1;
+    Py_ssize_t lines = (Py_ssize_t)scc->words.lines;
+    PyObject *lost = PyTuple_GET_ITEM(entry, 6);
+    if (lost != Py_None && !PySet_CheckExact(lost)) {
+        PyErr_SetString(PyExc_TypeError, "lost lines must be a set or None");
+        return -1;
+    }
+    scc->lost = lost == Py_None ? NULL : lost;
+    if (!(scc->states = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 0),
+                                     lines))
+        || !(scc->tags = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 1),
+                                      lines))
+        || !(scc->bus = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 7), 3))
+        || !(scc->stats = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 8),
+                                       S_FIELDS)))
+        return -1;
+    return 0;
+}
+
+/* ``n`` SCCs' words (each one block), and their array. */
+static void
+sccs_free(Scc *sccs, int n)
+{
+    for (int k = 0; sccs && k < n; k++)
+        PyMem_Free(sccs[k].words.fill_line);
+    PyMem_Free(sccs);
+}
+
 /* ``scc._lost_lines`` stays the python set: misses only. */
 
 /* ``scc.note_lost(line)`` */
@@ -709,10 +781,10 @@ lost_note(PyObject *lost, long long line)
 }
 
 /* ``scc.consume_lost(line)``: 1 when the line was marked, -1 on error. */
-static int
+static inline int
 lost_consume(PyObject *lost, long long line)
 {
-    if (PySet_GET_SIZE(lost) == 0)
+    if (!lost || PySet_GET_SIZE(lost) == 0)
         return 0;
     PyObject *k = PyLong_FromLongLong(line);
     if (!k)
@@ -761,40 +833,43 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
 
 /* The snoopy write-invalidate protocol of repro.core.coherence: what
  * ``CoherenceController.read_line`` / ``write_line`` do past their hit
- * branches (their probe hooks are the "metrics" section's).  The bus
- * clock is the python object's own storage, so an icache refill handled
- * in python between two C stints sees, and leaves, the current bus.
- * Every SCC has the machine's one geometry: ``idx``/``tag`` address all
- * of them. */
+ * branches (their probe hooks are the "metrics" section's), written once
+ * for a ``Machine``: the clusters of a ``run``, or one rung of the ladder,
+ * whose single SCC has nobody to snoop -- every loop over the others
+ * runs zero times there.  The bus clock is the python object's own
+ * storage, so an icache refill handled in python between two C stints
+ * sees, and leaves, the current bus.  Every SCC of a machine has the same
+ * geometry: ``idx``/``tag`` address all of them. */
 
 /* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; ``grant`` is the
  * cycle the bus was granted. */
 static inline int
-bus_acquire(Ctx *ctx, long long now, long long occupancy, long long *grant)
+bus_acquire(Machine *m, const Scc *scc, long long now, long long occupancy,
+            long long *grant)
 {
-    long long *bus = ctx->bus;
+    long long *bus = scc->bus;
     *grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
     bus[BUS_BUSY_UNTIL] = *grant + occupancy;
     bus[BUS_TRANSACTIONS]++;
     bus[BUS_BUSY_CYCLES] += occupancy;
-    if (ctx->mx)
-        return mx_bus_acquire(ctx->mx, now, *grant, occupancy);
+    if (m->mx)
+        return mx_bus_acquire(m->mx, now, *grant, occupancy);
     return 0;
 }
 
 /* ``_snoop_downgrade``: a read miss turns remote MODIFIED/EXCLUSIVE
  * copies SHARED; whether any other SCC holds the line. */
-static int
-snoop_downgrade(Ctx *ctx, long long cl, long long idx, long long tag)
+static inline int
+snoop_downgrade(Machine *m, long long cl, long long idx, long long tag)
 {
     int held = 0;
-    for (int c = 0; c < ctx->n_cl; c++) {
-        long long *states = ctx->cl_states[c];
-        if (c == cl || !states[idx] || ctx->cl_tags[c][idx] != tag)
+    for (int c = 0; c < m->n; c++) {
+        long long *states = m->sccs[c].states;
+        if (c == cl || !states[idx] || m->sccs[c].tags[idx] != tag)
             continue;
         held = 1;
         if (states[idx] == ST_MODIFIED)
-            ctx->d_scc[cl * S_FIELDS + S_INTERVENTIONS]++;
+            m->sccs[cl].stats[S_INTERVENTIONS]++;
         states[idx] = ST_SHARED;
     }
     return held;
@@ -802,31 +877,31 @@ snoop_downgrade(Ctx *ctx, long long cl, long long idx, long long tag)
 
 /* ``_invalidate_remote``: a write whose bus transaction was granted at
  * ``grant`` kills every other SCC's copy. */
-static int
-invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
+static inline int
+invalidate_remote(Machine *m, long long cl, long long line, long long idx,
                   long long tag, long long grant)
 {
     long long killed = 0;
-    for (int c = 0; c < ctx->n_cl; c++) {
+    for (int c = 0; c < m->n; c++) {
+        Scc *other = &m->sccs[c];
         if (c == cl)
             continue;
         /* Before, and whatever, the residency check: a stale entry could
          * satisfy a later miss to another tag at this index. */
-        fill_drop(&ctx->words[c], line, idx);
-        long long *states = ctx->cl_states[c];
-        if (!states[idx] || ctx->cl_tags[c][idx] != tag)
+        fill_drop(&other->words, line, idx);
+        if (!other->states[idx] || other->tags[idx] != tag)
             continue;
-        states[idx] = 0;
-        if (lost_note(ctx->cl_lost[c], line) < 0)
+        other->states[idx] = 0;
+        if (lost_note(other->lost, line) < 0)
             return -1;
-        ctx->d_scc[c * S_FIELDS + S_INVALIDATIONS_RECEIVED]++;
+        other->stats[S_INVALIDATIONS_RECEIVED]++;
         killed++;
     }
-    ctx->d_scc[cl * S_FIELDS + S_INVALIDATIONS_SENT] += killed;
-    if (killed && ctx->mx) {
+    m->sccs[cl].stats[S_INVALIDATIONS_SENT] += killed;
+    if (killed && m->mx) {
         /* ``invalidation``: stamped with the grant, as ``write_line`` does */
-        ctx->mx->counts[M_INVALIDATIONS] += killed;
-        return series_add_at(ctx->mx->bus_invalidations, ctx->mx->width,
+        m->mx->counts[M_INVALIDATIONS] += killed;
+        return series_add_at(m->mx->bus_invalidations, m->mx->width,
                              grant, killed);
     }
     return 0;
@@ -837,24 +912,22 @@ invalidate_remote(Ctx *ctx, long long cl, long long line, long long idx,
  * request time ``start`` -- arbitration is in arrival order, a
  * reservation dated at fill completion would stall every later requester
  * -- and nobody waits on it. */
-static int
-install(Ctx *ctx, long long cl, long long line, long long idx,
+static inline int
+install(Machine *m, long long cl, long long line, long long idx,
         long long state, long long start, long long ready)
 {
-    long long *states = ctx->cl_states[cl];
-    long long *tags = ctx->cl_tags[cl];
-    long long *st = ctx->d_scc + cl * S_FIELDS;
-    long long victim_state = states[idx];
-    tags[idx] = line >> ctx->tag_shift;
-    states[idx] = state;
+    Scc *scc = &m->sccs[cl];
+    long long victim_state = scc->states[idx];
+    scc->tags[idx] = line >> scc->shift;
+    scc->states[idx] = state;
     /* (this also drops the victim's fill: the slot's only possible one) */
-    fill_set(&ctx->words[cl], line, idx, ready);
+    fill_set(&scc->words, line, idx, ready);
     if (victim_state) {
-        st[S_EVICTIONS]++;
+        scc->stats[S_EVICTIONS]++;
         if (victim_state == ST_MODIFIED) {
-            long long grant;
-            st[S_WRITEBACKS]++;
-            if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+            long long unawaited;
+            scc->stats[S_WRITEBACKS]++;
+            if (bus_acquire(m, scc, start, m->bus_occ, &unawaited) < 0)
                 return -1;
         }
     }
@@ -862,25 +935,26 @@ install(Ctx *ctx, long long cl, long long line, long long idx,
 }
 
 /* ``read_line`` on a miss; ``done`` is when the processor carries on. */
-static int
-read_miss(Ctx *ctx, long long cl, long long line, long long idx,
+static inline int
+read_miss(Machine *m, long long cl, long long line, long long idx,
           long long start, long long *done)
 {
-    long long *st = ctx->d_scc + cl * S_FIELDS;
+    Scc *scc = &m->sccs[cl];
+    long long *st = scc->stats;
     st[S_READ_MISSES]++;
-    int lost = lost_consume(ctx->cl_lost[cl], line);
+    int lost = lost_consume(scc->lost, line);
     if (lost < 0)
         return -1;
     st[S_COHERENCE_READ_MISSES] += lost;
     long long grant;
-    if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+    if (bus_acquire(m, scc, start, m->bus_occ, &grant) < 0)
         return -1;
     st[S_BUS_WAIT_CYCLES] += grant - start;
-    long long fill = grant + ctx->mem_latency;
+    long long fill = grant + m->mem_latency;
     long long state = ST_SHARED;
-    if (!snoop_downgrade(ctx, cl, idx, line >> ctx->tag_shift) && ctx->mesi)
+    if (!snoop_downgrade(m, cl, idx, line >> scc->shift) && m->mesi)
         state = ST_EXCLUSIVE;   /* nobody else has it */
-    if (install(ctx, cl, line, idx, state, start, fill) < 0)
+    if (install(m, cl, line, idx, state, start, fill) < 0)
         return -1;
     *done = fill + 1;
     return 0;
@@ -890,34 +964,35 @@ read_miss(Ctx *ctx, long long cl, long long line, long long idx,
  * data moves) or a miss (fetch with ownership).  Either way the store
  * drains from the write buffer: the processor carries on at
  * ``start + 1`` and ``retire`` is when the store is performed. */
-static int
-write_shared_or_miss(Ctx *ctx, long long cl, long long line, long long idx,
+static inline int
+write_shared_or_miss(Machine *m, long long cl, long long line, long long idx,
                      int resident, long long start, long long *retire)
 {
-    long long *st = ctx->d_scc + cl * S_FIELDS;
-    long long tag = line >> ctx->tag_shift;
+    Scc *scc = &m->sccs[cl];
+    long long *st = scc->stats;
+    long long tag = line >> scc->shift;
     long long grant;
     if (resident) {
         st[S_UPGRADES]++;
         /* (an upgrade's bus wait is not counted: nothing waits on it) */
-        if (bus_acquire(ctx, start, ctx->upgrade_occ, &grant) < 0)
+        if (bus_acquire(m, scc, start, m->upgrade_occ, &grant) < 0)
             return -1;
-        *retire = grant + ctx->upgrade_occ;
-        if (invalidate_remote(ctx, cl, line, idx, tag, grant) < 0)
+        *retire = grant + m->upgrade_occ;
+        if (invalidate_remote(m, cl, line, idx, tag, grant) < 0)
             return -1;
-        ctx->cl_states[cl][idx] = ST_MODIFIED;
+        scc->states[idx] = ST_MODIFIED;
         return 0;
     }
     st[S_WRITE_MISSES]++;
-    if (lost_consume(ctx->cl_lost[cl], line) < 0)   /* not a read miss */
+    if (lost_consume(scc->lost, line) < 0)          /* not a read miss */
         return -1;
-    if (bus_acquire(ctx, start, ctx->bus_occ, &grant) < 0)
+    if (bus_acquire(m, scc, start, m->bus_occ, &grant) < 0)
         return -1;
     st[S_BUS_WAIT_CYCLES] += grant - start;
-    *retire = grant + ctx->mem_latency;
-    if (invalidate_remote(ctx, cl, line, idx, tag, grant) < 0)
+    *retire = grant + m->mem_latency;
+    if (invalidate_remote(m, cl, line, idx, tag, grant) < 0)
         return -1;
-    return install(ctx, cl, line, idx, ST_MODIFIED, start, *retire);
+    return install(m, cl, line, idx, ST_MODIFIED, start, *retire);
 }
 
 /* One read/write reference; mirrors ``MultiprocessorSystem.data_access``. */
@@ -925,14 +1000,16 @@ static int
 do_access(Ctx *ctx, long long cl, long long pid, int is_read,
           long long addr, long long *time_io)
 {
-    Metrics *mx = ctx->mx;
+    Machine *m = &ctx->m;
+    Metrics *mx = m->mx;
+    Scc *scc = &m->sccs[cl];
     long long time = *time_io;
     long long line = addr >> ctx->line_shift;
     long long bank = line % ctx->nbanks;   /* python %: floored */
     if (bank < 0)
         bank += ctx->nbanks;
-    long long *st = ctx->d_scc + cl * S_FIELDS;
-    long long *bank_free = ctx->cl_bank_free[cl];
+    long long *st = scc->stats;
+    long long *bank_free = ctx->bank_free[cl];
     long long free_t = bank_free[bank];
     long long start;
     if (free_t > time) {
@@ -945,19 +1022,18 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     bank_free[bank] = start + ctx->bank_cycle;
     if (mx && mx_bank_access(mx, cl * ctx->nbanks + bank, time, start) < 0)
         return -1;
-    long long idx = line & ctx->idx_mask;
-    long long *states = ctx->cl_states[cl];
-    int resident = states[idx]
-        && ctx->cl_tags[cl][idx] == (line >> ctx->tag_shift);
+    long long idx = line & scc->mask;
+    long long *states = scc->states;
+    int resident = states[idx] && scc->tags[idx] == (line >> scc->shift);
     if (mx)     /* ``cache_access``: a SHARED write hit (upgrade) is a hit */
         mx->counts[resident ? M_CACHE_HITS : M_CACHE_MISSES]++;
     long long done;
     if (is_read) {
         st[S_READS]++;
         if (resident) {
-            done = fill_done(&ctx->words[cl], line, idx, start);
+            done = fill_done(&scc->words, line, idx, start);
         }
-        else if (read_miss(ctx, cl, line, idx, start, &done) < 0) {
+        else if (read_miss(m, cl, line, idx, start, &done) < 0) {
             return -1;
         }
     }
@@ -967,11 +1043,11 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         if (resident && states[idx] >= ST_MODIFIED) {
             /* MODIFIED, or EXCLUSIVE's silent upgrade: no bus traffic */
             states[idx] = ST_MODIFIED;
-            done = fill_done(&ctx->words[cl], line, idx, start);
+            done = fill_done(&scc->words, line, idx, start);
             retire = done;
         }
         else {
-            if (write_shared_or_miss(ctx, cl, line, idx, resident, start,
+            if (write_shared_or_miss(m, cl, line, idx, resident, start,
                                      &retire) < 0)
                 return -1;
             done = start + 1;
@@ -981,9 +1057,9 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
                 done = retire;
         }
         else {
-            Words *w = &ctx->words[cl];
-            long long stall = wbuf_reserve(w, bank, done, retire);
-            if (mx && mx_write_buffer(mx, cl, done, wbuf_held(w, bank),
+            long long stall = wbuf_reserve(&scc->words, bank, done, retire);
+            if (mx && mx_write_buffer(mx, cl, done,
+                                      wbuf_held(&scc->words, bank),
                                       stall) < 0)
                 return -1;
             st[S_WRITE_BUFFER_STALL_CYCLES] += stall;
@@ -1008,9 +1084,7 @@ ctx_release(Ctx *ctx)
     ctx->released = 1;
     for (int p = 0; p < ctx->n_cursors; p++)
         cursor_drop(&ctx->cursors[p]);
-    for (int i = 0; i < ctx->nviews; i++)
-        PyBuffer_Release(&ctx->views[i]);
-    ctx->nviews = 0;
+    views_release(&ctx->views);
     Py_CLEAR(ctx->plan);
 }
 
@@ -1018,17 +1092,16 @@ static void
 ctx_free(Ctx *ctx)
 {
     ctx_release(ctx);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->cl_states);
-    words_free(ctx->words, ctx->n_cl);
-    PyMem_Free(ctx->cl_lost);
+    PyMem_Free(ctx->views.bufs);
+    sccs_free(ctx->m.sccs, ctx->m.n);
+    PyMem_Free(ctx->bank_free);
     PyMem_Free(ctx->ready);
     PyMem_Free(ctx->ic_states);
     PyMem_Free(ctx->ic_mask);
     PyMem_Free(ctx->cursors);
-    if (ctx->mx)
-        PyMem_Free(ctx->mx->series);
-    PyMem_Free(ctx->mx);
+    if (ctx->m.mx)
+        PyMem_Free(ctx->m.mx->series);
+    PyMem_Free(ctx->m.mx);
     PyMem_Free(ctx);
 }
 
@@ -1052,7 +1125,7 @@ metrics_setup(Ctx *ctx, PyObject *spec)
                         "metrics must be (bin_width, counts, series)");
         return -1;
     }
-    Metrics *mx = ctx->mx = PyMem_Calloc(1, sizeof(Metrics));
+    Metrics *mx = ctx->m.mx = PyMem_Calloc(1, sizeof(Metrics));
     if (!mx) {
         PyErr_NoMemory();
         return -1;
@@ -1063,12 +1136,12 @@ metrics_setup(Ctx *ctx, PyObject *spec)
         PyErr_SetString(PyExc_ValueError, "bin_width must be >= 1");
         return -1;
     }
-    if (!(mx->counts = acquire_ll_n(ctx, PyTuple_GET_ITEM(spec, 1),
+    if (!(mx->counts = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(spec, 1),
                                     M_FIELDS)))
         return -1;
     PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
-    Py_ssize_t banks = (Py_ssize_t)(ctx->n_cl * ctx->nbanks);
-    Py_ssize_t n = 3 + banks + ctx->n_cl + 2 * (Py_ssize_t)ctx->n_cursors;
+    Py_ssize_t banks = (Py_ssize_t)(ctx->m.n * ctx->nbanks);
+    Py_ssize_t n = 3 + banks + ctx->m.n + 2 * (Py_ssize_t)ctx->n_cursors;
     if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
         PyErr_Format(PyExc_ValueError,
                      "metrics plan must hold %zd series", n);
@@ -1092,105 +1165,98 @@ metrics_setup(Ctx *ctx, PyObject *spec)
     mx->bus_invalidations = mx->series + 2;
     mx->conflict = mx->series + 3;
     mx->write_buffer = mx->conflict + banks;
-    mx->busy = mx->write_buffer + ctx->n_cl;
+    mx->busy = mx->write_buffer + ctx->m.n;
     mx->memory = mx->busy + ctx->n_cursors;
     return 0;
 }
 
+/* plan: engine/native.py's ``run`` builds it, in the order parsed here;
+ * ``per_cluster`` holds an SCC entry (``scc_setup``) per cluster, every
+ * one on the machine's one bus clock. */
 static PyObject *
 native_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 8) {
-        PyErr_SetString(PyExc_TypeError, "plan must be an 8-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 9) {
+        PyErr_SetString(PyExc_TypeError, "plan must be a 9-tuple");
         return NULL;
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
-    PyObject *callbacks = PyTuple_GET_ITEM(plan, 1);
-    PyObject *scal = PyTuple_GET_ITEM(plan, 2);
-    PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 3);
-    PyObject *deltas = PyTuple_GET_ITEM(plan, 4);
-    PyObject *regs = PyTuple_GET_ITEM(plan, 5);
-    PyObject *sched = PyTuple_GET_ITEM(plan, 6);
-    PyObject *metrics = PyTuple_GET_ITEM(plan, 7);
+    PyObject *banks = PyTuple_GET_ITEM(plan, 1);
+    PyObject *callbacks = PyTuple_GET_ITEM(plan, 2);
+    PyObject *scal = PyTuple_GET_ITEM(plan, 3);
+    PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 4);
+    PyObject *deltas = PyTuple_GET_ITEM(plan, 5);
+    PyObject *regs = PyTuple_GET_ITEM(plan, 6);
+    PyObject *sched = PyTuple_GET_ITEM(plan, 7);
+    PyObject *metrics = PyTuple_GET_ITEM(plan, 8);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
         return PyErr_NoMemory();
-    ctx->n_cl = (int)PyTuple_GET_SIZE(per_cluster);
+    Machine *m = &ctx->m;
+    int n_cl = (int)PyTuple_GET_SIZE(per_cluster);
     ctx->nproc = (int)PyTuple_GET_SIZE(ic_tuple);
 
-    int max_views = 3 * ctx->n_cl + 2 * ctx->nproc + 16;
-    ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    ctx->cl_states = PyMem_Calloc(3 * ctx->n_cl, sizeof(long long *));
-    ctx->words = PyMem_Calloc(ctx->n_cl, sizeof(Words));
-    ctx->cl_lost = PyMem_Calloc(ctx->n_cl, sizeof(PyObject *));
+    int max_views = 5 * n_cl + 2 * ctx->nproc + 16;
+    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
+    m->sccs = PyMem_Calloc(n_cl, sizeof(Scc));
+    ctx->bank_free = PyMem_Calloc(n_cl, sizeof(long long *));
     int nic = ctx->nproc > 0 ? ctx->nproc : 1;
     ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
     ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
-    if (!ctx->views || !ctx->cl_states || !ctx->words || !ctx->cl_lost
+    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free
         || !ctx->ic_states || !ctx->ic_mask) {
         ctx_free(ctx);
         return PyErr_NoMemory();
     }
-    ctx->cl_tags = ctx->cl_states + ctx->n_cl;
-    ctx->cl_bank_free = ctx->cl_states + 2 * ctx->n_cl;
+    m->n = n_cl;
     ctx->ic_tags = ctx->ic_states + nic;
     ctx->ic_shift = ctx->ic_mask + nic;
 
     ctx->plan = plan;
     Py_INCREF(plan);
 
-    long long sc[14];
-    for (Py_ssize_t k = 0; k < 14; k++) {
+    long long sc[12];
+    for (Py_ssize_t k = 0; k < 12; k++) {
         if (get_ll_item(scal, k, &sc[k]) < 0)
             goto fail;
     }
-    ctx->idx_mask = sc[0];
-    ctx->tag_shift = sc[1];
-    ctx->line_shift = sc[2];
-    ctx->nbanks = sc[3];
-    ctx->bank_cycle = sc[4];
-    ctx->stall_on_writes = (int)sc[5];
-    ctx->icache_mode = (int)sc[7];
-    ctx->iline_shift = sc[8];
-    ctx->limit = sc[9];
-    ctx->bus_occ = sc[10];
-    ctx->upgrade_occ = sc[11];
-    ctx->mem_latency = sc[12];
-    ctx->mesi = (int)sc[13];
+    ctx->line_shift = sc[0];
+    ctx->nbanks = sc[1];
+    ctx->bank_cycle = sc[2];
+    ctx->stall_on_writes = (int)sc[3];
+    ctx->icache_mode = (int)sc[5];
+    ctx->iline_shift = sc[6];
+    ctx->limit = sc[7];
+    m->bus_occ = sc[8];
+    m->upgrade_occ = sc[9];
+    m->mem_latency = sc[10];
+    m->mesi = (int)sc[11];
 
-    for (int c = 0; c < ctx->n_cl; c++) {
-        PyObject *entry = PyTuple_GET_ITEM(per_cluster, c);
-        Words *w = &ctx->words[c];
-        if (words_setup(w, ctx->idx_mask, ctx->nbanks, sc[6],
-                        PyTuple_GET_ITEM(entry, 3),
-                        PyTuple_GET_ITEM(entry, 5)) < 0
-            || words_import(w) < 0)
+    for (int c = 0; c < n_cl; c++) {
+        Scc *scc = &m->sccs[c];
+        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_cluster, c),
+                      ctx->nbanks, sc[4]) < 0
+            || words_import(&scc->words) < 0)
             goto fail;
-        Py_ssize_t lines = (Py_ssize_t)w->lines;
-        if (!(ctx->cl_states[c] =
-                  acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 0), lines)))
-            goto fail;
-        if (!(ctx->cl_tags[c] =
-                  acquire_ll_n(ctx, PyTuple_GET_ITEM(entry, 1), lines)))
-            goto fail;
-        if (!(ctx->cl_bank_free[c] = acquire_ll_n(
-                  ctx, PyTuple_GET_ITEM(entry, 2), (Py_ssize_t)ctx->nbanks)))
-            goto fail;
-        ctx->cl_lost[c] = PyTuple_GET_ITEM(entry, 4);
-        if (!PySet_CheckExact(ctx->cl_lost[c])) {
-            PyErr_SetString(PyExc_TypeError, "lost lines must be a set");
+        if (!scc->lost) {       /* another cluster's write must land in it */
+            PyErr_SetString(PyExc_TypeError,
+                            "a cluster's lost lines must be a set");
             goto fail;
         }
+        if (!(ctx->bank_free[c] = acquire_ll_n(
+                  &ctx->views, PyTuple_GET_ITEM(banks, c),
+                  (Py_ssize_t)ctx->nbanks)))
+            goto fail;
     }
     for (int p = 0; p < ctx->nproc; p++) {
         PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
         if (!(ctx->ic_states[p] =
-                  acquire_ll(ctx, PyTuple_GET_ITEM(entry, 0))))
+                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 0))))
             goto fail;
         if (!(ctx->ic_tags[p] =
-                  acquire_ll(ctx, PyTuple_GET_ITEM(entry, 1))))
+                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 1))))
             goto fail;
         if (get_ll_item(entry, 2, &ctx->ic_mask[p]) < 0)
             goto fail;
@@ -1200,18 +1266,16 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->ifetch = PyTuple_GET_ITEM(callbacks, 0);
     ctx->queues = PyTuple_GET_ITEM(callbacks, 1);
 
-    if (!(ctx->d_scc = acquire_ll_n(ctx, PyTuple_GET_ITEM(deltas, 0),
-                                    (Py_ssize_t)ctx->n_cl * S_FIELDS)))
-        goto fail;
     long long **dptr[6] = {
         &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
         &ctx->d_icfetch, &ctx->misc,
     };
     for (int k = 0; k < 6; k++) {
-        if (!(*dptr[k] = acquire_ll(ctx, PyTuple_GET_ITEM(deltas, k + 1))))
+        if (!(*dptr[k] = acquire_ll(&ctx->views,
+                                    PyTuple_GET_ITEM(deltas, k))))
             goto fail;
     }
-    if (!(ctx->regs = acquire_ll(ctx, regs)))
+    if (!(ctx->regs = acquire_ll(&ctx->views, regs)))
         goto fail;
 
     ctx->mailbox = PyTuple_GET_ITEM(sched, 0);
@@ -1219,11 +1283,10 @@ native_setup(PyObject *self, PyObject *plan)
         PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
         goto fail;
     }
-    if (!(ctx->proc_cluster = acquire_ll(ctx, PyTuple_GET_ITEM(sched, 1))))
+    if (!(ctx->proc_cluster = acquire_ll(&ctx->views,
+                                         PyTuple_GET_ITEM(sched, 1))))
         goto fail;
-    Py_ssize_t n_cursors = ctx->views[ctx->nviews - 1].len / 8;
-    if (!(ctx->bus = acquire_ll_n(ctx, PyTuple_GET_ITEM(sched, 2), 3)))
-        goto fail;
+    Py_ssize_t n_cursors = ctx->views.bufs[ctx->views.n - 1].len / 8;
     ctx->cursors = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Cursor));
     ctx->ready = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Ready));
     if (!ctx->cursors || !ctx->ready) {
@@ -1371,8 +1434,8 @@ native_release(PyObject *self, PyObject *capsule)
         return NULL;
     if (!ctx->released) {
         int failed = sched_export(ctx) < 0;
-        for (int c = 0; !failed && c < ctx->n_cl; c++)
-            failed = words_export(&ctx->words[c]) < 0;
+        for (int c = 0; !failed && c < ctx->m.n; c++)
+            failed = words_export(&ctx->m.sccs[c].words) < 0;
         ctx_release(ctx);
         if (failed)
             return NULL;
@@ -1403,7 +1466,7 @@ native_run(PyObject *self, PyObject *args)
     long long seq = regs[R_SEQ];
     long long limit = ctx->limit;
     long long *misc = ctx->misc;
-    Metrics *mx = ctx->mx;
+    Metrics *mx = ctx->m.mx;
     /* Only a process coming back from a sync handler is checked against
      * the heap top before its next event; a refilled one runs on, like
      * the reference loop. */
@@ -1699,54 +1762,49 @@ fail:
  * flush; every array here is ``array('q')`` storage it allocated.
  *
  * The contract is per-size replay on the reference loop, statistic for
- * statistic: the shared clock is folded into per-size finish times, hot
- * windows are tracked per size, and each rung's fills and write buffers
- * are a ``Words`` worked with ``run``'s own helpers.  The ownership rule
- * is ``run``'s too: a rung's ``_inflight`` dict and write-buffer lists
- * are empty from ``ladder_setup`` (which refuses anything else: nothing
- * could supply the live windows of a pass begun mid-machine) until
- * ``ladder_release`` writes them, and the event loop touches no python
- * object.  A non-positive span stride raises ValueError instead of
- * spinning (the ladder has no cycle limit to bail it out).
+ * statistic.  A rung *is* a machine -- a ``Machine`` of one ``Scc``, on
+ * its own system's bus clock, counting into an ``S_*`` row -- and what
+ * happens to it on a miss, an upgrade or an icache refill is the
+ * "coherence" section's ``bus_acquire``, ``install`` and
+ * ``write_shared_or_miss``, called at the rung's local time; with one
+ * cluster there is nothing to snoop and no line to lose (``lost`` is
+ * NULL), so the event loop touches no python object.  The ladder's own is
+ * what only a ladder has: the inclusion prefix, the shared clock folded
+ * into per-size finish times (``l_fold``, ``skew``), the live windows
+ * that say when a rung's hits can stall (``fill_live``, ``wb_live``,
+ * ``hot``).  ``l_slow_read`` / ``l_slow_write`` are therefore not
+ * ``do_access``: per-process clocks with bank arbitration, and one shared
+ * clock with a skew per rung, are two algorithms over the same view.
+ *
+ * The ownership rule is ``run``'s, one way: a rung's ``_inflight`` dict
+ * and write-buffer lists are empty from ``ladder_setup`` (which refuses
+ * anything else: nothing could supply the live windows of a pass begun
+ * mid-machine) until ``ladder_release`` writes them.  A rung tracks the
+ * fills of write misses only: the processor waits out a read miss's fill,
+ * so its one process can never meet it in flight, and the quiet path
+ * would never get to forget it -- a rung's read miss therefore hands
+ * ``install`` ``FILL_NONE`` where ``read_miss`` hands it the fill time.
+ * A non-positive span stride raises ValueError instead of spinning (the
+ * ladder has no cycle limit to bail it out).
  */
 
 typedef struct {
     PyObject *plan;
     int n_sizes;
     int released;
-    long long line_shift, nbanks, occ, up_occ, mem_lat, ic_lat;
-    long long install_state, model_icache, il_shift, ic_mask, ic_shift;
-    long long **s_states, **s_tags;
-    long long *s_mask, *s_shift;
-    Words *words;             /* [rung] */
+    long long line_shift, nbanks, ic_lat;
+    long long model_icache, il_shift, ic_mask, ic_shift;
+    Machine *rungs;           /* [rung]: the machine of ... */
+    Scc *sccs;                /* ... its one SCC, ``sccs[rung]`` */
     long long *skew, *fin, *folded, *fill_live, *wb_live, *hot;
-    long long *bus_busy, *bus_tx, *bus_cyc;
-    long long *d_rmiss, *d_wmiss, *d_upg, *d_evict, *d_wb, *d_wbuf;
-    long long *d_bus_wait, *d_stall, *d_ic;
+    long long *d_stall, *d_ic;
     long long *ic_states, *ic_tags;
     long long *regs;    /* i, base, uref, ev, n_reads, n_writes, u_busy,
                            hot_n, ic_misses, ic_fetch_lines */
-    Py_buffer *views;
-    int nviews;
+    Views views;
 } LCtx;
 
 static const char LCTX_NAME[] = "repro.trace.engine._native.ladder";
-
-/* A writable view on the ``n`` int64 slots of ``obj``. */
-static long long *
-l_acquire(LCtx *ctx, PyObject *obj, long long n)
-{
-    Py_buffer *view = &ctx->views[ctx->nviews];
-    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE) < 0)
-        return NULL;
-    ctx->nviews++;
-    if (view->len % 8 || view->len / 8 != n) {
-        PyErr_Format(PyExc_ValueError,
-                     "ladder plan array must hold %lld slots", n);
-        return NULL;
-    }
-    return (long long *)view->buf;
-}
 
 /* Fold the shared clock into rung ``s`` and return its local time. */
 static inline long long
@@ -1782,91 +1840,65 @@ l_update_hot(LCtx *c, int s, long long done, long long *hot_n)
 static inline long long
 l_reserve(LCtx *c, int s, long long bank, long long now, long long retire)
 {
-    long long stall = wbuf_reserve(&c->words[s], bank, now, retire);
+    long long stall = wbuf_reserve(&c->sccs[s].words, bank, now, retire);
     if (retire < now + stall)
         retire = now + stall;
     if (retire > c->wb_live[s])
         c->wb_live[s] = retire;
+    c->sccs[s].stats[S_WRITE_BUFFER_STALL_CYCLES] += stall;
     return stall;
 }
 
-/* A miss of rung ``s`` at its local time ``t``: the bus transaction, the
- * victim (its fill goes with it: the rung tracks write-miss fills only,
- * so a read miss leaves the slot without one) and the install.  Returns
- * the cycle the data arrives. */
-static inline long long
-l_miss(LCtx *c, int s, long long index, long long tag, long long state,
-       long long t)
-{
-    long long *states = c->s_states[s];
-    long long *tags = c->s_tags[s];
-    long long grant = c->bus_busy[s];
-    if (grant < t)
-        grant = t;
-    c->bus_busy[s] = grant + c->occ;
-    c->bus_tx[s]++;
-    c->bus_cyc[s] += c->occ;
-    c->d_bus_wait[s] += grant - t;
-    if (states[index]) {                    /* tag differs: eviction */
-        c->d_evict[s]++;
-        if (states[index] == ST_MODIFIED) {
-            c->d_wb[s]++;
-            c->bus_busy[s] += c->occ;
-            c->bus_tx[s]++;
-            c->bus_cyc[s] += c->occ;
-        }
-        long long victim = (tags[index] << c->s_shift[s]) | index;
-        fill_drop(&c->words[s], victim, index);
-    }
-    tags[index] = tag;
-    states[index] = state;
-    return grant + c->mem_lat;
-}
-
-/* A hit of hot rung ``s`` at ``t`` completed at ``done``: the rung leaves
- * its live windows once both are behind it. */
+/* A reference of rung ``s`` issued at ``t`` let its processor carry on at
+ * ``done``: the stall, the rung's new skew, and whether it is still
+ * inside a live window. */
 static inline void
-l_hot_hit(LCtx *c, int s, long long base, long long t, long long done,
-          long long *hot_n)
+l_complete(LCtx *c, int s, long long base, long long t, long long done,
+           long long *hot_n)
 {
     c->d_stall[s] += done - t - 1;
     c->fin[s] = done;
     c->skew[s] = done - base - 1;
-    if (c->fill_live[s] <= done && c->wb_live[s] <= done) {
-        c->hot[s] = 0;
-        (*hot_n)--;
-    }
+    l_update_hot(c, s, done, hot_n);
 }
 
 /* Per-size processing for a read that is not uniformly quiet. */
-static void
+static int
 l_slow_read(LCtx *c, long long line, long long base, long long uref,
             long long *hot_n)
 {
     int s = 0;
     int n = c->n_sizes;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        long long index = line & c->s_mask[s];
-        long long tag = line >> c->s_shift[s];
-        if (c->s_states[s][index] && c->s_tags[s][index] == tag)
+        Scc *scc = &c->sccs[s];
+        long long index = line & scc->mask;
+        if (scc->states[index]
+            && scc->tags[index] == (line >> scc->shift))
             break;
-        long long t = l_fold(c, s, base, uref);
-        c->d_rmiss[s]++;
-        long long ret = l_miss(c, s, index, tag, c->install_state, t) + 1;
-        c->d_stall[s] += ret - t - 1;
-        c->fin[s] = ret;
-        c->skew[s] = ret - base - 1;
-        l_update_hot(c, s, ret, hot_n);
+        /* ``read_miss`` with nobody to snoop, no line to have lost and no
+         * fill recorded (see above): the victim's goes all the same */
+        Machine *rung = &c->rungs[s];
+        long long t = l_fold(c, s, base, uref), grant;
+        scc->stats[S_READ_MISSES]++;
+        if (bus_acquire(rung, scc, t, rung->bus_occ, &grant) < 0)
+            return -1;
+        scc->stats[S_BUS_WAIT_CYCLES] += grant - t;
+        if (install(rung, 0, line, index,
+                    rung->mesi ? ST_EXCLUSIVE : ST_SHARED, t, FILL_NONE) < 0)
+            return -1;
+        l_complete(c, s, base, t, grant + rung->mem_latency + 1, hot_n);
     }
     for (; *hot_n && s < n; s++) {          /* hits inside live windows */
         if (!c->hot[s])
             continue;
+        Scc *scc = &c->sccs[s];
         long long t = l_fold(c, s, base, uref);
         long long done = t + 1;
         if (c->fill_live[s] > t)
-            done = fill_done(&c->words[s], line, line & c->s_mask[s], t);
-        l_hot_hit(c, s, base, t, done, hot_n);
+            done = fill_done(&scc->words, line, line & scc->mask, t);
+        l_complete(c, s, base, t, done, hot_n);
     }
+    return 0;
 }
 
 /* A buffered store of rung ``s`` issued at ``t``, performed at ``retire``:
@@ -1875,68 +1907,57 @@ static inline void
 l_store(LCtx *c, int s, long long bank, long long base, long long t,
         long long retire, long long *hot_n)
 {
-    long long stall = l_reserve(c, s, bank, t + 1, retire);
-    long long done = t + 1 + stall;
-    c->d_wbuf[s] += stall;
-    c->d_stall[s] += done - t - 1;
-    c->fin[s] = done;
-    c->skew[s] = done - base - 1;
-    l_update_hot(c, s, done, hot_n);
+    long long done = t + 1 + l_reserve(c, s, bank, t + 1, retire);
+    l_complete(c, s, base, t, done, hot_n);
 }
 
 /* Per-size processing for a write that is not uniformly quiet. */
-static void
+static int
 l_slow_write(LCtx *c, long long line, long long bank, long long base,
              long long uref, long long *hot_n)
 {
     int s = 0;
     int n = c->n_sizes;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        long long index = line & c->s_mask[s];
-        long long tag = line >> c->s_shift[s];
-        if (c->s_states[s][index] && c->s_tags[s][index] == tag)
+        Scc *scc = &c->sccs[s];
+        long long index = line & scc->mask;
+        if (scc->states[index]
+            && scc->tags[index] == (line >> scc->shift))
             break;
-        long long t = l_fold(c, s, base, uref);
-        c->d_wmiss[s]++;
-        long long fetch_done = l_miss(c, s, index, tag, ST_MODIFIED, t);
-        fill_set(&c->words[s], line, index, fetch_done);
+        long long t = l_fold(c, s, base, uref), fetch_done;
+        if (write_shared_or_miss(&c->rungs[s], 0, line, index, 0, t,
+                                 &fetch_done) < 0)
+            return -1;
         if (fetch_done > c->fill_live[s])
             c->fill_live[s] = fetch_done;
         l_store(c, s, bank, base, t, fetch_done, hot_n);
     }
     for (; s < n; s++) {                    /* resident sizes */
-        long long *states = c->s_states[s];
-        long long index = line & c->s_mask[s];
-        long long state = states[index];
+        Scc *scc = &c->sccs[s];
+        long long index = line & scc->mask;
+        long long state = scc->states[index];
         if (state == ST_SHARED) {           /* upgrade broadcast */
-            long long t = l_fold(c, s, base, uref);
-            c->d_upg[s]++;
-            long long grant = c->bus_busy[s];
-            if (grant < t)
-                grant = t;
-            c->bus_busy[s] = grant + c->up_occ;
-            c->bus_tx[s]++;
-            c->bus_cyc[s] += c->up_occ;
-            states[index] = ST_MODIFIED;
-            l_store(c, s, bank, base, t, grant + c->up_occ, hot_n);
+            long long t = l_fold(c, s, base, uref), retire;
+            if (write_shared_or_miss(&c->rungs[s], 0, line, index, 1, t,
+                                     &retire) < 0)
+                return -1;
+            l_store(c, s, bank, base, t, retire, hot_n);
         }
         else {
             if (state != ST_MODIFIED)       /* MESI silent E -> M */
-                states[index] = ST_MODIFIED;
+                scc->states[index] = ST_MODIFIED;
             if (c->hot[s]) {
                 long long t = l_fold(c, s, base, uref);
                 long long done = t + 1;
                 if (c->fill_live[s] > t)
-                    done = fill_done(&c->words[s], line, index, t);
-                if (c->wb_live[s] > done) {
-                    long long stall = l_reserve(c, s, bank, done, done);
-                    c->d_wbuf[s] += stall;
-                    done += stall;
-                }
-                l_hot_hit(c, s, base, t, done, hot_n);
+                    done = fill_done(&scc->words, line, index, t);
+                if (c->wb_live[s] > done)
+                    done += l_reserve(c, s, bank, done, done);
+                l_complete(c, s, base, t, done, hot_n);
             }
         }
     }
+    return 0;
 }
 
 static void
@@ -1945,9 +1966,7 @@ lctx_release(LCtx *ctx)
     if (ctx->released)
         return;
     ctx->released = 1;
-    for (int i = 0; i < ctx->nviews; i++)
-        PyBuffer_Release(&ctx->views[i]);
-    ctx->nviews = 0;
+    views_release(&ctx->views);
     Py_CLEAR(ctx->plan);
 }
 
@@ -1955,10 +1974,9 @@ static void
 lctx_free(LCtx *ctx)
 {
     lctx_release(ctx);
-    words_free(ctx->words, ctx->n_sizes);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->s_states);
-    PyMem_Free(ctx->s_mask);
+    sccs_free(ctx->sccs, ctx->n_sizes);
+    PyMem_Free(ctx->rungs);
+    PyMem_Free(ctx->views.bufs);
     PyMem_Free(ctx);
 }
 
@@ -1970,18 +1988,17 @@ lctx_destructor(PyObject *capsule)
         lctx_free(ctx);
 }
 
-/* plan: (per_size, scal, state, deltas, ic, regs)
- *   per_size -- tuple per rung: (states, tags, index_mask, tag_shift,
- *               inflight dict, write-buffer list-of-heaps); the last two
- *               must be empty -- a rung starts as a fresh machine -- and
- *               are written at ``ladder_release``
- *   scal     -- array('q'): line_shift, nbanks, occ, up_occ, mem_lat,
- *               ic_lat, wb_depth, install_state, model_icache, il_shift,
- *               ic_mask, ic_shift
+/* plan: (per_size, scal, state, ic, regs)
+ *   per_size -- an SCC entry (``scc_setup``) per rung, smallest first,
+ *               each on its own system's bus clock and with no lost-line
+ *               set; its ``_inflight`` dict and write-buffer lists must be
+ *               empty -- a rung starts as a fresh machine -- and are
+ *               written at ``ladder_release``
+ *   scal     -- array('q'): line_shift, nbanks, wb_depth, bus_occ,
+ *               upgrade_occ, mem_latency, mesi, ic_lat, model_icache,
+ *               il_shift, ic_mask, ic_shift
  *   state    -- tuple of array('q') per-size arrays: skew, fin, folded,
- *               fill_live, wb_live, hot, bus_busy, bus_tx, bus_cyc
- *   deltas   -- tuple of array('q') per-size arrays: d_rmiss, d_wmiss,
- *               d_upg, d_evict, d_wb, d_wbuf, d_bus_wait, d_stall, d_ic
+ *               fill_live, wb_live, hot, d_stall, d_ic
  *   ic       -- (ic_states, ic_tags) array('q') pair, or () when the
  *               icache is unmodelled
  *   regs     -- array('q'): i, base, uref, ev, n_reads, n_writes,
@@ -1991,33 +2008,30 @@ static PyObject *
 native_ladder_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 6) {
-        PyErr_SetString(PyExc_TypeError, "ladder plan must be a 6-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 5) {
+        PyErr_SetString(PyExc_TypeError, "ladder plan must be a 5-tuple");
         return NULL;
     }
     PyObject *per_size = PyTuple_GET_ITEM(plan, 0);
     PyObject *scal = PyTuple_GET_ITEM(plan, 1);
     PyObject *state = PyTuple_GET_ITEM(plan, 2);
-    PyObject *deltas = PyTuple_GET_ITEM(plan, 3);
-    PyObject *ic = PyTuple_GET_ITEM(plan, 4);
-    PyObject *regs = PyTuple_GET_ITEM(plan, 5);
+    PyObject *ic = PyTuple_GET_ITEM(plan, 3);
+    PyObject *regs = PyTuple_GET_ITEM(plan, 4);
 
     LCtx *ctx = PyMem_Calloc(1, sizeof(LCtx));
     if (!ctx)
         return PyErr_NoMemory();
-    ctx->n_sizes = (int)PyTuple_GET_SIZE(per_size);
+    int n = (int)PyTuple_GET_SIZE(per_size);
 
-    int max_views = 2 * ctx->n_sizes + 9 + 9 + 2 + 1;
-    ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    ctx->s_states = PyMem_Calloc(2 * ctx->n_sizes, sizeof(long long *));
-    ctx->s_mask = PyMem_Calloc(2 * ctx->n_sizes, sizeof(long long));
-    ctx->words = PyMem_Calloc(ctx->n_sizes, sizeof(Words));
-    if (!ctx->views || !ctx->s_states || !ctx->s_mask || !ctx->words) {
+    int max_views = 4 * n + 16;
+    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
+    ctx->rungs = PyMem_Calloc(n, sizeof(Machine));
+    ctx->sccs = PyMem_Calloc(n, sizeof(Scc));
+    if (!ctx->views.bufs || !ctx->rungs || !ctx->sccs) {
         lctx_free(ctx);
         return PyErr_NoMemory();
     }
-    ctx->s_tags = ctx->s_states + ctx->n_sizes;
-    ctx->s_shift = ctx->s_mask + ctx->n_sizes;
+    ctx->n_sizes = n;
 
     ctx->plan = plan;
     Py_INCREF(plan);
@@ -2029,25 +2043,24 @@ native_ladder_setup(PyObject *self, PyObject *plan)
     }
     ctx->line_shift = sc[0];
     ctx->nbanks = sc[1];
-    ctx->occ = sc[2];
-    ctx->up_occ = sc[3];
-    ctx->mem_lat = sc[4];
-    ctx->ic_lat = sc[5];
-    ctx->install_state = sc[7];
+    ctx->ic_lat = sc[7];
     ctx->model_icache = sc[8];
     ctx->il_shift = sc[9];
     ctx->ic_mask = sc[10];
     ctx->ic_shift = sc[11];
 
-    for (int s = 0; s < ctx->n_sizes; s++) {
-        PyObject *entry = PyTuple_GET_ITEM(per_size, s);
-        Words *w = &ctx->words[s];
-        if (get_ll_item(entry, 2, &ctx->s_mask[s]) < 0
-            || get_ll_item(entry, 3, &ctx->s_shift[s]) < 0
-            || words_setup(w, ctx->s_mask[s], ctx->nbanks, sc[6],
-                           PyTuple_GET_ITEM(entry, 4),
-                           PyTuple_GET_ITEM(entry, 5)) < 0)
+    for (int s = 0; s < n; s++) {
+        Machine *rung = &ctx->rungs[s];
+        Scc *scc = rung->sccs = &ctx->sccs[s];
+        rung->n = 1;
+        rung->bus_occ = sc[3];
+        rung->upgrade_occ = sc[4];
+        rung->mem_latency = sc[5];
+        rung->mesi = (int)sc[6];
+        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_size, s),
+                      ctx->nbanks, sc[2]) < 0)
             goto fail;
+        const Words *w = &scc->words;
         int fresh = PyDict_GET_SIZE(w->inflight) == 0;
         for (Py_ssize_t bank = 0; fresh && bank < w->nbanks; bank++)
             fresh = PyList_GET_SIZE(PyList_GET_ITEM(w->wbufs, bank)) == 0;
@@ -2056,43 +2069,26 @@ native_ladder_setup(PyObject *self, PyObject *plan)
                             "with no fill in flight and no buffered write");
             goto fail;
         }
-        if (!(ctx->s_states[s] =
-                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 0), w->lines)))
-            goto fail;
-        if (!(ctx->s_tags[s] =
-                  l_acquire(ctx, PyTuple_GET_ITEM(entry, 1), w->lines)))
-            goto fail;
     }
 
-    long long **sptr[9] = {
+    long long **sptr[8] = {
         &ctx->skew, &ctx->fin, &ctx->folded, &ctx->fill_live,
-        &ctx->wb_live, &ctx->hot, &ctx->bus_busy, &ctx->bus_tx,
-        &ctx->bus_cyc,
+        &ctx->wb_live, &ctx->hot, &ctx->d_stall, &ctx->d_ic,
     };
-    for (int k = 0; k < 9; k++) {
-        if (!(*sptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(state, k),
-                                   ctx->n_sizes)))
-            goto fail;
-    }
-    long long **dptr[9] = {
-        &ctx->d_rmiss, &ctx->d_wmiss, &ctx->d_upg, &ctx->d_evict,
-        &ctx->d_wb, &ctx->d_wbuf, &ctx->d_bus_wait, &ctx->d_stall,
-        &ctx->d_ic,
-    };
-    for (int k = 0; k < 9; k++) {
-        if (!(*dptr[k] = l_acquire(ctx, PyTuple_GET_ITEM(deltas, k),
-                                   ctx->n_sizes)))
+    for (int k = 0; k < 8; k++) {
+        if (!(*sptr[k] = acquire_ll_n(&ctx->views,
+                                      PyTuple_GET_ITEM(state, k), n)))
             goto fail;
     }
     if (ctx->model_icache) {
-        if (!(ctx->ic_states = l_acquire(ctx, PyTuple_GET_ITEM(ic, 0),
-                                         ctx->ic_mask + 1)))
+        if (!(ctx->ic_states = acquire_ll_n(
+                  &ctx->views, PyTuple_GET_ITEM(ic, 0), ctx->ic_mask + 1)))
             goto fail;
-        if (!(ctx->ic_tags = l_acquire(ctx, PyTuple_GET_ITEM(ic, 1),
-                                       ctx->ic_mask + 1)))
+        if (!(ctx->ic_tags = acquire_ll_n(
+                  &ctx->views, PyTuple_GET_ITEM(ic, 1), ctx->ic_mask + 1)))
             goto fail;
     }
-    if (!(ctx->regs = l_acquire(ctx, regs, 10)))
+    if (!(ctx->regs = acquire_ll_n(&ctx->views, regs, 10)))
         goto fail;
 
     PyObject *capsule = PyCapsule_New(ctx, LCTX_NAME, lctx_destructor);
@@ -2118,7 +2114,7 @@ native_ladder_release(PyObject *self, PyObject *capsule)
     if (!ctx->released) {
         int failed = 0;
         for (int s = 0; !failed && s < ctx->n_sizes; s++)
-            failed = words_export(&ctx->words[s]) < 0;
+            failed = words_export(&ctx->sccs[s].words) < 0;
         lctx_release(ctx);
         if (failed)
             return NULL;
@@ -2159,11 +2155,12 @@ native_ladder_drain(PyObject *self, PyObject *args)
     long long ic_fetch_lines = regs[9];
     long long line_shift = ctx->line_shift;
     long long nbanks = ctx->nbanks;
-    long long mask0 = ctx->s_mask[0];
-    long long shift0 = ctx->s_shift[0];
-    long long *states0 = ctx->s_states[0];
-    long long *tags0 = ctx->s_tags[0];
+    long long mask0 = ctx->sccs[0].mask;
+    long long shift0 = ctx->sccs[0].shift;
+    long long *states0 = ctx->sccs[0].states;
+    long long *tags0 = ctx->sccs[0].tags;
     int status = STATUS_EXHAUSTED;
+    PyObject *result = NULL;
 
     while (i < end) {
         long long op = data[i];
@@ -2173,9 +2170,9 @@ native_ladder_drain(PyObject *self, PyObject *args)
             ev++;
             long long index = line & mask0;
             if (!(hot_n == 0 && states0[index]
-                  && tags0[index] == (line >> shift0))) {
-                l_slow_read(ctx, line, base, uref, &hot_n);
-            }
+                  && tags0[index] == (line >> shift0))
+                && l_slow_read(ctx, line, base, uref, &hot_n) < 0)
+                goto out;
             n_reads++;
             base++;
             uref = base;
@@ -2190,7 +2187,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 long long bank = line % nbanks;
                 if (bank < 0)
                     bank += nbanks;
-                l_slow_write(ctx, line, bank, base, uref, &hot_n);
+                if (l_slow_write(ctx, line, bank, base, uref, &hot_n) < 0)
+                    goto out;
             }
             n_writes++;
             base++;
@@ -2250,24 +2248,23 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 }
             }
             ic_misses += misses;
+            /* The refills queue on each rung's bus one after the other,
+             * each requested when the one before it has arrived
+             * (``MultiprocessorSystem.ifetch``). */
             for (int s = 0; s < ctx->n_sizes; s++) {
+                Machine *rung = &ctx->rungs[s];
                 long long t = l_fold(ctx, s, base, uref);
                 long long stall = 0;
-                long long busy = ctx->bus_busy[s];
                 for (long long m = 0; m < misses; m++) {
-                    long long request = t + stall;
-                    if (busy < request)
-                        busy = request;
-                    busy += ctx->occ;
-                    stall = busy - ctx->occ + ctx->ic_lat - t;
+                    long long grant;
+                    if (bus_acquire(rung, rung->sccs, t + stall,
+                                    rung->bus_occ, &grant) < 0)
+                        goto out;
+                    stall = grant + ctx->ic_lat - t;
                 }
-                ctx->bus_busy[s] = busy;
-                ctx->bus_tx[s] += misses;
-                ctx->bus_cyc[s] += misses * ctx->occ;
                 ctx->d_ic[s] += stall;
                 ctx->skew[s] += stall;
-                long long t_new = t + count + stall;
-                l_update_hot(ctx, s, t_new, &hot_n);
+                l_update_hot(ctx, s, t + count + stall, &hot_n);
             }
             u_busy += count;
             base += count;
@@ -2280,7 +2277,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 /* The loop below would spin forever. */
                 PyErr_Format(PyExc_ValueError,
                              "non-positive span stride at %lld", i);
-                goto fail;
+                goto out;
             }
             i += 4;
             int is_read = op == OP_READ_SPAN;
@@ -2291,9 +2288,9 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 long long index = line & mask0;
                 if (is_read) {
                     if (!(hot_n == 0 && states0[index]
-                          && tags0[index] == (line >> shift0))) {
-                        l_slow_read(ctx, line, base, uref, &hot_n);
-                    }
+                          && tags0[index] == (line >> shift0))
+                        && l_slow_read(ctx, line, base, uref, &hot_n) < 0)
+                        goto out;
                     n_reads++;
                 }
                 else {
@@ -2302,7 +2299,9 @@ native_ladder_drain(PyObject *self, PyObject *args)
                         long long bank = line % nbanks;
                         if (bank < 0)
                             bank += nbanks;
-                        l_slow_write(ctx, line, bank, base, uref, &hot_n);
+                        if (l_slow_write(ctx, line, bank, base, uref,
+                                         &hot_n) < 0)
+                            goto out;
                     }
                     n_writes++;
                 }
@@ -2318,6 +2317,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
         }
     }
 
+    result = PyLong_FromLong(status);
+out:    /* (with an error set, too: the registers say how far the pass got) */
     regs[0] = i;
     regs[1] = base;
     regs[2] = uref;
@@ -2329,21 +2330,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
     regs[8] = ic_misses;
     regs[9] = ic_fetch_lines;
     PyBuffer_Release(&cview);
-    return PyLong_FromLong(status);
-
-fail:
-    regs[0] = i;
-    regs[1] = base;
-    regs[2] = uref;
-    regs[3] = ev;
-    regs[4] = n_reads;
-    regs[5] = n_writes;
-    regs[6] = u_busy;
-    regs[7] = hot_n;
-    regs[8] = ic_misses;
-    regs[9] = ic_fetch_lines;
-    PyBuffer_Release(&cview);
-    return NULL;
+    return result;
 }
 
 /* ==================================================================== */

@@ -29,12 +29,14 @@ container as the reference loop would, and the next run on the same
 objects may be either engine's.
 
 The extension has two more sections this module only loads: the fused
-ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`; its
-rungs keep their fills and write buffers in the same words, written to
-the containers at ``ladder_release``) and the row-profile kernel
-(``row_profile``, called by :func:`repro.model.profile.build_row_profile`
-with its python functions as the contract).  One build, one
-``ABI_VERSION`` check, serves all three.
+ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
+row-profile kernel (``row_profile``, called by
+:func:`repro.model.profile.build_row_profile` with its python functions
+as the contract).  One build, one ``ABI_VERSION`` check, serves all
+three.  The ladder is a second driver of the same memory system: to C a
+ladder rung is what a cluster of a run is -- one SCC, described by
+:func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
+misses run the code a run's misses run.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
@@ -72,11 +74,11 @@ from ...instrument.probes import NULL_PROBE
 from ..packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
 
 __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
-           "run"]
+           "run", "scc_plan", "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder or profile entry points) changes.
-NATIVE_VERSION = "7"
+NATIVE_VERSION = "8"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -92,7 +94,7 @@ _SYNC = 2
 _OBJECT = 3
 _R_POS, _R_TIME, _R_PID, _R_SEQ = range(4)
 
-# Slot order of the per-cluster ``SccStats`` deltas (``S_*`` in _native.c)
+# Slot order of one SCC's ``SccStats`` deltas (``S_*`` in _native.c)
 _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
                "invalidations_sent", "invalidations_received",
                "interventions", "writebacks", "evictions",
@@ -118,6 +120,10 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-native"
 
 
+def _compiler() -> str:
+    return (sysconfig.get_config_var("CC") or "cc").split()[0]
+
+
 def _build_key(source: bytes) -> str:
     tag = (f"{sys.version_info[0]}.{sys.version_info[1]}-"
            f"{NATIVE_VERSION}-").encode() + source
@@ -136,7 +142,7 @@ def _compile_on_demand() -> Optional[object]:
     cache = _cache_dir()
     so_path = cache / f"_native_{_build_key(source)}{suffix}"
     if not so_path.is_file():
-        cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+        cc = _compiler()
         include = sysconfig.get_paths()["include"]
         tmp = so_path.with_suffix(so_path.suffix
                                   + f".tmp{os.getpid()}")
@@ -224,6 +230,36 @@ def ladder_available() -> bool:
     return load() is not None
 
 
+def scc_plan(scc, bus, lost_lines) -> tuple:
+    """One SCC's entry of a ``setup`` / ``ladder_setup`` plan
+    (``scc_setup`` in ``_native.c``): the storage C works on in place
+    (tag/state arrays, the clock of the ``bus`` it sits on), the
+    containers it reads into words and rewrites at release, and -- last
+    -- a zeroed row of ``_SCC_FIELDS`` deltas for :func:`settle_scc`.
+    ``lost_lines`` is the SCC's set, or ``None`` where no other SCC
+    exists to take a line away."""
+    tags = scc.array
+    return (tags._states, tags._tags, tags._index_mask, tags._tag_shift,
+            scc._inflight, scc.interconnect._write_buffers, lost_lines,
+            bus._clock, array("q", bytes(8 * len(_SCC_FIELDS))))
+
+
+def settle_scc(scc, entry: tuple) -> None:
+    """Add what C counted for ``scc`` -- the row of its :func:`scc_plan`
+    ``entry`` -- to the python counters the reference loop bumps as it
+    goes."""
+    deltas = dict(zip(_SCC_FIELDS, entry[-1]))
+    stats = scc.stats
+    for name, delta in deltas.items():
+        if delta:
+            setattr(stats, name, getattr(stats, name) + delta)
+    # C inlines the interconnect's bank and write-buffer arbitration, so
+    # its own two counters are settled here too.
+    interconnect = scc.interconnect
+    interconnect.conflict_cycles += deltas["bank_conflict_cycles"]
+    interconnect.write_stall_cycles += deltas["write_buffer_stall_cycles"]
+
+
 def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_generic`` on
     machines the interleaver found native-eligible.
@@ -271,8 +307,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
 
     limit = _NO_LIMIT if max_cycles is None else max_cycles
     scal = array("q", [
-        self._idx_mask,
-        self._tag_shift,
         config.line_offset_bits,
         n_banks,
         cl_icn[0].bank_cycle_time,
@@ -286,10 +320,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         config.memory_latency,
         1 if config.protocol == "mesi" else 0,
     ])
-    per_cluster = tuple(
-        (scc.array._states, scc.array._tags, icn._bank_free,
-         scc._inflight, scc._lost_lines, icn._write_buffers)
-        for scc, icn in zip(cl_scc, cl_icn))
+    per_cluster = tuple(scc_plan(scc, system.bus, scc._lost_lines)
+                        for scc in cl_scc)
     if icache_mode == 1:
         ic_tuple = tuple(
             (ic.array._states, ic.array._tags, ic.array._index_mask,
@@ -297,8 +329,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             for ic in ic_objs)
     else:
         ic_tuple = ()
-    n_fields = len(_SCC_FIELDS)
-    d_scc = array("q", bytes(8 * n_cl * n_fields))
     d_refs = array("q", bytes(8 * nproc))
     d_busy = array("q", bytes(8 * nproc))
     d_stall = array("q", bytes(8 * nproc))
@@ -321,12 +351,13 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         metrics = (probe.registry.bin_width, m_counts, m_series)
     plan = (
         per_cluster,
+        tuple(icn._bank_free for icn in cl_icn),
         (system.ifetch, self._queues),
         scal,
         ic_tuple,
-        (d_scc, d_refs, d_busy, d_stall, d_finish, d_icfetch, misc),
+        (d_refs, d_busy, d_stall, d_finish, d_icfetch, misc),
         regs,
-        (heap, array("q", proc_cluster), system.bus._clock),
+        (heap, array("q", proc_cluster)),
         metrics,
     )
     ctx = native.setup(plan)
@@ -410,18 +441,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                                "sync": returns[_SYNC],
                                "object": returns[_OBJECT]}
         self.events_processed += ev + misc[0]
-        for c in range(n_cl):
-            sstats = cl_scc[c].stats
-            deltas = dict(zip(_SCC_FIELDS,
-                              d_scc[c * n_fields:(c + 1) * n_fields]))
-            for name, delta in deltas.items():
-                if delta:
-                    setattr(sstats, name, getattr(sstats, name) + delta)
-            # The C loop inlines the interconnect's bank and write-buffer
-            # arbitration, so its own two counters are settled here too.
-            cl_icn[c].conflict_cycles += deltas["bank_conflict_cycles"]
-            cl_icn[c].write_stall_cycles += \
-                deltas["write_buffer_stall_cycles"]
+        for scc, entry in zip(cl_scc, per_cluster):
+            settle_scc(scc, entry)
         for p in range(nproc):
             refs = d_refs[p]
             busy = d_busy[p]

@@ -200,8 +200,6 @@ class TimingInterleaver:
         if self._native_eligible:
             self._proc_cluster = [config.cluster_of(p)
                                   for p in range(config.total_processors)]
-            self._idx_mask = lines - 1
-            self._tag_shift = lines.bit_length() - 1
         # Engine request (repro.trace.engine): an execution knob, never
         # an identity knob -- both engines are fingerprint-identical, so
         # results and cache keys do not depend on it.  ``None`` defers

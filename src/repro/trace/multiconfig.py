@@ -21,8 +21,11 @@ approximate: every size carries independent timing state (bus
 occupancy, write buffers, in-flight fills, icache refill stalls)
 expressed as a *skew* against a shared base clock, and events that
 could perturb a size's timing (misses, upgrades, live write-buffer or
-fill windows) are replayed inline for that size with the same
-arithmetic as the reference loop.  The result is bit-identical
+fill windows) are replayed inline for that size.  To C each rung is a
+one-cluster machine -- its system's own SCC arrays and bus clock, worked
+on in place -- and a rung's miss, upgrade or icache refill runs the very
+code a native run's does; only the shared clock, the skews and the live
+windows are the ladder's own.  The result is bit-identical
 statistics to running :class:`~repro.trace.record.ReplayApplication`
 once per configuration -- pinned by the equivalence suite -- at roughly
 the cost of a single replay.  There is one implementation of the pass:
@@ -66,31 +69,23 @@ Applicability is decided by :func:`fused_ladder_supported`: single
 process, shared-SCC snoopy machine, direct-mapped power-of-two
 geometry, write buffering enabled, and configurations differing *only*
 in ``scc_size``.  Everything else falls back to per-size replay in the
-sweep driver.  For parallel workloads (several processes, so interleave
-order is configuration-dependent) :func:`per_process_miss_surface`
-offers the classic approximation instead: each process's tape evaluated
-against the whole ladder at once, producing content-only miss counts
-with no timing claims.
+sweep driver.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import resolve_backend
+from .engine import native as native_backend, resolve_backend
 from .interleave import DeadlockError, SyncProtocolError, fused_replay_ok
-from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
-                     OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN)
+from .packed import (OP_BARRIER, OP_DEQUEUE, OP_ENQUEUE, OP_LOCK_ACQ,
+                     OP_LOCK_REL)
 from .record import ReplayApplication
-from ..core.cache import EXCLUSIVE, SHARED
 from ..core.config import SystemConfig
 from ..core.system import MultiprocessorSystem
 
-__all__ = ["fused_ladder_supported", "fused_ladder_results",
-           "per_process_miss_surface", "MissSurfacePoint"]
+__all__ = ["fused_ladder_supported", "fused_ladder_results"]
 
 
 def fused_ladder_supported(configs: Sequence[SystemConfig]) -> bool:
@@ -176,17 +171,17 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
     return results
 
 
-def _flush_ladder(systems, *, n_reads, n_writes, u_busy, sync_stall,
-                  d_rmiss, d_wmiss, d_upg, d_evict, d_wb, d_wbuf,
-                  d_bus_wait, d_stall, d_ic, bus_busy, bus_tx, bus_cyc,
-                  base, uref, skew, fin, folded, model_icache,
-                  ic_misses, ic_fetch_lines, ic_states,
+def _flush_ladder(systems, entries, *, n_reads, n_writes, u_busy,
+                  sync_stall, d_stall, d_ic, base, uref, skew, fin, folded,
+                  model_icache, ic_misses, ic_fetch_lines, ic_states,
                   ic_tags) -> List[int]:
     """Flush fused-pass deltas into each system; per-size finish times.
 
-    Everything the reference loop would have accumulated as it went:
-    the SCC, bus, processor and icache counters, and the icache's final
-    tag/state arrays.  Per-size sequences are ``array('q')``.
+    Everything the reference loop would have accumulated as it went and
+    C did not write in place (the bus clock is each system's own): the
+    SCC rows of ``entries``, the reference counts every rung shares, the
+    processor and icache counters, and the icache's final tag/state
+    arrays.  Per-size sequences are ``array('q')``.
     """
     busy_total = n_reads + n_writes + u_busy
     references = n_reads + n_writes
@@ -195,21 +190,9 @@ def _flush_ladder(systems, *, n_reads, n_writes, u_busy, sync_stall,
     for s in range(n_sizes):
         system = systems[s]
         scc = system.clusters[0].scc
-        sstats = scc.stats
-        sstats.reads += n_reads
-        sstats.writes += n_writes
-        sstats.read_misses += d_rmiss[s]
-        sstats.write_misses += d_wmiss[s]
-        sstats.upgrades += d_upg[s]
-        sstats.evictions += d_evict[s]
-        sstats.writebacks += d_wb[s]
-        sstats.bus_wait_cycles += d_bus_wait[s]
-        sstats.write_buffer_stall_cycles += d_wbuf[s]
-        scc.interconnect.write_stall_cycles += d_wbuf[s]
-        bus = system.bus
-        bus._busy_until = bus_busy[s]
-        bus.transactions += bus_tx[s]
-        bus.busy_cycles += bus_cyc[s]
+        scc.stats.reads += n_reads
+        scc.stats.writes += n_writes
+        native_backend.settle_scc(scc, entries[s])
         processor = system._procs[0]
         pstats = processor.stats
         pstats.references += references
@@ -248,25 +231,21 @@ def _fused_pass_native(ladder: List[SystemConfig],
     error messages and accounting match the reference loop's byte for
     byte.
 
-    State: each rung's tag/state arrays are its system's own, worked on
-    in place; its in-flight fills and write buffers are C words from
-    ``ladder_setup`` to ``ladder_release`` (``native.run``'s ownership
-    rule, one way).  ``systems`` must be fresh -- ``ladder_setup``
+    State: each rung's tag/state arrays and bus clock are its system's
+    own, worked on in place; its in-flight fills and write buffers are C
+    words from ``ladder_setup`` to ``ladder_release`` (``native.run``'s
+    ownership rule, one way).  ``systems`` must be fresh -- ``ladder_setup``
     refuses a rung whose ``_inflight`` dict or write-buffer lists hold
     anything -- and ``ladder_release``, reached on every path out of the
     pass, writes both containers; nothing may read them in between.
     """
-    from .engine import native as _native
-    native = _native.load()
+    native = native_backend.load()
     config = ladder[0]
     n_sizes = len(ladder)
-    per_size = []
-    for system in systems:
-        scc = system.clusters[0].scc
-        tags = scc.array
-        per_size.append((tags._states, tags._tags, tags._index_mask,
-                         tags._tag_shift, scc._inflight,
-                         scc.interconnect._write_buffers))
+    # One cluster cannot lose a line to a remote write: no lost-line set.
+    per_size = tuple(
+        native_backend.scc_plan(system.clusters[0].scc, system.bus, None)
+        for system in systems)
     model_icache = config.model_icache
     if model_icache:
         il_shift = config.icache_line_size.bit_length() - 1
@@ -280,25 +259,19 @@ def _fused_pass_native(ladder: List[SystemConfig],
         il_shift = ic_shift = ic_mask = 0
         ic_states = ic_tags = []
         ic_pair = ()
-    install_state = EXCLUSIVE if config.protocol == "mesi" else SHARED
     scal = array("q", [
-        config.line_offset_bits, config.num_banks, config.bus_occupancy,
+        config.line_offset_bits, config.num_banks,
+        config.write_buffer_depth, config.bus_occupancy,
         config.upgrade_bus_occupancy, config.memory_latency,
-        config.icache_miss_latency, config.write_buffer_depth,
-        install_state, 1 if model_icache else 0, il_shift, ic_mask,
-        ic_shift])
-    zeros = bytes(8 * n_sizes)
-    state = tuple(array("q", zeros) for _ in range(9))
+        1 if config.protocol == "mesi" else 0, config.icache_miss_latency,
+        1 if model_icache else 0, il_shift, ic_mask, ic_shift])
+    state = tuple(array("q", bytes(8 * n_sizes)) for _ in range(8))
     state[1][:] = array("q", [-1] * n_sizes)        # fin
-    (skew, fin, folded, _fill_live, _wb_live, _hot,
-     bus_busy, bus_tx, bus_cyc) = state
-    deltas = tuple(array("q", zeros) for _ in range(9))
-    (d_rmiss, d_wmiss, d_upg, d_evict, d_wb, d_wbuf,
-     d_bus_wait, d_stall, d_ic) = deltas
+    skew, fin, folded, _fill_live, _wb_live, _hot, d_stall, d_ic = state
     regs = array("q", [0] * 10)
     if not (type(data) is array and data.typecode == "q"):
         data = array("q", data)
-    plan = (tuple(per_size), scal, state, deltas, ic_pair, regs)
+    plan = (per_size, scal, state, ic_pair, regs)
     lock_oh = config.lock_overhead
     barrier_oh = config.barrier_overhead
     sync_stall = 0
@@ -358,134 +331,9 @@ def _fused_pass_native(ladder: List[SystemConfig],
     finally:
         native.ladder_release(ctx)
     times = _flush_ladder(
-        systems, n_reads=regs[4], n_writes=regs[5], u_busy=regs[6],
-        sync_stall=sync_stall, d_rmiss=d_rmiss, d_wmiss=d_wmiss,
-        d_upg=d_upg, d_evict=d_evict, d_wb=d_wb, d_wbuf=d_wbuf,
-        d_bus_wait=d_bus_wait, d_stall=d_stall, d_ic=d_ic,
-        bus_busy=bus_busy, bus_tx=bus_tx, bus_cyc=bus_cyc,
+        systems, per_size, n_reads=regs[4], n_writes=regs[5],
+        u_busy=regs[6], sync_stall=sync_stall, d_stall=d_stall, d_ic=d_ic,
         base=regs[1], uref=regs[2], skew=skew, fin=fin, folded=folded,
         model_icache=model_icache, ic_misses=regs[8],
         ic_fetch_lines=regs[9], ic_states=ic_states, ic_tags=ic_tags)
     return regs[3], times
-
-
-# ----------------------------------------------------------------------
-# Miss-surface mode for parallel workloads
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MissSurfacePoint:
-    """Content-only counts of one (process, SCC size) cell."""
-
-    reads: int
-    writes: int
-    read_misses: int
-    write_misses: int
-
-    @property
-    def miss_rate(self) -> float:
-        accesses = self.reads + self.writes
-        if not accesses:
-            return 0.0
-        return (self.read_misses + self.write_misses) / accesses
-
-
-def per_process_miss_surface(
-        config: SystemConfig,
-        scc_sizes: Iterable[int],
-        streams: Dict[int, Sequence[int]],
-) -> Dict[int, Dict[int, MissSurfacePoint]]:
-    """Approximate miss surface: each process's tape against all sizes.
-
-    For parallel workloads the interleave order depends on the machine,
-    so no fused *timing* replay exists; what one pass per process can
-    still deliver is the classic multi-configuration content analysis:
-    per-process miss counts for every ladder size simultaneously,
-    treating each process's references as a private stream (no
-    coherence, no contention, no timing).  Useful for scouting a
-    working-set knee before spending full simulations on it; never fed
-    into :class:`~repro.experiments.runner.RunStats`.
-
-    Returns ``{process: {scc_size: MissSurfacePoint}}``; sizes must be
-    powers of two holding more than one ``config.line_size`` line.
-    """
-    sizes = sorted(set(scc_sizes))
-    if not sizes:
-        raise ValueError("need at least one SCC size")
-    line_size = config.line_size
-    geometry = []
-    for size in sizes:
-        lines = size // line_size
-        if lines < 2 or lines & (lines - 1):
-            raise ValueError(
-                f"scc size {size} is not a power-of-two line count")
-        geometry.append((lines - 1, lines.bit_length() - 1))
-    line_shift = config.line_offset_bits
-    n_sizes = len(sizes)
-    surface: Dict[int, Dict[int, MissSurfacePoint]] = {}
-    for proc in sorted(streams):
-        data = streams[proc]
-        tags = [[-1] * (mask + 1) for mask, _ in geometry]
-        reads = writes = 0
-        rmiss = [0] * n_sizes
-        wmiss = [0] * n_sizes
-        tags0 = tags[0]
-        mask0, shift0 = geometry[0]
-
-        def touch(line: int, is_read: bool) -> None:
-            if tags0[line & mask0] == line >> shift0:
-                return          # resident at the smallest size: hit all
-            for s in range(n_sizes):
-                mask, shift = geometry[s]
-                slot = tags[s]
-                index = line & mask
-                tag = line >> shift
-                if slot[index] == tag:
-                    break       # inclusion: resident above too
-                slot[index] = tag
-                if is_read:
-                    rmiss[s] += 1
-                else:
-                    wmiss[s] += 1
-
-        i = 0
-        end = len(data)
-        while i < end:
-            op = data[i]
-            if op == OP_READ or op == OP_WRITE:
-                line = data[i + 1] >> line_shift
-                if op == OP_READ:
-                    reads += 1
-                    touch(line, True)
-                else:
-                    writes += 1
-                    touch(line, False)
-                i += 2
-            elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-                span_base = data[i + 1]
-                size = data[i + 2]
-                stride = data[i + 3]
-                is_read = op == OP_READ_SPAN
-                for offset in range(0, size, stride):
-                    line = (span_base + offset) >> line_shift
-                    if is_read:
-                        reads += 1
-                        touch(line, True)
-                    else:
-                        writes += 1
-                        touch(line, False)
-                i += 4
-            elif op in (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_DEQUEUE):
-                i += 2
-            elif op in (OP_IFETCH, OP_BARRIER, OP_ENQUEUE):
-                i += 3
-            else:
-                raise ValueError(f"unknown packed opcode {op} at {i}")
-        surface[proc] = {
-            sizes[s]: MissSurfacePoint(reads=reads, writes=writes,
-                                       read_misses=rmiss[s],
-                                       write_misses=wmiss[s])
-            for s in range(n_sizes)
-        }
-    return surface

@@ -23,10 +23,11 @@ must agree with it on everything the engine exposes:
   so the one baseline still serves every other engine).
 * **fused** -- the compiled multi-configuration ladder, run as a
   two-rung ladder and compared on its bottom rung: statistics, event
-  counts and final tag/state arrays (the rung's arrays *are* its
-  system's, worked on in place).  Not ``fills``: the ladder tracks
-  write-miss fills only, which a uniprocessor cannot observe.  Every
-  rung's invariants are checked on what the pass wrote back.
+  counts, bus counters and final tag/state arrays (the rung's arrays
+  and bus clock *are* its system's, worked on in place).  Not
+  ``fills``: the ladder tracks write-miss fills only, which a
+  uniprocessor cannot observe.  Every rung's invariants are checked on
+  what the pass wrote back.
 * **profile** -- not a timing engine: the extension's row-profile
   kernel (``row_profile``, what :func:`~repro.model.profile
   .build_row_profile` runs when the extension is loaded), compared on
@@ -165,7 +166,7 @@ def engine_registry() -> Dict[str, EngineSpec]:
         registry["instrumented"] = EngineSpec(
             "instrumented", _FULL + ("metrics",), _always)
         registry["fused"] = EngineSpec(
-            "fused", ("events", "stats", "arrays"), fused_eligible)
+            "fused", ("events", "stats", "bus", "arrays"), fused_eligible)
         registry["profile"] = EngineSpec("profile", ("profile",), _always)
     return registry
 
@@ -210,14 +211,10 @@ def run_tape(tape: Tape, mode: str,
         result.engine_used = interleaver.engine_used
         return result
     result.engine_used = interleaver.engine_used
-    stats = system.stats(execution_time)
-    bus = system.coherence.bus
     result.fingerprint = {
         **(result.fingerprint or {}),
         "events": interleaver.events_processed,
-        "stats": stats.as_dict(),
-        "bus": {"transactions": bus.transactions,
-                "busy_cycles": bus.busy_cycles},
+        "stats": system.stats(execution_time).as_dict(),
         **_state_at_rest(system),
     }
     if probe is not None:
@@ -226,11 +223,14 @@ def run_tape(tape: Tape, mode: str,
 
 
 def _state_at_rest(system: MultiprocessorSystem) -> Dict[str, object]:
-    """What a run leaves in each SCC's containers, by section: resident
-    lines, in-flight fills, and every bank's write buffer as a multiset
-    (heap layout is not part of the contract)."""
+    """What a run leaves in the machine, by section: the bus counters,
+    and in each SCC's containers the resident lines, in-flight fills,
+    and every bank's write buffer as a multiset (heap layout is not part
+    of the contract)."""
     sccs = dict(enumerate(cluster.scc for cluster in system.clusters))
     return {
+        "bus": {"transactions": system.bus.transactions,
+                "busy_cycles": system.bus.busy_cycles},
         "arrays": {cluster_id: sorted(scc.array.resident_lines())
                    for cluster_id, scc in sccs.items()},
         "fills": {cluster_id: sorted(scc._inflight.items())

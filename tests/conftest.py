@@ -23,14 +23,22 @@ READY_TIE_BREAK = ("(a->time == b->time && a->seq < b->seq)", "0")
 #: ... and when a hit forgets the fill it found landed (a cycle late
 #: moves no clock: only the table the run writes back shows it).
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")
-#: ... and two in the words a ladder rung keeps for itself: the victim's
-#: fill surviving its eviction (again no clock moves: the rung writes
-#: back a fill for a line it no longer holds) ...
-VICTIM_FILL_KEPT = ("fill_drop(&c->words[s], victim, index);",
-                    "(void)victim;")
-#: ... and a write buffer that gives up its newest entry first -- one
-#: helper under both the run and the ladder.
+#: ... and three in the code a run and a ladder rung share, so both
+#: engines answer for them: the victim's fill surviving its eviction (a
+#: fill for a line the SCC no longer holds) ...
+VICTIM_FILL_KEPT = (
+    "fill_set(&scc->words, line, idx, ready);",
+    "if (!victim_state) fill_set(&scc->words, line, idx, ready);")
+#: ... a write buffer that gives up its newest entry first ...
 WBUF_NEWEST_FIRST = ("return a < b;", "return a > b;")
+#: ... and a dirty victim's write-back holding the bus a cycle too long
+#: (the one miss path: ``install`` under ``run`` and the ladder alike).
+WRITEBACK_HOLDS_BUS = (
+    "bus_acquire(m, scc, start, m->bus_occ, &unawaited)",
+    "bus_acquire(m, scc, start, m->bus_occ + 1, &unawaited)")
+#: ... and one in what only a ladder has: a rung's skew against the
+#: shared clock.
+LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
 
 
 @pytest.fixture(autouse=True)

@@ -18,7 +18,6 @@ from repro.experiments.session import (FAULT_INJECT_ENV,
                                        prune_stale_journals, run_sweep)
 from repro.experiments.spec import ExperimentProfile, SweepSpec
 from repro.trace.record import ReplayApplication, TraceCache
-from repro.workloads.mp3d import MP3D
 
 
 @pytest.fixture
@@ -288,6 +287,34 @@ class TestSessionStages:
         for point, config in spec.configs().items():
             assert cache.get(spec.point_key(config)) is not None
 
+    def test_an_interrupted_stage_keeps_the_points_it_computed(
+            self, tmp_path, tiny_profile, no_trace_stage):
+        """Journal-less, like a fabric worker's session: the result cache
+        is all that outlives a ^C, and each simulated point is in it as
+        soon as it is computed -- and before anybody hears of it."""
+        spec = _grid_spec(tiny_profile)
+        cache = ResultCache(tmp_path / "cache")
+        keys = {point: spec.point_key(config)
+                for point, config in spec.configs().items()}
+        heard = []
+
+        def compute(benchmark, profile, config, instrument, point,
+                    backend=None):
+            if len(heard) == 2:
+                raise KeyboardInterrupt
+            return _stats(point[1])
+
+        def progress(point, status, done, total, counters):
+            heard.append((point, cache.get(keys[point]) is not None))
+
+        with pytest.raises(KeyboardInterrupt):
+            SweepSession(spec, cache=cache, compute=compute,
+                         progress=progress).run()
+        assert [banked for _, banked in heard] == [True, True]
+        assert sorted(point for point in keys
+                      if cache.get(keys[point]) is not None) \
+            == sorted(point for point, _ in heard)
+
     def test_progress_callback_sees_every_point(self, tmp_path,
                                                 tiny_profile,
                                                 no_trace_stage):
@@ -323,22 +350,6 @@ def simulations(monkeypatch):
 
 
 class TestEngineDoor:
-    def test_miss_surface_records_through_the_runner(
-            self, tmp_path, tiny_profile, monkeypatch, simulations):
-        """One recording cold, none once the (deterministic) row's tape
-        is in the trace cache handed in."""
-        monkeypatch.setattr(MP3D, "deterministic_stream", True)
-        ladder = (2 * KB, 8 * KB)
-        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile,
-                                      procs_per_cluster=2, ladder=ladder)
-        tapes = TraceCache(tmp_path)
-        cold = run_sweep(spec, trace_cache=tapes)
-        assert len(simulations.seen) == 1
-        assert sorted(cold) == list(range(8))
-        assert all(tuple(row) == ladder for row in cold.values())
-        assert run_sweep(spec, trace_cache=tapes) == cold
-        assert len(simulations.seen) == 1
-
     def test_kill_mid_replay_stage_loses_only_the_rung_in_flight(
             self, tmp_path, tiny_profile, simulations):
         """An instrumented uniprocessor row replays rung by rung; dying

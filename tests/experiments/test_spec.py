@@ -38,6 +38,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(kind="grid"),
+        dict(kind="miss-surface"),      # a sweep kind until 1.5
         dict(benchmark="linpack"),
         dict(ladder=()),
         dict(ladder=(0,)),
@@ -65,14 +66,6 @@ class TestValidation:
             SweepSpec(kind="multiprogramming", benchmark="mp3d",
                       profile=tiny_profile)
 
-    def test_miss_surface_takes_one_row(self, tiny_profile):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="miss-surface", benchmark="mp3d",
-                      profile=tiny_profile, procs=(1, 2))
-        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile,
-                                      procs_per_cluster=4)
-        assert spec.procs == (4,)
-
 
 class TestConfigs:
     def test_parallel_grid(self, tiny_profile):
@@ -94,11 +87,6 @@ class TestConfigs:
         assert config.model_icache
         assert config.icache_size == max(
             16 * KB // tiny_profile.ladder_scale, 512)
-
-    def test_miss_surface_has_no_point_grid(self, tiny_profile):
-        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile)
-        with pytest.raises(ValueError):
-            spec.configs()
 
 
 class TestCacheKeys:

@@ -69,6 +69,8 @@ class TestSpecWire:
         lambda p: p.pop("benchmark"),
         lambda p: p.pop("profile"),
         lambda p: p.__setitem__("profile", "not-a-dict"),
+        # a 1.4 client's: the kind is gone, the broker never sees it
+        lambda p: p.__setitem__("kind", "miss-surface"),
     ])
     def test_malformed_payloads_rejected(self, tiny_spec, mangle):
         payload = tiny_spec.to_wire()

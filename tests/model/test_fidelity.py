@@ -52,11 +52,6 @@ class TestSpecValidation:
                                        fidelity="analytical",
                                        instrument=True)
 
-    def test_miss_surface_has_no_analytical_mode(self, tiny_profile):
-        with pytest.raises(ValueError):
-            SweepSpec.miss_surface("mp3d", profile=tiny_profile,
-                                   fidelity="analytical")
-
 
 class TestPointKeys:
     def test_full_fidelity_keys_are_the_historical_format(
@@ -196,91 +191,20 @@ class TestAnalyticalSession:
 
 
 class TestStrictParallel:
-    """strict_parallel: analytical sweeps refuse the surrogate on
-    multi-processor parallel rows and resolve them exactly instead."""
-
-    def _parallel_spec(self, tiny_profile, **knobs):
-        knobs.setdefault("ladder", (2 * KB, 4 * KB))
-        knobs.setdefault("procs", (1, 2))
-        if knobs.get("fidelity") == "analytical":
-            knobs.setdefault("instrument", False)
-        return SweepSpec.parallel("mp3d", profile=tiny_profile, **knobs)
-
-    def test_only_analytical_specs_accept_it(self, tiny_profile):
-        with pytest.raises(ValueError, match="strict_parallel"):
-            self._parallel_spec(tiny_profile, strict_parallel=True)
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        assert spec.strict_parallel
-
-    def test_refusal_targets_multiproc_parallel_rows(self, tiny_profile):
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        configs = spec.configs()
-        for (procs, _), config in configs.items():
-            assert spec.analytical_refused(config) == (procs > 1)
-        # Multiprogramming rows (single cluster) are never refused.
-        multi = _spec(tiny_profile, fidelity="analytical",
-                      strict_parallel=True)
-        assert not any(multi.analytical_refused(c)
-                       for c in multi.configs().values())
-
-    def test_refused_rows_keep_exact_point_keys(self, tiny_profile):
-        """A refused row resolves exactly, so it must be cached under
-        the exact key -- mutually warm with ordinary fused sweeps and
-        never serving a stale prediction."""
-        strict = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                     strict_parallel=True)
-        exact = self._parallel_spec(tiny_profile, instrument=False)
-        for point, config in strict.configs().items():
-            key = strict.point_key(config)
-            if strict.analytical_refused(config):
-                assert key == exact.point_key(config)
-                assert "fidelity=analytical" not in key
-            else:
-                assert f"|model=v{MODEL_VERSION}" in key
-
-    def test_strict_parallel_is_identity(self, tiny_profile):
-        plain = self._parallel_spec(tiny_profile, fidelity="analytical")
-        strict = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                     strict_parallel=True)
-        assert plain.signature() != strict.signature()
-        assert strict.describe()["strict_parallel"] is True
-        assert "strict_parallel" not in plain.describe()
-
-    def test_session_resolves_refused_rows_exactly(self, tmp_path,
-                                                   tiny_profile):
-        trace_cache = TraceCache(tmp_path / "traces")
-        cache = ResultCache(tmp_path / "results")
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        session = SweepSession(spec, cache=cache,
-                               trace_cache=trace_cache)
-        result = session.run()
-        assert len(result.sweep) == len(spec.configs())
-        refused = sum(1 for c in spec.configs().values()
-                      if spec.analytical_refused(c))
-        assert refused > 0
-        assert session.counters["analytical"] == \
-            len(spec.configs()) - refused
-
-        # Refused rows match a plain exact sweep bit-for-bit.
-        exact = self._parallel_spec(tiny_profile, instrument=False)
-        exact_result = run_sweep(exact, cache=cache,
-                                 trace_cache=trace_cache)
-        for point, config in spec.configs().items():
-            if spec.analytical_refused(config):
-                assert result.sweep[point].as_dict() == \
-                    exact_result[point].as_dict()
+    """``strict_parallel`` was a spec field until 1.5 (the optimizer
+    routes known-bad rows itself, before a spec is built); what is left
+    of it is a key old wire payloads may still carry."""
 
     def test_wire_round_trip_preserves_new_fields(self, tiny_profile):
         spec = SweepSpec.parallel(
             "mp3d", profile=tiny_profile, ladder=(4 * KB,), procs=(1,),
             fidelity="analytical", instrument=False,
-            strict_parallel=True,
             variants=(("associativity", 2), ("protocol", "mesi")))
-        clone = SweepSpec.from_wire(spec.to_wire())
+        assert "strict_parallel" not in spec.to_wire()
+        # a 1.4 payload: the key is accepted and ignored
+        clone = SweepSpec.from_wire(dict(spec.to_wire(),
+                                         strict_parallel=True))
         assert clone == spec
-        assert clone.strict_parallel
+        assert clone.signature() == spec.signature()
         assert clone.variants == (("associativity", 2),
                                   ("protocol", "mesi"))

@@ -197,8 +197,8 @@ class TestGeometryGuards:
 
 class TestParallelFidelityGuard:
     """Multi-processor parallel rows are outside the surrogate's
-    validated regime: by default it warns (once), and strict callers
-    get a refusal they can catch to fall back to exact tiers."""
+    validated regime: it warns, once per process (the optimizer routes
+    such rows to the exact tiers before it ever asks)."""
 
     def _parallel_profile(self):
         streams = {p: encode_events([Read((p * 64 + i) * 16)
@@ -225,13 +225,6 @@ class TestParallelFidelityGuard:
             warnings.simplefilter("error")
             predict_point(profile, config)
 
-    def test_strict_parallel_raises(self, monkeypatch):
-        from repro.model import ParallelFidelityError
-        self._reset_warning(monkeypatch)
-        profile, config = self._parallel_profile()
-        with pytest.raises(ParallelFidelityError, match="known-bad"):
-            predict_point(profile, config, strict_parallel=True)
-
     def test_single_processor_rows_stay_silent(self, monkeypatch):
         self._reset_warning(monkeypatch)
         streams = {0: encode_events([Read(i * 16) for i in range(8)]),
@@ -243,7 +236,7 @@ class TestParallelFidelityGuard:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            predict_point(profile, config, strict_parallel=True)
+            predict_point(profile, config)
 
 
 class _OnTheReferenceKernel:

@@ -59,12 +59,28 @@ class TestFunnelEvaluator:
             "analytical", "multiprogramming", 2) == "analytical"
         assert evaluator._effective_tier("fused", "mp3d", 2) == "fused"
 
-    def test_analytical_specs_carry_strict_parallel(self, evaluator):
-        spec = evaluator._build_spec("mp3d", 1, (4 * KB,), (),
-                                     "analytical")
-        assert spec.strict_parallel and not spec.instrument
-        exact = evaluator._build_spec("mp3d", 2, (4 * KB,), (), "fused")
-        assert not exact.strict_parallel and exact.instrument
+    def test_analytical_batch_on_multiproc_row_runs_fused(
+            self, evaluator, monkeypatch):
+        """The policy lives in the evaluator alone (the spec has no
+        knob for it): asked to triage a 4-processor parallel candidate,
+        it submits fused specs and bills the fused ledger."""
+        submitted = []
+        run_spec = evaluator._run_spec
+        monkeypatch.setattr(
+            evaluator, "_run_spec",
+            lambda spec: submitted.append(spec) or run_spec(spec))
+        evaluator.evaluate([Candidate(4, 32 * KB)], "analytical")
+        # the normalization base, then the candidate's row
+        assert [spec.procs for spec in submitted] == [(8,), (4,)]
+        assert all(spec.fidelity == "fused" and spec.instrument
+                   for spec in submitted)
+        assert evaluator.budget.spent("analytical") == 0
+        assert evaluator.budget.spent("fused") == 2
+        # a uniprocessor row is the surrogate's to price
+        evaluator.evaluate([Candidate(1, 32 * KB)], "analytical")
+        assert submitted[-1].fidelity == "analytical"
+        assert not submitted[-1].instrument
+        assert evaluator.budget.spent("analytical") == 1
 
     def test_evaluation_scores_and_memoizes(self, evaluator):
         candidates = [Candidate(1, 32 * KB), Candidate(2, 32 * KB)]

@@ -987,9 +987,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "7"
+        assert native.NATIVE_VERSION == "8"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '7'")
+            "stale extension old.so: ABI '5', need '8'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()
@@ -1022,3 +1022,24 @@ class TestNativeAbiGuard:
         assert "no cc" in native.LOAD_ERROR
         assert engine.resolve_backend("native") == "python"
         assert "stale extension" in engine.engine_degradation("native")
+
+
+@needs_native
+def test_extension_compiles_warning_free(tmp_path):
+    """``_native.c`` under ``-Wall -Wextra -Werror`` with the compiler the
+    loader builds it with (which asks for no warnings, so a refactor
+    could land one through tier 1; CI's ``engines`` job has the same
+    gate)."""
+    import shutil
+    import subprocess
+    import sysconfig
+    from repro.trace.engine import native
+    cc = native._compiler()
+    if shutil.which(cc) is None:    # a prebuilt extension, no toolchain
+        pytest.skip(f"no C compiler ({cc}) to build the extension with")
+    result = subprocess.run(
+        [cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         f"-I{sysconfig.get_paths()['include']}",
+         str(native._source_path()), "-o", str(tmp_path / "_native.so")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

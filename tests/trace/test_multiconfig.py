@@ -19,10 +19,9 @@ from repro.simulation import run_simulation
 from repro.trace.engine import native_available
 from repro.trace.interleave import (DeadlockError, SyncProtocolError,
                                     fused_replay_ok)
-from repro.trace.multiconfig import (MissSurfacePoint, _fused_pass_native,
+from repro.trace.multiconfig import (_fused_pass_native,
                                      fused_ladder_results,
-                                     fused_ladder_supported,
-                                     per_process_miss_surface)
+                                     fused_ladder_supported)
 from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                                 OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                                 OP_LOCK_REL, OP_READ, OP_READ_SPAN,
@@ -265,10 +264,14 @@ class TestNativeLadderErrorParity:
 # What a pass leaves in each rung's containers
 # ----------------------------------------------------------------------
 
+def rung_scc(system):
+    return system.clusters[0].scc
+
+
 def end_state(system, time, events=None):
     """Everything a pass leaves behind on one rung (heap layout of a
     write buffer is not part of the contract, its multiset is)."""
-    scc = system.clusters[0].scc
+    scc = rung_scc(system)
     state = [sorted(scc._inflight.items()),
              [sorted(bank) for bank in scc.interconnect._write_buffers],
              sorted(scc.array.resident_lines()),
@@ -316,25 +319,31 @@ class TestRungState:
         assert digest.hexdigest() == self.PINNED
 
     @pytest.mark.parametrize("spoil, error", [
-        (lambda scc: setattr(scc, "_inflight", []), TypeError),
-        (lambda scc: setattr(scc.interconnect, "_write_buffers",
-                             tuple(scc.interconnect._write_buffers)),
-         TypeError),
-        (lambda scc: scc.interconnect._write_buffers.__setitem__(2, ()),
-         TypeError),
-        (lambda scc: scc.interconnect._write_buffers.pop(), ValueError),
+        (lambda rung: setattr(rung_scc(rung), "_inflight", []), TypeError),
+        (lambda rung: setattr(
+            rung_scc(rung).interconnect, "_write_buffers",
+            tuple(rung_scc(rung).interconnect._write_buffers)), TypeError),
+        (lambda rung: rung_scc(rung).interconnect._write_buffers
+         .__setitem__(2, ()), TypeError),
+        (lambda rung: rung_scc(rung).interconnect._write_buffers.pop(),
+         ValueError),
         # a pass cannot begin mid-machine: nothing could tell it the
         # live windows and skew these entries come with
-        (lambda scc: scc._inflight.update({0: 100}), ValueError),
-        (lambda scc: scc.interconnect._write_buffers[1].append(50),
+        (lambda rung: rung_scc(rung)._inflight.update({0: 100}),
+         ValueError),
+        (lambda rung: rung_scc(rung).interconnect._write_buffers[1]
+         .append(50), ValueError),
+        # the rung's bus is worked on in place, as BUS_* words
+        (lambda rung: setattr(rung.bus, "_clock", array("q", [0, 0])),
          ValueError),
     ], ids=["fills-not-a-dict", "buffers-not-a-list", "bank-not-a-list",
-            "a-bank-short", "fill-in-flight", "write-buffered"])
+            "a-bank-short", "fill-in-flight", "write-buffered",
+            "bus-clock-short"])
     def test_setup_refuses_a_rung_it_cannot_own(self, spoil, error):
         configs = ladder()
         systems = [MultiprocessorSystem(config) for config in configs]
-        scc = systems[1].clusters[0].scc
-        spoil(scc)
+        spoil(systems[1])
+        scc = rung_scc(systems[1])
         before = (repr(scc._inflight),
                   repr(scc.interconnect._write_buffers))
         with pytest.raises(error):
@@ -342,7 +351,8 @@ class TestRungState:
         assert (repr(scc._inflight),
                 repr(scc.interconnect._write_buffers)) == before
         for system in systems:      # nothing ran, nothing was written
-            assert not list(system.clusters[0].scc.array.resident_lines())
+            assert not list(rung_scc(system).array.resident_lines())
+            assert system.bus.transactions == 0
 
     def test_a_pass_that_raises_mid_tape_still_writes_its_state(self):
         """``ladder_release`` runs in a ``finally``: the rungs get the
@@ -361,59 +371,3 @@ class TestRungState:
         with pytest.raises(ValueError, match="stride"):
             _fused_pass_native(configs, aborted, bad)
         assert [end_state(system, 0)[:3] for system in aborted] == expected
-
-
-# ----------------------------------------------------------------------
-# Miss-surface mode (parallel workloads)
-# ----------------------------------------------------------------------
-
-class TestMissSurface:
-    def make_streams(self):
-        return {
-            0: array("q", [OP_READ, 0, OP_READ, 1024, OP_READ, 0,
-                           OP_WRITE, 64, OP_COMPUTE, 5]),
-            1: array("q", [OP_READ_SPAN, 0, 256, 16,
-                           OP_WRITE_SPAN, 0, 256, 16]),
-        }
-
-    def test_counts_and_inclusion(self):
-        config = uni_config(512)
-        surface = per_process_miss_surface(config, SIZES,
-                                           self.make_streams())
-        assert set(surface) == {0, 1}
-        point = surface[0][512]
-        assert point.reads == 3 and point.writes == 1
-        # Addresses 0 and 1024 share a set below 2 KB (their line numbers
-        # 0 and 64 mask to the same index): read 0 misses, 1024 misses
-        # and evicts it, 0 misses again.
-        assert point.read_misses == 3
-        # At 2 KB (128 lines) they coexist: two cold read misses only.
-        assert surface[0][2048].read_misses == 2
-        # Monotone non-increasing misses up the ladder (inclusion).
-        for proc in surface:
-            rates = [surface[proc][size].read_misses
-                     + surface[proc][size].write_misses
-                     for size in SIZES]
-            assert rates == sorted(rates, reverse=True)
-
-    def test_span_writes_hit_after_reads(self):
-        surface = per_process_miss_surface(uni_config(512), [512],
-                                           self.make_streams())
-        point = surface[1][512]
-        # The write span re-touches the lines the read span installed.
-        assert point.reads == 16 and point.writes == 16
-        assert point.read_misses == 16 and point.write_misses == 0
-        assert point.miss_rate == pytest.approx(0.5)
-
-    def test_point_math(self):
-        point = MissSurfacePoint(reads=0, writes=0, read_misses=0,
-                                 write_misses=0)
-        assert point.miss_rate == 0.0
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            per_process_miss_surface(uni_config(), [768],
-                                     self.make_streams())
-        with pytest.raises(ValueError):
-            per_process_miss_surface(uni_config(), [],
-                                     self.make_streams())

@@ -14,10 +14,12 @@ and the C "profile" section -- where a third mutant
 engine.  Two more sit in the state a native run keeps for itself between
 ``setup`` and ``release`` -- the ready heap (``READY_TIE_BREAK``) and the
 in-flight fill words (``FILL_FORGOTTEN``) -- and are the ``native``
-engine's to answer for.  The last two sit in the words the fused ladder
-keeps the same way: one in the ladder's own code (``VICTIM_FILL_KEPT``:
-the ``fused`` engine's alone), one in the write-buffer helper the ladder
-shares with the run (``WBUF_NEWEST_FIRST``: both engines')."""
+engine's to answer for.  The fused ladder is a second driver of the same
+C memory system -- a rung is a one-cluster machine -- so a mutant in what
+a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
+in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
+engines' to report, and one in what only a ladder has
+(``LADDER_SKEW``) is the ``fused`` engine's alone."""
 
 import pytest
 
@@ -26,8 +28,9 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import (FILL_FORGOTTEN, READ_MISS_DONE, READY_TIE_BREAK,
-                        VICTIM_FILL_KEPT, WBUF_NEWEST_FIRST)
+from ..conftest import (FILL_FORGOTTEN, LADDER_SKEW, READ_MISS_DONE,
+                        READY_TIE_BREAK, VICTIM_FILL_KEPT,
+                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -190,59 +193,89 @@ def _diff_of(tape, engine):
                     spec.sections)
 
 
+def _first_dirty_ladder_tape(engine):
+    """The first generated tape the ladder takes whose ``engine`` run
+    differs from the reference loop's, and the predicate that says so."""
+    def dirty(tape):
+        return bool(fused_eligible(tape)) and _diff_of(tape, engine) \
+            is not None
+
+    for index in range(100):
+        tape = generate_tape(f"0:{index}")
+        if dirty(tape):
+            return tape, dirty
+    pytest.fail(f"no fused-eligible tape engaged the mutated path "
+                f"on {engine}")
+
+
+def _clean_unmutated(tape):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_mod", native._UNSET)
+        return diff_tape(tape) is None
+
+
 @needs_native
 class TestLadderStateMutationIsCaught:
-    """A rung's fills and write buffers live in C words from
-    ``ladder_setup`` to ``ladder_release``; what the pass writes back,
-    and what the words decide on the way, are the ``fused`` engine's to
-    answer for."""
+    """A ladder rung is a ``Machine`` of one SCC: its misses, its fill
+    words and its write buffers are worked by the code a run's are, so
+    on a tape both engines take a mutant there diverges both; only a
+    mutant in the ladder's own clock arithmetic is ``fused``'s alone."""
+
+    @staticmethod
+    def diverges_both(lead):
+        """A tape dirty on ``lead``, shrunk while it stays so, is dirty
+        on the other of ``native`` / ``fused`` too -- and clean
+        unmutated.  Returns the shrunk tape."""
+        other = {"native": "fused", "fused": "native"}[lead]
+        tape, dirty = _first_dirty_ladder_tape(lead)
+        shrunk, checks = shrink_tape(tape, dirty)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert _diff_of(shrunk, other) is not None
+        assert _clean_unmutated(shrunk)
+        return shrunk
 
     def test_a_victims_fill_kept_fails_the_fill_tracking_check(
             self, mutant_native, monkeypatch):
-        """No clock moves and no statistic: the rung hands back a fill
-        for a line it evicted, and ``check_invariants`` on what was
-        written back is what says so."""
+        """A rung's clocks rarely notice (its one process waits out most
+        fills): the pass hands back a fill for a line it evicted, and
+        ``check_invariants`` on what was written back says so.  The run
+        answers for the same statement in ``install``."""
         monkeypatch.setattr(native, "_mod",
                             mutant_native(*VICTIM_FILL_KEPT))
-        tape, divergence = _first_diverging_tape()
-        assert divergence.kind == "fused"
-        assert divergence.other.error[0] == "AssertionError"
-        assert "fill-tracking leak" in divergence.other.error[1]
-        assert _diff_of(tape, "native") is None     # not the run's code
-        shrunk, checks = shrink_tape(tape)
+        shrunk = self.diverges_both("fused")
+        error = run_tape(shrunk, "fused").error
+        assert error[0] == "AssertionError"
+        assert "fill-tracking leak" in error[1]
+
+    @pytest.mark.parametrize("mutation", [
+        WBUF_NEWEST_FIRST,
+        # the miss path exists once: before a rung was a ``Machine`` the
+        # same text diverged ``native`` alone
+        WRITEBACK_HOLDS_BUS,
+    ], ids=["write_buffer_pops_its_newest", "write_back_holds_the_bus"])
+    def test_a_write_buffer_popping_its_newest_entry_diverges_both(
+            self, mutation, mutant_native, monkeypatch):
+        """Code under the run and the ladder: whichever engine the
+        registry asks first reports it, and the other's diff of the
+        shrunk tape is dirty too."""
+        monkeypatch.setattr(native, "_mod", mutant_native(*mutation))
+        first = next(name for name in engine_registry()
+                     if name in ("native", "fused"))
+        shrunk = self.diverges_both(first)
+        assert diff_tape(shrunk).kind == first
+
+    def test_a_skew_off_by_one_diverges_the_ladder_alone(
+            self, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*LADDER_SKEW))
+        tape, dirty = _first_dirty_ladder_tape("fused")
+        assert diff_tape(tape).kind == "fused"      # not the run's code
+        shrunk, checks = shrink_tape(tape, dirty)
         assert checks >= 1
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "fused"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", native._UNSET)
-            assert diff_tape(shrunk) is None
-
-    def test_a_write_buffer_popping_its_newest_entry_diverges_both(
-            self, mutant_native, monkeypatch):
-        """One helper under the run and the ladder: on a tape both
-        engines take, whichever the registry asks first reports it and
-        the other's diff of the shrunk tape is dirty too."""
-        monkeypatch.setattr(native, "_mod",
-                            mutant_native(*WBUF_NEWEST_FIRST))
-        for index in range(100):
-            tape = generate_tape(f"0:{index}")
-            divergence = fused_eligible(tape) and diff_tape(tape)
-            if divergence:
-                break
-        else:
-            pytest.fail("no fused-eligible tape met a full write buffer")
-        engines = [name for name in engine_registry()
-                   if name in ("native", "fused")]
-        assert divergence.kind == engines[0]
-        assert divergence.detail
-        shrunk, checks = shrink_tape(tape)
-        assert checks >= 1
-        assert shrunk.total_events() <= 50
-        assert diff_tape(shrunk).kind == engines[0]
-        assert _diff_of(shrunk, engines[1]) is not None
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", native._UNSET)
-            assert diff_tape(shrunk) is None
+        assert _clean_unmutated(shrunk)
 
 
 class TestUnmutatedBaseline:
