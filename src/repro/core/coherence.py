@@ -271,14 +271,14 @@ class CoherenceController:
         The invariant: a line MODIFIED in some SCC must be INVALID in every
         other SCC (SHARED copies may coexist freely).
         """
-        owners: dict = {}
-        holders: dict = {}
-        for index, scc in enumerate(self.sccs):
+        held: dict = {}     # line -> copies, a set-associative SCC's each
+        owned: dict = {}    # MODIFIED/EXCLUSIVE lines, in order of sighting
+        for scc in self.sccs:
             for line, state in scc.array.resident_lines():
-                holders.setdefault(line, []).append((index, state))
+                held[line] = held.get(line, 0) + 1
                 if state in (MODIFIED, EXCLUSIVE):
-                    owners.setdefault(line, []).append(index)
-        for line, owner_list in owners.items():
-            if len(owner_list) > 1 or len(holders[line]) > 1:
+                    owned[line] = None
+        for line in owned:
+            if held[line] > 1:
                 return line
         return None

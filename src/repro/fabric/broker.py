@@ -250,10 +250,14 @@ class Broker:
     # Worker API
     # ------------------------------------------------------------------
 
-    def lease(self, worker_id: str) -> Optional[dict]:
-        """Hand the next pending unit to ``worker_id`` (or ``None``)."""
+    def lease(self, worker_id: str, wait: float = 0.0) -> Optional[dict]:
+        """Hand the next pending unit to ``worker_id`` (or ``None``).
+        An idle worker may ``wait`` that many seconds for one: once, on
+        the condition :meth:`submit` notifies."""
         with self._lock:
             self._touch(worker_id)
+            if wait > 0 and not self._queue:
+                self._wake.wait(wait)
             self._reap()
             while self._queue:
                 unit = self._units.get(self._queue.popleft())

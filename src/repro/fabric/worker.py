@@ -74,24 +74,23 @@ class Worker:
             idle_wait: float = 0.05) -> int:
         """Lease-and-execute until ``stop`` is set, ``max_units`` have
         run, or (with neither given) the queue drains.  Returns the
-        number of units executed."""
+        number of units executed.  With ``stop``, an idle worker waits
+        on the broker (``idle_wait`` a lease) and not on a timer."""
         executed = 0
+        wait = 0.0 if stop is None else idle_wait
         while stop is None or not stop.is_set():
             if max_units is not None and executed >= max_units:
                 break
-            if not self.run_once():
-                if stop is None and max_units is None:
-                    break           # drain mode: queue is empty
-                if stop is not None and stop.wait(idle_wait):
-                    break
-            else:
+            if self.run_once(wait):
                 executed += 1
+            elif stop is None and max_units is None:
+                break               # drain mode: queue is empty
         return executed
 
-    def run_once(self) -> bool:
+    def run_once(self, wait: float = 0.0) -> bool:
         """Lease one unit and execute it; ``False`` when the broker had
-        no pending work."""
-        lease = self.broker.lease(self.worker_id)
+        no pending work (after ``wait`` seconds, when given)."""
+        lease = self.broker.lease(self.worker_id, wait)
         if lease is None:
             return False
         try:

@@ -213,7 +213,7 @@ class InstrumentationProbe(NullProbe):
     # ------------------------------------------------------------------
 
     def absorb(self, counts: Dict[str, int], bus, bank_conflict,
-               write_buffer, busy, memory) -> None:
+               write_buffer, busy, memory, sync) -> None:
         """Fold in what an engine recorded on this probe's behalf --
         the callbacks above, pre-binned at ``registry.bin_width`` --
         leaving the registry as the callbacks themselves would have.
@@ -221,8 +221,8 @@ class InstrumentationProbe(NullProbe):
         ``counts`` maps counter names to totals.  The rest are integer
         bin series, empty where nothing was recorded: ``bus`` is
         (occupancy, wait, invalidations), ``bank_conflict`` is indexed
-        ``[cluster][bank]``, ``write_buffer`` by cluster, ``busy`` and
-        ``memory`` by processor.  A counter or timeline nothing touched
+        ``[cluster][bank]``, ``write_buffer`` by cluster, ``busy``,
+        ``memory`` and ``sync`` by processor.  A counter or timeline nothing touched
         is not created, sums add and high-water marks max, so the
         result does not depend on what the callbacks recorded before,
         or on the order of the merge.
@@ -245,7 +245,8 @@ class InstrumentationProbe(NullProbe):
         for cluster, bins in enumerate(write_buffer):
             if len(bins):
                 self._wb_timeline(cluster).absorb(bins)
-        for kind, series in (("busy", busy), ("memory", memory)):
+        for kind, series in (("busy", busy), ("memory", memory),
+                             ("sync", sync)):
             for proc, bins in enumerate(series):
                 if len(bins):
                     self._proc_timeline(proc, kind).absorb(bins)

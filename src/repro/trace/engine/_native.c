@@ -1,63 +1,56 @@
-/* Packed-chunk scheduler and drain loop for the repro timing interleaver.
+/* Scheduler, drain loop and synchronization for the repro timing
+ * interleaver.
  *
  * The one fast implementation of the timing model.  Its contract is the
  * reference loop's -- ``TimingInterleaver._run_generic`` driving the
  * repro.core objects one event at a time (src/repro/trace/interleave.py)
- * -- and C owns the whole data path: hits, bank/write-buffer timing, the
- * snoopy MSI/MESI miss path with its bus arbitration, and scheduling.
- * Python (engine/native.py) owns the generators, the synchronization
- * handlers, the task queues' python items and instruction-cache refills
- * (the one callback left).  Under the standard ``InstrumentationProbe`` C
- * also owns observability of what it executes: the "metrics" section bins
- * what the python objects would have told the probe, and the wrapper
- * folds it into the probe's registry once, after the run.  Everything
- * here must stay observably identical to the reference loop -- the
- * differential verifier diffs fingerprints, error messages and (probed)
- * every counter and bin.
+ * -- and between ``setup`` and ``release`` C owns the run: the data path
+ * (hits, bank/write-buffer timing, the snoopy MSI/MESI miss path with its
+ * bus arbitration), scheduling, the locks, barriers and task queues, and
+ * the resuming of the application generators, whose bodies are the only
+ * python that runs in between (instruction-cache refills, the one callback
+ * left, aside).  Under the standard ``InstrumentationProbe`` C also owns
+ * observability of what it executes: the "metrics" section bins what the
+ * python objects would have told the probe, and the wrapper folds it into
+ * the probe's registry once, after the run.  Everything here must stay
+ * observably identical to the reference loop -- the differential verifier
+ * diffs fingerprints, error messages and (probed) every counter and bin.
  *
  * Ownership: python containers are the machine's state *at rest*; between
  * ``setup`` and ``release`` C works on its own copy, and nothing in
- * python reads or writes the machine in between (every memory event a
- * generator yields as an object reaches C as a one-event chunk).
+ * python reads or writes the machine in between.
  *
  *   - tag/state arrays, bank free times, the bus clock: ``array('q')``
  *     storage C reads and writes in place through buffer views (an
  *     SCC's share of them is its ``Scc`` view);
- *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``.
- *     ``interleaver._heap`` is the *mailbox*: ``_push`` (``add_process``,
- *     the lock/barrier handlers' wake-ups) appends to it, ``run`` drains
- *     it on entry, and ``release`` writes back whatever is still ready;
+ *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``,
+ *     read from ``interleaver._heap`` when ``run`` starts and written back
+ *     to it -- whatever is still ready -- at ``release``;
  *   - in-flight fills and write buffers: each SCC's ``Words`` -- per-index
  *     ``fill_line``/``fill_ready`` and a heap of retire times per bank --
  *     imported from ``scc._inflight`` and ``interconnect._write_buffers``
  *     at ``setup`` and written back to them at ``release`` (the "words"
- *     section has the argument).
+ *     section has the argument);
+ *   - the processes (clock, blocked/finished flags, pending response and
+ *     chunk) and the locks and barriers with their wait queues: the
+ *     wrapper flattens ``_processes``, ``_locks`` and ``_barriers`` into
+ *     words and lists for ``setup`` and rebuilds them from what
+ *     ``release`` leaves and returns (the "processes" section).
  *
  * What C still touches as python objects, all off the hit path: the
- * lost-line sets (``scc._lost_lines``) on misses, and the task-queue
- * deques for packed ``OP_ENQUEUE``/``OP_DEQUEUE``.
+ * lost-line sets (``scc._lost_lines``) on misses, the task-queue deques,
+ * and what a generator yields -- a ``PackedChunk``, whose words are read
+ * in place or copied, or an event object, encoded here into a cursor of
+ * one event.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
- * with all buffers acquired once.  ``run(ctx, chunk)`` schedules and
- * drains processes until python is needed, and returns why:
- *
- *   0  the current process's chunk is exhausted (its cursor is dropped);
- *      python resumes the generator
- *   1  the ready heap is empty: the run is over
- *   2  a synchronization / unknown opcode at ``regs[R_POS]`` needs the
- *      python handler (the cursor already points past it)
- *   3  the popped process has no chunk installed; python resumes its
- *      generator (``_advance``)
- *
- * On return ``regs`` hold the current process and its clock.  On entry
- * they say how to carry on: ``chunk`` (an ``array('q')`` or a ``list`` of
- * ints, else None) is installed as process ``regs[R_PID]``'s cursor and
- * drained from clock ``regs[R_TIME]``; without a chunk, ``regs[R_PID] >=
- * 0`` resumes that process after its sync handler and ``-1`` pops the
- * next ready process.
- * ``regs[R_SEQ]`` is ``interleaver._seq``, shared in both directions.
- * ``release(ctx)`` writes the working copy back and drops the buffer
- * views deterministically.
+ * with all buffers acquired once.  ``run(ctx)`` runs every process until
+ * none is ready -- all finished, or the rest blocked for good, which the
+ * caller tells apart -- or raises what the reference loop would raise at
+ * the same event.  ``release(ctx)`` writes the working copy back, returns
+ * the locks and barriers, and drops the buffer views deterministically;
+ * after an exception too, so an aborted run leaves what the reference
+ * loop leaves.
  *
  * Two more sections share the build, the ``ABI_VERSION`` guard and the
  * differ.  The fused multi-configuration ladder (``ladder_*``) is a second
@@ -90,18 +83,22 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "8"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "9"  /* == engine/native.py NATIVE_VERSION */
 
-#define STATUS_PREEMPT (-1)     /* internal to run(): switch in place */
+/* What ``ladder_drain`` returns: the tape is drained, or the opcode at
+ * ``regs[0]`` is python's to handle. */
 #define STATUS_EXHAUSTED 0
-#define STATUS_DONE 1
 #define STATUS_SYNC 2
-#define STATUS_OBJECT 3
 
-#define R_POS 0
-#define R_TIME 1
-#define R_PID 2
-#define R_SEQ 3
+/* The wrapper's ``misc`` words: events executed, ``interleaver._seq``
+ * (in both directions), the latest finish so far. */
+enum { X_EVENTS, X_SEQ, X_FINISH, X_FIELDS };
+
+/* A process's at-rest words (the wrapper's ``pstate``), in and out. */
+enum {
+    P_TIME, P_BLOCKED, P_BLOCK_START, P_FINISHED, P_CHUNK_POS, P_CHUNK_SUB,
+    P_FIELDS
+};
 
 /* SnoopyBus._clock */
 #define BUS_BUSY_UNTIL 0
@@ -137,8 +134,11 @@ typedef struct {
     const long long *data;    /* the chunk's words; NULL when none */
     long long end;            /* how many */
     long long pos, sub;       /* next opcode; offset inside a span */
-    Py_buffer view;           /* behind ``data``: an ``array('q')`` ... */
+    PyObject *owner;          /* ``process.chunk`` at rest: the sequence
+                                 behind ``data``; NULL for ``one`` */
+    Py_buffer view;           /* on ``owner``, an ``array('q')`` ... */
     long long *copy;          /* ... or C's own copy of a ``list`` */
+    long long one[3];         /* ... or one event object, encoded */
 } Cursor;
 
 /* One ready process: the reference loop's ``(time, seq, pid)`` heap
@@ -172,7 +172,7 @@ typedef struct {
 /* What the standard probe records, for the events C executes.  Series
  * layout (the wrapper's, in this order): the bus trio, one conflict
  * series per (cluster, bank), one write-buffer high-water series per
- * cluster, busy then memory-stall series per processor. */
+ * cluster, busy then memory-stall then sync-stall series per processor. */
 typedef struct {
     long long width;          /* cycles per bin */
     long long *counts;        /* M_* */
@@ -180,7 +180,7 @@ typedef struct {
     Series *bus_occupancy, *bus_wait, *bus_invalidations;
     Series *conflict;         /* [cluster * nbanks + bank] */
     Series *write_buffer;     /* [cluster] */
-    Series *busy, *memory;    /* [pid] */
+    Series *busy, *memory, *sync;       /* [pid] */
 } Metrics;
 
 /* One shared cluster cache as the protocol sees it -- a cluster of a
@@ -214,26 +214,77 @@ typedef struct {
     int n;
 } Views;
 
+/* One application process between ``setup`` and ``release``. */
+typedef struct {
+    PyObject *generator;      /* borrowed from the plan */
+    PyObject *response;       /* owned: what its next resume is sent (a
+                                 dequeued item); NULL: nothing */
+    long long time;           /* its clock, whenever it is not running */
+    long long block_start;
+    int blocked, finished;
+    int next;                 /* the pid behind it in the wait queue it
+                                 stands in (-1: last); IN_NO_QUEUE */
+    Cursor cursor;
+} Proc;
+
+#define IN_NO_QUEUE (-2)
+
+/* One lock or barrier: who holds it and who waits, first come first,
+ * chained through ``Proc.next`` -- a blocked process waits in one place. */
+typedef struct {
+    long long id;
+    long long holder;         /* a lock's; -1: free */
+    long long latest;         /* a barrier's latest arrival so far */
+    int head, tail, count;
+} WaitQ;
+
+/* ``_locks`` / ``_barriers``: the queues in order of first use (a dict's
+ * order), found through an open-addressing index of ``rank + 1``. */
+typedef struct {
+    WaitQ *q;
+    size_t n;
+    unsigned *slots;
+    size_t n_slots;           /* a power of two, or 0 before first use */
+} SyncTable;
+
+/* How one event class is packed: its opcode and operand attributes. */
+typedef struct {
+    PyTypeObject *type;
+    long long op;
+    int n;
+    PyObject *names[2];
+} EventCode;
+
+#define N_EVENT_CODES 9
+
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int nproc;
-    int n_cursors;
+    int n_icaches;
     int released;
     long long line_shift, nbanks, bank_cycle;
     long long iline_shift, limit;
+    long long lock_overhead, barrier_overhead;
     int stall_on_writes, icache_mode;
     Machine m;                /* one SCC per cluster */
     long long **bank_free;    /* [cluster] */
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
-    long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *misc;
-    long long *regs;          /* R_POS, R_TIME, R_PID, R_SEQ */
+    long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *d_sync;
+    long long *misc;          /* X_* */
+    long long *pstate;        /* [pid * P_FIELDS] */
     long long *proc_cluster;
-    Cursor *cursors;          /* by pid */
+    Proc *procs;              /* by pid */
+    SyncTable locks, barriers;
     PyObject *ifetch, *queues;
+    PyObject *chunks, *responses;       /* at-rest lists, by pid */
+    PyTypeObject *chunk_type; /* PackedChunk */
+    PyObject *chunk_data;     /* "data" */
+    PyObject *array_type, *sync_error;
+    EventCode codes[N_EVENT_CODES];
     Ready *ready;             /* binary min-heap, room for every process */
     int n_ready;
-    PyObject *mailbox;        /* interleaver._heap */
+    PyObject *ready_at_rest;        /* interleaver._heap */
     Views views;
 } Ctx;
 
@@ -241,12 +292,16 @@ static const char CTX_NAME[] = "repro.trace.engine._native.ctx";
 
 /* ---------------------------------------------------------------- utils */
 
-/* Install ``chunk`` on an empty cursor.  An ``array('q')`` is read in
- * place; a ``list`` -- what the workloads' builders produce -- is copied
- * into words of C's own, with the errors ``array('q', chunk)`` raises for
- * an element that is no int64 (TypeError, OverflowError). */
+/* Install ``chunk`` -- a ``PackedChunk``'s data, any int sequence -- on an
+ * empty cursor.  An ``array('q')`` is read in place; a ``list`` -- what the
+ * workloads' builders produce -- is copied into words of C's own, with the
+ * errors ``array('q', chunk)`` raises for an element that is no int64
+ * (TypeError, OverflowError); anything else goes through that very call
+ * (``array_type``) first.  A chunk is fully consumed before its generator
+ * resumes, so neither form is visible to a workload that reuses its
+ * builder. */
 static int
-cursor_install(Cursor *cur, PyObject *chunk)
+cursor_install(Cursor *cur, PyObject *chunk, PyObject *array_type)
 {
     if (PyList_CheckExact(chunk)) {
         Py_ssize_t n = PyList_GET_SIZE(chunk);
@@ -264,13 +319,30 @@ cursor_install(Cursor *cur, PyObject *chunk)
         }
         cur->data = cur->copy = copy;
         cur->end = n;
+        Py_INCREF(chunk);
     }
     else {
-        if (PyObject_GetBuffer(chunk, &cur->view, PyBUF_SIMPLE) < 0)
-            return -1;
+        if (Py_IS_TYPE(chunk, (PyTypeObject *)array_type)
+            && PyObject_GetBuffer(chunk, &cur->view, PyBUF_FORMAT) == 0
+            && strcmp(cur->view.format, "q") == 0) {
+            Py_INCREF(chunk);
+        }
+        else {
+            PyBuffer_Release(&cur->view);       /* (an array of another type) */
+            if (PyErr_Occurred())
+                return -1;
+            chunk = PyObject_CallFunction(array_type, "sO", "q", chunk);
+            if (!chunk)
+                return -1;
+            if (PyObject_GetBuffer(chunk, &cur->view, PyBUF_SIMPLE) < 0) {
+                Py_DECREF(chunk);
+                return -1;
+            }
+        }
         cur->data = (const long long *)cur->view.buf;
         cur->end = (long long)(cur->view.len / 8);
     }
+    cur->owner = chunk;
     cur->pos = 0;
     cur->sub = 0;
     return 0;
@@ -281,8 +353,10 @@ cursor_drop(Cursor *cur)
 {
     PyBuffer_Release(&cur->view);       /* no-op when there is none */
     PyMem_Free(cur->copy);
+    Py_CLEAR(cur->owner);
     cur->copy = NULL;
     cur->data = NULL;
+    cur->end = cur->pos = cur->sub = 0;
 }
 
 /* A writable view on the int64 slots of ``obj`` ... */
@@ -313,6 +387,13 @@ views_release(Views *views)
 {
     while (views->n)
         PyBuffer_Release(&views->bufs[--views->n]);
+}
+
+/* Where an int64 key starts probing an open-addressing table. */
+static inline size_t
+ll_hash(long long key)
+{
+    return (size_t)(((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32);
 }
 
 static int
@@ -837,7 +918,7 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
  * for a ``Machine``: the clusters of a ``run``, or one rung of the ladder,
  * whose single SCC has nobody to snoop -- every loop over the others
  * runs zero times there.  The bus clock is the python object's own
- * storage, so an icache refill handled in python between two C stints
+ * storage, so an icache refill python handles, called back from ``run``,
  * sees, and leaves, the current bus.  Every SCC of a machine has the same
  * geometry: ``idx``/``tag`` address all of them. */
 
@@ -1074,248 +1155,15 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     return mx ? mx_reference(mx, pid, time, done) : 0;
 }
 
-/* ------------------------------------------------------------ lifecycle */
-
-static void
-ctx_release(Ctx *ctx)
-{
-    if (ctx->released)
-        return;
-    ctx->released = 1;
-    for (int p = 0; p < ctx->n_cursors; p++)
-        cursor_drop(&ctx->cursors[p]);
-    views_release(&ctx->views);
-    Py_CLEAR(ctx->plan);
-}
-
-static void
-ctx_free(Ctx *ctx)
-{
-    ctx_release(ctx);
-    PyMem_Free(ctx->views.bufs);
-    sccs_free(ctx->m.sccs, ctx->m.n);
-    PyMem_Free(ctx->bank_free);
-    PyMem_Free(ctx->ready);
-    PyMem_Free(ctx->ic_states);
-    PyMem_Free(ctx->ic_mask);
-    PyMem_Free(ctx->cursors);
-    if (ctx->m.mx)
-        PyMem_Free(ctx->m.mx->series);
-    PyMem_Free(ctx->m.mx);
-    PyMem_Free(ctx);
-}
-
-static void
-ctx_destructor(PyObject *capsule)
-{
-    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
-    if (ctx)
-        ctx_free(ctx);
-}
-
-/* The plan's metrics entry: ``(bin_width, counts, series)`` -- an
- * ``array('q')`` of ``M_FIELDS`` counters and a tuple of empty
- * ``bytearray`` objects in ``Metrics``' layout.  Needs the geometry and
- * the processor count, so it is parsed last. */
-static int
-metrics_setup(Ctx *ctx, PyObject *spec)
-{
-    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "metrics must be (bin_width, counts, series)");
-        return -1;
-    }
-    Metrics *mx = ctx->m.mx = PyMem_Calloc(1, sizeof(Metrics));
-    if (!mx) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (get_ll_item(spec, 0, &mx->width) < 0)
-        return -1;
-    if (mx->width < 1) {
-        PyErr_SetString(PyExc_ValueError, "bin_width must be >= 1");
-        return -1;
-    }
-    if (!(mx->counts = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(spec, 1),
-                                    M_FIELDS)))
-        return -1;
-    PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
-    Py_ssize_t banks = (Py_ssize_t)(ctx->m.n * ctx->nbanks);
-    Py_ssize_t n = 3 + banks + ctx->m.n + 2 * (Py_ssize_t)ctx->n_cursors;
-    if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
-        PyErr_Format(PyExc_ValueError,
-                     "metrics plan must hold %zd series", n);
-        return -1;
-    }
-    if (!(mx->series = PyMem_Calloc(n, sizeof(Series)))) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *buf = PyTuple_GET_ITEM(bufs, k);
-        if (!PyByteArray_CheckExact(buf) || PyByteArray_GET_SIZE(buf)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "metrics series must be empty bytearrays");
-            return -1;
-        }
-        mx->series[k].buf = buf;
-    }
-    mx->bus_occupancy = mx->series;
-    mx->bus_wait = mx->series + 1;
-    mx->bus_invalidations = mx->series + 2;
-    mx->conflict = mx->series + 3;
-    mx->write_buffer = mx->conflict + banks;
-    mx->busy = mx->write_buffer + ctx->m.n;
-    mx->memory = mx->busy + ctx->n_cursors;
-    return 0;
-}
-
-/* plan: engine/native.py's ``run`` builds it, in the order parsed here;
- * ``per_cluster`` holds an SCC entry (``scc_setup``) per cluster, every
- * one on the machine's one bus clock. */
-static PyObject *
-native_setup(PyObject *self, PyObject *plan)
-{
-    (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 9) {
-        PyErr_SetString(PyExc_TypeError, "plan must be a 9-tuple");
-        return NULL;
-    }
-    PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
-    PyObject *banks = PyTuple_GET_ITEM(plan, 1);
-    PyObject *callbacks = PyTuple_GET_ITEM(plan, 2);
-    PyObject *scal = PyTuple_GET_ITEM(plan, 3);
-    PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 4);
-    PyObject *deltas = PyTuple_GET_ITEM(plan, 5);
-    PyObject *regs = PyTuple_GET_ITEM(plan, 6);
-    PyObject *sched = PyTuple_GET_ITEM(plan, 7);
-    PyObject *metrics = PyTuple_GET_ITEM(plan, 8);
-
-    Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
-    if (!ctx)
-        return PyErr_NoMemory();
-    Machine *m = &ctx->m;
-    int n_cl = (int)PyTuple_GET_SIZE(per_cluster);
-    ctx->nproc = (int)PyTuple_GET_SIZE(ic_tuple);
-
-    int max_views = 5 * n_cl + 2 * ctx->nproc + 16;
-    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    m->sccs = PyMem_Calloc(n_cl, sizeof(Scc));
-    ctx->bank_free = PyMem_Calloc(n_cl, sizeof(long long *));
-    int nic = ctx->nproc > 0 ? ctx->nproc : 1;
-    ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
-    ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
-    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free
-        || !ctx->ic_states || !ctx->ic_mask) {
-        ctx_free(ctx);
-        return PyErr_NoMemory();
-    }
-    m->n = n_cl;
-    ctx->ic_tags = ctx->ic_states + nic;
-    ctx->ic_shift = ctx->ic_mask + nic;
-
-    ctx->plan = plan;
-    Py_INCREF(plan);
-
-    long long sc[12];
-    for (Py_ssize_t k = 0; k < 12; k++) {
-        if (get_ll_item(scal, k, &sc[k]) < 0)
-            goto fail;
-    }
-    ctx->line_shift = sc[0];
-    ctx->nbanks = sc[1];
-    ctx->bank_cycle = sc[2];
-    ctx->stall_on_writes = (int)sc[3];
-    ctx->icache_mode = (int)sc[5];
-    ctx->iline_shift = sc[6];
-    ctx->limit = sc[7];
-    m->bus_occ = sc[8];
-    m->upgrade_occ = sc[9];
-    m->mem_latency = sc[10];
-    m->mesi = (int)sc[11];
-
-    for (int c = 0; c < n_cl; c++) {
-        Scc *scc = &m->sccs[c];
-        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_cluster, c),
-                      ctx->nbanks, sc[4]) < 0
-            || words_import(&scc->words) < 0)
-            goto fail;
-        if (!scc->lost) {       /* another cluster's write must land in it */
-            PyErr_SetString(PyExc_TypeError,
-                            "a cluster's lost lines must be a set");
-            goto fail;
-        }
-        if (!(ctx->bank_free[c] = acquire_ll_n(
-                  &ctx->views, PyTuple_GET_ITEM(banks, c),
-                  (Py_ssize_t)ctx->nbanks)))
-            goto fail;
-    }
-    for (int p = 0; p < ctx->nproc; p++) {
-        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
-        if (!(ctx->ic_states[p] =
-                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 0))))
-            goto fail;
-        if (!(ctx->ic_tags[p] =
-                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 1))))
-            goto fail;
-        if (get_ll_item(entry, 2, &ctx->ic_mask[p]) < 0)
-            goto fail;
-        if (get_ll_item(entry, 3, &ctx->ic_shift[p]) < 0)
-            goto fail;
-    }
-    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 0);
-    ctx->queues = PyTuple_GET_ITEM(callbacks, 1);
-
-    long long **dptr[6] = {
-        &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
-        &ctx->d_icfetch, &ctx->misc,
-    };
-    for (int k = 0; k < 6; k++) {
-        if (!(*dptr[k] = acquire_ll(&ctx->views,
-                                    PyTuple_GET_ITEM(deltas, k))))
-            goto fail;
-    }
-    if (!(ctx->regs = acquire_ll(&ctx->views, regs)))
-        goto fail;
-
-    ctx->mailbox = PyTuple_GET_ITEM(sched, 0);
-    if (!PyList_CheckExact(ctx->mailbox)) {
-        PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
-        goto fail;
-    }
-    if (!(ctx->proc_cluster = acquire_ll(&ctx->views,
-                                         PyTuple_GET_ITEM(sched, 1))))
-        goto fail;
-    Py_ssize_t n_cursors = ctx->views.bufs[ctx->views.n - 1].len / 8;
-    ctx->cursors = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Cursor));
-    ctx->ready = PyMem_Calloc(n_cursors ? n_cursors : 1, sizeof(Ready));
-    if (!ctx->cursors || !ctx->ready) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    ctx->n_cursors = (int)n_cursors;
-    if (metrics != Py_None && metrics_setup(ctx, metrics) < 0)
-        goto fail;
-
-    PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
-    if (!capsule)
-        goto fail;
-    return capsule;
-
-fail:
-    ctx_free(ctx);
-    return NULL;
-}
-
 /* ------------------------------------------------------------ scheduler */
 
 /* The ready heap is C's: a binary min-heap of ``Ready`` triples ordered
  * on ``(time, seq)``, with room for every process (a process is ready at
- * most once).  ``interleaver._heap`` is its mailbox: python's ``_push``
- * -- ``add_process``, the lock/barrier handlers' wake-ups -- heappushes
- * ``(time, seq, pid)`` tuples there as it always did, ``run`` moves them
- * over on entry, and ``release`` writes back whatever is still ready, so
- * an aborted run leaves the entries the reference loop leaves. */
+ * most once).  ``interleaver._heap`` is its form at rest: ``add_process``
+ * (and an earlier run that aborted) left ``(time, seq, pid)`` tuples
+ * there, ``run`` moves them over on entry, and ``release`` writes back
+ * whatever is still ready, so an aborted run leaves the entries the
+ * reference loop leaves. */
 
 static inline int
 ready_before(const Ready *a, const Ready *b)
@@ -1366,16 +1214,16 @@ sched_switch(Ctx *ctx, const Ready *self)
     return top;
 }
 
-/* Empty the mailbox into the heap.  All or nothing: an entry that is not
- * a ``(time, seq, pid)`` of this machine leaves both as they were. */
+/* Empty ``interleaver._heap`` into the heap.  All or nothing: an entry that
+ * is not a ``(time, seq, pid)`` of this machine leaves both as they were. */
 static int
 sched_drain(Ctx *ctx)
 {
-    PyObject *box = ctx->mailbox;
+    PyObject *box = ctx->ready_at_rest;
     Py_ssize_t n = PyList_GET_SIZE(box);
     if (n == 0)
         return 0;
-    if (n > ctx->n_cursors - ctx->n_ready) {
+    if (n > ctx->nproc - ctx->n_ready) {
         PyErr_SetString(PyExc_RuntimeError,
                         "more ready entries than processes");
         return -1;
@@ -1392,7 +1240,7 @@ sched_drain(Ctx *ctx)
             || get_ll_item(entry, 1, &in[k].seq) < 0
             || get_ll_item(entry, 2, &in[k].pid) < 0)
             return -1;
-        if (in[k].pid < 0 || in[k].pid >= ctx->n_cursors) {
+        if (in[k].pid < 0 || in[k].pid >= ctx->nproc) {
             PyErr_Format(PyExc_RuntimeError,
                          "process id %lld outside the machine", in[k].pid);
             return -1;
@@ -1405,15 +1253,15 @@ sched_drain(Ctx *ctx)
     return 0;
 }
 
-/* Hand what is still ready back to the mailbox (which the wrapper
- * re-heapifies: it may hold undrained pushes too). */
+/* Hand what is still ready back to ``interleaver._heap``, which ``run``
+ * left empty: the heap's array, in order, is a heapq list. */
 static int
 sched_export(Ctx *ctx)
 {
     for (int k = 0; k < ctx->n_ready; k++) {
         const Ready *r = &ctx->ready[k];
         PyObject *entry = Py_BuildValue("(LLL)", r->time, r->seq, r->pid);
-        int rc = entry ? PyList_Append(ctx->mailbox, entry) : -1;
+        int rc = entry ? PyList_Append(ctx->ready_at_rest, entry) : -1;
         Py_XDECREF(entry);
         if (rc < 0)
             return -1;
@@ -1422,9 +1270,802 @@ sched_export(Ctx *ctx)
     return 0;
 }
 
-/* The end of C's ownership: the ready entries, the in-flight fills and the
- * write buffers go back to the python containers they came from, the views
- * are dropped. */
+/* ------------------------------------------------------------ processes */
+
+/* What the reference loop does around the data path, for one process at
+ * a time: ``_lock_acquire`` / ``_lock_release`` / ``_barrier`` / ``_wake``
+ * with their accounting (``account_compute`` for a lock operation's busy
+ * cycles, ``account_sync`` for the stall of whoever is woken, and what
+ * each tells the probe), ``_dispatch``'s task-queue branches, and
+ * ``_advance``'s resuming of the generator.  ``_locks`` and ``_barriers``
+ * are ``SyncTable``s here; the wrapper hands them over, and takes them
+ * back, as lists of ``(id, holder or -1, [waiting pids])`` in dict order. */
+
+/* The slot ``id`` is indexed at, or the empty one it would go in. */
+static size_t
+sync_slot(const SyncTable *t, long long id)
+{
+    size_t mask = t->n_slots - 1;
+    size_t at = ll_hash(id) & mask;
+    while (t->slots[at] && t->q[t->slots[at] - 1].id != id)
+        at = (at + 1) & mask;
+    return at;
+}
+
+/* ``table.get(id)``, or with ``create`` ``table.setdefault(id, ...)``. */
+static WaitQ *
+sync_lookup(SyncTable *t, long long id, int create)
+{
+    size_t at = t->n_slots ? sync_slot(t, id) : 0;
+    if (t->n_slots && t->slots[at])
+        return &t->q[t->slots[at] - 1];
+    if (!create)
+        return NULL;
+    if (2 * (t->n + 1) > t->n_slots) {
+        /* twice the slots, room for half as many queues, every queue
+         * indexed again */
+        size_t n_slots = t->n_slots ? 2 * t->n_slots : 64;
+        WaitQ *q = PyMem_Realloc(t->q, n_slots / 2 * sizeof(WaitQ));
+        if (q)
+            t->q = q;
+        unsigned *slots = q ? PyMem_Calloc(n_slots, sizeof(unsigned)) : NULL;
+        if (!slots) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        PyMem_Free(t->slots);
+        t->slots = slots;
+        t->n_slots = n_slots;
+        for (size_t rank = 0; rank < t->n; rank++)
+            slots[sync_slot(t, t->q[rank].id)] = (unsigned)rank + 1;
+        at = sync_slot(t, id);
+    }
+    t->slots[at] = (unsigned)++t->n;
+    WaitQ *q = &t->q[t->n - 1];
+    q->id = id;
+    q->holder = -1;
+    q->latest = 0;
+    q->head = q->tail = -1;
+    q->count = 0;
+    return q;
+}
+
+/* ``waiting.append(pid)`` */
+static void
+waitq_append(Ctx *ctx, WaitQ *q, long long pid)
+{
+    ctx->procs[pid].next = -1;
+    if (q->count++)
+        ctx->procs[q->tail].next = (int)pid;
+    else
+        q->head = (int)pid;
+    q->tail = (int)pid;
+}
+
+/* ``waiting.popleft()`` */
+static long long
+waitq_pop(Ctx *ctx, WaitQ *q)
+{
+    int pid = q->head;
+    q->head = ctx->procs[pid].next;
+    ctx->procs[pid].next = IN_NO_QUEUE;
+    q->count--;
+    return pid;
+}
+
+/* ``pid`` blocks at ``time``, behind whoever waits on ``q`` already. */
+static void
+proc_block(Ctx *ctx, WaitQ *q, long long pid, long long time)
+{
+    Proc *proc = &ctx->procs[pid];
+    proc->blocked = 1;
+    proc->block_start = proc->time = time;
+    waitq_append(ctx, q, pid);
+}
+
+/* ``account_compute`` and the clock: ``cycles`` of straight-line work. */
+static inline int
+proc_compute(Ctx *ctx, long long pid, long long cycles, long long *time)
+{
+    ctx->d_busy[pid] += cycles;
+    if (ctx->m.mx && mx_proc_busy(ctx->m.mx, pid, *time, cycles) < 0)
+        return -1;
+    *time += cycles;
+    return 0;
+}
+
+/* ``_wake``: the blocked process carries on at ``resume``; what it waited
+ * is synchronization stall. */
+static int
+proc_wake(Ctx *ctx, long long pid, long long resume)
+{
+    Proc *proc = &ctx->procs[pid];
+    Metrics *mx = ctx->m.mx;
+    if (resume < proc->time)
+        resume = proc->time;
+    ctx->d_sync[pid] += resume - proc->block_start;
+    if (mx && series_add_span(&mx->sync[pid], mx->width, proc->block_start,
+                              resume) < 0)
+        return -1;
+    proc->time = resume;
+    proc->blocked = 0;
+    Ready woken = {resume, ++ctx->misc[X_SEQ], pid};
+    sched_push(ctx, woken);
+    return 0;
+}
+
+/* ``_lock_acquire``: 1 when ``pid`` got the lock (``*time`` moved past the
+ * operation), 0 when it blocked, -1 on error. */
+static int
+lock_acquire(Ctx *ctx, long long pid, long long lock_id, long long *time)
+{
+    WaitQ *lock = sync_lookup(&ctx->locks, lock_id, 1);
+    if (!lock)
+        return -1;
+    if (lock->holder >= 0) {
+        proc_block(ctx, lock, pid, *time);
+        return 0;
+    }
+    lock->holder = pid;
+    return proc_compute(ctx, pid, ctx->lock_overhead, time) < 0 ? -1 : 1;
+}
+
+/* ``_lock_release``: the lock goes to the longest waiter, who pays the
+ * operation too. */
+static int
+lock_release(Ctx *ctx, long long pid, long long lock_id, long long *time)
+{
+    WaitQ *lock = sync_lookup(&ctx->locks, lock_id, 0);
+    if (!lock || lock->holder != pid) {
+        PyErr_Format(ctx->sync_error, "process %lld released lock %lld it "
+                     "does not hold", pid, lock_id);
+        return -1;
+    }
+    if (proc_compute(ctx, pid, ctx->lock_overhead, time) < 0)
+        return -1;
+    if (!lock->count) {
+        lock->holder = -1;
+        return 0;
+    }
+    lock->holder = waitq_pop(ctx, lock);
+    return proc_wake(ctx, lock->holder, *time + ctx->lock_overhead);
+}
+
+/* ``_barrier``: ``pid`` blocks; the arrival that completes the count
+ * releases everyone, itself included, at the latest arrival plus the
+ * overhead. */
+static int
+barrier_arrive(Ctx *ctx, long long pid, long long barrier_id,
+               long long count, long long time)
+{
+    if (count < 1) {
+        PyErr_SetString(ctx->sync_error, "barrier count must be >= 1");
+        return -1;
+    }
+    WaitQ *barrier = sync_lookup(&ctx->barriers, barrier_id, 1);
+    if (!barrier)
+        return -1;
+    if (barrier->count == 0 || time > barrier->latest)
+        barrier->latest = time;
+    proc_block(ctx, barrier, pid, time);
+    if (barrier->count > count) {
+        PyErr_Format(ctx->sync_error, "barrier %lld exceeded its count %lld",
+                     barrier_id, count);
+        return -1;
+    }
+    if (barrier->count == count) {
+        long long release = barrier->latest + ctx->barrier_overhead;
+        while (barrier->count) {
+            if (proc_wake(ctx, waitq_pop(ctx, barrier), release) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* ``[(id, holder or -1, [pids])]`` into an empty table. */
+static int
+sync_import(Ctx *ctx, SyncTable *t, PyObject *queues)
+{
+    if (!PyList_CheckExact(queues)) {
+        PyErr_SetString(PyExc_TypeError, "locks and barriers must be lists");
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(queues); k++) {
+        PyObject *entry = PyList_GET_ITEM(queues, k);
+        long long id, holder;
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3
+            || !PyList_CheckExact(PyTuple_GET_ITEM(entry, 2))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a wait queue must be (id, holder, [pids])");
+            return -1;
+        }
+        if (get_ll_item(entry, 0, &id) < 0
+            || get_ll_item(entry, 1, &holder) < 0)
+            return -1;
+        WaitQ *q = sync_lookup(t, id, 1);
+        if (!q)
+            return -1;
+        q->holder = holder;
+        PyObject *pids = PyTuple_GET_ITEM(entry, 2);
+        for (Py_ssize_t w = 0; w < PyList_GET_SIZE(pids); w++) {
+            long long pid;
+            if (get_ll_item(pids, w, &pid) < 0)
+                return -1;
+            if (pid < 0 || pid >= ctx->nproc
+                || ctx->procs[pid].next != IN_NO_QUEUE) {
+                PyErr_Format(PyExc_ValueError, "process %lld cannot wait "
+                             "on %lld: unknown, or waiting already", pid, id);
+                return -1;
+            }
+            if (q->count == 0 || ctx->procs[pid].time > q->latest)
+                q->latest = ctx->procs[pid].time;
+            waitq_append(ctx, q, pid);
+        }
+    }
+    return 0;
+}
+
+/* ... and back out, in order of first use. */
+static PyObject *
+sync_export(Ctx *ctx, const SyncTable *t)
+{
+    PyObject *queues = PyList_New((Py_ssize_t)t->n);
+    for (size_t k = 0; queues && k < t->n; k++) {
+        const WaitQ *q = &t->q[k];
+        PyObject *pids = PyList_New(q->count);
+        int pid = q->head;
+        for (Py_ssize_t w = 0; pids && w < q->count; w++) {
+            PyObject *item = PyLong_FromLong(pid);
+            if (!item)
+                Py_CLEAR(pids);
+            else
+                PyList_SET_ITEM(pids, w, item);
+            pid = ctx->procs[pid].next;
+        }
+        PyObject *entry = pids ? Py_BuildValue("(LLN)", q->id, q->holder,
+                                               pids) : NULL;
+        if (!entry)
+            Py_CLEAR(queues);
+        else
+            PyList_SET_ITEM(queues, k, entry);
+    }
+    return queues;
+}
+
+/* ``self._queues.setdefault(key, deque()).append(item)`` */
+static int
+queue_push(Ctx *ctx, PyObject *key, PyObject *item)
+{
+    PyObject *queue = PyDict_GetItemWithError(ctx->queues, key);
+    if (queue) {
+        Py_INCREF(queue);
+    }
+    else {
+        if (PyErr_Occurred())
+            return -1;
+        queue = PyObject_CallNoArgs(g_deque);
+        if (!queue || PyDict_SetItem(ctx->queues, key, queue) < 0) {
+            Py_XDECREF(queue);
+            return -1;
+        }
+    }
+    PyObject *done = PyObject_CallMethodObjArgs(queue, s_append, item, NULL);
+    Py_DECREF(queue);
+    Py_XDECREF(done);
+    return done ? 0 : -1;
+}
+
+/* ``queue.popleft() if queue else None``, looked up without creating:
+ * polls on a missing queue allocate nothing.  A new reference. */
+static PyObject *
+queue_pop(Ctx *ctx, PyObject *key)
+{
+    PyObject *queue = PyDict_GetItemWithError(ctx->queues, key);
+    int waiting = queue ? PyObject_IsTrue(queue) : 0;
+    if (waiting < 0 || (!queue && PyErr_Occurred()))
+        return NULL;
+    if (!waiting)
+        Py_RETURN_NONE;
+    return PyObject_CallMethodObjArgs(queue, s_popleft, NULL);
+}
+
+/* An event object ``proc``'s generator yielded.  The task-queue pair is
+ * executed here and now -- it carries python objects, and moves no clock
+ * -- and anything else is encoded into the cursor's own words, a chunk of
+ * one: an operand no int64 holds is refused before anything is counted. */
+static int
+proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
+{
+    const EventCode *code = ctx->codes;
+    while (code < ctx->codes + N_EVENT_CODES && !Py_IS_TYPE(event, code->type))
+        code++;
+    if (code == ctx->codes + N_EVENT_CODES) {
+        ctx->misc[X_EVENTS]++;
+        PyErr_Format(PyExc_TypeError, "process %lld yielded %R, not a trace "
+                     "event", pid, event);
+        return -1;
+    }
+    PyObject *operands[2] = {NULL, NULL};
+    int rc = 0;
+    for (int k = 0; k < code->n && rc == 0; k++) {
+        if (!(operands[k] = PyObject_GetAttr(event, code->names[k])))
+            rc = -1;
+    }
+    if (rc == 0 && code->op == OP_ENQUEUE) {
+        ctx->misc[X_EVENTS]++;
+        if (operands[1] == Py_None) {
+            /* An enqueued None would be indistinguishable from the
+             * empty-queue dequeue response. */
+            PyErr_Format(ctx->sync_error, "process %lld enqueued None on "
+                         "queue %S; None is the empty-queue response",
+                         pid, operands[0]);
+            rc = -1;
+        }
+        else {
+            rc = queue_push(ctx, operands[0], operands[1]);
+        }
+    }
+    else if (rc == 0 && code->op == OP_DEQUEUE) {
+        ctx->misc[X_EVENTS]++;
+        PyObject *item = queue_pop(ctx, operands[0]);
+        if (!item)
+            rc = -1;
+        else if (item == Py_None)
+            Py_DECREF(item);
+        else
+            proc->response = item;
+    }
+    else if (rc == 0) {
+        Cursor *cur = &proc->cursor;
+        cur->one[0] = code->op;
+        for (int k = 0; k < code->n && rc == 0; k++) {
+            cur->one[k + 1] = PyLong_AsLongLong(operands[k]);
+            if (cur->one[k + 1] == -1 && PyErr_Occurred())
+                rc = -1;
+        }
+        if (rc == 0) {
+            cur->data = cur->one;
+            cur->end = code->n + 1;
+        }
+    }
+    Py_XDECREF(operands[0]);
+    Py_XDECREF(operands[1]);
+    return rc;
+}
+
+/* ``_advance``'s resume: run ``proc``'s generator until it yields events
+ * to drain (1: its cursor is installed) or ends (0); -1 on error, the
+ * generator's own included.  Its clock does not move in here. */
+static int
+proc_refill(Ctx *ctx, long long pid, Proc *proc)
+{
+    while (!proc->cursor.data) {
+        PyObject *yielded;
+        PySendResult sent = PyIter_Send(
+            proc->generator, proc->response ? proc->response : Py_None,
+            &yielded);
+        if (sent == PYGEN_ERROR)
+            return -1;
+        Py_CLEAR(proc->response);
+        if (sent == PYGEN_RETURN) {
+            Py_DECREF(yielded);
+            return 0;
+        }
+        int rc;
+        if (Py_IS_TYPE(yielded, ctx->chunk_type)) {
+            PyObject *data = PyObject_GetAttr(yielded, ctx->chunk_data);
+            rc = data ? cursor_install(&proc->cursor, data, ctx->array_type)
+                      : -1;
+            Py_XDECREF(data);
+        }
+        else {
+            rc = proc_event(ctx, pid, proc, yielded);
+        }
+        Py_DECREF(yielded);
+        if (rc < 0)
+            return -1;
+    }
+    return 1;
+}
+
+/* ------------------------------------------------------------ lifecycle */
+
+static void
+ctx_release(Ctx *ctx)
+{
+    if (ctx->released)
+        return;
+    ctx->released = 1;
+    for (int p = 0; ctx->procs && p < ctx->nproc; p++) {
+        cursor_drop(&ctx->procs[p].cursor);
+        Py_CLEAR(ctx->procs[p].response);
+    }
+    views_release(&ctx->views);
+    Py_CLEAR(ctx->plan);
+}
+
+static void
+ctx_free(Ctx *ctx)
+{
+    ctx_release(ctx);
+    PyMem_Free(ctx->views.bufs);
+    sccs_free(ctx->m.sccs, ctx->m.n);
+    PyMem_Free(ctx->bank_free);
+    PyMem_Free(ctx->ready);
+    PyMem_Free(ctx->ic_states);
+    PyMem_Free(ctx->ic_mask);
+    PyMem_Free(ctx->procs);
+    PyMem_Free(ctx->locks.q);
+    PyMem_Free(ctx->locks.slots);
+    PyMem_Free(ctx->barriers.q);
+    PyMem_Free(ctx->barriers.slots);
+    if (ctx->m.mx)
+        PyMem_Free(ctx->m.mx->series);
+    PyMem_Free(ctx->m.mx);
+    PyMem_Free(ctx);
+}
+
+static void
+ctx_destructor(PyObject *capsule)
+{
+    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
+    if (ctx)
+        ctx_free(ctx);
+}
+
+/* The plan's metrics entry: ``(bin_width, counts, series)`` -- an
+ * ``array('q')`` of ``M_FIELDS`` counters and a tuple of empty
+ * ``bytearray`` objects in ``Metrics``' layout.  Needs the geometry and
+ * the processor count, so it is parsed last. */
+static int
+metrics_setup(Ctx *ctx, PyObject *spec)
+{
+    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "metrics must be (bin_width, counts, series)");
+        return -1;
+    }
+    Metrics *mx = ctx->m.mx = PyMem_Calloc(1, sizeof(Metrics));
+    if (!mx) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (get_ll_item(spec, 0, &mx->width) < 0)
+        return -1;
+    if (mx->width < 1) {
+        PyErr_SetString(PyExc_ValueError, "bin_width must be >= 1");
+        return -1;
+    }
+    if (!(mx->counts = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(spec, 1),
+                                    M_FIELDS)))
+        return -1;
+    PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
+    Py_ssize_t banks = (Py_ssize_t)(ctx->m.n * ctx->nbanks);
+    Py_ssize_t n = 3 + banks + ctx->m.n + 3 * (Py_ssize_t)ctx->nproc;
+    if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "metrics plan must hold %zd series", n);
+        return -1;
+    }
+    if (!(mx->series = PyMem_Calloc(n, sizeof(Series)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *buf = PyTuple_GET_ITEM(bufs, k);
+        if (!PyByteArray_CheckExact(buf) || PyByteArray_GET_SIZE(buf)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "metrics series must be empty bytearrays");
+            return -1;
+        }
+        mx->series[k].buf = buf;
+    }
+    mx->bus_occupancy = mx->series;
+    mx->bus_wait = mx->series + 1;
+    mx->bus_invalidations = mx->series + 2;
+    mx->conflict = mx->series + 3;
+    mx->write_buffer = mx->conflict + banks;
+    mx->busy = mx->write_buffer + ctx->m.n;
+    mx->memory = mx->busy + ctx->nproc;
+    mx->sync = mx->memory + ctx->nproc;
+    return 0;
+}
+
+/* The plan's vocabulary entry: ``(PackedChunk, "data", array.array,
+ * SyncProtocolError, codes)`` with one ``(class, opcode, operand names)``
+ * per event class -- what a generator may yield, and how C reads it. */
+static int
+vocabulary_setup(Ctx *ctx, PyObject *spec)
+{
+    PyObject *codes;
+    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 5
+        || !PyType_Check(PyTuple_GET_ITEM(spec, 0))
+        || !PyUnicode_Check(PyTuple_GET_ITEM(spec, 1))
+        || !PyType_Check(PyTuple_GET_ITEM(spec, 2))
+        || !PyExceptionClass_Check(PyTuple_GET_ITEM(spec, 3))
+        || !PyTuple_Check(codes = PyTuple_GET_ITEM(spec, 4))
+        || PyTuple_GET_SIZE(codes) != N_EVENT_CODES) {
+        PyErr_SetString(PyExc_TypeError, "vocabulary must be (chunk class, "
+                        "data attribute, array class, error class, codes)");
+        return -1;
+    }
+    ctx->chunk_type = (PyTypeObject *)PyTuple_GET_ITEM(spec, 0);
+    ctx->chunk_data = PyTuple_GET_ITEM(spec, 1);
+    ctx->array_type = PyTuple_GET_ITEM(spec, 2);
+    ctx->sync_error = PyTuple_GET_ITEM(spec, 3);
+    for (int k = 0; k < N_EVENT_CODES; k++) {
+        PyObject *entry = PyTuple_GET_ITEM(codes, k), *names;
+        EventCode *code = &ctx->codes[k];
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3
+            || !PyType_Check(PyTuple_GET_ITEM(entry, 0))
+            || !PyTuple_Check(names = PyTuple_GET_ITEM(entry, 2))
+            || PyTuple_GET_SIZE(names) > 2) {
+            PyErr_SetString(PyExc_TypeError, "an event code must be "
+                            "(class, opcode, operand names)");
+            return -1;
+        }
+        code->type = (PyTypeObject *)PyTuple_GET_ITEM(entry, 0);
+        if (get_ll_item(entry, 1, &code->op) < 0)
+            return -1;
+        code->n = (int)PyTuple_GET_SIZE(names);
+        for (int a = 0; a < code->n; a++) {
+            if (!PyUnicode_Check(code->names[a] = PyTuple_GET_ITEM(names, a))) {
+                PyErr_SetString(PyExc_TypeError,
+                                "operand names must be strings");
+                return -1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* The plan's scheduling entry: ``(heap, proc_cluster, generators, pstate,
+ * chunks, responses)`` -- the processes at rest, by pid (``None`` where
+ * the machine has a processor and the run no process for it).  A process
+ * the last run left mid-chunk, or with a response to send, carries on
+ * from there. */
+static int
+procs_setup(Ctx *ctx, PyObject *sched)
+{
+    if (!PyTuple_Check(sched) || PyTuple_GET_SIZE(sched) != 6) {
+        PyErr_SetString(PyExc_TypeError, "scheduling entry must be (heap, "
+                        "clusters, generators, pstate, chunks, responses)");
+        return -1;
+    }
+    ctx->ready_at_rest = PyTuple_GET_ITEM(sched, 0);
+    if (!PyList_CheckExact(ctx->ready_at_rest)) {
+        PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
+        return -1;
+    }
+    if (!(ctx->proc_cluster = acquire_ll(&ctx->views,
+                                         PyTuple_GET_ITEM(sched, 1))))
+        return -1;
+    Py_ssize_t nproc = ctx->views.bufs[ctx->views.n - 1].len / 8;
+    PyObject *generators = PyTuple_GET_ITEM(sched, 2);
+    ctx->chunks = PyTuple_GET_ITEM(sched, 4);
+    ctx->responses = PyTuple_GET_ITEM(sched, 5);
+    if (nproc > INT_MAX / 2
+        || !PyList_CheckExact(generators)
+        || PyList_GET_SIZE(generators) != nproc
+        || !PyList_CheckExact(ctx->chunks)
+        || PyList_GET_SIZE(ctx->chunks) != nproc
+        || !PyList_CheckExact(ctx->responses)
+        || PyList_GET_SIZE(ctx->responses) != nproc) {
+        PyErr_SetString(PyExc_TypeError, "generators, chunks and responses "
+                        "must be lists with an entry per processor");
+        return -1;
+    }
+    if (!(ctx->pstate = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(sched, 3),
+                                     nproc * P_FIELDS)))
+        return -1;
+    ctx->procs = PyMem_Calloc(nproc ? nproc : 1, sizeof(Proc));
+    ctx->ready = PyMem_Calloc(nproc ? nproc : 1, sizeof(Ready));
+    if (!ctx->procs || !ctx->ready) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    ctx->nproc = (int)nproc;
+    for (Py_ssize_t p = 0; p < nproc; p++) {
+        Proc *proc = &ctx->procs[p];
+        const long long *at_rest = ctx->pstate + p * P_FIELDS;
+        proc->generator = PyList_GET_ITEM(generators, p);
+        proc->time = at_rest[P_TIME];
+        proc->blocked = at_rest[P_BLOCKED] != 0;
+        proc->block_start = at_rest[P_BLOCK_START];
+        proc->finished = at_rest[P_FINISHED] != 0;
+        proc->next = IN_NO_QUEUE;
+        PyObject *response = PyList_GET_ITEM(ctx->responses, p);
+        if (response != Py_None) {
+            Py_INCREF(response);
+            proc->response = response;
+        }
+        PyObject *chunk = PyList_GET_ITEM(ctx->chunks, p);
+        if (chunk == Py_None)
+            continue;
+        Cursor *cur = &proc->cursor;
+        if (cursor_install(cur, chunk, ctx->array_type) < 0)
+            return -1;
+        cur->pos = at_rest[P_CHUNK_POS];
+        cur->sub = at_rest[P_CHUNK_SUB];
+        if (cur->pos < 0 || cur->pos > cur->end || cur->sub < 0) {
+            PyErr_Format(PyExc_ValueError, "process %zd stands outside its "
+                         "chunk", p);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* plan: engine/native.py's ``run`` builds it, in the order parsed here;
+ * ``per_cluster`` holds an SCC entry (``scc_setup``) per cluster, every
+ * one on the machine's one bus clock. */
+static PyObject *
+native_setup(PyObject *self, PyObject *plan)
+{
+    (void)self;
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 10) {
+        PyErr_SetString(PyExc_TypeError, "plan must be a 10-tuple");
+        return NULL;
+    }
+    PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
+    PyObject *banks = PyTuple_GET_ITEM(plan, 1);
+    PyObject *callbacks = PyTuple_GET_ITEM(plan, 2);
+    PyObject *scal = PyTuple_GET_ITEM(plan, 3);
+    PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 4);
+    PyObject *deltas = PyTuple_GET_ITEM(plan, 5);
+    PyObject *sched = PyTuple_GET_ITEM(plan, 6);
+    PyObject *sync = PyTuple_GET_ITEM(plan, 7);
+    PyObject *vocabulary = PyTuple_GET_ITEM(plan, 8);
+    PyObject *metrics = PyTuple_GET_ITEM(plan, 9);
+
+    Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
+    if (!ctx)
+        return PyErr_NoMemory();
+    Machine *m = &ctx->m;
+    int n_cl = (int)PyTuple_GET_SIZE(per_cluster);
+    ctx->n_icaches = (int)PyTuple_GET_SIZE(ic_tuple);
+
+    int max_views = 5 * n_cl + 2 * ctx->n_icaches + 16;
+    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
+    m->sccs = PyMem_Calloc(n_cl, sizeof(Scc));
+    ctx->bank_free = PyMem_Calloc(n_cl, sizeof(long long *));
+    int nic = ctx->n_icaches > 0 ? ctx->n_icaches : 1;
+    ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
+    ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
+    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free
+        || !ctx->ic_states || !ctx->ic_mask) {
+        ctx_free(ctx);
+        return PyErr_NoMemory();
+    }
+    m->n = n_cl;
+    ctx->ic_tags = ctx->ic_states + nic;
+    ctx->ic_shift = ctx->ic_mask + nic;
+
+    ctx->plan = plan;
+    Py_INCREF(plan);
+
+    long long sc[14];
+    for (Py_ssize_t k = 0; k < 14; k++) {
+        if (get_ll_item(scal, k, &sc[k]) < 0)
+            goto fail;
+    }
+    ctx->line_shift = sc[0];
+    ctx->nbanks = sc[1];
+    ctx->bank_cycle = sc[2];
+    ctx->stall_on_writes = (int)sc[3];
+    ctx->icache_mode = (int)sc[5];
+    ctx->iline_shift = sc[6];
+    ctx->limit = sc[7];
+    m->bus_occ = sc[8];
+    m->upgrade_occ = sc[9];
+    m->mem_latency = sc[10];
+    m->mesi = (int)sc[11];
+    ctx->lock_overhead = sc[12];
+    ctx->barrier_overhead = sc[13];
+
+    for (int c = 0; c < n_cl; c++) {
+        Scc *scc = &m->sccs[c];
+        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_cluster, c),
+                      ctx->nbanks, sc[4]) < 0
+            || words_import(&scc->words) < 0)
+            goto fail;
+        if (!scc->lost) {       /* another cluster's write must land in it */
+            PyErr_SetString(PyExc_TypeError,
+                            "a cluster's lost lines must be a set");
+            goto fail;
+        }
+        if (!(ctx->bank_free[c] = acquire_ll_n(
+                  &ctx->views, PyTuple_GET_ITEM(banks, c),
+                  (Py_ssize_t)ctx->nbanks)))
+            goto fail;
+    }
+    for (int p = 0; p < ctx->n_icaches; p++) {
+        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
+        if (!(ctx->ic_states[p] =
+                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 0))))
+            goto fail;
+        if (!(ctx->ic_tags[p] =
+                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 1))))
+            goto fail;
+        if (get_ll_item(entry, 2, &ctx->ic_mask[p]) < 0)
+            goto fail;
+        if (get_ll_item(entry, 3, &ctx->ic_shift[p]) < 0)
+            goto fail;
+    }
+    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 0);
+    ctx->queues = PyTuple_GET_ITEM(callbacks, 1);
+    if (!PyDict_CheckExact(ctx->queues)) {
+        PyErr_SetString(PyExc_TypeError, "task queues must be a dict");
+        goto fail;
+    }
+
+    if (vocabulary_setup(ctx, vocabulary) < 0 || procs_setup(ctx, sched) < 0)
+        goto fail;
+    long long **dptr[6] = {
+        &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
+        &ctx->d_icfetch, &ctx->d_sync,
+    };
+    for (int k = 0; k < 6; k++) {
+        if (!(*dptr[k] = acquire_ll_n(&ctx->views,
+                                      PyTuple_GET_ITEM(deltas, k),
+                                      ctx->nproc)))
+            goto fail;
+    }
+    if (!(ctx->misc = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(deltas, 6),
+                                   X_FIELDS)))
+        goto fail;
+    if (!PyTuple_Check(sync) || PyTuple_GET_SIZE(sync) != 2
+        || sync_import(ctx, &ctx->locks, PyTuple_GET_ITEM(sync, 0)) < 0
+        || sync_import(ctx, &ctx->barriers, PyTuple_GET_ITEM(sync, 1)) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "sync entry must be (locks, barriers)");
+        goto fail;
+    }
+    if (metrics != Py_None && metrics_setup(ctx, metrics) < 0)
+        goto fail;
+
+    PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
+    if (!capsule)
+        goto fail;
+    return capsule;
+
+fail:
+    ctx_free(ctx);
+    return NULL;
+}
+
+/* Every process back to its at-rest form: its words, the chunk it stands
+ * in (an encoded event object is consumed by the time anything can stop
+ * the run) and the response it has yet to be sent. */
+static int
+procs_export(Ctx *ctx)
+{
+    for (Py_ssize_t p = 0; p < ctx->nproc; p++) {
+        Proc *proc = &ctx->procs[p];
+        long long *at_rest = ctx->pstate + p * P_FIELDS;
+        PyObject *chunk = proc->cursor.owner ? proc->cursor.owner : Py_None;
+        PyObject *response = proc->response ? proc->response : Py_None;
+        at_rest[P_TIME] = proc->time;
+        at_rest[P_BLOCKED] = proc->blocked;
+        at_rest[P_BLOCK_START] = proc->block_start;
+        at_rest[P_FINISHED] = proc->finished;
+        at_rest[P_CHUNK_POS] = proc->cursor.owner ? proc->cursor.pos : 0;
+        at_rest[P_CHUNK_SUB] = proc->cursor.owner ? proc->cursor.sub : 0;
+        Py_INCREF(chunk);
+        Py_INCREF(response);
+        if (PyList_SetItem(ctx->chunks, p, chunk) < 0
+            || PyList_SetItem(ctx->responses, p, response) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The end of C's ownership: the ready entries, the in-flight fills, the
+ * write buffers and the processes go back to the python containers they
+ * came from, the locks and barriers are returned -- ``(locks, barriers)``,
+ * in ``setup``'s form -- and the views are dropped. */
 static PyObject *
 native_release(PyObject *self, PyObject *capsule)
 {
@@ -1432,26 +2073,37 @@ native_release(PyObject *self, PyObject *capsule)
     Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
     if (!ctx)
         return NULL;
-    if (!ctx->released) {
-        int failed = sched_export(ctx) < 0;
-        for (int c = 0; !failed && c < ctx->m.n; c++)
-            failed = words_export(&ctx->m.sccs[c].words) < 0;
-        ctx_release(ctx);
-        if (failed)
-            return NULL;
+    if (ctx->released) {
+        PyErr_SetString(PyExc_RuntimeError, "context released already");
+        return NULL;
     }
-    Py_RETURN_NONE;
+    int failed = sched_export(ctx) < 0 || procs_export(ctx) < 0;
+    for (int c = 0; !failed && c < ctx->m.n; c++)
+        failed = words_export(&ctx->m.sccs[c].words) < 0;
+    PyObject *locks = failed ? NULL : sync_export(ctx, &ctx->locks);
+    PyObject *barriers = locks ? sync_export(ctx, &ctx->barriers) : NULL;
+    ctx_release(ctx);
+    if (!barriers) {
+        Py_XDECREF(locks);
+        return NULL;
+    }
+    return Py_BuildValue("(NN)", locks, barriers);
 }
 
 /* ----------------------------------------------------------------- run */
 
+/* Why the process that is running stops: the earliest ready process has
+ * fallen behind it, or it blocked or finished. */
+enum { RUN_ON, RUN_PREEMPTED, RUN_OVER };
+
+/* ``TimingInterleaver._run_generic``: always advance the earliest ready
+ * process, until it blocks, ends or falls behind the next-earliest.  The
+ * running process's clock is ``time``; ``Proc.time`` catches up whenever
+ * it stops. */
 static PyObject *
-native_run(PyObject *self, PyObject *args)
+native_run(PyObject *self, PyObject *capsule)
 {
     (void)self;
-    PyObject *capsule, *chunk;
-    if (!PyArg_ParseTuple(args, "OO", &capsule, &chunk))
-        return NULL;
     Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
     if (!ctx)
         return NULL;
@@ -1460,172 +2112,118 @@ native_run(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    long long *regs = ctx->regs;
-    long long time = regs[R_TIME];
-    long long pid = regs[R_PID];
-    long long seq = regs[R_SEQ];
     long long limit = ctx->limit;
     long long *misc = ctx->misc;
-    Metrics *mx = ctx->m.mx;
-    /* Only a process coming back from a sync handler is checked against
-     * the heap top before its next event; a refilled one runs on, like
-     * the reference loop. */
-    int after_sync = chunk == Py_None && pid >= 0;
-    long long i = 0, sub = 0;
-    int status;
+    long long time = 0, pid = -1, i = 0, sub = 0;
+    Cursor *cur = NULL;
+    int state = RUN_OVER;
 
-    /* First: a sync handler's wake-ups may have changed the heap top the
-     * resumed process is about to be checked against. */
     if (sched_drain(ctx) < 0)
         return NULL;
-    if (pid >= ctx->n_cursors || (pid < 0 && chunk != Py_None)) {
-        PyErr_Format(PyExc_RuntimeError,
-                     "process id %lld outside the machine", pid);
-        return NULL;
-    }
-    if (chunk != Py_None) {
-        Cursor *cur = &ctx->cursors[pid];
-        if (cur->data) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "process %lld already has a chunk installed", pid);
-            return NULL;
-        }
-        if (cursor_install(cur, chunk) < 0)
-            return NULL;
-    }
-
-    status = STATUS_EXHAUSTED;
     for (;;) {      /* one round per scheduled process */
-        if (status == STATUS_PREEMPT) {
+        Ready next;
+        if (state == RUN_PREEMPTED) {
             /* ``time`` exceeds the top's clock, so the pushed entry
              * cannot be the one that comes back out: what ``_push``
              * followed by the reference loop's ``heappop`` leaves. */
-            Ready preempted = {time, ++seq, pid};
-            Ready next = sched_switch(ctx, &preempted);
-            time = next.time;
-            pid = next.pid;
+            Ready preempted = {time, ++misc[X_SEQ], pid};
+            ctx->procs[pid].time = time;
+            next = sched_switch(ctx, &preempted);
         }
-        else if (pid < 0) {
-            if (ctx->n_ready == 0) {
-                status = STATUS_DONE;
-                break;
-            }
-            Ready next = sched_switch(ctx, NULL);
-            time = next.time;
-            pid = next.pid;
+        else if (ctx->n_ready == 0) {
+            Py_RETURN_NONE;
         }
-        Cursor *cur = &ctx->cursors[pid];
-        if (!cur->data) {
-            status = STATUS_OBJECT;
-            break;
+        else {
+            next = sched_switch(ctx, NULL);
         }
-        const long long *data = cur->data;
-        long long end = cur->end;
+        time = next.time;
+        pid = next.pid;
+        Proc *proc = &ctx->procs[pid];
+        cur = &proc->cursor;
         long long cl = ctx->proc_cluster[pid];
         /* clock of the earliest ready process */
         long long next_time = ctx->n_ready ? ctx->ready[0].time : LLONG_MAX;
-        i = cur->pos;
-        sub = cur->sub;
-        status = STATUS_EXHAUSTED;
-        if (after_sync) {
-            after_sync = 0;
-            if (time > next_time)
-                status = STATUS_PREEMPT;
-        }
+        state = RUN_ON;
 
-        while (status == STATUS_EXHAUSTED && i < end) {
-            long long op = data[i];
-            if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
-                if (time > limit)
-                    goto limit_exceeded;
-                long long operand = data[i + 1];
-                i += 2;
-                misc[0]++;
-                if (op == OP_COMPUTE) {
-                    if (operand) {
-                        ctx->d_busy[pid] += operand;
-                        if (mx && mx_proc_busy(mx, pid, time, operand) < 0)
+        while (state == RUN_ON) {
+            const long long *data = cur->data;
+            long long end = cur->end;
+            i = cur->pos;
+            sub = cur->sub;
+            while (state == RUN_ON && i < end) {
+                long long op = data[i];
+                if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
+                    if (time > limit)
+                        goto limit_exceeded;
+                    long long operand = data[i + 1];
+                    i += 2;
+                    misc[X_EVENTS]++;
+                    if (op == OP_COMPUTE) {
+                        if (operand
+                            && proc_compute(ctx, pid, operand, &time) < 0)
                             goto fail;
-                        time += operand;
+                    }
+                    else if (do_access(ctx, cl, pid, op == OP_READ, operand,
+                                       &time) < 0) {
+                        goto fail;
+                    }
+                }
+                else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
+                    long long base = data[i + 1];
+                    long long size = data[i + 2];
+                    long long stride = data[i + 3];
+                    if (size > 0 && stride <= 0) {
+                        /* the element loop would never end */
+                        if (time > limit)
+                            goto limit_exceeded;
+                        PyErr_Format(PyExc_ValueError,
+                                     "non-positive span stride at %lld", i);
+                        goto fail;
+                    }
+                    int is_read = op == OP_READ_SPAN;
+                    while (sub < size) {
+                        if (time > limit)
+                            goto limit_exceeded;
+                        misc[X_EVENTS]++;
+                        if (do_access(ctx, cl, pid, is_read, base + sub,
+                                      &time) < 0)
+                            goto fail;
+                        sub += stride;
                         if (time > next_time)
-                            status = STATUS_PREEMPT;
-                    }
-                    continue;
-                }
-                if (do_access(ctx, cl, pid, op == OP_READ, operand,
-                              &time) < 0)
-                    goto fail;
-                if (time > next_time)
-                    status = STATUS_PREEMPT;
-            }
-            else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
-                long long base = data[i + 1];
-                long long size = data[i + 2];
-                long long stride = data[i + 3];
-                long long offset = sub;
-                if (size > 0 && stride <= 0) {
-                    /* the element loop would never end */
-                    if (time > limit)
-                        goto limit_exceeded;
-                    PyErr_Format(PyExc_ValueError,
-                                 "non-positive span stride at %lld", i);
-                    goto fail;
-                }
-                sub = 0;
-                int is_read = op == OP_READ_SPAN;
-                while (offset < size) {
-                    if (time > limit)
-                        goto limit_exceeded;
-                    misc[0]++;
-                    if (do_access(ctx, cl, pid, is_read, base + offset,
-                                  &time) < 0)
-                        goto fail;
-                    offset += stride;
-                    if (time > next_time) {
-                        status = STATUS_PREEMPT;
-                        break;
-                    }
-                }
-                if (offset >= size)
-                    i += 4;
-                else
-                    sub = offset;
-            }
-            else if (op == OP_IFETCH) {
-                if (time > limit)
-                    goto limit_exceeded;
-                misc[0]++;
-                long long count = data[i + 2];
-                if (ctx->icache_mode == 0) {
-                    ctx->d_busy[pid] += count;
-                    if (mx && mx_proc_busy(mx, pid, time, count) < 0)
-                        goto fail;
-                    time += count;
-                }
-                else if (ctx->icache_mode == 1) {
-                    long long addr = data[i + 1];
-                    long long iline_no = addr >> ctx->iline_shift;
-                    long long ilast =
-                        (addr + count * 4 - 1) >> ctx->iline_shift;
-                    long long *istates = ctx->ic_states[pid];
-                    long long *itags = ctx->ic_tags[pid];
-                    long long imask = ctx->ic_mask[pid];
-                    long long ishift = ctx->ic_shift[pid];
-                    while (iline_no <= ilast) {
-                        long long idxi = iline_no & imask;
-                        if (istates[idxi]
-                            && itags[idxi] == (iline_no >> ishift))
-                            iline_no++;
-                        else
                             break;
                     }
-                    if (iline_no > ilast) {
-                        ctx->d_icfetch[pid] +=
-                            ilast - (addr >> ctx->iline_shift) + 1;
-                        ctx->d_busy[pid] += count;
-                        if (mx && mx_proc_busy(mx, pid, time, count) < 0)
+                    if (sub >= size) {
+                        i += 4;
+                        sub = 0;
+                    }
+                }
+                else if (op == OP_IFETCH) {
+                    if (time > limit)
+                        goto limit_exceeded;
+                    misc[X_EVENTS]++;
+                    long long addr = data[i + 1];
+                    long long count = data[i + 2];
+                    long long iline = addr >> ctx->iline_shift;
+                    long long ilast =
+                        (addr + count * 4 - 1) >> ctx->iline_shift;
+                    i += 3;
+                    if (ctx->icache_mode == 1) {
+                        /* lines resident in the inline icache cost nothing */
+                        const long long *istates = ctx->ic_states[pid];
+                        const long long *itags = ctx->ic_tags[pid];
+                        long long imask = ctx->ic_mask[pid];
+                        long long ishift = ctx->ic_shift[pid];
+                        while (iline <= ilast && istates[iline & imask]
+                               && itags[iline & imask] == (iline >> ishift))
+                            iline++;
+                    }
+                    if (ctx->icache_mode == 0
+                        || (ctx->icache_mode == 1 && iline > ilast)) {
+                        if (ctx->icache_mode)
+                            ctx->d_icfetch[pid] +=
+                                ilast - (addr >> ctx->iline_shift) + 1;
+                        if (proc_compute(ctx, pid, count, &time) < 0)
                             goto fail;
-                        time += count;
                     }
                     else {
                         int err = 0;
@@ -1634,116 +2232,96 @@ native_run(PyObject *self, PyObject *args)
                             goto fail;
                     }
                 }
+                else if (op == OP_ENQUEUE || op == OP_DEQUEUE) {
+                    if (time > limit)
+                        goto limit_exceeded;
+                    misc[X_EVENTS]++;
+                    PyObject *key = PyLong_FromLongLong(data[i + 1]);
+                    PyObject *item = NULL;
+                    int rc = -1;
+                    if (key && op == OP_DEQUEUE) {
+                        /* Replay-only: pop and discard (the recorded stream
+                         * already contains the branch the response chose). */
+                        item = queue_pop(ctx, key);
+                        rc = item ? 0 : -1;
+                    }
+                    else if (key) {
+                        item = PyLong_FromLongLong(data[i + 2]);
+                        rc = item ? queue_push(ctx, key, item) : -1;
+                    }
+                    Py_XDECREF(key);
+                    Py_XDECREF(item);
+                    if (rc < 0)
+                        goto fail;
+                    i += op == OP_ENQUEUE ? 3 : 2;
+                }
+                else if (op == OP_LOCK_ACQ || op == OP_LOCK_REL
+                         || op == OP_BARRIER) {
+                    if (time > limit)
+                        goto limit_exceeded;
+                    misc[X_EVENTS]++;
+                    long long id = data[i + 1];
+                    int running;
+                    if (op == OP_BARRIER) {
+                        running = barrier_arrive(ctx, pid, id, data[i + 2],
+                                                 time);
+                        i += 3;
+                    }
+                    else {
+                        running = op == OP_LOCK_ACQ
+                            ? lock_acquire(ctx, pid, id, &time)
+                            : lock_release(ctx, pid, id, &time) < 0 ? -1 : 1;
+                        i += 2;
+                    }
+                    if (running < 0)
+                        goto fail;
+                    if (!running)
+                        state = RUN_OVER;
+                    /* whoever was woken may be the earliest now */
+                    next_time = ctx->n_ready ? ctx->ready[0].time : LLONG_MAX;
+                }
                 else {
-                    int err = 0;
-                    time = call_ifetch(ctx, pid, data[i + 1], count, time,
-                                       &err);
-                    if (err)
-                        goto fail;
-                }
-                i += 3;
-                if (time > next_time)
-                    status = STATUS_PREEMPT;
-            }
-            else if (op == OP_ENQUEUE) {
-                if (time > limit)
-                    goto limit_exceeded;
-                misc[0]++;
-                PyObject *key = PyLong_FromLongLong(data[i + 1]);
-                if (!key)
+                    if (time > limit)
+                        goto limit_exceeded;
+                    PyErr_Format(PyExc_ValueError,
+                                 "unknown packed opcode %lld at %lld", op, i);
                     goto fail;
-                PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
-                if (q) {
-                    Py_INCREF(q);
                 }
-                else {
-                    if (PyErr_Occurred()) {
-                        Py_DECREF(key);
-                        goto fail;
-                    }
-                    q = PyObject_CallNoArgs(g_deque);
-                    if (!q || PyDict_SetItem(ctx->queues, key, q) < 0) {
-                        Py_XDECREF(q);
-                        Py_DECREF(key);
-                        goto fail;
-                    }
-                }
-                Py_DECREF(key);
-                PyObject *item = PyLong_FromLongLong(data[i + 2]);
-                PyObject *r = item ? PyObject_CallMethodObjArgs(
-                    q, s_append, item, NULL) : NULL;
-                Py_XDECREF(item);
-                Py_DECREF(q);
-                if (!r)
-                    goto fail;
-                Py_DECREF(r);
-                i += 3;
+                if (state == RUN_ON && time > next_time)
+                    state = RUN_PREEMPTED;
             }
-            else if (op == OP_DEQUEUE) {
-                if (time > limit)
-                    goto limit_exceeded;
-                misc[0]++;
-                PyObject *key = PyLong_FromLongLong(data[i + 1]);
-                if (!key)
-                    goto fail;
-                PyObject *q = PyDict_GetItemWithError(ctx->queues, key);
-                Py_DECREF(key);
-                if (!q && PyErr_Occurred())
-                    goto fail;
-                if (q) {
-                    int truthy = PyObject_IsTrue(q);
-                    if (truthy < 0)
-                        goto fail;
-                    if (truthy) {
-                        PyObject *r = PyObject_CallMethodObjArgs(
-                            q, s_popleft, NULL);
-                        if (!r)
-                            goto fail;
-                        Py_DECREF(r);
-                    }
-                }
-                i += 2;
-            }
-            else {
-                /* Synchronization or unknown opcode: the wrapper runs the
-                 * handler (or raises the unknown-opcode error) for exact
-                 * error/accounting parity with the reference loop. */
-                if (time > limit)
-                    goto limit_exceeded;
-                status = STATUS_SYNC;
-            }
-        }
-
-        if (status == STATUS_SYNC) {
-            /* The cursor already points past the opcode python is about
-             * to handle; regs[R_POS] tells it where the opcode is. */
-            cur->pos = i + (data[i] == OP_BARRIER ? 3 : 2);
-            cur->sub = 0;
-            break;
-        }
-        if (status == STATUS_EXHAUSTED) {
+            cur->pos = i;
+            cur->sub = sub;
+            if (state != RUN_ON)
+                break;
+            /* The chunk is drained, or none is installed yet: resume the
+             * generator (``_advance``), which may be the end of it. */
             cursor_drop(cur);
-            break;
+            i = sub = 0;
+            if (time > limit)
+                goto limit_exceeded;
+            int alive = proc_refill(ctx, pid, proc);
+            if (alive < 0)
+                goto fail;
+            if (!alive) {
+                proc->finished = 1;
+                proc->time = time;
+                if (time > misc[X_FINISH])
+                    misc[X_FINISH] = time;
+                state = RUN_OVER;
+            }
         }
-        /* Preempted by the heap top: the next round switches. */
-        cur->pos = i;
-        cur->sub = sub;
     }
-
-    regs[R_POS] = i;
-    regs[R_TIME] = time;
-    regs[R_PID] = pid;
-    regs[R_SEQ] = seq;
-    return PyLong_FromLong(status);
 
 limit_exceeded:
     PyErr_Format(PyExc_RuntimeError, "simulation exceeded %lld cycles",
                  limit);
 fail:
-    regs[R_POS] = i;
-    regs[R_TIME] = time;
-    regs[R_PID] = pid;
-    regs[R_SEQ] = seq;
+    /* the process at fault is left where the reference loop leaves it:
+     * popped, and standing at the event that raised */
+    cur->pos = i;
+    cur->sub = sub;
+    ctx->procs[pid].time = time;
     return NULL;
 }
 
@@ -2443,13 +3021,6 @@ pf_floor_div(long long a, long long b)      /* b > 0 */
     return a % b < 0 ? q - 1 : q;
 }
 
-static inline size_t
-pf_line_hash(long long line)
-{
-    return (size_t)(((unsigned long long)line * 0x9E3779B97F4A7C15ULL)
-                    >> 32);
-}
-
 static int
 pf_lines_grow(LineTable *t)
 {
@@ -2460,7 +3031,7 @@ pf_lines_grow(LineTable *t)
     for (size_t i = 0; i < t->cap; i++) {
         if (!t->slots[i].id_plus_1)
             continue;
-        size_t j = pf_line_hash(t->slots[i].line) & (cap - 1);
+        size_t j = ll_hash(t->slots[i].line) & (cap - 1);
         while (slots[j].id_plus_1)
             j = (j + 1) & (cap - 1);
         slots[j] = t->slots[i];
@@ -2478,7 +3049,7 @@ pf_lines_intern(LineTable *t, long long line, unsigned *id)
     if ((size_t)t->count * 2 >= t->cap && pf_lines_grow(t) < 0)
         return -1;
     size_t mask = t->cap - 1;
-    size_t i = pf_line_hash(line) & mask;
+    size_t i = ll_hash(line) & mask;
     while (t->slots[i].id_plus_1) {
         if (t->slots[i].line == line) {
             *id = t->slots[i].id_plus_1 - 1;
@@ -3184,11 +3755,10 @@ done:
 static PyMethodDef methods[] = {
     {"setup", native_setup, METH_O,
      "Parse a run plan into a context capsule."},
-    {"run", native_run, METH_VARARGS,
-     "Schedule and drain processes; returns 0/1/2/3 "
-     "(refill/done/sync/object hand-off)."},
+    {"run", native_run, METH_O,
+     "Run every process until none is ready."},
     {"release", native_release, METH_O,
-     "Release the buffer views held by a context."},
+     "Write a context's working copy back; returns (locks, barriers)."},
     {"ladder_setup", native_ladder_setup, METH_O,
      "Parse a fused-ladder plan into a context capsule."},
     {"ladder_drain", native_ladder_drain, METH_VARARGS,
@@ -3202,8 +3772,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
-    "C scheduler and inner loop for the packed replay interleaver, "
-    "its fused ladder, and the row-profile kernel.", -1, methods,
+    "C scheduler, inner loop and synchronization for the timing "
+    "interleaver, its fused ladder, and the row-profile kernel.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

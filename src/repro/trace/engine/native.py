@@ -1,17 +1,16 @@
-"""C-extension packed replay backend: loader, on-demand build, wrapper.
+"""C-extension timing engine: loader, on-demand build, wrapper.
 
-``_native.c`` implements the interleaver's scheduler and chunk-drain
-loop: C owns the whole data path -- hits, bank/write-buffer timing, the
-snoopy miss path with its bus arbitration -- and scheduling.  Python
-owns what is rare: generator resumes, synchronization handlers,
-task-queue events yielded as objects, and instruction-cache refills, the
-one callback left.  The contract is the reference loop's
+``_native.c`` implements the interleaver's run: C owns the whole data
+path -- hits, bank/write-buffer timing, the snoopy miss path with its
+bus arbitration --, scheduling, the locks, barriers and task queues, and
+the resuming of the application generators, whose bodies (with
+instruction-cache refills, the one callback left) are the only python
+executed during a run.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors -- and, when the system carries the standard
 :class:`~repro.instrument.probes.InstrumentationProbe`, the same
 registry: C bins what it executes into buffers this wrapper hands it
-and folds into the probe once, after the run, while whatever python
-still executes emits into the probe directly.
+and folds into the probe once, after the run.
 
 Ownership rule: the python containers are the machine's state *at
 rest*; between ``setup`` and ``release`` C works on its own copy and no
@@ -21,12 +20,13 @@ times and the bus clock are ``array('q')`` storage C works on in place;
 each ``scc._inflight`` dict and each bank's ``_write_buffers`` list is
 read into C words at ``setup`` (per-index fill words, a heap of retire
 times per bank) and rewritten from them at ``release``; the ready heap
-lives in C, with ``interleaver._heap`` as its *mailbox* -- ``_push`` (from
-``add_process`` and the lock/barrier handlers) appends there as on the
-reference loop, ``_native.run`` drains it on entry, ``release`` writes
-back what is still ready -- so a run that ends, or aborts, leaves every
-container as the reference loop would, and the next run on the same
-objects may be either engine's.
+lives in C, read from ``interleaver._heap`` when the run starts and
+written back -- what is still ready -- at ``release``; the processes'
+fields, ``_locks`` and ``_barriers`` are flattened into the plan by
+:func:`run` and rebuilt by it from what ``release`` leaves -- so a run
+that ends, deadlocks or aborts leaves every container as the reference
+loop would, and the next run on the same objects may be either
+engine's.
 
 The extension has two more sections this module only loads: the fused
 ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
@@ -59,26 +59,32 @@ ladders), which tests and CI pin to the same goldens.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import importlib.util
 import os
 import subprocess
 import sys
 import sysconfig
 from array import array
+from collections import deque
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 from ...instrument.probes import NULL_PROBE
-from ..packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
+from ..events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
+                      Read, TaskDequeue, TaskEnqueue, Write)
+from ..interleave import SyncProtocolError, _Lock
+from ..packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
+                      OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ, OP_WRITE,
+                      PackedChunk)
 
 __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run", "scc_plan", "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder or profile entry points) changes.
-NATIVE_VERSION = "8"
+NATIVE_VERSION = "9"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -87,12 +93,9 @@ _mod = _UNSET
 
 _NO_LIMIT = (1 << 63) - 1
 
-# _native.run() statuses and the registers it shares with this module
-_EXHAUSTED = 0
-_DONE = 1
-_SYNC = 2
-_OBJECT = 3
-_R_POS, _R_TIME, _R_PID, _R_SEQ = range(4)
+#: Words of one process at rest (``P_FIELDS`` in _native.c): its clock,
+#: ``blocked``, ``block_start``, ``finished``, ``chunk_pos``, ``chunk_sub``
+_PROCESS_WORDS = 6
 
 # Slot order of one SCC's ``SccStats`` deltas (``S_*`` in _native.c)
 _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
@@ -107,6 +110,18 @@ _METRIC_FIELDS = ("bus_transactions", "bus_busy_cycles", "bus_wait_cycles",
                   "bank_accesses", "bank_conflict_events",
                   "write_buffer_stalls", "write_buffer_stall_cycles",
                   "cache_hits", "cache_misses", "invalidations")
+
+# What a generator may yield, as ``_native.setup`` takes it: the chunk
+# class and its data attribute, the type ``array('q', data)`` is built
+# with, the error a misused lock, barrier or queue raises, and per event
+# class its opcode and the attributes its operands are read from.
+_VOCABULARY = (PackedChunk, "data", array, SyncProtocolError, tuple(
+    (cls, op, tuple(field.name for field in fields(cls)))
+    for cls, op in ((Read, OP_READ), (Write, OP_WRITE),
+                    (Compute, OP_COMPUTE), (Ifetch, OP_IFETCH),
+                    (LockAcquire, OP_LOCK_ACQ), (LockRelease, OP_LOCK_REL),
+                    (Barrier, OP_BARRIER), (TaskEnqueue, OP_ENQUEUE),
+                    (TaskDequeue, OP_DEQUEUE))))
 
 
 def _source_path() -> Path:
@@ -264,16 +279,15 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_generic`` on
     machines the interleaver found native-eligible.
 
-    The scheduler and the chunk-drain loop run in C (``_native.run``);
-    this frame is re-entered only to resume a generator (chunk exhausted,
-    or a popped process with no chunk installed) and to run a
-    synchronization handler; ``interleaver.engine_returns`` counts those
-    hand-backs by reason.
+    One call into C (``_native.run``) runs the whole simulation; the
+    generators' bodies are the only python executed in it.  This frame
+    flattens the interleaver's state at rest into the plan and, whatever
+    happened, rebuilds it from what C leaves: the processes, ``_heap``,
+    ``_locks``, ``_barriers``, every counter the reference loop bumps.
     """
     native = load()
     self = interleaver
     heap = self._heap
-    processes = self._processes
     system = self.system
     config = system.config
     n_cl = config.clusters
@@ -305,7 +319,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     else:
         icache_mode = 2
 
-    limit = _NO_LIMIT if max_cycles is None else max_cycles
     scal = array("q", [
         config.line_offset_bits,
         n_banks,
@@ -314,11 +327,13 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         cl_icn[0].write_buffer_depth,
         icache_mode,
         iline_shift,
-        limit,
+        _NO_LIMIT if max_cycles is None else max_cycles,
         config.bus_occupancy,
         config.upgrade_bus_occupancy,
         config.memory_latency,
         1 if config.protocol == "mesi" else 0,
+        self.lock_overhead,
+        self.barrier_overhead,
     ])
     per_cluster = tuple(scc_plan(scc, system.bus, scc._lost_lines)
                         for scc in cl_scc)
@@ -329,25 +344,33 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             for ic in ic_objs)
     else:
         ic_tuple = ()
-    d_refs = array("q", bytes(8 * nproc))
-    d_busy = array("q", bytes(8 * nproc))
-    d_stall = array("q", bytes(8 * nproc))
+    d_refs, d_busy, d_stall, d_icfetch, d_sync = (
+        array("q", bytes(8 * nproc)) for _ in range(5))
     d_finish = array("q", [-1] * nproc)
-    d_icfetch = array("q", bytes(8 * nproc))
-    misc = array("q", [0])
-    regs = array("q", [0, 0, -1, 0])     # R_PID -1: pop the first process
+    misc = array("q", [0, self._seq, 0])    # events, _seq, latest finish
+    # The processes at rest, by pid: ``_PROCESS_WORDS`` each and what
+    # stays an object.  C carries on from a chunk
+    # the last run left half-drained and a response it left unsent.
+    processes = [self._processes.get(p) for p in range(nproc)]
+    pstate = array("q", [
+        word for process in processes
+        for word in ((process.time, process.blocked, process.block_start,
+                      process.finished, process.chunk_pos,
+                      process.chunk_sub) if process else (0,) * _PROCESS_WORDS)])
+    chunks = [process and process.chunk for process in processes]
+    responses = [process and process.response for process in processes]
     # What C tells the probe (eligibility made it NULL_PROBE or the
     # standard one): counters, and one growable bin buffer per timeline
     # -- the bus trio, (cluster, bank) conflicts, per-cluster write
-    # buffers, per-processor busy then memory -- each a bytearray of
-    # int64 bins C resizes in place.  No probe, no buffers: C's sites
+    # buffers, per-processor busy, memory, then sync -- each a bytearray
+    # of int64 bins C resizes in place.  No probe, no buffers: C's sites
     # test one NULL pointer.
     probe = system.probe
     metrics = None
     if probe is not NULL_PROBE:
         m_counts = array("q", bytes(8 * len(_METRIC_FIELDS)))
         m_series = tuple(bytearray() for _ in range(
-            3 + n_cl * n_banks + n_cl + 2 * nproc))
+            3 + n_cl * n_banks + n_cl + 3 * nproc))
         metrics = (probe.registry.bin_width, m_counts, m_series)
     plan = (
         per_cluster,
@@ -355,92 +378,45 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         (system.ifetch, self._queues),
         scal,
         ic_tuple,
-        (d_refs, d_busy, d_stall, d_finish, d_icfetch, misc),
-        regs,
-        (heap, array("q", proc_cluster)),
+        (d_refs, d_busy, d_stall, d_finish, d_icfetch, d_sync, misc),
+        (heap, array("q", proc_cluster),
+         [process and process.generator for process in processes],
+         pstate, chunks, responses),
+        ([(lock_id, -1 if lock.holder is None else lock.holder,
+           list(lock.waiters)) for lock_id, lock in self._locks.items()],
+         [(barrier_id, -1, waiting)
+          for barrier_id, waiting in self._barriers.items()]),
+        _VOCABULARY,
         metrics,
     )
     ctx = native.setup(plan)
-    run_c = native.run
-
-    advance = self._advance
-    returns = [0, 0, 0, 0]      # by status; _DONE stays 0
-    ev = 0
-    finish_time = 0
-    chunk = None
     try:
-        while True:
-            regs[_R_SEQ] = self._seq
-            try:
-                status = run_c(ctx, chunk)
-            finally:
-                self._seq = regs[_R_SEQ]
-            if status == _DONE:
-                break
-            returns[status] += 1
-            chunk = None
-            # C switched processes without touching the process objects;
-            # bring the current one up to date, as the reference loop's
-            # pop would leave it.  (Ready ones are brought up to date once,
-            # at the end: no handler looks at a process that is ready.)
-            process = processes[regs[_R_PID]]
-            process.time = regs[_R_TIME]
-            process.in_heap = False
-            if status == _SYNC:
-                data = process.chunk
-                i = regs[_R_POS]
-                op = data[i]
-                if op not in (OP_LOCK_ACQ, OP_LOCK_REL, OP_BARRIER):
-                    # C defers unknown opcodes here so the error and
-                    # the accounting before it match the reference loop.
-                    raise ValueError(
-                        f"unknown packed opcode {op} at {i}")
-                ev += 1
-                if op == OP_LOCK_ACQ:
-                    self._lock_acquire(process, data[i + 1])
-                elif op == OP_LOCK_REL:
-                    self._lock_release(process, data[i + 1])
-                else:
-                    self._barrier(process, data[i + 1], data[i + 2])
-                if process.blocked or process.in_heap:
-                    regs[_R_PID] = -1
-                else:
-                    # C checks the clock against the heap top, which the
-                    # handler may have changed by waking processes.
-                    regs[_R_TIME] = process.time
-                continue
-            if status == _EXHAUSTED:
-                process.chunk = None
-            finish = advance(process, max_cycles)
-            if finish is not None and finish > finish_time:
-                finish_time = finish
-            data = process.chunk
-            if data is None:
-                regs[_R_PID] = -1   # finished
-                continue
-            # C reads an ``array('q')`` in place and takes its own copy
-            # of a builder ``list``; any other int sequence becomes an
-            # array here.  Chunks are fully consumed before their
-            # generator resumes, so neither is visible to a workload
-            # that reuses its builder.
-            if type(data) is not list and (type(data) is not array
-                                           or data.typecode != "q"):
-                data = process.chunk = array("q", data)
-            chunk = data
-            regs[_R_TIME] = process.time
+        native.run(ctx)
     finally:
-        # Whatever is still ready (an aborted run) comes back as the
-        # reference loop would have left it: entries, clocks, flags.
-        native.release(ctx)
-        heapq.heapify(heap)
-        for clock, _, pid in heap:
-            ready = processes[pid]
-            ready.time = clock
-            ready.in_heap = True
-        self.engine_returns = {"refill": returns[_EXHAUSTED],
-                               "sync": returns[_SYNC],
-                               "object": returns[_OBJECT]}
-        self.events_processed += ev + misc[0]
+        # Whatever the run left -- finished, deadlocked or aborted --
+        # comes back as the reference loop would have left it.
+        locks, barriers = native.release(ctx)
+        for lock_id, holder, waiters in locks:
+            lock = self._locks.setdefault(lock_id, _Lock())
+            lock.holder = None if holder < 0 else holder
+            lock.waiters = deque(waiters)
+        for barrier_id, _, waiting in barriers:
+            self._barriers[barrier_id] = waiting
+        for p, process in enumerate(processes):
+            if process is not None:
+                (process.time, blocked, process.block_start, finished,
+                 process.chunk_pos, process.chunk_sub) = pstate[
+                     _PROCESS_WORDS * p:_PROCESS_WORDS * (p + 1)]
+                process.blocked = bool(blocked)
+                process.finished = bool(finished)
+                process.chunk = chunks[p]
+                process.response = responses[p]
+                process.in_heap = False
+        for _, _, pid in heap:
+            processes[pid].in_heap = True
+        self._seq = misc[1]
+        self.engine_returns = dict.fromkeys(("refill", "sync", "object"), 0)
+        self.events_processed += misc[0]
         for scc, entry in zip(cl_scc, per_cluster):
             settle_scc(scc, entry)
         for p in range(nproc):
@@ -452,6 +428,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 pstats.instructions += busy
                 pstats.busy_cycles += busy
                 pstats.memory_stall_cycles += d_stall[p]
+            procs[p].stats.sync_stall_cycles += d_sync[p]
             if d_finish[p] > procs[p].finish_time:
                 procs[p].finish_time = d_finish[p]
             if d_icfetch[p]:
@@ -468,5 +445,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 bank_conflict=[take(n_banks) for _ in range(n_cl)],
                 write_buffer=take(n_cl),
                 busy=take(nproc),
-                memory=take(nproc))
-    return finish_time
+                memory=take(nproc),
+                sync=take(nproc))
+    return misc[2]

@@ -30,13 +30,14 @@ snoopy protocol, no observer, and either no probe or the standard
 :class:`~repro.instrument.probes.InstrumentationProbe` without its event
 log, a ``native`` resolution hands scheduling and every memory event to
 the C extension instead (bit-identical statistics and probe registry,
-pinned by :mod:`repro.verify`).  A native run shares this module's
-generator resumes (:meth:`TimingInterleaver._advance`), its lock and
-barrier handlers and ``_dispatch``'s task-queue branches; ``_dispatch``'s
-memory and synchronization branches, ``_consume_chunk_generic`` and
-:meth:`~repro.core.system.MultiprocessorSystem.data_access` are the
-reference loop's alone -- an event object a generator yields reaches C as
-a one-event chunk.
+pinned by :mod:`repro.verify`).  A native run shares none of this
+module's loop: C resumes the generators and keeps the locks, barriers
+and task queues itself, and ``_advance``, ``_dispatch``, the handlers
+below and :meth:`~repro.core.system.MultiprocessorSystem.data_access`
+are the reference loop's alone.  What the two share is the state at
+rest -- the processes, ``_heap``, ``_locks``, ``_barriers``, ``_queues``
+-- which either engine leaves as the other would, so a run cut short on
+one can carry on on the other.
 
 Synchronization (ANL macro equivalents):
 
@@ -65,19 +66,12 @@ from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                      Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
 from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                      OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk,
-                     append_event)
+                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk)
 
 __all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError",
            "fused_replay_ok"]
 
 ProcessGenerator = Generator[TraceEvent, Any, None]
-
-# Event objects the native engine executes itself, each as a one-event
-# chunk; task-queue events carry python items and responses and stay in
-# ``_dispatch`` on both engines.
-_CHUNKED_EVENTS = frozenset((Read, Write, Compute, Ifetch, LockAcquire,
-                             LockRelease, Barrier))
 
 
 class DeadlockError(RuntimeError):
@@ -212,12 +206,10 @@ class TimingInterleaver:
         self.engine_returns: Dict[str, int] = {}
         """How often the native engine's C loop handed control back to
         python during the last :meth:`run`, by reason; empty on the
-        reference loop.  ``refill``: the current process's chunk ran out
-        and its generator must be resumed -- a one-event chunk made from
-        an event object counts like any other; ``sync``: a lock or
-        barrier, packed or yielded as an object, needs its handler;
-        ``object``: a process was scheduled with no chunk installed --
-        its first scheduling, once per process."""
+        reference loop.  ``refill``, ``sync`` and ``object`` were the
+        reasons while python resumed the generators and ran the sync
+        handlers; C does both now, so all three read zero (returns of
+        ``_native.run`` are counted, not generator resumes)."""
 
     # ------------------------------------------------------------------
     # Setup
@@ -284,21 +276,10 @@ class TimingInterleaver:
     def _advance(self, process: _Process,
                  max_cycles: Optional[int]) -> Optional[int]:
         """Run ``process`` until it blocks, finishes, or falls behind the
-        next-earliest process.  Returns its finish time if it ended.
-
-        Under the native engine this only resumes the generator: chunks
-        are drained in C, so a freshly yielded chunk -- or an event
-        object, packed as a chunk of one -- is installed on the process
-        and control returns to the caller, who counts the event where it
-        executes.  Task-queue events are handled here on both engines;
-        they move no clock, so the native branch has nothing to
-        reschedule after one."""
+        next-earliest process.  Returns its finish time if it ended."""
         heap = self._heap
-        native = self.engine_used == "native"
         while True:
             if process.chunk is not None:
-                # The native engine drains chunks in C and never
-                # enters with one pending.
                 if not self._consume_chunk_generic(process, max_cycles):
                     return None
                 process.chunk = None
@@ -321,17 +302,9 @@ class TimingInterleaver:
                 process.chunk = event.data
                 process.chunk_pos = 0
                 process.chunk_sub = 0
-                if native:
-                    return None
                 continue
-            if native and type(event) in _CHUNKED_EVENTS:
-                process.chunk = data = []
-                append_event(data, event)
-                return None
             self.events_processed += 1
             self._dispatch(process, event)
-            if native:
-                continue
             if process.blocked:
                 return None
             if process.in_heap:

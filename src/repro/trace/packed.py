@@ -46,9 +46,13 @@ the chunk boundaries cannot change what any process observes:
    positions in a way another process could observe (mutations are fine
    at chunk boundaries, where the generator actually runs).
 
-Timing-dependent sections (lock-racing tree inserts, reads of data a peer
-mutates mid-phase) must keep yielding event objects; the interleaver runs
-both forms side by side in one stream.
+A chunk may carry synchronization opcodes (a process blocked at one
+carries on, when woken, from the chunk's next event), so a
+timing-dependent section -- lock-racing tree inserts, reads of data a
+peer mutates mid-phase -- is packed by the same two rules: its chunks
+*end at every touch of the racy state*, which the generator reads or
+mutates at the resume (Barnes-Hut's ``_insert_phase`` is the worked
+example).  Event objects stay valid anywhere, side by side with chunks.
 
 ``OP_DEQUEUE`` is special: a live workload needs the dequeue *response*
 to branch on, which a pre-encoded chunk cannot receive, so the opcode is

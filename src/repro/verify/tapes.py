@@ -5,7 +5,9 @@ processor -- the exact input shape the packed fast path and the fused
 ladder consume.  The generator is deliberately hostile: it aliases a
 handful of cache indexes across several tags (so fills, evictions, and
 invalidations constantly collide), mixes every packed opcode including
-lock-, barrier- and task-queue synchronization, and samples machine
+lock-, barrier- and task-queue synchronization (multiprocessor tapes end
+on a round of deliberate contention: a lock everyone wants at once,
+polls of an empty queue, a barrier id reused), and samples machine
 geometries across the whole supported envelope (1-8 processors over 1-4
 clusters, MSI and MESI, direct-mapped and 2-way arrays, write buffering
 on and off, optional instruction-cache modelling).
@@ -229,6 +231,27 @@ def _emit_body(rng: random.Random, buf: List[int], proc: int,
                 buf.extend((OP_DEQUEUE, queue_id))
 
 
+def _emit_contention(rng: random.Random, streams: Dict[int, List[int]],
+                     pools: Dict[int, List[int]]) -> None:
+    """One round of what the bodies meet only by luck: every processor
+    leaves the last barrier on one clock and goes for one lock, holding
+    it across a miss, so waiters queue (two deep and more from three
+    processors on) and the lock is handed down the queue; a poll of a
+    queue nobody fills; two barriers on a used id, after unequal waits."""
+    procs = len(streams)
+    lock_id = rng.randrange(3)
+    for buf in streams.values():
+        buf.extend((OP_COMPUTE, rng.randrange(4),
+                    OP_LOCK_ACQ, lock_id,
+                    OP_WRITE, rng.choice(pools[-1]),
+                    OP_COMPUTE, rng.randrange(60),
+                    OP_LOCK_REL, lock_id,
+                    OP_DEQUEUE, 2))
+        for _ in range(2):
+            buf.extend((OP_COMPUTE, rng.randrange(200),
+                        OP_BARRIER, 0, procs))
+
+
 def generate_tape(seed) -> Tape:
     """The tape for ``seed`` (any value with a stable ``str``)."""
     rng = random.Random(str(seed))
@@ -244,6 +267,9 @@ def generate_tape(seed) -> Tape:
         # so multi-processor tapes stay deadlock-free by construction.
         for proc in range(procs):
             streams[proc].extend((OP_BARRIER, barrier_id, procs))
+    if procs > 1:
+        # (a stream of its own: every tape up to here is what it was)
+        _emit_contention(random.Random(f"{seed}/contention"), streams, pools)
     return Tape(seed=str(seed), config_kwargs=config_kwargs,
                 streams=streams)
 

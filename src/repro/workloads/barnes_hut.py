@@ -45,9 +45,9 @@ from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from ..core.config import SystemConfig
-from ..trace.events import Barrier, Compute, LockAcquire, LockRelease, Read, Write
-from ..trace.packed import (OP_COMPUTE, OP_READ, OP_WRITE, PackedChunk,
-                            decode_events)
+from ..trace.events import Barrier, Compute, Write
+from ..trace.packed import (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
+                            OP_WRITE, PackedChunk, decode_events)
 from .base import TracedApplication
 from .memory import SharedHeap
 
@@ -300,8 +300,9 @@ class _BarnesHutRun:
         (:meth:`_plan_force_phase`), because nothing a walk reads changes
         before barrier 5 and what it writes (``acc``, ``cost``) is read
         only after barrier 5 and by the next step's :meth:`_partition`.
-        The *insert* phase races on per-cell locks and must keep yielding
-        objects; it never comes through here.
+        The *insert* phase races on per-cell locks: its chunks carry
+        the lock operations and end at every touch of the tree
+        (:meth:`_insert_phase`).
         """
         if not buf:
             return
@@ -397,57 +398,69 @@ class _BarnesHutRun:
         return Cell(index, centre, half, depth)
 
     def _insert_phase(self, proc: int) -> Generator:
-        for body in self.assignments[proc]:
-            yield Read(self.body_addr(body, _BODY_POS))
-            yield from self._insert(proc, body)
-
-    def _insert(self, proc: int, body: Body) -> Generator:
-        """Insert ``body`` with optimistic descent and per-cell locks.
+        """Insert this processor's bodies with optimistic descent and
+        per-cell locks.
 
         As in the SPLASH code, the descent reads child slots without
         locking; a lock is taken only on the cell whose slot must be
         mutated, and the slot is re-read under the lock in case another
-        processor raced in (in which case the descent resumes from the
-        freshly installed subtree).  Cells never move or disappear, so
-        the optimistic read is safe.
+        processor raced in (the descent then resumes from the freshly
+        installed subtree).  Cells never move or disappear, so the
+        optimistic read is safe.
+
+        The tree is what processes race on, so a chunk ends at every
+        touch of it -- the optimistic read, the re-read under the lock,
+        a subcell's publishing, a bucket's free-slot scan -- and nowhere
+        else: what lies between two touches (a lock's release with the
+        descent to the next slot, or the next body's first step) rides
+        in ``buf``, and every mutation happens at the resume it would
+        happen at event by event.
         """
-        cell = self.root
-        while True:
-            octant = cell.slot_of(body.pos)
-            yield Compute(_INSERT_COMPUTE)
-            yield Read(self.cell_addr(cell, _CELL_CHILDREN + octant * 8))
-            child = cell.children[octant]
-            if isinstance(child, Cell):
-                cell = child
-                continue
-            # Slot is empty or holds a body: mutate under the cell lock.
-            yield LockAcquire(self.cell_lock(cell))
-            yield Read(self.cell_addr(cell, _CELL_CHILDREN + octant * 8))
-            child = cell.children[octant]
-            if isinstance(child, Cell):
-                # Raced: someone installed a subtree here meanwhile.
-                yield LockRelease(self.cell_lock(cell))
-                cell = child
-                continue
-            if child is None:
-                cell.children[octant] = body
-                yield Write(self.cell_addr(cell,
-                                           _CELL_CHILDREN + octant * 8))
-                yield LockRelease(self.cell_lock(cell))
-                return
-            # The slot holds a body: split it into a subcell and resume
-            # the descent inside the new subcell.
-            subcell = self._new_cell(proc, *cell.subcell_cube(octant),
-                                     cell.depth + 1)
-            sub_octant = subcell.slot_of(child.pos)
-            subcell.children[sub_octant] = child
-            yield Read(self.body_addr(child, _BODY_POS))
-            yield Write(self.cell_addr(subcell,
-                                       _CELL_CHILDREN + sub_octant * 8))
-            cell.children[octant] = subcell
-            yield Write(self.cell_addr(cell, _CELL_CHILDREN + octant * 8))
-            yield LockRelease(self.cell_lock(cell))
-            cell = subcell
+        buf: List[int] = []
+        for body in self.assignments[proc]:
+            buf += (OP_READ, self.body_addr(body, _BODY_POS))
+            cell = self.root
+            while True:
+                if cell.depth >= _MAX_DEPTH:
+                    # a bucket's slot depends on who got there first
+                    yield from self._flush(buf)
+                    buf = []
+                octant = cell.slot_of(body.pos)
+                slot = self.cell_addr(cell, _CELL_CHILDREN + octant * 8)
+                buf += (OP_COMPUTE, _INSERT_COMPUTE, OP_READ, slot)
+                yield from self._flush(buf)
+                buf = []
+                child = cell.children[octant]
+                if isinstance(child, Cell):
+                    cell = child
+                    continue
+                # Slot is empty or holds a body: mutate under the cell lock.
+                lock = self.cell_lock(cell)
+                yield from self._flush([OP_LOCK_ACQ, lock, OP_READ, slot])
+                child = cell.children[octant]
+                if isinstance(child, Cell):
+                    # Raced: someone installed a subtree here meanwhile.
+                    buf = [OP_LOCK_REL, lock]
+                    cell = child
+                    continue
+                if child is None:
+                    cell.children[octant] = body
+                    buf = [OP_WRITE, slot, OP_LOCK_REL, lock]
+                    break
+                # The slot holds a body: split it into a subcell -- private
+                # until it is published -- and resume the descent inside.
+                subcell = self._new_cell(proc, *cell.subcell_cube(octant),
+                                         cell.depth + 1)
+                sub_octant = subcell.slot_of(child.pos)
+                subcell.children[sub_octant] = child
+                yield from self._flush([
+                    OP_READ, self.body_addr(child, _BODY_POS),
+                    OP_WRITE, self.cell_addr(
+                        subcell, _CELL_CHILDREN + sub_octant * 8)])
+                cell.children[octant] = subcell
+                buf = [OP_WRITE, slot, OP_LOCK_REL, lock]
+                cell = subcell
+        yield from self._flush(buf)
 
     def _collect_levels(self) -> None:
         """Group cells by depth for the level-parallel summarize phase."""

@@ -23,6 +23,11 @@ READY_TIE_BREAK = ("(a->time == b->time && a->seq < b->seq)", "0")
 #: ... and when a hit forgets the fill it found landed (a cycle late
 #: moves no clock: only the table the run writes back shows it).
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")
+#: ... and two in the synchronization a run keeps there too: the waiter
+#: a released lock is handed to pays the lock operation as well ...
+WAITER_SKIPS_OVERHEAD = ("*time + ctx->lock_overhead);", "*time);")
+#: ... and a barrier opens at its latest arrival, not its earliest.
+BARRIER_EARLIEST = ("time > barrier->latest", "time < barrier->latest")
 #: ... and three in the code a run and a ladder rung share, so both
 #: engines answer for them: the victim's fill surviving its eviction (a
 #: fill for a line the SCC no longer holds) ...

@@ -71,15 +71,27 @@ class TestHttpEndToEnd:
         assert events[-1]["event"] == "done"
         assert events[-1]["ok"] is True
 
-    def test_dead_worker_loses_no_points(self, fabric_http, tiny_spec):
+    def test_dead_worker_loses_no_points(self, fabric_http, tiny_spec,
+                                         monkeypatch):
         """A worker that leases a unit and dies mid-grid: the lease
         expires and a survivor finishes every point."""
         broker, client, _url = fabric_http
-        handle = client.submit(tiny_spec)
         # A doomed "worker" grabs a unit straight off the broker and
         # never heartbeats again -- exactly what a killed process does.
-        doomed = broker.lease("doomed-worker")
-        assert doomed is not None
+        # Under the broker's lock, with the submit: the live worker waits
+        # on the broker and would otherwise be at the queue first.
+        doomed = []
+        submit = broker.submit
+
+        def submit_and_lease(spec):
+            with broker._lock:
+                payload = submit(spec)
+                doomed.append(broker.lease("doomed-worker"))
+            return payload
+
+        monkeypatch.setattr(broker, "submit", submit_and_lease)
+        handle = client.submit(tiny_spec)
+        assert doomed and doomed[0] is not None
         remote = client.result(handle, timeout=120.0)
         assert len(remote) == handle.total == 4      # nothing lost
         expired = [e for e in broker.events_since(handle.job, 0,

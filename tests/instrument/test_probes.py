@@ -209,6 +209,7 @@ class TestAbsorb:
         called.invalidation(0, 7, 2, 8)
         called.proc_busy(3, 0, 1)
         called.proc_stall(3, "memory", 1, 12)
+        called.proc_stall(2, "sync", 4, 17)
         told = InstrumentationProbe(bin_width=10, record_events=False)
         told.absorb(
             {"bus_transactions": 1, "bus_busy_cycles": 4,
@@ -220,7 +221,8 @@ class TestAbsorb:
             bank_conflict=[[[], [], []], [[], [], [0, 0, 5]]],
             write_buffer=[[], [0, 0, 0, 2]],
             busy=[[], [], [], [1]],
-            memory=[[], [], [], [9, 2]])
+            memory=[[], [], [], [9, 2]],
+            sync=[[], [], [6, 7], []])
         assert told.registry.as_dict() == called.registry.as_dict()
         assert "cache_hits" not in told.registry.counters
         assert "cluster0.bank0.conflict" not in told.registry.timelines
@@ -230,7 +232,7 @@ class TestAbsorb:
         probe.absorb({"bus_transactions": 2, "bus_busy_cycles": 8,
                       "bus_wait_cycles": 0},
                      bus=([8], [], []), bank_conflict=[],
-                     write_buffer=[], busy=[], memory=[])
+                     write_buffer=[], busy=[], memory=[], sync=[])
         assert probe.registry.counters == {
             "bus_transactions": 2, "bus_busy_cycles": 8,
             "bus_wait_cycles": 0}
@@ -240,7 +242,8 @@ class TestAbsorb:
         probe.write_buffer(0, 0, 5, 3, 0)
         probe.proc_busy(0, 8, 4)
         probe.absorb({}, bus=([], [], []), bank_conflict=[[[]]],
-                     write_buffer=[[1, 4]], busy=[[5]], memory=[[]])
+                     write_buffer=[[1, 4]], busy=[[5]], memory=[[]],
+                     sync=[[]])
         timelines = probe.registry.timelines
         assert timelines["cluster0.write_buffer"].series() == [3.0, 4.0]
         assert timelines["proc0.busy"].series() == [7.0, 2.0]

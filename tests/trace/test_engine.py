@@ -100,8 +100,8 @@ def test_differ_registry_covers_available_backends():
 
 
 # ----------------------------------------------------------------------
-# Native scheduler: C switches processes; python is re-entered only to
-# resume a generator and to run a sync handler
+# Native scheduler: C switches processes, resumes their generators and
+# runs their locks and barriers; one call runs the simulation
 # ----------------------------------------------------------------------
 
 needs_native = pytest.mark.skipif(
@@ -166,36 +166,64 @@ def _outcome(config, streams, backend, max_cycles=None, bin_width=None):
         "write_buffers": [[sorted(bank) for bank
                            in cluster.scc.interconnect._write_buffers]
                           for cluster in system.clusters],
+        "sync": _sync_state(interleaver),
+    }
+
+
+def _sync_state(interleaver):
+    """The locks, barriers and queues as a run leaves them, in dict
+    order, and who is blocked since when, or finished."""
+    return {
+        "locks": [(lock_id, lock.holder, list(lock.waiters))
+                  for lock_id, lock in interleaver._locks.items()],
+        "barriers": [(barrier_id, list(waiting)) for barrier_id, waiting
+                     in interleaver._barriers.items()],
+        "queues": {queue_id: list(queue) for queue_id, queue
+                   in interleaver._queues.items()},
+        "processes": {pid: (process.blocked,
+                            process.blocked and process.block_start,
+                            process.finished, process.in_heap)
+                      for pid, process in interleaver._processes.items()},
     }
 
 
 @needs_native
 class TestNativeScheduler:
-    def test_reentry_budget_on_a_32_process_point(self, monkeypatch):
-        """Quick Barnes-Hut 8p/8KB: every hand-back to python has one of
-        the three reasons, and together they stay under 5% of the events
-        (the python scheduler frame took 78%: one per process switch)."""
+    def test_reentry_budget_on_a_32_process_point(
+            self, monkeypatch, application="barnes_hut"):
+        """A quick paper application on 8p/8KB: ``_native.run`` is
+        entered once, and its returns to python -- ``engine_returns``, by
+        the reasons python used to be needed for -- stay under 0.5% of
+        the events (Barnes-Hut handed back 9,456 times per 215,869
+        events and Cholesky 172,842 per 388,275 while python resumed the
+        generators and ran the sync handlers; the python scheduler frame
+        before that took 78%: one per process switch)."""
         from types import SimpleNamespace
         from repro.trace.engine import native
 
         real = native.load()
         calls = []
 
-        def counting_run(ctx, chunk):
+        def counting_run(ctx):
             calls.append(1)
-            return real.run(ctx, chunk)
+            return real.run(ctx)
 
         monkeypatch.setattr(native, "_mod", SimpleNamespace(
             setup=real.setup, run=counting_run, release=real.release))
-        interleaver = _quick_8p("barnes_hut", "native")
+        interleaver = _quick_8p(application, "native")
         interleaver.run()
         assert interleaver.engine_used == "native"
         returns = interleaver.engine_returns
         assert set(returns) == {"refill", "sync", "object"}
         # one more call than hand-backs: the one that finds the heap empty
         assert len(calls) == sum(returns.values()) + 1
-        assert returns["refill"] > 0 and returns["object"] > 0
-        assert sum(returns.values()) < 0.05 * interleaver.events_processed
+        assert sum(returns.values()) < 0.005 * interleaver.events_processed
+
+    @pytest.mark.parametrize("application", ["mp3d", "cholesky"])
+    def test_reentry_budget_on_the_other_grids(self, monkeypatch,
+                                               application):
+        self.test_reentry_budget_on_a_32_process_point(monkeypatch,
+                                                       application)
 
     def test_other_engines_report_no_returns(self):
         """(the one other engine: the reference loop)"""
@@ -319,42 +347,52 @@ class TestNativeScheduler:
 
     def test_a_miss_never_reenters_python(self):
         """Quick Barnes-Hut 8p/8KB: no ``repro.core.coherence`` frame is
-        entered anywhere in a native run -- not under ``_native.run``
-        (75,375 read misses and 2,495 writes called back when the
-        protocol was python's alone), and not from ``_advance`` either
-        (5,133 event objects went through ``_dispatch`` when python
-        executed them): an event object reaches C as a chunk of one.
-        So every object is a round trip of its own -- the ``refill``
-        that finds its chunk exhausted, or the ``sync`` that runs its
-        handler -- and ``object`` is left with each process's first
-        scheduling."""
+        entered anywhere in a native run (75,375 read misses and 2,495
+        writes called back when the protocol was python's alone, and
+        5,133 event objects went through ``_dispatch`` when python
+        executed them), and ``_native.run`` returns once, at the end: C
+        resumes the generators and runs the locks and barriers (7,152
+        refills, 2,272 sync handlers and 32 first schedulings came back
+        to python before it did)."""
         import repro.core.coherence as coherence
         interleaver, frames = _profiled_native_run(
             "barnes_hut",
             lambda code: code.co_filename == coherence.__file__)
-        assert frames == {"under_c": 0, "object_path": 0, "elsewhere": 0}
+        assert frames == {"under_c": 0, "elsewhere": 0}
         assert interleaver.engine_returns == {
-            "refill": 7152, "sync": 2272, "object": 32}
+            "refill": 0, "sync": 0, "object": 0}
 
     def test_neither_does_telling_the_probe(self):
-        """The same point under the standard probe: the same hand-backs
-        (the probe costs no re-entry), and no ``repro.instrument.probes``
-        frame on the memory path -- none while ``_native.run`` is on the
-        C stack, none under ``_advance``: C bins every memory event.  The
-        lock and barrier handlers still tell the probe themselves, and
-        the registry is the reference loop's."""
+        """The same point under the standard probe: the same (no)
+        hand-backs, and no ``repro.instrument.probes`` frame at all while
+        the run is C's -- the generators run under ``_native.run`` and
+        tell no probe, C bins every memory event, every lock operation's
+        busy span and every sync stall.  What runs afterwards is the one
+        ``absorb`` that folds the bins in, and the registry is the
+        reference loop's."""
         import repro.instrument.probes as probes
         probe = probes.InstrumentationProbe(record_events=False)
-        interleaver, frames = _profiled_native_run(
-            "barnes_hut",
-            lambda code: code.co_filename == probes.__file__, probe)
-        assert frames["under_c"] == 0 and frames["object_path"] == 0
-        assert frames["elsewhere"] > 0
+        entered = set()
+
+        def counted(code):
+            if code.co_filename == probes.__file__:
+                entered.add(code.co_name)
+                return True
+            return False
+
+        interleaver, frames = _profiled_native_run("barnes_hut", counted,
+                                                   probe)
+        assert frames["under_c"] == 0
+        assert entered == {"absorb", "_conflict_timeline", "_wb_timeline",
+                           "_proc_timeline"}
         assert interleaver.engine_returns == {
-            "refill": 7152, "sync": 2272, "object": 32}
+            "refill": 0, "sync": 0, "object": 0}
         counters = probe.registry.counters
         assert counters["bank_accesses"] == \
             counters["cache_hits"] + counters["cache_misses"] > 100_000
+        assert sum(timeline.total() for name, timeline
+                   in probe.registry.matching("proc")
+                   if name.endswith(".sync")) > 100_000
         reference = probes.InstrumentationProbe(record_events=False)
         _quick_8p("barnes_hut", "python", reference).run()
         assert json.dumps(probe.registry.as_dict(), sort_keys=True) == \
@@ -371,7 +409,6 @@ class TestNativeScheduler:
         interleaver, frames = _profiled_native_run(
             application, lambda code: code is data_access)
         assert sum(frames.values()) == 0
-        assert interleaver.engine_returns["object"] == 32
 
 
 def _quick_8p(application, backend, probe=None):
@@ -396,28 +433,19 @@ def _quick_8p(application, backend, probe=None):
 def _profiled_native_run(application, counted, probe=None):
     """Run ``_quick_8p`` on the native engine under ``sys.setprofile``;
     counts the python frames whose code object ``counted`` accepts,
-    entered while ``_native.run`` was on the C stack (``under_c``),
-    under ``_advance`` (``object_path``: where python used to execute
-    event objects), and elsewhere."""
+    entered while ``_native.run`` was on the C stack (``under_c``: the
+    generators' bodies and whatever they call) and ``elsewhere``."""
     import sys
     from repro.trace.engine import native
-    from repro.trace.interleave import TimingInterleaver
 
     run_c = native.load().run
-    advance = TimingInterleaver._advance.__code__
-    frames = {"under_c": 0, "object_path": 0, "elsewhere": 0}
+    frames = {"under_c": 0, "elsewhere": 0}
     in_c = [False]
 
     def profiler(frame, event, arg):
         if event == "call":
-            if not counted(frame.f_code):
-                return
-            if in_c[0]:
-                frames["under_c"] += 1
-                return
-            while frame is not None and frame.f_code is not advance:
-                frame = frame.f_back
-            frames["object_path" if frame else "elsewhere"] += 1
+            if counted(frame.f_code):
+                frames["under_c" if in_c[0] else "elsewhere"] += 1
         elif arg is run_c:
             in_c[0] = event == "c_call"
 
@@ -538,8 +566,9 @@ def _coherence_tapes():
             and scc(out, 0)["invalidations_sent"] == 1
             and scc(out, 0)["bus_wait_cycles"] == 4
             and out["bus"] == (7, 24, 505)),
-        # C fetch at 100, python object-path fetch at 101, python icache
-        # refill at 102, C fetch at 103: each queues behind the last
+        # C fetch at 100, a fetch yielded as an object at 101, python's
+        # icache refill at 102, C fetch at 103: each queues behind the
+        # last (the tape's name dates from when python ran the object too)
         "python-between-two-c-stints-sees-the-bus": (
             {0: [[OP_READ, A], Read(B + 16), [OP_COMPUTE, 1]],
              1: [[OP_COMPUTE, 102, OP_IFETCH, 0, 1]],
@@ -599,8 +628,8 @@ def test_native_timelines_match_the_reference_probe(name, protocol):
     """Under the standard probe both engines leave the same registry,
     counter for counter and bin for bin, and the timing they leave does
     not know a probe was there.  "python-between-two-c-stints" is the
-    merge: its object-path read and its icache refill reach the probe
-    through the python objects, between two stints that C binned."""
+    merge: its icache refill reaches the probe through the python
+    objects, called back from the run C bins the rest of."""
     from repro.core.config import SystemConfig
     streams, check = _probed_tapes()[name]
     config = SystemConfig(clusters=2, processors_per_cluster=2,
@@ -655,8 +684,8 @@ def test_a_negative_clock_cannot_index_before_the_bins():
 
 
 # ----------------------------------------------------------------------
-# Directed scheduling tapes: event objects as one-event chunks, the
-# mailbox, the task-queue events python keeps
+# Directed scheduling tapes: event objects as one-event chunks, wake-ups
+# onto the ready heap, the task-queue events and their responses
 # ----------------------------------------------------------------------
 
 def _scheduling_tapes():
@@ -712,7 +741,7 @@ def _scheduling_tapes():
             and sum(proc["sync_stall_cycles"]
                     for proc in out["stats"]["processors"]) > 60),
         # eight processors leave one barrier on one clock and miss on
-        # eight lines of one bank: the wake-ups cross the mailbox tied,
+        # eight lines of one bank: the wake-ups reach the heap tied,
         # ``seq`` alone orders them, and the bus queue shows the order
         "tied-clocks-across-a-mailbox-drain": (
             {"clusters": 4},
@@ -746,6 +775,80 @@ def test_native_scheduling_matches_the_reference_loop(name):
     reference = _outcome(config, streams, "python")
     assert reference["error"] is None
     assert check(reference), reference
+    assert _outcome(config, streams, "native") == reference
+    assert _outcome(config, streams, "native", bin_width=4) == \
+        _outcome(config, streams, "python", bin_width=4)
+
+
+def _sync_error_tapes():
+    """name -> (streams, error): misuse of the locks, barriers and
+    queues, a deadlock, and a generator that fails -- the exception the
+    reference loop raises, and (compared by the test) everything it
+    leaves behind."""
+    from repro.trace.events import (Barrier, Compute, LockAcquire,
+                                    LockRelease, Read, TaskEnqueue)
+    from repro.trace.packed import (OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL,
+                                    PackedChunk)
+
+    def failing():
+        yield PackedChunk([OP_READ, A, OP_LOCK_ACQ, 4])
+        yield Compute(300)      # long enough for 2 to queue up behind it
+        raise KeyError("the workload's own bug")
+
+    bystander = [[OP_READ, 256, OP_COMPUTE, 40, OP_WRITE, 256]]
+    return {
+        "release-of-a-lock-never-taken": (
+            {0: [[OP_COMPUTE, 5, OP_LOCK_REL, 3]], 1: bystander},
+            ("SyncProtocolError",
+             "process 0 released lock 3 it does not hold")),
+        "release-of-a-lock-someone-else-holds": (
+            {0: [[OP_COMPUTE, 50], LockRelease(3)],
+             1: [LockAcquire(3), [OP_COMPUTE, 200, OP_LOCK_REL, 3]]},
+            ("SyncProtocolError",
+             "process 0 released lock 3 it does not hold")),
+        "barrier-past-its-count": (
+            {0: [[OP_BARRIER, 6, 3]], 1: [Compute(10), Barrier(6, 3)],
+             2: [[OP_COMPUTE, 20, OP_BARRIER, 6, 1]], 3: bystander},
+            ("SyncProtocolError", "barrier 6 exceeded its count 1")),
+        "barrier-count-below-one": (
+            {0: [[OP_READ, A, OP_BARRIER, 2, 0]], 1: bystander},
+            ("SyncProtocolError", "barrier count must be >= 1")),
+        "enqueue-of-none": (
+            {0: [Compute(7), TaskEnqueue(5, 1), TaskEnqueue(5, None)],
+             1: bystander},
+            ("SyncProtocolError", "process 0 enqueued None on queue 5; "
+                                  "None is the empty-queue response")),
+        "yield-of-something-else": (
+            {0: [[OP_READ, A], ("read", B)], 1: bystander},
+            ("TypeError",
+             "process 0 yielded ('read', 1024), not a trace event")),
+        # 0 and 1 each hold what the other wants; 2 waits behind 1, and 3
+        # at a barrier nobody else reaches
+        "deadlock": (
+            {0: [[OP_LOCK_ACQ, 8, OP_COMPUTE, 30, OP_LOCK_ACQ, 9]],
+             1: [LockAcquire(9), Compute(30), LockAcquire(8)],
+             2: [[OP_COMPUTE, 90, OP_LOCK_ACQ, 8]],
+             3: [Read(512), Barrier(1, 2)]},
+            ("DeadlockError", "processes [0, 1, 2, 3] blocked forever "
+                              "(locks={8: 0, 9: 1})")),
+        "generator-that-raises": (
+            {0: failing, 1: bystander,
+             2: [[OP_COMPUTE, 150, OP_LOCK_ACQ, 4]]},
+            ("KeyError", '"the workload\'s own bug"')),
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(_sync_error_tapes()))
+def test_native_sync_errors_match_the_reference_loop(name):
+    """Type, message, partial accounting, who is left ready, blocked and
+    queued where: the whole outcome, probed and not."""
+    from repro.core.config import SystemConfig
+    streams, error = _sync_error_tapes()[name]
+    config = SystemConfig(clusters=2, processors_per_cluster=2,
+                          scc_size=1024)
+    reference = _outcome(config, streams, "python")
+    assert reference["error"] == error
     assert _outcome(config, streams, "native") == reference
     assert _outcome(config, streams, "native", bin_width=4) == \
         _outcome(config, streams, "python", bin_width=4)
@@ -871,6 +974,75 @@ def _store_runs(engines):
     }
 
 
+def _cut_run(engines, cut=150):
+    """Six processes on one interleaver, run to the end: in one go (one
+    engine), or cut by ``max_cycles=cut`` and carried on by the second
+    engine.  At the cut 1 and 2 are queued on lock 1, which 0 holds
+    across a long compute; 3 waits at the barrier; 5 holds lock 2; 0 and
+    5 are ready, 0 half way through its chunk; and 4 is the one the
+    limit stopped, between two elements of a span.  An aborted process
+    is off the heap, as a blocked one is: the caller that carries on
+    schedules it again."""
+    from repro.core.config import SystemConfig
+    from repro.trace.events import (Barrier, Compute, LockAcquire,
+                                    LockRelease, Read, Write)
+    from repro.trace.packed import (OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL,
+                                    PackedChunk)
+
+    def holder():
+        yield Compute(30)
+        yield LockAcquire(2)
+        yield Read(4096)
+        yield Compute(300)
+        yield PackedChunk([OP_LOCK_REL, 2, OP_BARRIER, 0, 6])
+
+    config = SystemConfig(clusters=3, processors_per_cluster=2,
+                          scc_size=1024)
+    streams = {
+        0: [[OP_LOCK_ACQ, 1, OP_WRITE, A, OP_COMPUTE, 400, OP_LOCK_REL, 1,
+             OP_BARRIER, 0, 6, OP_READ, B]],
+        1: [Compute(10), LockAcquire(1), Write(A), LockRelease(1),
+            Barrier(0, 6), Read(A)],
+        2: [[OP_COMPUTE, 20, OP_LOCK_ACQ, 1, OP_READ, A, OP_LOCK_REL, 1],
+            [OP_BARRIER, 0, 6]],
+        3: [[OP_COMPUTE, 50, OP_BARRIER, 0, 6, OP_WRITE, 512]],
+        4: [[OP_READ_SPAN, 2048, 96, 16, OP_COMPUTE, 5, OP_BARRIER, 0, 6]],
+        5: holder,
+    }
+    system, interleaver = _interleaver(config, streams, engines[0])
+    at_the_cut = None
+    if len(engines) == 2:
+        with pytest.raises(RuntimeError, match=f"exceeded {cut} cycles"):
+            interleaver.run(max_cycles=cut)
+        assert interleaver.engine_used == engines[0]
+        at_the_cut = dict(
+            _sync_state(interleaver), ready=sorted(interleaver._heap),
+            standing={pid: (process.time, process.chunk_pos,
+                            process.chunk_sub)
+                      for pid, process in interleaver._processes.items()})
+        stopped, = [process for process in interleaver._processes.values()
+                    if not (process.finished or process.blocked
+                            or process.in_heap)]
+        interleaver._push(stopped)
+        interleaver.backend = engines[1]
+    finish = interleaver.run()
+    assert interleaver.engine_used == engines[-1]
+    system.check_invariants()
+    return at_the_cut, {
+        "finish": finish,
+        "events": interleaver.events_processed,
+        "clocks": {pid: process.time for pid, process
+                   in interleaver._processes.items()},
+        "stats": system.stats(finish).as_dict(),
+        "bus": (system.bus.transactions, system.bus.busy_cycles,
+                system.bus.busy_until),
+        "sync": _sync_state(interleaver),
+        # (the push that schedules the stopped process again is one the
+        # uncut run never makes)
+        "seq": interleaver._seq - (len(engines) == 2),
+    }
+
+
 @needs_native
 class TestStateContinuity:
     def test_fills_outstanding_across_two_runs(self):
@@ -901,6 +1073,28 @@ class TestStateContinuity:
             finish, buffers, stalled = cuts[0]
             assert (finish, buffers) == (101, [[104, 108], [200], [], []])
             assert cuts[1][2] > stalled > 0
+
+    def test_locks_and_barriers_held_across_a_cut(self):
+        """``setup`` imports the wait queues, the blocked flags and every
+        process's place in its chunk, ``release`` writes them back after
+        an abort too: a run cut by ``max_cycles`` and carried on by the
+        other engine ends where one reference-loop run ends."""
+        _, reference = _cut_run(["python"])
+        assert _cut_run(["native"])[1] == reference
+        cuts = {}
+        for engines in [("python", "python"), ("python", "native"),
+                        ("native", "python"), ("native", "native")]:
+            cuts[engines], outcome = _cut_run(engines)
+            assert outcome == reference, engines
+        cut = cuts["python", "python"]
+        assert all(other == cut for other in cuts.values())
+        # not vacuous: the cut found what the docstring says it finds
+        assert cut["locks"] == [(1, 0, [1, 2]), (2, 5, [])]
+        assert cut["barriers"] == [(0, [3])]
+        assert [pid for _, _, pid in cut["ready"]] == [0, 5]
+        assert cut["standing"][0][1:] == (6, 0)     # before its release
+        assert cut["standing"][4][1:] == (0, 32)    # two elements in
+        assert cut["processes"][4] == (False, False, False, False)
 
     def test_setup_refuses_a_buffer_deeper_than_the_machine(self):
         """A bank's heap has ``write_buffer_depth`` words: a longer list
@@ -987,9 +1181,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "8"
+        assert native.NATIVE_VERSION == "9"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '8'")
+            "stale extension old.so: ABI '5', need '9'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()
@@ -1043,3 +1237,26 @@ def test_extension_compiles_warning_free(tmp_path):
          str(native._source_path()), "-o", str(tmp_path / "_native.so")],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_native_source_keeps_no_mutable_state_at_file_scope():
+    """Two runs share nothing in ``_native.c`` but what the module's
+    init interns once: a context owns everything else.  Cheap to hold
+    now, and what running two contexts at once (ROADMAP item 3's
+    GIL-free run) starts from.  Functions are defined with their name on
+    a line of its own, so a ``static`` line that declares something is a
+    variable; one inside a function would be indented."""
+    import re
+    from repro.trace.engine import native
+    source = native._source_path().read_text()
+    assert not re.findall(r"^[ \t]+static\b.*$", source, re.MULTILINE)
+    declared = re.findall(r"^static\s+([^(\n]*?)(\w+)(?:\[\])?\s*(?:=|;)",
+                          source, re.MULTILINE)
+    mutable = {name for qualifiers, name in declared
+               if "const" not in qualifiers.split()}
+    assert mutable == {
+        # interned at init, read-only afterwards
+        "g_deque", "s_append", "s_popleft",
+        # the module's own tables
+        "methods", "moduledef"}
+    assert len(declared) > len(mutable)     # (the const ones were seen)

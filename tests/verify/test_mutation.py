@@ -13,8 +13,10 @@ and the C "profile" section -- where a third mutant
 (``off_by_one_stack_distance``) diverges exactly the ``profile``
 engine.  Two more sit in the state a native run keeps for itself between
 ``setup`` and ``release`` -- the ready heap (``READY_TIE_BREAK``) and the
-in-flight fill words (``FILL_FORGOTTEN``) -- and are the ``native``
-engine's to answer for.  The fused ladder is a second driver of the same
+in-flight fill words (``FILL_FORGOTTEN``) -- and two in the locks and
+barriers it keeps there as well (``WAITER_SKIPS_OVERHEAD``,
+``BARRIER_EARLIEST``); all four are the ``native`` engine's to answer
+for.  The fused ladder is a second driver of the same
 C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
@@ -28,9 +30,10 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import (FILL_FORGOTTEN, LADDER_SKEW, READ_MISS_DONE,
-                        READY_TIE_BREAK, VICTIM_FILL_KEPT,
-                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN, LADDER_SKEW,
+                        READ_MISS_DONE, READY_TIE_BREAK, VICTIM_FILL_KEPT,
+                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
+                        WRITEBACK_HOLDS_BUS)
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -160,15 +163,20 @@ class TestProfileMutationIsCaught:
 
 @needs_native
 class TestWorkingStateMutationIsCaught:
-    """The heap and the fill words have no python twin to disagree with
-    during a run; what they decide, and what they hand back, must still
-    be the reference loop's."""
+    """The heap, the fill words and the wait queues have no python twin
+    to disagree with during a run; what they decide, and what they hand
+    back, must still be the reference loop's."""
 
     @pytest.mark.parametrize("mutation, only_fills", [
         (READY_TIE_BREAK, False),
         # no clock moves: only the table written back differs
         (FILL_FORGOTTEN, True),
-    ], ids=["ready_heap_ignores_seq", "fill_forgotten_a_cycle_late"])
+        # the locks and barriers: queues and clocks python never sees
+        (WAITER_SKIPS_OVERHEAD, False),
+        (BARRIER_EARLIEST, False),
+    ], ids=["ready_heap_ignores_seq", "fill_forgotten_a_cycle_late",
+            "woken_waiter_skips_the_lock_overhead",
+            "barrier_opens_at_its_earliest_arrival"])
     def test_divergence_is_native_shrinks_and_is_clean_unmutated(
             self, mutation, only_fills, mutant_native, monkeypatch):
         monkeypatch.setattr(native, "_mod", mutant_native(*mutation))

@@ -85,6 +85,56 @@ class TestGeneration:
         assert any(c.protocol == "mesi" for c in configs)
         assert any(c.protocol == "msi" for c in configs)
 
+    def test_multiprocessor_tapes_contend(self):
+        """The closing round of a tape with three processors or more,
+        watched on the reference loop: a lock released with two or more
+        waiters queued (and so handed from release to waiter at least
+        twice), a poll of a queue nobody fills, a barrier id released
+        three times -- and one-processor tapes carry no such round."""
+        from repro.core.system import MultiprocessorSystem
+        from repro.trace.interleave import TimingInterleaver
+
+        class Watcher:
+            def __init__(self):
+                self.deepest = self.handed_over = self.polls = 0
+                self.releases = []
+
+            def on_release(self, proc, lock_id):
+                waiting = len(interleaver._locks[lock_id].waiters)
+                self.deepest = max(self.deepest, waiting)
+                self.handed_over += bool(waiting)
+
+            def on_dequeue(self, proc, queue_id, found):
+                self.polls += queue_id == 2 and not found
+
+            def on_barrier_release(self, barrier_id):
+                self.releases.append(barrier_id)
+
+            def __getattr__(self, name):    # the callbacks not watched
+                return lambda *args: None
+
+        tapes = [generate_tape(f"contend:{i}") for i in range(30)]
+        wide = [tape for tape in tapes
+                if tape.config().total_processors >= 3][:5]
+        assert len(wide) == 5
+        for tape in wide:
+            watcher = Watcher()
+            interleaver = TimingInterleaver(
+                MultiprocessorSystem(tape.config()), observer=watcher,
+                backend="python")
+            for pid, pieces in TapeApplication(tape).processes(
+                    tape.config()).items():
+                interleaver.add_process(pid, pieces)
+            interleaver.run()
+            procs = tape.config().total_processors
+            assert watcher.deepest >= 2 and watcher.handed_over >= 2
+            assert watcher.polls >= procs
+            assert watcher.releases.count(0) == 3
+        solo = next(tape for tape in tapes
+                    if tape.config().total_processors == 1)
+        assert [event.barrier_id for event in decode_events(solo.streams[0])
+                if isinstance(event, Barrier)].count(0) == 1
+
 
 class TestTapeContainer:
     def test_replaced_keeps_machine_and_seed(self):

@@ -445,3 +445,62 @@ class TestRememberedRuns:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = 0
+
+
+# ----------------------------------------------------------------------
+# The insert phase is under the chunk contract: packed or event by
+# event, the same run
+# ----------------------------------------------------------------------
+
+class TestInsertChunks:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("procs", [2, 8])
+    def test_packed_and_objects_are_one_run(self, procs, engine):
+        """The lock-racing tree build yields chunks that end at every
+        touch of the tree: the same statistics, and the same events on
+        every processor's tape, as yielding them one by one."""
+        point = (procs, 8 * KB, "msi")
+        packed = run_point(new_app(True), point, engine)
+        assert packed == run_point(new_app(False), point, engine)
+        # not vacuous: inserts raced (a lock was waited for)
+        assert sum(proc["sync_stall_cycles"]
+                   for proc in packed[0]["processors"]) > 0
+
+    def test_buckets_fill_in_arrival_order_either_way(self, monkeypatch):
+        """Bodies a denormal apart end in ``_MAX_DEPTH`` buckets, whose
+        free-slot scan reads the tree: a chunk ends before it too."""
+        real = barnes_hut._plummer_bodies
+
+        def coincident(count, rng):
+            bodies = real(count, rng)
+            for k in range(12):     # enough to overflow one bucket
+                bodies[k].pos = [k * 5e-324, 0.0, 0.0]
+            return bodies
+
+        monkeypatch.setattr(barnes_hut, "_plummer_bodies", coincident)
+        point = (4, 8 * KB, "msi")
+        parameters = {"n_bodies": 256, "steps": 1}
+        packed = run_point(new_app(True, **parameters), point)
+        assert packed == run_point(new_app(False, **parameters), point)
+
+    def test_a_chunk_ends_at_every_touch_of_the_tree(self):
+        """Between two resumes of an inserting process lies exactly one
+        racy touch: no insert-phase chunk carries events past a slot
+        read, a lock acquire's re-read or a subcell's private write."""
+        app = new_app(True, n_bodies=64, steps=1)
+        config = SystemConfig.paper_parallel(2, 8 * KB)
+        run = _BarnesHutRun(app, config)
+        run._reset_tree()
+        chunks = [item.data for item in run._insert_phase(0)]
+        assert len(chunks) > 2 * len(run.assignments[0])
+        for data in chunks[:-1]:
+            kinds = [type(event) for event in decode_events(data)]
+            assert kinds[-1] in (Read, Write)
+            body = kinds[:-1]
+            # what may ride along: the release of the last cell's lock
+            # with its slot write, the next body's position read, the
+            # descent's compute, the acquire before a re-read
+            assert LockAcquire not in body[1:]
+            assert body.count(LockRelease) <= 1
+        assert [type(event) for event in decode_events(chunks[-1])] == [
+            Write, LockRelease]
