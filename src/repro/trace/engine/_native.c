@@ -52,13 +52,15 @@
  * after an exception too, so an aborted run leaves what the reference
  * loop leaves.
  *
- * Two more sections share the build, the ``ABI_VERSION`` guard and the
- * differ.  The fused multi-configuration ladder (``ladder_*``) is a second
- * driver of the same memory system: each of its rungs is a ``Machine`` of
- * one ``Scc`` on a bus of its own, and its misses, upgrades and icache
+ * Three more sections share the build and the ``ABI_VERSION`` guard.  The
+ * fused multi-configuration ladder (``ladder_*``) is a second driver of
+ * the same memory system: each of its rungs is a ``Machine`` of one
+ * ``Scc`` on a bus of its own, and its misses, upgrades and icache
  * refills are the "coherence" section's, called as ``run`` calls them.
- * The row-profile kernel (``row_profile``) shares nothing else.  Each is
- * introduced by its own banner below.
+ * The row-profile kernel (``row_profile``, diffed as the ``profile``
+ * engine) and the force-phase kernel (``force_words``: Barnes-Hut's
+ * remembered walks relocated onto one run's cells) share nothing else.
+ * Each is introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -83,7 +85,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "9"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "10"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -263,6 +265,7 @@ typedef struct {
     int n_icaches;
     int released;
     long long line_shift, nbanks, bank_cycle;
+    long long bank_mask;      /* nbanks - 1 when a power of two, else -1 */
     long long iline_shift, limit;
     long long lock_overhead, barrier_overhead;
     int stall_on_writes, icache_mode;
@@ -1086,9 +1089,15 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     Scc *scc = &m->sccs[cl];
     long long time = *time_io;
     long long line = addr >> ctx->line_shift;
-    long long bank = line % ctx->nbanks;   /* python %: floored */
-    if (bank < 0)
-        bank += ctx->nbanks;
+    long long bank;     /* python %: floored, which a mask is too */
+    if (ctx->bank_mask >= 0) {
+        bank = line & ctx->bank_mask;
+    }
+    else {
+        bank = line % ctx->nbanks;
+        if (bank < 0)
+            bank += ctx->nbanks;
+    }
     long long *st = scc->stats;
     long long *bank_free = ctx->bank_free[cl];
     long long free_t = bank_free[bank];
@@ -1165,10 +1174,13 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
  * whatever is still ready, so an aborted run leaves the entries the
  * reference loop leaves. */
 
+/* ``(time, seq) < (time, seq)``, written without a short circuit: which
+ * way a sift's comparison goes is data, not a pattern a branch predictor
+ * learns. */
 static inline int
 ready_before(const Ready *a, const Ready *b)
 {
-    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+    return (a->time < b->time) | ((a->time == b->time) & (a->seq < b->seq));
 }
 
 /* ``heapq.heappush`` */
@@ -1952,6 +1964,7 @@ native_setup(PyObject *self, PyObject *plan)
     }
     ctx->line_shift = sc[0];
     ctx->nbanks = sc[1];
+    ctx->bank_mask = sc[1] > 0 && !(sc[1] & (sc[1] - 1)) ? sc[1] - 1 : -1;
     ctx->bank_cycle = sc[2];
     ctx->stall_on_writes = (int)sc[3];
     ctx->icache_mode = (int)sc[5];
@@ -3750,6 +3763,266 @@ done:
     return result;
 }
 
+/* ==================================================================== */
+/* Force-phase words (repro.workloads.barnes_hut)                       */
+/* ==================================================================== */
+
+/* A ``BarnesHut`` object remembers each tree's force walks with no
+ * address in them (a ``_ForcePlan``: one int32 ``node * 4 + kind`` per
+ * node visit, body ``b``'s walk at ``visits[starts[b]:starts[b + 1]]``),
+ * and every run relocates them onto the cells its own insert races
+ * allocated.  ``force_words`` is that relocation: the walks of the run's
+ * bodies in processor order, every word written once, straight into the
+ * ``array('q')`` chunk each processor yields.  The contract is numpy's
+ * ``barnes_hut._expand``, word for word: what ``REPRO_NATIVE=0`` runs and
+ * what tests/workloads compares this against.
+ *
+ * C knows no record layout.  A walk is the ``begin`` pattern about the
+ * walking body's record, one pattern per visit by its kind about the node
+ * the visit names (kind 0 a body, kinds 1 and 2 a cell), then the ``end``
+ * pattern about the walking body again; a pattern is ``(words,
+ * relative)``, word ``k`` written as ``words[k] + relative[k] * address``
+ * (wrapping, as numpy's int64 arithmetic does).  Every input is checked
+ * before an output exists -- lengths, non-decreasing ``starts``, every
+ * body of ``order`` and every node a visit names inside its table, every
+ * kind below 3, ``owned`` adding up to ``order`` -- so a bad one raises
+ * ValueError and leaves nothing half written.
+ */
+
+#define FW_KINDS 3              /* visit kinds; a plan word's low two bits */
+#define FW_PATTERN_MAX 16       /* words in one pattern */
+
+typedef struct {
+    Py_ssize_t n;
+    long long words[FW_PATTERN_MAX], relative[FW_PATTERN_MAX];
+} FwPattern;
+
+/* Pattern ``obj``: a ``(words, relative)`` pair of equal-length int
+ * sequences. */
+static int
+fw_pattern(PyObject *obj, FwPattern *p)
+{
+    PyObject *words, *relative;
+    if (!PyArg_ParseTuple(obj, "OO", &words, &relative))
+        return -1;
+    Py_ssize_t n = PySequence_Size(words);
+    if (n < 0)
+        return -1;
+    if (n > FW_PATTERN_MAX || PySequence_Size(relative) != n) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError,
+                         "a force pattern is at most %d words, each with "
+                         "a relative flag", FW_PATTERN_MAX);
+        return -1;
+    }
+    p->n = n;
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (get_ll_item(words, k, &p->words[k]) < 0
+                || get_ll_item(relative, k, &p->relative[k]) < 0)
+            return -1;
+    return 0;
+}
+
+/* A read-only view on ``obj``'s contiguous signed integers of ``size``
+ * bytes each; returns how many. */
+static Py_ssize_t
+fw_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    size_t len = strlen(view->format);
+    if (view->itemsize != size || len == 0
+            || !strchr("ilq", view->format[len - 1])) {
+        PyErr_Format(PyExc_ValueError, "%s must be %zd-byte integers",
+                     what, size);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return view->len / size;
+}
+
+static inline long long *
+fw_write(long long *out, const FwPattern *p, long long address)
+{
+    unsigned long long a = (unsigned long long)address;
+    for (Py_ssize_t k = 0; k < p->n; k++)
+        out[k] = (long long)((unsigned long long)p->words[k]
+                             + (unsigned long long)p->relative[k] * a);
+    return out + p->n;
+}
+
+/* force_words(visits, starts, order, owned, body_address, cell_address,
+ *             patterns)
+ *
+ * ``visits``: the plan's int32 words; ``starts``: int64, one per body and
+ * one past the last; ``order``: int64 body indexes, processor by
+ * processor, ``owned[p]`` of them processor ``p``'s; ``body_address`` and
+ * ``cell_address``: int64 record addresses by body index and by a cell's
+ * pre-order number; ``patterns``: ``(begin, end, kind 0, kind 1, kind
+ * 2)``.  Returns a list of one ``array('q')`` per processor. */
+static PyObject *
+native_force_words(PyObject *self, PyObject *args)
+{
+    (void)self;
+    enum { V_VISITS, V_STARTS, V_ORDER, V_BODY, V_CELL, V_COUNT };
+    const Py_ssize_t sizes[V_COUNT] = {4, 8, 8, 8, 8};
+    const char *names[V_COUNT] = {"visits", "starts", "order",
+                                  "body addresses", "cell addresses"};
+    PyObject *objs[V_COUNT], *owned_seq, *patterns;
+    if (!PyArg_ParseTuple(args, "OOOOOOO!", &objs[V_VISITS],
+                          &objs[V_STARTS], &objs[V_ORDER], &owned_seq,
+                          &objs[V_BODY], &objs[V_CELL], &PyTuple_Type,
+                          &patterns))
+        return NULL;
+
+    PyObject *result = NULL, *array_mod = NULL, *zero = NULL;
+    Py_buffer views[V_COUNT];
+    Py_ssize_t lens[V_COUNT];
+    int n_views = 0;
+    long long *owned = NULL, *walk_words = NULL, *proc_words = NULL;
+    FwPattern pats[2 + FW_KINDS];
+
+    for (; n_views < V_COUNT; n_views++)
+        if ((lens[n_views] = fw_view(objs[n_views], &views[n_views],
+                                     sizes[n_views], names[n_views])) < 0)
+            goto done;
+    const int *visits = views[V_VISITS].buf;
+    const long long *starts = views[V_STARTS].buf;
+    const long long *order = views[V_ORDER].buf;
+    const long long *tables[FW_KINDS] = {
+        views[V_BODY].buf, views[V_CELL].buf, views[V_CELL].buf};
+    const Py_ssize_t table_lens[FW_KINDS] = {
+        lens[V_BODY], lens[V_CELL], lens[V_CELL]};
+    Py_ssize_t n_bodies = lens[V_BODY], n_order = lens[V_ORDER];
+
+    if (PyTuple_GET_SIZE(patterns) != 2 + FW_KINDS) {
+        PyErr_SetString(PyExc_ValueError,
+                        "need five force patterns: begin, end and one per "
+                        "visit kind");
+        goto done;
+    }
+    for (int k = 0; k < 2 + FW_KINDS; k++)
+        if (fw_pattern(PyTuple_GET_ITEM(patterns, k), &pats[k]) < 0)
+            goto done;
+    Py_ssize_t n_procs = PySequence_Size(owned_seq);
+    if (n_procs < 0)
+        goto done;
+    if (lens[V_STARTS] != n_bodies + 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "a force plan over %zd bodies needs %zd starts",
+                     n_bodies, n_bodies + 1);
+        goto done;
+    }
+    if (starts[0] < 0 || starts[n_bodies] > lens[V_VISITS]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "force plan starts run outside its visits");
+        goto done;
+    }
+    for (Py_ssize_t b = 0; b < n_bodies; b++)
+        if (starts[b + 1] < starts[b]) {
+            PyErr_Format(PyExc_ValueError,
+                         "force plan starts decrease at body %zd", b + 1);
+            goto done;
+        }
+
+    /* Every walk checked and measured, then every processor's chunk. */
+    if (!(walk_words = pf_alloc(n_bodies, sizeof(long long)))
+            || !(owned = pf_alloc(n_procs, sizeof(long long)))
+            || !(proc_words = pf_alloc(n_procs, sizeof(long long))))
+        goto done;
+    for (Py_ssize_t b = 0; b < n_bodies; b++) {
+        long long words = pats[0].n + pats[1].n;
+        for (long long i = starts[b]; i < starts[b + 1]; i++) {
+            int kind = visits[i] & 3;
+            long long node = visits[i] >> 2;
+            if (kind >= FW_KINDS) {
+                PyErr_Format(PyExc_ValueError,
+                             "force plan visit %lld is of kind %d", i, kind);
+                goto done;
+            }
+            if (node < 0 || node >= table_lens[kind]) {
+                PyErr_Format(PyExc_ValueError,
+                             "force plan visit %lld names node %lld outside "
+                             "its table", i, node);
+                goto done;
+            }
+            words += pats[2 + kind].n;
+        }
+        walk_words[b] = words;
+    }
+    long long placed = 0;
+    for (Py_ssize_t p = 0; p < n_procs; p++) {
+        if (get_ll_item(owned_seq, p, &owned[p]) < 0)
+            goto done;
+        if (owned[p] < 0 || owned[p] > n_order - placed) {
+            PyErr_Format(PyExc_ValueError,
+                         "owned bodies overrun the order's %zd", n_order);
+            goto done;
+        }
+        for (long long j = placed; j < placed + owned[p]; j++) {
+            if (order[j] < 0 || order[j] >= n_bodies) {
+                PyErr_Format(PyExc_ValueError,
+                             "order names body %lld of %zd", order[j],
+                             n_bodies);
+                goto done;
+            }
+            if (walk_words[order[j]] > PY_SSIZE_T_MAX / 8 - proc_words[p]) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            proc_words[p] += walk_words[order[j]];
+        }
+        placed += owned[p];
+    }
+    if (placed != n_order) {
+        PyErr_Format(PyExc_ValueError,
+                     "owned bodies add up to %lld, the order has %zd",
+                     placed, n_order);
+        goto done;
+    }
+
+    if (!(array_mod = PyImport_ImportModule("array"))
+            || !(zero = PyObject_CallMethod(array_mod, "array", "s(i)", "q",
+                                            0))
+            || !(result = PyList_New(n_procs)))
+        goto done;
+    placed = 0;
+    for (Py_ssize_t p = 0; p < n_procs; p++) {
+        PyObject *chunk = PySequence_Repeat(zero, (Py_ssize_t)proc_words[p]);
+        Py_buffer out;
+        if (!chunk || PyObject_GetBuffer(chunk, &out, PyBUF_WRITABLE) < 0) {
+            Py_XDECREF(chunk);
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, p, chunk);
+        long long *at = out.buf;
+        for (long long j = placed; j < placed + owned[p]; j++) {
+            long long body = order[j];
+            long long self_address = tables[0][body];
+            at = fw_write(at, &pats[0], self_address);
+            for (long long i = starts[body]; i < starts[body + 1]; i++) {
+                int kind = visits[i] & 3;
+                at = fw_write(at, &pats[2 + kind],
+                              tables[kind][visits[i] >> 2]);
+            }
+            at = fw_write(at, &pats[1], self_address);
+        }
+        placed += owned[p];
+        PyBuffer_Release(&out);
+    }
+
+done:
+    while (n_views)
+        PyBuffer_Release(&views[--n_views]);
+    Py_XDECREF(array_mod);
+    Py_XDECREF(zero);
+    free(owned);
+    free(walk_words);
+    free(proc_words);
+    return result;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -3767,13 +4040,16 @@ static PyMethodDef methods[] = {
      "Release the buffer views held by a ladder context."},
     {"row_profile", native_row_profile, METH_VARARGS,
      "Reduce one row's packed streams to the numbers of its RowProfile."},
+    {"force_words", native_force_words, METH_VARARGS,
+     "Relocate a Barnes-Hut force plan: one array('q') per processor."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
     "C scheduler, inner loop and synchronization for the timing "
-    "interleaver, its fused ladder, and the row-profile kernel.", -1, methods,
+    "interleaver, its fused ladder, the row-profile kernel and the "
+    "force-phase kernel.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

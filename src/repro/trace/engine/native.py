@@ -28,12 +28,14 @@ that ends, deadlocks or aborts leaves every container as the reference
 loop would, and the next run on the same objects may be either
 engine's.
 
-The extension has two more sections this module only loads: the fused
-ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`) and the
+The extension has three more sections this module only loads: the fused
+ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
-as the contract).  One build, one ``ABI_VERSION`` check, serves all
-three.  The ladder is a second driver of the same memory system: to C a
+as the contract) and the force-phase kernel (``force_words``, called by
+:mod:`repro.workloads.barnes_hut` with numpy's ``_expand`` as the
+contract).  One build, one ``ABI_VERSION`` check, serves all four.  The
+ladder is a second driver of the same memory system: to C a
 ladder rung is what a cluster of a run is -- one SCC, described by
 :func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
 misses run the code a run's misses run.
@@ -83,8 +85,9 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run", "scc_plan", "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
-#: layout, run contract, ladder or profile entry points) changes.
-NATIVE_VERSION = "9"
+#: layout, run contract, ladder, profile or force-phase entry points)
+#: changes.
+NATIVE_VERSION = "10"
 
 LOAD_ERROR: Optional[str] = None
 

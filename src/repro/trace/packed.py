@@ -181,50 +181,38 @@ def decode_events(data: PackedData) -> Iterator[TraceEvent]:
 
     The objects compare equal to the ones a generator-path workload would
     have yielded, which is what the golden-equivalence suite leans on.
+    A malformed record raises :func:`record_width`'s ``ValueError``.
     """
     i = 0
     end = len(data)
     while i < end:
+        width = record_width(data, i)
         op = data[i]
         if op == OP_READ:
             yield Read(data[i + 1])
-            i += 2
         elif op == OP_WRITE:
             yield Write(data[i + 1])
-            i += 2
         elif op == OP_COMPUTE:
             yield Compute(data[i + 1])
-            i += 2
-        elif op == OP_READ_SPAN:
+        elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
+            cls = Read if op == OP_READ_SPAN else Write
             base, size, stride = data[i + 1], data[i + 2], data[i + 3]
-            for offset in range(0, size, stride):
-                yield Read(base + offset)
-            i += 4
-        elif op == OP_WRITE_SPAN:
-            base, size, stride = data[i + 1], data[i + 2], data[i + 3]
-            for offset in range(0, size, stride):
-                yield Write(base + offset)
-            i += 4
+            if size > 0:
+                for offset in range(0, size, stride):
+                    yield cls(base + offset)
         elif op == OP_IFETCH:
             yield Ifetch(data[i + 1], data[i + 2])
-            i += 3
         elif op == OP_LOCK_ACQ:
             yield LockAcquire(data[i + 1])
-            i += 2
         elif op == OP_LOCK_REL:
             yield LockRelease(data[i + 1])
-            i += 2
         elif op == OP_BARRIER:
             yield Barrier(data[i + 1], data[i + 2])
-            i += 3
         elif op == OP_ENQUEUE:
             yield TaskEnqueue(data[i + 1], data[i + 2])
-            i += 3
-        elif op == OP_DEQUEUE:
+        else:   # OP_DEQUEUE, the last opcode ``record_width`` knows
             yield TaskDequeue(data[i + 1])
-            i += 2
-        else:
-            raise ValueError(f"unknown packed opcode {op} at {i}")
+        i += width
 
 
 def record_width(data: PackedData, index: int) -> int:
@@ -245,22 +233,21 @@ def record_width(data: PackedData, index: int) -> int:
 
 
 def event_count(data: PackedData) -> int:
-    """Events a packed sequence expands to (spans counted element-wise)."""
+    """Events a packed sequence expands to (spans counted element-wise);
+    a malformed record raises :func:`record_width`'s ``ValueError``."""
     i = 0
     end = len(data)
     count = 0
     while i < end:
+        width = record_width(data, i)
         op = data[i]
         if op == OP_READ_SPAN or op == OP_WRITE_SPAN:
             size, stride = data[i + 2], data[i + 3]
-            count += (size + stride - 1) // stride
-            i += 4
+            if size > 0:
+                count += (size + stride - 1) // stride
         else:
-            width = OP_WIDTH.get(op)
-            if width is None:
-                raise ValueError(f"unknown packed opcode {op} at {i}")
             count += 1
-            i += width
+        i += width
     return count
 
 
@@ -271,8 +258,9 @@ def packed_to_bytes(data: PackedData) -> bytes:
     return data.tobytes()
 
 
-def packed_from_bytes(raw: bytes) -> array:
-    """Inverse of :func:`packed_to_bytes`."""
+def packed_from_bytes(raw) -> array:
+    """Inverse of :func:`packed_to_bytes` (``raw``: any bytes-like
+    object, a ``memoryview`` slice included)."""
     data = array("q")
     data.frombytes(raw)
     return data

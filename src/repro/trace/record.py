@@ -196,10 +196,11 @@ class TraceCache:
                           f"descriptor promises {expected}")
                 return None
             streams: Dict[int, array] = {}
+            payload = memoryview(raw)   # (slices copy nothing)
             for proc, length in lengths:
                 nbytes = length * 8
                 streams[proc] = packed_from_bytes(
-                    raw[offset:offset + nbytes])
+                    payload[offset:offset + nbytes])
                 offset += nbytes
             return streams
         except (struct.error, ValueError, KeyError, TypeError,

@@ -32,7 +32,13 @@ can change: the cost-seeding pre-pass and, per tree, the *force plan* --
 every body's walk with no address in it (:class:`_ForcePlan`).  Which
 cell sits at which address is decided by lock races during insertion, so
 each run fills the addresses in from its own tree (DESIGN.md section 7,
-"What a workload object may remember between runs").
+"What a workload object may remember between runs").  That relocation
+writes nearly every word a Barnes-Hut run's engine reads, and the native
+extension writes them (``force_words`` in ``trace/engine/_native.c``)
+whenever it loads, whichever engine runs the simulation: the layout --
+which words a visit is, about which record -- stays here, as data the
+kernel takes.  :func:`_expand` is the same relocation in numpy, what a
+host without the extension runs and what the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from ..core.config import SystemConfig
+from ..trace.engine import native
 from ..trace.events import Barrier, Compute, Write
 from ..trace.packed import (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
                             OP_WRITE, PackedChunk, decode_events)
@@ -87,10 +94,9 @@ def _pattern(*events: Tuple[int, int]):
     """A fixed run of ``(opcode, operand)`` events as packed words, and
     which of those words are offsets from the address of the record the
     run is about (every operand but a ``Compute``'s cycles)."""
-    words = np.array([word for event in events for word in event],
-                     dtype=np.int64)
-    relative = np.array([flag for op, _ in events
-                         for flag in (0, op != OP_COMPUTE)], dtype=np.int64)
+    words = tuple(word for event in events for word in event)
+    relative = tuple(flag for op, _ in events
+                     for flag in (0, int(op != OP_COMPUTE)))
     return words, relative
 
 
@@ -111,10 +117,11 @@ _VISIT_WORDS = (
              (OP_COMPUTE, _OPEN_TEST_COMPUTE),
              (OP_READ, _CELL_CHILDREN), (OP_READ, _CELL_CHILDREN + 32)),
 )
-_VISIT_WIDTH = np.array([len(words) for words, _ in _VISIT_WORDS])
 # Around each body's visits: read its own position, store the result.
 _WALK_BEGIN = _pattern((OP_READ, _BODY_POS))
 _WALK_END = _pattern((OP_WRITE, _BODY_ACC), (OP_WRITE, _BODY_ACC + 16))
+# All of it, in the order a relocation takes it.
+_FORCE_PATTERNS = (_WALK_BEGIN, _WALK_END, *_VISIT_WORDS)
 
 
 class _ForcePlan(NamedTuple):
@@ -556,7 +563,9 @@ class _BarnesHutRun:
 
         The walks are the object's to remember (:class:`_ForcePlan`);
         only where this run's insert races put each cell is taken from
-        the live tree.
+        the live tree (:func:`_cell_indexes`).  The native extension's
+        ``force_words`` writes the words when it loads, :func:`_expand`
+        when it does not: the same words either way.
         """
         app = self.app
         slots, cells = _tree_content(self.root)
@@ -574,7 +583,13 @@ class _BarnesHutRun:
                         + np.arange(len(self.bodies)) * _BODY_RECORD)
         cell_address = (self.cell_region.base
                         + _cell_indexes(cells) * _CELL_RECORD)
-        return _expand(plan, self.assignments, body_address, cell_address)
+        order = array("q", [body.index for bodies in self.assignments
+                            for body in bodies])
+        owned = [len(bodies) for bodies in self.assignments]
+        kernel = native.load()
+        relocate = _expand if kernel is None else kernel.force_words
+        return relocate(plan.visits, plan.starts, order, owned,
+                        body_address, cell_address, _FORCE_PATTERNS)
 
     def _walk_tree(self) -> _ForcePlan:
         """Walk the tree for every body (the object's first run on a
@@ -603,7 +618,8 @@ class _BarnesHutRun:
         The hottest loop the workload has left in Python: interaction
         physics is inlined (no per-node helper calls) and each node
         visited costs one ``append`` of ``node * 4 + kind`` -- the
-        events and addresses come later, from :func:`_expand`.
+        events and addresses come later, from each run's relocation
+        (:meth:`_plan_force_phase`).
         """
         eps2 = self.app.softening ** 2
         theta2 = self.app.theta ** 2
@@ -857,41 +873,44 @@ def _scatter(out: np.ndarray, at: np.ndarray, pattern,
              address: np.ndarray) -> None:
     """Write ``pattern`` at each word offset in ``at``, about the record
     at the matching ``address``."""
-    words, relative = pattern
+    words, relative = (np.array(part, dtype=np.int64) for part in pattern)
     out[at[:, None] + np.arange(len(words))] = (
         words + relative * address[:, None])
 
 
-def _expand(plan: _ForcePlan, assignments: List[List[Body]],
-            body_address: np.ndarray,
-            cell_address: np.ndarray) -> List[Optional[array]]:
-    """The packed force-phase chunk of each processor: its bodies' walks
-    from ``plan`` in assignment order, every visit written out as the
-    events of its kind at this run's addresses."""
-    owned = [len(bodies) for bodies in assignments]
-    order = np.array([body.index for bodies in assignments
-                      for body in bodies], dtype=np.int64)
+def _expand(visits: np.ndarray, starts: np.ndarray, order, owned,
+            body_address: np.ndarray, cell_address: np.ndarray,
+            patterns) -> List[Optional[array]]:
+    """The packed force-phase chunk of each processor: the walks of
+    ``order``'s bodies from the plan (``owned[p]`` of them processor
+    ``p``'s), every visit written out as the events of its kind at this
+    run's addresses.
+
+    The numpy reference of the native ``force_words``, argument for
+    argument and word for word; it runs where the extension does not
+    load.  ``patterns`` is ``(begin, end, kind 0, kind 1, kind 2)``."""
+    walk_begin, walk_end, *visit_words = patterns
+    order = np.asarray(order, dtype=np.int64)
     # Gather the walks in that order.
-    first = plan.starts[order]
-    count = plan.starts[order + 1] - first
+    first = starts[order]
+    count = starts[order + 1] - first
     ends = np.cumsum(count)
-    visits = plan.visits[np.repeat(first - (ends - count), count)
-                         + np.arange(ends[-1])]
+    visits = visits[np.repeat(first - (ends - count), count)
+                    + np.arange(count.sum())]
     kind = visits & 3
     node = visits >> 2
     # Word offsets: each walk is its begin words, its visits, its end
     # words; ``walk_at`` has one entry past the last walk.
-    width = _VISIT_WIDTH[kind]
-    visited = np.cumsum(width)      # visit words up to and including each
-    begin, end = len(_WALK_BEGIN[0]), len(_WALK_END[0])
+    width = np.array([len(words) for words, _ in visit_words])[kind]
+    before = np.append(0, np.cumsum(width))   # visit words before each
+    begin, end = len(walk_begin[0]), len(walk_end[0])
     walk = np.arange(len(order) + 1)
-    walk_at = np.append(0, visited[ends - 1]) + (begin + end) * walk
-    at = visited - width + np.repeat((begin + end) * walk[:-1] + begin,
-                                     count)
+    walk_at = before[np.append(0, ends)] + (begin + end) * walk
+    at = before[:-1] + np.repeat((begin + end) * walk[:-1] + begin, count)
     out = np.empty(walk_at[-1], dtype=np.int64)
-    _scatter(out, walk_at[:-1], _WALK_BEGIN, body_address[order])
-    _scatter(out, walk_at[1:] - end, _WALK_END, body_address[order])
-    for which, pattern in enumerate(_VISIT_WORDS):
+    _scatter(out, walk_at[:-1], walk_begin, body_address[order])
+    _scatter(out, walk_at[1:] - end, walk_end, body_address[order])
+    for which, pattern in enumerate(visit_words):
         chosen = np.flatnonzero(kind == which)
         address = body_address if which == _VISIT_BODY else cell_address
         _scatter(out, at[chosen], pattern, address[node[chosen]])

@@ -19,7 +19,7 @@ STACK_DISTANCE_QUERY = ("for (at = previous + 1; at > 0; at -= at & -at)",
 #: ... and two in the state a native run keeps for itself: the ready
 #: heap's order on tied clocks (``seq`` decides; without it heap layout
 #: does) ...
-READY_TIE_BREAK = ("(a->time == b->time && a->seq < b->seq)", "0")
+READY_TIE_BREAK = ("((a->time == b->time) & (a->seq < b->seq))", "0")
 #: ... and when a hit forgets the fill it found landed (a cycle late
 #: moves no clock: only the table the run writes back shows it).
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")

@@ -7,7 +7,9 @@ beyond "same numbers as the reference loop".
 """
 
 import json
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.trace.engine import (BACKEND_CHOICES, available_backends,
@@ -208,8 +210,10 @@ class TestNativeScheduler:
             calls.append(1)
             return real.run(ctx)
 
+        # (Barnes-Hut relocates its force plan with the same extension)
         monkeypatch.setattr(native, "_mod", SimpleNamespace(
-            setup=real.setup, run=counting_run, release=real.release))
+            setup=real.setup, run=counting_run, release=real.release,
+            force_words=real.force_words))
         interleaver = _quick_8p(application, "native")
         interleaver.run()
         assert interleaver.engine_used == "native"
@@ -1164,7 +1168,7 @@ class TestNativeAbiGuard:
                     if not name.startswith("__")}
         assert exported == {"ABI_VERSION", "setup", "run", "release",
                             "ladder_setup", "ladder_drain",
-                            "ladder_release", "row_profile"}
+                            "ladder_release", "row_profile", "force_words"}
 
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
@@ -1181,9 +1185,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "9"
+        assert native.NATIVE_VERSION == "10"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '9'")
+            "stale extension old.so: ABI '5', need '10'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()
@@ -1216,6 +1220,88 @@ class TestNativeAbiGuard:
         assert "no cc" in native.LOAD_ERROR
         assert engine.resolve_backend("native") == "python"
         assert "stale extension" in engine.engine_degradation("native")
+
+
+# ----------------------------------------------------------------------
+# The force-phase kernel: an entry point any caller reaches, so it
+# checks everything before it writes a word
+# ----------------------------------------------------------------------
+
+def _force_args(**change):
+    """A small relocation -- three bodies, two cells, two processors,
+    body 1's walk empty -- with ``change`` applied to its arguments."""
+    args = {
+        # cell 1 accepted, cell 0 opened | | body 2, cell 1 accepted
+        "visits": np.array([1 * 4 + 1, 0 * 4 + 2, 2 * 4 + 0, 1 * 4 + 1],
+                           dtype=np.int32),
+        "starts": np.array([0, 2, 2, 4]),
+        "order": array("q", [2, 0, 1]),
+        "owned": [1, 2],
+        "body_address": np.array([1000, 2000, 3000]),
+        "cell_address": np.array([50000, 60000]),
+        # begin, end, then one per visit kind: (words, relative)
+        "patterns": (((OP_READ, 0), (0, 1)), ((OP_WRITE, 8), (0, 1)),
+                     ((OP_READ, 0, OP_COMPUTE, 5), (0, 1, 0, 0)),
+                     ((OP_READ, 16), (0, 1)), ((OP_READ, 24), (0, 1))),
+    }
+    args.update(change)
+    return tuple(args.values())
+
+
+def _hostile(name, **change):
+    return pytest.param(change, id=name)
+
+
+@needs_native
+class TestForceWords:
+    def test_writes_each_processors_walks(self):
+        from repro.trace.engine import native
+        words = native.load().force_words(*_force_args())
+        assert words == [
+            array("q", [OP_READ, 3000, OP_READ, 3000, OP_COMPUTE, 5,
+                        OP_READ, 60016, OP_WRITE, 3008]),
+            array("q", [OP_READ, 1000, OP_READ, 60016, OP_READ, 50024,
+                        OP_WRITE, 1008, OP_READ, 2000, OP_WRITE, 2008])]
+
+    @pytest.mark.parametrize("change", [
+        _hostile("visits-not-int32",
+                 visits=np.arange(4)),
+        _hostile("addresses-not-integers",
+                 body_address=np.zeros(3)),
+        _hostile("starts-one-short",
+                 starts=np.array([0, 2, 2])),
+        _hostile("starts-decrease",
+                 starts=np.array([0, 3, 2, 4])),
+        _hostile("starts-past-the-visits",
+                 starts=np.array([0, 2, 2, 5])),
+        _hostile("starts-before-the-visits",
+                 starts=np.array([-1, 2, 2, 4])),
+        _hostile("order-past-the-bodies", order=array("q", [3, 0, 1])),
+        _hostile("order-negative", order=array("q", [-1, 0, 1])),
+        _hostile("body-visit-past-its-table",
+                 visits=np.array([5, 2, 12, 5],
+                                                  dtype="int32")),
+        _hostile("cell-visit-past-its-table",
+                 visits=np.array([9, 2, 8, 5],
+                                                  dtype="int32")),
+        _hostile("negative-node",
+                 visits=np.array([5, 2, -4, 5],
+                                                  dtype="int32")),
+        _hostile("kind-3",
+                 visits=np.array([5, 3, 8, 5],
+                                                  dtype="int32")),
+        _hostile("owned-short", owned=[1, 1]),
+        _hostile("owned-long", owned=[2, 2]),
+        _hostile("owned-negative", owned=[-1, 4]),
+        _hostile("four-patterns", patterns=(((1, 0), (0, 1)),) * 4),
+        _hostile("pattern-flags-short", patterns=(((1, 0), (0,)),) * 5),
+        _hostile("pattern-too-long",
+                 patterns=(((1, 0) * 9, (0, 1) * 9),) * 5),
+    ])
+    def test_hostile_inputs_raise_value_error(self, change):
+        from repro.trace.engine import native
+        with pytest.raises(ValueError):
+            native.load().force_words(*_force_args(**change))
 
 
 @needs_native

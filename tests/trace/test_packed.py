@@ -16,6 +16,8 @@ from repro.trace.packed import (OP_COMPUTE, OP_READ, OP_READ_SPAN, OP_WRITE,
                                 decode_events, encode_events, event_count,
                                 packed_from_bytes, packed_to_bytes)
 
+from ..model.test_profile import HOSTILE_TAPES
+
 ALL_EVENTS = [
     Read(0x100), Write(0x108), Compute(25), Ifetch(0x4000, 8),
     LockAcquire(3), LockRelease(3), Barrier(1, 4), TaskEnqueue(2, 17),
@@ -68,6 +70,32 @@ class TestEncodingErrors:
             list(decode_events([99, 0]))
         with pytest.raises(ValueError):
             event_count([99, 0])
+
+    @pytest.mark.parametrize("stream, message", [
+        *HOSTILE_TAPES,
+        pytest.param([OP_READ_SPAN, 0, 8, 0],
+                     "non-positive span stride at 0", id="zero-stride-first"),
+        pytest.param([OP_READ, 5, OP_WRITE],
+                     "truncated packed record at word 2", id="cut-last-write"),
+    ])
+    def test_malformed_records_raise_the_engines_words(self, stream,
+                                                       message):
+        """Both walkers read a tape record by record through
+        ``record_width``: the ``ValueError`` every other walker raises,
+        where they used to divide by a zero stride, count a cut-off
+        record, count a negative stride as nothing or raise ``range``'s
+        and ``IndexError``'s words."""
+        for data in (stream, array("q", stream)):
+            for walk in (event_count, lambda tape: list(decode_events(tape))):
+                with pytest.raises(ValueError) as caught:
+                    walk(data)
+                assert str(caught.value) == message
+
+    def test_an_empty_span_is_no_events_whatever_its_stride(self):
+        for stride in (0, -8, 8):
+            data = [OP_WRITE_SPAN, 64, 0, stride, OP_READ_SPAN, 0, -8, stride]
+            assert event_count(data) == 0
+            assert list(decode_events(data)) == []
 
 
 class TestPackedChunk:

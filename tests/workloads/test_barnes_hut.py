@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +341,20 @@ class TestRememberedRuns:
         assert len(relocations) == len(GRID) * app.steps
         assert len(set(relocations)) > app.steps
 
+    @pytest.mark.parametrize("packed", [True, False],
+                             ids=["packed", "objects"])
+    def test_grid_without_the_extension(self, packed, relocations,
+                                        monkeypatch):
+        """The same on a host where the extension does not load, whose
+        runs relocate in numpy (and run on the reference loop)."""
+        from repro.trace.engine import native
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(native, "_mod", native._UNSET)
+        monkeypatch.setattr(native, "LOAD_ERROR", native.LOAD_ERROR)
+        self.test_grid_on_one_object_equals_fresh_objects(packed, "python",
+                                                          relocations)
+        assert native.load() is None
+
     @pytest.mark.parametrize("mutant", ["identity", "first run's"])
     def test_a_plan_used_without_relocation_is_caught(self, monkeypatch,
                                                       mutant):
@@ -445,6 +460,100 @@ class TestRememberedRuns:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = 0
+
+
+# ----------------------------------------------------------------------
+# A run's force-phase words are written by the native extension's
+# ``force_words``; numpy's ``_expand`` is what it must equal, word for word
+# ----------------------------------------------------------------------
+
+def force_kernel():
+    from repro.trace.engine import native
+    return native.load().force_words
+
+
+def assert_kernel_equals_numpy(args):
+    words = force_kernel()(*args)
+    assert type(words) is list
+    assert all(type(chunk) is array and chunk.typecode == "q"
+               for chunk in words)
+    assert ([chunk.tobytes() for chunk in words]
+            == [chunk.tobytes() for chunk in barnes_hut._expand(*args)])
+    return words
+
+
+def random_relocation(seed, n_bodies=24, n_cells=10, procs=4,
+                      walks=range(12), kinds=range(3), owned=None):
+    """The arguments of one relocation over a seeded random plan:
+    ``walks`` the lengths a walk is drawn from, ``kinds`` the visit
+    kinds, ``owned`` (drawn when ``None``) each processor's share of a
+    shuffled order."""
+    rng = random.Random(seed)
+    lengths = [rng.choice(walks) for _ in range(n_bodies)]
+    visits = []
+    for _ in range(sum(lengths)):
+        kind = rng.choice(kinds)
+        visits.append(rng.randrange(n_bodies if kind == 0 else n_cells) * 4
+                      + kind)
+    order = list(range(n_bodies))
+    rng.shuffle(order)
+    if owned is None:
+        cuts = sorted(rng.randrange(n_bodies + 1) for _ in range(procs - 1))
+        owned = np.diff([0, *cuts, n_bodies]).tolist()
+    cells = np.array(rng.sample(range(4 * n_cells), n_cells))
+    return (np.array(visits, dtype=np.int32),
+            np.cumsum([0] + lengths).astype(np.int64),
+            array("q", order), owned,
+            (1 << 20) + np.arange(n_bodies) * 96,
+            (1 << 24) + cells * 112,
+            barnes_hut._FORCE_PATTERNS)
+
+
+@needs_native
+class TestForceKernel:
+    def test_equals_numpy_on_every_quick_grid_tree(self, monkeypatch):
+        """2 steps x 2p/8p x 8/128 KB (paper sizes) on the quick
+        profile's object: every relocation the grid makes."""
+        from types import SimpleNamespace
+        from repro.experiments.spec import PROFILES
+        profile = PROFILES["quick"]
+        seen = []
+
+        def checked(*args):
+            seen.append(assert_kernel_equals_numpy(args))
+            return seen[-1]
+
+        monkeypatch.setattr(barnes_hut, "native", SimpleNamespace(
+            load=lambda: SimpleNamespace(force_words=checked)))
+        app = profile.barnes_hut()
+        for procs in (2, 8):
+            for scc in (8 * KB, 128 * KB):
+                run_simulation(SystemConfig.paper_parallel(
+                    procs, scc // profile.ladder_scale), app)
+        assert len(seen) == 4 * app.steps
+        assert {len(words) for words in seen} == {2 * 4, 8 * 4}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_numpy_on_random_plans(self, seed):
+        assert_kernel_equals_numpy(random_relocation(seed))
+
+    @pytest.mark.parametrize("case", [
+        {"owned": [0, 10, 0, 14]},
+        {"n_bodies": 1, "procs": 1},
+        {"n_bodies": 1, "procs": 3, "owned": [0, 0, 1]},
+        {"walks": [0, 0, 3]},
+        {"walks": [0]},
+        {"kinds": [0]}, {"kinds": [1]}, {"kinds": [2]},
+    ], ids=["a-processor-owns-no-body", "one-body-walk",
+            "one-body-on-the-last-processor", "walks-with-no-visits",
+            "no-walk-visits-anything", "bodies-only", "accepted-cells-only",
+            "opened-cells-only"])
+    def test_equals_numpy_at_the_edges(self, case):
+        for seed in range(3):
+            words = assert_kernel_equals_numpy(random_relocation(seed,
+                                                                 **case))
+        if case.get("owned"):
+            assert [len(chunk) for chunk in words][0] == 0
 
 
 # ----------------------------------------------------------------------
