@@ -31,9 +31,7 @@ SWEEP_ARGS = [sys.executable, "-m", "repro", "sweep", "mp3d",
 
 def _env(workdir: Path) -> dict:
     env = dict(os.environ)
-    env["REPRO_CACHE_DIR"] = str(workdir / "cache")
-    env["REPRO_SESSION_DIR"] = str(workdir / "sessions")
-    env["REPRO_TRACE_DIR"] = str(workdir / "traces")
+    env["REPRO_CACHE_DIR"] = str(workdir)
     return env
 
 

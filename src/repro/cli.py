@@ -284,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--no-shrink", action="store_false", dest="shrink",
                       help="persist diverging tapes unshrunk")
     fuzz.add_argument("--out-dir", default=None, metavar="DIR",
-                      help="repro destination "
-                           "(default .repro_cache/repros)")
+                      help="repro destination (default: repros/ under "
+                           "$REPRO_CACHE_DIR or .repro_cache)")
 
     serve = commands.add_parser(
         "serve", help="run the sweep fabric service: HTTP broker plus "
@@ -612,10 +612,8 @@ def _cmd_model(args) -> int:
                               default_session_dir, format_size,
                               render_table, run_sweep)
     from .model import cross_validate
-    from .trace.record import default_trace_cache
     profile = _profile(args.profile)
     ladder = args.ladder or PAPER_LADDER
-    trace_cache = default_trace_cache()
     if args.validate:
         def progress(benchmark, procs, stage):
             print(f"  {benchmark} procs={procs}: {stage}...", flush=True)
@@ -623,7 +621,6 @@ def _cmd_model(args) -> int:
         print(f"cross-validating the analytical model "
               f"({profile.name} profile)...")
         report = cross_validate(profile=profile, ladder=ladder,
-                                trace_cache=trace_cache,
                                 session_dir=default_session_dir(),
                                 progress=progress)
         print()
@@ -656,8 +653,7 @@ def _cmd_model(args) -> int:
         return 2
     spec = SweepSpec.from_cli_args(args, profile=profile, ladder=ladder,
                                    fidelity="analytical")
-    sweep = run_sweep(spec, trace_cache=trace_cache,
-                      session_dir=default_session_dir())
+    sweep = run_sweep(spec, session_dir=default_session_dir())
     rows = [[procs, format_size(paper_bytes),
              f"{100 * stats.miss_rate:.2f} %",
              f"{100 * stats.read_miss_rate:.2f} %",

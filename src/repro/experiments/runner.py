@@ -29,9 +29,7 @@ also where ``bench/spans.py`` and the CI smoke scripts count them.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import json
-import logging
 import os
 import signal
 import threading
@@ -41,6 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
+from ..diskstore import FileCache, cache_root
 from ..instrument import InstrumentationProbe
 from ..simulation import run_simulation
 from ..trace.multiconfig import (fused_ladder_results,
@@ -52,8 +51,6 @@ from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
            "ResultCache", "default_cache", "row_tape", "replay_row",
            "PAPER_LADDER", "PROCS_SWEPT", "CACHE_VERSION"]
-
-_LOG = logging.getLogger(__name__)
 
 INSTRUMENT_BIN_WIDTH = 4096
 """Timeline resolution for the summary-only instrumentation every sweep
@@ -90,68 +87,30 @@ class RunStats:
 # Result cache
 # ----------------------------------------------------------------------
 
-class ResultCache:
-    """Tiny JSON-file-per-result cache.
-
-    Writes go through a per-process temporary file and an atomic rename,
-    so concurrent ``--jobs`` sweeps (or several sweep processes sharing a
-    cache directory) can race on the same key without ever exposing a
-    half-written file.  A corrupt or truncated entry (killed writer from
-    an older version, disk trouble) is logged once, deleted, and treated
-    as a miss so the next run rewrites it instead of missing forever.
-    """
+class ResultCache(FileCache):
+    """One JSON file of :class:`RunStats` per point key, keyed by
+    :data:`CACHE_VERSION` (written and healed as every
+    :class:`~repro.diskstore.FileCache` is)."""
 
     def __init__(self, directory: Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._warned_corrupt = False
-
-    def _path(self, key: str) -> Path:
-        digest = hashlib.sha256(
-            f"v{CACHE_VERSION}:{key}".encode()).hexdigest()[:24]
-        return self.directory / f"{digest}.json"
+        super().__init__(directory, f"v{CACHE_VERSION}", ".json")
 
     def get(self, key: str) -> Optional[RunStats]:
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError):
-            return None
-        try:
-            return RunStats.from_dict(json.loads(raw))
-        except (json.JSONDecodeError, TypeError) as exc:
-            self._discard_corrupt(path, exc)
-            return None
+        return self._get(key)
 
     def put(self, key: str, stats: RunStats) -> None:
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(stats.as_dict()))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        self._put(key, stats)
 
-    def _discard_corrupt(self, path: Path, exc: Exception) -> None:
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            _LOG.warning(
-                "discarding corrupt result-cache entry %s (%s); "
-                "it will be recomputed", path, exc)
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    def _encode(self, stats: RunStats, key: str) -> bytes:
+        return json.dumps(stats.as_dict()).encode()
+
+    def _decode(self, raw: bytes, key: str) -> RunStats:
+        return RunStats.from_dict(json.loads(raw))
 
 
 def default_cache() -> ResultCache:
-    """Cache under the working tree (override with ``REPRO_CACHE_DIR``)."""
-    directory = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    return ResultCache(Path(directory))
+    """The result cache at :func:`~repro.diskstore.cache_root`."""
+    return ResultCache(cache_root())
 
 
 # ----------------------------------------------------------------------

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from ..diskstore import atomic_write, cache_root
 from ..instrument.registry import MetricsRegistry
-from ..trace.record import TraceCache
+from ..trace.record import TraceCache, default_trace_cache
 from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
                      _shutdown_pool, _worker_pool, default_cache,
                      process_workload, replay_row, row_tape)
@@ -65,9 +66,8 @@ _DEFAULT_CACHE = object()
 
 
 def default_session_dir() -> Path:
-    """Journal directory (override with ``REPRO_SESSION_DIR``)."""
-    return Path(os.environ.get(
-        "REPRO_SESSION_DIR", os.path.join(".repro_cache", "sessions")))
+    """Journal directory: ``<cache root>/sessions``."""
+    return cache_root() / "sessions"
 
 
 STALE_TMP_AGE_S = 3600.0
@@ -82,7 +82,7 @@ def prune_stale_journals(directory: Optional[Path],
 
     Two kinds of debris accumulate without this: per-PID
     ``<sig>.json.<pid>.tmp`` temporaries orphaned by a writer killed
-    between ``write_text`` and ``os.replace`` (removed once older than
+    inside :func:`~repro.diskstore.atomic_write` (removed once older than
     ``tmp_age`` seconds), and journals of *finished* sweeps -- every
     grid point recorded ``done`` -- which no live run will ever resume.
     In-progress and quarantine-bearing journals are kept (they are
@@ -199,10 +199,9 @@ class SessionJournal:
     """Crash-safe per-sweep record of point outcomes.
 
     One JSON file per spec signature.  Every update rewrites the file
-    through a per-PID temporary and ``os.replace`` -- the same atomic
-    discipline as :class:`~repro.experiments.runner.ResultCache` -- so
-    a SIGKILL at any instant leaves either the previous or the next
-    consistent journal, never a torn one.  Each ``done`` entry carries
+    with :func:`~repro.diskstore.atomic_write`, so a SIGKILL at any
+    instant leaves either the previous or the next consistent journal,
+    never a torn one.  Each ``done`` entry carries
     the full :class:`RunStats` payload, making resume independent of
     the result cache surviving the crash.
     """
@@ -274,16 +273,7 @@ class SessionJournal:
             "spec": self.spec.describe(),
             "points": self.points,
         }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(payload, sort_keys=True).encode())
 
     def _unlink(self) -> None:
         path = self.path
@@ -393,6 +383,13 @@ class SweepSession:
         sweep[point] = stats
         self._settle(point, status, stats, attempts=attempts)
 
+    def _tapes(self) -> TraceCache:
+        """The tape cache stages 1.5 and 2 share: the one the session
+        was given, else the default one (opened on first need)."""
+        if self.trace_cache is None:
+            self.trace_cache = default_trace_cache()
+        return self.trace_cache
+
     @staticmethod
     def _rows(points: List[GridPoint]) -> List[List[GridPoint]]:
         """The points grouped into rows -- one processor count, so one
@@ -487,7 +484,8 @@ class SweepSession:
         from ..model.predictor import predict_point
         from ..model.profile import ProfileCache, build_row_profile
         spec = self.spec
-        trace_dir = getattr(self.trace_cache, "directory", None)
+        tapes = self._tapes()
+        trace_dir = getattr(tapes, "directory", None)
         profile_cache = (ProfileCache(Path(trace_dir) / "profiles")
                          if trace_dir is not None else None)
         remainder: List[GridPoint] = []
@@ -520,9 +518,8 @@ class SweepSession:
             row_profile = (profile_cache.get(profile_key)
                            if profile_cache is not None else None)
             if row_profile is None:
-                streams, stats0 = row_tape(workload, config0,
-                                           self.trace_cache, tape_key,
-                                           False, spec.backend)
+                streams, stats0 = row_tape(workload, config0, tapes,
+                                           tape_key, False, spec.backend)
                 if streams is None:
                     remainder.extend(row_points)
                     continue
@@ -567,12 +564,9 @@ class SweepSession:
                     or not workload.stream_is_deterministic(config0)):
                 remainder.extend(row_points)
                 continue
-            # No trace cache given means the default on-disk one here.
-            streams, stats0 = row_tape(
-                workload, config0,
-                self.trace_cache if self.trace_cache is not None
-                else TraceCache(),
-                signature, spec.instrument, spec.backend)
+            streams, stats0 = row_tape(workload, config0, self._tapes(),
+                                       signature, spec.instrument,
+                                       spec.backend)
             if stats0 is not None:
                 self._bank(row_points.pop(0), "replayed", stats0, sweep)
             if streams is None:

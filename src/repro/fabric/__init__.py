@@ -28,7 +28,7 @@ from .broker import Broker, DEFAULT_LEASE_TTL, SweepJob, WorkUnit
 from .client import (HttpTransport, JobHandle, LocalFabric,
                      LocalTransport, SweepClient)
 from .service import FabricService, start_in_thread
-from .store import ArtifactStore, MemoryResultCache, MemoryTraceCache
+from .store import ArtifactStore, MemoryCache
 from .wire import (FabricError, parse_point_label, point_label,
                    sweep_from_wire, sweep_to_wire)
 from .worker import Worker
@@ -36,8 +36,7 @@ from .worker import Worker
 __all__ = [
     "ArtifactStore", "Broker", "DEFAULT_LEASE_TTL", "FabricError",
     "FabricService", "HttpTransport", "JobHandle", "LocalFabric",
-    "LocalTransport", "MemoryResultCache", "MemoryTraceCache",
-    "SweepClient", "SweepJob", "WorkUnit", "Worker",
-    "parse_point_label", "point_label", "start_in_thread",
-    "sweep_from_wire", "sweep_to_wire",
+    "LocalTransport", "MemoryCache", "SweepClient", "SweepJob",
+    "WorkUnit", "Worker", "parse_point_label", "point_label",
+    "start_in_thread", "sweep_from_wire", "sweep_to_wire",
 ]

@@ -11,13 +11,16 @@ addressed by the existing
 ``SweepSpec.point_key``) and tapes by the workload's
 ``trace_signature``, stored through the very same
 :class:`~repro.experiments.runner.ResultCache` and
-:class:`~repro.trace.record.TraceCache` classes local sweeps use.
-``ArtifactStore(".repro_cache")`` therefore *is* the default local
-cache, byte for byte: a sweep run locally warms the fabric, a sweep run
-through the fabric warms every local session, and journals keep
-resolving against the same entries.  Both caches already write through
-per-PID temporaries and ``os.replace``, so many workers (or many hosts
-over a shared filesystem) can race on a key safely.
+:class:`~repro.trace.record.TraceCache` classes local sweeps use, in the
+same layout (results at the root, tapes under ``traces/``).
+:meth:`ArtifactStore.default` opens it at
+:func:`~repro.diskstore.cache_root`, where local sweeps keep both, so
+it *is* the default local cache, byte for byte: a sweep run locally
+warms the fabric, a sweep run through the fabric warms every local
+session, and journals keep resolving against the same entries.  Every
+file is written with :func:`~repro.diskstore.atomic_write`, so many
+workers (or many hosts over a shared filesystem) can race on a key
+safely.
 
 Publishing is idempotent: :meth:`ArtifactStore.publish` writes only
 when the key is absent, so a duplicate completion -- e.g. a straggler
@@ -27,58 +30,44 @@ rewrites an artifact.
 
 from __future__ import annotations
 
-import os
+import copy
 from array import array
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..diskstore import cache_root
 from ..experiments.runner import ResultCache, RunStats
 from ..trace.record import TraceCache
 
-__all__ = ["ArtifactStore", "MemoryResultCache", "MemoryTraceCache"]
+__all__ = ["ArtifactStore", "MemoryCache"]
 
 
-class MemoryResultCache:
-    """Dict-backed stand-in for :class:`ResultCache` (same get/put
-    surface) so a single-process fabric is testable without disk."""
+class MemoryCache:
+    """Dict-backed stand-in for a result or trace cache (the same
+    ``get`` / ``put`` surface) so a single-process fabric is testable
+    without disk.  Values are copied on the way in and on the way out,
+    as a file would: nobody's later mutation reaches another reader."""
 
     def __init__(self) -> None:
-        self._entries: Dict[str, RunStats] = {}
+        self._entries: Dict[str, object] = {}
         self.puts = 0
 
-    def get(self, key: str) -> Optional[RunStats]:
-        return self._entries.get(key)
+    def get(self, key: str):
+        value = self._entries.get(key)
+        return None if value is None else copy.deepcopy(value)
 
-    def put(self, key: str, stats: RunStats) -> None:
+    def put(self, key: str, value) -> None:
         self.puts += 1
-        self._entries[key] = stats
-
-
-class MemoryTraceCache:
-    """Dict-backed stand-in for :class:`TraceCache`."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, Dict[int, array]] = {}
-
-    def get(self, signature: str) -> Optional[Dict[int, array]]:
-        streams = self._entries.get(signature)
-        if streams is None:
-            return None
-        return {proc: array("q", data) for proc, data in streams.items()}
-
-    def put(self, signature: str, streams: Dict[int, array]) -> None:
-        self._entries[signature] = {proc: array("q", data)
-                                    for proc, data in streams.items()}
+        self._entries[key] = copy.deepcopy(value)
 
 
 class ArtifactStore:
     """Results + tapes under one root, in the local cache layout.
 
-    ``directory`` is laid out exactly like ``.repro_cache``: result
-    JSON files at the top level, recordings under ``traces/``.  Pass
-    the node's actual ``.repro_cache`` (the ``serve`` CLI default) to
-    share warmth with local sweeps, or any shared mount to share it
-    across hosts.
+    ``directory`` is laid out exactly like the cache root: result JSON
+    files at the top level, recordings under ``traces/``.  Pass the
+    node's own root (the ``serve`` CLI default) to share warmth with
+    local sweeps, or any shared mount to share it across hosts.
     """
 
     def __init__(self, directory: Optional[Path] = None,
@@ -99,15 +88,13 @@ class ArtifactStore:
     @classmethod
     def in_memory(cls) -> "ArtifactStore":
         """A process-local store (tests, ephemeral fabrics)."""
-        return cls(results=MemoryResultCache(), traces=MemoryTraceCache())
+        return cls(results=MemoryCache(), traces=MemoryCache())
 
     @classmethod
     def default(cls) -> "ArtifactStore":
-        """The local cache layout (``REPRO_CACHE_DIR`` honoured), i.e.
-        the same entries ``repro.experiments.runner.default_cache`` and
-        ``default_trace_cache`` read and write."""
-        return cls(Path(os.environ.get("REPRO_CACHE_DIR",
-                                       ".repro_cache")))
+        """The store at :func:`~repro.diskstore.cache_root`: the entries
+        ``default_cache`` and ``default_trace_cache`` read and write."""
+        return cls(cache_root())
 
     # ------------------------------------------------------------------
     # Results (content-addressed by the existing point_cache_key scheme)

@@ -50,11 +50,8 @@ the payload's shape, so a cached profile does not say -- or depend on
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
-import logging
-import os
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -62,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..core.icache import INSTRUCTION_BYTES
+from ..diskstore import FileCache
 from ..trace.analysis import _distances_from_lines
 from ..trace.engine import native
 from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_IFETCH,
@@ -72,8 +70,6 @@ from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_IFETCH,
 __all__ = ["MODEL_VERSION", "RowProfile", "ProfileCache",
            "build_row_profile", "extract_process", "merge_refs",
            "coherence_ladder", "bucket_floor"]
-
-_LOG = logging.getLogger(__name__)
 
 MODEL_VERSION = 1
 """Bump to invalidate cached profiles (and analytical sweep results --
@@ -583,50 +579,22 @@ def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
     return shared_lines, interprocess_reuses, writer_sets, exposure
 
 
-class ProfileCache:
-    """JSON-file-per-profile disk cache (same atomic discipline as
-    :class:`~repro.experiments.runner.ResultCache`)."""
+class ProfileCache(FileCache):
+    """One JSON file per row profile, keyed by :data:`MODEL_VERSION`
+    (written and healed as every :class:`~repro.diskstore.FileCache`
+    is)."""
 
     def __init__(self, directory: Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._warned_corrupt = False
-
-    def _path(self, key: str) -> Path:
-        digest = hashlib.sha256(
-            f"m{MODEL_VERSION}:{key}".encode()).hexdigest()[:24]
-        return self.directory / f"{digest}.json"
+        super().__init__(directory, f"m{MODEL_VERSION}", ".json")
 
     def get(self, key: str) -> Optional[RowProfile]:
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError):
-            return None
-        try:
-            return RowProfile.from_dict(json.loads(raw))
-        except (json.JSONDecodeError, ValueError, KeyError,
-                TypeError) as exc:
-            if not self._warned_corrupt:
-                self._warned_corrupt = True
-                _LOG.warning("discarding corrupt profile-cache entry %s "
-                             "(%s); it will be rebuilt", path, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._get(key)
 
     def put(self, key: str, profile: RowProfile) -> None:
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(profile.as_dict(),
-                                      sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        self._put(key, profile)
+
+    def _encode(self, profile: RowProfile, key: str) -> bytes:
+        return json.dumps(profile.as_dict(), sort_keys=True).encode()
+
+    def _decode(self, raw: bytes, key: str) -> RowProfile:
+        return RowProfile.from_dict(json.loads(raw))

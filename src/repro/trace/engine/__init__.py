@@ -11,12 +11,13 @@ The SCC/bus timing model has two implementations ("backends", psim's
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) that owns the data path -- hits, bank/write-buffer
-  timing, the snoopy MSI/MESI miss path and its bus -- and scheduling:
-  it drains chunks over the shared ``array('q')`` tag/state/bank/bus
-  storage and switches processes in place on the interleaver's heap,
-  and carries the fused ladder.  Python owns the generators, the
-  synchronization handlers and instruction-cache refills (the one
-  callback left).  The standard
+  timing, the snoopy MSI/MESI miss path and its bus -- and the run
+  around it: one ``_native.run`` call resumes the generators, executes
+  their chunks over the shared ``array('q')`` tag/state/bank/bus
+  storage, switches processes on its own copy of the ready heap and
+  keeps the locks, barriers and task queues; it also carries the fused
+  ladder.  Python is left the generators' bodies and the
+  instruction-cache refill (the one callback).  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
   extension carries the analytical tier's row-profile kernel

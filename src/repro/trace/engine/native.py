@@ -418,7 +418,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         for _, _, pid in heap:
             processes[pid].in_heap = True
         self._seq = misc[1]
-        self.engine_returns = dict.fromkeys(("refill", "sync", "object"), 0)
         self.events_processed += misc[0]
         for scc, entry in zip(cl_scc, per_cluster):
             settle_scc(scc, entry)

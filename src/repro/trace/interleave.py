@@ -203,13 +203,6 @@ class TimingInterleaver:
         self.engine_used: Optional[str] = None
         """Concrete engine the last :meth:`run` executed on: ``python``
         (the reference loop) or ``native``."""
-        self.engine_returns: Dict[str, int] = {}
-        """How often the native engine's C loop handed control back to
-        python during the last :meth:`run`, by reason; empty on the
-        reference loop.  ``refill``, ``sync`` and ``object`` were the
-        reasons while python resumed the generators and ran the sync
-        handlers; C does both now, so all three read zero (returns of
-        ``_native.run`` are counted, not generator resumes)."""
 
     # ------------------------------------------------------------------
     # Setup

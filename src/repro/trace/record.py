@@ -33,18 +33,15 @@ see the ``OP_DEQUEUE`` note in :mod:`repro.trace.packed`).
 from __future__ import annotations
 
 import json
-import logging
-import os
 import struct
 from array import array
 from pathlib import Path
 from typing import Dict, Generator, Optional
 
-_LOG = logging.getLogger(__name__)
-
 from .packed import (PackedChunk, PackedEncodingError, append_event,
                      packed_from_bytes, packed_to_bytes)
 from ..core.config import SystemConfig
+from ..diskstore import FileCache, cache_root
 from ..workloads.base import TracedApplication
 
 __all__ = ["StreamRecorder", "ReplayApplication", "TraceCache",
@@ -135,114 +132,71 @@ class ReplayApplication(TracedApplication):
             yield PackedChunk(data)
 
 
-class TraceCache:
-    """One-file-per-recording disk cache.
+class TraceCache(FileCache):
+    """One file per recording in ``directory`` (default
+    ``<cache root>/traces``), keyed by :data:`TRACE_FORMAT_VERSION` and
+    the trace signature.
 
-    The file layout is a fixed header (magic, format version, JSON length)
-    followed by a JSON descriptor (the signature it was stored under plus
-    each process's stream length in ints) and the streams' raw 64-bit
-    data back to back.  Writes go through a per-process temp file and
-    ``os.replace`` so concurrent sweep processes never observe a torn
-    recording even when racing on the same key.  A corrupt or truncated
-    file (the format version lives in the path digest, so whatever is at
-    the path *should* parse) is logged once, deleted, and reported as a
-    miss, so the next recording run heals the cache; a signature mismatch
-    inside a well-formed file is a digest collision and is left alone.
+    The file is a fixed header (magic, format version, JSON length), a
+    JSON descriptor (the signature it was stored under plus each
+    process's stream length in ints) and the streams' raw 64-bit data
+    back to back.  It is written and healed as every
+    :class:`~repro.diskstore.FileCache` is; a signature mismatch inside
+    a well-formed file is a digest collision, a miss left on disk.
     """
 
     def __init__(self, directory: Optional[Path] = None):
         if directory is None:
-            directory = Path(os.environ.get(
-                "REPRO_TRACE_DIR",
-                os.path.join(".repro_cache", "traces")))
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._warned_corrupt = False
-
-    def _path(self, signature: str) -> Path:
-        import hashlib
-        digest = hashlib.sha256(
-            f"t{TRACE_FORMAT_VERSION}:{signature}".encode()
-        ).hexdigest()[:24]
-        return self.directory / f"{digest}.trace"
+            directory = cache_root() / "traces"
+        super().__init__(directory, f"t{TRACE_FORMAT_VERSION}", ".trace")
 
     def get(self, signature: str) -> Optional[Dict[int, array]]:
-        path = self._path(signature)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            magic, version, header_len = _HEADER_STRUCT.unpack_from(raw)
-            if magic != _MAGIC or version != TRACE_FORMAT_VERSION:
-                # The format version is part of the path digest, so a
-                # mismatched header here is damage, not an old file.
-                self._discard_corrupt(path, "bad magic or version")
-                return None
-            offset = _HEADER_STRUCT.size
-            header = json.loads(raw[offset:offset + header_len])
-            if header.get("signature") != signature:
-                return None          # digest collision: treat as a miss
-            offset += header_len
-            lengths = [(int(proc), int(length))
-                       for proc, length in header["streams"]]
-            # A truncated payload can still be a whole number of int64s,
-            # which ``packed_from_bytes`` would accept -- validate the
-            # exact total length before slicing.
-            expected = offset + sum(length * 8 for _, length in lengths)
-            if len(raw) != expected:
-                self._discard_corrupt(
-                    path, f"payload is {len(raw)} bytes, "
-                          f"descriptor promises {expected}")
-                return None
-            streams: Dict[int, array] = {}
-            payload = memoryview(raw)   # (slices copy nothing)
-            for proc, length in lengths:
-                nbytes = length * 8
-                streams[proc] = packed_from_bytes(
-                    payload[offset:offset + nbytes])
-                offset += nbytes
-            return streams
-        except (struct.error, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
-            self._discard_corrupt(path, exc)
-            return None
-
-    def _discard_corrupt(self, path: Path, why) -> None:
-        """Delete a damaged recording so the next run rewrites it."""
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            _LOG.warning("discarding corrupt trace-cache file %s (%s); "
-                         "the stream will be re-recorded", path, why)
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        return self._get(signature)
 
     def put(self, signature: str, streams: Dict[int, array]) -> None:
+        self._put(signature, streams)
+
+    def _encode(self, streams: Dict[int, array], signature: str) -> list:
         order = sorted(streams)
         header = json.dumps({
             "signature": signature,
             "streams": [[proc, len(streams[proc])] for proc in order],
         }).encode()
-        path = self._path(signature)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_HEADER_STRUCT.pack(_MAGIC, TRACE_FORMAT_VERSION,
-                                             len(header)))
-                fh.write(header)
-                for proc in order:
-                    fh.write(packed_to_bytes(streams[proc]))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        return [_HEADER_STRUCT.pack(_MAGIC, TRACE_FORMAT_VERSION,
+                                    len(header)), header,
+                *(packed_to_bytes(streams[proc]) for proc in order)]
+
+    def _decode(self, raw: bytes,
+                signature: str) -> Optional[Dict[int, array]]:
+        magic, version, header_len = _HEADER_STRUCT.unpack_from(raw)
+        if magic != _MAGIC or version != TRACE_FORMAT_VERSION:
+            # The format version is part of the path digest, so a
+            # mismatched header here is damage, not an old file.
+            raise ValueError("bad magic or version")
+        offset = _HEADER_STRUCT.size
+        header = json.loads(raw[offset:offset + header_len])
+        if header.get("signature") != signature:
+            return None          # digest collision: a plain miss
+        offset += header_len
+        lengths = [(int(proc), int(length))
+                   for proc, length in header["streams"]]
+        # A truncated payload can still be a whole number of int64s,
+        # which ``packed_from_bytes`` would accept -- validate the
+        # exact total length before slicing.
+        expected = offset + sum(length * 8 for _, length in lengths)
+        if len(raw) != expected:
+            raise ValueError(f"payload is {len(raw)} bytes, descriptor "
+                             f"promises {expected}")
+        streams: Dict[int, array] = {}
+        payload = memoryview(raw)   # (slices copy nothing)
+        for proc, length in lengths:
+            nbytes = length * 8
+            streams[proc] = packed_from_bytes(
+                payload[offset:offset + nbytes])
+            offset += nbytes
+        return streams
 
 
 def default_trace_cache() -> TraceCache:
-    """Trace cache under the working tree (override: ``REPRO_TRACE_DIR``)."""
+    """The trace cache at ``<cache root>/traces``."""
     return TraceCache()

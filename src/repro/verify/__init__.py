@@ -19,7 +19,7 @@ obviously-correct functional model, over seeded adversarial inputs.
   engine and diffs cycle counts, per-cluster statistics, and final
   tag/state arrays.
 * :mod:`repro.verify.shrink` -- delta-debugging reduction of a
-  diverging tape to a minimal repro (written to ``.repro_cache/repros``).
+  diverging tape to a minimal repro (written to ``<cache root>/repros``).
 * :mod:`repro.verify.fuzz` -- the supervised fuzz campaign behind
   ``python -m repro fuzz``.
 """

@@ -8,18 +8,18 @@ acquire/release balance within each stream and barrier participation
 matched across streams -- purely by deleting further events, so a
 repaired candidate is never larger than the attempt.  Candidates are
 accepted only if the differential runner still finds a divergence, and
-the final tape is written to ``.repro_cache/repros/`` as a
-self-contained JSON repro.
+the final tape is written to ``<cache root>/repros/``
+(:func:`~repro.diskstore.cache_root`) as a self-contained JSON repro.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..diskstore import atomic_write, cache_root
 from ..trace.events import Barrier, LockAcquire, LockRelease, TraceEvent
 from ..trace.packed import decode_events, encode_events
 from .differ import TapeDivergence, diff_tape
@@ -33,9 +33,8 @@ DEFAULT_MAX_CHECKS = 400
 
 
 def default_repro_dir() -> Path:
-    """Where shrunk repros land (override with ``REPRO_REPRO_DIR``)."""
-    return Path(os.environ.get(
-        "REPRO_REPRO_DIR", os.path.join(".repro_cache", "repros")))
+    """Where shrunk repros land: ``<cache root>/repros``."""
+    return cache_root() / "repros"
 
 
 # ----------------------------------------------------------------------
@@ -189,14 +188,6 @@ def write_repro(tape: Tape, divergence: TapeDivergence,
         "events": tape.total_events(),
         "tape": json.loads(tape_json),
     }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(payload, sort_keys=True,
+                                  indent=1).encode())
     return path

@@ -46,6 +46,19 @@ WRITEBACK_HOLDS_BUS = (
 LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_root_outside_the_checkout(tmp_path_factory):
+    """Every default location (results, tapes, profiles, journals,
+    repros) derives from ``REPRO_CACHE_DIR``: point it at a temporary
+    directory for the whole session, so no test writes ``.repro_cache/``
+    into the checkout.  A test that needs a root of its own sets the
+    variable itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("cache-root")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def no_workload_kept_from_another_test():
     """Every sweep stage takes its workload object from the process's

@@ -1,13 +1,13 @@
 """The artifact store: local-cache interop and idempotent publish."""
 
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.runner import ResultCache
-from repro.fabric.store import (ArtifactStore, MemoryResultCache,
-                                MemoryTraceCache)
-from repro.trace.record import TraceCache
+from repro.fabric.store import ArtifactStore, MemoryCache
+from repro.trace.record import TraceCache, default_trace_cache
 
 from .conftest import make_stats
 
@@ -40,6 +40,8 @@ class TestLocalLayoutInterop:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         store = ArtifactStore.default()
         assert store.directory == tmp_path / "cache"
+        # ... and its tapes are the ones local sweeps record
+        assert store.traces.directory == default_trace_cache().directory
 
 
 class TestIdempotentPublish:
@@ -66,7 +68,7 @@ class TestIdempotentPublish:
 
 class TestMemoryCaches:
     def test_trace_streams_are_copied(self):
-        cache = MemoryTraceCache()
+        cache = MemoryCache()
         original = {0: array("q", [1, 2])}
         cache.put("sig", original)
         original[0][0] = 99
@@ -75,9 +77,18 @@ class TestMemoryCaches:
         fetched[0][0] = 77
         assert list(cache.get("sig")[0]) == [1, 2]
 
+    def test_results_are_copied(self):
+        cache = MemoryCache()
+        stats = replace(make_stats(1), instrument={"bus_peak": 0.5})
+        cache.put("key", stats)
+        stats.instrument["bus_peak"] = 0.9
+        fetched = cache.get("key")
+        assert fetched.instrument == {"bus_peak": 0.5}
+        fetched.instrument["bus_peak"] = 0.7
+        assert cache.get("key").instrument == {"bus_peak": 0.5}
+
     def test_missing_keys(self):
-        assert MemoryResultCache().get("nope") is None
-        assert MemoryTraceCache().get("nope") is None
+        assert MemoryCache().get("nope") is None
 
     def test_store_requires_some_backing(self):
         with pytest.raises(ValueError):

@@ -123,7 +123,7 @@ class TestCommands:
                 == (tmp_path / "python").read_bytes())
 
     def test_fuzz_clean_campaign(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["fuzz", "--seed", "0", "--budget", "15"]) == 0
         out = capsys.readouterr().out
         assert "15 clean" in out
@@ -132,7 +132,7 @@ class TestCommands:
     def test_fuzz_divergence_exit_code(self, capsys, tmp_path,
                                        monkeypatch, off_by_one_read_miss):
         # (a mutant build of the native engine; skips without a compiler)
-        monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["fuzz", "--seed", "0", "--budget", "5",
                      "--no-shrink"]) == 1
         out = capsys.readouterr().out
@@ -161,9 +161,6 @@ class TestSweepAndReportPaths:
         monkeypatch.setitem(PROFILES, "tiny", profile)
         monkeypatch.setenv("REPRO_PROFILE", "tiny")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_SESSION_DIR",
-                           str(tmp_path / "sessions"))
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         return profile
 
     def test_sweep_parallel(self, capsys, tiny_profile):
@@ -256,9 +253,6 @@ class TestOptimizeCommand:
         monkeypatch.setitem(PROFILES, "tiny", profile)
         monkeypatch.setenv("REPRO_PROFILE", "tiny")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_SESSION_DIR",
-                           str(tmp_path / "sessions"))
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         return profile
 
     def test_optimize_rediscovers_recommendations(self, capsys,

@@ -1,0 +1,60 @@
+"""Deleted names stay deleted, from the code and from the prose.
+
+Each entry is something the code no longer has; a mention of it in
+``src/`` (docstrings and comments included), README, DESIGN or the
+verify skill describes a system that does not exist.  A PR that deletes
+a name appends it here.  ``bench/`` is frozen between benchmark
+re-recordings and is not scanned.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DELETED = (
+    # engines and engine tiers retired before this list existed
+    "_run_fast", "_fused_pass", "numpy_backend", "_CHUNKED_EVENTS",
+    "l_miss", "inflight_pop",
+    # a native run returns to python once, so there is nothing to count
+    "engine_returns",
+    # one root (REPRO_CACHE_DIR) locates every artifact, and one
+    # in-memory cache stands in for either file cache
+    "REPRO_TRACE_DIR", "REPRO_SESSION_DIR", "REPRO_REPRO_DIR",
+    "MemoryResultCache", "MemoryTraceCache",
+)
+
+PATTERN = re.compile("|".join([
+    *(rf"\b{re.escape(name)}\b" for name in DELETED),
+    # the interleaver's drain(); asyncio's ``writer.drain()`` is live
+    r"(?<![\w.])drain\(\)",
+    r"(?i:python\s+owns\s+the\s+generators)",
+]))
+
+
+def scanned_files():
+    yield from sorted((ROOT / "src").rglob("*.py"))
+    yield ROOT / "src" / "repro" / "trace" / "engine" / "_native.c"
+    for name in ("README.md", "DESIGN.md",
+                 ".claude/skills/verify/SKILL.md"):
+        yield ROOT / name
+
+
+def test_no_deleted_name_is_mentioned():
+    mentions = []
+    for path in scanned_files():
+        text = path.read_text()
+        for match in PATTERN.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            mentions.append(f"{path.relative_to(ROOT)}:{line}: "
+                            f"{match.group()}")
+    assert mentions == []
+
+
+def test_the_pattern_sees_each_name():
+    for name in DELETED:
+        assert PATTERN.search(f"see `{name}` here"), name
+        assert not PATTERN.search(f"see `x{name}x` here"), name
+    assert PATTERN.search("call drain() once")
+    assert not PATTERN.search("await writer.drain()")
+    assert PATTERN.search("Python owns the\n  generators")

@@ -194,12 +194,11 @@ class TestNativeScheduler:
     def test_reentry_budget_on_a_32_process_point(
             self, monkeypatch, application="barnes_hut"):
         """A quick paper application on 8p/8KB: ``_native.run`` is
-        entered once, and its returns to python -- ``engine_returns``, by
-        the reasons python used to be needed for -- stay under 0.5% of
-        the events (Barnes-Hut handed back 9,456 times per 215,869
-        events and Cholesky 172,842 per 388,275 while python resumed the
-        generators and ran the sync handlers; the python scheduler frame
-        before that took 78%: one per process switch)."""
+        entered once, and does not return to python until the run is
+        over (Barnes-Hut handed back 9,456 times per 215,869 events and
+        Cholesky 172,842 per 388,275 while python resumed the generators
+        and ran the sync handlers; the python scheduler frame before
+        that took 78%: one per process switch)."""
         from types import SimpleNamespace
         from repro.trace.engine import native
 
@@ -217,28 +216,13 @@ class TestNativeScheduler:
         interleaver = _quick_8p(application, "native")
         interleaver.run()
         assert interleaver.engine_used == "native"
-        returns = interleaver.engine_returns
-        assert set(returns) == {"refill", "sync", "object"}
-        # one more call than hand-backs: the one that finds the heap empty
-        assert len(calls) == sum(returns.values()) + 1
-        assert sum(returns.values()) < 0.005 * interleaver.events_processed
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("application", ["mp3d", "cholesky"])
     def test_reentry_budget_on_the_other_grids(self, monkeypatch,
                                                application):
         self.test_reentry_budget_on_a_32_process_point(monkeypatch,
                                                        application)
-
-    def test_other_engines_report_no_returns(self):
-        """(the one other engine: the reference loop)"""
-        from repro.core.config import SystemConfig
-        from repro.trace.packed import OP_COMPUTE
-        config = SystemConfig(clusters=1, processors_per_cluster=1,
-                              scc_size=512)
-        _, interleaver = _interleaver(config, {0: [[OP_COMPUTE, 3]]},
-                                      "python")
-        interleaver.run()
-        assert interleaver.engine_returns == {}
 
     def test_tied_clocks_schedule_like_the_python_loop(self):
         """Identical compute-only tapes keep every clock tied, so only
@@ -354,23 +338,21 @@ class TestNativeScheduler:
         entered anywhere in a native run (75,375 read misses and 2,495
         writes called back when the protocol was python's alone, and
         5,133 event objects went through ``_dispatch`` when python
-        executed them), and ``_native.run`` returns once, at the end: C
-        resumes the generators and runs the locks and barriers (7,152
-        refills, 2,272 sync handlers and 32 first schedulings came back
-        to python before it did)."""
+        executed them).  (That ``_native.run`` returns once, at the end,
+        is the re-entry-budget tests' count: 7,152 refills, 2,272 sync
+        handlers and 32 first schedulings came back to python before C
+        resumed the generators and ran the locks and barriers.)"""
         import repro.core.coherence as coherence
-        interleaver, frames = _profiled_native_run(
+        _, frames = _profiled_native_run(
             "barnes_hut",
             lambda code: code.co_filename == coherence.__file__)
         assert frames == {"under_c": 0, "elsewhere": 0}
-        assert interleaver.engine_returns == {
-            "refill": 0, "sync": 0, "object": 0}
 
     def test_neither_does_telling_the_probe(self):
-        """The same point under the standard probe: the same (no)
-        hand-backs, and no ``repro.instrument.probes`` frame at all while
-        the run is C's -- the generators run under ``_native.run`` and
-        tell no probe, C bins every memory event, every lock operation's
+        """The same point under the standard probe: no
+        ``repro.instrument.probes`` frame at all while the run is C's --
+        the generators run under ``_native.run`` and tell no probe, C
+        bins every memory event, every lock operation's
         busy span and every sync stall.  What runs afterwards is the one
         ``absorb`` that folds the bins in, and the registry is the
         reference loop's."""
@@ -384,13 +366,10 @@ class TestNativeScheduler:
                 return True
             return False
 
-        interleaver, frames = _profiled_native_run("barnes_hut", counted,
-                                                   probe)
+        _, frames = _profiled_native_run("barnes_hut", counted, probe)
         assert frames["under_c"] == 0
         assert entered == {"absorb", "_conflict_timeline", "_wb_timeline",
                            "_proc_timeline"}
-        assert interleaver.engine_returns == {
-            "refill": 0, "sync": 0, "object": 0}
         counters = probe.registry.counters
         assert counters["bank_accesses"] == \
             counters["cache_hits"] + counters["cache_misses"] > 100_000

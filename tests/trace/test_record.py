@@ -95,10 +95,13 @@ class TestTraceCache:
         assert cache.get("sig-b") is None
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
+        """A good header over a descriptor that no longer parses."""
         cache = TraceCache(tmp_path)
         cache.put("sig", {0: array("q", [3, 10])})
-        for path in tmp_path.glob("*.trace"):
-            path.write_bytes(b"garbage")
+        path = cache._path("sig")
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'{"signature"', b'#"signature"', 1))
+        assert path.read_bytes() != raw
         assert cache.get("sig") is None
 
     def test_empty_stream_round_trips(self, tmp_path):
@@ -107,7 +110,7 @@ class TestTraceCache:
         assert {p: list(s) for p, s in cache.get("sig").items()} == {0: []}
 
     def test_default_directory_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = default_trace_cache()
         assert cache.directory == tmp_path / "traces"
         assert cache.directory.is_dir()

@@ -134,5 +134,5 @@ class TestWriteRepro:
 
     def test_default_dir_honours_env_override(self, monkeypatch,
                                               tmp_path):
-        monkeypatch.setenv("REPRO_REPRO_DIR", str(tmp_path / "elsewhere"))
-        assert default_repro_dir() == tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+        assert default_repro_dir() == tmp_path / "elsewhere" / "repros"
