@@ -20,11 +20,15 @@ The SCC/bus timing model has two implementations ("backends", psim's
   instruction-cache refill (the one callback).  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
-  extension carries the analytical tier's row-profile kernel
-  (:func:`repro.model.profile.build_row_profile` runs it when the
-  extension loaded, its python reference otherwise); that choice
-  follows the loader, not ``backend=``: a profile is the same either
-  way and no request can ask for the slow one.
+  extension carries three kernels that are not timing engines, each
+  run when the extension loaded and its python reference otherwise:
+  the analytical tier's row profile (``row_profile``, for
+  :func:`repro.model.profile.build_row_profile`), Barnes-Hut's
+  force-phase words (``force_words``; numpy's ``_expand`` is the
+  reference) and a SPEC application's multiprogramming quantum
+  (``spec_burst``; ``SpecApp.burst_packed`` is the reference).  That
+  choice follows the loader, not ``backend=``: the output is the same
+  either way and no request can ask for the slow one.
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``

@@ -52,14 +52,16 @@
  * after an exception too, so an aborted run leaves what the reference
  * loop leaves.
  *
- * Three more sections share the build and the ``ABI_VERSION`` guard.  The
+ * Four more sections share the build and the ``ABI_VERSION`` guard.  The
  * fused multi-configuration ladder (``ladder_*``) is a second driver of
  * the same memory system: each of its rungs is a ``Machine`` of one
  * ``Scc`` on a bus of its own, and its misses, upgrades and icache
  * refills are the "coherence" section's, called as ``run`` calls them.
  * The row-profile kernel (``row_profile``, diffed as the ``profile``
- * engine) and the force-phase kernel (``force_words``: Barnes-Hut's
- * remembered walks relocated onto one run's cells) share nothing else.
+ * engine), the force-phase kernel (``force_words``: Barnes-Hut's
+ * remembered walks relocated onto one run's cells) and the SPEC-stream
+ * kernel (``spec_burst``: one multiprogramming quantum, written from the
+ * application's own uniform batches) share nothing else.
  * Each is introduced by its own banner below.
  */
 
@@ -85,7 +87,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "10"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "11"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -4023,6 +4025,386 @@ done:
     return result;
 }
 
+/* ==================================================================== */
+/* SPEC streams (repro.workloads.spec)                                  */
+/* ==================================================================== */
+
+/* A multiprogramming quantum is one ``SpecApp``'s next ``n``
+ * instructions, packed.  ``spec_burst`` writes them straight onto the
+ * end of an ``array('q')``, draw for draw what ``SpecApp.burst_packed``
+ * appends (the reference: what ``REPRO_NATIVE=0`` runs, and what
+ * tests/workloads/test_spec.py compares this against).  The randomness
+ * stays numpy's: the application's current uniform batch is read in
+ * place, and when its 2,048 draws run out C calls the application's
+ * ``_refill``, which returns the next batch -- lazily, before the draw
+ * that needs it, as ``_draw`` does.
+ *
+ * The layout stays in python: the profile's fractions and the segment
+ * bases and sizes come in as numbers, the cursors as a tuple, the
+ * recently-used hot lines as the application's ``array('q')`` of 48.
+ * Every input is checked before a word is written, each uniform of a
+ * batch included (a draw indexes the recent lines), so a bad one raises
+ * ValueError or TypeError; a refill that fails mid-quantum trims the
+ * words this call appended and writes no state back.  On success the
+ * recent lines are written back in place and the new cursors returned.
+ */
+
+#define SB_BATCH 2048           /* spec._BATCH */
+#define SB_RECENT 48            /* len(SpecApp._recent) */
+#define SB_BLOCK 8              /* spec._BASIC_BLOCK: instructions */
+#define SB_BLOCK_BYTES (SB_BLOCK * 4)
+#define SB_REFS_MAX 64.0        /* refs_per_instruction accepted */
+#define SB_LIMIT (1LL << 60)    /* bases, sizes and cursors below this */
+
+enum { SB_STACK, SB_SCAN, SB_WRITE, SB_LOCALITY, SB_REFS, SB_FRACTIONS };
+enum {
+    SG_CODE_BASE, SG_CODE, SG_STACK_BASE, SG_STACK, SG_HEAP_BASE, SG_HOT,
+    SG_SCAN_BASE, SG_SCAN, SG_FIELDS
+};
+enum {
+    SC_CODE, SC_LOOP_REMAINING, SC_LOOP_START, SC_LOOP_LENGTH, SC_SCAN,
+    SC_FIELDS
+};
+
+typedef struct {
+    PyObject *refill;
+    PyObject *batch;            /* owned; ``view`` is on it */
+    Py_buffer view;
+    const double *u;
+    Py_ssize_t index;
+    int failed;
+} SbDraws;
+
+static const double sb_no_draws[SB_BATCH];
+
+/* Take ``obj`` as the current batch: 2,048 float64 uniforms in [0, 1). */
+static int
+sb_take(SbDraws *d, PyObject *obj)
+{
+    Py_buffer view;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
+            < 0)
+        return -1;
+    size_t len = strlen(view.format);
+    if (view.itemsize != 8 || len == 0 || view.format[len - 1] != 'd'
+            || view.len != SB_BATCH * 8) {
+        PyErr_Format(PyExc_ValueError,
+                     "a uniform batch is %d float64 values", SB_BATCH);
+        PyBuffer_Release(&view);
+        return -1;
+    }
+    const double *u = view.buf;
+    for (Py_ssize_t i = 0; i < SB_BATCH; i++)
+        if (!(u[i] >= 0.0 && u[i] < 1.0)) {
+            PyErr_Format(PyExc_ValueError,
+                         "uniform %zd of the batch is outside [0, 1)", i);
+            PyBuffer_Release(&view);
+            return -1;
+        }
+    if (d->batch) {
+        PyBuffer_Release(&d->view);
+        Py_DECREF(d->batch);
+    }
+    Py_INCREF(obj);
+    d->batch = obj;
+    d->view = view;
+    d->u = u;
+    return 0;
+}
+
+/* The batch ran out: ``refill()``'s.  A failure leaves the error set and
+ * draws zeros until the caller sees ``failed`` at the end of the block. */
+static void
+sb_refill(SbDraws *d)
+{
+    d->index = 0;
+    if (d->failed)
+        return;
+    PyObject *batch = PyObject_CallNoArgs(d->refill);
+    if (!batch || sb_take(d, batch) < 0) {
+        d->failed = 1;
+        d->u = sb_no_draws;
+    }
+    Py_XDECREF(batch);
+}
+
+static inline double
+sb_draw(SbDraws *d)
+{
+    if (d->index >= SB_BATCH)
+        sb_refill(d);
+    return d->u[d->index++];
+}
+
+/* ``int(u * n)`` for a draw ``u`` in [0, 1) and 0 <= n < 2**60. */
+static inline long long
+sb_scaled(SbDraws *d, long long n)
+{
+    return (long long)(sb_draw(d) * (double)n);
+}
+
+/* Most words a quantum of ``n`` instructions can write: per block its
+ * fetch and at most ``int(refs * block) + 1`` two-word references. */
+static long long
+sb_bound(long long n, double refs)
+{
+    long long full = n / SB_BLOCK, tail = n % SB_BLOCK;
+    long long per_block = 3 + 2 * ((long long)(refs * SB_BLOCK) + 1);
+    if (full > (PY_SSIZE_T_MAX / 8 - per_block) / per_block)
+        return -1;
+    return full * per_block
+           + (tail ? 3 + 2 * ((long long)(refs * (double)tail) + 1) : 0);
+}
+
+/* spec_burst(out, n, fractions, segments, cursors, recent, recent_fill,
+ *            batch, index, refill)
+ *
+ * ``fractions``: ``(stack, scan, write, locality, refs_per_instruction)``;
+ * ``segments``: ``(code_base, code_bytes, stack_base, stack_bytes,
+ * heap_base, hot_bytes, scan_base, scan_bytes)``; ``cursors``:
+ * ``(code, loop_remaining, loop_start, loop_length, scan)``; ``recent``:
+ * ``array('q')`` of 48 hot-set offsets, the first ``recent_fill`` of them
+ * in use; ``batch``/``index``: the current uniforms and the next one's
+ * index (2,048: exhausted).  Appends the quantum to ``out`` and returns
+ * ``(*cursors, recent_fill, index)`` as they end. */
+static PyObject *
+native_spec_burst(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *out, *fractions, *segments, *cursors, *recent_obj, *batch;
+    PyObject *refill;
+    Py_ssize_t n, index;
+    long long fill;
+    if (!PyArg_ParseTuple(args, "OnO!O!O!OLOnO", &out, &n, &PyTuple_Type,
+                          &fractions, &PyTuple_Type, &segments,
+                          &PyTuple_Type, &cursors, &recent_obj, &fill,
+                          &batch, &index, &refill))
+        return NULL;
+
+    PyObject *result = NULL, *array_mod = NULL, *array_type = NULL;
+    PyObject *typecode = NULL, *tail = NULL;
+    Py_buffer recent_view, out_view;
+    int have_recent = 0, have_out = 0;
+    Py_ssize_t start = -1, bound = 0, written = 0;
+    SbDraws d = {refill, NULL, {0}, NULL, index, 0};
+    double f[SB_FRACTIONS];
+    long long seg[SG_FIELDS], cur[SC_FIELDS], recent[SB_RECENT];
+
+    if (!(array_mod = PyImport_ImportModule("array"))
+            || !(array_type = PyObject_GetAttrString(array_mod, "array")))
+        goto done;
+    if (Py_TYPE(out) != (PyTypeObject *)array_type
+            || !(typecode = PyObject_GetAttrString(out, "typecode"))
+            || PyUnicode_CompareWithASCIIString(typecode, "q") != 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "a SPEC quantum is written into an array('q')");
+        goto done;
+    }
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a quantum is a non-negative instruction count");
+        goto done;
+    }
+    if (PyTuple_GET_SIZE(fractions) != SB_FRACTIONS
+            || PyTuple_GET_SIZE(segments) != SG_FIELDS
+            || PyTuple_GET_SIZE(cursors) != SC_FIELDS) {
+        PyErr_Format(PyExc_ValueError,
+                     "need %d fractions, %d segment numbers and %d "
+                     "cursors", SB_FRACTIONS, SG_FIELDS, SC_FIELDS);
+        goto done;
+    }
+    for (int k = 0; k < SB_FRACTIONS; k++) {
+        f[k] = PyFloat_AsDouble(PyTuple_GET_ITEM(fractions, k));
+        if (f[k] == -1.0 && PyErr_Occurred())
+            goto done;
+    }
+    if (!(f[SB_REFS] >= 0.0 && f[SB_REFS] <= SB_REFS_MAX)) {
+        PyErr_Format(PyExc_ValueError,
+                     "refs_per_instruction must lie in [0, %g]",
+                     SB_REFS_MAX);
+        goto done;
+    }
+    for (int k = 0; k < SG_FIELDS; k++) {
+        if (get_ll_item(segments, k, &seg[k]) < 0)
+            goto done;
+        /* odd slots are sizes, even ones bases */
+        if (seg[k] < (k & 1) || seg[k] >= SB_LIMIT) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a segment base must lie in [0, 2**60) and its "
+                            "size in [1, 2**60)");
+            goto done;
+        }
+    }
+    for (int k = 0; k < SC_FIELDS; k++) {
+        if (get_ll_item(cursors, k, &cur[k]) < 0)
+            goto done;
+        if (cur[k] < 0 || cur[k] >= SB_LIMIT) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a stream cursor must lie in [0, 2**60)");
+            goto done;
+        }
+    }
+    if (PyObject_GetBuffer(recent_obj, &recent_view,
+                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                           | PyBUF_WRITABLE) < 0)
+        goto done;
+    have_recent = 1;
+    size_t flen = strlen(recent_view.format);
+    if (recent_view.itemsize != 8 || flen == 0
+            || !strchr("lq", recent_view.format[flen - 1])
+            || recent_view.len != SB_RECENT * 8) {
+        PyErr_Format(PyExc_ValueError,
+                     "the recent hot lines are %d int64 offsets", SB_RECENT);
+        goto done;
+    }
+    memcpy(recent, recent_view.buf, sizeof recent);
+    for (int k = 0; k < SB_RECENT; k++)
+        if (recent[k] < 0 || recent[k] >= SB_LIMIT) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a recent hot-line offset must lie in "
+                            "[0, 2**60)");
+            goto done;
+        }
+    if (fill < 0 || fill > SB_RECENT) {
+        PyErr_Format(PyExc_ValueError,
+                     "recent_fill %lld is outside [0, %d]", fill, SB_RECENT);
+        goto done;
+    }
+    if (index < 0 || index > SB_BATCH) {
+        PyErr_Format(PyExc_ValueError,
+                     "uniform index %zd is outside [0, %d]", index,
+                     SB_BATCH);
+        goto done;
+    }
+    if (!PyCallable_Check(refill)) {
+        PyErr_SetString(PyExc_TypeError, "refill must be callable");
+        goto done;
+    }
+    if (sb_take(&d, batch) < 0)
+        goto done;
+    if ((bound = sb_bound(n, f[SB_REFS])) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* Room for the most the quantum can write, trimmed after. */
+    if ((start = PySequence_Size(out)) < 0)
+        goto done;
+    if (bound > PY_SSIZE_T_MAX / 8 - start) {
+        start = -1;
+        PyErr_NoMemory();
+        goto done;
+    }
+    PyObject *zero = PyObject_CallFunction(array_type, "s(i)", "q", 0);
+    if (!zero) {
+        start = -1;
+        goto done;
+    }
+    tail = PySequence_Repeat(zero, bound);
+    Py_DECREF(zero);
+    PyObject *grown = tail ? PySequence_InPlaceConcat(out, tail) : NULL;
+    if (!grown) {
+        start = -1;
+        goto done;
+    }
+    Py_DECREF(grown);
+    if (PyObject_GetBuffer(out, &out_view, PyBUF_WRITABLE) < 0)
+        goto done;
+    have_out = 1;
+
+    const double stack_fraction = f[SB_STACK];
+    const double scan_cut = f[SB_STACK] + f[SB_SCAN];
+    const double write_fraction = f[SB_WRITE];
+    const double locality = f[SB_LOCALITY];
+    const double refs = f[SB_REFS];
+    long long *words = (long long *)out_view.buf + start, *at = words;
+    for (Py_ssize_t remaining = n; remaining > 0 && !d.failed;) {
+        long long block = remaining < SB_BLOCK ? remaining : SB_BLOCK;
+        /* _next_code_addr: walk the loop body, or branch to a new one */
+        if (cur[SC_LOOP_REMAINING] > 0) {
+            cur[SC_CODE] += SB_BLOCK_BYTES;
+            if (cur[SC_CODE] >= cur[SC_LOOP_START] + cur[SC_LOOP_LENGTH]) {
+                cur[SC_CODE] = cur[SC_LOOP_START];
+                cur[SC_LOOP_REMAINING] -= 1;
+            }
+        } else {
+            cur[SC_LOOP_START] = sb_scaled(&d, seg[SG_CODE])
+                                 / SB_BLOCK_BYTES * SB_BLOCK_BYTES;
+            cur[SC_LOOP_LENGTH] = SB_BLOCK_BYTES * (2 + sb_scaled(&d, 14));
+            cur[SC_LOOP_REMAINING] = 2 + sb_scaled(&d, 30);
+            cur[SC_CODE] = cur[SC_LOOP_START];
+        }
+        *at++ = OP_IFETCH;
+        *at++ = seg[SG_CODE_BASE] + cur[SC_CODE] % seg[SG_CODE];
+        *at++ = block;
+        remaining -= block;
+        double expected = refs * (double)block;
+        long long count = (long long)expected;
+        if (sb_draw(&d) < expected - (double)count)
+            count += 1;
+        for (long long r = 0; r < count; r++) {
+            double where = sb_draw(&d);
+            long long addr;
+            if (where < stack_fraction) {
+                addr = seg[SG_STACK_BASE]
+                       + (sb_scaled(&d, seg[SG_STACK]) & ~7LL);
+            } else if (where < scan_cut) {
+                addr = seg[SG_SCAN_BASE] + cur[SC_SCAN];
+                cur[SC_SCAN] = (cur[SC_SCAN] + 16) % seg[SG_SCAN];
+            } else {
+                /* _hot_addr: a recent line, or a new one made recent */
+                long long offset;
+                if (sb_draw(&d) < locality) {
+                    offset = recent[sb_scaled(&d, fill)];
+                } else {
+                    offset = sb_scaled(&d, seg[SG_HOT]) & ~15LL;
+                    if (fill < SB_RECENT)
+                        recent[fill++] = offset;
+                    else
+                        recent[sb_scaled(&d, SB_RECENT)] = offset;
+                }
+                /* the word of the line: the draws' parity, after them */
+                addr = seg[SG_HEAP_BASE] + offset + (d.index % 2) * 8;
+            }
+            *at++ = sb_draw(&d) < write_fraction ? OP_WRITE : OP_READ;
+            *at++ = addr;
+        }
+    }
+    written = at - words;
+    if (d.failed)
+        goto done;
+    memcpy(recent_view.buf, recent, sizeof recent);
+    result = Py_BuildValue("(LLLLLLn)", cur[SC_CODE],
+                           cur[SC_LOOP_REMAINING], cur[SC_LOOP_START],
+                           cur[SC_LOOP_LENGTH], cur[SC_SCAN], fill, d.index);
+
+done:
+    if (have_out)
+        PyBuffer_Release(&out_view);
+    if (have_recent)
+        PyBuffer_Release(&recent_view);
+    if (start >= 0) {
+        /* keep what was written -- all of it, or on failure none */
+        Py_ssize_t keep = start + (result ? written : 0);
+        PyObject *type, *value, *trace;
+        PyErr_Fetch(&type, &value, &trace);
+        if (PySequence_DelSlice(out, keep, start + bound) < 0)
+            Py_CLEAR(result);
+        else
+            PyErr_Restore(type, value, trace);
+    }
+    if (d.batch) {
+        PyBuffer_Release(&d.view);
+        Py_DECREF(d.batch);
+    }
+    Py_XDECREF(tail);
+    Py_XDECREF(typecode);
+    Py_XDECREF(array_type);
+    Py_XDECREF(array_mod);
+    return result;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -4042,14 +4424,16 @@ static PyMethodDef methods[] = {
      "Reduce one row's packed streams to the numbers of its RowProfile."},
     {"force_words", native_force_words, METH_VARARGS,
      "Relocate a Barnes-Hut force plan: one array('q') per processor."},
+    {"spec_burst", native_spec_burst, METH_VARARGS,
+     "Append one SPEC application's next quantum to an array('q')."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
     "C scheduler, inner loop and synchronization for the timing "
-    "interleaver, its fused ladder, the row-profile kernel and the "
-    "force-phase kernel.", -1, methods,
+    "interleaver, its fused ladder, the row-profile kernel, the "
+    "force-phase kernel and the SPEC-stream kernel.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

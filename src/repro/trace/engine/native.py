@@ -28,13 +28,16 @@ that ends, deadlocks or aborts leaves every container as the reference
 loop would, and the next run on the same objects may be either
 engine's.
 
-The extension has three more sections this module only loads: the fused
+The extension has four more sections this module only loads: the fused
 ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
-as the contract) and the force-phase kernel (``force_words``, called by
+as the contract), the force-phase kernel (``force_words``, called by
 :mod:`repro.workloads.barnes_hut` with numpy's ``_expand`` as the
-contract).  One build, one ``ABI_VERSION`` check, serves all four.  The
+contract) and the SPEC-stream kernel (``spec_burst``, called by
+:meth:`repro.workloads.spec.SpecApp.burst_chunk` with ``burst_packed``
+as the contract).  One build, one ``ABI_VERSION`` check, serves all
+five.  The
 ladder is a second driver of the same memory system: to C a
 ladder rung is what a cluster of a run is -- one SCC, described by
 :func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
@@ -87,7 +90,7 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or force-phase entry points)
 #: changes.
-NATIVE_VERSION = "10"
+NATIVE_VERSION = "11"
 
 LOAD_ERROR: Optional[str] = None
 

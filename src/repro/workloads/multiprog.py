@@ -24,7 +24,6 @@ from typing import Dict, Generator, List, Optional, Sequence
 
 from ..core.config import SystemConfig
 from ..trace.events import Compute, TaskDequeue, TaskEnqueue
-from ..trace.packed import PackedChunk
 from .base import TracedApplication
 from .spec import SpecApp, spec92_workload
 
@@ -123,9 +122,7 @@ class _SchedulerRun:
                 # event-by-event.  The scheduler loop itself (dequeue,
                 # branch on the response, requeue) stays on the
                 # event-object path because it is timing-dependent.
-                buf: List[int] = []
-                app.burst_packed(quantum, buf)
-                yield PackedChunk(buf)
+                yield app.burst_chunk(quantum)
             else:
                 yield from app.burst(quantum)
             self.remaining[app_id] -= quantum

@@ -19,6 +19,11 @@ The generator machinery is shared (:class:`SpecApp`):
 * everything is drawn from a per-app seeded RNG in pre-computed batches,
   so streams are reproducible and cheap.
 
+A multiprogramming quantum is written as one packed chunk
+(:meth:`SpecApp.burst_chunk`): by the native extension's ``spec_burst``
+(``trace/engine/_native.c``) when it loads, by :meth:`SpecApp.burst_packed`
+when it does not -- draw for draw the same words either way.
+
 Working-set sizes below are the *paper-scale* figures (bytes); the
 multiprogramming workload divides them by the experiment's ladder scale so
 the footprint-to-cache ratio of Figure 5 is preserved (DESIGN.md).
@@ -26,13 +31,15 @@ the footprint-to-cache ratio of Figure 5 is preserved (DESIGN.md).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from ..trace.events import Compute, Ifetch, Read, TraceEvent, Write
-from ..trace.packed import OP_IFETCH, OP_READ, OP_WRITE
+from ..trace.engine import native
+from ..trace.events import Ifetch, Read, TraceEvent, Write
+from ..trace.packed import OP_IFETCH, OP_READ, OP_WRITE, PackedChunk
 
 __all__ = ["SpecProfile", "SpecApp", "SPEC92_PROFILES", "spec92_workload"]
 
@@ -146,7 +153,7 @@ class SpecApp:
         self.heap_base = base + (_ADDRESS_SPACE // 4) + stagger
         self.hot_bytes = max(profile.hot_bytes // scale, 128)
         # Recently-used hot lines (the dense head of the LRU stack).
-        self._recent = [0] * 48
+        self._recent = array("q", [0]) * 48
         self._recent_fill = 1
         self.scan_base = base + (3 * _ADDRESS_SPACE // 8) + stagger
         self.scan_bytes = max((profile.data_bytes - profile.hot_bytes)
@@ -158,11 +165,19 @@ class SpecApp:
         self._loop_remaining = 0
         self._loop_start = 0
         self._loop_length = 0
+        # What ``spec_burst`` reads of the profile and the layout.
+        self._fractions = (profile.stack_fraction, profile.scan_fraction,
+                           profile.write_fraction, profile.locality,
+                           profile.refs_per_instruction)
+        self._segments = (self.code_base, self.code_bytes, self.stack_base,
+                          self.stack_bytes, self.heap_base, self.hot_bytes,
+                          self.scan_base, self.scan_bytes)
         self._refill()
 
-    def _refill(self) -> None:
+    def _refill(self) -> np.ndarray:
         self._uniform = self._rng.uniform(size=_BATCH)
         self._uniform_index = 0
+        return self._uniform
 
     def _draw(self) -> float:
         if self._uniform_index >= _BATCH:
@@ -285,6 +300,30 @@ class SpecApp:
                     addr = self._hot_addr()
                 append(OP_WRITE if draw() < write_fraction else OP_READ)
                 append(addr)
+
+    def burst_chunk(self, n_instructions: int) -> PackedChunk:
+        """The next ``n_instructions`` instructions as one packed chunk.
+
+        The native extension's ``spec_burst`` writes them into an
+        ``array('q')`` when it loads, :meth:`burst_packed` into a list
+        when it does not: the same words, and the same state left behind.
+        """
+        kernel = native.load()
+        if kernel is None:
+            buf: List[int] = []
+            self.burst_packed(n_instructions, buf)
+            return PackedChunk(buf)
+        words = array("q")
+        (self._code_cursor, self._loop_remaining, self._loop_start,
+         self._loop_length, self._scan_cursor, self._recent_fill,
+         self._uniform_index) = kernel.spec_burst(
+            words, n_instructions, self._fractions, self._segments,
+            (self._code_cursor, self._loop_remaining, self._loop_start,
+             self._loop_length, self._scan_cursor),
+            self._recent, self._recent_fill, self._uniform,
+            self._uniform_index, self._refill)
+        self.instructions_executed += n_instructions
+        return PackedChunk(words)
 
 
 def spec92_workload(scale: int = 1, seed: int = 1234) -> List[SpecApp]:

@@ -44,6 +44,9 @@ WRITEBACK_HOLDS_BUS = (
 #: ... and one in what only a ladder has: a rung's skew against the
 #: shared clock.
 LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
+#: ... and one in the SPEC-stream kernel, which every engine calls: the
+#: word of a hot line is the other one of its pair.
+SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1147,7 +1147,8 @@ class TestNativeAbiGuard:
                     if not name.startswith("__")}
         assert exported == {"ABI_VERSION", "setup", "run", "release",
                             "ladder_setup", "ladder_drain",
-                            "ladder_release", "row_profile", "force_words"}
+                            "ladder_release", "row_profile", "force_words",
+                            "spec_burst"}
 
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
@@ -1164,9 +1165,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "10"
+        assert native.NATIVE_VERSION == "11"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '10'")
+            "stale extension old.so: ABI '5', need '11'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()
@@ -1281,6 +1282,114 @@ class TestForceWords:
         from repro.trace.engine import native
         with pytest.raises(ValueError):
             native.load().force_words(*_force_args(**change))
+
+
+# ----------------------------------------------------------------------
+# The SPEC-stream kernel: the same rule -- everything checked before a
+# word is written, and a refill that fails mid-quantum takes its words
+# back
+# ----------------------------------------------------------------------
+
+def _spec_args(**change):
+    """One quantum of a fresh ``SpecApp`` as ``spec_burst`` takes it,
+    with ``change`` applied; ``out`` already holds two words."""
+    from repro.workloads.spec import SPEC92_PROFILES, SpecApp
+    app = SpecApp(0, SPEC92_PROFILES[0])
+    args = {
+        "out": array("q", [7, 7]),
+        "n": 500,
+        "fractions": app._fractions,
+        "segments": app._segments,
+        "cursors": (0, 0, 0, 0, 0),
+        "recent": app._recent,
+        "recent_fill": app._recent_fill,
+        "batch": app._uniform,
+        "index": app._uniform_index,
+        "refill": app._refill,
+    }
+    args.update(change)
+    return args
+
+
+def _with(fields, at, value):
+    return fields[:at] + (value,) + fields[at + 1:]
+
+
+def _spec_batch(length=2048, dtype=np.float64, value=0.5):
+    return np.full(length, value, dtype=dtype)
+
+
+@needs_native
+class TestSpecBurst:
+    def test_refills_before_the_draw_that_needs_one(self):
+        from repro.trace.engine import native
+        calls = []
+
+        def refill():
+            calls.append(None)
+            return _spec_batch()
+
+        args = _spec_args(index=2048, refill=refill, n=0)
+        assert native.load().spec_burst(*args.values())[-1] == 2048
+        assert not calls
+        args = _spec_args(index=2048, refill=refill, n=1)
+        *_, fill, index = native.load().spec_burst(*args.values())
+        assert len(calls) == 1
+        # a new loop (3 draws) and the block's reference count (1)
+        assert index == 4
+        assert args["out"][:2].tolist() == [7, 7]
+
+    @pytest.mark.parametrize("change", [
+        _hostile("out-a-list", out=[7, 7]),
+        _hostile("out-of-int32", out=array("i", [7, 7])),
+        _hostile("out-numpy", out=np.array([7, 7])),
+        _hostile("recent-a-list", recent=[0] * 48),
+        _hostile("recent-47", recent=array("q", [0]) * 47),
+        _hostile("recent-49", recent=array("q", [0]) * 49),
+        _hostile("recent-of-int32", recent=array("i", [0]) * 48),
+        _hostile("recent-negative-offset",
+                 recent=array("q", [-16]) + array("q", [0]) * 47),
+        _hostile("recent-fill-negative", recent_fill=-1),
+        _hostile("recent-fill-past-the-lines", recent_fill=49),
+        _hostile("negative-quantum", n=-1),
+        _hostile("index-past-the-batch", index=2049),
+        _hostile("index-negative", index=-1),
+        _hostile("batch-short", batch=_spec_batch(2047)),
+        _hostile("batch-float32", batch=_spec_batch(dtype=np.float32)),
+        _hostile("batch-int64", batch=_spec_batch(dtype=np.int64, value=0)),
+        _hostile("batch-holds-one", batch=_spec_batch(value=1.0)),
+        _hostile("batch-holds-nan", batch=_spec_batch(value=np.nan)),
+        _hostile("refill-short", index=2048,
+                 refill=lambda: _spec_batch(100)),
+        _hostile("refill-int64", index=2048,
+                 refill=lambda: _spec_batch(dtype=np.int64, value=0)),
+        _hostile("refill-none", index=2048, refill=lambda: None),
+        _hostile("refill-not-callable", refill=3),
+        _hostile("four-fractions", fractions=(0.1, 0.1, 0.1, 0.1)),
+        _hostile("refs-negative", fractions=(0.1, 0.1, 0.1, 0.8, -0.5)),
+        _hostile("refs-nan", fractions=(0.1, 0.1, 0.1, 0.8, float("nan"))),
+        _hostile("seven-segment-numbers", segments=(1 << 20,) * 7),
+        _hostile("negative-base", segments=(-1,) + (1 << 20,) * 7),
+        _hostile("four-cursors", cursors=(0, 0, 0, 0)),
+        _hostile("negative-cursor", cursors=(0, 0, 0, 0, -16)),
+    ] + [
+        _hostile(f"segment-{which}-size-{size}",
+                 segments=_with(_spec_args()["segments"], at, size))
+        for at, which in ((1, "code"), (3, "stack"), (5, "hot"),
+                          (7, "scan"))
+        for size in (0, -64)
+    ])
+    def test_hostile_inputs_raise_before_a_word_is_written(self, change):
+        from repro.trace.engine import native
+        args = _spec_args(**change)
+        out = args["out"]
+        before = list(out)
+        recent = args["recent"]
+        recent_before = list(recent)
+        with pytest.raises((ValueError, TypeError)):
+            native.load().spec_burst(*args.values())
+        assert list(out) == before
+        assert list(recent) == recent_before
 
 
 @needs_native

@@ -21,7 +21,11 @@ C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
 engines' to report, and one in what only a ladder has
-(``LADDER_SKEW``) is the ``fused`` engine's alone."""
+(``LADDER_SKEW``) is the ``fused`` engine's alone.  The SPEC-stream
+kernel writes the multiprogramming workload's words for every engine
+alike, so the differ has no baseline to hold a mutant there
+(``SPEC_HOT_PARITY``) against: the kernel's parity test with
+``burst_packed`` is what fails."""
 
 import pytest
 
@@ -31,9 +35,10 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN, LADDER_SKEW,
-                        READ_MISS_DONE, READY_TIE_BREAK, VICTIM_FILL_KEPT,
-                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
-                        WRITEBACK_HOLDS_BUS)
+                        READ_MISS_DONE, READY_TIE_BREAK, SPEC_HOT_PARITY,
+                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
+                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+from ..workloads.test_spec import assert_kernel_matches
 
 # The mutant cannot be built without a compiler; skip with the loader's
 # reason rather than pass vacuously.
@@ -284,6 +289,16 @@ class TestLadderStateMutationIsCaught:
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "fused"
         assert _clean_unmutated(shrunk)
+
+
+@needs_native
+class TestSpecKernelMutationIsCaught:
+    def test_hot_line_parity_flip_fails_the_kernel_parity_test(
+            self, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*SPEC_HOT_PARITY))
+        with pytest.raises(AssertionError):
+            assert_kernel_matches(0, 8)
 
 
 class TestUnmutatedBaseline:

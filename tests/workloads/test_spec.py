@@ -1,10 +1,24 @@
 """Tests for the SPEC92-like synthetic reference generators."""
 
+from array import array
+
 import pytest
 
+from repro.core.config import KB, SystemConfig
+from repro.experiments.spec import PROFILES
+from repro.simulation import run_simulation
+from repro.trace.engine import native_available, native_unavailable_reason
 from repro.trace.events import Ifetch, Read, Write
+from repro.trace.packed import decode_events
+from repro.trace.record import StreamRecorder
+from repro.workloads import spec
 from repro.workloads.spec import (SPEC92_PROFILES, SpecApp, SpecProfile,
                                   spec92_workload)
+
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native replay backend unavailable: "
+           f"{native_unavailable_reason()}")
 
 
 def first_profile():
@@ -121,3 +135,85 @@ class TestSpecApp:
         small = SpecApp(0, first_profile(), scale=8)
         assert small.hot_bytes <= big.hot_bytes // 8 + 128
         assert small.code_bytes <= big.code_bytes // 8 + 256
+
+
+# ----------------------------------------------------------------------
+# The native ``spec_burst`` against its reference, ``burst_packed``, and
+# the event-object ``burst``: the same words and the same state after
+# ----------------------------------------------------------------------
+
+#: Back to back, so draws cross batch boundaries and quanta end mid-block.
+QUANTA = (1, 7, 8, 9, 20_000, 50_000)
+
+
+def stream_state(app):
+    """Everything a quantum leaves for the next: every cursor, the recent
+    hot lines, the uniform batch's index and the instruction count."""
+    return (app._code_cursor, app._loop_remaining, app._loop_start,
+            app._loop_length, app._scan_cursor, list(app._recent),
+            app._recent_fill, app._uniform_index,
+            app.instructions_executed)
+
+
+def assert_kernel_matches(app_id, scale):
+    """``burst_chunk`` (the loaded extension's kernel) quantum by quantum
+    against ``burst_packed`` and ``burst`` on three twins of one app."""
+    kernel, packed, objects = (
+        SpecApp(app_id, SPEC92_PROFILES[app_id], scale=scale)
+        for _ in range(3))
+    for quantum in QUANTA:
+        chunk = kernel.burst_chunk(quantum)
+        assert type(chunk.data) is array
+        words = []
+        packed.burst_packed(quantum, words)
+        assert chunk.data.tolist() == words, quantum
+        assert list(decode_events(chunk.data)) \
+            == list(objects.burst(quantum)), quantum
+        assert stream_state(kernel) == stream_state(packed) \
+            == stream_state(objects), quantum
+    # The batch the kernel left is the application's own: the RNG's next
+    # draws are where the reference leaves them.
+    assert (kernel._uniform == packed._uniform).all()
+    assert (kernel._rng.uniform(size=16) == packed._rng.uniform(size=16)).all()
+
+
+def multiprogramming_point(procs, scc):
+    """A quick-profile multiprogramming point's statistics and tape."""
+    profile = PROFILES["quick"]
+    config = SystemConfig.paper_multiprogramming(
+        procs, scc // profile.ladder_scale)
+    recorder = StreamRecorder(profile.multiprogramming())
+    result = run_simulation(config, recorder)
+    return (result.stats.as_dict(),
+            {proc: tape.tobytes()
+             for proc, tape in recorder.streams.items()})
+
+
+@needs_native
+class TestSpecKernel:
+    @pytest.mark.parametrize("scale", [1, 8])
+    @pytest.mark.parametrize("app_id", range(len(SPEC92_PROFILES)),
+                             ids=[p.name for p in SPEC92_PROFILES])
+    def test_equals_burst_packed_and_burst(self, app_id, scale):
+        assert_kernel_matches(app_id, scale)
+
+    def test_a_quantum_of_nothing_writes_nothing(self):
+        app = SpecApp(3, SPEC92_PROFILES[3])
+        before = stream_state(app)
+        assert len(app.burst_chunk(0)) == 0
+        assert stream_state(app) == before
+
+    def test_quick_grid_tapes_and_stats_equal_without_it(self,
+                                                         monkeypatch):
+        """{1, 2, 4, 8}p x 8 KB/128 KB (paper sizes): byte-equal tapes
+        and statistics from the kernel and, with the extension refused to
+        the workload (what ``REPRO_NATIVE=0`` does to it), from
+        ``burst_packed``."""
+        from types import SimpleNamespace
+        points = [(procs, scc) for procs in (1, 2, 4, 8)
+                  for scc in (8 * KB, 128 * KB)]
+        written = {point: multiprogramming_point(*point) for point in points}
+        monkeypatch.setattr(spec, "native",
+                            SimpleNamespace(load=lambda: None))
+        for point in points:
+            assert multiprogramming_point(*point) == written[point], point
