@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Capture a reference trace, inspect it, and replay it bit-for-bit.
 
-Shows the trace tooling end to end: materialize a static reference
-stream, save it in the binary trace format, characterize it (event mix,
-working set, miss-ratio curve), and replay the file through the
-simulator, verifying the replay reproduces the original run exactly.
+Shows the tape path a sweep uses, end to end: capture two SPEC-like
+quanta as packed words, store them in the trace cache, characterize
+them (events, working set, miss-ratio curve), read the file back and
+replay it through the simulator, verifying the replay reproduces the
+original run exactly.
 
 Usage:  python examples/trace_capture.py
 """
@@ -12,21 +13,11 @@ Usage:  python examples/trace_capture.py
 import tempfile
 from pathlib import Path
 
-from repro.api import KB, SystemConfig
-from repro.core import MultiprocessorSystem
-from repro.trace import (TimingInterleaver, event_histogram, load_trace,
-                         miss_ratio_curve, reference_count, save_trace,
-                         working_set_lines)
+from repro.api import KB, SystemConfig, run_simulation
+from repro.trace import (ReplayApplication, TraceCache, event_count,
+                         miss_ratio_curve, working_set_lines)
+from repro.trace.analysis import data_lines
 from repro.workloads import spec92_workload
-
-
-def simulate(streams, config):
-    system = MultiprocessorSystem(config)
-    interleaver = TimingInterleaver(system)
-    for proc, events in enumerate(streams):
-        interleaver.add_process(proc, iter(events))
-    time = interleaver.run()
-    return time, system.stats(time)
 
 
 def main():
@@ -34,43 +25,39 @@ def main():
                           scc_size=4 * KB)
     # Two SPEC-like processes, one quantum each, as the capture source.
     apps = spec92_workload(scale=8)
-    streams = [list(apps[0].burst(20_000)), list(apps[1].burst(20_000))]
+    streams = {proc: apps[proc].burst_chunk(20_000).data for proc in (0, 1)}
+    for proc, words in streams.items():
+        print(f"captured proc {proc}: {event_count(words):,} events in "
+              f"{len(words):,} words")
 
     with tempfile.TemporaryDirectory() as directory:
-        paths = []
-        for index, events in enumerate(streams):
-            path = Path(directory) / f"proc{index}.trace"
-            count = save_trace(path, events)
-            size = path.stat().st_size
-            print(f"captured proc {index}: {count:,} events -> "
-                  f"{size:,} bytes ({size / count:.1f} B/event)")
-            paths.append(path)
+        cache = TraceCache(Path(directory))
+        cache.put("two SPEC quanta", streams)
+        (tape,) = cache.directory.glob("*.trace")
+        size = tape.stat().st_size
+        events = sum(event_count(words) for words in streams.values())
+        print(f"stored: {size:,} bytes ({size / events:.1f} B/event)")
+        reloaded = cache.get("two SPEC quanta")
 
-        print("\ntrace characterization (proc 0):")
-        histogram = event_histogram(streams[0])
-        for kind, count in sorted(histogram.items(),
-                                  key=lambda item: -item[1]):
-            print(f"  {kind.__name__:<10} {count:>7,}")
-        print(f"  data refs : {reference_count(streams[0]):,}")
-        print(f"  90% WS    : "
-              f"{working_set_lines(streams[0]) * 16 / 1024:.1f} KB")
-        curve = miss_ratio_curve(streams[0], (1024, 4096, 16384))
-        for size, ratio in curve.items():
-            print(f"  LRU {size // 1024:>2} KB : {100 * ratio:.1f}% miss")
+    # The analyses walk a tape's ``array('q')`` in place.
+    print("\ntrace characterization (proc 0, as stored):")
+    print(f"  data refs : {len(data_lines(reloaded[0])):,}")
+    print(f"  90% WS    : "
+          f"{working_set_lines(reloaded[0]) * 16 / 1024:.1f} KB")
+    curve = miss_ratio_curve(reloaded[0], (1024, 4096, 16384))
+    for size, ratio in curve.items():
+        print(f"  LRU {size // 1024:>2} KB : {100 * ratio:.1f}% miss")
 
-        print("\nreplaying from disk...")
-        direct_time, direct_stats = simulate(streams, config)
-        reloaded = [load_trace(path) for path in paths]
-        replay_time, replay_stats = simulate(reloaded, config)
-
-        print(f"  direct run : {direct_time:,} cycles, "
-              f"{direct_stats.total_scc.read_misses:,} read misses")
-        print(f"  replay run : {replay_time:,} cycles, "
-              f"{replay_stats.total_scc.read_misses:,} read misses")
-        identical = (direct_time == replay_time
-                     and direct_stats.total_scc.as_dict()
-                     == replay_stats.total_scc.as_dict())
-        print(f"  bit-for-bit identical: {identical}")
+    print("\nreplaying from disk...")
+    direct = run_simulation(config, ReplayApplication(streams))
+    replay = run_simulation(config, ReplayApplication(reloaded))
+    for label, result in (("direct run", direct), ("replay run", replay)):
+        print(f"  {label} : {result.execution_time:,} cycles, "
+              f"{result.stats.total_scc.read_misses:,} read misses")
+    identical = (direct.execution_time == replay.execution_time
+                 and direct.stats.total_scc.as_dict()
+                 == replay.stats.total_scc.as_dict())
+    print(f"  bit-for-bit identical: {identical}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """Tango-Lite-equivalent tracing substrate.
 
-Event vocabulary (:mod:`~repro.trace.events`), the packed allocation-free
-encoding (:mod:`~repro.trace.packed`), the timing-feedback interleaver
-(:mod:`~repro.trace.interleave`), whole-stream record/replay and the
-trace cache (:mod:`~repro.trace.record`), stream utilities
-(:mod:`~repro.trace.stream`) and a binary trace-file format
-(:mod:`~repro.trace.tracefile`).
+A reference stream has one representation at rest: packed words
+(:mod:`~repro.trace.packed`), which workloads yield as chunks and
+:class:`StreamRecorder` tapes into the one on-disk format,
+:class:`TraceCache`'s.  Beside it sit the event objects both engines
+also accept (:mod:`~repro.trace.events`), the timing-feedback
+interleaver (:mod:`~repro.trace.interleave`), whole-stream record/replay
+(:mod:`~repro.trace.record`), the fused ladder
+(:mod:`~repro.trace.multiconfig`), reuse-distance analysis
+(:mod:`~repro.trace.analysis`) and a race detector
+(:mod:`~repro.trace.racecheck`).
 """
 
 from .analysis import (data_lines, miss_ratio_curve, stack_distances,
@@ -20,9 +24,6 @@ from .packed import (PackedChunk, PackedEncodingError, append_event,
 from .racecheck import Race, RaceDetector
 from .record import (ReplayApplication, StreamRecorder, TraceCache,
                      default_trace_cache)
-from .stream import (coalesce_compute, event_histogram, materialize, replay,
-                     reference_count)
-from .tracefile import TraceFormatError, load_trace, save_trace
 
 __all__ = [
     "Barrier", "Compute", "Ifetch", "LockAcquire", "LockRelease", "Read",
@@ -33,8 +34,6 @@ __all__ = [
     "ReplayApplication", "StreamRecorder", "TraceCache",
     "default_trace_cache",
     "Race", "RaceDetector",
-    "coalesce_compute", "event_histogram", "materialize", "replay",
-    "reference_count", "TraceFormatError", "load_trace", "save_trace",
     "data_lines", "miss_ratio_curve", "stack_distances",
     "working_set_lines",
 ]

@@ -179,9 +179,11 @@ def encode_events(events) -> array:
 def decode_events(data: PackedData) -> Iterator[TraceEvent]:
     """Expand packed ints back into event objects (spans element-wise).
 
-    The objects compare equal to the ones a generator-path workload would
-    have yielded, which is what the golden-equivalence suite leans on.
-    A malformed record raises :func:`record_width`'s ``ValueError``.
+    Workloads yield only packed words for their references; this is the
+    way back to objects, for the shrinker (:mod:`repro.verify.shrink`),
+    the fuzz tapes' event-object pieces (:mod:`repro.verify.tapes`) and
+    the golden suite's run of a workload's decoded stream.  A malformed
+    record raises :func:`record_width`'s ``ValueError``.
     """
     i = 0
     end = len(data)

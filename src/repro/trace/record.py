@@ -69,7 +69,6 @@ class StreamRecorder(TracedApplication):
     def __init__(self, inner: TracedApplication):
         self.inner = inner
         self.name = f"{inner.name}+record"
-        self.packed = inner.packed
         self.failed = False
         self._buffers: Optional[Dict[int, array]] = None
 

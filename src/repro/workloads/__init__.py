@@ -10,7 +10,6 @@ from .memory import ArrayRegion, HeapExhaustedError, Region, SharedHeap
 from .mp3d import MP3D
 from .multiprog import MultiprogrammingWorkload
 from .spec import SPEC92_PROFILES, SpecApp, SpecProfile, spec92_workload
-from .sync import SyncNamespace
 
 __all__ = [
     "BarnesHut", "TracedApplication", "Cholesky",
@@ -19,5 +18,4 @@ __all__ = [
     "ArrayRegion", "HeapExhaustedError", "Region", "SharedHeap",
     "MP3D", "MultiprogrammingWorkload",
     "SPEC92_PROFILES", "SpecApp", "SpecProfile", "spec92_workload",
-    "SyncNamespace",
 ]

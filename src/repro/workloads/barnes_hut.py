@@ -54,7 +54,7 @@ from ..core.config import SystemConfig
 from ..trace.engine import native
 from ..trace.events import Barrier, Compute, Write
 from ..trace.packed import (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                            OP_WRITE, PackedChunk, decode_events)
+                            OP_WRITE, PackedChunk)
 from .base import TracedApplication
 from .memory import SharedHeap
 
@@ -293,15 +293,15 @@ class _BarnesHutRun:
         return _CELL_LOCK_BASE + cell.index
 
     def _flush(self, buf: Sequence[int]) -> Generator:
-        """Yield a built-up packed buffer in the form the app is set to.
+        """Yield a built-up packed buffer as one chunk, if it is not empty.
 
         Chunk safety (see repro.trace.packed): the summarize, force and
         update phases only read tree/body state that no other process
         mutates between the enclosing barriers, and their own Python-side
         mutations (cell.com, body.acc, body.vel/pos, body.cost) are read
         by other processes only after a later barrier -- so computing a
-        whole phase's events up front observes exactly the values the
-        event-at-a-time path would.  The force phase goes one step
+        whole phase's events up front observes exactly the values one
+        event per resume would.  The force phase goes one step
         further on the same argument: whichever processor resumes first
         after barrier 4 works it out for *every* processor
         (:meth:`_plan_force_phase`), because nothing a walk reads changes
@@ -311,12 +311,8 @@ class _BarnesHutRun:
         the lock operations and end at every touch of the tree
         (:meth:`_insert_phase`).
         """
-        if not buf:
-            return
-        if self.app.packed:
+        if buf:
             yield PackedChunk(buf)
-        else:
-            yield from decode_events(buf)
 
     # -- process generators ----------------------------------------------
 

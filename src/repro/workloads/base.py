@@ -4,24 +4,25 @@ A workload is anything that can hand the simulation driver one trace-event
 generator per processor (:class:`TracedApplication`).  The SPLASH
 reimplementations in this package run their *real* algorithms inside those
 generators -- the octree is actually built, the particles actually move,
-the matrix is actually factored -- and every shared-data touch is emitted
-as a :class:`~repro.trace.events.Read`/:class:`~repro.trace.events.Write`
-at the address the data would occupy in the simulated shared heap.  That
-is the property that makes the reproduced cache behaviour (prefetching,
-invalidations, interference) come from the applications rather than from
-hand-tuned statistics.
+the matrix is actually factored -- and every shared-data touch is emitted,
+in packed words (:class:`~repro.trace.packed.PackedChunk`), at the address
+the data would occupy in the simulated shared heap.  That is the property
+that makes the reproduced cache behaviour (prefetching, invalidations,
+interference) come from the applications rather than from hand-tuned
+statistics.  Event objects stay valid beside the chunks: the workloads
+yield their barriers and task-queue operations that way, and a user
+workload may yield only objects (the chunk contract is in
+:mod:`repro.trace.packed`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Generator, Iterator, Optional
+from typing import Dict, Generator, Optional
 
 from ..core.config import SystemConfig
-from ..trace.events import Compute, Read, TraceEvent, Write
 
-__all__ = ["TracedApplication", "read_record", "write_record",
-           "read_span", "write_span"]
+__all__ = ["TracedApplication"]
 
 
 class TracedApplication(ABC):
@@ -35,12 +36,6 @@ class TracedApplication(ABC):
     """
 
     name: str = "application"
-
-    packed: bool = True
-    """Emit :class:`~repro.trace.packed.PackedChunk` runs where the
-    workload's chunk-validity analysis allows it.  ``False`` forces the
-    one-object-per-event generator path everywhere (the golden-equivalence
-    suite flips this to prove both paths produce identical statistics)."""
 
     deterministic_stream: bool = False
     """Capability flag: ``True`` asserts the per-process event *content*
@@ -82,34 +77,3 @@ class TracedApplication(ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def read_span(base: int, size: int, stride: int = 8) -> Iterator[TraceEvent]:
-    """Read ``size`` bytes starting at ``base``, one load per ``stride``.
-
-    Models a streaming read of a data structure (e.g. one column of a
-    factor, one particle record).
-    """
-    for offset in range(0, size, stride):
-        yield Read(base + offset)
-
-
-def write_span(base: int, size: int, stride: int = 8) -> Iterator[TraceEvent]:
-    """Store over ``size`` bytes starting at ``base``."""
-    for offset in range(0, size, stride):
-        yield Write(base + offset)
-
-
-def read_record(addr: int, size: int, compute: int = 0,
-                stride: int = 8) -> Iterator[TraceEvent]:
-    """Read a record and optionally charge ``compute`` cycles after it."""
-    yield from read_span(addr, size, stride)
-    if compute:
-        yield Compute(compute)
-
-
-def write_record(addr: int, size: int, compute: int = 0,
-                 stride: int = 8) -> Iterator[TraceEvent]:
-    """Write a record and optionally charge ``compute`` cycles after it."""
-    yield from write_span(addr, size, stride)
-    if compute:
-        yield Compute(compute)

@@ -27,9 +27,9 @@ import numpy as np
 
 from ..core.config import SystemConfig
 from ..trace.events import (Barrier, Compute, LockAcquire, LockRelease,
-                            Read, TaskDequeue, TaskEnqueue, Write)
+                            TaskDequeue, TaskEnqueue)
 from ..trace.packed import (OP_COMPUTE, OP_READ_SPAN, OP_WRITE_SPAN,
-                            PackedChunk, decode_events)
+                            PackedChunk)
 from .base import TracedApplication
 from .matrices import (SparsePattern, Supernode, bcsstk_like, supernodes,
                        symbolic_factor)
@@ -154,22 +154,10 @@ class _CholeskyRun:
         offset = (local_col * node.height + first_local_row) * _ENTRY
         return (self.regions[super_index].addr(offset), n_rows * _ENTRY)
 
-    def _stream(self, super_index: int, local_col: int,
-                first_local_row: int, n_rows: int, write: bool) -> Generator:
-        base, length = self._block_span(super_index, local_col,
-                                        first_local_row, n_rows)
-        event = Write if write else Read
-        for offset in range(0, length, _EVENT_STRIDE):
-            yield event(base + offset)
-
     def _flush(self, buf: List[int]) -> Generator:
-        """Yield a built-up packed buffer in the form the app is set to."""
-        if not buf:
-            return
-        if self.app.packed:
+        """Yield a built-up packed buffer as one chunk, if it is not empty."""
+        if buf:
             yield PackedChunk(buf)
-        else:
-            yield from decode_events(buf)
 
     # -- process generators ----------------------------------------------
 
@@ -295,8 +283,8 @@ class _CholeskyRun:
             if not rows_here:
                 continue
             # Per-column lock (SPLASH's column-level protection).  The
-            # scatter-subtract must run after the acquire is granted,
-            # exactly as the event-at-a-time path did.
+            # scatter-subtract must run after the acquire is granted: at
+            # the resume that follows the ``LockAcquire``.
             yield LockAcquire(_COLUMN_LOCK_BASE + col_row)
             for r_idx, row in rows_here:
                 tgt_block[tgt_pos[row], local_col] -= update[r_idx, c_idx]

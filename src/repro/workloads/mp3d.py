@@ -36,7 +36,7 @@ import numpy as np
 from ..core.config import SystemConfig
 from ..trace.events import Barrier, Compute, LockAcquire, LockRelease, Read, Write
 from ..trace.packed import (OP_COMPUTE, OP_READ, OP_READ_SPAN, OP_WRITE,
-                            OP_WRITE_SPAN, PackedChunk, decode_events)
+                            OP_WRITE_SPAN, PackedChunk)
 from .base import TracedApplication
 from .memory import SharedHeap
 
@@ -171,13 +171,9 @@ class _MP3DRun:
             yield Barrier(1, self.n_procs)
 
     def _flush(self, buf: List[int]) -> Generator:
-        """Yield a built-up packed buffer in the form the app is set to."""
-        if not buf:
-            return
-        if self.app.packed:
+        """Yield a built-up packed buffer as one chunk, if it is not empty."""
+        if buf:
             yield PackedChunk(buf)
-        else:
-            yield from decode_events(buf)
 
     def _move_phase(self, proc: int, mine: List[int],
                     step: int) -> Generator:

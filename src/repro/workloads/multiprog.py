@@ -113,18 +113,14 @@ class _SchedulerRun:
             yield Compute(_CONTEXT_SWITCH_CYCLES)
             quantum = min(workload.quantum_instructions,
                           self.remaining[app_id])
-            if workload.packed:
-                # The whole quantum as one packed chunk.  Chunk-safe: the
-                # stream generator's state is private to the application
-                # and the run queue hands an application to exactly one
-                # processor at a time, so nothing observes that the RNG
-                # draws happen at the chunk boundary rather than
-                # event-by-event.  The scheduler loop itself (dequeue,
-                # branch on the response, requeue) stays on the
-                # event-object path because it is timing-dependent.
-                yield app.burst_chunk(quantum)
-            else:
-                yield from app.burst(quantum)
+            # The whole quantum as one packed chunk.  Chunk-safe: the
+            # stream generator's state is private to the application and
+            # the run queue hands an application to exactly one processor
+            # at a time, so nothing observes that the RNG draws happen at
+            # the chunk boundary rather than event-by-event.  The
+            # scheduler loop itself (dequeue, branch on the response,
+            # requeue) yields event objects because it is timing-dependent.
+            yield app.burst_chunk(quantum)
             self.remaining[app_id] -= quantum
             if self.remaining[app_id] > 0:
                 yield TaskEnqueue(_RUN_QUEUE, app_id)

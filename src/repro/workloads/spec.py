@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..trace.engine import native
-from ..trace.events import Ifetch, Read, TraceEvent, Write
 from ..trace.packed import OP_IFETCH, OP_READ, OP_WRITE, PackedChunk
 
 __all__ = ["SpecProfile", "SpecApp", "SPEC92_PROFILES", "spec92_workload"]
@@ -128,9 +127,9 @@ _ADDRESS_SPACE = 1 << 26  # 64 MB per process
 class SpecApp:
     """Resumable synthetic reference stream for one process.
 
-    ``burst(n)`` yields the events of the next ``n`` instructions; the
-    stream picks up where it left off regardless of which processor runs
-    the quantum, like a real process under a scheduler.
+    ``burst_chunk(n)`` is the next ``n`` instructions as one packed
+    chunk; the stream picks up where it left off regardless of which
+    processor runs the quantum, like a real process under a scheduler.
     """
 
     def __init__(self, app_id: int, profile: SpecProfile, scale: int = 1,
@@ -235,43 +234,16 @@ class SpecApp:
 
     # -- the stream ----------------------------------------------------------
 
-    def burst(self, n_instructions: int) -> Iterator[TraceEvent]:
-        """Events for the next ``n_instructions`` instructions."""
-        profile = self.profile
-        remaining = n_instructions
-        while remaining > 0:
-            block = min(_BASIC_BLOCK, remaining)
-            yield Ifetch(self._next_code_addr(), block)
-            remaining -= block
-            self.instructions_executed += block
-            # Data references carried by this block.
-            expected = profile.refs_per_instruction * block
-            count = int(expected)
-            if self._draw() < expected - count:
-                count += 1
-            for _ in range(count):
-                locality = self._draw()
-                if locality < profile.stack_fraction:
-                    addr = self._stack_addr()
-                elif locality < profile.stack_fraction + profile.scan_fraction:
-                    addr = self._scan_addr()
-                else:
-                    addr = self._hot_addr()
-                if self._draw() < profile.write_fraction:
-                    yield Write(addr)
-                else:
-                    yield Read(addr)
-
     def burst_packed(self, n_instructions: int, buf: List[int]) -> None:
         """Append the next ``n_instructions`` instructions to ``buf`` in
-        the packed encoding -- the allocation-free twin of :meth:`burst`.
+        the packed encoding: an ``Ifetch`` per basic block, then the data
+        references the block carries.
 
-        Draw-for-draw identical to the generator: the RNG and every cursor
-        end up exactly where ``burst`` would leave them, so packed and
-        event-object runs replay the same stream.  Building the quantum
-        eagerly is chunk-safe (:mod:`repro.trace.packed`) because all of
-        this state is private to the process -- the run queue hands an
-        application to exactly one processor at a time.
+        This is the reference ``spec_burst`` is held to, draw for draw.
+        Building the quantum eagerly is chunk-safe
+        (:mod:`repro.trace.packed`) because all of this state is private
+        to the process -- the run queue hands an application to exactly
+        one processor at a time.
         """
         profile = self.profile
         stack_fraction = profile.stack_fraction

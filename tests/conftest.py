@@ -1,4 +1,4 @@
-"""Fixtures shared by more than one test directory."""
+"""Fixtures and helpers shared by more than one test directory."""
 
 import sys
 
@@ -47,6 +47,37 @@ LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
 #: ... and one in the SPEC-stream kernel, which every engine calls: the
 #: word of a hot line is the other one of its pair.
 SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")
+
+
+def unpacked(app):
+    """``app`` with every :class:`~repro.trace.packed.PackedChunk` its
+    generators yield decoded into event objects, one per resume, and each
+    response forwarded: the event-object form of the same stream, which
+    both engines must simulate exactly as they do the chunks."""
+    from repro.trace.packed import PackedChunk, decode_events
+    from repro.workloads.base import TracedApplication
+
+    def decoded(generator):
+        response = None
+        while True:
+            try:
+                item = generator.send(response)
+            except StopIteration:
+                return
+            if type(item) is PackedChunk:
+                yield from decode_events(item.data)
+                response = None
+            else:
+                response = yield item
+
+    class Unpacked(TracedApplication):
+        name = app.name
+
+        def processes(self, config):
+            return {proc: decoded(generator)
+                    for proc, generator in app.processes(config).items()}
+
+    return Unpacked()
 
 
 @pytest.fixture(scope="session", autouse=True)

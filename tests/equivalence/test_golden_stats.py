@@ -3,8 +3,8 @@
 ``golden_stats.json`` holds statistics fingerprints captured from the
 pre-packed-encoding tree (every event an object, every generator resumed
 per event).  These tests re-run the same workloads on the current tree --
-packed fast path, event-object path, and instrumented runs -- and demand
-bit-identical statistics.  Any scheduling, protocol, or accounting drift
+as they yield their packed words, decoded into event objects
+(``unpacked``), and instrumented -- and demand bit-identical statistics.  Any scheduling, protocol, or accounting drift
 introduced by a fast-path change fails here first.
 """
 
@@ -20,6 +20,8 @@ from repro.workloads.barnes_hut import BarnesHut
 from repro.workloads.cholesky import Cholesky
 from repro.workloads.mp3d import MP3D
 from repro.workloads.multiprog import MultiprogrammingWorkload
+
+from ..conftest import unpacked
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text())
@@ -75,7 +77,8 @@ def run_key(key, packed=True, probe=None):
                           model_icache=(name == "multiprogramming"),
                           **extra)
     workload = WORKLOADS[name]()
-    workload.packed = packed
+    if not packed:
+        workload = unpacked(workload)
     if probe is None and tail == "instrumented":
         probe = InstrumentationProbe(bin_width=512, record_events=False)
     return run_simulation(config, workload, instrumentation=probe)
@@ -90,7 +93,7 @@ def test_packed_path_matches_golden(key):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_event_object_path_matches_golden(name):
-    """``packed=False`` forces the one-object-per-event generators; the
+    """The same streams decoded into one event object per resume; the
     statistics must still equal the same golden entry."""
     key = f"{name}|p2|s2048"
     assert fingerprint(run_key(key, packed=False)) == GOLDEN[key]

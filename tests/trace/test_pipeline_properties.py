@@ -1,14 +1,16 @@
 """Metamorphic and end-to-end properties of the trace pipeline."""
 
-import pytest
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import KB, SystemConfig
 from repro.core.system import MultiprocessorSystem
 from repro.trace.events import Compute, Read, Write
 from repro.trace.interleave import TimingInterleaver
-from repro.trace.stream import coalesce_compute
-from repro.trace.tracefile import load_trace, save_trace
+from repro.trace.packed import encode_events
+from repro.trace.record import ReplayApplication, TraceCache
 
 EVENTS = st.lists(st.one_of(
     st.builds(Compute, st.integers(0, 50)),
@@ -17,15 +19,35 @@ EVENTS = st.lists(st.one_of(
     min_size=1, max_size=150)
 
 
-def run_streams(streams, scc_size=1 * KB):
-    config = SystemConfig(clusters=2, processors_per_cluster=2,
-                          scc_size=scc_size)
-    system = MultiprocessorSystem(config)
+CONFIG = SystemConfig(clusters=2, processors_per_cluster=2, scc_size=1 * KB)
+
+
+def run_streams(streams):
+    """Simulate one stream per processor of ``CONFIG`` (each an iterable
+    of event objects, or a generator that yields chunks)."""
+    system = MultiprocessorSystem(CONFIG)
     interleaver = TimingInterleaver(system)
     for proc, events in enumerate(streams):
         interleaver.add_process(proc, iter(events))
     time = interleaver.run()
     return time, system.stats(time)
+
+
+def coalesce_computes(events):
+    """``events`` with each run of adjacent ``Compute``s merged into one,
+    and a run that adds up to zero cycles dropped."""
+    merged, pending = [], 0
+    for event in events:
+        if type(event) is Compute:
+            pending += event.cycles
+            continue
+        if pending:
+            merged.append(Compute(pending))
+            pending = 0
+        merged.append(event)
+    if pending:
+        merged.append(Compute(pending))
+    return merged
 
 
 COMPUTE_ONLY = st.lists(st.builds(Compute, st.integers(0, 50)),
@@ -48,7 +70,7 @@ class TestCoalescingIsTimingNeutral:
         plain_time, plain_stats = run_streams(
             [a, b, [Compute(1)], [Compute(1)]])
         squeezed_time, squeezed_stats = run_streams(
-            [list(coalesce_compute(a)), list(coalesce_compute(b)),
+            [coalesce_computes(a), coalesce_computes(b),
              [Compute(1)], [Compute(1)]])
         assert squeezed_time == plain_time
         assert (squeezed_stats.total_scc.as_dict()
@@ -59,19 +81,19 @@ class TestTraceFileRoundtripPreservesSimulation:
     @given(EVENTS, EVENTS)
     @settings(max_examples=30, deadline=None)
     def test_saved_and_reloaded_traces_simulate_identically(self, a, b):
-        import tempfile
-        from pathlib import Path
+        """Streams stored as a tape by the trace cache, read back and
+        replayed as one chunk per process simulate exactly as the event
+        objects they were encoded from."""
+        streams = [a, b, [Compute(1)], [Compute(1)]]
         with tempfile.TemporaryDirectory() as directory:
-            paths = []
-            for index, events in enumerate((a, b)):
-                path = Path(directory) / f"p{index}.trace"
-                save_trace(path, events)
-                paths.append(path)
-            direct_time, direct_stats = run_streams(
-                [a, b, [Compute(1)], [Compute(1)]])
-            replay_time, replay_stats = run_streams(
-                [load_trace(paths[0]), load_trace(paths[1]),
-                 [Compute(1)], [Compute(1)]])
+            cache = TraceCache(Path(directory))
+            cache.put("tape", {proc: encode_events(events)
+                               for proc, events in enumerate(streams)})
+            reloaded = cache.get("tape")
+        replay = ReplayApplication(reloaded).processes(CONFIG)
+        direct_time, direct_stats = run_streams(streams)
+        replay_time, replay_stats = run_streams(
+            [replay[proc] for proc in sorted(replay)])
         assert replay_time == direct_time
         assert (replay_stats.total_scc.as_dict()
                 == direct_stats.total_scc.as_dict())

@@ -23,6 +23,7 @@ from repro.workloads.barnes_hut import (BarnesHut, Body, Cell,
                                         _cost_chunks, _quiet_build,
                                         _tree_ordered_bodies)
 
+from ..conftest import unpacked
 
 def small_config(procs=2, clusters=2):
     return SystemConfig(clusters=clusters, processors_per_cluster=procs,
@@ -261,19 +262,18 @@ GRID = [(procs, scc, protocol)
         for protocol in ("msi", "mesi")]
 
 
-def new_app(packed=True, **parameters):
-    app = BarnesHut(**{"n_bodies": 40, "steps": 2, **parameters})
-    app.packed = packed
-    return app
+def new_app(**parameters):
+    return BarnesHut(**{"n_bodies": 40, "steps": 2, **parameters})
 
 
-def run_point(app, point, engine=None):
+def run_point(app, point, engine=None, packed=True):
     """Everything a run leaves behind: the machine's statistics and the
-    tape of every processor's event stream."""
+    tape of every processor's event stream (``packed=False``: the run of
+    the stream decoded into event objects)."""
     procs, scc, protocol = point
     config = replace(SystemConfig.paper_parallel(procs, scc),
                      protocol=protocol)
-    recorder = StreamRecorder(app)
+    recorder = StreamRecorder(app if packed else unpacked(app))
     result = run_simulation(config, recorder, backend=engine)
     return (result.stats.as_dict(),
             {proc: tape.tobytes()
@@ -281,17 +281,17 @@ def run_point(app, point, engine=None):
 
 
 def fresh_runs(packed, engine, points=GRID, **parameters):
-    return {point: run_point(new_app(packed, **parameters), point, engine)
+    return {point: run_point(new_app(**parameters), point, engine, packed)
             for point in points}
 
 
-def assert_remembered_equals_fresh(app, engine, fresh):
+def assert_remembered_equals_fresh(app, engine, fresh, packed=True):
     """Run ``fresh``'s points on the one ``app``, in an order of their
     own, each against the fresh object's run of the same point."""
     points = list(fresh)
     random.Random(7).shuffle(points)
     for point in points:
-        stats, tapes = run_point(app, point, engine)
+        stats, tapes = run_point(app, point, engine, packed)
         assert stats == fresh[point][0], point
         assert tapes == fresh[point][1], point
 
@@ -333,8 +333,8 @@ class TestRememberedRuns:
                                                      relocations):
         fresh = fresh_runs(packed, engine)
         del relocations[:]
-        app = new_app(packed)
-        assert_remembered_equals_fresh(app, engine, fresh)
+        app = new_app()
+        assert_remembered_equals_fresh(app, engine, fresh, packed)
         # Not vacuously: the runs shared their walks (one plan per step
         # for all 16 machines) and did not share their addresses.
         assert len(app._plans) == app.steps
@@ -569,8 +569,8 @@ class TestInsertChunks:
         touch of the tree: the same statistics, and the same events on
         every processor's tape, as yielding them one by one."""
         point = (procs, 8 * KB, "msi")
-        packed = run_point(new_app(True), point, engine)
-        assert packed == run_point(new_app(False), point, engine)
+        packed = run_point(new_app(), point, engine)
+        assert packed == run_point(new_app(), point, engine, packed=False)
         # not vacuous: inserts raced (a lock was waited for)
         assert sum(proc["sync_stall_cycles"]
                    for proc in packed[0]["processors"]) > 0
@@ -589,14 +589,15 @@ class TestInsertChunks:
         monkeypatch.setattr(barnes_hut, "_plummer_bodies", coincident)
         point = (4, 8 * KB, "msi")
         parameters = {"n_bodies": 256, "steps": 1}
-        packed = run_point(new_app(True, **parameters), point)
-        assert packed == run_point(new_app(False, **parameters), point)
+        packed = run_point(new_app(**parameters), point)
+        assert packed == run_point(new_app(**parameters), point,
+                                   packed=False)
 
     def test_a_chunk_ends_at_every_touch_of_the_tree(self):
         """Between two resumes of an inserting process lies exactly one
         racy touch: no insert-phase chunk carries events past a slot
         read, a lock acquire's re-read or a subcell's private write."""
-        app = new_app(True, n_bodies=64, steps=1)
+        app = new_app(n_bodies=64, steps=1)
         config = SystemConfig.paper_parallel(2, 8 * KB)
         run = _BarnesHutRun(app, config)
         run._reset_tree()

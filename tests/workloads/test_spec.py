@@ -25,6 +25,11 @@ def first_profile():
     return SPEC92_PROFILES[0]
 
 
+def burst_events(app, n_instructions):
+    """The next ``n_instructions`` of ``app``'s stream, as event objects."""
+    return list(decode_events(app.burst_chunk(n_instructions).data))
+
+
 class TestProfiles:
     def test_eight_applications(self):
         assert len(SPEC92_PROFILES) == 8
@@ -47,14 +52,15 @@ class TestSpecApp:
 
     def test_burst_executes_requested_instructions(self):
         app = SpecApp(0, first_profile(), scale=8)
-        list(app.burst(1000))
-        assert app.instructions_executed == 1000
-        list(app.burst(500))
+        fetched = sum(e.count for e in burst_events(app, 1000)
+                      if isinstance(e, Ifetch))
+        assert fetched == app.instructions_executed == 1000
+        app.burst_chunk(500)
         assert app.instructions_executed == 1500
 
     def test_burst_mixes_fetches_and_data(self):
         app = SpecApp(0, first_profile(), scale=8)
-        events = list(app.burst(2000))
+        events = burst_events(app, 2000)
         kinds = {type(e) for e in events}
         assert Ifetch in kinds
         assert Read in kinds
@@ -63,52 +69,32 @@ class TestSpecApp:
     def test_data_reference_density_matches_profile(self):
         profile = first_profile()
         app = SpecApp(0, profile, scale=8)
-        events = list(app.burst(20_000))
+        events = burst_events(app, 20_000)
         refs = sum(1 for e in events if isinstance(e, (Read, Write)))
         expected = profile.refs_per_instruction * 20_000
         assert abs(refs - expected) < expected * 0.15
 
     def test_streams_are_deterministic(self):
-        first = list(SpecApp(3, first_profile(), seed=9).burst(3000))
-        second = list(SpecApp(3, first_profile(), seed=9).burst(3000))
-        assert first == second
+        first = SpecApp(3, first_profile(), seed=9).burst_chunk(3000)
+        second = SpecApp(3, first_profile(), seed=9).burst_chunk(3000)
+        assert list(first.data) == list(second.data)
 
     def test_stream_is_resumable(self):
-        whole = list(SpecApp(1, first_profile(), seed=5).burst(4000))
+        whole = burst_events(SpecApp(1, first_profile(), seed=5), 4000)
         split_app = SpecApp(1, first_profile(), seed=5)
-        split = list(split_app.burst(1000)) + list(split_app.burst(3000))
+        split = (burst_events(split_app, 1000)
+                 + burst_events(split_app, 3000))
         # Same instruction count and same data references; fetch events
         # may split differently at the quantum boundary.
         def data(events):
             return [e for e in events if isinstance(e, (Read, Write))]
         assert data(whole) == data(split)
 
-    def test_burst_packed_matches_burst(self):
-        """The packed burst is draw-for-draw identical to the event-object
-        burst: same events, same RNG consumption, same cursors."""
-        from repro.trace.packed import decode_events
-
-        object_app = SpecApp(2, first_profile(), seed=11)
-        packed_app = SpecApp(2, first_profile(), seed=11)
-        for quantum in (1500, 700, 1800):
-            expected = list(object_app.burst(quantum))
-            buf = []
-            packed_app.burst_packed(quantum, buf)
-            assert list(decode_events(buf)) == expected
-            assert (packed_app.instructions_executed
-                    == object_app.instructions_executed)
-        # Both generators must land in the same state: further bursts
-        # from either path stay identical.
-        tail_expected = list(object_app.burst(1000))
-        tail_buf = []
-        packed_app.burst_packed(1000, tail_buf)
-        assert list(decode_events(tail_buf)) == tail_expected
-
     def test_address_spaces_are_disjoint(self):
         apps = spec92_workload(scale=8)
         spans = []
         for app in apps:
-            addrs = [e.addr for e in app.burst(2000)
+            addrs = [e.addr for e in burst_events(app, 2000)
                      if isinstance(e, (Read, Write, Ifetch))]
             spans.append((min(addrs), max(addrs)))
         spans.sort()
@@ -122,7 +108,7 @@ class TestSpecApp:
                               refs_per_instruction=0.5,
                               stack_fraction=0.0)
         app = SpecApp(0, profile, scale=1)
-        addrs = [e.addr for e in app.burst(2000)
+        addrs = [e.addr for e in burst_events(app, 2000)
                  if isinstance(e, Read) and app.scan_base <= e.addr
                  < app.scan_base + app.scan_bytes]
         diffs = [b - a for a, b in zip(addrs, addrs[1:])]
@@ -138,8 +124,8 @@ class TestSpecApp:
 
 
 # ----------------------------------------------------------------------
-# The native ``spec_burst`` against its reference, ``burst_packed``, and
-# the event-object ``burst``: the same words and the same state after
+# The native ``spec_burst`` against its reference, ``burst_packed``: the
+# same words and the same state after
 # ----------------------------------------------------------------------
 
 #: Back to back, so draws cross batch boundaries and quanta end mid-block.
@@ -157,20 +143,16 @@ def stream_state(app):
 
 def assert_kernel_matches(app_id, scale):
     """``burst_chunk`` (the loaded extension's kernel) quantum by quantum
-    against ``burst_packed`` and ``burst`` on three twins of one app."""
-    kernel, packed, objects = (
-        SpecApp(app_id, SPEC92_PROFILES[app_id], scale=scale)
-        for _ in range(3))
+    against ``burst_packed`` on two twins of one app."""
+    kernel, packed = (SpecApp(app_id, SPEC92_PROFILES[app_id], scale=scale)
+                      for _ in range(2))
     for quantum in QUANTA:
         chunk = kernel.burst_chunk(quantum)
         assert type(chunk.data) is array
         words = []
         packed.burst_packed(quantum, words)
         assert chunk.data.tolist() == words, quantum
-        assert list(decode_events(chunk.data)) \
-            == list(objects.burst(quantum)), quantum
-        assert stream_state(kernel) == stream_state(packed) \
-            == stream_state(objects), quantum
+        assert stream_state(kernel) == stream_state(packed), quantum
     # The batch the kernel left is the application's own: the RNG's next
     # draws are where the reference leaves them.
     assert (kernel._uniform == packed._uniform).all()

@@ -87,8 +87,12 @@ class TestSpecGeneratorProperties:
            st.integers(100, 5000))
     @settings(max_examples=40, deadline=None)
     def test_instruction_budget_is_exact(self, app_id, scale, budget):
+        from repro.trace.events import Ifetch
+        from repro.trace.packed import decode_events
         app = SpecApp(app_id, SPEC92_PROFILES[app_id], scale=scale)
-        list(app.burst(budget))
+        words = app.burst_chunk(budget).data
+        assert sum(event.count for event in decode_events(words)
+                   if isinstance(event, Ifetch)) == budget
         assert app.instructions_executed == budget
 
     @given(st.integers(0, 7), st.integers(0, 10_000))
@@ -96,9 +100,10 @@ class TestSpecGeneratorProperties:
     def test_addresses_stay_in_the_process_address_space(self, app_id,
                                                          seed):
         from repro.trace.events import Ifetch, Read, Write
+        from repro.trace.packed import decode_events
         from repro.workloads.spec import _ADDRESS_SPACE
         app = SpecApp(app_id, SPEC92_PROFILES[app_id], scale=8, seed=seed)
         base = app_id * _ADDRESS_SPACE
-        for event in app.burst(2000):
+        for event in decode_events(app.burst_chunk(2000).data):
             if isinstance(event, (Read, Write, Ifetch)):
                 assert base <= event.addr < base + _ADDRESS_SPACE
