@@ -46,6 +46,10 @@ else:
     extensions = [Extension(
         "repro.trace.engine._native",
         sources=["src/repro/trace/engine/_native.c"],
+        # No a * b + c fused into one rounding on FMA targets: MP3D's
+        # physics and spec_burst's comparisons round as python does
+        # (the on-demand build's flags, engine/native.py's _CFLAGS).
+        extra_compile_args=["-ffp-contract=off"],
         optional=True,
     )]
 

@@ -17,18 +17,22 @@ The SCC/bus timing model has two implementations ("backends", psim's
   storage, switches processes on its own copy of the ready heap and
   keeps the locks, barriers and task queues; it also carries the fused
   ladder.  Python is left the generators' bodies and the
-  instruction-cache refill (the one callback).  The standard
+  instruction-cache refill (the one callback) -- and for MP3D not even
+  the bodies: its processes are the extension's own iterators, which
+  ``_native.run`` steps without resuming anything.  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
-  extension carries three kernels that are not timing engines, each
-  run when the extension loaded and its python reference otherwise:
-  the analytical tier's row profile (``row_profile``, for
+  extension carries four kernels that time nothing, each run when the
+  extension loaded and its python reference otherwise: the analytical
+  tier's row profile (``row_profile``, for
   :func:`repro.model.profile.build_row_profile`), Barnes-Hut's
   force-phase words (``force_words``; numpy's ``_expand`` is the
-  reference) and a SPEC application's multiprogramming quantum
-  (``spec_burst``; ``SpecApp.burst_packed`` is the reference).  That
-  choice follows the loader, not ``backend=``: the output is the same
-  either way and no request can ask for the slow one.
+  reference), a SPEC application's multiprogramming quantum
+  (``spec_burst``; ``SpecApp.burst_packed`` is the reference) and
+  MP3D's processes (``mp3d_processes``; ``_MP3DRun.process`` is the
+  reference).  That choice follows the loader, not ``backend=``: the
+  output is the same either way and no request can ask for the slow
+  one.
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``

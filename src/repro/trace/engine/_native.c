@@ -52,7 +52,7 @@
  * after an exception too, so an aborted run leaves what the reference
  * loop leaves.
  *
- * Four more sections share the build and the ``ABI_VERSION`` guard.  The
+ * Five more sections share the build and the ``ABI_VERSION`` guard.  The
  * fused multi-configuration ladder (``ladder_*``) is a second driver of
  * the same memory system: each of its rungs is a ``Machine`` of one
  * ``Scc`` on a bus of its own, and its misses, upgrades and icache
@@ -61,13 +61,17 @@
  * engine), the force-phase kernel (``force_words``: Barnes-Hut's
  * remembered walks relocated onto one run's cells) and the SPEC-stream
  * kernel (``spec_burst``: one multiprogramming quantum, written from the
- * application's own uniform batches) share nothing else.
+ * application's own uniform batches) share nothing else.  MP3D's
+ * processes (``mp3d_processes``) are iterators any consumer can resume,
+ * and the one generator type ``run`` knows: it steps them itself, so an
+ * MP3D run executes no python between ``setup`` and ``release``.
  * Each is introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -87,7 +91,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "11"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "12"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -95,8 +99,8 @@
 #define STATUS_SYNC 2
 
 /* The wrapper's ``misc`` words: events executed, ``interleaver._seq``
- * (in both directions), the latest finish so far. */
-enum { X_EVENTS, X_SEQ, X_FINISH, X_FIELDS };
+ * (in both directions), the latest finish so far, generators resumed. */
+enum { X_EVENTS, X_SEQ, X_FINISH, X_RESUMES, X_FIELDS };
 
 /* A process's at-rest words (the wrapper's ``pstate``), in and out. */
 enum {
@@ -1648,14 +1652,30 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
     return rc;
 }
 
+/* The "MP3D processes" section's, below: its iterator's ``tp_iternext``
+ * names the type, and one step writes a process's next chunk into the
+ * process's own words. */
+static PyObject *m3_next(PyObject *self);
+static int m3_step(PyObject *self, const long long **words);
+
 /* ``_advance``'s resume: run ``proc``'s generator until it yields events
  * to drain (1: its cursor is installed) or ends (0); -1 on error, the
- * generator's own included.  Its clock does not move in here. */
+ * generator's own included.  Its clock does not move in here.  An MP3D
+ * process is not resumed: C steps it, and its chunk is read where it was
+ * written (what it is sent it ignores, as its python twin does). */
 static int
 proc_refill(Ctx *ctx, long long pid, Proc *proc)
 {
+    if (Py_TYPE(proc->generator)->tp_iternext == m3_next) {
+        Py_CLEAR(proc->response);
+        int n = m3_step(proc->generator, &proc->cursor.data);
+        if (n > 0)
+            proc->cursor.end = n;
+        return n > 0 ? 1 : n;
+    }
     while (!proc->cursor.data) {
         PyObject *yielded;
+        ctx->misc[X_RESUMES]++;
         PySendResult sent = PyIter_Send(
             proc->generator, proc->response ? proc->response : Py_None,
             &yielded);
@@ -2053,22 +2073,31 @@ fail:
 
 /* Every process back to its at-rest form: its words, the chunk it stands
  * in (an encoded event object is consumed by the time anything can stop
- * the run) and the response it has yet to be sent. */
+ * the run; the words an MP3D process wrote become a list) and the
+ * response it has yet to be sent. */
 static int
 procs_export(Ctx *ctx)
 {
     for (Py_ssize_t p = 0; p < ctx->nproc; p++) {
         Proc *proc = &ctx->procs[p];
+        const Cursor *cur = &proc->cursor;
         long long *at_rest = ctx->pstate + p * P_FIELDS;
-        PyObject *chunk = proc->cursor.owner ? proc->cursor.owner : Py_None;
+        PyObject *chunk = cur->owner;
+        if (chunk)
+            Py_INCREF(chunk);
+        else if (cur->data && cur->data != cur->one)
+            chunk = words_list(cur->data, cur->end);
+        else
+            chunk = Py_NewRef(Py_None);
+        if (!chunk)
+            return -1;
         PyObject *response = proc->response ? proc->response : Py_None;
         at_rest[P_TIME] = proc->time;
         at_rest[P_BLOCKED] = proc->blocked;
         at_rest[P_BLOCK_START] = proc->block_start;
         at_rest[P_FINISHED] = proc->finished;
-        at_rest[P_CHUNK_POS] = proc->cursor.owner ? proc->cursor.pos : 0;
-        at_rest[P_CHUNK_SUB] = proc->cursor.owner ? proc->cursor.sub : 0;
-        Py_INCREF(chunk);
+        at_rest[P_CHUNK_POS] = chunk != Py_None ? cur->pos : 0;
+        at_rest[P_CHUNK_SUB] = chunk != Py_None ? cur->sub : 0;
         Py_INCREF(response);
         if (PyList_SetItem(ctx->chunks, p, chunk) < 0
             || PyList_SetItem(ctx->responses, p, response) < 0)
@@ -3825,18 +3854,22 @@ fw_pattern(PyObject *obj, FwPattern *p)
     return 0;
 }
 
-/* A read-only view on ``obj``'s contiguous signed integers of ``size``
- * bytes each; returns how many. */
+/* A view on ``obj``'s contiguous items of ``size`` bytes each, signed
+ * integers (``floats`` false) or float64s, writable when C writes them;
+ * returns how many. */
 static Py_ssize_t
-fw_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, const char *what)
+typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
+           int writable, const char *what)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
     size_t len = strlen(view->format);
     if (view->itemsize != size || len == 0
-            || !strchr("ilq", view->format[len - 1])) {
-        PyErr_Format(PyExc_ValueError, "%s must be %zd-byte integers",
-                     what, size);
+            || !strchr(floats ? "d" : "ilq", view->format[len - 1])) {
+        PyErr_Format(PyExc_ValueError, "%s must be %zd-byte %s", what, size,
+                     floats ? "floats" : "integers");
         PyBuffer_Release(view);
         return -1;
     }
@@ -3885,8 +3918,9 @@ native_force_words(PyObject *self, PyObject *args)
     FwPattern pats[2 + FW_KINDS];
 
     for (; n_views < V_COUNT; n_views++)
-        if ((lens[n_views] = fw_view(objs[n_views], &views[n_views],
-                                     sizes[n_views], names[n_views])) < 0)
+        if ((lens[n_views] = typed_view(objs[n_views], &views[n_views],
+                                        sizes[n_views], 0, 0,
+                                        names[n_views])) < 0)
             goto done;
     const int *visits = views[V_VISITS].buf;
     const long long *starts = views[V_STARTS].buf;
@@ -4221,8 +4255,8 @@ native_spec_burst(PyObject *self, PyObject *args)
     }
     if (!(f[SB_REFS] >= 0.0 && f[SB_REFS] <= SB_REFS_MAX)) {
         PyErr_Format(PyExc_ValueError,
-                     "refs_per_instruction must lie in [0, %g]",
-                     SB_REFS_MAX);
+                     "refs_per_instruction must lie in [0, %d]",
+                     (int)SB_REFS_MAX);
         goto done;
     }
     for (int k = 0; k < SG_FIELDS; k++) {
@@ -4405,6 +4439,527 @@ done:
     return result;
 }
 
+/* ==================================================================== */
+/* MP3D processes (repro.workloads.mp3d)                                */
+/* ==================================================================== */
+
+/* An MP3D stream is race-dependent throughout: a cell's partner slot and
+ * a collision partner's velocity are read and written by every processor,
+ * so what a process emits next depends on what the others did first, and
+ * none of it can be written ahead or remembered.  C can run the processes
+ * instead.  ``mp3d_processes`` makes one iterator per processor over a run
+ * state they share: the particles' positions and velocities (float64,
+ * three per particle) and the cells' partner slots (int64), read and
+ * written in place in the caller's buffers, the pre-drawn collision
+ * uniforms (float64, one per step and particle) and the region bases.
+ *
+ * An iterator is ``_MP3DRun.process``, resume for resume -- the reference:
+ * what ``REPRO_NATIVE=0`` runs, and what tests/workloads/test_mp3d.py holds
+ * this to, event for event.  Its chunks end where that generator's do --
+ * after the move compute, after the partner-slot read, after the collide
+ * compute, after the collide writes, the trailing partner-slot write
+ * carried into the next particle's first chunk -- and each step does what
+ * the python resume does there: ``_advance``, ``_in_wedge``,
+ * ``cell_index_of`` and ``_collide`` (both new velocities from the old
+ * ones) in the same IEEE operations, in the same order; the build asks for
+ * ``-ffp-contract=off``, so no ``a * b + c`` becomes a fused multiply-add.
+ * One liberty: a step's tail -- the last partner-slot write, barrier 0,
+ * processor 0's locked bookkeeping, barrier 1 -- is one chunk here and up
+ * to eight yields there; no state moves between them.
+ *
+ * Driven through ``next()`` / ``send()`` -- the reference loop, a
+ * ``StreamRecorder``, ``PyIter_Send`` -- an iterator yields each chunk as
+ * ``chunk_type(list)``.  ``run`` knows the type (``proc_refill``) and has
+ * it write the chunk into its own words, which the cursor reads in place.
+ * Every input is checked before a process exists, and the physics keeps
+ * what it was given in range (positions in the tunnel, velocities finite).
+ */
+
+#define M3_PARTICLE 48          /* _PARTICLE_RECORD: pos @0, vel @24 */
+#define M3_VEL 24
+#define M3_CELL 32              /* _CELL_RECORD: accumulators, partner @24 */
+#define M3_PARTNER 24
+#define M3_TABLE 2048           /* _TABLE_SIZE */
+#define M3_MOVE 60              /* _MOVE_COMPUTE */
+#define M3_COLLIDE 60           /* _COLLIDE_COMPUTE */
+#define M3_ACCUM 15             /* _ACCUM_COMPUTE */
+#define M3_BOOKKEEPING 20
+#define M3_LOCK 0               /* _GLOBAL_LOCK */
+#define M3_WORDS 24             /* the longest chunk: a step's tail */
+#define M3_COUNT_MAX (1LL << 32)        /* particles, steps */
+#define M3_DIM_MAX (1LL << 20)          /* cells along one axis */
+#define M3_PROCS_MAX (1LL << 16)
+#define M3_SPEED_MAX 1024.0     /* |velocity| accepted: walls reflect a
+                                   particle back within |v| / 2 folds */
+#define M3_LIMIT (1LL << 60)    /* region bases below this */
+
+enum { M3_POS, M3_VELS, M3_PARTNERS, M3_DRAWS, M3_VIEWS };
+
+/* What a run's processes share; its capsule is theirs. */
+typedef struct {
+    Py_buffer views[M3_VIEWS];
+    double *pos, *vel;          /* [particle * 3 + axis] */
+    long long *partner;         /* [cell]: the last particle seen, or -1 */
+    const double *draws;        /* [step * n + particle] */
+    long long n, steps, nx, ny, nz, n_procs;
+    double p_col;
+    long long pbase, cbase, gbase, tbase;
+    PyObject *chunk_type;
+} M3Run;
+
+static const char M3_RUN_NAME[] = "repro.trace.engine._native.mp3d";
+
+/* Where a process stands: what its next step does. */
+enum { M3_STEP, M3_ADVANCE, M3_PAIR, M3_COLLIDE_NOW, M3_SETTLE };
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *owner;            /* the run's capsule */
+    M3Run *run;
+    long long proc, step, particle, cell, partner;
+    long long carry;            /* the last particle's partner slot, to be
+                                   written first; -1: none */
+    int phase;
+    long long words[M3_WORDS];
+} M3Process;
+
+/* The module's state: the process type, made at init. */
+typedef struct {
+    PyTypeObject *mp3d_process;
+} ModuleState;
+
+static void
+m3_run_free(PyObject *capsule)
+{
+    M3Run *run = PyCapsule_GetPointer(capsule, M3_RUN_NAME);
+    if (!run)
+        return;
+    for (int k = 0; k < M3_VIEWS; k++)
+        PyBuffer_Release(&run->views[k]);
+    Py_XDECREF(run->chunk_type);
+    PyMem_Free(run);
+}
+
+/* ``_in_wedge``: a ramp in the middle of the tunnel floor. */
+static inline int
+m3_in_wedge(const double *pos)
+{
+    return 0.45 <= pos[0] && pos[0] <= 0.75 && pos[1] <= (pos[0] - 0.45) * 1.2;
+}
+
+/* ``_advance``: a ballistic move, reflecting walls in y and z (as often as
+ * it takes: a speed above 1 carries a particle past the far wall too),
+ * re-entry in x, and the wedge. */
+static void
+m3_advance(M3Run *r, long long particle)
+{
+    double *pos = r->pos + 3 * particle, *vel = r->vel + 3 * particle;
+    pos[0] += vel[0];
+    pos[1] += vel[1];
+    pos[2] += vel[2];
+    for (int axis = 1; axis < 3; axis++) {
+        for (;;) {
+            if (pos[axis] < 0.0) {
+                pos[axis] = -pos[axis];
+                vel[axis] = -vel[axis];
+            }
+            else if (pos[axis] > 1.0) {
+                pos[axis] = 2.0 - pos[axis];
+                vel[axis] = -vel[axis];
+            }
+            else {
+                break;
+            }
+        }
+    }
+    while (pos[0] > 1.0)
+        pos[0] -= 1.0;
+    while (pos[0] < 0.0)
+        pos[0] += 1.0;
+    if (m3_in_wedge(pos)) {
+        vel[0] = -fabs(vel[0]) * 0.8;
+        vel[1] = fabs(vel[1]) + 0.02;
+    }
+}
+
+/* ``min(int(x * n), n - 1)`` for a coordinate the walls keep in [0, 1];
+ * anything else is clamped into the grid, never cast out of range. */
+static inline long long
+m3_coordinate(double x, long long n)
+{
+    double scaled = x * (double)n;
+    if (!(scaled >= 0.0))
+        return 0;
+    if (scaled >= (double)(n - 1))
+        return n - 1;
+    return (long long)scaled;
+}
+
+/* ``cell_index_of`` */
+static long long
+m3_cell(const M3Run *r, long long particle)
+{
+    const double *pos = r->pos + 3 * particle;
+    return (m3_coordinate(pos[0], r->nx) * r->ny
+            + m3_coordinate(pos[1], r->ny)) * r->nz
+           + m3_coordinate(pos[2], r->nz);
+}
+
+/* ``_collide``: both new velocities from the old ones. */
+static void
+m3_collide(M3Run *r, long long particle, long long partner)
+{
+    double *v1 = r->vel + 3 * particle, *v2 = r->vel + 3 * partner;
+    for (int k = 0; k < 3; k++) {
+        double a = v1[k], b = v2[k];
+        v1[k] = 0.5 * (a + b) + 0.5 * (b - a);
+        v2[k] = 0.5 * (a + b) + 0.5 * (a - b);
+    }
+}
+
+/* ``words`` (``size`` bytes of them) after the first ``n`` of ``w``; the
+ * new count. */
+static inline int
+m3_put(long long *w, int n, const long long *words, size_t size)
+{
+    memcpy(w + n, words, size);
+    return n + (int)(size / sizeof *words);
+}
+
+/* The particle's first chunk -- load it, look the cross-section table up,
+ * charge the move -- behind the partner-slot write the last one carried;
+ * past the processor's last particle, the step's tail instead. */
+static int
+m3_begin(M3Process *p)
+{
+    const M3Run *r = p->run;
+    long long *w = p->words;
+    int n = 0;
+    if (p->carry >= 0) {
+        w[n++] = OP_WRITE;
+        w[n++] = p->carry;
+    }
+    if (p->particle < r->n) {
+        long long paddr = r->pbase + p->particle * M3_PARTICLE;
+        long long slot = (p->particle * 37 + p->step * 11) % (M3_TABLE / 8);
+        const long long load[] = {
+            OP_READ_SPAN, paddr, M3_PARTICLE, 8,
+            OP_READ, r->tbase + slot * 8,
+            OP_READ, r->tbase + (slot * 8 + 256) % M3_TABLE,
+            OP_COMPUTE, M3_MOVE,
+        };
+        p->phase = M3_ADVANCE;
+        return m3_put(w, n, load, sizeof load);
+    }
+    const long long arrive[] = {OP_BARRIER, 0, r->n_procs};
+    const long long bookkeeping[] = {
+        OP_LOCK_ACQ, M3_LOCK, OP_READ, r->gbase, OP_COMPUTE, M3_BOOKKEEPING,
+        OP_WRITE, r->gbase, OP_LOCK_REL, M3_LOCK,
+    };
+    const long long leave[] = {OP_BARRIER, 1, r->n_procs};
+    n = m3_put(w, n, arrive, sizeof arrive);
+    if (p->proc == 0)
+        n = m3_put(w, n, bookkeeping, sizeof bookkeeping);
+    p->step++;
+    p->phase = M3_STEP;
+    return m3_put(w, n, leave, sizeof leave);
+}
+
+/* The cell remembers the particle, whose slot write the next chunk
+ * carries, and the next particle begins. */
+static int
+m3_settle(M3Process *p)
+{
+    M3Run *r = p->run;
+    r->partner[p->cell] = p->particle;
+    p->carry = r->cbase + p->cell * M3_CELL + M3_PARTNER;
+    p->particle += r->n_procs;
+    return m3_begin(p);
+}
+
+/* One resume of ``_MP3DRun.process``: the next chunk's words into the
+ * process's own (``*words`` points at them), how many; 0 once the process
+ * has ended, -1 on error. */
+static int
+m3_step(PyObject *self, const long long **words)
+{
+    M3Process *p = (M3Process *)self;
+    M3Run *r = p->run;
+    long long *w = p->words;
+    long long paddr = r->pbase + p->particle * M3_PARTICLE;
+    int n;
+    switch (p->phase) {
+    case M3_STEP:
+        if (p->step >= r->steps)
+            return 0;
+        p->particle = p->proc;
+        p->carry = -1;
+        n = m3_begin(p);
+        break;
+    case M3_ADVANCE: {
+        /* write the moved position, update the space cell's accumulators,
+         * read its partner slot */
+        m3_advance(r, p->particle);
+        p->cell = m3_cell(r, p->particle);
+        long long caddr = r->cbase + p->cell * M3_CELL;
+        const long long update[] = {
+            OP_WRITE_SPAN, paddr, 24, 8,
+            OP_READ_SPAN, caddr, 24, 8,
+            OP_COMPUTE, M3_ACCUM,
+            OP_WRITE_SPAN, caddr, 24, 8,
+            OP_READ, caddr + M3_PARTNER,
+        };
+        n = m3_put(w, 0, update, sizeof update);
+        p->phase = M3_PAIR;
+        break;
+    }
+    case M3_PAIR: {
+        /* pair with the last particle that visited the cell, whoever
+         * owns it */
+        long long partner = r->partner[p->cell];
+        if (partner < -1 || partner >= r->n) {
+            PyErr_Format(PyExc_ValueError, "cell %lld names particle %lld "
+                         "of %lld", p->cell, partner, r->n);
+            return -1;
+        }
+        if (partner < 0 || partner == p->particle
+                || !(r->draws[p->step * r->n + p->particle] < r->p_col)) {
+            n = m3_settle(p);
+            break;
+        }
+        p->partner = partner;
+        const long long load[] = {
+            OP_READ_SPAN, r->pbase + partner * M3_PARTICLE + M3_VEL, 24, 8,
+            OP_COMPUTE, M3_COLLIDE,
+        };
+        n = m3_put(w, 0, load, sizeof load);
+        p->phase = M3_COLLIDE_NOW;
+        break;
+    }
+    case M3_COLLIDE_NOW: {
+        m3_collide(r, p->particle, p->partner);
+        long long vaddr = r->pbase + p->partner * M3_PARTICLE + M3_VEL;
+        long long mine = paddr + M3_VEL;
+        const long long store[] = {
+            OP_WRITE, vaddr, OP_WRITE, mine,
+            OP_WRITE, vaddr + 8, OP_WRITE, mine + 8,
+            OP_WRITE, vaddr + 16, OP_WRITE, mine + 16,
+        };
+        n = m3_put(w, 0, store, sizeof store);
+        p->phase = M3_SETTLE;
+        break;
+    }
+    default:    /* M3_SETTLE */
+        n = m3_settle(p);
+        break;
+    }
+    *words = w;
+    return n;
+}
+
+/* ``next(process)``: the chunk as ``chunk_type(list)``. */
+static PyObject *
+m3_next(PyObject *self)
+{
+    const long long *words;
+    int n = m3_step(self, &words);
+    if (n <= 0)
+        return NULL;    /* ended (no error set), or failed */
+    PyObject *list = words_list(words, n);
+    if (!list)
+        return NULL;
+    PyObject *chunk = PyObject_CallOneArg(((M3Process *)self)->run->chunk_type,
+                                          list);
+    Py_DECREF(list);
+    return chunk;
+}
+
+/* ``process.send(value)``: ``value`` is ignored, as MP3D's yields ignore
+ * theirs. */
+static PyObject *
+m3_send(PyObject *self, PyObject *value)
+{
+    (void)value;
+    PyObject *chunk = m3_next(self);
+    if (!chunk && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return chunk;
+}
+
+static void
+m3_dealloc(PyObject *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    Py_XDECREF(((M3Process *)self)->owner);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+static PyMethodDef process_methods[] = {
+    {"send", m3_send, METH_O,
+     "Resume the process (the value sent is ignored): its next chunk."},
+    {NULL, NULL, 0, NULL},
+};
+
+/* mp3d_processes(pos, vel, cell_partner, draws, steps, grid, n_procs,
+ *                collision_probability, bases, chunk_type)
+ *
+ * ``pos``/``vel``: writable float64, three per particle; ``cell_partner``:
+ * writable int64, one per cell of the ``(nx, ny, nz)`` grid; ``draws``:
+ * float64, ``steps`` rows of one per particle; ``bases``: the particles',
+ * space cells', globals' and cross-section table's; ``chunk_type``: what
+ * ``next()`` wraps a chunk's list in.  Returns a list of one process per
+ * processor. */
+static PyObject *
+native_mp3d_processes(PyObject *module, PyObject *args)
+{
+    PyObject *objs[M3_VIEWS], *grid, *bases, *chunk_type;
+    long long steps, n_procs, dims[3];
+    double p_col;
+    if (!PyArg_ParseTuple(args, "OOOOLO!LdO!O", &objs[M3_POS],
+                          &objs[M3_VELS], &objs[M3_PARTNERS],
+                          &objs[M3_DRAWS], &steps, &PyTuple_Type, &grid,
+                          &n_procs, &p_col, &PyTuple_Type, &bases,
+                          &chunk_type))
+        return NULL;
+    const int floats[M3_VIEWS] = {1, 1, 0, 1};
+    const int writable[M3_VIEWS] = {1, 1, 1, 0};
+    const char *names[M3_VIEWS] = {"positions", "velocities",
+                                   "cell partners", "collision draws"};
+
+    PyObject *capsule = NULL, *result = NULL;
+    M3Run *r = PyMem_Calloc(1, sizeof(M3Run));
+    if (!r)
+        return PyErr_NoMemory();
+    Py_ssize_t lens[M3_VIEWS];
+    for (int k = 0; k < M3_VIEWS; k++)
+        if ((lens[k] = typed_view(objs[k], &r->views[k], 8, floats[k],
+                                  writable[k], names[k])) < 0)
+            goto fail;
+    r->pos = r->views[M3_POS].buf;
+    r->vel = r->views[M3_VELS].buf;
+    r->partner = r->views[M3_PARTNERS].buf;
+    r->draws = r->views[M3_DRAWS].buf;
+    r->n = lens[M3_POS] / 3;
+    if (lens[M3_POS] % 3 || r->n < 1 || r->n > M3_COUNT_MAX
+            || lens[M3_VELS] != lens[M3_POS]) {
+        PyErr_SetString(PyExc_ValueError, "positions and velocities must "
+                        "be three floats for each of the same particles");
+        goto fail;
+    }
+    if (steps < 1 || steps > M3_COUNT_MAX || lens[M3_DRAWS] % r->n
+            || lens[M3_DRAWS] / r->n != steps) {
+        PyErr_SetString(PyExc_ValueError, "need one collision draw per step "
+                        "and particle");
+        goto fail;
+    }
+    if (PyTuple_GET_SIZE(grid) != 3 || PyTuple_GET_SIZE(bases) != 4) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the grid is three sizes and the bases four");
+        goto fail;
+    }
+    for (int k = 0; k < 3; k++) {
+        if (get_ll_item(grid, k, &dims[k]) < 0)
+            goto fail;
+        if (dims[k] < 2 || dims[k] > M3_DIM_MAX) {
+            PyErr_SetString(PyExc_ValueError, "grid dimensions must lie in "
+                            "[2, 2**20]");
+            goto fail;
+        }
+    }
+    r->nx = dims[0];
+    r->ny = dims[1];
+    r->nz = dims[2];
+    if (lens[M3_PARTNERS] != r->nx * r->ny * r->nz) {
+        PyErr_Format(PyExc_ValueError, "a %lldx%lldx%lld grid has %lld "
+                     "cell partners", r->nx, r->ny, r->nz,
+                     r->nx * r->ny * r->nz);
+        goto fail;
+    }
+    if (n_procs < 1 || n_procs > M3_PROCS_MAX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "processors must number [1, 2**16]");
+        goto fail;
+    }
+    if (!(p_col >= 0.0 && p_col <= 1.0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "collision_probability must lie in [0, 1]");
+        goto fail;
+    }
+    long long *base[4] = {&r->pbase, &r->cbase, &r->gbase, &r->tbase};
+    for (int k = 0; k < 4; k++) {
+        if (get_ll_item(bases, k, base[k]) < 0)
+            goto fail;
+        if (*base[k] < 0 || *base[k] >= M3_LIMIT) {
+            PyErr_SetString(PyExc_ValueError,
+                            "region bases must lie in [0, 2**60)");
+            goto fail;
+        }
+    }
+    for (Py_ssize_t k = 0; k < lens[M3_POS]; k++) {
+        if (!(r->pos[k] >= 0.0 && r->pos[k] <= 1.0)) {
+            PyErr_Format(PyExc_ValueError, "particle %zd is outside the "
+                         "tunnel", k / 3);
+            goto fail;
+        }
+        if (!(fabs(r->vel[k]) <= M3_SPEED_MAX)) {
+            PyErr_Format(PyExc_ValueError, "particle %zd's velocity must "
+                         "be finite and at most %d along each axis", k / 3,
+                         (int)M3_SPEED_MAX);
+            goto fail;
+        }
+    }
+    for (Py_ssize_t k = 0; k < lens[M3_PARTNERS]; k++)
+        if (r->partner[k] < -1 || r->partner[k] >= r->n) {
+            PyErr_Format(PyExc_ValueError, "cell %zd names particle %lld "
+                         "of %lld", k, r->partner[k], r->n);
+            goto fail;
+        }
+    if (!PyType_Check(chunk_type)) {
+        PyErr_SetString(PyExc_TypeError, "chunk_type must be a class");
+        goto fail;
+    }
+    r->steps = steps;
+    r->n_procs = n_procs;
+    r->p_col = p_col;
+    Py_INCREF(chunk_type);
+    r->chunk_type = chunk_type;
+
+    M3Run *run = r;
+    if (!(capsule = PyCapsule_New(run, M3_RUN_NAME, m3_run_free)))
+        goto fail;
+    r = NULL;       /* the capsule's now */
+    PyTypeObject *type =
+        ((ModuleState *)PyModule_GetState(module))->mp3d_process;
+    if (!(result = PyList_New((Py_ssize_t)n_procs)))
+        goto fail;
+    for (long long proc = 0; proc < n_procs; proc++) {
+        M3Process *p = (M3Process *)type->tp_alloc(type, 0);
+        if (!p) {
+            Py_CLEAR(result);
+            goto fail;
+        }
+        Py_INCREF(capsule);
+        p->owner = capsule;
+        p->run = run;
+        p->proc = proc;
+        p->phase = M3_STEP;
+        PyList_SET_ITEM(result, proc, (PyObject *)p);
+    }
+    Py_DECREF(capsule);
+    return result;
+
+fail:
+    Py_XDECREF(capsule);
+    if (r) {
+        for (int k = 0; k < M3_VIEWS; k++)
+            PyBuffer_Release(&r->views[k]);
+        Py_XDECREF(r->chunk_type);
+        PyMem_Free(r);
+    }
+    return NULL;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -4426,15 +4981,25 @@ static PyMethodDef methods[] = {
      "Relocate a Barnes-Hut force plan: one array('q') per processor."},
     {"spec_burst", native_spec_burst, METH_VARARGS,
      "Append one SPEC application's next quantum to an array('q')."},
+    {"mp3d_processes", native_mp3d_processes, METH_VARARGS,
+     "One MP3D process per processor over a run state they share."},
     {NULL, NULL, 0, NULL},
 };
+
+static void
+module_free(void *module)
+{
+    ModuleState *state = PyModule_GetState((PyObject *)module);
+    if (state)
+        Py_CLEAR(state->mp3d_process);
+}
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
     "C scheduler, inner loop and synchronization for the timing "
     "interleaver, its fused ladder, the row-profile kernel, the "
-    "force-phase kernel and the SPEC-stream kernel.", -1, methods,
-    NULL, NULL, NULL, NULL,
+    "force-phase kernel, the SPEC-stream kernel and MP3D's processes.",
+    sizeof(ModuleState), methods, NULL, NULL, NULL, module_free,
 };
 
 PyMODINIT_FUNC
@@ -4451,9 +5016,24 @@ PyInit__native(void)
     s_popleft = PyUnicode_InternFromString("popleft");
     if (!s_append || !s_popleft)
         return NULL;
+    PyType_Slot slots[] = {
+        {Py_tp_dealloc, m3_dealloc},
+        {Py_tp_iter, PyObject_SelfIter},
+        {Py_tp_iternext, m3_next},
+        {Py_tp_methods, process_methods},
+        {0, NULL},
+    };
+    PyType_Spec spec = {
+        "repro.trace.engine._native.Mp3dProcess", sizeof(M3Process), 0,
+        Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, slots,
+    };
     PyObject *module = PyModule_Create(&moduledef);
-    if (module
-        && PyModule_AddStringConstant(module, "ABI_VERSION",
+    if (!module)
+        return NULL;
+    ModuleState *state = PyModule_GetState(module);
+    state->mp3d_process = (PyTypeObject *)PyType_FromSpec(&spec);
+    if (!state->mp3d_process
+        || PyModule_AddStringConstant(module, "ABI_VERSION",
                                       ABI_VERSION) < 0) {
         Py_DECREF(module);
         return NULL;

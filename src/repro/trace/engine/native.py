@@ -5,7 +5,8 @@ path -- hits, bank/write-buffer timing, the snoopy miss path with its
 bus arbitration --, scheduling, the locks, barriers and task queues, and
 the resuming of the application generators, whose bodies (with
 instruction-cache refills, the one callback left) are the only python
-executed during a run.  The contract is the reference loop's
+executed during a run -- none at all for MP3D, whose processes are C's
+own and are stepped, not resumed.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors -- and, when the system carries the standard
 :class:`~repro.instrument.probes.InstrumentationProbe`, the same
@@ -28,16 +29,18 @@ that ends, deadlocks or aborts leaves every container as the reference
 loop would, and the next run on the same objects may be either
 engine's.
 
-The extension has four more sections this module only loads: the fused
+The extension has five more sections this module only loads: the fused
 ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
 as the contract), the force-phase kernel (``force_words``, called by
 :mod:`repro.workloads.barnes_hut` with numpy's ``_expand`` as the
-contract) and the SPEC-stream kernel (``spec_burst``, called by
+contract), the SPEC-stream kernel (``spec_burst``, called by
 :meth:`repro.workloads.spec.SpecApp.burst_chunk` with ``burst_packed``
-as the contract).  One build, one ``ABI_VERSION`` check, serves all
-five.  The
+as the contract) and MP3D's processes (``mp3d_processes``, called by
+:meth:`repro.workloads.mp3d.MP3D.processes` with ``_MP3DRun.process`` as
+the contract; ``run`` steps them itself).  One build, one
+``ABI_VERSION`` check, serves all six.  The
 ladder is a second driver of the same memory system: to C a
 ladder rung is what a cluster of a run is -- one SCC, described by
 :func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
@@ -54,7 +57,7 @@ step failed):
    because the repo's documented mode of use is ``PYTHONPATH=src`` from
    a source tree with no install step.  Concurrent builders race safely
    (atomic rename); rebuilds happen only when the source, interpreter,
-   or ``NATIVE_VERSION`` changes.
+   ``NATIVE_VERSION`` or the compiler flags change.
 
 Set ``REPRO_NATIVE=0`` to refuse the extension outright: the
 compiler-less configuration (reference loop, per-size replay for
@@ -90,7 +93,13 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or force-phase entry points)
 #: changes.
-NATIVE_VERSION = "11"
+NATIVE_VERSION = "12"
+
+#: How the on-demand build compiles ``_native.c`` (part of its cache key).
+#: No floating-point contraction: GCC fuses ``a * b + c`` into one
+#: rounding on FMA targets (aarch64), and MP3D's physics and
+#: ``spec_burst``'s comparisons must round as python does.
+_CFLAGS = ("-O2", "-ffp-contract=off")
 
 LOAD_ERROR: Optional[str] = None
 
@@ -147,7 +156,7 @@ def _compiler() -> str:
 
 def _build_key(source: bytes) -> str:
     tag = (f"{sys.version_info[0]}.{sys.version_info[1]}-"
-           f"{NATIVE_VERSION}-").encode() + source
+           f"{NATIVE_VERSION}-{' '.join(_CFLAGS)}-").encode() + source
     return hashlib.sha256(tag).hexdigest()[:16]
 
 
@@ -170,7 +179,7 @@ def _compile_on_demand() -> Optional[object]:
         try:
             cache.mkdir(parents=True, exist_ok=True)
             result = subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", f"-I{include}",
+                [cc, *_CFLAGS, "-shared", "-fPIC", f"-I{include}",
                  str(src), "-o", str(tmp)],
                 capture_output=True, text=True, timeout=120)
             if result.returncode != 0:
@@ -353,7 +362,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     d_refs, d_busy, d_stall, d_icfetch, d_sync = (
         array("q", bytes(8 * nproc)) for _ in range(5))
     d_finish = array("q", [-1] * nproc)
-    misc = array("q", [0, self._seq, 0])    # events, _seq, latest finish
+    # events, _seq, latest finish, generators resumed
+    misc = array("q", [0, self._seq, 0, 0])
     # The processes at rest, by pid: ``_PROCESS_WORDS`` each and what
     # stays an object.  C carries on from a chunk
     # the last run left half-drained and a response it left unsent.
@@ -422,6 +432,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
             processes[pid].in_heap = True
         self._seq = misc[1]
         self.events_processed += misc[0]
+        self.generator_resumes += misc[3]
         for scc, entry in zip(cl_scc, per_cluster):
             settle_scc(scc, entry)
         for p in range(nproc):

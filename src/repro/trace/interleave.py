@@ -171,6 +171,11 @@ class TimingInterleaver:
         self._barriers: Dict[int, List[int]] = {}
         self._queues: Dict[int, Deque[Any]] = {}
         self.events_processed = 0
+        self.generator_resumes = 0
+        """Resumes through the iterator protocol, by either engine: every
+        ``next`` / ``send`` of the reference loop, every ``PyIter_Send``
+        of a native run.  A process the native engine steps itself (an
+        MP3D process, ``_native.c``) writes its chunks without one."""
         # The native engine is only exact for the plain shared-SCC
         # machine: snoopy MSI/MESI protocol, direct-mapped arrays with a
         # power-of-two line count (mask/shift indexing), no observer,
@@ -281,6 +286,7 @@ class TimingInterleaver:
             if max_cycles is not None and process.time > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles")
+            self.generator_resumes += 1
             try:
                 if process.response is not None:
                     event = process.generator.send(process.response)

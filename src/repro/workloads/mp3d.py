@@ -25,20 +25,28 @@ reference:
 
 Like the paper's runs, particles are dealt round-robin (no locality by
 construction) and each step ends at a barrier.
+
+The processes are the native extension's (``mp3d_processes``,
+``trace/engine/_native.c``) when it loads, :meth:`_MP3DRun.process`
+generators when it does not -- resume for resume the same chunks and the
+same physics either way.  Nothing of a run can be remembered for the
+next: the partner slots and the partners' velocities every processor
+reads and writes make each stream depend on the interleaving.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
 from ..core.config import SystemConfig
+from ..trace.engine import native
 from ..trace.events import Barrier, Compute, LockAcquire, LockRelease, Read, Write
 from ..trace.packed import (OP_COMPUTE, OP_READ, OP_READ_SPAN, OP_WRITE,
                             OP_WRITE_SPAN, PackedChunk)
 from .base import TracedApplication
-from .memory import SharedHeap
+from .memory import ArrayRegion, Region, SharedHeap
 
 __all__ = ["MP3D"]
 
@@ -94,13 +102,58 @@ class MP3D(TracedApplication):
                 f"seed={self.seed})")
 
     def processes(self, config: SystemConfig) -> Dict[int, Generator]:
+        kernel = native.load()
+        if kernel is not None:
+            return dict(enumerate(_KernelRun(self, config, kernel).processes))
         run = _MP3DRun(self, config)
         return {proc: run.process(proc)
                 for proc in range(config.total_processors)}
 
 
+def _initial_state(app: MP3D) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, velocities (``(n_particles, 3)`` each) and the collision
+    coin flips (``(steps, n_particles)``) a run starts from."""
+    rng = np.random.default_rng(app.seed)
+    # Particles enter from the left with a strong +x drift (hypersonic
+    # free stream) plus thermal scatter.
+    pos = rng.uniform(0.0, 1.0, size=(app.n_particles, 3))
+    pos[:, 0] *= 0.5                 # start in the left half
+    vel = rng.normal(scale=0.015, size=(app.n_particles, 3))
+    vel[:, 0] += 0.03                # free-stream drift
+    # Per-particle RNGs would be slow; draw per-step random numbers in
+    # bulk, deterministically: one coin flip per particle per step.
+    return pos, vel, rng.uniform(size=(app.steps, app.n_particles))
+
+
+def _layout(app: MP3D) -> Tuple[ArrayRegion, ArrayRegion, Region, Region]:
+    """The shared heap of a run: the particles, the space cells, the
+    global counters and the read-only collision cross-section table (read
+    by every processor; its lines live SHARED in every SCC)."""
+    nx, ny, nz = app.grid
+    heap = SharedHeap()
+    return (heap.alloc_array("particles", app.n_particles, _PARTICLE_RECORD),
+            heap.alloc_array("space", nx * ny * nz, _CELL_RECORD),
+            heap.alloc("globals", 64),
+            heap.alloc("xsection", _TABLE_SIZE))
+
+
+class _KernelRun:
+    """One MP3D run whose processes are C's: ``_MP3DRun``'s state, in the
+    numpy buffers the processes read and write in place."""
+
+    def __init__(self, app: MP3D, config: SystemConfig, kernel):
+        self.pos, self.vel, draws = _initial_state(app)
+        regions = _layout(app)
+        self.cell_partner = np.full(regions[1].count, -1, dtype=np.int64)
+        self.processes = kernel.mp3d_processes(
+            self.pos, self.vel, self.cell_partner, draws, app.steps,
+            app.grid, config.total_processors, app.collision_probability,
+            tuple(region.base for region in regions), PackedChunk)
+
+
 class _MP3DRun:
-    """Shared state of one MP3D run."""
+    """Shared state of one MP3D run on python generators: the reference
+    the C processes are held to."""
 
     def __init__(self, app: MP3D, config: SystemConfig):
         self.app = app
@@ -108,30 +161,15 @@ class _MP3DRun:
         self.n_procs = config.total_processors
         nx, ny, nz = app.grid
         self.n_cells = nx * ny * nz
-        rng = np.random.default_rng(app.seed)
-        # Particles enter from the left with a strong +x drift (hypersonic
-        # free stream) plus thermal scatter.  The draws are numpy's; the
-        # physics then runs on python floats (``[x, y, z]`` per particle):
-        # the same IEEE doubles, component by component, without an
-        # ``ndarray`` scalar per access.
-        pos = rng.uniform(0.0, 1.0, size=(app.n_particles, 3))
-        pos[:, 0] *= 0.5                 # start in the left half
-        vel = rng.normal(scale=0.015, size=(app.n_particles, 3))
-        vel[:, 0] += 0.03                # free-stream drift
+        # The physics runs on python floats (``[x, y, z]`` per particle):
+        # the same IEEE doubles as the numpy draws, component by
+        # component, without an ``ndarray`` scalar per access.
+        pos, vel, collision_draw = _initial_state(app)
         self.pos: List[List[float]] = pos.tolist()
         self.vel: List[List[float]] = vel.tolist()
-        # Per-particle RNGs would be slow; draw per-step random numbers in
-        # bulk, deterministically.
-        self._rng = rng
-        heap = SharedHeap()
-        self.particle_region = heap.alloc_array(
-            "particles", app.n_particles, _PARTICLE_RECORD)
-        self.cell_region = heap.alloc_array(
-            "space", self.n_cells, _CELL_RECORD)
-        self.globals_region = heap.alloc("globals", 64)
-        # Read-only collision cross-section lookup table (read-shared by
-        # every processor; its lines live SHARED in every SCC).
-        self.table_region = heap.alloc("xsection", _TABLE_SIZE)
+        self.collision_draw: List[List[float]] = collision_draw.tolist()
+        (self.particle_region, self.cell_region, self.globals_region,
+         self.table_region) = _layout(app)
         # Last particle index seen in each cell (collision partner slot).
         self.cell_partner: List[int] = [-1] * self.n_cells
         # Static round-robin particle assignment: no locality, as in the
@@ -140,9 +178,6 @@ class _MP3DRun:
             list(range(proc, app.n_particles, self.n_procs))
             for proc in range(self.n_procs)
         ]
-        # Pre-drawn collision coin flips, one per particle per step.
-        self.collision_draw: List[List[float]] = rng.uniform(
-            size=(app.steps, app.n_particles)).tolist()
 
     # -- geometry -----------------------------------------------------------
 
@@ -259,16 +294,21 @@ class _MP3DRun:
         pos[1] += vel[1]
         pos[2] += vel[2]
         # Reflect off tunnel walls in y and z; recycle in x (wind tunnel).
+        # As often as it takes: the wedge speeds a particle up on every
+        # visit, and above a speed of 1 one step can cross the tunnel.
         for axis in (1, 2):
-            if pos[axis] < 0.0:
-                pos[axis] = -pos[axis]
-                vel[axis] = -vel[axis]
-            elif pos[axis] > 1.0:
-                pos[axis] = 2.0 - pos[axis]
-                vel[axis] = -vel[axis]
-        if pos[0] > 1.0:
+            while True:
+                if pos[axis] < 0.0:
+                    pos[axis] = -pos[axis]
+                    vel[axis] = -vel[axis]
+                elif pos[axis] > 1.0:
+                    pos[axis] = 2.0 - pos[axis]
+                    vel[axis] = -vel[axis]
+                else:
+                    break
+        while pos[0] > 1.0:
             pos[0] -= 1.0          # re-enter at the inlet
-        elif pos[0] < 0.0:
+        while pos[0] < 0.0:
             pos[0] += 1.0
         if self._in_wedge(particle):
             vel[0] = -abs(vel[0]) * 0.8   # bounce back off the ramp

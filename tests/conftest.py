@@ -47,6 +47,10 @@ LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
 #: ... and one in the SPEC-stream kernel, which every engine calls: the
 #: word of a hot line is the other one of its pair.
 SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")
+#: ... and one in MP3D's C processes, which every engine runs: a
+#: particle's partner-slot write is dropped instead of carried into the
+#: next chunk.
+MP3D_PARTNER_CARRY = ("if (p->carry >= 0) {", "if (0) {")
 
 
 def unpacked(app):

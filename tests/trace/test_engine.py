@@ -209,10 +209,12 @@ class TestNativeScheduler:
             calls.append(1)
             return real.run(ctx)
 
-        # (Barnes-Hut relocates its force plan with the same extension)
+        # (Barnes-Hut relocates its force plan with the same extension,
+        # and MP3D's processes are its own)
         monkeypatch.setattr(native, "_mod", SimpleNamespace(
             setup=real.setup, run=counting_run, release=real.release,
-            force_words=real.force_words))
+            force_words=real.force_words,
+            mp3d_processes=real.mp3d_processes))
         interleaver = _quick_8p(application, "native")
         interleaver.run()
         assert interleaver.engine_used == "native"
@@ -1026,8 +1028,72 @@ def _cut_run(engines, cut=150):
     }
 
 
+def _mp3d_cut_run(engines, cut=2000):
+    """MP3D's C processes on four processors, run to the end: in one go
+    (one engine), or cut by ``max_cycles=cut`` and carried on by the second
+    engine.  Each process stands in a chunk it wrote -- a native run hands
+    the words back as a list -- and the one the limit stopped stands part
+    way through its chunk."""
+    from repro.core.config import SystemConfig
+    from repro.workloads.mp3d import MP3D
+    config = SystemConfig(clusters=2, processors_per_cluster=2,
+                          scc_size=1024)
+    processes = MP3D(n_particles=48, steps=2).processes(config)
+    system, interleaver = _interleaver(
+        config, {pid: lambda process=process: process
+                 for pid, process in processes.items()}, engines[0])
+    at_the_cut = None
+    if len(engines) == 2:
+        with pytest.raises(RuntimeError, match=f"exceeded {cut} cycles"):
+            interleaver.run(max_cycles=cut)
+        assert interleaver.engine_used == engines[0]
+        at_the_cut = dict(
+            _sync_state(interleaver), ready=sorted(interleaver._heap),
+            standing={pid: (process.time, process.chunk
+                            and list(process.chunk), process.chunk_pos,
+                            process.chunk_sub)
+                      for pid, process in interleaver._processes.items()})
+        stopped, = [process for process in interleaver._processes.values()
+                    if not (process.finished or process.blocked
+                            or process.in_heap)]
+        at_the_cut["stopped"] = stopped.pid
+        interleaver._push(stopped)
+        interleaver.backend = engines[1]
+    finish = interleaver.run()
+    assert interleaver.engine_used == engines[-1]
+    system.check_invariants()
+    return at_the_cut, {
+        "finish": finish,
+        "events": interleaver.events_processed,
+        "clocks": {pid: process.time for pid, process
+                   in interleaver._processes.items()},
+        "stats": system.stats(finish).as_dict(),
+        "sync": _sync_state(interleaver),
+        "seq": interleaver._seq - (len(engines) == 2),
+    }
+
+
 @needs_native
 class TestStateContinuity:
+    def test_an_mp3d_process_stopped_mid_chunk_carries_on(self):
+        """A native run cut mid-chunk leaves each C process's place in
+        the words it wrote as the reference loop leaves it -- the words
+        themselves, ``chunk_pos``, ``chunk_sub`` -- and either engine
+        carries on from there to the end one uncut run reaches."""
+        _, reference = _mp3d_cut_run(["python"])
+        assert _mp3d_cut_run(["native"])[1] == reference
+        cuts = {}
+        for engines in [("python", "python"), ("python", "native"),
+                        ("native", "python"), ("native", "native")]:
+            cuts[engines], outcome = _mp3d_cut_run(engines)
+            assert outcome == reference, engines
+        cut = cuts["python", "python"]
+        assert all(other == cut for other in cuts.values())
+        # not vacuous: the stopped process stands inside a chunk it wrote
+        _, words, pos, sub = cut["standing"][cut["stopped"]]
+        assert 0 < pos < len(words) or sub > 0
+
+
     def test_fills_outstanding_across_two_runs(self):
         reference = _two_runs("python", "python")
         # not vacuous: three fills land after the boundary (222), and
@@ -1148,7 +1214,7 @@ class TestNativeAbiGuard:
         assert exported == {"ABI_VERSION", "setup", "run", "release",
                             "ladder_setup", "ladder_drain",
                             "ladder_release", "row_profile", "force_words",
-                            "spec_burst"}
+                            "spec_burst", "mp3d_processes"}
 
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
@@ -1165,9 +1231,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "11"
+        assert native.NATIVE_VERSION == "12"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '11'")
+            "stale extension old.so: ABI '5', need '12'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()
@@ -1406,8 +1472,8 @@ def test_extension_compiles_warning_free(tmp_path):
     if shutil.which(cc) is None:    # a prebuilt extension, no toolchain
         pytest.skip(f"no C compiler ({cc}) to build the extension with")
     result = subprocess.run(
-        [cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
-         f"-I{sysconfig.get_paths()['include']}",
+        [cc, *native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-shared",
+         "-fPIC", f"-I{sysconfig.get_paths()['include']}",
          str(native._source_path()), "-o", str(tmp_path / "_native.so")],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -1431,6 +1497,7 @@ def test_native_source_keeps_no_mutable_state_at_file_scope():
     assert mutable == {
         # interned at init, read-only afterwards
         "g_deque", "s_append", "s_popleft",
-        # the module's own tables
-        "methods", "moduledef"}
+        # the module's own tables, and its MP3D process type's (the type
+        # itself is the module's state, made at init)
+        "methods", "moduledef", "process_methods"}
     assert len(declared) > len(mutable)     # (the const ones were seen)

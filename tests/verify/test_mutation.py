@@ -25,7 +25,9 @@ engines' to report, and one in what only a ladder has
 kernel writes the multiprogramming workload's words for every engine
 alike, so the differ has no baseline to hold a mutant there
 (``SPEC_HOT_PARITY``) against: the kernel's parity test with
-``burst_packed`` is what fails."""
+``burst_packed`` is what fails.  So do MP3D's C processes, which every
+engine runs: a mutant there (``MP3D_PARTNER_CARRY``) fails their parity
+test with ``_MP3DRun.process``."""
 
 import pytest
 
@@ -35,9 +37,11 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN, LADDER_SKEW,
-                        READ_MISS_DONE, READY_TIE_BREAK, SPEC_HOT_PARITY,
-                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
-                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+                        MP3D_PARTNER_CARRY, READ_MISS_DONE, READY_TIE_BREAK,
+                        SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
+                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
+                        WRITEBACK_HOLDS_BUS)
+from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
 
 # The mutant cannot be built without a compiler; skip with the loader's
@@ -299,6 +303,17 @@ class TestSpecKernelMutationIsCaught:
                             mutant_native(*SPEC_HOT_PARITY))
         with pytest.raises(AssertionError):
             assert_kernel_matches(0, 8)
+
+
+@needs_native
+class TestMp3dProcessMutationIsCaught:
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_dropped_partner_carry_fails_the_process_parity_test(
+            self, backend, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*MP3D_PARTNER_CARRY))
+        with pytest.raises(AssertionError):
+            assert_process_matches(7, 2, 1024, backend)
 
 
 class TestUnmutatedBaseline:
