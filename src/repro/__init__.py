@@ -33,7 +33,7 @@ from .core.system import MultiprocessorSystem
 from .instrument import InstrumentationProbe, write_chrome_trace
 from .simulation import SimulationResult, build_system, run_simulation
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "KB",

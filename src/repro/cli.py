@@ -58,7 +58,6 @@ from typing import List, Optional
 from .core.config import KB, SystemConfig
 from .experiments.spec import KNOWN_BENCHMARKS
 from .simulation import run_simulation
-from .trace.engine import BACKEND_CHOICES
 
 __all__ = ["main"]
 
@@ -138,9 +137,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
                         help="skip the per-point observability digest "
                              "(uniprocessor rows then replay as one "
                              "fused ladder pass, not once per size)")
-    parser.add_argument("--no-fused", action="store_true",
-                        help="disable the one-pass multi-configuration "
-                             "ladder engine")
     parser.add_argument("--fidelity", default="fused",
                         choices=("analytical", "fused", "full"),
                         help="resolution tier: analytical prices every "
@@ -148,12 +144,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
                              "(repro.model, no simulation), fused allows "
                              "the exact replay engines (default), full "
                              "forces per-point simulation")
-    parser.add_argument("--backend", default=None,
-                        choices=BACKEND_CHOICES,
-                        help="packed-replay engine for simulated points "
-                             "(execution knob: results and caches are "
-                             "backend-independent; default: "
-                             "$REPRO_ENGINE, then auto)")
     parser.add_argument("--retries", type=int, default=2, metavar="N",
                         help="retries per failing point before it is "
                              "quarantined (default 2)")
@@ -379,11 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="worker processes for uncached points "
                                "(local evaluation only)")
-    optimize.add_argument("--backend", default=None,
-                          choices=BACKEND_CHOICES,
-                          help="packed-replay engine for simulated "
-                               "points (default: $REPRO_ENGINE, then "
-                               "auto)")
 
     commands.add_parser("list", help="list benchmarks and experiments")
     return parser
@@ -447,7 +432,7 @@ def _cmd_sweep(args) -> int:
                            progress=_sweep_progress)
     result = session.run()
     print(result.summary(), flush=True)
-    degraded = engine_degradation(spec.backend)
+    degraded = engine_degradation()
     if degraded is not None:
         print(f"engine: {degraded}", flush=True)
     if result.quarantined:
@@ -855,7 +840,7 @@ def _cmd_optimize(args) -> int:
     evaluator = FunnelEvaluator(
         profile, benchmarks=args.benchmarks,
         budget=BudgetLedger(budgets or None),
-        client=client, jobs=args.jobs, backend=args.backend)
+        client=client, jobs=args.jobs)
 
     print(f"searching {len(space.procs)} x {len(space.ladder)} grid "
           f"points x knobs (seed {args.seed}, "
@@ -872,7 +857,7 @@ def _cmd_optimize(args) -> int:
         return 1
     print()
     print(render_frontier(result))
-    degraded = engine_degradation(args.backend)
+    degraded = engine_degradation()
     if degraded is not None:
         print(f"engine: {degraded}", flush=True)
     return 0 if result.rediscovers_paper() else 1

@@ -132,20 +132,20 @@ def _stats_from_result(result, probe=None) -> RunStats:
     )
 
 
-def _simulate(application, config: SystemConfig, instrument: bool,
-              backend: Optional[str] = None) -> RunStats:
-    """One simulation of any workload object, reduced to RunStats."""
+def _simulate(application, config: SystemConfig,
+              instrument: bool) -> RunStats:
+    """One simulation of any workload object, reduced to RunStats, on
+    the engine this process resolves (``$REPRO_ENGINE``, the loader)."""
     probe = (InstrumentationProbe(bin_width=INSTRUMENT_BIN_WIDTH,
                                   record_events=False)
              if instrument else None)
-    result = run_simulation(config, application, instrumentation=probe,
-                            backend=backend)
+    result = run_simulation(config, application, instrumentation=probe)
     return _stats_from_result(result, probe)
 
 
 def row_tape(workload, config: SystemConfig,
              trace_cache: Optional[TraceCache], key: Optional[str],
-             instrument: bool, backend: Optional[str]):
+             instrument: bool):
     """Find or record one grid row's tape: ``(streams, recording_stats)``.
 
     A trace-cache hit under ``key`` is ``(streams, None)``.  Otherwise
@@ -161,14 +161,13 @@ def row_tape(workload, config: SystemConfig,
     if streams is not None:
         return streams, None
     recorder = StreamRecorder(workload)
-    stats = _simulate(recorder, config, instrument, backend)
+    stats = _simulate(recorder, config, instrument)
     if cached and recorder.streams is not None:
         trace_cache.put(key, recorder.streams)
     return recorder.streams, stats
 
 
 def replay_row(configs: List[SystemConfig], streams, instrument: bool,
-               fused: bool, backend: Optional[str],
                name: str) -> Iterator[RunStats]:
     """Time one recorded row on each of ``configs``, yielding every
     rung's :class:`RunStats` in order, as soon as it is known.
@@ -181,15 +180,14 @@ def replay_row(configs: List[SystemConfig], streams, instrument: bool,
     results are bit-identical by construction (pinned by
     ``tests/equivalence``).  Multi-process rows never qualify.
     """
-    if (fused and not instrument and len(configs) > 1
+    if (not instrument and len(configs) > 1
             and set(streams) == {0} and fused_ladder_supported(configs)):
-        for result in fused_ladder_results(configs, streams,
-                                           backend=backend):
+        for result in fused_ladder_results(configs, streams):
             yield _stats_from_result(result)
         return
     for config in configs:
         yield _simulate(ReplayApplication(streams, name=name), config,
-                        instrument, backend)
+                        instrument)
 
 
 # ----------------------------------------------------------------------
@@ -223,18 +221,6 @@ def process_workload(benchmark: str, profile: ExperimentProfile):
         workload = _WORKER_WORKLOADS.setdefault(
             key, profile.workload(benchmark))
     return workload
-
-
-def _compute_point_pooled(benchmark: str, profile: ExperimentProfile,
-                          config: SystemConfig,
-                          instrument: bool = True,
-                          backend: Optional[str] = None) -> RunStats:
-    """Simulate one configuration live on this process's workload object
-    -- a pool worker's under ``--jobs N``, a fabric worker thread's, or
-    the sweep's own when it runs serially (module-level so
-    ``ProcessPoolExecutor`` can pickle it)."""
-    return _simulate(process_workload(benchmark, profile), config,
-                     instrument, backend)
 
 
 def _pool_worker_init() -> None:

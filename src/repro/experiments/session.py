@@ -44,8 +44,8 @@ from typing import Callable, Dict, List, Optional
 from ..diskstore import atomic_write, cache_root
 from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache, default_trace_cache
-from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
-                     _shutdown_pool, _worker_pool, default_cache,
+from .runner import (ResultCache, RunStats, Sweep, _shutdown_pool,
+                     _simulate, _worker_pool, default_cache,
                      process_workload, replay_row, row_tape)
 from .spec import GridPoint, SweepSpec, point_cache_key
 
@@ -187,12 +187,15 @@ def _maybe_inject_fault(point: GridPoint) -> None:
 
 
 def _point_task(benchmark, profile, config, instrument,
-                point: GridPoint, backend=None) -> RunStats:
-    """One supervised point simulation (module-level so the worker pool
-    can pickle it; fault injection reads the inherited environment)."""
+                point: GridPoint) -> RunStats:
+    """One supervised point simulation, live on this process's workload
+    object -- a pool worker's under ``--jobs N``, a fabric worker
+    thread's, or the sweep's own when it runs serially.  Module-level so
+    the worker pool can pickle it; fault injection and ``$REPRO_ENGINE``
+    are read from the inherited environment."""
     _maybe_inject_fault(point)
-    return _compute_point_pooled(benchmark, profile, config, instrument,
-                                 backend)
+    return _simulate(process_workload(benchmark, profile), config,
+                     instrument)
 
 
 class SessionJournal:
@@ -519,7 +522,7 @@ class SweepSession:
                            if profile_cache is not None else None)
             if row_profile is None:
                 streams, stats0 = row_tape(workload, config0, tapes,
-                                           tape_key, False, spec.backend)
+                                           tape_key, False)
                 if streams is None:
                     remainder.extend(row_points)
                     continue
@@ -565,8 +568,7 @@ class SweepSession:
                 remainder.extend(row_points)
                 continue
             streams, stats0 = row_tape(workload, config0, self._tapes(),
-                                       signature, spec.instrument,
-                                       spec.backend)
+                                       signature, spec.instrument)
             if stats0 is not None:
                 self._bank(row_points.pop(0), "replayed", stats0, sweep)
             if streams is None:
@@ -574,7 +576,7 @@ class SweepSession:
                 continue
             rungs = replay_row(
                 [self._configs[point] for point in row_points], streams,
-                spec.instrument, spec.fused, spec.backend, spec.benchmark)
+                spec.instrument, spec.benchmark)
             for point, stats in zip(row_points, rungs):
                 self._bank(point, "replayed", stats, sweep)
         return remainder
@@ -633,8 +635,7 @@ class SweepSession:
                 try:
                     stats = self._compute(spec.benchmark, spec.profile,
                                           self._configs[point],
-                                          spec.instrument, point,
-                                          spec.backend)
+                                          spec.instrument, point)
                 except Exception as exc:
                     if self._record_failure(point, attempts, exc,
                                             quarantined):
@@ -671,8 +672,7 @@ class SweepSession:
                 attempts[point] += 1
                 future = pool.submit(
                     self._compute, spec.benchmark, spec.profile,
-                    self._configs[point], spec.instrument, point,
-                    spec.backend)
+                    self._configs[point], spec.instrument, point)
                 inflight[future] = point
                 if spec.point_timeout is not None:
                     deadlines[future] = now + spec.point_timeout

@@ -2,11 +2,11 @@
 
 :class:`SweepSpec` is the single description of a design-space sweep:
 which workload, which processor counts, which SCC ladder, and how to
-run it (instrumentation, trace/fused policy, worker processes, retry
-budget).  :func:`~repro.experiments.session.run_sweep`, the
-checkpointed :class:`~repro.experiments.session.SweepSession` and the
-fabric all consume one of these instead of threading an ever-growing
-keyword list through every layer.
+run it (instrumentation, fidelity, worker processes, retry budget).
+:func:`~repro.experiments.session.run_sweep`, the checkpointed
+:class:`~repro.experiments.session.SweepSession` and the fabric all
+consume one of these instead of threading an ever-growing keyword list
+through every layer.
 
 This module also owns the experiment profiles (workload sizings) and
 the canonical per-point result-cache key, so a spec can answer both
@@ -202,9 +202,12 @@ class SweepSpec:
     The identity half (``kind``, ``benchmark``, ``profile``, ``ladder``,
     ``procs``, ``instrument``) determines the results bit-for-bit and is
     digested by :meth:`signature`; the execution half (``jobs``,
-    ``fused``, ``max_attempts``, ``point_timeout``, ``retry_backoff``)
-    only controls *how* those results are obtained, so changing it never
-    invalidates a session journal or the result cache.
+    ``max_attempts``, ``point_timeout``, ``retry_backoff``) only controls
+    *how* those results are obtained, so changing it never invalidates a
+    session journal or the result cache.  Which engine computes a point
+    is not the spec's to choose: ``$REPRO_ENGINE`` and the loader decide
+    per process (:mod:`repro.trace.engine`), and the fused ladder runs
+    wherever it applies.
     """
 
     kind: str
@@ -224,9 +227,6 @@ class SweepSpec:
     instrument: bool = True
     """Attach the summary-only observability digest to every point."""
 
-    fused: bool = True
-    """Allow the one-pass multi-configuration ladder engine."""
-
     fidelity: str = "fused"
     """Resolution tier (see :data:`FIDELITIES`).  ``analytical`` is part
     of the spec's *identity* -- its results are model outputs, cached
@@ -243,14 +243,6 @@ class SweepSpec:
     :meth:`describe` (when non-empty; preset sweeps keep their existing
     signatures) and in every :meth:`point_key` via the knob's cache-key
     component."""
-
-    backend: Optional[str] = None
-    """Packed-replay engine for simulated points (``auto``/``python``/
-    ``native``; see :mod:`repro.trace.engine`).  Execution
-    knob only: every backend produces bit-identical statistics, so it is
-    deliberately absent from :meth:`describe`, :meth:`signature` and
-    :meth:`point_key` -- switching engines never invalidates a journal
-    or the result cache.  ``None`` defers to ``$REPRO_ENGINE``."""
 
     jobs: Optional[int] = None
     """Worker processes for uncached points (``None``/1 = serial)."""
@@ -312,10 +304,6 @@ class SweepSpec:
                 cleaned[knob] = value
         object.__setattr__(self, "variants",
                            tuple(sorted(cleaned.items())))
-        if self.backend is not None:
-            from ..trace.engine import BACKEND_CHOICES, RETIRED_BACKENDS
-            _require(self.backend in BACKEND_CHOICES + RETIRED_BACKENDS,
-                     f"backend must be one of {BACKEND_CHOICES}")
         _require(self.jobs is None or self.jobs >= 1,
                  "jobs must be None or >= 1")
         _require(self.max_attempts >= 1, "max_attempts must be >= 1")
@@ -378,8 +366,6 @@ class SweepSpec:
         fidelity = pick("fidelity") or "fused"
         instrument = overrides.pop(
             "instrument", not getattr(args, "no_instrument", False))
-        fused = overrides.pop(
-            "fused", not getattr(args, "no_fused", False))
         ladder = pick("ladder")
         procs = pick("procs")
         knobs = dict(
@@ -387,9 +373,7 @@ class SweepSpec:
             ladder=tuple(ladder) if ladder else None,
             procs=tuple(procs) if procs else PROCS_SWEPT,
             instrument=instrument and fidelity != "analytical",
-            fused=fused and fidelity != "full",
             fidelity=fidelity,
-            backend=pick("backend"),
             jobs=pick("jobs"),
             max_attempts=pick("retries", 2) + 1,
             point_timeout=pick("timeout"),
@@ -492,10 +476,8 @@ class SweepSpec:
             "ladder": list(self.ladder),
             "procs": list(self.procs),
             "instrument": self.instrument,
-            "fused": self.fused,
             "fidelity": self.fidelity,
             "variants": [list(pair) for pair in self.variants],
-            "backend": self.backend,
             "jobs": self.jobs,
             "max_attempts": self.max_attempts,
             "point_timeout": self.point_timeout,
@@ -505,8 +487,10 @@ class SweepSpec:
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepSpec":
         """Rebuild (and re-validate) a spec from :meth:`to_wire`.  Keys
-        this build has no field for -- a 1.4 payload's
-        ``strict_parallel`` -- are ignored."""
+        this build has no field for are ignored: a 1.4 payload's
+        ``strict_parallel``, and a 1.5 payload's ``backend`` and
+        ``fused`` (the engine and the ladder are the process's choice,
+        not the request's)."""
         if not isinstance(payload, dict):
             raise ValueError("wire spec must be a JSON object")
         version = payload.get("version")
@@ -522,11 +506,9 @@ class SweepSpec:
                 ladder=tuple(payload["ladder"]),
                 procs=tuple(payload["procs"]),
                 instrument=bool(payload["instrument"]),
-                fused=bool(payload["fused"]),
                 fidelity=payload["fidelity"],
                 variants=tuple((str(knob), value) for knob, value
                                in payload.get("variants") or ()),
-                backend=payload.get("backend"),
                 jobs=payload.get("jobs"),
                 max_attempts=int(payload.get("max_attempts", 3)),
                 point_timeout=payload.get("point_timeout"),

@@ -4,8 +4,8 @@ A submitted :class:`~repro.experiments.spec.SweepSpec` becomes a *job*.
 The broker first settles every grid point it can straight from the
 :class:`~repro.fabric.store.ArtifactStore` (a fully warm reproduction
 never creates any work at all), then shards the remainder into *work
-units* -- one per grid row by default, because a row shares its
-recorded tape and fused ladder -- and hands them to workers on
+units* -- one per grid row, because a row shares its recorded tape
+and fused ladder -- and hands them to workers on
 time-limited *leases*.
 
 Lease state machine (per unit)::
@@ -54,7 +54,7 @@ DEFAULT_LEASE_TTL = 30.0
 
 
 class WorkUnit:
-    """One shard of a job's grid: a row (or row chunk) of points."""
+    """One shard of a job's grid: a row of points."""
 
     __slots__ = ("unit_id", "job_id", "procs", "ladder", "attempts",
                  "state", "worker", "deadline")
@@ -133,14 +133,10 @@ class Broker:
     def __init__(self, store: Optional[ArtifactStore] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  max_unit_attempts: int = 3,
-                 unit_points: int = 0,
                  clock: Callable[[], float] = time.monotonic):
         self.store = store if store is not None else ArtifactStore.default()
         self.lease_ttl = float(lease_ttl)
         self.max_unit_attempts = int(max_unit_attempts)
-        self.unit_points = int(unit_points)
-        """Points per unit; 0 = one unit per grid row (the default --
-        a row shares its tape and fused ladder)."""
         self._clock = clock
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -178,15 +174,14 @@ class Broker:
                     missing.setdefault(point[0], []).append(point[1])
             unit_seq = itertools.count(1)
             pending_units = 0
+            # One unit per grid row: a row shares its tape and fused
+            # ladder.
             for procs in sorted(missing):
-                row = sorted(missing[procs])
-                size = self.unit_points if self.unit_points > 0 else len(row)
-                for start in range(0, len(row), size):
-                    unit = WorkUnit(f"{job_id}/u{next(unit_seq)}", job_id,
-                                    procs, tuple(row[start:start + size]))
-                    self._units[unit.unit_id] = unit
-                    self._queue.append(unit.unit_id)
-                    pending_units += 1
+                unit = WorkUnit(f"{job_id}/u{next(unit_seq)}", job_id,
+                                procs, tuple(sorted(missing[procs])))
+                self._units[unit.unit_id] = unit
+                self._queue.append(unit.unit_id)
+                pending_units += 1
             self._count("units.created", pending_units)
             self._finish_if_done(job)
             self._wake.notify_all()

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, Optional, Union
 from ..experiments.runner import RunStats
 from ..experiments.session import QuarantinedPointError
 from ..experiments.spec import GridPoint, SweepSpec
-from .broker import Broker, DEFAULT_LEASE_TTL
+from .broker import Broker
 from .store import ArtifactStore
 from .wire import FabricError, parse_point_label, sweep_from_wire
 from .worker import Worker
@@ -239,16 +239,9 @@ class LocalFabric:
     """
 
     def __init__(self, store: Optional[ArtifactStore] = None,
-                 workers: int = 1,
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
-                 max_unit_attempts: int = 3,
-                 clock=None):
-        broker_kwargs = {"lease_ttl": lease_ttl,
-                         "max_unit_attempts": max_unit_attempts}
-        if clock is not None:
-            broker_kwargs["clock"] = clock
+                 workers: int = 1):
         self.store = store if store is not None else ArtifactStore.in_memory()
-        self.broker = Broker(self.store, **broker_kwargs)
+        self.broker = Broker(self.store)
         self.client = SweepClient.local(self.broker)
         self._stop = threading.Event()
         self._threads = []

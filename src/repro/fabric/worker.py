@@ -13,11 +13,13 @@ broker re-leases the remainder to a survivor whose cache stage skips
 everything already published.
 
 Fault injection (``REPRO_FAULT_INJECT``) flows through untouched: the
-worker's compute path wraps the session's default
-:func:`~repro.experiments.session._point_task`, which honours it.
+worker's session computes points with its default
+:func:`~repro.experiments.session._point_task`, which honours it, on the
+engine this host resolves (``$REPRO_ENGINE``, the loader).
 
 Heartbeats: every progress report renews the worker's leases, and a
-background pump keeps renewing during long simulations between points.
+background pump keeps renewing during long simulations between points,
+every third of the lease's time to live (at least every 0.5 s).
 A worker that dies simply goes silent; its lease expires and the unit
 is stolen.
 """
@@ -28,9 +30,9 @@ import dataclasses
 import itertools
 import os
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
-from ..experiments.session import SweepSession, _point_task
+from ..experiments.session import SweepSession
 from ..experiments.spec import SweepSpec
 from .store import ArtifactStore
 from .wire import FabricError, point_label, sweep_to_wire
@@ -38,6 +40,10 @@ from .wire import FabricError, point_label, sweep_to_wire
 __all__ = ["Worker"]
 
 _WORKER_SEQ = itertools.count(1)
+
+_IDLE_WAIT = 0.05
+"""Seconds a :meth:`Worker.run` with a ``stop`` event waits on the
+broker for a lease before it checks ``stop`` again."""
 
 
 class Worker:
@@ -52,9 +58,7 @@ class Worker:
     """
 
     def __init__(self, broker, store: Optional[ArtifactStore] = None,
-                 worker_id: Optional[str] = None,
-                 compute: Optional[Callable] = None,
-                 heartbeat_interval: Optional[float] = None):
+                 worker_id: Optional[str] = None):
         self.broker = broker
         self.store = (store if store is not None
                       else getattr(broker, "store", None))
@@ -63,27 +67,21 @@ class Worker:
                               "the broker handle either)")
         self.worker_id = (worker_id if worker_id is not None
                           else f"w{next(_WORKER_SEQ)}-{os.getpid()}")
-        self._compute = compute or _point_task
-        self._heartbeat_interval = heartbeat_interval
         self.units_done = 0
 
     # ------------------------------------------------------------------
 
-    def run(self, stop: Optional[threading.Event] = None,
-            max_units: Optional[int] = None,
-            idle_wait: float = 0.05) -> int:
-        """Lease-and-execute until ``stop`` is set, ``max_units`` have
-        run, or (with neither given) the queue drains.  Returns the
-        number of units executed.  With ``stop``, an idle worker waits
-        on the broker (``idle_wait`` a lease) and not on a timer."""
+    def run(self, stop: Optional[threading.Event] = None) -> int:
+        """Lease-and-execute until ``stop`` is set or (without one) the
+        queue drains.  Returns the number of units executed.  With
+        ``stop``, an idle worker waits on the broker (:data:`_IDLE_WAIT`
+        a lease) and not on a timer."""
         executed = 0
-        wait = 0.0 if stop is None else idle_wait
+        wait = 0.0 if stop is None else _IDLE_WAIT
         while stop is None or not stop.is_set():
-            if max_units is not None and executed >= max_units:
-                break
             if self.run_once(wait):
                 executed += 1
-            elif stop is None and max_units is None:
+            elif stop is None:
                 break               # drain mode: queue is empty
         return executed
 
@@ -107,13 +105,13 @@ class Worker:
     def _execute(self, lease: dict) -> None:
         unit_id = lease["unit"]
         spec = SweepSpec.from_wire(lease["spec"])
-        # The unit is one grid row (or a chunk of one): rebuild it as a
-        # standalone spec so the session keeps its fused-ladder and
-        # record-once fast paths.  Execution knobs are forced local:
-        # workers run serially (the fabric is the pool) and journal-less
-        # (the store is the durability layer: the session's cache is
-        # ``store.results``, and every stage writes each point there
-        # before it reports it, so a crash loses only what is in flight).
+        # The unit is one grid row: rebuild it as a standalone spec so
+        # the session keeps its fused-ladder and record-once fast paths.
+        # Execution knobs are forced local: workers run serially (the
+        # fabric is the pool) and journal-less (the store is the
+        # durability layer: the session's cache is ``store.results``,
+        # and every stage writes each point there before it reports it,
+        # so a crash loses only what is in flight).
         row_spec = dataclasses.replace(
             spec, procs=(int(lease["procs"]),),
             ladder=tuple(int(b) for b in lease["ladder"]),
@@ -124,14 +122,12 @@ class Worker:
                                  point_label(point), status)
 
         pump = _HeartbeatPump(self.broker, self.worker_id,
-                              self._heartbeat_interval
-                              or max(0.5, lease["lease_ttl"] / 3.0))
+                              max(0.5, lease["lease_ttl"] / 3.0))
         pump.start()
         try:
             session = SweepSession(row_spec, cache=self.store.results,
                                    trace_cache=self.store.traces,
-                                   progress=report,
-                                   compute=self._compute)
+                                   progress=report)
             result = session.run()
         finally:
             pump.stop()

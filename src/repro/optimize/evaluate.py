@@ -164,8 +164,7 @@ class FunnelEvaluator:
                  budget: Optional[BudgetLedger] = None,
                  client=None,
                  cache=None, trace_cache=None, session_dir=None,
-                 jobs: Optional[int] = None,
-                 backend: Optional[str] = None):
+                 jobs: Optional[int] = None):
         self.profile = profile
         self.benchmarks = tuple(sorted(set(benchmarks)))
         if not self.benchmarks:
@@ -180,7 +179,6 @@ class FunnelEvaluator:
         if session_dir is not None:
             self._sweep_kwargs["session_dir"] = session_dir
         self.jobs = jobs
-        self.backend = backend
         self._base_times: Dict[str, float] = {}
         self._memo: Dict[Tuple[Candidate, str], Evaluation] = {}
 
@@ -214,8 +212,6 @@ class FunnelEvaluator:
             variants=variants,
             fidelity=tier,
             instrument=tier != "analytical",
-            fused=tier != "full",
-            backend=self.backend,
             jobs=self.jobs,
         )
 

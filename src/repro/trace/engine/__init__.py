@@ -34,14 +34,19 @@ The SCC/bus timing model has two implementations ("backends", psim's
   output is the same either way and no request can ask for the slow
   one.
 
-Selection: the ``backend=`` knob on ``TimingInterleaver`` /
-``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
-environment variable; otherwise ``auto``, which probes native -> python.
-A ``native`` request degrades gracefully to python (a missing compiler)
-unless ``strict=True`` -- :func:`engine_degradation` says what that
-costs.  The retired ``numpy`` tier's name is still accepted from stored
-requests (environment, specs, 1.2 wire payloads) and treated like any
-unavailable tier: it resolves to python.
+Selection is one switch per process, psim's ``EVAL_MODE``: the
+``REPRO_ENGINE`` environment variable (default ``auto``, which probes
+native -> python) and the loader decide.  A sweep does not choose: pool
+workers inherit the variable, and a fabric worker resolves its own
+host's.  The ``backend=`` argument of ``TimingInterleaver`` /
+``run_simulation`` / ``fused_ladder_results`` overrides it for one call
+-- the differ pins the reference loop through it.  A ``native`` request
+degrades gracefully to python (a missing compiler);
+:func:`native_available` says whether it would, and
+:func:`engine_degradation` what that costs.  The retired ``numpy``
+tier's name is still accepted (the environment, a ``backend=``
+argument) and treated like any unavailable tier: it resolves to
+python.
 
 The native engine must be fingerprint-identical to the reference loop,
 the probe's registry included; the differential verifier
@@ -102,25 +107,16 @@ def _normalize(request: Optional[str]) -> str:
     return request
 
 
-def resolve_backend(request: Optional[str] = None,
-                    strict: bool = False) -> str:
+def resolve_backend(request: Optional[str] = None) -> str:
     """Concrete backend for a request.
 
     ``None`` reads ``$REPRO_ENGINE`` (default ``auto``).  ``auto`` probes
     native -> python; a request for an unavailable tier (``native``
-    without the extension, or a retired name) degrades to ``python``
-    unless ``strict`` is set, in which case it raises ``RuntimeError``
-    with the reason.
+    without the extension, or a retired name) degrades to ``python``.
     """
     request = _normalize(request)
     if request in ("auto", "native") and native_available():
         return "native"
-    if strict and request == "native":
-        raise RuntimeError(
-            f"native replay backend unavailable: "
-            f"{native_unavailable_reason()}")
-    if strict and request in RETIRED_BACKENDS:
-        raise RuntimeError(f"{request} replay backend was removed")
     return "python"
 
 
@@ -161,7 +157,9 @@ def backend_info(request: Optional[str] = None) -> Dict[str, object]:
     }
     if native_available():
         info["native_version"] = native.NATIVE_VERSION
-        info["native_ladder"] = native.ladder_available()
+        # The ladder ships in the same extension: it runs exactly when
+        # the extension loaded.
+        info["native_ladder"] = True
     else:
         info["native_error"] = native_unavailable_reason()
     return info

@@ -87,8 +87,8 @@ from ..packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                       OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ, OP_WRITE,
                       PackedChunk)
 
-__all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
-           "run", "scc_plan", "settle_scc"]
+__all__ = ["NATIVE_VERSION", "LOAD_ERROR", "load", "run", "scc_plan",
+           "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or force-phase entry points)
@@ -251,13 +251,6 @@ def _stale_reason(module) -> Optional[str]:
         return None
     return (f"stale extension {getattr(module, '__file__', '?')}: "
             f"ABI {abi!r}, need {NATIVE_VERSION!r}")
-
-
-def ladder_available() -> bool:
-    """Whether the fused-ladder entry points can run: they ship in the
-    same extension, so exactly when it loaded (:func:`_stale_reason`
-    is the one check)."""
-    return load() is not None
 
 
 def scc_plan(scc, bus, lost_lines) -> tuple:

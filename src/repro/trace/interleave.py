@@ -203,7 +203,6 @@ class TimingInterleaver:
         # an identity knob -- both engines are fingerprint-identical, so
         # results and cache keys do not depend on it.  ``None`` defers
         # to $REPRO_ENGINE (default ``auto``).
-        self.backend_requested = backend
         self.backend = resolve_backend(backend)
         self.engine_used: Optional[str] = None
         """Concrete engine the last :meth:`run` executed on: ``python``

@@ -7,9 +7,9 @@ Two layers of pinning:
   every configuration variant the gate admits (the same fingerprint
   the ``golden_stats.json`` suite uses);
 * runner level -- a sweep resolved through the fused path must return
-  RunStats equal to the same sweep with ``fused=False``, and rows the
-  engine cannot cover (multi-process, instrumented) must route to the
-  per-size replay automatically.
+  RunStats equal to the same sweep at ``fidelity="full"`` (every rung
+  simulated live), and rows the engine cannot cover (multi-process,
+  instrumented) must route to the per-size replay automatically.
 """
 
 import pytest
@@ -148,7 +148,7 @@ def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
     reference = [fingerprint(r)
                  for r in fused_ladder_results(configs, streams)]
     monkeypatch.setattr(multiconfig, "resolve_backend",
-                        lambda request=None, strict=False: "python")
+                        lambda request=None: "python")
     monkeypatch.setattr(multiconfig, "_fused_pass_native",
                         _forbid("the native ladder"))
     degraded = [fingerprint(r)
@@ -186,14 +186,26 @@ def test_compiler_less_host_keeps_the_contract(tmp_path, monkeypatch):
     assert without == with_extension
 
 
-def test_sweep_results_identical_with_and_without_fusion(tmp_path):
-    sweeps = {}
-    for fused in (False, True):
-        sweeps[fused] = tiny_row(
-            tmp_path, (32768, 65536, 131072, 262144),
-            results=f"results-{fused}", instrument=False, fused=fused)
-    assert sweeps[True] == sweeps[False]
-    assert len(sweeps[True]) == 4
+def test_sweep_results_identical_fused_and_full(tmp_path, monkeypatch):
+    """The default row -- one recording, then one ladder pass over the
+    other rungs -- against the same row at ``fidelity="full"``, where
+    every rung is simulated live on the workload's own generators."""
+    calls = []
+    real = runner.fused_ladder_results
+
+    def spy(configs, streams, *args, **kwargs):
+        calls.append(len(configs))
+        return real(configs, streams, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "fused_ladder_results", spy)
+    ladder = (32768, 65536, 131072, 262144)
+    sweeps = {fidelity: tiny_row(tmp_path, ladder,
+                                 results=f"results-{fidelity}",
+                                 instrument=False, fidelity=fidelity)
+              for fidelity in ("fused", "full")}
+    assert calls == [3]
+    assert sweeps["fused"] == sweeps["full"]
+    assert len(sweeps["fused"]) == 4
 
 
 def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):

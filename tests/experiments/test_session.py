@@ -67,8 +67,7 @@ class RecordingCompute:
         self.fail = dict(fail)  # point -> times to raise before success
         self.calls = []
 
-    def __call__(self, benchmark, profile, config, instrument, point,
-                 backend=None):
+    def __call__(self, benchmark, profile, config, instrument, point):
         self.calls.append(point)
         if self.fail.get(point, 0) > 0:
             self.fail[point] -= 1
@@ -298,8 +297,7 @@ class TestSessionStages:
                 for point, config in spec.configs().items()}
         heard = []
 
-        def compute(benchmark, profile, config, instrument, point,
-                    backend=None):
+        def compute(benchmark, profile, config, instrument, point):
             if len(heard) == 2:
                 raise KeyboardInterrupt
             return _stats(point[1])

@@ -1,6 +1,7 @@
 """Tests for the declarative SweepSpec API."""
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
@@ -26,7 +27,7 @@ class TestValidation:
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile)
         assert spec.ladder == PAPER_LADDER
         assert spec.procs == PROCS_SWEPT
-        assert spec.instrument and spec.fused
+        assert spec.instrument and spec.fidelity == "fused"
         assert spec.max_attempts == 3
 
     def test_sequences_coerced_to_tuples(self, tiny_profile):
@@ -113,38 +114,30 @@ class TestCacheKeys:
 
 class TestSignature:
     def test_execution_knobs_do_not_change_identity(self, tiny_profile):
-        """jobs/fused/retry policy only change *how* results are
-        obtained, so a journal keyed by the signature survives them."""
+        """jobs/retry policy only change *how* results are obtained, so
+        a journal keyed by the signature survives them."""
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
-        for knobs in (dict(jobs=4), dict(fused=False),
-                      dict(max_attempts=1), dict(point_timeout=5.0),
-                      dict(retry_backoff=0.0), dict(backend="native"),
-                      dict(backend="python")):
+        for knobs in (dict(jobs=4), dict(max_attempts=1),
+                      dict(point_timeout=5.0), dict(retry_backoff=0.0)):
             other = SweepSpec.parallel("mp3d", profile=tiny_profile,
                                        **knobs)
             assert other.signature() == base.signature()
 
     def test_backend_absent_from_identity_and_point_keys(self,
                                                          tiny_profile):
-        """The replay engine is execution-only: warm result caches and
-        journals must survive switching between the python and native
-        tiers (and the compiled fused ladder rides the same knob).  The
-        removed ``numpy`` tier's name still validates, so a spec stored
-        or sent by a 1.2 client keeps addressing the same entries."""
-        base = SweepSpec.parallel("mp3d", profile=tiny_profile)
-        config = SystemConfig.paper_parallel(2, 1 * KB)
-        for backend in ("python", "numpy", "native", "auto"):
-            other = SweepSpec.parallel("mp3d", profile=tiny_profile,
-                                       backend=backend)
-            assert "backend" not in other.describe()
-            assert other.signature() == base.signature()
-            assert other.point_key(config) == base.point_key(config)
-            back = SweepSpec.from_wire(other.to_wire())
-            assert back.backend == backend
-            assert back.point_key(config) == base.point_key(config)
-        with pytest.raises(ValueError):
-            SweepSpec.parallel("mp3d", profile=tiny_profile,
-                               backend="fortran")
+        """The engine and the fused ladder are the process's choice
+        (``$REPRO_ENGINE``, the loader), not the spec's: neither is a
+        field, so neither can reach an identity payload or a key.  A
+        stored 1.5 spec naming them decodes to the same sweep
+        (``tests/fabric/test_wire.py``)."""
+        assert len(fields(SweepSpec)) == 12
+        for knob in ("backend", "fused"):
+            with pytest.raises(TypeError):
+                SweepSpec.parallel("mp3d", profile=tiny_profile,
+                                   **{knob: None})
+        spec = SweepSpec.parallel("mp3d", profile=tiny_profile)
+        for payload in (spec.describe(), spec.to_wire()):
+            assert "backend" not in payload and "fused" not in payload
 
     def test_identity_fields_change_signature(self, tiny_profile):
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
@@ -175,8 +168,7 @@ class TestFromCliArgs:
     @staticmethod
     def _args(**overrides):
         defaults = dict(benchmark="mp3d", profile=None, ladder=None,
-                        procs=None, no_instrument=False, no_fused=False,
-                        jobs=None, resume=False, retries=2, timeout=None,
+                        procs=None, no_instrument=False, jobs=None, resume=False, retries=2, timeout=None,
                         backoff=0.5)
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
@@ -193,11 +185,11 @@ class TestFromCliArgs:
     def test_knobs_flow_through(self):
         spec = SweepSpec.from_cli_args(self._args(
             profile="quick", ladder=(4 * KB, 8 * KB), procs=(1, 2),
-            no_instrument=True, no_fused=True, jobs=3, retries=0,
+            no_instrument=True, jobs=3, retries=0,
             timeout=2.5, backoff=0.1))
         assert spec.ladder == (4 * KB, 8 * KB)
         assert spec.procs == (1, 2)
-        assert not spec.instrument and not spec.fused
+        assert not spec.instrument
         assert spec.jobs == 3
         assert spec.max_attempts == 1
         assert spec.point_timeout == 2.5

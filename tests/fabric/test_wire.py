@@ -41,7 +41,7 @@ class TestSpecWire:
         assert back.describe() == tiny_spec.describe()
         assert back.configs().keys() == tiny_spec.configs().keys()
         # Execution knobs survive too: the worker honours them.
-        assert back.fused == tiny_spec.fused
+        assert back == tiny_spec
         assert back.max_attempts == tiny_spec.max_attempts
         assert back.retry_backoff == tiny_spec.retry_backoff
 
@@ -51,6 +51,23 @@ class TestSpecWire:
         back = SweepSpec.from_wire(tiny_spec.to_wire())
         for point, config in tiny_spec.configs().items():
             assert (back.point_key(back.configs()[point])
+                    == tiny_spec.point_key(config))
+
+    def test_a_1_5_payload_naming_the_engine_decodes_to_the_same_spec(
+            self, tiny_spec):
+        """1.5 shipped ``backend`` and ``fused`` on the wire; 1.6 has
+        neither field (the worker's own host picks the engine, and the
+        ladder runs wherever it applies).  A 1.5 client's payload is
+        accepted, both keys ignored, and it addresses the same journal
+        and the same store entries; a 1.6 payload carries neither."""
+        payload = tiny_spec.to_wire()
+        assert "backend" not in payload and "fused" not in payload
+        old = SweepSpec.from_wire(dict(payload, backend="numpy",
+                                       fused=False))
+        assert old == tiny_spec
+        assert old.signature() == tiny_spec.signature()
+        for point, config in tiny_spec.configs().items():
+            assert (old.point_key(old.configs()[point])
                     == tiny_spec.point_key(config))
 
     def test_wire_payload_is_json_safe(self, tiny_spec):

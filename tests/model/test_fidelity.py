@@ -12,7 +12,7 @@ import argparse
 import pytest
 
 from repro.core.config import KB
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import ResultCache, RunStats
 from repro.experiments.session import SweepSession, run_sweep
 from repro.experiments.spec import (FIDELITIES, ExperimentProfile,
                                     SweepSpec, point_cache_key)
@@ -92,7 +92,7 @@ class TestFromCliArgs:
     def _args(**overrides):
         defaults = dict(benchmark="multiprogramming", profile="tiny",
                         ladder=None, procs=None, no_instrument=False,
-                        no_fused=False, jobs=None, resume=False,
+                        jobs=None, resume=False,
                         retries=2, timeout=None, backoff=0.5,
                         fidelity=None)
         defaults.update(overrides)
@@ -101,7 +101,7 @@ class TestFromCliArgs:
     def test_default_is_fused(self):
         spec = SweepSpec.from_cli_args(self._args(profile="quick"))
         assert spec.fidelity == "fused"
-        assert spec.instrument and spec.fused
+        assert spec.instrument
 
     def test_analytical_implies_no_instrumentation(self):
         spec = SweepSpec.from_cli_args(
@@ -109,11 +109,29 @@ class TestFromCliArgs:
         assert spec.fidelity == "analytical"
         assert not spec.instrument
 
-    def test_full_disables_fused_replay(self):
-        spec = SweepSpec.from_cli_args(
-            self._args(profile="quick", fidelity="full"))
+    def test_full_disables_fused_replay(self, monkeypatch):
+        """``fidelity="full"`` is the one way to ask for a live
+        simulation of every point: the session never enters the trace
+        stage, so no tape is recorded and no ladder runs."""
+        spec = SweepSpec.from_cli_args(self._args(
+            profile="quick", fidelity="full", ladder=(8 * KB, 16 * KB),
+            procs=(1,)))
         assert spec.fidelity == "full"
-        assert not spec.fused
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the trace stage ran at fidelity=full")
+
+        monkeypatch.setattr(SweepSession, "_resolve_via_traces", forbidden)
+        live = []
+
+        def compute(benchmark, profile, config, instrument, point):
+            live.append(point)
+            return RunStats(execution_time=1, read_miss_rate=0.0,
+                            miss_rate=0.0, invalidations=0, reads=0,
+                            writes=0, events=0)
+
+        SweepSession(spec, cache=None, compute=compute).run()
+        assert live == [(1, 8 * KB), (1, 16 * KB)]
 
 
 def counting_simulator(monkeypatch):

@@ -359,7 +359,7 @@ def quick_row(benchmark, procs):
     configs = spec.configs()
     config0 = configs[(procs, min(spec.ladder))]
     streams, _ = row_tape(spec.profile.workload(benchmark), config0,
-                          None, None, False, None)
+                          None, None, False)
     return streams, config0, sorted({config.scc_lines
                                      for config in configs.values()})
 

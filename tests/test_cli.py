@@ -146,6 +146,22 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "mp3d", "--backend", "native"],
+        ["sweep", "mp3d", "--no-fused"],
+        ["submit", "mp3d", "--backend", "python"],
+        ["submit", "mp3d", "--no-fused"],
+        ["optimize", "--backend", "native"],
+    ], ids=" ".join)
+    def test_no_request_chooses_the_engine(self, argv, capsys):
+        """``$REPRO_ENGINE`` and the loader pick the engine per process,
+        and the ladder runs wherever it applies: the flags that chose
+        them per request are gone (argparse's usage error, exit 2)."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSweepAndReportPaths:
     @pytest.fixture

@@ -32,12 +32,20 @@ DELETED = (
     "tracefile", "SCCT", "save_trace", "load_trace", "TraceFormatError",
     "trace.stream", "materialize", "coalesce_compute", "event_histogram",
     "reference_count", "SyncNamespace",
+    # a sweep does not choose its engine or its ladder (``$REPRO_ENGINE``
+    # and the loader do), and fabric knobs nothing set are constants
+    "no_fused", "ladder_available", "backend_requested", "unit_points",
+    "heartbeat_interval", "idle_wait",
 )
 
 PATTERN = re.compile("|".join([
     *(rf"\b{re.escape(name)}\b" for name in DELETED),
     # the knob that chose between chunks and event objects
     r"\bpacked=False\b",
+    # the per-request engine and ladder choice (``\b`` cannot anchor a
+    # leading ``--``)
+    r"(?<![\w-])--(?:backend|no-fused)\b",
+    r"\b(?:spec|SweepSpec)\.(?:backend|fused)\b",
     # the interleaver's drain(); asyncio's ``writer.drain()`` is live
     r"(?<![\w.])drain\(\)",
     r"(?i:python\s+owns\s+the\s+generators)",
@@ -71,4 +79,14 @@ def test_the_pattern_sees_each_name():
     assert not PATTERN.search("await writer.drain()")
     assert PATTERN.search("Python owns the\n  generators")
     assert PATTERN.search("run it with packed=False")
+    for flag in ("--backend", "--no-fused"):
+        assert PATTERN.search(f"sweep mp3d {flag} native"), flag
+        assert PATTERN.search(f"sweep mp3d {flag}=native"), flag
+        assert not PATTERN.search(f"sweep mp3d {flag}s"), flag
+        assert not PATTERN.search(f"sweep mp3d x{flag}"), flag
+    assert not PATTERN.search("python -m repro optimize --budget-fused 64")
+    for name in ("spec.backend", "spec.fused", "SweepSpec.backend"):
+        assert PATTERN.search(f"reads `{name}` here"), name
+        assert not PATTERN.search(f"reads `{name}_ladder` here"), name
+        assert not PATTERN.search(f"reads `row_{name}` here"), name
     assert not PATTERN.search("see repro.trace.streams here")
