@@ -34,8 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .bus import SnoopyBus
-from .cache import EXCLUSIVE, INVALID, MODIFIED, SHARED
+from .cache import (EXCLUSIVE, INVALID, MODIFIED, SHARED,
+                    DirectMappedArray)
 from .config import SystemConfig
 from .scc import SharedClusterCache
 from ..instrument.probes import NULL_PROBE
@@ -269,8 +272,22 @@ class CoherenceController:
         """Return a line violating MODIFIED-exclusivity, or ``None``.
 
         The invariant: a line MODIFIED in some SCC must be INVALID in every
-        other SCC (SHARED copies may coexist freely).
+        other SCC (SHARED copies may coexist freely).  Of several, the
+        first sighted -- SCC by SCC, in ``resident_lines`` order -- is
+        returned.  Direct-mapped SCCs of one geometry keep a line at the
+        same index in every SCC, so their tag and state arrays are
+        compared index by index; anything else takes
+        :meth:`exclusivity_walk`.
         """
+        arrays = [scc.array for scc in self.sccs]
+        if (all(type(array) is DirectMappedArray for array in arrays)
+                and len({array.num_lines for array in arrays}) == 1):
+            return _direct_mapped_violator(arrays)
+        return self.exclusivity_walk()
+
+    def exclusivity_walk(self) -> Optional[int]:
+        """:meth:`check_exclusivity` for any tag array: every resident
+        line of every SCC, counted."""
         held: dict = {}     # line -> copies, a set-associative SCC's each
         owned: dict = {}    # MODIFIED/EXCLUSIVE lines, in order of sighting
         for scc in self.sccs:
@@ -282,3 +299,35 @@ class CoherenceController:
             if held[line] > 1:
                 return line
         return None
+
+
+def _direct_mapped_violator(arrays) -> Optional[int]:
+    """:meth:`CoherenceController.check_exclusivity` over direct-mapped
+    arrays of one size, on numpy views of their ``array('q')`` storage.
+
+    A line is at the same index in every array, and at most once in each,
+    so it is held elsewhere exactly when another array holds its tag,
+    valid, at its index.  The first owner, in (array, index) order, that
+    is held elsewhere is the walk's first violator: had its line been
+    owned in an earlier array, that owner would have been held elsewhere
+    too, and come first.
+    """
+    if len(arrays) < 2:
+        return None     # a line cannot be held twice in one array
+    states = [np.frombuffer(array._states, dtype=np.int64)
+              for array in arrays]
+    tags = [np.frombuffer(array._tags, dtype=np.int64) for array in arrays]
+    valid = [state != INVALID for state in states]
+    elsewhere = [np.zeros(len(state), dtype=bool) for state in states]
+    for a in range(len(arrays)):
+        for b in range(a + 1, len(arrays)):
+            both = valid[a] & valid[b] & (tags[a] == tags[b])
+            elsewhere[a] |= both
+            elsewhere[b] |= both
+    for a, state in enumerate(states):
+        owners = np.flatnonzero(
+            elsewhere[a] & ((state == MODIFIED) | (state == EXCLUSIVE)))
+        if len(owners):
+            index = int(owners[0])
+            return int(tags[a][index]) * arrays[a].num_lines + index
+    return None

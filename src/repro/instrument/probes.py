@@ -213,7 +213,7 @@ class InstrumentationProbe(NullProbe):
     # ------------------------------------------------------------------
 
     def absorb(self, counts: Dict[str, int], bus, bank_conflict,
-               write_buffer, busy, memory, sync) -> None:
+               write_buffer, busy, memory, sync, icache) -> None:
         """Fold in what an engine recorded on this probe's behalf --
         the callbacks above, pre-binned at ``registry.bin_width`` --
         leaving the registry as the callbacks themselves would have.
@@ -222,10 +222,10 @@ class InstrumentationProbe(NullProbe):
         bin series, empty where nothing was recorded: ``bus`` is
         (occupancy, wait, invalidations), ``bank_conflict`` is indexed
         ``[cluster][bank]``, ``write_buffer`` by cluster, ``busy``,
-        ``memory`` and ``sync`` by processor.  A counter or timeline nothing touched
-        is not created, sums add and high-water marks max, so the
-        result does not depend on what the callbacks recorded before,
-        or on the order of the merge.
+        ``memory``, ``sync`` and ``icache`` by processor.  A counter or
+        timeline nothing touched is not created, sums add and high-water
+        marks max, so the result does not depend on what the callbacks
+        recorded before, or on the order of the merge.
         """
         count = self.registry.count
         if counts.get("bus_transactions"):
@@ -246,7 +246,7 @@ class InstrumentationProbe(NullProbe):
             if len(bins):
                 self._wb_timeline(cluster).absorb(bins)
         for kind, series in (("busy", busy), ("memory", memory),
-                             ("sync", sync)):
+                             ("sync", sync), ("icache", icache)):
             for proc, bins in enumerate(series):
                 if len(bins):
                     self._proc_timeline(proc, kind).absorb(bins)

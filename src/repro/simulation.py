@@ -91,8 +91,10 @@ def run_simulation(config: SystemConfig, application,
     ``application.processes(config)`` must return a mapping from
     machine-global processor id to a trace-event generator; ids must be
     valid for the configuration.  ``max_cycles`` aborts runaway simulations
-    (simulated time bound).  ``check_invariants`` verifies coherence
-    exclusivity after the run (cheap relative to the run itself).
+    (simulated time bound).  ``check_invariants`` verifies fill tracking
+    and coherence exclusivity after the run: a few array comparisons per
+    pair of SCCs when they are direct-mapped (none with one cluster), a
+    walk over every resident line when they are set-associative.
 
     ``instrumentation`` enables cycle-level observability: pass an
     :class:`~repro.instrument.InstrumentationProbe` and every bus grant,

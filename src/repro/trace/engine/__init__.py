@@ -11,15 +11,15 @@ The SCC/bus timing model has two implementations ("backends", psim's
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) that owns the data path -- hits, bank/write-buffer
-  timing, the snoopy MSI/MESI miss path and its bus -- and the run
-  around it: one ``_native.run`` call resumes the generators, executes
-  their chunks over the shared ``array('q')`` tag/state/bank/bus
-  storage, switches processes on its own copy of the ready heap and
-  keeps the locks, barriers and task queues; it also carries the fused
-  ladder.  Python is left the generators' bodies and the
-  instruction-cache refill (the one callback) -- and for MP3D not even
-  the bodies: its processes are the extension's own iterators, which
-  ``_native.run`` steps without resuming anything.  The standard
+  timing, the snoopy MSI/MESI miss path and its bus, the
+  instruction-cache refills -- and the run around it: one
+  ``_native.run`` call resumes the generators, executes their chunks
+  over the shared ``array('q')`` tag/state/bank/bus storage, switches
+  processes on its own copy of the ready heap and keeps the locks,
+  barriers and task queues; it also carries the fused ladder.  Python
+  is left the generators' bodies -- and for MP3D not even those: its
+  processes are the extension's own iterators, which ``_native.run``
+  steps without resuming anything.  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
   extension carries four kernels that time nothing, each run when the

@@ -6,10 +6,11 @@
  * repro.core objects one event at a time (src/repro/trace/interleave.py)
  * -- and between ``setup`` and ``release`` C owns the run: the data path
  * (hits, bank/write-buffer timing, the snoopy MSI/MESI miss path with its
- * bus arbitration), scheduling, the locks, barriers and task queues, and
- * the resuming of the application generators, whose bodies are the only
- * python that runs in between (instruction-cache refills, the one callback
- * left, aside).  Under the standard ``InstrumentationProbe`` C also owns
+ * bus arbitration, instruction-cache refills), scheduling, the locks,
+ * barriers and task queues, and the resuming of the application
+ * generators, whose bodies are the only python that runs in between: C
+ * calls no other python function.  Under the standard
+ * ``InstrumentationProbe`` C also owns
  * observability of what it executes: the "metrics" section bins what the
  * python objects would have told the probe, and the wrapper folds it into
  * the probe's registry once, after the run.  Everything here must stay
@@ -20,9 +21,10 @@
  * ``setup`` and ``release`` C works on its own copy, and nothing in
  * python reads or writes the machine in between.
  *
- *   - tag/state arrays, bank free times, the bus clock: ``array('q')``
- *     storage C reads and writes in place through buffer views (an
- *     SCC's share of them is its ``Scc`` view);
+ *   - tag/state arrays (the SCCs' and each processor's icache's), bank
+ *     free times, the bus clock: ``array('q')`` storage C reads and writes
+ *     in place through buffer views (an SCC's share of them is its ``Scc``
+ *     view);
  *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``,
  *     read from ``interleaver._heap`` when ``run`` starts and written back
  *     to it -- whatever is still ready -- at ``release``;
@@ -91,7 +93,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "12"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "13"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -180,7 +182,8 @@ typedef struct {
 /* What the standard probe records, for the events C executes.  Series
  * layout (the wrapper's, in this order): the bus trio, one conflict
  * series per (cluster, bank), one write-buffer high-water series per
- * cluster, busy then memory-stall then sync-stall series per processor. */
+ * cluster, busy then memory-stall then sync-stall then icache-stall
+ * series per processor. */
 typedef struct {
     long long width;          /* cycles per bin */
     long long *counts;        /* M_* */
@@ -188,7 +191,7 @@ typedef struct {
     Series *bus_occupancy, *bus_wait, *bus_invalidations;
     Series *conflict;         /* [cluster * nbanks + bank] */
     Series *write_buffer;     /* [cluster] */
-    Series *busy, *memory, *sync;       /* [pid] */
+    Series *busy, *memory, *sync, *icache;      /* [pid] */
 } Metrics;
 
 /* One shared cluster cache as the protocol sees it -- a cluster of a
@@ -265,27 +268,32 @@ typedef struct {
 
 #define N_EVENT_CODES 9
 
+/* One processor's ``InstructionCache.array``, worked on in place. */
+typedef struct {
+    long long *states, *tags;
+    long long mask, shift;    /* index = line & mask, tag = line >> shift */
+} Icache;
+
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int nproc;
-    int n_icaches;
     int released;
     long long line_shift, nbanks, bank_cycle;
     long long bank_mask;      /* nbanks - 1 when a power of two, else -1 */
-    long long iline_shift, limit;
+    long long iline_shift, ic_lat, limit;
     long long lock_overhead, barrier_overhead;
-    int stall_on_writes, icache_mode;
+    int stall_on_writes;
     Machine m;                /* one SCC per cluster */
     long long **bank_free;    /* [cluster] */
-    long long **ic_states, **ic_tags;
-    long long *ic_mask, *ic_shift;
-    long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *d_sync;
+    Icache *icaches;          /* [pid]; NULL: no icache is modelled */
+    long long *d_refs, *d_busy, *d_stall, *d_finish, *d_sync;
+    long long *d_icfetch, *d_icmiss, *d_icstall;
     long long *misc;          /* X_* */
     long long *pstate;        /* [pid * P_FIELDS] */
     long long *proc_cluster;
     Proc *procs;              /* by pid */
     SyncTable locks, barriers;
-    PyObject *ifetch, *queues;
+    PyObject *queues;
     PyObject *chunks, *responses;       /* at-rest lists, by pid */
     PyTypeObject *chunk_type; /* PackedChunk */
     PyObject *chunk_data;     /* "data" */
@@ -551,8 +559,8 @@ mx_write_buffer(Metrics *mx, long long cl, long long now, long long depth,
     return series_add_sample(&mx->write_buffer[cl], mx->width, now, depth);
 }
 
-/* ``proc_busy``: straight-line execution (``account_compute``, and
- * ``account_ifetch`` where C executes the fetch). */
+/* ``proc_busy``: straight-line execution (``account_compute``,
+ * ``account_ifetch``). */
 static inline int
 mx_proc_busy(Metrics *mx, long long pid, long long start, long long cycles)
 {
@@ -884,41 +892,6 @@ lost_consume(PyObject *lost, long long line)
     return rc;
 }
 
-static long long
-call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
-            long long time, int *err)
-{
-    PyObject *a0 = PyLong_FromLongLong(pid);
-    PyObject *a1 = a0 ? PyLong_FromLongLong(addr) : NULL;
-    PyObject *a2 = a1 ? PyLong_FromLongLong(count) : NULL;
-    PyObject *a3 = a2 ? PyLong_FromLongLong(time) : NULL;
-    if (!a0 || !a1 || !a2 || !a3) {
-        Py_XDECREF(a0);
-        Py_XDECREF(a1);
-        Py_XDECREF(a2);
-        Py_XDECREF(a3);
-        *err = 1;
-        return 0;
-    }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->ifetch, a0, a1, a2, a3, NULL);
-    Py_DECREF(a0);
-    Py_DECREF(a1);
-    Py_DECREF(a2);
-    Py_DECREF(a3);
-    if (!res) {
-        *err = 1;
-        return 0;
-    }
-    long long v = PyLong_AsLongLong(res);
-    Py_DECREF(res);
-    if (v == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    return v;
-}
-
 /* ------------------------------------------------------------ coherence */
 
 /* The snoopy write-invalidate protocol of repro.core.coherence: what
@@ -927,9 +900,9 @@ call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
  * for a ``Machine``: the clusters of a ``run``, or one rung of the ladder,
  * whose single SCC has nobody to snoop -- every loop over the others
  * runs zero times there.  The bus clock is the python object's own
- * storage, so an icache refill python handles, called back from ``run``,
- * sees, and leaves, the current bus.  Every SCC of a machine has the same
- * geometry: ``idx``/``tag`` address all of them. */
+ * storage, and an instruction-cache refill queues on it like any miss.
+ * Every SCC of a machine has the same geometry: ``idx``/``tag`` address
+ * all of them. */
 
 /* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; ``grant`` is the
  * cycle the bus was granted. */
@@ -1168,6 +1141,52 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     ctx->d_finish[pid] = done;
     *time_io = done;
     return mx ? mx_reference(mx, pid, time, done) : 0;
+}
+
+/* ``count`` instructions from ``addr`` on a machine that models
+ * instruction caches; mirrors ``MultiprocessorSystem.ifetch``:
+ * ``InstructionCache.fetch`` installs the missing lines in ``pid``'s own
+ * icache, each miss is a bus transaction requested when the one before
+ * it has arrived, and ``account_ifetch`` charges the instructions, then
+ * the refill stall.  The caller refused ``count < 1``. */
+static int
+proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
+            long long count, long long *time_io)
+{
+    Machine *m = &ctx->m;
+    Metrics *mx = m->mx;
+    Icache *ic = &ctx->icaches[pid];
+    long long *states = ic->states, *tags = ic->tags;
+    long long mask = ic->mask, shift = ic->shift;
+    long long first = addr >> ctx->iline_shift;
+    long long last = (addr + count * 4 - 1) >> ctx->iline_shift;
+    long long misses = 0;
+    for (long long line = first; line <= last; line++) {
+        long long idx = line & mask;
+        if (!states[idx] || tags[idx] != line >> shift) {
+            tags[idx] = line >> shift;
+            states[idx] = ST_SHARED;
+            misses++;
+        }
+    }
+    ctx->d_icfetch[pid] += last - first + 1;
+    ctx->d_icmiss[pid] += misses;
+    long long now = *time_io, stall = 0;
+    for (long long k = 0; k < misses; k++) {
+        long long grant;
+        if (bus_acquire(m, &m->sccs[cl], now + stall, m->bus_occ, &grant) < 0)
+            return -1;
+        stall = grant + ctx->ic_lat - now;
+    }
+    ctx->d_busy[pid] += count;
+    ctx->d_icstall[pid] += stall;
+    *time_io = now + count + stall;
+    if (!mx)
+        return 0;
+    if (mx_proc_busy(mx, pid, now, count) < 0)
+        return -1;
+    return series_add_span(&mx->icache[pid], mx->width, now + count,
+                           now + count + stall);
 }
 
 /* ------------------------------------------------------------ scheduler */
@@ -1727,8 +1746,7 @@ ctx_free(Ctx *ctx)
     sccs_free(ctx->m.sccs, ctx->m.n);
     PyMem_Free(ctx->bank_free);
     PyMem_Free(ctx->ready);
-    PyMem_Free(ctx->ic_states);
-    PyMem_Free(ctx->ic_mask);
+    PyMem_Free(ctx->icaches);
     PyMem_Free(ctx->procs);
     PyMem_Free(ctx->locks.q);
     PyMem_Free(ctx->locks.slots);
@@ -1776,7 +1794,7 @@ metrics_setup(Ctx *ctx, PyObject *spec)
         return -1;
     PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
     Py_ssize_t banks = (Py_ssize_t)(ctx->m.n * ctx->nbanks);
-    Py_ssize_t n = 3 + banks + ctx->m.n + 3 * (Py_ssize_t)ctx->nproc;
+    Py_ssize_t n = 3 + banks + ctx->m.n + 4 * (Py_ssize_t)ctx->nproc;
     if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
         PyErr_Format(PyExc_ValueError,
                      "metrics plan must hold %zd series", n);
@@ -1803,6 +1821,7 @@ metrics_setup(Ctx *ctx, PyObject *spec)
     mx->busy = mx->write_buffer + ctx->m.n;
     mx->memory = mx->busy + ctx->nproc;
     mx->sync = mx->memory + ctx->nproc;
+    mx->icache = mx->sync + ctx->nproc;
     return 0;
 }
 
@@ -1931,6 +1950,55 @@ procs_setup(Ctx *ctx, PyObject *sched)
     return 0;
 }
 
+/* The plan's icache entry: empty when the machine models no instruction
+ * cache, else one ``(states, tags, index_mask, tag_shift)`` per processor
+ * -- its ``InstructionCache.array``, worked on in place.  Parsed once the
+ * processor count is known. */
+static int
+icaches_setup(Ctx *ctx, PyObject *ic_tuple)
+{
+    Py_ssize_t n = PyTuple_Check(ic_tuple) ? PyTuple_GET_SIZE(ic_tuple) : -1;
+    if (n == 0)
+        return 0;
+    if (n != ctx->nproc) {
+        PyErr_SetString(PyExc_TypeError,
+                        "icaches must be a tuple with none or one entry per "
+                        "processor");
+        return -1;
+    }
+    if (!(ctx->icaches = PyMem_Calloc(ctx->nproc, sizeof(Icache)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int p = 0; p < ctx->nproc; p++) {
+        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
+        Icache *ic = &ctx->icaches[p];
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+            PyErr_SetString(PyExc_TypeError, "an icache entry must be "
+                            "(states, tags, index_mask, tag_shift)");
+            return -1;
+        }
+        if (get_ll_item(entry, 2, &ic->mask) < 0
+            || get_ll_item(entry, 3, &ic->shift) < 0)
+            return -1;
+        if (ic->mask < 0 || ic->mask >= PY_SSIZE_T_MAX / 8
+            || (ic->mask & (ic->mask + 1)) || ic->shift < 0
+            || ic->shift > 62) {
+            PyErr_SetString(PyExc_ValueError,
+                            "icache index mask or tag shift out of range");
+            return -1;
+        }
+        if (!(ic->states = acquire_ll_n(&ctx->views,
+                                        PyTuple_GET_ITEM(entry, 0),
+                                        ic->mask + 1))
+            || !(ic->tags = acquire_ll_n(&ctx->views,
+                                         PyTuple_GET_ITEM(entry, 1),
+                                         ic->mask + 1)))
+            return -1;
+    }
+    return 0;
+}
+
 /* plan: engine/native.py's ``run`` builds it, in the order parsed here;
  * ``per_cluster`` holds an SCC entry (``scc_setup``) per cluster, every
  * one on the machine's one bus clock. */
@@ -1944,7 +2012,7 @@ native_setup(PyObject *self, PyObject *plan)
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
     PyObject *banks = PyTuple_GET_ITEM(plan, 1);
-    PyObject *callbacks = PyTuple_GET_ITEM(plan, 2);
+    PyObject *queues = PyTuple_GET_ITEM(plan, 2);
     PyObject *scal = PyTuple_GET_ITEM(plan, 3);
     PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 4);
     PyObject *deltas = PyTuple_GET_ITEM(plan, 5);
@@ -1958,23 +2026,18 @@ native_setup(PyObject *self, PyObject *plan)
         return PyErr_NoMemory();
     Machine *m = &ctx->m;
     int n_cl = (int)PyTuple_GET_SIZE(per_cluster);
-    ctx->n_icaches = (int)PyTuple_GET_SIZE(ic_tuple);
+    Py_ssize_t n_ic = PyTuple_Check(ic_tuple) ? PyTuple_GET_SIZE(ic_tuple)
+                                              : 0;
 
-    int max_views = 5 * n_cl + 2 * ctx->n_icaches + 16;
+    Py_ssize_t max_views = 5 * (Py_ssize_t)n_cl + 2 * n_ic + 20;
     ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
     m->sccs = PyMem_Calloc(n_cl, sizeof(Scc));
     ctx->bank_free = PyMem_Calloc(n_cl, sizeof(long long *));
-    int nic = ctx->n_icaches > 0 ? ctx->n_icaches : 1;
-    ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
-    ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
-    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free
-        || !ctx->ic_states || !ctx->ic_mask) {
+    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free) {
         ctx_free(ctx);
         return PyErr_NoMemory();
     }
     m->n = n_cl;
-    ctx->ic_tags = ctx->ic_states + nic;
-    ctx->ic_shift = ctx->ic_mask + nic;
 
     ctx->plan = plan;
     Py_INCREF(plan);
@@ -1989,7 +2052,7 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->bank_mask = sc[1] > 0 && !(sc[1] & (sc[1] - 1)) ? sc[1] - 1 : -1;
     ctx->bank_cycle = sc[2];
     ctx->stall_on_writes = (int)sc[3];
-    ctx->icache_mode = (int)sc[5];
+    ctx->ic_lat = sc[5];
     ctx->iline_shift = sc[6];
     ctx->limit = sc[7];
     m->bus_occ = sc[8];
@@ -2015,39 +2078,26 @@ native_setup(PyObject *self, PyObject *plan)
                   (Py_ssize_t)ctx->nbanks)))
             goto fail;
     }
-    for (int p = 0; p < ctx->n_icaches; p++) {
-        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
-        if (!(ctx->ic_states[p] =
-                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 0))))
-            goto fail;
-        if (!(ctx->ic_tags[p] =
-                  acquire_ll(&ctx->views, PyTuple_GET_ITEM(entry, 1))))
-            goto fail;
-        if (get_ll_item(entry, 2, &ctx->ic_mask[p]) < 0)
-            goto fail;
-        if (get_ll_item(entry, 3, &ctx->ic_shift[p]) < 0)
-            goto fail;
-    }
-    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 0);
-    ctx->queues = PyTuple_GET_ITEM(callbacks, 1);
+    ctx->queues = queues;
     if (!PyDict_CheckExact(ctx->queues)) {
         PyErr_SetString(PyExc_TypeError, "task queues must be a dict");
         goto fail;
     }
 
-    if (vocabulary_setup(ctx, vocabulary) < 0 || procs_setup(ctx, sched) < 0)
+    if (vocabulary_setup(ctx, vocabulary) < 0 || procs_setup(ctx, sched) < 0
+        || icaches_setup(ctx, ic_tuple) < 0)
         goto fail;
-    long long **dptr[6] = {
+    long long **dptr[8] = {
         &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
-        &ctx->d_icfetch, &ctx->d_sync,
+        &ctx->d_sync, &ctx->d_icfetch, &ctx->d_icmiss, &ctx->d_icstall,
     };
-    for (int k = 0; k < 6; k++) {
+    for (int k = 0; k < 8; k++) {
         if (!(*dptr[k] = acquire_ll_n(&ctx->views,
                                       PyTuple_GET_ITEM(deltas, k),
                                       ctx->nproc)))
             goto fail;
     }
-    if (!(ctx->misc = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(deltas, 6),
+    if (!(ctx->misc = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(deltas, 8),
                                    X_FIELDS)))
         goto fail;
     if (!PyTuple_Check(sync) || PyTuple_GET_SIZE(sync) != 2
@@ -2247,32 +2297,19 @@ native_run(PyObject *self, PyObject *capsule)
                     misc[X_EVENTS]++;
                     long long addr = data[i + 1];
                     long long count = data[i + 2];
-                    long long iline = addr >> ctx->iline_shift;
-                    long long ilast =
-                        (addr + count * 4 - 1) >> ctx->iline_shift;
-                    i += 3;
-                    if (ctx->icache_mode == 1) {
-                        /* lines resident in the inline icache cost nothing */
-                        const long long *istates = ctx->ic_states[pid];
-                        const long long *itags = ctx->ic_tags[pid];
-                        long long imask = ctx->ic_mask[pid];
-                        long long ishift = ctx->ic_shift[pid];
-                        while (iline <= ilast && istates[iline & imask]
-                               && itags[iline & imask] == (iline >> ishift))
-                            iline++;
-                    }
-                    if (ctx->icache_mode == 0
-                        || (ctx->icache_mode == 1 && iline > ilast)) {
-                        if (ctx->icache_mode)
-                            ctx->d_icfetch[pid] +=
-                                ilast - (addr >> ctx->iline_shift) + 1;
+                    if (!ctx->icaches) {
+                        i += 3;
                         if (proc_compute(ctx, pid, count, &time) < 0)
                             goto fail;
                     }
+                    else if (count < 1) {
+                        PyErr_SetString(PyExc_ValueError,
+                                        "must fetch at least one instruction");
+                        goto fail;
+                    }
                     else {
-                        int err = 0;
-                        time = call_ifetch(ctx, pid, addr, count, time, &err);
-                        if (err)
+                        i += 3;
+                        if (proc_ifetch(ctx, cl, pid, addr, count, &time) < 0)
                             goto fail;
                     }
                 }
@@ -2833,6 +2870,13 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 base += count;
                 i += 3;
                 continue;
+            }
+            if (count < 1) {
+                /* ``InstructionCache.fetch`` refuses it, before a cycle is
+                 * charged at any size */
+                PyErr_SetString(PyExc_ValueError,
+                                "must fetch at least one instruction");
+                goto out;
             }
             long long addr = data[i + 1];
             i += 3;

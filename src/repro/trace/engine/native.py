@@ -2,11 +2,11 @@
 
 ``_native.c`` implements the interleaver's run: C owns the whole data
 path -- hits, bank/write-buffer timing, the snoopy miss path with its
-bus arbitration --, scheduling, the locks, barriers and task queues, and
-the resuming of the application generators, whose bodies (with
-instruction-cache refills, the one callback left) are the only python
-executed during a run -- none at all for MP3D, whose processes are C's
-own and are stepped, not resumed.  The contract is the reference loop's
+bus arbitration, instruction-cache refills --, scheduling, the locks,
+barriers and task queues, and the resuming of the application
+generators, whose bodies are the only python executed during a run --
+none at all for MP3D, whose processes are C's own and are stepped, not
+resumed.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors -- and, when the system carries the standard
 :class:`~repro.instrument.probes.InstrumentationProbe`, the same
@@ -16,8 +16,9 @@ and folds into the probe once, after the run.
 Ownership rule: the python containers are the machine's state *at
 rest*; between ``setup`` and ``release`` C works on its own copy and no
 python code reads or writes the machine (``MultiprocessorSystem
-.data_access`` never runs in a native run).  Tag/state arrays, bank free
-times and the bus clock are ``array('q')`` storage C works on in place;
+.data_access`` and ``.ifetch`` never run in a native run).  Tag/state
+arrays -- the SCCs' and the icaches' --, bank free times and the bus
+clock are ``array('q')`` storage C works on in place;
 each ``scc._inflight`` dict and each bank's ``_write_buffers`` list is
 read into C words at ``setup`` (per-index fill words, a heap of retire
 times per bank) and rewritten from them at ``release``; the ready heap
@@ -93,7 +94,7 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "load", "run", "scc_plan",
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or force-phase entry points)
 #: changes.
-NATIVE_VERSION = "12"
+NATIVE_VERSION = "13"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one
@@ -287,11 +288,12 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_generic`` on
     machines the interleaver found native-eligible.
 
-    One call into C (``_native.run``) runs the whole simulation; the
-    generators' bodies are the only python executed in it.  This frame
-    flattens the interleaver's state at rest into the plan and, whatever
-    happened, rebuilds it from what C leaves: the processes, ``_heap``,
-    ``_locks``, ``_barriers``, every counter the reference loop bumps.
+    One call into C (``_native.run``) runs the whole simulation, icache
+    refills included; the generators' bodies are the only python
+    executed in it.  This frame flattens the interleaver's state at rest
+    into the plan and, whatever happened, rebuilds it from what C
+    leaves: the processes, ``_heap``, ``_locks``, ``_barriers``, every
+    counter the reference loop bumps.
     """
     native = load()
     self = interleaver
@@ -308,24 +310,11 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     for scc in cl_scc:
         if scc._inflight:   # C keeps one fill per index: the invariant's
             scc.check_fill_tracking()
-    model_icache = config.model_icache
-    ic_objs = None
-    iline_shift = 0
-    if model_icache:
-        iline = config.icache_line_size
-        if iline > 0 and iline & (iline - 1) == 0:
-            iline_shift = iline.bit_length() - 1
-            caches = [system.clusters[proc_cluster[p]]
-                      .icaches[config.port_of(p)]
-                      for p in range(nproc)]
-            if all(ic.array._index_mask for ic in caches):
-                ic_objs = caches
-    if not model_icache:
-        icache_mode = 0
-    elif ic_objs is not None:
-        icache_mode = 1
-    else:
-        icache_mode = 2
+    # Each processor's icache, worked on in place.  ``SystemConfig`` makes
+    # its line and line count powers of two; a one-line icache's zero
+    # mask and shift address it as its own ``%`` and ``//`` do.
+    ic_objs = ([system.clusters[proc_cluster[p]].icaches[config.port_of(p)]
+                for p in range(nproc)] if config.model_icache else [])
 
     scal = array("q", [
         config.line_offset_bits,
@@ -333,8 +322,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         cl_icn[0].bank_cycle_time,
         1 if config.stall_on_writes else 0,
         cl_icn[0].write_buffer_depth,
-        icache_mode,
-        iline_shift,
+        config.icache_miss_latency,
+        config.icache_line_size.bit_length() - 1,
         _NO_LIMIT if max_cycles is None else max_cycles,
         config.bus_occupancy,
         config.upgrade_bus_occupancy,
@@ -345,15 +334,10 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     ])
     per_cluster = tuple(scc_plan(scc, system.bus, scc._lost_lines)
                         for scc in cl_scc)
-    if icache_mode == 1:
-        ic_tuple = tuple(
-            (ic.array._states, ic.array._tags, ic.array._index_mask,
-             ic.array._tag_shift)
-            for ic in ic_objs)
-    else:
-        ic_tuple = ()
-    d_refs, d_busy, d_stall, d_icfetch, d_sync = (
-        array("q", bytes(8 * nproc)) for _ in range(5))
+    ic_tuple = tuple((ic.array._states, ic.array._tags, ic.array._index_mask,
+                      ic.array._tag_shift) for ic in ic_objs)
+    d_refs, d_busy, d_stall, d_sync, d_icfetch, d_icmiss, d_icstall = (
+        array("q", bytes(8 * nproc)) for _ in range(7))
     d_finish = array("q", [-1] * nproc)
     # events, _seq, latest finish, generators resumed
     misc = array("q", [0, self._seq, 0, 0])
@@ -371,23 +355,24 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     # What C tells the probe (eligibility made it NULL_PROBE or the
     # standard one): counters, and one growable bin buffer per timeline
     # -- the bus trio, (cluster, bank) conflicts, per-cluster write
-    # buffers, per-processor busy, memory, then sync -- each a bytearray
-    # of int64 bins C resizes in place.  No probe, no buffers: C's sites
-    # test one NULL pointer.
+    # buffers, per-processor busy, memory, sync, then icache stall --
+    # each a bytearray of int64 bins C resizes in place.  No probe, no
+    # buffers: C's sites test one NULL pointer.
     probe = system.probe
     metrics = None
     if probe is not NULL_PROBE:
         m_counts = array("q", bytes(8 * len(_METRIC_FIELDS)))
         m_series = tuple(bytearray() for _ in range(
-            3 + n_cl * n_banks + n_cl + 3 * nproc))
+            3 + n_cl * n_banks + n_cl + 4 * nproc))
         metrics = (probe.registry.bin_width, m_counts, m_series)
     plan = (
         per_cluster,
         tuple(icn._bank_free for icn in cl_icn),
-        (system.ifetch, self._queues),
+        self._queues,
         scal,
         ic_tuple,
-        (d_refs, d_busy, d_stall, d_finish, d_icfetch, d_sync, misc),
+        (d_refs, d_busy, d_stall, d_finish, d_sync, d_icfetch, d_icmiss,
+         d_icstall, misc),
         (heap, array("q", proc_cluster),
          [process and process.generator for process in processes],
          pstate, chunks, responses),
@@ -442,6 +427,8 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 procs[p].finish_time = d_finish[p]
             if d_icfetch[p]:
                 ic_objs[p].fetch_lines += d_icfetch[p]
+                ic_objs[p].misses += d_icmiss[p]
+                procs[p].stats.icache_stall_cycles += d_icstall[p]
         if metrics is not None:
             series = (array("q", buffer) for buffer in m_series)
 
@@ -455,5 +442,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 write_buffer=take(n_cl),
                 busy=take(nproc),
                 memory=take(nproc),
-                sync=take(nproc))
+                sync=take(nproc),
+                icache=take(nproc))
     return misc[2]

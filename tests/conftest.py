@@ -44,6 +44,11 @@ WRITEBACK_HOLDS_BUS = (
 #: ... and one in what only a ladder has: a rung's skew against the
 #: shared clock.
 LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
+#: ... and one in a run's instruction-cache refills: each refill's stall
+#: is the latency alone, as if it never queued on the bus, nor behind the
+#: line before it.
+ICACHE_REFILL_CHAIN = ("stall = grant + ctx->ic_lat - now;",
+                       "stall = ctx->ic_lat;")
 #: ... and one in the SPEC-stream kernel, which every engine calls: the
 #: word of a hot line is the other one of its pair.
 SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")

@@ -1,10 +1,13 @@
 """Unit and property tests for the snoopy write-invalidate protocol."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bus import SnoopyBus
-from repro.core.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED
+from repro.core.cache import (EXCLUSIVE, INVALID, MODIFIED, SHARED,
+                              DirectMappedArray)
 from repro.core.coherence import CoherenceController
 from repro.core.config import KB, SystemConfig
 from repro.core.scc import SharedClusterCache
@@ -263,3 +266,42 @@ class TestCheckExclusivityPaths:
         ctrl.access(0, 7, True, 0)
         sccs[1].array.install(7, SHARED)
         assert ctrl.check_exclusivity() == 7
+
+
+class TestExclusivityIndexByIndex:
+    """Direct-mapped SCCs are checked index by index on numpy views of
+    their tag and state arrays; the walk over every resident line is the
+    oracle, and the line returned -- the first violator sighted, SCC by
+    SCC -- must be the walk's."""
+
+    @staticmethod
+    def random_machine(rng):
+        clusters = rng.choice([1, 2, 3, 4, 8])
+        lines = rng.choice([1, 4, 6, 16])     # 1 and 6: no index mask
+        valid = rng.choice([0.05, 0.3, 0.9])
+        tags = rng.choice([2, 8, 64])
+        _, sccs, ctrl = make_controller(clusters=clusters)
+        for scc in sccs:
+            scc.array = DirectMappedArray(lines)
+            for index in range(lines):
+                if rng.random() < valid:
+                    scc.array._states[index] = rng.choice(
+                        [SHARED, MODIFIED, EXCLUSIVE])
+                scc.array._tags[index] = rng.randrange(-1, tags)
+        return ctrl
+
+    def test_same_line_as_the_walk(self):
+        found = set()
+        for seed in range(400):
+            ctrl = self.random_machine(random.Random(seed))
+            line = ctrl.check_exclusivity()
+            assert line == ctrl.exclusivity_walk(), seed
+            found.add(line is None)
+        assert found == {True, False}       # clean machines and dirty ones
+
+    def test_set_associative_sccs_take_the_walk(self):
+        _, sccs, ctrl = make_controller(associativity=2)
+        ctrl.access(0, 7, True, 0)
+        assert ctrl.check_exclusivity() is None
+        sccs[1].array.install(7, SHARED)
+        assert ctrl.check_exclusivity() == ctrl.exclusivity_walk() == 7

@@ -210,6 +210,7 @@ class TestAbsorb:
         called.proc_busy(3, 0, 1)
         called.proc_stall(3, "memory", 1, 12)
         called.proc_stall(2, "sync", 4, 17)
+        called.proc_stall(1, "icache", 14, 31)
         told = InstrumentationProbe(bin_width=10, record_events=False)
         told.absorb(
             {"bus_transactions": 1, "bus_busy_cycles": 4,
@@ -222,7 +223,8 @@ class TestAbsorb:
             write_buffer=[[], [0, 0, 0, 2]],
             busy=[[], [], [], [1]],
             memory=[[], [], [], [9, 2]],
-            sync=[[], [], [6, 7], []])
+            sync=[[], [], [6, 7], []],
+            icache=[[], [0, 6, 10, 1], [], []])
         assert told.registry.as_dict() == called.registry.as_dict()
         assert "cache_hits" not in told.registry.counters
         assert "cluster0.bank0.conflict" not in told.registry.timelines
@@ -232,7 +234,8 @@ class TestAbsorb:
         probe.absorb({"bus_transactions": 2, "bus_busy_cycles": 8,
                       "bus_wait_cycles": 0},
                      bus=([8], [], []), bank_conflict=[],
-                     write_buffer=[], busy=[], memory=[], sync=[])
+                     write_buffer=[], busy=[], memory=[], sync=[],
+                     icache=[])
         assert probe.registry.counters == {
             "bus_transactions": 2, "bus_busy_cycles": 8,
             "bus_wait_cycles": 0}
@@ -243,7 +246,7 @@ class TestAbsorb:
         probe.proc_busy(0, 8, 4)
         probe.absorb({}, bus=([], [], []), bank_conflict=[[[]]],
                      write_buffer=[[1, 4]], busy=[[5]], memory=[[]],
-                     sync=[[]])
+                     sync=[[]], icache=[[]])
         timelines = probe.registry.timelines
         assert timelines["cluster0.write_buffer"].series() == [3.0, 4.0]
         assert timelines["proc0.busy"].series() == [7.0, 2.0]

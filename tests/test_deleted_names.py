@@ -36,6 +36,9 @@ DELETED = (
     # and the loader do), and fabric knobs nothing set are constants
     "no_fused", "ladder_available", "backend_requested", "unit_points",
     "heartbeat_interval", "idle_wait",
+    # a native run refills the icaches itself: no callback, and no mode
+    # for the icaches it could not address
+    "call_ifetch", "icache_mode",
 )
 
 PATTERN = re.compile("|".join([

@@ -285,40 +285,41 @@ class TestNativeScheduler:
         assert native == _outcome(config, streams, "python",
                                   max_cycles=300)
 
-    def test_exception_in_read_miss_flushes_deltas_once(self, monkeypatch):
-        """A python frame that raises under ``_native.run`` mid-run: C's
-        deltas -- the miss path's included, it counts everything there
-        now -- are flushed exactly once, leaving what the reference loop,
-        which counts as it goes, has at the same failure -- and so are
-        C's ready heap and fill words, to the containers they came from.
-        The fault sits in the icache refill, the one callback the data
-        path has left; a fetch that hits in C's inline icache never
-        reaches it."""
+    def test_exception_in_a_generator_flushes_deltas_once(self):
+        """A python frame that raises under ``_native.run`` mid-run -- a
+        generator's body, the only python a run has left: C's deltas --
+        the miss path's and the icache refills' included, it counts
+        everything there now -- are flushed exactly once, leaving what the
+        reference loop, which counts as it goes, has at the same failure
+        -- and so are C's ready heap and fill words, to the containers
+        they came from.  Processor 1 raises on the resume after C missed
+        in its SCC and in its icache, with everyone else ready past it."""
         from repro.core.config import SystemConfig
-        from repro.core.system import MultiprocessorSystem
         from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
-                                        OP_WRITE)
+                                        OP_WRITE, PackedChunk)
         config = SystemConfig(clusters=2, processors_per_cluster=2,
                               scc_size=1024, model_icache=True,
                               icache_size=1024)
-        streams = {pid: [[OP_IFETCH, 0, 4, OP_WRITE, 64 * pid,
-                          OP_COMPUTE, 9, OP_READ, 64 * pid],
-                         [OP_IFETCH, 0, 4, OP_READ, 4096 + 64 * pid,
-                          OP_IFETCH, 4096 * (pid == 1), 2, OP_COMPUTE, 1]]
-                   for pid in range(4)}
-        real = MultiprocessorSystem.ifetch
 
-        def ifetch(self, proc, addr, count, now):
-            if addr == 4096:
-                raise KeyError("injected refill failure")
-            return real(self, proc, addr, count, now)
+        def process(pid):
+            def generator():
+                yield PackedChunk([OP_IFETCH, 0, 4, OP_WRITE, 64 * pid,
+                                   OP_COMPUTE, 9, OP_READ, 64 * pid])
+                yield PackedChunk([OP_IFETCH, 4096 * (pid == 1), 4,
+                                   OP_READ, 4096 + 64 * pid,
+                                   OP_COMPUTE, 500 * (pid != 1)])
+                if pid == 1:
+                    raise KeyError("injected workload failure")
+                yield PackedChunk([OP_COMPUTE, 1])
+            return generator
 
-        monkeypatch.setattr(MultiprocessorSystem, "ifetch", ifetch)
+        streams = {pid: process(pid) for pid in range(4)}
         native = _outcome(config, streams, "native")
-        assert native["error"] == ("KeyError", "'injected refill failure'")
+        assert native["error"] == ("KeyError", "'injected workload failure'")
         assert native["stats"]["scc"][0]["read_misses"] > 0
-        # processes 2 and 3 are left ready, four fills in flight
-        assert [pid for _, _, pid in native["ready"]] == [2, 3]
+        assert native["stats"]["icache_misses"] == 5
+        # processes 0, 2 and 3 are left ready, four fills in flight
+        assert [pid for _, _, pid in native["ready"]] == [0, 2, 3]
         assert sorted(map(len, native["fills"])) == [2, 2]
         assert native == _outcome(config, streams, "python")
 
@@ -398,6 +399,89 @@ class TestNativeScheduler:
         interleaver, frames = _profiled_native_run(
             application, lambda code: code is data_access)
         assert sum(frames.values()) == 0
+
+
+@needs_native
+class TestIcacheRefills:
+    """``MultiprocessorSystem.ifetch`` is the reference loop's alone: a
+    native run installs the missing lines in the processor's icache,
+    queues their refills on the bus and, probed, bins the grants and the
+    stall itself (python refilled 3,105 times a pass of the
+    ``uni_instrumented_warm`` bench shape while C called back)."""
+
+    @pytest.fixture
+    def no_python_refill(self, monkeypatch):
+        from repro.core.system import MultiprocessorSystem
+
+        def refused(*args):
+            raise AssertionError("an icache was refilled by python")
+
+        monkeypatch.setattr(MultiprocessorSystem, "ifetch", refused)
+
+    @pytest.mark.parametrize("probed", [False, True],
+                             ids=["unprobed", "probed"])
+    @pytest.mark.parametrize("procs, paper_kb", [
+        # the quick 2p multiprogramming row, live
+        (2, (4, 8, 16, 32, 64, 128, 256, 512)),
+        # what ``uni_instrumented_warm`` replays: one processor at 32 KB
+        (1, (32,)),
+    ], ids=["2p-row", "uni-32KB"])
+    def test_a_native_run_never_calls_the_python_refill(
+            self, no_python_refill, engines_used, procs, paper_kb, probed):
+        from repro.core.config import SystemConfig
+        from repro.experiments.spec import PROFILES
+        from repro.instrument import InstrumentationProbe
+        from repro.simulation import run_simulation
+        profile = PROFILES["quick"]
+        ladder = [kb * 1024 // profile.ladder_scale for kb in paper_kb]
+        for size in ladder:
+            probe = (InstrumentationProbe(record_events=False) if probed
+                     else None)
+            result = run_simulation(
+                SystemConfig.paper_multiprogramming(procs, size),
+                profile.multiprogramming(), instrumentation=probe,
+                backend="native")
+            assert result.stats.icache_misses > 0
+            if probed:
+                assert probe.registry.counters["bus_transactions"] > \
+                    result.stats.icache_misses
+        assert engines_used == ["native"] * len(ladder)
+
+    @pytest.mark.parametrize("addr", [64, 68], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_run_refuses_a_fetch_of_no_instruction(self, addr, count):
+        """``InstructionCache.fetch`` refuses it before anything is
+        charged; so does C, on a machine that models an icache (one that
+        does not charges the count as compute, on both engines)."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024, model_icache=True,
+                              icache_size=1024)
+        streams = {0: [[OP_READ, 0, OP_IFETCH, 0, 4, OP_IFETCH, addr,
+                        count, OP_COMPUTE, 1]],
+                   1: [[OP_IFETCH, 128, 8, OP_READ, 256]]}
+        reference = _outcome(config, streams, "python")
+        assert reference["error"] == ("ValueError",
+                                      "must fetch at least one instruction")
+        assert _outcome(config, streams, "native") == reference
+        assert _outcome(config, streams, "native", bin_width=4) == \
+            _outcome(config, streams, "python", bin_width=4)
+
+    @pytest.mark.parametrize("addr", [64, 68], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_the_ladder_refuses_it_too(self, addr, count):
+        """Two uniprocessor multiprogramming rungs: per-size replay on the
+        reference loop raises at the fetch, and so does the fused pass."""
+        from repro.core.config import SystemConfig
+        from repro.trace.multiconfig import fused_ladder_results
+        rungs = [SystemConfig.paper_multiprogramming(1, size)
+                 for size in (4096, 8192)]
+        tape = {0: [OP_IFETCH, 0, 4, OP_READ, 0, OP_IFETCH, addr, count,
+                    OP_COMPUTE, 1]}
+        for backend in ("python", "native"):
+            with pytest.raises(ValueError,
+                               match="^must fetch at least one instruction$"):
+                fused_ladder_results(rungs, tape, backend=backend)
 
 
 def _quick_8p(application, backend, probe=None):
@@ -555,10 +639,9 @@ def _coherence_tapes():
             and scc(out, 0)["invalidations_sent"] == 1
             and scc(out, 0)["bus_wait_cycles"] == 4
             and out["bus"] == (7, 24, 505)),
-        # C fetch at 100, a fetch yielded as an object at 101, python's
-        # icache refill at 102, C fetch at 103: each queues behind the
-        # last (the tape's name dates from when python ran the object too)
-        "python-between-two-c-stints-sees-the-bus": (
+        # a fetch at 100, one yielded as an object at 101, an icache
+        # refill at 102, a fetch at 103: each queues behind the last
+        "object-and-icache-refill-queue-between-two-misses": (
             {0: [[OP_READ, A], Read(B + 16), [OP_COMPUTE, 1]],
              1: [[OP_COMPUTE, 102, OP_IFETCH, 0, 1]],
              2: [[OP_COMPUTE, 100, OP_READ, 512]],
@@ -586,12 +669,17 @@ def test_native_miss_path_matches_the_reference_protocol(name, protocol):
 
 
 def _probed_tapes():
-    """The directed tapes again, for the probed run, plus one whose
-    spans straddle bins: at ``bin_width=4`` processor 0's 9-cycle compute
-    (cycles 3-12) crosses two boundaries, and three misses queue behind
-    its fetch (granted at 12) -- the last, a write that first loses a
-    cycle to a bank conflict, waits 14-24 and kills cluster 0's copy of
-    A, still in flight, at its grant."""
+    """The directed tapes again, for the probed run, plus two whose
+    spans straddle bins.  In the first, at ``bin_width=4`` processor 0's
+    9-cycle compute (cycles 3-12) crosses two boundaries, and three
+    misses queue behind its fetch (granted at 12) -- the last, a write
+    that first loses a cycle to a bank conflict, waits 14-24 and kills
+    cluster 0's copy of A, still in flight, at its grant.  In the second,
+    processor 0 fetches 20 instructions from byte 40 at cycle 2 -- three
+    icache lines, none resident: the first refill queues 2 cycles behind
+    processor 2's read miss, each of the others is requested when the
+    one before it has arrived, and the 302-cycle stall after the 20 busy
+    cycles runs from the middle of bin 5 to the end of bin 80."""
     def bins(outcome, name):
         timelines = json.loads(outcome["metrics"])["timelines"]
         return timelines[name]["bins"]
@@ -607,6 +695,15 @@ def _probed_tapes():
         and bins(out, "bus.invalidations") == [0.0] * 6 + [1.0]
         and bins(out, "cluster1.bank0.conflict") == [0.0, 0.0, 0.0, 1.0]
         and len(bins(out, "proc0.memory")) == 29)
+    tapes["multi-line-refill-queued-behind-a-data-miss"] = (
+        {0: [[OP_COMPUTE, 2, OP_IFETCH, 40, 20, OP_READ, A]],
+         2: [[OP_READ, 512, OP_COMPUTE, 3, OP_WRITE, A]]},
+        lambda out: out["stats"]["icache_misses"] == 3
+        and out["stats"]["processors"][0]["icache_stall_cycles"] == 302
+        and bins(out, "bus.wait")[0] == 2.0
+        and bins(out, "proc0.icache")[4:7] == [0.0, 2.0, 4.0]
+        and len(bins(out, "proc0.icache")) == 81
+        and sum(bins(out, "proc0.icache")) == 302)
     return tapes
 
 
@@ -616,9 +713,8 @@ def _probed_tapes():
 def test_native_timelines_match_the_reference_probe(name, protocol):
     """Under the standard probe both engines leave the same registry,
     counter for counter and bin for bin, and the timing they leave does
-    not know a probe was there.  "python-between-two-c-stints" is the
-    merge: its icache refill reaches the probe through the python
-    objects, called back from the run C bins the rest of."""
+    not know a probe was there: the icache refills' bus grants and
+    stall spans among them, which C bins as it executes them."""
     from repro.core.config import SystemConfig
     streams, check = _probed_tapes()[name]
     config = SystemConfig(clusters=2, processors_per_cluster=2,
@@ -741,11 +837,11 @@ def _scheduling_tapes():
         "compute-0-and-ifetch-objects-no-icache": (
             {"model_icache": False}, icache_objects,
             lambda out: out["events"] == 12),
-        "compute-0-and-ifetch-objects-inline-icache": (
+        "compute-0-and-ifetch-objects-32-line-icache": (
             {}, icache_objects,
             lambda out: out["stats"]["icache_misses"] == 7),
-        # one line of 1024 bytes: no index mask, every fetch is python's
-        "compute-0-and-ifetch-objects-python-icache": (
+        # one line of 1024 bytes: index mask and tag shift 0
+        "compute-0-and-ifetch-objects-1-line-icache": (
             {"icache_line_size": 1024}, icache_objects,
             lambda out: out["stats"]["icache_misses"] == 3),
     }
@@ -1235,9 +1331,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "12"
+        assert native.NATIVE_VERSION == "13"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '12'")
+            "stale extension old.so: ABI '5', need '13'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", native._UNSET)
         loaded = native.load()

@@ -21,7 +21,10 @@ C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
 engines' to report, and one in what only a ladder has
-(``LADDER_SKEW``) is the ``fused`` engine's alone.  The SPEC-stream
+(``LADDER_SKEW``) is the ``fused`` engine's alone.  A run's icache
+refills are C's too (``ICACHE_REFILL_CHAIN``): the ``native`` and
+``instrumented`` engines both answer for them, and so does the directed
+multi-line refill tape's parity test.  The SPEC-stream
 kernel writes the multiprogramming workload's words for every engine
 alike, so the differ has no baseline to hold a mutant there
 (``SPEC_HOT_PARITY``) against: the kernel's parity test with
@@ -36,11 +39,11 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN, LADDER_SKEW,
-                        MP3D_PARTNER_CARRY, READ_MISS_DONE, READY_TIE_BREAK,
-                        SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
-                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
-                        WRITEBACK_HOLDS_BUS)
+from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN,
+                        ICACHE_REFILL_CHAIN, LADDER_SKEW, MP3D_PARTNER_CARRY,
+                        READ_MISS_DONE, READY_TIE_BREAK, SPEC_HOT_PARITY,
+                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
+                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
 
@@ -292,6 +295,44 @@ class TestLadderStateMutationIsCaught:
         assert checks >= 1
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "fused"
+        assert _clean_unmutated(shrunk)
+
+
+@needs_native
+class TestIcacheRefillMutationIsCaught:
+    """A refill stall that forgets the bus queue and the refills before
+    it changes clocks only where a fetch misses more than one line, or
+    behind other traffic."""
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi"])
+    def test_the_multi_line_refill_tape_fails_its_parity_test(
+            self, protocol, mutant_native, monkeypatch):
+        # (imported here: at module level pytest would collect it again)
+        from ..trace.test_engine import \
+            test_native_timelines_match_the_reference_probe as parity
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*ICACHE_REFILL_CHAIN))
+        with pytest.raises(AssertionError):
+            parity(
+                "multi-line-refill-queued-behind-a-data-miss", protocol)
+
+    def test_the_instrumented_engine_reports_it(self, mutant_native,
+                                                monkeypatch):
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*ICACHE_REFILL_CHAIN))
+
+        def dirty(tape):
+            return _diff_of(tape, "instrumented") is not None
+
+        tape = next((tape for tape in (generate_tape(f"0:{index}")
+                                       for index in range(MUTANT_SEED_LIMIT))
+                     if dirty(tape)), None)
+        assert tape is not None, "no generated tape fetched past a refill"
+        assert tape.config().model_icache
+        assert _diff_of(tape, "native") is not None
+        shrunk, checks = shrink_tape(tape, dirty)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
         assert _clean_unmutated(shrunk)
 
 
