@@ -17,20 +17,19 @@ The SCC/bus timing model has two implementations ("backends", psim's
   over the shared ``array('q')`` tag/state/bank/bus storage, switches
   processes on its own copy of the ready heap and keeps the locks,
   barriers and task queues; it also carries the fused ladder.  Python
-  is left the generators' bodies -- and for MP3D not even those: its
-  processes are the extension's own iterators, which ``_native.run``
-  steps without resuming anything.  The standard
+  is left the generators' bodies -- and for MP3D and Barnes-Hut not
+  even those: their processes are the extension's own iterators, which
+  ``_native.run`` steps without resuming anything.  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
   extension carries four kernels that time nothing, each run when the
   extension loaded and its python reference otherwise: the analytical
   tier's row profile (``row_profile``, for
-  :func:`repro.model.profile.build_row_profile`), Barnes-Hut's
-  force-phase words (``force_words``; numpy's ``_expand`` is the
-  reference), a SPEC application's multiprogramming quantum
-  (``spec_burst``; ``SpecApp.burst_packed`` is the reference) and
-  MP3D's processes (``mp3d_processes``; ``_MP3DRun.process`` is the
-  reference).  That choice follows the loader, not ``backend=``: the
+  :func:`repro.model.profile.build_row_profile`), a SPEC application's
+  multiprogramming quantum (``spec_burst``; ``SpecApp.burst_packed`` is
+  the reference), and MP3D's and Barnes-Hut's processes
+  (``mp3d_processes`` and ``barnes_processes``; ``_MP3DRun.process``
+  and ``_BarnesHutRun.process`` are the references).  That choice follows the loader, not ``backend=``: the
   output is the same either way and no request can ask for the slow
   one.
 

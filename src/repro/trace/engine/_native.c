@@ -60,14 +60,13 @@
  * ``Scc`` on a bus of its own, and its misses, upgrades and icache
  * refills are the "coherence" section's, called as ``run`` calls them.
  * The row-profile kernel (``row_profile``, diffed as the ``profile``
- * engine), the force-phase kernel (``force_words``: Barnes-Hut's
- * remembered walks relocated onto one run's cells) and the SPEC-stream
- * kernel (``spec_burst``: one multiprogramming quantum, written from the
- * application's own uniform batches) share nothing else.  MP3D's
- * processes (``mp3d_processes``) are iterators any consumer can resume,
- * and the one generator type ``run`` knows: it steps them itself, so an
- * MP3D run executes no python between ``setup`` and ``release``.
- * Each is introduced by its own banner below.
+ * engine) and the SPEC-stream kernel (``spec_burst``: one
+ * multiprogramming quantum, written from the application's own uniform
+ * batches) share nothing else.  MP3D's and Barnes-Hut's processes
+ * (``mp3d_processes``, ``barnes_processes``) are iterators any consumer
+ * can resume, and the only generator types ``run`` knows: it steps them
+ * itself, so an MP3D or Barnes-Hut run executes no python between
+ * ``setup`` and ``release``.  Each is introduced by its own banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -93,7 +92,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "13"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "14"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -424,6 +423,28 @@ get_ll_item(PyObject *seq, Py_ssize_t i, long long *out)
     if (*out == -1 && PyErr_Occurred())
         return -1;
     return 0;
+}
+
+/* A view on ``obj``'s contiguous items of ``size`` bytes each, signed
+ * integers (``floats`` false) or float64s, writable when C writes them;
+ * returns how many. */
+static Py_ssize_t
+typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
+           int writable, const char *what)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    size_t len = strlen(view->format);
+    if (view->itemsize != size || len == 0
+            || !strchr(floats ? "d" : "ilq", view->format[len - 1])) {
+        PyErr_Format(PyExc_ValueError, "%s must be %zd-byte %s", what, size,
+                     floats ? "floats" : "integers");
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return view->len / size;
 }
 
 /* -------------------------------------------------------------- metrics */
@@ -1671,26 +1692,32 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
     return rc;
 }
 
-/* The "MP3D processes" section's, below: its iterator's ``tp_iternext``
- * names the type, and one step writes a process's next chunk into the
- * process's own words. */
+/* The "MP3D processes" and "Barnes-Hut processes" sections', below: an
+ * iterator's ``tp_iternext`` names its type, and one step writes a
+ * process's next chunk into the process's own words. */
 static PyObject *m3_next(PyObject *self);
 static int m3_step(PyObject *self, const long long **words);
+static PyObject *bh_next(PyObject *self);
+static long long bh_step(PyObject *self, const long long **words);
 
 /* ``_advance``'s resume: run ``proc``'s generator until it yields events
  * to drain (1: its cursor is installed) or ends (0); -1 on error, the
  * generator's own included.  Its clock does not move in here.  An MP3D
- * process is not resumed: C steps it, and its chunk is read where it was
- * written (what it is sent it ignores, as its python twin does). */
+ * or Barnes-Hut process is not resumed: C steps it, and its chunk is read
+ * where it was written (what it is sent it ignores, as its python twin
+ * does). */
 static int
 proc_refill(Ctx *ctx, long long pid, Proc *proc)
 {
-    if (Py_TYPE(proc->generator)->tp_iternext == m3_next) {
+    iternextfunc next = Py_TYPE(proc->generator)->tp_iternext;
+    if (next == m3_next || next == bh_next) {
         Py_CLEAR(proc->response);
-        int n = m3_step(proc->generator, &proc->cursor.data);
+        long long n = next == m3_next
+            ? m3_step(proc->generator, &proc->cursor.data)
+            : bh_step(proc->generator, &proc->cursor.data);
         if (n > 0)
             proc->cursor.end = n;
-        return n > 0 ? 1 : n;
+        return n > 0 ? 1 : (int)n;
     }
     while (!proc->cursor.data) {
         PyObject *yielded;
@@ -3839,271 +3866,6 @@ done:
 }
 
 /* ==================================================================== */
-/* Force-phase words (repro.workloads.barnes_hut)                       */
-/* ==================================================================== */
-
-/* A ``BarnesHut`` object remembers each tree's force walks with no
- * address in them (a ``_ForcePlan``: one int32 ``node * 4 + kind`` per
- * node visit, body ``b``'s walk at ``visits[starts[b]:starts[b + 1]]``),
- * and every run relocates them onto the cells its own insert races
- * allocated.  ``force_words`` is that relocation: the walks of the run's
- * bodies in processor order, every word written once, straight into the
- * ``array('q')`` chunk each processor yields.  The contract is numpy's
- * ``barnes_hut._expand``, word for word: what ``REPRO_NATIVE=0`` runs and
- * what tests/workloads compares this against.
- *
- * C knows no record layout.  A walk is the ``begin`` pattern about the
- * walking body's record, one pattern per visit by its kind about the node
- * the visit names (kind 0 a body, kinds 1 and 2 a cell), then the ``end``
- * pattern about the walking body again; a pattern is ``(words,
- * relative)``, word ``k`` written as ``words[k] + relative[k] * address``
- * (wrapping, as numpy's int64 arithmetic does).  Every input is checked
- * before an output exists -- lengths, non-decreasing ``starts``, every
- * body of ``order`` and every node a visit names inside its table, every
- * kind below 3, ``owned`` adding up to ``order`` -- so a bad one raises
- * ValueError and leaves nothing half written.
- */
-
-#define FW_KINDS 3              /* visit kinds; a plan word's low two bits */
-#define FW_PATTERN_MAX 16       /* words in one pattern */
-
-typedef struct {
-    Py_ssize_t n;
-    long long words[FW_PATTERN_MAX], relative[FW_PATTERN_MAX];
-} FwPattern;
-
-/* Pattern ``obj``: a ``(words, relative)`` pair of equal-length int
- * sequences. */
-static int
-fw_pattern(PyObject *obj, FwPattern *p)
-{
-    PyObject *words, *relative;
-    if (!PyArg_ParseTuple(obj, "OO", &words, &relative))
-        return -1;
-    Py_ssize_t n = PySequence_Size(words);
-    if (n < 0)
-        return -1;
-    if (n > FW_PATTERN_MAX || PySequence_Size(relative) != n) {
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError,
-                         "a force pattern is at most %d words, each with "
-                         "a relative flag", FW_PATTERN_MAX);
-        return -1;
-    }
-    p->n = n;
-    for (Py_ssize_t k = 0; k < n; k++)
-        if (get_ll_item(words, k, &p->words[k]) < 0
-                || get_ll_item(relative, k, &p->relative[k]) < 0)
-            return -1;
-    return 0;
-}
-
-/* A view on ``obj``'s contiguous items of ``size`` bytes each, signed
- * integers (``floats`` false) or float64s, writable when C writes them;
- * returns how many. */
-static Py_ssize_t
-typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
-           int writable, const char *what)
-{
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
-                | (writable ? PyBUF_WRITABLE : 0);
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    size_t len = strlen(view->format);
-    if (view->itemsize != size || len == 0
-            || !strchr(floats ? "d" : "ilq", view->format[len - 1])) {
-        PyErr_Format(PyExc_ValueError, "%s must be %zd-byte %s", what, size,
-                     floats ? "floats" : "integers");
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return view->len / size;
-}
-
-static inline long long *
-fw_write(long long *out, const FwPattern *p, long long address)
-{
-    unsigned long long a = (unsigned long long)address;
-    for (Py_ssize_t k = 0; k < p->n; k++)
-        out[k] = (long long)((unsigned long long)p->words[k]
-                             + (unsigned long long)p->relative[k] * a);
-    return out + p->n;
-}
-
-/* force_words(visits, starts, order, owned, body_address, cell_address,
- *             patterns)
- *
- * ``visits``: the plan's int32 words; ``starts``: int64, one per body and
- * one past the last; ``order``: int64 body indexes, processor by
- * processor, ``owned[p]`` of them processor ``p``'s; ``body_address`` and
- * ``cell_address``: int64 record addresses by body index and by a cell's
- * pre-order number; ``patterns``: ``(begin, end, kind 0, kind 1, kind
- * 2)``.  Returns a list of one ``array('q')`` per processor. */
-static PyObject *
-native_force_words(PyObject *self, PyObject *args)
-{
-    (void)self;
-    enum { V_VISITS, V_STARTS, V_ORDER, V_BODY, V_CELL, V_COUNT };
-    const Py_ssize_t sizes[V_COUNT] = {4, 8, 8, 8, 8};
-    const char *names[V_COUNT] = {"visits", "starts", "order",
-                                  "body addresses", "cell addresses"};
-    PyObject *objs[V_COUNT], *owned_seq, *patterns;
-    if (!PyArg_ParseTuple(args, "OOOOOOO!", &objs[V_VISITS],
-                          &objs[V_STARTS], &objs[V_ORDER], &owned_seq,
-                          &objs[V_BODY], &objs[V_CELL], &PyTuple_Type,
-                          &patterns))
-        return NULL;
-
-    PyObject *result = NULL, *array_mod = NULL, *zero = NULL;
-    Py_buffer views[V_COUNT];
-    Py_ssize_t lens[V_COUNT];
-    int n_views = 0;
-    long long *owned = NULL, *walk_words = NULL, *proc_words = NULL;
-    FwPattern pats[2 + FW_KINDS];
-
-    for (; n_views < V_COUNT; n_views++)
-        if ((lens[n_views] = typed_view(objs[n_views], &views[n_views],
-                                        sizes[n_views], 0, 0,
-                                        names[n_views])) < 0)
-            goto done;
-    const int *visits = views[V_VISITS].buf;
-    const long long *starts = views[V_STARTS].buf;
-    const long long *order = views[V_ORDER].buf;
-    const long long *tables[FW_KINDS] = {
-        views[V_BODY].buf, views[V_CELL].buf, views[V_CELL].buf};
-    const Py_ssize_t table_lens[FW_KINDS] = {
-        lens[V_BODY], lens[V_CELL], lens[V_CELL]};
-    Py_ssize_t n_bodies = lens[V_BODY], n_order = lens[V_ORDER];
-
-    if (PyTuple_GET_SIZE(patterns) != 2 + FW_KINDS) {
-        PyErr_SetString(PyExc_ValueError,
-                        "need five force patterns: begin, end and one per "
-                        "visit kind");
-        goto done;
-    }
-    for (int k = 0; k < 2 + FW_KINDS; k++)
-        if (fw_pattern(PyTuple_GET_ITEM(patterns, k), &pats[k]) < 0)
-            goto done;
-    Py_ssize_t n_procs = PySequence_Size(owned_seq);
-    if (n_procs < 0)
-        goto done;
-    if (lens[V_STARTS] != n_bodies + 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "a force plan over %zd bodies needs %zd starts",
-                     n_bodies, n_bodies + 1);
-        goto done;
-    }
-    if (starts[0] < 0 || starts[n_bodies] > lens[V_VISITS]) {
-        PyErr_SetString(PyExc_ValueError,
-                        "force plan starts run outside its visits");
-        goto done;
-    }
-    for (Py_ssize_t b = 0; b < n_bodies; b++)
-        if (starts[b + 1] < starts[b]) {
-            PyErr_Format(PyExc_ValueError,
-                         "force plan starts decrease at body %zd", b + 1);
-            goto done;
-        }
-
-    /* Every walk checked and measured, then every processor's chunk. */
-    if (!(walk_words = pf_alloc(n_bodies, sizeof(long long)))
-            || !(owned = pf_alloc(n_procs, sizeof(long long)))
-            || !(proc_words = pf_alloc(n_procs, sizeof(long long))))
-        goto done;
-    for (Py_ssize_t b = 0; b < n_bodies; b++) {
-        long long words = pats[0].n + pats[1].n;
-        for (long long i = starts[b]; i < starts[b + 1]; i++) {
-            int kind = visits[i] & 3;
-            long long node = visits[i] >> 2;
-            if (kind >= FW_KINDS) {
-                PyErr_Format(PyExc_ValueError,
-                             "force plan visit %lld is of kind %d", i, kind);
-                goto done;
-            }
-            if (node < 0 || node >= table_lens[kind]) {
-                PyErr_Format(PyExc_ValueError,
-                             "force plan visit %lld names node %lld outside "
-                             "its table", i, node);
-                goto done;
-            }
-            words += pats[2 + kind].n;
-        }
-        walk_words[b] = words;
-    }
-    long long placed = 0;
-    for (Py_ssize_t p = 0; p < n_procs; p++) {
-        if (get_ll_item(owned_seq, p, &owned[p]) < 0)
-            goto done;
-        if (owned[p] < 0 || owned[p] > n_order - placed) {
-            PyErr_Format(PyExc_ValueError,
-                         "owned bodies overrun the order's %zd", n_order);
-            goto done;
-        }
-        for (long long j = placed; j < placed + owned[p]; j++) {
-            if (order[j] < 0 || order[j] >= n_bodies) {
-                PyErr_Format(PyExc_ValueError,
-                             "order names body %lld of %zd", order[j],
-                             n_bodies);
-                goto done;
-            }
-            if (walk_words[order[j]] > PY_SSIZE_T_MAX / 8 - proc_words[p]) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            proc_words[p] += walk_words[order[j]];
-        }
-        placed += owned[p];
-    }
-    if (placed != n_order) {
-        PyErr_Format(PyExc_ValueError,
-                     "owned bodies add up to %lld, the order has %zd",
-                     placed, n_order);
-        goto done;
-    }
-
-    if (!(array_mod = PyImport_ImportModule("array"))
-            || !(zero = PyObject_CallMethod(array_mod, "array", "s(i)", "q",
-                                            0))
-            || !(result = PyList_New(n_procs)))
-        goto done;
-    placed = 0;
-    for (Py_ssize_t p = 0; p < n_procs; p++) {
-        PyObject *chunk = PySequence_Repeat(zero, (Py_ssize_t)proc_words[p]);
-        Py_buffer out;
-        if (!chunk || PyObject_GetBuffer(chunk, &out, PyBUF_WRITABLE) < 0) {
-            Py_XDECREF(chunk);
-            Py_CLEAR(result);
-            goto done;
-        }
-        PyList_SET_ITEM(result, p, chunk);
-        long long *at = out.buf;
-        for (long long j = placed; j < placed + owned[p]; j++) {
-            long long body = order[j];
-            long long self_address = tables[0][body];
-            at = fw_write(at, &pats[0], self_address);
-            for (long long i = starts[body]; i < starts[body + 1]; i++) {
-                int kind = visits[i] & 3;
-                at = fw_write(at, &pats[2 + kind],
-                              tables[kind][visits[i] >> 2]);
-            }
-            at = fw_write(at, &pats[1], self_address);
-        }
-        placed += owned[p];
-        PyBuffer_Release(&out);
-    }
-
-done:
-    while (n_views)
-        PyBuffer_Release(&views[--n_views]);
-    Py_XDECREF(array_mod);
-    Py_XDECREF(zero);
-    free(owned);
-    free(walk_words);
-    free(proc_words);
-    return result;
-}
-
-/* ==================================================================== */
 /* SPEC streams (repro.workloads.spec)                                  */
 /* ==================================================================== */
 
@@ -4567,9 +4329,9 @@ typedef struct {
     long long words[M3_WORDS];
 } M3Process;
 
-/* The module's state: the process type, made at init. */
+/* The module's state: the process types, made at init. */
 typedef struct {
-    PyTypeObject *mp3d_process;
+    PyTypeObject *mp3d_process, *barnes_process;
 } ModuleState;
 
 static void
@@ -4818,13 +4580,13 @@ m3_next(PyObject *self)
     return chunk;
 }
 
-/* ``process.send(value)``: ``value`` is ignored, as MP3D's yields ignore
- * theirs. */
+/* ``process.send(value)``, MP3D's processes' and Barnes-Hut's: ``value``
+ * is ignored, as their generators' yields ignore theirs. */
 static PyObject *
-m3_send(PyObject *self, PyObject *value)
+process_send(PyObject *self, PyObject *value)
 {
     (void)value;
-    PyObject *chunk = m3_next(self);
+    PyObject *chunk = Py_TYPE(self)->tp_iternext(self);
     if (!chunk && !PyErr_Occurred())
         PyErr_SetNone(PyExc_StopIteration);
     return chunk;
@@ -4840,7 +4602,7 @@ m3_dealloc(PyObject *self)
 }
 
 static PyMethodDef process_methods[] = {
-    {"send", m3_send, METH_O,
+    {"send", process_send, METH_O,
      "Resume the process (the value sent is ignored): its next chunk."},
     {NULL, NULL, 0, NULL},
 };
@@ -5004,6 +4766,1026 @@ fail:
     return NULL;
 }
 
+/* ==================================================================== */
+/* Barnes-Hut processes (repro.workloads.barnes_hut)                    */
+/* ==================================================================== */
+
+/* A Barnes-Hut step builds an octree under per-cell lock races, sums it
+ * level by level, deals the bodies out in tree order and walks the tree
+ * once per body.  Which record a cell lands in, and which slot a bucket
+ * gives a body, follow the interleaving, so no run's words can be written
+ * ahead of it.  ``barnes_processes`` runs the processes in C instead: one
+ * iterator per processor over a run state they share -- the bodies'
+ * positions and velocities (float64, three per body) and their costs
+ * (int64: the seeded interaction counts, then each force phase's), read
+ * and written in place in the caller's buffers, their masses, theta, the
+ * softening length, dt, the step count, the clusters and processors per
+ * cluster the bodies are dealt to, and the region bases.  C owns the rest:
+ * the octree (every record of the cell array: centre, half, depth, eight
+ * child slots, centre of mass and mass), each processor's cell pool, the
+ * levels, the partition and the accelerations.
+ *
+ * An iterator is ``_BarnesHutRun.process``, resume for resume -- the
+ * reference: what ``REPRO_NATIVE=0`` runs, and what
+ * tests/workloads/test_barnes_hut.py holds this to, event for event.
+ * Every chunk ends where that generator's does, so each touch of the tree
+ * in the insert phase (the optimistic slot read, the re-read under the
+ * cell's lock, a subcell's private write before it is published, a
+ * bucket's free-slot scan) and each slot it mutates happen at the same
+ * resume; so do processor 0's reset, level collection and partition, and
+ * every other processor's read of its body count for the partition
+ * compute -- which, as the generator's does, may come before processor 0
+ * has dealt the step's bodies and charge the last deal.  The force phase
+ * needs no plan: nothing it reads moves between barriers 4 and 5, so each
+ * processor walks the tree for its own bodies (``_gravity``, in the same
+ * IEEE operations and the same stack order; the build asks for
+ * ``-ffp-contract=off``) and writes each visit's words about the record it
+ * visits as it goes.
+ *
+ * Driven through ``next()`` / ``send()`` an iterator yields each chunk as
+ * ``chunk_type(array('q'))``; ``run`` steps it itself (``proc_refill``)
+ * and reads the chunk where it was written.  Every input is checked before
+ * a process exists; a cost rewritten out of range mid-run is refused by
+ * the partition that reads it.
+ */
+
+#define BH_BODY 96              /* _BODY_RECORD: pos @0, vel @32, acc @64 */
+#define BH_VEL 32
+#define BH_ACC 64
+#define BH_CELL 112             /* _CELL_RECORD: com @0, children @48 */
+#define BH_CHILDREN 48
+#define BH_CELLS_PER_BODY 4     /* the cell array's records per body */
+#define BH_INTERACTION 22       /* _INTERACTION_COMPUTE */
+#define BH_OPEN_TEST 8          /* _OPEN_TEST_COMPUTE */
+#define BH_LEAPFROG 16          /* _UPDATE_COMPUTE */
+#define BH_INSERT 6             /* _INSERT_COMPUTE */
+#define BH_PARTITION 40         /* _PARTITION_COMPUTE */
+#define BH_LOCK_BASE 100        /* _CELL_LOCK_BASE */
+#define BH_MAX_DEPTH 32         /* _MAX_DEPTH */
+#define BH_VISIT 10             /* the most words one node visit writes */
+#define BH_BODIES_MAX (1LL << 24)
+#define BH_COST_MAX (1LL << 28) /* so a deal's sums are exact doubles */
+#define BH_STEPS_MAX (1LL << 32)
+#define BH_PROCS_MAX (1LL << 16)
+#define BH_LIMIT (1LL << 60)    /* the records end at or below this */
+
+enum { BH_POS, BH_VELS, BH_MASSES, BH_COSTS, BH_VIEWS };
+
+/* One record of the cell array.  A child slot holds 0 (empty), ``b + 1``
+ * (body ``b``) or ``-(c + 1)`` (cell ``c``): a node, as the walks' stacks
+ * hold them too. */
+typedef struct {
+    double centre[3], half, com[3], mass;
+    long long depth;
+    int children[8];
+} BhCell;
+
+/* What a run's processes share; its capsule is theirs. */
+typedef struct {
+    Py_buffer views[BH_VIEWS];
+    double *pos, *vel;          /* [body * 3 + axis] */
+    const double *mass;         /* [body] */
+    long long *cost;            /* [body] */
+    double *acc;                /* [body * 3 + axis] */
+    long long n, steps, n_procs, clusters, per_cluster;
+    double theta2, eps2, dt;
+    long long bbase, cbase;
+    BhCell *cells;              /* [index]: the cell array */
+    long long n_cells, pool;    /* records, and records per processor */
+    long long root;             /* -1 before processor 0's first reset */
+    long long *pool_next;       /* [proc] */
+    long long *assign, *first;  /* processor p's bodies are assign[first[p]
+                                   : first[p + 1]], in the order dealt */
+    long long *ordered;         /* the bodies in tree order */
+    long long *levels, *level_first;    /* the cells of depth d are
+                                   levels[level_first[d] : level_first[d + 1]] */
+    long long n_levels;
+    long long *stack;           /* a walk's: room for the root and every
+                                   child slot of the cell array */
+    PyObject *chunk_type, *zero;        /* PackedChunk, array('q', [0]) */
+} BhRun;
+
+static const char BH_RUN_NAME[] = "repro.trace.engine._native.barnes_hut";
+
+/* Where a process stands: what its next resume does. */
+enum {
+    BH_STEP, BH_ROOT, BH_BARRIER1, BH_INSERT_BEGIN, BH_INSERT_BUCKET,
+    BH_INSERT_SLOT, BH_INSERT_LOCKED, BH_INSERT_SPLIT, BH_BARRIER2,
+    BH_COLLECT, BH_SUMMARIZE_BEGIN, BH_SUMMARIZE, BH_BARRIER7, BH_BARRIER4,
+    BH_FORCE, BH_BARRIER5, BH_UPDATE, BH_BARRIER6, BH_ENDED,
+};
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *owner;            /* the run's capsule */
+    BhRun *run;
+    long long proc, step, depth;        /* depth: the level summed next */
+    int phase;
+    /* the insert phase: how many of its bodies the processor has taken,
+     * the one descending, the cell it stands in, the slot it reads there
+     * and what it found, and the subcell a split makes */
+    long long taken, body, cell, octant, child, subcell;
+    long long *words, cap;      /* the chunk, room for ``cap`` words */
+} BhProcess;
+
+static void
+bh_free(BhRun *r)
+{
+    for (int k = 0; k < BH_VIEWS; k++)
+        PyBuffer_Release(&r->views[k]);
+    PyMem_Free(r->acc);
+    PyMem_Free(r->cells);
+    PyMem_Free(r->pool_next);
+    PyMem_Free(r->assign);
+    PyMem_Free(r->first);
+    PyMem_Free(r->ordered);
+    PyMem_Free(r->levels);
+    PyMem_Free(r->level_first);
+    PyMem_Free(r->stack);
+    Py_XDECREF(r->chunk_type);
+    Py_XDECREF(r->zero);
+    PyMem_Free(r);
+}
+
+static void
+bh_run_free(PyObject *capsule)
+{
+    BhRun *run = PyCapsule_GetPointer(capsule, BH_RUN_NAME);
+    if (run)
+        bh_free(run);
+}
+
+static inline long long
+bh_body_addr(const BhRun *r, long long body)
+{
+    return r->bbase + body * BH_BODY;
+}
+
+static inline long long
+bh_cell_addr(const BhRun *r, long long cell)
+{
+    return r->cbase + cell * BH_CELL;
+}
+
+static inline long long
+bh_slot_addr(const BhRun *r, long long cell, long long slot)
+{
+    return bh_cell_addr(r, cell) + BH_CHILDREN + slot * 8;
+}
+
+/* Room for ``more`` words after the first ``n`` of the process's chunk. */
+static int
+bh_room(BhProcess *p, long long n, long long more)
+{
+    if (n + more <= p->cap)
+        return 0;
+    long long cap = 2 * p->cap > n + more ? 2 * p->cap : n + more;
+    long long *words = PyMem_Realloc(p->words, (size_t)cap * sizeof *words);
+    if (!words) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    p->words = words;
+    p->cap = cap;
+    return 0;
+}
+
+/* ``x ** 2`` as python computes it (libm's ``pow``, which a compiler
+ * would fold into ``x * x``); -1 on error. */
+static int
+bh_square(double x, double *out)
+{
+    PyObject *base = PyFloat_FromDouble(x), *two = PyLong_FromLong(2);
+    PyObject *power = base && two ? PyNumber_Power(base, two, Py_None) : NULL;
+    Py_XDECREF(base);
+    Py_XDECREF(two);
+    if (!power)
+        return -1;
+    *out = PyFloat_AsDouble(power);
+    Py_DECREF(power);
+    return 0;
+}
+
+/* ``_new_cell``: the next record of ``proc``'s pool, empty. */
+static long long
+bh_new_cell(BhRun *r, long long proc, const double *centre, double half,
+            long long depth)
+{
+    long long index = r->pool_next[proc];
+    if (index >= (proc + 1) * r->pool) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "cell pool of processor %lld exhausted", proc);
+        return -1;
+    }
+    r->pool_next[proc] = index + 1;
+    BhCell *c = &r->cells[index];
+    double at[3] = {centre[0], centre[1], centre[2]};
+    memset(c, 0, sizeof *c);
+    memcpy(c->centre, at, sizeof at);
+    c->half = half;
+    c->depth = depth;
+    return index;
+}
+
+/* ``slot_of``: the octant of ``pos`` -- or, in a bucket (a cell at the
+ * depth bound), the first free slot, and the last one once full. */
+static long long
+bh_slot_of(const BhCell *c, const double *pos)
+{
+    long long slot = 0;
+    if (c->depth < BH_MAX_DEPTH) {
+        for (int axis = 0; axis < 3; axis++)
+            if (pos[axis] >= c->centre[axis])
+                slot |= 1 << axis;
+        return slot;
+    }
+    while (slot < 7 && c->children[slot])
+        slot++;
+    return slot;
+}
+
+/* ``subcell_cube``: the cube a body in ``slot`` of ``c`` splits into (a
+ * bucket overflows into another bucket on its own cube). */
+static void
+bh_subcell_cube(const BhCell *c, long long slot, double *centre,
+                double *half)
+{
+    if (c->depth >= BH_MAX_DEPTH) {
+        memcpy(centre, c->centre, sizeof c->centre);
+        *half = c->half;
+        return;
+    }
+    double quarter = c->half / 2.0;
+    for (int axis = 0; axis < 3; axis++)
+        centre[axis] = c->centre[axis]
+                       + (slot & (1 << axis) ? quarter : -quarter);
+    *half = c->half / 2.0;
+}
+
+/* ``_reset_tree``: the pools empty, and a root out of processor 0's over
+ * every body (``_bounding_cube``: python's ``min`` and ``max``, the first
+ * body first). */
+static int
+bh_reset_tree(BhRun *r)
+{
+    double low[3], high[3], centre[3];
+    for (long long p = 0; p < r->n_procs; p++)
+        r->pool_next[p] = p * r->pool;
+    for (int axis = 0; axis < 3; axis++) {
+        low[axis] = high[axis] = r->pos[axis];
+        for (long long b = 1; b < r->n; b++) {
+            double x = r->pos[3 * b + axis];
+            if (x < low[axis])
+                low[axis] = x;
+            if (x > high[axis])
+                high[axis] = x;
+        }
+        centre[axis] = (low[axis] + high[axis]) / 2.0;
+    }
+    double spread = high[0] - low[0];
+    for (int axis = 1; axis < 3; axis++)
+        if (high[axis] - low[axis] > spread)
+            spread = high[axis] - low[axis];
+    double half = spread / 2.0;
+    long long root = bh_new_cell(r, 0, centre, half * 1.0001 + 1e-9, 0);
+    if (root < 0)
+        return -1;
+    r->root = root;
+    return 0;
+}
+
+/* ``_insert_phase`` from where the process stands to its next yield (1:
+ * the chunk is ``*n`` words), or to its end (0: ``*n`` words of the last
+ * body still to flush); -1 on error.  Every resume begins a chunk, which
+ * never holds more than ten words. */
+static int
+bh_insert(BhProcess *p, long long *n)
+{
+    BhRun *r = p->run;
+    long long *w = p->words, k = 0, lock, slot;
+    double centre[3], half;
+    BhCell *c;
+    switch (p->phase) {
+    case BH_INSERT_BUCKET:
+        goto slot_of;
+    case BH_INSERT_SLOT:
+        goto slot_read;
+    case BH_INSERT_LOCKED:
+        goto locked;
+    case BH_INSERT_SPLIT:
+        goto publish;
+    default:    /* BH_INSERT_BEGIN */
+        p->taken = 0;
+    }
+body:
+    if (r->first[p->proc] + p->taken == r->first[p->proc + 1]) {
+        *n = k;
+        return 0;
+    }
+    if (r->root < 0) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "no tree to insert into: processor 0 seeds it");
+        return -1;
+    }
+    p->body = r->assign[r->first[p->proc] + p->taken++];
+    w[k++] = OP_READ;
+    w[k++] = bh_body_addr(r, p->body);
+    p->cell = r->root;
+descend:
+    if (r->cells[p->cell].depth >= BH_MAX_DEPTH && k) {
+        /* a bucket's slot depends on who got there first */
+        p->phase = BH_INSERT_BUCKET;
+        goto yield;
+    }
+slot_of:
+    p->octant = bh_slot_of(&r->cells[p->cell], r->pos + 3 * p->body);
+    w[k++] = OP_COMPUTE;
+    w[k++] = BH_INSERT;
+    w[k++] = OP_READ;
+    w[k++] = bh_slot_addr(r, p->cell, p->octant);
+    p->phase = BH_INSERT_SLOT;
+    goto yield;
+slot_read:
+    p->child = r->cells[p->cell].children[p->octant];
+    if (p->child < 0) {
+        p->cell = -p->child - 1;
+        goto descend;
+    }
+    /* the slot is empty or holds a body: mutate it under the cell lock */
+    w[k++] = OP_LOCK_ACQ;
+    w[k++] = BH_LOCK_BASE + p->cell;
+    w[k++] = OP_READ;
+    w[k++] = bh_slot_addr(r, p->cell, p->octant);
+    p->phase = BH_INSERT_LOCKED;
+    goto yield;
+locked:
+    c = &r->cells[p->cell];
+    lock = BH_LOCK_BASE + p->cell;
+    slot = bh_slot_addr(r, p->cell, p->octant);
+    p->child = c->children[p->octant];
+    if (p->child < 0) {
+        /* raced: someone installed a subtree here meanwhile */
+        w[k++] = OP_LOCK_REL;
+        w[k++] = lock;
+        p->cell = -p->child - 1;
+        goto descend;
+    }
+    if (!p->child) {
+        c->children[p->octant] = (int)(p->body + 1);
+        w[k++] = OP_WRITE;
+        w[k++] = slot;
+        w[k++] = OP_LOCK_REL;
+        w[k++] = lock;
+        goto body;
+    }
+    /* the slot holds a body: split it into a subcell -- private until it
+     * is published -- and resume the descent inside */
+    bh_subcell_cube(c, p->octant, centre, &half);
+    p->subcell = bh_new_cell(r, p->proc, centre, half, c->depth + 1);
+    if (p->subcell < 0)
+        return -1;
+    c = &r->cells[p->subcell];
+    slot = bh_slot_of(c, r->pos + 3 * (p->child - 1));
+    c->children[slot] = (int)p->child;
+    w[k++] = OP_READ;
+    w[k++] = bh_body_addr(r, p->child - 1);
+    w[k++] = OP_WRITE;
+    w[k++] = bh_slot_addr(r, p->subcell, slot);
+    p->phase = BH_INSERT_SPLIT;
+    goto yield;
+publish:
+    r->cells[p->cell].children[p->octant] = (int)(-p->subcell - 1);
+    w[k++] = OP_WRITE;
+    w[k++] = bh_slot_addr(r, p->cell, p->octant);
+    w[k++] = OP_LOCK_REL;
+    w[k++] = BH_LOCK_BASE + p->cell;
+    p->cell = p->subcell;
+    goto descend;
+yield:
+    *n = k;
+    return 1;
+}
+
+/* ``_collect_levels``: the cells by depth, each level in the order a
+ * depth-first walk pops them (counted, then placed, by a second walk). */
+static void
+bh_collect_levels(BhRun *r)
+{
+    long long *stack = r->stack, *first = r->level_first, top, depths = 0;
+    memset(first, 0, (size_t)(r->n_cells + 1) * sizeof *first);
+    for (int place = 0; place < 2; place++) {
+        top = 0;
+        stack[top++] = r->root;
+        while (top) {
+            const BhCell *c = &r->cells[stack[--top]];
+            if (place) {
+                r->levels[first[c->depth]++] = stack[top];
+            }
+            else {
+                first[c->depth + 1]++;
+                if (c->depth + 1 > depths)
+                    depths = c->depth + 1;
+            }
+            for (int slot = 0; slot < 8; slot++)
+                if (c->children[slot] < 0)
+                    stack[top++] = -c->children[slot] - 1;
+        }
+        for (long long d = 0; !place && d < depths; d++)
+            first[d + 1] += first[d];
+    }
+    for (long long d = depths; d > 0; d--)
+        first[d] = first[d - 1];
+    first[0] = 0;
+    r->n_levels = depths;
+}
+
+/* ``_summarize_phase``'s level ``p->depth``: the processor's block of its
+ * cells, each its children's centre of mass (``_summarize_cell``); how
+ * many words, -1 on error. */
+static long long
+bh_summarize(BhProcess *p)
+{
+    BhRun *r = p->run;
+    const long long *level = r->levels + r->level_first[p->depth];
+    long long size = r->level_first[p->depth + 1] - r->level_first[p->depth];
+    long long lo = p->proc * size / r->n_procs;
+    long long hi = (p->proc + 1) * size / r->n_procs, n = 0;
+    if (bh_room(p, 0, (hi - lo) * 20) < 0)
+        return -1;
+    long long *w = p->words;
+    for (long long k = lo; k < hi; k++) {
+        BhCell *c = &r->cells[level[k]];
+        double mass = 0.0, com[3] = {0.0, 0.0, 0.0};
+        for (int slot = 0; slot < 8; slot++) {
+            long long child = c->children[slot], addr;
+            const double *at;
+            double child_mass;
+            if (!child)
+                continue;
+            if (child < 0) {
+                const BhCell *sub = &r->cells[-child - 1];
+                addr = bh_cell_addr(r, -child - 1);
+                child_mass = sub->mass;
+                at = sub->com;
+            }
+            else {
+                addr = bh_body_addr(r, child - 1);
+                child_mass = r->mass[child - 1];
+                at = r->pos + 3 * (child - 1);
+            }
+            w[n++] = OP_READ;
+            w[n++] = addr;
+            mass += child_mass;
+            for (int axis = 0; axis < 3; axis++)
+                com[axis] += child_mass * at[axis];
+        }
+        if (mass > 0.0)
+            for (int axis = 0; axis < 3; axis++)
+                com[axis] /= mass;
+        c->mass = mass;
+        memcpy(c->com, com, sizeof com);
+        w[n++] = OP_WRITE;
+        w[n++] = bh_cell_addr(r, level[k]);
+        w[n++] = OP_COMPUTE;
+        w[n++] = BH_INTERACTION;
+    }
+    return n;
+}
+
+/* ``_cost_chunks`` into the clusters, then each cluster's chunk dealt
+ * round robin to its processors (``_cluster_partition``); -1 when a cost
+ * it reads is out of range. */
+static int
+bh_deal(BhRun *r, const long long *ordered, long long count)
+{
+    long long total = 0, k = 0, placed = 0;
+    for (long long j = 0; j < count; j++) {
+        long long cost = r->cost[ordered[j]];
+        if (cost < 1 || cost > BH_COST_MAX) {
+            PyErr_Format(PyExc_ValueError, "body %lld's cost %lld lies "
+                         "outside [1, 2**28]", ordered[j], cost);
+            return -1;
+        }
+        total += cost;
+    }
+    double target = (double)total / (double)r->clusters, accumulated = 0.0;
+    for (long long cluster = 0; cluster < r->clusters; cluster++) {
+        long long begin = k;
+        /* the bodies whose zone -- min(int(accumulated / target),
+         * clusters - 1), which never decreases -- is this cluster */
+        while (k < count) {
+            double zone = accumulated / target;
+            if (zone < (double)(r->clusters - 1) ? (long long)zone > cluster
+                                                 : cluster < r->clusters - 1)
+                break;
+            accumulated += (double)r->cost[ordered[k++]];
+        }
+        for (long long port = 0; port < r->per_cluster; port++) {
+            r->first[cluster * r->per_cluster + port] = placed;
+            for (long long j = begin + port; j < k; j += r->per_cluster)
+                r->assign[placed++] = ordered[j];
+        }
+    }
+    r->first[r->n_procs] = placed;
+    return 0;
+}
+
+/* ``_partition``: the bodies in tree order (``_tree_ordered_bodies``),
+ * dealt. */
+static int
+bh_partition(BhRun *r)
+{
+    long long *stack = r->stack, top = 0, count = 0;
+    stack[top++] = -r->root - 1;
+    while (top) {
+        long long node = stack[--top];
+        if (node > 0) {
+            r->ordered[count++] = node - 1;
+            continue;
+        }
+        const BhCell *c = &r->cells[-node - 1];
+        for (int slot = 7; slot >= 0; slot--)
+            if (c->children[slot])
+                stack[top++] = c->children[slot];
+    }
+    return bh_deal(r, r->ordered, count);
+}
+
+/* The force phase of the processor's bodies: ``_gravity`` for each --
+ * its acceleration and cost, and the words of its walk about the records
+ * it visits; how many words, -1 on error. */
+static long long
+bh_force(BhProcess *p)
+{
+    BhRun *r = p->run;
+    long long *stack = r->stack, n = 0;
+    for (long long j = r->first[p->proc]; j < r->first[p->proc + 1]; j++) {
+        long long body = r->assign[j], self = bh_body_addr(r, body);
+        long long top = 0, interactions = 0, *w;
+        const double *at = r->pos + 3 * body;
+        double bx = at[0], by = at[1], bz = at[2];
+        double ax = 0.0, ay = 0.0, az = 0.0;
+        if (bh_room(p, n, 2) < 0)
+            return -1;
+        p->words[n++] = OP_READ;
+        p->words[n++] = self;
+        stack[top++] = -r->root - 1;
+        while (top) {
+            long long node = stack[--top], addr;
+            double dx, dy, dz, dist2, mass;
+            if (node == body + 1)
+                continue;
+            if (bh_room(p, n, BH_VISIT) < 0)
+                return -1;
+            w = p->words + n;
+            if (node > 0) {
+                /* another body: read its position, interact */
+                const double *src = r->pos + 3 * (node - 1);
+                addr = bh_body_addr(r, node - 1);
+                dx = src[0] - bx;
+                dy = src[1] - by;
+                dz = src[2] - bz;
+                dist2 = dx * dx + dy * dy + dz * dz + r->eps2;
+                mass = r->mass[node - 1];
+                w[0] = OP_READ;
+                w[1] = addr;
+                w[2] = OP_READ;
+                w[3] = addr + 16;
+                w[4] = OP_COMPUTE;
+                w[5] = BH_INTERACTION;
+                n += 6;
+            }
+            else {
+                const BhCell *c = &r->cells[-node - 1];
+                addr = bh_cell_addr(r, -node - 1);
+                dx = c->com[0] - bx;
+                dy = c->com[1] - by;
+                dz = c->com[2] - bz;
+                dist2 = dx * dx + dy * dy + dz * dz + r->eps2;
+                double size = 2.0 * c->half;
+                w[0] = OP_READ;
+                w[1] = addr;
+                w[2] = OP_READ;
+                w[3] = addr + 16;
+                w[4] = OP_COMPUTE;
+                w[5] = BH_OPEN_TEST;
+                if (!(size * size < dist2 * r->theta2)) {
+                    /* too close: read the child slots and descend */
+                    w[6] = OP_READ;
+                    w[7] = addr + BH_CHILDREN;
+                    w[8] = OP_READ;
+                    w[9] = addr + BH_CHILDREN + 32;
+                    n += 10;
+                    for (int slot = 0; slot < 8; slot++)
+                        if (c->children[slot])
+                            stack[top++] = c->children[slot];
+                    continue;
+                }
+                /* far enough: its centre of mass stands for its bodies */
+                mass = c->mass;
+                w[6] = OP_COMPUTE;
+                w[7] = BH_INTERACTION;
+                n += 8;
+            }
+            double inv = mass / (dist2 * sqrt(dist2));
+            ax += dx * inv;
+            ay += dy * inv;
+            az += dz * inv;
+            interactions++;
+        }
+        if (bh_room(p, n, 4) < 0)
+            return -1;
+        w = p->words + n;
+        w[0] = OP_WRITE;
+        w[1] = self + BH_ACC;
+        w[2] = OP_WRITE;
+        w[3] = self + BH_ACC + 16;
+        n += 4;
+        r->acc[3 * body] = ax;
+        r->acc[3 * body + 1] = ay;
+        r->acc[3 * body + 2] = az;
+        r->cost[body] = interactions > 1 ? interactions : 1;
+    }
+    return n;
+}
+
+/* ``_update_phase``: the leapfrog step of the processor's bodies; how many
+ * words, -1 on error. */
+static long long
+bh_update(BhProcess *p)
+{
+    BhRun *r = p->run;
+    long long from = r->first[p->proc], to = r->first[p->proc + 1], n = 0;
+    if (bh_room(p, 0, 16 * (to - from)) < 0)
+        return -1;
+    for (long long j = from; j < to; j++) {
+        long long body = r->assign[j], at = bh_body_addr(r, body);
+        double *pos = r->pos + 3 * body, *vel = r->vel + 3 * body;
+        const double *acc = r->acc + 3 * body;
+        for (int axis = 0; axis < 3; axis++) {
+            vel[axis] += acc[axis] * r->dt;
+            pos[axis] += vel[axis] * r->dt;
+        }
+        const long long step[] = {
+            OP_READ, at + BH_ACC, OP_READ, at + BH_VEL,
+            OP_WRITE, at + BH_VEL, OP_WRITE, at + BH_VEL + 16,
+            OP_READ, at, OP_WRITE, at, OP_WRITE, at + 16,
+            OP_COMPUTE, BH_LEAPFROG,
+        };
+        memcpy(p->words + n, step, sizeof step);
+        n += 16;
+    }
+    return n;
+}
+
+/* ``Barrier(id, n)`` as the chunk, and what the resume after it does. */
+static long long
+bh_barrier(BhProcess *p, long long id, int next)
+{
+    p->words[0] = OP_BARRIER;
+    p->words[1] = id;
+    p->words[2] = p->run->n_procs;
+    p->phase = next;
+    return 3;
+}
+
+/* One resume of ``_BarnesHutRun.process``: the next chunk's words into
+ * the process's own (``*words`` points at them), how many; 0 once the
+ * process has ended, -1 on error (it has ended then too, as a generator
+ * that raised has).  A phase whose chunk is empty yields nothing: its
+ * resume carries on to the barrier after it. */
+static long long
+bh_step(PyObject *self, const long long **words)
+{
+    BhProcess *p = (BhProcess *)self;
+    BhRun *r = p->run;
+    long long n = 0;
+    int more;
+    for (;;) {
+        switch (p->phase) {
+        case BH_STEP:
+            if (p->step == r->steps) {
+                p->phase = BH_ENDED;
+                return 0;
+            }
+            n = bh_barrier(p, 0, BH_ROOT);
+            goto yield;
+        case BH_ROOT:
+            if (p->proc == 0) {
+                if (bh_reset_tree(r) < 0)
+                    goto fail;
+                p->words[0] = OP_WRITE;
+                p->words[1] = bh_cell_addr(r, r->root) + BH_CHILDREN;
+                p->phase = BH_BARRIER1;
+                n = 2;
+                goto yield;
+            }
+            /* fall through */
+        case BH_BARRIER1:
+            n = bh_barrier(p, 1, BH_INSERT_BEGIN);
+            goto yield;
+        case BH_INSERT_BEGIN:
+        case BH_INSERT_BUCKET:
+        case BH_INSERT_SLOT:
+        case BH_INSERT_LOCKED:
+        case BH_INSERT_SPLIT:
+            if ((more = bh_insert(p, &n)) < 0)
+                goto fail;
+            if (more)
+                goto yield;
+            p->phase = BH_BARRIER2;
+            if (n)
+                goto yield;
+            break;
+        case BH_BARRIER2:
+            n = bh_barrier(p, 2, BH_COLLECT);
+            goto yield;
+        case BH_COLLECT:
+            if (p->proc == 0)
+                bh_collect_levels(r);
+            n = bh_barrier(p, 3, BH_SUMMARIZE_BEGIN);
+            goto yield;
+        case BH_SUMMARIZE_BEGIN:
+            p->depth = r->n_levels - 1;
+            p->phase = BH_SUMMARIZE;
+            break;
+        case BH_SUMMARIZE:
+            if (p->depth < 0) {
+                if (p->proc == 0 && bh_partition(r) < 0)
+                    goto fail;
+                p->words[0] = OP_COMPUTE;
+                p->words[1] = BH_PARTITION * (r->first[p->proc + 1]
+                                              - r->first[p->proc]);
+                p->phase = BH_BARRIER4;
+                n = 2;
+                goto yield;
+            }
+            if ((n = bh_summarize(p)) < 0)
+                goto fail;
+            p->phase = BH_BARRIER7;
+            if (n)
+                goto yield;
+            break;
+        case BH_BARRIER7:
+            p->depth--;
+            n = bh_barrier(p, 7, BH_SUMMARIZE);
+            goto yield;
+        case BH_BARRIER4:
+            n = bh_barrier(p, 4, BH_FORCE);
+            goto yield;
+        case BH_FORCE:
+            if ((n = bh_force(p)) < 0)
+                goto fail;
+            p->phase = BH_BARRIER5;
+            if (n)
+                goto yield;
+            break;
+        case BH_BARRIER5:
+            n = bh_barrier(p, 5, BH_UPDATE);
+            goto yield;
+        case BH_UPDATE:
+            if ((n = bh_update(p)) < 0)
+                goto fail;
+            p->phase = BH_BARRIER6;
+            if (n)
+                goto yield;
+            break;
+        case BH_BARRIER6:
+            p->step++;
+            n = bh_barrier(p, 6, BH_STEP);
+            goto yield;
+        default:    /* BH_ENDED */
+            return 0;
+        }
+    }
+yield:
+    *words = p->words;
+    return n;
+fail:
+    p->phase = BH_ENDED;
+    return -1;
+}
+
+/* ``next(process)``: the chunk as ``chunk_type(array('q'))``. */
+static PyObject *
+bh_next(PyObject *self)
+{
+    const long long *words;
+    long long n = bh_step(self, &words);
+    if (n <= 0)
+        return NULL;    /* ended (no error set), or failed */
+    BhRun *r = ((BhProcess *)self)->run;
+    PyObject *data = PySequence_Repeat(r->zero, (Py_ssize_t)n), *chunk = NULL;
+    Py_buffer view;
+    if (data && PyObject_GetBuffer(data, &view, PyBUF_WRITABLE) == 0) {
+        memcpy(view.buf, words, (size_t)n * sizeof *words);
+        PyBuffer_Release(&view);
+        chunk = PyObject_CallOneArg(r->chunk_type, data);
+    }
+    Py_XDECREF(data);
+    return chunk;
+}
+
+static void
+bh_dealloc(PyObject *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    PyMem_Free(((BhProcess *)self)->words);
+    Py_XDECREF(((BhProcess *)self)->owner);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+/* barnes_processes(pos, vel, mass, cost, steps, theta, softening, dt,
+ *                  n_procs, partition, bases, chunk_type)
+ *
+ * ``pos``/``vel``: writable float64, three per body; ``mass``: float64,
+ * one per body; ``cost``: writable int64, one per body; ``partition``:
+ * ``(clusters, processors per cluster)``, whose product is ``n_procs``;
+ * ``bases``: the bodies' records' and the cells' (four per body);
+ * ``chunk_type``: what ``next()`` wraps a chunk's ``array('q')`` in.
+ * Returns a list of one process per processor. */
+static PyObject *
+native_barnes_processes(PyObject *module, PyObject *args)
+{
+    PyObject *objs[BH_VIEWS], *partition, *bases, *chunk_type;
+    long long steps, n_procs;
+    double knobs[3];
+    if (!PyArg_ParseTuple(args, "OOOOLdddLO!O!O", &objs[BH_POS],
+                          &objs[BH_VELS], &objs[BH_MASSES], &objs[BH_COSTS],
+                          &steps, &knobs[0], &knobs[1], &knobs[2], &n_procs,
+                          &PyTuple_Type, &partition, &PyTuple_Type, &bases,
+                          &chunk_type))
+        return NULL;
+    const int floats[BH_VIEWS] = {1, 1, 1, 0};
+    const int writable[BH_VIEWS] = {1, 1, 0, 1};
+    const char *names[BH_VIEWS] = {"positions", "velocities", "masses",
+                                   "costs"};
+    const char *knob_names[3] = {"theta", "softening", "dt"};
+
+    PyObject *capsule = NULL, *result = NULL, *array_mod = NULL;
+    BhRun *r = PyMem_Calloc(1, sizeof(BhRun));
+    if (!r)
+        return PyErr_NoMemory();
+    Py_ssize_t lens[BH_VIEWS];
+    for (int k = 0; k < BH_VIEWS; k++)
+        if ((lens[k] = typed_view(objs[k], &r->views[k], 8, floats[k],
+                                  writable[k], names[k])) < 0)
+            goto fail;
+    r->pos = r->views[BH_POS].buf;
+    r->vel = r->views[BH_VELS].buf;
+    r->mass = r->views[BH_MASSES].buf;
+    r->cost = r->views[BH_COSTS].buf;
+    r->n = lens[BH_POS] / 3;
+    if (lens[BH_POS] % 3 || r->n < 2 || r->n > BH_BODIES_MAX
+            || lens[BH_VELS] != lens[BH_POS] || lens[BH_MASSES] != r->n
+            || lens[BH_COSTS] != r->n) {
+        PyErr_SetString(PyExc_ValueError, "need three positions, three "
+                        "velocities, a mass and a cost for each of 2 to "
+                        "2**24 bodies");
+        goto fail;
+    }
+    if (steps < 1 || steps > BH_STEPS_MAX) {
+        PyErr_SetString(PyExc_ValueError, "steps must lie in [1, 2**32]");
+        goto fail;
+    }
+    for (int k = 0; k < 3; k++)
+        if (!(knobs[k] > 0.0 && knobs[k] < INFINITY)) {
+            PyErr_Format(PyExc_ValueError, "%s must be finite and positive",
+                         knob_names[k]);
+            goto fail;
+        }
+    if (n_procs < 1 || n_procs > BH_PROCS_MAX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "processors must number [1, 2**16]");
+        goto fail;
+    }
+    if (PyTuple_GET_SIZE(partition) != 2 || PyTuple_GET_SIZE(bases) != 2) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the partition is two counts and the bases two");
+        goto fail;
+    }
+    if (get_ll_item(partition, 0, &r->clusters) < 0
+            || get_ll_item(partition, 1, &r->per_cluster) < 0)
+        goto fail;
+    if (r->clusters < 1 || r->clusters > n_procs || r->per_cluster < 1
+            || r->per_cluster > n_procs
+            || r->clusters * r->per_cluster != n_procs) {
+        PyErr_Format(PyExc_ValueError, "%lld clusters of %lld processors "
+                     "are not %lld processors", r->clusters, r->per_cluster,
+                     n_procs);
+        goto fail;
+    }
+    r->n_cells = BH_CELLS_PER_BODY * r->n;
+    long long *base[2] = {&r->bbase, &r->cbase};
+    const long long extent[2] = {r->n * BH_BODY, r->n_cells * BH_CELL};
+    for (int k = 0; k < 2; k++) {
+        if (get_ll_item(bases, k, base[k]) < 0)
+            goto fail;
+        if (*base[k] < 0 || *base[k] > BH_LIMIT - extent[k]) {
+            PyErr_SetString(PyExc_ValueError, "the bodies' and the cells' "
+                            "records must lie in [0, 2**60)");
+            goto fail;
+        }
+    }
+    for (long long b = 0; b < r->n; b++) {
+        for (int axis = 0; axis < 3; axis++)
+            if (!isfinite(r->pos[3 * b + axis])
+                    || !isfinite(r->vel[3 * b + axis])) {
+                PyErr_Format(PyExc_ValueError, "body %lld's position and "
+                             "velocity must be finite", b);
+                goto fail;
+            }
+        if (!isfinite(r->mass[b])) {
+            PyErr_Format(PyExc_ValueError, "body %lld's mass must be finite",
+                         b);
+            goto fail;
+        }
+        if (r->cost[b] < 1 || r->cost[b] > BH_COST_MAX) {
+            PyErr_Format(PyExc_ValueError, "body %lld's cost %lld lies "
+                         "outside [1, 2**28]", b, r->cost[b]);
+            goto fail;
+        }
+    }
+    if (!PyType_Check(chunk_type)) {
+        PyErr_SetString(PyExc_TypeError, "chunk_type must be a class");
+        goto fail;
+    }
+    if (bh_square(knobs[0], &r->theta2) < 0
+            || bh_square(knobs[1], &r->eps2) < 0)
+        goto fail;
+    r->dt = knobs[2];
+    r->steps = steps;
+    r->n_procs = n_procs;
+    r->pool = r->n_cells / n_procs;
+    r->root = -1;
+    size_t refs = 8 * (size_t)r->n_cells + 1;
+    if (!(r->acc = PyMem_Calloc(3 * (size_t)r->n, sizeof(double)))
+            || !(r->cells = PyMem_Calloc((size_t)r->n_cells, sizeof(BhCell)))
+            || !(r->pool_next = PyMem_Calloc((size_t)n_procs,
+                                             sizeof(long long)))
+            || !(r->first = PyMem_Calloc((size_t)n_procs + 1,
+                                         sizeof(long long)))
+            || !(r->assign = PyMem_Calloc(refs, sizeof(long long)))
+            || !(r->ordered = PyMem_Calloc(refs, sizeof(long long)))
+            || !(r->stack = PyMem_Calloc(refs, sizeof(long long)))
+            || !(r->levels = PyMem_Calloc((size_t)r->n_cells,
+                                          sizeof(long long)))
+            || !(r->level_first = PyMem_Calloc((size_t)r->n_cells + 1,
+                                               sizeof(long long)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    /* ``_cluster_partition`` of the bodies in index order */
+    for (long long b = 0; b < r->n; b++)
+        r->ordered[b] = b;
+    if (bh_deal(r, r->ordered, r->n) < 0
+            || !(array_mod = PyImport_ImportModule("array"))
+            || !(r->zero = PyObject_CallMethod(array_mod, "array", "s(i)",
+                                               "q", 0)))
+        goto fail;
+    Py_CLEAR(array_mod);
+    Py_INCREF(chunk_type);
+    r->chunk_type = chunk_type;
+
+    BhRun *run = r;
+    if (!(capsule = PyCapsule_New(run, BH_RUN_NAME, bh_run_free)))
+        goto fail;
+    r = NULL;       /* the capsule's now */
+    PyTypeObject *type =
+        ((ModuleState *)PyModule_GetState(module))->barnes_process;
+    if (!(result = PyList_New((Py_ssize_t)n_procs)))
+        goto fail;
+    for (long long proc = 0; proc < n_procs; proc++) {
+        BhProcess *p = (BhProcess *)type->tp_alloc(type, 0);
+        if (!p) {
+            Py_CLEAR(result);
+            goto fail;
+        }
+        PyList_SET_ITEM(result, proc, (PyObject *)p);
+        Py_INCREF(capsule);
+        p->owner = capsule;
+        p->run = run;
+        p->proc = proc;
+        p->phase = BH_STEP;
+        p->cap = 64;
+        if (!(p->words = PyMem_Malloc((size_t)p->cap * sizeof *p->words))) {
+            PyErr_NoMemory();
+            Py_CLEAR(result);
+            goto fail;
+        }
+    }
+    Py_DECREF(capsule);
+    return result;
+
+fail:
+    Py_XDECREF(array_mod);
+    Py_XDECREF(capsule);
+    if (r)
+        bh_free(r);
+    return NULL;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -5021,12 +5803,12 @@ static PyMethodDef methods[] = {
      "Release the buffer views held by a ladder context."},
     {"row_profile", native_row_profile, METH_VARARGS,
      "Reduce one row's packed streams to the numbers of its RowProfile."},
-    {"force_words", native_force_words, METH_VARARGS,
-     "Relocate a Barnes-Hut force plan: one array('q') per processor."},
     {"spec_burst", native_spec_burst, METH_VARARGS,
      "Append one SPEC application's next quantum to an array('q')."},
     {"mp3d_processes", native_mp3d_processes, METH_VARARGS,
      "One MP3D process per processor over a run state they share."},
+    {"barnes_processes", native_barnes_processes, METH_VARARGS,
+     "One Barnes-Hut process per processor over a run state they share."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -5034,15 +5816,17 @@ static void
 module_free(void *module)
 {
     ModuleState *state = PyModule_GetState((PyObject *)module);
-    if (state)
+    if (state) {
         Py_CLEAR(state->mp3d_process);
+        Py_CLEAR(state->barnes_process);
+    }
 }
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
     "C scheduler, inner loop and synchronization for the timing "
     "interleaver, its fused ladder, the row-profile kernel, the "
-    "force-phase kernel, the SPEC-stream kernel and MP3D's processes.",
+    "SPEC-stream kernel and MP3D's and Barnes-Hut's processes.",
     sizeof(ModuleState), methods, NULL, NULL, NULL, module_free,
 };
 
@@ -5071,12 +5855,24 @@ PyInit__native(void)
         "repro.trace.engine._native.Mp3dProcess", sizeof(M3Process), 0,
         Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, slots,
     };
+    PyType_Slot bh_slots[] = {
+        {Py_tp_dealloc, bh_dealloc},
+        {Py_tp_iter, PyObject_SelfIter},
+        {Py_tp_iternext, bh_next},
+        {Py_tp_methods, process_methods},
+        {0, NULL},
+    };
+    PyType_Spec bh_spec = {
+        "repro.trace.engine._native.BarnesHutProcess", sizeof(BhProcess), 0,
+        Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, bh_slots,
+    };
     PyObject *module = PyModule_Create(&moduledef);
     if (!module)
         return NULL;
     ModuleState *state = PyModule_GetState(module);
     state->mp3d_process = (PyTypeObject *)PyType_FromSpec(&spec);
-    if (!state->mp3d_process
+    state->barnes_process = (PyTypeObject *)PyType_FromSpec(&bh_spec);
+    if (!state->mp3d_process || !state->barnes_process
         || PyModule_AddStringConstant(module, "ABI_VERSION",
                                       ABI_VERSION) < 0) {
         Py_DECREF(module);

@@ -5,8 +5,8 @@ path -- hits, bank/write-buffer timing, the snoopy miss path with its
 bus arbitration, instruction-cache refills --, scheduling, the locks,
 barriers and task queues, and the resuming of the application
 generators, whose bodies are the only python executed during a run --
-none at all for MP3D, whose processes are C's own and are stepped, not
-resumed.  The contract is the reference loop's
+none at all for MP3D and Barnes-Hut, whose processes are C's own and
+are stepped, not resumed.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
 same errors -- and, when the system carries the standard
 :class:`~repro.instrument.probes.InstrumentationProbe`, the same
@@ -34,14 +34,15 @@ The extension has five more sections this module only loads: the fused
 ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
-as the contract), the force-phase kernel (``force_words``, called by
-:mod:`repro.workloads.barnes_hut` with numpy's ``_expand`` as the
-contract), the SPEC-stream kernel (``spec_burst``, called by
+as the contract), the SPEC-stream kernel (``spec_burst``, called by
 :meth:`repro.workloads.spec.SpecApp.burst_chunk` with ``burst_packed``
-as the contract) and MP3D's processes (``mp3d_processes``, called by
-:meth:`repro.workloads.mp3d.MP3D.processes` with ``_MP3DRun.process`` as
-the contract; ``run`` steps them itself).  One build, one
-``ABI_VERSION`` check, serves all six.  The
+as the contract), and MP3D's and Barnes-Hut's processes
+(``mp3d_processes`` and ``barnes_processes``, called by
+:meth:`repro.workloads.mp3d.MP3D.processes` and
+:meth:`repro.workloads.barnes_hut.BarnesHut.processes` with
+``_MP3DRun.process`` and ``_BarnesHutRun.process`` as the contracts;
+``run`` steps them itself).  One build, one ``ABI_VERSION`` check,
+serves all six.  The
 ladder is a second driver of the same memory system: to C a
 ladder rung is what a cluster of a run is -- one SCC, described by
 :func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
@@ -92,14 +93,14 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "load", "run", "scc_plan",
            "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
-#: layout, run contract, ladder, profile or force-phase entry points)
+#: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "13"
+NATIVE_VERSION = "14"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one
-#: rounding on FMA targets (aarch64), and MP3D's physics and
-#: ``spec_burst``'s comparisons must round as python does.
+#: rounding on FMA targets (aarch64), and MP3D's and Barnes-Hut's physics
+#: and ``spec_burst``'s comparisons must round as python does.
 _CFLAGS = ("-O2", "-ffp-contract=off")
 
 LOAD_ERROR: Optional[str] = None

@@ -20,25 +20,23 @@ data structures themselves:
   accelerations/positions are written only by its owner, so invalidation
   traffic does not grow with processors per cluster.
 
-Scaled down from the paper's 1024 bodies: the timing engines are
-compiled, but the algorithm itself -- insertion under locks, the tree
-walks -- runs here in Python, once per machine configuration; the
-footprint/cache-size ratio is preserved by scaling the SCC ladder by the
-matching factor (see DESIGN.md).
+Scaled down from the paper's 1024 bodies, with the footprint/cache-size
+ratio preserved by scaling the SCC ladder by the matching factor (see
+DESIGN.md).
 
-A sweep prices many machine configurations of this one program, and a
-:class:`BarnesHut` object remembers between runs what no configuration
-can change: the cost-seeding pre-pass and, per tree, the *force plan* --
+The processes are the native extension's (``barnes_processes``,
+``trace/engine/_native.c``) when it loads, :meth:`_BarnesHutRun.process`
+generators when it does not -- resume for resume the same chunks, tree
+and physics either way.  A sweep prices many machine configurations of
+this one program, and a :class:`BarnesHut` object remembers between runs
+what no configuration can change: the cost-seeding pre-pass, which both
+start from, and, for the generators alone, each tree's *force plan* --
 every body's walk with no address in it (:class:`_ForcePlan`).  Which
 cell sits at which address is decided by lock races during insertion, so
-each run fills the addresses in from its own tree (DESIGN.md section 7,
-"What a workload object may remember between runs").  That relocation
-writes nearly every word a Barnes-Hut run's engine reads, and the native
-extension writes them (``force_words`` in ``trace/engine/_native.c``)
-whenever it loads, whichever engine runs the simulation: the layout --
-which words a visit is, about which record -- stays here, as data the
-kernel takes.  :func:`_expand` is the same relocation in numpy, what a
-host without the extension runs and what the tests hold the kernel to.
+each run fills the addresses in from its own tree with :func:`_expand`
+(DESIGN.md section 7, "What a workload object may remember between
+runs").  The C processes keep no plan: they walk a tree in less time
+than looking its plan up and relocating it takes.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from ..trace.events import Barrier, Compute, Write
 from ..trace.packed import (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
                             OP_WRITE, PackedChunk)
 from .base import TracedApplication
-from .memory import SharedHeap
+from .memory import ArrayRegion, SharedHeap
 
 __all__ = ["BarnesHut", "Body", "Cell"]
 
@@ -217,6 +215,9 @@ class BarnesHut(TracedApplication):
             raise ValueError("need at least one step")
         if not 0.1 <= theta <= 2.0:
             raise ValueError("theta outside a sensible range")
+        for name, value in (("softening", softening), ("dt", dt)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         self.n_bodies = n_bodies
         self.steps = steps
         self.theta = theta
@@ -241,13 +242,57 @@ class BarnesHut(TracedApplication):
                 f"softening={self.softening}, seed={self.seed})")
 
     def processes(self, config: SystemConfig) -> Dict[int, Generator]:
+        kernel = native.load()
+        if kernel is not None:
+            return dict(enumerate(_KernelRun(self, config, kernel).processes))
         run = _BarnesHutRun(self, config)
         return {proc: run.process(proc)
                 for proc in range(config.total_processors)}
 
 
+def _layout(app: BarnesHut) -> Tuple[ArrayRegion, ArrayRegion]:
+    """The shared heap of a run: the bodies' records and the cells' (four
+    per body: every processor's pool of them)."""
+    heap = SharedHeap()
+    return (heap.alloc_array("bodies", app.n_bodies, _BODY_RECORD),
+            heap.alloc_array("cells", 4 * app.n_bodies, _CELL_RECORD))
+
+
+def _seeded_costs(app: BarnesHut, bodies: Sequence[Body]) -> Tuple[int, ...]:
+    """Every body's interaction count in a quiet (no events) tree walk,
+    so even the first measured step is cost-balanced -- the equivalent
+    of SPLASH's unmeasured warm-up steps before its costzones
+    partitioner reaches steady state.  A pure function of where the
+    bodies start, so the object's first run works it out for the rest."""
+    key = (app.theta, app.softening, _positions(bodies))
+    costs = app._seeded.get(key)
+    if costs is None:
+        costs = _count_interactions(bodies, app.theta, app.softening)
+        app._seeded = {key: costs}
+    return costs
+
+
+class _KernelRun:
+    """One Barnes-Hut run whose processes are C's: the bodies' state, in
+    the numpy buffers the processes read and write in place."""
+
+    def __init__(self, app: BarnesHut, config: SystemConfig, kernel):
+        bodies = _plummer_bodies(app.n_bodies,
+                                 np.random.default_rng(app.seed))
+        self.pos = np.array([body.pos for body in bodies])
+        self.vel = np.array([body.vel for body in bodies])
+        self.cost = np.array(_seeded_costs(app, bodies), dtype=np.int64)
+        self.processes = kernel.barnes_processes(
+            self.pos, self.vel, np.array([body.mass for body in bodies]),
+            self.cost, app.steps, app.theta, app.softening, app.dt,
+            config.total_processors,
+            (config.clusters, config.processors_per_cluster),
+            tuple(region.base for region in _layout(app)), PackedChunk)
+
+
 class _BarnesHutRun:
-    """Shared state of one simulation run (one per machine configuration)."""
+    """Shared state of one run on python generators (one per machine
+    configuration): the reference the C processes are held to."""
 
     def __init__(self, app: BarnesHut, config: SystemConfig):
         self.app = app
@@ -255,11 +300,7 @@ class _BarnesHutRun:
         self.n_procs = config.total_processors
         rng = np.random.default_rng(app.seed)
         self.bodies = _plummer_bodies(app.n_bodies, rng)
-        heap = SharedHeap()
-        self.body_region = heap.alloc_array(
-            "bodies", app.n_bodies, _BODY_RECORD)
-        self.cell_region = heap.alloc_array(
-            "cells", 4 * app.n_bodies, _CELL_RECORD)
+        self.body_region, self.cell_region = _layout(app)
         self.root: Optional[Cell] = None
         # The force phase of the step named first, one packed chunk per
         # processor, each taken (and dropped) by its processor.
@@ -270,12 +311,10 @@ class _BarnesHutRun:
         pool = self.cell_region.count // self.n_procs
         self._cell_pool_next = [p * pool for p in range(self.n_procs)]
         self._cell_pool_end = [(p + 1) * pool for p in range(self.n_procs)]
-        # Partition of bodies (tree order), recomputed after each build.
-        # A quiet pre-pass (no trace events) seeds per-body interaction
-        # costs so even the first measured step is cost-balanced -- the
-        # equivalent of SPLASH's unmeasured warm-up steps before its
-        # costzones partitioner reaches steady state.
-        self._seed_costs()
+        # Partition of bodies (tree order), recomputed after each build;
+        # the first one deals the seeded costs.
+        for body, cost in zip(self.bodies, _seeded_costs(app, self.bodies)):
+            body.cost = cost
         self.assignments: List[List[Body]] = _cluster_partition(
             list(self.bodies), config)
         self.levels: List[List[Cell]] = []
@@ -345,44 +384,6 @@ class _BarnesHutRun:
             yield Barrier(5, n)
             yield from self._update_phase(proc)
             yield Barrier(6, n)
-
-    def _seed_costs(self) -> None:
-        """Start every body with the interaction count of a quiet (no
-        events) tree walk, so the first measured step is cost-balanced.
-        A pure function of where the bodies start, so the object's first
-        run does it for the rest."""
-        app = self.app
-        key = (app.theta, app.softening, _positions(self.bodies))
-        costs = app._seeded.get(key)
-        if costs is None:
-            costs = self._count_interactions()
-            app._seeded = {key: costs}
-        for body, cost in zip(self.bodies, costs):
-            body.cost = cost
-
-    def _count_interactions(self) -> Tuple[int, ...]:
-        root = _quiet_build(self.bodies)
-        theta2 = self.app.theta ** 2
-        eps2 = self.app.softening ** 2
-        costs = []
-        for body in self.bodies:
-            cost = 0
-            stack: List[object] = [root]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Body):
-                    if node is not body:
-                        cost += 1
-                    continue
-                dist2 = _distance2(body.pos, node.com) + eps2
-                if (2.0 * node.half) ** 2 < dist2 * theta2:
-                    cost += 1
-                    continue
-                for child in node.children:
-                    if child is not None:
-                        stack.append(child)
-            costs.append(max(cost, 1))
-        return tuple(costs)
 
     # -- tree construction -------------------------------------------------
 
@@ -559,9 +560,8 @@ class _BarnesHutRun:
 
         The walks are the object's to remember (:class:`_ForcePlan`);
         only where this run's insert races put each cell is taken from
-        the live tree (:func:`_cell_indexes`).  The native extension's
-        ``force_words`` writes the words when it loads, :func:`_expand`
-        when it does not: the same words either way.
+        the live tree (:func:`_cell_indexes`), and :func:`_expand` writes
+        the words.
         """
         app = self.app
         slots, cells = _tree_content(self.root)
@@ -582,10 +582,8 @@ class _BarnesHutRun:
         order = array("q", [body.index for bodies in self.assignments
                             for body in bodies])
         owned = [len(bodies) for bodies in self.assignments]
-        kernel = native.load()
-        relocate = _expand if kernel is None else kernel.force_words
-        return relocate(plan.visits, plan.starts, order, owned,
-                        body_address, cell_address, _FORCE_PATTERNS)
+        return _expand(plan.visits, plan.starts, order, owned,
+                       body_address, cell_address, _FORCE_PATTERNS)
 
     def _walk_tree(self) -> _ForcePlan:
         """Walk the tree for every body (the object's first run on a
@@ -611,10 +609,10 @@ class _BarnesHutRun:
         """Traverse the tree accumulating acceleration on ``body``;
         returns it with the body's cost (its interaction count).
 
-        The hottest loop the workload has left in Python: interaction
-        physics is inlined (no per-node helper calls) and each node
-        visited costs one ``append`` of ``node * 4 + kind`` -- the
-        events and addresses come later, from each run's relocation
+        The reference of the C processes' walk, operation for operation:
+        interaction physics is inlined (no per-node helper calls) and
+        each node visited costs one ``append`` of ``node * 4 + kind`` --
+        the events and addresses come later, from each run's relocation
         (:meth:`_plan_force_phase`).
         """
         eps2 = self.app.softening ** 2
@@ -807,6 +805,33 @@ def _quiet_build(bodies: Sequence[Body]) -> Cell:
     return root
 
 
+def _count_interactions(bodies: Sequence[Body], theta: float,
+                        softening: float) -> Tuple[int, ...]:
+    """Each body's interaction count in a walk of the quiet tree."""
+    root = _quiet_build(bodies)
+    theta2 = theta ** 2
+    eps2 = softening ** 2
+    costs = []
+    for body in bodies:
+        cost = 0
+        stack: List[object] = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Body):
+                if node is not body:
+                    cost += 1
+                continue
+            dist2 = _distance2(body.pos, node.com) + eps2
+            if (2.0 * node.half) ** 2 < dist2 * theta2:
+                cost += 1
+                continue
+            for child in node.children:
+                if child is not None:
+                    stack.append(child)
+        costs.append(max(cost, 1))
+    return tuple(costs)
+
+
 def _tree_ordered_bodies(root: Cell) -> List[Body]:
     """Bodies in the in-order (depth-first, octant-ordered) walk."""
     ordered: List[Body] = []
@@ -882,9 +907,9 @@ def _expand(visits: np.ndarray, starts: np.ndarray, order, owned,
     ``p``'s), every visit written out as the events of its kind at this
     run's addresses.
 
-    The numpy reference of the native ``force_words``, argument for
-    argument and word for word; it runs where the extension does not
-    load.  ``patterns`` is ``(begin, end, kind 0, kind 1, kind 2)``."""
+    What the python processes write their force phase with; the tests
+    hold it to a loop that writes one visit at a time.  ``patterns`` is
+    ``(begin, end, kind 0, kind 1, kind 2)``."""
     walk_begin, walk_end, *visit_words = patterns
     order = np.asarray(order, dtype=np.int64)
     # Gather the walks in that order.

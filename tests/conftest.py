@@ -56,6 +56,10 @@ SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")
 #: particle's partner-slot write is dropped instead of carried into the
 #: next chunk.
 MP3D_PARTNER_CARRY = ("if (p->carry >= 0) {", "if (0) {")
+#: ... and one in Barnes-Hut's C processes: an insert that takes a cell's
+#: lock acts on the slot as it found it before, never reading it again,
+#: so a subtree another processor installed meanwhile is overwritten.
+BH_RACED_REREAD = ("p->child = c->children[p->octant];", "/* no re-read */")
 
 
 def unpacked(app):

@@ -39,6 +39,9 @@ DELETED = (
     # a native run refills the icaches itself: no callback, and no mode
     # for the icaches it could not address
     "call_ifetch", "icache_mode",
+    # Barnes-Hut's processes walk each tree in C: no plan is relocated
+    # there
+    "force_words",
 )
 
 PATTERN = re.compile("|".join([

@@ -30,7 +30,8 @@ alike, so the differ has no baseline to hold a mutant there
 (``SPEC_HOT_PARITY``) against: the kernel's parity test with
 ``burst_packed`` is what fails.  So do MP3D's C processes, which every
 engine runs: a mutant there (``MP3D_PARTNER_CARRY``) fails their parity
-test with ``_MP3DRun.process``."""
+test with ``_MP3DRun.process``, and so do Barnes-Hut's
+(``BH_RACED_REREAD``) theirs with ``_BarnesHutRun.process``."""
 
 import pytest
 
@@ -39,11 +40,12 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import (BARRIER_EARLIEST, FILL_FORGOTTEN,
+from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD, FILL_FORGOTTEN,
                         ICACHE_REFILL_CHAIN, LADDER_SKEW, MP3D_PARTNER_CARRY,
                         READ_MISS_DONE, READY_TIE_BREAK, SPEC_HOT_PARITY,
                         VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
                         WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+from ..workloads import test_barnes_hut
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
 
@@ -355,6 +357,17 @@ class TestMp3dProcessMutationIsCaught:
                             mutant_native(*MP3D_PARTNER_CARRY))
         with pytest.raises(AssertionError):
             assert_process_matches(7, 2, 1024, backend)
+
+
+@needs_native
+class TestBarnesHutProcessMutationIsCaught:
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_a_lock_taken_without_its_re_read_fails_the_parity_test(
+            self, backend, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod", mutant_native(*BH_RACED_REREAD))
+        with pytest.raises(AssertionError):
+            test_barnes_hut.assert_process_matches(
+                *test_barnes_hut.quick_point(8, 8192), backend)
 
 
 class TestUnmutatedBaseline:

@@ -11,19 +11,22 @@ import numpy as np
 import pytest
 
 from repro.core.config import KB, SystemConfig
+from repro.experiments.spec import PROCS_SWEPT, PROFILES
 from repro.simulation import run_simulation
-from repro.trace.engine import native_available, native_unavailable_reason
+from repro.trace.engine import (native, native_available,
+                                native_unavailable_reason)
 from repro.trace.events import (Barrier, Compute, LockAcquire, LockRelease,
                                 Read, Write)
-from repro.trace.packed import PackedChunk, decode_events
+from repro.trace.packed import PackedChunk, decode_events, encode_events
 from repro.trace.record import StreamRecorder
 from repro.workloads import barnes_hut
 from repro.workloads.barnes_hut import (BarnesHut, Body, Cell,
                                         _BarnesHutRun, _bounding_cube,
-                                        _cost_chunks, _quiet_build,
-                                        _tree_ordered_bodies)
+                                        _cost_chunks, _KernelRun,
+                                        _quiet_build, _tree_ordered_bodies)
 
 from ..conftest import unpacked
+from .test_mp3d import GivenProcesses, packed_words, recorded_run
 
 def small_config(procs=2, clusters=2):
     return SystemConfig(clusters=clusters, processors_per_cluster=procs,
@@ -38,6 +41,14 @@ class TestConstruction:
             BarnesHut(steps=0)
         with pytest.raises(ValueError):
             BarnesHut(theta=5.0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["softening", "dt"])
+    def test_softening_and_dt_must_be_finite_and_positive(self, name,
+                                                           value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive$"):
+            BarnesHut(**{name: value})
 
     def test_processes_covers_every_processor(self):
         app = BarnesHut(n_bodies=32, steps=1)
@@ -244,9 +255,9 @@ class TestArchitecturalBehaviour:
 
 
 # ----------------------------------------------------------------------
-# What a BarnesHut object remembers between runs (its cost seeds and
-# force plans) must never show: a run on a used object is, byte for
-# byte, the run a fresh object makes.
+# What a BarnesHut object remembers between runs (its cost seeds, and for
+# the python processes its force plans) must never show: a run on a used
+# object is, byte for byte, the run a fresh object makes.
 # ----------------------------------------------------------------------
 
 needs_native = pytest.mark.skipif(
@@ -335,8 +346,13 @@ class TestRememberedRuns:
         del relocations[:]
         app = new_app()
         assert_remembered_equals_fresh(app, engine, fresh, packed)
-        # Not vacuously: the runs shared their walks (one plan per step
-        # for all 16 machines) and did not share their addresses.
+        # Not vacuously: one cost seeding served all 16 machines, and the
+        # python processes shared their walks (one plan per step for all
+        # of them) and not their addresses; the C processes keep no plan.
+        assert len(app._seeded) == 1
+        if native.load() is not None:
+            assert app._plans == {} and relocations == []
+            return
         assert len(app._plans) == app.steps
         assert len(relocations) == len(GRID) * app.steps
         assert len(set(relocations)) > app.steps
@@ -346,8 +362,7 @@ class TestRememberedRuns:
     def test_grid_without_the_extension(self, packed, relocations,
                                         monkeypatch):
         """The same on a host where the extension does not load, whose
-        runs relocate in numpy (and run on the reference loop)."""
-        from repro.trace.engine import native
+        runs are the python processes (on the reference loop)."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
         monkeypatch.setattr(native, "_mod", native._UNSET)
         monkeypatch.setattr(native, "LOAD_ERROR", native.LOAD_ERROR)
@@ -356,8 +371,8 @@ class TestRememberedRuns:
         assert native.load() is None
 
     @pytest.mark.parametrize("mutant", ["identity", "first run's"])
-    def test_a_plan_used_without_relocation_is_caught(self, monkeypatch,
-                                                      mutant):
+    def test_a_plan_used_without_relocation_is_caught(
+            self, monkeypatch, mutant, no_native_extension):
         """The bug the grid test exists for -- a remembered walk naming
         cells where *another* run (or no run) put them -- fails it."""
         fresh = fresh_runs(True, None)
@@ -373,7 +388,8 @@ class TestRememberedRuns:
         with pytest.raises(AssertionError):
             assert_remembered_equals_fresh(new_app(), None, fresh)
 
-    def test_coincident_bodies_on_two_machines(self, monkeypatch):
+    def test_coincident_bodies_on_two_machines(self, monkeypatch,
+                                               no_native_extension):
         """Two bodies a denormal apart end in a ``_MAX_DEPTH`` bucket
         whose slot order is arrival order -- the one place structure
         depends on the interleaving.  The key covers structure, so that
@@ -395,7 +411,7 @@ class TestRememberedRuns:
         assert_remembered_equals_fresh(app, None, fresh)
         assert app.steps <= len(app._plans) <= app._plans_kept
 
-    def test_one_ulp_is_a_miss(self, monkeypatch):
+    def test_one_ulp_is_a_miss(self, monkeypatch, no_native_extension):
         ulps = 0
         nudged_plummer(monkeypatch, lambda: ulps)
         point = (2, 8 * KB, "msi")
@@ -407,7 +423,8 @@ class TestRememberedRuns:
         assert not seeds & set(app._seeded)
         assert len(set(app._plans) - plans) == app.steps
 
-    def test_plans_kept_are_bounded_oldest_out(self, monkeypatch):
+    def test_plans_kept_are_bounded_oldest_out(self, monkeypatch,
+                                               no_native_extension):
         ulps = 0
         nudged_plummer(monkeypatch, lambda: ulps)
         app = new_app(steps=1)
@@ -451,7 +468,7 @@ class TestRememberedRuns:
         assert results == fresh
         assert len(app._plans) <= app._plans_kept
 
-    def test_what_is_stored_is_read_only(self):
+    def test_what_is_stored_is_read_only(self, no_native_extension):
         app = new_app()
         run_point(app, GRID[0])
         stored = [part for plan in app._plans.values() for part in plan]
@@ -463,22 +480,41 @@ class TestRememberedRuns:
 
 
 # ----------------------------------------------------------------------
-# A run's force-phase words are written by the native extension's
-# ``force_words``; numpy's ``_expand`` is what it must equal, word for word
+# The force phase's words: the C processes walk each tree themselves, and
+# the python processes relocate a remembered walk with numpy's
+# ``_expand`` -- which a loop writing one visit at a time must equal
 # ----------------------------------------------------------------------
 
-def force_kernel():
-    from repro.trace.engine import native
-    return native.load().force_words
+def relocated_by_loop(visits, starts, order, owned, body_address,
+                      cell_address, patterns):
+    """What ``_expand`` must return, one visit at a time."""
+    begin, end, *kinds = patterns
+
+    def put(out, pattern, address):
+        words, relative = pattern
+        out.extend(word + flag * int(address)
+                   for word, flag in zip(words, relative))
+
+    chunks, taken = [], 0
+    for count in owned:
+        out = array("q")
+        for body in order[taken:taken + count]:
+            put(out, begin, body_address[body])
+            for visit in visits[starts[body]:starts[body + 1]].tolist():
+                table = body_address if visit & 3 == 0 else cell_address
+                put(out, kinds[visit & 3], table[visit >> 2])
+            put(out, end, body_address[body])
+        chunks.append(out)
+        taken += count
+    return chunks
 
 
-def assert_kernel_equals_numpy(args):
-    words = force_kernel()(*args)
+def assert_loop_equals_numpy(args):
+    words = barnes_hut._expand(*args)
     assert type(words) is list
     assert all(type(chunk) is array and chunk.typecode == "q"
                for chunk in words)
-    assert ([chunk.tobytes() for chunk in words]
-            == [chunk.tobytes() for chunk in barnes_hut._expand(*args)])
+    assert words == relocated_by_loop(*args)
     return words
 
 
@@ -509,33 +545,53 @@ def random_relocation(seed, n_bodies=24, n_cells=10, procs=4,
             barnes_hut._FORCE_PATTERNS)
 
 
-@needs_native
+def force_phases(streams):
+    """Each step's force-phase words, processor by processor, out of a
+    run's decoded streams."""
+    steps = []
+    for _, events in sorted(streams.items()):
+        opened = [k for k, event in enumerate(events)
+                  if type(event) is Barrier and event.barrier_id == 4]
+        closed = [k for k, event in enumerate(events)
+                  if type(event) is Barrier and event.barrier_id == 5]
+        for step, (lo, hi) in enumerate(zip(opened, closed)):
+            if step == len(steps):
+                steps.append([])
+            steps[step].append(encode_events(events[lo + 1:hi]).tolist())
+    return steps
+
+
 class TestForceKernel:
+    @needs_native
     def test_equals_numpy_on_every_quick_grid_tree(self, monkeypatch):
         """2 steps x 2p/8p x 8/128 KB (paper sizes) on the quick
-        profile's object: every relocation the grid makes."""
-        from types import SimpleNamespace
-        from repro.experiments.spec import PROFILES
-        profile = PROFILES["quick"]
-        seen = []
+        profile's object: the force phase the C processes walk on each
+        machine is, word for word, what the python processes relocate
+        there."""
+        relocated = []
+        real = barnes_hut._expand
 
-        def checked(*args):
-            seen.append(assert_kernel_equals_numpy(args))
-            return seen[-1]
+        def spy(*args):
+            words = real(*args)
+            relocated.append([chunk.tolist() for chunk in words])
+            return words
 
-        monkeypatch.setattr(barnes_hut, "native", SimpleNamespace(
-            load=lambda: SimpleNamespace(force_words=checked)))
-        app = profile.barnes_hut()
+        monkeypatch.setattr(barnes_hut, "_expand", spy)
         for procs in (2, 8):
             for scc in (8 * KB, 128 * KB):
-                run_simulation(SystemConfig.paper_parallel(
-                    procs, scc // profile.ladder_scale), app)
-        assert len(seen) == 4 * app.steps
-        assert {len(words) for words in seen} == {2 * 4, 8 * 4}
+                app, config = quick_point(procs, scc)
+                del relocated[:]
+                recorded_run(reference_processes(_BarnesHutRun(app, config)),
+                             config, "native")
+                walked = recorded_run(
+                    dict(enumerate(kernel_run(app, config).processes)),
+                    config, "native")[2]
+                assert len(relocated) == app.steps
+                assert force_phases(walked) == relocated
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_numpy_on_random_plans(self, seed):
-        assert_kernel_equals_numpy(random_relocation(seed))
+        assert_loop_equals_numpy(random_relocation(seed))
 
     @pytest.mark.parametrize("case", [
         {"owned": [0, 10, 0, 14]},
@@ -550,8 +606,8 @@ class TestForceKernel:
             "opened-cells-only"])
     def test_equals_numpy_at_the_edges(self, case):
         for seed in range(3):
-            words = assert_kernel_equals_numpy(random_relocation(seed,
-                                                                 **case))
+            words = assert_loop_equals_numpy(random_relocation(seed,
+                                                               **case))
         if case.get("owned"):
             assert [len(chunk) for chunk in words][0] == 0
 
@@ -578,15 +634,7 @@ class TestInsertChunks:
     def test_buckets_fill_in_arrival_order_either_way(self, monkeypatch):
         """Bodies a denormal apart end in ``_MAX_DEPTH`` buckets, whose
         free-slot scan reads the tree: a chunk ends before it too."""
-        real = barnes_hut._plummer_bodies
-
-        def coincident(count, rng):
-            bodies = real(count, rng)
-            for k in range(12):     # enough to overflow one bucket
-                bodies[k].pos = [k * 5e-324, 0.0, 0.0]
-            return bodies
-
-        monkeypatch.setattr(barnes_hut, "_plummer_bodies", coincident)
+        coincident(monkeypatch, 12)
         point = (4, 8 * KB, "msi")
         parameters = {"n_bodies": 256, "steps": 1}
         packed = run_point(new_app(**parameters), point)
@@ -614,3 +662,343 @@ class TestInsertChunks:
             assert body.count(LockRelease) <= 1
         assert [type(event) for event in decode_events(chunks[-1])] == [
             Write, LockRelease]
+
+
+# ----------------------------------------------------------------------
+# The C processes (``barnes_processes`` in ``_native.c``) against their
+# reference, ``_BarnesHutRun.process``: event for event, and the same
+# bodies after
+# ----------------------------------------------------------------------
+
+def quick_point(procs, scc):
+    """The quick profile's object and its Figure-2 machine of ``procs``
+    processors per cluster and a paper-size ``scc``."""
+    profile = PROFILES["quick"]
+    return profile.barnes_hut(), SystemConfig.paper_parallel(
+        procs, scc // profile.ladder_scale)
+
+
+def reference_processes(run):
+    return {proc: run.process(proc) for proc in range(run.n_procs)}
+
+
+def kernel_run(app, config):
+    return _KernelRun(app, config, native.load())
+
+
+def coincident(monkeypatch, count):
+    """The usual bodies, the first ``count`` of them a denormal apart."""
+    real = barnes_hut._plummer_bodies
+
+    def crowded(n, rng):
+        bodies = real(n, rng)
+        for k in range(count):
+            bodies[k].pos = [k * 5e-324, 0.0, 0.0]
+        return bodies
+
+    monkeypatch.setattr(barnes_hut, "_plummer_bodies", crowded)
+
+
+def assert_process_matches(app, config, backend):
+    """One machine on the C processes -- their chunks as yielded, and
+    decoded into event objects -- and on ``_BarnesHutRun.process``: the
+    same events, statistics and final positions, velocities and
+    costs."""
+    reference = _BarnesHutRun(app, config)
+    expected = recorded_run(reference_processes(reference), config,
+                            backend)
+    for decoded in (False, True):
+        run = kernel_run(app, config)
+        assert recorded_run(dict(enumerate(run.processes)), config,
+                            backend, decoded) == expected, decoded
+        assert run.pos.tolist() == [body.pos for body in reference.bodies]
+        assert run.vel.tolist() == [body.vel for body in reference.bodies]
+        assert run.cost.tolist() == [body.cost
+                                     for body in reference.bodies]
+
+
+@needs_native
+class TestBarnesHutProcess:
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    @pytest.mark.parametrize("scc", [8 * KB, 128 * KB])
+    @pytest.mark.parametrize("procs", PROCS_SWEPT)
+    def test_equals_the_python_process(self, procs, scc, backend):
+        assert_process_matches(*quick_point(procs, scc), backend)
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_buckets_fill_in_arrival_order_alike(self, backend,
+                                                 monkeypatch):
+        """Twelve bodies a denormal apart overflow a ``_MAX_DEPTH``
+        bucket into another; a bucket's slots go to whoever gets there
+        first."""
+        coincident(monkeypatch, 12)
+        assert_process_matches(BarnesHut(n_bodies=256, steps=1),
+                               SystemConfig.paper_parallel(4, 8 * KB),
+                               backend)
+
+    def test_resume_for_resume_on_one_processor(self):
+        app = new_app()
+        config = SystemConfig(clusters=1, processors_per_cluster=1)
+        expected = [packed_words(item)
+                    for item in _BarnesHutRun(app, config).process(0)]
+        process, = kernel_run(app, config).processes
+        assert [packed_words(item) for item in process] == expected
+
+    def test_a_native_run_resumes_nothing(self):
+        """``run`` steps a Barnes-Hut process itself: the quick
+        ``fig2_cold`` machines resume no generator, where the python
+        processes are resumed thousands of times."""
+        from repro.core.system import MultiprocessorSystem
+        from repro.trace.interleave import TimingInterleaver
+        resumes = []
+        for procs in (2, 8):
+            app, config = quick_point(procs, 8 * KB)
+            for processes in (
+                    dict(enumerate(kernel_run(app, config).processes)),
+                    reference_processes(_BarnesHutRun(app, config))):
+                interleaver = TimingInterleaver(
+                    MultiprocessorSystem(config), backend="native")
+                for proc, process in processes.items():
+                    interleaver.add_process(proc, process)
+                interleaver.run()
+                assert interleaver.engine_used == "native"
+                resumes.append(interleaver.generator_resumes)
+        assert resumes[0] == resumes[2] == 0
+        assert min(resumes[1], resumes[3]) > 2000
+
+    def test_processes_run_apart_from_their_interleaver(self):
+        """A process made by ``barnes_processes`` is an iterator like any
+        other: ``iter`` is itself, ``send`` ignores its value, a chunk is
+        an ``array('q')``, and it stays ended once it has ended."""
+        run = kernel_run(new_app(steps=1),
+                         SystemConfig(clusters=1, processors_per_cluster=1))
+        process, = run.processes
+        assert iter(process) is process
+        first = process.send("ignored")
+        assert type(first) is PackedChunk
+        assert type(first.data) is array and first.data.typecode == "q"
+        assert list(process)
+        with pytest.raises(StopIteration):
+            process.send(None)
+        with pytest.raises(StopIteration):
+            next(process)
+        with pytest.raises(TypeError):
+            type(process)()
+
+    @pytest.mark.parametrize("path", ["python", "kernel"])
+    def test_an_exhausted_cell_pool_raises_where_the_generator_does(
+            self, path):
+        """Eight cell records dealt to sixteen processors: processor 0's
+        pool is empty before it seeds the root."""
+        app = BarnesHut(n_bodies=2, steps=1)
+        config = SystemConfig(clusters=4, processors_per_cluster=4)
+        processes = (reference_processes(_BarnesHutRun(app, config))
+                     if path == "python" else
+                     dict(enumerate(kernel_run(app, config).processes)))
+        with pytest.raises(RuntimeError,
+                           match="cell pool of processor 0 exhausted"):
+            run_simulation(config, GivenProcesses(processes))
+
+    def test_a_cost_rewritten_mid_run_is_refused(self):
+        """The costs are read in place: one a caller scribbles over is
+        refused by the partition that deals it."""
+        run = kernel_run(new_app(steps=1),
+                         SystemConfig(clusters=1, processors_per_cluster=1))
+        process, = run.processes
+        next(process)
+        run.cost[:] = 0
+        with pytest.raises(ValueError, match="cost 0 lies outside"):
+            list(process)
+
+
+# ----------------------------------------------------------------------
+# A processor charges ``_PARTITION_COMPUTE`` per body it owns after the
+# last summarize barrier, counted at its own resume: one that resumes
+# before processor 0 has dealt the step's bodies charges the last deal.
+# A modeling quirk, kept for golden stability -- and both paths must
+# keep it alike
+# ----------------------------------------------------------------------
+
+def partition_charges(events):
+    """Per step: what a processor's partition compute charged, and what
+    its share of the step's own deal would have cost."""
+    charged, owned, updating = [], [], False
+    for before, event in zip(events, events[1:]):
+        if type(event) is Barrier:
+            if event.barrier_id == 4:
+                charged.append(before.cycles)
+            updating = event.barrier_id == 5
+            if updating:
+                owned.append(0)
+        elif updating and type(event) is Compute:
+            owned[-1] += barnes_hut._PARTITION_COMPUTE
+    return list(zip(charged, owned))
+
+
+@needs_native
+class TestPartitionComputeRace:
+    @pytest.mark.parametrize("procs", [2, 8])
+    def test_python_and_c_charge_the_same_stale_deal(self, procs,
+                                                     monkeypatch):
+        """The generator's computes, counted against the deals made by
+        then, include stale ones; the C processes charge every one of
+        them alike."""
+        app, config = quick_point(procs, 8 * KB)
+        deals, read = [], []
+        real_partition, real_compute = (_BarnesHutRun._partition,
+                                        barnes_hut.Compute)
+
+        def partition(run):
+            real_partition(run)
+            deals.append(run)
+
+        def compute(cycles):
+            read.append(len(deals))
+            return real_compute(cycles)
+
+        monkeypatch.setattr(_BarnesHutRun, "_partition", partition)
+        monkeypatch.setattr(barnes_hut, "Compute", compute)
+        expected = recorded_run(
+            reference_processes(_BarnesHutRun(app, config)), config,
+            "native")[2]
+        monkeypatch.undo()
+        streams = recorded_run(
+            dict(enumerate(kernel_run(app, config).processes)), config,
+            "native")[2]
+        assert ({proc: partition_charges(events)
+                 for proc, events in streams.items()}
+                == {proc: partition_charges(events)
+                    for proc, events in expected.items()})
+        # a step's computes come after the deals of the steps before it;
+        # one that comes before the step's own deal read the last one
+        n = config.total_processors
+        stale = [sum(made == step for made in read[step * n:(step + 1) * n])
+                 for step in range(app.steps)]
+        assert sum(stale) > 0, stale
+
+
+# ----------------------------------------------------------------------
+# ``barnes_processes`` is an entry point any caller reaches: everything
+# is checked before a process exists
+# ----------------------------------------------------------------------
+
+def _barnes_args(**change):
+    """Three bodies, two steps, two clusters of one processor, with
+    ``change`` applied."""
+    args = {
+        "pos": np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6],
+                         [0.7, -0.8, 0.9]]),
+        "vel": np.full((3, 3), 0.01),
+        "mass": np.full(3, 1 / 3),
+        "cost": np.ones(3, dtype=np.int64),
+        "steps": 2,
+        "theta": 0.55,
+        "softening": 0.05,
+        "dt": 0.025,
+        "n_procs": 2,
+        "partition": (2, 1),
+        "bases": (1 << 28, 1 << 29),
+        "chunk_type": PackedChunk,
+    }
+    args.update(change)
+    return args
+
+
+def _hostile(name, **change):
+    return pytest.param(change, id=name)
+
+
+def _one(at, value, shape=(3, 3)):
+    """A 0.5-filled float64 array with one entry replaced."""
+    values = np.full(shape, 0.5)
+    values.flat[at] = value
+    return values
+
+
+@needs_native
+class TestBarnesHutProcessInputs:
+    def test_the_checked_arguments_make_processes(self):
+        processes = native.load().barnes_processes(*_barnes_args().values())
+        assert len(processes) == 2
+        config = SystemConfig(clusters=2, processors_per_cluster=1)
+        result = run_simulation(config,
+                                GivenProcesses(dict(enumerate(processes))))
+        assert result.execution_time > 0
+
+    @pytest.mark.parametrize("change", [
+        _hostile("pos-a-list", pos=[0.5] * 9),
+        _hostile("pos-float32", pos=np.full((3, 3), 0.5, dtype=np.float32)),
+        _hostile("pos-int64", pos=np.zeros((3, 3), dtype=np.int64)),
+        _hostile("pos-not-contiguous", pos=np.full((3, 6), 0.5)[:, ::2]),
+        _hostile("pos-not-triples", pos=np.full(8, 0.5)),
+        _hostile("one-body", pos=np.full((1, 3), 0.5),
+                 vel=np.zeros((1, 3)), mass=np.ones(1),
+                 cost=np.ones(1, dtype=np.int64)),
+        _hostile("no-bodies", pos=np.zeros((0, 3)), vel=np.zeros((0, 3)),
+                 mass=np.zeros(0), cost=np.zeros(0, dtype=np.int64)),
+        _hostile("vel-one-body-short", vel=np.full((2, 3), 0.01)),
+        _hostile("mass-one-body-short", mass=np.ones(2)),
+        _hostile("mass-int64", mass=np.ones(3, dtype=np.int64)),
+        _hostile("cost-int32", cost=np.ones(3, dtype=np.int32)),
+        _hostile("cost-float64", cost=np.ones(3)),
+        _hostile("cost-one-body-short", cost=np.ones(2, dtype=np.int64)),
+        _hostile("cost-zero", cost=np.array([1, 0, 1], dtype=np.int64)),
+        _hostile("cost-negative", cost=np.array([1, 1, -5],
+                                                dtype=np.int64)),
+        _hostile("cost-past-2**28", cost=np.array([1, (1 << 28) + 1, 1],
+                                                  dtype=np.int64)),
+        _hostile("position-nan", pos=_one(4, np.nan)),
+        _hostile("position-inf", pos=_one(0, -np.inf)),
+        _hostile("velocity-nan", vel=_one(2, np.nan)),
+        _hostile("velocity-inf", vel=_one(8, np.inf)),
+        _hostile("mass-nan", mass=np.array([1.0, np.nan, 1.0])),
+        _hostile("mass-inf", mass=np.array([np.inf, 1.0, 1.0])),
+        _hostile("steps-zero", steps=0),
+        _hostile("steps-negative", steps=-2),
+        _hostile("steps-huge", steps=1 << 40),
+        _hostile("steps-past-int64", steps=1 << 70),
+        _hostile("theta-zero", theta=0.0),
+        _hostile("theta-nan", theta=float("nan")),
+        _hostile("softening-negative", softening=-0.05),
+        _hostile("softening-inf", softening=float("inf")),
+        _hostile("dt-zero", dt=0.0),
+        _hostile("dt-nan", dt=float("nan")),
+        _hostile("procs-zero", n_procs=0, partition=(0, 0)),
+        _hostile("procs-huge", n_procs=1 << 20, partition=(1 << 10, 1 << 10)),
+        _hostile("partition-mismatch", partition=(2, 2)),
+        _hostile("partition-no-clusters", partition=(0, 2)),
+        _hostile("partition-one-count", partition=(2,)),
+        _hostile("partition-a-list", partition=[2, 1]),
+        _hostile("one-base", bases=(1 << 28,)),
+        _hostile("base-negative", bases=(-96, 1 << 29)),
+        _hostile("body-records-overflow", bases=((1 << 60) - 96, 0)),
+        _hostile("cell-records-overflow", bases=(0, (1 << 60) - 1000)),
+        _hostile("base-past-int64", bases=(1 << 70, 0)),
+        _hostile("chunk-type-not-a-class", chunk_type=3),
+    ])
+    def test_hostile_inputs_raise_before_a_process_exists(self, change):
+        args = _barnes_args(**change)
+        buffers = {name: np.array(args[name], copy=True)
+                   for name in ("pos", "vel", "cost")
+                   if isinstance(args[name], np.ndarray)}
+        with pytest.raises((ValueError, TypeError, OverflowError,
+                            BufferError)):
+            native.load().barnes_processes(*args.values())
+        for name, before in buffers.items():
+            assert np.array_equal(args[name], before, equal_nan=True), name
+
+    @pytest.mark.parametrize("name", ["pos", "vel", "cost"])
+    def test_a_read_only_state_is_refused(self, name):
+        args = _barnes_args()
+        args[name].flags.writeable = False
+        with pytest.raises((ValueError, BufferError)):
+            native.load().barnes_processes(*args.values())
+
+    @pytest.mark.parametrize("name", ["softening", "dt"])
+    def test_the_constructor_refuses_with_the_kernels_message(self, name):
+        with pytest.raises(ValueError) as kernel:
+            native.load().barnes_processes(
+                *_barnes_args(**{name: -1.0}).values())
+        with pytest.raises(ValueError) as constructor:
+            BarnesHut(**{name: -1.0})
+        assert str(constructor.value) == str(kernel.value)
