@@ -35,17 +35,16 @@ they came from, so a warm sweep never touches the tape again.
 Two kernels compute the numbers, one assembler shapes them.
 :func:`build_row_profile` runs the "profile" section of
 ``trace/engine/_native.c`` (``row_profile``: the whole job over flat
-64-bit buffers, ~60x faster) exactly when the native extension loaded,
-and the python functions of this module -- :func:`extract_process`,
-:func:`merge_refs`, ``_histogram_of``, :func:`coherence_ladder`,
-``_sharing_summary`` -- otherwise (``REPRO_NATIVE=0``, no compiler).
-The python functions are the reference: the C kernel's contract is
-their payload, byte for byte under ``json.dumps(sort_keys=True)``, and
-their exceptions; the differ's ``profile`` engine and
-``tests/model/test_profile.py`` hold it to that.  Both return the same
-flat tuple (see ``_reference_kernel``) and ``_row_payload`` alone knows
-the payload's shape, so a cached profile does not say -- or depend on
--- which kernel wrote it.
+64-bit buffers, ~60x faster).  The python functions of this module --
+:func:`extract_process`, :func:`merge_refs`, ``_histogram_of``,
+:func:`coherence_ladder`, ``_sharing_summary`` -- are the reference: the
+C kernel's contract is their payload, byte for byte under
+``json.dumps(sort_keys=True)``, and their exceptions; the differ's
+``profile`` engine (against ``_reference_kernel``, in the shipped
+``python -m repro fuzz``) and ``tests/model/test_profile.py`` hold it to
+that.  Both return the same flat tuple (see ``_reference_kernel``) and
+``_row_payload`` alone knows the payload's shape, so a cached profile
+does not say -- or depend on -- which kernel wrote it.
 """
 
 from __future__ import annotations
@@ -385,12 +384,10 @@ def build_row_profile(streams: Dict[int, Sequence], config:
     layout shape everything else).  ``tracked_line_counts`` are the
     SCC line counts the exact ladder covers, ascending powers of two.
 
-    The C kernel does the work when the native extension is loaded, the
-    reference kernel otherwise; the profile is the same either way.
+    The C kernel does the work; :func:`_reference_kernel` gives the same
+    profile.
     """
-    kernel = (_reference_kernel if native.load() is None
-              else _native_kernel)
-    return RowProfile(_row_payload(kernel, streams, config,
+    return RowProfile(_row_payload(_native_kernel, streams, config,
                                    tracked_line_counts))
 
 
@@ -452,7 +449,7 @@ def _row_payload(kernel, streams: Dict[int, Sequence],
 def _native_kernel(streams: Dict[int, Sequence], procs: List[int],
                    config: SystemConfig, tracked: List[int]) -> tuple:
     """:func:`_reference_kernel`'s report, computed by ``row_profile``
-    in the native extension (which must be loaded)."""
+    in the native extension."""
     tapes = tuple(data if type(data) is array and data.typecode == "q"
                   else array("q", data)
                   for data in (streams[proc] for proc in procs))

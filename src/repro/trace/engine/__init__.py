@@ -22,30 +22,26 @@ The SCC/bus timing model has two implementations ("backends", psim's
   ``_native.run`` steps without resuming anything.  The standard
   :class:`~repro.instrument.probes.InstrumentationProbe` (no event
   log) rides along: C bins its timelines and counters.  The same
-  extension carries four kernels that time nothing, each run when the
-  extension loaded and its python reference otherwise: the analytical
-  tier's row profile (``row_profile``, for
+  extension carries four kernels that time nothing and run under either
+  engine: the analytical tier's row profile (``row_profile``, for
   :func:`repro.model.profile.build_row_profile`), a SPEC application's
-  multiprogramming quantum (``spec_burst``; ``SpecApp.burst_packed`` is
-  the reference), and MP3D's and Barnes-Hut's processes
-  (``mp3d_processes`` and ``barnes_processes``; ``_MP3DRun.process``
-  and ``_BarnesHutRun.process`` are the references).  That choice follows the loader, not ``backend=``: the
-  output is the same either way and no request can ask for the slow
-  one.
+  multiprogramming quantum (``spec_burst``), and MP3D's and Barnes-Hut's
+  processes (``mp3d_processes`` and ``barnes_processes``).  They are how
+  those streams are made; their python twins live in ``tests/oracles/``
+  as the references the parity tests hold them to.
+
+The extension is required: :func:`repro.trace.engine.native.load`
+builds it on first use and raises ``ImportError`` when it cannot.
 
 Selection is one switch per process, psim's ``EVAL_MODE``: the
-``REPRO_ENGINE`` environment variable (default ``auto``, which probes
-native -> python) and the loader decide.  A sweep does not choose: pool
-workers inherit the variable, and a fabric worker resolves its own
-host's.  The ``backend=`` argument of ``TimingInterleaver`` /
-``run_simulation`` / ``fused_ladder_results`` overrides it for one call
--- the differ pins the reference loop through it.  A ``native`` request
-degrades gracefully to python (a missing compiler);
-:func:`native_available` says whether it would, and
-:func:`engine_degradation` what that costs.  The retired ``numpy``
-tier's name is still accepted (the environment, a ``backend=``
-argument) and treated like any unavailable tier: it resolves to
-python.
+``REPRO_ENGINE`` environment variable (default ``auto``, which is
+native).  A sweep does not choose: pool workers inherit the variable,
+and a fabric worker resolves its own host's.  The ``backend=`` argument
+of ``TimingInterleaver`` / ``run_simulation`` / ``fused_ladder_results``
+overrides it for one call -- the differ pins the reference loop through
+it.  The retired ``numpy`` tier's name is still accepted (the
+environment, a ``backend=`` argument) and resolves to python;
+:func:`engine_degradation` says so.
 
 The native engine must be fingerprint-identical to the reference loop,
 the probe's registry included; the differential verifier
@@ -59,9 +55,7 @@ import os
 from typing import Dict, Optional
 
 __all__ = ["BACKEND_CHOICES", "ENGINE_ENV", "RETIRED_BACKENDS",
-           "available_backends", "backend_info", "engine_degradation",
-           "native_available", "native_unavailable_reason",
-           "resolve_backend"]
+           "backend_info", "engine_degradation", "resolve_backend"]
 
 #: Values offered for ``REPRO_ENGINE`` and every ``backend=`` knob.
 BACKEND_CHOICES = ("auto", "python", "native")
@@ -72,26 +66,13 @@ RETIRED_BACKENDS = ("numpy",)
 
 ENGINE_ENV = "REPRO_ENGINE"
 
-# What a run that wanted the native tier is told it got instead; the
-# factors are the compiler-less cost measured in README "Replay engines".
+# What a run that names the retired tier is told it gets instead; the
+# factors are the reference loop's cost measured in README "Replay
+# engines".
 _REFERENCE_LOOP_NOTE = (
     "running on the per-event reference loop with no fused ladder "
     "(same results; live paper points up to ~15x slower, tape replay "
-    "~35-65x, a warm uniprocessor ladder ~100x, an analytical row "
-    "profile ~60x)")
-
-
-def native_available() -> bool:
-    """Whether the C extension imported (or built on demand)."""
-    from . import native
-    return native.load() is not None
-
-
-def native_unavailable_reason() -> Optional[str]:
-    """Why the native tier is missing (``None`` when it loaded)."""
-    from . import native
-    native.load()
-    return native.LOAD_ERROR
+    "~35-65x, a warm uniprocessor ladder ~100x)")
 
 
 def _normalize(request: Optional[str]) -> str:
@@ -109,56 +90,35 @@ def _normalize(request: Optional[str]) -> str:
 def resolve_backend(request: Optional[str] = None) -> str:
     """Concrete backend for a request.
 
-    ``None`` reads ``$REPRO_ENGINE`` (default ``auto``).  ``auto`` probes
-    native -> python; a request for an unavailable tier (``native``
-    without the extension, or a retired name) degrades to ``python``.
+    ``None`` reads ``$REPRO_ENGINE`` (default ``auto``).  ``auto`` and
+    ``native`` are native; ``python`` and the retired ``numpy`` are the
+    reference loop.
     """
-    request = _normalize(request)
-    if request in ("auto", "native") and native_available():
+    if _normalize(request) in ("auto", "native"):
         return "native"
     return "python"
 
 
 def engine_degradation(request: Optional[str] = None) -> Optional[str]:
-    """Human-readable note when resolution lands below the tier the
-    request names, or ``None`` when nothing degraded.
-
-    ``auto`` (and an explicit ``native`` request) aim for the native
-    tier, so resolving anything else means a toolchain problem worth
-    surfacing -- the sweep/optimize CLIs print this instead of
-    silently running slower.
-    """
+    """Human-readable note when the request names the retired tier, or
+    ``None``.  The sweep/optimize CLIs print it instead of silently
+    running slower."""
     request = _normalize(request)
     if request in RETIRED_BACKENDS:
         return (f"{request} tier was removed; {_REFERENCE_LOOP_NOTE}; "
                 f"request auto or native for the fast engine")
-    if request != "python" and not native_available():
-        reason = native_unavailable_reason() or "unknown"
-        return (f"native tier unavailable ({reason}); "
-                f"{_REFERENCE_LOOP_NOTE}; "
-                f"a C compiler restores the fast engine")
     return None
-
-
-def available_backends() -> list:
-    """Concrete backends importable right now, fastest first."""
-    return ["native", "python"] if native_available() else ["python"]
 
 
 def backend_info(request: Optional[str] = None) -> Dict[str, object]:
     """Backend metadata for bench reports and diagnostics."""
     from . import native
-    info: Dict[str, object] = {
+    return {
         "requested": request or os.environ.get(ENGINE_ENV, "").strip()
         or "auto",
         "resolved": resolve_backend(request),
-        "available": available_backends(),
+        "available": ["native", "python"],
+        "native_version": native.NATIVE_VERSION,
+        # The ladder ships in the same extension, which is required.
+        "native_ladder": True,
     }
-    if native_available():
-        info["native_version"] = native.NATIVE_VERSION
-        # The ladder ships in the same extension: it runs exactly when
-        # the extension loaded.
-        info["native_ladder"] = True
-    else:
-        info["native_error"] = native_unavailable_reason()
-    return info

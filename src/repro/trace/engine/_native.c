@@ -3871,9 +3871,9 @@ done:
 
 /* A multiprogramming quantum is one ``SpecApp``'s next ``n``
  * instructions, packed.  ``spec_burst`` writes them straight onto the
- * end of an ``array('q')``, draw for draw what ``SpecApp.burst_packed``
- * appends (the reference: what ``REPRO_NATIVE=0`` runs, and what
- * tests/workloads/test_spec.py compares this against).  The randomness
+ * end of an ``array('q')``, draw for draw what ``burst_packed`` in
+ * tests/oracles/spec.py appends (the reference tests/workloads/test_spec.py
+ * compares this against).  The randomness
  * stays numpy's: the application's current uniform batch is read in
  * place, and when its 2,048 draws run out C calls the application's
  * ``_refill``, which returns the next batch -- lazily, before the draw
@@ -4259,9 +4259,9 @@ done:
  * written in place in the caller's buffers, the pre-drawn collision
  * uniforms (float64, one per step and particle) and the region bases.
  *
- * An iterator is ``_MP3DRun.process``, resume for resume -- the reference:
- * what ``REPRO_NATIVE=0`` runs, and what tests/workloads/test_mp3d.py holds
- * this to, event for event.  Its chunks end where that generator's do --
+ * An iterator is ``MP3DRun.process`` of tests/oracles/mp3d.py, resume for
+ * resume -- the reference tests/workloads/test_mp3d.py holds this to, event
+ * for event.  Its chunks end where that generator's do --
  * after the move compute, after the partner-slot read, after the collide
  * compute, after the collide writes, the trailing partner-slot write
  * carried into the next particle's first chunk -- and each step does what
@@ -4483,7 +4483,7 @@ m3_settle(M3Process *p)
     return m3_begin(p);
 }
 
-/* One resume of ``_MP3DRun.process``: the next chunk's words into the
+/* One resume of ``MP3DRun.process``: the next chunk's words into the
  * process's own (``*words`` points at them), how many; 0 once the process
  * has ended, -1 on error. */
 static int
@@ -4785,9 +4785,9 @@ fail:
  * child slots, centre of mass and mass), each processor's cell pool, the
  * levels, the partition and the accelerations.
  *
- * An iterator is ``_BarnesHutRun.process``, resume for resume -- the
- * reference: what ``REPRO_NATIVE=0`` runs, and what
- * tests/workloads/test_barnes_hut.py holds this to, event for event.
+ * An iterator is ``BarnesHutRun.process`` of tests/oracles/barnes_hut.py,
+ * resume for resume -- the reference tests/workloads/test_barnes_hut.py
+ * holds this to, event for event.
  * Every chunk ends where that generator's does, so each touch of the tree
  * in the insert phase (the optimistic slot read, the re-read under the
  * cell's lock, a subcell's private write before it is published, a
@@ -5449,7 +5449,7 @@ bh_barrier(BhProcess *p, long long id, int next)
     return 3;
 }
 
-/* One resume of ``_BarnesHutRun.process``: the next chunk's words into
+/* One resume of ``BarnesHutRun.process``: the next chunk's words into
  * the process's own (``*words`` points at them), how many; 0 once the
  * process has ended, -1 on error (it has ended then too, as a generator
  * that raised has).  A phase whose chunk is empty yields nothing: its

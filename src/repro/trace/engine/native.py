@@ -35,21 +35,19 @@ ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
 as the contract), the SPEC-stream kernel (``spec_burst``, called by
-:meth:`repro.workloads.spec.SpecApp.burst_chunk` with ``burst_packed``
-as the contract), and MP3D's and Barnes-Hut's processes
-(``mp3d_processes`` and ``barnes_processes``, called by
-:meth:`repro.workloads.mp3d.MP3D.processes` and
-:meth:`repro.workloads.barnes_hut.BarnesHut.processes` with
-``_MP3DRun.process`` and ``_BarnesHutRun.process`` as the contracts;
-``run`` steps them itself).  One build, one ``ABI_VERSION`` check,
-serves all six.  The
+:meth:`repro.workloads.spec.SpecApp.burst_chunk`), and MP3D's and
+Barnes-Hut's processes (``mp3d_processes`` and ``barnes_processes``,
+called by :meth:`repro.workloads.mp3d.MP3D.processes` and
+:meth:`repro.workloads.barnes_hut.BarnesHut.processes`; ``run`` steps
+them itself).  The last three are the only way those workloads make
+their streams; their python twins are test oracles in ``tests/oracles/``.
+One build, one ``ABI_VERSION`` check, serves all six.  The
 ladder is a second driver of the same memory system: to C a
 ladder rung is what a cluster of a run is -- one SCC, described by
 :func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
 misses run the code a run's misses run.
 
-Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
-step failed):
+Loading happens at first use and is cached for the process:
 
 1. ``repro.trace.engine._native`` -- the setuptools ``Extension`` built
    by ``pip install`` / ``python setup.py build_ext --inplace``, unless
@@ -61,9 +59,9 @@ step failed):
    (atomic rename); rebuilds happen only when the source, interpreter,
    ``NATIVE_VERSION`` or the compiler flags change.
 
-Set ``REPRO_NATIVE=0`` to refuse the extension outright: the
-compiler-less configuration (reference loop, per-size replay for
-ladders), which tests and CI pin to the same goldens.
+The extension is required: when neither step yields it, :func:`load`
+raises one ``ImportError`` naming the compiler, its error, and a stale
+in-place build's reason when there was one.
 """
 
 from __future__ import annotations
@@ -89,8 +87,7 @@ from ..packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                       OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ, OP_WRITE,
                       PackedChunk)
 
-__all__ = ["NATIVE_VERSION", "LOAD_ERROR", "load", "run", "scc_plan",
-           "settle_scc"]
+__all__ = ["NATIVE_VERSION", "load", "run", "scc_plan", "settle_scc"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
@@ -103,10 +100,7 @@ NATIVE_VERSION = "14"
 #: and ``spec_burst``'s comparisons must round as python does.
 _CFLAGS = ("-O2", "-ffp-contract=off")
 
-LOAD_ERROR: Optional[str] = None
-
-_UNSET = object()
-_mod = _UNSET
+_mod = None
 
 _NO_LIMIT = (1 << 63) - 1
 
@@ -162,13 +156,12 @@ def _build_key(source: bytes) -> str:
     return hashlib.sha256(tag).hexdigest()[:16]
 
 
-def _compile_on_demand() -> Optional[object]:
-    """Build ``_native.c`` into the cache dir and import it."""
-    global LOAD_ERROR
+def _compile_on_demand():
+    """Build ``_native.c`` into the cache dir and import it; raises
+    ``ImportError`` with the reason it could not."""
     src = _source_path()
     if not src.is_file():
-        LOAD_ERROR = f"source missing: {src}"
-        return None
+        raise ImportError(f"source missing: {src}")
     source = src.read_bytes()
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     cache = _cache_dir()
@@ -185,13 +178,11 @@ def _compile_on_demand() -> Optional[object]:
                  str(src), "-o", str(tmp)],
                 capture_output=True, text=True, timeout=120)
             if result.returncode != 0:
-                LOAD_ERROR = (f"compile failed ({cc}): "
-                              f"{result.stderr.strip()[:500]}")
-                return None
+                raise ImportError(f"compile failed ({cc}): "
+                                  f"{result.stderr.strip()[:500]}")
             os.replace(tmp, so_path)
         except (OSError, subprocess.SubprocessError) as exc:
-            LOAD_ERROR = f"compile failed: {exc}"
-            return None
+            raise ImportError(f"compile failed ({cc}): {exc}") from exc
         finally:
             try:
                 tmp.unlink()
@@ -204,21 +195,21 @@ def _compile_on_demand() -> Optional[object]:
             "repro.trace.engine._native", so_path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module
     except Exception as exc:
-        LOAD_ERROR = f"import of built extension failed: {exc}"
-        return None
+        raise ImportError(
+            f"import of built extension failed: {exc}") from exc
+    return module
 
 
-def load(rebuild: bool = False):
-    """The native extension module, or ``None`` (reason in LOAD_ERROR)."""
-    global _mod, LOAD_ERROR
-    if _mod is not _UNSET and not rebuild:
+def load():
+    """The native extension module, built on first use and cached.
+
+    Raises ``ImportError`` when it can be neither imported nor built:
+    the message names the compiler and gives its error, after a stale
+    in-place build's reason when one was found."""
+    global _mod
+    if _mod is not None:
         return _mod
-    _mod = None
-    if os.environ.get("REPRO_NATIVE", "").strip() == "0":
-        LOAD_ERROR = "disabled via REPRO_NATIVE=0"
-        return None
     stale = None
     try:
         from . import _native  # type: ignore[attr-defined]
@@ -228,17 +219,21 @@ def load(rebuild: bool = False):
         stale = _stale_reason(_native)
         if stale is None:
             _mod = _native
-            LOAD_ERROR = None
             return _mod
     # No in-place build, or a stale one: build this tree's source.
-    _mod = _compile_on_demand()
-    if _mod is not None:
-        LOAD_ERROR = _stale_reason(_mod)
-        if LOAD_ERROR is not None:
-            _mod = None
-    elif stale is not None:
-        LOAD_ERROR = f"{stale}; {LOAD_ERROR}"
-    return _mod
+    try:
+        module = _compile_on_demand()
+    except ImportError as exc:
+        reason = str(exc)
+    else:
+        reason = _stale_reason(module)
+    if reason is None:
+        _mod = module
+        return _mod
+    if stale is not None:
+        reason = f"{stale}; {reason}"
+    raise ImportError(f"the native extension (repro.trace.engine._native) "
+                      f"is required and could not be loaded: {reason}")
 
 
 def _stale_reason(module) -> Optional[str]:

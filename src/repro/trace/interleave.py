@@ -61,7 +61,7 @@ from ..core.cache import DirectMappedArray
 from ..core.coherence import CoherenceController
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import NULL_PROBE, InstrumentationProbe
-from .engine import native_available, resolve_backend
+from .engine import resolve_backend
 from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                      Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
 from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
@@ -238,14 +238,11 @@ class TimingInterleaver:
         """
         if not self._processes:
             raise RuntimeError("no processes registered")
-        if (self._native_eligible and self.backend == "native"
-                and native_available()):
+        if self._native_eligible and self.backend == "native":
             from .engine import native as native_backend
             self.engine_used = "native"
             finish_time = native_backend.run(self, max_cycles)
         else:
-            # Also where a native resolution lands when the extension
-            # disappeared afterwards (e.g. cache cleared mid-process).
             self.engine_used = "python"
             finish_time = self._run_generic(max_cycles)
         unfinished = [p.pid for p in self._processes.values()

@@ -29,8 +29,8 @@ windows are the ladder's own.  The result is bit-identical
 statistics to running :class:`~repro.trace.record.ReplayApplication`
 once per configuration -- pinned by the equivalence suite -- at roughly
 the cost of a single replay.  There is one implementation of the pass:
-without the extension :func:`fused_ladder_results` *is* that per-size
-replay, on the reference loop.
+on the reference loop (``backend="python"``)
+:func:`fused_ladder_results` *is* that per-size replay.
 
 Exactness notes (why the shortcuts are not approximations):
 
@@ -132,9 +132,8 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
     ``backend`` follows the replay-engine precedence (argument ->
     ``$REPRO_ENGINE`` -> ``auto``): a ``native`` resolution runs one
     fused pass through the C extension's ladder entry points; a
-    ``python`` resolution (requested, or the extension is missing or
-    disabled via ``REPRO_NATIVE=0``) *is* that per-size replay, on the
-    reference loop.  The choice is execution-only: results are
+    ``python`` resolution *is* that per-size replay, on the reference
+    loop.  The choice is execution-only: results are
     bit-identical and the knob never enters spec signatures or cache
     keys.
     """

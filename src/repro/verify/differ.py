@@ -30,7 +30,7 @@ must agree with it on everything the engine exposes:
   what the pass wrote back.
 * **profile** -- not a timing engine: the extension's row-profile
   kernel (``row_profile``, what :func:`~repro.model.profile
-  .build_row_profile` runs when the extension is loaded), compared on
+  .build_row_profile` runs), compared on
   ``profile``, the whole :class:`~repro.model.profile.RowProfile`
   payload of the tape's streams -- exposure floats included.  The
   baseline's ``profile`` section is the reference kernel's payload for
@@ -38,10 +38,7 @@ must agree with it on everything the engine exposes:
   when the baseline's timing run raised.
 
 ``native``, ``instrumented``, ``fused`` and ``profile`` ship in one
-extension and are registered by :func:`engine_registry` exactly when it
-is available; a run that did not resolve to it is reported as degraded,
-not compared (it would degrade to the baseline itself and agree by
-construction).
+extension, which is required, so :func:`engine_registry` is fixed.
 
 Two paths that fail with the *same* exception type are in agreement --
 error parity is part of the contract (the golden suites already pin
@@ -59,7 +56,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import InstrumentationProbe
 from ..model.profile import _native_kernel, _reference_kernel, _row_payload
-from ..trace.engine import native_available, resolve_backend
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace.multiconfig import _fused_pass_native, fused_ladder_supported
 from .oracle import FunctionalOracle
@@ -151,24 +147,16 @@ narrow bins make most stall spans straddle a boundary or two."""
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
-    """Engines to diff against the reference loop, in comparison order.
-
-    The compiled engines register themselves by being available: a
-    freshly built native extension is picked up here without any differ
-    change, which is what keeps "every backend is diffed" a structural
-    property rather than a checklist item.
-    """
-    registry: Dict[str, EngineSpec] = {
+    """Engines to diff against the reference loop, in comparison order."""
+    return {
         "oracle": EngineSpec("oracle", _FULL, _always),
+        "native": EngineSpec("native", _FULL, _always),
+        "instrumented": EngineSpec("instrumented", _FULL + ("metrics",),
+                                   _always),
+        "fused": EngineSpec("fused", ("events", "stats", "bus", "arrays"),
+                            fused_eligible),
+        "profile": EngineSpec("profile", ("profile",), _always),
     }
-    if native_available():   # one extension: the ladder ships with it
-        registry["native"] = EngineSpec("native", _FULL, _always)
-        registry["instrumented"] = EngineSpec(
-            "instrumented", _FULL + ("metrics",), _always)
-        registry["fused"] = EngineSpec(
-            "fused", ("events", "stats", "bus", "arrays"), fused_eligible)
-        registry["profile"] = EngineSpec("profile", ("profile",), _always)
-    return registry
 
 
 def run_tape(tape: Tape, mode: str,
@@ -181,7 +169,7 @@ def run_tape(tape: Tape, mode: str,
         return _run_fused(tape, config)
     if mode == "profile":
         return PathResult(
-            name="profile", engine_used=resolve_backend("native"),
+            name="profile", engine_used="native",
             fingerprint={"profile": _profile_section(_native_kernel,
                                                      tape, config)})
     if mode not in _INTERLEAVER_MODES:
@@ -264,8 +252,7 @@ def fused_eligible(tape: Tape) -> bool:
 
 
 def _run_fused(tape: Tape, config) -> PathResult:
-    result = PathResult(name="fused",
-                        engine_used=resolve_backend("native"))
+    result = PathResult(name="fused", engine_used="native")
     ladder = [config, config.with_updates(scc_size=config.scc_size * 2)]
     systems = [MultiprocessorSystem(rung) for rung in ladder]
     try:

@@ -20,9 +20,9 @@ The generator machinery is shared (:class:`SpecApp`):
   so streams are reproducible and cheap.
 
 A multiprogramming quantum is written as one packed chunk
-(:meth:`SpecApp.burst_chunk`): by the native extension's ``spec_burst``
-(``trace/engine/_native.c``) when it loads, by :meth:`SpecApp.burst_packed`
-when it does not -- draw for draw the same words either way.
+(:meth:`SpecApp.burst_chunk`) by the native extension's ``spec_burst``
+(``trace/engine/_native.c``); its python twin, the reference the tests
+hold it to draw for draw, is ``tests/oracles/spec.py``.
 
 Working-set sizes below are the *paper-scale* figures (bytes); the
 multiprogramming workload divides them by the experiment's ladder scale so
@@ -38,7 +38,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..trace.engine import native
-from ..trace.packed import OP_IFETCH, OP_READ, OP_WRITE, PackedChunk
+from ..trace.packed import PackedChunk
 
 __all__ = ["SpecProfile", "SpecApp", "SPEC92_PROFILES", "spec92_workload"]
 
@@ -174,121 +174,29 @@ class SpecApp:
         self._refill()
 
     def _refill(self) -> np.ndarray:
+        """The next batch of uniform draws (``spec_burst`` calls this when
+        the current one runs out)."""
         self._uniform = self._rng.uniform(size=_BATCH)
         self._uniform_index = 0
         return self._uniform
 
-    def _draw(self) -> float:
-        if self._uniform_index >= _BATCH:
-            self._refill()
-        value = self._uniform[self._uniform_index]
-        self._uniform_index += 1
-        return float(value)
-
-    # -- address generation -------------------------------------------------
-
-    def _hot_addr(self) -> int:
-        """Reference into the primary working set with an LRU-stack-like
-        temporal profile: most references re-touch recently used lines,
-        the rest sample the hot set uniformly (and become recent)."""
-        if self._draw() < self.profile.locality:
-            slot = int(self._draw() * self._recent_fill)
-            offset = self._recent[slot]
-        else:
-            offset = int(self._draw() * self.hot_bytes) & ~15
-            if self._recent_fill < len(self._recent):
-                self._recent[self._recent_fill] = offset
-                self._recent_fill += 1
-            else:
-                self._recent[int(self._draw() * len(self._recent))] = offset
-        return self.heap_base + offset + (self._uniform_index % 2) * 8
-
-    def _scan_addr(self) -> int:
-        """Sequential walk through the cold arrays (streaming reuse-free
-        references; one compulsory miss per line at any cache size)."""
-        addr = self.scan_base + self._scan_cursor
-        self._scan_cursor = (self._scan_cursor + 16) % self.scan_bytes
-        return addr
-
-    def _stack_addr(self) -> int:
-        offset = int(self._draw() * self.stack_bytes) & ~7
-        return self.stack_base + offset
-
-    def _next_code_addr(self) -> int:
-        """Walk loop bodies; occasionally branch to a new function."""
-        block_bytes = _BASIC_BLOCK * 4
-        if self._loop_remaining > 0:
-            self._code_cursor += block_bytes
-            if self._code_cursor >= self._loop_start + self._loop_length:
-                self._code_cursor = self._loop_start
-                self._loop_remaining -= 1
-        else:
-            # New loop at a random spot in the code segment.
-            draw = self._draw()
-            self._loop_start = (int(draw * self.code_bytes)
-                                // block_bytes * block_bytes)
-            self._loop_length = block_bytes * (2 + int(self._draw() * 14))
-            self._loop_remaining = 2 + int(self._draw() * 30)
-            self._code_cursor = self._loop_start
-        return self.code_base + (self._code_cursor % self.code_bytes)
-
     # -- the stream ----------------------------------------------------------
 
-    def burst_packed(self, n_instructions: int, buf: List[int]) -> None:
-        """Append the next ``n_instructions`` instructions to ``buf`` in
-        the packed encoding: an ``Ifetch`` per basic block, then the data
-        references the block carries.
+    def burst_chunk(self, n_instructions: int) -> PackedChunk:
+        """The next ``n_instructions`` instructions as one packed chunk:
+        an ``Ifetch`` per basic block, then the data references the block
+        carries, written into an ``array('q')`` by the native extension's
+        ``spec_burst``.
 
-        This is the reference ``spec_burst`` is held to, draw for draw.
         Building the quantum eagerly is chunk-safe
         (:mod:`repro.trace.packed`) because all of this state is private
         to the process -- the run queue hands an application to exactly
         one processor at a time.
         """
-        profile = self.profile
-        stack_fraction = profile.stack_fraction
-        scan_cut = stack_fraction + profile.scan_fraction
-        write_fraction = profile.write_fraction
-        refs_per_instruction = profile.refs_per_instruction
-        draw = self._draw
-        append = buf.append
-        remaining = n_instructions
-        while remaining > 0:
-            block = min(_BASIC_BLOCK, remaining)
-            buf += (OP_IFETCH, self._next_code_addr(), block)
-            remaining -= block
-            self.instructions_executed += block
-            expected = refs_per_instruction * block
-            count = int(expected)
-            if draw() < expected - count:
-                count += 1
-            for _ in range(count):
-                locality = draw()
-                if locality < stack_fraction:
-                    addr = self._stack_addr()
-                elif locality < scan_cut:
-                    addr = self._scan_addr()
-                else:
-                    addr = self._hot_addr()
-                append(OP_WRITE if draw() < write_fraction else OP_READ)
-                append(addr)
-
-    def burst_chunk(self, n_instructions: int) -> PackedChunk:
-        """The next ``n_instructions`` instructions as one packed chunk.
-
-        The native extension's ``spec_burst`` writes them into an
-        ``array('q')`` when it loads, :meth:`burst_packed` into a list
-        when it does not: the same words, and the same state left behind.
-        """
-        kernel = native.load()
-        if kernel is None:
-            buf: List[int] = []
-            self.burst_packed(n_instructions, buf)
-            return PackedChunk(buf)
         words = array("q")
         (self._code_cursor, self._loop_remaining, self._loop_start,
          self._loop_length, self._scan_cursor, self._recent_fill,
-         self._uniform_index) = kernel.spec_burst(
+         self._uniform_index) = native.load().spec_burst(
             words, n_instructions, self._fractions, self._segments,
             (self._code_cursor, self._loop_remaining, self._loop_start,
              self._loop_length, self._scan_cursor),

@@ -121,18 +121,15 @@ def mutant_native(tmp_path_factory):
     """``mutant_native(needle, replacement)``: ``_native`` with that one
     statement changed, built from the source text into a cache of its
     own (once per session) -- the production object carries no mutation
-    switch.  Skips, with the loader's reason, on a host that cannot
-    build the extension at all."""
-    from repro.trace.engine import native, native_unavailable_reason
+    switch.  A mutant that does not build raises the loader's
+    ``ImportError``."""
+    from repro.trace.engine import native
     built = {}
     root = tmp_path_factory.mktemp("mutant-native")
 
     def build(needle, replacement):
         if (needle, replacement) in built:
             return built[needle, replacement]
-        if native.load() is None:
-            pytest.skip(f"native replay backend unavailable: "
-                        f"{native_unavailable_reason()}")
         source = native._source_path().read_text()
         assert source.count(needle) == 1
         mutated = root / f"mutant{len(built)}" / "_native.c"
@@ -146,10 +143,8 @@ def mutant_native(tmp_path_factory):
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_NATIVE_CACHE", str(root / "cache"))
             patch.setattr(native, "_source_path", lambda: mutated)
-            patch.setattr(native, "LOAD_ERROR", None)
             try:
                 module = native._compile_on_demand()
-                assert module is not None, native.LOAD_ERROR
             finally:
                 if registered is None:
                     sys.modules.pop(name, None)
@@ -182,14 +177,6 @@ def off_by_one_stack_distance(mutant_native, monkeypatch):
     from repro.trace.engine import native
     monkeypatch.setattr(native, "_mod",
                         mutant_native(*STACK_DISTANCE_QUERY))
-
-
-@pytest.fixture
-def no_native_extension(monkeypatch):
-    """The loader as ``REPRO_NATIVE=0`` leaves it, for one test: the
-    reference loop, and ``build_row_profile`` on its python kernel."""
-    from repro.trace.engine import native
-    monkeypatch.setattr(native, "_mod", None)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Exactness and sanity tests for the analytical predictor.
 
 Every profile here comes from ``build_row_profile``, which runs the C
-kernel when the native extension loaded and the python reference
-otherwise: each class runs as written and again pinned to the reference
-(the ``...OnTheReferenceKernel`` subclasses at the bottom), and
+kernel: each class runs as written and again pinned to the python
+reference (the ``...OnTheReferenceKernel`` subclasses at the bottom,
+which patch ``_native_kernel`` to ``_reference_kernel``), and
 ``TestEitherKernel`` holds whole analytical sweeps -- and the profile
 cache between them -- equal across the two.
 """
@@ -16,13 +16,10 @@ from repro.experiments.session import run_sweep
 from repro.experiments.spec import ExperimentProfile, SweepSpec
 from repro.model import build_row_profile, predict_point, predictor
 from repro.model import profile as profile_module
-from repro.trace.engine import native
 from repro.trace.events import Read, Write
 from repro.trace.packed import encode_events
 from repro.trace.record import ReplayApplication, StreamRecorder, TraceCache
 from repro.workloads.barnes_hut import BarnesHut
-
-from .test_profile import needs_native
 
 
 def p1_config(scc_size, **kwargs):
@@ -239,10 +236,15 @@ class TestParallelFidelityGuard:
             predict_point(profile, config)
 
 
+def pin_the_reference_kernel(patch):
+    patch.setattr(profile_module, "_native_kernel",
+                  profile_module._reference_kernel)
+
+
 class _OnTheReferenceKernel:
     @pytest.fixture(autouse=True)
-    def _pin(self, no_native_extension):
-        pass
+    def _pin(self, monkeypatch):
+        pin_the_reference_kernel(monkeypatch)
 
 
 class TestExactCasesOnTheReferenceKernel(_OnTheReferenceKernel,
@@ -270,7 +272,6 @@ class TestParallelFidelityGuardOnTheReferenceKernel(
     pass
 
 
-@needs_native
 class TestEitherKernel:
     """Which kernel built a profile is not an input of anything after
     it: not of the predictions, not of the profile cache."""
@@ -283,9 +284,9 @@ class TestEitherKernel:
             mp3d_particles=60, mp3d_steps=1, cholesky_n=64,
             multiprog_instructions=2000, multiprog_quantum=500))
 
-    def _sweep(self, root, traces, calls, extension=True):
-        """One session on fresh result caches; ``extension=False`` is
-        the loader as ``REPRO_NATIVE=0`` leaves it."""
+    def _sweep(self, root, traces, calls, native_kernel=True):
+        """One session on fresh result caches; ``native_kernel=False``
+        builds its profiles on the reference kernel."""
         real = profile_module.build_row_profile
 
         def counted(*args):
@@ -293,8 +294,8 @@ class TestEitherKernel:
             return real(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            if not extension:
-                patch.setattr(native, "_mod", None)
+            if not native_kernel:
+                pin_the_reference_kernel(patch)
             patch.setattr(profile_module, "build_row_profile", counted)
             # (the 2-processor row is a parallel one: warned about once
             # per process, and not here)
@@ -305,28 +306,26 @@ class TestEitherKernel:
 
     def test_analytical_sweep_is_the_same_sweep(self, tmp_path):
         built = []
-        with_extension = self._sweep(tmp_path / "r1", tmp_path / "t1",
-                                     built)
-        without = self._sweep(tmp_path / "r2", tmp_path / "t2", built,
-                              extension=False)
+        native = self._sweep(tmp_path / "r1", tmp_path / "t1", built)
+        reference = self._sweep(tmp_path / "r2", tmp_path / "t2", built,
+                                native_kernel=False)
         assert len(built) == 2 * len(self.SPEC.procs)
-        assert with_extension == without
-        assert len(without) == len(self.SPEC.configs())
+        assert native == reference
+        assert len(reference) == len(self.SPEC.configs())
 
-    @pytest.mark.parametrize("writer_has_extension", [True, False])
-    def test_profile_cache_is_shared(self, tmp_path,
-                                     writer_has_extension):
+    @pytest.mark.parametrize("writer_is_native", [True, False])
+    def test_profile_cache_is_shared(self, tmp_path, writer_is_native):
         """A session on one kernel reads the entries a session on the
         other wrote: no rebuild, same bytes on disk, same sweep."""
         traces = tmp_path / "traces"
         built = []
         first = self._sweep(tmp_path / "r1", traces, built,
-                            extension=writer_has_extension)
+                            native_kernel=writer_is_native)
         entries = {path: path.read_bytes()
                    for path in (traces / "profiles").glob("*.json")}
         assert len(built) == len(entries) == len(self.SPEC.procs)
         second = self._sweep(tmp_path / "r2", traces, built,
-                             extension=not writer_has_extension)
+                             native_kernel=not writer_is_native)
         assert len(built) == len(entries)           # none rebuilt
         assert second == first
         assert {path: path.read_bytes() for path

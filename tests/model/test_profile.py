@@ -1,11 +1,10 @@
 """Tests for the tape profiler (repro.model.profile).
 
 The profile has two kernels -- the python functions of the module (the
-reference) and ``row_profile`` in the native extension -- and
-``build_row_profile`` picks by whether the extension loaded.  The
-``build_row_profile``-level tests therefore run twice: as written (the
-C kernel, wherever there is a compiler) and again pinned to the
-reference (``no_native_extension``, tests/conftest.py);
+reference) and ``row_profile`` in the native extension, which
+``build_row_profile`` runs.  The ``build_row_profile``-level tests
+therefore run twice: as written (the C kernel) and again pinned to the
+reference (``_native_kernel`` patched to ``_reference_kernel``);
 ``TestKernelParity`` compares the two payloads byte for byte.
 """
 
@@ -24,21 +23,15 @@ from repro.model.profile import (MODEL_VERSION, ProfileCache, RowProfile,
                                  coherence_ladder, extract_process,
                                  merge_refs)
 from repro.trace.analysis import data_lines
-from repro.trace.engine import native_available, native_unavailable_reason
 from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                                 OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                                 OP_LOCK_REL, OP_READ, OP_READ_SPAN,
                                 OP_WRITE, OP_WRITE_SPAN, encode_events)
 from repro.trace.events import Read, Write
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native extension unavailable: {native_unavailable_reason()}")
-
 KERNELS = [
     pytest.param(profile_module._reference_kernel, id="reference"),
-    pytest.param(profile_module._native_kernel, id="native",
-                 marks=needs_native),
+    pytest.param(profile_module._native_kernel, id="native"),
 ]
 
 
@@ -191,7 +184,6 @@ class TestHostileTapes:
             profile_module._row_payload(kernel, {0: [OP_READ, 0]}, config,
                                         (3,))
 
-    @needs_native
     def test_native_kernel_refuses_what_64_bits_cannot_hold(self):
         """Python's integers grow; the C kernel says so instead of
         wrapping (no recorded tape comes near either bound)."""
@@ -340,11 +332,18 @@ class TestRowProfile:
         assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.fixture
+def on_the_reference_kernel(monkeypatch):
+    """``build_row_profile`` on the python kernel, for one test."""
+    monkeypatch.setattr(profile_module, "_native_kernel",
+                        profile_module._reference_kernel)
+
+
 class TestRowProfileOnTheReferenceKernel(TestRowProfile):
-    """The same four, on the kernel a compiler-less host runs."""
+    """The same four, on the reference kernel."""
 
     @pytest.fixture(autouse=True)
-    def _pin(self, no_native_extension):
+    def _pin(self, on_the_reference_kernel):
         pass
 
 
@@ -364,7 +363,6 @@ def quick_row(benchmark, procs):
                                      for config in configs.values()})
 
 
-@needs_native
 class TestKernelParity:
     """The C kernel's payload is the reference kernel's, byte for byte
     as ``ProfileCache`` writes it -- float exposure sums included."""

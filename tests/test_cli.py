@@ -5,10 +5,6 @@ import argparse
 import pytest
 
 from repro.cli import main, parse_size
-from repro.trace.engine import native_available
-
-needs_native = pytest.mark.skipif(not native_available(),
-                                  reason="native extension unavailable")
 
 
 class TestParseSize:
@@ -91,7 +87,6 @@ class TestCommands:
         assert "bus utilization" in out
         assert "trace written" not in out
 
-    @needs_native
     def test_profile_rides_the_native_engine(self, capsys, monkeypatch,
                                              engines_used):
         """Without ``--trace-out`` nothing reads the event log, so the
@@ -107,7 +102,6 @@ class TestCommands:
         assert out["native"] == out["python"]
         assert "bank conflicts" in out["native"]
 
-    @needs_native
     def test_profile_trace_out_keeps_the_reference_loop(
             self, capsys, monkeypatch, tmp_path, engines_used):
         """The Chrome trace needs the event log, which only the

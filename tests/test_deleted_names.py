@@ -1,9 +1,9 @@
 """Deleted names stay deleted, from the code and from the prose.
 
 Each entry is something the code no longer has; a mention of it in
-``src/`` (docstrings and comments included), README, DESIGN or the
-verify skill describes a system that does not exist.  A PR that deletes
-a name appends it here.  ``bench/`` is frozen between benchmark
+``src/`` (docstrings and comments included), ``setup.py``, README,
+DESIGN or the verify skill describes a system that does not exist.  A
+PR that deletes a name appends it here.  ``bench/`` is frozen between benchmark
 re-recordings and is not scanned.
 """
 
@@ -42,6 +42,13 @@ DELETED = (
     # Barnes-Hut's processes walk each tree in C: no plan is relocated
     # there
     "force_words",
+    # the extension is required: no switch refuses it, no build skips
+    # it, no API asks whether it loaded, and no python twin of a
+    # workload kernel ships (the oracles live in tests/oracles/)
+    "REPRO_NATIVE", "REPRO_BUILD_NATIVE", "native_available",
+    "native_unavailable_reason", "available_backends",
+    "no_native_extension", "optional_build_ext", "_plans_kept",
+    "_ForcePlan",
 )
 
 PATTERN = re.compile("|".join([
@@ -60,6 +67,7 @@ PATTERN = re.compile("|".join([
 
 def scanned_files():
     yield from sorted((ROOT / "src").rglob("*.py"))
+    yield ROOT / "setup.py"
     yield ROOT / "src" / "repro" / "trace" / "engine" / "_native.c"
     for name in ("README.md", "DESIGN.md",
                  ".claude/skills/verify/SKILL.md"):
@@ -96,3 +104,6 @@ def test_the_pattern_sees_each_name():
         assert not PATTERN.search(f"reads `{name}_ladder` here"), name
         assert not PATTERN.search(f"reads `row_{name}` here"), name
     assert not PATTERN.search("see repro.trace.streams here")
+    # the build cache's variable is live
+    assert not PATTERN.search("REPRO_NATIVE_CACHE=/tmp/x python -m repro")
+    assert PATTERN.search("REPRO_NATIVE=0 python -m repro")

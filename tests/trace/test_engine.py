@@ -12,10 +12,8 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.trace.engine import (BACKEND_CHOICES, available_backends,
-                                backend_info, engine_degradation,
-                                native_available,
-                                native_unavailable_reason, resolve_backend)
+from repro.trace.engine import (BACKEND_CHOICES, backend_info,
+                                engine_degradation, resolve_backend)
 from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
                                 OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN)
 
@@ -41,25 +39,12 @@ class TestResolveBackend:
         assert resolve_backend("python") == "python"
 
     def test_auto_resolves_to_an_available_backend(self):
-        assert resolve_backend("auto") in available_backends()
-
-    def test_requests_degrade_down_the_ladder(self, monkeypatch):
-        import repro.trace.engine as engine
-        monkeypatch.setattr(engine, "native_available", lambda: False)
-        monkeypatch.setattr(engine, "native_unavailable_reason",
-                            lambda: "no compiler")
-        assert engine.resolve_backend("auto") == "python"
-        assert engine.resolve_backend("native") == "python"
-        note = engine.engine_degradation("native")
-        assert "no compiler" in note
-        # loud about what was lost and how to get it back
-        assert "reference loop" in note and "no fused ladder" in note
-        assert "C compiler" in note
-        assert engine.engine_degradation("auto") == note
-        assert engine.engine_degradation("python") is None
-        # a caller that must have native asks the loader, not a request
-        assert not engine.native_available()
-        assert engine.native_unavailable_reason() == "no compiler"
+        assert resolve_backend("auto") == "native"
+        assert resolve_backend("native") == "native"
+        assert resolve_backend("auto") in backend_info("auto")["available"]
+        assert engine_degradation("auto") is None
+        assert engine_degradation("native") is None
+        assert engine_degradation("python") is None
 
     def test_retired_numpy_name_is_an_unavailable_tier(self, monkeypatch):
         """The environment and a ``backend=`` argument (what
@@ -72,49 +57,34 @@ class TestResolveBackend:
         assert backend_info()["resolved"] == "python"
         assert "removed" in engine_degradation()
         assert "reference loop" in engine_degradation()
-        # not even a loaded extension serves it
-        import repro.trace.engine as engine
-        monkeypatch.setattr(engine, "native_available", lambda: True)
-        assert engine.resolve_backend("numpy") == "python"
 
     def test_python_is_always_available(self):
-        assert "python" in available_backends()
-        assert set(available_backends()) <= set(BACKEND_CHOICES)
+        assert backend_info()["available"] == ["native", "python"]
         assert BACKEND_CHOICES == ("auto", "python", "native")
 
     def test_backend_info_shape(self):
-        info = backend_info()
-        assert info["resolved"] in info["available"]
-        common = {"requested", "resolved", "available"}
-        if native_available():
-            assert set(info) == common | {"native_version",
-                                          "native_ladder"}
-        else:
-            assert set(info) == common | {"native_error"}
-            assert info["native_error"]
+        from repro.trace.engine import native
+        info = backend_info("auto")
+        assert info == {"requested": "auto", "resolved": "native",
+                        "available": ["native", "python"],
+                        "native_version": native.NATIVE_VERSION,
+                        "native_ladder": True}
+        assert backend_info("python")["resolved"] == "python"
 
 
 def test_differ_registry_covers_available_backends():
     """One extension carries every compiled entry point -- the run
-    (probed and not), the ladder, the row-profile kernel; without it
-    only the oracle is left to diff against the reference loop."""
+    (probed and not), the ladder, the row-profile kernel -- and each is
+    diffed against the reference loop, with the oracle."""
     from repro.verify.differ import engine_registry
-    expected = {"oracle"}
-    if native_available():
-        expected |= {"native", "instrumented", "fused", "profile"}
-    assert set(engine_registry()) == expected
+    assert list(engine_registry()) == ["oracle", "native", "instrumented",
+                                       "fused", "profile"]
 
 
 # ----------------------------------------------------------------------
 # Native scheduler: C switches processes, resumes their generators and
 # runs their locks and barriers; one call runs the simulation
 # ----------------------------------------------------------------------
-
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native replay backend unavailable: "
-           f"{native_unavailable_reason()}")
-
 
 def _interleaver(config, streams, backend, probe=None):
     """``streams``: per-processor lists of pieces, each a packed chunk
@@ -193,7 +163,6 @@ def _sync_state(interleaver):
     }
 
 
-@needs_native
 class TestNativeScheduler:
     def test_reentry_budget_on_a_32_process_point(
             self, monkeypatch, application="barnes_hut"):
@@ -400,7 +369,6 @@ class TestNativeScheduler:
         assert sum(frames.values()) == 0
 
 
-@needs_native
 class TestIcacheRefills:
     """``MultiprocessorSystem.ifetch`` is the reference loop's alone: a
     native run installs the missing lines in the processor's icache,
@@ -531,7 +499,6 @@ def _profiled_native_run(application, counted, probe=None):
     return interleaver, frames
 
 
-@needs_native
 class TestNativeEligibility:
     """Which probes the native engine can stand in for: none, and
     exactly the standard one without its event log."""
@@ -651,7 +618,6 @@ def _coherence_tapes():
     }
 
 
-@needs_native
 @pytest.mark.parametrize("protocol", ["msi", "mesi"])
 @pytest.mark.parametrize("name", sorted(_coherence_tapes()))
 def test_native_miss_path_matches_the_reference_protocol(name, protocol):
@@ -706,7 +672,6 @@ def _probed_tapes():
     return tapes
 
 
-@needs_native
 @pytest.mark.parametrize("protocol", ["msi", "mesi"])
 @pytest.mark.parametrize("name", sorted(_probed_tapes()))
 def test_native_timelines_match_the_reference_probe(name, protocol):
@@ -729,7 +694,6 @@ def test_native_timelines_match_the_reference_probe(name, protocol):
     assert dict(probed, metrics=None) == unprobed
 
 
-@needs_native
 def test_max_cycles_abort_leaves_the_same_partial_registry():
     """The abort tape of ``TestNativeScheduler``, probed: what C had
     binned when the limit hit is folded in on the way out, and equals
@@ -749,7 +713,6 @@ def test_max_cycles_abort_leaves_the_same_partial_registry():
                               bin_width=64)
 
 
-@needs_native
 def test_a_negative_clock_cannot_index_before_the_bins():
     """A hostile tape: the reference loop refuses negative compute
     cycles; C runs them and the clock goes backwards.  The bin buffers
@@ -846,7 +809,6 @@ def _scheduling_tapes():
     }
 
 
-@needs_native
 @pytest.mark.parametrize("name", sorted(_scheduling_tapes()))
 def test_native_scheduling_matches_the_reference_loop(name):
     """Message, clocks, ``_seq``, events, statistics, what is left ready
@@ -922,7 +884,6 @@ def _sync_error_tapes():
     }
 
 
-@needs_native
 @pytest.mark.parametrize("name", sorted(_sync_error_tapes()))
 def test_native_sync_errors_match_the_reference_loop(name):
     """Type, message, partial accounting, who is left ready, blocked and
@@ -938,7 +899,6 @@ def test_native_sync_errors_match_the_reference_loop(name):
         _outcome(config, streams, "python", bin_width=4)
 
 
-@needs_native
 def test_an_operand_beyond_int64_raises_before_any_accounting():
     """An event object is packed before C sees it, so an address no
     ``int64`` holds is refused up front: nothing counted, nothing
@@ -1172,7 +1132,6 @@ def _mp3d_cut_run(engines, cut=2000):
     }
 
 
-@needs_native
 class TestStateContinuity:
     def test_an_mp3d_process_stopped_mid_chunk_carries_on(self):
         """A native run cut mid-chunk leaves each C process's place in
@@ -1299,7 +1258,6 @@ class TestStateContinuity:
             system.check_invariants()
 
 
-@needs_native
 class TestNativeAbiGuard:
     def test_source_and_wrapper_agree_on_the_abi(self):
         import re
@@ -1334,78 +1292,56 @@ class TestNativeAbiGuard:
         assert native._stale_reason(stale) == (
             "stale extension old.so: ABI '5', need '14'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
-        monkeypatch.setattr(native, "_mod", native._UNSET)
+        monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
         assert loaded is not stale
         assert loaded.ABI_VERSION == native.NATIVE_VERSION
-        assert native.LOAD_ERROR is None
-        assert engine.native_available()
         info = backend_info()
         assert info["native_version"] == native.NATIVE_VERSION
         assert info["native_ladder"] is True
 
-    def test_stale_build_and_no_compiler_degrades_with_the_reason(
-            self, monkeypatch):
+    def test_stale_build_and_broken_compiler_raise_both_reasons(
+            self, monkeypatch, tmp_path):
+        """The extension is required: with a stale in-place build and a
+        compiler that fails, the first use raises one ``ImportError``
+        that names the compiler and gives both reasons."""
         from types import SimpleNamespace
         import repro.trace.engine as engine
+        from repro.core.config import SystemConfig
         from repro.trace.engine import native
+        from repro.workloads.barnes_hut import BarnesHut
+        compiler = tmp_path / "broken-cc"
+        compiler.write_text("#!/bin/sh\n"
+                            "echo 'fatal error: Python.h: no such file' >&2\n"
+                            "exit 1\n")
+        compiler.chmod(0o755)
         stale = SimpleNamespace(__file__="old.so", ladder_setup=None)
         monkeypatch.setattr(engine, "_native", stale, raising=False)
-        monkeypatch.setattr(native, "_mod", native._UNSET)
-        monkeypatch.setattr(native, "LOAD_ERROR", None)
+        monkeypatch.setattr(native, "_mod", None)
+        monkeypatch.setattr(native, "_compiler", lambda: str(compiler))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        for first_use in (native.load, lambda: BarnesHut().processes(
+                SystemConfig(clusters=1, processors_per_cluster=1))):
+            with pytest.raises(ImportError) as raised:
+                first_use()
+            message = str(raised.value)
+            assert "stale extension old.so: ABI None, need '14'" in message
+            assert f"compile failed ({compiler})" in message
+            assert "Python.h: no such file" in message
+        assert native._mod is None
 
-        def no_compiler():
-            native.LOAD_ERROR = "compile failed: no cc"
-            return None
-
-        monkeypatch.setattr(native, "_compile_on_demand", no_compiler)
-        assert native.load() is None
-        assert not engine.native_available()
-        assert "stale extension old.so" in native.LOAD_ERROR
-        assert "no cc" in native.LOAD_ERROR
-        assert engine.resolve_backend("native") == "python"
-        assert "stale extension" in engine.engine_degradation("native")
-
-
-# ----------------------------------------------------------------------
-# The force-phase relocation the python processes run (numpy's
-# ``_expand``; the C processes walk each tree themselves): a hand-written
-# plan's words
-# ----------------------------------------------------------------------
-
-def _force_args():
-    """A small relocation -- three bodies, two cells, two processors,
-    body 1's walk empty."""
-    args = {
-        # cell 1 accepted, cell 0 opened | | body 2, cell 1 accepted
-        "visits": np.array([1 * 4 + 1, 0 * 4 + 2, 2 * 4 + 0, 1 * 4 + 1],
-                           dtype=np.int32),
-        "starts": np.array([0, 2, 2, 4]),
-        "order": array("q", [2, 0, 1]),
-        "owned": [1, 2],
-        "body_address": np.array([1000, 2000, 3000]),
-        "cell_address": np.array([50000, 60000]),
-        # begin, end, then one per visit kind: (words, relative)
-        "patterns": (((OP_READ, 0), (0, 1)), ((OP_WRITE, 8), (0, 1)),
-                     ((OP_READ, 0, OP_COMPUTE, 5), (0, 1, 0, 0)),
-                     ((OP_READ, 16), (0, 1)), ((OP_READ, 24), (0, 1))),
-    }
-    return tuple(args.values())
+    def test_a_missing_compiler_is_named(self, monkeypatch, tmp_path):
+        from repro.trace.engine import native
+        missing = str(tmp_path / "no-such-cc")
+        monkeypatch.setattr(native, "_compiler", lambda: missing)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        with pytest.raises(ImportError, match="compile failed") as raised:
+            native._compile_on_demand()
+        assert missing in str(raised.value)
 
 
 def _hostile(name, **change):
     return pytest.param(change, id=name)
-
-
-class TestForceWords:
-    def test_writes_each_processors_walks(self):
-        from repro.workloads.barnes_hut import _expand
-        words = _expand(*_force_args())
-        assert words == [
-            array("q", [OP_READ, 3000, OP_READ, 3000, OP_COMPUTE, 5,
-                        OP_READ, 60016, OP_WRITE, 3008]),
-            array("q", [OP_READ, 1000, OP_READ, 60016, OP_READ, 50024,
-                        OP_WRITE, 1008, OP_READ, 2000, OP_WRITE, 2008])]
 
 
 # ----------------------------------------------------------------------
@@ -1443,7 +1379,6 @@ def _spec_batch(length=2048, dtype=np.float64, value=0.5):
     return np.full(length, value, dtype=dtype)
 
 
-@needs_native
 class TestSpecBurst:
     def test_refills_before_the_draw_that_needs_one(self):
         from repro.trace.engine import native
@@ -1516,7 +1451,6 @@ class TestSpecBurst:
         assert list(recent) == recent_before
 
 
-@needs_native
 def test_extension_compiles_warning_free(tmp_path):
     """``_native.c`` under ``-Wall -Wextra -Werror`` with the compiler the
     loader builds it with (which asks for no warnings, so a refactor

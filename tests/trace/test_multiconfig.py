@@ -16,7 +16,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import MultiprocessorSystem
 from repro.simulation import run_simulation
-from repro.trace.engine import native_available
 from repro.trace.interleave import (DeadlockError, SyncProtocolError,
                                     fused_replay_ok)
 from repro.trace.multiconfig import (_fused_pass_native,
@@ -207,8 +206,6 @@ class TestErrors:
 # Compiled ladder error parity with per-size reference replay
 # ----------------------------------------------------------------------
 
-@pytest.mark.skipif(not native_available(),
-                    reason="native ladder unavailable")
 class TestNativeLadderErrorParity:
     """The C ladder must fail exactly like per-size replay on the
     reference loop (what ``backend="python"`` runs) -- same exception
@@ -285,8 +282,6 @@ def fused_pass(configs, data):
     return systems, events, times
 
 
-@pytest.mark.skipif(not native_available(),
-                    reason="native ladder unavailable")
 class TestRungState:
     """A rung's fills and write buffers are C words between
     ``ladder_setup`` and ``ladder_release``; the python containers are

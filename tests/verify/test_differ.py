@@ -4,8 +4,6 @@ from array import array
 
 import pytest
 
-from repro.trace.engine import (native_available,
-                                native_unavailable_reason)
 from repro.trace.packed import PackedChunk
 from repro.verify import PathResult, TapeDivergence, diff_tape, \
     generate_tape, run_tape
@@ -14,13 +12,6 @@ from repro.verify.differ import _compare, _diff_values, fused_eligible
 
 SEEDS = [f"differ:{i}" for i in range(12)]
 
-# The compiled modes have nothing to run without the extension (they
-# would degrade to the baseline itself); skip with the loader's reason.
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native replay backend unavailable: "
-           f"{native_unavailable_reason()}")
-
 
 class TestAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -28,7 +19,6 @@ class TestAgreement:
         divergence = diff_tape(generate_tape(seed))
         assert divergence is None, divergence.summary()
 
-    @needs_native
     def test_fast_path_actually_engages(self):
         """The comparison is vacuous if the native engine never runs;
         the sampled envelope must include machines that qualify, and
@@ -38,7 +28,6 @@ class TestAgreement:
         assert all(run.engine_used == ("native" if run.fast_engaged
                                        else "python") for run in runs)
 
-    @needs_native
     def test_generic_and_fast_fingerprints_match_fully(self):
         seed = next(seed for seed in SEEDS
                     if run_tape(generate_tape(seed),
@@ -79,7 +68,6 @@ class TestAgreement:
         assert split.error is None and whole.error is None
         assert split.fingerprint == whole.fingerprint
 
-    @needs_native
     def test_fused_engine_compared_when_eligible(self):
         tapes = [generate_tape(f"fused:{i}") for i in range(60)]
         eligible = [t for t in tapes if fused_eligible(t)]
@@ -92,7 +80,6 @@ class TestAgreement:
             generic.fingerprint["events"]
         assert fused.fingerprint["stats"] == generic.fingerprint["stats"]
 
-    @needs_native
     def test_profile_engine_diffs_the_whole_payload(self):
         """Both kernels, same streams, same tracked sizes -- and a tape
         neither can walk is the same exception type on both sides, not

@@ -27,11 +27,13 @@ refills are C's too (``ICACHE_REFILL_CHAIN``): the ``native`` and
 multi-line refill tape's parity test.  The SPEC-stream
 kernel writes the multiprogramming workload's words for every engine
 alike, so the differ has no baseline to hold a mutant there
-(``SPEC_HOT_PARITY``) against: the kernel's parity test with
-``burst_packed`` is what fails.  So do MP3D's C processes, which every
-engine runs: a mutant there (``MP3D_PARTNER_CARRY``) fails their parity
-test with ``_MP3DRun.process``, and so do Barnes-Hut's
-(``BH_RACED_REREAD``) theirs with ``_BarnesHutRun.process``."""
+(``SPEC_HOT_PARITY``) against: the kernel's parity test with its
+oracle, ``burst_packed`` in ``tests/oracles/spec.py``, is what fails.
+So do MP3D's C processes, which every engine runs: a mutant there
+(``MP3D_PARTNER_CARRY``) fails their parity test with
+``MP3DRun.process`` (``tests/oracles/mp3d.py``), and so do Barnes-Hut's
+(``BH_RACED_REREAD``) theirs with ``BarnesHutRun.process``
+(``tests/oracles/barnes_hut.py``)."""
 
 import pytest
 
@@ -49,10 +51,6 @@ from ..workloads import test_barnes_hut
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
 
-# The mutant cannot be built without a compiler; skip with the loader's
-# reason rather than pass vacuously.
-from .test_differ import needs_native
-
 MUTANT_SEED_LIMIT = 40
 
 
@@ -65,7 +63,6 @@ def _first_diverging_tape():
     pytest.fail("no generated tape engaged the mutated native path")
 
 
-@needs_native
 class TestMutationIsCaught:
     def test_injected_off_by_one_diverges_the_fast_path(
             self, off_by_one_read_miss):
@@ -95,7 +92,6 @@ class TestMutationIsCaught:
         assert report.counters["diverged"] >= 1
 
 
-@needs_native
 class TestMetricsMutationIsCaught:
     """A bug in the metrics section cannot hide in the timing path, or
     leak into it: the unprobed ``native`` engine stays clean on the
@@ -121,7 +117,7 @@ class TestMetricsMutationIsCaught:
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "instrumented"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", native._UNSET)
+            patch.setattr(native, "_mod", None)
             assert diff_tape(shrunk) is None
 
     def test_fuzz_campaign_reports_the_instrumented_engine(
@@ -132,7 +128,6 @@ class TestMetricsMutationIsCaught:
             == {"instrumented"}
 
 
-@needs_native
 class TestProfileMutationIsCaught:
     """A bug in the C profile kernel is the ``profile`` engine's to
     report, and nobody else's: the timing engines share the extension
@@ -164,7 +159,7 @@ class TestProfileMutationIsCaught:
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "profile"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", native._UNSET)
+            patch.setattr(native, "_mod", None)
             assert diff_tape(shrunk) is None
 
     def test_fuzz_campaign_reports_the_profile_engine(
@@ -175,7 +170,6 @@ class TestProfileMutationIsCaught:
             == {"profile"}
 
 
-@needs_native
 class TestWorkingStateMutationIsCaught:
     """The heap, the fill words and the wait queues have no python twin
     to disagree with during a run; what they decide, and what they hand
@@ -205,7 +199,7 @@ class TestWorkingStateMutationIsCaught:
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "native"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", native._UNSET)
+            patch.setattr(native, "_mod", None)
             assert diff_tape(shrunk) is None
 
 
@@ -232,11 +226,10 @@ def _first_dirty_ladder_tape(engine):
 
 def _clean_unmutated(tape):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "_mod", native._UNSET)
+        patch.setattr(native, "_mod", None)
         return diff_tape(tape) is None
 
 
-@needs_native
 class TestLadderStateMutationIsCaught:
     """A ladder rung is a ``Machine`` of one SCC: its misses, its fill
     words and its write buffers are worked by the code a run's are, so
@@ -300,7 +293,6 @@ class TestLadderStateMutationIsCaught:
         assert _clean_unmutated(shrunk)
 
 
-@needs_native
 class TestIcacheRefillMutationIsCaught:
     """A refill stall that forgets the bus queue and the refills before
     it changes clocks only where a fetch misses more than one line, or
@@ -338,7 +330,6 @@ class TestIcacheRefillMutationIsCaught:
         assert _clean_unmutated(shrunk)
 
 
-@needs_native
 class TestSpecKernelMutationIsCaught:
     def test_hot_line_parity_flip_fails_the_kernel_parity_test(
             self, mutant_native, monkeypatch):
@@ -348,7 +339,6 @@ class TestSpecKernelMutationIsCaught:
             assert_kernel_matches(0, 8)
 
 
-@needs_native
 class TestMp3dProcessMutationIsCaught:
     @pytest.mark.parametrize("backend", ["python", "native"])
     def test_dropped_partner_carry_fails_the_process_parity_test(
@@ -359,7 +349,6 @@ class TestMp3dProcessMutationIsCaught:
             assert_process_matches(7, 2, 1024, backend)
 
 
-@needs_native
 class TestBarnesHutProcessMutationIsCaught:
     @pytest.mark.parametrize("backend", ["python", "native"])
     def test_a_lock_taken_without_its_re_read_fails_the_parity_test(
@@ -377,7 +366,6 @@ class TestUnmutatedBaseline:
         assert report.counters["clean"] == 10
         assert not list(tmp_path.iterdir())  # no repro files written
 
-    @needs_native
     def test_shrunk_mutant_repro_is_clean_on_the_fixed_tree(
             self, mutant_native):
         """The tape that reproduces under the mutation must not diverge

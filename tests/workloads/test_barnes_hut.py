@@ -13,19 +13,20 @@ import pytest
 from repro.core.config import KB, SystemConfig
 from repro.experiments.spec import PROCS_SWEPT, PROFILES
 from repro.simulation import run_simulation
-from repro.trace.engine import (native, native_available,
-                                native_unavailable_reason)
+from repro.trace.engine import native
 from repro.trace.events import (Barrier, Compute, LockAcquire, LockRelease,
                                 Read, Write)
-from repro.trace.packed import PackedChunk, decode_events, encode_events
+from repro.trace.packed import PackedChunk, decode_events
 from repro.trace.record import StreamRecorder
 from repro.workloads import barnes_hut
 from repro.workloads.barnes_hut import (BarnesHut, Body, Cell,
-                                        _BarnesHutRun, _bounding_cube,
-                                        _cost_chunks, _KernelRun,
-                                        _quiet_build, _tree_ordered_bodies)
+                                        _bounding_cube, _KernelRun,
+                                        _quiet_build)
 
 from ..conftest import unpacked
+from ..oracles import barnes_hut as oracle
+from ..oracles.barnes_hut import (BarnesHutRun, cost_chunks,
+                                  tree_ordered_bodies)
 from .test_mp3d import GivenProcesses, packed_words, recorded_run
 
 def small_config(procs=2, clusters=2):
@@ -60,9 +61,9 @@ class TestConstruction:
 class TestOctree:
     def test_quiet_build_holds_every_body_once(self):
         app = BarnesHut(n_bodies=64, steps=1)
-        run = _BarnesHutRun(app, small_config())
+        run = BarnesHutRun(app, small_config())
         root = _quiet_build(run.bodies)
-        ordered = _tree_ordered_bodies(root)
+        ordered = tree_ordered_bodies(root)
         assert sorted(b.index for b in ordered) == list(range(64))
 
     def test_near_coincident_bodies_share_bucket_cells(self, monkeypatch):
@@ -82,7 +83,7 @@ class TestOctree:
         monkeypatch.setattr(barnes_hut, "_plummer_bodies", crowded)
         app = BarnesHut(n_bodies=24, steps=1)
         config = small_config()
-        run = _BarnesHutRun(app, config)
+        run = BarnesHutRun(app, config)
 
         class ThisRun:      # BarnesHut.processes, keeping hold of the run
             def processes(self, config):
@@ -90,14 +91,14 @@ class TestOctree:
                         for proc in range(config.total_processors)}
 
         assert run_simulation(config, ThisRun()).execution_time > 0
-        ordered = _tree_ordered_bodies(run.root)
+        ordered = tree_ordered_bodies(run.root)
         assert sorted(b.index for b in ordered) == list(range(24))
         deepest = max(len(run.levels) - 1, 0)
         assert barnes_hut._MAX_DEPTH < deepest <= barnes_hut._MAX_DEPTH + 2
 
     def test_bounding_cube_covers_all_bodies(self):
         app = BarnesHut(n_bodies=64, steps=1)
-        run = _BarnesHutRun(app, small_config())
+        run = BarnesHutRun(app, small_config())
         centre, half = _bounding_cube(run.bodies)
         for body in run.bodies:
             for axis in range(3):
@@ -120,7 +121,7 @@ class TestOctree:
 class TestCostPartition:
     def test_chunks_cover_in_order(self):
         bodies = [Body(i, [0, 0, 0], [0, 0, 0], 1.0) for i in range(10)]
-        chunks = _cost_chunks(bodies, 3)
+        chunks = cost_chunks(bodies, 3)
         flattened = [b.index for chunk in chunks for b in chunk]
         assert flattened == list(range(10))
 
@@ -128,7 +129,7 @@ class TestCostPartition:
         bodies = [Body(i, [0, 0, 0], [0, 0, 0], 1.0) for i in range(100)]
         for body in bodies:
             body.cost = 1 + (body.index % 7)
-        chunks = _cost_chunks(bodies, 4)
+        chunks = cost_chunks(bodies, 4)
         costs = [sum(b.cost for b in chunk) for chunk in chunks]
         assert max(costs) < 1.5 * min(costs)
 
@@ -140,13 +141,13 @@ class TestPhysics:
         app = BarnesHut(n_bodies=48, steps=2, theta=0.1)  # near-exact
         config = SystemConfig(clusters=1, processors_per_cluster=1,
                               scc_size=64 * KB)
-        run = _BarnesHutRun(app, config)
+        run = BarnesHutRun(app, config)
         before = [sum(b.vel[axis] * b.mass for b in run.bodies)
                   for axis in range(3)]
         system_result = run_simulation(config, app)
         assert system_result.execution_time > 0
         # Re-derive from a fresh run object driven through simulation.
-        run2 = _BarnesHutRun(app, config)
+        run2 = BarnesHutRun(app, config)
         from repro.core.system import MultiprocessorSystem
         from repro.trace.interleave import TimingInterleaver
         interleaver = TimingInterleaver(MultiprocessorSystem(config))
@@ -161,7 +162,7 @@ class TestPhysics:
     def test_positions_change_between_steps(self):
         app = BarnesHut(n_bodies=32, steps=1)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _BarnesHutRun(app, config)
+        run = BarnesHutRun(app, config)
         initial = [list(b.pos) for b in run.bodies]
         from repro.core.system import MultiprocessorSystem
         from repro.trace.interleave import TimingInterleaver
@@ -186,10 +187,9 @@ class TestTraceProperties:
     def test_single_processor_stream_is_well_formed(self):
         app = BarnesHut(n_bodies=32, steps=1)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _BarnesHutRun(app, config)
         held = set()
         events = 0
-        for event in iter_events(run.process(0)):
+        for event in iter_events(app.processes(config)[0]):
             events += 1
             if isinstance(event, LockAcquire):
                 assert event.lock_id not in held
@@ -207,10 +207,10 @@ class TestTraceProperties:
     def test_addresses_stay_inside_allocations(self):
         app = BarnesHut(n_bodies=32, steps=1)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _BarnesHutRun(app, config)
-        lo = min(run.body_region.base, run.cell_region.base)
-        hi = max(run.body_region.end, run.cell_region.end)
-        for event in iter_events(run.process(0)):
+        bodies, cells = barnes_hut._layout(app)
+        lo = min(bodies.base, cells.base)
+        hi = max(bodies.end, cells.end)
+        for event in iter_events(app.processes(config)[0]):
             if isinstance(event, (Read, Write)):
                 assert lo <= event.addr < hi
 
@@ -255,17 +255,12 @@ class TestArchitecturalBehaviour:
 
 
 # ----------------------------------------------------------------------
-# What a BarnesHut object remembers between runs (its cost seeds, and for
-# the python processes its force plans) must never show: a run on a used
-# object is, byte for byte, the run a fresh object makes.
+# What a BarnesHut object remembers between runs (its cost seeds) must
+# never show: a run on a used object is, byte for byte, the run a fresh
+# object makes.
 # ----------------------------------------------------------------------
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native replay backend unavailable: "
-           f"{native_unavailable_reason()}")
-ENGINES = [pytest.param("python", id="python"),
-           pytest.param("native", id="native", marks=needs_native)]
+ENGINES = ["python", "native"]
 
 GRID = [(procs, scc, protocol)
         for procs in (1, 2, 4, 8)
@@ -307,21 +302,6 @@ def assert_remembered_equals_fresh(app, engine, fresh, packed=True):
         assert tapes == fresh[point][1], point
 
 
-@pytest.fixture
-def relocations(monkeypatch):
-    """Every pre-order -> cell-index map the runs of one test took."""
-    taken = []
-    real = barnes_hut._cell_indexes
-
-    def spy(cells):
-        indexes = real(cells)
-        taken.append(tuple(indexes.tolist()))
-        return indexes
-
-    monkeypatch.setattr(barnes_hut, "_cell_indexes", spy)
-    return taken
-
-
 def nudged_plummer(monkeypatch, ulps_of):
     """Sample the usual bodies, then move body 0's x up by
     ``ulps_of()`` units in the last place."""
@@ -340,60 +320,18 @@ class TestRememberedRuns:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("packed", [True, False],
                              ids=["packed", "objects"])
-    def test_grid_on_one_object_equals_fresh_objects(self, packed, engine,
-                                                     relocations):
+    def test_grid_on_one_object_equals_fresh_objects(self, packed, engine):
         fresh = fresh_runs(packed, engine)
-        del relocations[:]
         app = new_app()
         assert_remembered_equals_fresh(app, engine, fresh, packed)
-        # Not vacuously: one cost seeding served all 16 machines, and the
-        # python processes shared their walks (one plan per step for all
-        # of them) and not their addresses; the C processes keep no plan.
+        # Not vacuously: one cost seeding served all 16 machines.
         assert len(app._seeded) == 1
-        if native.load() is not None:
-            assert app._plans == {} and relocations == []
-            return
-        assert len(app._plans) == app.steps
-        assert len(relocations) == len(GRID) * app.steps
-        assert len(set(relocations)) > app.steps
 
-    @pytest.mark.parametrize("packed", [True, False],
-                             ids=["packed", "objects"])
-    def test_grid_without_the_extension(self, packed, relocations,
-                                        monkeypatch):
-        """The same on a host where the extension does not load, whose
-        runs are the python processes (on the reference loop)."""
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.setattr(native, "_mod", native._UNSET)
-        monkeypatch.setattr(native, "LOAD_ERROR", native.LOAD_ERROR)
-        self.test_grid_on_one_object_equals_fresh_objects(packed, "python",
-                                                          relocations)
-        assert native.load() is None
-
-    @pytest.mark.parametrize("mutant", ["identity", "first run's"])
-    def test_a_plan_used_without_relocation_is_caught(
-            self, monkeypatch, mutant, no_native_extension):
-        """The bug the grid test exists for -- a remembered walk naming
-        cells where *another* run (or no run) put them -- fails it."""
-        fresh = fresh_runs(True, None)
-        first = {}
-
-        def unrelocated(cells):
-            if mutant == "identity":
-                return np.arange(len(cells))
-            return first.setdefault(
-                len(cells), np.array([cell.index for cell in cells]))
-
-        monkeypatch.setattr(barnes_hut, "_cell_indexes", unrelocated)
-        with pytest.raises(AssertionError):
-            assert_remembered_equals_fresh(new_app(), None, fresh)
-
-    def test_coincident_bodies_on_two_machines(self, monkeypatch,
-                                               no_native_extension):
+    def test_coincident_bodies_on_two_machines(self, monkeypatch):
         """Two bodies a denormal apart end in a ``_MAX_DEPTH`` bucket
         whose slot order is arrival order -- the one place structure
-        depends on the interleaving.  The key covers structure, so that
-        is at worst a miss."""
+        depends on the interleaving.  The seeds are worked out from the
+        positions alone, so one serves both machines."""
         real = barnes_hut._plummer_bodies
 
         def coincident(count, rng):
@@ -409,33 +347,19 @@ class TestRememberedRuns:
         fresh = fresh_runs(True, None, points, n_bodies=96, steps=1)
         app = new_app(n_bodies=96, steps=1)
         assert_remembered_equals_fresh(app, None, fresh)
-        assert app.steps <= len(app._plans) <= app._plans_kept
+        assert len(app._seeded) == 1
 
-    def test_one_ulp_is_a_miss(self, monkeypatch, no_native_extension):
+    def test_one_ulp_is_a_miss(self, monkeypatch):
         ulps = 0
         nudged_plummer(monkeypatch, lambda: ulps)
         point = (2, 8 * KB, "msi")
         app = new_app()
         run_point(app, point)
-        seeds, plans = set(app._seeded), set(app._plans)
+        seeds = set(app._seeded)
         ulps = 1
         assert run_point(app, point) == run_point(new_app(), point)
         assert not seeds & set(app._seeded)
-        assert len(set(app._plans) - plans) == app.steps
-
-    def test_plans_kept_are_bounded_oldest_out(self, monkeypatch,
-                                               no_native_extension):
-        ulps = 0
-        nudged_plummer(monkeypatch, lambda: ulps)
-        app = new_app(steps=1)
-        seen = []
-        for ulps in range(app._plans_kept + 2):
-            run_point(app, (1, 8 * KB, "msi"))
-            assert len(app._plans) <= app._plans_kept
-            assert len(app._seeded) == 1
-            seen += [key for key in app._plans if key not in seen]
-        assert len(seen) == app._plans_kept + 2
-        assert list(app._plans) == seen[-app._plans_kept:]
+        assert len(app._seeded) == 1
 
     def test_threads_sharing_one_object(self):
         """What ``LocalFabric(workers=2)`` does: threads of one process
@@ -466,150 +390,7 @@ class TestRememberedRuns:
         assert not errors
         assert not any(thread.is_alive() for thread in threads)
         assert results == fresh
-        assert len(app._plans) <= app._plans_kept
-
-    def test_what_is_stored_is_read_only(self, no_native_extension):
-        app = new_app()
-        run_point(app, GRID[0])
-        stored = [part for plan in app._plans.values() for part in plan]
-        assert stored
-        for part in stored:
-            assert not part.flags.writeable
-            with pytest.raises(ValueError):
-                part[0] = 0
-
-
-# ----------------------------------------------------------------------
-# The force phase's words: the C processes walk each tree themselves, and
-# the python processes relocate a remembered walk with numpy's
-# ``_expand`` -- which a loop writing one visit at a time must equal
-# ----------------------------------------------------------------------
-
-def relocated_by_loop(visits, starts, order, owned, body_address,
-                      cell_address, patterns):
-    """What ``_expand`` must return, one visit at a time."""
-    begin, end, *kinds = patterns
-
-    def put(out, pattern, address):
-        words, relative = pattern
-        out.extend(word + flag * int(address)
-                   for word, flag in zip(words, relative))
-
-    chunks, taken = [], 0
-    for count in owned:
-        out = array("q")
-        for body in order[taken:taken + count]:
-            put(out, begin, body_address[body])
-            for visit in visits[starts[body]:starts[body + 1]].tolist():
-                table = body_address if visit & 3 == 0 else cell_address
-                put(out, kinds[visit & 3], table[visit >> 2])
-            put(out, end, body_address[body])
-        chunks.append(out)
-        taken += count
-    return chunks
-
-
-def assert_loop_equals_numpy(args):
-    words = barnes_hut._expand(*args)
-    assert type(words) is list
-    assert all(type(chunk) is array and chunk.typecode == "q"
-               for chunk in words)
-    assert words == relocated_by_loop(*args)
-    return words
-
-
-def random_relocation(seed, n_bodies=24, n_cells=10, procs=4,
-                      walks=range(12), kinds=range(3), owned=None):
-    """The arguments of one relocation over a seeded random plan:
-    ``walks`` the lengths a walk is drawn from, ``kinds`` the visit
-    kinds, ``owned`` (drawn when ``None``) each processor's share of a
-    shuffled order."""
-    rng = random.Random(seed)
-    lengths = [rng.choice(walks) for _ in range(n_bodies)]
-    visits = []
-    for _ in range(sum(lengths)):
-        kind = rng.choice(kinds)
-        visits.append(rng.randrange(n_bodies if kind == 0 else n_cells) * 4
-                      + kind)
-    order = list(range(n_bodies))
-    rng.shuffle(order)
-    if owned is None:
-        cuts = sorted(rng.randrange(n_bodies + 1) for _ in range(procs - 1))
-        owned = np.diff([0, *cuts, n_bodies]).tolist()
-    cells = np.array(rng.sample(range(4 * n_cells), n_cells))
-    return (np.array(visits, dtype=np.int32),
-            np.cumsum([0] + lengths).astype(np.int64),
-            array("q", order), owned,
-            (1 << 20) + np.arange(n_bodies) * 96,
-            (1 << 24) + cells * 112,
-            barnes_hut._FORCE_PATTERNS)
-
-
-def force_phases(streams):
-    """Each step's force-phase words, processor by processor, out of a
-    run's decoded streams."""
-    steps = []
-    for _, events in sorted(streams.items()):
-        opened = [k for k, event in enumerate(events)
-                  if type(event) is Barrier and event.barrier_id == 4]
-        closed = [k for k, event in enumerate(events)
-                  if type(event) is Barrier and event.barrier_id == 5]
-        for step, (lo, hi) in enumerate(zip(opened, closed)):
-            if step == len(steps):
-                steps.append([])
-            steps[step].append(encode_events(events[lo + 1:hi]).tolist())
-    return steps
-
-
-class TestForceKernel:
-    @needs_native
-    def test_equals_numpy_on_every_quick_grid_tree(self, monkeypatch):
-        """2 steps x 2p/8p x 8/128 KB (paper sizes) on the quick
-        profile's object: the force phase the C processes walk on each
-        machine is, word for word, what the python processes relocate
-        there."""
-        relocated = []
-        real = barnes_hut._expand
-
-        def spy(*args):
-            words = real(*args)
-            relocated.append([chunk.tolist() for chunk in words])
-            return words
-
-        monkeypatch.setattr(barnes_hut, "_expand", spy)
-        for procs in (2, 8):
-            for scc in (8 * KB, 128 * KB):
-                app, config = quick_point(procs, scc)
-                del relocated[:]
-                recorded_run(reference_processes(_BarnesHutRun(app, config)),
-                             config, "native")
-                walked = recorded_run(
-                    dict(enumerate(kernel_run(app, config).processes)),
-                    config, "native")[2]
-                assert len(relocated) == app.steps
-                assert force_phases(walked) == relocated
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_equals_numpy_on_random_plans(self, seed):
-        assert_loop_equals_numpy(random_relocation(seed))
-
-    @pytest.mark.parametrize("case", [
-        {"owned": [0, 10, 0, 14]},
-        {"n_bodies": 1, "procs": 1},
-        {"n_bodies": 1, "procs": 3, "owned": [0, 0, 1]},
-        {"walks": [0, 0, 3]},
-        {"walks": [0]},
-        {"kinds": [0]}, {"kinds": [1]}, {"kinds": [2]},
-    ], ids=["a-processor-owns-no-body", "one-body-walk",
-            "one-body-on-the-last-processor", "walks-with-no-visits",
-            "no-walk-visits-anything", "bodies-only", "accepted-cells-only",
-            "opened-cells-only"])
-    def test_equals_numpy_at_the_edges(self, case):
-        for seed in range(3):
-            words = assert_loop_equals_numpy(random_relocation(seed,
-                                                               **case))
-        if case.get("owned"):
-            assert [len(chunk) for chunk in words][0] == 0
+        assert len(app._seeded) == 1
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +428,7 @@ class TestInsertChunks:
         read, a lock acquire's re-read or a subcell's private write."""
         app = new_app(n_bodies=64, steps=1)
         config = SystemConfig.paper_parallel(2, 8 * KB)
-        run = _BarnesHutRun(app, config)
+        run = BarnesHutRun(app, config)
         run._reset_tree()
         chunks = [item.data for item in run._insert_phase(0)]
         assert len(chunks) > 2 * len(run.assignments[0])
@@ -666,8 +447,8 @@ class TestInsertChunks:
 
 # ----------------------------------------------------------------------
 # The C processes (``barnes_processes`` in ``_native.c``) against their
-# reference, ``_BarnesHutRun.process``: event for event, and the same
-# bodies after
+# reference, ``BarnesHutRun.process`` in tests/oracles/barnes_hut.py:
+# event for event, and the same bodies after
 # ----------------------------------------------------------------------
 
 def quick_point(procs, scc):
@@ -683,7 +464,7 @@ def reference_processes(run):
 
 
 def kernel_run(app, config):
-    return _KernelRun(app, config, native.load())
+    return _KernelRun(app, config)
 
 
 def coincident(monkeypatch, count):
@@ -701,10 +482,10 @@ def coincident(monkeypatch, count):
 
 def assert_process_matches(app, config, backend):
     """One machine on the C processes -- their chunks as yielded, and
-    decoded into event objects -- and on ``_BarnesHutRun.process``: the
+    decoded into event objects -- and on ``BarnesHutRun.process``: the
     same events, statistics and final positions, velocities and
     costs."""
-    reference = _BarnesHutRun(app, config)
+    reference = BarnesHutRun(app, config)
     expected = recorded_run(reference_processes(reference), config,
                             backend)
     for decoded in (False, True):
@@ -717,7 +498,6 @@ def assert_process_matches(app, config, backend):
                                      for body in reference.bodies]
 
 
-@needs_native
 class TestBarnesHutProcess:
     @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("scc", [8 * KB, 128 * KB])
@@ -740,7 +520,7 @@ class TestBarnesHutProcess:
         app = new_app()
         config = SystemConfig(clusters=1, processors_per_cluster=1)
         expected = [packed_words(item)
-                    for item in _BarnesHutRun(app, config).process(0)]
+                    for item in BarnesHutRun(app, config).process(0)]
         process, = kernel_run(app, config).processes
         assert [packed_words(item) for item in process] == expected
 
@@ -755,7 +535,7 @@ class TestBarnesHutProcess:
             app, config = quick_point(procs, 8 * KB)
             for processes in (
                     dict(enumerate(kernel_run(app, config).processes)),
-                    reference_processes(_BarnesHutRun(app, config))):
+                    reference_processes(BarnesHutRun(app, config))):
                 interleaver = TimingInterleaver(
                     MultiprocessorSystem(config), backend="native")
                 for proc, process in processes.items():
@@ -792,7 +572,7 @@ class TestBarnesHutProcess:
         pool is empty before it seeds the root."""
         app = BarnesHut(n_bodies=2, steps=1)
         config = SystemConfig(clusters=4, processors_per_cluster=4)
-        processes = (reference_processes(_BarnesHutRun(app, config))
+        processes = (reference_processes(BarnesHutRun(app, config))
                      if path == "python" else
                      dict(enumerate(kernel_run(app, config).processes)))
         with pytest.raises(RuntimeError,
@@ -835,7 +615,6 @@ def partition_charges(events):
     return list(zip(charged, owned))
 
 
-@needs_native
 class TestPartitionComputeRace:
     @pytest.mark.parametrize("procs", [2, 8])
     def test_python_and_c_charge_the_same_stale_deal(self, procs,
@@ -845,8 +624,8 @@ class TestPartitionComputeRace:
         them alike."""
         app, config = quick_point(procs, 8 * KB)
         deals, read = [], []
-        real_partition, real_compute = (_BarnesHutRun._partition,
-                                        barnes_hut.Compute)
+        real_partition, real_compute = (BarnesHutRun._partition,
+                                        oracle.Compute)
 
         def partition(run):
             real_partition(run)
@@ -856,10 +635,10 @@ class TestPartitionComputeRace:
             read.append(len(deals))
             return real_compute(cycles)
 
-        monkeypatch.setattr(_BarnesHutRun, "_partition", partition)
-        monkeypatch.setattr(barnes_hut, "Compute", compute)
+        monkeypatch.setattr(BarnesHutRun, "_partition", partition)
+        monkeypatch.setattr(oracle, "Compute", compute)
         expected = recorded_run(
-            reference_processes(_BarnesHutRun(app, config)), config,
+            reference_processes(BarnesHutRun(app, config)), config,
             "native")[2]
         monkeypatch.undo()
         streams = recorded_run(
@@ -915,7 +694,6 @@ def _one(at, value, shape=(3, 3)):
     return values
 
 
-@needs_native
 class TestBarnesHutProcessInputs:
     def test_the_checked_arguments_make_processes(self):
         processes = native.load().barnes_processes(*_barnes_args().values())

@@ -8,21 +8,17 @@ import pytest
 from repro.core.config import KB, SystemConfig
 from repro.experiments.spec import PROCS_SWEPT, PROFILES
 from repro.simulation import run_simulation
-from repro.trace.engine import (native, native_available,
-                                native_unavailable_reason)
+from repro.trace.engine import native
 from repro.trace.events import Read, Write
 from repro.trace.packed import PackedChunk, decode_events, encode_events
 from repro.trace.record import StreamRecorder
 from repro.workloads.base import TracedApplication
-from repro.workloads.mp3d import MP3D, _KernelRun, _layout, _MP3DRun
+from repro.workloads.mp3d import MP3D, _KernelRun, _layout
 
 from ..conftest import unpacked
 from ..equivalence.test_golden_stats import GOLDEN, fingerprint, run_key
-
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native replay backend unavailable: "
-           f"{native_unavailable_reason()}")
+from ..oracles import mp3d as oracle
+from ..oracles.mp3d import MP3DRun
 
 
 def small_config(procs=2, clusters=2):
@@ -43,7 +39,7 @@ class TestConstruction:
 
     def test_every_particle_is_assigned_once(self):
         app = MP3D(n_particles=100, steps=1)
-        run = _MP3DRun(app, small_config())
+        run = MP3DRun(app, small_config())
         seen = sorted(p for mine in run.assignment for p in mine)
         assert seen == list(range(100))
 
@@ -51,14 +47,14 @@ class TestConstruction:
 class TestGeometry:
     def test_cell_index_in_range(self):
         app = MP3D(n_particles=200, steps=1)
-        run = _MP3DRun(app, small_config())
+        run = MP3DRun(app, small_config())
         for particle in range(200):
             assert 0 <= run.cell_index_of(particle) < run.n_cells
 
     def test_particles_stay_in_the_tunnel(self):
         app = MP3D(n_particles=100, steps=4)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _MP3DRun(app, config)
+        run = MP3DRun(app, config)
         from repro.core.system import MultiprocessorSystem
         from repro.trace.interleave import TimingInterleaver
         interleaver = TimingInterleaver(MultiprocessorSystem(config))
@@ -69,7 +65,7 @@ class TestGeometry:
         assert (pos <= 1.0 + 1e-9).all()
 
     @pytest.mark.parametrize("path", [
-        "python", pytest.param("kernel", marks=needs_native)])
+        "python", "kernel"])
     def test_a_particle_faster_than_the_tunnel_stays_inside(self, path):
         """The wedge adds 0.02 to ``|vel_y|`` on every visit; past a speed
         of 1 one reflection off a wall used to leave a particle outside
@@ -82,10 +78,10 @@ class TestGeometry:
         nx, ny, nz = app.grid
         regions = _layout(app)
         if path == "python":
-            run = _MP3DRun(app, config)
+            run = MP3DRun(app, config)
             process, pos, vel = run.process(0), run.pos[0], run.vel[0]
         else:
-            run = _KernelRun(app, config, native.load())
+            run = _KernelRun(app, config)
             process, pos, vel = run.processes[0], run.pos[0], run.vel[0]
         vel[:] = [0.3, 1.7, -2.9]
         words = []
@@ -102,7 +98,7 @@ class TestGeometry:
                            for region in regions), hex(event.addr)
         assert abs(vel[1]) > 1 and abs(vel[2]) > 1     # (not vacuous)
         if path == "kernel":
-            reference = _MP3DRun(app, config)
+            reference = MP3DRun(app, config)
             reference.vel[0][:] = [0.3, 1.7, -2.9]
             assert words == [word for item in reference.process(0)
                              for word in packed_words(item)]
@@ -130,10 +126,8 @@ class TestTraceProperties:
     def test_addresses_stay_inside_allocations(self):
         app = MP3D(n_particles=60, steps=1)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _MP3DRun(app, config)
-        regions = (run.particle_region, run.cell_region,
-                   run.globals_region, run.table_region)
-        for event in iter_events(run.process(0)):
+        regions = _layout(app)
+        for event in iter_events(app.processes(config)[0]):
             if isinstance(event, (Read, Write)):
                 assert any(r.contains(event.addr) for r in regions), \
                     hex(event.addr)
@@ -143,11 +137,10 @@ class TestTraceProperties:
         they are the invalidation source the paper studies."""
         app = MP3D(n_particles=60, steps=1)
         config = SystemConfig(clusters=1, processors_per_cluster=1)
-        run = _MP3DRun(app, config)
+        _, cells, _, _ = _layout(app)
         cell_writes = sum(
-            1 for event in iter_events(run.process(0))
-            if isinstance(event, Write)
-            and run.cell_region.contains(event.addr))
+            1 for event in iter_events(app.processes(config)[0])
+            if isinstance(event, Write) and cells.contains(event.addr))
         assert cell_writes >= 60  # several per particle-step
 
 
@@ -182,8 +175,8 @@ class TestArchitecturalBehaviour:
 
 # ----------------------------------------------------------------------
 # The C processes (``mp3d_processes`` in ``_native.c``) against their
-# reference, ``_MP3DRun.process``: event for event, and the same state
-# after
+# reference, ``MP3DRun.process`` in tests/oracles/mp3d.py: event for
+# event, and the same state after
 # ----------------------------------------------------------------------
 
 #: Small enough for the reference loop, with every processor of a
@@ -219,16 +212,16 @@ def recorded_run(processes, config, backend, decoded=False):
 
 def assert_process_matches(seed, procs, scc, backend):
     """One point on the C processes -- their chunks as yielded, and decoded
-    into event objects -- and on ``_MP3DRun.process``: the same events,
+    into event objects -- and on ``MP3DRun.process``: the same events,
     statistics and final positions, velocities and partner slots."""
     app = MP3D(seed=seed, **PROCESS_APP)
     config = SystemConfig.paper_parallel(procs, scc)
-    reference = _MP3DRun(app, config)
+    reference = MP3DRun(app, config)
     expected = recorded_run({proc: reference.process(proc)
                              for proc in range(reference.n_procs)},
                             config, backend)
     for decoded in (False, True):
-        run = _KernelRun(app, config, native.load())
+        run = _KernelRun(app, config)
         assert recorded_run(dict(enumerate(run.processes)), config, backend,
                             decoded) == expected, decoded
         assert run.pos.tolist() == reference.pos
@@ -250,7 +243,6 @@ def quick_row_stats():
     return rows, goldens
 
 
-@needs_native
 class TestMp3dProcess:
     @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("scc", [8 * KB, 128 * KB])
@@ -262,12 +254,12 @@ class TestMp3dProcess:
 
     def test_quick_rows_and_goldens_equal_without_it(self, monkeypatch):
         """{1, 2, 4, 8}p x 8 KB/128 KB of the quick grid and the MP3D
-        goldens: the same statistics on the C processes and, with the
-        extension refused (what ``REPRO_NATIVE=0`` does), on the python
-        generators and the reference loop."""
+        goldens: the same statistics on the C processes and on the
+        oracle's generators run by the reference loop."""
         rows, goldens = quick_row_stats()
         assert goldens == {key: GOLDEN[key] for key in goldens}
-        monkeypatch.setattr(native, "_mod", None)
+        monkeypatch.setattr(MP3D, "processes", oracle.processes)
+        monkeypatch.setenv("REPRO_ENGINE", "python")
         assert quick_row_stats() == (rows, goldens)
 
     def test_a_native_run_resumes_nothing(self):
@@ -318,8 +310,7 @@ class TestMp3dProcess:
         other: ``iter`` is itself, ``send`` ignores its value, and it
         stays ended once it has ended."""
         run = _KernelRun(MP3D(n_particles=4, steps=1),
-                         SystemConfig(clusters=1, processors_per_cluster=1),
-                         native.load())
+                         SystemConfig(clusters=1, processors_per_cluster=1))
         process, = run.processes
         assert iter(process) is process
         first = process.send("ignored")
@@ -338,8 +329,7 @@ class TestMp3dProcess:
         no particle, and the resume that reads it raises instead of
         indexing outside the velocities."""
         run = _KernelRun(MP3D(n_particles=4, steps=1),
-                         SystemConfig(clusters=1, processors_per_cluster=1),
-                         native.load())
+                         SystemConfig(clusters=1, processors_per_cluster=1))
         process, = run.processes
         next(process)           # the load
         next(process)           # the move and the accumulator update
@@ -383,7 +373,6 @@ def _one(at, value, shape=(3, 3)):
     return array
 
 
-@needs_native
 class TestMp3dProcessInputs:
     def test_the_checked_arguments_make_processes(self):
         processes = native.load().mp3d_processes(*_mp3d_args().values())

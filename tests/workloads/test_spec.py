@@ -7,18 +7,13 @@ import pytest
 from repro.core.config import KB, SystemConfig
 from repro.experiments.spec import PROFILES
 from repro.simulation import run_simulation
-from repro.trace.engine import native_available, native_unavailable_reason
 from repro.trace.events import Ifetch, Read, Write
 from repro.trace.packed import decode_events
 from repro.trace.record import StreamRecorder
-from repro.workloads import spec
 from repro.workloads.spec import (SPEC92_PROFILES, SpecApp, SpecProfile,
                                   spec92_workload)
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"native replay backend unavailable: "
-           f"{native_unavailable_reason()}")
+from ..oracles import spec as oracle
 
 
 def first_profile():
@@ -124,8 +119,8 @@ class TestSpecApp:
 
 
 # ----------------------------------------------------------------------
-# The native ``spec_burst`` against its reference, ``burst_packed``: the
-# same words and the same state after
+# The native ``spec_burst`` against its reference, ``burst_packed`` in
+# tests/oracles/spec.py: the same words and the same state after
 # ----------------------------------------------------------------------
 
 #: Back to back, so draws cross batch boundaries and quanta end mid-block.
@@ -142,15 +137,15 @@ def stream_state(app):
 
 
 def assert_kernel_matches(app_id, scale):
-    """``burst_chunk`` (the loaded extension's kernel) quantum by quantum
-    against ``burst_packed`` on two twins of one app."""
+    """``burst_chunk`` (the extension's kernel) quantum by quantum
+    against the oracle's ``burst_packed`` on two twins of one app."""
     kernel, packed = (SpecApp(app_id, SPEC92_PROFILES[app_id], scale=scale)
                       for _ in range(2))
     for quantum in QUANTA:
         chunk = kernel.burst_chunk(quantum)
         assert type(chunk.data) is array
         words = []
-        packed.burst_packed(quantum, words)
+        oracle.burst_packed(packed, quantum, words)
         assert chunk.data.tolist() == words, quantum
         assert stream_state(kernel) == stream_state(packed), quantum
     # The batch the kernel left is the application's own: the RNG's next
@@ -171,7 +166,6 @@ def multiprogramming_point(procs, scc):
              for proc, tape in recorder.streams.items()})
 
 
-@needs_native
 class TestSpecKernel:
     @pytest.mark.parametrize("scale", [1, 8])
     @pytest.mark.parametrize("app_id", range(len(SPEC92_PROFILES)),
@@ -188,14 +182,11 @@ class TestSpecKernel:
     def test_quick_grid_tapes_and_stats_equal_without_it(self,
                                                          monkeypatch):
         """{1, 2, 4, 8}p x 8 KB/128 KB (paper sizes): byte-equal tapes
-        and statistics from the kernel and, with the extension refused to
-        the workload (what ``REPRO_NATIVE=0`` does to it), from
+        and statistics from the kernel and from the oracle's
         ``burst_packed``."""
-        from types import SimpleNamespace
         points = [(procs, scc) for procs in (1, 2, 4, 8)
                   for scc in (8 * KB, 128 * KB)]
         written = {point: multiprogramming_point(*point) for point in points}
-        monkeypatch.setattr(spec, "native",
-                            SimpleNamespace(load=lambda: None))
+        monkeypatch.setattr(SpecApp, "burst_chunk", oracle.burst_chunk)
         for point in points:
             assert multiprogramming_point(*point) == written[point], point

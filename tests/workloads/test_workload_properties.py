@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import KB, SystemConfig
 from repro.workloads.barnes_hut import (Body, Cell, _bounding_cube,
-                                        _cost_chunks, _quiet_build,
-                                        _tree_ordered_bodies)
+                                        _quiet_build)
 from repro.workloads.spec import SPEC92_PROFILES, SpecApp
+
+from ..oracles.barnes_hut import cost_chunks, tree_ordered_bodies
 
 POSITIONS = st.lists(
     st.tuples(st.floats(-10, 10, allow_nan=False),
@@ -37,7 +38,7 @@ class TestOctreeProperties:
     def test_build_preserves_every_body_exactly_once(self, positions):
         bodies = bodies_from(positions)
         root = _quiet_build(bodies)
-        ordered = _tree_ordered_bodies(root)
+        ordered = tree_ordered_bodies(root)
         assert sorted(b.index for b in ordered) == \
             list(range(len(bodies)))
 
@@ -76,7 +77,7 @@ class TestOctreeProperties:
         bodies = bodies_from(positions)
         for body in bodies:
             body.cost = 1 + body.index % 5
-        chunks = _cost_chunks(bodies, n_chunks)
+        chunks = cost_chunks(bodies, n_chunks)
         assert len(chunks) == n_chunks
         flattened = [b.index for chunk in chunks for b in chunk]
         assert flattened == [b.index for b in bodies]
