@@ -5,8 +5,9 @@ Starts a ``--jobs`` sweep, SIGKILLs its whole process group as soon as
 the first point is journaled, resumes it with ``--resume``, and
 requires
 
-* the resumed run to restore the journaled points instead of
-  recomputing them, and
+* the resumed run to restore every point the killed sweep reported
+  instead of recomputing it (a point is journaled before its progress
+  line prints, so each reported point survives the kill), and
 * its final table to equal an uninterrupted run's bit-for-bit.
 
 Exits non-zero (with a diagnostic) on any violation.  Stdlib only, so
@@ -62,16 +63,22 @@ def main() -> None:
         SWEEP_ARGS, env=_env(root / "killed"), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True, bufsize=1,
         start_new_session=True)
+    output = []
     for line in process.stdout:
-        print("  " + line.rstrip())
+        output.append(line)
         if "computed" in line and "] procs=" in line:
             os.killpg(process.pid, signal.SIGKILL)
             break
     else:
         sys.exit("sweep finished before it could be killed; "
                  "grow the grid")
+    # Lines still in the pipe were printed before the kill too.
+    output.extend(process.stdout)
     process.wait(timeout=60)
     process.stdout.close()
+    for line in output:
+        print("  " + line.rstrip())
+    reported = sum("] procs=" in line for line in output)
 
     print("== resume")
     resumed = subprocess.run(
@@ -82,8 +89,10 @@ def main() -> None:
         sys.exit(f"resume failed ({resumed.returncode}):\n"
                  f"{resumed.stderr}")
     counts = _summary(resumed.stdout)
-    if counts["journaled"] < 1:
-        sys.exit(f"resume restored nothing from the journal: {counts}")
+    if counts["journaled"] < reported:
+        sys.exit(f"the killed sweep reported {reported} point(s) but "
+                 f"resume restored {counts['journaled']} from the "
+                 f"journal: {counts}")
     if counts["computed"] + counts["journaled"] + counts["replayed"] \
             + counts["analytical"] + counts["cached"] != counts["total"]:
         sys.exit(f"resume did not resolve the whole grid: {counts}")
@@ -102,7 +111,8 @@ def main() -> None:
         sys.exit("resumed table differs from uninterrupted run:\n"
                  f"--- resumed ---\n{_table(resumed.stdout)}\n"
                  f"--- baseline ---\n{_table(baseline.stdout)}")
-    print(f"OK: resumed run restored {counts['journaled']} journaled "
+    print(f"OK: the killed sweep reported {reported} point(s); the "
+          f"resumed run restored {counts['journaled']} journaled "
           f"point(s), recomputed {counts['computed']}, and matched the "
           f"uninterrupted table bit-for-bit")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from .cache import make_array
+from .cache import INVALID, DirectMappedArray, make_array
 from .config import SystemConfig
 from .interconnect import BankInterconnect
 from .stats import SccStats
@@ -114,7 +114,18 @@ class SharedClusterCache:
         a *different* tag that maps to the same index.  The differential
         oracle checks this after every transaction.
         """
-        contains = self.array.contains
+        array = self.array
+        if isinstance(array, DirectMappedArray) and array._index_mask:
+            # The paper's geometry, checked after every fused rung and
+            # every oracle transaction: index the arrays in place.
+            mask = array._index_mask
+            shift = array._tag_shift
+            states = array._states
+            tags = array._tags
+            return tuple(line for line in self._inflight
+                         if states[line & mask] == INVALID
+                         or tags[line & mask] != line >> shift)
+        contains = array.contains
         return tuple(line for line in self._inflight if not contains(line))
 
     def check_fill_tracking(self) -> None:

@@ -7,13 +7,15 @@ under the working directory -- so that one variable moves all of it::
     <root>/*.json              sweep results       ResultCache
     <root>/traces/*.trace      recorded tapes      TraceCache
     <root>/traces/profiles/    row profiles        ProfileCache
-    <root>/sessions/           sweep journals      SessionJournal
+    <root>/sessions/*.jsonl    sweep journals      SessionJournal
     <root>/repros/             shrunk fuzz repros  write_repro
 
-and every file there is written one way, :func:`atomic_write`: a
-per-PID temporary, then ``os.replace``, so concurrent writers (``--jobs``
-workers, fabric workers, several processes sharing a root) can race on
-one name without anyone ever reading a torn file.  The keyed caches
+and every file there but the journals is written one way,
+:func:`atomic_write`: a per-PID temporary, then ``os.replace``, so
+concurrent writers (``--jobs`` workers, fabric workers, several
+processes sharing a root) can race on one name without anyone ever
+reading a torn file.  A journal is an append-only log, one line per
+sweep point, whose reader drops a torn last line instead.  The keyed caches
 share one read rule as well (:class:`FileCache`): a file that does not
 decode is damage -- the format version is part of the file name, so
 whatever sits at the name *should* decode -- and is warned about once,

@@ -34,7 +34,7 @@ import os
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -76,7 +76,18 @@ class RunStats:
     only for payloads predating cache v4."""
 
     def as_dict(self) -> Dict[str, float]:
-        return asdict(self)
+        # Built by hand: ``dataclasses.asdict`` deep-copies, and this
+        # runs for every banked point.  ``instrument`` is flat.
+        instrument = self.instrument
+        return {"execution_time": self.execution_time,
+                "read_miss_rate": self.read_miss_rate,
+                "miss_rate": self.miss_rate,
+                "invalidations": self.invalidations,
+                "reads": self.reads,
+                "writes": self.writes,
+                "events": self.events,
+                "instrument": (dict(instrument) if instrument is not None
+                               else None)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "RunStats":

@@ -6,16 +6,16 @@ resolves the grid through (in order) the session journal, the result
 cache, the trace/fused replay engines, and finally real simulation --
 serially or on the persistent worker pool.
 
-:class:`SweepSession` is the stateful half.  It persists a *journal*
-(one JSON file per spec signature, written atomically like the result
-and trace caches) recording each point's status and result, so a sweep
-that crashes or is killed resumes from the last completed point instead
-of restarting from zero.  Per-point execution is supervised: a point
-that raises is retried with backoff up to ``spec.max_attempts`` times,
-a point that exceeds ``spec.point_timeout`` has its worker killed and
-is retried the same way, and a point that exhausts its attempts is
-*quarantined* -- reported in the result instead of sinking the rest of
-the grid.  Progress (done/cached/replayed/retried/quarantined counts)
+:class:`SweepSession` is the stateful half.  It keeps a *journal*
+(one append-only log per spec signature, one line per point) recording
+each point's status and result, so a sweep that crashes or is killed
+resumes from the last completed point instead of restarting from zero.
+Per-point execution is supervised: a point that raises is retried with
+backoff up to ``spec.max_attempts`` times, a point that exceeds
+``spec.point_timeout`` has its worker killed and is retried the same
+way, and a point that exhausts its attempts is *quarantined* --
+reported in the result instead of sinking the rest of the grid.
+Progress (done/cached/replayed/retried/quarantined counts)
 is accounted in a :class:`~repro.instrument.registry.MetricsRegistry`
 so CLIs and dashboards read live state through the same observability
 surface as everything else.
@@ -28,7 +28,6 @@ computes it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -39,9 +38,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..diskstore import atomic_write, cache_root
+from ..diskstore import cache_root
 from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache, default_trace_cache
 from .runner import (ResultCache, RunStats, Sweep, _shutdown_pool,
@@ -56,7 +55,7 @@ __all__ = ["SweepSession", "SessionResult", "SessionJournal",
 
 _LOG = logging.getLogger(__name__)
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 
@@ -71,8 +70,37 @@ def default_session_dir() -> Path:
 
 
 STALE_TMP_AGE_S = 3600.0
-"""Orphaned per-PID ``*.tmp`` journal temporaries older than this are
-debris from a killed writer, not a write in progress."""
+"""Version-1 journals (``<sig>.json``) and their per-PID ``*.tmp``
+temporaries older than this are debris, not a write in progress by a
+process of the previous release."""
+
+
+def _read_log(data: bytes) -> Tuple[object, Dict[str, dict], int]:
+    """Parse a journal log: its header (``None`` if line 1 does not
+    decode), the last entry per point label, and the length of the
+    prefix those came from.  Only newline-terminated lines count, and
+    the read ends at the first one that is not an object with a string
+    ``point`` -- a torn tail, whose predecessors are kept."""
+    lines = data.split(b"\n")[:-1]
+    if not lines:
+        return None, {}, 0
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        return None, {}, 0
+    points: Dict[str, dict] = {}
+    end = len(lines[0]) + 1
+    for line in lines[1:]:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            break
+        if not isinstance(entry, dict) or not isinstance(
+                entry.get("point"), str):
+            break
+        points[entry.pop("point")] = entry
+        end += len(line) + 1
+    return header, points, end
 
 
 def prune_stale_journals(directory: Optional[Path],
@@ -80,15 +108,16 @@ def prune_stale_journals(directory: Optional[Path],
                          tmp_age: float = STALE_TMP_AGE_S) -> List[Path]:
     """Garbage-collect the session directory; returns the paths removed.
 
-    Two kinds of debris accumulate without this: per-PID
-    ``<sig>.json.<pid>.tmp`` temporaries orphaned by a writer killed
-    inside :func:`~repro.diskstore.atomic_write` (removed once older than
-    ``tmp_age`` seconds), and journals of *finished* sweeps -- every
-    grid point recorded ``done`` -- which no live run will ever resume.
-    In-progress and quarantine-bearing journals are kept (they are
-    exactly what ``--resume`` needs), as is the journal matching
-    ``keep_signature`` (the opening session's own), and corrupt files
-    are left for :meth:`SessionJournal.load` to report.
+    Two kinds of debris accumulate without this: files of the
+    version-1 journal -- ``<sig>.json`` and the per-PID
+    ``<sig>.json.<pid>.tmp`` temporaries its writer could orphan --
+    removed once older than ``tmp_age`` seconds, and logs of *finished*
+    sweeps -- every grid point's last entry ``done`` -- which no live
+    run will ever resume.  In-progress and quarantine-bearing logs are
+    kept (they are exactly what ``--resume`` needs), as is the log
+    matching ``keep_signature`` (the opening session's own), and logs
+    whose header is damaged are left for :meth:`SessionJournal.load`
+    to report.
     """
     if directory is None:
         return []
@@ -97,34 +126,33 @@ def prune_stale_journals(directory: Optional[Path],
         return []
     removed: List[Path] = []
     now = time.time()
-    for tmp in directory.glob("*.json.*.tmp"):
+    for old in [*directory.glob("*.json.*.tmp"),
+                *directory.glob("*.json")]:
         try:
-            if now - tmp.stat().st_mtime >= tmp_age:
-                tmp.unlink()
-                removed.append(tmp)
+            if now - old.stat().st_mtime >= tmp_age:
+                old.unlink()
+                removed.append(old)
         except OSError:
             continue
-    for path in directory.glob("*.json"):
+    for path in directory.glob("*.jsonl"):
         if keep_signature is not None and path.stem == keep_signature:
             continue
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, ValueError):
+            header, points, _ = _read_log(path.read_bytes())
+        except OSError:
             continue
-        points = payload.get("points")
-        spec_desc = payload.get("spec")
-        if (payload.get("version") != JOURNAL_VERSION
-                or not isinstance(points, dict)
-                or not isinstance(spec_desc, dict)):
+        if (not isinstance(header, dict)
+                or header.get("version") != JOURNAL_VERSION
+                or not isinstance(header.get("spec"), dict)):
             continue
+        spec_desc = header["spec"]
         try:
             grid_size = (len(spec_desc["ladder"])
                          * len(spec_desc["procs"]))
         except (KeyError, TypeError):
             continue
         finished = (len(points) >= grid_size
-                    and all(isinstance(entry, dict)
-                            and entry.get("status") == "done"
+                    and all(entry.get("status") == "done"
                             for entry in points.values()))
         if finished:
             try:
@@ -149,13 +177,6 @@ class QuarantinedPointError(RuntimeError):
             for (procs, paper_bytes), reason in sorted(quarantined.items()))
         super().__init__(
             f"{len(quarantined)} sweep point(s) quarantined: {detail}")
-
-
-def _stats_digest(stats: RunStats) -> str:
-    """Content digest journaled next to each result (cheap tamper/skew
-    check when healing the result cache on resume)."""
-    payload = json.dumps(stats.as_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _point_label(point: GridPoint) -> str:
@@ -201,52 +222,66 @@ def _point_task(benchmark, profile, config, instrument,
 class SessionJournal:
     """Crash-safe per-sweep record of point outcomes.
 
-    One JSON file per spec signature.  Every update rewrites the file
-    with :func:`~repro.diskstore.atomic_write`, so a SIGKILL at any
-    instant leaves either the previous or the next consistent journal,
-    never a torn one.  Each ``done`` entry carries
-    the full :class:`RunStats` payload, making resume independent of
-    the result cache surviving the crash.
+    One append-only log per spec signature, ``<signature>.jsonl``: a
+    header line ``{"version", "signature", "spec"}``, then one line per
+    recorded point, ``{"point": "<procs>/<bytes>", "status",
+    "attempts", "stats"?, "reason"?}``; a later line for a point
+    overrides an earlier one.  A session's first record truncates the
+    file to the header and its own line (unless :meth:`load` adopted
+    the file, when it appends); every later record is one ``write`` of
+    one complete line in append mode.  So a SIGKILL keeps every line
+    whose ``write`` returned, and a line cut short (disk full, power
+    loss) can only be the last, which :meth:`load` drops.  Each
+    ``done`` entry carries the full :class:`RunStats` payload, making
+    resume independent of the result cache surviving the crash.
     """
 
     def __init__(self, spec: SweepSpec,
                  directory: Optional[Path] = None):
         self.spec = spec
         self.directory = Path(directory) if directory is not None else None
+        self.signature = spec.signature()
+        self.path: Optional[Path] = (
+            self.directory / f"{self.signature}.jsonl"
+            if self.directory is not None else None)
         self.points: Dict[str, dict] = {}
-
-    @property
-    def path(self) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / f"{self.spec.signature()}.json"
+        self._appending = False
 
     def load(self) -> bool:
-        """Adopt the on-disk state; ``True`` if a usable journal for
-        this spec existed (corrupt or mismatched files start fresh)."""
+        """Adopt the on-disk log; ``True`` if a usable one for this spec
+        existed (a damaged or mismatched header starts fresh, and a
+        header that does not decode is deleted).  A torn tail is cut
+        off the file, so the session's records append after the last
+        complete entry."""
         path = self.path
         if path is None:
             return False
         try:
-            payload = json.loads(path.read_text())
-        except (FileNotFoundError, OSError):
+            data = path.read_bytes()
+        except OSError:
             return False
-        except (json.JSONDecodeError, ValueError) as exc:
-            _LOG.warning("discarding corrupt sweep journal %s (%s)",
-                         path, exc)
+        header, points, end = _read_log(data)
+        if header is None:
+            _LOG.warning("discarding corrupt sweep journal %s", path)
             self._unlink()
             return False
-        if (payload.get("version") != JOURNAL_VERSION
-                or payload.get("signature") != self.spec.signature()
-                or not isinstance(payload.get("points"), dict)):
+        if (not isinstance(header, dict)
+                or header.get("version") != JOURNAL_VERSION
+                or header.get("signature") != self.signature):
             _LOG.warning("sweep journal %s does not match this spec; "
                          "starting fresh", path)
             return False
-        self.points = payload["points"]
+        if end < len(data):
+            _LOG.warning("dropping the torn tail of sweep journal %s",
+                         path)
+            os.truncate(path, end)
+        self.points = points
+        self._appending = True
         return True
 
     def reset(self) -> None:
         self.points = {}
+        self._appending = False
         self._unlink()
 
     def record(self, point: GridPoint, status: str, *,
@@ -256,27 +291,30 @@ class SessionJournal:
                                     "attempts": attempts}
         if stats is not None:
             entry["stats"] = stats.as_dict()
-            entry["digest"] = _stats_digest(stats)
         if reason is not None:
             entry["reason"] = reason
-        self.points[_point_label(point)] = entry
-        self._flush()
-
-    def entry(self, point: GridPoint) -> Optional[dict]:
-        return self.points.get(_point_label(point))
-
-    def _flush(self) -> None:
+        label = _point_label(point)
+        self.points[label] = entry
         path = self.path
         if path is None:
             return
+        line = json.dumps({**entry, "point": label},
+                          sort_keys=True).encode() + b"\n"
+        if self._appending:
+            with open(path, "ab") as fh:
+                fh.write(line)
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": JOURNAL_VERSION,
-            "signature": self.spec.signature(),
-            "spec": self.spec.describe(),
-            "points": self.points,
-        }
-        atomic_write(path, json.dumps(payload, sort_keys=True).encode())
+        header = json.dumps({"version": JOURNAL_VERSION,
+                             "signature": self.signature,
+                             "spec": self.spec.describe()},
+                            sort_keys=True).encode()
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + line)
+        self._appending = True
+
+    def entry(self, point: GridPoint) -> Optional[dict]:
+        return self.points.get(_point_label(point))
 
     def _unlink(self) -> None:
         path = self.path
@@ -366,7 +404,7 @@ class SweepSession:
         if status == "quarantined":
             self.journal.record(point, "quarantined", attempts=attempts,
                                 reason=reason)
-        else:
+        elif status != "journaled":  # already the log's line for it
             # Journal every success as "done"; `status` keeps the finer
             # how-it-was-resolved split for counters and progress.
             self.journal.record(point, "done", stats=stats,
@@ -417,7 +455,7 @@ class SweepSession:
         else:
             self.journal.reset()
         prune_stale_journals(self.journal.directory,
-                             keep_signature=spec.signature())
+                             keep_signature=self.journal.signature)
 
         # Stage 0: the journal (resumed sessions only).  Quarantined
         # entries are given a fresh chance -- the operator explicitly

@@ -7,9 +7,13 @@ the invalidation).  A stale ``fill_ready_time`` surviving that window
 would satisfy a later miss to a *different* tag mapping to the same
 line with a bogus ready time."""
 
+import random
+
 import pytest
 
 from repro.core.bus import SnoopyBus
+from repro.core.cache import (EXCLUSIVE, MODIFIED, SHARED,
+                              DirectMappedArray, SetAssociativeArray)
 from repro.core.coherence import CoherenceController
 from repro.core.config import KB, SystemConfig
 from repro.core.directory import DirectoryController
@@ -85,6 +89,37 @@ class TestStaleInflightDetection:
         system.clusters[1].scc.note_fill(9, ready=100)
         with pytest.raises(AssertionError, match="fill-tracking leak"):
             system.check_invariants()
+
+
+class TestStaleInflightParity:
+    """The direct-mapped power-of-two fast path reports exactly what
+    ``array.contains`` does, and the other arrays keep that path."""
+
+    @pytest.mark.parametrize("array", [
+        lambda: DirectMappedArray(128),
+        lambda: DirectMappedArray(96),
+        lambda: SetAssociativeArray(128, 4),
+    ], ids=["direct-pow2", "direct-96", "assoc-4"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_contains(self, array, seed):
+        rng = random.Random(seed)
+        _, sccs, _ctrl = make_controller()
+        scc = sccs[0]
+        scc.array = array()
+        for _ in range(200):
+            scc.array.install(rng.randrange(1024),
+                              rng.choice((SHARED, MODIFIED, EXCLUSIVE)))
+        for _ in range(100):
+            scc.array.invalidate(rng.randrange(1024))
+        resident = [line for line, _state in scc.array.resident_lines()]
+        lines = rng.sample(resident, 20) + [rng.randrange(1024)
+                                            for _ in range(40)]
+        for line in lines:
+            scc.note_fill(line, ready=rng.randrange(1, 100))
+        expected = tuple(line for line in scc.inflight_lines()
+                         if not scc.array.contains(line))
+        assert expected and len(expected) < len(scc.inflight_lines())
+        assert scc.stale_inflight() == expected
 
 
 class TestWriteBufferBound:

@@ -7,6 +7,7 @@ directory -- and files written by an earlier version, which must still
 be hits.
 """
 
+import dataclasses
 import logging
 import struct
 import sys
@@ -44,6 +45,21 @@ def make_stats(**overrides):
 
 def tape():
     return {0: array("q", [OP_READ, 64, OP_COMPUTE, 3])}
+
+
+class TestRunStatsAsDict:
+    @pytest.mark.parametrize("instrument", [None, {"bus_peak": 0.5,
+                                                   "conflicts": 3.0}])
+    def test_equals_dataclasses_asdict(self, instrument):
+        stats = make_stats(instrument=instrument)
+        flat = stats.as_dict()
+        assert flat == dataclasses.asdict(stats)
+        assert list(flat) == list(dataclasses.asdict(stats))
+
+    def test_instrument_is_a_copy(self):
+        stats = make_stats(instrument={"bus_peak": 0.5})
+        stats.as_dict()["instrument"]["bus_peak"] = 9.0
+        assert stats.instrument == {"bus_peak": 0.5}
 
 
 class TestResultCache:
@@ -183,14 +199,8 @@ PARENT_FILES = {
                + struct.pack("<6q", 1, 100, 3, 25, 2, 200)),
     "profiles": ("e0728201ca065c87c847267d.json",
                  b'{"model_version": 1, "name": "x", "rows": [3, 1]}'),
-    "sessions": ("c4bbf909ee28b70cda7761cb.json",
-                 b'{"points": {"1/4096": {"attempts": 1, '
-                 b'"digest": "42c95bf5462691db", "stats": {"events": 100, '
-                 b'"execution_time": 123, "instrument": {"bus_peak": 0.5}, '
-                 b'"invalidations": 2, "miss_rate": 0.125, '
-                 b'"read_miss_rate": 0.25, "reads": 80, "writes": 20}, '
-                 b'"status": "done"}}, '
-                 b'"signature": "c4bbf909ee28b70cda7761cb", '
+    "sessions": ("c4bbf909ee28b70cda7761cb.jsonl",
+                 b'{"signature": "c4bbf909ee28b70cda7761cb", '
                  b'"spec": {"benchmark": "multiprogramming", '
                  b'"instrument": true, "kind": "multiprogramming", '
                  b'"ladder": [4096, 8192], "procs": [1], '
@@ -199,7 +209,12 @@ PARENT_FILES = {
                  b'"mp3d_particles": 40, "mp3d_steps": 1, '
                  b'"multiprog_instructions": 1500, '
                  b'"multiprog_quantum": 500, "name": "tiny"}}, '
-                 b'"version": 1}'),
+                 b'"version": 2}\n'
+                 b'{"attempts": 1, "point": "1/4096", '
+                 b'"stats": {"events": 100, "execution_time": 123, '
+                 b'"instrument": {"bus_peak": 0.5}, "invalidations": 2, '
+                 b'"miss_rate": 0.125, "read_miss_rate": 0.25, '
+                 b'"reads": 80, "writes": 20}, "status": "done"}\n'),
 }
 
 

@@ -75,6 +75,20 @@ class RecordingCompute:
         return _stats(point[0] * 1000 + point[1])
 
 
+def _lines(journal: SessionJournal) -> list:
+    return [json.loads(line)
+            for line in journal.path.read_bytes().splitlines()]
+
+
+def _rewrite_header(journal: SessionJournal, **changes) -> None:
+    header, *entries = journal.path.read_bytes().splitlines(keepends=True)
+    header = json.dumps({**json.loads(header), **changes}).encode()
+    journal.path.write_bytes(b"".join([header + b"\n", *entries]))
+
+
+NON_OBJECTS = (b"[]", b'"s"', b"3")
+
+
 class TestJournal:
     def test_roundtrip(self, tmp_path, tiny_profile):
         spec = _grid_spec(tiny_profile)
@@ -82,42 +96,110 @@ class TestJournal:
         journal.record((1, 4 * KB), "done", stats=_stats(7), attempts=2)
         journal.record((2, 8 * KB), "quarantined", attempts=3,
                        reason="boom")
+        assert journal.path.name == f"{spec.signature()}.jsonl"
+        header, *entries = _lines(journal)
+        assert header == {"version": 2, "signature": spec.signature(),
+                          "spec": spec.describe()}
+        assert [entry["point"] for entry in entries] == [
+            f"1/{4 * KB}", f"2/{8 * KB}"]
         reloaded = SessionJournal(spec, tmp_path)
         assert reloaded.load()
         done = reloaded.entry((1, 4 * KB))
-        assert done["status"] == "done" and done["attempts"] == 2
-        assert RunStats.from_dict(done["stats"]) == _stats(7)
-        assert done["digest"]
+        assert done == {"status": "done", "attempts": 2,
+                        "stats": _stats(7).as_dict()}
         bad = reloaded.entry((2, 8 * KB))
-        assert bad["status"] == "quarantined" and bad["reason"] == "boom"
+        assert bad == {"status": "quarantined", "attempts": 3,
+                       "reason": "boom"}
 
     def test_corrupt_journal_discarded(self, tmp_path, tiny_profile):
         spec = _grid_spec(tiny_profile)
         journal = SessionJournal(spec, tmp_path)
         journal.record((1, 4 * KB), "done", stats=_stats())
-        journal.path.write_text("{torn write")
+        journal.path.write_text("{torn write\n")
         fresh = SessionJournal(spec, tmp_path)
         assert not fresh.load()
         assert not journal.path.exists()
+
+    def test_torn_tail_keeps_earlier_lines(self, tmp_path, tiny_profile):
+        spec = _grid_spec(tiny_profile)
+        journal = SessionJournal(spec, tmp_path)
+        for point in ((1, 4 * KB), (1, 8 * KB), (2, 4 * KB)):
+            journal.record(point, "done", stats=_stats(point[1]))
+        intact = journal.path.read_bytes()
+        journal.path.write_bytes(intact[:-20])
+        resumed = SessionJournal(spec, tmp_path)
+        assert resumed.load()
+        assert set(resumed.points) == {f"1/{4 * KB}", f"1/{8 * KB}"}
+        # The torn line is cut off, so the next record appends after
+        # the last complete one and every line reads back.
+        resumed.record((2, 4 * KB), "done", stats=_stats(9))
+        assert journal.path.read_bytes().startswith(
+            intact[:intact.rindex(b"\n", 0, -1) + 1])
+        again = SessionJournal(spec, tmp_path)
+        assert again.load()
+        assert again.points == resumed.points
+
+    def test_entry_that_is_not_an_object_ends_the_read(self, tmp_path,
+                                                       tiny_profile):
+        spec = _grid_spec(tiny_profile)
+        journal = SessionJournal(spec, tmp_path)
+        journal.record((1, 4 * KB), "done", stats=_stats())
+        with open(journal.path, "ab") as fh:
+            fh.write(b"[1, 2]\n")
+        journal.record((1, 8 * KB), "done", stats=_stats())
+        resumed = SessionJournal(spec, tmp_path)
+        assert resumed.load()
+        assert set(resumed.points) == {f"1/{4 * KB}"}
+
+    def test_last_line_wins(self, tmp_path, tiny_profile):
+        spec = _grid_spec(tiny_profile)
+        journal = SessionJournal(spec, tmp_path)
+        journal.record((1, 4 * KB), "quarantined", attempts=3,
+                       reason="boom")
+        journal.record((1, 8 * KB), "done", stats=_stats(1))
+        journal.record((1, 4 * KB), "done", stats=_stats(2))
+        assert len(_lines(journal)) == 4
+        resumed = SessionJournal(spec, tmp_path)
+        assert resumed.load()
+        assert resumed.entry((1, 4 * KB))["stats"] == _stats(2).as_dict()
 
     def test_signature_mismatch_starts_fresh(self, tmp_path,
                                              tiny_profile):
         spec = _grid_spec(tiny_profile)
         journal = SessionJournal(spec, tmp_path)
         journal.record((1, 4 * KB), "done", stats=_stats())
-        payload = json.loads(journal.path.read_text())
-        payload["signature"] = "somebody-else"
-        journal.path.write_text(json.dumps(payload))
+        _rewrite_header(journal, signature="somebody-else")
         assert not SessionJournal(spec, tmp_path).load()
 
     def test_version_mismatch_starts_fresh(self, tmp_path, tiny_profile):
         spec = _grid_spec(tiny_profile)
         journal = SessionJournal(spec, tmp_path)
         journal.record((1, 4 * KB), "done", stats=_stats())
-        payload = json.loads(journal.path.read_text())
-        payload["version"] = 999
-        journal.path.write_text(json.dumps(payload))
+        _rewrite_header(journal, version=1)
         assert not SessionJournal(spec, tmp_path).load()
+
+    @pytest.mark.parametrize("header", NON_OBJECTS)
+    def test_header_that_is_not_an_object_starts_fresh(
+            self, tmp_path, tiny_profile, header):
+        spec = _grid_spec(tiny_profile)
+        journal = SessionJournal(spec, tmp_path)
+        journal.path.write_bytes(header + b"\n")
+        assert not journal.load()
+        assert prune_stale_journals(tmp_path) == []
+
+    def test_first_record_after_non_adopting_load_truncates(
+            self, tmp_path, tiny_profile):
+        spec = _grid_spec(tiny_profile)
+        journal = SessionJournal(spec, tmp_path)
+        for point in spec.configs():
+            journal.record(point, "done", stats=_stats())
+        _rewrite_header(journal, version=1)
+        fresh = SessionJournal(spec, tmp_path)
+        assert not fresh.load()
+        fresh.record((1, 4 * KB), "done", stats=_stats(5))
+        header, entry = _lines(fresh)
+        assert header["version"] == 2
+        assert entry["point"] == f"1/{4 * KB}"
 
     def test_journals_keyed_by_signature(self, tmp_path, tiny_profile):
         a = _grid_spec(tiny_profile)
@@ -137,8 +219,8 @@ class TestJournal:
 
 
 class TestJournalPruning:
-    """Session-directory GC: finished journals and orphaned temp files
-    are removed on session open; anything --resume could still want is
+    """Session-directory GC: finished logs and version-1 debris are
+    removed on session open; anything --resume could still want is
     kept."""
 
     def _journal(self, spec, directory, *, quarantine=None,
@@ -181,8 +263,18 @@ class TestJournalPruning:
         assert prune_stale_journals(tmp_path) == []
         assert poisoned.path.exists()
 
+    def test_last_entry_decides_whether_finished(self, tmp_path,
+                                                 tiny_profile):
+        spec = _grid_spec(tiny_profile)
+        healed = self._journal(spec, tmp_path, quarantine={(1, 4 * KB)})
+        healed.record((1, 4 * KB), "done", stats=_stats())
+        assert prune_stale_journals(tmp_path) == [healed.path]
+        poisoned = self._journal(spec, tmp_path)
+        poisoned.record((1, 4 * KB), "quarantined", reason="boom")
+        assert prune_stale_journals(tmp_path) == []
+
     def test_corrupt_journal_left_for_load_to_report(self, tmp_path):
-        torn = tmp_path / "deadbeef.json"
+        torn = tmp_path / "deadbeef.jsonl"
         torn.write_text("{torn write")
         assert prune_stale_journals(tmp_path) == []
         assert torn.exists()
@@ -197,6 +289,17 @@ class TestJournalPruning:
         removed = prune_stale_journals(tmp_path)
         assert removed == [orphan]
         assert not orphan.exists() and fresh.exists()
+
+    @pytest.mark.parametrize("payload", (b'{"version": 1}', *NON_OBJECTS))
+    def test_version_1_journal_removed_by_age(self, tmp_path, payload):
+        stale = tmp_path / "aaaa.json"
+        stale.write_bytes(payload)
+        stale_stamp = time.time() - 2 * STALE_TMP_AGE_S
+        os.utime(stale, (stale_stamp, stale_stamp))
+        fresh = tmp_path / "bbbb.json"
+        fresh.write_bytes(payload)
+        assert prune_stale_journals(tmp_path) == [stale]
+        assert not stale.exists() and fresh.exists()
 
     def test_missing_or_absent_directory_is_a_noop(self, tmp_path):
         assert prune_stale_journals(tmp_path / "never-created") == []
@@ -242,6 +345,8 @@ class TestSessionStages:
         assert resumed.counters["journaled"] == 4
         assert {p: s.as_dict() for p, s in resumed.sweep.items()} == \
             {p: s.as_dict() for p, s in first.sweep.items()}
+        # Restoring a point appends nothing: the log keeps one line each.
+        assert len(_lines(SessionJournal(spec, tmp_path))) == 1 + 4
 
     def test_fresh_run_resets_journal(self, tmp_path, tiny_profile,
                                       no_trace_stage):

@@ -95,12 +95,15 @@ class TestKillAndResume:
             process.stdout.close()
         assert process.returncode == -signal.SIGKILL
 
-        # The journal survived the kill with at least one done point.
-        journals = list((workdir / "sessions").glob("*.json"))
+        # The journal survived the kill with at least one done point:
+        # a header line, then one complete line per journaled point.
+        journals = list((workdir / "sessions").glob("*.jsonl"))
         assert len(journals) == 1
-        payload = json.loads(journals[0].read_text())
-        done_points = [entry for entry in payload["points"].values()
-                       if entry["status"] == "done"]
+        with open(journals[0], "rb") as log:
+            header, *entries = [json.loads(line) for line in log]
+        assert header["version"] == 2
+        done_points = {entry["point"] for entry in entries
+                       if entry["status"] == "done"}
         assert done_points
 
         resumed = subprocess.run(

@@ -49,6 +49,9 @@ DELETED = (
     "native_unavailable_reason", "available_backends",
     "no_native_extension", "optional_build_ext", "_plans_kept",
     "_ForcePlan",
+    # the session journal is an append-only log: nothing reads a
+    # per-entry digest, so none is written
+    "_stats_digest",
 )
 
 PATTERN = re.compile("|".join([
