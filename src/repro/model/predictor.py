@@ -53,7 +53,8 @@ def _check_parallel_fidelity(profile: RowProfile) -> None:
         warnings.warn(
             f"analytical predictions for multi-processor parallel rows "
             f"({profile.clusters} clusters x {profile.procs_per_cluster} "
-            f"procs) are known-bad (miss-ratio MAE ~ 0.09): the surrogate "
+            f"procs) are known-bad (miss-ratio MAE ~ 0.09 on the 2p "
+            f"Barnes-Hut row, 0.1316 on the 8p one): the surrogate "
             f"lacks an interleaving-aware merge for them; prefer the "
             f"fused tier (fidelity='fused')",
             RuntimeWarning, stacklevel=3)

@@ -5,7 +5,8 @@ Candidates are priced through a funnel of increasing fidelity:
 * **analytical** -- the :mod:`repro.model` surrogate triages the bulk
   of the population for free (no simulation).  Parallel rows with more
   than one processor per cluster -- exactly where the surrogate is
-  known-bad (miss-ratio MAE ~ 0.09) -- skip this tier: the evaluator
+  known-bad (miss-ratio MAE ~ 0.09 on the 2p Barnes-Hut row, 0.1316 on
+  the 8p one) -- skip this tier: the evaluator
   routes them straight to the fused tier before any spec is built
   (:meth:`FunnelEvaluator._effective_tier`, the one place that policy
   lives).

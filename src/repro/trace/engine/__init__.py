@@ -15,7 +15,7 @@ The SCC/bus timing model has two implementations ("backends", psim's
   instruction-cache refills -- and the run around it: one
   ``_native.run`` call resumes the generators, executes their chunks
   over the shared ``array('q')`` tag/state/bank/bus storage, switches
-  processes on its own copy of the ready heap and keeps the locks,
+  processes on its own copy of the ready queue and keeps the locks,
   barriers and task queues; it also carries the fused ladder.  Python
   is left the generators' bodies -- and for MP3D and Barnes-Hut not
   even those: their processes are the extension's own iterators, which

@@ -25,9 +25,10 @@
  *     free times, the bus clock: ``array('q')`` storage C reads and writes
  *     in place through buffer views (an SCC's share of them is its ``Scc``
  *     view);
- *   - the ready heap: ``(time, seq, pid)`` triples in ``Ctx.ready``,
- *     read from ``interleaver._heap`` when ``run`` starts and written back
- *     to it -- whatever is still ready -- at ``release``;
+ *   - the ready queue: ``Ctx.rq``, a window of one-cycle buckets with a
+ *     heap of ``(time, seq, pid)`` triples for overflow (the "scheduler"
+ *     section), read from ``interleaver._heap`` when ``run`` starts and
+ *     written back to it -- whatever is still ready -- at ``release``;
  *   - in-flight fills and write buffers: each SCC's ``Words`` -- per-index
  *     ``fill_line``/``fill_ready`` and a heap of retire times per bank --
  *     imported from ``scc._inflight`` and ``interconnect._write_buffers``
@@ -156,6 +157,29 @@ typedef struct {
 typedef struct {
     long long time, seq, pid;
 } Ready;
+
+#define RQ_W 256                /* window buckets, one cycle each */
+#define RQ_MASK (RQ_W - 1)
+#define RQ_WORDS (RQ_W / 64)
+
+/* A process's place in the ready queue. */
+typedef struct {
+    long long seq;            /* its window entry's */
+    int next;                 /* the pid behind it in its bucket (-1: last) */
+    int queued;               /* ready: in the window or the heap */
+} RqLink;
+
+/* The ready queue (the "scheduler" section has the argument). */
+typedef struct {
+    long long base;           /* clock of the last pop; never decreases */
+    long long wmin;           /* the window's earliest clock */
+    long long earliest;       /* the queue's; LLONG_MAX: empty */
+    int n, n_window, n_heap;
+    unsigned long long occupied[RQ_WORDS];
+    int head[RQ_W], tail[RQ_W];         /* [time & RQ_MASK] */
+    RqLink *link;             /* [pid] */
+    Ready *heap;              /* the overflow: a binary min-heap */
+} ReadyQ;
 
 #define FILL_NONE LLONG_MIN     /* ``fill_ready`` of a slot with no fill */
 
@@ -298,8 +322,7 @@ typedef struct {
     PyObject *chunk_data;     /* "data" */
     PyObject *array_type, *sync_error;
     EventCode codes[N_EVENT_CODES];
-    Ready *ready;             /* binary min-heap, room for every process */
-    int n_ready;
+    ReadyQ rq;                /* room for every process, once */
     PyObject *ready_at_rest;        /* interleaver._heap */
     Views views;
 } Ctx;
@@ -1212,13 +1235,32 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
 
 /* ------------------------------------------------------------ scheduler */
 
-/* The ready heap is C's: a binary min-heap of ``Ready`` triples ordered
- * on ``(time, seq)``, with room for every process (a process is ready at
- * most once).  ``interleaver._heap`` is its form at rest: ``add_process``
- * (and an earlier run that aborted) left ``(time, seq, pid)`` tuples
- * there, ``run`` moves them over on entry, and ``release`` writes back
- * whatever is still ready, so an aborted run leaves the entries the
- * reference loop leaves. */
+/* The ready queue is C's: the reference loop's heap of ``(time, seq,
+ * pid)`` entries, kept as an exact monotone bucket queue with room for
+ * every process once (``RqLink.queued``: waking a queued process raises
+ * what ``_push`` raises, and ``sched_drain`` refuses a pid listed twice).
+ *
+ * Its window is RQ_W one-cycle buckets over ``[base, base + RQ_W)``,
+ * where ``base`` is the clock of the last pop.  Bucket ``time & RQ_MASK``
+ * is a FIFO of pids chained through ``RqLink.next``, with a head, a tail
+ * and a bit in ``occupied``.  ``seq`` is assigned at push and only grows,
+ * so a bucket's FIFO order is its ``(time, seq)`` order.  Its overflow is
+ * a binary min-heap of ``Ready`` triples on ``(time, seq)``: the entries
+ * drained from rest, and pushes before ``base`` or at ``base + RQ_W`` and
+ * beyond.  A pop takes the earlier, by ``ready_before``, of the window's
+ * first head and the heap's top, so the order is the reference loop's
+ * whatever either half holds; ``base`` never decreases (nothing ready is
+ * earlier than what was popped), so the window's entries stay inside it.
+ * A preempted process comes back a line fetch and its bus wait ahead of
+ * the pop -- 1 to 255 cycles, nearly always -- so a switch is a FIFO
+ * link, an unlink and a search of four bitmap words; ``earliest`` caches
+ * the clock ``run`` preempts against.
+ *
+ * ``interleaver._heap`` is the queue at rest: ``add_process`` (and an
+ * earlier run that aborted) left ``(time, seq, pid)`` tuples there,
+ * ``run`` moves them over on entry, and ``release`` writes back whatever
+ * is still ready, in pop order -- a sorted list is a heapq list -- so an
+ * aborted run leaves the entries the reference loop leaves. */
 
 /* ``(time, seq) < (time, seq)``, written without a short circuit: which
  * way a sift's comparison goes is data, not a pattern a branch predictor
@@ -1229,12 +1271,12 @@ ready_before(const Ready *a, const Ready *b)
     return (a->time < b->time) | ((a->time == b->time) & (a->seq < b->seq));
 }
 
-/* ``heapq.heappush`` */
+/* ``heapq.heappush`` onto the overflow */
 static void
-sched_push(Ctx *ctx, Ready item)
+heap_push(ReadyQ *q, Ready item)
 {
-    Ready *heap = ctx->ready;
-    int pos = ctx->n_ready++;
+    Ready *heap = q->heap;
+    int pos = q->n_heap++;
     while (pos > 0) {
         int parent = (pos - 1) >> 1;
         if (!ready_before(&item, &heap[parent]))
@@ -1245,17 +1287,14 @@ sched_push(Ctx *ctx, Ready item)
     heap[pos] = item;
 }
 
-/* Take the earliest entry off the (non-empty) heap and put ``*self`` in
- * its place -- heapq.heappushpop for an entry known to sort after the
- * root: one sift for a preempted process's push and the pop that follows
- * it -- or, when ``self`` is NULL, the heap's last entry (heapq.heappop). */
+/* ``heapq.heappop`` off the (non-empty) overflow */
 static Ready
-sched_switch(Ctx *ctx, const Ready *self)
+heap_pop(ReadyQ *q)
 {
-    Ready *heap = ctx->ready;
+    Ready *heap = q->heap;
     Ready top = heap[0];
-    Ready item = self ? *self : heap[--ctx->n_ready];
-    int n = ctx->n_ready, pos = 0;
+    Ready item = heap[--q->n_heap];
+    int n = q->n_heap, pos = 0;
     for (;;) {
         int child = 2 * pos + 1;
         if (child >= n)
@@ -1272,59 +1311,161 @@ sched_switch(Ctx *ctx, const Ready *self)
     return top;
 }
 
-/* Empty ``interleaver._heap`` into the heap.  All or nothing: an entry that
- * is not a ``(time, seq, pid)`` of this machine leaves both as they were. */
+/* The first occupied bucket at or after ``from``, in clock order; the
+ * window is not empty. */
+static inline int
+window_first(const ReadyQ *q, int from)
+{
+    int w = from >> 6;
+    unsigned long long bits = q->occupied[w] & (~0ULL << (from & 63));
+    for (int k = 0; !bits && k < RQ_WORDS; k++) {
+        w = (w + 1) & (RQ_WORDS - 1);
+        bits = q->occupied[w];
+    }
+    return w << 6 | __builtin_ctzll(bits);
+}
+
+/* ``_push`` of a process that is not queued */
+static void
+sched_push(Ctx *ctx, long long time, long long pid)
+{
+    ReadyQ *q = &ctx->rq;
+    RqLink *link = &q->link[pid];
+    long long seq = ++ctx->misc[X_SEQ];
+    link->queued = 1;
+    q->n++;
+    if (time < q->earliest)
+        q->earliest = time;
+    if (time < q->base || time - q->base >= RQ_W) {
+        Ready item = {time, seq, pid};
+        heap_push(q, item);
+        return;
+    }
+    int s = (int)(time & RQ_MASK);
+    unsigned long long bit = 1ULL << (s & 63);
+    link->seq = seq;
+    link->next = -1;
+    if (q->occupied[s >> 6] & bit) {
+        q->link[q->tail[s]].next = (int)pid;
+    }
+    else {
+        q->occupied[s >> 6] |= bit;
+        q->head[s] = (int)pid;
+        if (!q->n_window || time < q->wmin)
+            q->wmin = time;
+    }
+    q->tail[s] = (int)pid;
+    q->n_window++;
+}
+
+/* The bookkeeping of every pop: ``out`` has left its half. */
+static inline Ready
+sched_popped(ReadyQ *q, Ready out)
+{
+    q->link[out.pid].queued = 0;
+    q->n--;
+    if (out.time > q->base)
+        q->base = out.time;
+    q->earliest = q->n_window ? q->wmin : LLONG_MAX;
+    if (q->n_heap && q->heap[0].time < q->earliest)
+        q->earliest = q->heap[0].time;
+    return out;
+}
+
+/* ``heapq.heappop`` (the queue is not empty) */
+static Ready
+sched_pop(Ctx *ctx)
+{
+    ReadyQ *q = &ctx->rq;
+    if (q->n_window) {
+        int s = (int)(q->wmin & RQ_MASK);
+        int pid = q->head[s];
+        Ready head = {q->wmin, q->link[pid].seq, pid};
+        if (!q->n_heap || ready_before(&head, &q->heap[0])) {
+            q->n_window--;
+            q->head[s] = q->link[pid].next;
+            if (q->head[s] < 0) {
+                q->occupied[s >> 6] &= ~(1ULL << (s & 63));
+                if (q->n_window)
+                    q->wmin = head.time
+                        + ((window_first(q, s) - s) & RQ_MASK);
+            }
+            return sched_popped(q, head);
+        }
+    }
+    return sched_popped(q, heap_pop(q));
+}
+
+/* Empty ``interleaver._heap`` into the overflow.  All or nothing: an
+ * entry that is not a ``(time, seq, pid)`` of this machine, or a process
+ * that is ready already -- running it twice could link it into a bucket
+ * twice -- leaves both as they were. */
 static int
 sched_drain(Ctx *ctx)
 {
+    ReadyQ *q = &ctx->rq;
     PyObject *box = ctx->ready_at_rest;
-    Py_ssize_t n = PyList_GET_SIZE(box);
+    Py_ssize_t n = PyList_GET_SIZE(box), k;
     if (n == 0)
         return 0;
-    if (n > ctx->nproc - ctx->n_ready) {
+    if (n > ctx->nproc - q->n) {
         PyErr_SetString(PyExc_RuntimeError,
                         "more ready entries than processes");
         return -1;
     }
-    Ready *in = ctx->ready + ctx->n_ready;      /* parsed, not yet pushed */
-    for (Py_ssize_t k = 0; k < n; k++) {
+    Ready *in = q->heap + q->n_heap;        /* parsed, not yet pushed */
+    for (k = 0; k < n; k++) {
         PyObject *entry = PyList_GET_ITEM(box, k);
         if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
             PyErr_SetString(PyExc_TypeError,
                             "scheduler heap entries must be (time, seq, pid)");
-            return -1;
+            goto refused;
         }
         if (get_ll_item(entry, 0, &in[k].time) < 0
             || get_ll_item(entry, 1, &in[k].seq) < 0
             || get_ll_item(entry, 2, &in[k].pid) < 0)
-            return -1;
+            goto refused;
         if (in[k].pid < 0 || in[k].pid >= ctx->nproc) {
             PyErr_Format(PyExc_RuntimeError,
                          "process id %lld outside the machine", in[k].pid);
-            return -1;
+            goto refused;
         }
+        if (q->link[in[k].pid].queued) {
+            PyErr_Format(PyExc_ValueError,
+                         "process %lld is in the ready heap twice",
+                         in[k].pid);
+            goto refused;
+        }
+        q->link[in[k].pid].queued = 1;
     }
     if (PyList_SetSlice(box, 0, n, NULL) < 0)
-        return -1;
-    for (Py_ssize_t k = 0; k < n; k++)
-        sched_push(ctx, ctx->ready[ctx->n_ready]);
+        goto refused;
+    for (k = 0; k < n; k++) {
+        q->n++;
+        heap_push(q, q->heap[q->n_heap]);
+    }
+    if (q->heap[0].time < q->earliest)
+        q->earliest = q->heap[0].time;
     return 0;
+refused:
+    while (k--)
+        q->link[in[k].pid].queued = 0;
+    return -1;
 }
 
 /* Hand what is still ready back to ``interleaver._heap``, which ``run``
- * left empty: the heap's array, in order, is a heapq list. */
+ * left empty, in pop order. */
 static int
 sched_export(Ctx *ctx)
 {
-    for (int k = 0; k < ctx->n_ready; k++) {
-        const Ready *r = &ctx->ready[k];
-        PyObject *entry = Py_BuildValue("(LLL)", r->time, r->seq, r->pid);
+    while (ctx->rq.n) {
+        Ready r = sched_pop(ctx);
+        PyObject *entry = Py_BuildValue("(LLL)", r.time, r.seq, r.pid);
         int rc = entry ? PyList_Append(ctx->ready_at_rest, entry) : -1;
         Py_XDECREF(entry);
         if (rc < 0)
             return -1;
     }
-    ctx->n_ready = 0;
     return 0;
 }
 
@@ -1447,8 +1588,11 @@ proc_wake(Ctx *ctx, long long pid, long long resume)
         return -1;
     proc->time = resume;
     proc->blocked = 0;
-    Ready woken = {resume, ++ctx->misc[X_SEQ], pid};
-    sched_push(ctx, woken);
+    if (ctx->rq.link[pid].queued) {
+        PyErr_Format(PyExc_RuntimeError, "process %lld scheduled twice", pid);
+        return -1;
+    }
+    sched_push(ctx, resume, pid);
     return 0;
 }
 
@@ -1772,7 +1916,8 @@ ctx_free(Ctx *ctx)
     PyMem_Free(ctx->views.bufs);
     sccs_free(ctx->m.sccs, ctx->m.n);
     PyMem_Free(ctx->bank_free);
-    PyMem_Free(ctx->ready);
+    PyMem_Free(ctx->rq.heap);
+    PyMem_Free(ctx->rq.link);
     PyMem_Free(ctx->icaches);
     PyMem_Free(ctx->procs);
     PyMem_Free(ctx->locks.q);
@@ -1940,8 +2085,10 @@ procs_setup(Ctx *ctx, PyObject *sched)
                                      nproc * P_FIELDS)))
         return -1;
     ctx->procs = PyMem_Calloc(nproc ? nproc : 1, sizeof(Proc));
-    ctx->ready = PyMem_Calloc(nproc ? nproc : 1, sizeof(Ready));
-    if (!ctx->procs || !ctx->ready) {
+    ctx->rq.heap = PyMem_Calloc(nproc ? nproc : 1, sizeof(Ready));
+    ctx->rq.link = PyMem_Calloc(nproc ? nproc : 1, sizeof(RqLink));
+    ctx->rq.earliest = LLONG_MAX;
+    if (!ctx->procs || !ctx->rq.heap || !ctx->rq.link) {
         PyErr_NoMemory();
         return -1;
     }
@@ -2244,18 +2391,20 @@ native_run(PyObject *self, PyObject *capsule)
     for (;;) {      /* one round per scheduled process */
         Ready next;
         if (state == RUN_PREEMPTED) {
-            /* ``time`` exceeds the top's clock, so the pushed entry
-             * cannot be the one that comes back out: what ``_push``
-             * followed by the reference loop's ``heappop`` leaves. */
-            Ready preempted = {time, ++misc[X_SEQ], pid};
+            /* ``time`` exceeds the earliest clock, so the pushed entry
+             * could not be the one that comes back out: what ``_push``
+             * followed by the reference loop's ``heappop`` leaves.  The
+             * pop goes first, so the push finds ``base`` at the clock of
+             * the process that runs next. */
             ctx->procs[pid].time = time;
-            next = sched_switch(ctx, &preempted);
+            next = sched_pop(ctx);
+            sched_push(ctx, time, pid);
         }
-        else if (ctx->n_ready == 0) {
+        else if (ctx->rq.n == 0) {
             Py_RETURN_NONE;
         }
         else {
-            next = sched_switch(ctx, NULL);
+            next = sched_pop(ctx);
         }
         time = next.time;
         pid = next.pid;
@@ -2263,7 +2412,7 @@ native_run(PyObject *self, PyObject *capsule)
         cur = &proc->cursor;
         long long cl = ctx->proc_cluster[pid];
         /* clock of the earliest ready process */
-        long long next_time = ctx->n_ready ? ctx->ready[0].time : LLONG_MAX;
+        long long next_time = ctx->rq.earliest;
         state = RUN_ON;
 
         while (state == RUN_ON) {
@@ -2383,10 +2532,13 @@ native_run(PyObject *self, PyObject *capsule)
                     }
                     if (running < 0)
                         goto fail;
-                    if (!running)
+                    /* (a lock handed to the process releasing it -- only
+                     * a state no run leaves has it waiting on a lock it
+                     * holds -- schedules it: ``_advance`` stops then) */
+                    if (!running || ctx->rq.link[pid].queued)
                         state = RUN_OVER;
                     /* whoever was woken may be the earliest now */
-                    next_time = ctx->n_ready ? ctx->ready[0].time : LLONG_MAX;
+                    next_time = ctx->rq.earliest;
                 }
                 else {
                     if (time > limit)

@@ -21,8 +21,8 @@ arrays -- the SCCs' and the icaches' --, bank free times and the bus
 clock are ``array('q')`` storage C works on in place;
 each ``scc._inflight`` dict and each bank's ``_write_buffers`` list is
 read into C words at ``setup`` (per-index fill words, a heap of retire
-times per bank) and rewritten from them at ``release``; the ready heap
-lives in C, read from ``interleaver._heap`` when the run starts and
+times per bank) and rewritten from them at ``release``; the ready queue
+lives in C (one-cycle buckets, a heap for overflow), read from ``interleaver._heap`` when the run starts and
 written back -- what is still ready -- at ``release``; the processes'
 fields, ``_locks`` and ``_barriers`` are flattened into the plan by
 :func:`run` and rebuilt by it from what ``release`` leaves -- so a run

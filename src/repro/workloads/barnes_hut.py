@@ -238,11 +238,9 @@ def _plummer_bodies(count: int, rng: np.random.Generator) -> List[Body]:
     positions = directions * radii[:, None]
     velocities = rng.normal(scale=0.1, size=(count, 3))
     mass = 1.0 / count
-    return [Body(index,
-                 [float(x) for x in positions[index]],
-                 [float(v) for v in velocities[index]],
-                 mass)
-            for index in range(count)]
+    # (``tolist`` makes the very doubles ``float()`` of each element does)
+    return [Body(index, pos, vel, mass) for index, (pos, vel) in
+            enumerate(zip(positions.tolist(), velocities.tolist()))]
 
 
 def _bounding_cube(bodies: Sequence[Body]):

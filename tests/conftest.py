@@ -16,10 +16,15 @@ SPAN_LAST_BIN = ("s->bins[last] += end - last * width;",
 #: is marked, so every warm distance reads one too many).
 STACK_DISTANCE_QUERY = ("for (at = previous + 1; at > 0; at -= at & -at)",
                         "for (at = previous; at > 0; at -= at & -at)")
-#: ... and two in the state a native run keeps for itself: the ready
-#: heap's order on tied clocks (``seq`` decides; without it heap layout
-#: does) ...
+#: ... and three in the state a native run keeps for itself: the ready
+#: queue's order on tied clocks -- ``seq`` decides between the window and
+#: the overflow heap, and inside the heap (without it, which half and heap
+#: layout do) ...
 READY_TIE_BREAK = ("((a->time == b->time) & (a->seq < b->seq))", "0")
+#: ... a window bucket that hands out the process pushed last first (a
+#: push links the pid at its bucket's head, not its tail) ...
+READY_BUCKET_LIFO = ("q->link[q->tail[s]].next = (int)pid;",
+                     "link->next = q->head[s], q->head[s] = (int)pid;")
 #: ... and when a hit forgets the fill it found landed (a cycle late
 #: moves no clock: only the table the run writes back shows it).
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")

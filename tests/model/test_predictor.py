@@ -214,8 +214,11 @@ class TestParallelFidelityGuard:
     def test_warns_once_by_default(self, monkeypatch):
         self._reset_warning(monkeypatch)
         profile, config = self._parallel_profile()
-        with pytest.warns(RuntimeWarning, match="known-bad"):
+        with pytest.warns(RuntimeWarning, match="known-bad") as caught:
             predict_point(profile, config)
+        # both rows' figures: the 8p one is what fig2_analytical pins
+        message = str(caught[0].message)
+        assert "0.09 on the 2p" in message and "0.1316 on the 8p" in message
         # One-shot: the second prediction stays silent.
         import warnings
         with warnings.catch_warnings():

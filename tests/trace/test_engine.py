@@ -104,13 +104,17 @@ def _interleaver(config, streams, backend, probe=None):
     return system, interleaver
 
 
-def _outcome(config, streams, backend, max_cycles=None, bin_width=None):
+def _outcome(config, streams, backend, max_cycles=None, bin_width=None,
+             prepare=None):
     """Everything observable about one run, errors included; with a
-    ``bin_width``, under the standard probe and with its registry."""
+    ``bin_width``, under the standard probe and with its registry;
+    ``prepare(interleaver)`` edits the state at rest before the run."""
     from repro.instrument import InstrumentationProbe
     probe = (InstrumentationProbe(bin_width=bin_width, record_events=False)
              if bin_width else None)
     system, interleaver = _interleaver(config, streams, backend, probe)
+    if prepare:
+        prepare(interleaver)
     error = None
     finish = 0
     try:
@@ -259,7 +263,7 @@ class TestNativeScheduler:
         the miss path's and the icache refills' included, it counts
         everything there now -- are flushed exactly once, leaving what the
         reference loop, which counts as it goes, has at the same failure
-        -- and so are C's ready heap and fill words, to the containers
+        -- and so are C's ready queue and fill words, to the containers
         they came from.  Processor 1 raises on the resume after C missed
         in its SCC and in its icache, with everyone else ready past it."""
         from repro.core.config import SystemConfig
@@ -367,6 +371,250 @@ class TestNativeScheduler:
         interleaver, frames = _profiled_native_run(
             application, lambda code: code is data_access)
         assert sum(frames.values()) == 0
+
+
+# ----------------------------------------------------------------------
+# C's ready queue: one-cycle buckets over a window that starts at the
+# clock of the last pop, and a heap for whatever falls outside it
+# ----------------------------------------------------------------------
+
+#: the window's width in cycles (``RQ_W`` in ``_native.c``)
+WINDOW = 256
+
+
+def _queue_model(config, streams, max_cycles=None):
+    """The reference loop's schedule replayed through C's admission rule:
+    a push lands in the window when ``base <= time < base + WINDOW``,
+    ``base`` being the latest clock popped, and on the heap otherwise, as
+    the entries ``add_process`` left do; a preempted process is pushed
+    after the pop that follows it.  Returns every push as ``(kind, time,
+    distance from base, half, joined a window bucket that held an entry
+    already)`` -- ``kind`` is ``"wake"`` or ``"preempt"`` -- the clocks on
+    which entries of both halves were ready at once, and what is left
+    ready, by pid."""
+    _, interleaver = _interleaver(config, streams, "python")
+    ready = {pid: (time, "heap") for time, _, pid in interleaver._heap}
+    log, waking = [], []
+    advance, push, wake = (interleaver._advance, interleaver._push,
+                           interleaver._wake)
+
+    def logged_advance(process, limit):
+        log.append(("pop", process.time, process.pid))
+        return advance(process, limit)
+
+    def logged_push(process):
+        push(process)
+        log.append(("wake" if waking else "preempt", process.time,
+                    process.pid))
+
+    def logged_wake(pid, resume):
+        waking.append(pid)
+        wake(pid, resume)
+        waking.pop()
+
+    interleaver._advance = logged_advance
+    interleaver._push = logged_push
+    interleaver._wake = logged_wake
+    try:
+        interleaver.run(max_cycles=max_cycles)
+    except RuntimeError:
+        pass
+    base, pushes, ties, pending = 0, [], set(), None
+
+    def land(kind, time, pid):
+        half = "window" if base <= time < base + WINDOW else "heap"
+        shared = half == "window" and (time, half) in ready.values()
+        pushes.append((kind, time, time - base, half, shared))
+        ready[pid] = (time, half)
+
+    for kind, time, pid in log:
+        if kind == "pop":
+            halves = {"window": set(), "heap": set()}
+            for clock, half in ready.values():
+                halves[half].add(clock)
+            ties |= halves["window"] & halves["heap"]
+            assert ready.pop(pid)[0] == time
+            base = max(base, time)
+            if pending:
+                land(*pending)
+                pending = None
+        elif kind == "preempt":
+            pending = kind, time, pid
+        else:
+            land(kind, time, pid)
+    if pending:
+        land(*pending)
+    return pushes, ties, ready
+
+
+def _window_edges():
+    """32 processes on 4 clusters, each a string of computes of 0, 1,
+    ``WINDOW`` - 1, ``WINDOW``, ``WINDOW`` + 1 and 10 ``WINDOW`` cycles in
+    its own rotation, each compute followed by a miss."""
+    from repro.core.config import SystemConfig
+    config = SystemConfig(clusters=4, processors_per_cluster=8,
+                          scc_size=1024)
+    lengths = [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 10 * WINDOW]
+    streams = {}
+    for pid in range(32):
+        body = []
+        for k in range(len(lengths)):
+            body += [OP_COMPUTE, lengths[(pid + k) % len(lengths)],
+                     OP_READ, 64 * ((7 * pid + k) % 48)]
+        streams[pid] = [body[:12], body[12:]]
+    return config, streams
+
+
+def _is_heapq_list(heap):
+    return all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+
+
+class TestReadyQueue:
+    def test_entries_across_the_window_edge_schedule_like_the_python_loop(
+            self):
+        config, streams = _window_edges()
+        pushes, ties, _ = _queue_model(config, streams)
+        # not vacuous: pushes land on both sides of the window's edge, and
+        # entries of both halves are ready on one clock
+        landed = {(distance, half) for _, _, distance, half, _ in pushes}
+        assert {(WINDOW - 1, "window"), (WINDOW, "heap"),
+                (WINDOW + 1, "heap")} <= landed
+        assert ties
+        native = _outcome(config, streams, "native")
+        assert native["error"] is None
+        assert native == _outcome(config, streams, "python")
+        assert _outcome(config, streams, "native", bin_width=16) == \
+            _outcome(config, streams, "python", bin_width=16)
+
+    def test_a_push_one_window_past_a_tied_clock_waits_for_its_own(self):
+        """Processes 0 and 1 are preempted onto clock 10, and 0 is popped
+        there while process 2 falls behind: pushed at 266, a window past
+        the base, the slot of the bucket 1 still waits in.  It belongs on
+        the heap, not behind 1."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=4,
+                              scc_size=1024)
+        streams = {0: [[OP_COMPUTE, 10, OP_READ, 0]],
+                   1: [[OP_COMPUTE, 10, OP_READ, 64]],
+                   2: [[OP_COMPUTE, 10 + WINDOW, OP_READ, 128]]}
+        pushes, _, _ = _queue_model(config, streams)
+        assert pushes[:3] == [("preempt", 10, 10, "window", False),
+                              ("preempt", 10, 10, "window", True),
+                              ("preempt", 10 + WINDOW, WINDOW, "heap",
+                               False)]
+        native = _outcome(config, streams, "native")
+        assert native["error"] is None
+        assert native == _outcome(config, streams, "python")
+
+    def test_an_abort_hands_back_both_halves_in_heap_order(self):
+        """A run cut by ``max_cycles`` with entries in both halves hands
+        them back sorted -- ``release`` pops them in order -- which is a
+        heapq list the reference loop carries on from; on the same
+        objects a second run, either engine's, ends where an uncut one
+        does."""
+        config, streams = _window_edges()
+        cut = 3000
+        _, _, left = _queue_model(config, streams, max_cycles=cut)
+        assert {half for _, half in left.values()} == {"window", "heap"}
+        uncut = _outcome(config, streams, "python")
+        at_the_cut = {}
+        for engines in [("python", "python"), ("native", "native"),
+                        ("native", "python")]:
+            system, interleaver = _interleaver(config, streams, engines[0])
+            with pytest.raises(RuntimeError,
+                               match=f"exceeded {cut} cycles"):
+                interleaver.run(max_cycles=cut)
+            heap = list(interleaver._heap)
+            assert _is_heapq_list(heap)
+            at_the_cut[engines] = sorted(heap)
+            stopped, = [process for process
+                        in interleaver._processes.values()
+                        if not (process.finished or process.blocked
+                                or process.in_heap)]
+            interleaver._push(stopped)
+            interleaver.backend = engines[1]
+            finish = interleaver.run()
+            assert interleaver.engine_used == engines[1]
+            assert (finish, interleaver.events_processed,
+                    system.stats(finish).as_dict(),
+                    interleaver._seq - 1) == \
+                (uncut["finish"], uncut["events"], uncut["stats"],
+                 uncut["seq"]), engines
+        assert len(set(map(tuple, at_the_cut.values()))) == 1
+
+    def test_a_woken_waiter_and_a_barrier_join_occupied_buckets(self):
+        """Process 2 is preempted onto clock 54, where the lock process 0
+        releases hands process 1 its turn; process 3 onto 78, where the
+        barrier opens for 0, 1 and 2.  Each bucket hands its processes
+        out in push order, and their misses queue on the bus in it."""
+        from repro.core.config import SystemConfig
+        from repro.trace.packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
+        config = SystemConfig(clusters=1, processors_per_cluster=4,
+                              scc_size=1024)
+        after = [OP_READ, 0, OP_WRITE, 64]
+        streams = {
+            0: [[OP_COMPUTE, 10, OP_LOCK_ACQ, 1, OP_COMPUTE, 20,
+                 OP_LOCK_REL, 1, OP_BARRIER, 0, 3] + after],
+            1: [[OP_COMPUTE, 12, OP_LOCK_ACQ, 1, OP_LOCK_REL, 1,
+                 OP_BARRIER, 0, 3] + after],
+            2: [[OP_COMPUTE, 54, OP_BARRIER, 0, 3] + after],
+            3: [[OP_COMPUTE, 78] + after],
+        }
+        pushes, _, _ = _queue_model(config, streams)
+        joined = [time for kind, time, _, half, shared in pushes
+                  if kind == "wake" and shared]
+        assert 54 in joined and 78 in joined
+        native = _outcome(config, streams, "native")
+        assert native["error"] is None
+        assert native == _outcome(config, streams, "python")
+
+    def test_a_waiter_woken_while_ready_raises_like_the_python_loop(self):
+        """A state no run leaves: process 1 is ready and waits on the
+        lock process 0 releases.  Waking it would make it ready twice --
+        in C, link it into a bucket twice -- so both engines raise
+        ``_push``'s error, with the same partial accounting."""
+        from repro.core.config import SystemConfig
+        from repro.trace.interleave import _Lock
+        from repro.trace.packed import OP_LOCK_REL
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024)
+
+        def prepare(interleaver):
+            lock = interleaver._locks[5] = _Lock()
+            lock.holder = 0
+            lock.waiters.append(1)
+
+        streams = {0: [[OP_LOCK_REL, 5, OP_COMPUTE, 1]],
+                   1: [[OP_COMPUTE, 30]]}
+        native = _outcome(config, streams, "native", prepare=prepare)
+        assert native["error"] == ("RuntimeError",
+                                   "process 1 scheduled twice")
+        assert native == _outcome(config, streams, "python",
+                                  prepare=prepare)
+
+    def test_a_lock_handed_to_its_releaser_schedules_it(self):
+        """Another: process 0 waits on the lock it holds.  Its release
+        hands the lock to itself and schedules it, and the reference
+        loop stops running it there -- so does C, which would otherwise
+        push it a second time when it falls behind."""
+        from repro.core.config import SystemConfig
+        from repro.trace.interleave import _Lock
+        from repro.trace.packed import OP_LOCK_REL
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024)
+
+        def prepare(interleaver):
+            lock = interleaver._locks[5] = _Lock()
+            lock.holder = 0
+            lock.waiters.append(0)
+
+        streams = {0: [[OP_LOCK_REL, 5, OP_COMPUTE, 3, OP_LOCK_REL, 5,
+                        OP_READ, 0]],
+                   1: [[OP_COMPUTE, 10, OP_READ, 64]]}
+        native = _outcome(config, streams, "native", prepare=prepare)
+        assert native["error"] is None
+        assert native == _outcome(config, streams, "python",
+                                  prepare=prepare)
 
 
 class TestIcacheRefills:
@@ -1219,6 +1467,24 @@ class TestStateContinuity:
         assert buffers == [[], [], [], [40, 50, 60]]
         assert interleaver.events_processed == 0
         assert sorted(interleaver._heap) == [(0, 1, 0)]
+
+    def test_run_refuses_a_process_listed_twice_in_the_ready_heap(self):
+        """C chains a ready process into its bucket through a link of its
+        own, so one listed twice at rest could be linked twice -- a cycle
+        the run would spin on: refused, a ``ValueError`` naming it before
+        anything is run, ``_heap`` as it was."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024)
+        _, interleaver = _interleaver(config, {0: [[OP_WRITE, 0]]},
+                                      "native")
+        interleaver._heap.append((5, 2, 0))
+        with pytest.raises(ValueError,
+                           match="^process 0 is in the ready heap twice$"):
+            interleaver.run()
+        assert interleaver._heap == [(0, 1, 0), (5, 2, 0)]
+        assert interleaver.events_processed == 0
+        assert interleaver._seq == 1
 
     @pytest.mark.parametrize("bad, stale", [
         # line 64 shares index 0 with the resident line 0

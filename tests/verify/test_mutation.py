@@ -12,10 +12,11 @@ so do row profiles -- the python functions of ``repro.model.profile``
 and the C "profile" section -- where a third mutant
 (``off_by_one_stack_distance``) diverges exactly the ``profile``
 engine.  Two more sit in the state a native run keeps for itself between
-``setup`` and ``release`` -- the ready heap (``READY_TIE_BREAK``) and the
-in-flight fill words (``FILL_FORGOTTEN``) -- and two in the locks and
-barriers it keeps there as well (``WAITER_SKIPS_OVERHEAD``,
-``BARRIER_EARLIEST``); all four are the ``native`` engine's to answer
+``setup`` and ``release`` -- the ready queue (``READY_TIE_BREAK`` between
+its window and its overflow heap, ``READY_BUCKET_LIFO`` inside a window
+bucket) and the in-flight fill words (``FILL_FORGOTTEN``) -- and two in
+the locks and barriers it keeps there as well (``WAITER_SKIPS_OVERHEAD``,
+``BARRIER_EARLIEST``); all five are the ``native`` engine's to answer
 for.  The fused ladder is a second driver of the same
 C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
@@ -44,9 +45,10 @@ from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD, FILL_FORGOTTEN,
                         ICACHE_REFILL_CHAIN, LADDER_SKEW, MP3D_PARTNER_CARRY,
-                        READ_MISS_DONE, READY_TIE_BREAK, SPEC_HOT_PARITY,
-                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
-                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+                        READ_MISS_DONE, READY_BUCKET_LIFO, READY_TIE_BREAK,
+                        SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
+                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
+                        WRITEBACK_HOLDS_BUS)
 from ..workloads import test_barnes_hut
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
@@ -171,18 +173,20 @@ class TestProfileMutationIsCaught:
 
 
 class TestWorkingStateMutationIsCaught:
-    """The heap, the fill words and the wait queues have no python twin
-    to disagree with during a run; what they decide, and what they hand
-    back, must still be the reference loop's."""
+    """The ready queue, the fill words and the wait queues have no python
+    twin to disagree with during a run; what they decide, and what they
+    hand back, must still be the reference loop's."""
 
     @pytest.mark.parametrize("mutation, only_fills", [
         (READY_TIE_BREAK, False),
+        (READY_BUCKET_LIFO, False),
         # no clock moves: only the table written back differs
         (FILL_FORGOTTEN, True),
         # the locks and barriers: queues and clocks python never sees
         (WAITER_SKIPS_OVERHEAD, False),
         (BARRIER_EARLIEST, False),
-    ], ids=["ready_heap_ignores_seq", "fill_forgotten_a_cycle_late",
+    ], ids=["ready_heap_ignores_seq", "ready_bucket_lifo",
+            "fill_forgotten_a_cycle_late",
             "woken_waiter_skips_the_lock_overhead",
             "barrier_opens_at_its_earliest_arrival"])
     def test_divergence_is_native_shrinks_and_is_clean_unmutated(

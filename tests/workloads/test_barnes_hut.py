@@ -51,6 +51,29 @@ class TestConstruction:
                            match=f"^{name} must be finite and positive$"):
             BarnesHut(**{name: value})
 
+    @pytest.mark.parametrize("count", [2, 192, 1024])
+    def test_plummer_bodies_hold_the_per_element_doubles(self, count):
+        """The bodies carry, bit for bit, the python floats ``float()``
+        of each sampled element makes: the same draws, converted one
+        coordinate at a time."""
+        bodies = barnes_hut._plummer_bodies(count, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        radii = 1.0 / np.sqrt(
+            rng.uniform(0.1, 1.0, count) ** (-2.0 / 3.0) - 0.9)
+        directions = rng.normal(size=(count, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        positions = directions * radii[:, None]
+        velocities = rng.normal(scale=0.1, size=(count, 3))
+
+        def bits(values):
+            return [(type(x), float.hex(x)) for x in values]
+
+        assert [body.index for body in bodies] == list(range(count))
+        assert {body.mass for body in bodies} == {1.0 / count}
+        for body, pos, vel in zip(bodies, positions, velocities):
+            assert bits(body.pos) == bits([float(x) for x in pos])
+            assert bits(body.vel) == bits([float(v) for v in vel])
+
     def test_processes_covers_every_processor(self):
         app = BarnesHut(n_bodies=32, steps=1)
         config = small_config()
