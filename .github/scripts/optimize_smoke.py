@@ -11,7 +11,9 @@ cache, then requires
 * a bit-identical frontier from a second run with the same seed, and
 * that warm rerun to invoke the full-fidelity simulator zero times
   (counted via a hook): the funnel's cache keys make searches and
-  sweeps mutually warm.
+  sweeps mutually warm, and
+* no counted simulation to carry a probe (a non-``None``
+  ``instrumentation``): a sweep point is priced unobserved.
 
 Exits non-zero (with a diagnostic) on any violation.  Stdlib plus the
 repo itself, so it runs anywhere the simulator does::
@@ -39,11 +41,16 @@ def fail(message: str) -> None:
 
 
 def count_simulations() -> list:
-    """Route every real simulator invocation through a counter."""
+    """Route every real simulator invocation through a counter, failing
+    on the first one that carries a probe."""
     from repro.experiments import runner
     real, calls = runner.run_simulation, []
 
     def counted(config, application, **kwargs):
+        if kwargs.get("instrumentation") is not None:
+            fail(f"a simulation on the optimizer's path carries a probe: "
+                 f"{type(kwargs['instrumentation']).__name__} on "
+                 f"{type(application).__name__}")
         calls.append(type(application).__name__)
         return real(config, application, **kwargs)
 

@@ -25,7 +25,7 @@ from repro.fabric import (ArtifactStore, Broker, LocalFabric, Worker,
 def main() -> None:
     spec = SweepSpec.multiprogramming(
         profile=PROFILES["quick"], ladder=(4 * KB, 8 * KB, 16 * KB),
-        procs=(1, 2), instrument=False)
+        procs=(1, 2))
 
     print("1. locally, no fabric...")
     local = grid_sweep(spec, cache=None)

@@ -133,10 +133,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
                         metavar="LIST",
                         help="paper SCC sizes, comma-separated, e.g. "
                              "4KB,8KB,16KB (default: the full ladder)")
-    parser.add_argument("--no-instrument", action="store_true",
-                        help="skip the per-point observability digest "
-                             "(uniprocessor rows then replay as one "
-                             "fused ladder pass, not once per size)")
     parser.add_argument("--fidelity", default="fused",
                         choices=("analytical", "fused", "full"),
                         help="resolution tier: analytical prices every "

@@ -34,13 +34,12 @@ import os
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
 from ..diskstore import FileCache, cache_root
-from ..instrument import InstrumentationProbe
 from ..simulation import run_simulation
 from ..trace.multiconfig import (fused_ladder_results,
                                  fused_ladder_supported)
@@ -51,11 +50,6 @@ from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
            "ResultCache", "default_cache", "row_tape", "replay_row",
            "PAPER_LADDER", "PROCS_SWEPT", "CACHE_VERSION"]
-
-INSTRUMENT_BIN_WIDTH = 4096
-"""Timeline resolution for the summary-only instrumentation every sweep
-point runs with (coarse: sweeps want digests, not traces)."""
-
 
 @dataclass(frozen=True)
 class RunStats:
@@ -68,29 +62,27 @@ class RunStats:
     reads: int
     writes: int
     events: int
-    instrument: Optional[Dict[str, float]] = field(default=None,
-                                                   compare=False)
-    """Flat observability digest from the run's
-    :class:`~repro.instrument.InstrumentationProbe` (peak/mean bus
-    utilization, conflict cycles, write-buffer high-water); ``None``
-    only for payloads predating cache v4."""
 
     def as_dict(self) -> Dict[str, float]:
         # Built by hand: ``dataclasses.asdict`` deep-copies, and this
-        # runs for every banked point.  ``instrument`` is flat.
-        instrument = self.instrument
+        # runs for every banked point.
         return {"execution_time": self.execution_time,
                 "read_miss_rate": self.read_miss_rate,
                 "miss_rate": self.miss_rate,
                 "invalidations": self.invalidations,
                 "reads": self.reads,
                 "writes": self.writes,
-                "events": self.events,
-                "instrument": (dict(instrument) if instrument is not None
-                               else None)}
+                "events": self.events}
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "RunStats":
+        """Decode :meth:`as_dict`'s payload.  An ``instrument`` key --
+        the observability digest that cached v4 results, fabric store
+        entries and older workers' ``complete`` payloads carry from
+        when a sweep point ran under a probe -- is dropped."""
+        if "instrument" in data:
+            data = {name: value for name, value in data.items()
+                    if name != "instrument"}
         return cls(**data)
 
 
@@ -128,7 +120,7 @@ def default_cache() -> ResultCache:
 # Point simulation
 # ----------------------------------------------------------------------
 
-def _stats_from_result(result, probe=None) -> RunStats:
+def _stats_from_result(result) -> RunStats:
     """Reduce a :class:`~repro.simulation.SimulationResult` to RunStats."""
     total = result.stats.total_scc
     return RunStats(
@@ -139,24 +131,17 @@ def _stats_from_result(result, probe=None) -> RunStats:
         reads=total.reads,
         writes=total.writes,
         events=result.events_processed,
-        instrument=probe.summary() if probe is not None else None,
     )
 
 
-def _simulate(application, config: SystemConfig,
-              instrument: bool) -> RunStats:
+def _simulate(application, config: SystemConfig) -> RunStats:
     """One simulation of any workload object, reduced to RunStats, on
     the engine this process resolves (``$REPRO_ENGINE``, the loader)."""
-    probe = (InstrumentationProbe(bin_width=INSTRUMENT_BIN_WIDTH,
-                                  record_events=False)
-             if instrument else None)
-    result = run_simulation(config, application, instrumentation=probe)
-    return _stats_from_result(result, probe)
+    return _stats_from_result(run_simulation(config, application))
 
 
 def row_tape(workload, config: SystemConfig,
-             trace_cache: Optional[TraceCache], key: Optional[str],
-             instrument: bool):
+             trace_cache: Optional[TraceCache], key: Optional[str]):
     """Find or record one grid row's tape: ``(streams, recording_stats)``.
 
     A trace-cache hit under ``key`` is ``(streams, None)``.  Otherwise
@@ -172,33 +157,31 @@ def row_tape(workload, config: SystemConfig,
     if streams is not None:
         return streams, None
     recorder = StreamRecorder(workload)
-    stats = _simulate(recorder, config, instrument)
+    stats = _simulate(recorder, config)
     if cached and recorder.streams is not None:
         trace_cache.put(key, recorder.streams)
     return recorder.streams, stats
 
 
-def replay_row(configs: List[SystemConfig], streams, instrument: bool,
+def replay_row(configs: List[SystemConfig], streams,
                name: str) -> Iterator[RunStats]:
     """Time one recorded row on each of ``configs``, yielding every
     rung's :class:`RunStats` in order, as soon as it is known.
 
-    When the rungs form a fused-replayable ladder (uninstrumented
-    single-process row whose configurations differ only in SCC size --
+    When the rungs form a fused-replayable ladder (a single-process row
+    whose configurations differ only in SCC size --
     :func:`~repro.trace.multiconfig.fused_ladder_supported`) the whole
     row is *one* pass of the multi-configuration engine and every rung
     is known at once; otherwise each rung is its own replay.  The
     results are bit-identical by construction (pinned by
     ``tests/equivalence``).  Multi-process rows never qualify.
     """
-    if (not instrument and len(configs) > 1
-            and set(streams) == {0} and fused_ladder_supported(configs)):
+    if set(streams) == {0} and fused_ladder_supported(configs):
         for result in fused_ladder_results(configs, streams):
             yield _stats_from_result(result)
         return
     for config in configs:
-        yield _simulate(ReplayApplication(streams, name=name), config,
-                        instrument)
+        yield _simulate(ReplayApplication(streams, name=name), config)
 
 
 # ----------------------------------------------------------------------

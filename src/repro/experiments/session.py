@@ -207,7 +207,7 @@ def _maybe_inject_fault(point: GridPoint) -> None:
                      f"'hang', not {mode!r}")
 
 
-def _point_task(benchmark, profile, config, instrument,
+def _point_task(benchmark, profile, config,
                 point: GridPoint) -> RunStats:
     """One supervised point simulation, live on this process's workload
     object -- a pool worker's under ``--jobs N``, a fabric worker
@@ -215,8 +215,7 @@ def _point_task(benchmark, profile, config, instrument,
     the worker pool can pickle it; fault injection and ``$REPRO_ENGINE``
     are read from the inherited environment."""
     _maybe_inject_fault(point)
-    return _simulate(process_workload(benchmark, profile), config,
-                     instrument)
+    return _simulate(process_workload(benchmark, profile), config)
 
 
 class SessionJournal:
@@ -560,7 +559,7 @@ class SweepSession:
                            if profile_cache is not None else None)
             if row_profile is None:
                 streams, stats0 = row_tape(workload, config0, tapes,
-                                           tape_key, False)
+                                           tape_key)
                 if streams is None:
                     remainder.extend(row_points)
                     continue
@@ -572,7 +571,7 @@ class SweepSession:
                     # model's own output).
                     self.cache.put(
                         point_cache_key(spec.benchmark, spec.profile,
-                                        config0, False),
+                                        config0),
                         stats0)
                 row_profile = build_row_profile(streams, config0, tracked)
                 if profile_cache is not None:
@@ -606,7 +605,7 @@ class SweepSession:
                 remainder.extend(row_points)
                 continue
             streams, stats0 = row_tape(workload, config0, self._tapes(),
-                                       signature, spec.instrument)
+                                       signature)
             if stats0 is not None:
                 self._bank(row_points.pop(0), "replayed", stats0, sweep)
             if streams is None:
@@ -614,7 +613,7 @@ class SweepSession:
                 continue
             rungs = replay_row(
                 [self._configs[point] for point in row_points], streams,
-                spec.instrument, spec.benchmark)
+                spec.benchmark)
             for point, stats in zip(row_points, rungs):
                 self._bank(point, "replayed", stats, sweep)
         return remainder
@@ -672,8 +671,7 @@ class SweepSession:
                 attempts += 1
                 try:
                     stats = self._compute(spec.benchmark, spec.profile,
-                                          self._configs[point],
-                                          spec.instrument, point)
+                                          self._configs[point], point)
                 except Exception as exc:
                     if self._record_failure(point, attempts, exc,
                                             quarantined):
@@ -710,7 +708,7 @@ class SweepSession:
                 attempts[point] += 1
                 future = pool.submit(
                     self._compute, spec.benchmark, spec.profile,
-                    self._configs[point], spec.instrument, point)
+                    self._configs[point], point)
                 inflight[future] = point
                 if spec.point_timeout is not None:
                     deadlines[future] = now + spec.point_timeout

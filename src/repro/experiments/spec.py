@@ -2,7 +2,7 @@
 
 :class:`SweepSpec` is the single description of a design-space sweep:
 which workload, which processor counts, which SCC ladder, and how to
-run it (instrumentation, fidelity, worker processes, retry budget).
+run it (fidelity, worker processes, retry budget).
 :func:`~repro.experiments.session.run_sweep`, the checkpointed
 :class:`~repro.experiments.session.SweepSession` and the fabric all
 consume one of these instead of threading an ever-growing keyword list
@@ -57,7 +57,9 @@ one recorded tape per row via :mod:`repro.model` (no simulation),
 
 CACHE_VERSION = 4
 """Bump to invalidate cached results after simulator changes.
-(v4: cached payloads gained the ``instrument`` observability summary.)"""
+(v4 payloads written while sweep points carried a probe also hold an
+``instrument`` observability digest, which :meth:`RunStats.from_dict
+<repro.experiments.runner.RunStats.from_dict>` drops.)"""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -169,8 +171,8 @@ def _variant_key_suffix(config: SystemConfig) -> str:
 
 
 def point_cache_key(benchmark: str, profile: ExperimentProfile,
-                    config: SystemConfig, instrument: bool = True) -> str:
-    """The result-cache key of one grid point.
+                    config: SystemConfig) -> str:
+    """The result-cache key of one simulated grid point.
 
     The format is stable across releases (it predates
     :class:`SweepSpec`) so warm caches survive the API redesign.
@@ -178,17 +180,11 @@ def point_cache_key(benchmark: str, profile: ExperimentProfile,
     buffers) append their own components; preset-built grids -- every
     sweep that existed before the optimizer -- keep byte-identical keys.
     """
-    key = (f"{benchmark}|{profile}|clusters={config.clusters}"
-           f"|procs={config.processors_per_cluster}"
-           f"|scc={config.scc_size}|icache={config.icache_size}"
-           f"|model_icache={config.model_icache}"
-           f"{_variant_key_suffix(config)}")
-    if not instrument:
-        # Digest-less payloads get their own entries so a benchmark run
-        # never shadows the default instrumented payload (and the default
-        # key format is unchanged from earlier cache generations).
-        key += "|instrument=False"
-    return key
+    return (f"{benchmark}|{profile}|clusters={config.clusters}"
+            f"|procs={config.processors_per_cluster}"
+            f"|scc={config.scc_size}|icache={config.icache_size}"
+            f"|model_icache={config.model_icache}"
+            f"{_variant_key_suffix(config)}")
 
 
 GridPoint = Tuple[int, int]
@@ -200,11 +196,12 @@ class SweepSpec:
     """Complete, validated description of one design-space sweep.
 
     The identity half (``kind``, ``benchmark``, ``profile``, ``ladder``,
-    ``procs``, ``instrument``) determines the results bit-for-bit and is
-    digested by :meth:`signature`; the execution half (``jobs``,
-    ``max_attempts``, ``point_timeout``, ``retry_backoff``) only controls
-    *how* those results are obtained, so changing it never invalidates a
-    session journal or the result cache.  Which engine computes a point
+    ``procs``, ``variants``, an analytical ``fidelity``) determines the
+    results bit-for-bit and is digested by :meth:`signature`; the
+    execution half (``jobs``, ``max_attempts``, ``point_timeout``,
+    ``retry_backoff``) only controls *how* those results are obtained,
+    so changing it never invalidates a session journal or the result
+    cache.  Which engine computes a point
     is not the spec's to choose: ``$REPRO_ENGINE`` and the loader decide
     per process (:mod:`repro.trace.engine`), and the fused ladder runs
     wherever it applies.
@@ -223,9 +220,6 @@ class SweepSpec:
 
     procs: Tuple[int, ...] = PROCS_SWEPT
     """Processors per cluster."""
-
-    instrument: bool = True
-    """Attach the summary-only observability digest to every point."""
 
     fidelity: str = "fused"
     """Resolution tier (see :data:`FIDELITIES`).  ``analytical`` is part
@@ -285,10 +279,6 @@ class SweepSpec:
                  "procs entries must be positive processor counts")
         _require(self.fidelity in FIDELITIES,
                  f"fidelity must be one of {FIDELITIES}")
-        if self.fidelity == "analytical":
-            _require(not self.instrument,
-                     "analytical results carry no observability digest; "
-                     "pass instrument=False")
         # Variants: canonicalize to sorted pairs with preset-valued
         # entries dropped, so equal machines always spell equal specs.
         defaults = SystemConfig()
@@ -315,11 +305,18 @@ class SweepSpec:
     # Constructors
     # ------------------------------------------------------------------
 
+    # The constructors and :meth:`from_cli_args` accept and ignore an
+    # ``instrument=`` keyword: a sweep point carries no probe, but the
+    # benchmark harness (``bench/workloads.py``, ``bench/probes.py``)
+    # still passes one.  ROADMAP item 1's change to ``bench/`` deletes
+    # these shims.
+
     @classmethod
     def parallel(cls, benchmark: str,
                  profile: Optional[ExperimentProfile] = None,
                  ladder: Optional[Tuple[int, ...]] = None,
                  procs: Tuple[int, ...] = PROCS_SWEPT,
+                 instrument: object = None,
                  **knobs) -> "SweepSpec":
         """The Section 3.1 grid for one parallel benchmark."""
         return cls(kind="parallel", benchmark=benchmark,
@@ -331,6 +328,7 @@ class SweepSpec:
                          profile: Optional[ExperimentProfile] = None,
                          ladder: Optional[Tuple[int, ...]] = None,
                          procs: Tuple[int, ...] = PROCS_SWEPT,
+                         instrument: object = None,
                          **knobs) -> "SweepSpec":
         """The Section 3.2 grid (single cluster, icache modelled)."""
         return cls(kind="multiprogramming", benchmark="multiprogramming",
@@ -364,15 +362,13 @@ class SweepSpec:
         if profile is None:
             profile = active_profile()
         fidelity = pick("fidelity") or "fused"
-        instrument = overrides.pop(
-            "instrument", not getattr(args, "no_instrument", False))
+        overrides.pop("instrument", None)
         ladder = pick("ladder")
         procs = pick("procs")
         knobs = dict(
             profile=profile,
             ladder=tuple(ladder) if ladder else None,
             procs=tuple(procs) if procs else PROCS_SWEPT,
-            instrument=instrument and fidelity != "analytical",
             fidelity=fidelity,
             jobs=pick("jobs"),
             max_attempts=pick("retries", 2) + 1,
@@ -418,13 +414,16 @@ class SweepSpec:
         Analytical points get a distinct, model-versioned key suffix:
         their payloads are predictions, so they must never be served
         for (or shadow) a full-fidelity request, and a model change
-        must invalidate them without touching simulated entries.
+        must invalidate them without touching simulated entries.  (Its
+        ``|instrument=False`` is a literal kept from the days when
+        simulated points carried a probe, so warm analytical entries
+        keep their keys.)
         """
-        key = point_cache_key(self.benchmark, self.profile, config,
-                              self.instrument)
+        key = point_cache_key(self.benchmark, self.profile, config)
         if self.fidelity == "analytical":
             from ..model.profile import MODEL_VERSION
-            key += f"|fidelity=analytical|model=v{MODEL_VERSION}"
+            key += (f"|instrument=False|fidelity=analytical"
+                    f"|model=v{MODEL_VERSION}")
         return key
 
     def describe(self) -> Dict[str, object]:
@@ -433,14 +432,16 @@ class SweepSpec:
 
         ``fidelity`` appears only for analytical sweeps: fused and full
         produce bit-identical results, so they share a signature (and
-        existing journals stay valid)."""
+        existing journals stay valid).  ``instrument`` is a literal kept
+        from the days when simulated points carried a probe, so
+        signatures -- and the journals they name -- did not move."""
         payload = {
             "kind": self.kind,
             "benchmark": self.benchmark,
             "profile": asdict(self.profile),
             "ladder": list(self.ladder),
             "procs": list(self.procs),
-            "instrument": self.instrument,
+            "instrument": self.fidelity != "analytical",
         }
         if self.fidelity == "analytical":
             payload["fidelity"] = "analytical"
@@ -475,7 +476,6 @@ class SweepSpec:
             "profile": asdict(self.profile),
             "ladder": list(self.ladder),
             "procs": list(self.procs),
-            "instrument": self.instrument,
             "fidelity": self.fidelity,
             "variants": [list(pair) for pair in self.variants],
             "jobs": self.jobs,
@@ -488,9 +488,10 @@ class SweepSpec:
     def from_wire(cls, payload: Dict[str, object]) -> "SweepSpec":
         """Rebuild (and re-validate) a spec from :meth:`to_wire`.  Keys
         this build has no field for are ignored: a 1.4 payload's
-        ``strict_parallel``, and a 1.5 payload's ``backend`` and
-        ``fused`` (the engine and the ladder are the process's choice,
-        not the request's)."""
+        ``strict_parallel``, a 1.5 payload's ``backend`` and ``fused``
+        (the engine and the ladder are the process's choice, not the
+        request's), and an older payload's ``instrument`` (a point
+        carries no probe)."""
         if not isinstance(payload, dict):
             raise ValueError("wire spec must be a JSON object")
         version = payload.get("version")
@@ -505,7 +506,6 @@ class SweepSpec:
                 profile=profile,
                 ladder=tuple(payload["ladder"]),
                 procs=tuple(payload["procs"]),
-                instrument=bool(payload["instrument"]),
                 fidelity=payload["fidelity"],
                 variants=tuple((str(knob), value) for knob, value
                                in payload.get("variants") or ()),

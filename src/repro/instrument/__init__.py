@@ -10,8 +10,8 @@ package adds the temporal axis:
   occupancy, per-bank conflicts, write-buffer depth, per-processor
   busy/memory/sync breakdown);
 * :mod:`~repro.instrument.registry` -- the named-metrics container a
-  :class:`~repro.simulation.SimulationResult` carries and the sweep
-  cache persists;
+  :class:`~repro.simulation.SimulationResult` carries (and a sweep
+  session counts its points in);
 * :mod:`~repro.instrument.sampling` -- bounded deterministic retention
   of raw events;
 * :mod:`~repro.instrument.chrometrace` -- Chrome-trace/Perfetto JSON

@@ -94,9 +94,9 @@ class InstrumentationProbe(NullProbe):
     ``bin_width`` sets timeline resolution in cycles.  ``record_events``
     keeps raw event records (bounded by ``max_events`` via deterministic
     decimation) for slice-level Chrome-trace export; disable it for
-    cheap summary-only instrumentation (what sweep caching uses) --
-    the log needs every event as a call, so keeping one keeps the run
-    on the per-event reference loop.
+    cheap summary-only instrumentation (``python -m repro profile``
+    without ``--trace-out``) -- the log needs every event as a call, so
+    keeping one keeps the run on the per-event reference loop.
     """
 
     enabled = True
@@ -284,7 +284,8 @@ class InstrumentationProbe(NullProbe):
         return self.registry.timeline("bus.occupancy")
 
     def summary(self) -> Dict[str, float]:
-        """Flat JSON-safe digest (what sweep caches persist)."""
+        """Flat JSON-safe digest (what ``python -m repro profile``
+        prints)."""
         digest = self.registry.summary()
         digest["execution_time"] = self.execution_time
         if self.events is not None:

@@ -101,8 +101,8 @@ class MetricsRegistry:
     def summary(self) -> Dict[str, float]:
         """Flat JSON-safe digest: all counters plus headline timeline
         statistics (peak/mean bus utilization, total conflict cycles,
-        write-buffer high-water) -- the payload persisted with cached
-        sweep results."""
+        write-buffer high-water) -- what ``python -m repro profile``
+        prints."""
         digest: Dict[str, float] = dict(self.counters)
         bus = self.timelines.get("bus.occupancy")
         if bus is not None:

@@ -211,5 +211,4 @@ def predict_point(profile: RowProfile, config: SystemConfig,
         reads=reads,
         writes=writes,
         events=sum(summary["events"]
-                   for summary in per_process.values()),
-        instrument=None)
+                   for summary in per_process.values()))

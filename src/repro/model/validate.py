@@ -39,7 +39,7 @@ model's error is characterized, not bounded (DESIGN.md section 10)."""
 def _row_spec(benchmark: str, procs: int, profile: ExperimentProfile,
               ladder: Sequence[int], fidelity: str) -> SweepSpec:
     knobs = dict(profile=profile, ladder=tuple(ladder), procs=(procs,),
-                 instrument=False, fidelity=fidelity)
+                 fidelity=fidelity)
     if benchmark == "multiprogramming":
         return SweepSpec.multiprogramming(**knobs)
     return SweepSpec.parallel(benchmark, **knobs)

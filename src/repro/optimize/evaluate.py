@@ -11,7 +11,7 @@ Candidates are priced through a funnel of increasing fidelity:
   (:meth:`FunnelEvaluator._effective_tier`, the one place that policy
   lives).
 * **fused** -- the exact trace/fused-replay engines score the
-  survivors.  These specs use the default instrumented cache keys, so
+  survivors.  These specs use the default simulated cache keys, so
   an optimizer run warms (and is warmed by) ordinary ``repro sweep``
   runs over the same grid points.
 * **full** -- per-point simulation confirms the frontier.  Fused and
@@ -212,7 +212,6 @@ class FunnelEvaluator:
             procs=(procs,),
             variants=variants,
             fidelity=tier,
-            instrument=tier != "analytical",
             jobs=self.jobs,
         )
 

@@ -8,8 +8,9 @@ Two layers of pinning:
   the ``golden_stats.json`` suite uses);
 * runner level -- a sweep resolved through the fused path must return
   RunStats equal to the same sweep at ``fidelity="full"`` (every rung
-  simulated live), and rows the engine cannot cover (multi-process,
-  instrumented) must route to the per-size replay automatically.
+  simulated live), a default uniprocessor row must take the fused
+  ladder, and rows the engine cannot cover (multi-process) must route
+  to the per-size replay automatically.
 """
 
 import pytest
@@ -161,7 +162,7 @@ def test_sweep_results_identical_fused_and_full(tmp_path, monkeypatch):
     ladder = (32768, 65536, 131072, 262144)
     sweeps = {fidelity: tiny_row(tmp_path, ladder,
                                  results=f"results-{fidelity}",
-                                 instrument=False, fidelity=fidelity)
+                                 fidelity=fidelity)
               for fidelity in ("fused", "full")}
     assert calls == [3]
     assert sweeps["fused"] == sweeps["full"]
@@ -177,7 +178,7 @@ def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
         return real(configs, streams, *args, **kwargs)
 
     monkeypatch.setattr(runner, "fused_ladder_results", spy)
-    tiny_row(tmp_path, (32768, 65536, 131072), instrument=False)
+    tiny_row(tmp_path, (32768, 65536, 131072))
     # One fused pass covering the rungs left after the recording run.
     assert calls == [2]
 
@@ -211,21 +212,36 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
             super().__init__(streams, name=name)
 
     monkeypatch.setattr(runner, "ReplayApplication", SpyReplay)
-    sweep = tiny_row(tmp_path, (32768, 65536, 131072), procs=2,
-                     instrument=False)
+    sweep = tiny_row(tmp_path, (32768, 65536, 131072), procs=2)
     assert len(sweep) == 3
     # Two rungs after the recording run, each via per-size replay.
     assert len(replays) == 2
 
 
-def test_instrumented_row_routes_to_per_size_replay(tmp_path, monkeypatch):
-    """Instrumented sweeps need the probe attached, which the fused
-    engine cannot provide -- they must keep the per-size path."""
+def test_default_row_takes_the_fused_ladder(tmp_path, monkeypatch):
+    """A sweep point carries no probe, so nothing keeps a default
+    uniprocessor row off the ladder: one pass prices every rung after
+    the recording, each rung's RunStats equal to replaying it alone."""
+    calls = []
+    real = runner.fused_ladder_results
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("fused engine used on an instrumented row")
+    def spy(configs, streams, *args, **kwargs):
+        calls.append(len(configs))
+        return real(configs, streams, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "fused_ladder_results", forbidden)
-    sweep = tiny_row(tmp_path, (32768, 65536), instrument=True)
-    assert len(sweep) == 2
-    assert all(stats.instrument is not None for stats in sweep.values())
+    monkeypatch.setattr(runner, "fused_ladder_results", spy)
+    ladder = (32768, 65536, 131072)
+    spec = SweepSpec.multiprogramming(profile=TINY, procs=(1,),
+                                      ladder=ladder)
+    sweep = run_sweep(spec, cache=None,
+                      trace_cache=TraceCache(tmp_path / "traces"))
+    assert calls == [2]
+
+    configs = spec.configs()
+    recorder = StreamRecorder(TINY.multiprogramming())
+    run_simulation(configs[(1, ladder[0])], recorder)
+    replayed = {point: runner._simulate(
+                    ReplayApplication(recorder.streams, name="mp"),
+                    config)
+                for point, config in configs.items()}
+    assert sweep == replayed

@@ -18,7 +18,8 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.runner import (ExperimentProfile, ResultCache,
                                       RunStats, _worker_pool)
-from repro.experiments.session import SessionJournal, run_sweep
+from repro.experiments.session import (SessionJournal, SweepSession,
+                                       run_sweep)
 from repro.experiments.spec import SweepSpec
 from repro.model.profile import MODEL_VERSION, ProfileCache, RowProfile
 from repro.trace.packed import OP_COMPUTE, OP_READ
@@ -37,8 +38,7 @@ def tiny_profile():
 
 def make_stats(**overrides):
     base = dict(execution_time=123, read_miss_rate=0.25, miss_rate=0.125,
-                invalidations=0, reads=80, writes=20, events=100,
-                instrument=None)
+                invalidations=0, reads=80, writes=20, events=100)
     base.update(overrides)
     return RunStats(**base)
 
@@ -51,21 +51,28 @@ class TestRunStatsAsDict:
     @pytest.mark.parametrize("instrument", [None, {"bus_peak": 0.5,
                                                    "conflicts": 3.0}])
     def test_equals_dataclasses_asdict(self, instrument):
-        stats = make_stats(instrument=instrument)
+        """``as_dict`` is ``dataclasses.asdict``, and ``from_dict`` reads
+        it back -- with or without the ``instrument`` digest a payload
+        cached while points carried a probe holds."""
+        stats = make_stats()
         flat = stats.as_dict()
         assert flat == dataclasses.asdict(stats)
         assert list(flat) == list(dataclasses.asdict(stats))
+        if instrument is not None:
+            flat["instrument"] = instrument
+        assert RunStats.from_dict(flat) == stats
 
     def test_instrument_is_a_copy(self):
-        stats = make_stats(instrument={"bus_peak": 0.5})
-        stats.as_dict()["instrument"]["bus_peak"] = 9.0
-        assert stats.instrument == {"bus_peak": 0.5}
+        """Dropping the digest leaves the caller's payload as it was."""
+        payload = dict(make_stats().as_dict(), instrument={"bus_peak": 0.5})
+        assert RunStats.from_dict(payload) == make_stats()
+        assert payload["instrument"] == {"bus_peak": 0.5}
 
 
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        stats = make_stats(instrument={"bus_peak": 0.5})
+        stats = make_stats()
         cache.put("key", stats)
         assert cache.get("key") == stats
         assert cache.get("other") is None
@@ -128,7 +135,7 @@ def _plain(value):
 
 
 KINDS = {
-    "result": (ResultCache, make_stats(instrument={"bus_peak": 0.5})),
+    "result": (ResultCache, make_stats()),
     "trace": (TraceCache, tape()),
     "profile": (ProfileCache,
                 RowProfile({"model_version": MODEL_VERSION, "rows": [3, 1]})),
@@ -179,7 +186,7 @@ class TestDamagedFiles:
 # name or a byte here orphans every warm cache and fabric store.  (A
 # version bump -- CACHE_VERSION, TRACE_FORMAT_VERSION, MODEL_VERSION,
 # JOURNAL_VERSION -- is the one legitimate reason to update them.)
-STATS = make_stats(invalidations=2, instrument={"bus_peak": 0.5})
+STATS = make_stats(invalidations=2)
 TAPE = {1: array("q", [2, 200]), 0: array("q", [1, 100, 3, 25])}
 PROFILE = {"model_version": 1, "rows": [3, 1], "name": "x"}
 JOURNAL_PROFILE = ExperimentProfile(
@@ -191,8 +198,7 @@ PARENT_FILES = {
     "results": ("0c05fa6c1cc135633b43b103.json",
                 b'{"execution_time": 123, "read_miss_rate": 0.25, '
                 b'"miss_rate": 0.125, "invalidations": 2, "reads": 80, '
-                b'"writes": 20, "events": 100, '
-                b'"instrument": {"bus_peak": 0.5}}'),
+                b'"writes": 20, "events": 100}'),
     "traces": ("376d3507bc7b499b53f97286.trace",
                b"RPTC\x01\x00\x00\x00\x00\x00\x00\x36"
                b'{"signature": "tape-sig", "streams": [[0, 4], [1, 2]]}'
@@ -212,9 +218,24 @@ PARENT_FILES = {
                  b'"version": 2}\n'
                  b'{"attempts": 1, "point": "1/4096", '
                  b'"stats": {"events": 100, "execution_time": 123, '
-                 b'"instrument": {"bus_peak": 0.5}, "invalidations": 2, '
+                 b'"invalidations": 2, '
                  b'"miss_rate": 0.125, "read_miss_rate": 0.25, '
                  b'"reads": 80, "writes": 20}, "status": "done"}\n'),
+}
+
+DIGEST = b'"instrument": {"bus_peak": 0.5, "bus_transactions": 7.0}'
+"""The observability digest every simulated point carried while sweep
+points ran under a probe (same cache, journal and wire versions)."""
+
+PROBED_FILES = {
+    "results": ("0c05fa6c1cc135633b43b103.json",
+                b'{"execution_time": 123, "read_miss_rate": 0.25, '
+                b'"miss_rate": 0.125, "invalidations": 2, "reads": 80, '
+                b'"writes": 20, "events": 100, ' + DIGEST + b'}'),
+    "sessions": ("c4bbf909ee28b70cda7761cb.jsonl",
+                 PARENT_FILES["sessions"][1].replace(
+                     b'"invalidations": 2, ',
+                     DIGEST + b', "invalidations": 2, ')),
 }
 
 
@@ -252,6 +273,31 @@ class TestFilesOfThePreviousRelease:
         assert journal.load()
         assert journal.entry((1, 4096))["stats"] == STATS.as_dict()
 
+    def test_files_with_a_digest_are_equal_hits(self, tmp_path):
+        for sub, (name, data) in PROBED_FILES.items():
+            assert DIGEST in data
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / name).write_bytes(data)
+        cached = ResultCache(tmp_path / "results").get("result-key")
+        assert cached == STATS
+        assert cached.as_dict() == STATS.as_dict()
+        # A resumed session banks the journal's point from its digest-
+        # bearing line (and simulates only the point it lacks).
+        computed = []
+
+        def compute(benchmark, profile, config, point):
+            computed.append(point)
+            return STATS
+
+        spec = dataclasses.replace(_journal(tmp_path).spec,
+                                   fidelity="full")
+        result = SweepSession(spec, cache=None,
+                              session_dir=tmp_path / "sessions",
+                              resume=True, compute=compute).run()
+        assert computed == [(1, 8192)]
+        assert result.counters["journaled"] == 1
+        assert result.sweep[(1, 4096)] == STATS
+
 
 class TestWorkerPool:
     def test_pool_is_reused_across_calls(self):
@@ -267,7 +313,7 @@ class TestWorkerPool:
         def sweep(jobs):
             spec = SweepSpec.multiprogramming(
                 profile=tiny_profile, ladder=(32768, 65536), procs=(1, 2),
-                instrument=False, jobs=jobs, max_attempts=1)
+                jobs=jobs, max_attempts=1)
             return run_sweep(spec, cache=ResultCache(tmp_path / str(jobs)),
                              trace_cache=TraceCache(tmp_path / "traces"))
         serial = sweep(1)

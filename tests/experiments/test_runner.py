@@ -1,11 +1,14 @@
 """Tests for the sweep runner and result cache."""
 
+import json
+
 import pytest
 
 from repro.core.config import KB
+from repro.experiments import runner
 from repro.experiments.runner import (PAPER_LADDER, PROFILES, ResultCache,
                                       RunStats, active_profile)
-from repro.experiments.session import run_sweep
+from repro.experiments.session import grid_sweep, run_sweep
 from repro.experiments.spec import SweepSpec
 from repro.trace.record import TraceCache
 
@@ -103,23 +106,19 @@ class TestRunPoint:
         assert set(sweep) == {(1, 4 * KB), (2, 4 * KB),
                               (1, 64 * KB), (2, 64 * KB)}
 
-    def test_run_point_carries_instrument_digest(self, tmp_path,
-                                                 tiny_profile):
+    def test_run_point_carries_no_probe(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        stats = mp3d_point(tiny_profile, cache)
-        assert stats.instrument is not None
-        assert stats.instrument["bus_transactions"] > 0
-        assert "bus_peak_utilization" in stats.instrument
-        # The digest survives the JSON cache round trip.
-        cached = mp3d_point(tiny_profile, cache)
-        assert cached.instrument == stats.instrument
+        mp3d_point(tiny_profile, cache)
+        [entry] = tmp_path.glob("*.json")
+        assert sorted(json.loads(entry.read_bytes())) == sorted(
+            RunStats(1, 0.0, 0.0, 0, 0, 0, 0).as_dict())
 
     def test_instrument_digest_excluded_from_equality(self):
-        """Pre-v4 cache payloads deserialize to instrument=None and must
-        still compare equal on the physics."""
-        a = RunStats(1, 0.0, 0.0, 0, 0, 0, 0, instrument=None)
-        b = RunStats(1, 0.0, 0.0, 0, 0, 0, 0, instrument={"x": 1.0})
-        assert a == b
+        """A payload cached while points carried a probe decodes, digest
+        dropped, to stats equal on the physics."""
+        bare = RunStats(1, 0.0, 0.0, 0, 0, 0, 0)
+        digested = dict(bare.as_dict(), instrument={"x": 1.0})
+        assert RunStats.from_dict(digested) == bare
 
 
 class TestParallelJobs:
@@ -145,15 +144,37 @@ class TestParallelJobs:
 
 class TestInstrumentFlag:
     def test_instrument_false_skips_digest(self, tmp_path, tiny_profile):
+        """The ``instrument=`` keyword the benchmark harness still
+        passes changes nothing: no point carries a digest, so both
+        spellings share one cache entry."""
         cache = ResultCache(tmp_path)
         bare = mp3d_point(tiny_profile, cache, instrument=False)
-        assert bare.instrument is None
-        # The digest-less payload must not shadow the instrumented one.
-        instrumented = mp3d_point(tiny_profile, cache)
-        assert instrumented.instrument is not None
-        # Physics identical either way (probes must not perturb stats).
-        assert instrumented == bare
-        assert instrumented.events == bare.events
+        assert mp3d_point(tiny_profile, cache, instrument=True) == bare
+        assert mp3d_point(tiny_profile, cache) == bare
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+class TestNoProbeOnTheSweepPath:
+    def test_grid_sweep_simulates_unprobed(self, tmp_path, tiny_profile,
+                                           monkeypatch):
+        """No simulation a default sweep makes -- recordings, per-size
+        replays, live points -- carries a probe."""
+        real, probes = runner.run_simulation, []
+
+        def spy(config, application, **kwargs):
+            probes.append(kwargs.get("instrumentation"))
+            return real(config, application, **kwargs)
+
+        monkeypatch.setattr(runner, "run_simulation", spy)
+        for spec in (SweepSpec.parallel("mp3d", profile=tiny_profile,
+                                        ladder=(4 * KB, 8 * KB),
+                                        procs=(1, 2)),
+                     SweepSpec.multiprogramming(profile=tiny_profile,
+                                                ladder=(4 * KB, 8 * KB),
+                                                procs=(1, 2))):
+            grid_sweep(spec, cache=None,
+                       trace_cache=TraceCache(tmp_path / "traces"))
+        assert probes and probes == [None] * len(probes)
 
 
 class TestTraceCachedSweep:

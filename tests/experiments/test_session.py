@@ -67,7 +67,7 @@ class RecordingCompute:
         self.fail = dict(fail)  # point -> times to raise before success
         self.calls = []
 
-    def __call__(self, benchmark, profile, config, instrument, point):
+    def __call__(self, benchmark, profile, config, point):
         self.calls.append(point)
         if self.fail.get(point, 0) > 0:
             self.fail[point] -= 1
@@ -402,7 +402,7 @@ class TestSessionStages:
                 for point, config in spec.configs().items()}
         heard = []
 
-        def compute(benchmark, profile, config, instrument, point):
+        def compute(benchmark, profile, config, point):
             if len(heard) == 2:
                 raise KeyboardInterrupt
             return _stats(point[1])
@@ -455,13 +455,14 @@ def simulations(monkeypatch):
 class TestEngineDoor:
     def test_kill_mid_replay_stage_loses_only_the_rung_in_flight(
             self, tmp_path, tiny_profile, simulations):
-        """An instrumented uniprocessor row replays rung by rung; dying
-        in rung 3 leaves rungs 1-2 journaled and cached, and the resumed
-        run replays the other two off the recorded tape."""
+        """A uniprocessor row the fused ladder does not admit (two-way
+        associative SCCs) replays rung by rung; dying in rung 3 leaves
+        rungs 1-2 journaled and cached, and the resumed run replays the
+        other two off the recorded tape."""
         ladder = (2 * KB, 4 * KB, 8 * KB, 16 * KB)
-        spec = SweepSpec.multiprogramming(profile=tiny_profile,
-                                          procs=(1,), ladder=ladder,
-                                          instrument=True)
+        spec = SweepSpec.multiprogramming(
+            profile=tiny_profile, procs=(1,), ladder=ladder,
+            variants=(("associativity", 2),))
         cache = ResultCache(tmp_path / "cache")
         stores = dict(cache=cache, trace_cache=TraceCache(tmp_path / "t"),
                       session_dir=tmp_path / "sessions")

@@ -27,7 +27,7 @@ class TestValidation:
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile)
         assert spec.ladder == PAPER_LADDER
         assert spec.procs == PROCS_SWEPT
-        assert spec.instrument and spec.fidelity == "fused"
+        assert spec.fidelity == "fused"
         assert spec.max_attempts == 3
 
     def test_sequences_coerced_to_tuples(self, tiny_profile):
@@ -101,15 +101,55 @@ class TestCacheKeys:
                     f"|icache={config.icache_size}"
                     f"|model_icache={config.model_icache}")
         assert point_cache_key("mp3d", tiny_profile, config) == expected
-        assert point_cache_key("mp3d", tiny_profile, config,
-                               instrument=False) == (
-            expected + "|instrument=False")
 
-    def test_spec_point_key_uses_instrument_flag(self, tiny_profile):
-        spec = SweepSpec.parallel("mp3d", profile=tiny_profile,
-                                  instrument=False)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        assert spec.point_key(config).endswith("|instrument=False")
+
+QUICK_PROFILE_REPR = (
+    "ExperimentProfile(name='quick', ladder_scale=8, barnes_bodies=192, "
+    "barnes_steps=2, mp3d_particles=600, mp3d_steps=3, cholesky_n=288, "
+    "multiprog_instructions=60000, multiprog_quantum=20000)")
+
+
+def _quick_mp3d(**knobs):
+    return SweepSpec.parallel("mp3d", profile=PROFILES["quick"],
+                              ladder=(8 * KB, 128 * KB), procs=(2, 8),
+                              **knobs)
+
+
+class TestBytePins:
+    """The exact bytes of keys and signatures written by earlier builds,
+    when every simulated point carried a probe: a result cache, fabric
+    store or session journal warmed then must still be hit."""
+
+    def test_simulated_point_key(self):
+        spec = _quick_mp3d()
+        assert spec.point_key(spec.configs()[(2, 8 * KB)]) == (
+            f"mp3d|{QUICK_PROFILE_REPR}|clusters=4|procs=2|scc=1024"
+            f"|icache=16384|model_icache=False")
+
+    def test_analytical_point_key(self):
+        spec = _quick_mp3d(fidelity="analytical")
+        assert spec.point_key(spec.configs()[(2, 8 * KB)]) == (
+            f"mp3d|{QUICK_PROFILE_REPR}|clusters=4|procs=2|scc=1024"
+            f"|icache=16384|model_icache=False"
+            f"|instrument=False|fidelity=analytical|model=v1")
+
+    def test_fused_signature(self):
+        assert _quick_mp3d().signature() == "613a8461fbfd6e1ffbde0f12"
+        assert _quick_mp3d(fidelity="full").signature() == \
+            "613a8461fbfd6e1ffbde0f12"
+
+    def test_analytical_signature(self):
+        assert _quick_mp3d(fidelity="analytical").signature() == \
+            "a45b71863fa2e9acfff7e38d"
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_instrument_keyword_is_accepted_and_ignored(self,
+                                                         instrument):
+        # The benchmark harness still passes ``instrument=``.
+        assert _quick_mp3d(instrument=instrument) == _quick_mp3d()
+        assert SweepSpec.multiprogramming(
+            profile=PROFILES["quick"], instrument=instrument) == \
+            SweepSpec.multiprogramming(profile=PROFILES["quick"])
 
 
 class TestSignature:
@@ -130,7 +170,7 @@ class TestSignature:
         field, so neither can reach an identity payload or a key.  A
         stored 1.5 spec naming them decodes to the same sweep
         (``tests/fabric/test_wire.py``)."""
-        assert len(fields(SweepSpec)) == 12
+        assert len(fields(SweepSpec)) == 11
         for knob in ("backend", "fused"):
             with pytest.raises(TypeError):
                 SweepSpec.parallel("mp3d", profile=tiny_profile,
@@ -148,7 +188,7 @@ class TestSignature:
             SweepSpec.parallel("mp3d", profile=tiny_profile,
                                procs=(1,)),
             SweepSpec.parallel("mp3d", profile=tiny_profile,
-                               instrument=False),
+                               fidelity="analytical"),
             SweepSpec.parallel("mp3d", profile=PROFILES["quick"]),
         ]
         signatures = {spec.signature() for spec in different}
@@ -168,8 +208,8 @@ class TestFromCliArgs:
     @staticmethod
     def _args(**overrides):
         defaults = dict(benchmark="mp3d", profile=None, ladder=None,
-                        procs=None, no_instrument=False, jobs=None, resume=False, retries=2, timeout=None,
-                        backoff=0.5)
+                        procs=None, jobs=None, resume=False, retries=2,
+                        timeout=None, backoff=0.5)
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
 
@@ -185,15 +225,18 @@ class TestFromCliArgs:
     def test_knobs_flow_through(self):
         spec = SweepSpec.from_cli_args(self._args(
             profile="quick", ladder=(4 * KB, 8 * KB), procs=(1, 2),
-            no_instrument=True, jobs=3, retries=0,
-            timeout=2.5, backoff=0.1))
+            jobs=3, retries=0, timeout=2.5, backoff=0.1))
         assert spec.ladder == (4 * KB, 8 * KB)
         assert spec.procs == (1, 2)
-        assert not spec.instrument
         assert spec.jobs == 3
         assert spec.max_attempts == 1
         assert spec.point_timeout == 2.5
         assert spec.retry_backoff == 0.1
+
+    def test_instrument_override_is_accepted_and_ignored(self):
+        plain = SweepSpec.from_cli_args(self._args(profile="quick"))
+        assert SweepSpec.from_cli_args(self._args(profile="quick"),
+                                       instrument=True) == plain
 
     def test_multiprogramming_dispatch(self):
         spec = SweepSpec.from_cli_args(self._args(

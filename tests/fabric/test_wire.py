@@ -29,6 +29,14 @@ class TestSweepWire:
         for point, stats in sweep.items():
             assert back[point].as_dict() == stats.as_dict()
 
+    def test_stats_with_a_digest_decode_equal(self):
+        """A worker from a build whose points carried a probe sends an
+        ``instrument`` digest with every point: it is dropped."""
+        wire = sweep_to_wire({(1, 4096): make_stats(1)})
+        assert "instrument" not in wire["1/4096"]
+        wire["1/4096"]["instrument"] = {"bus_peak_utilization": 0.5}
+        assert sweep_from_wire(wire) == {(1, 4096): make_stats(1)}
+
     def test_empty_and_none(self):
         assert sweep_from_wire({}) == {}
         assert sweep_from_wire(None) == {}
@@ -69,6 +77,17 @@ class TestSpecWire:
         for point, config in tiny_spec.configs().items():
             assert (old.point_key(old.configs()[point])
                     == tiny_spec.point_key(config))
+
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_a_payload_naming_a_probe_decodes_to_the_same_spec(
+            self, tiny_spec, instrument):
+        """Payloads used to carry ``instrument``; a point carries no
+        probe now, so the key is accepted, ignored, and not sent."""
+        payload = tiny_spec.to_wire()
+        assert "instrument" not in payload
+        old = SweepSpec.from_wire(dict(payload, instrument=instrument))
+        assert old == tiny_spec
+        assert old.signature() == tiny_spec.signature()
 
     def test_wire_payload_is_json_safe(self, tiny_spec):
         import json

@@ -33,8 +33,6 @@ def tiny_profile():
 def _spec(tiny_profile, **knobs):
     knobs.setdefault("ladder", (2 * KB, 4 * KB))
     knobs.setdefault("procs", (1, 2))
-    if knobs.get("fidelity") == "analytical":
-        knobs.setdefault("instrument", False)
     return SweepSpec.multiprogramming(profile=tiny_profile, **knobs)
 
 
@@ -46,11 +44,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec(tiny_profile, fidelity="fast")
 
-    def test_analytical_refuses_instrumentation(self, tiny_profile):
-        with pytest.raises(ValueError):
-            SweepSpec.multiprogramming(profile=tiny_profile,
-                                       fidelity="analytical",
-                                       instrument=True)
+    def test_analytical_ignores_instrument_keyword(self, tiny_profile):
+        """An analytical point never carried a probe, and now no point
+        does: the keyword the benchmark harness passes is ignored."""
+        spec = _spec(tiny_profile, fidelity="analytical")
+        for instrument in (True, False):
+            assert _spec(tiny_profile, fidelity="analytical",
+                         instrument=instrument) == spec
 
 
 class TestPointKeys:
@@ -62,22 +62,20 @@ class TestPointKeys:
             spec = _spec(tiny_profile, fidelity=fidelity)
             for config in spec.configs().values():
                 assert spec.point_key(config) == point_cache_key(
-                    spec.benchmark, spec.profile, config,
-                    spec.instrument)
+                    spec.benchmark, spec.profile, config)
 
     def test_analytical_keys_carry_fidelity_and_model_version(
             self, tiny_profile):
         spec = _spec(tiny_profile, fidelity="analytical")
-        plain = _spec(tiny_profile, instrument=False)
+        plain = _spec(tiny_profile)
         for config in spec.configs().values():
             key = spec.point_key(config)
-            assert key.endswith(
-                f"|fidelity=analytical|model=v{MODEL_VERSION}")
-            assert key.startswith(plain.point_key(config))
+            assert key == (f"{plain.point_key(config)}|instrument=False"
+                           f"|fidelity=analytical|model=v{MODEL_VERSION}")
 
     def test_signatures_isolate_analytical_sessions(self, tiny_profile):
-        fused = _spec(tiny_profile, instrument=False)
-        full = _spec(tiny_profile, instrument=False, fidelity="full")
+        fused = _spec(tiny_profile)
+        full = _spec(tiny_profile, fidelity="full")
         analytical = _spec(tiny_profile, fidelity="analytical")
         # fused vs full is a resolution strategy, not an experiment
         # identity: they share journals.  Analytical does not.
@@ -91,7 +89,7 @@ class TestFromCliArgs:
     @staticmethod
     def _args(**overrides):
         defaults = dict(benchmark="multiprogramming", profile="tiny",
-                        ladder=None, procs=None, no_instrument=False,
+                        ladder=None, procs=None,
                         jobs=None, resume=False,
                         retries=2, timeout=None, backoff=0.5,
                         fidelity=None)
@@ -101,13 +99,13 @@ class TestFromCliArgs:
     def test_default_is_fused(self):
         spec = SweepSpec.from_cli_args(self._args(profile="quick"))
         assert spec.fidelity == "fused"
-        assert spec.instrument
+        assert spec.describe()["instrument"] is True
 
     def test_analytical_implies_no_instrumentation(self):
         spec = SweepSpec.from_cli_args(
             self._args(profile="quick", fidelity="analytical"))
         assert spec.fidelity == "analytical"
-        assert not spec.instrument
+        assert spec.describe()["instrument"] is False
 
     def test_full_disables_fused_replay(self, monkeypatch):
         """``fidelity="full"`` is the one way to ask for a live
@@ -124,7 +122,7 @@ class TestFromCliArgs:
         monkeypatch.setattr(SweepSession, "_resolve_via_traces", forbidden)
         live = []
 
-        def compute(benchmark, profile, config, instrument, point):
+        def compute(benchmark, profile, config, point):
             live.append(point)
             return RunStats(execution_time=1, read_miss_rate=0.0,
                             miss_rate=0.0, invalidations=0, reads=0,
@@ -186,7 +184,7 @@ class TestAnalyticalSession:
                    for c in spec.configs().values())
         # ...but left every full-fidelity key empty, except the row
         # anchor banked as a by-product of the recording simulation.
-        full = _spec(tiny_profile, instrument=False)
+        full = _spec(tiny_profile)
         anchors = {(procs, min(spec.ladder)) for procs in spec.procs}
         for point, config in full.configs().items():
             cached = shared.get(full.point_key(config))
@@ -216,7 +214,7 @@ class TestStrictParallel:
     def test_wire_round_trip_preserves_new_fields(self, tiny_profile):
         spec = SweepSpec.parallel(
             "mp3d", profile=tiny_profile, ladder=(4 * KB,), procs=(1,),
-            fidelity="analytical", instrument=False,
+            fidelity="analytical",
             variants=(("associativity", 2), ("protocol", "mesi")))
         assert "strict_parallel" not in spec.to_wire()
         # a 1.4 payload: the key is accepted and ignored

@@ -43,7 +43,7 @@ class TestExactCases:
         profile = build_row_profile(streams, config,
                                     (config.scc_size // 16,))
         predicted = predict_point(profile, config)
-        truth = _simulate(ReplayApplication(streams), config, False)
+        truth = _simulate(ReplayApplication(streams), config)
         assert predicted.miss_rate == pytest.approx(1.0)
         assert predicted.miss_rate == pytest.approx(truth.miss_rate)
         assert predicted.read_miss_rate == pytest.approx(
@@ -60,7 +60,7 @@ class TestExactCases:
                                     tracked_for(configs))
         for config in configs:
             predicted = predict_point(profile, config)
-            truth = _simulate(ReplayApplication(streams), config, False)
+            truth = _simulate(ReplayApplication(streams), config)
             assert predicted.miss_rate == pytest.approx(truth.miss_rate)
             assert predicted.miss_rate == pytest.approx(8 / 500)
 
@@ -69,7 +69,7 @@ class TestExactCases:
         equal replaying the same tape through the simulator."""
         recorder = StreamRecorder(BarnesHut(n_bodies=32, steps=1))
         config0 = p1_config(1 * KB)
-        _simulate(recorder, config0, False)
+        _simulate(recorder, config0)
         configs = [p1_config(s) for s in (1 * KB, 4 * KB, 16 * KB)]
         profile = build_row_profile(recorder.streams, config0,
                                     tracked_for(configs))
@@ -77,7 +77,7 @@ class TestExactCases:
             predicted = predict_point(profile, config,
                                       benchmark="barnes-hut")
             truth = _simulate(ReplayApplication(recorder.streams),
-                              config, False)
+                              config)
             assert predicted.miss_rate == pytest.approx(truth.miss_rate)
             assert predicted.read_miss_rate == pytest.approx(
                 truth.read_miss_rate)
@@ -99,7 +99,7 @@ class TestCrossClusterSharing:
         profile = build_row_profile(streams, config,
                                     (config.scc_size // 16,))
         predicted = predict_point(profile, config)
-        truth = _simulate(ReplayApplication(streams), config, False)
+        truth = _simulate(ReplayApplication(streams), config)
         assert predicted.invalidations > 0
         # Interleaving drift bounds the agreement, it does not break it.
         assert predicted.miss_rate == pytest.approx(truth.miss_rate,
@@ -165,7 +165,7 @@ class TestBinomialPath:
         streams, profile, dm = self._profile_and_configs()
         config = p1_config(2 * KB)     # 128 lines: not tracked
         stats = predict_point(profile, config)
-        truth = _simulate(ReplayApplication(streams), config, False)
+        truth = _simulate(ReplayApplication(streams), config)
         assert stats.miss_rate == pytest.approx(truth.miss_rate,
                                                 abs=0.08)
 
@@ -281,7 +281,7 @@ class TestEitherKernel:
 
     SPEC = SweepSpec.parallel(
         "mp3d", ladder=(2 * KB, 4 * KB, 8 * KB), procs=(1, 2),
-        fidelity="analytical", instrument=False,
+        fidelity="analytical",
         profile=ExperimentProfile(
             name="tiny", ladder_scale=8, barnes_bodies=32, barnes_steps=1,
             mp3d_particles=60, mp3d_steps=1, cholesky_n=64,

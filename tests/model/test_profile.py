@@ -353,12 +353,11 @@ def quick_row(benchmark, procs):
     make = (SweepSpec.multiprogramming if benchmark == "multiprogramming"
             else lambda **knobs: SweepSpec.parallel(benchmark, **knobs))
     spec = make(profile=PROFILES["quick"], procs=(procs,),
-                ladder=PAPER_LADDER, fidelity="analytical",
-                instrument=False)
+                ladder=PAPER_LADDER, fidelity="analytical")
     configs = spec.configs()
     config0 = configs[(procs, min(spec.ladder))]
     streams, _ = row_tape(spec.profile.workload(benchmark), config0,
-                          None, None, False)
+                          None, None)
     return streams, config0, sorted({config.scc_lines
                                      for config in configs.values()})
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import KB
+from repro.experiments import runner
 from repro.experiments.runner import ResultCache
 from repro.optimize.evaluate import (BudgetExhausted, BudgetLedger,
                                      FunnelEvaluator)
@@ -72,15 +73,28 @@ class TestFunnelEvaluator:
         evaluator.evaluate([Candidate(4, 32 * KB)], "analytical")
         # the normalization base, then the candidate's row
         assert [spec.procs for spec in submitted] == [(8,), (4,)]
-        assert all(spec.fidelity == "fused" and spec.instrument
-                   for spec in submitted)
+        assert all(spec.fidelity == "fused" for spec in submitted)
         assert evaluator.budget.spent("analytical") == 0
         assert evaluator.budget.spent("fused") == 2
         # a uniprocessor row is the surrogate's to price
         evaluator.evaluate([Candidate(1, 32 * KB)], "analytical")
         assert submitted[-1].fidelity == "analytical"
-        assert not submitted[-1].instrument
         assert evaluator.budget.spent("analytical") == 1
+
+    def test_every_tier_simulates_unprobed(self, evaluator, monkeypatch):
+        """No simulation the funnel makes carries a probe (the CI
+        optimizer smoke fails on one too)."""
+        real, probes = runner.run_simulation, []
+
+        def spy(config, application, **kwargs):
+            probes.append(kwargs.get("instrumentation"))
+            return real(config, application, **kwargs)
+
+        monkeypatch.setattr(runner, "run_simulation", spy)
+        candidates = [Candidate(1, 32 * KB), Candidate(2, 32 * KB)]
+        for tier in ("analytical", "fused", "full"):
+            evaluator.evaluate(candidates, tier)
+        assert probes and probes == [None] * len(probes)
 
     def test_evaluation_scores_and_memoizes(self, evaluator):
         candidates = [Candidate(1, 32 * KB), Candidate(2, 32 * KB)]

@@ -34,12 +34,11 @@ def test_one_variable_isolates_a_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_PROFILE", "tiny")
 
     fused = SweepSpec.multiprogramming(profile=TINY, procs=(1,),
-                                       ladder=(4 * KB, 8 * KB),
-                                       instrument=False)
+                                       ladder=(4 * KB, 8 * KB))
     run_sweep(fused)
     run_sweep(SweepSpec.parallel("mp3d", profile=TINY, procs=(1,),
                                  ladder=(4 * KB, 8 * KB),
-                                 instrument=False, fidelity="analytical"))
+                                 fidelity="analytical"))
     assert main(["sweep", "multiprogramming", "--procs", "1",
                  "--ladder", "4KB,8KB"]) == 0
     tape = generate_tape("root:0")

@@ -52,6 +52,10 @@ DELETED = (
     # the session journal is an append-only log: nothing reads a
     # per-entry digest, so none is written
     "_stats_digest",
+    # a sweep point carries no probe (``python -m repro profile`` is the
+    # one way to look at a point's bus and banks), so no switch turns
+    # one off and no timeline resolution is chosen for it
+    "no_instrument", "INSTRUMENT_BIN_WIDTH",
 )
 
 PATTERN = re.compile("|".join([
@@ -60,7 +64,7 @@ PATTERN = re.compile("|".join([
     r"\bpacked=False\b",
     # the per-request engine and ladder choice (``\b`` cannot anchor a
     # leading ``--``)
-    r"(?<![\w-])--(?:backend|no-fused)\b",
+    r"(?<![\w-])--(?:backend|no-fused|no-instrument)\b",
     r"\b(?:spec|SweepSpec)\.(?:backend|fused)\b",
     # the interleaver's drain(); asyncio's ``writer.drain()`` is live
     r"(?<![\w.])drain\(\)",
@@ -96,7 +100,7 @@ def test_the_pattern_sees_each_name():
     assert not PATTERN.search("await writer.drain()")
     assert PATTERN.search("Python owns the\n  generators")
     assert PATTERN.search("run it with packed=False")
-    for flag in ("--backend", "--no-fused"):
+    for flag in ("--backend", "--no-fused", "--no-instrument"):
         assert PATTERN.search(f"sweep mp3d {flag} native"), flag
         assert PATTERN.search(f"sweep mp3d {flag}=native"), flag
         assert not PATTERN.search(f"sweep mp3d {flag}s"), flag
