@@ -147,10 +147,10 @@ def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
     assert degraded == reference
 
 
-def test_sweep_results_identical_fused_and_full(tmp_path, monkeypatch):
-    """The default row -- one recording, then one ladder pass over the
-    other rungs -- against the same row at ``fidelity="full"``, where
-    every rung is simulated live on the workload's own generators."""
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """The rung count of each ``fused_ladder_results`` call a sweep
+    makes, in order."""
     calls = []
     real = runner.fused_ladder_results
 
@@ -159,28 +159,40 @@ def test_sweep_results_identical_fused_and_full(tmp_path, monkeypatch):
         return real(configs, streams, *args, **kwargs)
 
     monkeypatch.setattr(runner, "fused_ladder_results", spy)
+    return calls
+
+
+def test_sweep_results_identical_fused_and_full(tmp_path, ladder_calls):
+    """The default row -- one recording, then one ladder pass over the
+    other rungs -- against the same row at ``fidelity="full"``, where
+    every rung is simulated live on the workload's own generators."""
     ladder = (32768, 65536, 131072, 262144)
     sweeps = {fidelity: tiny_row(tmp_path, ladder,
                                  results=f"results-{fidelity}",
                                  fidelity=fidelity)
               for fidelity in ("fused", "full")}
-    assert calls == [3]
+    assert ladder_calls == [3]
     assert sweeps["fused"] == sweeps["full"]
     assert len(sweeps["fused"]) == 4
 
 
-def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
-    calls = []
-    real = runner.fused_ladder_results
+def test_uniprocessor_row_uses_fused_engine(tmp_path, ladder_calls):
+    """A sweep point carries no probe, so nothing keeps a default
+    uniprocessor row off the ladder: one pass prices every rung after
+    the recording, each rung's RunStats equal to replaying it alone."""
+    ladder = (32768, 65536, 131072)
+    sweep = tiny_row(tmp_path, ladder)
+    assert ladder_calls == [2]
 
-    def spy(configs, streams, *args, **kwargs):
-        calls.append(len(configs))
-        return real(configs, streams, *args, **kwargs)
-
-    monkeypatch.setattr(runner, "fused_ladder_results", spy)
-    tiny_row(tmp_path, (32768, 65536, 131072))
-    # One fused pass covering the rungs left after the recording run.
-    assert calls == [2]
+    configs = SweepSpec.multiprogramming(profile=TINY, procs=(1,),
+                                         ladder=ladder).configs()
+    recorder = StreamRecorder(TINY.multiprogramming())
+    run_simulation(configs[(1, ladder[0])], recorder)
+    replayed = {point: runner._simulate(
+                    ReplayApplication(recorder.streams, name="mp"),
+                    config)
+                for point, config in configs.items()}
+    assert sweep == replayed
 
 
 def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
@@ -216,32 +228,3 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
     assert len(sweep) == 3
     # Two rungs after the recording run, each via per-size replay.
     assert len(replays) == 2
-
-
-def test_default_row_takes_the_fused_ladder(tmp_path, monkeypatch):
-    """A sweep point carries no probe, so nothing keeps a default
-    uniprocessor row off the ladder: one pass prices every rung after
-    the recording, each rung's RunStats equal to replaying it alone."""
-    calls = []
-    real = runner.fused_ladder_results
-
-    def spy(configs, streams, *args, **kwargs):
-        calls.append(len(configs))
-        return real(configs, streams, *args, **kwargs)
-
-    monkeypatch.setattr(runner, "fused_ladder_results", spy)
-    ladder = (32768, 65536, 131072)
-    spec = SweepSpec.multiprogramming(profile=TINY, procs=(1,),
-                                      ladder=ladder)
-    sweep = run_sweep(spec, cache=None,
-                      trace_cache=TraceCache(tmp_path / "traces"))
-    assert calls == [2]
-
-    configs = spec.configs()
-    recorder = StreamRecorder(TINY.multiprogramming())
-    run_simulation(configs[(1, ladder[0])], recorder)
-    replayed = {point: runner._simulate(
-                    ReplayApplication(recorder.streams, name="mp"),
-                    config)
-                for point, config in configs.items()}
-    assert sweep == replayed
