@@ -195,6 +195,22 @@ def test_uniprocessor_row_uses_fused_engine(tmp_path, ladder_calls):
     assert sweep == replayed
 
 
+def test_instrument_keyword_row_takes_the_fused_ladder(tmp_path,
+                                                       ladder_calls):
+    """A row asked for with the old ``instrument=True`` keyword, which
+    once kept it on per-size replay for the probe, is the default row:
+    it takes the fused ladder and prices every rung the same."""
+    ladder = (32768, 65536, 131072)
+    asked = tiny_row(tmp_path, ladder, results="results-asked",
+                     instrument=True)
+    default = tiny_row(tmp_path, ladder, results="results-default")
+    # The second row finds the recording cached: all three rungs in one
+    # pass.
+    assert ladder_calls == [2, 3]
+    assert asked == default
+    assert len(asked) == 3
+
+
 def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
     """A deterministic-stream parallel row replays through the trace
     cache but must never enter the fused engine (interleave order and
