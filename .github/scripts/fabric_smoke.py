@@ -9,7 +9,9 @@ on a fresh on-disk store, then requires
 * a second submission of the same grid to be served entirely from the
   store: zero simulator invocations (counted via a hook), zero work
   units, every point a store hit, and
-* ``/healthz`` and ``/metrics`` to report the two completed jobs.
+* ``/healthz`` and ``/metrics`` to report the two completed jobs, and
+* a request with a bad ``Content-Length``, sent over a raw socket, to
+  get a 400 with ``/healthz`` still answering after it.
 
 Exits non-zero (with a diagnostic) on any violation.  Stdlib plus the
 repo itself, so it runs anywhere the simulator does::
@@ -18,11 +20,13 @@ repo itself, so it runs anywhere the simulator does::
 """
 
 import json
+import socket
 import sys
 import tempfile
 import threading
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.core.config import KB
 from repro.experiments import PROFILES
@@ -109,6 +113,22 @@ def main() -> None:
             if metrics["counters"].get("fabric.jobs.completed") != 2:
                 fail(f"metrics missed a job: {metrics['counters']}")
             print("healthz + metrics report both jobs")
+
+            where = urlsplit(url)
+            with socket.create_connection((where.hostname, where.port),
+                                          timeout=30.0) as sock:
+                sock.sendall(b"POST /jobs HTTP/1.1\r\n"
+                             b"Content-Length: nope\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            if not reply.startswith(b"HTTP/1.1 400 "):
+                fail(f"bad Content-Length got {reply[:80]!r}, not a 400")
+            with urllib.request.urlopen(url + "/healthz",
+                                        timeout=30.0) as response:
+                if not json.loads(response.read()).get("ok"):
+                    fail("unhealthy service after a bad request")
+            print("bad Content-Length: 400, service still healthy")
         finally:
             stop.set()
             stop_service()

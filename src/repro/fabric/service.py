@@ -88,7 +88,11 @@ class FabricService:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except FabricError as exc:
+                await self._send_json(writer, 400, {"error": str(exc)})
+                return
             if request is not None:
                 await self._dispatch(writer, *request)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -102,7 +106,17 @@ class FabricService:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        line = await reader.readline()
+        """``(method, target, body)``, or ``None`` on a connection closed
+        before a request line; a request no handler can take raises
+        :class:`FabricError` (a 400)."""
+        async def readline() -> bytes:
+            try:
+                return await reader.readline()
+            except ValueError:      # past the stream's line limit
+                raise FabricError("request line or header too long") \
+                    from None
+
+        line = await readline()
         if not line:
             return None
         try:
@@ -111,12 +125,18 @@ class FabricService:
             raise FabricError("malformed request line") from None
         length = 0
         while True:
-            header = await reader.readline()
+            header = await readline()
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip())
+                try:
+                    length = int(value.strip())
+                except ValueError:
+                    raise FabricError(
+                        "Content-Length is not an integer") from None
+        if length < 0:
+            raise FabricError("negative Content-Length")
         if length > MAX_BODY_BYTES:
             raise FabricError(f"request body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -184,7 +204,7 @@ class FabricService:
                                               path[1]))
         elif (len(path) == 3 and path[0] == "jobs"
                 and path[2] == "events" and method == "GET"):
-            since = int(query.get("since", 0))
+            since = self._since(query)
             timeout = self._poll_budget(query)
             events, nxt = await self._call(self.broker.events_since,
                                            path[1], since, timeout)
@@ -203,8 +223,7 @@ class FabricService:
                 await self._send_json(writer, 200, payload)
         elif (len(path) == 3 and path[0] == "jobs"
                 and path[2] == "stream" and method == "GET"):
-            await self._stream_events(writer, path[1],
-                                      int(query.get("since", 0)))
+            await self._stream_events(writer, path[1], self._since(query))
         else:
             await self._send_json(
                 writer, 405 if path else 404,
@@ -219,6 +238,15 @@ class FabricService:
         if not isinstance(payload, dict) or "spec" not in payload:
             raise FabricError('expected a {"spec": {...}} body')
         return SweepSpec.from_wire(payload["spec"])
+
+    @staticmethod
+    def _since(query) -> int:
+        """The event index a poll or stream starts at (a negative one
+        would slice the log's tail and rewind the client's cursor)."""
+        since = int(query.get("since", 0))
+        if since < 0:
+            raise FabricError(f"since must be >= 0, got {since}")
+        return since
 
     @staticmethod
     def _poll_budget(query) -> float:

@@ -31,7 +31,6 @@ rewrites an artifact.
 from __future__ import annotations
 
 import copy
-from array import array
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -65,7 +64,10 @@ class ArtifactStore:
     """Results + tapes under one root, in the local cache layout.
 
     ``directory`` is laid out exactly like the cache root: result JSON
-    files at the top level, recordings under ``traces/``.  Pass the
+    files at the top level, recordings under ``traces/``.  Results go
+    through :meth:`get_stats` / :meth:`publish`, tapes straight through
+    ``traces`` (a :class:`~repro.trace.record.TraceCache`, keyed by
+    trace signature).  Pass the
     node's own root (the ``serve`` CLI default) to share warmth with
     local sweeps, or any shared mount to share it across hosts.
     """
@@ -115,14 +117,3 @@ class ArtifactStore:
             return False
         self.results.put(key, stats)
         return True
-
-    # ------------------------------------------------------------------
-    # Tapes (keyed by trace signature)
-    # ------------------------------------------------------------------
-
-    def get_streams(self, signature: str) -> Optional[Dict[int, array]]:
-        return self.traces.get(signature)
-
-    def put_streams(self, signature: str,
-                    streams: Dict[int, array]) -> None:
-        self.traces.put(signature, streams)

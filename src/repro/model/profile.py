@@ -5,7 +5,8 @@ reduced to a :class:`RowProfile` -- a small, JSON-serializable summary
 from which :mod:`repro.model.predictor` prices *every* (cache size,
 associativity) grid point of that row without running the simulator.
 
-The profile has four parts:
+The profile has four parts, each one :func:`~repro.model.predictor
+.predict_point` reads:
 
 * **exact ladder** -- each cluster's member streams are merged by
   normalized position (round-robin over stream fractions, the
@@ -16,15 +17,13 @@ The profile has four parts:
   the cache model the simulator runs (bit-selected direct-mapped,
   write-allocate, write-invalidate between clusters), so the resulting
   per-rung miss counts are exact up to interleaving;
-* **reuse-distance histograms** -- fully-associative stack-distance
-  histograms (bucketed, read/write split) of each cluster's merged
-  stream and of each process's own stream, feeding the binomial
-  set-mapping correction for associativities and sizes the ladder does
-  not track;
-* **sharing summary** -- per-line writer sets collapsed to a histogram,
-  inter-process reuse counts, and each cluster's *exposure* (expected
-  reads landing on lines invalidated by remote writers under random
-  interleaving), feeding the interleaved-reuse correction;
+* **reuse-distance histograms** -- one fully-associative stack-distance
+  histogram (bucketed, read/write split) per cluster, of its merged
+  stream, feeding the binomial set-mapping correction for
+  associativities and sizes the ladder does not track;
+* **exposure** -- per cluster, the expected reads landing on lines
+  invalidated by remote writers under random interleaving, feeding the
+  interleaved-reuse correction (zero on a one-cluster row);
 * **per-process accounting** -- busy cycles, lock/barrier counts and
   exact instruction-cache misses at the recorded geometry, feeding the
   cycle estimate.
@@ -52,7 +51,6 @@ from __future__ import annotations
 import heapq
 import json
 from array import array
-from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -254,7 +252,8 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
     a write hit on a remotely-shared line is an upgrade, not a miss.
 
     Returns a per-rung list of dicts with total read/write misses,
-    invalidations sent, and per-process read/write miss counts.
+    invalidations sent, and per-process read miss counts (the cycle
+    estimate's stalls).
     """
     geometry = [(count - 1, count.bit_length() - 1)
                 for count in line_counts]
@@ -267,7 +266,7 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
     tags = [[[-1] * (mask + 1) for mask, _ in geometry]
             for _ in range(clusters)]
     per_rung = [{"read_misses": 0, "write_misses": 0, "invalidations": 0,
-                 "proc_read_misses": {}, "proc_write_misses": {}}
+                 "proc_read_misses": {}}
                 for _ in range(rungs)]
     if not rungs:
         return per_rung
@@ -287,11 +286,10 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
                 entry = per_rung[rung]
                 if is_write:
                     entry["write_misses"] += 1
-                    counts = entry["proc_write_misses"]
                 else:
                     entry["read_misses"] += 1
                     counts = entry["proc_read_misses"]
-                counts[proc] = counts.get(proc, 0) + 1
+                    counts[proc] = counts.get(proc, 0) + 1
         if is_write and clusters > 1:
             for other in range(clusters):
                 if other == cluster:
@@ -354,10 +352,6 @@ class RowProfile:
         return _BucketedHistogram.from_dict(
             self.payload["cluster_histograms"][str(cluster)])
 
-    def process_histogram(self, proc: int) -> _BucketedHistogram:
-        return _BucketedHistogram.from_dict(
-            self.payload["process_histograms"][str(proc)])
-
     @property
     def sharing(self) -> dict:
         return self.payload["sharing"]
@@ -397,22 +391,13 @@ def _row_payload(kernel, streams: Dict[int, Sequence],
     """The payload ``kernel`` yields for a row: the one place that turns
     a kernel's flat report (see :func:`_reference_kernel`) into the
     JSON shape :class:`RowProfile` reads and :class:`ProfileCache`
-    stores."""
+    stores.  Payloads written by earlier builds carry more keys than
+    this one writes; :class:`RowProfile` reads none of them, so they
+    still serve."""
     procs = sorted(streams)
     tracked = sorted(set(int(count) for count in tracked_line_counts))
-    (summaries, process_histograms, cluster_histograms, ladder,
-     (shared_lines, interprocess_reuses, writer_sets,
-      exposure)) = kernel(streams, procs, config, tracked)
-
-    def histograms(flat):
-        return {str(key): {"cold_reads": cold_reads,
-                           "cold_writes": cold_writes,
-                           "buckets": buckets}
-                for key, (cold_reads, cold_writes, buckets) in flat}
-
-    def by_process(counts):
-        return {str(proc): count
-                for proc, count in zip(procs, counts) if count}
+    summaries, cluster_histograms, ladder, exposure = kernel(
+        streams, procs, config, tracked)
 
     per_process = {str(proc): dict(zip(_SUMMARY_FIELDS, summary))
                    for proc, summary in zip(procs, summaries)}
@@ -426,23 +411,23 @@ def _row_payload(kernel, streams: Dict[int, Sequence],
         "writes": sum(summary["writes"]
                       for summary in per_process.values()),
         "per_process": per_process,
-        "process_histograms": histograms(zip(procs, process_histograms)),
-        "cluster_histograms": histograms(enumerate(cluster_histograms)),
+        "cluster_histograms": {
+            str(cluster): {"cold_reads": cold_reads,
+                           "cold_writes": cold_writes,
+                           "buckets": buckets}
+            for cluster, (cold_reads, cold_writes, buckets)
+            in enumerate(cluster_histograms)},
         "ladder": [{"read_misses": read_misses,
                     "write_misses": write_misses,
                     "invalidations": invalidations,
-                    "proc_read_misses": by_process(proc_read_misses),
-                    "proc_write_misses": by_process(proc_write_misses)}
+                    "proc_read_misses": {
+                        str(proc): count for proc, count
+                        in zip(procs, proc_read_misses) if count}}
                    for (read_misses, write_misses, invalidations,
-                        proc_read_misses, proc_write_misses) in ladder],
-        "sharing": {
-            "shared_lines": shared_lines,
-            "writer_sets": {str(writers): lines
-                            for writers, lines in writer_sets},
-            "interprocess_reuses": interprocess_reuses,
-            "exposure": {str(cluster): value
-                         for cluster, value in enumerate(exposure)},
-        },
+                        proc_read_misses) in ladder],
+        "sharing": {"exposure": {str(cluster): value
+                                 for cluster, value
+                                 in enumerate(exposure)}},
     }
 
 
@@ -464,13 +449,12 @@ def _reference_kernel(streams: Dict[int, Sequence], procs: List[int],
                       config: SystemConfig, tracked: List[int]) -> tuple:
     """The numbers of a row profile, from the python functions above.
 
-    Returns ``(summaries, process_histograms, cluster_histograms,
-    ladder, sharing)``: per process (in ``procs`` order) its work
-    summary in :data:`_SUMMARY_FIELDS` order and its
-    ``_BucketedHistogram.flat()``; per cluster the histogram of its
-    merged stream; per tracked rung ``(read_misses, write_misses,
-    invalidations, read misses by process, write misses by process)``;
-    and :func:`_sharing_summary`'s tuple.
+    Returns ``(summaries, cluster_histograms, ladder, exposure)``: per
+    process (in ``procs`` order) its work summary in
+    :data:`_SUMMARY_FIELDS` order; per cluster the
+    ``_BucketedHistogram.flat()`` of its merged stream; per tracked rung
+    ``(read_misses, write_misses, invalidations, read misses by
+    process)``; and :func:`_sharing_summary`'s list.
     """
     procs_per_cluster = config.processors_per_cluster
     clusters = config.clusters
@@ -482,7 +466,6 @@ def _reference_kernel(streams: Dict[int, Sequence], procs: List[int],
                                         icache_config=config)
         proc_refs.append(refs)
         summaries.append(tuple(summary[name] for name in _SUMMARY_FIELDS))
-    process_histograms = [_histogram_of(refs).flat() for refs in proc_refs]
 
     # Per-cluster merged streams (what the shared cache sees), tagged
     # with the owning process for miss attribution.
@@ -492,79 +475,60 @@ def _reference_kernel(streams: Dict[int, Sequence], procs: List[int],
             [(proc, is_write, line) for is_write, line in refs]
             for proc, refs in zip(procs, proc_refs)
             if proc // procs_per_cluster == cluster]))
-    cluster_histograms = [
-        _histogram_of([(is_write, line)
-                       for _, is_write, line in merged]).flat()
-        for merged in cluster_refs]
+    cluster_histograms = [_histogram_of(merged).flat()
+                          for merged in cluster_refs]
 
     merged_global = merge_refs(cluster_refs)
     ladder = [
         (entry["read_misses"], entry["write_misses"],
          entry["invalidations"],
-         [entry["proc_read_misses"].get(proc, 0) for proc in procs],
-         [entry["proc_write_misses"].get(proc, 0) for proc in procs])
+         [entry["proc_read_misses"].get(proc, 0) for proc in procs])
         for entry in coherence_ladder(merged_global, clusters,
                                       procs_per_cluster, tracked)]
-    return (summaries, process_histograms, cluster_histograms, ladder,
+    return (summaries, cluster_histograms, ladder,
             _sharing_summary(merged_global, clusters, procs_per_cluster))
 
 
-def _histogram_of(refs: Sequence[Tuple[int, int]]) -> _BucketedHistogram:
-    """Fully-associative stack-distance histogram of a reference
-    sequence, read/write split: a fold over the Bennett-Kruskal
-    distances of its line stream."""
+def _histogram_of(refs: Sequence[Tuple[int, int, int]]
+                  ) -> _BucketedHistogram:
+    """Fully-associative stack-distance histogram of a merged
+    ``(proc, is_write, line)`` stream, read/write split: a fold over the
+    Bennett-Kruskal distances of its line stream."""
     histogram = _BucketedHistogram()
-    distances = _distances_from_lines([line for _, line in refs])
-    for (is_write, _), distance in zip(refs, distances):
+    distances = _distances_from_lines([line for _, _, line in refs])
+    for (_, is_write, _), distance in zip(refs, distances):
         histogram.add(distance, is_write)
     return histogram
 
 
 def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
-                     clusters: int, procs_per_cluster: int) -> tuple:
-    """Writer sets, inter-process reuse, and per-cluster exposure.
+                     clusters: int, procs_per_cluster: int) -> List[float]:
+    """Per-cluster exposure: how many of a cluster's reads land on lines
+    a remote cluster has written -- each such read is a coherence-miss
+    candidate.  Under random interleaving of ``r`` local references
+    with ``w`` remote writes to the same line, the expected fraction of
+    local references immediately preceded by at least one remote write
+    is ``w / (w + r)``; summed over shared lines this prices the
+    interleaved-reuse correction for configurations the exact ladder
+    does not track.  A row of one cluster has no remote writer, and its
+    exposure is ``[0.0]`` without a pass.
 
-    Exposure estimates, per cluster, how many of its reads land on
-    lines a remote cluster has written -- each such read is a
-    coherence-miss candidate.  Under random interleaving of ``r``
-    local references with ``w`` remote writes to the same line, the
-    expected fraction of local references immediately preceded by at
-    least one remote write is ``w / (w + r)``; summed over shared
-    lines this prices the interleaved-reuse correction for
-    configurations the exact ladder does not track.
-
-    Returns ``(shared_lines, interprocess_reuses, writer_sets,
-    exposure)``: ``writer_sets`` is ``(writers, lines)`` pairs by
-    ascending writer count, ``exposure`` one float per cluster.  The
-    exposure sums are floats, so their order is part of the contract
-    the C kernel keeps: each cluster accumulates one term per shared
-    line, in the order ``refs`` first touches the lines, and each term
-    is a single int / int division.
+    The sums are floats, so their order is part of the contract the C
+    kernel keeps: each cluster accumulates one term per shared line, in
+    the order ``refs`` first touches the lines, and each term is a
+    single int / int division.
     """
-    line_writers: Dict[int, set] = {}
-    line_cluster_counts: Dict[int, Dict[int, List[int]]] = {}
-    last_toucher: Dict[int, int] = {}
-    interprocess_reuses = 0
-    for proc, is_write, line in refs:
-        if is_write:
-            line_writers.setdefault(line, set()).add(proc)
-        previous = last_toucher.get(line)
-        if previous is not None and previous != proc:
-            interprocess_reuses += 1
-        last_toucher[line] = proc
-        if clusters > 1:
-            cluster = proc // procs_per_cluster
-            per_cluster = line_cluster_counts.setdefault(line, {})
-            counts = per_cluster.setdefault(cluster, [0, 0])
-            counts[is_write] += 1
-    writer_sets = sorted(Counter(
-        len(writers) for writers in line_writers.values()).items())
     exposure = [0.0] * clusters
-    shared_lines = 0
+    if clusters < 2:
+        return exposure
+    line_cluster_counts: Dict[int, Dict[int, List[int]]] = {}
+    for proc, is_write, line in refs:
+        per_cluster = line_cluster_counts.setdefault(line, {})
+        counts = per_cluster.setdefault(proc // procs_per_cluster, [0, 0])
+        counts[is_write] += 1
     for per_cluster in line_cluster_counts.values():
         if len(per_cluster) < 2:
             continue
-        shared_lines += 1
         for cluster, (reads, writes) in per_cluster.items():
             remote_writes = sum(
                 counts[1] for other, counts in per_cluster.items()
@@ -573,7 +537,7 @@ def _sharing_summary(refs: Sequence[Tuple[int, int, int]],
                 local = reads + writes
                 exposure[cluster] += (
                     reads * remote_writes / (remote_writes + local))
-    return shared_lines, interprocess_reuses, writer_sets, exposure
+    return exposure
 
 
 class ProfileCache(FileCache):

@@ -93,7 +93,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "14"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "15"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -3184,13 +3184,17 @@ out:    /* (with an error set, too: the registers say how far the pass got) */
 
 /* The numeric half of ``build_row_profile``: ``row_profile`` takes one
  * row's packed streams and its geometry and returns, as flat tuples and
- * lists, everything the payload is assembled from.  The contract is the
- * reference kernel in src/repro/model/profile.py, function for function
- * -- ``extract_process`` (pf_walk), ``merge_refs`` (pf_merge),
- * ``_histogram_of`` over ``trace.analysis._distances_from_lines``
- * (pf_histogram), ``coherence_ladder`` (pf_ladder), ``_sharing_summary``
- * (pf_sharing) -- and the payloads must stay byte-identical, errors
- * included: the differ's ``profile`` engine and tests/model compare them.
+ * lists, everything the payload is assembled from -- each process's work
+ * summary, each cluster's stack-distance histogram, the coherence ladder
+ * (totals and read misses by process per rung) and each cluster's
+ * exposure: what ``predict_point`` reads, and nothing else.  The
+ * contract is the reference kernel in src/repro/model/profile.py,
+ * function for function -- ``extract_process`` (pf_walk),
+ * ``merge_refs`` (pf_merge), ``_histogram_of`` over
+ * ``trace.analysis._distances_from_lines`` (pf_histogram),
+ * ``coherence_ladder`` (pf_ladder), ``_sharing_summary`` (pf_sharing) --
+ * and the payloads must stay byte-identical, errors included: the
+ * differ's ``profile`` engine and tests/model compare them.
  *
  * Unlike ``run`` this section reads tapes it cannot trust (a profile is
  * built from the on-disk trace cache): every record is checked to be
@@ -3201,11 +3205,11 @@ out:    /* (with an error set, too: the registers say how far the pass got) */
  *
  * Every data reference becomes a ``Ref``.  Lines are interned to dense
  * ids as they are walked (one open-addressing table for the row), so the
- * passes after the walk -- a histogram per process and per cluster, the
- * sharing summary -- index arrays instead of hashing.  Where python's
- * integers would outgrow 64 bits (a span or fetch running past the
- * address space, 2^26 references in one row: past that a product in the
- * exposure term stops being an exact double) the kernel raises
+ * passes after the walk -- a histogram per cluster, the exposure (none
+ * on a row of one cluster) -- index arrays instead of hashing.  Where
+ * python's integers would outgrow 64 bits (a span or fetch running past
+ * the address space, 2^26 references in one row: past that a product in
+ * the exposure term stops being an exact double) the kernel raises
  * OverflowError rather than differ.
  */
 
@@ -3613,8 +3617,7 @@ pf_ll_list(const long long *values, Py_ssize_t n)
 
 /* ``coherence_ladder`` over the globally merged stream: per rung
  * ``(read_misses, write_misses, invalidations, [read misses by
- * process], [write misses by process])``.  Empty slots hold -1, as the
- * reference's do. */
+ * process])``.  Empty slots hold -1, as the reference's do. */
 static PyObject *
 pf_ladder(const Ref *refs, long long n, const int *proc_cluster,
           int n_procs, int n_clusters, const long long *rung_lines,
@@ -3624,8 +3627,8 @@ pf_ladder(const Ref *refs, long long n, const int *proc_cluster,
     size_t n_arrays = (size_t)n_clusters * n_rungs;
     long long **tags = pf_alloc(n_arrays, sizeof(long long *));
     long long *shift = pf_alloc(n_rungs, sizeof(long long));
-    /* per rung: the three totals, then read and write misses by process */
-    size_t row = 3 + 2 * (size_t)n_procs;
+    /* per rung: the three totals, then read misses by process */
+    size_t row = 3 + (size_t)n_procs;
     long long *counts = pf_alloc((size_t)n_rungs * row, sizeof(long long));
     if (!tags || !shift || !counts)
         goto done;
@@ -3650,7 +3653,8 @@ pf_ladder(const Ref *refs, long long n, const int *proc_cluster,
                 break;
             *slot = line >> shift[rung];
             counts[rung * row + ref->write]++;
-            counts[rung * row + 3 + ref->write * n_procs + ref->proc]++;
+            if (!ref->write)
+                counts[rung * row + 3 + ref->proc]++;
         }
         if (!ref->write)
             continue;
@@ -3674,13 +3678,8 @@ pf_ladder(const Ref *refs, long long n, const int *proc_cluster,
     for (int rung = 0; rung < n_rungs; rung++) {
         const long long *c = counts + rung * row;
         PyObject *reads = pf_ll_list(c + 3, n_procs);
-        PyObject *writes = pf_ll_list(c + 3 + n_procs, n_procs);
-        PyObject *entry = NULL;
-        if (reads && writes)
-            entry = Py_BuildValue("(LLLOO)", c[0], c[1], c[2],
-                                  reads, writes);
-        Py_XDECREF(reads);
-        Py_XDECREF(writes);
+        PyObject *entry = reads ? Py_BuildValue("(LLLN)", c[0], c[1], c[2],
+                                                reads) : NULL;
         if (!entry) {
             Py_CLEAR(result);
             goto done;
@@ -3697,61 +3696,45 @@ done:
     return result;
 }
 
-/* ``_sharing_summary`` over the globally merged stream:
- * ``(shared_lines, interprocess_reuses, [(writers, lines), ...],
- * [exposure by cluster])``.  Exposure is a float sum, so its order is
- * part of the contract: per cluster, one term per shared line in the
- * order the merged stream first touches the lines (the reference's
- * dict order), each term one correctly rounded int / int division. */
+/* ``_sharing_summary`` over the globally merged stream: a list of the
+ * clusters' exposures.  Exposure is a float sum, so its order is part of
+ * the contract: per cluster, one term per shared line in the order the
+ * merged stream first touches the lines (the reference's dict order),
+ * each term one correctly rounded int / int division.  A row of one
+ * cluster has no remote writer: ``[0.0]`` without a pass. */
 static PyObject *
 pf_sharing(const Ref *refs, long long n, unsigned n_lines,
-           const int *proc_cluster, int n_procs, int n_clusters)
+           const int *proc_cluster, int n_clusters)
 {
-    PyObject *result = NULL, *writer_sets = NULL, *exposure_list = NULL;
-    size_t words = ((size_t)n_procs + 63) / 64;
-    size_t width = n_clusters > 1 ? 2 * (size_t)n_clusters : 0;
-    long long shared_lines = 0, reuses = 0;
+    PyObject *result = NULL;
+    size_t width = 2 * (size_t)n_clusters;
     long long n_touched = 0;
-    long long *toucher = pf_alloc_filled(n_lines, -1);
-    unsigned long long *writers =
-        pf_alloc((size_t)n_lines * words, sizeof(unsigned long long));
-    /* [line id][cluster][reads, writes]; only kept with several clusters */
-    long long *counts =
-        pf_alloc((size_t)n_lines * width, sizeof(long long));
-    unsigned *touched = pf_alloc(n_lines, sizeof(unsigned));
-    long long *by_writers =
-        pf_alloc((size_t)n_procs + 1, sizeof(long long));
     double *exposure = pf_alloc((size_t)n_clusters, sizeof(double));
-    if (!toucher || !writers || !counts || !touched || !by_writers
-            || !exposure)
+    /* [line id][cluster][reads, writes] */
+    long long *counts = NULL;
+    unsigned *touched = NULL;           /* line ids by first touch */
+    unsigned char *seen = NULL;
+    if (!exposure)
+        goto done;
+    if (n_clusters > 1
+            && (!(counts = pf_alloc((size_t)n_lines * width,
+                                    sizeof(long long)))
+                || !(touched = pf_alloc(n_lines, sizeof(unsigned)))
+                || !(seen = pf_alloc(n_lines, 1))))
         goto done;
 
-    for (long long position = 0; position < n; position++) {
+    for (long long position = 0; counts && position < n; position++) {
         const Ref *ref = &refs[position];
-        if (ref->write)
-            writers[ref->id * words + ref->proc / 64] |=
-                1ULL << (ref->proc % 64);
-        if (toucher[ref->id] < 0)
+        if (!seen[ref->id]) {
+            seen[ref->id] = 1;
             touched[n_touched++] = ref->id;
-        else if (toucher[ref->id] != ref->proc)
-            reuses++;
-        toucher[ref->id] = ref->proc;
-        if (width)
-            counts[ref->id * width + 2 * proc_cluster[ref->proc]
-                   + ref->write]++;
+        }
+        counts[ref->id * width + 2 * proc_cluster[ref->proc]
+               + ref->write]++;
     }
 
     for (long long t = 0; t < n_touched; t++) {
-        unsigned id = touched[t];
-        int n_writers = 0;
-        for (size_t w = 0; w < words; w++)
-            for (unsigned long long bits = writers[id * words + w]; bits;
-                    bits &= bits - 1)
-                n_writers++;
-        by_writers[n_writers]++;
-        if (!width)
-            continue;
-        const long long *c = counts + id * width;
+        const long long *c = counts + touched[t] * width;
         long long all_writes = 0;
         int present = 0;
         for (int cluster = 0; cluster < n_clusters; cluster++) {
@@ -3760,7 +3743,6 @@ pf_sharing(const Ref *refs, long long n, unsigned n_lines,
         }
         if (present < 2)
             continue;
-        shared_lines++;
         for (int cluster = 0; cluster < n_clusters; cluster++) {
             long long reads = c[2 * cluster];
             long long local = reads + c[2 * cluster + 1];
@@ -3772,37 +3754,22 @@ pf_sharing(const Ref *refs, long long n, unsigned n_lines,
         }
     }
 
-    if (!(writer_sets = PyList_New(0))
-            || !(exposure_list = PyList_New(n_clusters)))
+    if (!(result = PyList_New(n_clusters)))
         goto done;
-    for (int k = 1; k <= n_procs; k++) {
-        if (!by_writers[k])
-            continue;
-        PyObject *pair = Py_BuildValue("(iL)", k, by_writers[k]);
-        if (!pair || PyList_Append(writer_sets, pair) < 0) {
-            Py_XDECREF(pair);
-            goto done;
-        }
-        Py_DECREF(pair);
-    }
     for (int cluster = 0; cluster < n_clusters; cluster++) {
         PyObject *value = PyFloat_FromDouble(exposure[cluster]);
-        if (!value)
+        if (!value) {
+            Py_CLEAR(result);
             goto done;
-        PyList_SET_ITEM(exposure_list, cluster, value);
+        }
+        PyList_SET_ITEM(result, cluster, value);
     }
-    result = Py_BuildValue("(LLOO)", shared_lines, reuses, writer_sets,
-                           exposure_list);
 
 done:
-    Py_XDECREF(writer_sets);
-    Py_XDECREF(exposure_list);
-    free(toucher);
-    free(writers);
+    free(exposure);
     free(counts);
     free(touched);
-    free(by_writers);
-    free(exposure);
+    free(seen);
     return result;
 }
 
@@ -3812,9 +3779,9 @@ done:
  * ``streams``: a tuple of ``array('q')`` tapes, one per entry of
  * ``procs`` (the ascending processor ids); ``icache``: None or ``(lines,
  * line_size)``; ``tracked``: the ladder's ascending power-of-two line
- * counts.  Returns ``(summaries, process_histograms,
- * cluster_histograms, ladder, sharing)``, lists by process index,
- * cluster and rung -- the shapes ``profile._row_payload`` reads. */
+ * counts.  Returns ``(summaries, cluster_histograms, ladder,
+ * exposure)``, lists by process index, cluster, rung and cluster -- the
+ * shapes ``profile._row_payload`` reads. */
 static PyObject *
 native_row_profile(PyObject *self, PyObject *args)
 {
@@ -3849,8 +3816,8 @@ native_row_profile(PyObject *self, PyObject *args)
     int n_clusters = (int)clusters;
 
     PyObject *result = NULL;
-    PyObject *summaries = NULL, *process_hists = NULL, *cluster_hists = NULL;
-    PyObject *ladder = NULL, *sharing = NULL;
+    PyObject *summaries = NULL, *cluster_hists = NULL;
+    PyObject *ladder = NULL, *exposure = NULL;
     Py_ssize_t n_views = 0;
     long long row_refs = 0, global_n = 0, longest = 0;
     LineTable table = {NULL, 0, 0};
@@ -3904,8 +3871,6 @@ native_row_profile(PyObject *self, PyObject *args)
                     &proc_refs[p], &row_refs,
                     sums + p * PF_SUMMARY) < 0)
             goto done;
-        if (proc_refs[p].n > longest)
-            longest = proc_refs[p].n;
     }
     for (Py_ssize_t r = 0; r < n_rungs; r++) {
         if (rung_lines[r] < 1 || rung_lines[r] & (rung_lines[r] - 1)) {
@@ -3954,7 +3919,6 @@ native_row_profile(PyObject *self, PyObject *args)
     memset(last, 0xff, table.count * sizeof(int));
 
     if (!(summaries = PyList_New(n_procs))
-            || !(process_hists = PyList_New(n_procs))
             || !(cluster_hists = PyList_New(n_clusters)))
         goto done;
     for (Py_ssize_t p = 0; p < n_procs; p++) {
@@ -3964,11 +3928,6 @@ native_row_profile(PyObject *self, PyObject *args)
         if (!summary)
             goto done;
         PyList_SET_ITEM(summaries, p, summary);
-        pf_histogram(proc_refs[p].refs, proc_refs[p].n, last, tree, hist);
-        PyObject *object = pf_histogram_object(hist);
-        if (!object)
-            goto done;
-        PyList_SET_ITEM(process_hists, p, object);
     }
     for (int cluster = 0; cluster < n_clusters; cluster++) {
         pf_histogram(cluster_refs[cluster].refs, cluster_refs[cluster].n,
@@ -3980,19 +3939,16 @@ native_row_profile(PyObject *self, PyObject *args)
     }
     if (!(ladder = pf_ladder(global, global_n, proc_cluster, (int)n_procs,
                              n_clusters, rung_lines, (int)n_rungs))
-            || !(sharing = pf_sharing(global, global_n, table.count,
-                                      proc_cluster, (int)n_procs,
-                                      n_clusters)))
+            || !(exposure = pf_sharing(global, global_n, table.count,
+                                       proc_cluster, n_clusters)))
         goto done;
-    result = PyTuple_Pack(5, summaries, process_hists, cluster_hists,
-                          ladder, sharing);
+    result = PyTuple_Pack(4, summaries, cluster_hists, ladder, exposure);
 
 done:
     Py_XDECREF(summaries);
-    Py_XDECREF(process_hists);
     Py_XDECREF(cluster_hists);
     Py_XDECREF(ladder);
-    Py_XDECREF(sharing);
+    Py_XDECREF(exposure);
     for (Py_ssize_t p = 0; p < n_views; p++)
         PyBuffer_Release(&views[p]);
     for (Py_ssize_t p = 0; proc_refs && p < n_procs; p++)

@@ -92,7 +92,7 @@ __all__ = ["NATIVE_VERSION", "load", "run", "scc_plan", "settle_scc"]
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "14"
+NATIVE_VERSION = "15"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one

@@ -1,16 +1,21 @@
 """The asyncio HTTP service end to end: byte-identical results over
 HTTP, warm submissions with zero simulations, worker death mid-grid."""
 
+import asyncio
 import json
+import socket
 import threading
 import time
+import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.experiments.session import grid_sweep
 from repro.fabric import (ArtifactStore, Broker, FabricError,
                           SweepClient, Worker, start_in_thread)
+from repro.fabric.service import MAX_BODY_BYTES, FabricService
 
 from .conftest import counting_simulator
 
@@ -151,3 +156,71 @@ class TestHttpSurface:
         client = SweepClient.connect("http://127.0.0.1:9")  # discard port
         with pytest.raises(FabricError, match="unreachable"):
             client.status("any")
+
+
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send ``request`` as it is over a fresh socket; everything the
+    service answers before it closes."""
+    where = urlsplit(url)
+    with socket.create_connection((where.hostname, where.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+class TestBadRequests:
+    """A request the service cannot read gets a 400 JSON error, not an
+    empty reply, and the service keeps answering."""
+
+    @pytest.mark.parametrize("request_bytes, message", [
+        (b"NONSENSE\r\n", "malformed request line"),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+         "Content-Length is not an integer"),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         "negative Content-Length"),
+        (f"POST /jobs HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+         f"\r\n\r\n".encode(), f"request body over {MAX_BODY_BYTES}"),
+    ], ids=["request-line", "length-not-integer", "negative-length",
+            "body-too-large"])
+    def test_unreadable_request_is_a_400(self, fabric_http, request_bytes,
+                                         message):
+        _broker, _client, url = fabric_http
+        head, _, body = _raw_exchange(url, request_bytes).partition(
+            b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert message in json.loads(body)["error"]
+        assert _get_json(url + "/healthz")["ok"] is True
+
+    def test_header_line_past_the_stream_limit_is_refused(self):
+        """asyncio's ``readline`` raises ``ValueError`` past its 64 KiB
+        limit; the service reports that as a bad request too."""
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                             + b"a" * (1 << 17) + b"\r\n\r\n")
+            reader.feed_eof()
+            return await FabricService._read_request(reader)
+
+        with pytest.raises(FabricError, match="too long"):
+            asyncio.run(read())
+
+    @pytest.mark.parametrize("endpoint", ["events", "stream"])
+    def test_negative_since_is_a_400(self, fabric_http, tiny_spec,
+                                     endpoint):
+        """Python slices a negative index from the log's tail: the
+        reply would resend events and rewind the cursor to 0."""
+        _broker, client, url = fabric_http
+        handle = client.submit(tiny_spec)
+        client.result(handle, timeout=120.0)
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(
+                f"{url}/jobs/{handle.job}/{endpoint}?since=-1",
+                timeout=30.0)
+        assert caught.value.code == 400
+        assert "since" in json.loads(caught.value.read())["error"]
+        assert _get_json(url + "/healthz")["ok"] is True

@@ -29,7 +29,7 @@ class TestLocalLayoutInterop:
     def test_tapes_share_the_trace_cache_layout(self, tmp_path):
         store = ArtifactStore(tmp_path)
         streams = {0: array("q", [1, 2, 3]), 1: array("q", [4, 5])}
-        store.put_streams("sig", streams)
+        store.traces.put("sig", streams)
         direct = TraceCache(tmp_path / "traces").get("sig")
         assert direct is not None
         assert {p: list(s) for p, s in direct.items()} == \

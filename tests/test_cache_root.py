@@ -55,4 +55,4 @@ def test_one_variable_isolates_a_run(tmp_path, monkeypatch, capsys):
     config = fused.configs()[(1, 4 * KB)]
     signature = process_workload(fused.benchmark,
                                  TINY).trace_signature(config)
-    assert ArtifactStore.default().get_streams(signature) is not None
+    assert ArtifactStore.default().traces.get(signature) is not None

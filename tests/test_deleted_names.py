@@ -56,6 +56,15 @@ DELETED = (
     # one way to look at a point's bus and banks), so no switch turns
     # one off and no timeline resolution is chosen for it
     "no_instrument", "INSTRUMENT_BIN_WIDTH",
+    # a row profile holds only what ``predict_point`` reads: no
+    # per-process histograms or write misses, and a sharing summary of
+    # exposure alone (``shared_lines`` is gone too but stays off: it is
+    # a generic local name)
+    "process_histograms", "process_histogram", "proc_write_misses",
+    "writer_sets", "interprocess_reuses",
+    # the fabric store's tapes are read and written through
+    # ``store.traces``
+    "get_streams", "put_streams",
 )
 
 PATTERN = re.compile("|".join([
