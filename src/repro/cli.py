@@ -189,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=("shared-scc", "private"))
     profile.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write a Chrome-trace JSON viewable in "
-                              "ui.perfetto.dev (keeps the raw event log, "
-                              "so the run uses the per-event reference "
-                              "loop instead of the native engine)")
+                              "ui.perfetto.dev (keeps the raw event "
+                              "log; like every probed run, the run is "
+                              "the per-event reference loop's)")
     profile.add_argument("--timeline-bins", type=int, default=64,
                          help="bins the printed timelines collapse to "
                               "(default 64)")
@@ -256,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = commands.add_parser(
         "fuzz", help="differentially fuzz the timing engines "
-                     "(reference loop vs native engine, unprobed and "
-                     "probed, vs native fused ladder, checked against "
-                     "a functional oracle)")
+                     "(reference loop vs native engine, vs native "
+                     "fused ladder, checked against a functional "
+                     "oracle)")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N",
                       help="master seed naming the tape set (default 0)")
     fuzz.add_argument("--budget", type=int, default=200, metavar="N",
@@ -490,8 +490,8 @@ def _cmd_profile(args) -> int:
     from .instrument import InstrumentationProbe, write_chrome_trace
     from .experiments import PROFILES
     config = _cli_config(args)
-    # Only the Chrome trace reads the raw event log, and keeping one
-    # takes the run off the native engine (the timelines do not).
+    # Only the Chrome trace reads the raw event log.  Probed, the run is
+    # the reference loop's either way.
     probe = InstrumentationProbe(bin_width=args.bin_width,
                                  max_events=args.max_events,
                                  record_events=bool(args.trace_out))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
@@ -80,6 +80,17 @@ class ExperimentProfile:
     cholesky_n: int
     multiprog_instructions: int
     multiprog_quantum: int
+
+    def __post_init__(self) -> None:
+        # A wire payload builds one too: a zero scale would divide by zero
+        # in ``SweepSpec.configs``, a negative size would size a workload.
+        _require(isinstance(self.name, str), "profile name must be a str")
+        for count in fields(self)[1:]:      # every field after the name
+            value = getattr(self, count.name)
+            _require(isinstance(value, int) and not isinstance(value, bool)
+                     and value >= 1,
+                     f"profile {count.name} must be an integer >= 1, "
+                     f"not {value!r}")
 
     def scaled_ladder(self) -> Tuple[int, ...]:
         """Simulated SCC sizes standing in for the paper ladder."""

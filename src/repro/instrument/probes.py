@@ -12,16 +12,10 @@ Design contract (this is the zero-overhead-when-disabled rule):
   is the standard implementation that feeds a
   :class:`~repro.instrument.registry.MetricsRegistry` and a bounded
   :class:`~repro.instrument.sampling.EventLog`;
-* the standard implementation -- exactly that class, with
-  ``record_events=False`` -- may also be *told* instead of called: the
-  native engine (:mod:`repro.trace.engine.native`) bins what these
-  callbacks would have recorded for the events it executes and hands
-  the totals to :meth:`InstrumentationProbe.absorb` once, after the
-  run, leaving the registry the calls would have.  A change to what a
-  callback below records is therefore made twice, here and in the
-  "metrics" section of ``_native.c``; the differential verifier's
-  ``instrumented`` engine diffs every counter and bin.  Subclasses,
-  duck-typed probes and the event log are always called.
+* a probe is always *called*: any probe keeps a run on the per-event
+  reference loop (:class:`~repro.trace.interleave.TimingInterleaver`),
+  whose :mod:`repro.core` objects make these calls -- so the callbacks
+  below are the one implementation of what a probe records.
 
 Event vocabulary (one method per hardware phenomenon):
 
@@ -95,8 +89,8 @@ class InstrumentationProbe(NullProbe):
     keeps raw event records (bounded by ``max_events`` via deterministic
     decimation) for slice-level Chrome-trace export; disable it for
     cheap summary-only instrumentation (``python -m repro profile``
-    without ``--trace-out``) -- the log needs every event as a call, so
-    keeping one keeps the run on the per-event reference loop.
+    without ``--trace-out``).  Either way the run is the per-event
+    reference loop's: every callback is a call.
     """
 
     enabled = True
@@ -207,49 +201,6 @@ class InstrumentationProbe(NullProbe):
             timeline = self.registry.timeline(f"proc{proc}.{kind}")
             self._proc_tl[key] = timeline
         return timeline
-
-    # ------------------------------------------------------------------
-    # Bulk intake (the native engine)
-    # ------------------------------------------------------------------
-
-    def absorb(self, counts: Dict[str, int], bus, bank_conflict,
-               write_buffer, busy, memory, sync, icache) -> None:
-        """Fold in what an engine recorded on this probe's behalf --
-        the callbacks above, pre-binned at ``registry.bin_width`` --
-        leaving the registry as the callbacks themselves would have.
-
-        ``counts`` maps counter names to totals.  The rest are integer
-        bin series, empty where nothing was recorded: ``bus`` is
-        (occupancy, wait, invalidations), ``bank_conflict`` is indexed
-        ``[cluster][bank]``, ``write_buffer`` by cluster, ``busy``,
-        ``memory``, ``sync`` and ``icache`` by processor.  A counter or
-        timeline nothing touched is not created, sums add and high-water
-        marks max, so the result does not depend on what the callbacks
-        recorded before, or on the order of the merge.
-        """
-        count = self.registry.count
-        if counts.get("bus_transactions"):
-            # ``bus_acquire`` counts all three per grant, zeros included
-            count("bus_busy_cycles", 0)
-            count("bus_wait_cycles", 0)
-        for name, amount in counts.items():
-            if amount:
-                count(name, amount)
-        for timeline, bins in zip((self._bus_occupancy, self._bus_wait,
-                                   self._bus_invalidations), bus):
-            timeline.absorb(bins)
-        for cluster, banks in enumerate(bank_conflict):
-            for bank, bins in enumerate(banks):
-                if len(bins):
-                    self._conflict_timeline(cluster, bank).absorb(bins)
-        for cluster, bins in enumerate(write_buffer):
-            if len(bins):
-                self._wb_timeline(cluster).absorb(bins)
-        for kind, series in (("busy", busy), ("memory", memory),
-                             ("sync", sync), ("icache", icache)):
-            for proc, bins in enumerate(series):
-                if len(bins):
-                    self._proc_timeline(proc, kind).absorb(bins)
 
     # ------------------------------------------------------------------
     # Post-run API

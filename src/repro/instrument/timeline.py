@@ -15,10 +15,11 @@ or export (:meth:`Timeline.rebinned`).
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List
 
 __all__ = ["Timeline"]
+
+_OUTSIDE = "cycle outside the timeline range"
 
 
 class Timeline:
@@ -54,6 +55,15 @@ class Timeline:
         if index >= len(bins):
             bins.extend([0.0] * (index + 1 - len(bins)))
 
+    def _index(self, t: int) -> int:
+        """The bin holding cycle ``t``, grown to; a negative cycle has
+        none (the list would be indexed from its end)."""
+        if t < 0:
+            raise ValueError(_OUTSIDE)
+        index = t // self.bin_width
+        self._grow_to(index)
+        return index
+
     def add_span(self, start: int, end: int, weight: float = 1.0) -> None:
         """Accumulate ``weight`` per cycle over ``[start, end)``.
 
@@ -63,6 +73,8 @@ class Timeline:
         """
         if end <= start:
             return
+        if start < 0:
+            raise ValueError(_OUTSIDE)
         width = self.bin_width
         first = start // width
         last = (end - 1) // width
@@ -78,32 +90,16 @@ class Timeline:
 
     def add_at(self, t: int, value: float) -> None:
         """Accumulate ``value`` into the bin containing cycle ``t``."""
-        index = t // self.bin_width
-        self._grow_to(index)
-        self.bins[index] += value
+        self.bins[self._index(t)] += value
 
     def add_sample(self, t: int, value: float) -> None:
         """Record ``value`` at cycle ``t`` (``max`` mode: high-water)."""
-        index = t // self.bin_width
-        self._grow_to(index)
+        index = self._index(t)
         if self.mode == "max":
             if value > self.bins[index]:
                 self.bins[index] = float(value)     # bins are floats
         else:
             self.bins[index] += value
-
-    def absorb(self, values) -> None:
-        """Combine a series recorded elsewhere at this ``bin_width``,
-        bin by bin: ``sum`` bins add, ``max`` bins keep the larger.
-        Grows to ``len(values)`` like the recording methods would have.
-        """
-        count = len(values)
-        if not count:
-            return
-        self._grow_to(count - 1)
-        combine = max if self.mode == "max" else operator.add
-        self.bins[:count] = map(combine, self.bins[:count],
-                                map(float, values))
 
     # ------------------------------------------------------------------
     # Reading

@@ -107,7 +107,8 @@ def run_simulation(config: SystemConfig, application,
     ``native``; see :mod:`repro.trace.engine`).  It is an
     execution knob, not part of the machine: every backend produces
     identical statistics, so results and caches never depend on it.
-    ``None`` defers to ``$REPRO_ENGINE``.
+    ``None`` defers to ``$REPRO_ENGINE``.  A probed run is the reference
+    loop's whatever it says.
     """
     system = build_system(config, instrumentation=instrumentation)
     interleaver = TimingInterleaver(system, backend=backend)

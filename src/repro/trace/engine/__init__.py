@@ -6,8 +6,8 @@ The SCC/bus timing model has two implementations ("backends", psim's
 * ``python`` -- the per-event reference loop of
   :class:`~repro.trace.interleave.TimingInterleaver` over the
   :mod:`repro.core` objects.  Always available, runs every machine, and
-  is what an attached observer, the probe's event log or a non-standard
-  probe always gets; there is no fused ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
+  is what an attached observer or any probe always gets; there is no
+  fused ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
   (``_native.c``) that owns the data path -- hits, bank/write-buffer
@@ -19,9 +19,7 @@ The SCC/bus timing model has two implementations ("backends", psim's
   barriers and task queues; it also carries the fused ladder.  Python
   is left the generators' bodies -- and for MP3D and Barnes-Hut not
   even those: their processes are the extension's own iterators, which
-  ``_native.run`` steps without resuming anything.  The standard
-  :class:`~repro.instrument.probes.InstrumentationProbe` (no event
-  log) rides along: C bins its timelines and counters.  The same
+  ``_native.run`` steps without resuming anything.  The same
   extension carries four kernels that time nothing and run under either
   engine: the analytical tier's row profile (``row_profile``, for
   :func:`repro.model.profile.build_row_profile`), a SPEC application's

@@ -9,13 +9,11 @@
  * bus arbitration, instruction-cache refills), scheduling, the locks,
  * barriers and task queues, and the resuming of the application
  * generators, whose bodies are the only python that runs in between: C
- * calls no other python function.  Under the standard
- * ``InstrumentationProbe`` C also owns
- * observability of what it executes: the "metrics" section bins what the
- * python objects would have told the probe, and the wrapper folds it into
- * the probe's registry once, after the run.  Everything here must stay
+ * calls no other python function.  A run never carries a probe: any probe
+ * keeps the run on the reference loop, whose callbacks are the one
+ * implementation of what a probe records.  Everything here must stay
  * observably identical to the reference loop -- the differential verifier
- * diffs fingerprints, error messages and (probed) every counter and bin.
+ * diffs fingerprints and error messages.
  *
  * Ownership: python containers are the machine's state *at rest*; between
  * ``setup`` and ``release`` C works on its own copy, and nothing in
@@ -93,7 +91,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "15"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "16"  /* == engine/native.py NATIVE_VERSION */
 
 /* What ``ladder_drain`` returns: the tape is drained, or the opcode at
  * ``regs[0]`` is python's to handle. */
@@ -123,16 +121,6 @@ enum {
     S_WRITEBACKS, S_EVICTIONS, S_COHERENCE_READ_MISSES,
     S_BANK_CONFLICT_CYCLES, S_BUS_WAIT_CYCLES, S_WRITE_BUFFER_STALL_CYCLES,
     S_FIELDS
-};
-
-/* Probe counters of one run (``InstrumentationProbe``'s registry
- * counters); slot order is engine/native.py's ``_METRIC_FIELDS``. */
-enum {
-    M_BUS_TRANSACTIONS, M_BUS_BUSY_CYCLES, M_BUS_WAIT_CYCLES,
-    M_BANK_ACCESSES, M_BANK_CONFLICT_EVENTS, M_WRITE_BUFFER_STALLS,
-    M_WRITE_BUFFER_STALL_CYCLES, M_CACHE_HITS, M_CACHE_MISSES,
-    M_INVALIDATIONS,
-    M_FIELDS
 };
 
 static PyObject *g_deque = NULL;      /* collections.deque */
@@ -193,30 +181,6 @@ typedef struct {
     PyObject *inflight, *wbufs;         /* the at-rest forms (the plan's) */
 } Words;
 
-/* One timeline's bins: int64 slots of a python ``bytearray`` the
- * wrapper allocated empty.  It grows by ``PyByteArray_Resize`` -- C holds
- * no buffer view on it -- so ``bins`` is re-read after every resize. */
-typedef struct {
-    PyObject *buf;
-    long long *bins;
-    Py_ssize_t n;
-} Series;
-
-/* What the standard probe records, for the events C executes.  Series
- * layout (the wrapper's, in this order): the bus trio, one conflict
- * series per (cluster, bank), one write-buffer high-water series per
- * cluster, busy then memory-stall then sync-stall then icache-stall
- * series per processor. */
-typedef struct {
-    long long width;          /* cycles per bin */
-    long long *counts;        /* M_* */
-    Series *series;
-    Series *bus_occupancy, *bus_wait, *bus_invalidations;
-    Series *conflict;         /* [cluster * nbanks + bank] */
-    Series *write_buffer;     /* [cluster] */
-    Series *busy, *memory, *sync, *icache;      /* [pid] */
-} Metrics;
-
 /* One shared cluster cache as the protocol sees it -- a cluster of a
  * ``run``, a rung of the ladder: python's own tag/state storage worked on
  * in place, the words C keeps for it, the row its events are counted in
@@ -238,7 +202,6 @@ typedef struct {
     int n;
     long long bus_occ, upgrade_occ, mem_latency;
     int mesi;
-    Metrics *mx;              /* NULL: no probe attached */
 } Machine;
 
 /* The ``array('q')`` storage a context works on in place: buffer views
@@ -470,159 +433,6 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
     return view->len / size;
 }
 
-/* -------------------------------------------------------------- metrics */
-
-/* What the python objects tell their probe, recorded here for the events
- * C executes: transcriptions of ``Timeline.add_span`` / ``add_at`` /
- * ``add_sample`` (repro.instrument.timeline) over integer bins, and of
- * ``InstrumentationProbe``'s callbacks on top of them, called where
- * ``SnoopyBus``, ``BankInterconnect``, ``CoherenceController`` and
- * ``ProcessorState`` call theirs.  Every mass the probe records is a
- * whole number of cycles or copies, so the wrapper's merge into the
- * probe's float bins is exact in any order.  Call sites test the machine's
- * ``mx`` first: an unprobed run pays that one never-taken branch per site,
- * and so does a ladder rung, which never carries a probe. */
-
-/* A clock no bin can hold: negative (python would index its bin list
- * from the end), or past what a buffer can address. */
-static int
-series_range_error(void)
-{
-    PyErr_SetString(PyExc_ValueError, "cycle outside the timeline range");
-    return -1;
-}
-
-static int
-series_grow(Series *s, long long index)
-{
-    if (index < 0 || index >= PY_SSIZE_T_MAX / 8)
-        return series_range_error();
-    Py_ssize_t n = (Py_ssize_t)index + 1;
-    if (PyByteArray_Resize(s->buf, 8 * n) < 0)
-        return -1;
-    s->bins = (long long *)PyByteArray_AS_STRING(s->buf);
-    memset(s->bins + s->n, 0, 8 * (size_t)(n - s->n));
-    s->n = n;
-    return 0;
-}
-
-/* ``Timeline._grow_to``: make bin ``index`` addressable. */
-static inline int
-series_reach(Series *s, long long index)
-{
-    if ((unsigned long long)index < (unsigned long long)s->n)
-        return 0;
-    return series_grow(s, index);
-}
-
-/* ``Timeline.add_span``: one unit per cycle of ``[start, end)``, split
- * across the bins the span overlaps. */
-static int
-series_add_span(Series *s, long long width, long long start, long long end)
-{
-    if (end <= start)
-        return 0;
-    if (start < 0)
-        return series_range_error();
-    long long first = start / width;
-    long long room = (first + 1) * width - start;   /* left in that bin */
-    if (end - start <= room) {
-        if (series_reach(s, first) < 0)
-            return -1;
-        s->bins[first] += end - start;
-        return 0;
-    }
-    long long last = (end - 1) / width;
-    if (series_reach(s, last) < 0)
-        return -1;
-    s->bins[first] += room;
-    for (long long k = first + 1; k < last; k++)
-        s->bins[k] += width;
-    s->bins[last] += end - last * width;
-    return 0;
-}
-
-/* ``Timeline.add_at`` */
-static int
-series_add_at(Series *s, long long width, long long t, long long value)
-{
-    long long index = t / width;
-    if (series_reach(s, index) < 0)
-        return -1;
-    s->bins[index] += value;
-    return 0;
-}
-
-/* ``Timeline.add_sample`` in ``max`` mode: the bin's high-water mark. */
-static int
-series_add_sample(Series *s, long long width, long long t, long long value)
-{
-    long long index = t / width;
-    if (series_reach(s, index) < 0)
-        return -1;
-    if (value > s->bins[index])
-        s->bins[index] = value;
-    return 0;
-}
-
-/* ``bus_acquire``: occupancy from the grant, queueing before it. */
-static int
-mx_bus_acquire(Metrics *mx, long long now, long long grant,
-               long long occupancy)
-{
-    mx->counts[M_BUS_TRANSACTIONS]++;
-    mx->counts[M_BUS_BUSY_CYCLES] += occupancy;
-    mx->counts[M_BUS_WAIT_CYCLES] += grant - now;
-    if (series_add_span(mx->bus_occupancy, mx->width, grant,
-                        grant + occupancy) < 0)
-        return -1;
-    return series_add_span(mx->bus_wait, mx->width, now, grant);
-}
-
-/* ``bank_access`` on conflict series ``slot``; the claim made at ``now``
- * got the bank at ``start``. */
-static int
-mx_bank_access(Metrics *mx, long long slot, long long now, long long start)
-{
-    mx->counts[M_BANK_ACCESSES]++;
-    if (start == now)
-        return 0;
-    mx->counts[M_BANK_CONFLICT_EVENTS]++;
-    return series_add_span(&mx->conflict[slot], mx->width, now, start);
-}
-
-/* ``write_buffer``: the cluster's depth high-water; stalls are counted. */
-static int
-mx_write_buffer(Metrics *mx, long long cl, long long now, long long depth,
-                long long stall)
-{
-    if (stall) {
-        mx->counts[M_WRITE_BUFFER_STALLS]++;
-        mx->counts[M_WRITE_BUFFER_STALL_CYCLES] += stall;
-    }
-    return series_add_sample(&mx->write_buffer[cl], mx->width, now, depth);
-}
-
-/* ``proc_busy``: straight-line execution (``account_compute``,
- * ``account_ifetch``). */
-static inline int
-mx_proc_busy(Metrics *mx, long long pid, long long start, long long cycles)
-{
-    return series_add_span(&mx->busy[pid], mx->width, start, start + cycles);
-}
-
-/* ``ProcessorState.account_reference``'s two spans: the issue slot is
- * busy, whatever follows it until ``complete`` is memory stall. */
-static int
-mx_reference(Metrics *mx, long long pid, long long issued,
-             long long complete)
-{
-    if (mx_proc_busy(mx, pid, issued, 1) < 0)
-        return -1;
-    return series_add_span(&mx->memory[pid], mx->width, issued + 1,
-                           complete);
-}
-
 /* ---------------------------------------------------------------- words */
 
 /* An SCC's in-flight fills (``scc._inflight``: line -> cycle its fill
@@ -763,8 +573,7 @@ wbuf_pop(long long *heap)
  * ``bank`` at ``now`` and is performed at ``retire``: retire what has
  * landed, stall on the oldest entry when the buffer is still full (it is
  * later than ``now``, or it had just been retired), enter the store.
- * Returns the stall; ``wbuf_held`` is then what the probe samples.  The
- * callers settle ``write_stall_cycles`` from their own deltas. */
+ * Returns the stall.  The callers settle ``write_stall_cycles`` from their own deltas. */
 static inline long long
 wbuf_reserve(Words *w, long long bank, long long now, long long retire)
 {
@@ -774,12 +583,6 @@ wbuf_reserve(Words *w, long long bank, long long now, long long retire)
     long long stall = heap[0] >= w->depth ? wbuf_pop(heap) - now : 0;
     wbuf_push(heap, retire > now + stall ? retire : now + stall);
     return stall;
-}
-
-static inline long long
-wbuf_held(const Words *w, long long bank)
-{
-    return w->wb[bank * (w->depth + 1)];
 }
 
 /* Read the containers into the (empty) words, leaving them as they are:
@@ -940,7 +743,7 @@ lost_consume(PyObject *lost, long long line)
 
 /* The snoopy write-invalidate protocol of repro.core.coherence: what
  * ``CoherenceController.read_line`` / ``write_line`` do past their hit
- * branches (their probe hooks are the "metrics" section's), written once
+ * branches, written once
  * for a ``Machine``: the clusters of a ``run``, or one rung of the ladder,
  * whose single SCC has nobody to snoop -- every loop over the others
  * runs zero times there.  The bus clock is the python object's own
@@ -948,20 +751,17 @@ lost_consume(PyObject *lost, long long line)
  * Every SCC of a machine has the same geometry: ``idx``/``tag`` address
  * all of them. */
 
-/* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; ``grant`` is the
- * cycle the bus was granted. */
-static inline int
-bus_acquire(Machine *m, const Scc *scc, long long now, long long occupancy,
-            long long *grant)
+/* ``SnoopyBus.acquire``: FCFS on one busy-until stamp; returns the cycle
+ * the bus was granted. */
+static inline long long
+bus_acquire(const Scc *scc, long long now, long long occupancy)
 {
     long long *bus = scc->bus;
-    *grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
-    bus[BUS_BUSY_UNTIL] = *grant + occupancy;
+    long long grant = bus[BUS_BUSY_UNTIL] > now ? bus[BUS_BUSY_UNTIL] : now;
+    bus[BUS_BUSY_UNTIL] = grant + occupancy;
     bus[BUS_TRANSACTIONS]++;
     bus[BUS_BUSY_CYCLES] += occupancy;
-    if (m->mx)
-        return mx_bus_acquire(m->mx, now, *grant, occupancy);
-    return 0;
+    return grant;
 }
 
 /* ``_snoop_downgrade``: a read miss turns remote MODIFIED/EXCLUSIVE
@@ -982,11 +782,10 @@ snoop_downgrade(Machine *m, long long cl, long long idx, long long tag)
     return held;
 }
 
-/* ``_invalidate_remote``: a write whose bus transaction was granted at
- * ``grant`` kills every other SCC's copy. */
+/* ``_invalidate_remote``: a write kills every other SCC's copy. */
 static inline int
 invalidate_remote(Machine *m, long long cl, long long line, long long idx,
-                  long long tag, long long grant)
+                  long long tag)
 {
     long long killed = 0;
     for (int c = 0; c < m->n; c++) {
@@ -1005,12 +804,6 @@ invalidate_remote(Machine *m, long long cl, long long line, long long idx,
         killed++;
     }
     m->sccs[cl].stats[S_INVALIDATIONS_SENT] += killed;
-    if (killed && m->mx) {
-        /* ``invalidation``: stamped with the grant, as ``write_line`` does */
-        m->mx->counts[M_INVALIDATIONS] += killed;
-        return series_add_at(m->mx->bus_invalidations, m->mx->width,
-                             grant, killed);
-    }
     return 0;
 }
 
@@ -1019,7 +812,7 @@ invalidate_remote(Machine *m, long long cl, long long line, long long idx,
  * request time ``start`` -- arbitration is in arrival order, a
  * reservation dated at fill completion would stall every later requester
  * -- and nobody waits on it. */
-static inline int
+static inline void
 install(Machine *m, long long cl, long long line, long long idx,
         long long state, long long start, long long ready)
 {
@@ -1032,13 +825,10 @@ install(Machine *m, long long cl, long long line, long long idx,
     if (victim_state) {
         scc->stats[S_EVICTIONS]++;
         if (victim_state == ST_MODIFIED) {
-            long long unawaited;
             scc->stats[S_WRITEBACKS]++;
-            if (bus_acquire(m, scc, start, m->bus_occ, &unawaited) < 0)
-                return -1;
+            (void)bus_acquire(scc, start, m->bus_occ);  /* the write-back */
         }
     }
-    return 0;
 }
 
 /* ``read_line`` on a miss; ``done`` is when the processor carries on. */
@@ -1053,16 +843,13 @@ read_miss(Machine *m, long long cl, long long line, long long idx,
     if (lost < 0)
         return -1;
     st[S_COHERENCE_READ_MISSES] += lost;
-    long long grant;
-    if (bus_acquire(m, scc, start, m->bus_occ, &grant) < 0)
-        return -1;
+    long long grant = bus_acquire(scc, start, m->bus_occ);
     st[S_BUS_WAIT_CYCLES] += grant - start;
     long long fill = grant + m->mem_latency;
     long long state = ST_SHARED;
     if (!snoop_downgrade(m, cl, idx, line >> scc->shift) && m->mesi)
         state = ST_EXCLUSIVE;   /* nobody else has it */
-    if (install(m, cl, line, idx, state, start, fill) < 0)
-        return -1;
+    install(m, cl, line, idx, state, start, fill);
     *done = fill + 1;
     return 0;
 }
@@ -1078,14 +865,11 @@ write_shared_or_miss(Machine *m, long long cl, long long line, long long idx,
     Scc *scc = &m->sccs[cl];
     long long *st = scc->stats;
     long long tag = line >> scc->shift;
-    long long grant;
     if (resident) {
         st[S_UPGRADES]++;
         /* (an upgrade's bus wait is not counted: nothing waits on it) */
-        if (bus_acquire(m, scc, start, m->upgrade_occ, &grant) < 0)
-            return -1;
-        *retire = grant + m->upgrade_occ;
-        if (invalidate_remote(m, cl, line, idx, tag, grant) < 0)
+        *retire = bus_acquire(scc, start, m->upgrade_occ) + m->upgrade_occ;
+        if (invalidate_remote(m, cl, line, idx, tag) < 0)
             return -1;
         scc->states[idx] = ST_MODIFIED;
         return 0;
@@ -1093,13 +877,13 @@ write_shared_or_miss(Machine *m, long long cl, long long line, long long idx,
     st[S_WRITE_MISSES]++;
     if (lost_consume(scc->lost, line) < 0)          /* not a read miss */
         return -1;
-    if (bus_acquire(m, scc, start, m->bus_occ, &grant) < 0)
-        return -1;
+    long long grant = bus_acquire(scc, start, m->bus_occ);
     st[S_BUS_WAIT_CYCLES] += grant - start;
     *retire = grant + m->mem_latency;
-    if (invalidate_remote(m, cl, line, idx, tag, grant) < 0)
+    if (invalidate_remote(m, cl, line, idx, tag) < 0)
         return -1;
-    return install(m, cl, line, idx, ST_MODIFIED, start, *retire);
+    install(m, cl, line, idx, ST_MODIFIED, start, *retire);
+    return 0;
 }
 
 /* One read/write reference; mirrors ``MultiprocessorSystem.data_access``. */
@@ -1108,7 +892,6 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
           long long addr, long long *time_io)
 {
     Machine *m = &ctx->m;
-    Metrics *mx = m->mx;
     Scc *scc = &m->sccs[cl];
     long long time = *time_io;
     long long line = addr >> ctx->line_shift;
@@ -1133,13 +916,9 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         start = time;
     }
     bank_free[bank] = start + ctx->bank_cycle;
-    if (mx && mx_bank_access(mx, cl * ctx->nbanks + bank, time, start) < 0)
-        return -1;
     long long idx = line & scc->mask;
     long long *states = scc->states;
     int resident = states[idx] && scc->tags[idx] == (line >> scc->shift);
-    if (mx)     /* ``cache_access``: a SHARED write hit (upgrade) is a hit */
-        mx->counts[resident ? M_CACHE_HITS : M_CACHE_MISSES]++;
     long long done;
     if (is_read) {
         st[S_READS]++;
@@ -1171,10 +950,6 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         }
         else {
             long long stall = wbuf_reserve(&scc->words, bank, done, retire);
-            if (mx && mx_write_buffer(mx, cl, done,
-                                      wbuf_held(&scc->words, bank),
-                                      stall) < 0)
-                return -1;
             st[S_WRITE_BUFFER_STALL_CYCLES] += stall;
             done += stall;
         }
@@ -1184,7 +959,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     ctx->d_stall[pid] += done - time - 1;
     ctx->d_finish[pid] = done;
     *time_io = done;
-    return mx ? mx_reference(mx, pid, time, done) : 0;
+    return 0;
 }
 
 /* ``count`` instructions from ``addr`` on a machine that models
@@ -1193,12 +968,11 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
  * icache, each miss is a bus transaction requested when the one before
  * it has arrived, and ``account_ifetch`` charges the instructions, then
  * the refill stall.  The caller refused ``count < 1``. */
-static int
+static void
 proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
             long long count, long long *time_io)
 {
     Machine *m = &ctx->m;
-    Metrics *mx = m->mx;
     Icache *ic = &ctx->icaches[pid];
     long long *states = ic->states, *tags = ic->tags;
     long long mask = ic->mask, shift = ic->shift;
@@ -1217,20 +991,12 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
     ctx->d_icmiss[pid] += misses;
     long long now = *time_io, stall = 0;
     for (long long k = 0; k < misses; k++) {
-        long long grant;
-        if (bus_acquire(m, &m->sccs[cl], now + stall, m->bus_occ, &grant) < 0)
-            return -1;
+        long long grant = bus_acquire(&m->sccs[cl], now + stall, m->bus_occ);
         stall = grant + ctx->ic_lat - now;
     }
     ctx->d_busy[pid] += count;
     ctx->d_icstall[pid] += stall;
     *time_io = now + count + stall;
-    if (!mx)
-        return 0;
-    if (mx_proc_busy(mx, pid, now, count) < 0)
-        return -1;
-    return series_add_span(&mx->icache[pid], mx->width, now + count,
-                           now + count + stall);
 }
 
 /* ------------------------------------------------------------ scheduler */
@@ -1474,8 +1240,8 @@ sched_export(Ctx *ctx)
 /* What the reference loop does around the data path, for one process at
  * a time: ``_lock_acquire`` / ``_lock_release`` / ``_barrier`` / ``_wake``
  * with their accounting (``account_compute`` for a lock operation's busy
- * cycles, ``account_sync`` for the stall of whoever is woken, and what
- * each tells the probe), ``_dispatch``'s task-queue branches, and
+ * cycles, ``account_sync`` for the stall of whoever is woken),
+ * ``_dispatch``'s task-queue branches, and
  * ``_advance``'s resuming of the generator.  ``_locks`` and ``_barriers``
  * are ``SyncTable``s here; the wrapper hands them over, and takes them
  * back, as lists of ``(id, holder or -1, [waiting pids])`` in dict order. */
@@ -1563,14 +1329,11 @@ proc_block(Ctx *ctx, WaitQ *q, long long pid, long long time)
 }
 
 /* ``account_compute`` and the clock: ``cycles`` of straight-line work. */
-static inline int
+static inline void
 proc_compute(Ctx *ctx, long long pid, long long cycles, long long *time)
 {
     ctx->d_busy[pid] += cycles;
-    if (ctx->m.mx && mx_proc_busy(ctx->m.mx, pid, *time, cycles) < 0)
-        return -1;
     *time += cycles;
-    return 0;
 }
 
 /* ``_wake``: the blocked process carries on at ``resume``; what it waited
@@ -1579,13 +1342,9 @@ static int
 proc_wake(Ctx *ctx, long long pid, long long resume)
 {
     Proc *proc = &ctx->procs[pid];
-    Metrics *mx = ctx->m.mx;
     if (resume < proc->time)
         resume = proc->time;
     ctx->d_sync[pid] += resume - proc->block_start;
-    if (mx && series_add_span(&mx->sync[pid], mx->width, proc->block_start,
-                              resume) < 0)
-        return -1;
     proc->time = resume;
     proc->blocked = 0;
     if (ctx->rq.link[pid].queued) {
@@ -1609,7 +1368,8 @@ lock_acquire(Ctx *ctx, long long pid, long long lock_id, long long *time)
         return 0;
     }
     lock->holder = pid;
-    return proc_compute(ctx, pid, ctx->lock_overhead, time) < 0 ? -1 : 1;
+    proc_compute(ctx, pid, ctx->lock_overhead, time);
+    return 1;
 }
 
 /* ``_lock_release``: the lock goes to the longest waiter, who pays the
@@ -1623,8 +1383,7 @@ lock_release(Ctx *ctx, long long pid, long long lock_id, long long *time)
                      "does not hold", pid, lock_id);
         return -1;
     }
-    if (proc_compute(ctx, pid, ctx->lock_overhead, time) < 0)
-        return -1;
+    proc_compute(ctx, pid, ctx->lock_overhead, time);
     if (!lock->count) {
         lock->holder = -1;
         return 0;
@@ -1924,9 +1683,6 @@ ctx_free(Ctx *ctx)
     PyMem_Free(ctx->locks.slots);
     PyMem_Free(ctx->barriers.q);
     PyMem_Free(ctx->barriers.slots);
-    if (ctx->m.mx)
-        PyMem_Free(ctx->m.mx->series);
-    PyMem_Free(ctx->m.mx);
     PyMem_Free(ctx);
 }
 
@@ -1936,65 +1692,6 @@ ctx_destructor(PyObject *capsule)
     Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
     if (ctx)
         ctx_free(ctx);
-}
-
-/* The plan's metrics entry: ``(bin_width, counts, series)`` -- an
- * ``array('q')`` of ``M_FIELDS`` counters and a tuple of empty
- * ``bytearray`` objects in ``Metrics``' layout.  Needs the geometry and
- * the processor count, so it is parsed last. */
-static int
-metrics_setup(Ctx *ctx, PyObject *spec)
-{
-    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "metrics must be (bin_width, counts, series)");
-        return -1;
-    }
-    Metrics *mx = ctx->m.mx = PyMem_Calloc(1, sizeof(Metrics));
-    if (!mx) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (get_ll_item(spec, 0, &mx->width) < 0)
-        return -1;
-    if (mx->width < 1) {
-        PyErr_SetString(PyExc_ValueError, "bin_width must be >= 1");
-        return -1;
-    }
-    if (!(mx->counts = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(spec, 1),
-                                    M_FIELDS)))
-        return -1;
-    PyObject *bufs = PyTuple_GET_ITEM(spec, 2);
-    Py_ssize_t banks = (Py_ssize_t)(ctx->m.n * ctx->nbanks);
-    Py_ssize_t n = 3 + banks + ctx->m.n + 4 * (Py_ssize_t)ctx->nproc;
-    if (!PyTuple_Check(bufs) || PyTuple_GET_SIZE(bufs) != n) {
-        PyErr_Format(PyExc_ValueError,
-                     "metrics plan must hold %zd series", n);
-        return -1;
-    }
-    if (!(mx->series = PyMem_Calloc(n, sizeof(Series)))) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *buf = PyTuple_GET_ITEM(bufs, k);
-        if (!PyByteArray_CheckExact(buf) || PyByteArray_GET_SIZE(buf)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "metrics series must be empty bytearrays");
-            return -1;
-        }
-        mx->series[k].buf = buf;
-    }
-    mx->bus_occupancy = mx->series;
-    mx->bus_wait = mx->series + 1;
-    mx->bus_invalidations = mx->series + 2;
-    mx->conflict = mx->series + 3;
-    mx->write_buffer = mx->conflict + banks;
-    mx->busy = mx->write_buffer + ctx->m.n;
-    mx->memory = mx->busy + ctx->nproc;
-    mx->sync = mx->memory + ctx->nproc;
-    mx->icache = mx->sync + ctx->nproc;
-    return 0;
 }
 
 /* The plan's vocabulary entry: ``(PackedChunk, "data", array.array,
@@ -2180,8 +1877,8 @@ static PyObject *
 native_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 10) {
-        PyErr_SetString(PyExc_TypeError, "plan must be a 10-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 9) {
+        PyErr_SetString(PyExc_TypeError, "plan must be a 9-tuple");
         return NULL;
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
@@ -2193,7 +1890,6 @@ native_setup(PyObject *self, PyObject *plan)
     PyObject *sched = PyTuple_GET_ITEM(plan, 6);
     PyObject *sync = PyTuple_GET_ITEM(plan, 7);
     PyObject *vocabulary = PyTuple_GET_ITEM(plan, 8);
-    PyObject *metrics = PyTuple_GET_ITEM(plan, 9);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
@@ -2282,9 +1978,6 @@ native_setup(PyObject *self, PyObject *plan)
                             "sync entry must be (locks, barriers)");
         goto fail;
     }
-    if (metrics != Py_None && metrics_setup(ctx, metrics) < 0)
-        goto fail;
-
     PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
     if (!capsule)
         goto fail;
@@ -2429,9 +2122,12 @@ native_run(PyObject *self, PyObject *capsule)
                     i += 2;
                     misc[X_EVENTS]++;
                     if (op == OP_COMPUTE) {
-                        if (operand
-                            && proc_compute(ctx, pid, operand, &time) < 0)
+                        if (operand < 0) {      /* ``account_compute`` */
+                            PyErr_SetString(PyExc_ValueError, "compute "
+                                            "cycles must be non-negative");
                             goto fail;
+                        }
+                        proc_compute(ctx, pid, operand, &time);
                     }
                     else if (do_access(ctx, cl, pid, op == OP_READ, operand,
                                        &time) < 0) {
@@ -2475,8 +2171,7 @@ native_run(PyObject *self, PyObject *capsule)
                     long long count = data[i + 2];
                     if (!ctx->icaches) {
                         i += 3;
-                        if (proc_compute(ctx, pid, count, &time) < 0)
-                            goto fail;
+                        proc_compute(ctx, pid, count, &time);
                     }
                     else if (count < 1) {
                         PyErr_SetString(PyExc_ValueError,
@@ -2485,8 +2180,7 @@ native_run(PyObject *self, PyObject *capsule)
                     }
                     else {
                         i += 3;
-                        if (proc_ifetch(ctx, cl, pid, addr, count, &time) < 0)
-                            goto fail;
+                        proc_ifetch(ctx, cl, pid, addr, count, &time);
                     }
                 }
                 else if (op == OP_ENQUEUE || op == OP_DEQUEUE) {
@@ -2606,7 +2300,8 @@ fail:
  * "coherence" section's ``bus_acquire``, ``install`` and
  * ``write_shared_or_miss``, called at the rung's local time; with one
  * cluster there is nothing to snoop and no line to lose (``lost`` is
- * NULL), so the event loop touches no python object.  The ladder's own is
+ * NULL), so the event loop touches no python object -- and, like a run,
+ * a pass carries no probe.  The ladder's own is
  * what only a ladder has: the inclusion prefix, the shared clock folded
  * into per-size finish times (``l_fold``, ``skew``), the live windows
  * that say when a rung's hits can stall (``fill_live``, ``wb_live``,
@@ -2701,7 +2396,7 @@ l_complete(LCtx *c, int s, long long base, long long t, long long done,
 }
 
 /* Per-size processing for a read that is not uniformly quiet. */
-static int
+static void
 l_slow_read(LCtx *c, long long line, long long base, long long uref,
             long long *hot_n)
 {
@@ -2716,14 +2411,12 @@ l_slow_read(LCtx *c, long long line, long long base, long long uref,
         /* ``read_miss`` with nobody to snoop, no line to have lost and no
          * fill recorded (see above): the victim's goes all the same */
         Machine *rung = &c->rungs[s];
-        long long t = l_fold(c, s, base, uref), grant;
+        long long t = l_fold(c, s, base, uref);
         scc->stats[S_READ_MISSES]++;
-        if (bus_acquire(rung, scc, t, rung->bus_occ, &grant) < 0)
-            return -1;
+        long long grant = bus_acquire(scc, t, rung->bus_occ);
         scc->stats[S_BUS_WAIT_CYCLES] += grant - t;
-        if (install(rung, 0, line, index,
-                    rung->mesi ? ST_EXCLUSIVE : ST_SHARED, t, FILL_NONE) < 0)
-            return -1;
+        install(rung, 0, line, index, rung->mesi ? ST_EXCLUSIVE : ST_SHARED,
+                t, FILL_NONE);
         l_complete(c, s, base, t, grant + rung->mem_latency + 1, hot_n);
     }
     for (; *hot_n && s < n; s++) {          /* hits inside live windows */
@@ -2736,7 +2429,6 @@ l_slow_read(LCtx *c, long long line, long long base, long long uref,
             done = fill_done(&scc->words, line, line & scc->mask, t);
         l_complete(c, s, base, t, done, hot_n);
     }
-    return 0;
 }
 
 /* A buffered store of rung ``s`` issued at ``t``, performed at ``retire``:
@@ -3008,9 +2700,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
             ev++;
             long long index = line & mask0;
             if (!(hot_n == 0 && states0[index]
-                  && tags0[index] == (line >> shift0))
-                && l_slow_read(ctx, line, base, uref, &hot_n) < 0)
-                goto out;
+                  && tags0[index] == (line >> shift0)))
+                l_slow_read(ctx, line, base, uref, &hot_n);
             n_reads++;
             base++;
             uref = base;
@@ -3036,10 +2727,15 @@ native_ladder_drain(PyObject *self, PyObject *args)
             long long cycles = data[i + 1];
             i += 2;
             ev++;
-            if (cycles) {
-                u_busy += cycles;
-                base += cycles;
+            if (cycles < 0) {
+                /* ``account_compute`` refuses it, before a cycle is
+                 * charged at any size */
+                PyErr_SetString(PyExc_ValueError,
+                                "compute cycles must be non-negative");
+                goto out;
             }
+            u_busy += cycles;
+            base += cycles;
         }
         else if (op == OP_IFETCH) {
             long long count = data[i + 2];
@@ -3101,10 +2797,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 long long t = l_fold(ctx, s, base, uref);
                 long long stall = 0;
                 for (long long m = 0; m < misses; m++) {
-                    long long grant;
-                    if (bus_acquire(rung, rung->sccs, t + stall,
-                                    rung->bus_occ, &grant) < 0)
-                        goto out;
+                    long long grant = bus_acquire(rung->sccs, t + stall,
+                                                  rung->bus_occ);
                     stall = grant + ctx->ic_lat - t;
                 }
                 ctx->d_ic[s] += stall;
@@ -3133,9 +2827,8 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 long long index = line & mask0;
                 if (is_read) {
                     if (!(hot_n == 0 && states0[index]
-                          && tags0[index] == (line >> shift0))
-                        && l_slow_read(ctx, line, base, uref, &hot_n) < 0)
-                        goto out;
+                          && tags0[index] == (line >> shift0)))
+                        l_slow_read(ctx, line, base, uref, &hot_n);
                     n_reads++;
                 }
                 else {

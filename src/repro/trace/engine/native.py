@@ -8,10 +8,9 @@ generators, whose bodies are the only python executed during a run --
 none at all for MP3D and Barnes-Hut, whose processes are C's own and
 are stepped, not resumed.  The contract is the reference loop's
 (``TimingInterleaver._run_generic``): same statistics, same clocks,
-same errors -- and, when the system carries the standard
-:class:`~repro.instrument.probes.InstrumentationProbe`, the same
-registry: C bins what it executes into buffers this wrapper hands it
-and folds into the probe once, after the run.
+same errors.  A probed system never gets here: any probe keeps the
+interleaver on the reference loop, whose callbacks are the only code
+that records what a probe sees.
 
 Ownership rule: the python containers are the machine's state *at
 rest*; between ``setup`` and ``release`` C works on its own copy and no
@@ -75,11 +74,9 @@ import sysconfig
 from array import array
 from collections import deque
 from dataclasses import fields
-from itertools import islice
 from pathlib import Path
 from typing import Optional
 
-from ...instrument.probes import NULL_PROBE
 from ..events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                       Read, TaskDequeue, TaskEnqueue, Write)
 from ..interleave import SyncProtocolError, _Lock
@@ -92,7 +89,7 @@ __all__ = ["NATIVE_VERSION", "load", "run", "scc_plan", "settle_scc"]
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "15"
+NATIVE_VERSION = "16"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one
@@ -114,13 +111,6 @@ _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
                "interventions", "writebacks", "evictions",
                "coherence_read_misses", "bank_conflict_cycles",
                "bus_wait_cycles", "write_buffer_stall_cycles")
-
-# Slot order of the probe counters (``M_*`` in _native.c), by the names
-# ``InstrumentationProbe`` counts them under
-_METRIC_FIELDS = ("bus_transactions", "bus_busy_cycles", "bus_wait_cycles",
-                  "bank_accesses", "bank_conflict_events",
-                  "write_buffer_stalls", "write_buffer_stall_cycles",
-                  "cache_hits", "cache_misses", "invalidations")
 
 # What a generator may yield, as ``_native.setup`` takes it: the chunk
 # class and its data attribute, the type ``array('q', data)`` is built
@@ -296,13 +286,11 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     heap = self._heap
     system = self.system
     config = system.config
-    n_cl = config.clusters
     cl_scc = [cluster.scc for cluster in system.clusters]
     cl_icn = [scc.interconnect for scc in cl_scc]
     proc_cluster = self._proc_cluster
     procs = system._procs
     nproc = config.total_processors
-    n_banks = cl_icn[0].num_banks
     for scc in cl_scc:
         if scc._inflight:   # C keeps one fill per index: the invariant's
             scc.check_fill_tracking()
@@ -314,7 +302,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
 
     scal = array("q", [
         config.line_offset_bits,
-        n_banks,
+        cl_icn[0].num_banks,
         cl_icn[0].bank_cycle_time,
         1 if config.stall_on_writes else 0,
         cl_icn[0].write_buffer_depth,
@@ -348,19 +336,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                       process.chunk_sub) if process else (0,) * _PROCESS_WORDS)])
     chunks = [process and process.chunk for process in processes]
     responses = [process and process.response for process in processes]
-    # What C tells the probe (eligibility made it NULL_PROBE or the
-    # standard one): counters, and one growable bin buffer per timeline
-    # -- the bus trio, (cluster, bank) conflicts, per-cluster write
-    # buffers, per-processor busy, memory, sync, then icache stall --
-    # each a bytearray of int64 bins C resizes in place.  No probe, no
-    # buffers: C's sites test one NULL pointer.
-    probe = system.probe
-    metrics = None
-    if probe is not NULL_PROBE:
-        m_counts = array("q", bytes(8 * len(_METRIC_FIELDS)))
-        m_series = tuple(bytearray() for _ in range(
-            3 + n_cl * n_banks + n_cl + 4 * nproc))
-        metrics = (probe.registry.bin_width, m_counts, m_series)
     plan = (
         per_cluster,
         tuple(icn._bank_free for icn in cl_icn),
@@ -377,7 +352,6 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
          [(barrier_id, -1, waiting)
           for barrier_id, waiting in self._barriers.items()]),
         _VOCABULARY,
-        metrics,
     )
     ctx = native.setup(plan)
     try:
@@ -425,19 +399,4 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 ic_objs[p].fetch_lines += d_icfetch[p]
                 ic_objs[p].misses += d_icmiss[p]
                 procs[p].stats.icache_stall_cycles += d_icstall[p]
-        if metrics is not None:
-            series = (array("q", buffer) for buffer in m_series)
-
-            def take(count):    # the next ``count`` series of the layout
-                return list(islice(series, count))
-
-            probe.absorb(
-                dict(zip(_METRIC_FIELDS, m_counts)),
-                bus=take(3),
-                bank_conflict=[take(n_banks) for _ in range(n_cl)],
-                write_buffer=take(n_cl),
-                busy=take(nproc),
-                memory=take(nproc),
-                sync=take(nproc),
-                icache=take(nproc))
     return misc[2]

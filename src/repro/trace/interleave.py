@@ -26,11 +26,11 @@ Two engines run this contract (:mod:`repro.trace.engine`).  The loop in
 this module is the *reference*: one event at a time through the
 :mod:`repro.core` objects, on every machine, with or without an observer
 or probe.  On machines with a direct-mapped power-of-two SCC, the default
-snoopy protocol, no observer, and either no probe or the standard
-:class:`~repro.instrument.probes.InstrumentationProbe` without its event
-log, a ``native`` resolution hands scheduling and every memory event to
-the C extension instead (bit-identical statistics and probe registry,
-pinned by :mod:`repro.verify`).  A native run shares none of this
+snoopy protocol, no observer and no probe, a ``native`` resolution hands
+scheduling and every memory event to the C extension instead
+(bit-identical statistics, pinned by :mod:`repro.verify`).  A probe's
+callbacks are called by the :mod:`repro.core` objects alone, so a probed
+run is always this loop's.  A native run shares none of this
 module's loop: C resumes the generators and keeps the locks, barriers
 and task queues itself, and ``_advance``, ``_dispatch``, the handlers
 below and :meth:`~repro.core.system.MultiprocessorSystem.data_access`
@@ -60,7 +60,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 from ..core.cache import DirectMappedArray
 from ..core.coherence import CoherenceController
 from ..core.system import MultiprocessorSystem
-from ..instrument.probes import NULL_PROBE, InstrumentationProbe
+from ..instrument.probes import NULL_PROBE
 from .engine import resolve_backend
 from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
                      Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
@@ -178,21 +178,16 @@ class TimingInterleaver:
         MP3D process, ``_native.c``) writes its chunks without one."""
         # The native engine is only exact for the plain shared-SCC
         # machine: snoopy MSI/MESI protocol, direct-mapped arrays with a
-        # power-of-two line count (mask/shift indexing), no observer,
-        # and a probe it can stand in for -- none, or exactly the
-        # standard one with no event log (C bins what its callbacks
-        # would; the log, a subclass's overrides and a duck-typed
-        # probe's methods need the calls themselves).  Everything else
-        # runs the reference loop whatever the backend resolves to.
+        # power-of-two line count (mask/shift indexing), no observer and
+        # no probe (a probe needs its callbacks called, and only the
+        # repro.core objects call them).  Everything else runs the
+        # reference loop whatever the backend resolves to.
         lines = config.scc_lines
-        probe = system.probe
         self._native_eligible = (
             observer is None
             and type(system) is MultiprocessorSystem
             and type(system.coherence) is CoherenceController
-            and (probe is NULL_PROBE
-                 or (type(probe) is InstrumentationProbe
-                     and probe.events is None))
+            and system.probe is NULL_PROBE
             and lines & (lines - 1) == 0
             and all(type(cluster.scc.array) is DirectMappedArray
                     for cluster in system.clusters))

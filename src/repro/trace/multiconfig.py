@@ -274,7 +274,6 @@ def _fused_pass_native(ladder: List[SystemConfig],
     lock_oh = config.lock_overhead
     barrier_oh = config.barrier_overhead
     sync_stall = 0
-    queues: Dict[int, list] = {}
     held_locks: set = set()
     ctx = native.ladder_setup(plan)
     try:
@@ -286,13 +285,10 @@ def _fused_pass_native(ladder: List[SystemConfig],
             i = regs[0]
             op = data[i]
             regs[3] += 1                            # ev
+            # One process: nothing reads a task queue's contents.
             if op == OP_ENQUEUE:
-                queues.setdefault(data[i + 1], []).append(data[i + 2])
                 i += 3
             elif op == OP_DEQUEUE:
-                queue = queues.get(data[i + 1])
-                if queue:
-                    del queue[0]
                 i += 2
             elif op == OP_LOCK_ACQ:
                 lock_id = data[i + 1]

@@ -13,14 +13,9 @@ must agree with it on everything the engine exposes:
   final tag/state arrays and the in-flight fill tables and write
   buffers it leaves (it works on a copy of them and writes that back;
   a fill forgotten a cycle late changes no clock, only the next run's
-  starting state).  It runs unprobed: the loop whose metrics pointer
-  is NULL.
-* **instrumented** -- the same engine carrying the standard probe
-  (:class:`~repro.instrument.probes.InstrumentationProbe`, no event
-  log); compared on all of the above plus ``metrics``, the probe's
-  whole registry -- every counter and every bin of every timeline.
-  The baseline carries the same probe (a probe never changes timing,
-  so the one baseline still serves every other engine).
+  starting state).  Every path runs unprobed: a probe would keep the
+  run on the reference loop, whose callbacks are the probe's only
+  implementation.
 * **fused** -- the compiled multi-configuration ladder, run as a
   two-rung ladder and compared on its bottom rung: statistics, event
   counts, bus counters and final tag/state arrays (the rung's arrays
@@ -37,7 +32,7 @@ must agree with it on everything the engine exposes:
   the same streams; it reads the tape, not the run, so it is there even
   when the baseline's timing run raised.
 
-``native``, ``instrumented``, ``fused`` and ``profile`` ship in one
+``native``, ``fused`` and ``profile`` ship in one
 extension, which is required, so :func:`engine_registry` is fixed.
 
 Two paths that fail with the *same* exception type are in agreement --
@@ -54,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
-from ..instrument.probes import InstrumentationProbe
 from ..model.profile import _native_kernel, _reference_kernel, _row_payload
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace.multiconfig import _fused_pass_native, fused_ladder_supported
@@ -135,15 +129,9 @@ def _always(tape: Tape) -> bool:
 _FULL = ("events", "stats", "bus", "arrays", "fills", "write_buffers")
 
 #: Modes that drive a :class:`TimingInterleaver`, by the backend they
-#: ask for (``python`` is the reference loop) ...
+#: ask for (``python`` is the reference loop).
 _INTERLEAVER_MODES = {"generic": "python", "oracle": "python",
-                      "native": "native", "instrumented": "native"}
-#: ... and the ones that carry the standard probe.
-_PROBED_MODES = ("generic", "instrumented")
-
-_PROBE_BIN_WIDTH = 16
-"""Fuzz tapes run a few thousand cycles and their misses take 20-120:
-narrow bins make most stall spans straddle a boundary or two."""
+                      "native": "native"}
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
@@ -151,8 +139,6 @@ def engine_registry() -> Dict[str, EngineSpec]:
     return {
         "oracle": EngineSpec("oracle", _FULL, _always),
         "native": EngineSpec("native", _FULL, _always),
-        "instrumented": EngineSpec("instrumented", _FULL + ("metrics",),
-                                   _always),
         "fused": EngineSpec("fused", ("events", "stats", "bus", "arrays"),
                             fused_eligible),
         "profile": EngineSpec("profile", ("profile",), _always),
@@ -174,10 +160,7 @@ def run_tape(tape: Tape, mode: str,
                                                      tape, config)})
     if mode not in _INTERLEAVER_MODES:
         raise ValueError(f"unknown differ mode {mode!r}")
-    probe = (InstrumentationProbe(bin_width=_PROBE_BIN_WIDTH,
-                                  record_events=False)
-             if mode in _PROBED_MODES else None)
-    system = MultiprocessorSystem(config, instrumentation=probe)
+    system = MultiprocessorSystem(config)
     oracle = FunctionalOracle(system) if mode == "oracle" else None
     backend = _INTERLEAVER_MODES[mode]
     interleaver = TimingInterleaver(system, observer=oracle,
@@ -205,8 +188,6 @@ def run_tape(tape: Tape, mode: str,
         "stats": system.stats(execution_time).as_dict(),
         **_state_at_rest(system),
     }
-    if probe is not None:
-        result.fingerprint["metrics"] = probe.registry.as_dict()
     return result
 
 

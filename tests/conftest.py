@@ -7,10 +7,6 @@ import pytest
 #: The statements the mutants change, each ``(needle, replacement)``:
 #: when a read miss lets its processor carry on (the timing path) ...
 READ_MISS_DONE = ("*done = fill + 1;", "*done = fill + 2;")
-#: ... and the last bin's share of a span that straddles a bin boundary
-#: (the metrics section: no clock, no statistic depends on it).
-SPAN_LAST_BIN = ("s->bins[last] += end - last * width;",
-                 "s->bins[last] += end - last * width + 1;")
 #: ... and where a stack distance stops counting marks (the profile
 #: section: the query forgets that the line's own previous occurrence
 #: is marked, so every warm distance reads one too many).
@@ -44,8 +40,8 @@ WBUF_NEWEST_FIRST = ("return a < b;", "return a > b;")
 #: ... and a dirty victim's write-back holding the bus a cycle too long
 #: (the one miss path: ``install`` under ``run`` and the ladder alike).
 WRITEBACK_HOLDS_BUS = (
-    "bus_acquire(m, scc, start, m->bus_occ, &unawaited)",
-    "bus_acquire(m, scc, start, m->bus_occ + 1, &unawaited)")
+    "(void)bus_acquire(scc, start, m->bus_occ);",
+    "(void)bus_acquire(scc, start, m->bus_occ + 1);")
 #: ... and one in what only a ladder has: a rung's skew against the
 #: shared clock.
 LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
@@ -167,13 +163,6 @@ def off_by_one_read_miss(mutant_native, monkeypatch):
     code with ``_native.c``) on the timing mutant for one test."""
     from repro.trace.engine import native
     monkeypatch.setattr(native, "_mod", mutant_native(*READ_MISS_DONE))
-
-
-@pytest.fixture
-def off_by_one_last_bin(mutant_native, monkeypatch):
-    """... on the metrics mutant for one test."""
-    from repro.trace.engine import native
-    monkeypatch.setattr(native, "_mod", mutant_native(*SPAN_LAST_BIN))
 
 
 @pytest.fixture

@@ -64,9 +64,8 @@ def fingerprint(result):
     }
 
 
-def run_key(key, packed=True, probe=None):
-    """Reproduce the run a golden key describes on the current tree
-    (``probe``: carry this one whatever the key says)."""
+def run_key(key, packed=True):
+    """Reproduce the run a golden key describes on the current tree."""
     parts = key.split("|")
     name, procs, scc = parts[0], int(parts[1][1:]), int(parts[2][1:])
     tail = parts[3] if len(parts) > 3 else None
@@ -79,8 +78,8 @@ def run_key(key, packed=True, probe=None):
     workload = WORKLOADS[name]()
     if not packed:
         workload = unpacked(workload)
-    if probe is None and tail == "instrumented":
-        probe = InstrumentationProbe(bin_width=512, record_events=False)
+    probe = (InstrumentationProbe(bin_width=512, record_events=False)
+             if tail == "instrumented" else None)
     return run_simulation(config, workload, instrumentation=probe)
 
 

@@ -58,6 +58,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             SweepSpec(**fields)
 
+    @pytest.mark.parametrize("bad", [
+        dict(name=7),
+        dict(ladder_scale=0),
+        dict(mp3d_particles=-5),
+        dict(cholesky_n=96.0),
+        dict(barnes_steps=True),
+        dict(multiprog_quantum="500"),
+    ])
+    def test_profile_rejects_bad_fields(self, tiny_profile, bad):
+        """A wire payload builds a profile too: every count is an int
+        of at least one, and a bool is not one."""
+        with pytest.raises(ValueError):
+            ExperimentProfile(**{**tiny_profile.__dict__, **bad})
+
     def test_rejects_non_profile(self):
         with pytest.raises(ValueError):
             SweepSpec(kind="parallel", benchmark="mp3d", profile="quick")

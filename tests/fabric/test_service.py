@@ -196,6 +196,28 @@ class TestBadRequests:
         assert message in json.loads(body)["error"]
         assert _get_json(url + "/healthz")["ok"] is True
 
+    @pytest.mark.parametrize("field, value", [
+        ("ladder_scale", 0),
+        ("mp3d_particles", -5),
+    ], ids=["zero-ladder-scale", "negative-particles"])
+    def test_malformed_profile_is_a_400(self, fabric_http, tiny_spec,
+                                        field, value):
+        """A zero scale would raise ``ZeroDivisionError`` in the job's
+        ``spec.configs()``, outside any handler (an empty reply); a
+        negative particle count would be queued as a job."""
+        _broker, _client, url = fabric_http
+        wire = tiny_spec.to_wire()
+        wire["profile"][field] = value
+        request = urllib.request.Request(
+            url + "/jobs", data=json.dumps({"spec": wire}).encode(),
+            method="POST")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert caught.value.code == 400
+        assert f"profile {field} must be an integer >= 1" in \
+            json.loads(caught.value.read())["error"]
+        assert _get_json(url + "/healthz")["ok"] is True
+
     def test_header_line_past_the_stream_limit_is_refused(self):
         """asyncio's ``readline`` raises ``ValueError`` past its 64 KiB
         limit; the service reports that as a bad request too."""

@@ -36,9 +36,8 @@ class TestBusSaturation:
 @pytest.mark.parametrize("backend", ["python", "native"])
 def test_probe_agrees_with_the_machines_own_statistics(backend):
     """What the probe counted and binned equals what the simulator's
-    end-of-run statistics say, on either engine (the native one bins in
-    C and folds in after the run; without the extension the request
-    degrades to the reference loop and the check is the same)."""
+    end-of-run statistics say, whichever engine is asked for (a probe
+    keeps the run on the reference loop either way)."""
     config = SystemConfig.paper_parallel(processors_per_cluster=4,
                                          scc_size=4 * KB)
     probe = InstrumentationProbe(bin_width=64, record_events=False)

@@ -60,20 +60,27 @@ class TestRecording:
         with pytest.raises(ValueError):
             Timeline(bin_width=10, mode="median")
 
-    def test_absorb_adds_sum_bins_and_grows(self):
-        tl = Timeline(bin_width=10)
-        tl.add_span(5, 15)
-        tl.absorb([1, 0, 4])
-        assert tl.series() == [6.0, 5.0, 4.0]
-        tl.absorb([])
-        assert tl.series() == [6.0, 5.0, 4.0]
-
-    def test_absorb_keeps_the_high_water_in_max_mode(self):
+    @pytest.mark.parametrize("record", [
+        lambda tl: tl.add_span(-10, 0),
+        lambda tl: tl.add_span(-1, 25),
+        lambda tl: tl.add_at(-1, 2),
+        lambda tl: tl.add_sample(-30, 2),
+    ], ids=["span-before-zero", "span-across-zero", "at", "sample"])
+    def test_a_negative_cycle_is_outside_the_range(self, record):
+        """No bin holds it: python would index the bin list from its
+        end, writing into the last bin or raising ``IndexError``."""
         tl = Timeline(bin_width=10, mode="max")
-        tl.add_sample(5, 3)
-        tl.absorb([2, 7])
-        assert tl.series() == [3.0, 7.0]
-        assert {type(value) for value in tl.series()} == {float}
+        tl.add_sample(15, 1)
+        with pytest.raises(ValueError,
+                           match="^cycle outside the timeline range$"):
+            record(tl)
+        assert tl.series() == [0.0, 1.0]
+
+    def test_an_empty_span_before_zero_records_nothing(self):
+        tl = Timeline(bin_width=10)
+        tl.add_span(-5, -5)
+        tl.add_span(-5, -10)
+        assert tl.series() == []
 
 
 class TestReading:

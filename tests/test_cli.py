@@ -87,26 +87,25 @@ class TestCommands:
         assert "bus utilization" in out
         assert "trace written" not in out
 
-    def test_profile_rides_the_native_engine(self, capsys, monkeypatch,
-                                             engines_used):
-        """Without ``--trace-out`` nothing reads the event log, so the
-        probe keeps none and the run stays native -- to the same bytes
-        on stdout as the reference loop."""
+    def test_profile_runs_the_reference_loop_whatever_the_request(
+            self, capsys, monkeypatch, engines_used):
+        """Without ``--trace-out`` the probe keeps no event log, and the
+        run is still the reference loop's: any probe keeps it there."""
         out = {}
         for engine in ("python", "native"):
             monkeypatch.setenv("REPRO_ENGINE", engine)
             assert main(["profile", "mp3d", "--procs", "8",
                          "--scc", "4KB"]) == 0
             out[engine] = capsys.readouterr().out
-        assert engines_used == ["python", "native"]
+        assert engines_used == ["python", "python"]
         assert out["native"] == out["python"]
         assert "bank conflicts" in out["native"]
 
     def test_profile_trace_out_keeps_the_reference_loop(
             self, capsys, monkeypatch, tmp_path, engines_used):
-        """The Chrome trace needs the event log, which only the
-        per-event loop can fill; the file does not depend on the engine
-        that was asked for."""
+        """The Chrome trace needs the event log, which the per-event
+        loop fills; the file does not depend on the engine that was
+        asked for."""
         for engine in ("python", "native"):
             monkeypatch.setenv("REPRO_ENGINE", engine)
             assert main(["profile", "mp3d", "--procs", "2", "--scc", "2KB",

@@ -73,12 +73,12 @@ class TestResolveBackend:
 
 
 def test_differ_registry_covers_available_backends():
-    """One extension carries every compiled entry point -- the run
-    (probed and not), the ladder, the row-profile kernel -- and each is
-    diffed against the reference loop, with the oracle."""
+    """One extension carries every compiled entry point -- the run, the
+    ladder, the row-profile kernel -- and each is diffed against the
+    reference loop, with the oracle."""
     from repro.verify.differ import engine_registry
-    assert list(engine_registry()) == ["oracle", "native", "instrumented",
-                                       "fused", "profile"]
+    assert list(engine_registry()) == ["oracle", "native", "fused",
+                                       "profile"]
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +107,9 @@ def _interleaver(config, streams, backend, probe=None):
 def _outcome(config, streams, backend, max_cycles=None, bin_width=None,
              prepare=None):
     """Everything observable about one run, errors included; with a
-    ``bin_width``, under the standard probe and with its registry;
-    ``prepare(interleaver)`` edits the state at rest before the run."""
+    ``bin_width``, under the standard probe (which only the reference
+    loop runs) and with its registry; ``prepare(interleaver)`` edits the
+    state at rest before the run."""
     from repro.instrument import InstrumentationProbe
     probe = (InstrumentationProbe(bin_width=bin_width, record_events=False)
              if bin_width else None)
@@ -327,39 +328,6 @@ class TestNativeScheduler:
             lambda code: code.co_filename == coherence.__file__)
         assert frames == {"under_c": 0, "elsewhere": 0}
 
-    def test_neither_does_telling_the_probe(self):
-        """The same point under the standard probe: no
-        ``repro.instrument.probes`` frame at all while the run is C's --
-        the generators run under ``_native.run`` and tell no probe, C
-        bins every memory event, every lock operation's
-        busy span and every sync stall.  What runs afterwards is the one
-        ``absorb`` that folds the bins in, and the registry is the
-        reference loop's."""
-        import repro.instrument.probes as probes
-        probe = probes.InstrumentationProbe(record_events=False)
-        entered = set()
-
-        def counted(code):
-            if code.co_filename == probes.__file__:
-                entered.add(code.co_name)
-                return True
-            return False
-
-        _, frames = _profiled_native_run("barnes_hut", counted, probe)
-        assert frames["under_c"] == 0
-        assert entered == {"absorb", "_conflict_timeline", "_wb_timeline",
-                           "_proc_timeline"}
-        counters = probe.registry.counters
-        assert counters["bank_accesses"] == \
-            counters["cache_hits"] + counters["cache_misses"] > 100_000
-        assert sum(timeline.total() for name, timeline
-                   in probe.registry.matching("proc")
-                   if name.endswith(".sync")) > 100_000
-        reference = probes.InstrumentationProbe(record_events=False)
-        _quick_8p("barnes_hut", "python", reference).run()
-        assert json.dumps(probe.registry.as_dict(), sort_keys=True) == \
-            json.dumps(reference.registry.as_dict(), sort_keys=True)
-
     @pytest.mark.parametrize("application", ["barnes_hut", "cholesky"])
     def test_data_access_never_runs_in_a_native_run(self, application):
         """``MultiprocessorSystem.data_access`` is the reference loop's
@@ -483,8 +451,6 @@ class TestReadyQueue:
         native = _outcome(config, streams, "native")
         assert native["error"] is None
         assert native == _outcome(config, streams, "python")
-        assert _outcome(config, streams, "native", bin_width=16) == \
-            _outcome(config, streams, "python", bin_width=16)
 
     def test_a_push_one_window_past_a_tied_clock_waits_for_its_own(self):
         """Processes 0 and 1 are preempted onto clock 10, and 0 is popped
@@ -619,10 +585,10 @@ class TestReadyQueue:
 
 class TestIcacheRefills:
     """``MultiprocessorSystem.ifetch`` is the reference loop's alone: a
-    native run installs the missing lines in the processor's icache,
-    queues their refills on the bus and, probed, bins the grants and the
-    stall itself (python refilled 3,105 times a pass of the
-    ``uni_instrumented_warm`` bench shape while C called back)."""
+    native run installs the missing lines in the processor's icache and
+    queues their refills on the bus itself (python refilled 3,105 times
+    a pass of the ``uni_instrumented_warm`` bench shape while C called
+    back)."""
 
     @pytest.fixture
     def no_python_refill(self, monkeypatch):
@@ -633,8 +599,6 @@ class TestIcacheRefills:
 
         monkeypatch.setattr(MultiprocessorSystem, "ifetch", refused)
 
-    @pytest.mark.parametrize("probed", [False, True],
-                             ids=["unprobed", "probed"])
     @pytest.mark.parametrize("procs, paper_kb", [
         # the quick 2p multiprogramming row, live
         (2, (4, 8, 16, 32, 64, 128, 256, 512)),
@@ -642,24 +606,17 @@ class TestIcacheRefills:
         (1, (32,)),
     ], ids=["2p-row", "uni-32KB"])
     def test_a_native_run_never_calls_the_python_refill(
-            self, no_python_refill, engines_used, procs, paper_kb, probed):
+            self, no_python_refill, engines_used, procs, paper_kb):
         from repro.core.config import SystemConfig
         from repro.experiments.spec import PROFILES
-        from repro.instrument import InstrumentationProbe
         from repro.simulation import run_simulation
         profile = PROFILES["quick"]
         ladder = [kb * 1024 // profile.ladder_scale for kb in paper_kb]
         for size in ladder:
-            probe = (InstrumentationProbe(record_events=False) if probed
-                     else None)
             result = run_simulation(
                 SystemConfig.paper_multiprogramming(procs, size),
-                profile.multiprogramming(), instrumentation=probe,
-                backend="native")
+                profile.multiprogramming(), backend="native")
             assert result.stats.icache_misses > 0
-            if probed:
-                assert probe.registry.counters["bus_transactions"] > \
-                    result.stats.icache_misses
         assert engines_used == ["native"] * len(ladder)
 
     @pytest.mark.parametrize("addr", [64, 68], ids=["aligned", "unaligned"])
@@ -679,8 +636,6 @@ class TestIcacheRefills:
         assert reference["error"] == ("ValueError",
                                       "must fetch at least one instruction")
         assert _outcome(config, streams, "native") == reference
-        assert _outcome(config, streams, "native", bin_width=4) == \
-            _outcome(config, streams, "python", bin_width=4)
 
     @pytest.mark.parametrize("addr", [64, 68], ids=["aligned", "unaligned"])
     @pytest.mark.parametrize("count", [0, -3])
@@ -748,8 +703,9 @@ def _profiled_native_run(application, counted, probe=None):
 
 
 class TestNativeEligibility:
-    """Which probes the native engine can stand in for: none, and
-    exactly the standard one without its event log."""
+    """The native engine stands in for no probe: an unprobed eligible
+    machine runs it, and any probe keeps the reference loop, whose
+    callbacks are the only code that records what a probe sees."""
 
     @staticmethod
     def _engine_used(probe=None, observer=None):
@@ -767,12 +723,8 @@ class TestNativeEligibility:
         interleaver.run()
         return interleaver.engine_used
 
-    def test_no_probe_and_the_standard_probe_run_native(self):
-        from repro.instrument import InstrumentationProbe
+    def test_an_unprobed_eligible_machine_runs_native(self):
         assert self._engine_used() == "native"
-        probe = InstrumentationProbe(record_events=False)
-        assert self._engine_used(probe) == "native"
-        assert probe.registry.counters["cache_misses"] == 1
 
     def test_everything_that_needs_the_calls_keeps_the_reference_loop(self):
         from repro.instrument import InstrumentationProbe, NullProbe
@@ -782,6 +734,9 @@ class TestNativeEligibility:
             pass
 
         assert self._engine_used(InstrumentationProbe()) == "python"
+        standard = InstrumentationProbe(record_events=False)
+        assert self._engine_used(standard) == "python"
+        assert standard.registry.counters["cache_misses"] == 1
         assert self._engine_used(Subclass(record_events=False)) == "python"
         assert self._engine_used(NullProbe()) == "python"   # duck-typed
         assert self._engine_used(observer=RaceDetector()) == "python"
@@ -922,60 +877,80 @@ def _probed_tapes():
 
 @pytest.mark.parametrize("protocol", ["msi", "mesi"])
 @pytest.mark.parametrize("name", sorted(_probed_tapes()))
-def test_native_timelines_match_the_reference_probe(name, protocol):
-    """Under the standard probe both engines leave the same registry,
-    counter for counter and bin for bin, and the timing they leave does
-    not know a probe was there: the icache refills' bus grants and
-    stall spans among them, which C bins as it executes them."""
+def test_a_probe_bins_on_the_reference_loop_and_moves_no_clock(name,
+                                                               protocol):
+    """Under the standard probe a run is the reference loop's, whose
+    callbacks bin what each tape is for; the timing it leaves does not
+    know a probe was there: it is the unprobed native run's, the icache
+    refills' bus grants and stall spans among them."""
     from repro.core.config import SystemConfig
     streams, check = _probed_tapes()[name]
     config = SystemConfig(clusters=2, processors_per_cluster=2,
                           scc_size=1024, protocol=protocol,
                           model_icache=True, icache_size=1024)
-    reference = _outcome(config, streams, "python", bin_width=4)
-    assert reference["error"] is None
+    probed = _outcome(config, streams, "python", bin_width=4)
+    assert probed["error"] is None
     if protocol == "msi":
-        assert check(reference), reference
-    probed = _outcome(config, streams, "native", bin_width=4)
-    assert probed == reference
-    unprobed = _outcome(config, streams, "native")
-    assert dict(probed, metrics=None) == unprobed
+        assert check(probed), probed
+    assert dict(probed, metrics=None) == _outcome(config, streams, "native")
 
 
 def test_max_cycles_abort_leaves_the_same_partial_registry():
-    """The abort tape of ``TestNativeScheduler``, probed: what C had
-    binned when the limit hit is folded in on the way out, and equals
-    what the reference loop's callbacks had recorded by then."""
+    """The abort tape of ``TestNativeScheduler``, probed: the registry
+    holds what the callbacks had recorded when the limit hit, and the
+    rest of the abort is the unprobed native run's."""
     from repro.core.config import SystemConfig
     config = SystemConfig(clusters=1, processors_per_cluster=2,
                           scc_size=1024)
     streams = {0: [[OP_READ, 0, OP_COMPUTE, 500, OP_READ, 64]],
                1: [[OP_READ, 128, OP_COMPUTE, 1000, OP_READ, 256]]}
-    native = _outcome(config, streams, "native", max_cycles=300,
+    probed = _outcome(config, streams, "python", max_cycles=300,
                       bin_width=64)
-    assert native["error"] == ("RuntimeError",
+    assert probed["error"] == ("RuntimeError",
                                "simulation exceeded 300 cycles")
-    counters = json.loads(native["metrics"])["counters"]
+    counters = json.loads(probed["metrics"])["counters"]
     assert counters["cache_misses"] == 2 and "cache_hits" not in counters
-    assert native == _outcome(config, streams, "python", max_cycles=300,
-                              bin_width=64)
+    assert dict(probed, metrics=None) == _outcome(config, streams, "native",
+                                                  max_cycles=300)
 
 
 def test_a_negative_clock_cannot_index_before_the_bins():
-    """A hostile tape: the reference loop refuses negative compute
-    cycles; C runs them and the clock goes backwards.  The bin buffers
-    are indexed by the clock, so the probed engine must refuse too
-    rather than write before them (ASan watches this test in CI)."""
+    """A process that starts before cycle 0, probed: its first miss
+    queues on the bus from cycle -10, and the probe's timeline refuses
+    that span rather than index its bin list from the end (an
+    ``IndexError``, or a write into the last bin)."""
+    from repro.core.config import SystemConfig
+    from repro.instrument import InstrumentationProbe
+    from repro.trace.packed import PackedChunk
+    config = SystemConfig(clusters=1, processors_per_cluster=1,
+                          scc_size=1024)
+    probe = InstrumentationProbe(bin_width=4, record_events=False)
+    _, interleaver = _interleaver(config, {}, "native", probe)
+    interleaver.add_process(0, iter([PackedChunk([OP_READ, 0])]),
+                            start_time=-10)
+    with pytest.raises(ValueError,
+                       match="^cycle outside the timeline range$"):
+        interleaver.run()
+    assert interleaver.engine_used == "python"
+
+
+def test_negative_compute_is_refused_before_anything_is_charged():
+    """``account_compute`` refuses it on the reference loop, probed or
+    not; the native run refuses it with the same message at the same
+    event, before its clock could go back 50 cycles and the processor's
+    busy cycles negative."""
     from repro.core.config import SystemConfig
     config = SystemConfig(clusters=1, processors_per_cluster=1,
                           scc_size=1024)
     streams = {0: [[OP_COMPUTE, -50, OP_READ, 0]]}
-    reference = _outcome(config, streams, "python", bin_width=4)
+    reference = _outcome(config, streams, "python")
     assert reference["error"] == ("ValueError",
                                   "compute cycles must be non-negative")
-    native = _outcome(config, streams, "native", bin_width=4)
-    assert native["error"] == ("ValueError",
-                               "cycle outside the timeline range")
+    assert reference["events"] == 1
+    assert reference["stats"]["processors"][0]["busy_cycles"] == 0
+    assert _outcome(config, streams, "native") == reference
+    probed = _outcome(config, streams, "python", bin_width=4)
+    assert dict(probed, metrics=None) == reference
 
 
 # ----------------------------------------------------------------------
@@ -1070,8 +1045,6 @@ def test_native_scheduling_matches_the_reference_loop(name):
     assert reference["error"] is None
     assert check(reference), reference
     assert _outcome(config, streams, "native") == reference
-    assert _outcome(config, streams, "native", bin_width=4) == \
-        _outcome(config, streams, "python", bin_width=4)
 
 
 def _sync_error_tapes():
@@ -1135,7 +1108,7 @@ def _sync_error_tapes():
 @pytest.mark.parametrize("name", sorted(_sync_error_tapes()))
 def test_native_sync_errors_match_the_reference_loop(name):
     """Type, message, partial accounting, who is left ready, blocked and
-    queued where: the whole outcome, probed and not."""
+    queued where: the whole outcome."""
     from repro.core.config import SystemConfig
     streams, error = _sync_error_tapes()[name]
     config = SystemConfig(clusters=2, processors_per_cluster=2,
@@ -1143,8 +1116,6 @@ def test_native_sync_errors_match_the_reference_loop(name):
     reference = _outcome(config, streams, "python")
     assert reference["error"] == error
     assert _outcome(config, streams, "native") == reference
-    assert _outcome(config, streams, "native", bin_width=4) == \
-        _outcome(config, streams, "python", bin_width=4)
 
 
 def test_an_operand_beyond_int64_raises_before_any_accounting():
@@ -1554,9 +1525,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "15"
+        assert native.NATIVE_VERSION == "16"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '15'")
+            "stale extension old.so: ABI '5', need '16'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
@@ -1591,7 +1562,7 @@ class TestNativeAbiGuard:
             with pytest.raises(ImportError) as raised:
                 first_use()
             message = str(raised.value)
-            assert "stale extension old.so: ABI None, need '15'" in message
+            assert "stale extension old.so: ABI None, need '16'" in message
             assert f"compile failed ({compiler})" in message
             assert "Python.h: no such file" in message
         assert native._mod is None

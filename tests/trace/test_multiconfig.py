@@ -246,6 +246,20 @@ class TestNativeLadderErrorParity:
         assert outcomes["python"] is not None
         assert outcomes["native"] == outcomes["python"]
 
+    def test_negative_compute_is_refused_like_per_size_replay(self):
+        """Two rungs: per-size replay raises at the compute, before a
+        cycle is charged at either size, and so does the pass, before
+        its shared clock could go back 50 cycles."""
+        rungs = ladder()[:2]
+        tape = {0: array("q", [OP_COMPUTE, -50, OP_READ, 0])}
+        outcomes = {}
+        for backend in ("python", "native"):
+            with pytest.raises(ValueError) as raised:
+                fused_ladder_results(rungs, tape, backend=backend)
+            outcomes[backend] = str(raised.value)
+        assert outcomes["native"] == outcomes["python"] == \
+            "compute cycles must be non-negative"
+
     def test_synthetic_tape_bit_identical_on_native(self):
         streams = synthetic_tape()
         python = fused_ladder_results(ladder(), streams,

@@ -4,12 +4,9 @@ repro.  The snoopy miss path lives twice -- ``CoherenceController`` for
 the reference loop, ``_native.c`` for the native engine -- so the mutant
 is a second build of the C source with one statement changed (the
 ``off_by_one_read_miss`` fixture, ``tests/conftest.py``): it diverges
-exactly the ``native`` engine from the generic baseline.  So do the
-probe's callbacks -- ``InstrumentationProbe`` and the C "metrics"
-section -- and a second mutant (``off_by_one_last_bin``) changes one
-statement there: it diverges exactly the ``instrumented`` engine.  And
-so do row profiles -- the python functions of ``repro.model.profile``
-and the C "profile" section -- where a third mutant
+exactly the ``native`` engine from the generic baseline.  So do row
+profiles -- the python functions of ``repro.model.profile`` and the C
+"profile" section -- where a second mutant
 (``off_by_one_stack_distance``) diverges exactly the ``profile``
 engine.  Two more sit in the state a native run keeps for itself between
 ``setup`` and ``release`` -- the ready queue (``READY_TIE_BREAK`` between
@@ -23,9 +20,9 @@ a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
 engines' to report, and one in what only a ladder has
 (``LADDER_SKEW``) is the ``fused`` engine's alone.  A run's icache
-refills are C's too (``ICACHE_REFILL_CHAIN``): the ``native`` and
-``instrumented`` engines both answer for them, and so does the directed
-multi-line refill tape's parity test.  The SPEC-stream
+refills are C's too (``ICACHE_REFILL_CHAIN``): the ``native`` engine
+answers for them, and so does the directed multi-line refill tape's
+parity test.  The SPEC-stream
 kernel writes the multiprogramming workload's words for every engine
 alike, so the differ has no baseline to hold a mutant there
 (``SPEC_HOT_PARITY``) against: the kernel's parity test with its
@@ -94,42 +91,6 @@ class TestMutationIsCaught:
         assert report.counters["diverged"] >= 1
 
 
-class TestMetricsMutationIsCaught:
-    """A bug in the metrics section cannot hide in the timing path, or
-    leak into it: the unprobed ``native`` engine stays clean on the
-    mutant, the ``instrumented`` one is the kind reported."""
-
-    def test_last_bin_off_by_one_diverges_only_the_metrics(
-            self, off_by_one_last_bin):
-        tape, divergence = _first_diverging_tape()
-        assert divergence.kind == "instrumented"
-        assert divergence.detail
-        assert all(line.startswith("metrics.timelines.")
-                   for line in divergence.detail)
-        assert run_tape(tape, "native").fingerprint == {
-            section: value for section, value
-            in run_tape(tape, "generic").fingerprint.items()
-            if section not in ("metrics", "profile")}
-
-    def test_divergence_shrinks_and_is_clean_unmutated(
-            self, off_by_one_last_bin):
-        tape, _ = _first_diverging_tape()
-        shrunk, checks = shrink_tape(tape)
-        assert checks >= 1
-        assert shrunk.total_events() <= 50
-        assert diff_tape(shrunk).kind == "instrumented"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "_mod", None)
-            assert diff_tape(shrunk) is None
-
-    def test_fuzz_campaign_reports_the_instrumented_engine(
-            self, off_by_one_last_bin, tmp_path):
-        report = run_fuzz(seed=0, budget=10, out_dir=tmp_path)
-        assert report.divergences
-        assert {record.kind for record in report.divergences} \
-            == {"instrumented"}
-
-
 class TestProfileMutationIsCaught:
     """A bug in the C profile kernel is the ``profile`` engine's to
     report, and nobody else's: the timing engines share the extension
@@ -151,7 +112,7 @@ class TestProfileMutationIsCaught:
                                     run_tape(tape, spec.name),
                                     spec.sections) is None, spec.name
                     clean.add(spec.name)
-        assert clean == {"oracle", "native", "instrumented", "fused"}
+        assert clean == {"oracle", "native", "fused"}
 
     def test_divergence_shrinks_and_is_clean_unmutated(
             self, off_by_one_stack_distance):
@@ -307,27 +268,27 @@ class TestIcacheRefillMutationIsCaught:
             self, protocol, mutant_native, monkeypatch):
         # (imported here: at module level pytest would collect it again)
         from ..trace.test_engine import \
-            test_native_timelines_match_the_reference_probe as parity
+            test_a_probe_bins_on_the_reference_loop_and_moves_no_clock \
+            as parity
         monkeypatch.setattr(native, "_mod",
                             mutant_native(*ICACHE_REFILL_CHAIN))
         with pytest.raises(AssertionError):
             parity(
                 "multi-line-refill-queued-behind-a-data-miss", protocol)
 
-    def test_the_instrumented_engine_reports_it(self, mutant_native,
-                                                monkeypatch):
+    def test_the_native_engine_reports_it(self, mutant_native,
+                                          monkeypatch):
         monkeypatch.setattr(native, "_mod",
                             mutant_native(*ICACHE_REFILL_CHAIN))
 
         def dirty(tape):
-            return _diff_of(tape, "instrumented") is not None
+            return _diff_of(tape, "native") is not None
 
         tape = next((tape for tape in (generate_tape(f"0:{index}")
                                        for index in range(MUTANT_SEED_LIMIT))
                      if dirty(tape)), None)
         assert tape is not None, "no generated tape fetched past a refill"
         assert tape.config().model_icache
-        assert _diff_of(tape, "native") is not None
         shrunk, checks = shrink_tape(tape, dirty)
         assert checks >= 1
         assert shrunk.total_events() <= 50
