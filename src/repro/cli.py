@@ -51,6 +51,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -92,6 +93,22 @@ def parse_size(text: str) -> int:
             f"cannot parse size {text!r}; accepted forms: plain bytes "
             f"(4096), B (512B), KB (8KB), MB (1MB) -- any letter case"
         ) from None
+
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` taking integers no smaller than
+    ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _parse_int_list(text: str):
@@ -173,6 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("shared-scc", "private"))
     simulate.add_argument("--associativity", type=int, default=1)
     simulate.add_argument("--line-size", type=parse_size, default=16)
+    simulate.set_defaults(config_error=simulate.error)
 
     profile = commands.add_parser(
         "profile",
@@ -192,15 +210,18 @@ def _build_parser() -> argparse.ArgumentParser:
                               "ui.perfetto.dev (keeps the raw event "
                               "log; like every probed run, the run is "
                               "the per-event reference loop's)")
-    profile.add_argument("--timeline-bins", type=int, default=64,
+    profile.add_argument("--timeline-bins", type=_int_at_least(1),
+                         default=64,
                          help="bins the printed timelines collapse to "
                               "(default 64)")
-    profile.add_argument("--bin-width", type=int, default=512,
+    profile.add_argument("--bin-width", type=_int_at_least(1), default=512,
                          help="timeline resolution in cycles while "
                               "recording (default 512)")
-    profile.add_argument("--max-events", type=int, default=100_000,
+    profile.add_argument("--max-events", type=_int_at_least(2),
+                         default=100_000,
                          help="raw events retained for the trace export "
                               "(deterministically decimated beyond this)")
+    profile.set_defaults(config_error=profile.error)
 
     sweep = commands.add_parser(
         "sweep", help="run the paper's grid for one benchmark "
@@ -391,7 +412,7 @@ def _cli_config(args) -> SystemConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _cli_config(args)
+    config = args.config
     clusters = config.clusters
     from .experiments import PROFILES
     workload = PROFILES["quick"].workload(args.benchmark)
@@ -489,7 +510,7 @@ def _sparkline(values, peak: float = None) -> str:
 def _cmd_profile(args) -> int:
     from .instrument import InstrumentationProbe, write_chrome_trace
     from .experiments import PROFILES
-    config = _cli_config(args)
+    config = args.config
     # Only the Chrome trace reads the raw event log.  Probed, the run is
     # the reference loop's either way.
     probe = InstrumentationProbe(bin_width=args.bin_width,
@@ -498,10 +519,9 @@ def _cmd_profile(args) -> int:
     workload = PROFILES["quick"].workload(args.benchmark)
     result = run_simulation(config, workload, instrumentation=probe)
     stats = result.stats
-    bins = max(1, args.timeline_bins)
-    probe.rebin(bins)
+    probe.rebin(args.timeline_bins)
 
-    bus = probe.registry.timeline("bus.occupancy")
+    bus = probe.bus_occupancy
     utilization = bus.utilization_series()
     summary = probe.summary()
     print(f"benchmark          : {args.benchmark}")
@@ -524,11 +544,15 @@ def _cmd_profile(args) -> int:
     print(f"bus occupancy ({len(utilization)} bins x "
           f"{bus.bin_width:,} cycles, full block = 100 %):")
     print(f"  [{_sparkline(utilization, peak=1.0)}]")
-    conflict = probe.registry.merged("cluster", bins)
-    conflict_series = [value for value in conflict.series()]
-    if any(conflict_series):
+    # After rebin every series shares one bin width: bin i of each
+    # covers the same cycles, so the pressure line sums them bin by bin.
+    pressed = [*probe.bank_conflict.values(),
+               *probe.write_buffer_depth.values()]
+    pressure = [sum(column) for column in itertools.zip_longest(
+        *(timeline.bins for timeline in pressed), fillvalue=0.0)]
+    if any(pressure):
         print("bank conflict + write-buffer pressure:")
-        print(f"  [{_sparkline(conflict_series)}]")
+        print(f"  [{_sparkline(pressure)}]")
     print()
     print("per-processor cycle breakdown (busy / memory / sync):")
     for proc_id, proc in enumerate(stats.processors):
@@ -876,6 +900,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv[:1] == ["bench"]:
         return _bench_front(argv[1:])
     args = _build_parser().parse_args(argv)
+    if args.command in ("simulate", "profile"):
+        try:
+            args.config = _cli_config(args)
+        except ValueError as exc:       # SystemConfig's own checks
+            args.config_error(str(exc))
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "profile":

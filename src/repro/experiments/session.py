@@ -15,10 +15,9 @@ backoff up to ``spec.max_attempts`` times, a point that exceeds
 ``spec.point_timeout`` has its worker killed and is retried the same
 way, and a point that exhausts its attempts is *quarantined* --
 reported in the result instead of sinking the rest of the grid.
-Progress (done/cached/replayed/retried/quarantined counts)
-is accounted in a :class:`~repro.instrument.registry.MetricsRegistry`
-so CLIs and dashboards read live state through the same observability
-surface as everything else.
+Progress (done/cached/replayed/retried/quarantined counts) is counted
+into a plain dict, :attr:`SweepSession.counters`, which the progress
+callback and :attr:`SessionResult.counters` hand to CLIs and dashboards.
 
 Fault injection for tests and drills: set ``REPRO_FAULT_INJECT`` to
 ``"<procs>:<paper_bytes>:<mode>"`` (mode ``raise`` or ``hang``) and the
@@ -32,7 +31,7 @@ import json
 import logging
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
@@ -41,7 +40,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..diskstore import cache_root
-from ..instrument.registry import MetricsRegistry
 from ..trace.record import TraceCache, default_trace_cache
 from .runner import (ResultCache, RunStats, Sweep, _shutdown_pool,
                      _simulate, _worker_pool, default_cache,
@@ -377,7 +375,7 @@ class SweepSession:
         self.journal = SessionJournal(spec, session_dir)
         self.resume = resume
         self.progress = progress
-        self.registry = MetricsRegistry()
+        self._counters: Counter = Counter()
         self._compute = compute or _point_task
         self._configs = spec.configs()
         self._total = len(self._configs)
@@ -388,11 +386,13 @@ class SweepSession:
     # ------------------------------------------------------------------
 
     def _count(self, name: str, amount: float = 1) -> None:
-        self.registry.count(f"session.points.{name}", amount)
+        self._counters[name] += amount
 
     @property
     def counters(self) -> Dict[str, float]:
-        return self.registry.counter_group("session.points")
+        """Points by how they settled (``done``/``cached``/``retried``/
+        ``quarantined``...), sorted by name."""
+        return dict(sorted(self._counters.items()))
 
     def _settle(self, point: GridPoint, status: str,
                 stats: Optional[RunStats], attempts: int = 1,

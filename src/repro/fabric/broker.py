@@ -27,8 +27,8 @@ refuses the double-write and the points stay settled exactly once.
 The broker is synchronous and thread-safe (one re-entrant lock, one
 condition); the asyncio service calls into it from executor threads and
 the in-memory transport calls it directly.  Progress is both counted in
-a :class:`~repro.instrument.registry.MetricsRegistry` (the ``/metrics``
-payload) and appended to a per-job event log that
+:attr:`Broker.counters` (``fabric.*`` names; the ``/metrics`` payload)
+and appended to a per-job event log that
 :meth:`events_since` long-polls -- the NDJSON progress stream is just
 that log replayed.
 """
@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..experiments.runner import RunStats
 from ..experiments.spec import GridPoint, SweepSpec
-from ..instrument.registry import MetricsRegistry
 from .store import ArtifactStore
 from .wire import FabricError, point_label, sweep_to_wire
 
@@ -140,7 +139,7 @@ class Broker:
         self._clock = clock
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
-        self.registry = MetricsRegistry()
+        self.counters: Counter = Counter()
         self.jobs: Dict[str, SweepJob] = {}
         self._units: Dict[str, WorkUnit] = {}
         self._queue: deque = deque()        # pending unit ids
@@ -231,7 +230,7 @@ class Broker:
         with self._lock:
             running = sum(1 for job in self.jobs.values() if not job.done)
             return {
-                "counters": dict(self.registry.counters),
+                "counters": dict(self.counters),
                 "jobs": {"total": len(self.jobs), "running": running},
                 "units": {"pending": len(self._queue),
                           "leased": sum(1 for u in self._units.values()
@@ -415,7 +414,7 @@ class Broker:
         return point
 
     def _count(self, name: str, amount: float = 1) -> None:
-        self.registry.count(f"fabric.{name}", amount)
+        self.counters[f"fabric.{name}"] += amount
 
     def _touch(self, worker_id: str) -> None:
         self._workers[worker_id] = self._clock()

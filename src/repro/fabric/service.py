@@ -6,7 +6,7 @@ frameworks) exposing the broker:
 
 ====================================  ==================================
 ``GET  /healthz``                     liveness + job/unit gauges
-``GET  /metrics``                     broker ``MetricsRegistry`` counters
+``GET  /metrics``                     broker ``fabric.*`` counters
 ``POST /jobs``                        submit ``{"spec": <to_wire>}``;
                                       returns the job descriptor (a warm
                                       grid is already ``state: done``)

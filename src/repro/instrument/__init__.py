@@ -8,10 +8,8 @@ package adds the temporal axis:
   probe API the core hot paths emit into (``NULL_PROBE`` by default);
 * :mod:`~repro.instrument.timeline` -- interval-binned series (bus
   occupancy, per-bank conflicts, write-buffer depth, per-processor
-  busy/memory/sync breakdown);
-* :mod:`~repro.instrument.registry` -- the named-metrics container a
-  :class:`~repro.simulation.SimulationResult` carries (and a sweep
-  session counts its points in);
+  busy/memory/sync breakdown), which the probe holds as attributes
+  keyed by the hardware they describe;
 * :mod:`~repro.instrument.sampling` -- bounded deterministic retention
   of raw events;
 * :mod:`~repro.instrument.chrometrace` -- Chrome-trace/Perfetto JSON
@@ -38,13 +36,12 @@ Or, without writing Python::
 from .chrometrace import (BUS_PID, SCC_TID, bank_tid, chrome_trace,
                           cluster_pid, proc_tid, write_chrome_trace)
 from .probes import NULL_PROBE, InstrumentationProbe, NullProbe
-from .registry import MetricsRegistry
 from .sampling import EventLog
 from .timeline import Timeline
 
 __all__ = [
     "NULL_PROBE", "NullProbe", "InstrumentationProbe",
-    "MetricsRegistry", "Timeline", "EventLog",
+    "Timeline", "EventLog",
     "chrome_trace", "write_chrome_trace",
     "BUS_PID", "SCC_TID", "bank_tid", "cluster_pid", "proc_tid",
 ]

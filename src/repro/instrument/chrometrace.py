@@ -25,9 +25,10 @@ a long run cannot bloat the file.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+from .timeline import Timeline
 
 __all__ = ["BUS_PID", "cluster_pid", "bank_tid", "proc_tid", "SCC_TID",
            "chrome_trace", "write_chrome_trace"]
@@ -39,7 +40,6 @@ SCC_TID = 90
 """Thread id carrying a cluster's cache-miss instant stream."""
 
 _BUS_TID = 1
-_CLUSTER_TIMELINE = re.compile(r"cluster(\d+)\.")
 
 
 def cluster_pid(cluster: int) -> int:
@@ -169,27 +169,26 @@ def chrome_trace(probe, config=None,
                            "ts": index * width, "name": name,
                            "args": {value_name: value * scale}})
 
-    registry = probe.registry
-    bus_timeline = registry.timelines.get("bus.occupancy")
-    if bus_timeline is not None and bus_timeline.bins:
+    bus_timeline = probe.bus_occupancy
+    if bus_timeline.bins:
         compact = bus_timeline.rebinned(max_counter_bins)
         for index, value in enumerate(compact.bins):
             events.append({"ph": "C", "pid": BUS_PID, "tid": 0,
                            "ts": index * compact.bin_width,
                            "name": "bus utilization",
                            "args": {"fraction": value / compact.bin_width}})
-    clusters = sorted({int(match.group(1))
-                       for name in registry.timelines
-                       for match in [_CLUSTER_TIMELINE.match(name)]
-                       if match})
+    clusters = sorted({cluster for cluster, _bank in probe.bank_conflict}
+                      | set(probe.write_buffer_depth))
     for cluster in clusters:
         pid = ensure_cluster(cluster)
-        conflict = registry.merged(f"cluster{cluster}.bank")
-        if conflict.bins:
-            emit_counter(pid, "bank conflict cycles", conflict, "cycles")
-        depth = registry.timelines.get(f"cluster{cluster}.write_buffer")
-        if depth is not None and depth.bins:
-            emit_counter(pid, "write-buffer depth", depth, "entries")
+        banks = [timeline for (owner, _bank), timeline
+                 in sorted(probe.bank_conflict.items()) if owner == cluster]
+        if banks:
+            emit_counter(pid, "bank conflict cycles",
+                         Timeline.combined(banks), "cycles")
+        if cluster in probe.write_buffer_depth:
+            emit_counter(pid, "write-buffer depth",
+                         probe.write_buffer_depth[cluster], "entries")
 
     events.sort(key=lambda event: event.get("ts", 0))
     return {

@@ -9,8 +9,9 @@ Design contract (this is the zero-overhead-when-disabled rule):
   off (measured < 1% on the quick Barnes-Hut run);
 * the probe is duck-typed: anything implementing the ``NullProbe``
   method surface can be plugged in, and :class:`InstrumentationProbe`
-  is the standard implementation that feeds a
-  :class:`~repro.instrument.registry.MetricsRegistry` and a bounded
+  is the standard implementation, which bins each event into a
+  :class:`~repro.instrument.timeline.Timeline` named by the hardware it
+  describes and keeps a bounded
   :class:`~repro.instrument.sampling.EventLog`;
 * a probe is always *called*: any probe keeps a run on the per-event
   reference loop (:class:`~repro.trace.interleave.TimingInterleaver`),
@@ -32,9 +33,9 @@ Event vocabulary (one method per hardware phenomenon):
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .registry import MetricsRegistry
 from .sampling import EventLog
 from .timeline import Timeline
 
@@ -47,8 +48,6 @@ class NullProbe:
     Kept callable (not just a sentinel) so code outside the guarded hot
     loops may emit unconditionally; each method is a no-op.
     """
-
-    enabled = False
 
     def bus_acquire(self, bus: str, now: int, start: int,
                     occupancy: int) -> None:
@@ -83,32 +82,40 @@ NULL_PROBE = NullProbe()
 
 
 class InstrumentationProbe(NullProbe):
-    """Collects probe events into timelines, counters, and an event log.
+    """Collects probe events into counters, timelines, and an event log.
 
-    ``bin_width`` sets timeline resolution in cycles.  ``record_events``
-    keeps raw event records (bounded by ``max_events`` via deterministic
-    decimation) for slice-level Chrome-trace export; disable it for
-    cheap summary-only instrumentation (``python -m repro profile``
-    without ``--trace-out``).  Either way the run is the per-event
-    reference loop's: every callback is a call.
+    The series are attributes keyed by the hardware they describe:
+
+    * ``bus_occupancy`` / ``bus_wait`` / ``bus_invalidations`` -- the
+      inter-cluster bus's busy cycles, grant waits and killed copies;
+    * ``bank_conflict[(cluster, bank)]`` -- conflict-wait cycles;
+    * ``write_buffer_depth[cluster]`` -- high-water depth (``max`` mode);
+    * ``proc[(proc, kind)]`` -- busy/memory/sync/... cycles per
+      processor, the breakdown of Figure 2's discussion.
+
+    ``counters`` holds the event counts.  ``bin_width`` sets timeline
+    resolution in cycles; every series shares it, before and after
+    :meth:`rebin`.  ``record_events`` keeps raw event records (bounded
+    by ``max_events`` via deterministic decimation) for slice-level
+    Chrome-trace export; disable it for cheap summary-only
+    instrumentation (``python -m repro profile`` without
+    ``--trace-out``).  Either way the run is the per-event reference
+    loop's: every callback is a call.
     """
-
-    enabled = True
 
     def __init__(self, bin_width: int = 1024, record_events: bool = True,
                  max_events: int = 100_000):
-        self.registry = MetricsRegistry(bin_width)
+        self.bin_width = bin_width
+        self.counters: Counter = Counter()
+        self.bus_occupancy = Timeline(bin_width)
+        self.bus_wait = Timeline(bin_width)
+        self.bus_invalidations = Timeline(bin_width)
+        self.bank_conflict: Dict[Tuple[int, int], Timeline] = {}
+        self.write_buffer_depth: Dict[int, Timeline] = {}
+        self.proc: Dict[Tuple[int, str], Timeline] = {}
         self.events: Optional[EventLog] = (
             EventLog(max_events) if record_events else None)
         self.execution_time = 0
-        # Per-id timeline handles, cached so the enabled hot path pays a
-        # tuple-keyed dict hit instead of a string format per event.
-        self._bus_occupancy = self.registry.timeline("bus.occupancy")
-        self._bus_wait = self.registry.timeline("bus.wait")
-        self._bus_invalidations = self.registry.timeline("bus.invalidations")
-        self._bank_conflict: Dict[Tuple[int, int], Timeline] = {}
-        self._wb_depth: Dict[int, Timeline] = {}
-        self._proc_tl: Dict[Tuple[int, str], Timeline] = {}
 
     # ------------------------------------------------------------------
     # Probe callbacks
@@ -116,42 +123,43 @@ class InstrumentationProbe(NullProbe):
 
     def bus_acquire(self, bus: str, now: int, start: int,
                     occupancy: int) -> None:
-        self._bus_occupancy.add_span(start, start + occupancy)
+        self.bus_occupancy.add_span(start, start + occupancy)
         if start > now:
-            self._bus_wait.add_span(now, start)
-        registry = self.registry
-        registry.count("bus_transactions")
-        registry.count("bus_busy_cycles", occupancy)
-        registry.count("bus_wait_cycles", start - now)
+            self.bus_wait.add_span(now, start)
+        counters = self.counters
+        counters["bus_transactions"] += 1
+        counters["bus_busy_cycles"] += occupancy
+        counters["bus_wait_cycles"] += start - now
         if self.events is not None:
             self.events.append(("bus", start, occupancy, start - now, bus))
 
     def bank_access(self, cluster: int, bank: int, now: int, start: int,
                     wait: int) -> None:
-        self.registry.count("bank_accesses")
+        self.counters["bank_accesses"] += 1
         if not wait:
             return
-        self._conflict_timeline(cluster, bank).add_span(now, start)
-        self.registry.count("bank_conflict_events")
+        self._series(self.bank_conflict, (cluster, bank)).add_span(
+            now, start)
+        self.counters["bank_conflict_events"] += 1
         if self.events is not None:
             self.events.append(("bank", now, wait, cluster, bank))
 
     def write_buffer(self, cluster: int, bank: int, now: int, depth: int,
                      stall: int) -> None:
-        self._wb_timeline(cluster).add_sample(now, depth)
+        self._series(self.write_buffer_depth, cluster, "max").add_sample(
+            now, depth)
         if stall:
-            self.registry.count("write_buffer_stalls")
-            self.registry.count("write_buffer_stall_cycles", stall)
+            self.counters["write_buffer_stalls"] += 1
+            self.counters["write_buffer_stall_cycles"] += stall
             if self.events is not None:
                 self.events.append(("wb", now, stall, cluster, bank, depth))
 
     def cache_access(self, cluster: int, line: int, is_write: bool,
                      hit: bool, start: int, complete: int) -> None:
-        registry = self.registry
         if hit:
-            registry.count("cache_hits")
+            self.counters["cache_hits"] += 1
             return
-        registry.count("cache_misses")
+        self.counters["cache_misses"] += 1
         if self.events is not None:
             self.events.append(("miss", start, complete - start, cluster,
                                 line, is_write))
@@ -160,46 +168,29 @@ class InstrumentationProbe(NullProbe):
                      now: int) -> None:
         if not copies:
             return
-        self.registry.count("invalidations", copies)
-        self._bus_invalidations.add_at(now, copies)
+        self.counters["invalidations"] += copies
+        self.bus_invalidations.add_at(now, copies)
         if self.events is not None:
             self.events.append(("inval", now, 0, cluster, line, copies))
 
     def proc_busy(self, proc: int, start: int, cycles: int) -> None:
         if cycles:
-            self._proc_timeline(proc, "busy").add_span(start, start + cycles)
+            self._series(self.proc, (proc, "busy")).add_span(
+                start, start + cycles)
 
     def proc_stall(self, proc: int, kind: str, start: int,
                    end: int) -> None:
         if end <= start:
             return
-        self._proc_timeline(proc, kind).add_span(start, end)
+        self._series(self.proc, (proc, kind)).add_span(start, end)
         if self.events is not None:
             self.events.append(("proc", start, end - start, proc, kind))
 
-    def _conflict_timeline(self, cluster: int, bank: int) -> Timeline:
-        key = (cluster, bank)
-        timeline = self._bank_conflict.get(key)
+    def _series(self, series: Dict, key, mode: str = "sum") -> Timeline:
+        """``series[key]``, created at the probe's bin width."""
+        timeline = series.get(key)
         if timeline is None:
-            timeline = self.registry.timeline(
-                f"cluster{cluster}.bank{bank}.conflict")
-            self._bank_conflict[key] = timeline
-        return timeline
-
-    def _wb_timeline(self, cluster: int) -> Timeline:
-        timeline = self._wb_depth.get(cluster)
-        if timeline is None:
-            timeline = self.registry.timeline(
-                f"cluster{cluster}.write_buffer", mode="max")
-            self._wb_depth[cluster] = timeline
-        return timeline
-
-    def _proc_timeline(self, proc: int, kind: str) -> Timeline:
-        key = (proc, kind)
-        timeline = self._proc_tl.get(key)
-        if timeline is None:
-            timeline = self.registry.timeline(f"proc{proc}.{kind}")
-            self._proc_tl[key] = timeline
+            timeline = series[key] = Timeline(self.bin_width, mode=mode)
         return timeline
 
     # ------------------------------------------------------------------
@@ -209,35 +200,54 @@ class InstrumentationProbe(NullProbe):
     def finalize(self, execution_time: int) -> None:
         """Stamp the run's horizon (called by ``run_simulation``)."""
         self.execution_time = execution_time
-        self.registry.count("execution_time", execution_time)
+        self.counters["execution_time"] += execution_time
 
     def rebin(self, n_bins: int) -> None:
-        """Collapse all timelines to at most ``n_bins`` bins."""
-        self.registry.rebin_all(n_bins)
-        # Cached handles went stale; re-resolve lazily on next use.
-        self._bus_occupancy = self.registry.timeline("bus.occupancy")
-        self._bus_wait = self.registry.timeline("bus.wait")
-        self._bus_invalidations = self.registry.timeline("bus.invalidations")
-        self._bank_conflict.clear()
-        self._wb_depth.clear()
-        self._proc_tl.clear()
+        """Collapse every timeline to at most ``n_bins`` bins by one
+        factor -- the longest series' -- so all of them keep one
+        ``bin_width`` and bin ``i`` of each covers the same cycles."""
+        if n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
+        longest = max(len(timeline) for timeline in self._timelines())
+        factor = max(1, -(-longest // n_bins))
+        self.bin_width *= factor
+        self.bus_occupancy = self.bus_occupancy.coarsened(factor)
+        self.bus_wait = self.bus_wait.coarsened(factor)
+        self.bus_invalidations = self.bus_invalidations.coarsened(factor)
+        for series in (self.bank_conflict, self.write_buffer_depth,
+                       self.proc):
+            for key, timeline in series.items():
+                series[key] = timeline.coarsened(factor)
+
+    def _timelines(self) -> List[Timeline]:
+        return [self.bus_occupancy, self.bus_wait, self.bus_invalidations,
+                *self.bank_conflict.values(),
+                *self.write_buffer_depth.values(), *self.proc.values()]
 
     def bus_utilization(self) -> List[float]:
         """Per-bin inter-cluster bus occupancy as a 0..1 fraction."""
-        return self._resolved_bus().utilization_series()
+        return self.bus_occupancy.utilization_series()
 
     def peak_bus_utilization(self) -> float:
         """Highest per-bin bus occupancy fraction over the run."""
-        timeline = self._resolved_bus()
-        return timeline.peak() / timeline.bin_width
-
-    def _resolved_bus(self) -> Timeline:
-        return self.registry.timeline("bus.occupancy")
+        return self.bus_occupancy.peak() / self.bus_occupancy.bin_width
 
     def summary(self) -> Dict[str, float]:
-        """Flat JSON-safe digest (what ``python -m repro profile``
-        prints)."""
-        digest = self.registry.summary()
+        """Flat JSON-safe digest: every counter plus headline timeline
+        statistics (peak/mean bus utilization, total conflict cycles,
+        write-buffer high-water) -- what ``python -m repro profile``
+        prints."""
+        digest: Dict[str, float] = dict(self.counters)
+        bus = self.bus_occupancy
+        digest["bus_peak_utilization"] = bus.peak() / bus.bin_width
+        digest["bus_mean_utilization"] = bus.mean() / bus.bin_width
+        if self.bank_conflict:
+            digest["bank_conflict_cycles"] = sum(
+                timeline.total() for timeline in self.bank_conflict.values())
+        if self.write_buffer_depth:
+            digest["write_buffer_peak_depth"] = max(
+                timeline.peak()
+                for timeline in self.write_buffer_depth.values())
         digest["execution_time"] = self.execution_time
         if self.events is not None:
             digest["events_recorded"] = len(self.events)

@@ -15,7 +15,7 @@ or export (:meth:`Timeline.rebinned`).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 __all__ = ["Timeline"]
 
@@ -146,7 +146,14 @@ class Timeline:
         """
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        factor = max(1, -(-len(self.bins) // n_bins))
+        return self.coarsened(max(1, -(-len(self.bins) // n_bins)))
+
+    def coarsened(self, factor: int) -> "Timeline":
+        """Merge every ``factor`` consecutive bins into one (new
+        ``Timeline`` of ``bin_width * factor``).  Series coarsened by
+        one factor stay aligned bin for bin."""
+        if factor < 1:
+            raise ValueError("factor must be >= 1")
         merged = Timeline(self.bin_width * factor, mode=self.mode)
         if not self.bins:
             return merged
@@ -157,17 +164,25 @@ class Timeline:
             merged.bins[target] = combine(merged.bins[target], value)
         return merged
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe form (round-trips through :meth:`from_dict`)."""
-        return {"bin_width": self.bin_width, "mode": self.mode,
-                "bins": list(self.bins)}
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Timeline":
-        timeline = cls(int(data["bin_width"]), mode=str(data["mode"]))
-        timeline.bins = [float(v) for v in data["bins"]]
-        return timeline
+    def combined(cls, timelines) -> "Timeline":
+        """Element-wise combination of ``timelines``: ``sum`` series
+        add, ``max`` series take the maximum.  Every input must share
+        one ``bin_width`` and one ``mode`` -- bin ``i`` of each must
+        cover the same cycles -- or this raises ``ValueError``."""
+        timelines = list(timelines)
+        if not timelines:
+            raise ValueError("nothing to combine")
+        first = timelines[0]
+        if any(tl.bin_width != first.bin_width for tl in timelines):
+            raise ValueError("cannot combine timelines of different "
+                             "bin widths")
+        if any(tl.mode != first.mode for tl in timelines):
+            raise ValueError("cannot combine timelines of different modes")
+        result = cls(first.bin_width, mode=first.mode)
+        combine = max if first.mode == "max" else float.__add__
+        for timeline in timelines:
+            result._grow_to(len(timeline.bins) - 1)
+            for index, value in enumerate(timeline.bins):
+                result.bins[index] = combine(result.bins[index], value)
+        return result

@@ -52,8 +52,9 @@ class SimulationResult:
 
     instrumentation: Optional[object] = None
     """The :class:`~repro.instrument.InstrumentationProbe` the run was
-    started with (``None`` for uninstrumented runs); its ``registry``
-    holds the binned timelines and its ``summary()`` the flat digest."""
+    started with (``None`` for uninstrumented runs); it holds the
+    counters and binned timelines, and its ``summary()`` the flat
+    digest."""
 
     @property
     def execution_time(self) -> int:

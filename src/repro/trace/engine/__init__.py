@@ -41,8 +41,8 @@ it.  The retired ``numpy`` tier's name is still accepted (the
 environment, a ``backend=`` argument) and resolves to python;
 :func:`engine_degradation` says so.
 
-The native engine must be fingerprint-identical to the reference loop,
-the probe's registry included; the differential verifier
+The native engine must be fingerprint-identical to the reference loop
+(a probed run is always the reference loop's); the differential verifier
 (:mod:`repro.verify.differ`) diffs the two over the golden suites and
 the fuzz corpus.
 """

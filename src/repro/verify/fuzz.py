@@ -4,9 +4,9 @@
 differential runner, shrinks whatever diverges, and writes the shrunk
 repros to disk.  Case supervision mirrors the sweep session's: one
 crashing case is *quarantined* (recorded with its exception) instead of
-sinking the campaign, and live progress is accounted through the same
-:class:`~repro.instrument.registry.MetricsRegistry` counter surface
-(``fuzz.cases.total/clean/diverged/quarantined``).
+sinking the campaign, and the cases are counted by outcome into
+:attr:`FuzzReport.counters` (``total``/``clean``/``diverged``/
+``quarantined``).
 
 Case seeds derive deterministically from the master seed
 (``"<seed>:<index>"``), so ``--seed 0 --budget 200`` names the same 200
@@ -16,11 +16,11 @@ tapes on every machine, and any reported case replays standalone via
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..instrument.registry import MetricsRegistry
 from .differ import DEFAULT_MAX_CYCLES, diff_tape
 from .shrink import DEFAULT_MAX_CHECKS, default_repro_dir, shrink_tape, \
     write_repro
@@ -80,32 +80,29 @@ def run_fuzz(seed: int = 0, budget: int = 200, shrink: bool = True,
     """Fuzz ``budget`` tapes derived from ``seed``; never raises for
     per-case failures.  ``progress(index, budget, status, case_seed)``
     is called once per case when given."""
-    registry = MetricsRegistry()
     report = FuzzReport(seed=seed, budget=budget)
-
-    def count(name: str) -> None:
-        registry.count(f"fuzz.cases.{name}")
+    counts: Counter = Counter()
 
     for index in range(budget):
         case_seed = f"{seed}:{index}"
-        count("total")
+        counts["total"] += 1
         report.cases += 1
         try:
             tape = generate_tape(case_seed)
             divergence = diff_tape(tape, max_cycles=max_cycles)
         except Exception as exc:  # quarantine, keep fuzzing
-            count("quarantined")
+            counts["quarantined"] += 1
             report.quarantined.append(
                 (case_seed, f"{type(exc).__name__}: {exc}"))
             if progress is not None:
                 progress(index, budget, "quarantined", case_seed)
             continue
         if divergence is None:
-            count("clean")
+            counts["clean"] += 1
             if progress is not None:
                 progress(index, budget, "clean", case_seed)
             continue
-        count("diverged")
+        counts["diverged"] += 1
         record = FuzzDivergence(
             case_index=index, case_seed=case_seed, kind=divergence.kind,
             detail=list(divergence.detail[:10]),
@@ -130,5 +127,5 @@ def run_fuzz(seed: int = 0, budget: int = 200, shrink: bool = True,
         if progress is not None:
             progress(index, budget, f"DIVERGED ({record.kind})",
                      case_seed)
-    report.counters = registry.counter_group("fuzz.cases")
+    report.counters = dict(sorted(counts.items()))
     return report

@@ -146,7 +146,7 @@ class TestLeaseLifecycle:
         leases = [broker.lease("w2"), broker.lease("w2")]
         stolen = [l for l in leases if l and l["unit"] == lease["unit"]]
         assert stolen and stolen[0]["attempt"] == 2
-        assert broker.registry.counters["fabric.units.failed"] == 1
+        assert broker.counters["fabric.units.failed"] == 1
 
     def test_progress_with_published_stats_settles_points(self, broker,
                                                           tiny_spec):

@@ -60,6 +60,27 @@ class TestTraceStructure:
                    for e in utilization)
 
 
+    def test_conflict_tracks_of_a_rebinned_probe_reach_the_last_conflict(
+            self):
+        """After ``rebin`` each cluster's bank-conflict track ends in the
+        bin of its last conflict, like the bus and write-buffer tracks:
+        its banks' series share the probe's one bin width."""
+        config, probe = _instrumented_run(procs=8, scc=4 * KB)
+        probe.rebin(16)
+        width = probe.bin_width
+        events = chrome_trace(probe, config=config)["traceEvents"]
+        last_bin = {}
+        for _kind, now, wait, cluster, _bank in probe.events.of_kind("bank"):
+            last_bin[cluster] = max(last_bin.get(cluster, 0),
+                                    (now + wait - 1) // width)
+        assert len(last_bin) > 1
+        for cluster, index in last_bin.items():
+            track = [e["ts"] for e in events
+                     if e["ph"] == "C" and e["name"] == "bank conflict cycles"
+                     and e["pid"] == cluster_pid(cluster)]
+            assert max(track) == index * width
+
+
 class TestPidTidMapping:
     def test_bus_events_live_on_the_bus_pid(self):
         config, probe = _instrumented_run()

@@ -45,7 +45,7 @@ def test_probe_agrees_with_the_machines_own_statistics(backend):
                             instrumentation=probe, backend=backend)
     stats = result.stats
     scc = stats.total_scc
-    counters = probe.registry.counters
+    counters = probe.counters
     digest = probe.summary()
     assert counters["cache_misses"] == scc.read_misses + scc.write_misses
     assert counters["cache_hits"] + counters["cache_misses"] \
@@ -54,16 +54,14 @@ def test_probe_agrees_with_the_machines_own_statistics(backend):
     assert digest["bank_conflict_cycles"] == scc.bank_conflict_cycles > 0
     assert counters.get("write_buffer_stall_cycles", 0) \
         == scc.write_buffer_stall_cycles
-    assert probe.registry.timeline("bus.occupancy").total() \
-        == counters["bus_busy_cycles"]
-    assert probe.registry.timeline("bus.invalidations").total() \
-        == counters["invalidations"]
+    assert probe.bus_occupancy.total() == counters["bus_busy_cycles"]
+    assert probe.bus_invalidations.total() == counters["invalidations"]
     for proc_id, proc in enumerate(stats.processors):
         for kind, cycles in (("busy", proc.busy_cycles),
                              ("memory", proc.memory_stall_cycles),
                              ("sync", proc.sync_stall_cycles)):
-            assert probe.registry.timeline(
-                f"proc{proc_id}.{kind}").total() == cycles
+            timeline = probe.proc.get((proc_id, kind))
+            assert (timeline.total() if timeline else 0) == cycles
 
 
 class TestProbeThreading:
@@ -79,13 +77,12 @@ class TestProbeThreading:
         probe = InstrumentationProbe(bin_width=256)
         result = run_simulation(config, BarnesHut(n_bodies=48, steps=1),
                                 instrumentation=probe)
-        registry = probe.registry
         assert probe.execution_time == result.execution_time
-        assert registry.counters["bus_transactions"] > 0
-        assert registry.counters["bank_accesses"] > 0
+        assert probe.counters["bus_transactions"] > 0
+        assert probe.counters["bank_accesses"] > 0
         # Every processor shows up with a busy timeline.
         for proc in range(config.total_processors):
-            assert registry.timeline(f"proc{proc}.busy").total() > 0
+            assert probe.proc[(proc, "busy")].total() > 0
 
     def test_probe_busy_cycles_match_bus_counters(self):
         """The probe's view must agree with the bus's own counters."""
@@ -94,9 +91,8 @@ class TestProbeThreading:
         probe = InstrumentationProbe(bin_width=256)
         run_simulation(config, MP3D(n_particles=100, steps=1),
                        instrumentation=probe)
-        registry = probe.registry
-        assert registry.timeline("bus.occupancy").total() \
-            == pytest.approx(registry.counters["bus_busy_cycles"])
+        assert probe.bus_occupancy.total() \
+            == pytest.approx(probe.counters["bus_busy_cycles"])
 
     def test_private_organization_is_probed_too(self):
         config = SystemConfig.paper_parallel(

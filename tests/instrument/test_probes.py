@@ -1,4 +1,4 @@
-"""Tests for the probe API, the metrics registry, and the wiring that
+"""Tests for the probe API, the series it keeps, and the wiring that
 feeds them from the simulator's contended components."""
 
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from repro.core.bus import SnoopyBus
 from repro.core.interconnect import BankInterconnect
 from repro.instrument import NULL_PROBE, InstrumentationProbe, NullProbe
-from repro.instrument.registry import MetricsRegistry
 
 
 class TestNullProbe:
     def test_disabled_and_silent(self):
         probe = NullProbe()
-        assert probe.enabled is False
         # Every callback is a no-op; none may raise.
         probe.bus_acquire("bus", 0, 0, 4)
         probe.bank_access(0, 1, 5, 6, 1)
@@ -30,7 +28,6 @@ class TestNullProbe:
         """Duck-typing contract: the real probe substitutes anywhere the
         null one is accepted."""
         assert isinstance(InstrumentationProbe(), NullProbe)
-        assert InstrumentationProbe().enabled is True
 
 
 class TestBusProbe:
@@ -39,12 +36,12 @@ class TestBusProbe:
         bus = SnoopyBus(probe=probe, name="inter-cluster")
         bus.acquire(now=0, occupancy=40, latency=100)
         bus.acquire(now=10, occupancy=40, latency=100)
-        registry = probe.registry
-        assert registry.counters["bus_transactions"] == 2
-        assert registry.counters["bus_busy_cycles"] == 80
+        counters = probe.counters
+        assert counters["bus_transactions"] == 2
+        assert counters["bus_busy_cycles"] == 80
         # Second grant waited 30 cycles for the first's occupancy.
-        assert registry.counters["bus_wait_cycles"] == 30
-        assert registry.timeline("bus.occupancy").total() == 80
+        assert counters["bus_wait_cycles"] == 30
+        assert probe.bus_occupancy.total() == 80
         assert probe.events.of_kind("bus") == [
             ("bus", 0, 40, 0, "inter-cluster"),
             ("bus", 40, 40, 30, "inter-cluster")]
@@ -73,18 +70,27 @@ class TestBankProbes:
         icn = BankInterconnect(num_banks=2, probe=probe, cluster_id=3)
         icn.access(0, now=10)
         icn.access(0, now=10)  # same bank, same cycle: 1-cycle conflict
-        registry = probe.registry
-        assert registry.counters["bank_accesses"] == 2
-        assert registry.counters["bank_conflict_events"] == 1
-        assert registry.timeline("cluster3.bank0.conflict").total() == 1
+        assert probe.counters["bank_accesses"] == 2
+        assert probe.counters["bank_conflict_events"] == 1
+        assert probe.bank_conflict[(3, 0)].total() == 1
         assert probe.events.of_kind("bank") == [("bank", 10, 1, 3, 0)]
+
+    def test_a_bank_keeps_one_series_at_the_probe_width(self):
+        probe = InstrumentationProbe(bin_width=64)
+        probe.bank_access(1, 2, 0, 3, 3)
+        first = probe.bank_conflict[(1, 2)]
+        probe.bank_access(1, 2, 100, 104, 4)
+        assert probe.bank_conflict == {(1, 2): first}
+        assert (first.bin_width, first.mode) == (64, "sum")
+        assert first.series() == [3.0, 4.0]
 
     def test_conflict_free_accesses_record_no_conflict(self):
         probe = InstrumentationProbe(bin_width=100)
         icn = BankInterconnect(num_banks=2, probe=probe)
         icn.access(0, now=0)
         icn.access(1, now=0)
-        assert "bank_conflict_events" not in probe.registry.counters
+        assert "bank_conflict_events" not in probe.counters
+        assert probe.bank_conflict == {}
         assert probe.events.of_kind("bank") == []
 
     def test_write_buffer_stall_accounting(self):
@@ -99,11 +105,10 @@ class TestBankProbes:
         stall = icn.reserve_write_slot(0, now=0, retire_time=70)
         assert stall == 50  # waited for the oldest entry
         assert icn.write_stall_cycles == 50
-        registry = probe.registry
-        assert registry.counters["write_buffer_stalls"] == 1
-        assert registry.counters["write_buffer_stall_cycles"] == 50
+        assert probe.counters["write_buffer_stalls"] == 1
+        assert probe.counters["write_buffer_stall_cycles"] == 50
         # Depth samples feed the high-water timeline (max mode).
-        depth = registry.timeline("cluster0.write_buffer")
+        depth = probe.write_buffer_depth[0]
         assert depth.mode == "max"
         assert depth.peak() == 2
         stalls = probe.events.of_kind("wb")
@@ -115,8 +120,8 @@ class TestBankProbes:
         icn = BankInterconnect(num_banks=1, write_buffer_depth=4,
                                probe=probe)
         icn.reserve_write_slot(0, now=0, retire_time=50)
-        assert "write_buffer_stalls" not in probe.registry.counters
-        assert probe.registry.timeline("cluster0.write_buffer").peak() == 1
+        assert "write_buffer_stalls" not in probe.counters
+        assert probe.write_buffer_depth[0].peak() == 1
 
 
 class TestProcessorProbe:
@@ -125,75 +130,15 @@ class TestProcessorProbe:
         probe.proc_busy(2, 0, 60)
         probe.proc_stall(2, "memory", 60, 100)
         probe.proc_stall(2, "sync", 100, 150)
-        registry = probe.registry
-        assert registry.timeline("proc2.busy").total() == 60
-        assert registry.timeline("proc2.memory").total() == 40
-        assert registry.timeline("proc2.sync").total() == 50
+        assert probe.proc[(2, "busy")].total() == 60
+        assert probe.proc[(2, "memory")].total() == 40
+        assert probe.proc[(2, "sync")].total() == 50
 
     def test_degenerate_spans_ignored(self):
         probe = InstrumentationProbe(bin_width=100)
         probe.proc_busy(0, 10, 0)
         probe.proc_stall(0, "memory", 10, 10)
-        assert set(probe.registry.timelines) == {
-            "bus.occupancy", "bus.wait", "bus.invalidations"}
-
-
-class TestRegistry:
-    def test_counters_accumulate(self):
-        registry = MetricsRegistry()
-        registry.count("x")
-        registry.count("x", 4)
-        assert registry.counters["x"] == 5
-
-    def test_timeline_created_once(self):
-        registry = MetricsRegistry(bin_width=64)
-        first = registry.timeline("a", mode="max")
-        assert registry.timeline("a") is first
-        assert first.bin_width == 64
-
-    def test_matching_and_merged(self):
-        registry = MetricsRegistry(bin_width=10)
-        registry.timeline("cluster0.bank0.conflict").add_span(0, 5)
-        registry.timeline("cluster0.bank1.conflict").add_span(10, 18)
-        registry.timeline("cluster1.bank0.conflict").add_span(0, 3)
-        names = [name for name, _tl in registry.matching("cluster0.bank")]
-        assert names == ["cluster0.bank0.conflict",
-                         "cluster0.bank1.conflict"]
-        merged = registry.merged("cluster0.bank")
-        assert merged.series() == [5.0, 8.0]
-
-    def test_merged_max_mode(self):
-        registry = MetricsRegistry(bin_width=10)
-        registry.timeline("cluster0.write_buffer",
-                          mode="max").add_sample(5, 3)
-        registry.timeline("cluster1.write_buffer",
-                          mode="max").add_sample(5, 7)
-        assert registry.merged("cluster").series() == [7.0]
-
-    def test_merged_unknown_prefix_is_empty(self):
-        assert MetricsRegistry().merged("nope").series() == []
-
-    def test_summary_digest(self):
-        registry = MetricsRegistry(bin_width=100)
-        registry.count("bus_transactions", 3)
-        registry.timeline("bus.occupancy").add_span(0, 50)
-        registry.timeline("cluster0.bank0.conflict").add_span(0, 7)
-        registry.timeline("cluster0.write_buffer",
-                          mode="max").add_sample(0, 4)
-        digest = registry.summary()
-        assert digest["bus_transactions"] == 3
-        assert digest["bus_peak_utilization"] == 0.5
-        assert digest["bank_conflict_cycles"] == 7
-        assert digest["write_buffer_peak_depth"] == 4
-
-    def test_round_trip(self):
-        registry = MetricsRegistry(bin_width=100)
-        registry.count("hits", 9)
-        registry.timeline("bus.occupancy").add_span(0, 40)
-        clone = MetricsRegistry.from_dict(registry.as_dict())
-        assert clone.counters == registry.counters
-        assert (clone.timeline("bus.occupancy").series()
-                == registry.timeline("bus.occupancy").series())
+        assert probe.proc == {}
 
 
 class TestProbeLifecycle:
@@ -208,6 +153,20 @@ class TestProbeLifecycle:
         assert digest["events_recorded"] == 1
         assert digest["events_dropped"] == 0
 
+    def test_summary_digest(self):
+        probe = InstrumentationProbe(bin_width=100)
+        probe.bus_acquire("bus", 0, 0, 50)
+        probe.bank_access(0, 0, 0, 4, 4)
+        probe.bank_access(1, 2, 10, 13, 3)
+        probe.write_buffer(0, 0, 0, 4, 0)
+        probe.write_buffer(1, 0, 0, 2, 0)
+        digest = probe.summary()
+        assert digest["bus_transactions"] == 1
+        assert digest["bus_peak_utilization"] == 0.5
+        assert digest["bus_mean_utilization"] == 0.5
+        assert digest["bank_conflict_cycles"] == 7
+        assert digest["write_buffer_peak_depth"] == 4
+
     def test_summary_without_event_log(self):
         probe = InstrumentationProbe(record_events=False)
         assert probe.events is None
@@ -220,13 +179,42 @@ class TestProbeLifecycle:
         bus = SnoopyBus(probe=probe)
         for start in range(0, 1000, 50):
             bus.acquire(start, 25, 10)
-        before = probe.registry.timeline("bus.occupancy").total()
+        before = probe.bus_occupancy.total()
         probe.rebin(8)
-        occupancy = probe.registry.timeline("bus.occupancy")
+        occupancy = probe.bus_occupancy
         assert len(occupancy) <= 8
         assert occupancy.total() == before
-        # Cached handles must re-resolve to the rebinned timelines.
+        # Later events land in the rebinned timelines.
         bus2 = SnoopyBus(probe=probe)
         bus2.acquire(0, 5, 10)
-        assert probe.registry.timeline("bus.occupancy").total() \
-            == before + 5
+        assert probe.bus_occupancy.total() == before + 5
+
+    def test_rebin_gives_every_series_one_width(self):
+        """One factor for all: a short series is coarsened as much as the
+        longest, so bin i of every series covers the same cycles."""
+        probe = InstrumentationProbe(bin_width=10)
+        probe.bus_acquire("bus", 0, 0, 1000)            # 100 bins
+        probe.bank_access(0, 1, 15, 18, 3)              # 2 bins
+        probe.bank_access(2, 0, 500, 504, 4)
+        probe.write_buffer(1, 0, 250, 3, 0)
+        probe.proc_busy(0, 0, 300)
+        probe.proc_stall(0, "memory", 300, 420)
+        totals = [timeline.total() for timeline in _series(probe)]
+        probe.rebin(8)
+        assert probe.bin_width == 130
+        for timeline in _series(probe):
+            assert timeline.bin_width == probe.bin_width
+            assert len(timeline) <= 8
+        assert [timeline.total() for timeline in _series(probe)] == totals
+        assert probe.bank_conflict[(0, 1)].series() == [3.0]
+        assert probe.bank_conflict[(2, 0)].series() == [0.0, 0.0, 0.0, 4.0]
+
+    def test_rebin_rejects_zero(self):
+        with pytest.raises(ValueError):
+            InstrumentationProbe().rebin(0)
+
+
+def _series(probe):
+    return [probe.bus_occupancy, probe.bus_wait, probe.bus_invalidations,
+            *probe.bank_conflict.values(),
+            *probe.write_buffer_depth.values(), *probe.proc.values()]

@@ -1,7 +1,5 @@
 """Unit tests for interval-binned timelines."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +45,8 @@ class TestRecording:
         tl.add_sample(7, 7)
         tl.add_sample(9, 3)
         assert tl.series() == [7.0]
+        # the caller's ints are stored as floats, like every other bin
+        assert {type(value) for value in tl.series()} == {float}
 
     def test_sum_mode_sample_accumulates(self):
         tl = Timeline(bin_width=10, mode="sum")
@@ -148,20 +148,55 @@ class TestRebinning:
         with pytest.raises(ValueError):
             Timeline(bin_width=10).rebinned(0)
 
+    def test_coarsened_merges_a_fixed_number_of_bins(self):
+        tl = Timeline(bin_width=10)
+        tl.add_span(0, 50)
+        coarse = tl.coarsened(2)
+        assert coarse.bin_width == 20
+        assert coarse.series() == [20.0, 20.0, 10.0]
+        assert tl.coarsened(1).series() == tl.series()
 
-class TestSerialization:
-    def test_round_trip(self):
-        tl = Timeline(bin_width=10, mode="max")
-        tl.add_sample(5, 3)
-        tl.add_sample(25, 8)
-        clone = Timeline.from_dict(tl.as_dict())
-        assert clone.bin_width == tl.bin_width
-        assert clone.mode == tl.mode
-        assert clone.series() == tl.series()
-        # the identity, types included: a max-mode bin used to hold the
-        # caller's int until the first round trip made it a float
-        assert json.dumps(clone.as_dict()) == json.dumps(tl.as_dict())
-        assert {type(value) for value in tl.series()} == {float}
+    def test_coarsened_rejects_zero(self):
+        with pytest.raises(ValueError):
+            Timeline(bin_width=10).coarsened(0)
+
+
+class TestCombined:
+    def test_sum_series_add_bin_by_bin(self):
+        first, second = Timeline(bin_width=10), Timeline(bin_width=10)
+        first.add_span(0, 5)
+        second.add_span(10, 18)
+        second.add_span(0, 3)
+        combined = Timeline.combined([first, second])
+        assert combined.bin_width == 10
+        assert combined.series() == [8.0, 8.0]
+
+    def test_max_series_take_the_maximum(self):
+        first = Timeline(bin_width=10, mode="max")
+        second = Timeline(bin_width=10, mode="max")
+        first.add_sample(5, 3)
+        second.add_sample(5, 7)
+        second.add_sample(15, 1)
+        combined = Timeline.combined([first, second])
+        assert combined.mode == "max"
+        assert combined.series() == [7.0, 1.0]
+
+    def test_refuses_mixed_widths(self):
+        """Bins of different widths cover different cycles: adding them
+        index by index would misplace every bin past the first."""
+        fine = Timeline(bin_width=10)
+        fine.add_span(0, 100)
+        with pytest.raises(ValueError, match="bin widths"):
+            Timeline.combined([fine, fine.coarsened(3)])
+
+    def test_refuses_mixed_modes(self):
+        with pytest.raises(ValueError, match="modes"):
+            Timeline.combined([Timeline(bin_width=10),
+                               Timeline(bin_width=10, mode="max")])
+
+    def test_refuses_nothing(self):
+        with pytest.raises(ValueError):
+            Timeline.combined([])
 
 
 class TestTimelineProperties:

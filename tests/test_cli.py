@@ -156,6 +156,29 @@ class TestCommands:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, error", [
+        (["profile", "mp3d", "--bin-width", "0"],
+         "argument --bin-width: must be >= 1, got 0"),
+        (["profile", "mp3d", "--max-events", "1", "--trace-out", "x.json"],
+         "argument --max-events: must be >= 2, got 1"),
+        (["profile", "mp3d", "--timeline-bins", "0"],
+         "argument --timeline-bins: must be >= 1, got 0"),
+        (["simulate", "mp3d", "--scc", "3KB"],
+         "scc_size must be a power of two"),
+    ], ids=["bin-width", "max-events", "timeline-bins", "scc"])
+    def test_a_bad_argument_is_a_usage_error(self, argv, error, capsys,
+                                             tmp_path, monkeypatch):
+        """Refused before anything runs: argparse's one error line
+        (exit 2), no traceback, and no file written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"repro {argv[0]}: error: {error}"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepAndReportPaths:
     @pytest.fixture
     def tiny_profile(self, monkeypatch, tmp_path):

@@ -71,6 +71,11 @@ DELETED = (
     "Metrics", "metrics_setup", "mx_bus_acquire", "mx_bank_access",
     "mx_write_buffer", "mx_proc_busy", "mx_reference", "series_add_span",
     "_METRIC_FIELDS", "SPAN_LAST_BIN",
+    # the probe holds its series as attributes keyed by hardware, and
+    # its readers count into plain dicts: no store of named series, no
+    # prefix lookup, no per-series rebin, no name parsed back to a
+    # cluster id
+    "MetricsRegistry", "counter_group", "rebin_all", "_CLUSTER_TIMELINE",
 )
 
 PATTERN = re.compile("|".join([

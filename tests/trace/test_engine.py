@@ -104,12 +104,28 @@ def _interleaver(config, streams, backend, probe=None):
     return system, interleaver
 
 
+def _probe_fingerprint(probe):
+    """The probe's counters and every series' bins, as text (so that 4
+    and 4.0, or a missing key and a zero, differ); a keyed series maps
+    ``str(key)`` to its bins."""
+    return json.dumps({
+        "bin_width": probe.bin_width,
+        "counters": probe.counters,
+        "bus_occupancy": probe.bus_occupancy.bins,
+        "bus_wait": probe.bus_wait.bins,
+        "bus_invalidations": probe.bus_invalidations.bins,
+        **{name: {str(key): timeline.bins
+                  for key, timeline in getattr(probe, name).items()}
+           for name in ("bank_conflict", "write_buffer_depth", "proc")},
+    }, sort_keys=True)
+
+
 def _outcome(config, streams, backend, max_cycles=None, bin_width=None,
              prepare=None):
     """Everything observable about one run, errors included; with a
     ``bin_width``, under the standard probe (which only the reference
-    loop runs) and with its registry; ``prepare(interleaver)`` edits the
-    state at rest before the run."""
+    loop runs) and with what it counted and binned;
+    ``prepare(interleaver)`` edits the state at rest before the run."""
     from repro.instrument import InstrumentationProbe
     probe = (InstrumentationProbe(bin_width=bin_width, record_events=False)
              if bin_width else None)
@@ -124,9 +140,7 @@ def _outcome(config, streams, backend, max_cycles=None, bin_width=None,
         error = (type(exc).__name__, str(exc))
     assert interleaver.engine_used == backend
     return {
-        # (text, so that 4 and 4.0, or a missing key and a zero, differ)
-        "metrics": probe and json.dumps(probe.registry.as_dict(),
-                                        sort_keys=True),
+        "metrics": probe and _probe_fingerprint(probe),
         "error": error,
         "finish": finish,
         # (an abort leaves the clocks wherever the engine last stored them)
@@ -736,7 +750,7 @@ class TestNativeEligibility:
         assert self._engine_used(InstrumentationProbe()) == "python"
         standard = InstrumentationProbe(record_events=False)
         assert self._engine_used(standard) == "python"
-        assert standard.registry.counters["cache_misses"] == 1
+        assert standard.counters["cache_misses"] == 1
         assert self._engine_used(Subclass(record_events=False)) == "python"
         assert self._engine_used(NullProbe()) == "python"   # duck-typed
         assert self._engine_used(observer=RaceDetector()) == "python"
@@ -848,9 +862,9 @@ def _probed_tapes():
     processor 2's read miss, each of the others is requested when the
     one before it has arrived, and the 302-cycle stall after the 20 busy
     cycles runs from the middle of bin 5 to the end of bin 80."""
-    def bins(outcome, name):
-        timelines = json.loads(outcome["metrics"])["timelines"]
-        return timelines[name]["bins"]
+    def bins(outcome, name, key=None):
+        series = json.loads(outcome["metrics"])[name]
+        return series if key is None else series[str(key)]
 
     tapes = _coherence_tapes()
     tapes["spans-straddling-bin-boundaries"] = (
@@ -858,20 +872,20 @@ def _probed_tapes():
          1: [[OP_COMPUTE, 13, OP_READ, B + 16]],
          2: [[OP_COMPUTE, 13, OP_READ, 512]],
          3: [[OP_COMPUTE, 13, OP_WRITE, A]]},
-        lambda out: bins(out, "proc0.busy") == [4.0, 4.0, 4.0, 1.0]
-        and bins(out, "bus.wait") == [0.0, 0.0, 0.0, 8.0, 8.0, 4.0]
-        and bins(out, "bus.invalidations") == [0.0] * 6 + [1.0]
-        and bins(out, "cluster1.bank0.conflict") == [0.0, 0.0, 0.0, 1.0]
-        and len(bins(out, "proc0.memory")) == 29)
+        lambda out: bins(out, "proc", (0, "busy")) == [4.0, 4.0, 4.0, 1.0]
+        and bins(out, "bus_wait") == [0.0, 0.0, 0.0, 8.0, 8.0, 4.0]
+        and bins(out, "bus_invalidations") == [0.0] * 6 + [1.0]
+        and bins(out, "bank_conflict", (1, 0)) == [0.0, 0.0, 0.0, 1.0]
+        and len(bins(out, "proc", (0, "memory"))) == 29)
     tapes["multi-line-refill-queued-behind-a-data-miss"] = (
         {0: [[OP_COMPUTE, 2, OP_IFETCH, 40, 20, OP_READ, A]],
          2: [[OP_READ, 512, OP_COMPUTE, 3, OP_WRITE, A]]},
         lambda out: out["stats"]["icache_misses"] == 3
         and out["stats"]["processors"][0]["icache_stall_cycles"] == 302
-        and bins(out, "bus.wait")[0] == 2.0
-        and bins(out, "proc0.icache")[4:7] == [0.0, 2.0, 4.0]
-        and len(bins(out, "proc0.icache")) == 81
-        and sum(bins(out, "proc0.icache")) == 302)
+        and bins(out, "bus_wait")[0] == 2.0
+        and bins(out, "proc", (0, "icache"))[4:7] == [0.0, 2.0, 4.0]
+        and len(bins(out, "proc", (0, "icache"))) == 81
+        and sum(bins(out, "proc", (0, "icache"))) == 302)
     return tapes
 
 
@@ -896,7 +910,7 @@ def test_a_probe_bins_on_the_reference_loop_and_moves_no_clock(name,
 
 
 def test_max_cycles_abort_leaves_the_same_partial_registry():
-    """The abort tape of ``TestNativeScheduler``, probed: the registry
+    """The abort tape of ``TestNativeScheduler``, probed: the probe
     holds what the callbacks had recorded when the limit hit, and the
     rest of the abort is the unprobed native run's."""
     from repro.core.config import SystemConfig
