@@ -95,10 +95,6 @@ class BankInterconnect:
                                stall)
         return stall
 
-    def bank_free_time(self, bank: int) -> int:
-        """Next time ``bank`` can start an access (for tests)."""
-        return self._bank_free[bank]
-
     def pending_writes(self, bank: int, now: int) -> int:
         """Stores still draining from ``bank``'s buffer at ``now``."""
         return sum(1 for t in self._write_buffers[bank] if t > now)

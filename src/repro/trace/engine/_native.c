@@ -56,8 +56,10 @@
  * Five more sections share the build and the ``ABI_VERSION`` guard.  The
  * fused multi-configuration ladder (``ladder_*``) is a second driver of
  * the same memory system: each of its rungs is a ``Machine`` of one
- * ``Scc`` on a bus of its own, and its misses, upgrades and icache
- * refills are the "coherence" section's, called as ``run`` calls them.
+ * ``Scc`` on a bus of its own, parsed from the machine plan a run's is
+ * parsed from and counted into the same rows, and its misses, upgrades
+ * and icache refills are the "coherence" section's, called as ``run``
+ * calls them.
  * The row-profile kernel (``row_profile``, diffed as the ``profile``
  * engine) and the SPEC-stream kernel (``spec_burst``: one
  * multiprogramming quantum, written from the application's own uniform
@@ -91,14 +93,18 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "16"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "17"  /* == engine/native.py NATIVE_VERSION */
 
-/* What ``ladder_drain`` returns: the tape is drained, or the opcode at
- * ``regs[0]`` is python's to handle. */
-#define STATUS_EXHAUSTED 0
-#define STATUS_SYNC 2
+/* A machine plan's scalars (engine/native.py's ``machine_plan`` writes
+ * them from the config), in order: ``setup`` and ``ladder_setup`` read
+ * the same words. */
+enum {
+    K_LINE_SHIFT, K_NBANKS, K_BANK_CYCLE, K_STALL_ON_WRITES, K_WB_DEPTH,
+    K_IC_LAT, K_ILINE_SHIFT, K_LIMIT, K_BUS_OCC, K_UPGRADE_OCC,
+    K_MEM_LATENCY, K_MESI, K_LOCK_OVERHEAD, K_BARRIER_OVERHEAD, K_FIELDS
+};
 
-/* The wrapper's ``misc`` words: events executed, ``interleaver._seq``
+/* A machine plan's ``misc`` words: events executed, ``interleaver._seq``
  * (in both directions), the latest finish so far, generators resumed. */
 enum { X_EVENTS, X_SEQ, X_FINISH, X_RESUMES, X_FIELDS };
 
@@ -189,26 +195,50 @@ typedef struct {
     long long *states, *tags; /* [index] */
     long long mask, shift;    /* index = line & mask, tag = line >> shift */
     Words words;
+    long long *bank_free;     /* [bank] */
     long long *stats;         /* S_* */
-    PyObject *lost;           /* ``scc._lost_lines``; NULL where no other
-                                 SCC can take a line away (a rung) */
+    PyObject *lost;           /* ``scc._lost_lines`` */
     long long *bus;           /* BUS_* */
 } Scc;
 
-/* The SCCs that snoop one another -- every one on the same bus, with the
- * same geometry -- and the protocol's constants. */
+/* One processor's ``InstructionCache.array``, worked on in place. */
+typedef struct {
+    long long *states, *tags;
+    long long mask, shift;    /* index = line & mask, tag = line >> shift */
+} Icache;
+
+/* What C counted for each processor, by pid -- the deltas of the
+ * counters the reference loop bumps as it goes, which engine/native.py's
+ * ``settle`` adds up -- and the ``misc`` words. */
+typedef struct {
+    long long *refs, *busy, *stall, *finish, *sync, *icfetch, *icmiss,
+              *icstall;
+    long long *misc;          /* X_* */
+} Deltas;
+
+/* One machine plan (``machine_setup``): the SCCs that snoop one another
+ * -- every one on the same bus, with the same geometry --, the
+ * processors' icaches and deltas, and the constants of the config. */
 typedef struct {
     Scc *sccs;
     int n;
+    int nproc;
+    const long long *scal;    /* K_*, as the plan holds them */
+    long long line_shift, nbanks, bank_cycle, wb_depth;
+    long long bank_mask;      /* nbanks - 1 when a power of two, else -1 */
+    long long iline_shift, ic_lat, limit;
     long long bus_occ, upgrade_occ, mem_latency;
-    int mesi;
+    long long lock_overhead, barrier_overhead;
+    int mesi, stall_on_writes;
+    Icache *icaches;          /* [pid]; NULL: no icache is modelled */
+    Deltas d;
 } Machine;
 
 /* The ``array('q')`` storage a context works on in place: buffer views
  * taken at setup, dropped together. */
 typedef struct {
-    Py_buffer *bufs;          /* room for every view the plan needs */
-    int n;
+    Py_buffer *bufs;
+    int n, cap;               /* taken; room for */
 } Views;
 
 /* One application process between ``setup`` and ``release``. */
@@ -254,27 +284,11 @@ typedef struct {
 
 #define N_EVENT_CODES 9
 
-/* One processor's ``InstructionCache.array``, worked on in place. */
-typedef struct {
-    long long *states, *tags;
-    long long mask, shift;    /* index = line & mask, tag = line >> shift */
-} Icache;
-
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int nproc;
     int released;
-    long long line_shift, nbanks, bank_cycle;
-    long long bank_mask;      /* nbanks - 1 when a power of two, else -1 */
-    long long iline_shift, ic_lat, limit;
-    long long lock_overhead, barrier_overhead;
-    int stall_on_writes;
     Machine m;                /* one SCC per cluster */
-    long long **bank_free;    /* [cluster] */
-    Icache *icaches;          /* [pid]; NULL: no icache is modelled */
-    long long *d_refs, *d_busy, *d_stall, *d_finish, *d_sync;
-    long long *d_icfetch, *d_icmiss, *d_icstall;
-    long long *misc;          /* X_* */
     long long *pstate;        /* [pid * P_FIELDS] */
     long long *proc_cluster;
     Proc *procs;              /* by pid */
@@ -365,6 +379,10 @@ cursor_drop(Cursor *cur)
 static long long *
 acquire_ll(Views *views, PyObject *obj)
 {
+    if (views->n == views->cap) {
+        PyErr_SetString(PyExc_ValueError, "plan holds too many arrays");
+        return NULL;
+    }
     Py_buffer *view = &views->bufs[views->n];
     if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE) < 0)
         return NULL;
@@ -665,17 +683,17 @@ words_export(Words *w)
     return 0;
 }
 
-/* One SCC's entry of a plan, the same for a cluster of ``setup`` and a
- * rung of ``ladder_setup`` (engine/native.py's ``scc_plan`` builds it):
- * ``(states, tags, index_mask, tag_shift, inflight, write_buffers,
- * lost_lines or None, bus clock, S_* row)``.  The words come back empty;
- * the caller imports the containers, or insists that they are empty. */
+/* One SCC's entry of a machine plan, a cluster of ``setup``'s or a
+ * rung of ``ladder_setup``'s: ``(states, tags, index_mask, tag_shift,
+ * inflight, write_buffers, lost_lines, bank free times, bus clock, S_*
+ * row)``.  The words come back empty; the caller imports the
+ * containers, or insists that they are empty. */
 static int
 scc_setup(Scc *scc, Views *views, PyObject *entry, long long nbanks,
           long long depth)
 {
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 9) {
-        PyErr_SetString(PyExc_TypeError, "an SCC entry must be a 9-tuple");
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 10) {
+        PyErr_SetString(PyExc_TypeError, "an SCC entry must be a 10-tuple");
         return -1;
     }
     if (get_ll_item(entry, 2, &scc->mask) < 0
@@ -685,30 +703,22 @@ scc_setup(Scc *scc, Views *views, PyObject *entry, long long nbanks,
                        PyTuple_GET_ITEM(entry, 5)) < 0)
         return -1;
     Py_ssize_t lines = (Py_ssize_t)scc->words.lines;
-    PyObject *lost = PyTuple_GET_ITEM(entry, 6);
-    if (lost != Py_None && !PySet_CheckExact(lost)) {
-        PyErr_SetString(PyExc_TypeError, "lost lines must be a set or None");
+    scc->lost = PyTuple_GET_ITEM(entry, 6);
+    if (!PySet_CheckExact(scc->lost)) {
+        PyErr_SetString(PyExc_TypeError, "lost lines must be a set");
         return -1;
     }
-    scc->lost = lost == Py_None ? NULL : lost;
     if (!(scc->states = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 0),
                                      lines))
         || !(scc->tags = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 1),
                                       lines))
-        || !(scc->bus = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 7), 3))
-        || !(scc->stats = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 8),
+        || !(scc->bank_free = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 7),
+                                           (Py_ssize_t)nbanks))
+        || !(scc->bus = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 8), 3))
+        || !(scc->stats = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 9),
                                        S_FIELDS)))
         return -1;
     return 0;
-}
-
-/* ``n`` SCCs' words (each one block), and their array. */
-static void
-sccs_free(Scc *sccs, int n)
-{
-    for (int k = 0; sccs && k < n; k++)
-        PyMem_Free(sccs[k].words.fill_line);
-    PyMem_Free(sccs);
 }
 
 /* ``scc._lost_lines`` stays the python set: misses only. */
@@ -729,7 +739,7 @@ lost_note(PyObject *lost, long long line)
 static inline int
 lost_consume(PyObject *lost, long long line)
 {
-    if (!lost || PySet_GET_SIZE(lost) == 0)
+    if (PySet_GET_SIZE(lost) == 0)
         return 0;
     PyObject *k = PyLong_FromLongLong(line);
     if (!k)
@@ -737,6 +747,167 @@ lost_consume(PyObject *lost, long long line)
     int rc = PySet_Discard(lost, k);
     Py_DECREF(k);
     return rc;
+}
+
+/* -------------------------------------------------------------- machine */
+
+/* A machine plan's icache entries: none when the machine models no
+ * instruction cache, else one ``(states, tags, index_mask, tag_shift)``
+ * per processor -- its ``InstructionCache.array``, worked on in place. */
+static int
+icaches_setup(Machine *m, Views *views, PyObject *ic_tuple)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(ic_tuple);
+    if (n == 0)
+        return 0;
+    if (n != m->nproc) {
+        PyErr_SetString(PyExc_TypeError,
+                        "icaches must be a tuple with none or one entry per "
+                        "processor");
+        return -1;
+    }
+    if (!(m->icaches = PyMem_Calloc(m->nproc, sizeof(Icache)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int p = 0; p < m->nproc; p++) {
+        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
+        Icache *ic = &m->icaches[p];
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+            PyErr_SetString(PyExc_TypeError, "an icache entry must be "
+                            "(states, tags, index_mask, tag_shift)");
+            return -1;
+        }
+        if (get_ll_item(entry, 2, &ic->mask) < 0
+            || get_ll_item(entry, 3, &ic->shift) < 0)
+            return -1;
+        if (ic->mask < 0 || ic->mask >= PY_SSIZE_T_MAX / 8
+            || (ic->mask & (ic->mask + 1)) || ic->shift < 0
+            || ic->shift > 62) {
+            PyErr_SetString(PyExc_ValueError,
+                            "icache index mask or tag shift out of range");
+            return -1;
+        }
+        if (!(ic->states = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 0),
+                                        ic->mask + 1))
+            || !(ic->tags = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 1),
+                                         ic->mask + 1)))
+            return -1;
+    }
+    return 0;
+}
+
+/* A machine plan -- engine/native.py's ``machine_plan``, the same for
+ * ``setup`` and for each rung of ``ladder_setup``: ``(scalars, SCC
+ * entries, icache entries, deltas)``.  The scalars are the K_* words; an
+ * SCC entry (``scc_setup``) per cluster, every one on the machine's one
+ * bus; the icache entries are ``icaches_setup``'s; the deltas are the
+ * eight ``Deltas`` rows of a word per processor, then the ``misc``
+ * words. */
+static int
+machine_setup(Machine *m, Views *views, PyObject *plan)
+{
+    PyObject *sccs, *ics, *rows;
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 4
+        || !PyTuple_Check(sccs = PyTuple_GET_ITEM(plan, 1))
+        || !PyTuple_Check(ics = PyTuple_GET_ITEM(plan, 2))
+        || !PyTuple_Check(rows = PyTuple_GET_ITEM(plan, 3))
+        || PyTuple_GET_SIZE(rows) != 9) {
+        PyErr_SetString(PyExc_TypeError, "a machine plan must be (scalars, "
+                        "SCCs, icaches, deltas)");
+        return -1;
+    }
+    const long long *k = acquire_ll_n(views, PyTuple_GET_ITEM(plan, 0),
+                                      K_FIELDS);
+    if (!k)
+        return -1;
+    m->scal = k;
+    m->line_shift = k[K_LINE_SHIFT];
+    m->nbanks = k[K_NBANKS];
+    m->bank_mask = m->nbanks > 0 && !(m->nbanks & (m->nbanks - 1))
+        ? m->nbanks - 1 : -1;
+    m->bank_cycle = k[K_BANK_CYCLE];
+    m->stall_on_writes = k[K_STALL_ON_WRITES] != 0;
+    m->wb_depth = k[K_WB_DEPTH];
+    m->ic_lat = k[K_IC_LAT];
+    m->iline_shift = k[K_ILINE_SHIFT];
+    m->limit = k[K_LIMIT];
+    m->bus_occ = k[K_BUS_OCC];
+    m->upgrade_occ = k[K_UPGRADE_OCC];
+    m->mem_latency = k[K_MEM_LATENCY];
+    m->mesi = k[K_MESI] != 0;
+    m->lock_overhead = k[K_LOCK_OVERHEAD];
+    m->barrier_overhead = k[K_BARRIER_OVERHEAD];
+
+    Deltas *d = &m->d;
+    if (!(d->refs = acquire_ll(views, PyTuple_GET_ITEM(rows, 0))))
+        return -1;
+    Py_ssize_t nproc = views->bufs[views->n - 1].len / 8;
+    if (nproc > INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "too many processors");
+        return -1;
+    }
+    m->nproc = (int)nproc;
+    long long **row[] = {&d->busy, &d->stall, &d->finish, &d->sync,
+                         &d->icfetch, &d->icmiss, &d->icstall};
+    for (int r = 0; r < 7; r++) {
+        if (!(*row[r] = acquire_ll_n(views, PyTuple_GET_ITEM(rows, r + 1),
+                                     nproc)))
+            return -1;
+    }
+    if (!(d->misc = acquire_ll_n(views, PyTuple_GET_ITEM(rows, 8),
+                                 X_FIELDS)))
+        return -1;
+
+    m->n = (int)PyTuple_GET_SIZE(sccs);
+    if (!(m->sccs = PyMem_Calloc(m->n ? m->n : 1, sizeof(Scc)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int c = 0; c < m->n; c++) {
+        if (scc_setup(&m->sccs[c], views, PyTuple_GET_ITEM(sccs, c),
+                      m->nbanks, m->wb_depth) < 0)
+            return -1;
+    }
+    return icaches_setup(m, views, ics);
+}
+
+/* Every SCC's words (each one block), the SCCs and the icaches. */
+static void
+machine_free(Machine *m)
+{
+    for (int k = 0; m->sccs && k < m->n; k++)
+        PyMem_Free(m->sccs[k].words.fill_line);
+    PyMem_Free(m->sccs);
+    PyMem_Free(m->icaches);
+}
+
+/* How many views ``machine_setup`` takes on ``plan``, at most: a short
+ * count would be its ValueError, never an overrun. */
+static Py_ssize_t
+machine_views(PyObject *plan)
+{
+    Py_ssize_t n = 1 + 9;       /* the scalars, the delta rows */
+    if (PyTuple_Check(plan) && PyTuple_GET_SIZE(plan) == 4) {
+        PyObject *sccs = PyTuple_GET_ITEM(plan, 1);
+        PyObject *ics = PyTuple_GET_ITEM(plan, 2);
+        n += PyTuple_Check(sccs) ? 5 * PyTuple_GET_SIZE(sccs) : 0;
+        n += PyTuple_Check(ics) ? 2 * PyTuple_GET_SIZE(ics) : 0;
+    }
+    return n;
+}
+
+/* Room for ``cap`` views. */
+static int
+views_init(Views *views, Py_ssize_t cap)
+{
+    if (cap > INT_MAX || !(views->bufs = PyMem_Calloc(cap,
+                                                      sizeof(Py_buffer)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    views->cap = (int)cap;
+    return 0;
 }
 
 /* ------------------------------------------------------------ coherence */
@@ -894,18 +1065,18 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     Machine *m = &ctx->m;
     Scc *scc = &m->sccs[cl];
     long long time = *time_io;
-    long long line = addr >> ctx->line_shift;
+    long long line = addr >> m->line_shift;
     long long bank;     /* python %: floored, which a mask is too */
-    if (ctx->bank_mask >= 0) {
-        bank = line & ctx->bank_mask;
+    if (m->bank_mask >= 0) {
+        bank = line & m->bank_mask;
     }
     else {
-        bank = line % ctx->nbanks;
+        bank = line % m->nbanks;
         if (bank < 0)
-            bank += ctx->nbanks;
+            bank += m->nbanks;
     }
     long long *st = scc->stats;
-    long long *bank_free = ctx->bank_free[cl];
+    long long *bank_free = scc->bank_free;
     long long free_t = bank_free[bank];
     long long start;
     if (free_t > time) {
@@ -915,7 +1086,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     else {
         start = time;
     }
-    bank_free[bank] = start + ctx->bank_cycle;
+    bank_free[bank] = start + m->bank_cycle;
     long long idx = line & scc->mask;
     long long *states = scc->states;
     int resident = states[idx] && scc->tags[idx] == (line >> scc->shift);
@@ -944,7 +1115,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
                 return -1;
             done = start + 1;
         }
-        if (ctx->stall_on_writes) {
+        if (m->stall_on_writes) {
             if (retire > done)
                 done = retire;
         }
@@ -954,10 +1125,10 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
             done += stall;
         }
     }
-    ctx->d_refs[pid]++;
-    ctx->d_busy[pid]++;
-    ctx->d_stall[pid] += done - time - 1;
-    ctx->d_finish[pid] = done;
+    m->d.refs[pid]++;
+    m->d.busy[pid]++;
+    m->d.stall[pid] += done - time - 1;
+    m->d.finish[pid] = done;
     *time_io = done;
     return 0;
 }
@@ -973,11 +1144,11 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
             long long count, long long *time_io)
 {
     Machine *m = &ctx->m;
-    Icache *ic = &ctx->icaches[pid];
+    Icache *ic = &m->icaches[pid];
     long long *states = ic->states, *tags = ic->tags;
     long long mask = ic->mask, shift = ic->shift;
-    long long first = addr >> ctx->iline_shift;
-    long long last = (addr + count * 4 - 1) >> ctx->iline_shift;
+    long long first = addr >> m->iline_shift;
+    long long last = (addr + count * 4 - 1) >> m->iline_shift;
     long long misses = 0;
     for (long long line = first; line <= last; line++) {
         long long idx = line & mask;
@@ -987,15 +1158,15 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
             misses++;
         }
     }
-    ctx->d_icfetch[pid] += last - first + 1;
-    ctx->d_icmiss[pid] += misses;
+    m->d.icfetch[pid] += last - first + 1;
+    m->d.icmiss[pid] += misses;
     long long now = *time_io, stall = 0;
     for (long long k = 0; k < misses; k++) {
         long long grant = bus_acquire(&m->sccs[cl], now + stall, m->bus_occ);
-        stall = grant + ctx->ic_lat - now;
+        stall = grant + m->ic_lat - now;
     }
-    ctx->d_busy[pid] += count;
-    ctx->d_icstall[pid] += stall;
+    m->d.busy[pid] += count;
+    m->d.icstall[pid] += stall;
     *time_io = now + count + stall;
 }
 
@@ -1097,7 +1268,7 @@ sched_push(Ctx *ctx, long long time, long long pid)
 {
     ReadyQ *q = &ctx->rq;
     RqLink *link = &q->link[pid];
-    long long seq = ++ctx->misc[X_SEQ];
+    long long seq = ++ctx->m.d.misc[X_SEQ];
     link->queued = 1;
     q->n++;
     if (time < q->earliest)
@@ -1332,7 +1503,7 @@ proc_block(Ctx *ctx, WaitQ *q, long long pid, long long time)
 static inline void
 proc_compute(Ctx *ctx, long long pid, long long cycles, long long *time)
 {
-    ctx->d_busy[pid] += cycles;
+    ctx->m.d.busy[pid] += cycles;
     *time += cycles;
 }
 
@@ -1344,7 +1515,7 @@ proc_wake(Ctx *ctx, long long pid, long long resume)
     Proc *proc = &ctx->procs[pid];
     if (resume < proc->time)
         resume = proc->time;
-    ctx->d_sync[pid] += resume - proc->block_start;
+    ctx->m.d.sync[pid] += resume - proc->block_start;
     proc->time = resume;
     proc->blocked = 0;
     if (ctx->rq.link[pid].queued) {
@@ -1368,7 +1539,7 @@ lock_acquire(Ctx *ctx, long long pid, long long lock_id, long long *time)
         return 0;
     }
     lock->holder = pid;
-    proc_compute(ctx, pid, ctx->lock_overhead, time);
+    proc_compute(ctx, pid, ctx->m.lock_overhead, time);
     return 1;
 }
 
@@ -1383,13 +1554,13 @@ lock_release(Ctx *ctx, long long pid, long long lock_id, long long *time)
                      "does not hold", pid, lock_id);
         return -1;
     }
-    proc_compute(ctx, pid, ctx->lock_overhead, time);
+    proc_compute(ctx, pid, ctx->m.lock_overhead, time);
     if (!lock->count) {
         lock->holder = -1;
         return 0;
     }
     lock->holder = waitq_pop(ctx, lock);
-    return proc_wake(ctx, lock->holder, *time + ctx->lock_overhead);
+    return proc_wake(ctx, lock->holder, *time + ctx->m.lock_overhead);
 }
 
 /* ``_barrier``: ``pid`` blocks; the arrival that completes the count
@@ -1415,7 +1586,7 @@ barrier_arrive(Ctx *ctx, long long pid, long long barrier_id,
         return -1;
     }
     if (barrier->count == count) {
-        long long release = barrier->latest + ctx->barrier_overhead;
+        long long release = barrier->latest + ctx->m.barrier_overhead;
         while (barrier->count) {
             if (proc_wake(ctx, waitq_pop(ctx, barrier), release) < 0)
                 return -1;
@@ -1542,7 +1713,7 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
     while (code < ctx->codes + N_EVENT_CODES && !Py_IS_TYPE(event, code->type))
         code++;
     if (code == ctx->codes + N_EVENT_CODES) {
-        ctx->misc[X_EVENTS]++;
+        ctx->m.d.misc[X_EVENTS]++;
         PyErr_Format(PyExc_TypeError, "process %lld yielded %R, not a trace "
                      "event", pid, event);
         return -1;
@@ -1554,7 +1725,7 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
             rc = -1;
     }
     if (rc == 0 && code->op == OP_ENQUEUE) {
-        ctx->misc[X_EVENTS]++;
+        ctx->m.d.misc[X_EVENTS]++;
         if (operands[1] == Py_None) {
             /* An enqueued None would be indistinguishable from the
              * empty-queue dequeue response. */
@@ -1568,7 +1739,7 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
         }
     }
     else if (rc == 0 && code->op == OP_DEQUEUE) {
-        ctx->misc[X_EVENTS]++;
+        ctx->m.d.misc[X_EVENTS]++;
         PyObject *item = queue_pop(ctx, operands[0]);
         if (!item)
             rc = -1;
@@ -1624,7 +1795,7 @@ proc_refill(Ctx *ctx, long long pid, Proc *proc)
     }
     while (!proc->cursor.data) {
         PyObject *yielded;
-        ctx->misc[X_RESUMES]++;
+        ctx->m.d.misc[X_RESUMES]++;
         PySendResult sent = PyIter_Send(
             proc->generator, proc->response ? proc->response : Py_None,
             &yielded);
@@ -1673,11 +1844,9 @@ ctx_free(Ctx *ctx)
 {
     ctx_release(ctx);
     PyMem_Free(ctx->views.bufs);
-    sccs_free(ctx->m.sccs, ctx->m.n);
-    PyMem_Free(ctx->bank_free);
+    machine_free(&ctx->m);
     PyMem_Free(ctx->rq.heap);
     PyMem_Free(ctx->rq.link);
-    PyMem_Free(ctx->icaches);
     PyMem_Free(ctx->procs);
     PyMem_Free(ctx->locks.q);
     PyMem_Free(ctx->locks.slots);
@@ -1760,15 +1929,15 @@ procs_setup(Ctx *ctx, PyObject *sched)
         PyErr_SetString(PyExc_TypeError, "scheduler heap must be a list");
         return -1;
     }
-    if (!(ctx->proc_cluster = acquire_ll(&ctx->views,
-                                         PyTuple_GET_ITEM(sched, 1))))
+    Py_ssize_t nproc = ctx->m.nproc;
+    if (!(ctx->proc_cluster = acquire_ll_n(&ctx->views,
+                                           PyTuple_GET_ITEM(sched, 1),
+                                           nproc)))
         return -1;
-    Py_ssize_t nproc = ctx->views.bufs[ctx->views.n - 1].len / 8;
     PyObject *generators = PyTuple_GET_ITEM(sched, 2);
     ctx->chunks = PyTuple_GET_ITEM(sched, 4);
     ctx->responses = PyTuple_GET_ITEM(sched, 5);
-    if (nproc > INT_MAX / 2
-        || !PyList_CheckExact(generators)
+    if (!PyList_CheckExact(generators)
         || PyList_GET_SIZE(generators) != nproc
         || !PyList_CheckExact(ctx->chunks)
         || PyList_GET_SIZE(ctx->chunks) != nproc
@@ -1821,131 +1990,34 @@ procs_setup(Ctx *ctx, PyObject *sched)
     return 0;
 }
 
-/* The plan's icache entry: empty when the machine models no instruction
- * cache, else one ``(states, tags, index_mask, tag_shift)`` per processor
- * -- its ``InstructionCache.array``, worked on in place.  Parsed once the
- * processor count is known. */
-static int
-icaches_setup(Ctx *ctx, PyObject *ic_tuple)
-{
-    Py_ssize_t n = PyTuple_Check(ic_tuple) ? PyTuple_GET_SIZE(ic_tuple) : -1;
-    if (n == 0)
-        return 0;
-    if (n != ctx->nproc) {
-        PyErr_SetString(PyExc_TypeError,
-                        "icaches must be a tuple with none or one entry per "
-                        "processor");
-        return -1;
-    }
-    if (!(ctx->icaches = PyMem_Calloc(ctx->nproc, sizeof(Icache)))) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (int p = 0; p < ctx->nproc; p++) {
-        PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
-        Icache *ic = &ctx->icaches[p];
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
-            PyErr_SetString(PyExc_TypeError, "an icache entry must be "
-                            "(states, tags, index_mask, tag_shift)");
-            return -1;
-        }
-        if (get_ll_item(entry, 2, &ic->mask) < 0
-            || get_ll_item(entry, 3, &ic->shift) < 0)
-            return -1;
-        if (ic->mask < 0 || ic->mask >= PY_SSIZE_T_MAX / 8
-            || (ic->mask & (ic->mask + 1)) || ic->shift < 0
-            || ic->shift > 62) {
-            PyErr_SetString(PyExc_ValueError,
-                            "icache index mask or tag shift out of range");
-            return -1;
-        }
-        if (!(ic->states = acquire_ll_n(&ctx->views,
-                                        PyTuple_GET_ITEM(entry, 0),
-                                        ic->mask + 1))
-            || !(ic->tags = acquire_ll_n(&ctx->views,
-                                         PyTuple_GET_ITEM(entry, 1),
-                                         ic->mask + 1)))
-            return -1;
-    }
-    return 0;
-}
-
-/* plan: engine/native.py's ``run`` builds it, in the order parsed here;
- * ``per_cluster`` holds an SCC entry (``scc_setup``) per cluster, every
- * one on the machine's one bus clock. */
+/* plan: ``(machine, queues, scheduling, sync, vocabulary)``, as
+ * engine/native.py's ``run`` builds it: a machine plan
+ * (``machine_setup``) of one SCC per cluster, and the entries parsed
+ * here. */
 static PyObject *
 native_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 9) {
-        PyErr_SetString(PyExc_TypeError, "plan must be a 9-tuple");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 5) {
+        PyErr_SetString(PyExc_TypeError, "plan must be a 5-tuple");
         return NULL;
     }
-    PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
-    PyObject *banks = PyTuple_GET_ITEM(plan, 1);
-    PyObject *queues = PyTuple_GET_ITEM(plan, 2);
-    PyObject *scal = PyTuple_GET_ITEM(plan, 3);
-    PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 4);
-    PyObject *deltas = PyTuple_GET_ITEM(plan, 5);
-    PyObject *sched = PyTuple_GET_ITEM(plan, 6);
-    PyObject *sync = PyTuple_GET_ITEM(plan, 7);
-    PyObject *vocabulary = PyTuple_GET_ITEM(plan, 8);
+    PyObject *machine = PyTuple_GET_ITEM(plan, 0);
+    PyObject *queues = PyTuple_GET_ITEM(plan, 1);
+    PyObject *sched = PyTuple_GET_ITEM(plan, 2);
+    PyObject *sync = PyTuple_GET_ITEM(plan, 3);
+    PyObject *vocabulary = PyTuple_GET_ITEM(plan, 4);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
         return PyErr_NoMemory();
-    Machine *m = &ctx->m;
-    int n_cl = (int)PyTuple_GET_SIZE(per_cluster);
-    Py_ssize_t n_ic = PyTuple_Check(ic_tuple) ? PyTuple_GET_SIZE(ic_tuple)
-                                              : 0;
-
-    Py_ssize_t max_views = 5 * (Py_ssize_t)n_cl + 2 * n_ic + 20;
-    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    m->sccs = PyMem_Calloc(n_cl, sizeof(Scc));
-    ctx->bank_free = PyMem_Calloc(n_cl, sizeof(long long *));
-    if (!ctx->views.bufs || !m->sccs || !ctx->bank_free) {
-        ctx_free(ctx);
-        return PyErr_NoMemory();
-    }
-    m->n = n_cl;
-
     ctx->plan = plan;
     Py_INCREF(plan);
-
-    long long sc[14];
-    for (Py_ssize_t k = 0; k < 14; k++) {
-        if (get_ll_item(scal, k, &sc[k]) < 0)
-            goto fail;
-    }
-    ctx->line_shift = sc[0];
-    ctx->nbanks = sc[1];
-    ctx->bank_mask = sc[1] > 0 && !(sc[1] & (sc[1] - 1)) ? sc[1] - 1 : -1;
-    ctx->bank_cycle = sc[2];
-    ctx->stall_on_writes = (int)sc[3];
-    ctx->ic_lat = sc[5];
-    ctx->iline_shift = sc[6];
-    ctx->limit = sc[7];
-    m->bus_occ = sc[8];
-    m->upgrade_occ = sc[9];
-    m->mem_latency = sc[10];
-    m->mesi = (int)sc[11];
-    ctx->lock_overhead = sc[12];
-    ctx->barrier_overhead = sc[13];
-
-    for (int c = 0; c < n_cl; c++) {
-        Scc *scc = &m->sccs[c];
-        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_cluster, c),
-                      ctx->nbanks, sc[4]) < 0
-            || words_import(&scc->words) < 0)
-            goto fail;
-        if (!scc->lost) {       /* another cluster's write must land in it */
-            PyErr_SetString(PyExc_TypeError,
-                            "a cluster's lost lines must be a set");
-            goto fail;
-        }
-        if (!(ctx->bank_free[c] = acquire_ll_n(
-                  &ctx->views, PyTuple_GET_ITEM(banks, c),
-                  (Py_ssize_t)ctx->nbanks)))
+    if (views_init(&ctx->views, machine_views(machine) + 2) < 0
+        || machine_setup(&ctx->m, &ctx->views, machine) < 0)
+        goto fail;
+    for (int c = 0; c < ctx->m.n; c++) {
+        if (words_import(&ctx->m.sccs[c].words) < 0)
             goto fail;
     }
     ctx->queues = queues;
@@ -1953,22 +2025,7 @@ native_setup(PyObject *self, PyObject *plan)
         PyErr_SetString(PyExc_TypeError, "task queues must be a dict");
         goto fail;
     }
-
-    if (vocabulary_setup(ctx, vocabulary) < 0 || procs_setup(ctx, sched) < 0
-        || icaches_setup(ctx, ic_tuple) < 0)
-        goto fail;
-    long long **dptr[8] = {
-        &ctx->d_refs, &ctx->d_busy, &ctx->d_stall, &ctx->d_finish,
-        &ctx->d_sync, &ctx->d_icfetch, &ctx->d_icmiss, &ctx->d_icstall,
-    };
-    for (int k = 0; k < 8; k++) {
-        if (!(*dptr[k] = acquire_ll_n(&ctx->views,
-                                      PyTuple_GET_ITEM(deltas, k),
-                                      ctx->nproc)))
-            goto fail;
-    }
-    if (!(ctx->misc = acquire_ll_n(&ctx->views, PyTuple_GET_ITEM(deltas, 8),
-                                   X_FIELDS)))
+    if (vocabulary_setup(ctx, vocabulary) < 0 || procs_setup(ctx, sched) < 0)
         goto fail;
     if (!PyTuple_Check(sync) || PyTuple_GET_SIZE(sync) != 2
         || sync_import(ctx, &ctx->locks, PyTuple_GET_ITEM(sync, 0)) < 0
@@ -2073,8 +2130,8 @@ native_run(PyObject *self, PyObject *capsule)
         return NULL;
     }
 
-    long long limit = ctx->limit;
-    long long *misc = ctx->misc;
+    long long limit = ctx->m.limit;
+    long long *misc = ctx->m.d.misc;
     long long time = 0, pid = -1, i = 0, sub = 0;
     Cursor *cur = NULL;
     int state = RUN_OVER;
@@ -2169,7 +2226,7 @@ native_run(PyObject *self, PyObject *capsule)
                     misc[X_EVENTS]++;
                     long long addr = data[i + 1];
                     long long count = data[i + 2];
-                    if (!ctx->icaches) {
+                    if (!ctx->m.icaches) {
                         i += 3;
                         proc_compute(ctx, pid, count, &time);
                     }
@@ -2283,31 +2340,40 @@ fail:
 /* Fused multi-configuration ladder (repro.trace.multiconfig)           */
 /* ==================================================================== */
 
-/* The fused pass of repro.trace.multiconfig (its only implementation;
- * the module docstring there carries the exactness argument): one pass
- * over a single-process tape driving every rung of an SCC ladder at once.
- * Per-size timing is a skew against the shared base clock; hits with no
- * live fill/write-buffer window anywhere (``hot_n == 0``) cost a single
- * smallest-size tag probe.  The wrapper
- * (``multiconfig._fused_pass_native``) owns plan construction, the
- * python-side synchronization handlers (status 2), and the statistics
- * flush; every array here is ``array('q')`` storage it allocated.
+/* The fused pass of repro.trace.multiconfig, its only implementation:
+ * one pass over a single-process tape driving every rung of an SCC
+ * ladder at once.  The contract is per-size replay on the reference
+ * loop, statistic for statistic and error for error; why the shortcuts
+ * below are exact is told once, in DESIGN.md section 11.  Per-size
+ * timing is a skew against the shared base clock; hits with no live
+ * fill/write-buffer window anywhere (``hot_n == 0``) cost a single
+ * smallest-size tag probe.
  *
- * The contract is per-size replay on the reference loop, statistic for
- * statistic.  A rung *is* a machine -- a ``Machine`` of one ``Scc``, on
- * its own system's bus clock, counting into an ``S_*`` row -- and what
- * happens to it on a miss, an upgrade or an icache refill is the
- * "coherence" section's ``bus_acquire``, ``install`` and
- * ``write_shared_or_miss``, called at the rung's local time; with one
- * cluster there is nothing to snoop and no line to lose (``lost`` is
- * NULL), so the event loop touches no python object -- and, like a run,
- * a pass carries no probe.  The ladder's own is
+ * A rung *is* a machine: ``machine_setup`` parses its plan as it parses
+ * a run's -- a ``Machine`` of one ``Scc`` and one processor, on its own
+ * system's bus clock, counting into the ``S_*`` and ``Deltas`` rows
+ * ``settle`` adds up -- and what happens to it on a miss, an upgrade or
+ * an icache refill is the "coherence" section's ``bus_acquire``,
+ * ``install`` and ``write_shared_or_miss``, called at the rung's local
+ * time.  With one cluster there is nothing to snoop and no line to lose,
+ * so the event loop touches no python object -- and, like a run, a pass
+ * carries no probe.  The rungs fetch through the first rung's icache,
+ * which ``ladder_release`` copies to the others.  The ladder's own is
  * what only a ladder has: the inclusion prefix, the shared clock folded
  * into per-size finish times (``l_fold``, ``skew``), the live windows
  * that say when a rung's hits can stall (``fill_live``, ``wb_live``,
  * ``hot``).  ``l_slow_read`` / ``l_slow_write`` are therefore not
  * ``do_access``: per-process clocks with bank arbitration, and one shared
  * clock with a skew per rung, are two algorithms over the same view.
+ *
+ * ``ladder_drain`` runs the whole tape in one call, its queue and sync
+ * opcodes included, by the reference loop's rules for one process: an
+ * enqueue or dequeue moves no clock; a lock costs ``lock_overhead``
+ * busy cycles, and re-acquiring one it holds deadlocks it; a barrier of
+ * count 1 is ``barrier_overhead`` of sync stall, and any other count
+ * raises; the errors are the plan's classes, with the reference loop's
+ * messages.  A non-positive span stride raises ValueError instead of
+ * spinning (the ladder has no cycle limit to bail it out).
  *
  * The ownership rule is ``run``'s, one way: a rung's ``_inflight`` dict
  * and write-buffer lists are empty from ``ladder_setup`` (which refuses
@@ -2317,23 +2383,15 @@ fail:
  * so its one process can never meet it in flight, and the quiet path
  * would never get to forget it -- a rung's read miss therefore hands
  * ``install`` ``FILL_NONE`` where ``read_miss`` hands it the fill time.
- * A non-positive span stride raises ValueError instead of spinning (the
- * ladder has no cycle limit to bail it out).
  */
 
 typedef struct {
     PyObject *plan;
     int n_sizes;
     int released;
-    long long line_shift, nbanks, ic_lat;
-    long long model_icache, il_shift, ic_mask, ic_shift;
-    Machine *rungs;           /* [rung]: the machine of ... */
-    Scc *sccs;                /* ... its one SCC, ``sccs[rung]`` */
-    long long *skew, *fin, *folded, *fill_live, *wb_live, *hot;
-    long long *d_stall, *d_ic;
-    long long *ic_states, *ic_tags;
-    long long *regs;    /* i, base, uref, ev, n_reads, n_writes, u_busy,
-                           hot_n, ic_misses, ic_fetch_lines */
+    Machine *rungs;           /* [rung]: one SCC, one processor */
+    long long *skew, *folded, *fill_live, *wb_live, *hot;   /* [rung] */
+    PyObject *deadlock_error, *sync_error;
     Views views;
 } LCtx;
 
@@ -2346,8 +2404,9 @@ l_fold(LCtx *c, int s, long long base, long long uref)
     long long sk = c->skew[s];
     if (uref > c->folded[s]) {
         long long f = uref + sk;
-        if (f > c->fin[s])
-            c->fin[s] = f;
+        long long *fin = c->rungs[s].d.finish;
+        if (f > *fin)
+            *fin = f;
     }
     c->folded[s] = uref;
     return base + sk;
@@ -2373,12 +2432,13 @@ l_update_hot(LCtx *c, int s, long long done, long long *hot_n)
 static inline long long
 l_reserve(LCtx *c, int s, long long bank, long long now, long long retire)
 {
-    long long stall = wbuf_reserve(&c->sccs[s].words, bank, now, retire);
+    Scc *scc = c->rungs[s].sccs;
+    long long stall = wbuf_reserve(&scc->words, bank, now, retire);
     if (retire < now + stall)
         retire = now + stall;
     if (retire > c->wb_live[s])
         c->wb_live[s] = retire;
-    c->sccs[s].stats[S_WRITE_BUFFER_STALL_CYCLES] += stall;
+    scc->stats[S_WRITE_BUFFER_STALL_CYCLES] += stall;
     return stall;
 }
 
@@ -2389,8 +2449,9 @@ static inline void
 l_complete(LCtx *c, int s, long long base, long long t, long long done,
            long long *hot_n)
 {
-    c->d_stall[s] += done - t - 1;
-    c->fin[s] = done;
+    Deltas *d = &c->rungs[s].d;
+    d->stall[0] += done - t - 1;
+    d->finish[0] = done;
     c->skew[s] = done - base - 1;
     l_update_hot(c, s, done, hot_n);
 }
@@ -2403,14 +2464,14 @@ l_slow_read(LCtx *c, long long line, long long base, long long uref,
     int s = 0;
     int n = c->n_sizes;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        Scc *scc = &c->sccs[s];
+        Machine *rung = &c->rungs[s];
+        Scc *scc = rung->sccs;
         long long index = line & scc->mask;
         if (scc->states[index]
             && scc->tags[index] == (line >> scc->shift))
             break;
         /* ``read_miss`` with nobody to snoop, no line to have lost and no
          * fill recorded (see above): the victim's goes all the same */
-        Machine *rung = &c->rungs[s];
         long long t = l_fold(c, s, base, uref);
         scc->stats[S_READ_MISSES]++;
         long long grant = bus_acquire(scc, t, rung->bus_occ);
@@ -2422,7 +2483,7 @@ l_slow_read(LCtx *c, long long line, long long base, long long uref,
     for (; *hot_n && s < n; s++) {          /* hits inside live windows */
         if (!c->hot[s])
             continue;
-        Scc *scc = &c->sccs[s];
+        Scc *scc = c->rungs[s].sccs;
         long long t = l_fold(c, s, base, uref);
         long long done = t + 1;
         if (c->fill_live[s] > t)
@@ -2449,7 +2510,7 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
     int s = 0;
     int n = c->n_sizes;
     for (; s < n; s++) {                    /* misses: ladder prefix */
-        Scc *scc = &c->sccs[s];
+        Scc *scc = c->rungs[s].sccs;
         long long index = line & scc->mask;
         if (scc->states[index]
             && scc->tags[index] == (line >> scc->shift))
@@ -2463,7 +2524,7 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
         l_store(c, s, bank, base, t, fetch_done, hot_n);
     }
     for (; s < n; s++) {                    /* resident sizes */
-        Scc *scc = &c->sccs[s];
+        Scc *scc = c->rungs[s].sccs;
         long long index = line & scc->mask;
         long long state = scc->states[index];
         if (state == ST_SHARED) {           /* upgrade broadcast */
@@ -2504,8 +2565,10 @@ static void
 lctx_free(LCtx *ctx)
 {
     lctx_release(ctx);
-    sccs_free(ctx->sccs, ctx->n_sizes);
+    for (int s = 0; ctx->rungs && s < ctx->n_sizes; s++)
+        machine_free(&ctx->rungs[s]);
     PyMem_Free(ctx->rungs);
+    PyMem_Free(ctx->skew);
     PyMem_Free(ctx->views.bufs);
     PyMem_Free(ctx);
 }
@@ -2518,79 +2581,73 @@ lctx_destructor(PyObject *capsule)
         lctx_free(ctx);
 }
 
-/* plan: (per_size, scal, state, ic, regs)
- *   per_size -- an SCC entry (``scc_setup``) per rung, smallest first,
- *               each on its own system's bus clock and with no lost-line
- *               set; its ``_inflight`` dict and write-buffer lists must be
- *               empty -- a rung starts as a fresh machine -- and are
- *               written at ``ladder_release``
- *   scal     -- array('q'): line_shift, nbanks, wb_depth, bus_occ,
- *               upgrade_occ, mem_latency, mesi, ic_lat, model_icache,
- *               il_shift, ic_mask, ic_shift
- *   state    -- tuple of array('q') per-size arrays: skew, fin, folded,
- *               fill_live, wb_live, hot, d_stall, d_ic
- *   ic       -- (ic_states, ic_tags) array('q') pair, or () when the
- *               icache is unmodelled
- *   regs     -- array('q'): i, base, uref, ev, n_reads, n_writes,
- *               u_busy, hot_n, ic_misses, ic_fetch_lines
- */
+/* plan: ``(rungs, errors)`` -- a machine plan (``machine_setup``) per
+ * rung, smallest first, each of one SCC and one processor, with the
+ * first rung's scalars and icache geometry, and with an empty
+ * ``_inflight`` dict and empty write-buffer lists (a rung starts as a
+ * fresh machine; they are written at ``ladder_release``); and
+ * ``(DeadlockError, SyncProtocolError)``, what a misused lock or barrier
+ * raises. */
 static PyObject *
 native_ladder_setup(PyObject *self, PyObject *plan)
 {
     (void)self;
-    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 5) {
-        PyErr_SetString(PyExc_TypeError, "ladder plan must be a 5-tuple");
+    PyObject *rungs, *errors;
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 2
+        || !PyTuple_Check(rungs = PyTuple_GET_ITEM(plan, 0))
+        || PyTuple_GET_SIZE(rungs) < 1
+        || !PyTuple_Check(errors = PyTuple_GET_ITEM(plan, 1))
+        || PyTuple_GET_SIZE(errors) != 2
+        || !PyExceptionClass_Check(PyTuple_GET_ITEM(errors, 0))
+        || !PyExceptionClass_Check(PyTuple_GET_ITEM(errors, 1))) {
+        PyErr_SetString(PyExc_TypeError, "ladder plan must be (rungs, "
+                        "(deadlock error, protocol error))");
         return NULL;
     }
-    PyObject *per_size = PyTuple_GET_ITEM(plan, 0);
-    PyObject *scal = PyTuple_GET_ITEM(plan, 1);
-    PyObject *state = PyTuple_GET_ITEM(plan, 2);
-    PyObject *ic = PyTuple_GET_ITEM(plan, 3);
-    PyObject *regs = PyTuple_GET_ITEM(plan, 4);
-
     LCtx *ctx = PyMem_Calloc(1, sizeof(LCtx));
     if (!ctx)
         return PyErr_NoMemory();
-    int n = (int)PyTuple_GET_SIZE(per_size);
-
-    int max_views = 4 * n + 16;
-    ctx->views.bufs = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    ctx->rungs = PyMem_Calloc(n, sizeof(Machine));
-    ctx->sccs = PyMem_Calloc(n, sizeof(Scc));
-    if (!ctx->views.bufs || !ctx->rungs || !ctx->sccs) {
-        lctx_free(ctx);
-        return PyErr_NoMemory();
-    }
-    ctx->n_sizes = n;
-
+    int n = (int)PyTuple_GET_SIZE(rungs);
     ctx->plan = plan;
     Py_INCREF(plan);
-
-    long long sc[12];
-    for (Py_ssize_t k = 0; k < 12; k++) {
-        if (get_ll_item(scal, k, &sc[k]) < 0)
-            goto fail;
+    ctx->deadlock_error = PyTuple_GET_ITEM(errors, 0);
+    ctx->sync_error = PyTuple_GET_ITEM(errors, 1);
+    ctx->rungs = PyMem_Calloc(n, sizeof(Machine));
+    ctx->skew = PyMem_Calloc(5 * (size_t)n, sizeof(long long));
+    if (!ctx->rungs || !ctx->skew) {
+        PyErr_NoMemory();
+        goto fail;
     }
-    ctx->line_shift = sc[0];
-    ctx->nbanks = sc[1];
-    ctx->ic_lat = sc[7];
-    ctx->model_icache = sc[8];
-    ctx->il_shift = sc[9];
-    ctx->ic_mask = sc[10];
-    ctx->ic_shift = sc[11];
+    ctx->n_sizes = n;
+    ctx->folded = ctx->skew + n;
+    ctx->fill_live = ctx->folded + n;
+    ctx->wb_live = ctx->fill_live + n;
+    ctx->hot = ctx->wb_live + n;
+    Py_ssize_t n_views = 0;
+    for (int s = 0; s < n; s++)
+        n_views += machine_views(PyTuple_GET_ITEM(rungs, s));
+    if (views_init(&ctx->views, n_views) < 0)
+        goto fail;
 
+    const Machine *first = ctx->rungs;
     for (int s = 0; s < n; s++) {
         Machine *rung = &ctx->rungs[s];
-        Scc *scc = rung->sccs = &ctx->sccs[s];
-        rung->n = 1;
-        rung->bus_occ = sc[3];
-        rung->upgrade_occ = sc[4];
-        rung->mem_latency = sc[5];
-        rung->mesi = (int)sc[6];
-        if (scc_setup(scc, &ctx->views, PyTuple_GET_ITEM(per_size, s),
-                      ctx->nbanks, sc[2]) < 0)
+        if (machine_setup(rung, &ctx->views, PyTuple_GET_ITEM(rungs, s)) < 0)
             goto fail;
-        const Words *w = &scc->words;
+        if (rung->n != 1 || rung->nproc != 1) {
+            PyErr_SetString(PyExc_ValueError, "a ladder rung must be a "
+                            "machine of one SCC and one processor");
+            goto fail;
+        }
+        if (memcmp(rung->scal, first->scal, K_FIELDS * sizeof(long long))
+            || !rung->icaches != !first->icaches
+            || (rung->icaches
+                && rung->icaches->mask != first->icaches->mask)) {
+            PyErr_SetString(PyExc_ValueError, "the rungs of a ladder must "
+                            "differ in their SCC size alone");
+            goto fail;
+        }
+        const Words *w = &rung->sccs->words;
         int fresh = PyDict_GET_SIZE(w->inflight) == 0;
         for (Py_ssize_t bank = 0; fresh && bank < w->nbanks; bank++)
             fresh = PyList_GET_SIZE(PyList_GET_ITEM(w->wbufs, bank)) == 0;
@@ -2600,26 +2657,6 @@ native_ladder_setup(PyObject *self, PyObject *plan)
             goto fail;
         }
     }
-
-    long long **sptr[8] = {
-        &ctx->skew, &ctx->fin, &ctx->folded, &ctx->fill_live,
-        &ctx->wb_live, &ctx->hot, &ctx->d_stall, &ctx->d_ic,
-    };
-    for (int k = 0; k < 8; k++) {
-        if (!(*sptr[k] = acquire_ll_n(&ctx->views,
-                                      PyTuple_GET_ITEM(state, k), n)))
-            goto fail;
-    }
-    if (ctx->model_icache) {
-        if (!(ctx->ic_states = acquire_ll_n(
-                  &ctx->views, PyTuple_GET_ITEM(ic, 0), ctx->ic_mask + 1)))
-            goto fail;
-        if (!(ctx->ic_tags = acquire_ll_n(
-                  &ctx->views, PyTuple_GET_ITEM(ic, 1), ctx->ic_mask + 1)))
-            goto fail;
-    }
-    if (!(ctx->regs = acquire_ll_n(&ctx->views, regs, 10)))
-        goto fail;
 
     PyObject *capsule = PyCapsule_New(ctx, LCTX_NAME, lctx_destructor);
     if (!capsule)
@@ -2631,9 +2668,10 @@ fail:
     return NULL;
 }
 
-/* The end of the pass, completed or aborted: every rung's fills and write
- * buffers go to the containers of its SCC -- what ``check_invariants``
- * then checks -- before the views are dropped, as ``release`` does. */
+/* The end of the pass, completed or aborted: every rung's icache gets the
+ * first rung's lines, and its fills and write buffers go to the
+ * containers of its SCC -- what ``check_invariants`` then checks --
+ * before the views are dropped, as ``release`` does. */
 static PyObject *
 native_ladder_release(PyObject *self, PyObject *capsule)
 {
@@ -2642,9 +2680,16 @@ native_ladder_release(PyObject *self, PyObject *capsule)
     if (!ctx)
         return NULL;
     if (!ctx->released) {
+        const Icache *ic = ctx->rungs[0].icaches;
         int failed = 0;
-        for (int s = 0; !failed && s < ctx->n_sizes; s++)
-            failed = words_export(&ctx->sccs[s].words) < 0;
+        for (int s = 0; !failed && s < ctx->n_sizes; s++) {
+            if (ic && s) {
+                size_t bytes = 8 * (size_t)(ic->mask + 1);
+                memmove(ctx->rungs[s].icaches->states, ic->states, bytes);
+                memmove(ctx->rungs[s].icaches->tags, ic->tags, bytes);
+            }
+            failed = words_export(&ctx->rungs[s].sccs->words) < 0;
+        }
         lctx_release(ctx);
         if (failed)
             return NULL;
@@ -2652,12 +2697,14 @@ native_ladder_release(PyObject *self, PyObject *capsule)
     Py_RETURN_NONE;
 }
 
+/* The whole pass: ``tape``, an ``array('q')`` of one process's opcodes,
+ * through every rung, and each rung's counters into its rows. */
 static PyObject *
 native_ladder_drain(PyObject *self, PyObject *args)
 {
     (void)self;
-    PyObject *capsule, *chunk;
-    if (!PyArg_ParseTuple(args, "OO", &capsule, &chunk))
+    PyObject *capsule, *tape;
+    if (!PyArg_ParseTuple(args, "OO", &capsule, &tape))
         return NULL;
     LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
     if (!ctx)
@@ -2667,29 +2714,22 @@ native_ladder_drain(PyObject *self, PyObject *args)
         return NULL;
     }
     Py_buffer cview;
-    if (PyObject_GetBuffer(chunk, &cview, PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(tape, &cview, PyBUF_SIMPLE) < 0)
         return NULL;
     const long long *data = (const long long *)cview.buf;
     long long end = (long long)(cview.len / 8);
 
-    long long *regs = ctx->regs;
-    long long i = regs[0];
-    long long base = regs[1];
-    long long uref = regs[2];
-    long long ev = regs[3];
-    long long n_reads = regs[4];
-    long long n_writes = regs[5];
-    long long u_busy = regs[6];
-    long long hot_n = regs[7];
-    long long ic_misses = regs[8];
-    long long ic_fetch_lines = regs[9];
-    long long line_shift = ctx->line_shift;
-    long long nbanks = ctx->nbanks;
-    long long mask0 = ctx->sccs[0].mask;
-    long long shift0 = ctx->sccs[0].shift;
-    long long *states0 = ctx->sccs[0].states;
-    long long *tags0 = ctx->sccs[0].tags;
-    int status = STATUS_EXHAUSTED;
+    const Machine *first = ctx->rungs;
+    long long i = 0, base = 0, uref = 0, ev = 0, n_reads = 0, n_writes = 0;
+    long long u_busy = 0, sync_stall = 0, hot_n = 0;
+    long long ic_misses = 0, ic_fetch_lines = 0;
+    long long line_shift = first->line_shift;
+    long long nbanks = first->nbanks;
+    long long mask0 = first->sccs->mask;
+    long long shift0 = first->sccs->shift;
+    long long *states0 = first->sccs->states;
+    long long *tags0 = first->sccs->tags;
+    SyncTable locks = {0};
     PyObject *result = NULL;
 
     while (i < end) {
@@ -2740,7 +2780,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
         else if (op == OP_IFETCH) {
             long long count = data[i + 2];
             ev++;
-            if (!ctx->model_icache) {
+            if (!first->icaches) {
                 u_busy += count;
                 base += count;
                 i += 3;
@@ -2755,14 +2795,13 @@ native_ladder_drain(PyObject *self, PyObject *args)
             }
             long long addr = data[i + 1];
             i += 3;
-            long long first = addr >> ctx->il_shift;
-            long long last =
-                (addr + count * 4 - 1) >> ctx->il_shift;
-            long long *ic_states = ctx->ic_states;
-            long long *ic_tags = ctx->ic_tags;
-            long long ic_mask = ctx->ic_mask;
-            long long ic_shift = ctx->ic_shift;
-            long long ln = first;
+            long long first_line = addr >> first->iline_shift;
+            long long last = (addr + count * 4 - 1) >> first->iline_shift;
+            long long *ic_states = first->icaches->states;
+            long long *ic_tags = first->icaches->tags;
+            long long ic_mask = first->icaches->mask;
+            long long ic_shift = first->icaches->shift;
+            long long ln = first_line;
             while (ln <= last) {
                 long long ii = ln & ic_mask;
                 if (ic_states[ii] && ic_tags[ii] == (ln >> ic_shift))
@@ -2772,13 +2811,13 @@ native_ladder_drain(PyObject *self, PyObject *args)
             }
             if (ln > last) {
                 /* Every line resident: no refills at any size. */
-                ic_fetch_lines += last - first + 1;
+                ic_fetch_lines += last - first_line + 1;
                 u_busy += count;
                 base += count;
                 continue;
             }
             long long misses = 0;
-            for (ln = first; ln <= last; ln++) {
+            for (ln = first_line; ln <= last; ln++) {
                 ic_fetch_lines++;
                 long long ii = ln & ic_mask;
                 if (!(ic_states[ii]
@@ -2799,9 +2838,9 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 for (long long m = 0; m < misses; m++) {
                     long long grant = bus_acquire(rung->sccs, t + stall,
                                                   rung->bus_occ);
-                    stall = grant + ctx->ic_lat - t;
+                    stall = grant + rung->ic_lat - t;
                 }
-                ctx->d_ic[s] += stall;
+                rung->d.icstall[0] += stall;
                 ctx->skew[s] += stall;
                 l_update_hot(ctx, s, t + count + stall, &hot_n);
             }
@@ -2848,25 +2887,82 @@ native_ladder_drain(PyObject *self, PyObject *args)
                 offset += stride;
             }
         }
+        else if (op == OP_ENQUEUE || op == OP_DEQUEUE) {
+            /* One process: nothing reads a task queue's contents. */
+            i += op == OP_ENQUEUE ? 3 : 2;
+            ev++;
+        }
+        else if (op == OP_LOCK_ACQ || op == OP_LOCK_REL) {
+            long long id = data[i + 1];
+            i += 2;
+            ev++;
+            WaitQ *lock = sync_lookup(&locks, id, op == OP_LOCK_ACQ);
+            if (op == OP_LOCK_ACQ) {
+                if (!lock)
+                    goto out;
+                if (lock->holder == 0) {
+                    /* it waits on itself: what ``run`` then reports */
+                    PyErr_Format(ctx->deadlock_error, "processes [0] "
+                                 "blocked forever (locks={%lld: 0})", id);
+                    goto out;
+                }
+                lock->holder = 0;
+            }
+            else if (!lock || lock->holder < 0) {
+                PyErr_Format(ctx->sync_error, "process 0 released lock "
+                             "%lld it does not hold", id);
+                goto out;
+            }
+            else {
+                lock->holder = -1;
+            }
+            u_busy += first->lock_overhead;
+            base += first->lock_overhead;
+        }
+        else if (op == OP_BARRIER) {
+            long long count = data[i + 2];
+            i += 3;
+            ev++;
+            if (count < 1) {
+                PyErr_SetString(ctx->sync_error,
+                                "barrier count must be >= 1");
+                goto out;
+            }
+            if (count > 1) {
+                /* nobody else can arrive; it holds no lock anyone waits on */
+                PyErr_SetString(ctx->deadlock_error,
+                                "processes [0] blocked forever (locks={})");
+                goto out;
+            }
+            sync_stall += first->barrier_overhead;
+            base += first->barrier_overhead;
+        }
         else {
-            /* Queue, synchronization or unknown opcode: python side. */
-            status = STATUS_SYNC;
-            break;
+            PyErr_Format(PyExc_ValueError,
+                         "unknown packed opcode %lld at %lld", op, i);
+            goto out;
         }
     }
 
-    result = PyLong_FromLong(status);
-out:    /* (with an error set, too: the registers say how far the pass got) */
-    regs[0] = i;
-    regs[1] = base;
-    regs[2] = uref;
-    regs[3] = ev;
-    regs[4] = n_reads;
-    regs[5] = n_writes;
-    regs[6] = u_busy;
-    regs[7] = hot_n;
-    regs[8] = ic_misses;
-    regs[9] = ic_fetch_lines;
+    /* What every rung did alike, and where each one finished. */
+    for (int s = 0; s < ctx->n_sizes; s++) {
+        Machine *rung = &ctx->rungs[s];
+        Deltas *d = &rung->d;
+        (void)l_fold(ctx, s, base, uref);
+        rung->sccs->stats[S_READS] += n_reads;
+        rung->sccs->stats[S_WRITES] += n_writes;
+        d->refs[0] += n_reads + n_writes;
+        d->busy[0] += n_reads + n_writes + u_busy;
+        d->sync[0] += sync_stall;
+        d->icfetch[0] += ic_fetch_lines;
+        d->icmiss[0] += ic_misses;
+        d->misc[X_EVENTS] += ev;
+        d->misc[X_FINISH] = base + ctx->skew[s];
+    }
+    result = Py_NewRef(Py_None);
+out:
+    PyMem_Free(locks.q);
+    PyMem_Free(locks.slots);
     PyBuffer_Release(&cview);
     return result;
 }
@@ -5599,9 +5695,9 @@ static PyMethodDef methods[] = {
     {"ladder_setup", native_ladder_setup, METH_O,
      "Parse a fused-ladder plan into a context capsule."},
     {"ladder_drain", native_ladder_drain, METH_VARARGS,
-     "Run the fused ladder over packed events; returns 0/2."},
+     "Run the fused ladder over a whole tape."},
     {"ladder_release", native_ladder_release, METH_O,
-     "Release the buffer views held by a ladder context."},
+     "Write a ladder context's rungs back and release its views."},
     {"row_profile", native_row_profile, METH_VARARGS,
      "Reduce one row's packed streams to the numbers of its RowProfile."},
     {"spec_burst", native_spec_burst, METH_VARARGS,

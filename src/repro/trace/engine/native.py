@@ -41,10 +41,12 @@ called by :meth:`repro.workloads.mp3d.MP3D.processes` and
 them itself).  The last three are the only way those workloads make
 their streams; their python twins are test oracles in ``tests/oracles/``.
 One build, one ``ABI_VERSION`` check, serves all six.  The
-ladder is a second driver of the same memory system: to C a
-ladder rung is what a cluster of a run is -- one SCC, described by
-:func:`scc_plan`, counted into a row :func:`settle_scc` adds up -- and its
-misses run the code a run's misses run.
+ladder is a second driver of the same memory system: to C a ladder rung
+is a one-processor machine, described by the :func:`machine_plan` a run's
+machine is described by -- the scalars of its config in one layout, its
+SCC, its icache, rows of deltas -- and counted into rows :func:`settle`
+adds up for both drivers; its misses run the code a run's misses run, and
+one ``ladder_drain`` call runs its whole tape.
 
 Loading happens at first use and is cached for the process:
 
@@ -84,12 +86,12 @@ from ..packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                       OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ, OP_WRITE,
                       PackedChunk)
 
-__all__ = ["NATIVE_VERSION", "load", "run", "scc_plan", "settle_scc"]
+__all__ = ["NATIVE_VERSION", "load", "machine_plan", "run", "settle"]
 
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "16"
+NATIVE_VERSION = "17"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one
@@ -104,6 +106,10 @@ _NO_LIMIT = (1 << 63) - 1
 #: Words of one process at rest (``P_FIELDS`` in _native.c): its clock,
 #: ``blocked``, ``block_start``, ``finished``, ``chunk_pos``, ``chunk_sub``
 _PROCESS_WORDS = 6
+
+#: Words of a machine plan's ``misc`` (``X_FIELDS`` in _native.c): events
+#: executed, ``interleaver._seq``, the latest finish, generators resumed
+_MISC_WORDS = 4
 
 # Slot order of one SCC's ``SccStats`` deltas (``S_*`` in _native.c)
 _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
@@ -240,34 +246,84 @@ def _stale_reason(module) -> Optional[str]:
             f"ABI {abi!r}, need {NATIVE_VERSION!r}")
 
 
-def scc_plan(scc, bus, lost_lines) -> tuple:
-    """One SCC's entry of a ``setup`` / ``ladder_setup`` plan
-    (``scc_setup`` in ``_native.c``): the storage C works on in place
-    (tag/state arrays, the clock of the ``bus`` it sits on), the
-    containers it reads into words and rewrites at release, and -- last
-    -- a zeroed row of ``_SCC_FIELDS`` deltas for :func:`settle_scc`.
-    ``lost_lines`` is the SCC's set, or ``None`` where no other SCC
-    exists to take a line away."""
-    tags = scc.array
-    return (tags._states, tags._tags, tags._index_mask, tags._tag_shift,
-            scc._inflight, scc.interconnect._write_buffers, lost_lines,
-            bus._clock, array("q", bytes(8 * len(_SCC_FIELDS))))
+def _icaches(system) -> list:
+    """Each processor's icache, by pid; none when none is modelled."""
+    config = system.config
+    if not config.model_icache:
+        return []
+    return [system.clusters[config.cluster_of(p)].icaches[config.port_of(p)]
+            for p in range(config.total_processors)]
 
 
-def settle_scc(scc, entry: tuple) -> None:
-    """Add what C counted for ``scc`` -- the row of its :func:`scc_plan`
-    ``entry`` -- to the python counters the reference loop bumps as it
-    goes."""
-    deltas = dict(zip(_SCC_FIELDS, entry[-1]))
-    stats = scc.stats
-    for name, delta in deltas.items():
-        if delta:
-            setattr(stats, name, getattr(stats, name) + delta)
-    # C inlines the interconnect's bank and write-buffer arbitration, so
-    # its own two counters are settled here too.
-    interconnect = scc.interconnect
-    interconnect.conflict_cycles += deltas["bank_conflict_cycles"]
-    interconnect.write_stall_cycles += deltas["write_buffer_stall_cycles"]
+def machine_plan(system, max_cycles: Optional[int] = None) -> tuple:
+    """What ``setup`` and ``ladder_setup`` both read of one machine
+    (``machine_setup`` in ``_native.c``): the scalars of its config
+    (``K_*``); per cluster, the storage C works on in place (tag/state
+    arrays, bank free times, the bus clock) and the containers it reads
+    into words and rewrites at release; each processor's icache arrays;
+    and zeroed rows for :func:`settle` -- eight of a word per processor
+    (``Deltas``), then the ``misc`` words (``X_*``)."""
+    config = system.config
+    nproc = config.total_processors
+    scalars = array("q", [
+        config.line_offset_bits, config.num_banks, config.bank_cycle_time,
+        1 if config.stall_on_writes else 0, config.write_buffer_depth,
+        config.icache_miss_latency, config.icache_line_size.bit_length() - 1,
+        _NO_LIMIT if max_cycles is None else max_cycles,
+        config.bus_occupancy, config.upgrade_bus_occupancy,
+        config.memory_latency, 1 if config.protocol == "mesi" else 0,
+        config.lock_overhead, config.barrier_overhead])
+    sccs = tuple(
+        (scc.array._states, scc.array._tags, scc.array._index_mask,
+         scc.array._tag_shift, scc._inflight,
+         scc.interconnect._write_buffers, scc._lost_lines,
+         scc.interconnect._bank_free, system.bus._clock,
+         array("q", bytes(8 * len(_SCC_FIELDS))))
+        for scc in (cluster.scc for cluster in system.clusters))
+    # ``SystemConfig`` makes an icache's line and line count powers of
+    # two; a one-line icache's zero mask and shift address it as its own
+    # ``%`` and ``//`` do.
+    icaches = tuple((ic.array._states, ic.array._tags, ic.array._index_mask,
+                     ic.array._tag_shift) for ic in _icaches(system))
+    rows = [array("q", bytes(8 * nproc)) for _ in range(8)]
+    rows[3] = array("q", [-1] * nproc)      # finish: none yet
+    return (scalars, sccs, icaches,
+            (*rows, array("q", bytes(8 * _MISC_WORDS))))
+
+
+def settle(system, plan: tuple) -> None:
+    """Add what C counted on ``system`` -- the rows of its
+    :func:`machine_plan` ``plan`` -- to the python counters the reference
+    loop bumps as it goes."""
+    for cluster, entry in zip(system.clusters, plan[1]):
+        scc = cluster.scc
+        deltas = dict(zip(_SCC_FIELDS, entry[-1]))
+        stats = scc.stats
+        for name, delta in deltas.items():
+            if delta:
+                setattr(stats, name, getattr(stats, name) + delta)
+        # C inlines the interconnect's bank and write-buffer arbitration,
+        # so its own two counters are settled here too.
+        interconnect = scc.interconnect
+        interconnect.conflict_cycles += deltas["bank_conflict_cycles"]
+        interconnect.write_stall_cycles += deltas[
+            "write_buffer_stall_cycles"]
+    refs, busy, stall, finish, sync, icfetch, icmiss, icstall, _ = plan[3]
+    icaches = _icaches(system)
+    for p, processor in enumerate(system._procs):
+        pstats = processor.stats
+        if refs[p] or busy[p]:
+            pstats.references += refs[p]
+            pstats.instructions += busy[p]
+            pstats.busy_cycles += busy[p]
+            pstats.memory_stall_cycles += stall[p]
+        pstats.sync_stall_cycles += sync[p]
+        if finish[p] > processor.finish_time:
+            processor.finish_time = finish[p]
+        if icfetch[p]:
+            icaches[p].fetch_lines += icfetch[p]
+            icaches[p].misses += icmiss[p]
+            pstats.icache_stall_cycles += icstall[p]
 
 
 def run(interleaver, max_cycles: Optional[int]) -> int:
@@ -285,46 +341,14 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     self = interleaver
     heap = self._heap
     system = self.system
-    config = system.config
-    cl_scc = [cluster.scc for cluster in system.clusters]
-    cl_icn = [scc.interconnect for scc in cl_scc]
-    proc_cluster = self._proc_cluster
-    procs = system._procs
-    nproc = config.total_processors
-    for scc in cl_scc:
-        if scc._inflight:   # C keeps one fill per index: the invariant's
-            scc.check_fill_tracking()
-    # Each processor's icache, worked on in place.  ``SystemConfig`` makes
-    # its line and line count powers of two; a one-line icache's zero
-    # mask and shift address it as its own ``%`` and ``//`` do.
-    ic_objs = ([system.clusters[proc_cluster[p]].icaches[config.port_of(p)]
-                for p in range(nproc)] if config.model_icache else [])
-
-    scal = array("q", [
-        config.line_offset_bits,
-        cl_icn[0].num_banks,
-        cl_icn[0].bank_cycle_time,
-        1 if config.stall_on_writes else 0,
-        cl_icn[0].write_buffer_depth,
-        config.icache_miss_latency,
-        config.icache_line_size.bit_length() - 1,
-        _NO_LIMIT if max_cycles is None else max_cycles,
-        config.bus_occupancy,
-        config.upgrade_bus_occupancy,
-        config.memory_latency,
-        1 if config.protocol == "mesi" else 0,
-        self.lock_overhead,
-        self.barrier_overhead,
-    ])
-    per_cluster = tuple(scc_plan(scc, system.bus, scc._lost_lines)
-                        for scc in cl_scc)
-    ic_tuple = tuple((ic.array._states, ic.array._tags, ic.array._index_mask,
-                      ic.array._tag_shift) for ic in ic_objs)
-    d_refs, d_busy, d_stall, d_sync, d_icfetch, d_icmiss, d_icstall = (
-        array("q", bytes(8 * nproc)) for _ in range(7))
-    d_finish = array("q", [-1] * nproc)
-    # events, _seq, latest finish, generators resumed
-    misc = array("q", [0, self._seq, 0, 0])
+    nproc = system.config.total_processors
+    for cluster in system.clusters:
+        # C keeps one fill per index: the invariant's
+        if cluster.scc._inflight:
+            cluster.scc.check_fill_tracking()
+    machine = machine_plan(system, max_cycles)
+    misc = machine[3][-1]
+    misc[1] = self._seq
     # The processes at rest, by pid: ``_PROCESS_WORDS`` each and what
     # stays an object.  C carries on from a chunk
     # the last run left half-drained and a response it left unsent.
@@ -337,14 +361,9 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     chunks = [process and process.chunk for process in processes]
     responses = [process and process.response for process in processes]
     plan = (
-        per_cluster,
-        tuple(icn._bank_free for icn in cl_icn),
+        machine,
         self._queues,
-        scal,
-        ic_tuple,
-        (d_refs, d_busy, d_stall, d_finish, d_sync, d_icfetch, d_icmiss,
-         d_icstall, misc),
-        (heap, array("q", proc_cluster),
+        (heap, array("q", self._proc_cluster),
          [process and process.generator for process in processes],
          pstate, chunks, responses),
         ([(lock_id, -1 if lock.holder is None else lock.holder,
@@ -381,22 +400,5 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         self._seq = misc[1]
         self.events_processed += misc[0]
         self.generator_resumes += misc[3]
-        for scc, entry in zip(cl_scc, per_cluster):
-            settle_scc(scc, entry)
-        for p in range(nproc):
-            refs = d_refs[p]
-            busy = d_busy[p]
-            if refs or busy:
-                pstats = procs[p].stats
-                pstats.references += refs
-                pstats.instructions += busy
-                pstats.busy_cycles += busy
-                pstats.memory_stall_cycles += d_stall[p]
-            procs[p].stats.sync_stall_cycles += d_sync[p]
-            if d_finish[p] > procs[p].finish_time:
-                procs[p].finish_time = d_finish[p]
-            if d_icfetch[p]:
-                ic_objs[p].fetch_lines += d_icfetch[p]
-                ic_objs[p].misses += d_icmiss[p]
-                procs[p].stats.icache_stall_cycles += d_icstall[p]
+        settle(system, machine)
     return misc[2]

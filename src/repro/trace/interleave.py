@@ -68,8 +68,7 @@ from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
                      OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
                      OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk)
 
-__all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError",
-           "fused_replay_ok"]
+__all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError"]
 
 ProcessGenerator = Generator[TraceEvent, Any, None]
 
@@ -81,38 +80,6 @@ class DeadlockError(RuntimeError):
 class SyncProtocolError(RuntimeError):
     """A process misused a lock, barrier, or task queue (e.g. released a
     lock it does not hold, or enqueued ``None``)."""
-
-
-def fused_replay_ok(config) -> bool:
-    """Whether one recorded tape on ``config`` can drive the fused
-    multi-configuration engine (:mod:`repro.trace.multiconfig`).
-
-    Stricter than the interleaver's own ``_native_eligible``: the fused
-    engine inlines the single-process scheduling loop, so it needs
-    exactly one processor (interleave order is then
-    configuration-independent and the size-ladder inclusion argument
-    holds), the plain shared-SCC snoopy machine, direct-mapped
-    power-of-two geometry, write buffering enabled
-    (``stall_on_writes`` changes the write path shape), and
-    ``bank_cycle_time == 1`` (a single processor then provably never
-    conflicts on a bank, so the engine can skip bank arbitration).
-    """
-    lines = config.scc_lines
-    if not (config.total_processors == 1
-            and config.cluster_organization == "shared-scc"
-            and config.inter_cluster == "snoopy-bus"
-            and config.associativity == 1
-            and config.bank_cycle_time == 1
-            and not config.stall_on_writes
-            and lines > 1 and lines & (lines - 1) == 0):
-        return False
-    if config.model_icache:
-        line = config.icache_line_size
-        ic_lines = config.icache_size // line
-        if (line < 1 or line & (line - 1)
-                or ic_lines < 2 or ic_lines & (ic_lines - 1)):
-            return False
-    return True
 
 
 class _Process:
@@ -148,10 +115,8 @@ class _Lock:
 class TimingInterleaver:
     """Drives application processes against a memory system."""
 
-    def __init__(self, system: MultiprocessorSystem,
-                 lock_overhead: Optional[int] = None,
-                 barrier_overhead: Optional[int] = None,
-                 observer=None, backend: Optional[str] = None):
+    def __init__(self, system: MultiprocessorSystem, observer=None,
+                 backend: Optional[str] = None):
         self.system = system
         self.observer = observer
         """Optional event observer (e.g.
@@ -159,11 +124,8 @@ class TimingInterleaver:
         ``on_access``/``on_acquire``/``on_release``/``on_barrier_*``/
         ``on_enqueue``/``on_dequeue`` callbacks as events are granted."""
         config = system.config
-        self.lock_overhead = (config.lock_overhead if lock_overhead is None
-                              else lock_overhead)
-        self.barrier_overhead = (config.barrier_overhead
-                                 if barrier_overhead is None
-                                 else barrier_overhead)
+        self.lock_overhead = config.lock_overhead
+        self.barrier_overhead = config.barrier_overhead
         self._processes: Dict[int, _Process] = {}
         self._heap: List[Tuple[int, int, int]] = []
         self._seq = 0
@@ -336,7 +298,7 @@ class TimingInterleaver:
                 stride = data[i + 3]
                 if size > 0 and stride <= 0:
                     # The element loop below would spin forever; same
-                    # error as the native ladder.
+                    # error as the native engine.
                     raise ValueError(f"non-positive span stride at {i}")
                 cls = Read if op == OP_READ_SPAN else Write
                 offset = sub

@@ -2,73 +2,31 @@
 
 A sweep row replays the same recorded stream once per rung of the SCC
 ladder (:mod:`repro.trace.record`), even though the rungs differ only in
-cache capacity.  For bit-selected direct-mapped caches the rungs are not
-independent: with power-of-two line counts the set index for size
-``2^k`` is a masked prefix of the index for ``2^(k+1)``, which gives the
-ladder the classic *inclusion* property of multi-configuration cache
-simulation (Mattson's stack techniques and their modern reuse-distance
-descendants): **a line resident in the smaller cache is resident in
-every larger one**, provided all sizes observe the same access sequence.
-A single-process tape guarantees exactly that -- there is no
-configuration-dependent interleaving to diverge -- so one pass can keep
-per-size tag/state arrays for the whole ladder side by side and answer
-most references with *one* tag probe (against the smallest size; a hit
-there is a hit everywhere).
+cache capacity.  For bit-selected direct-mapped caches fed one access
+sequence the rungs are not independent -- a line resident in the smaller
+cache is resident in every larger one (the *inclusion* property of
+Mattson's stack techniques) -- and a single-process tape guarantees that
+every size sees the same sequence.  So one pass can keep per-size
+tag/state arrays side by side and answer most references with *one* tag
+probe against the smallest size.
 
-The engine behind :func:`fused_ladder_results` (the ``ladder_*`` entry
-points of the native extension, ``engine/_native.c``) is exact, not
-approximate: every size carries independent timing state (bus
-occupancy, write buffers, in-flight fills, icache refill stalls)
-expressed as a *skew* against a shared base clock, and events that
-could perturb a size's timing (misses, upgrades, live write-buffer or
-fill windows) are replayed inline for that size.  To C each rung is a
-one-cluster machine -- its system's own SCC arrays and bus clock, worked
-on in place -- and a rung's miss, upgrade or icache refill runs the very
-code a native run's does; only the shared clock, the skews and the live
-windows are the ladder's own.  The result is bit-identical
-statistics to running :class:`~repro.trace.record.ReplayApplication`
-once per configuration -- pinned by the equivalence suite -- at roughly
-the cost of a single replay.  There is one implementation of the pass:
-on the reference loop (``backend="python"``)
-:func:`fused_ladder_results` *is* that per-size replay.
+Contract: :func:`fused_ladder_results` returns statistics bit-identical
+to running :class:`~repro.trace.record.ReplayApplication` once per
+configuration -- pinned by the equivalence suite -- and raises what that
+per-size replay raises, at roughly the cost of a single replay.  The
+pass is the native extension's (``ladder_*`` in ``engine/_native.c``):
+to C each rung is a one-cluster machine, planned and settled as a run's
+machine is, whose misses run the code a run's misses run.  Why its
+shortcuts -- inclusion, state monotonicity, quiet windows, no bank
+conflicts -- are exact is told once, in DESIGN.md section 11.  On the
+reference loop (``backend="python"``) :func:`fused_ladder_results` *is*
+that per-size replay.
 
-Exactness notes (why the shortcuts are not approximations):
-
-* *Inclusion*: accesses mapping to a set of the larger cache are a
-  subset of those mapping to the corresponding set of the smaller one,
-  so the line most recently installed in the small set is also the most
-  recent in the large superset slot.  Installs happen at every size
-  that misses (a prefix of the ladder), and an eviction at a small size
-  never outlives the line's copy at a larger size, so the invariant is
-  maintained inductively.
-* *State monotonicity*: with one cluster there are no remote
-  invalidations, so a line MODIFIED at the smallest resident size is
-  MODIFIED at every larger size (the write that dirtied it saw the line
-  resident there too, by inclusion).  Under MESI a single cluster never
-  produces SHARED (read misses install EXCLUSIVE), and the EXCLUSIVE
-  sizes form a contiguous band below the MODIFIED ones.  Hence a write
-  whose smallest-size state is MODIFIED is a silent hit at every size.
-* *Quiet windows*: a size's timing can deviate from ``base + skew``
-  bookkeeping only while it has a live in-flight fill (write misses
-  store ``inflight[line] = fetch_done`` with the processor released at
-  ``start + 1``) or a live write-buffer entry (``retire > complete``).
-  Both windows are tracked per size (``fill_live`` / ``wb_live``); a
-  size outside both windows processes hits with zero stall, which is
-  exactly what the per-size replay would compute, so the shared-clock
-  path handles it without touching per-size state.  Skipped
-  write-buffer pushes are provably dead (retire <= now at push time)
-  and skipped in-flight lookups provably return stale entries, so
-  neither can change a later stall.
-* *Single process, ``bank_cycle_time == 1``*: successive references are
-  at least one cycle apart, so a bank is always free again by the time
-  the next access could reach it -- bank conflicts are structurally
-  impossible and the engine skips bank arbitration entirely (the gate
-  requires ``bank_cycle_time == 1``).
-
-Applicability is decided by :func:`fused_ladder_supported`: single
-process, shared-SCC snoopy machine, direct-mapped power-of-two
-geometry, write buffering enabled, and configurations differing *only*
-in ``scc_size``.  Everything else falls back to per-size replay in the
+Applicability is decided here, by :func:`fused_replay_ok` and
+:func:`fused_ladder_supported`: single process, shared-SCC snoopy
+machine, direct-mapped power-of-two geometry, write buffering enabled,
+single-cycle banks, and configurations differing *only* in
+``scc_size``.  Everything else falls back to per-size replay in the
 sweep driver.
 """
 
@@ -78,22 +36,50 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import native as native_backend, resolve_backend
-from .interleave import DeadlockError, SyncProtocolError, fused_replay_ok
-from .packed import (OP_BARRIER, OP_DEQUEUE, OP_ENQUEUE, OP_LOCK_ACQ,
-                     OP_LOCK_REL)
+from .interleave import DeadlockError, SyncProtocolError
 from .record import ReplayApplication
 from ..core.config import SystemConfig
 from ..core.system import MultiprocessorSystem
 
-__all__ = ["fused_ladder_supported", "fused_ladder_results"]
+__all__ = ["fused_replay_ok", "fused_ladder_supported",
+           "fused_ladder_results"]
+
+
+def fused_replay_ok(config) -> bool:
+    """Whether one recorded tape on ``config`` can drive the fused pass.
+
+    Stricter than the interleaver's own ``_native_eligible``: the pass
+    inlines the single-process scheduling loop, so it needs exactly one
+    processor (interleave order is then configuration-independent and
+    the size-ladder inclusion argument holds), the plain shared-SCC
+    snoopy machine, direct-mapped power-of-two geometry, write buffering
+    enabled (``stall_on_writes`` changes the write path shape), and
+    ``bank_cycle_time == 1`` (a single processor then provably never
+    conflicts on a bank, so the pass can skip bank arbitration).
+    """
+    lines = config.scc_lines
+    if not (config.total_processors == 1
+            and config.cluster_organization == "shared-scc"
+            and config.inter_cluster == "snoopy-bus"
+            and config.associativity == 1
+            and config.bank_cycle_time == 1
+            and not config.stall_on_writes
+            and lines > 1 and lines & (lines - 1) == 0):
+        return False
+    if config.model_icache:
+        line = config.icache_line_size
+        ic_lines = config.icache_size // line
+        if (line < 1 or line & (line - 1)
+                or ic_lines < 2 or ic_lines & (ic_lines - 1)):
+            return False
+    return True
 
 
 def fused_ladder_supported(configs: Sequence[SystemConfig]) -> bool:
     """Whether ``configs`` form a ladder the fused engine replays exactly.
 
     Requirements: at least two configurations, each individually on the
-    fused single-process machine (see
-    :func:`repro.trace.interleave.fused_replay_ok`), pairwise distinct
+    fused single-process machine (:func:`fused_replay_ok`), pairwise distinct
     SCC sizes, and no difference between configurations other than
     ``scc_size`` (timing parameters, protocol, icache geometry and all
     other knobs must match, or the shared clock would be a lie).
@@ -156,7 +142,7 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
                    key=lambda position: configs[position].scc_size)
     ladder = [configs[position] for position in order]
     systems = [MultiprocessorSystem(config) for config in ladder]
-    events, times = _fused_pass_native(ladder, systems, streams[0])
+    events, times = _fused_pass_native(systems, streams[0])
     results: List = [None] * len(configs)
     for rung, position in enumerate(order):
         system = systems[rung]
@@ -170,65 +156,18 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
     return results
 
 
-def _flush_ladder(systems, entries, *, n_reads, n_writes, u_busy,
-                  sync_stall, d_stall, d_ic, base, uref, skew, fin, folded,
-                  model_icache, ic_misses, ic_fetch_lines, ic_states,
-                  ic_tags) -> List[int]:
-    """Flush fused-pass deltas into each system; per-size finish times.
-
-    Everything the reference loop would have accumulated as it went and
-    C did not write in place (the bus clock is each system's own): the
-    SCC rows of ``entries``, the reference counts every rung shares, the
-    processor and icache counters, and the icache's final tag/state
-    arrays.  Per-size sequences are ``array('q')``.
-    """
-    busy_total = n_reads + n_writes + u_busy
-    references = n_reads + n_writes
-    n_sizes = len(systems)
-    times = [0] * n_sizes
-    for s in range(n_sizes):
-        system = systems[s]
-        scc = system.clusters[0].scc
-        scc.stats.reads += n_reads
-        scc.stats.writes += n_writes
-        native_backend.settle_scc(scc, entries[s])
-        processor = system._procs[0]
-        pstats = processor.stats
-        pstats.references += references
-        pstats.instructions += busy_total
-        pstats.busy_cycles += busy_total
-        pstats.memory_stall_cycles += d_stall[s]
-        pstats.icache_stall_cycles += d_ic[s]
-        pstats.sync_stall_cycles += sync_stall
-        if uref > folded[s]:
-            f = uref + skew[s]
-            if f > fin[s]:
-                fin[s] = f
-        if fin[s] > processor.finish_time:
-            processor.finish_time = fin[s]
-        if model_icache:
-            icache = system.clusters[0].icaches[0]
-            icache.misses += ic_misses
-            icache.fetch_lines += ic_fetch_lines
-            icache.array._states[:] = ic_states
-            icache.array._tags[:] = ic_tags
-        times[s] = base + skew[s]
-    return times
-
-
-def _fused_pass_native(ladder: List[SystemConfig],
-                       systems: List[MultiprocessorSystem],
+def _fused_pass_native(systems: List[MultiprocessorSystem],
                        data: Sequence[int]) -> Tuple[int, List[int]]:
-    """One pass over ``data`` driving all rungs of ``ladder`` at once,
-    through the C extension's ladder entry points (the caller resolved
-    ``native``, so the extension is loaded).
+    """One pass over ``data`` driving every rung at once -- ``systems``,
+    smallest SCC first -- through the C extension's ladder entry points
+    (the caller resolved ``native``, so the extension is loaded).
 
-    The shared work (opcode decode, smallest-size tag probe, icache
-    content) happens once.  Flushes statistics into each system and
-    returns ``(events_processed, per-size finish times)``.  Queue, lock
-    and barrier opcodes are deferred back here (drain status 2) so their
-    error messages and accounting match the reference loop's byte for
-    byte.
+    One ``ladder_drain`` call runs the whole tape, its locks, barriers
+    and queue operations included, and raises what per-size replay
+    raises.  Each rung's plan is :func:`~repro.trace.engine.native
+    .machine_plan`'s, and :func:`~repro.trace.engine.native.settle` adds
+    what C counted to its system, as after a run.  Returns
+    ``(events_processed, per-size finish times)``.
 
     State: each rung's tag/state arrays and bus clock are its system's
     own, worked on in place; its in-flight fills and write buffers are C
@@ -239,96 +178,15 @@ def _fused_pass_native(ladder: List[SystemConfig],
     pass, writes both containers; nothing may read them in between.
     """
     native = native_backend.load()
-    config = ladder[0]
-    n_sizes = len(ladder)
-    # One cluster cannot lose a line to a remote write: no lost-line set.
-    per_size = tuple(
-        native_backend.scc_plan(system.clusters[0].scc, system.bus, None)
-        for system in systems)
-    model_icache = config.model_icache
-    if model_icache:
-        il_shift = config.icache_line_size.bit_length() - 1
-        ic_lines = config.icache_size // config.icache_line_size
-        ic_states = array("q", bytes(8 * ic_lines))
-        ic_tags = array("q", bytes(8 * ic_lines))
-        ic_mask = ic_lines - 1
-        ic_shift = ic_lines.bit_length() - 1
-        ic_pair = (ic_states, ic_tags)
-    else:
-        il_shift = ic_shift = ic_mask = 0
-        ic_states = ic_tags = []
-        ic_pair = ()
-    scal = array("q", [
-        config.line_offset_bits, config.num_banks,
-        config.write_buffer_depth, config.bus_occupancy,
-        config.upgrade_bus_occupancy, config.memory_latency,
-        1 if config.protocol == "mesi" else 0, config.icache_miss_latency,
-        1 if model_icache else 0, il_shift, ic_mask, ic_shift])
-    state = tuple(array("q", bytes(8 * n_sizes)) for _ in range(8))
-    state[1][:] = array("q", [-1] * n_sizes)        # fin
-    skew, fin, folded, _fill_live, _wb_live, _hot, d_stall, d_ic = state
-    regs = array("q", [0] * 10)
+    plans = tuple(native_backend.machine_plan(system) for system in systems)
     if not (type(data) is array and data.typecode == "q"):
         data = array("q", data)
-    plan = (per_size, scal, state, ic_pair, regs)
-    lock_oh = config.lock_overhead
-    barrier_oh = config.barrier_overhead
-    sync_stall = 0
-    held_locks: set = set()
-    ctx = native.ladder_setup(plan)
+    ctx = native.ladder_setup((plans, (DeadlockError, SyncProtocolError)))
     try:
-        drain = native.ladder_drain
-        while True:
-            status = drain(ctx, data)
-            if status == 0:
-                break
-            i = regs[0]
-            op = data[i]
-            regs[3] += 1                            # ev
-            # One process: nothing reads a task queue's contents.
-            if op == OP_ENQUEUE:
-                i += 3
-            elif op == OP_DEQUEUE:
-                i += 2
-            elif op == OP_LOCK_ACQ:
-                lock_id = data[i + 1]
-                i += 2
-                if lock_id in held_locks:
-                    raise DeadlockError(
-                        f"processes [0] blocked forever "
-                        f"(locks={{{lock_id}: 0}})")
-                held_locks.add(lock_id)
-                regs[6] += lock_oh                  # u_busy
-                regs[1] += lock_oh                  # base
-            elif op == OP_LOCK_REL:
-                lock_id = data[i + 1]
-                i += 2
-                if lock_id not in held_locks:
-                    raise SyncProtocolError(
-                        f"process 0 released lock {lock_id} "
-                        f"it does not hold")
-                held_locks.remove(lock_id)
-                regs[6] += lock_oh
-                regs[1] += lock_oh
-            elif op == OP_BARRIER:
-                count = data[i + 2]
-                i += 3
-                if count < 1:
-                    raise SyncProtocolError("barrier count must be >= 1")
-                if count > 1:
-                    raise DeadlockError(
-                        "processes [0] blocked forever (locks={})")
-                sync_stall += barrier_oh
-                regs[1] += barrier_oh
-            else:
-                raise ValueError(f"unknown packed opcode {op} at {i}")
-            regs[0] = i
+        native.ladder_drain(ctx, data)
     finally:
         native.ladder_release(ctx)
-    times = _flush_ladder(
-        systems, per_size, n_reads=regs[4], n_writes=regs[5],
-        u_busy=regs[6], sync_stall=sync_stall, d_stall=d_stall, d_ic=d_ic,
-        base=regs[1], uref=regs[2], skew=skew, fin=fin, folded=folded,
-        model_icache=model_icache, ic_misses=regs[8],
-        ic_fetch_lines=regs[9], ic_states=ic_states, ic_tags=ic_tags)
-    return regs[3], times
+    for system, plan in zip(systems, plans):
+        native_backend.settle(system, plan)
+    misc = [plan[3][-1] for plan in plans]      # events, _, finish, _
+    return misc[0][0], [words[2] for words in misc]

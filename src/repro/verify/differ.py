@@ -50,8 +50,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.system import MultiprocessorSystem
 from ..model.profile import _native_kernel, _reference_kernel, _row_payload
-from ..trace.interleave import TimingInterleaver, fused_replay_ok
-from ..trace.multiconfig import _fused_pass_native, fused_ladder_supported
+from ..trace.interleave import TimingInterleaver
+from ..trace.multiconfig import (_fused_pass_native, fused_ladder_supported,
+                                 fused_replay_ok)
 from .oracle import FunctionalOracle
 from .tapes import Tape, TapeApplication
 
@@ -237,7 +238,7 @@ def _run_fused(tape: Tape, config) -> PathResult:
     ladder = [config, config.with_updates(scc_size=config.scc_size * 2)]
     systems = [MultiprocessorSystem(rung) for rung in ladder]
     try:
-        events, times = _fused_pass_native(ladder, systems,
+        events, times = _fused_pass_native(systems,
                                            array("q", tape.streams[0]))
         for system in systems:
             system.check_invariants()

@@ -26,7 +26,7 @@ READY_BUCKET_LIFO = ("q->link[q->tail[s]].next = (int)pid;",
 FILL_FORGOTTEN = ("if (*ready <= start) {", "if (*ready < start) {")
 #: ... and two in the synchronization a run keeps there too: the waiter
 #: a released lock is handed to pays the lock operation as well ...
-WAITER_SKIPS_OVERHEAD = ("*time + ctx->lock_overhead);", "*time);")
+WAITER_SKIPS_OVERHEAD = ("*time + ctx->m.lock_overhead);", "*time);")
 #: ... and a barrier opens at its latest arrival, not its earliest.
 BARRIER_EARLIEST = ("time > barrier->latest", "time < barrier->latest")
 #: ... and three in the code a run and a ladder rung share, so both
@@ -45,11 +45,14 @@ WRITEBACK_HOLDS_BUS = (
 #: ... and one in what only a ladder has: a rung's skew against the
 #: shared clock.
 LADDER_SKEW = ("c->skew[s] = done - base - 1;", "c->skew[s] = done - base;")
+#: ... and one in the locks a ladder keeps for its one process: a lock it
+#: holds already, taken again, is taken as if it were free.
+LADDER_LOCK_HELD = ("if (lock->holder == 0) {", "if (lock->holder == 1) {")
 #: ... and one in a run's instruction-cache refills: each refill's stall
 #: is the latency alone, as if it never queued on the bus, nor behind the
 #: line before it.
-ICACHE_REFILL_CHAIN = ("stall = grant + ctx->ic_lat - now;",
-                       "stall = ctx->ic_lat;")
+ICACHE_REFILL_CHAIN = ("stall = grant + m->ic_lat - now;",
+                       "stall = m->ic_lat;")
 #: ... and one in the SPEC-stream kernel, which every engine calls: the
 #: word of a hot line is the other one of its pair.
 SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")

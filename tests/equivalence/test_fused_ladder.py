@@ -19,10 +19,10 @@ from repro.core.config import SystemConfig
 from repro.experiments import runner
 from repro.experiments.runner import ExperimentProfile, ResultCache
 from repro.experiments.session import run_sweep
-from repro.experiments.spec import SweepSpec
+from repro.experiments.spec import PAPER_LADDER, PROFILES, SweepSpec
 from repro.simulation import run_simulation
 from repro.trace import multiconfig
-from repro.trace.engine import resolve_backend
+from repro.trace.engine import native, resolve_backend
 from repro.trace.multiconfig import (fused_ladder_results,
                                      fused_ladder_supported)
 from repro.trace.record import ReplayApplication, StreamRecorder, TraceCache
@@ -193,6 +193,31 @@ def test_uniprocessor_row_uses_fused_engine(tmp_path, ladder_calls):
                     config)
                 for point, config in configs.items()}
     assert sweep == replayed
+
+
+def test_a_paper_row_pass_is_one_call_into_c(tmp_path, ladder_calls,
+                                             monkeypatch):
+    """The quick multiprogramming 1p row over the paper's ladder: the
+    pass after the recording drains the whole tape -- its locks,
+    barriers and queue operations too -- in one ``ladder_drain`` call."""
+    module = native.load()
+    drains = []
+    real = module.ladder_drain
+
+    def spy(ctx, tape):
+        drains.append(len(tape))
+        return real(ctx, tape)
+
+    monkeypatch.setattr(module, "ladder_drain", spy)
+    # (the pass is the native engine's, whatever this process's is)
+    monkeypatch.setenv("REPRO_ENGINE", "native")
+    spec = SweepSpec.multiprogramming(profile=PROFILES["quick"],
+                                      procs=(1,), max_attempts=1)
+    sweep = run_sweep(spec, cache=ResultCache(tmp_path / "results"),
+                      trace_cache=TraceCache(tmp_path / "traces"))
+    assert len(sweep) == len(PAPER_LADDER)
+    assert ladder_calls == [len(PAPER_LADDER) - 1]
+    assert len(drains) == 1
 
 
 def test_instrument_keyword_row_takes_the_fused_ladder(tmp_path,

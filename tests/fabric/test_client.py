@@ -1,6 +1,8 @@
 """SweepClient over the in-memory transport: the whole fabric without
 sockets -- leases, heartbeats, workers, store, fault injection."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.session import QuarantinedPointError, grid_sweep
@@ -52,6 +54,20 @@ class TestLocalFabricEndToEnd:
         assert status["state"] == "done"
         assert status["done"] == status["total"] == 4
         assert status["quarantined"] == {}
+
+    def test_an_analytical_grid_on_the_in_memory_store(self, tiny_spec):
+        """The in-memory store's tapes are a ``MemoryCache``, which has
+        no directory to keep row profiles under: the analytical stage
+        builds them afresh there, and prices the grid as a local sweep
+        does."""
+        spec = dataclasses.replace(tiny_spec, fidelity="analytical",
+                                   procs=(1,))
+        local = grid_sweep(spec, cache=None)
+        with LocalFabric(workers=1) as fabric:
+            remote = fabric.client.result(fabric.client.submit(spec),
+                                          timeout=120.0)
+        assert {point: stats.as_dict() for point, stats in remote.items()} \
+            == {point: stats.as_dict() for point, stats in local.items()}
 
 
 class TestFaultInjection:

@@ -1,10 +1,10 @@
 """Deleted names stay deleted, from the code and from the prose.
 
 Each entry is something the code no longer has; a mention of it in
-``src/`` (docstrings and comments included), ``setup.py``, README,
-DESIGN or the verify skill describes a system that does not exist.  A
-PR that deletes a name appends it here.  ``bench/`` is frozen between benchmark
-re-recordings and is not scanned.
+``src/`` (docstrings and comments included), ``setup.py``, the CI
+workflow and its scripts, README, DESIGN or the verify skill describes a
+system that does not exist.  A PR that deletes a name appends it here.
+``bench/`` is frozen between benchmark re-recordings and is not scanned.
 """
 
 import re
@@ -76,6 +76,10 @@ DELETED = (
     # prefix lookup, no per-series rebin, no name parsed back to a
     # cluster id
     "MetricsRegistry", "counter_group", "rebin_all", "_CLUSTER_TIMELINE",
+    # a fused ladder pass is one call into C, its sync opcodes included,
+    # and its rungs are planned and settled as a run's machine is
+    "STATUS_SYNC", "STATUS_EXHAUSTED", "_flush_ladder", "scc_plan",
+    "settle_scc",
 )
 
 PATTERN = re.compile("|".join([
@@ -96,6 +100,8 @@ def scanned_files():
     yield from sorted((ROOT / "src").rglob("*.py"))
     yield ROOT / "setup.py"
     yield ROOT / "src" / "repro" / "trace" / "engine" / "_native.c"
+    yield ROOT / ".github" / "workflows" / "ci.yml"
+    yield from sorted((ROOT / ".github" / "scripts").glob("*.py"))
     for name in ("README.md", "DESIGN.md",
                  ".claude/skills/verify/SKILL.md"):
         yield ROOT / name

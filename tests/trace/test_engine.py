@@ -1539,9 +1539,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "16"
+        assert native.NATIVE_VERSION == "17"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '16'")
+            "stale extension old.so: ABI '5', need '17'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
@@ -1576,7 +1576,7 @@ class TestNativeAbiGuard:
             with pytest.raises(ImportError) as raised:
                 first_use()
             message = str(raised.value)
-            assert "stale extension old.so: ABI None, need '16'" in message
+            assert "stale extension old.so: ABI None, need '17'" in message
             assert f"compile failed ({compiler})" in message
             assert "Python.h: no such file" in message
         assert native._mod is None

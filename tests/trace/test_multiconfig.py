@@ -16,11 +16,11 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import MultiprocessorSystem
 from repro.simulation import run_simulation
-from repro.trace.interleave import (DeadlockError, SyncProtocolError,
-                                    fused_replay_ok)
+from repro.trace.interleave import DeadlockError, SyncProtocolError
 from repro.trace.multiconfig import (_fused_pass_native,
                                      fused_ladder_results,
-                                     fused_ladder_supported)
+                                     fused_ladder_supported,
+                                     fused_replay_ok)
 from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                                 OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                                 OP_LOCK_REL, OP_READ, OP_READ_SPAN,
@@ -292,7 +292,7 @@ def end_state(system, time, events=None):
 
 def fused_pass(configs, data):
     systems = [MultiprocessorSystem(config) for config in configs]
-    events, times = _fused_pass_native(configs, systems, data)
+    events, times = _fused_pass_native(systems, data)
     return systems, events, times
 
 
@@ -356,7 +356,7 @@ class TestRungState:
         before = (repr(scc._inflight),
                   repr(scc.interconnect._write_buffers))
         with pytest.raises(error):
-            _fused_pass_native(configs, systems, synthetic_tape()[0])
+            _fused_pass_native(systems, synthetic_tape()[0])
         assert (repr(scc._inflight),
                 repr(scc.interconnect._write_buffers)) == before
         for system in systems:      # nothing ran, nothing was written
@@ -378,5 +378,5 @@ class TestRungState:
         bad = good + array("q", [OP_READ_SPAN, 0, 64, 0])
         aborted = [MultiprocessorSystem(config) for config in configs]
         with pytest.raises(ValueError, match="stride"):
-            _fused_pass_native(configs, aborted, bad)
+            _fused_pass_native(aborted, bad)
         assert [end_state(system, 0)[:3] for system in aborted] == expected

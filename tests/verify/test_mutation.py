@@ -19,7 +19,9 @@ C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
 engines' to report, and one in what only a ladder has
-(``LADDER_SKEW``) is the ``fused`` engine's alone.  A run's icache
+(``LADDER_SKEW``) is the ``fused`` engine's alone.  The ladder keeps its
+one process's locks too (``LADDER_LOCK_HELD``): its error-parity test
+with per-size replay is what fails.  A run's icache
 refills are C's too (``ICACHE_REFILL_CHAIN``): the ``native`` engine
 answers for them, and so does the directed multi-line refill tape's
 parity test.  The SPEC-stream
@@ -41,9 +43,9 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD, FILL_FORGOTTEN,
-                        ICACHE_REFILL_CHAIN, LADDER_SKEW, MP3D_PARTNER_CARRY,
-                        READ_MISS_DONE, READY_BUCKET_LIFO, READY_TIE_BREAK,
-                        SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
+                        ICACHE_REFILL_CHAIN, LADDER_LOCK_HELD, LADDER_SKEW,
+                        MP3D_PARTNER_CARRY, READ_MISS_DONE, READY_BUCKET_LIFO,
+                        READY_TIE_BREAK, SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
                         WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
                         WRITEBACK_HOLDS_BUS)
 from ..workloads import test_barnes_hut
@@ -256,6 +258,25 @@ class TestLadderStateMutationIsCaught:
         assert shrunk.total_events() <= 50
         assert diff_tape(shrunk).kind == "fused"
         assert _clean_unmutated(shrunk)
+
+
+class TestLadderSyncMutationIsCaught:
+    def test_a_held_lock_taken_again_fails_the_error_parity_test(
+            self, mutant_native, monkeypatch):
+        """The mutant takes a lock its one process holds as if it were
+        free: per-size replay deadlocks there, the pass runs on."""
+        # (imported here: at module level pytest would collect it again)
+        from repro.trace.interleave import DeadlockError
+        from repro.trace.packed import OP_LOCK_ACQ
+        from ..trace.test_multiconfig import TestNativeLadderErrorParity
+        parity = TestNativeLadderErrorParity()
+        parity.test_error_tapes_agree([OP_LOCK_ACQ, 1, OP_LOCK_ACQ, 1],
+                                      DeadlockError)
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*LADDER_LOCK_HELD))
+        with pytest.raises(AssertionError):
+            parity.test_error_tapes_agree([OP_LOCK_ACQ, 1, OP_LOCK_ACQ, 1],
+                                          DeadlockError)
 
 
 class TestIcacheRefillMutationIsCaught:
