@@ -412,21 +412,11 @@ def _cli_config(args) -> SystemConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = args.config
-    clusters = config.clusters
     from .experiments import PROFILES
     workload = PROFILES["quick"].workload(args.benchmark)
-    result = run_simulation(config, workload)
-    stats = result.stats
-    total = stats.total_scc
+    result = run_simulation(args.config, workload)
     print(f"benchmark          : {args.benchmark}")
-    print(f"configuration      : {clusters} clusters x {args.procs} procs, "
-          f"{args.scc} B SCC, {args.organization}")
-    print(f"execution time     : {stats.execution_time:,} cycles")
-    print(f"data references    : {total.accesses:,}")
-    print(f"read miss rate     : {100 * total.read_miss_rate:.2f} %")
-    print(f"invalidations      : {stats.total_invalidations:,}")
-    print(f"trace events       : {result.events_processed:,}")
+    print(result.summary())
     return 0
 
 
@@ -766,8 +756,8 @@ def _cmd_submit(args) -> int:
               f"{handle.store_hits} already in the store, "
               f"{handle.pending_units} work unit(s) queued", flush=True)
         if args.no_wait:
-            print(f"stream later with: curl {args.url}/jobs/"
-                  f"{handle.job}/stream")
+            print(f"follow later with: curl {args.url}/jobs/"
+                  f"{handle.job}/events")
             return 0
         for event in client.iter_progress(handle):
             if event.get("event") == "point":

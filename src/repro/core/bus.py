@@ -35,14 +35,13 @@ class BusTransaction:
 
 
 def _clock_field(index: int, doc: str) -> property:
-    """A :class:`SnoopyBus` attribute stored in its ``_clock`` array."""
+    """A read-only :class:`SnoopyBus` attribute stored in its ``_clock``
+    array (only :meth:`SnoopyBus.acquire` and the native engine write
+    the array)."""
     def fget(self) -> int:
         return self._clock[index]
 
-    def fset(self, value: int) -> None:
-        self._clock[index] = value
-
-    return property(fget, fset, doc=doc)
+    return property(fget, doc=doc)
 
 
 class SnoopyBus:

@@ -16,14 +16,11 @@ Section 3.2, which simulates a single cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
 
 __all__ = ["SystemConfig", "KB"]
 
 KB = 1024
 """Bytes per kilobyte, for readable cache-size literals."""
-
-_PAPER_SCC_SIZES_KB: Tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @dataclass(frozen=True)
@@ -283,18 +280,6 @@ class SystemConfig:
                    processors_per_cluster=processors_per_cluster,
                    scc_size=scc_size,
                    model_icache=True)
-
-    @staticmethod
-    def paper_scc_ladder(scale: int = 1) -> Tuple[int, ...]:
-        """The paper's 4 KB .. 512 KB SCC sweep, divided by ``scale``.
-
-        The reproduction shrinks workload footprints and cache sizes by the
-        same factor (DESIGN.md, "Scaling note"); ``scale=1`` returns the
-        paper's literal ladder.
-        """
-        _require(scale >= 1 and _is_power_of_two(scale),
-                 "scale must be a power of two >= 1")
-        return tuple(size * KB // scale for size in _PAPER_SCC_SIZES_KB)
 
 
 def _is_power_of_two(value: int) -> bool:

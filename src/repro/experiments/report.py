@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["render_table", "render_ascii_chart", "format_size",
-           "format_ratio"]
+__all__ = ["render_table", "render_ascii_chart", "format_size"]
 
 
 def render_table(title: str, headers: Sequence[str],
@@ -100,8 +99,3 @@ def format_size(size_bytes: int) -> str:
     if size_bytes >= 1024 and size_bytes % 1024 == 0:
         return f"{size_bytes // 1024} KB"
     return f"{size_bytes} B"
-
-
-def format_ratio(value: float) -> str:
-    """Two-decimal ratio."""
-    return f"{value:.2f}"

@@ -92,10 +92,6 @@ class ExperimentProfile:
                      f"profile {count.name} must be an integer >= 1, "
                      f"not {value!r}")
 
-    def scaled_ladder(self) -> Tuple[int, ...]:
-        """Simulated SCC sizes standing in for the paper ladder."""
-        return tuple(size // self.ladder_scale for size in PAPER_LADDER)
-
     # -- workload factories (fresh application object per call) ---------
 
     def barnes_hut(self) -> BarnesHut:

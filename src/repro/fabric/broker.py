@@ -29,8 +29,9 @@ condition); the asyncio service calls into it from executor threads and
 the in-memory transport calls it directly.  Progress is both counted in
 :attr:`Broker.counters` (``fabric.*`` names; the ``/metrics`` payload)
 and appended to a per-job event log that
-:meth:`events_since` long-polls -- the NDJSON progress stream is just
-that log replayed.
+:meth:`events_since` long-polls -- a client's progress
+(``SweepClient.iter_progress``, ``GET /jobs/<id>/events``) is just that
+log replayed.
 """
 
 from __future__ import annotations

@@ -15,16 +15,13 @@ frameworks) exposing the broker:
                                       (``?since=N&timeout=T``)
 ``GET  /jobs/<id>/result``            full results (``?timeout=T``;
                                       ``{"pending": true}`` if not done)
-``GET  /jobs/<id>/stream``            NDJSON event stream until ``done``
-``POST /sweep``                       submit *and* stream NDJSON
-                                      progress on one connection
 ====================================  ==================================
 
 Every broker call is synchronous (one lock), so the handlers push them
 onto the default executor and the event loop itself never blocks --
-long-polls and NDJSON streams from many clients interleave freely.
-Streams carry no ``Content-Length``; ``Connection: close`` delimits
-them, which plain ``urllib`` / ``curl`` consume happily.
+long-polls from many clients interleave freely.  A job's progress has
+one route, the ``events`` long-poll: ``SweepClient``, ``submit`` and
+the fabric smoke all follow a job through it.
 """
 
 from __future__ import annotations
@@ -193,11 +190,6 @@ class FabricService:
             handle = await self._call(self.broker.submit,
                                       self._parse_spec(body))
             await self._send_json(writer, 200, handle)
-        elif path == ["sweep"] and method == "POST":
-            handle = await self._call(self.broker.submit,
-                                      self._parse_spec(body))
-            await self._stream_events(writer, handle["job"], 0,
-                                      head=handle)
         elif len(path) == 2 and path[0] == "jobs" and method == "GET":
             await self._send_json(
                 writer, 200, await self._call(self.broker.status,
@@ -221,9 +213,6 @@ class FabricService:
                 await self._send_json(writer, 200, status)
             else:
                 await self._send_json(writer, 200, payload)
-        elif (len(path) == 3 and path[0] == "jobs"
-                and path[2] == "stream" and method == "GET"):
-            await self._stream_events(writer, path[1], self._since(query))
         else:
             await self._send_json(
                 writer, 405 if path else 404,
@@ -241,8 +230,8 @@ class FabricService:
 
     @staticmethod
     def _since(query) -> int:
-        """The event index a poll or stream starts at (a negative one
-        would slice the log's tail and rewind the client's cursor)."""
+        """The event index a poll starts at (a negative one would slice
+        the log's tail and rewind the client's cursor)."""
         since = int(query.get("since", 0))
         if since < 0:
             raise FabricError(f"since must be >= 0, got {since}")
@@ -252,33 +241,6 @@ class FabricService:
     def _poll_budget(query) -> float:
         return max(0.0, min(float(query.get("timeout", 10.0)),
                             MAX_POLL_SECONDS))
-
-    async def _stream_events(self, writer: asyncio.StreamWriter,
-                             job_id: str, since: int,
-                             head: Optional[dict] = None) -> None:
-        """NDJSON: one event per line, connection close delimits."""
-        # Validate the job before committing to a streaming response so
-        # an unknown id still gets a clean JSON error.
-        await self._call(self.broker.status, job_id)
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Connection: close\r\n\r\n")
-        await writer.drain()
-        if head is not None:
-            writer.write((json.dumps(head, sort_keys=True) + "\n")
-                         .encode("utf-8"))
-            await writer.drain()
-        index = since
-        while True:
-            events, index = await self._call(
-                self.broker.events_since, job_id, index, 1.0)
-            for event in events:
-                writer.write((json.dumps(event, sort_keys=True) + "\n")
-                             .encode("utf-8"))
-            if events:
-                await writer.drain()
-            if any(event.get("event") == "done" for event in events):
-                return
 
 
 def start_in_thread(broker: Broker, host: str = "127.0.0.1",

@@ -62,24 +62,21 @@ class SimulationResult:
         return self.stats.execution_time
 
     def summary(self) -> str:
-        """Multi-line human-readable digest of the run."""
+        """Multi-line human-readable digest of the run (what ``python -m
+        repro simulate`` prints under its benchmark line)."""
         stats = self.stats
         total = stats.total_scc
         config = self.config
-        lines = [
-            f"{config.clusters} clusters x "
-            f"{config.processors_per_cluster} processors, "
-            f"{config.scc_size:,} B SCC "
-            f"({config.cluster_organization}, {config.inter_cluster}, "
-            f"{config.protocol})",
-            f"execution time : {stats.execution_time:,} cycles",
-            f"data references: {total.accesses:,} "
-            f"(read miss {100 * total.read_miss_rate:.2f}%, "
-            f"write miss {100 * total.write_miss_rate:.2f}%)",
-            f"invalidations  : {stats.total_invalidations:,}",
-            f"trace events   : {self.events_processed:,}",
-        ]
-        return "\n".join(lines)
+        return "\n".join([
+            f"configuration      : {config.clusters} clusters x "
+            f"{config.processors_per_cluster} procs, "
+            f"{config.scc_size} B SCC, {config.cluster_organization}",
+            f"execution time     : {stats.execution_time:,} cycles",
+            f"data references    : {total.accesses:,}",
+            f"read miss rate     : {100 * total.read_miss_rate:.2f} %",
+            f"invalidations      : {stats.total_invalidations:,}",
+            f"trace events       : {self.events_processed:,}",
+        ])
 
 
 def run_simulation(config: SystemConfig, application,

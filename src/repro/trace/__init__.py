@@ -7,9 +7,8 @@ A reference stream has one representation at rest: packed words
 also accept (:mod:`~repro.trace.events`), the timing-feedback
 interleaver (:mod:`~repro.trace.interleave`), whole-stream record/replay
 (:mod:`~repro.trace.record`), the fused ladder
-(:mod:`~repro.trace.multiconfig`), reuse-distance analysis
-(:mod:`~repro.trace.analysis`) and a race detector
-(:mod:`~repro.trace.racecheck`).
+(:mod:`~repro.trace.multiconfig`) and reuse-distance analysis
+(:mod:`~repro.trace.analysis`).
 """
 
 from .analysis import (data_lines, miss_ratio_curve, stack_distances,
@@ -21,7 +20,6 @@ from .interleave import DeadlockError, SyncProtocolError, TimingInterleaver
 from .packed import (PackedChunk, PackedEncodingError, append_event,
                      decode_events, encode_events, event_count,
                      packed_from_bytes, packed_to_bytes)
-from .racecheck import Race, RaceDetector
 from .record import (ReplayApplication, StreamRecorder, TraceCache,
                      default_trace_cache)
 
@@ -33,7 +31,6 @@ __all__ = [
     "encode_events", "event_count", "packed_from_bytes", "packed_to_bytes",
     "ReplayApplication", "StreamRecorder", "TraceCache",
     "default_trace_cache",
-    "Race", "RaceDetector",
     "data_lines", "miss_ratio_curve", "stack_distances",
     "working_set_lines",
 ]

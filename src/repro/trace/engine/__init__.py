@@ -6,7 +6,7 @@ The SCC/bus timing model has two implementations ("backends", psim's
 * ``python`` -- the per-event reference loop of
   :class:`~repro.trace.interleave.TimingInterleaver` over the
   :mod:`repro.core` objects.  Always available, runs every machine, and
-  is what an attached observer or any probe always gets; there is no
+  is what an ``on_access`` observer or any probe always gets; there is no
   fused ladder on it (:func:`~repro.trace.multiconfig.fused_ladder_results`
   replays once per size).
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension

@@ -119,10 +119,10 @@ class TimingInterleaver:
                  backend: Optional[str] = None):
         self.system = system
         self.observer = observer
-        """Optional event observer (e.g.
-        :class:`repro.trace.racecheck.RaceDetector`); receives
-        ``on_access``/``on_acquire``/``on_release``/``on_barrier_*``/
-        ``on_enqueue``/``on_dequeue`` callbacks as events are granted."""
+        """Optional data-reference observer (e.g.
+        :class:`repro.verify.oracle.FunctionalOracle`): its one method,
+        ``on_access(pid, addr, is_write)``, is called for every read and
+        write before the machine sees it."""
         config = system.config
         self.lock_overhead = config.lock_overhead
         self.barrier_overhead = config.barrier_overhead
@@ -356,10 +356,8 @@ class TimingInterleaver:
                 # already contains the branch the response selected).
                 self.events_processed += 1
                 queue = self._queues.get(data[i + 1])
-                item = queue.popleft() if queue else None
-                if self.observer is not None:
-                    self.observer.on_dequeue(process.pid, data[i + 1],
-                                             item is not None)
+                if queue:
+                    queue.popleft()
                 i += 2
                 continue
             else:
@@ -415,8 +413,6 @@ class TimingInterleaver:
                 raise SyncProtocolError(
                     f"process {pid} enqueued None on queue "
                     f"{event.queue_id}; None is the empty-queue response")
-            if self.observer is not None:
-                self.observer.on_enqueue(pid, event.queue_id)
             self._queues.setdefault(event.queue_id, deque()).append(
                 event.item)
         elif type(event) is TaskDequeue:
@@ -424,9 +420,6 @@ class TimingInterleaver:
             # allocate a fresh deque per poll.
             queue = self._queues.get(event.queue_id)
             process.response = queue.popleft() if queue else None
-            if self.observer is not None:
-                self.observer.on_dequeue(pid, event.queue_id,
-                                         process.response is not None)
         else:
             raise TypeError(f"process {pid} yielded {event!r}, "
                             f"not a trace event")
@@ -439,8 +432,6 @@ class TimingInterleaver:
         lock = self._locks.setdefault(lock_id, _Lock())
         if lock.holder is None:
             lock.holder = process.pid
-            if self.observer is not None:
-                self.observer.on_acquire(process.pid, lock_id)
             self.system.account_compute(process.pid, self.lock_overhead,
                                         now=process.time)
             process.time += self.lock_overhead
@@ -455,16 +446,12 @@ class TimingInterleaver:
             raise SyncProtocolError(
                 f"process {process.pid} released lock {lock_id} "
                 f"it does not hold")
-        if self.observer is not None:
-            self.observer.on_release(process.pid, lock_id)
         self.system.account_compute(process.pid, self.lock_overhead,
                                     now=process.time)
         process.time += self.lock_overhead
         if lock.waiters:
             next_pid = lock.waiters.popleft()
             lock.holder = next_pid
-            if self.observer is not None:
-                self.observer.on_acquire(next_pid, lock_id)
             self._wake(next_pid, process.time + self.lock_overhead)
         else:
             lock.holder = None
@@ -481,8 +468,6 @@ class TimingInterleaver:
         process.blocked = True
         process.block_start = process.time
         waiting.append(process.pid)
-        if self.observer is not None:
-            self.observer.on_barrier_arrive(process.pid, barrier_id)
         if len(waiting) > count:
             raise SyncProtocolError(
                 f"barrier {barrier_id} exceeded its count {count}")
@@ -491,8 +476,6 @@ class TimingInterleaver:
             release += self.barrier_overhead
             arrivals = list(waiting)
             waiting.clear()
-            if self.observer is not None:
-                self.observer.on_barrier_release(barrier_id)
             for pid in arrivals:
                 self._wake(pid, release)
 

@@ -13,8 +13,9 @@ obviously-correct functional model, over seeded adversarial inputs.
   tapes (all opcodes, lock/barrier/queue sync, pathological line
   aliasing, 1-8 processors across 1-4 clusters).
 * :mod:`repro.verify.oracle` -- a dict-based MESI functional model run
-  as an interleaver observer; checks residency, exclusivity, inclusion
-  of in-flight fills, and write-buffer bounds after every transaction.
+  as the interleaver's observer (``on_access``, called before every data
+  reference); checks residency, exclusivity, inclusion of in-flight
+  fills, and write-buffer bounds after every transaction.
 * :mod:`repro.verify.differ` -- runs one tape through every applicable
   engine and diffs cycle counts, per-cluster statistics, and final
   tag/state arrays.

@@ -214,7 +214,8 @@ class FunctionalOracle:
     def on_access(self, proc: int, addr: int, is_write: bool) -> None:
         # Called just before the machine simulates the access: the
         # machine still reflects the previous transaction, which is the
-        # one the model already applied.
+        # one the model already applied.  Synchronization shapes timing,
+        # not cache contents, so this is the observer's one method.
         self._verify()
         self._apply(self._cluster_of(proc), addr >> self._shift, is_write)
         self.accesses_checked += 1
@@ -222,23 +223,3 @@ class FunctionalOracle:
     def verify_final(self) -> None:
         """Check the state left by the last transaction."""
         self._verify()
-
-    # Synchronization shapes timing, not cache contents.
-    def on_acquire(self, proc: int, lock_id: int) -> None:
-        pass
-
-    def on_release(self, proc: int, lock_id: int) -> None:
-        pass
-
-    def on_barrier_arrive(self, proc: int, barrier_id: int) -> None:
-        pass
-
-    def on_barrier_release(self, barrier_id: int) -> None:
-        pass
-
-    def on_enqueue(self, proc: int, queue_id: int) -> None:
-        pass
-
-    def on_dequeue(self, proc: int, queue_id: int,
-                   got_item: bool) -> None:
-        pass

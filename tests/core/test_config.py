@@ -116,14 +116,14 @@ class TestPresets:
         assert config.model_icache
 
     def test_paper_ladder_unscaled(self):
-        ladder = SystemConfig.paper_scc_ladder()
-        assert ladder == tuple(k * KB for k in (4, 8, 16, 32, 64, 128, 256, 512))
+        from repro.experiments.spec import PAPER_LADDER
+        assert PAPER_LADDER == tuple(
+            k * KB for k in (4, 8, 16, 32, 64, 128, 256, 512))
 
     def test_paper_ladder_scaled(self):
-        ladder = SystemConfig.paper_scc_ladder(scale=8)
-        assert ladder[0] == 512
-        assert ladder[-1] == 64 * KB
-
-    def test_paper_ladder_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            SystemConfig.paper_scc_ladder(scale=3)
+        """Both profiles simulate each paper rung at 1/8 of its size."""
+        from repro.experiments.spec import PROFILES, SweepSpec
+        for profile in ("quick", "paper"):
+            configs = SweepSpec.multiprogramming(PROFILES[profile]).configs()
+            assert configs[(1, 4 * KB)].scc_size == 512
+            assert configs[(1, 512 * KB)].scc_size == 64 * KB

@@ -44,10 +44,9 @@ class TestProfiles:
             assert profile.ladder_scale >= 1
 
     def test_scaled_ladder(self):
-        ladder = PROFILES["quick"].scaled_ladder()
-        assert ladder[0] == 4 * KB // 8
-        assert ladder[-1] == 512 * KB // 8
-        assert len(ladder) == len(PAPER_LADDER)
+        configs = SweepSpec.parallel("mp3d", PROFILES["quick"]).configs()
+        ladder = sorted({config.scc_size for config in configs.values()})
+        assert ladder == [size // 8 for size in PAPER_LADDER]
 
     def test_active_profile_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "quick")

@@ -116,32 +116,6 @@ class TestHttpSurface:
         assert metrics["counters"]["fabric.jobs.completed"] == 1
         assert "svc-worker" in metrics["workers"]
 
-    def test_ndjson_stream_replays_the_event_log(self, fabric_http,
-                                                 tiny_spec):
-        _broker, client, url = fabric_http
-        handle = client.submit(tiny_spec)
-        client.result(handle, timeout=120.0)
-        with urllib.request.urlopen(f"{url}/jobs/{handle.job}/stream",
-                                    timeout=30.0) as response:
-            assert response.headers["Content-Type"] == \
-                "application/x-ndjson"
-            events = [json.loads(line)
-                      for line in response.read().splitlines()]
-        assert events[0]["event"] == "submitted"
-        assert events[-1]["event"] == "done"
-
-    def test_one_shot_sweep_endpoint(self, fabric_http, tiny_spec):
-        _broker, _client, url = fabric_http
-        body = json.dumps({"spec": tiny_spec.to_wire()}).encode()
-        request = urllib.request.Request(
-            url + "/sweep", data=body,
-            headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(request, timeout=120.0) as response:
-            lines = [json.loads(line)
-                     for line in response.read().splitlines()]
-        assert lines[0]["total"] == 4                # the job descriptor
-        assert lines[-1]["event"] == "done"
-
     def test_error_paths(self, fabric_http):
         _broker, client, url = fabric_http
         with pytest.raises(FabricError, match="unknown job"):
@@ -151,6 +125,22 @@ class TestHttpSurface:
                                       {"nope": 1})
         with pytest.raises(FabricError, match="no route"):
             client.transport._request("GET", "/bogus")
+
+    def test_a_job_is_followed_through_events_alone(self, fabric_http,
+                                                    tiny_spec):
+        """The long-poll is a job's one progress route: the NDJSON
+        stream and the submit-and-stream ``POST /sweep`` are gone."""
+        _broker, client, url = fabric_http
+        handle = client.submit(tiny_spec)
+        client.result(handle, timeout=120.0)
+        events = _get_json(f"{url}/jobs/{handle.job}/events?timeout=0")
+        assert events["events"][0]["event"] == "submitted"
+        assert events["events"][-1]["event"] == "done"
+        with pytest.raises(FabricError, match="no route"):
+            client.transport._request("GET", f"/jobs/{handle.job}/stream")
+        with pytest.raises(FabricError, match="no route"):
+            client.transport._request("POST", "/sweep",
+                                      {"spec": tiny_spec.to_wire()})
 
     def test_unreachable_service(self):
         client = SweepClient.connect("http://127.0.0.1:9")  # discard port
@@ -231,7 +221,7 @@ class TestBadRequests:
         with pytest.raises(FabricError, match="too long"):
             asyncio.run(read())
 
-    @pytest.mark.parametrize("endpoint", ["events", "stream"])
+    @pytest.mark.parametrize("endpoint", ["events"])
     def test_negative_since_is_a_400(self, fabric_http, tiny_spec,
                                      endpoint):
         """Python slices a negative index from the log's tail: the

@@ -54,6 +54,28 @@ class TestCommands:
         assert "execution time" in out
         assert "read miss rate" in out
 
+    def test_simulate_prints_its_benchmark_line_then_the_summary(
+            self, capsys):
+        from repro.core.config import SystemConfig
+        from repro.experiments import PROFILES
+        from repro.simulation import run_simulation
+        assert main(["simulate", "mp3d", "--procs", "1", "--scc", "1KB",
+                     "--clusters", "2"]) == 0
+        out = capsys.readouterr().out
+        result = run_simulation(
+            SystemConfig(clusters=2, processors_per_cluster=1,
+                         scc_size=1024),
+            PROFILES["quick"].workload("mp3d"))
+        assert out == f"benchmark          : mp3d\n{result.summary()}\n"
+        lines = out.splitlines()
+        assert lines[1] == ("configuration      : 2 clusters x 1 procs, "
+                            "1024 B SCC, shared-scc")
+        assert [line.split(":")[0].rstrip() for line in lines] == [
+            "benchmark", "configuration", "execution time",
+            "data references", "read miss rate", "invalidations",
+            "trace events"]
+        assert lines[4].endswith(" %")
+
     def test_simulate_private_organization(self, capsys):
         code = main(["simulate", "mp3d", "--procs", "2", "--scc", "2KB",
                      "--organization", "private"])

@@ -80,6 +80,16 @@ DELETED = (
     # and its rungs are planned and settled as a run's machine is
     "STATUS_SYNC", "STATUS_EXHAUSTED", "_flush_ladder", "scc_plan",
     "settle_scc",
+    # what no user path reached: the race detector and the observer's
+    # sync callbacks (``on_access`` is the observer's one method), a
+    # second paper ladder beside ``PAPER_LADDER``, an unused formatter,
+    # and the service's NDJSON routes -- ``GET /jobs/<id>/stream`` and
+    # ``POST /sweep`` are gone, a job's progress is the ``events``
+    # long-poll alone (the two patterns below)
+    "racecheck", "RaceDetector", "on_acquire", "on_release",
+    "on_barrier_arrive", "on_barrier_release", "on_enqueue", "on_dequeue",
+    "paper_scc_ladder", "scaled_ladder", "_PAPER_SCC_SIZES_KB",
+    "format_ratio", "_stream_events",
 )
 
 PATTERN = re.compile("|".join([
@@ -93,6 +103,7 @@ PATTERN = re.compile("|".join([
     # the interleaver's drain(); asyncio's ``writer.drain()`` is live
     r"(?<![\w.])drain\(\)",
     r"(?i:python\s+owns\s+the\s+generators)",
+    r"/jobs/<id>/stream\b", r"\bPOST\s+/sweep\b", r"(?i:\bndjson\b)",
 ]))
 
 
@@ -140,3 +151,8 @@ def test_the_pattern_sees_each_name():
     # the build cache's variable is live
     assert not PATTERN.search("REPRO_NATIVE_CACHE=/tmp/x python -m repro")
     assert PATTERN.search("REPRO_NATIVE=0 python -m repro")
+    assert PATTERN.search("GET /jobs/<id>/stream until done")
+    assert PATTERN.search("`POST\n/sweep` (submit + stream)")
+    assert PATTERN.search("streaming NDJSON progress")
+    assert not PATTERN.search("GET /jobs/<id>/streams")
+    assert not PATTERN.search("python -m repro sweep mp3d")

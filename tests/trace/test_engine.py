@@ -707,11 +707,12 @@ def _profiled_native_run(application, counted, probe=None):
             in_c[0] = event == "c_call"
 
     interleaver = _quick_8p(application, "native", probe)
+    previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         interleaver.run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert interleaver.engine_used == "native"
     return interleaver, frames
 
@@ -742,10 +743,13 @@ class TestNativeEligibility:
 
     def test_everything_that_needs_the_calls_keeps_the_reference_loop(self):
         from repro.instrument import InstrumentationProbe, NullProbe
-        from repro.trace.racecheck import RaceDetector
 
         class Subclass(InstrumentationProbe):
             pass
+
+        class AccessObserver:
+            def on_access(self, pid, addr, is_write):
+                pass
 
         assert self._engine_used(InstrumentationProbe()) == "python"
         standard = InstrumentationProbe(record_events=False)
@@ -753,7 +757,7 @@ class TestNativeEligibility:
         assert standard.counters["cache_misses"] == 1
         assert self._engine_used(Subclass(record_events=False)) == "python"
         assert self._engine_used(NullProbe()) == "python"   # duck-typed
-        assert self._engine_used(observer=RaceDetector()) == "python"
+        assert self._engine_used(observer=AccessObserver()) == "python"
 
 
 # ----------------------------------------------------------------------

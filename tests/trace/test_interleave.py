@@ -311,3 +311,42 @@ class TestTaskQueueProtocol:
         interleaver.run()
         assert responses == [None, None]
         assert interleaver._queues == {}
+
+
+class TestObserver:
+    def test_an_access_only_observer_runs_a_contended_tape(self):
+        """``on_access`` is the whole observer protocol: an observer with
+        no other method sees every data reference of a tape full of
+        locks, barriers and queue polls, on the reference loop, and
+        changes no cycle of it."""
+        from repro.trace.packed import decode_events
+        from repro.verify import TapeApplication, generate_tape
+
+        class Accesses:
+            def __init__(self):
+                self.seen = 0
+
+            def on_access(self, pid, addr, is_write):
+                self.seen += 1
+
+        tape = next(tape for tape in (generate_tape(f"contend:{i}")
+                                      for i in range(30))
+                    if tape.config().total_processors >= 3)
+        events = [event for stream in tape.streams.values()
+                  for event in decode_events(stream)]
+        assert any(isinstance(event, LockAcquire) for event in events)
+        assert any(isinstance(event, Barrier) for event in events)
+        assert any(isinstance(event, TaskDequeue) for event in events)
+
+        def run(observer):
+            interleaver = TimingInterleaver(
+                MultiprocessorSystem(tape.config()), observer=observer)
+            for pid, pieces in TapeApplication(tape).processes(
+                    tape.config()).items():
+                interleaver.add_process(pid, pieces)
+            return interleaver.run(), interleaver.engine_used
+
+        observer = Accesses()
+        assert run(observer) == (run(None)[0], "python")
+        assert observer.seen == sum(isinstance(event, (Read, Write))
+                                    for event in events)

@@ -94,41 +94,47 @@ class TestGeneration:
         from repro.core.system import MultiprocessorSystem
         from repro.trace.interleave import TimingInterleaver
 
-        class Watcher:
-            def __init__(self):
-                self.deepest = self.handed_over = self.polls = 0
+        class Polls(dict):
+            """The interleaver's task queues, counting the polls of
+            queue 2 that find nothing."""
+            unfilled = 0
+
+            def get(self, queue_id, default=None):
+                queue = super().get(queue_id, default)
+                self.unfilled += queue_id == 2 and not queue
+                return queue
+
+        class Watcher(TimingInterleaver):
+            def __init__(self, system):
+                super().__init__(system, backend="python")
+                self._queues = Polls()
+                self.deepest = self.handed_over = 0
                 self.releases = []
 
-            def on_release(self, proc, lock_id):
-                waiting = len(interleaver._locks[lock_id].waiters)
+            def _lock_release(self, process, lock_id):
+                waiting = len(self._locks[lock_id].waiters)
                 self.deepest = max(self.deepest, waiting)
                 self.handed_over += bool(waiting)
+                super()._lock_release(process, lock_id)
 
-            def on_dequeue(self, proc, queue_id, found):
-                self.polls += queue_id == 2 and not found
-
-            def on_barrier_release(self, barrier_id):
-                self.releases.append(barrier_id)
-
-            def __getattr__(self, name):    # the callbacks not watched
-                return lambda *args: None
+            def _barrier(self, process, barrier_id, count):
+                super()._barrier(process, barrier_id, count)
+                if not self._barriers[barrier_id]:
+                    self.releases.append(barrier_id)
 
         tapes = [generate_tape(f"contend:{i}") for i in range(30)]
         wide = [tape for tape in tapes
                 if tape.config().total_processors >= 3][:5]
         assert len(wide) == 5
         for tape in wide:
-            watcher = Watcher()
-            interleaver = TimingInterleaver(
-                MultiprocessorSystem(tape.config()), observer=watcher,
-                backend="python")
+            watcher = Watcher(MultiprocessorSystem(tape.config()))
             for pid, pieces in TapeApplication(tape).processes(
                     tape.config()).items():
-                interleaver.add_process(pid, pieces)
-            interleaver.run()
+                watcher.add_process(pid, pieces)
+            watcher.run()
             procs = tape.config().total_processors
             assert watcher.deepest >= 2 and watcher.handed_over >= 2
-            assert watcher.polls >= procs
+            assert watcher._queues.unfilled >= procs
             assert watcher.releases.count(0) == 3
         solo = next(tape for tape in tapes
                     if tape.config().total_processors == 1)
