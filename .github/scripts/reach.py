@@ -27,8 +27,9 @@ workers, a ``serve`` process.  It
 * installs one ``sys.setprofile`` hook, and the same hook through
   ``threading.setprofile``, so worker and service threads are traced;
 * appends each newly seen code object to a per-pid file at once, keyed
-  by file, first line and ``co_qualname``: a pool worker that leaves
-  through ``os._exit`` loses nothing;
+  by file, first line and ``co_qualname`` (``co_name`` before Python
+  3.11; file and first line already name a def): a pool worker that
+  leaves through ``os._exit`` loses nothing;
 * re-arms itself when anything sets the profiler to ``None``.  A test
   that installs a profiler of its own and then clears it, or
   pytest-benchmark's pause around ``benchmark.pedantic``, would
@@ -39,6 +40,7 @@ workers, a ``serve`` process.  It
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import signal
@@ -91,8 +93,9 @@ def _install():
             sink[0] = pid
             sink[1] = os.open(os.path.join(_OUT, f"{pid}.txt"),
                               os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        name = getattr(code, "co_qualname", code.co_name)
         os.write(sink[1], f"{path[len(prefix):]}\\t{code.co_firstlineno}"
-                          f"\\t{code.co_qualname}\\n".encode())
+                          f"\\t{name}\\n".encode())
 
     def setprofile(function):
         set_profile(hook if function is None else function)
@@ -149,7 +152,8 @@ def defined_functions(src: Path) -> Set[Function]:
     for path in sorted(src.rglob("*.py")):
         relative = str(path.relative_to(src))
         module = compile(path.read_text(), str(path), "exec")
-        functions.update((relative, code.co_firstlineno, code.co_qualname)
+        functions.update((relative, code.co_firstlineno,
+                          getattr(code, "co_qualname", code.co_name))
                          for code in _functions_of(module))
     return functions
 
@@ -163,29 +167,49 @@ def read_records(records: Path) -> Set[Function]:
     return reached
 
 
+SERVED = ("serve", "submit")
+"""The CLI commands :func:`serve_and_submit` runs."""
+
+
+def cli_calls(scratch: Path) -> List[List[str]]:
+    """The arguments of every CLI call but ``serve``/``submit``, in the
+    order they run: the sweeps (one on a process pool) start cold."""
+    return [
+        ["list"],
+        ["simulate", "barnes-hut", "--procs", "2", "--scc", "8KB"],
+        ["profile", "mp3d", "--procs", "8", "--scc", "4KB",
+         "--trace-out", str(scratch / "trace.json")],
+        ["sweep", "mp3d", "--jobs", "2"],
+        ["sweep", "mp3d", "--resume"],
+        ["sweep", "cholesky", "--fidelity", "analytical"],
+        ["report", "table6"],
+        ["report", "costs"],
+        ["model", "mp3d", "--procs", "1"],
+        ["model", "--validate"],
+        ["fuzz", "--seed", "0", "--budget", "20"],
+        ["optimize", "--seed", "0", "--generations", "2",
+         "--population", "4"],
+        ["bench", "--help"]]
+
+
+def untraced_commands() -> List[str]:
+    """The subcommands of ``repro.cli``'s parser that no user path
+    calls; ``repro`` must be importable.  A command added later without
+    a call here would print all of its code as unreached."""
+    from repro.cli import _build_parser
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    called = {arguments[0] for arguments in cli_calls(Path("."))}
+    return sorted(set(commands.choices) - called - set(SERVED))
+
+
 def user_paths(tree: Path, scratch: Path) -> List[Tuple[str, List[str]]]:
     """``(label, argv)`` of every user path but ``serve``/``submit``
     (which run first), in the order they run on one cache: the CLI
-    before the rest, so that its sweeps (one on a process pool) start
-    cold."""
+    before the rest, so that its sweeps start cold."""
     py = sys.executable
     paths = []
-    for arguments in (
-            ["list"],
-            ["simulate", "barnes-hut", "--procs", "2", "--scc", "8KB"],
-            ["profile", "mp3d", "--procs", "8", "--scc", "4KB",
-             "--trace-out", str(scratch / "trace.json")],
-            ["sweep", "mp3d", "--jobs", "2"],
-            ["sweep", "mp3d", "--resume"],
-            ["sweep", "cholesky", "--fidelity", "analytical"],
-            ["report", "table6"],
-            ["report", "costs"],
-            ["model", "mp3d", "--procs", "1"],
-            ["model", "--validate"],
-            ["fuzz", "--seed", "0", "--budget", "20"],
-            ["optimize", "--seed", "0", "--generations", "2",
-             "--population", "4"],
-            ["bench", "--help"]):
+    for arguments in cli_calls(scratch):
         label = " ".join(word for word in arguments if "/" not in word)
         paths.append((label, [py, "-m", "repro", *arguments]))
     paths += [(f"examples/{path.name}", [py, f"examples/{path.name}"])
@@ -274,6 +298,9 @@ def main() -> int:
         tier1.mkdir()
         env = traced_env(hook_dir, users, src, base)
         failures: List[str] = []
+        sys.path.insert(0, str(src))
+        failures += [f"no user path calls `repro {command}`"
+                     for command in untraced_commands()]
         print("user paths:", file=sys.stderr)
         serve_and_submit(tree, env, failures)
         for label, argv in user_paths(tree, scratch):

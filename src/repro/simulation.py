@@ -63,14 +63,19 @@ class SimulationResult:
 
     def summary(self) -> str:
         """Multi-line human-readable digest of the run (what ``python -m
-        repro simulate`` prints under its benchmark line)."""
+        repro simulate`` prints under its benchmark line).  The
+        configuration line names the inter-cluster transport and the
+        protocol only where they are not the paper's snoopy MSI bus."""
         stats = self.stats
         total = stats.total_scc
         config = self.config
+        machine = [config.cluster_organization]
+        if (config.inter_cluster, config.protocol) != ("snoopy-bus", "msi"):
+            machine += [config.inter_cluster, config.protocol]
         return "\n".join([
             f"configuration      : {config.clusters} clusters x "
             f"{config.processors_per_cluster} procs, "
-            f"{config.scc_size} B SCC, {config.cluster_organization}",
+            f"{config.scc_size} B SCC, {', '.join(machine)}",
             f"execution time     : {stats.execution_time:,} cycles",
             f"data references    : {total.accesses:,}",
             f"read miss rate     : {100 * total.read_miss_rate:.2f} %",

@@ -39,3 +39,9 @@ def test_a_cleared_profiler_is_re_armed(tmp_path):
               if function[2] == "format_size"}
     assert len(called) == 1
     assert called <= reach.defined_functions(src)
+
+
+def test_every_cli_command_has_a_user_path():
+    """A subcommand with no traced call would list all of its code as
+    unreached: a deletion list of live code."""
+    assert _reach().untraced_commands() == []

@@ -100,3 +100,15 @@ class TestSummary:
         assert "execution time" in text
         assert f"{result.execution_time:,}" in text
         assert "invalidations" in text
+
+    def test_summary_names_a_transport_or_protocol_off_the_paper(self):
+        lines = {}
+        for machine in ({}, {"protocol": "mesi"},
+                        {"inter_cluster": "directory"}):
+            config = SystemConfig(clusters=2, processors_per_cluster=1,
+                                  scc_size=4 * KB, **machine)
+            result = run_simulation(config, _TwoProcessPingPong())
+            lines[tuple(machine.values())] = result.summary().splitlines()[0]
+        assert lines[()].endswith("4096 B SCC, shared-scc")
+        assert lines[("mesi",)].endswith("shared-scc, snoopy-bus, mesi")
+        assert lines[("directory",)].endswith("shared-scc, directory, msi")
