@@ -27,22 +27,23 @@
  *     heap of ``(time, seq, pid)`` triples for overflow (the "scheduler"
  *     section), read from ``interleaver._heap`` when ``run`` starts and
  *     written back to it -- whatever is still ready -- at ``release``;
- *   - in-flight fills and write buffers: each SCC's ``Words`` -- per-index
- *     ``fill_line``/``fill_ready`` and a heap of retire times per bank --
- *     imported from ``scc._inflight`` and ``interconnect._write_buffers``
- *     at ``setup`` and written back to them at ``release`` (the "words"
- *     section has the argument);
+ *   - in-flight fills, write buffers and lost lines: each SCC's ``Words``
+ *     -- per-index ``fill_line``/``fill_ready``, a heap of retire times
+ *     per bank and an open-addressing set of lines --, imported from
+ *     ``scc._inflight``, ``interconnect._write_buffers`` and
+ *     ``scc._lost_lines`` at ``setup`` and written back to them at
+ *     ``release`` (the "words" section has the argument);
  *   - the processes (clock, blocked/finished flags, pending response and
  *     chunk) and the locks and barriers with their wait queues: the
  *     wrapper flattens ``_processes``, ``_locks`` and ``_barriers`` into
  *     words and lists for ``setup`` and rebuilds them from what
  *     ``release`` leaves and returns (the "processes" section).
  *
- * What C still touches as python objects, all off the hit path: the
- * lost-line sets (``scc._lost_lines``) on misses, the task-queue deques,
- * and what a generator yields -- a ``PackedChunk``, whose words are read
- * in place or copied, or an event object, encoded here into a cursor of
- * one event.
+ * What C still touches as python objects, all off the data path: the
+ * task-queue deques, and what a generator yields -- a ``PackedChunk``,
+ * whose words are read in place or copied, or an event object, encoded
+ * here into a cursor of one event.  A hit, a miss and a switch of
+ * processes touch C words only.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
  * with all buffers acquired once.  ``run(ctx)`` runs every process until
@@ -93,7 +94,7 @@
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "17"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "18"  /* == engine/native.py NATIVE_VERSION */
 
 /* A machine plan's scalars (engine/native.py's ``machine_plan`` writes
  * them from the config), in order: ``setup`` and ``ladder_setup`` read
@@ -183,8 +184,12 @@ typedef struct {
     long long *fill_line, *fill_ready;  /* [index]; one block with ``wb`` */
     long long *wb;            /* [bank * (depth + 1)]: how many entries,
                                  then their retire times as a min-heap */
+    long long *lost;          /* [lost_cap]: the lost lines, LOST_EMPTY
+                                 between them; NULL before the first */
+    size_t lost_cap, lost_n;  /* a power of two, or 0; lines held */
     long long lines, nbanks, depth;
-    PyObject *inflight, *wbufs;         /* the at-rest forms (the plan's) */
+    PyObject *inflight, *wbufs, *lost_at_rest;  /* the at-rest forms (the
+                                                   plan's) */
 } Words;
 
 /* One shared cluster cache as the protocol sees it -- a cluster of a
@@ -197,7 +202,6 @@ typedef struct {
     Words words;
     long long *bank_free;     /* [bank] */
     long long *stats;         /* S_* */
-    PyObject *lost;           /* ``scc._lost_lines`` */
     long long *bus;           /* BUS_* */
 } Scc;
 
@@ -454,11 +458,13 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
 /* ---------------------------------------------------------------- words */
 
 /* An SCC's in-flight fills (``scc._inflight``: line -> cycle its fill
- * lands) and write buffers (``interconnect._write_buffers``: per bank, a
- * heapq of retire times) as C keeps them between ``setup`` and
- * ``release``, and the ``Scc`` view they belong to.  The python containers
- * stay the at-rest form and the reference loop's; only ``words_setup``,
- * ``words_import`` and ``words_export`` touch them.
+ * lands), write buffers (``interconnect._write_buffers``: per bank, a
+ * heapq of retire times) and lost lines (``scc._lost_lines``: the lines a
+ * remote write invalidated here, whose next miss is a coherence miss) as
+ * C keeps them between ``setup`` and ``release``, and the ``Scc`` view
+ * they belong to.  The python containers stay the at-rest form and the
+ * reference loop's; only ``words_setup``, ``words_import`` and
+ * ``words_export`` touch them.
  *
  * Fills are two words per SCC slot: the line being filled there and when
  * it lands.  Exact, because every SCC that gets here is direct-mapped and
@@ -468,19 +474,32 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
  * outstanding at an index.  A bank's write buffer is ``depth + 1`` words:
  * how many entries it holds, then their retire times as a binary min-heap
  * rooted at word 1.  Heap layout may differ from heapq's, but the multiset
- * and its minimum -- all ``reserve_write_slot`` observes -- do not. */
+ * and its minimum -- all ``reserve_write_slot`` observes -- do not.
+ *
+ * The lost lines are a set of int64 lines, open addressing from
+ * ``ll_hash`` with linear probing, doubled once half full.  A probe ends
+ * at the first empty slot, so a deletion leaves no tombstone: the entries
+ * behind it shift back over the hole.  LOST_EMPTY marks an empty slot;
+ * no line is LLONG_MIN, ``addr >> line_shift`` with a shift of at least
+ * one (``setup`` refuses a machine of one-byte lines, and a set that
+ * holds it). */
 
 #define WBUF_MAX (1 << 16)      /* banks of an SCC, entries of a bank */
 
+#define LOST_EMPTY LLONG_MIN    /* a lost-line slot with no line */
+#define LOST_MIN_SLOTS 16
+
 /* Empty words for an SCC of ``mask + 1`` lines whose state at rest is
- * ``inflight`` (a dict) and ``wbufs`` (a list of ``nbanks`` lists). */
+ * ``inflight`` (a dict), ``wbufs`` (a list of ``nbanks`` lists) and
+ * ``lost`` (a set). */
 static int
 words_setup(Words *w, long long mask, long long nbanks, long long depth,
-            PyObject *inflight, PyObject *wbufs)
+            PyObject *inflight, PyObject *wbufs, PyObject *lost)
 {
-    if (!PyDict_CheckExact(inflight) || !PyList_CheckExact(wbufs)) {
+    if (!PyDict_CheckExact(inflight) || !PyList_CheckExact(wbufs)
+        || !PySet_CheckExact(lost)) {
         PyErr_SetString(PyExc_TypeError, "in-flight fills must be a dict, "
-                        "write buffers a list of lists");
+                        "write buffers a list of lists, lost lines a set");
         return -1;
     }
     if (mask < 0 || mask >= PY_SSIZE_T_MAX / 32
@@ -516,6 +535,7 @@ words_setup(Words *w, long long mask, long long nbanks, long long depth,
     w->depth = depth;
     w->inflight = inflight;
     w->wbufs = wbufs;
+    w->lost_at_rest = lost;
     return 0;
 }
 
@@ -603,13 +623,112 @@ wbuf_reserve(Words *w, long long bank, long long now, long long retire)
     return stall;
 }
 
+/* The slot ``line`` is in, or the empty one it would go in (the table
+ * has slots). */
+static inline size_t
+lost_slot(const Words *w, long long line)
+{
+    size_t mask = w->lost_cap - 1;
+    size_t at = ll_hash(line) & mask;
+    while (w->lost[at] != line && w->lost[at] != LOST_EMPTY)
+        at = (at + 1) & mask;
+    return at;
+}
+
+/* Twice the slots (LOST_MIN_SLOTS at first), every line placed again. */
+static int
+lost_grow(Words *w)
+{
+    size_t old_cap = w->lost_cap, cap = old_cap ? 2 * old_cap
+                                                : LOST_MIN_SLOTS;
+    long long *old = w->lost;
+    long long *slots = PyMem_Malloc(cap * sizeof(long long));
+    if (!slots) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t at = 0; at < cap; at++)
+        slots[at] = LOST_EMPTY;
+    w->lost = slots;
+    w->lost_cap = cap;
+    for (size_t at = 0; at < old_cap; at++) {
+        if (old[at] != LOST_EMPTY)
+            slots[lost_slot(w, old[at])] = old[at];
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+/* ``scc.note_lost(line)`` */
+static int
+lost_note(Words *w, long long line)
+{
+    if (2 * (w->lost_n + 1) > w->lost_cap && lost_grow(w) < 0)
+        return -1;
+    size_t at = lost_slot(w, line);
+    if (w->lost[at] == LOST_EMPTY) {
+        w->lost[at] = line;
+        w->lost_n++;
+    }
+    return 0;
+}
+
+/* ``scc.consume_lost(line)``: 1 when the line was marked.  An entry
+ * behind the hole moves into it when the hole is on its probe path --
+ * between its home slot and its own, cyclically -- and leaves its own
+ * slot the hole; the run of entries ends at an empty slot. */
+static inline int
+lost_consume(Words *w, long long line)
+{
+    if (!w->lost_n)
+        return 0;
+    long long *slots = w->lost;
+    size_t mask = w->lost_cap - 1;
+    size_t hole = lost_slot(w, line);
+    if (slots[hole] == LOST_EMPTY)
+        return 0;
+    for (size_t at = (hole + 1) & mask; slots[at] != LOST_EMPTY;
+         at = (at + 1) & mask) {
+        size_t home = ll_hash(slots[at]) & mask;
+        if (((at - home) & mask) >= ((at - hole) & mask)) {
+            slots[hole] = slots[at];
+            hole = at;
+        }
+    }
+    slots[hole] = LOST_EMPTY;
+    w->lost_n--;
+    return 1;
+}
+
 /* Read the containers into the (empty) words, leaving them as they are:
  * what a ``run`` starts from.  A ladder pass has nothing to read -- its
  * rungs are fresh, and one that began mid-machine would need the windows
- * its skew arithmetic keeps, which no container holds. */
+ * its skew arithmetic keeps, which no container holds.  A lost line that
+ * is no int, is beyond int64 or is LOST_EMPTY is refused: the words are
+ * C's alone until ``words_export``, so a refusal leaves every container
+ * as it was. */
 static int
 words_import(Words *w)
 {
+    PyObject *lines = PyObject_GetIter(w->lost_at_rest);
+    if (!lines)
+        return -1;
+    PyObject *item;
+    while ((item = PyIter_Next(lines))) {
+        long long line = LOST_EMPTY;
+        if (!PyLong_Check(item))
+            PyErr_SetString(PyExc_TypeError, "lost lines must be ints");
+        else if ((line = PyLong_AsLongLong(item)) == LOST_EMPTY)
+            PyErr_Format(PyExc_ValueError, "no address maps to lost line "
+                         "%lld", line);
+        Py_DECREF(item);
+        if (PyErr_Occurred() || lost_note(w, line) < 0)
+            break;
+    }
+    Py_DECREF(lines);
+    if (PyErr_Occurred())
+        return -1;
+
     PyObject *key, *value;
     Py_ssize_t at = 0;
     while (PyDict_Next(w->inflight, &at, &key, &value)) {
@@ -652,12 +771,24 @@ words_list(const long long *words, long long n)
     return list;
 }
 
-/* ... and write the words back: the dict and every bank's list (the same
- * objects, which python holds) become exactly what the reference loop
- * would have left in them -- a heap rooted at word 1 is a heapq list. */
+/* ... and write the words back: the dict, every bank's list and the set
+ * (the same objects, which python holds) become exactly what the
+ * reference loop would have left in them -- a heap rooted at word 1 is a
+ * heapq list. */
 static int
 words_export(Words *w)
 {
+    if (PySet_Clear(w->lost_at_rest) < 0)
+        return -1;
+    for (size_t at = 0; at < w->lost_cap; at++) {
+        if (w->lost[at] == LOST_EMPTY)
+            continue;
+        PyObject *k = PyLong_FromLongLong(w->lost[at]);
+        int rc = k ? PySet_Add(w->lost_at_rest, k) : -1;
+        Py_XDECREF(k);
+        if (rc < 0)
+            return -1;
+    }
     PyDict_Clear(w->inflight);
     for (long long idx = 0; idx < w->lines; idx++) {
         if (w->fill_ready[idx] == FILL_NONE)
@@ -700,14 +831,10 @@ scc_setup(Scc *scc, Views *views, PyObject *entry, long long nbanks,
         || get_ll_item(entry, 3, &scc->shift) < 0
         || words_setup(&scc->words, scc->mask, nbanks, depth,
                        PyTuple_GET_ITEM(entry, 4),
-                       PyTuple_GET_ITEM(entry, 5)) < 0)
+                       PyTuple_GET_ITEM(entry, 5),
+                       PyTuple_GET_ITEM(entry, 6)) < 0)
         return -1;
     Py_ssize_t lines = (Py_ssize_t)scc->words.lines;
-    scc->lost = PyTuple_GET_ITEM(entry, 6);
-    if (!PySet_CheckExact(scc->lost)) {
-        PyErr_SetString(PyExc_TypeError, "lost lines must be a set");
-        return -1;
-    }
     if (!(scc->states = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 0),
                                      lines))
         || !(scc->tags = acquire_ll_n(views, PyTuple_GET_ITEM(entry, 1),
@@ -719,34 +846,6 @@ scc_setup(Scc *scc, Views *views, PyObject *entry, long long nbanks,
                                        S_FIELDS)))
         return -1;
     return 0;
-}
-
-/* ``scc._lost_lines`` stays the python set: misses only. */
-
-/* ``scc.note_lost(line)`` */
-static int
-lost_note(PyObject *lost, long long line)
-{
-    PyObject *k = PyLong_FromLongLong(line);
-    if (!k)
-        return -1;
-    int rc = PySet_Add(lost, k);
-    Py_DECREF(k);
-    return rc;
-}
-
-/* ``scc.consume_lost(line)``: 1 when the line was marked, -1 on error. */
-static inline int
-lost_consume(PyObject *lost, long long line)
-{
-    if (PySet_GET_SIZE(lost) == 0)
-        return 0;
-    PyObject *k = PyLong_FromLongLong(line);
-    if (!k)
-        return -1;
-    int rc = PySet_Discard(lost, k);
-    Py_DECREF(k);
-    return rc;
 }
 
 /* -------------------------------------------------------------- machine */
@@ -872,12 +971,15 @@ machine_setup(Machine *m, Views *views, PyObject *plan)
     return icaches_setup(m, views, ics);
 }
 
-/* Every SCC's words (each one block), the SCCs and the icaches. */
+/* Every SCC's words (one block, and the lost lines' table), the SCCs and
+ * the icaches. */
 static void
 machine_free(Machine *m)
 {
-    for (int k = 0; m->sccs && k < m->n; k++)
+    for (int k = 0; m->sccs && k < m->n; k++) {
         PyMem_Free(m->sccs[k].words.fill_line);
+        PyMem_Free(m->sccs[k].words.lost);
+    }
     PyMem_Free(m->sccs);
     PyMem_Free(m->icaches);
 }
@@ -969,7 +1071,7 @@ invalidate_remote(Machine *m, long long cl, long long line, long long idx,
         if (!other->states[idx] || other->tags[idx] != tag)
             continue;
         other->states[idx] = 0;
-        if (lost_note(other->lost, line) < 0)
+        if (lost_note(&other->words, line) < 0)
             return -1;
         other->stats[S_INVALIDATIONS_RECEIVED]++;
         killed++;
@@ -1003,17 +1105,14 @@ install(Machine *m, long long cl, long long line, long long idx,
 }
 
 /* ``read_line`` on a miss; ``done`` is when the processor carries on. */
-static inline int
+static inline void
 read_miss(Machine *m, long long cl, long long line, long long idx,
           long long start, long long *done)
 {
     Scc *scc = &m->sccs[cl];
     long long *st = scc->stats;
     st[S_READ_MISSES]++;
-    int lost = lost_consume(scc->lost, line);
-    if (lost < 0)
-        return -1;
-    st[S_COHERENCE_READ_MISSES] += lost;
+    st[S_COHERENCE_READ_MISSES] += lost_consume(&scc->words, line);
     long long grant = bus_acquire(scc, start, m->bus_occ);
     st[S_BUS_WAIT_CYCLES] += grant - start;
     long long fill = grant + m->mem_latency;
@@ -1022,7 +1121,6 @@ read_miss(Machine *m, long long cl, long long line, long long idx,
         state = ST_EXCLUSIVE;   /* nobody else has it */
     install(m, cl, line, idx, state, start, fill);
     *done = fill + 1;
-    return 0;
 }
 
 /* ``write_line`` on a SHARED hit (``resident``: an upgrade broadcast, no
@@ -1046,8 +1144,7 @@ write_shared_or_miss(Machine *m, long long cl, long long line, long long idx,
         return 0;
     }
     st[S_WRITE_MISSES]++;
-    if (lost_consume(scc->lost, line) < 0)          /* not a read miss */
-        return -1;
+    (void)lost_consume(&scc->words, line);          /* not a read miss */
     long long grant = bus_acquire(scc, start, m->bus_occ);
     st[S_BUS_WAIT_CYCLES] += grant - start;
     *retire = grant + m->mem_latency;
@@ -1093,12 +1190,10 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     long long done;
     if (is_read) {
         st[S_READS]++;
-        if (resident) {
+        if (resident)
             done = fill_done(&scc->words, line, idx, start);
-        }
-        else if (read_miss(m, cl, line, idx, start, &done) < 0) {
-            return -1;
-        }
+        else
+            read_miss(m, cl, line, idx, start, &done);
     }
     else {
         long long retire;
@@ -1189,9 +1284,9 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
  * whatever either half holds; ``base`` never decreases (nothing ready is
  * earlier than what was popped), so the window's entries stay inside it.
  * A preempted process comes back a line fetch and its bus wait ahead of
- * the pop -- 1 to 255 cycles, nearly always -- so a switch is a FIFO
- * link, an unlink and a search of four bitmap words; ``earliest`` caches
- * the clock ``run`` preempts against.
+ * the pop -- 1 to 255 cycles, nearly always -- so a switch
+ * (``sched_switch``) is one FIFO link, one unlink and a search of four
+ * bitmap words; ``earliest`` caches the clock ``run`` preempts against.
  *
  * ``interleaver._heap`` is the queue at rest: ``add_process`` (and an
  * earlier run that aborted) left ``(time, seq, pid)`` tuples there,
@@ -1262,24 +1357,14 @@ window_first(const ReadyQ *q, int from)
     return w << 6 | __builtin_ctzll(bits);
 }
 
-/* ``_push`` of a process that is not queued */
-static void
-sched_push(Ctx *ctx, long long time, long long pid)
+/* ``pid``, ready at ``time`` inside the window, to the tail of its
+ * bucket's FIFO */
+static inline void
+bucket_link(ReadyQ *q, long long time, long long seq, long long pid)
 {
-    ReadyQ *q = &ctx->rq;
-    RqLink *link = &q->link[pid];
-    long long seq = ++ctx->m.d.misc[X_SEQ];
-    link->queued = 1;
-    q->n++;
-    if (time < q->earliest)
-        q->earliest = time;
-    if (time < q->base || time - q->base >= RQ_W) {
-        Ready item = {time, seq, pid};
-        heap_push(q, item);
-        return;
-    }
     int s = (int)(time & RQ_MASK);
     unsigned long long bit = 1ULL << (s & 63);
+    RqLink *link = &q->link[pid];
     link->seq = seq;
     link->next = -1;
     if (q->occupied[s >> 6] & bit) {
@@ -1288,11 +1373,44 @@ sched_push(Ctx *ctx, long long time, long long pid)
     else {
         q->occupied[s >> 6] |= bit;
         q->head[s] = (int)pid;
-        if (!q->n_window || time < q->wmin)
-            q->wmin = time;
     }
     q->tail[s] = (int)pid;
     q->n_window++;
+}
+
+/* The head of bucket ``s`` -- the window's earliest, at ``wmin`` -- out
+ * of its FIFO, and ``wmin`` moved on to the next occupied bucket when it
+ * was the last there and the window holds more. */
+static inline void
+bucket_unlink(ReadyQ *q, int s)
+{
+    q->head[s] = q->link[q->head[s]].next;
+    q->n_window--;
+    if (q->head[s] < 0) {
+        q->occupied[s >> 6] &= ~(1ULL << (s & 63));
+        if (q->n_window)
+            q->wmin += (window_first(q, s) - s) & RQ_MASK;
+    }
+}
+
+/* ``_push`` of a process that is not queued */
+static void
+sched_push(Ctx *ctx, long long time, long long pid)
+{
+    ReadyQ *q = &ctx->rq;
+    long long seq = ++ctx->m.d.misc[X_SEQ];
+    q->link[pid].queued = 1;
+    q->n++;
+    if (time < q->earliest)
+        q->earliest = time;
+    if (time < q->base || time - q->base >= RQ_W) {
+        Ready item = {time, seq, pid};
+        heap_push(q, item);
+        return;
+    }
+    bucket_link(q, time, seq, pid);
+    if (q->n_window == 1 || time < q->wmin)
+        q->wmin = time;
 }
 
 /* The bookkeeping of every pop: ``out`` has left its half. */
@@ -1319,18 +1437,43 @@ sched_pop(Ctx *ctx)
         int pid = q->head[s];
         Ready head = {q->wmin, q->link[pid].seq, pid};
         if (!q->n_heap || ready_before(&head, &q->heap[0])) {
-            q->n_window--;
-            q->head[s] = q->link[pid].next;
-            if (q->head[s] < 0) {
-                q->occupied[s >> 6] &= ~(1ULL << (s & 63));
-                if (q->n_window)
-                    q->wmin = head.time
-                        + ((window_first(q, s) - s) & RQ_MASK);
-            }
+            bucket_unlink(q, s);
             return sched_popped(q, head);
         }
     }
     return sched_popped(q, heap_pop(q));
+}
+
+/* A preemption: ``sched_pop``, then ``sched_push(ctx, time, pid)`` of the
+ * process that ran, whose ``time`` is past the earliest clock.  Nearly
+ * always the earliest entry is the window's head, ahead of the whole
+ * heap, and ``time`` is inside the window the pop moves ``base`` to:
+ * then the head leaves its bucket and ``pid`` joins its own (another:
+ * ``time`` is later) in one exchange, which leaves ``n`` as it was.  The
+ * pushed entry takes its ``seq`` as a push does. */
+static Ready
+sched_switch(Ctx *ctx, long long time, long long pid)
+{
+    ReadyQ *q = &ctx->rq;
+    long long wmin = q->wmin;
+    if (!q->n_window || time - wmin >= RQ_W
+        || (q->n_heap && q->heap[0].time <= wmin)) {
+        Ready next = sched_pop(ctx);
+        sched_push(ctx, time, pid);
+        return next;
+    }
+    int s = (int)(wmin & RQ_MASK);
+    int out = q->head[s];
+    Ready next = {wmin, q->link[out].seq, out};
+    q->link[out].queued = 0;
+    q->link[pid].queued = 1;
+    q->base = wmin;
+    /* (linked first: the window is not empty when ``wmin`` moves on) */
+    bucket_link(q, time, ++ctx->m.d.misc[X_SEQ], pid);
+    bucket_unlink(q, s);
+    q->earliest = q->n_heap && q->heap[0].time < q->wmin ? q->heap[0].time
+                                                         : q->wmin;
+    return next;
 }
 
 /* Empty ``interleaver._heap`` into the overflow.  All or nothing: an
@@ -2016,6 +2159,12 @@ native_setup(PyObject *self, PyObject *plan)
     if (views_init(&ctx->views, machine_views(machine) + 2) < 0
         || machine_setup(&ctx->m, &ctx->views, machine) < 0)
         goto fail;
+    if (ctx->m.line_shift < 1) {
+        /* (a line could be LOST_EMPTY) */
+        PyErr_SetString(PyExc_ValueError,
+                        "a run needs lines of more than one byte");
+        goto fail;
+    }
     for (int c = 0; c < ctx->m.n; c++) {
         if (words_import(&ctx->m.sccs[c].words) < 0)
             goto fail;
@@ -2147,8 +2296,7 @@ native_run(PyObject *self, PyObject *capsule)
              * pop goes first, so the push finds ``base`` at the clock of
              * the process that runs next. */
             ctx->procs[pid].time = time;
-            next = sched_pop(ctx);
-            sched_push(ctx, time, pid);
+            next = sched_switch(ctx, time, pid);
         }
         else if (ctx->rq.n == 0) {
             Py_RETURN_NONE;
@@ -2375,10 +2523,11 @@ fail:
  * messages.  A non-positive span stride raises ValueError instead of
  * spinning (the ladder has no cycle limit to bail it out).
  *
- * The ownership rule is ``run``'s, one way: a rung's ``_inflight`` dict
- * and write-buffer lists are empty from ``ladder_setup`` (which refuses
- * anything else: nothing could supply the live windows of a pass begun
- * mid-machine) until ``ladder_release`` writes them.  A rung tracks the
+ * The ownership rule is ``run``'s, one way: a rung's ``_inflight`` dict,
+ * write-buffer lists and lost-line set are empty from ``ladder_setup``
+ * (which refuses anything else: nothing could supply the live windows of
+ * a pass begun mid-machine, and a rung has nobody to invalidate its
+ * lines) until ``ladder_release`` writes them.  A rung tracks the
  * fills of write misses only: the processor waits out a read miss's fill,
  * so its one process can never meet it in flight, and the quiet path
  * would never get to forget it -- a rung's read miss therefore hands
@@ -2584,8 +2733,9 @@ lctx_destructor(PyObject *capsule)
 /* plan: ``(rungs, errors)`` -- a machine plan (``machine_setup``) per
  * rung, smallest first, each of one SCC and one processor, with the
  * first rung's scalars and icache geometry, and with an empty
- * ``_inflight`` dict and empty write-buffer lists (a rung starts as a
- * fresh machine; they are written at ``ladder_release``); and
+ * ``_inflight`` dict, empty write-buffer lists and an empty lost-line set
+ * (a rung starts as a fresh machine; they are written at
+ * ``ladder_release``); and
  * ``(DeadlockError, SyncProtocolError)``, what a misused lock or barrier
  * raises. */
 static PyObject *
@@ -2648,12 +2798,14 @@ native_ladder_setup(PyObject *self, PyObject *plan)
             goto fail;
         }
         const Words *w = &rung->sccs->words;
-        int fresh = PyDict_GET_SIZE(w->inflight) == 0;
+        int fresh = PyDict_GET_SIZE(w->inflight) == 0
+                    && PySet_GET_SIZE(w->lost_at_rest) == 0;
         for (Py_ssize_t bank = 0; fresh && bank < w->nbanks; bank++)
             fresh = PyList_GET_SIZE(PyList_GET_ITEM(w->wbufs, bank)) == 0;
         if (!fresh) {
             PyErr_SetString(PyExc_ValueError, "a ladder rung must start "
-                            "with no fill in flight and no buffered write");
+                            "with no fill in flight, no buffered write and "
+                            "no line lost");
             goto fail;
         }
     }

@@ -18,11 +18,14 @@ python code reads or writes the machine (``MultiprocessorSystem
 .data_access`` and ``.ifetch`` never run in a native run).  Tag/state
 arrays -- the SCCs' and the icaches' --, bank free times and the bus
 clock are ``array('q')`` storage C works on in place;
-each ``scc._inflight`` dict and each bank's ``_write_buffers`` list is
-read into C words at ``setup`` (per-index fill words, a heap of retire
-times per bank) and rewritten from them at ``release``; the ready queue
-lives in C (one-cycle buckets, a heap for overflow), read from ``interleaver._heap`` when the run starts and
-written back -- what is still ready -- at ``release``; the processes'
+each ``scc._inflight`` dict, each bank's ``_write_buffers`` list and
+each ``scc._lost_lines`` set is read into C words at ``setup``
+(per-index fill words, a heap of retire times per bank, an
+open-addressing table of lines) and rewritten from them at ``release``,
+so a miss touches no python object; the ready queue lives in C
+(one-cycle buckets, a heap for overflow), read from
+``interleaver._heap`` when the run starts and written back -- what is
+still ready -- at ``release``; the processes'
 fields, ``_locks`` and ``_barriers`` are flattened into the plan by
 :func:`run` and rebuilt by it from what ``release`` leaves -- so a run
 that ends, deadlocks or aborts leaves every container as the reference
@@ -91,7 +94,7 @@ __all__ = ["NATIVE_VERSION", "load", "machine_plan", "run", "settle"]
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "17"
+NATIVE_VERSION = "18"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one

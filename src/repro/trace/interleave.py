@@ -140,13 +140,16 @@ class TimingInterleaver:
         MP3D process, ``_native.c``) writes its chunks without one."""
         # The native engine is only exact for the plain shared-SCC
         # machine: snoopy MSI/MESI protocol, direct-mapped arrays with a
-        # power-of-two line count (mask/shift indexing), no observer and
-        # no probe (a probe needs its callbacks called, and only the
-        # repro.core objects call them).  Everything else runs the
-        # reference loop whatever the backend resolves to.
+        # power-of-two line count (mask/shift indexing), lines of more
+        # than one byte (C's lost-line table marks an empty slot with the
+        # one line only a one-byte line can be), no observer and no probe
+        # (a probe needs its callbacks called, and only the repro.core
+        # objects call them).  Everything else runs the reference loop
+        # whatever the backend resolves to.
         lines = config.scc_lines
         self._native_eligible = (
             observer is None
+            and config.line_size > 1
             and type(system) is MultiprocessorSystem
             and type(system.coherence) is CoherenceController
             and system.probe is NULL_PROBE

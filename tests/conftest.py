@@ -56,6 +56,16 @@ ICACHE_REFILL_CHAIN = ("stall = grant + m->ic_lat - now;",
 #: ... and one in the SPEC-stream kernel, which every engine calls: the
 #: word of a hot line is the other one of its pair.
 SPEC_HOT_PARITY = ("(d.index % 2) * 8", "((d.index + 1) % 2) * 8")
+#: ... and two in what a run keeps as C words and a ladder never
+#: reaches: a lost line's deletion that shifts no entry back over the
+#: hole (the lines behind it in their run of the table are lost to every
+#: later probe) ...
+LOST_NO_BACKWARD_SHIFT = (
+    "if (((at - home) & mask) >= ((at - hole) & mask)) {", "if (0) {")
+#: ... and a preemption's one-exchange switch that takes the window's head
+#: past an entry of the overflow heap as early or earlier.
+SWITCH_PASSES_THE_HEAP = (
+    "|| (q->n_heap && q->heap[0].time <= wmin)) {", ") {")
 #: ... and one in MP3D's C processes, which every engine runs: a
 #: particle's partner-slot write is dropped instead of carried into the
 #: next chunk.

@@ -1513,6 +1513,183 @@ class TestStateContinuity:
             system.check_invariants()
 
 
+def _ll_hash(line):
+    """``ll_hash`` of ``_native.c``: where a line starts its probe."""
+    return ((line * 0x9E3779B97F4A7C15) % 2 ** 64) >> 32
+
+
+def _lost_tape_lines():
+    """78 lines a cluster reads, the other then writes, and the first
+    reads again, each at an SCC slot of its own: 72 in a row and six
+    whose probe starts at the last slot of every table of up to 4096
+    slots -- one run of entries that wraps round to slot 0, past which
+    a deletion has to shift the others back."""
+    wrap, used = [], set(range(72))
+    line = 1024
+    while len(wrap) < 6:
+        line += 1
+        if _ll_hash(line) & 0xFFF == 0xFFF and line & 1023 not in used:
+            wrap.append(line)
+            used.add(line & 1023)
+    return list(range(72)), wrap
+
+
+def _lost_line_runs(engines, cut=None):
+    """Cluster 0 reads the 78 lines, cluster 1 writes every one (so each
+    is lost in cluster 0's SCC: more than 64, the lost-line table grows
+    four times), and cluster 0 reads them again in another order: the
+    run that wraps head first, the row in two interleaved halves, seven
+    lines left.  Then cluster 1 writes the six of the run again and
+    cluster 0 re-reads those, head first, and then the seven.  Every
+    re-read is a coherence miss that deletes a line.  With two engines
+    and no ``cut`` the second writes and re-reads are a second run on
+    the same machine; with a ``cut``, one run stopped by ``max_cycles``
+    three re-reads before the seven left and carried on by the second
+    engine.  Either way each leg notes lines and deletes the head of a
+    run that wraps.  Each leg's end is observed: the finish, cluster 0's
+    coherence read misses and each cluster's ``_lost_lines``."""
+    from repro.core.config import SystemConfig
+    from repro.core.system import MultiprocessorSystem
+    from repro.trace.interleave import TimingInterleaver
+    from repro.trace.packed import OP_BARRIER, PackedChunk
+    row, wrap = _lost_tape_lines()
+    invalidated = row[:40] + wrap + row[40:]
+    again = wrap + row[::2] + row[15::2][::-1]
+
+    def accesses(op, lines):
+        return [word for line in lines for word in (op, line * 16)]
+
+    def barrier(n):
+        return [OP_BARRIER, n, 2]
+
+    config = SystemConfig(clusters=2, processors_per_cluster=1,
+                          scc_size=16384)
+    system = MultiprocessorSystem(config)
+    legs = [{0: accesses(OP_READ, invalidated) + barrier(0) + barrier(1)
+             + accesses(OP_READ, again),
+             1: barrier(0) + accesses(OP_WRITE, invalidated) + barrier(1)},
+            {0: barrier(3) + accesses(OP_READ, wrap + row[1:14:2]),
+             1: accesses(OP_WRITE, wrap) + barrier(3)}]
+    if cut is not None or len(engines) == 1:
+        legs = [{pid: legs[0][pid] + barrier(2) + legs[1][pid]
+                 for pid in (0, 1)}]
+    observed = []
+
+    def observe(finish):
+        observed.append({
+            "finish": finish,
+            "coherence": system.clusters[0].scc.stats.coherence_read_misses,
+            "lost": [set(cluster.scc._lost_lines)
+                     for cluster in system.clusters]})
+
+    start = 0
+    for backend, streams in zip(engines, legs):
+        interleaver = TimingInterleaver(system, backend=backend)
+        for pid, words in streams.items():
+            interleaver.add_process(pid, iter([PackedChunk(words)]),
+                                    start_time=start)
+        if cut is not None:
+            with pytest.raises(RuntimeError, match=f"exceeded {cut} cycles"):
+                interleaver.run(max_cycles=cut)
+            assert interleaver.engine_used == backend
+            observe(cut)
+            stopped, = [process for process
+                        in interleaver._processes.values()
+                        if not (process.finished or process.blocked
+                                or process.in_heap)]
+            interleaver._push(stopped)
+            interleaver.backend = backend = engines[1]
+        start = interleaver.run()
+        assert interleaver.engine_used == backend
+        observe(start)
+    system.check_invariants()
+    return observed
+
+
+def _lost_line_cut():
+    """Three re-reads before the first leg of the two runs ends."""
+    return _lost_line_runs(["python", "python"])[0]["finish"] - 300
+
+
+class TestLostLines:
+    """``scc._lost_lines`` is C words between ``setup`` and ``release``:
+    an open-addressing table that grows and deletes with backward
+    shifts, imported and written back as the fills and write buffers
+    are."""
+
+    def test_a_growing_wrapping_table_across_two_runs(self):
+        """Whichever engine runs a leg, each leg ends with the coherence
+        misses and the lost lines one reference-loop leg ends with."""
+        reference = _lost_line_runs(["python", "python"])
+        # not vacuous: all 78 lines lost, the first leg re-misses 71 of
+        # them -- coherence misses --, the second the six it loses again
+        # and the seven left
+        row, wrap = _lost_tape_lines()
+        assert reference[0]["coherence"] == 71
+        assert reference[0]["lost"] == [set(row[1:14:2]), set()]
+        assert reference[1]["coherence"] == 84
+        assert reference[1]["lost"] == [set(), set()]
+        for engines in [("native", "python"), ("python", "native"),
+                        ("native", "native")]:
+            assert _lost_line_runs(engines) == reference, engines
+
+    def test_a_run_cut_in_the_re_misses_resumes_on_the_other_engine(self):
+        whole = _lost_line_runs(["python"])
+        assert _lost_line_runs(["native"]) == whole
+        reference = _lost_line_runs(["python", "python"],
+                                    cut=_lost_line_cut())
+        # not vacuous: the cut falls in the first re-reads, past the run
+        # that wraps
+        row, wrap = _lost_tape_lines()
+        assert 60 < reference[0]["coherence"] < 71
+        assert set(row[1:14:2]) < reference[0]["lost"][0]
+        assert not set(wrap) & reference[0]["lost"][0]
+        assert reference[1] == whole[0]
+        for engines in [("native", "python"), ("python", "native"),
+                        ("native", "native")]:
+            assert _lost_line_runs(engines, cut=_lost_line_cut()) \
+                == reference, engines
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ("line 5", TypeError, "^lost lines must be ints$"),
+        (5.0, TypeError, "^lost lines must be ints$"),
+        (2 ** 63, OverflowError, None),
+        # the table's empty slot, a line no address of the machine has
+        (-2 ** 63, ValueError,
+         "^no address maps to lost line -9223372036854775808$"),
+    ], ids=["str", "float", "beyond_int64", "empty_slot"])
+    def test_setup_refuses_a_bad_lost_line(self, bad, error, match):
+        """... before anything is run or rewritten: every container as
+        it was, the good lines and the other cluster's set included."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=2, processors_per_cluster=1,
+                              scc_size=1024)
+        system, interleaver = _interleaver(
+            config, {0: [[OP_READ, 0]], 1: [[OP_WRITE, 16]]}, "native")
+        system.clusters[0].scc._lost_lines.update({3, 7})
+        system.clusters[1].scc._lost_lines.update({4, bad})
+        system.clusters[1].scc.interconnect._write_buffers[2].append(9)
+        with pytest.raises(error, match=match):
+            interleaver.run()
+        assert system.clusters[0].scc._lost_lines == {3, 7}
+        assert system.clusters[1].scc._lost_lines == {4, bad}
+        assert system.clusters[1].scc.interconnect._write_buffers == [
+            [], [], [9], []]
+        assert interleaver.events_processed == 0
+        assert sorted(interleaver._heap) == [(0, 1, 0), (0, 2, 1)]
+
+    def test_one_byte_lines_keep_the_reference_loop(self):
+        """With a shift of 0 every int64 is some address's line, the
+        table's empty slot too: such a machine never runs native."""
+        from repro.core.config import SystemConfig
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              line_size=1, scc_size=1024)
+        _, interleaver = _interleaver(config, {0: [[OP_READ, -2 ** 63]]},
+                                      "native")
+        interleaver.run()
+        assert interleaver.engine_used == "python"
+
+
 class TestNativeAbiGuard:
     def test_source_and_wrapper_agree_on_the_abi(self):
         import re
@@ -1543,9 +1720,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "17"
+        assert native.NATIVE_VERSION == "18"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '17'")
+            "stale extension old.so: ABI '5', need '18'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
@@ -1580,7 +1757,7 @@ class TestNativeAbiGuard:
             with pytest.raises(ImportError) as raised:
                 first_use()
             message = str(raised.value)
-            assert "stale extension old.so: ABI None, need '17'" in message
+            assert "stale extension old.so: ABI None, need '18'" in message
             assert f"compile failed ({compiler})" in message
             assert "Python.h: no such file" in message
         assert native._mod is None

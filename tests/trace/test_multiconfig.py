@@ -297,7 +297,7 @@ def fused_pass(configs, data):
 
 
 class TestRungState:
-    """A rung's fills and write buffers are C words between
+    """A rung's fills, write buffers and lost lines are C words between
     ``ladder_setup`` and ``ladder_release``; the python containers are
     written once, at release, and must read as they always did."""
 
@@ -342,23 +342,29 @@ class TestRungState:
          ValueError),
         (lambda rung: rung_scc(rung).interconnect._write_buffers[1]
          .append(50), ValueError),
+        (lambda rung: setattr(rung_scc(rung), "_lost_lines", [7]),
+         TypeError),
+        # nobody could have invalidated a line of a one-cluster rung
+        (lambda rung: rung_scc(rung)._lost_lines.add(7), ValueError),
         # the rung's bus is worked on in place, as BUS_* words
         (lambda rung: setattr(rung.bus, "_clock", array("q", [0, 0])),
          ValueError),
     ], ids=["fills-not-a-dict", "buffers-not-a-list", "bank-not-a-list",
             "a-bank-short", "fill-in-flight", "write-buffered",
-            "bus-clock-short"])
+            "lost-not-a-set", "line-lost", "bus-clock-short"])
     def test_setup_refuses_a_rung_it_cannot_own(self, spoil, error):
         configs = ladder()
         systems = [MultiprocessorSystem(config) for config in configs]
         spoil(systems[1])
         scc = rung_scc(systems[1])
         before = (repr(scc._inflight),
-                  repr(scc.interconnect._write_buffers))
+                  repr(scc.interconnect._write_buffers),
+                  repr(scc._lost_lines))
         with pytest.raises(error):
             _fused_pass_native(systems, synthetic_tape()[0])
         assert (repr(scc._inflight),
-                repr(scc.interconnect._write_buffers)) == before
+                repr(scc.interconnect._write_buffers),
+                repr(scc._lost_lines)) == before
         for system in systems:      # nothing ran, nothing was written
             assert not list(rung_scc(system).array.resident_lines())
             assert system.bus.transactions == 0

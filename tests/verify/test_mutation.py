@@ -14,7 +14,11 @@ its window and its overflow heap, ``READY_BUCKET_LIFO`` inside a window
 bucket) and the in-flight fill words (``FILL_FORGOTTEN``) -- and two in
 the locks and barriers it keeps there as well (``WAITER_SKIPS_OVERHEAD``,
 ``BARRIER_EARLIEST``); all five are the ``native`` engine's to answer
-for.  The fused ladder is a second driver of the same
+for.  So are two in what only a run keeps as C words, the lost-line
+table (``LOST_NO_BACKWARD_SHIFT``) and a preemption's one-exchange
+switch (``SWITCH_PASSES_THE_HEAP``): a state-continuity parity test
+fails on each whichever of its two legs the native engine runs.  The
+fused ladder is a second driver of the same
 C memory system -- a rung is a one-cluster machine -- so a mutant in what
 a rung shares with a run (``VICTIM_FILL_KEPT`` and ``WRITEBACK_HOLDS_BUS``
 in ``install``, ``WBUF_NEWEST_FIRST`` in the write-buffer helper) is both
@@ -44,10 +48,11 @@ from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD, FILL_FORGOTTEN,
                         ICACHE_REFILL_CHAIN, LADDER_LOCK_HELD, LADDER_SKEW,
-                        MP3D_PARTNER_CARRY, READ_MISS_DONE, READY_BUCKET_LIFO,
-                        READY_TIE_BREAK, SPEC_HOT_PARITY, VICTIM_FILL_KEPT,
-                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
-                        WRITEBACK_HOLDS_BUS)
+                        LOST_NO_BACKWARD_SHIFT, MP3D_PARTNER_CARRY,
+                        READ_MISS_DONE, READY_BUCKET_LIFO, READY_TIE_BREAK,
+                        SPEC_HOT_PARITY, SWITCH_PASSES_THE_HEAP,
+                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
+                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
 from ..workloads import test_barnes_hut
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
@@ -168,6 +173,50 @@ class TestWorkingStateMutationIsCaught:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native, "_mod", None)
             assert diff_tape(shrunk) is None
+
+
+class TestRunWordsMutationIsCaught:
+    """The lost-line table and the one-exchange switch are ``run``'s
+    alone -- a ladder rung has nobody to invalidate its lines and one
+    process to schedule.  A mutant in either fails a state-continuity
+    parity test whichever of its two legs the native engine runs."""
+
+    @staticmethod
+    def diverges_on_each_leg(observe):
+        reference = observe(("python", "python"))
+        for engines in [("native", "python"), ("python", "native")]:
+            assert observe(engines) != reference, engines
+
+    def test_a_deletion_that_shifts_nothing_back_fails_the_lost_lines(
+            self, mutant_native, monkeypatch):
+        from ..trace.test_engine import _lost_line_cut, _lost_line_runs
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*LOST_NO_BACKWARD_SHIFT))
+        self.diverges_on_each_leg(_lost_line_runs)
+        cut = _lost_line_cut()
+        self.diverges_on_each_leg(
+            lambda engines: _lost_line_runs(engines, cut=cut))
+
+    def test_a_switch_past_the_heap_fails_the_cut_mp3d_run(
+            self, mutant_native, monkeypatch):
+        """A run begins with every process in the overflow heap: the
+        mutant's first exchange takes the window's head past them."""
+        from ..trace.test_engine import _mp3d_cut_run, _two_runs
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*SWITCH_PASSES_THE_HEAP))
+        self.diverges_on_each_leg(lambda engines: _mp3d_cut_run(engines)[1])
+        self.diverges_on_each_leg(lambda engines: _two_runs(*engines))
+
+    def test_the_native_engine_reports_the_switch(self, mutant_native,
+                                                  monkeypatch):
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*SWITCH_PASSES_THE_HEAP))
+        tape, divergence = _first_diverging_tape()
+        assert divergence.kind == "native"
+        shrunk, checks = shrink_tape(tape)
+        assert checks >= 1
+        assert shrunk.total_events() <= 50
+        assert _clean_unmutated(shrunk)
 
 
 def _diff_of(tape, engine):
