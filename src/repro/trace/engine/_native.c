@@ -1554,9 +1554,9 @@ sched_export(Ctx *ctx)
 /* What the reference loop does around the data path, for one process at
  * a time: ``_lock_acquire`` / ``_lock_release`` / ``_barrier`` / ``_wake``
  * with their accounting (``account_compute`` for a lock operation's busy
- * cycles, ``account_sync`` for the stall of whoever is woken),
- * ``_dispatch``'s task-queue branches, and
- * ``_advance``'s resuming of the generator.  ``_locks`` and ``_barriers``
+ * cycles, ``account_sync`` for the stall of whoever is woken), and
+ * ``_advance``'s resuming of the generator with its task-queue branches
+ * and its packing of an event object.  ``_locks`` and ``_barriers``
  * are ``SyncTable``s here; the wrapper hands them over, and takes them
  * back, as lists of ``(id, holder or -1, [waiting pids])`` in dict order. */
 

@@ -78,16 +78,11 @@ import sys
 import sysconfig
 from array import array
 from collections import deque
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from ..events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
-                      Read, TaskDequeue, TaskEnqueue, Write)
 from ..interleave import SyncProtocolError, _Lock
-from ..packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
-                      OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ, OP_WRITE,
-                      PackedChunk)
+from ..packed import EVENT_CODES, PackedChunk
 
 __all__ = ["NATIVE_VERSION", "load", "machine_plan", "run", "settle"]
 
@@ -124,14 +119,11 @@ _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
 # What a generator may yield, as ``_native.setup`` takes it: the chunk
 # class and its data attribute, the type ``array('q', data)`` is built
 # with, the error a misused lock, barrier or queue raises, and per event
-# class its opcode and the attributes its operands are read from.
-_VOCABULARY = (PackedChunk, "data", array, SyncProtocolError, tuple(
-    (cls, op, tuple(field.name for field in fields(cls)))
-    for cls, op in ((Read, OP_READ), (Write, OP_WRITE),
-                    (Compute, OP_COMPUTE), (Ifetch, OP_IFETCH),
-                    (LockAcquire, OP_LOCK_ACQ), (LockRelease, OP_LOCK_REL),
-                    (Barrier, OP_BARRIER), (TaskEnqueue, OP_ENQUEUE),
-                    (TaskDequeue, OP_DEQUEUE))))
+# class its opcode and the attributes its operands are read from
+# (``packed.EVENT_CODES``).
+_VOCABULARY = (PackedChunk, "data", array, SyncProtocolError,
+               tuple((cls, op, names)
+                     for cls, (op, names) in EVENT_CODES.items()))
 
 
 def _source_path() -> Path:

@@ -19,25 +19,32 @@ per event.
 Packed chunks: a generator may yield a
 :class:`~repro.trace.packed.PackedChunk` of integer-encoded events instead
 of individual event objects (see :mod:`repro.trace.packed` for the
-validity contract).  Chunks are consumed without resuming the generator,
-with the same per-event scheduling checks as the object path.
+validity contract).  The loop reads opcode words and nothing else: a
+chunk is installed as ``array('q')`` words (an ``array('q')`` in place,
+anything else copied), an event object is packed into a chunk of one
+through :data:`~repro.trace.packed.EVENT_CODES`, and one drain
+(:meth:`TimingInterleaver._drain`) runs either, with no generator resume
+per event and no event object built.  The task-queue pair is the
+exception: ``TaskEnqueue`` / ``TaskDequeue`` objects carry python items
+and move no clock, so they run on the deques at the resume.
 
-Two engines run this contract (:mod:`repro.trace.engine`).  The loop in
-this module is the *reference*: one event at a time through the
-:mod:`repro.core` objects, on every machine, with or without an observer
-or probe.  On machines with a direct-mapped power-of-two SCC, the default
-snoopy protocol, no observer and no probe, a ``native`` resolution hands
-scheduling and every memory event to the C extension instead
-(bit-identical statistics, pinned by :mod:`repro.verify`).  A probe's
-callbacks are called by the :mod:`repro.core` objects alone, so a probed
-run is always this loop's.  A native run shares none of this
-module's loop: C resumes the generators and keeps the locks, barriers
-and task queues itself, and ``_advance``, ``_dispatch``, the handlers
-below and :meth:`~repro.core.system.MultiprocessorSystem.data_access`
-are the reference loop's alone.  What the two share is the state at
-rest -- the processes, ``_heap``, ``_locks``, ``_barriers``, ``_queues``
--- which either engine leaves as the other would, so a run cut short on
-one can carry on on the other.
+Two engines run this contract (:mod:`repro.trace.engine`), in one shape.
+The loop in this module is the *reference*: one event at a time through
+the :mod:`repro.core` objects, on every machine, with or without an
+observer or probe.  On machines with a direct-mapped power-of-two SCC,
+the default snoopy protocol, no observer and no probe, a ``native``
+resolution hands scheduling and every memory event to the C extension
+instead (bit-identical statistics, pinned by :mod:`repro.verify`).  A
+probe's callbacks are called by the :mod:`repro.core` objects alone, so a
+probed run is always this loop's.  A native run shares none of this
+module's loop: C resumes the generators, packs event objects and keeps the
+locks, barriers and task queues itself, and ``_advance``, ``_drain``, the
+handlers below and
+:meth:`~repro.core.system.MultiprocessorSystem.data_access` are the
+reference loop's alone.  What the two share is the state at rest -- the
+processes, ``_heap``, ``_locks``, ``_barriers``, ``_queues`` -- which
+either engine leaves as the other would, so a run cut short on one can
+carry on on the other.
 
 Synchronization (ANL macro equivalents):
 
@@ -54,6 +61,7 @@ Synchronization (ANL macro equivalents):
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
@@ -62,11 +70,11 @@ from ..core.coherence import CoherenceController
 from ..core.system import MultiprocessorSystem
 from ..instrument.probes import NULL_PROBE
 from .engine import resolve_backend
-from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
-                     Read, TaskDequeue, TaskEnqueue, TraceEvent, Write)
-from .packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE, OP_ENQUEUE,
-                     OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL, OP_READ,
-                     OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN, PackedChunk)
+from .events import TaskDequeue, TaskEnqueue, TraceEvent
+from .packed import (EVENT_CODES, OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
+                     OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ, OP_LOCK_REL,
+                     OP_READ, OP_READ_SPAN, OP_WIDTH, OP_WRITE,
+                     OP_WRITE_SPAN, PackedChunk)
 
 __all__ = ["TimingInterleaver", "DeadlockError", "SyncProtocolError"]
 
@@ -96,9 +104,10 @@ class _Process:
         self.finished = False
         self.block_start = 0
         self.in_heap = False
-        # Packed-chunk consumption state: the int sequence being drained,
-        # the next position in it, and the byte offset inside a partially
-        # drained span opcode.
+        # Packed-chunk consumption state: the int64 words being drained
+        # (``array('q')``, or the list a native run hands back), the next
+        # position in them, and the byte offset inside a partially drained
+        # span opcode.
         self.chunk: Optional[Any] = None
         self.chunk_pos = 0
         self.chunk_sub = 0
@@ -231,14 +240,12 @@ class TimingInterleaver:
                  max_cycles: Optional[int]) -> Optional[int]:
         """Run ``process`` until it blocks, finishes, or falls behind the
         next-earliest process.  Returns its finish time if it ended."""
-        heap = self._heap
         while True:
             if process.chunk is not None:
-                if not self._consume_chunk_generic(process, max_cycles):
+                if not self._drain(process, max_cycles):
                     return None
                 process.chunk = None
-                process.chunk_pos = 0
-                process.chunk_sub = 0
+                process.chunk_pos = process.chunk_sub = 0
             if max_cycles is not None and process.time > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles")
@@ -253,179 +260,140 @@ class TimingInterleaver:
             except StopIteration:
                 process.finished = True
                 return process.time
-            if type(event) is PackedChunk:
-                process.chunk = event.data
-                process.chunk_pos = 0
-                process.chunk_sub = 0
-                continue
-            self.events_processed += 1
-            self._dispatch(process, event)
-            if process.blocked:
-                return None
-            if process.in_heap:
-                # The process unblocked itself while handling its own event
-                # (it was the releasing arrival of a barrier) and is already
-                # scheduled; running on would double-schedule it.
-                return None
-            if heap and process.time > heap[0][0]:
-                self._push(process)
-                return None
+            kind = type(event)
+            if kind is PackedChunk:
+                data = event.data
+                if type(data) is not array or data.typecode != "q":
+                    data = array("q", data)
+                process.chunk = data
+            elif kind is TaskEnqueue:
+                self.events_processed += 1
+                if event.item is None:
+                    # An enqueued None would be indistinguishable from the
+                    # empty-queue dequeue response.
+                    raise SyncProtocolError(
+                        f"process {process.pid} enqueued None on queue "
+                        f"{event.queue_id}; None is the empty-queue "
+                        f"response")
+                self._queues.setdefault(event.queue_id, deque()).append(
+                    event.item)
+            elif kind is TaskDequeue:
+                self.events_processed += 1
+                # Look up before defaulting: polls on a missing queue must
+                # not allocate a fresh deque per poll.
+                queue = self._queues.get(event.queue_id)
+                process.response = queue.popleft() if queue else None
+            else:
+                code = EVENT_CODES.get(kind)
+                if code is None:
+                    self.events_processed += 1
+                    raise TypeError(f"process {process.pid} yielded "
+                                    f"{event!r}, not a trace event")
+                op, names = code
+                process.chunk = array(
+                    "q", [op, *[getattr(event, name) for name in names]])
+                try:
+                    running = self._drain(process, max_cycles)
+                finally:
+                    # A chunk of one is spent before anything can stop
+                    # the run: none is left at rest.
+                    process.chunk = None
+                    process.chunk_pos = process.chunk_sub = 0
+                if not running:
+                    return None
 
-    # ------------------------------------------------------------------
-    # Packed-chunk consumption
-    # ------------------------------------------------------------------
-
-    def _consume_chunk_generic(self, process: _Process,
-                               max_cycles: Optional[int]) -> bool:
-        """Drain ``process.chunk`` through the per-event dispatch.
-
-        Runs every machine.  Avoids the per-event generator resume of
-        the object path.
-        """
+    def _drain(self, process: _Process, max_cycles: Optional[int]) -> bool:
+        """Run ``process.chunk``'s opcode words from where the process
+        stands, one event per iteration (C's drain loop in ``run``).
+        ``True`` once every word is done; ``False`` when the process
+        blocked, was scheduled again, or fell behind the earliest ready
+        process.  Whatever happens, a raise included, the process is left
+        standing at its next event."""
         data = process.chunk
         i = process.chunk_pos
         sub = process.chunk_sub
         end = len(data)
         heap = self._heap
-        dispatch = self._dispatch
-        while i < end:
-            if max_cycles is not None and process.time > max_cycles:
-                process.chunk_pos = i
-                process.chunk_sub = sub
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles")
-            op = data[i]
-            if op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-                base = data[i + 1]
-                size = data[i + 2]
-                stride = data[i + 3]
-                if size > 0 and stride <= 0:
-                    # The element loop below would spin forever; same
-                    # error as the native engine.
-                    raise ValueError(f"non-positive span stride at {i}")
-                cls = Read if op == OP_READ_SPAN else Write
-                offset = sub
-                sub = 0
-                preempted = False
-                while offset < size:
-                    if (max_cycles is not None
-                            and process.time > max_cycles):
-                        process.chunk_pos = i
-                        process.chunk_sub = offset
-                        raise RuntimeError(
-                            f"simulation exceeded {max_cycles} cycles")
-                    self.events_processed += 1
-                    dispatch(process, cls(base + offset))
-                    offset += stride
-                    if heap and process.time > heap[0][0]:
-                        preempted = True
-                        break
-                if offset >= size:
+        system = self.system
+        observer = self.observer
+        pid = process.pid
+        try:
+            while i < end:
+                op = data[i]
+                span = op == OP_READ_SPAN or op == OP_WRITE_SPAN
+                if span and sub >= data[i + 2]:
+                    # an empty span: no event to count, or to stop at
                     i += 4
+                    sub = 0
+                    continue
+                if max_cycles is not None and process.time > max_cycles:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_cycles} cycles")
+                if span and data[i + 3] <= 0:
+                    # the element walk would never end
+                    raise ValueError(f"non-positive span stride at {i}")
+                if op not in OP_WIDTH:
+                    raise ValueError(f"unknown packed opcode {op} at {i}")
+                self.events_processed += 1
+                if span or op == OP_READ or op == OP_WRITE:
+                    if span:
+                        addr = data[i + 1] + sub
+                        is_write = op == OP_WRITE_SPAN
+                    else:
+                        addr = data[i + 1]
+                        is_write = op == OP_WRITE
+                        i += 2
+                    if observer is not None:
+                        observer.on_access(pid, addr, is_write)
+                    process.time = system.data_access(pid, addr, is_write,
+                                                      process.time)
+                    if span:
+                        sub += data[i + 3]
+                        if sub >= data[i + 2]:
+                            i += 4
+                            sub = 0
+                elif op == OP_COMPUTE:
+                    cycles = data[i + 1]
+                    i += 2
+                    if cycles:
+                        system.account_compute(pid, cycles, now=process.time)
+                        process.time += cycles
+                elif op == OP_IFETCH:
+                    process.time = system.ifetch(pid, data[i + 1],
+                                                 data[i + 2], process.time)
+                    i += 3
+                elif op == OP_ENQUEUE:
+                    self._queues.setdefault(data[i + 1], deque()).append(
+                        data[i + 2])
+                    i += 3
+                elif op == OP_DEQUEUE:
+                    # Replay-only: pop and discard (the recorded stream
+                    # already contains the branch the response selected).
+                    queue = self._queues.get(data[i + 1])
+                    if queue:
+                        queue.popleft()
+                    i += 2
                 else:
-                    sub = offset
-                if preempted:
-                    process.chunk_pos = i
-                    process.chunk_sub = sub
+                    if op == OP_BARRIER:
+                        i += 3
+                        self._barrier(process, data[i - 2], data[i - 1])
+                    elif op == OP_LOCK_ACQ:
+                        i += 2
+                        self._lock_acquire(process, data[i - 1])
+                    else:
+                        i += 2
+                        self._lock_release(process, data[i - 1])
+                    if process.blocked or process.in_heap:
+                        # (the releasing arrival of a barrier is scheduled
+                        # already; running on would schedule it twice)
+                        return False
+                if heap and process.time > heap[0][0]:
                     self._push(process)
                     return False
-                continue
-            if op == OP_READ:
-                event: TraceEvent = Read(data[i + 1])
-                i += 2
-            elif op == OP_WRITE:
-                event = Write(data[i + 1])
-                i += 2
-            elif op == OP_COMPUTE:
-                event = Compute(data[i + 1])
-                i += 2
-            elif op == OP_IFETCH:
-                event = Ifetch(data[i + 1], data[i + 2])
-                i += 3
-            elif op == OP_LOCK_ACQ:
-                event = LockAcquire(data[i + 1])
-                i += 2
-            elif op == OP_LOCK_REL:
-                event = LockRelease(data[i + 1])
-                i += 2
-            elif op == OP_BARRIER:
-                event = Barrier(data[i + 1], data[i + 2])
-                i += 3
-            elif op == OP_ENQUEUE:
-                event = TaskEnqueue(data[i + 1], data[i + 2])
-                i += 3
-            elif op == OP_DEQUEUE:
-                # Replay-only: pop and discard (the recorded stream
-                # already contains the branch the response selected).
-                self.events_processed += 1
-                queue = self._queues.get(data[i + 1])
-                if queue:
-                    queue.popleft()
-                i += 2
-                continue
-            else:
-                raise ValueError(f"unknown packed opcode {op} at {i}")
-            self.events_processed += 1
-            dispatch(process, event)
-            if process.blocked or process.in_heap:
-                process.chunk_pos = i
-                process.chunk_sub = 0
-                return False
-            if heap and process.time > heap[0][0]:
-                process.chunk_pos = i
-                process.chunk_sub = 0
-                self._push(process)
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Event handling
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, process: _Process, event: TraceEvent) -> None:
-        system = self.system
-        pid = process.pid
-        if type(event) is Read:
-            if self.observer is not None:
-                self.observer.on_access(pid, event.addr, False)
-            process.time = system.data_access(pid, event.addr, False,
-                                              process.time)
-        elif type(event) is Write:
-            if self.observer is not None:
-                self.observer.on_access(pid, event.addr, True)
-            process.time = system.data_access(pid, event.addr, True,
-                                              process.time)
-        elif type(event) is Compute:
-            if event.cycles:
-                system.account_compute(pid, event.cycles,
-                                       now=process.time)
-                process.time += event.cycles
-        elif type(event) is Ifetch:
-            process.time = system.ifetch(pid, event.addr, event.count,
-                                         process.time)
-        elif type(event) is LockAcquire:
-            self._lock_acquire(process, event.lock_id)
-        elif type(event) is LockRelease:
-            self._lock_release(process, event.lock_id)
-        elif type(event) is Barrier:
-            self._barrier(process, event.barrier_id, event.count)
-        elif type(event) is TaskEnqueue:
-            if event.item is None:
-                # An enqueued None would be indistinguishable from the
-                # empty-queue dequeue response.
-                raise SyncProtocolError(
-                    f"process {pid} enqueued None on queue "
-                    f"{event.queue_id}; None is the empty-queue response")
-            self._queues.setdefault(event.queue_id, deque()).append(
-                event.item)
-        elif type(event) is TaskDequeue:
-            # Look up before defaulting: polls on a missing queue must not
-            # allocate a fresh deque per poll.
-            queue = self._queues.get(event.queue_id)
-            process.response = queue.popleft() if queue else None
-        else:
-            raise TypeError(f"process {pid} yielded {event!r}, "
-                            f"not a trace event")
+            return True
+        finally:
+            process.chunk_pos = i
+            process.chunk_sub = sub
 
     # ------------------------------------------------------------------
     # Locks

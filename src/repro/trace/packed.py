@@ -6,10 +6,10 @@ object and one ``generator.send`` round trip per reference, and that
 Python churn -- not the cache model -- dominates wall-clock time.  This
 module encodes the same vocabulary as integer opcodes in flat ``int``
 sequences (``list`` while being built, ``array('q')`` at rest).  Both
-engines consume a chunk without resuming the generator per event; the
-native engine also allocates no event object (the reference loop decodes
-each one for its per-event dispatch -- see ``TimingInterleaver``'s chunk
-consumer and :mod:`repro.trace.engine`).
+engines drain int64 words alone, without resuming the generator per event
+and without building an event object: an event object a generator yields
+is packed into a chunk of one (:data:`EVENT_CODES`, the one class ->
+opcode table) before either engine runs it.
 
 Encoding (one row per opcode; all operands are non-negative ints):
 
@@ -65,6 +65,7 @@ the item, because the recorded stream already contains the branch taken.
 from __future__ import annotations
 
 from array import array
+from dataclasses import fields
 from typing import Iterator, List, Sequence, Union
 
 from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
@@ -73,7 +74,7 @@ from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
 __all__ = [
     "OP_READ", "OP_WRITE", "OP_COMPUTE", "OP_IFETCH", "OP_LOCK_ACQ",
     "OP_LOCK_REL", "OP_BARRIER", "OP_ENQUEUE", "OP_DEQUEUE",
-    "OP_READ_SPAN", "OP_WRITE_SPAN", "OP_WIDTH",
+    "OP_READ_SPAN", "OP_WRITE_SPAN", "OP_WIDTH", "EVENT_CODES",
     "PackedChunk", "PackedEncodingError",
     "append_event", "encode_events", "decode_events", "event_count",
     "record_width",
@@ -98,6 +99,19 @@ OP_WIDTH = {
     OP_DEQUEUE: 2, OP_READ_SPAN: 4, OP_WRITE_SPAN: 4,
 }
 """Ints occupied by each opcode, including the opcode itself."""
+
+EVENT_CODES = {
+    cls: (op, tuple(field.name for field in fields(cls)))
+    for cls, op in ((Read, OP_READ), (Write, OP_WRITE),
+                    (Compute, OP_COMPUTE), (Ifetch, OP_IFETCH),
+                    (LockAcquire, OP_LOCK_ACQ), (LockRelease, OP_LOCK_REL),
+                    (Barrier, OP_BARRIER), (TaskEnqueue, OP_ENQUEUE),
+                    (TaskDequeue, OP_DEQUEUE))}
+"""Each event class's opcode and the attributes its operands are read
+from, in word order: how :func:`append_event`, :func:`decode_events`,
+the reference loop and the native engine all pack an event object."""
+
+_EVENT_CLASSES = {op: cls for cls, (op, _) in EVENT_CODES.items()}
 
 PackedData = Union[List[int], array]
 
@@ -129,43 +143,18 @@ class PackedChunk:
 
 def append_event(buf: PackedData, event: TraceEvent) -> None:
     """Encode one event object onto ``buf`` (a recording adapter helper)."""
-    kind = type(event)
-    if kind is Read:
-        buf.append(OP_READ)
-        buf.append(event.addr)
-    elif kind is Write:
-        buf.append(OP_WRITE)
-        buf.append(event.addr)
-    elif kind is Compute:
-        buf.append(OP_COMPUTE)
-        buf.append(event.cycles)
-    elif kind is Ifetch:
-        buf.append(OP_IFETCH)
-        buf.append(event.addr)
-        buf.append(event.count)
-    elif kind is LockAcquire:
-        buf.append(OP_LOCK_ACQ)
-        buf.append(event.lock_id)
-    elif kind is LockRelease:
-        buf.append(OP_LOCK_REL)
-        buf.append(event.lock_id)
-    elif kind is Barrier:
-        buf.append(OP_BARRIER)
-        buf.append(event.barrier_id)
-        buf.append(event.count)
-    elif kind is TaskEnqueue:
-        if not isinstance(event.item, int) or isinstance(event.item, bool):
-            raise PackedEncodingError(
-                f"packed TaskEnqueue items must be plain ints, "
-                f"got {event.item!r}")
-        buf.append(OP_ENQUEUE)
-        buf.append(event.queue_id)
-        buf.append(event.item)
-    elif kind is TaskDequeue:
-        buf.append(OP_DEQUEUE)
-        buf.append(event.queue_id)
-    else:
+    code = EVENT_CODES.get(type(event))
+    if code is None:
         raise PackedEncodingError(f"{event!r} is not a trace event")
+    op, names = code
+    if op == OP_ENQUEUE and (not isinstance(event.item, int)
+                             or isinstance(event.item, bool)):
+        raise PackedEncodingError(
+            f"packed TaskEnqueue items must be plain ints, "
+            f"got {event.item!r}")
+    buf.append(op)
+    for name in names:
+        buf.append(getattr(event, name))
 
 
 def encode_events(events) -> array:
@@ -190,30 +179,14 @@ def decode_events(data: PackedData) -> Iterator[TraceEvent]:
     while i < end:
         width = record_width(data, i)
         op = data[i]
-        if op == OP_READ:
-            yield Read(data[i + 1])
-        elif op == OP_WRITE:
-            yield Write(data[i + 1])
-        elif op == OP_COMPUTE:
-            yield Compute(data[i + 1])
-        elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-            cls = Read if op == OP_READ_SPAN else Write
+        if op == OP_READ_SPAN or op == OP_WRITE_SPAN:
+            cls = _EVENT_CLASSES[OP_READ if op == OP_READ_SPAN else OP_WRITE]
             base, size, stride = data[i + 1], data[i + 2], data[i + 3]
             if size > 0:
                 for offset in range(0, size, stride):
                     yield cls(base + offset)
-        elif op == OP_IFETCH:
-            yield Ifetch(data[i + 1], data[i + 2])
-        elif op == OP_LOCK_ACQ:
-            yield LockAcquire(data[i + 1])
-        elif op == OP_LOCK_REL:
-            yield LockRelease(data[i + 1])
-        elif op == OP_BARRIER:
-            yield Barrier(data[i + 1], data[i + 2])
-        elif op == OP_ENQUEUE:
-            yield TaskEnqueue(data[i + 1], data[i + 2])
-        else:   # OP_DEQUEUE, the last opcode ``record_width`` knows
-            yield TaskDequeue(data[i + 1])
+        else:
+            yield _EVENT_CLASSES[op](*data[i + 1:i + width])
         i += width
 
 

@@ -90,6 +90,11 @@ DELETED = (
     "on_barrier_arrive", "on_barrier_release", "on_enqueue", "on_dequeue",
     "paper_scc_ladder", "scaled_ladder", "_PAPER_SCC_SIZES_KB",
     "format_ratio", "_stream_events",
+    # the reference loop drains opcode words alone, as C does: no
+    # decoding of words back into event objects (``_dispatch``, the
+    # type switch on those objects, is gone too but stays off: the
+    # fabric service has a ``_dispatch`` of its own)
+    "_consume_chunk_generic",
 )
 
 PATTERN = re.compile("|".join([

@@ -331,9 +331,9 @@ class TestNativeScheduler:
         """Quick Barnes-Hut 8p/8KB: no ``repro.core.coherence`` frame is
         entered anywhere in a native run (75,375 read misses and 2,495
         writes called back when the protocol was python's alone, and
-        5,133 event objects went through ``_dispatch`` when python
-        executed them).  (That ``_native.run`` returns once, at the end,
-        is the re-entry-budget tests' count: 7,152 refills, 2,272 sync
+        5,133 event objects were dispatched when python executed
+        them).  (That ``_native.run`` returns once, at the end, is the
+        re-entry-budget tests' count: 7,152 refills, 2,272 sync
         handlers and 32 first schedulings came back to python before C
         resumed the generators and ran the locks and barriers.)"""
         import repro.core.coherence as coherence
@@ -341,6 +341,56 @@ class TestNativeScheduler:
             "barnes_hut",
             lambda code: code.co_filename == coherence.__file__)
         assert frames == {"under_c": 0, "elsewhere": 0}
+
+    @pytest.mark.parametrize("application", ["barnes_hut",
+                                             "multiprogramming"])
+    def test_the_reference_loop_builds_no_event_object(self, application):
+        """The reference loop drains opcode words as C does: a packed
+        stream -- Barnes-Hut's C processes, or a recorded multiprogramming
+        tape (whose live processes yield event objects as well) -- runs
+        on it without one event object built, where decoding the words
+        back into objects built one per reference.  The hook does see the
+        one built after the run."""
+        import sys
+        from repro.core.config import SystemConfig
+        from repro.simulation import build_system, run_simulation
+        from repro.trace.events import Read
+        from repro.trace.interleave import TimingInterleaver
+        from repro.trace.packed import EVENT_CODES
+        from repro.trace.record import ReplayApplication, StreamRecorder
+        from repro.workloads.barnes_hut import BarnesHut
+        from repro.workloads.multiprog import MultiprogrammingWorkload
+        config = SystemConfig(clusters=1, processors_per_cluster=2,
+                              scc_size=1024)
+        if application == "barnes_hut":
+            workload = BarnesHut(n_bodies=32, steps=1)
+        else:
+            recorder = StreamRecorder(MultiprogrammingWorkload(
+                instructions_per_app=4000, quantum_instructions=1500,
+                scale=8))
+            run_simulation(config, recorder)
+            workload = ReplayApplication(recorder.streams)
+        interleaver = TimingInterleaver(build_system(config),
+                                        backend="python")
+        for pid, generator in workload.processes(config).items():
+            interleaver.add_process(pid, generator)
+        inits = {cls.__init__.__code__ for cls in EVENT_CODES}
+        built = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code in inits:
+                built.append(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            interleaver.run()
+            Read(0)
+        finally:
+            sys.setprofile(previous)
+        assert interleaver.engine_used == "python"
+        assert interleaver.events_processed > 5000
+        assert built == [Read.__init__.__code__]
 
     @pytest.mark.parametrize("application", ["barnes_hut", "cholesky"])
     def test_data_access_never_runs_in_a_native_run(self, application):
@@ -1137,24 +1187,57 @@ def test_native_sync_errors_match_the_reference_loop(name):
 
 
 def test_an_operand_beyond_int64_raises_before_any_accounting():
-    """An event object is packed before C sees it, so an address no
-    ``int64`` holds is refused up front: nothing counted, nothing
-    claimed.  The reference loop, working in python ints, gets as far
-    as the tag array before the same ``OverflowError``."""
+    """An event object is packed into int64 words before either engine
+    runs it, so an address no ``int64`` holds is refused up front, with
+    one ``OverflowError``: nothing counted, nothing claimed."""
     from repro.core.config import SystemConfig
     from repro.trace.events import Read
     config = SystemConfig(clusters=1, processors_per_cluster=2,
                           scc_size=1024)
     streams = {0: [[OP_COMPUTE, 3], Read(1 << 80)], 1: [[OP_READ, 256]]}
     native = _outcome(config, streams, "native")
-    reference = _outcome(config, streams, "python")
-    assert native["error"][0] == reference["error"][0] == "OverflowError"
+    assert native["error"][0] == "OverflowError"
     assert native["events"] == 2        # the compute, processor 1's read
     assert native["stats"]["scc"][0]["reads"] == 1
     assert native["bus"] == (1, 4, 4)
-    assert reference["events"] == 3 and reference["bus"] == (2, 8, 8)
-    assert native["ready"] == reference["ready"] == [(101, 4, 1)]
-    assert native["seq"] == reference["seq"] == 4
+    assert native["ready"] == [(101, 4, 1)]
+    assert native["seq"] == 4
+    assert _outcome(config, streams, "python") == native
+
+
+@pytest.mark.parametrize("piece", ["list_beyond_int64", "list_float",
+                                   "ifetch_beyond_int64"])
+def test_a_word_no_int64_holds_is_refused_alike(piece):
+    """C copies a list chunk word by word, and packs an event object,
+    before it runs any of it; the reference loop installs the same words
+    (``array('q', data)``).  A word neither can hold is refused part way
+    through the copy with one type and message, and nothing of its chunk
+    is counted -- the read before it included -- on either engine, which
+    leave every process standing alike."""
+    from repro.core.config import SystemConfig
+    from repro.trace.events import Ifetch
+    config = SystemConfig(clusters=1, processors_per_cluster=2,
+                          scc_size=1024)
+    bad = {"list_beyond_int64": [OP_READ, 0, OP_READ, 1 << 70],
+           "list_float": [OP_READ, 0, OP_READ, 2.5],
+           "ifetch_beyond_int64": Ifetch(0, 1 << 70)}[piece]
+    streams = {0: [[OP_COMPUTE, 3], bad], 1: [[OP_READ, 256]]}
+
+    def outcome(backend):
+        kept = []
+        result = _outcome(config, streams, backend, prepare=kept.append)
+        result["standing"] = {
+            pid: (process.chunk and list(process.chunk), process.chunk_pos,
+                  process.chunk_sub)
+            for pid, process in kept[0]._processes.items()}
+        return result
+
+    native = outcome("native")
+    assert native["error"][0] == ("TypeError" if piece == "list_float"
+                                  else "OverflowError")
+    assert native["events"] == 2        # the compute, processor 1's read
+    assert native["standing"] == {0: (None, 0, 0), 1: ([OP_READ, 256], 2, 0)}
+    assert outcome("python") == native
 
 
 # ----------------------------------------------------------------------
@@ -1256,13 +1339,16 @@ def _store_runs(engines):
 
 
 def _cut_run(engines, cut=150):
-    """Six processes on one interleaver, run to the end: in one go (one
+    """Seven processes on one interleaver, run to the end: in one go (one
     engine), or cut by ``max_cycles=cut`` and carried on by the second
     engine.  At the cut 1 and 2 are queued on lock 1, which 0 holds
-    across a long compute; 3 waits at the barrier; 5 holds lock 2; 0 and
-    5 are ready, 0 half way through its chunk; and 4 is the one the
-    limit stopped, between two elements of a span.  An aborted process
-    is off the heap, as a blocked one is: the caller that carries on
+    across a long compute, 1 blocked at a ``LockAcquire`` object; 3 waits
+    at the barrier; 5 holds lock 2; 0, 5 and 6 are ready, 0 half way
+    through its chunk and 6 preempted by the miss of a ``Read`` object;
+    and 4 is the one the limit stopped, between two elements of a span.
+    An event object is a chunk of one, spent by the time anything can
+    stop the run, so 1 and 6 stand in no chunk.  An aborted process is
+    off the heap, as a blocked one is: the caller that carries on
     schedules it again."""
     from repro.core.config import SystemConfig
     from repro.trace.events import (Barrier, Compute, LockAcquire,
@@ -1277,7 +1363,7 @@ def _cut_run(engines, cut=150):
         yield Compute(300)
         yield PackedChunk([OP_LOCK_REL, 2, OP_BARRIER, 0, 6])
 
-    config = SystemConfig(clusters=3, processors_per_cluster=2,
+    config = SystemConfig(clusters=4, processors_per_cluster=2,
                           scc_size=1024)
     streams = {
         0: [[OP_LOCK_ACQ, 1, OP_WRITE, A, OP_COMPUTE, 400, OP_LOCK_REL, 1,
@@ -1289,6 +1375,7 @@ def _cut_run(engines, cut=150):
         3: [[OP_COMPUTE, 50, OP_BARRIER, 0, 6, OP_WRITE, 512]],
         4: [[OP_READ_SPAN, 2048, 96, 16, OP_COMPUTE, 5, OP_BARRIER, 0, 6]],
         5: holder,
+        6: [Compute(120), Read(8192), Compute(40)],
     }
     system, interleaver = _interleaver(config, streams, engines[0])
     at_the_cut = None
@@ -1298,7 +1385,8 @@ def _cut_run(engines, cut=150):
         assert interleaver.engine_used == engines[0]
         at_the_cut = dict(
             _sync_state(interleaver), ready=sorted(interleaver._heap),
-            standing={pid: (process.time, process.chunk_pos,
+            standing={pid: (process.time, process.chunk
+                            and list(process.chunk), process.chunk_pos,
                             process.chunk_sub)
                       for pid, process in interleaver._processes.items()})
         stopped, = [process for process in interleaver._processes.values()
@@ -1435,9 +1523,11 @@ class TestStateContinuity:
         # not vacuous: the cut found what the docstring says it finds
         assert cut["locks"] == [(1, 0, [1, 2]), (2, 5, [])]
         assert cut["barriers"] == [(0, [3])]
-        assert [pid for _, _, pid in cut["ready"]] == [0, 5]
-        assert cut["standing"][0][1:] == (6, 0)     # before its release
-        assert cut["standing"][4][1:] == (0, 32)    # two elements in
+        assert [pid for _, _, pid in cut["ready"]] == [6, 0, 5]
+        assert cut["standing"][0][2:] == (6, 0)     # before its release
+        assert cut["standing"][4][2:] == (0, 32)    # two elements in
+        assert cut["standing"][1][1] is None        # at LockAcquire(1)
+        assert cut["standing"][6] == (221, None, 0, 0)  # after Read(8192)
         assert cut["processes"][4] == (False, False, False, False)
 
     def test_setup_refuses_a_buffer_deeper_than_the_machine(self):
