@@ -65,10 +65,13 @@
  * engine) and the SPEC-stream kernel (``spec_burst``: one
  * multiprogramming quantum, written from the application's own uniform
  * batches) share nothing else.  MP3D's and Barnes-Hut's processes
- * (``mp3d_processes``, ``barnes_processes``) are iterators any consumer
- * can resume, and the only generator types ``run`` knows: it steps them
- * itself, so an MP3D or Barnes-Hut run executes no python between
- * ``setup`` and ``release``.  Each is introduced by its own banner below.
+ * (``mp3d_processes``, ``barnes_processes``) are two kinds of one C
+ * process (the "processes" section: a header, a row of what differs, one
+ * ``next()`` yielding ``PackedChunk(array('q'))``), iterators any
+ * consumer can resume and the only ones ``run`` knows: it steps them
+ * itself, whichever kind, so an MP3D or Barnes-Hut run executes no python
+ * between ``setup`` and ``release``.  Each is introduced by its own
+ * banner below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -90,11 +93,16 @@
 #define OP_READ_SPAN 10
 #define OP_WRITE_SPAN 11
 
+/* packed.OP_WIDTH: the words of a record, its opcode's included, by
+ * opcode (0 is no opcode) */
+static const int OP_WIDTH[] = {0, 2, 2, 2, 3, 2, 2, 3, 3, 2, 4, 4};
+#define OP_WIDTH_MAX 4
+
 #define ST_SHARED 1     /* repro.core.cache.SHARED */
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "18"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "19"  /* == engine/native.py NATIVE_VERSION */
 
 /* A machine plan's scalars (engine/native.py's ``machine_plan`` writes
  * them from the config), in order: ``setup`` and ``ladder_setup`` read
@@ -1808,25 +1816,29 @@ sync_export(Ctx *ctx, const SyncTable *t)
     return queues;
 }
 
+/* ``self._queues.setdefault(key, deque())``: a new reference. */
+static PyObject *
+queue_of(Ctx *ctx, PyObject *key)
+{
+    PyObject *queue = PyDict_GetItemWithError(ctx->queues, key);
+    if (queue)
+        return Py_NewRef(queue);
+    if (PyErr_Occurred())
+        return NULL;
+    queue = PyObject_CallNoArgs(g_deque);
+    if (queue && PyDict_SetItem(ctx->queues, key, queue) < 0)
+        Py_CLEAR(queue);
+    return queue;
+}
+
 /* ``self._queues.setdefault(key, deque()).append(item)`` */
 static int
 queue_push(Ctx *ctx, PyObject *key, PyObject *item)
 {
-    PyObject *queue = PyDict_GetItemWithError(ctx->queues, key);
-    if (queue) {
-        Py_INCREF(queue);
-    }
-    else {
-        if (PyErr_Occurred())
-            return -1;
-        queue = PyObject_CallNoArgs(g_deque);
-        if (!queue || PyDict_SetItem(ctx->queues, key, queue) < 0) {
-            Py_XDECREF(queue);
-            return -1;
-        }
-    }
-    PyObject *done = PyObject_CallMethodObjArgs(queue, s_append, item, NULL);
-    Py_DECREF(queue);
+    PyObject *queue = queue_of(ctx, key);
+    PyObject *done = queue ? PyObject_CallMethodObjArgs(queue, s_append,
+                                                        item, NULL) : NULL;
+    Py_XDECREF(queue);
     Py_XDECREF(done);
     return done ? 0 : -1;
 }
@@ -1909,31 +1921,170 @@ proc_event(Ctx *ctx, long long pid, Proc *proc, PyObject *event)
     return rc;
 }
 
-/* The "MP3D processes" and "Barnes-Hut processes" sections', below: an
- * iterator's ``tp_iternext`` names its type, and one step writes a
- * process's next chunk into the process's own words. */
-static PyObject *m3_next(PyObject *self);
-static int m3_step(PyObject *self, const long long **words);
-static PyObject *bh_next(PyObject *self);
-static long long bh_step(PyObject *self, const long long **words);
+/* The C workloads' processes -- MP3D's and Barnes-Hut's, the last two
+ * sections -- are one kind of iterator: a process struct
+ * begins with ``PROCESS_HEAD``, its run struct with ``RunHead``, and a
+ * ``ProcKind`` row holds what differs.  One step writes the process's next
+ * chunk into its own words; ``next()`` wraps them, and ``run`` reads them
+ * in place (``proc_refill``). */
+typedef struct {
+    int index;                  /* its type's, in the module's state */
+    const char *name;           /* its type's */
+    Py_ssize_t size;            /* its process struct's */
+    long long words;            /* the room a process's chunk starts with */
+    /* one resume: the next chunk into the process's words, how many; 0
+     * once the process has ended, -1 on error */
+    long long (*step)(PyObject *self);
+    void (*free_run)(void *run);        /* its views, memory and struct */
+} ProcKind;
+
+enum { KIND_MP3D, KIND_BARNES_HUT, N_KINDS };
+
+/* What every C process begins with. */
+#define PROCESS_HEAD \
+    PyObject_HEAD \
+    PyObject *owner;            /* the run's capsule */ \
+    const ProcKind *kind; \
+    void *run;                  /* what the run's processes share */ \
+    long long proc;             /* the processor it runs on */ \
+    long long *words, cap;      /* its chunk, room for ``cap`` words */
+
+typedef struct {
+    PROCESS_HEAD
+} Process;
+
+/* What every C workload's run begins with. */
+typedef struct {
+    const ProcKind *kind;
+    PyObject *chunk_type, *zero;        /* PackedChunk, array('q', [0]) */
+} RunHead;
+
+static const char RUN_NAME[] = "repro.trace.engine._native.processes";
+
+/* The module's state: a process type per kind, made at init. */
+typedef struct {
+    PyTypeObject *process_types[N_KINDS];
+} ModuleState;
+
+/* ``next(process)``: one step, its chunk as ``chunk_type(array('q'))``. */
+static PyObject *
+process_next(PyObject *self)
+{
+    Process *p = (Process *)self;
+    long long n = p->kind->step(self);
+    if (n <= 0)
+        return NULL;    /* ended (no error set), or failed */
+    const RunHead *run = p->run;
+    PyObject *data = PySequence_Repeat(run->zero, (Py_ssize_t)n);
+    PyObject *chunk = NULL;
+    Py_buffer view;
+    if (data && PyObject_GetBuffer(data, &view, PyBUF_WRITABLE) == 0) {
+        memcpy(view.buf, p->words, (size_t)n * sizeof *p->words);
+        PyBuffer_Release(&view);
+        chunk = PyObject_CallOneArg(run->chunk_type, data);
+    }
+    Py_XDECREF(data);
+    return chunk;
+}
+
+/* ``process.send(value)``: ``value`` is ignored, as the python twins'
+ * yields ignore theirs. */
+static PyObject *
+process_send(PyObject *self, PyObject *value)
+{
+    (void)value;
+    PyObject *chunk = process_next(self);
+    if (!chunk && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return chunk;
+}
+
+static PyMethodDef process_methods[] = {
+    {"send", process_send, METH_O,
+     "Resume the process (the value sent is ignored): its next chunk."},
+    {NULL, NULL, 0, NULL},
+};
+
+static void
+process_dealloc(PyObject *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    PyMem_Free(((Process *)self)->words);
+    Py_XDECREF(((Process *)self)->owner);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+static void
+run_free(PyObject *capsule)
+{
+    RunHead *run = PyCapsule_GetPointer(capsule, RUN_NAME);
+    if (!run)
+        return;
+    Py_XDECREF(run->chunk_type);
+    Py_XDECREF(run->zero);
+    run->kind->free_run(run);
+}
+
+/* The tail of every C workload's constructor: a list of ``n_procs``
+ * processes of ``kind`` over ``run``, its inputs all checked, whose
+ * ``next()`` wraps a chunk in ``chunk_type``.  The run is the capsule's
+ * made here, or freed, whatever happens. */
+static PyObject *
+processes_new(PyObject *module, const ProcKind *kind, RunHead *run,
+              PyObject *chunk_type, long long n_procs)
+{
+    run->kind = kind;
+    PyObject *capsule = PyCapsule_New(run, RUN_NAME, run_free);
+    if (!capsule) {
+        kind->free_run(run);
+        return NULL;
+    }
+    PyObject *array_mod = PyImport_ImportModule("array"), *result = NULL;
+    run->chunk_type = Py_NewRef(chunk_type);
+    run->zero = array_mod ? PyObject_CallMethod(array_mod, "array", "s(i)",
+                                                "q", 0) : NULL;
+    Py_XDECREF(array_mod);
+    PyTypeObject *type = ((ModuleState *)PyModule_GetState(module))
+                             ->process_types[kind->index];
+    if (run->zero)
+        result = PyList_New((Py_ssize_t)n_procs);
+    for (long long proc = 0; result && proc < n_procs; proc++) {
+        Process *p = (Process *)type->tp_alloc(type, 0);
+        if (p) {
+            PyList_SET_ITEM(result, proc, (PyObject *)p);
+            p->owner = Py_NewRef(capsule);
+            p->kind = kind;
+            p->run = run;
+            p->proc = proc;
+            p->cap = kind->words;
+            p->words = PyMem_Malloc((size_t)p->cap * sizeof *p->words);
+            if (!p->words)
+                PyErr_NoMemory();
+        }
+        if (!p || !p->words)
+            Py_CLEAR(result);
+    }
+    Py_DECREF(capsule);
+    return result;
+}
 
 /* ``_advance``'s resume: run ``proc``'s generator until it yields events
  * to drain (1: its cursor is installed) or ends (0); -1 on error, the
- * generator's own included.  Its clock does not move in here.  An MP3D
- * or Barnes-Hut process is not resumed: C steps it, and its chunk is read
- * where it was written (what it is sent it ignores, as its python twin
- * does). */
+ * generator's own included.  Its clock does not move in here.  A C
+ * process is not resumed: C steps it, and its chunk is read where it was
+ * written (what it is sent it ignores, as its python twin does). */
 static int
 proc_refill(Ctx *ctx, long long pid, Proc *proc)
 {
-    iternextfunc next = Py_TYPE(proc->generator)->tp_iternext;
-    if (next == m3_next || next == bh_next) {
+    if (Py_TYPE(proc->generator)->tp_iternext == process_next) {
+        Process *p = (Process *)proc->generator;
         Py_CLEAR(proc->response);
-        long long n = next == m3_next
-            ? m3_step(proc->generator, &proc->cursor.data)
-            : bh_step(proc->generator, &proc->cursor.data);
-        if (n > 0)
+        long long n = p->kind->step(proc->generator);
+        if (n > 0) {
+            proc->cursor.data = p->words;
             proc->cursor.end = n;
+        }
         return n > 0 ? 1 : (int)n;
     }
     while (!proc->cursor.data) {
@@ -2196,7 +2347,7 @@ fail:
 
 /* Every process back to its at-rest form: its words, the chunk it stands
  * in (an encoded event object is consumed by the time anything can stop
- * the run; the words an MP3D process wrote become a list) and the
+ * the run; the words a C process wrote become a list) and the
  * response it has yet to be sent. */
 static int
 procs_export(Ctx *ctx)
@@ -2259,6 +2410,19 @@ native_release(PyObject *self, PyObject *capsule)
 
 /* ----------------------------------------------------------------- run */
 
+/* Whether ``data`` ends inside the record at ``i``, short of the words
+ * ``OP_WIDTH`` gives its opcode.  Both drivers raise there what the
+ * reference loop's read of the missing operand raises, ``IndexError``,
+ * unless the record is a span of no element, which it skips without
+ * reading its stride. */
+static inline int
+record_cut(const long long *data, long long i, long long end)
+{
+    long long op = data[i];
+    return end - i < OP_WIDTH_MAX && op >= OP_READ && op <= OP_WRITE_SPAN
+           && end - i < OP_WIDTH[op];
+}
+
 /* Why the process that is running stops: the earliest ready process has
  * fallen behind it, or it blocked or finished. */
 enum { RUN_ON, RUN_PREEMPTED, RUN_OVER };
@@ -2320,6 +2484,39 @@ native_run(PyObject *self, PyObject *capsule)
             sub = cur->sub;
             while (state == RUN_ON && i < end) {
                 long long op = data[i];
+                if (record_cut(data, i, end)) {
+                    /* where the reference loop reads what is missing: a
+                     * span's size first, its stride once the clock is
+                     * checked; anything else's operands once the clock
+                     * is checked and the event counted -- a lock's or a
+                     * barrier's past the record, an enqueue's item once
+                     * its key's queue exists */
+                    int span = op == OP_READ_SPAN || op == OP_WRITE_SPAN;
+                    if (span && end - i == 3 && sub >= data[i + 2]) {
+                        i += 4;
+                        sub = 0;
+                        continue;
+                    }
+                    if ((!span || end - i == 3) && time > limit)
+                        goto limit_exceeded;
+                    if (!span)
+                        misc[X_EVENTS]++;
+                    if (op == OP_LOCK_ACQ || op == OP_LOCK_REL
+                        || op == OP_BARRIER) {
+                        i += OP_WIDTH[op];
+                    }
+                    else if (op == OP_ENQUEUE && end - i == 2) {
+                        PyObject *key = PyLong_FromLongLong(data[i + 1]);
+                        PyObject *queue = key ? queue_of(ctx, key) : NULL;
+                        Py_XDECREF(key);
+                        if (!queue)
+                            goto fail;
+                        Py_DECREF(queue);
+                    }
+                    PyErr_SetString(PyExc_IndexError,
+                                    "array index out of range");
+                    goto fail;
+                }
                 if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
                     if (time > limit)
                         goto limit_exceeded;
@@ -2886,6 +3083,15 @@ native_ladder_drain(PyObject *self, PyObject *args)
 
     while (i < end) {
         long long op = data[i];
+        if (record_cut(data, i, end)) {
+            if ((op == OP_READ_SPAN || op == OP_WRITE_SPAN) && end - i == 3
+                && data[i + 2] <= 0) {
+                i += 4;
+                continue;
+            }
+            PyErr_SetString(PyExc_IndexError, "array index out of range");
+            goto out;
+        }
         if (op == OP_READ) {
             long long line = data[i + 1] >> line_shift;
             i += 2;
@@ -3162,9 +3368,6 @@ out:
     (PF_EXACT + ((PF_MAX_REFS_LOG2 - 7) << PF_PER_OCTAVE_LOG2))
 #define PF_INSTRUCTION_BYTES 4  /* repro.core.icache.INSTRUCTION_BYTES */
 
-/* packed.OP_WIDTH, by opcode */
-static const int PF_WIDTH[] = {0, 2, 2, 2, 3, 2, 2, 3, 3, 2, 4, 4};
-
 /* One process's work summary; slot order is profile._SUMMARY_FIELDS. */
 enum {
     PF_READS, PF_WRITES, PF_INSTRUCTIONS, PF_COMPUTE, PF_LOCKS,
@@ -3319,7 +3522,7 @@ pf_walk(const long long *data, long long end, unsigned proc,
                          "unknown packed opcode %lld at word %lld", op, i);
             goto fail;
         }
-        int width = PF_WIDTH[op];
+        int width = OP_WIDTH[op];
         if (width > end - i) {
             PyErr_Format(PyExc_ValueError,
                          "truncated packed record at word %lld", i);
@@ -4322,12 +4525,13 @@ done:
  * processor 0's locked bookkeeping, barrier 1 -- is one chunk here and up
  * to eight yields there; no state moves between them.
  *
- * Driven through ``next()`` / ``send()`` -- the reference loop, a
- * ``StreamRecorder``, ``PyIter_Send`` -- an iterator yields each chunk as
- * ``chunk_type(list)``.  ``run`` knows the type (``proc_refill``) and has
- * it write the chunk into its own words, which the cursor reads in place.
- * Every input is checked before a process exists, and the physics keeps
- * what it was given in range (positions in the tunnel, velocities finite).
+ * An iterator is a C process (the "processes" section) of the MP3D kind:
+ * driven through ``next()`` / ``send()`` -- the reference loop, a
+ * ``StreamRecorder``, ``PyIter_Send`` -- it yields each chunk as
+ * ``chunk_type(array('q'))``, and ``run`` steps it itself and reads the
+ * chunk where it was written.  Every input is checked before a process
+ * exists, and the physics keeps what it was given in range (positions in
+ * the tunnel, velocities finite).
  */
 
 #define M3_PARTICLE 48          /* _PARTICLE_RECORD: pos @0, vel @24 */
@@ -4352,6 +4556,7 @@ enum { M3_POS, M3_VELS, M3_PARTNERS, M3_DRAWS, M3_VIEWS };
 
 /* What a run's processes share; its capsule is theirs. */
 typedef struct {
+    RunHead head;
     Py_buffer views[M3_VIEWS];
     double *pos, *vel;          /* [particle * 3 + axis] */
     long long *partner;         /* [cell]: the last particle seen, or -1 */
@@ -4359,40 +4564,26 @@ typedef struct {
     long long n, steps, nx, ny, nz, n_procs;
     double p_col;
     long long pbase, cbase, gbase, tbase;
-    PyObject *chunk_type;
 } M3Run;
-
-static const char M3_RUN_NAME[] = "repro.trace.engine._native.mp3d";
 
 /* Where a process stands: what its next step does. */
 enum { M3_STEP, M3_ADVANCE, M3_PAIR, M3_COLLIDE_NOW, M3_SETTLE };
 
 typedef struct {
-    PyObject_HEAD
-    PyObject *owner;            /* the run's capsule */
-    M3Run *run;
-    long long proc, step, particle, cell, partner;
+    PROCESS_HEAD
+    long long step, particle, cell, partner;
     long long carry;            /* the last particle's partner slot, to be
                                    written first; -1: none */
     int phase;
-    long long words[M3_WORDS];
 } M3Process;
 
-/* The module's state: the process types, made at init. */
-typedef struct {
-    PyTypeObject *mp3d_process, *barnes_process;
-} ModuleState;
-
 static void
-m3_run_free(PyObject *capsule)
+m3_free(void *run)
 {
-    M3Run *run = PyCapsule_GetPointer(capsule, M3_RUN_NAME);
-    if (!run)
-        return;
+    M3Run *r = run;
     for (int k = 0; k < M3_VIEWS; k++)
-        PyBuffer_Release(&run->views[k]);
-    Py_XDECREF(run->chunk_type);
-    PyMem_Free(run);
+        PyBuffer_Release(&r->views[k]);
+    PyMem_Free(r);
 }
 
 /* ``_in_wedge``: a ramp in the middle of the tunnel floor. */
@@ -4532,11 +4723,9 @@ m3_settle(M3Process *p)
     return m3_begin(p);
 }
 
-/* One resume of ``MP3DRun.process``: the next chunk's words into the
- * process's own (``*words`` points at them), how many; 0 once the process
- * has ended, -1 on error. */
-static int
-m3_step(PyObject *self, const long long **words)
+/* One resume of ``MP3DRun.process``: the MP3D kind's step. */
+static long long
+m3_step(PyObject *self)
 {
     M3Process *p = (M3Process *)self;
     M3Run *r = p->run;
@@ -4608,52 +4797,12 @@ m3_step(PyObject *self, const long long **words)
         n = m3_settle(p);
         break;
     }
-    *words = w;
     return n;
 }
 
-/* ``next(process)``: the chunk as ``chunk_type(list)``. */
-static PyObject *
-m3_next(PyObject *self)
-{
-    const long long *words;
-    int n = m3_step(self, &words);
-    if (n <= 0)
-        return NULL;    /* ended (no error set), or failed */
-    PyObject *list = words_list(words, n);
-    if (!list)
-        return NULL;
-    PyObject *chunk = PyObject_CallOneArg(((M3Process *)self)->run->chunk_type,
-                                          list);
-    Py_DECREF(list);
-    return chunk;
-}
-
-/* ``process.send(value)``, MP3D's processes' and Barnes-Hut's: ``value``
- * is ignored, as their generators' yields ignore theirs. */
-static PyObject *
-process_send(PyObject *self, PyObject *value)
-{
-    (void)value;
-    PyObject *chunk = Py_TYPE(self)->tp_iternext(self);
-    if (!chunk && !PyErr_Occurred())
-        PyErr_SetNone(PyExc_StopIteration);
-    return chunk;
-}
-
-static void
-m3_dealloc(PyObject *self)
-{
-    PyTypeObject *type = Py_TYPE(self);
-    Py_XDECREF(((M3Process *)self)->owner);
-    type->tp_free(self);
-    Py_DECREF(type);
-}
-
-static PyMethodDef process_methods[] = {
-    {"send", process_send, METH_O,
-     "Resume the process (the value sent is ignored): its next chunk."},
-    {NULL, NULL, 0, NULL},
+static const ProcKind M3_KIND = {
+    KIND_MP3D, "repro.trace.engine._native.Mp3dProcess", sizeof(M3Process),
+    M3_WORDS, m3_step, m3_free,
 };
 
 /* mp3d_processes(pos, vel, cell_partner, draws, steps, grid, n_procs,
@@ -4663,8 +4812,8 @@ static PyMethodDef process_methods[] = {
  * writable int64, one per cell of the ``(nx, ny, nz)`` grid; ``draws``:
  * float64, ``steps`` rows of one per particle; ``bases``: the particles',
  * space cells', globals' and cross-section table's; ``chunk_type``: what
- * ``next()`` wraps a chunk's list in.  Returns a list of one process per
- * processor. */
+ * ``next()`` wraps a chunk's ``array('q')`` in.  Returns a list of one
+ * process per processor. */
 static PyObject *
 native_mp3d_processes(PyObject *module, PyObject *args)
 {
@@ -4682,7 +4831,6 @@ native_mp3d_processes(PyObject *module, PyObject *args)
     const char *names[M3_VIEWS] = {"positions", "velocities",
                                    "cell partners", "collision draws"};
 
-    PyObject *capsule = NULL, *result = NULL;
     M3Run *r = PyMem_Calloc(1, sizeof(M3Run));
     if (!r)
         return PyErr_NoMemory();
@@ -4777,41 +4925,10 @@ native_mp3d_processes(PyObject *module, PyObject *args)
     r->steps = steps;
     r->n_procs = n_procs;
     r->p_col = p_col;
-    Py_INCREF(chunk_type);
-    r->chunk_type = chunk_type;
-
-    M3Run *run = r;
-    if (!(capsule = PyCapsule_New(run, M3_RUN_NAME, m3_run_free)))
-        goto fail;
-    r = NULL;       /* the capsule's now */
-    PyTypeObject *type =
-        ((ModuleState *)PyModule_GetState(module))->mp3d_process;
-    if (!(result = PyList_New((Py_ssize_t)n_procs)))
-        goto fail;
-    for (long long proc = 0; proc < n_procs; proc++) {
-        M3Process *p = (M3Process *)type->tp_alloc(type, 0);
-        if (!p) {
-            Py_CLEAR(result);
-            goto fail;
-        }
-        Py_INCREF(capsule);
-        p->owner = capsule;
-        p->run = run;
-        p->proc = proc;
-        p->phase = M3_STEP;
-        PyList_SET_ITEM(result, proc, (PyObject *)p);
-    }
-    Py_DECREF(capsule);
-    return result;
+    return processes_new(module, &M3_KIND, &r->head, chunk_type, n_procs);
 
 fail:
-    Py_XDECREF(capsule);
-    if (r) {
-        for (int k = 0; k < M3_VIEWS; k++)
-            PyBuffer_Release(&r->views[k]);
-        Py_XDECREF(r->chunk_type);
-        PyMem_Free(r);
-    }
+    m3_free(r);
     return NULL;
 }
 
@@ -4851,11 +4968,12 @@ fail:
  * ``-ffp-contract=off``) and writes each visit's words about the record it
  * visits as it goes.
  *
- * Driven through ``next()`` / ``send()`` an iterator yields each chunk as
- * ``chunk_type(array('q'))``; ``run`` steps it itself (``proc_refill``)
- * and reads the chunk where it was written.  Every input is checked before
- * a process exists; a cost rewritten out of range mid-run is refused by
- * the partition that reads it.
+ * An iterator is a C process (the "processes" section) of the Barnes-Hut
+ * kind: driven through ``next()`` / ``send()`` it yields each chunk as
+ * ``chunk_type(array('q'))``, and ``run`` steps it itself and reads the
+ * chunk where it was written.  Every input is checked before a process
+ * exists; a cost rewritten out of range mid-run is refused by the
+ * partition that reads it.
  */
 
 #define BH_BODY 96              /* _BODY_RECORD: pos @0, vel @32, acc @64 */
@@ -4872,6 +4990,8 @@ fail:
 #define BH_LOCK_BASE 100        /* _CELL_LOCK_BASE */
 #define BH_MAX_DEPTH 32         /* _MAX_DEPTH */
 #define BH_VISIT 10             /* the most words one node visit writes */
+#define BH_WORDS 64             /* a chunk's room to begin with (bh_room
+                                   grows it) */
 #define BH_BODIES_MAX (1LL << 24)
 #define BH_COST_MAX (1LL << 28) /* so a deal's sums are exact doubles */
 #define BH_STEPS_MAX (1LL << 32)
@@ -4891,6 +5011,7 @@ typedef struct {
 
 /* What a run's processes share; its capsule is theirs. */
 typedef struct {
+    RunHead head;
     Py_buffer views[BH_VIEWS];
     double *pos, *vel;          /* [body * 3 + axis] */
     const double *mass;         /* [body] */
@@ -4911,10 +5032,7 @@ typedef struct {
     long long n_levels;
     long long *stack;           /* a walk's: room for the root and every
                                    child slot of the cell array */
-    PyObject *chunk_type, *zero;        /* PackedChunk, array('q', [0]) */
 } BhRun;
-
-static const char BH_RUN_NAME[] = "repro.trace.engine._native.barnes_hut";
 
 /* Where a process stands: what its next resume does. */
 enum {
@@ -4925,21 +5043,19 @@ enum {
 };
 
 typedef struct {
-    PyObject_HEAD
-    PyObject *owner;            /* the run's capsule */
-    BhRun *run;
-    long long proc, step, depth;        /* depth: the level summed next */
+    PROCESS_HEAD
+    long long step, depth;      /* depth: the level summed next */
     int phase;
     /* the insert phase: how many of its bodies the processor has taken,
      * the one descending, the cell it stands in, the slot it reads there
      * and what it found, and the subcell a split makes */
     long long taken, body, cell, octant, child, subcell;
-    long long *words, cap;      /* the chunk, room for ``cap`` words */
 } BhProcess;
 
 static void
-bh_free(BhRun *r)
+bh_free(void *run)
 {
+    BhRun *r = run;
     for (int k = 0; k < BH_VIEWS; k++)
         PyBuffer_Release(&r->views[k]);
     PyMem_Free(r->acc);
@@ -4951,17 +5067,7 @@ bh_free(BhRun *r)
     PyMem_Free(r->levels);
     PyMem_Free(r->level_first);
     PyMem_Free(r->stack);
-    Py_XDECREF(r->chunk_type);
-    Py_XDECREF(r->zero);
     PyMem_Free(r);
-}
-
-static void
-bh_run_free(PyObject *capsule)
-{
-    BhRun *run = PyCapsule_GetPointer(capsule, BH_RUN_NAME);
-    if (run)
-        bh_free(run);
 }
 
 static inline long long
@@ -5493,18 +5599,17 @@ bh_barrier(BhProcess *p, long long id, int next)
 {
     p->words[0] = OP_BARRIER;
     p->words[1] = id;
-    p->words[2] = p->run->n_procs;
+    p->words[2] = ((const BhRun *)p->run)->n_procs;
     p->phase = next;
     return 3;
 }
 
-/* One resume of ``BarnesHutRun.process``: the next chunk's words into
- * the process's own (``*words`` points at them), how many; 0 once the
- * process has ended, -1 on error (it has ended then too, as a generator
- * that raised has).  A phase whose chunk is empty yields nothing: its
- * resume carries on to the barrier after it. */
+/* One resume of ``BarnesHutRun.process``: the Barnes-Hut kind's step
+ * (after an error the process has ended, as a generator that raised has).
+ * A phase whose chunk is empty yields nothing: its resume carries on to
+ * the barrier after it. */
 static long long
-bh_step(PyObject *self, const long long **words)
+bh_step(PyObject *self)
 {
     BhProcess *p = (BhProcess *)self;
     BhRun *r = p->run;
@@ -5608,42 +5713,16 @@ bh_step(PyObject *self, const long long **words)
         }
     }
 yield:
-    *words = p->words;
     return n;
 fail:
     p->phase = BH_ENDED;
     return -1;
 }
 
-/* ``next(process)``: the chunk as ``chunk_type(array('q'))``. */
-static PyObject *
-bh_next(PyObject *self)
-{
-    const long long *words;
-    long long n = bh_step(self, &words);
-    if (n <= 0)
-        return NULL;    /* ended (no error set), or failed */
-    BhRun *r = ((BhProcess *)self)->run;
-    PyObject *data = PySequence_Repeat(r->zero, (Py_ssize_t)n), *chunk = NULL;
-    Py_buffer view;
-    if (data && PyObject_GetBuffer(data, &view, PyBUF_WRITABLE) == 0) {
-        memcpy(view.buf, words, (size_t)n * sizeof *words);
-        PyBuffer_Release(&view);
-        chunk = PyObject_CallOneArg(r->chunk_type, data);
-    }
-    Py_XDECREF(data);
-    return chunk;
-}
-
-static void
-bh_dealloc(PyObject *self)
-{
-    PyTypeObject *type = Py_TYPE(self);
-    PyMem_Free(((BhProcess *)self)->words);
-    Py_XDECREF(((BhProcess *)self)->owner);
-    type->tp_free(self);
-    Py_DECREF(type);
-}
+static const ProcKind BH_KIND = {
+    KIND_BARNES_HUT, "repro.trace.engine._native.BarnesHutProcess",
+    sizeof(BhProcess), BH_WORDS, bh_step, bh_free,
+};
 
 /* barnes_processes(pos, vel, mass, cost, steps, theta, softening, dt,
  *                  n_procs, partition, bases, chunk_type)
@@ -5672,7 +5751,6 @@ native_barnes_processes(PyObject *module, PyObject *args)
                                    "costs"};
     const char *knob_names[3] = {"theta", "softening", "dt"};
 
-    PyObject *capsule = NULL, *result = NULL, *array_mod = NULL;
     BhRun *r = PyMem_Calloc(1, sizeof(BhRun));
     if (!r)
         return PyErr_NoMemory();
@@ -5788,50 +5866,12 @@ native_barnes_processes(PyObject *module, PyObject *args)
     /* ``_cluster_partition`` of the bodies in index order */
     for (long long b = 0; b < r->n; b++)
         r->ordered[b] = b;
-    if (bh_deal(r, r->ordered, r->n) < 0
-            || !(array_mod = PyImport_ImportModule("array"))
-            || !(r->zero = PyObject_CallMethod(array_mod, "array", "s(i)",
-                                               "q", 0)))
+    if (bh_deal(r, r->ordered, r->n) < 0)
         goto fail;
-    Py_CLEAR(array_mod);
-    Py_INCREF(chunk_type);
-    r->chunk_type = chunk_type;
-
-    BhRun *run = r;
-    if (!(capsule = PyCapsule_New(run, BH_RUN_NAME, bh_run_free)))
-        goto fail;
-    r = NULL;       /* the capsule's now */
-    PyTypeObject *type =
-        ((ModuleState *)PyModule_GetState(module))->barnes_process;
-    if (!(result = PyList_New((Py_ssize_t)n_procs)))
-        goto fail;
-    for (long long proc = 0; proc < n_procs; proc++) {
-        BhProcess *p = (BhProcess *)type->tp_alloc(type, 0);
-        if (!p) {
-            Py_CLEAR(result);
-            goto fail;
-        }
-        PyList_SET_ITEM(result, proc, (PyObject *)p);
-        Py_INCREF(capsule);
-        p->owner = capsule;
-        p->run = run;
-        p->proc = proc;
-        p->phase = BH_STEP;
-        p->cap = 64;
-        if (!(p->words = PyMem_Malloc((size_t)p->cap * sizeof *p->words))) {
-            PyErr_NoMemory();
-            Py_CLEAR(result);
-            goto fail;
-        }
-    }
-    Py_DECREF(capsule);
-    return result;
+    return processes_new(module, &BH_KIND, &r->head, chunk_type, n_procs);
 
 fail:
-    Py_XDECREF(array_mod);
-    Py_XDECREF(capsule);
-    if (r)
-        bh_free(r);
+    bh_free(r);
     return NULL;
 }
 
@@ -5861,14 +5901,15 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* The C processes' kinds, a type each. */
+static const ProcKind *const PROC_KINDS[] = {&M3_KIND, &BH_KIND};
+
 static void
 module_free(void *module)
 {
     ModuleState *state = PyModule_GetState((PyObject *)module);
-    if (state) {
-        Py_CLEAR(state->mp3d_process);
-        Py_CLEAR(state->barnes_process);
-    }
+    for (int k = 0; state && k < N_KINDS; k++)
+        Py_CLEAR(state->process_types[k]);
 }
 
 static struct PyModuleDef moduledef = {
@@ -5894,36 +5935,29 @@ PyInit__native(void)
     if (!s_append || !s_popleft)
         return NULL;
     PyType_Slot slots[] = {
-        {Py_tp_dealloc, m3_dealloc},
+        {Py_tp_dealloc, process_dealloc},
         {Py_tp_iter, PyObject_SelfIter},
-        {Py_tp_iternext, m3_next},
+        {Py_tp_iternext, process_next},
         {Py_tp_methods, process_methods},
         {0, NULL},
-    };
-    PyType_Spec spec = {
-        "repro.trace.engine._native.Mp3dProcess", sizeof(M3Process), 0,
-        Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, slots,
-    };
-    PyType_Slot bh_slots[] = {
-        {Py_tp_dealloc, bh_dealloc},
-        {Py_tp_iter, PyObject_SelfIter},
-        {Py_tp_iternext, bh_next},
-        {Py_tp_methods, process_methods},
-        {0, NULL},
-    };
-    PyType_Spec bh_spec = {
-        "repro.trace.engine._native.BarnesHutProcess", sizeof(BhProcess), 0,
-        Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, bh_slots,
     };
     PyObject *module = PyModule_Create(&moduledef);
     if (!module)
         return NULL;
     ModuleState *state = PyModule_GetState(module);
-    state->mp3d_process = (PyTypeObject *)PyType_FromSpec(&spec);
-    state->barnes_process = (PyTypeObject *)PyType_FromSpec(&bh_spec);
-    if (!state->mp3d_process || !state->barnes_process
-        || PyModule_AddStringConstant(module, "ABI_VERSION",
-                                      ABI_VERSION) < 0) {
+    for (int k = 0; k < N_KINDS; k++) {
+        const ProcKind *kind = PROC_KINDS[k];
+        PyType_Spec spec = {
+            kind->name, (int)kind->size, 0,
+            Py_TPFLAGS_DEFAULT | Py_TPFLAGS_DISALLOW_INSTANTIATION, slots,
+        };
+        if (!(state->process_types[kind->index] =
+                  (PyTypeObject *)PyType_FromSpec(&spec))) {
+            Py_DECREF(module);
+            return NULL;
+        }
+    }
+    if (PyModule_AddStringConstant(module, "ABI_VERSION", ABI_VERSION) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -40,9 +40,12 @@ as the contract), the SPEC-stream kernel (``spec_burst``, called by
 :meth:`repro.workloads.spec.SpecApp.burst_chunk`), and MP3D's and
 Barnes-Hut's processes (``mp3d_processes`` and ``barnes_processes``,
 called by :meth:`repro.workloads.mp3d.MP3D.processes` and
-:meth:`repro.workloads.barnes_hut.BarnesHut.processes`; ``run`` steps
-them itself).  The last three are the only way those workloads make
-their streams; their python twins are test oracles in ``tests/oracles/``.
+:meth:`repro.workloads.barnes_hut.BarnesHut.processes`), two kinds of
+one C process: whichever kind, it yields its chunks through ``next()`` /
+``send()`` as a ``PackedChunk`` of an ``array('q')``, and ``run`` steps
+it itself, reading the words where the step wrote them.  The last three
+are the only way those workloads make their streams; their python twins
+are test oracles in ``tests/oracles/``.
 One build, one ``ABI_VERSION`` check, serves all six.  The
 ladder is a second driver of the same memory system: to C a ladder rung
 is a one-processor machine, described by the :func:`machine_plan` a run's
@@ -89,7 +92,7 @@ __all__ = ["NATIVE_VERSION", "load", "machine_plan", "run", "settle"]
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "18"
+NATIVE_VERSION = "19"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one

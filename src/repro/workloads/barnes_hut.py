@@ -25,14 +25,17 @@ ratio preserved by scaling the SCC ladder by the matching factor (see
 DESIGN.md).
 
 The processes are the native extension's (``barnes_processes``,
-``trace/engine/_native.c``); their python twin, the reference the tests
-hold them to resume for resume, is ``tests/oracles/barnes_hut.py``.  A
-sweep prices many machine configurations of this one program, and a
-:class:`BarnesHut` object remembers between runs what no configuration
-can change: the cost-seeding pre-pass every run starts from (DESIGN.md
-section 7, "What a workload object may remember between runs").  Which
-cell sits at which address is decided by lock races during insertion, so
-nothing of a tree's walks is remembered.
+``trace/engine/_native.c``), one kind of its C process: an iterator
+whose chunks are ``PackedChunk``s of an ``array('q')``, and which a
+native run steps without resuming anything.  Their python twin, the
+reference the tests hold them to resume for resume, is
+``tests/oracles/barnes_hut.py``.  A sweep prices many machine
+configurations of this one program, and a :class:`BarnesHut` object
+remembers between runs what no configuration can change: the
+cost-seeding pre-pass every run starts from (DESIGN.md section 7, "What
+a workload object may remember between runs").  Which cell sits at which
+address is decided by lock races during insertion, so nothing of a
+tree's walks is remembered.
 """
 
 from __future__ import annotations

@@ -27,11 +27,13 @@ Like the paper's runs, particles are dealt round-robin (no locality by
 construction) and each step ends at a barrier.
 
 The processes are the native extension's (``mp3d_processes``,
-``trace/engine/_native.c``); their python twin, the reference the tests
-hold them to resume for resume, is ``tests/oracles/mp3d.py``.  Nothing
-of a run can be remembered for the next: the partner slots and the
-partners' velocities every processor reads and writes make each stream
-depend on the interleaving.
+``trace/engine/_native.c``), one kind of its C process: an iterator
+whose chunks are ``PackedChunk``s of an ``array('q')``, and which a
+native run steps without resuming anything.  Their python twin, the
+reference the tests hold them to resume for resume, is
+``tests/oracles/mp3d.py``.  Nothing of a run can be remembered for the
+next: the partner slots and the partners' velocities every processor
+reads and writes make each stream depend on the interleaving.
 """
 
 from __future__ import annotations

@@ -74,6 +74,11 @@ MP3D_PARTNER_CARRY = ("if (p->carry >= 0) {", "if (0) {")
 #: lock acts on the slot as it found it before, never reading it again,
 #: so a subtree another processor installed meanwhile is overwritten.
 BH_RACED_REREAD = ("p->child = c->children[p->octant];", "/* no re-read */")
+#: ... and one in how a run tells those C processes from a generator: it
+#: takes them for generators and resumes them through ``PyIter_Send``.
+C_PROCESS_UNSEEN = (
+    "if (Py_TYPE(proc->generator)->tp_iternext == process_next) {",
+    "if (0) {")
 
 
 def unpacked(app):

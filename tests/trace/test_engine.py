@@ -14,8 +14,10 @@ import pytest
 
 from repro.trace.engine import (BACKEND_CHOICES, backend_info,
                                 engine_degradation, resolve_backend)
-from repro.trace.packed import (OP_COMPUTE, OP_IFETCH, OP_READ,
-                                OP_READ_SPAN, OP_WRITE, OP_WRITE_SPAN)
+from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
+                                OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
+                                OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WRITE,
+                                OP_WRITE_SPAN)
 
 
 # ----------------------------------------------------------------------
@@ -1240,6 +1242,63 @@ def test_a_word_no_int64_holds_is_refused_alike(piece):
     assert outcome("python") == native
 
 
+#: A record the end of its chunk cuts short, by opcode, as it follows a
+#: whole read: all of its operands but the last, then fewer.  The value
+#: is what the reference loop does with it -- its error, and the events it
+#: counts first (a span's size is read before its event is counted) --
+#: and the queues it leaves (the enqueue's key was read, its item not).
+CUT_RECORDS = {
+    "read": ([OP_READ], True, 2),
+    "write": ([OP_WRITE], True, 2),
+    "compute": ([OP_COMPUTE], True, 2),
+    "ifetch": ([OP_IFETCH, 64], True, 2),
+    "lock-acquire": ([OP_LOCK_ACQ], True, 2),
+    "lock-release": ([OP_LOCK_REL], True, 2),
+    "barrier": ([OP_BARRIER, 3], True, 2),
+    "enqueue": ([OP_ENQUEUE, 5], True, 2),
+    "dequeue": ([OP_DEQUEUE], True, 2),
+    "read-span": ([OP_READ_SPAN, 512, 64], True, 1),
+    "write-span": ([OP_WRITE_SPAN, 512, 64], True, 1),
+    "ifetch-bare": ([OP_IFETCH], True, 2),
+    "barrier-bare": ([OP_BARRIER], True, 2),
+    "enqueue-bare": ([OP_ENQUEUE], True, 2),
+    "read-span-base-only": ([OP_READ_SPAN, 512], True, 1),
+    "write-span-bare": ([OP_WRITE_SPAN], True, 1),
+    # a span of no element is skipped before its stride is read
+    "read-span-of-nothing": ([OP_READ_SPAN, 512, 0], False, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_RECORDS))
+def test_a_record_cut_short_raises_where_the_reference_loop_does(name):
+    """Neither engine reads past a chunk: the native one raises the
+    reference loop's ``IndexError`` at the same event, with the same
+    count, leaving every process standing alike (a lock or barrier past
+    its record, as after any error of its own) and the same queues."""
+    from repro.core.config import SystemConfig
+    cut, raises, events = CUT_RECORDS[name]
+    config = SystemConfig(clusters=1, processors_per_cluster=1,
+                          scc_size=1024, model_icache=True)
+    streams = {0: [[OP_READ, 0, *cut]]}
+
+    def outcome(backend):
+        kept = []
+        result = _outcome(config, streams, backend, prepare=kept.append)
+        result["standing"] = {
+            pid: (process.chunk and list(process.chunk), process.chunk_pos,
+                  process.chunk_sub, process.time)
+            for pid, process in kept[0]._processes.items()}
+        return result
+
+    reference = outcome("python")
+    assert reference["error"] == (
+        ("IndexError", "array index out of range") if raises else None)
+    assert reference["events"] == events
+    assert reference["sync"]["queues"] == (
+        {5: []} if name == "enqueue" else {})
+    assert outcome("native") == reference
+
+
 # ----------------------------------------------------------------------
 # State continuity: what one run leaves, the next one -- either
 # engine's -- picks up
@@ -1810,9 +1869,9 @@ class TestNativeAbiGuard:
             run=real.run, release=real.release,
             ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
             ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "18"
+        assert native.NATIVE_VERSION == "19"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '18'")
+            "stale extension old.so: ABI '5', need '19'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
@@ -1847,7 +1906,7 @@ class TestNativeAbiGuard:
             with pytest.raises(ImportError) as raised:
                 first_use()
             message = str(raised.value)
-            assert "stale extension old.so: ABI None, need '18'" in message
+            assert "stale extension old.so: ABI None, need '19'" in message
             assert f"compile failed ({compiler})" in message
             assert "Python.h: no such file" in message
         assert native._mod is None
@@ -1971,6 +2030,44 @@ class TestSpecBurst:
             native.load().spec_burst(*args.values())
         assert list(out) == before
         assert list(recent) == recent_before
+
+
+# ----------------------------------------------------------------------
+# The C processes: MP3D's and Barnes-Hut's are two kinds of one iterator
+# ----------------------------------------------------------------------
+
+def _one_c_process(kind):
+    """The one process of a uniprocessor run of ``kind``'s C processes."""
+    from repro.core.config import SystemConfig
+    from repro.workloads import barnes_hut, mp3d
+    config = SystemConfig(clusters=1, processors_per_cluster=1)
+    run = (mp3d._KernelRun(mp3d.MP3D(n_particles=4, steps=1), config)
+           if kind == "mp3d" else
+           barnes_hut._KernelRun(
+               barnes_hut.BarnesHut(n_bodies=40, steps=1), config))
+    process, = run.processes
+    return process
+
+
+@pytest.mark.parametrize("kind", ["mp3d", "barnes-hut"])
+def test_processes_run_apart_from_their_interleaver(kind):
+    """A C process is an iterator like any other, whichever its kind:
+    ``iter`` is itself, ``send`` ignores its value, a chunk is a
+    ``PackedChunk`` of an ``array('q')`` (what the reference loop reads
+    in place), and it stays ended once it has ended."""
+    from repro.trace.packed import PackedChunk
+    process = _one_c_process(kind)
+    assert iter(process) is process
+    first = process.send("ignored")
+    assert type(first) is PackedChunk
+    assert type(first.data) is array and first.data.typecode == "q"
+    assert list(process)
+    with pytest.raises(StopIteration):
+        process.send(None)
+    with pytest.raises(StopIteration):
+        next(process)
+    with pytest.raises(TypeError):
+        type(process)()
 
 
 def test_extension_compiles_warning_free(tmp_path):

@@ -246,6 +246,34 @@ class TestNativeLadderErrorParity:
         assert outcomes["python"] is not None
         assert outcomes["native"] == outcomes["python"]
 
+    @pytest.mark.parametrize("cut", [
+        [OP_READ], [OP_WRITE], [OP_COMPUTE], [OP_IFETCH, 64],
+        [OP_LOCK_ACQ], [OP_LOCK_REL], [OP_BARRIER, 1], [OP_ENQUEUE, 5],
+        [OP_DEQUEUE], [OP_READ_SPAN, 512, 64], [OP_WRITE_SPAN, 512, 64],
+    ], ids=["read", "write", "compute", "ifetch", "lock-acquire",
+            "lock-release", "barrier", "enqueue", "dequeue", "read-span",
+            "write-span"])
+    def test_a_record_cut_short_raises_like_per_size_replay(self, cut):
+        """A tape whose last record lacks its last operand: per-size
+        replay's read of it raises ``IndexError``, and so does the pass,
+        which reads nothing past the tape."""
+        outcomes = self.both({0: array("q", [OP_READ, 0, *cut])})
+        assert outcomes["python"] == (IndexError,
+                                      "array index out of range")
+        assert outcomes["native"] == outcomes["python"]
+
+    def test_a_cut_span_of_nothing_is_skipped_like_per_size_replay(self):
+        """... unless the record is a span of no element, which both skip
+        before its stride is read."""
+        streams = {0: array("q", [OP_READ, 0, OP_WRITE, 4096,
+                                  OP_READ_SPAN, 512, 0])}
+        python, native = (
+            [(result.stats.as_dict(), result.events_processed)
+             for result in fused_ladder_results(ladder(), streams,
+                                                backend=backend)]
+            for backend in ("python", "native"))
+        assert native == python
+
     def test_negative_compute_is_refused_like_per_size_replay(self):
         """Two rungs: per-size replay raises at the compute, before a
         cycle is charged at either size, and so does the pass, before

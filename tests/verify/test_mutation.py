@@ -37,7 +37,10 @@ So do MP3D's C processes, which every engine runs: a mutant there
 (``MP3D_PARTNER_CARRY``) fails their parity test with
 ``MP3DRun.process`` (``tests/oracles/mp3d.py``), and so do Barnes-Hut's
 (``BH_RACED_REREAD``) theirs with ``BarnesHutRun.process``
-(``tests/oracles/barnes_hut.py``)."""
+(``tests/oracles/barnes_hut.py``).  A run steps both kinds itself,
+whichever workload's: one that resumed them as generators
+(``C_PROCESS_UNSEEN``) would count the same events, so what fails is
+each workload's check that a native run resumes nothing."""
 
 import pytest
 
@@ -46,14 +49,15 @@ from repro.verify import (diff_tape, generate_tape, run_fuzz, run_tape,
                           shrink_tape)
 from repro.verify.differ import _compare, engine_registry, fused_eligible
 
-from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD, FILL_FORGOTTEN,
+from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD,
+                        C_PROCESS_UNSEEN, FILL_FORGOTTEN,
                         ICACHE_REFILL_CHAIN, LADDER_LOCK_HELD, LADDER_SKEW,
                         LOST_NO_BACKWARD_SHIFT, MP3D_PARTNER_CARRY,
                         READ_MISS_DONE, READY_BUCKET_LIFO, READY_TIE_BREAK,
                         SPEC_HOT_PARITY, SWITCH_PASSES_THE_HEAP,
                         VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
                         WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
-from ..workloads import test_barnes_hut
+from ..workloads import test_barnes_hut, test_mp3d
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
 
@@ -392,6 +396,17 @@ class TestBarnesHutProcessMutationIsCaught:
         with pytest.raises(AssertionError):
             test_barnes_hut.assert_process_matches(
                 *test_barnes_hut.quick_point(8, 8192), backend)
+
+
+class TestProcessKindMutationIsCaught:
+    @pytest.mark.parametrize("workload", [
+        test_mp3d.TestMp3dProcess, test_barnes_hut.TestBarnesHutProcess],
+        ids=["mp3d", "barnes-hut"])
+    def test_a_c_process_resumed_as_a_generator_fails_the_resume_count(
+            self, workload, mutant_native, monkeypatch):
+        monkeypatch.setattr(native, "_mod", mutant_native(*C_PROCESS_UNSEEN))
+        with pytest.raises(AssertionError):
+            workload().test_a_native_run_resumes_nothing()
 
 
 class TestUnmutatedBaseline:

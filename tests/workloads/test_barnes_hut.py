@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import threading
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -568,25 +567,6 @@ class TestBarnesHutProcess:
                 resumes.append(interleaver.generator_resumes)
         assert resumes[0] == resumes[2] == 0
         assert min(resumes[1], resumes[3]) > 2000
-
-    def test_processes_run_apart_from_their_interleaver(self):
-        """A process made by ``barnes_processes`` is an iterator like any
-        other: ``iter`` is itself, ``send`` ignores its value, a chunk is
-        an ``array('q')``, and it stays ended once it has ended."""
-        run = kernel_run(new_app(steps=1),
-                         SystemConfig(clusters=1, processors_per_cluster=1))
-        process, = run.processes
-        assert iter(process) is process
-        first = process.send("ignored")
-        assert type(first) is PackedChunk
-        assert type(first.data) is array and first.data.typecode == "q"
-        assert list(process)
-        with pytest.raises(StopIteration):
-            process.send(None)
-        with pytest.raises(StopIteration):
-            next(process)
-        with pytest.raises(TypeError):
-            type(process)()
 
     @pytest.mark.parametrize("path", ["python", "kernel"])
     def test_an_exhausted_cell_pool_raises_where_the_generator_does(

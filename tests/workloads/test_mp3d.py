@@ -305,25 +305,6 @@ class TestMp3dProcess:
         assert [other[1:] for other in others] == [
             (counted, counted), (counted, None), (counted, counted)]
 
-    def test_processes_run_apart_from_their_interleaver(self):
-        """A process made by ``mp3d_processes`` is an iterator like any
-        other: ``iter`` is itself, ``send`` ignores its value, and it
-        stays ended once it has ended."""
-        run = _KernelRun(MP3D(n_particles=4, steps=1),
-                         SystemConfig(clusters=1, processors_per_cluster=1))
-        process, = run.processes
-        assert iter(process) is process
-        first = process.send("ignored")
-        assert type(first) is PackedChunk and type(first.data) is list
-        rest = list(process)
-        assert rest
-        with pytest.raises(StopIteration):
-            process.send(None)
-        with pytest.raises(StopIteration):
-            next(process)
-        with pytest.raises(TypeError):
-            type(process)()
-
     def test_a_partner_slot_rewritten_mid_run_is_refused(self):
         """The slots are read in place: one a caller scribbles over names
         no particle, and the resume that reads it raises instead of
