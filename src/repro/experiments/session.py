@@ -67,12 +67,6 @@ def default_session_dir() -> Path:
     return cache_root() / "sessions"
 
 
-STALE_TMP_AGE_S = 3600.0
-"""Version-1 journals (``<sig>.json``) and their per-PID ``*.tmp``
-temporaries older than this are debris, not a write in progress by a
-process of the previous release."""
-
-
 def _read_log(data: bytes) -> Tuple[object, Dict[str, dict], int]:
     """Parse a journal log: its header (``None`` if line 1 does not
     decode), the last entry per point label, and the length of the
@@ -102,16 +96,12 @@ def _read_log(data: bytes) -> Tuple[object, Dict[str, dict], int]:
 
 
 def prune_stale_journals(directory: Optional[Path],
-                         keep_signature: Optional[str] = None,
-                         tmp_age: float = STALE_TMP_AGE_S) -> List[Path]:
+                         keep_signature: Optional[str] = None) -> List[Path]:
     """Garbage-collect the session directory; returns the paths removed.
 
-    Two kinds of debris accumulate without this: files of the
-    version-1 journal -- ``<sig>.json`` and the per-PID
-    ``<sig>.json.<pid>.tmp`` temporaries its writer could orphan --
-    removed once older than ``tmp_age`` seconds, and logs of *finished*
-    sweeps -- every grid point's last entry ``done`` -- which no live
-    run will ever resume.  In-progress and quarantine-bearing logs are
+    Logs of *finished* sweeps -- every grid point's last entry ``done``
+    -- accumulate without this, and no live run will ever resume them.
+    In-progress and quarantine-bearing logs are
     kept (they are exactly what ``--resume`` needs), as is the log
     matching ``keep_signature`` (the opening session's own), and logs
     whose header is damaged are left for :meth:`SessionJournal.load`
@@ -123,15 +113,6 @@ def prune_stale_journals(directory: Optional[Path],
     if not directory.is_dir():
         return []
     removed: List[Path] = []
-    now = time.time()
-    for old in [*directory.glob("*.json.*.tmp"),
-                *directory.glob("*.json")]:
-        try:
-            if now - old.stat().st_mtime >= tmp_age:
-                old.unlink()
-                removed.append(old)
-        except OSError:
-            continue
     for path in directory.glob("*.jsonl"):
         if keep_signature is not None and path.stem == keep_signature:
             continue

@@ -15,12 +15,13 @@ The SCC/bus timing model has two implementations ("backends", psim's
   instruction-cache refills -- and the run around it: one
   ``_native.run`` call resumes the generators, executes their chunks
   over the shared ``array('q')`` tag/state/bank/bus storage, switches
-  processes on its own copy of the ready queue and keeps the locks,
-  barriers and task queues.  It also carries the fused ladder, a second
-  driver of the same memory system: each rung is planned
+  processes on its own copy of the ready queue, keeps the locks,
+  barriers and task queues, and writes it all back before it returns
+  or raises.  It also carries the fused ladder, a second driver of the
+  same memory system: each rung is planned
   (:func:`~repro.trace.engine.native.machine_plan`) and settled
   (:func:`~repro.trace.engine.native.settle`) as a run's machine is, and
-  one ``ladder_drain`` call runs a whole pass, locks and barriers
+  one ``_native.ladder`` call runs a whole pass, locks and barriers
   included.  Python
   is left the generators' bodies -- and for MP3D and Barnes-Hut not
   even those: their processes are the extension's own iterators, which

@@ -4,7 +4,7 @@
  * The one fast implementation of the timing model.  Its contract is the
  * reference loop's -- ``TimingInterleaver._run_generic`` driving the
  * repro.core objects one event at a time (src/repro/trace/interleave.py)
- * -- and between ``setup`` and ``release`` C owns the run: the data path
+ * -- and for the length of one ``run`` call C owns the run: the data path
  * (hits, bank/write-buffer timing, the snoopy MSI/MESI miss path with its
  * bus arbitration, instruction-cache refills), scheduling, the locks,
  * barriers and task queues, and the resuming of the application
@@ -15,9 +15,9 @@
  * observably identical to the reference loop -- the differential verifier
  * diffs fingerprints and error messages.
  *
- * Ownership: python containers are the machine's state *at rest*; between
- * ``setup`` and ``release`` C works on its own copy, and nothing in
- * python reads or writes the machine in between.
+ * Ownership: python containers are the machine's state *at rest*; during
+ * a ``run`` C works on its own copy, and nothing in python reads or
+ * writes the machine until it returns.
  *
  *   - tag/state arrays (the SCCs' and each processor's icache's), bank
  *     free times, the bus clock: ``array('q')`` storage C reads and writes
@@ -25,19 +25,19 @@
  *     view);
  *   - the ready queue: ``Ctx.rq``, a window of one-cycle buckets with a
  *     heap of ``(time, seq, pid)`` triples for overflow (the "scheduler"
- *     section), read from ``interleaver._heap`` when ``run`` starts and
- *     written back to it -- whatever is still ready -- at ``release``;
+ *     section), read from ``interleaver._heap`` when the drive starts and
+ *     written back to it -- whatever is still ready -- at the end;
  *   - in-flight fills, write buffers and lost lines: each SCC's ``Words``
  *     -- per-index ``fill_line``/``fill_ready``, a heap of retire times
  *     per bank and an open-addressing set of lines --, imported from
  *     ``scc._inflight``, ``interconnect._write_buffers`` and
- *     ``scc._lost_lines`` at ``setup`` and written back to them at
- *     ``release`` (the "words" section has the argument);
+ *     ``scc._lost_lines`` and written back to them (the "words" section
+ *     has the argument);
  *   - the processes (clock, blocked/finished flags, pending response and
  *     chunk) and the locks and barriers with their wait queues: the
  *     wrapper flattens ``_processes``, ``_locks`` and ``_barriers`` into
- *     words and lists for ``setup`` and rebuilds them from what
- *     ``release`` leaves and returns (the "processes" section).
+ *     words and lists of the plan and rebuilds them from what the call
+ *     leaves there (the "processes" section).
  *
  * What C still touches as python objects, all off the data path: the
  * task-queue deques, and what a generator yields -- a ``PackedChunk``,
@@ -45,17 +45,17 @@
  * here into a cursor of one event.  A hit, a miss and a switch of
  * processes touch C words only.
  *
- * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
- * with all buffers acquired once.  ``run(ctx)`` runs every process until
- * none is ready -- all finished, or the rest blocked for good, which the
- * caller tells apart -- or raises what the reference loop would raise at
- * the same event.  ``release(ctx)`` writes the working copy back, returns
- * the locks and barriers, and drops the buffer views deterministically;
- * after an exception too, so an aborted run leaves what the reference
- * loop leaves.
+ * ``run(plan)`` is one call: it parses the plan (``ctx_setup``: every
+ * buffer acquired once; a plan it refuses is left as it was), runs every
+ * process until none is ready -- all finished, or the rest blocked for
+ * good, which the caller tells apart -- or until what the reference loop
+ * would raise at the same event (``ctx_drive``), writes the working copy
+ * back into the plan's containers (``ctx_export``) and drops the views,
+ * raise or no raise, so an aborted run leaves what the reference loop
+ * leaves.
  *
  * Five more sections share the build and the ``ABI_VERSION`` guard.  The
- * fused multi-configuration ladder (``ladder_*``) is a second driver of
+ * fused multi-configuration ladder (``ladder``) is a second driver of
  * the same memory system: each of its rungs is a ``Machine`` of one
  * ``Scc`` on a bus of its own, parsed from the machine plan a run's is
  * parsed from and counted into the same rows, and its misses, upgrades
@@ -70,7 +70,7 @@
  * ``next()`` yielding ``PackedChunk(array('q'))``), iterators any
  * consumer can resume and the only ones ``run`` knows: it steps them
  * itself, whichever kind, so an MP3D or Barnes-Hut run executes no python
- * between ``setup`` and ``release``.  Each is introduced by its own
+ * at all.  Each is introduced by its own
  * banner below.
  */
 
@@ -102,11 +102,11 @@ static const int OP_WIDTH[] = {0, 2, 2, 2, 3, 2, 2, 3, 3, 2, 4, 4};
 #define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
 #define ST_EXCLUSIVE 3  /* repro.core.cache.EXCLUSIVE */
 
-#define ABI_VERSION "19"  /* == engine/native.py NATIVE_VERSION */
+#define ABI_VERSION "20"  /* == engine/native.py NATIVE_VERSION */
 
 /* A machine plan's scalars (engine/native.py's ``machine_plan`` writes
- * them from the config), in order: ``setup`` and ``ladder_setup`` read
- * the same words. */
+ * them from the config), in order: ``run`` and ``ladder`` read the same
+ * words. */
 enum {
     K_LINE_SHIFT, K_NBANKS, K_BANK_CYCLE, K_STALL_ON_WRITES, K_WB_DEPTH,
     K_IC_LAT, K_ILINE_SHIFT, K_LIMIT, K_BUS_OCC, K_UPGRADE_OCC,
@@ -186,7 +186,7 @@ typedef struct {
 
 #define FILL_NONE LLONG_MIN     /* ``fill_ready`` of a slot with no fill */
 
-/* What C keeps for one SCC between ``setup`` and ``release`` (the "words"
+/* What C keeps for one SCC during a driver's call (the "words"
  * section). */
 typedef struct {
     long long *fill_line, *fill_ready;  /* [index]; one block with ``wb`` */
@@ -253,7 +253,7 @@ typedef struct {
     int n, cap;               /* taken; room for */
 } Views;
 
-/* One application process between ``setup`` and ``release``. */
+/* One application process during a ``run``. */
 typedef struct {
     PyObject *generator;      /* borrowed from the plan */
     PyObject *response;       /* owned: what its next resume is sent (a
@@ -284,6 +284,7 @@ typedef struct {
     size_t n;
     unsigned *slots;
     size_t n_slots;           /* a power of two, or 0 before first use */
+    PyObject *at_rest;        /* a run's: the plan's list of them */
 } SyncTable;
 
 /* How one event class is packed: its opcode and operand attributes. */
@@ -297,9 +298,7 @@ typedef struct {
 #define N_EVENT_CODES 9
 
 typedef struct {
-    PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int nproc;
-    int released;
     Machine m;                /* one SCC per cluster */
     long long *pstate;        /* [pid * P_FIELDS] */
     long long *proc_cluster;
@@ -315,8 +314,6 @@ typedef struct {
     PyObject *ready_at_rest;        /* interleaver._heap */
     Views views;
 } Ctx;
-
-static const char CTX_NAME[] = "repro.trace.engine._native.ctx";
 
 /* ---------------------------------------------------------------- utils */
 
@@ -469,7 +466,7 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
  * lands), write buffers (``interconnect._write_buffers``: per bank, a
  * heapq of retire times) and lost lines (``scc._lost_lines``: the lines a
  * remote write invalidated here, whose next miss is a coherence miss) as
- * C keeps them between ``setup`` and ``release``, and the ``Scc`` view
+ * C keeps them during a driver's call, and the ``Scc`` view
  * they belong to.  The python containers stay the at-rest form and the
  * reference loop's; only ``words_setup``, ``words_import`` and
  * ``words_export`` touch them.
@@ -478,7 +475,7 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
  * it lands.  Exact, because every SCC that gets here is direct-mapped and
  * a line with an outstanding fill is resident
  * (``SharedClusterCache.stale_inflight``'s invariant, which the wrapper
- * checks on a non-empty dict before ``setup``): at most one fill is
+ * checks on a non-empty dict before ``run``): at most one fill is
  * outstanding at an index.  A bank's write buffer is ``depth + 1`` words:
  * how many entries it holds, then their retire times as a binary min-heap
  * rooted at word 1.  Heap layout may differ from heapq's, but the multiset
@@ -489,7 +486,7 @@ typed_view(PyObject *obj, Py_buffer *view, Py_ssize_t size, int floats,
  * at the first empty slot, so a deletion leaves no tombstone: the entries
  * behind it shift back over the hole.  LOST_EMPTY marks an empty slot;
  * no line is LLONG_MIN, ``addr >> line_shift`` with a shift of at least
- * one (``setup`` refuses a machine of one-byte lines, and a set that
+ * one (``run`` refuses a machine of one-byte lines, and a set that
  * holds it). */
 
 #define WBUF_MAX (1 << 16)      /* banks of an SCC, entries of a bank */
@@ -822,8 +819,8 @@ words_export(Words *w)
     return 0;
 }
 
-/* One SCC's entry of a machine plan, a cluster of ``setup``'s or a
- * rung of ``ladder_setup``'s: ``(states, tags, index_mask, tag_shift,
+/* One SCC's entry of a machine plan, a cluster of ``run``'s or a
+ * rung of ``ladder``'s: ``(states, tags, index_mask, tag_shift,
  * inflight, write_buffers, lost_lines, bank free times, bus clock, S_*
  * row)``.  The words come back empty; the caller imports the
  * containers, or insists that they are empty. */
@@ -905,7 +902,7 @@ icaches_setup(Machine *m, Views *views, PyObject *ic_tuple)
 }
 
 /* A machine plan -- engine/native.py's ``machine_plan``, the same for
- * ``setup`` and for each rung of ``ladder_setup``: ``(scalars, SCC
+ * ``run`` and for each rung of ``ladder``: ``(scalars, SCC
  * entries, icache entries, deltas)``.  The scalars are the K_* words; an
  * SCC entry (``scc_setup``) per cluster, every one on the machine's one
  * bus; the icache entries are ``icaches_setup``'s; the deltas are the
@@ -1298,7 +1295,7 @@ proc_ifetch(Ctx *ctx, long long cl, long long pid, long long addr,
  *
  * ``interleaver._heap`` is the queue at rest: ``add_process`` (and an
  * earlier run that aborted) left ``(time, seq, pid)`` tuples there,
- * ``run`` moves them over on entry, and ``release`` writes back whatever
+ * ``run`` moves them over on entry and writes back whatever
  * is still ready, in pop order -- a sorted list is a heapq list -- so an
  * aborted run leaves the entries the reference loop leaves. */
 
@@ -1754,6 +1751,7 @@ sync_import(Ctx *ctx, SyncTable *t, PyObject *queues)
         PyErr_SetString(PyExc_TypeError, "locks and barriers must be lists");
         return -1;
     }
+    t->at_rest = queues;
     for (Py_ssize_t k = 0; k < PyList_GET_SIZE(queues); k++) {
         PyObject *entry = PyList_GET_ITEM(queues, k);
         long long id, holder;
@@ -1789,8 +1787,8 @@ sync_import(Ctx *ctx, SyncTable *t, PyObject *queues)
     return 0;
 }
 
-/* ... and back out, in order of first use. */
-static PyObject *
+/* ... and back into that list, in order of first use. */
+static int
 sync_export(Ctx *ctx, const SyncTable *t)
 {
     PyObject *queues = PyList_New((Py_ssize_t)t->n);
@@ -1813,7 +1811,10 @@ sync_export(Ctx *ctx, const SyncTable *t)
         else
             PyList_SET_ITEM(queues, k, entry);
     }
-    return queues;
+    int rc = queues ? PyList_SetSlice(t->at_rest, 0, PY_SSIZE_T_MAX,
+                                      queues) : -1;
+    Py_XDECREF(queues);
+    return rc;
 }
 
 /* ``self._queues.setdefault(key, deque())``: a new reference. */
@@ -2120,23 +2121,13 @@ proc_refill(Ctx *ctx, long long pid, Proc *proc)
 /* ------------------------------------------------------------ lifecycle */
 
 static void
-ctx_release(Ctx *ctx)
+ctx_free(Ctx *ctx)
 {
-    if (ctx->released)
-        return;
-    ctx->released = 1;
     for (int p = 0; ctx->procs && p < ctx->nproc; p++) {
         cursor_drop(&ctx->procs[p].cursor);
         Py_CLEAR(ctx->procs[p].response);
     }
     views_release(&ctx->views);
-    Py_CLEAR(ctx->plan);
-}
-
-static void
-ctx_free(Ctx *ctx)
-{
-    ctx_release(ctx);
     PyMem_Free(ctx->views.bufs);
     machine_free(&ctx->m);
     PyMem_Free(ctx->rq.heap);
@@ -2149,12 +2140,31 @@ ctx_free(Ctx *ctx)
     PyMem_Free(ctx);
 }
 
-static void
-ctx_destructor(PyObject *capsule)
+/* The end of a driver's call, given the error its drive raised
+ * (``drive``, fetched; NULLs if none) and how the write-back that followed
+ * went (``exported``: 0, or -1 with its error set): ``None``, the drive's
+ * error, or the write-back's with the drive's as its ``__context__`` --
+ * what a python ``finally`` around the drive leaves. */
+static PyObject *
+drive_end(PyObject *drive[3], int exported)
 {
-    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
-    if (ctx)
-        ctx_free(ctx);
+    if (!drive[0])
+        return exported < 0 ? NULL : Py_NewRef(Py_None);
+    if (exported < 0) {
+        PyObject *type, *value, *trace;
+        PyErr_Fetch(&type, &value, &trace);   /* before python runs */
+        PyErr_NormalizeException(&type, &value, &trace);
+        PyErr_NormalizeException(&drive[0], &drive[1], &drive[2]);
+        if (drive[2])
+            PyException_SetTraceback(drive[1], drive[2]);
+        PyException_SetContext(value, drive[1]);    /* steals it */
+        Py_DECREF(drive[0]);
+        Py_XDECREF(drive[2]);
+        PyErr_Restore(type, value, trace);
+        return NULL;
+    }
+    PyErr_Restore(drive[0], drive[1], drive[2]);
+    return NULL;
 }
 
 /* The plan's vocabulary entry: ``(PackedChunk, "data", array.array,
@@ -2287,11 +2297,10 @@ procs_setup(Ctx *ctx, PyObject *sched)
 /* plan: ``(machine, queues, scheduling, sync, vocabulary)``, as
  * engine/native.py's ``run`` builds it: a machine plan
  * (``machine_setup``) of one SCC per cluster, and the entries parsed
- * here. */
-static PyObject *
-native_setup(PyObject *self, PyObject *plan)
+ * here.  A plan it refuses is left as it was. */
+static Ctx *
+ctx_setup(PyObject *plan)
 {
-    (void)self;
     if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 5) {
         PyErr_SetString(PyExc_TypeError, "plan must be a 5-tuple");
         return NULL;
@@ -2303,10 +2312,10 @@ native_setup(PyObject *self, PyObject *plan)
     PyObject *vocabulary = PyTuple_GET_ITEM(plan, 4);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
-    if (!ctx)
-        return PyErr_NoMemory();
-    ctx->plan = plan;
-    Py_INCREF(plan);
+    if (!ctx) {
+        PyErr_NoMemory();
+        return NULL;
+    }
     if (views_init(&ctx->views, machine_views(machine) + 2) < 0
         || machine_setup(&ctx->m, &ctx->views, machine) < 0)
         goto fail;
@@ -2335,10 +2344,7 @@ native_setup(PyObject *self, PyObject *plan)
                             "sync entry must be (locks, barriers)");
         goto fail;
     }
-    PyObject *capsule = PyCapsule_New(ctx, CTX_NAME, ctx_destructor);
-    if (!capsule)
-        goto fail;
-    return capsule;
+    return ctx;
 
 fail:
     ctx_free(ctx);
@@ -2381,31 +2387,20 @@ procs_export(Ctx *ctx)
 }
 
 /* The end of C's ownership: the ready entries, the in-flight fills, the
- * write buffers and the processes go back to the python containers they
- * came from, the locks and barriers are returned -- ``(locks, barriers)``,
- * in ``setup``'s form -- and the views are dropped. */
-static PyObject *
-native_release(PyObject *self, PyObject *capsule)
+ * write buffers, the processes, the locks and the barriers go back to the
+ * python containers they came from. */
+static int
+ctx_export(Ctx *ctx)
 {
-    (void)self;
-    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
-    if (!ctx)
-        return NULL;
-    if (ctx->released) {
-        PyErr_SetString(PyExc_RuntimeError, "context released already");
-        return NULL;
+    if (sched_export(ctx) < 0 || procs_export(ctx) < 0)
+        return -1;
+    for (int c = 0; c < ctx->m.n; c++) {
+        if (words_export(&ctx->m.sccs[c].words) < 0)
+            return -1;
     }
-    int failed = sched_export(ctx) < 0 || procs_export(ctx) < 0;
-    for (int c = 0; !failed && c < ctx->m.n; c++)
-        failed = words_export(&ctx->m.sccs[c].words) < 0;
-    PyObject *locks = failed ? NULL : sync_export(ctx, &ctx->locks);
-    PyObject *barriers = locks ? sync_export(ctx, &ctx->barriers) : NULL;
-    ctx_release(ctx);
-    if (!barriers) {
-        Py_XDECREF(locks);
-        return NULL;
-    }
-    return Py_BuildValue("(NN)", locks, barriers);
+    if (sync_export(ctx, &ctx->locks) < 0)
+        return -1;
+    return sync_export(ctx, &ctx->barriers);
 }
 
 /* ----------------------------------------------------------------- run */
@@ -2431,18 +2426,9 @@ enum { RUN_ON, RUN_PREEMPTED, RUN_OVER };
  * process, until it blocks, ends or falls behind the next-earliest.  The
  * running process's clock is ``time``; ``Proc.time`` catches up whenever
  * it stops. */
-static PyObject *
-native_run(PyObject *self, PyObject *capsule)
+static int
+ctx_drive(Ctx *ctx)
 {
-    (void)self;
-    Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
-    if (!ctx)
-        return NULL;
-    if (ctx->released) {
-        PyErr_SetString(PyExc_RuntimeError, "run on released context");
-        return NULL;
-    }
-
     long long limit = ctx->m.limit;
     long long *misc = ctx->m.d.misc;
     long long time = 0, pid = -1, i = 0, sub = 0;
@@ -2450,7 +2436,7 @@ native_run(PyObject *self, PyObject *capsule)
     int state = RUN_OVER;
 
     if (sched_drain(ctx) < 0)
-        return NULL;
+        return -1;
     for (;;) {      /* one round per scheduled process */
         Ready next;
         if (state == RUN_PREEMPTED) {
@@ -2463,7 +2449,7 @@ native_run(PyObject *self, PyObject *capsule)
             next = sched_switch(ctx, time, pid);
         }
         else if (ctx->rq.n == 0) {
-            Py_RETURN_NONE;
+            return 0;
         }
         else {
             next = sched_pop(ctx);
@@ -2678,7 +2664,24 @@ fail:
     cur->pos = i;
     cur->sub = sub;
     ctx->procs[pid].time = time;
-    return NULL;
+    return -1;
+}
+
+/* ``run(plan)``: the whole run in one call, written back into the plan
+ * whether or not it raised. */
+static PyObject *
+native_run(PyObject *self, PyObject *plan)
+{
+    (void)self;
+    Ctx *ctx = ctx_setup(plan);
+    if (!ctx)
+        return NULL;
+    PyObject *drive[3] = {NULL, NULL, NULL};
+    if (ctx_drive(ctx) < 0)
+        PyErr_Fetch(&drive[0], &drive[1], &drive[2]);
+    int exported = ctx_export(ctx);
+    ctx_free(ctx);
+    return drive_end(drive, exported);
 }
 
 /* ==================================================================== */
@@ -2703,7 +2706,7 @@ fail:
  * time.  With one cluster there is nothing to snoop and no line to lose,
  * so the event loop touches no python object -- and, like a run, a pass
  * carries no probe.  The rungs fetch through the first rung's icache,
- * which ``ladder_release`` copies to the others.  The ladder's own is
+ * which ``lctx_export`` copies to the others.  The ladder's own is
  * what only a ladder has: the inclusion prefix, the shared clock folded
  * into per-size finish times (``l_fold``, ``skew``), the live windows
  * that say when a rung's hits can stall (``fill_live``, ``wb_live``,
@@ -2711,7 +2714,7 @@ fail:
  * ``do_access``: per-process clocks with bank arbitration, and one shared
  * clock with a skew per rung, are two algorithms over the same view.
  *
- * ``ladder_drain`` runs the whole tape in one call, its queue and sync
+ * ``ladder(plan, tape)`` runs the whole tape in one call, its queue and sync
  * opcodes included, by the reference loop's rules for one process: an
  * enqueue or dequeue moves no clock; a lock costs ``lock_overhead``
  * busy cycles, and re-acquiring one it holds deadlocks it; a barrier of
@@ -2721,27 +2724,24 @@ fail:
  * spinning (the ladder has no cycle limit to bail it out).
  *
  * The ownership rule is ``run``'s, one way: a rung's ``_inflight`` dict,
- * write-buffer lists and lost-line set are empty from ``ladder_setup``
- * (which refuses anything else: nothing could supply the live windows of
- * a pass begun mid-machine, and a rung has nobody to invalidate its
- * lines) until ``ladder_release`` writes them.  A rung tracks the
- * fills of write misses only: the processor waits out a read miss's fill,
- * so its one process can never meet it in flight, and the quiet path
- * would never get to forget it -- a rung's read miss therefore hands
- * ``install`` ``FILL_NONE`` where ``read_miss`` hands it the fill time.
+ * write-buffer lists and lost-line set are empty when the call starts
+ * (``lctx_setup`` refuses anything else: nothing could supply the live
+ * windows of a pass begun mid-machine, and a rung has nobody to
+ * invalidate its lines) and written when it ends, raise or no raise.  A
+ * rung tracks the fills of write misses only: the processor waits out a
+ * read miss's fill, so its one process can never meet it in flight, and
+ * the quiet path would never get to forget it -- a rung's read miss
+ * therefore hands ``install`` ``FILL_NONE`` where ``read_miss`` hands it
+ * the fill time.
  */
 
 typedef struct {
-    PyObject *plan;
     int n_sizes;
-    int released;
     Machine *rungs;           /* [rung]: one SCC, one processor */
     long long *skew, *folded, *fill_live, *wb_live, *hot;   /* [rung] */
     PyObject *deadlock_error, *sync_error;
     Views views;
 } LCtx;
-
-static const char LCTX_NAME[] = "repro.trace.engine._native.ladder";
 
 /* Fold the shared clock into rung ``s`` and return its local time. */
 static inline long long
@@ -2898,19 +2898,9 @@ l_slow_write(LCtx *c, long long line, long long bank, long long base,
 }
 
 static void
-lctx_release(LCtx *ctx)
-{
-    if (ctx->released)
-        return;
-    ctx->released = 1;
-    views_release(&ctx->views);
-    Py_CLEAR(ctx->plan);
-}
-
-static void
 lctx_free(LCtx *ctx)
 {
-    lctx_release(ctx);
+    views_release(&ctx->views);
     for (int s = 0; ctx->rungs && s < ctx->n_sizes; s++)
         machine_free(&ctx->rungs[s]);
     PyMem_Free(ctx->rungs);
@@ -2919,26 +2909,16 @@ lctx_free(LCtx *ctx)
     PyMem_Free(ctx);
 }
 
-static void
-lctx_destructor(PyObject *capsule)
-{
-    LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
-    if (ctx)
-        lctx_free(ctx);
-}
-
 /* plan: ``(rungs, errors)`` -- a machine plan (``machine_setup``) per
  * rung, smallest first, each of one SCC and one processor, with the
  * first rung's scalars and icache geometry, and with an empty
  * ``_inflight`` dict, empty write-buffer lists and an empty lost-line set
- * (a rung starts as a fresh machine; they are written at
- * ``ladder_release``); and
+ * (a rung starts as a fresh machine; they are written at the end); and
  * ``(DeadlockError, SyncProtocolError)``, what a misused lock or barrier
  * raises. */
-static PyObject *
-native_ladder_setup(PyObject *self, PyObject *plan)
+static LCtx *
+lctx_setup(PyObject *plan)
 {
-    (void)self;
     PyObject *rungs, *errors;
     if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 2
         || !PyTuple_Check(rungs = PyTuple_GET_ITEM(plan, 0))
@@ -2952,11 +2932,11 @@ native_ladder_setup(PyObject *self, PyObject *plan)
         return NULL;
     }
     LCtx *ctx = PyMem_Calloc(1, sizeof(LCtx));
-    if (!ctx)
-        return PyErr_NoMemory();
+    if (!ctx) {
+        PyErr_NoMemory();
+        return NULL;
+    }
     int n = (int)PyTuple_GET_SIZE(rungs);
-    ctx->plan = plan;
-    Py_INCREF(plan);
     ctx->deadlock_error = PyTuple_GET_ITEM(errors, 0);
     ctx->sync_error = PyTuple_GET_ITEM(errors, 1);
     ctx->rungs = PyMem_Calloc(n, sizeof(Machine));
@@ -3006,11 +2986,7 @@ native_ladder_setup(PyObject *self, PyObject *plan)
             goto fail;
         }
     }
-
-    PyObject *capsule = PyCapsule_New(ctx, LCTX_NAME, lctx_destructor);
-    if (!capsule)
-        goto fail;
-    return capsule;
+    return ctx;
 
 fail:
     lctx_free(ctx);
@@ -3019,52 +2995,31 @@ fail:
 
 /* The end of the pass, completed or aborted: every rung's icache gets the
  * first rung's lines, and its fills and write buffers go to the
- * containers of its SCC -- what ``check_invariants`` then checks --
- * before the views are dropped, as ``release`` does. */
-static PyObject *
-native_ladder_release(PyObject *self, PyObject *capsule)
+ * containers of its SCC -- what ``check_invariants`` then checks. */
+static int
+lctx_export(LCtx *ctx)
 {
-    (void)self;
-    LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
-    if (!ctx)
-        return NULL;
-    if (!ctx->released) {
-        const Icache *ic = ctx->rungs[0].icaches;
-        int failed = 0;
-        for (int s = 0; !failed && s < ctx->n_sizes; s++) {
-            if (ic && s) {
-                size_t bytes = 8 * (size_t)(ic->mask + 1);
-                memmove(ctx->rungs[s].icaches->states, ic->states, bytes);
-                memmove(ctx->rungs[s].icaches->tags, ic->tags, bytes);
-            }
-            failed = words_export(&ctx->rungs[s].sccs->words) < 0;
+    const Icache *ic = ctx->rungs[0].icaches;
+    for (int s = 0; s < ctx->n_sizes; s++) {
+        if (ic && s) {
+            size_t bytes = 8 * (size_t)(ic->mask + 1);
+            memmove(ctx->rungs[s].icaches->states, ic->states, bytes);
+            memmove(ctx->rungs[s].icaches->tags, ic->tags, bytes);
         }
-        lctx_release(ctx);
-        if (failed)
-            return NULL;
+        if (words_export(&ctx->rungs[s].sccs->words) < 0)
+            return -1;
     }
-    Py_RETURN_NONE;
+    return 0;
 }
 
 /* The whole pass: ``tape``, an ``array('q')`` of one process's opcodes,
  * through every rung, and each rung's counters into its rows. */
-static PyObject *
-native_ladder_drain(PyObject *self, PyObject *args)
+static int
+lctx_drain(LCtx *ctx, PyObject *tape)
 {
-    (void)self;
-    PyObject *capsule, *tape;
-    if (!PyArg_ParseTuple(args, "OO", &capsule, &tape))
-        return NULL;
-    LCtx *ctx = (LCtx *)PyCapsule_GetPointer(capsule, LCTX_NAME);
-    if (!ctx)
-        return NULL;
-    if (ctx->released) {
-        PyErr_SetString(PyExc_RuntimeError, "drain on released context");
-        return NULL;
-    }
     Py_buffer cview;
     if (PyObject_GetBuffer(tape, &cview, PyBUF_SIMPLE) < 0)
-        return NULL;
+        return -1;
     const long long *data = (const long long *)cview.buf;
     long long end = (long long)(cview.len / 8);
 
@@ -3079,7 +3034,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
     long long *states0 = first->sccs->states;
     long long *tags0 = first->sccs->tags;
     SyncTable locks = {0};
-    PyObject *result = NULL;
+    int result = -1;
 
     while (i < end) {
         long long op = data[i];
@@ -3317,12 +3272,32 @@ native_ladder_drain(PyObject *self, PyObject *args)
         d->misc[X_EVENTS] += ev;
         d->misc[X_FINISH] = base + ctx->skew[s];
     }
-    result = Py_NewRef(Py_None);
+    result = 0;
 out:
     PyMem_Free(locks.q);
     PyMem_Free(locks.slots);
     PyBuffer_Release(&cview);
     return result;
+}
+
+/* ``ladder(plan, tape)``: the whole pass in one call, written back into
+ * the rungs whether or not it raised. */
+static PyObject *
+native_ladder(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *plan, *tape;
+    if (!PyArg_ParseTuple(args, "OO", &plan, &tape))
+        return NULL;
+    LCtx *ctx = lctx_setup(plan);
+    if (!ctx)
+        return NULL;
+    PyObject *drive[3] = {NULL, NULL, NULL};
+    if (lctx_drain(ctx, tape) < 0)
+        PyErr_Fetch(&drive[0], &drive[1], &drive[2]);
+    int exported = lctx_export(ctx);
+    lctx_free(ctx);
+    return drive_end(drive, exported);
 }
 
 /* ==================================================================== */
@@ -5878,18 +5853,10 @@ fail:
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
-    {"setup", native_setup, METH_O,
-     "Parse a run plan into a context capsule."},
     {"run", native_run, METH_O,
-     "Run every process until none is ready."},
-    {"release", native_release, METH_O,
-     "Write a context's working copy back; returns (locks, barriers)."},
-    {"ladder_setup", native_ladder_setup, METH_O,
-     "Parse a fused-ladder plan into a context capsule."},
-    {"ladder_drain", native_ladder_drain, METH_VARARGS,
-     "Run the fused ladder over a whole tape."},
-    {"ladder_release", native_ladder_release, METH_O,
-     "Write a ladder context's rungs back and release its views."},
+     "Run a plan's processes until none is ready; write it all back."},
+    {"ladder", native_ladder, METH_VARARGS,
+     "Run the fused ladder over a whole tape; write its rungs back."},
     {"row_profile", native_row_profile, METH_VARARGS,
      "Reduce one row's packed streams to the numbers of its RowProfile."},
     {"spec_burst", native_spec_burst, METH_VARARGS,

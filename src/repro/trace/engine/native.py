@@ -13,27 +13,24 @@ interleaver on the reference loop, whose callbacks are the only code
 that records what a probe sees.
 
 Ownership rule: the python containers are the machine's state *at
-rest*; between ``setup`` and ``release`` C works on its own copy and no
-python code reads or writes the machine (``MultiprocessorSystem
+rest*; during the one ``_native.run(plan)`` call C works on its own copy
+and no python code reads or writes the machine (``MultiprocessorSystem
 .data_access`` and ``.ifetch`` never run in a native run).  Tag/state
 arrays -- the SCCs' and the icaches' --, bank free times and the bus
-clock are ``array('q')`` storage C works on in place;
-each ``scc._inflight`` dict, each bank's ``_write_buffers`` list and
-each ``scc._lost_lines`` set is read into C words at ``setup``
+clock are ``array('q')`` storage C works on in place; each
+``scc._inflight`` dict, each bank's ``_write_buffers`` list, each
+``scc._lost_lines`` set and ``interleaver._heap`` are read into C words
 (per-index fill words, a heap of retire times per bank, an
-open-addressing table of lines) and rewritten from them at ``release``,
-so a miss touches no python object; the ready queue lives in C
-(one-cycle buckets, a heap for overflow), read from
-``interleaver._heap`` when the run starts and written back -- what is
-still ready -- at ``release``; the processes'
-fields, ``_locks`` and ``_barriers`` are flattened into the plan by
-:func:`run` and rebuilt by it from what ``release`` leaves -- so a run
-that ends, deadlocks or aborts leaves every container as the reference
-loop would, and the next run on the same objects may be either
-engine's.
+open-addressing table of lines, one-cycle buckets with a heap for
+overflow) and rewritten from them as the call ends, so a miss or a
+switch touches no python object; the processes' fields, ``_locks`` and
+``_barriers`` are flattened into the plan by :func:`run` and rebuilt by
+it from the plan -- so a run that ends, deadlocks or aborts leaves every
+container as the reference loop would, and the next run on the same
+objects may be either engine's.
 
 The extension has five more sections this module only loads: the fused
-ladder (``ladder_*``, driven by :mod:`repro.trace.multiconfig`), the
+ladder (``ladder``, driven by :mod:`repro.trace.multiconfig`), the
 row-profile kernel (``row_profile``, called by
 :func:`repro.model.profile.build_row_profile` with its python functions
 as the contract), the SPEC-stream kernel (``spec_burst``, called by
@@ -52,7 +49,7 @@ is a one-processor machine, described by the :func:`machine_plan` a run's
 machine is described by -- the scalars of its config in one layout, its
 SCC, its icache, rows of deltas -- and counted into rows :func:`settle`
 adds up for both drivers; its misses run the code a run's misses run, and
-one ``ladder_drain`` call runs its whole tape.
+one ``ladder(plan, tape)`` call runs its whole tape and writes it back.
 
 Loading happens at first use and is cached for the process:
 
@@ -79,6 +76,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import time
 from array import array
 from collections import deque
 from pathlib import Path
@@ -92,13 +90,18 @@ __all__ = ["NATIVE_VERSION", "load", "machine_plan", "run", "settle"]
 #: Bump, with ``ABI_VERSION`` in ``_native.c``, when the C ABI (plan
 #: layout, run contract, ladder, profile or workload entry points)
 #: changes.
-NATIVE_VERSION = "19"
+NATIVE_VERSION = "20"
 
 #: How the on-demand build compiles ``_native.c`` (part of its cache key).
 #: No floating-point contraction: GCC fuses ``a * b + c`` into one
 #: rounding on FMA targets (aarch64), and MP3D's and Barnes-Hut's physics
 #: and ``spec_burst``'s comparisons must round as python does.
 _CFLAGS = ("-O2", "-ffp-contract=off")
+
+#: How old another build in the cache must be for a new build to delete
+#: it: a day, so that checkouts sharing the cache do not delete each
+#: other's current builds (a rebuild takes seconds).
+_STALE_BUILD_S = 24 * 3600
 
 _mod = None
 
@@ -119,7 +122,7 @@ _SCC_FIELDS = ("reads", "read_misses", "writes", "write_misses", "upgrades",
                "coherence_read_misses", "bank_conflict_cycles",
                "bus_wait_cycles", "write_buffer_stall_cycles")
 
-# What a generator may yield, as ``_native.setup`` takes it: the chunk
+# What a generator may yield, as ``_native.run`` takes it: the chunk
 # class and its data attribute, the type ``array('q', data)`` is built
 # with, the error a misused lock, barrier or queue raises, and per event
 # class its opcode and the attributes its operands are read from
@@ -175,6 +178,7 @@ def _compile_on_demand():
                 raise ImportError(f"compile failed ({cc}): "
                                   f"{result.stderr.strip()[:500]}")
             os.replace(tmp, so_path)
+            _prune_builds(cache, so_path)
         except (OSError, subprocess.SubprocessError) as exc:
             raise ImportError(f"compile failed ({cc}): {exc}") from exc
         finally:
@@ -193,6 +197,19 @@ def _compile_on_demand():
         raise ImportError(
             f"import of built extension failed: {exc}") from exc
     return module
+
+
+def _prune_builds(cache: Path, keep: Path) -> None:
+    """Delete the cache's other builds, and temporaries a build left,
+    older than ``_STALE_BUILD_S``; another process may be deleting the
+    same ones."""
+    cutoff = time.time() - _STALE_BUILD_S
+    for path in cache.glob("_native_*"):
+        try:
+            if path != keep and path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:
+            pass
 
 
 def load():
@@ -254,11 +271,11 @@ def _icaches(system) -> list:
 
 
 def machine_plan(system, max_cycles: Optional[int] = None) -> tuple:
-    """What ``setup`` and ``ladder_setup`` both read of one machine
-    (``machine_setup`` in ``_native.c``): the scalars of its config
-    (``K_*``); per cluster, the storage C works on in place (tag/state
-    arrays, bank free times, the bus clock) and the containers it reads
-    into words and rewrites at release; each processor's icache arrays;
+    """What ``_native.run`` and ``_native.ladder`` both read of one
+    machine (``machine_setup`` in ``_native.c``): the scalars of its
+    config (``K_*``); per cluster, the storage C works on in place
+    (tag/state arrays, bank free times, the bus clock) and the containers
+    it reads into words and rewrites; each processor's icache arrays;
     and zeroed rows for :func:`settle` -- eight of a word per processor
     (``Deltas``), then the ``misc`` words (``X_*``)."""
     config = system.config
@@ -329,11 +346,12 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     machines the interleaver found native-eligible.
 
     One call into C (``_native.run``) runs the whole simulation, icache
-    refills included; the generators' bodies are the only python
+    refills included, and writes what it leaves back into the plan,
+    raise or no raise; the generators' bodies are the only python
     executed in it.  This frame flattens the interleaver's state at rest
-    into the plan and, whatever happened, rebuilds it from what C
-    leaves: the processes, ``_heap``, ``_locks``, ``_barriers``, every
-    counter the reference loop bumps.
+    into the plan and, whatever happened, rebuilds it from the plan: the
+    processes, ``_heap``, ``_locks``, ``_barriers``, every counter the
+    reference loop bumps.
     """
     native = load()
     self = interleaver
@@ -370,13 +388,12 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
           for barrier_id, waiting in self._barriers.items()]),
         _VOCABULARY,
     )
-    ctx = native.setup(plan)
     try:
-        native.run(ctx)
+        native.run(plan)
     finally:
-        # Whatever the run left -- finished, deadlocked or aborted --
-        # comes back as the reference loop would have left it.
-        locks, barriers = native.release(ctx)
+        # Whatever the run left in the plan -- finished, deadlocked or
+        # aborted -- comes back as the reference loop would have left it.
+        locks, barriers = plan[3]
         for lock_id, holder, waiters in locks:
             lock = self._locks.setdefault(lock_id, _Lock())
             lock.holder = None if holder < 0 else holder

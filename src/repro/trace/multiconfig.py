@@ -14,7 +14,7 @@ Contract: :func:`fused_ladder_results` returns statistics bit-identical
 to running :class:`~repro.trace.record.ReplayApplication` once per
 configuration -- pinned by the equivalence suite -- and raises what that
 per-size replay raises, at roughly the cost of a single replay.  The
-pass is the native extension's (``ladder_*`` in ``engine/_native.c``):
+pass is the native extension's (``ladder`` in ``engine/_native.c``):
 to C each rung is a one-cluster machine, planned and settled as a run's
 machine is, whose misses run the code a run's misses run.  Why its
 shortcuts -- inclusion, state monotonicity, quiet windows, no bank
@@ -159,33 +159,28 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
 def _fused_pass_native(systems: List[MultiprocessorSystem],
                        data: Sequence[int]) -> Tuple[int, List[int]]:
     """One pass over ``data`` driving every rung at once -- ``systems``,
-    smallest SCC first -- through the C extension's ladder entry points
-    (the caller resolved ``native``, so the extension is loaded).
+    smallest SCC first -- through the C extension's ``ladder`` (the
+    caller resolved ``native``, so the extension is loaded).
 
-    One ``ladder_drain`` call runs the whole tape, its locks, barriers
-    and queue operations included, and raises what per-size replay
-    raises.  Each rung's plan is :func:`~repro.trace.engine.native
+    One ``ladder`` call runs the whole tape, its locks, barriers and
+    queue operations included, and raises what per-size replay raises.
+    Each rung's plan is :func:`~repro.trace.engine.native
     .machine_plan`'s, and :func:`~repro.trace.engine.native.settle` adds
     what C counted to its system, as after a run.  Returns
     ``(events_processed, per-size finish times)``.
 
     State: each rung's tag/state arrays and bus clock are its system's
     own, worked on in place; its in-flight fills and write buffers are C
-    words from ``ladder_setup`` to ``ladder_release`` (``native.run``'s
-    ownership rule, one way).  ``systems`` must be fresh -- ``ladder_setup``
-    refuses a rung whose ``_inflight`` dict or write-buffer lists hold
-    anything -- and ``ladder_release``, reached on every path out of the
-    pass, writes both containers; nothing may read them in between.
+    words for the length of the call (``native.run``'s ownership rule,
+    one way).  ``systems`` must be fresh -- the call refuses a rung whose
+    ``_inflight`` dict or write-buffer lists hold anything -- and it
+    writes both containers before it returns or raises.
     """
     native = native_backend.load()
     plans = tuple(native_backend.machine_plan(system) for system in systems)
     if not (type(data) is array and data.typecode == "q"):
         data = array("q", data)
-    ctx = native.ladder_setup((plans, (DeadlockError, SyncProtocolError)))
-    try:
-        native.ladder_drain(ctx, data)
-    finally:
-        native.ladder_release(ctx)
+    native.ladder((plans, (DeadlockError, SyncProtocolError)), data)
     for system, plan in zip(systems, plans):
         native_backend.settle(system, plan)
     misc = [plan[3][-1] for plan in plans]      # events, _, finish, _

@@ -79,6 +79,24 @@ BH_RACED_REREAD = ("p->child = c->children[p->octant];", "/* no re-read */")
 C_PROCESS_UNSEEN = (
     "if (Py_TYPE(proc->generator)->tp_iternext == process_next) {",
     "if (0) {")
+#: ... and two in how each driver ends: a run that raised writes nothing
+#: back into its plan ...
+RUN_RAISED_UNEXPORTED = ("int exported = ctx_export(ctx);",
+                         "int exported = drive[0] ? 0 : ctx_export(ctx);")
+#: ... and a ladder pass that raised leaves its rungs' containers empty.
+LADDER_RAISED_UNEXPORTED = (
+    "int exported = lctx_export(ctx);",
+    "int exported = drive[0] ? 0 : lctx_export(ctx);")
+#: Not mutants but faults: a write-back that always fails, as it would
+#: for want of memory, after a run's and after a ladder pass's drive.
+RUN_WRITE_BACK_FAILS = (
+    "return sync_export(ctx, &ctx->barriers);",
+    "return sync_export(ctx, &ctx->barriers) < 0 || (PyErr_SetString("
+    "PyExc_MemoryError, \"write-back\"), 1) ? -1 : 0;")
+LADDER_WRITE_BACK_FAILS = (
+    "if (words_export(&ctx->rungs[s].sccs->words) < 0)",
+    "if (words_export(&ctx->rungs[s].sccs->words) < 0 || (PyErr_SetString("
+    "PyExc_MemoryError, \"write-back\"), 1))")
 
 
 def unpacked(app):

@@ -199,16 +199,16 @@ def test_a_paper_row_pass_is_one_call_into_c(tmp_path, ladder_calls,
                                              monkeypatch):
     """The quick multiprogramming 1p row over the paper's ladder: the
     pass after the recording drains the whole tape -- its locks,
-    barriers and queue operations too -- in one ``ladder_drain`` call."""
+    barriers and queue operations too -- in one ``ladder`` call."""
     module = native.load()
     drains = []
-    real = module.ladder_drain
+    real = module.ladder
 
-    def spy(ctx, tape):
+    def spy(plan, tape):
         drains.append(len(tape))
-        return real(ctx, tape)
+        return real(plan, tape)
 
-    monkeypatch.setattr(module, "ladder_drain", spy)
+    monkeypatch.setattr(module, "ladder", spy)
     # (the pass is the native engine's, whatever this process's is)
     monkeypatch.setenv("REPRO_ENGINE", "native")
     spec = SweepSpec.multiprogramming(profile=PROFILES["quick"],

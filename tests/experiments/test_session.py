@@ -1,8 +1,6 @@
 """Tests for the checkpointed, fault-tolerant sweep session."""
 
 import json
-import os
-import time
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.experiments import runner
 from repro.experiments.runner import (ResultCache, RunStats,
                                       _shutdown_pool)
 from repro.experiments.session import (FAULT_INJECT_ENV,
-                                       STALE_TMP_AGE_S,
                                        QuarantinedPointError,
                                        SessionJournal, SweepSession,
                                        _maybe_inject_fault,
@@ -219,8 +216,7 @@ class TestJournal:
 
 
 class TestJournalPruning:
-    """Session-directory GC: finished logs and version-1 debris are
-    removed on session open; anything --resume could still want is
+    """Session-directory GC: finished logs are removed on session open; anything --resume could still want is
     kept."""
 
     def _journal(self, spec, directory, *, quarantine=None,
@@ -278,28 +274,6 @@ class TestJournalPruning:
         torn.write_text("{torn write")
         assert prune_stale_journals(tmp_path) == []
         assert torn.exists()
-
-    def test_orphaned_tmp_removed_fresh_tmp_kept(self, tmp_path):
-        orphan = tmp_path / "aaaa.json.12345.tmp"
-        orphan.write_text("{")
-        stale_stamp = time.time() - 2 * STALE_TMP_AGE_S
-        os.utime(orphan, (stale_stamp, stale_stamp))
-        fresh = tmp_path / "bbbb.json.12345.tmp"
-        fresh.write_text("{")
-        removed = prune_stale_journals(tmp_path)
-        assert removed == [orphan]
-        assert not orphan.exists() and fresh.exists()
-
-    @pytest.mark.parametrize("payload", (b'{"version": 1}', *NON_OBJECTS))
-    def test_version_1_journal_removed_by_age(self, tmp_path, payload):
-        stale = tmp_path / "aaaa.json"
-        stale.write_bytes(payload)
-        stale_stamp = time.time() - 2 * STALE_TMP_AGE_S
-        os.utime(stale, (stale_stamp, stale_stamp))
-        fresh = tmp_path / "bbbb.json"
-        fresh.write_bytes(payload)
-        assert prune_stale_journals(tmp_path) == [stale]
-        assert not stale.exists() and fresh.exists()
 
     def test_missing_or_absent_directory_is_a_noop(self, tmp_path):
         assert prune_stale_journals(tmp_path / "never-created") == []

@@ -95,6 +95,11 @@ DELETED = (
     # type switch on those objects, is gone too but stays off: the
     # fabric service has a ``_dispatch`` of its own)
     "_consume_chunk_generic",
+    # each C driver is one call that writes its plan back: no context
+    # outlives it (``run`` keeps its name; ``setup`` and ``release`` are
+    # gone too but stay off: they are generic words), and session open
+    # sweeps no version-1 journal
+    "ladder_setup", "ladder_drain", "ladder_release", "STALE_TMP_AGE_S",
 )
 
 PATTERN = re.compile("|".join([

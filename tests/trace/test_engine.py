@@ -199,14 +199,13 @@ class TestNativeScheduler:
         real = native.load()
         calls = []
 
-        def counting_run(ctx):
+        def counting_run(plan):
             calls.append(1)
-            return real.run(ctx)
+            return real.run(plan)
 
         # (Barnes-Hut's and MP3D's processes are the extension's own)
         monkeypatch.setattr(native, "_mod", SimpleNamespace(
-            setup=real.setup, run=counting_run, release=real.release,
-            barnes_processes=real.barnes_processes,
+            run=counting_run, barnes_processes=real.barnes_processes,
             mp3d_processes=real.mp3d_processes))
         interleaver = _quick_8p(application, "native")
         interleaver.run()
@@ -540,7 +539,7 @@ class TestReadyQueue:
 
     def test_an_abort_hands_back_both_halves_in_heap_order(self):
         """A run cut by ``max_cycles`` with entries in both halves hands
-        them back sorted -- ``release`` pops them in order -- which is a
+        them back sorted -- the write-back pops them in order -- which is a
         heapq list the reference loop carries on from; on the same
         objects a second run, either engine's, ends where an uncut one
         does."""
@@ -1299,6 +1298,77 @@ def test_a_record_cut_short_raises_where_the_reference_loop_does(name):
     assert outcome("native") == reference
 
 
+def _one_driver_call(driver, raises):
+    """``(systems, call)``: one call of ``driver`` on fresh machines, a
+    tape that completes or one that ends in a non-positive span
+    stride."""
+    from repro.core.config import SystemConfig
+    from repro.core.system import MultiprocessorSystem
+    from repro.trace.multiconfig import _fused_pass_native
+    tape = [OP_WRITE, 0, OP_READ, 4096, OP_COMPUTE, 3]
+    if raises:
+        tape += [OP_READ_SPAN, 0, 64, 0]
+    if driver == "run":
+        config = SystemConfig(clusters=2, processors_per_cluster=1,
+                              scc_size=1024)
+        system, interleaver = _interleaver(config, {0: [tape], 1: [tape]},
+                                           "native")
+        return [system], interleaver.run
+    systems = [MultiprocessorSystem(SystemConfig(
+        clusters=1, processors_per_cluster=1, scc_size=size))
+        for size in (1024, 4096)]
+    return systems, lambda: _fused_pass_native(systems, array("q", tape))
+
+
+DRIVER_CALLS = pytest.mark.parametrize("driver, raises", [
+    ("run", False), ("run", True), ("ladder", False), ("ladder", True)],
+    ids=["run-completes", "run-raises", "ladder-completes", "ladder-raises"])
+
+
+@DRIVER_CALLS
+def test_a_driver_drops_its_views_on_every_way_out(driver, raises):
+    """Both drivers work on the machine's ``array('q')`` storage through
+    buffer views and drop them before the call returns or raises: an
+    array a view is held on cannot resize (``BufferError``)."""
+    systems, call = _one_driver_call(driver, raises)
+    if raises:
+        with pytest.raises(ValueError, match="stride"):
+            call()
+    else:
+        call()
+    for system in systems:
+        held = [system.bus._clock]
+        for cluster in system.clusters:
+            held += [cluster.scc.array._states, cluster.scc.array._tags,
+                     cluster.scc.interconnect._bank_free]
+        for words in held:
+            words.append(0)
+            words.pop()
+
+
+@DRIVER_CALLS
+def test_a_failed_write_back_raises_as_a_finally_would(
+        driver, raises, mutant_native, monkeypatch):
+    """A write-back that fails raises its own error, with the drive's as
+    ``__context__`` when the drive raised -- what a python ``finally``
+    around the drive leaves.  (The write-back fails only for want of
+    memory, so a build whose write-back always fails stands in.)"""
+    from repro.trace.engine import native
+    from ..conftest import LADDER_WRITE_BACK_FAILS, RUN_WRITE_BACK_FAILS
+    monkeypatch.setattr(native, "_mod", mutant_native(
+        *(RUN_WRITE_BACK_FAILS if driver == "run"
+          else LADDER_WRITE_BACK_FAILS)))
+    _, call = _one_driver_call(driver, raises)
+    with pytest.raises(MemoryError, match="write-back") as raised:
+        call()
+    context = raised.value.__context__
+    if raises:
+        assert type(context) is ValueError
+        assert "non-positive span stride" in str(context)
+    else:
+        assert context is None
+
+
 # ----------------------------------------------------------------------
 # State continuity: what one run leaves, the next one -- either
 # engine's -- picks up
@@ -1550,7 +1620,7 @@ class TestStateContinuity:
             assert _two_runs(first, second) == reference, (first, second)
 
     def test_write_buffers_outstanding_across_two_runs(self):
-        """``setup`` imports each bank's heap, ``release`` writes it
+        """``run`` imports each bank's heap and writes it
         back: whichever engine runs a half, the machine ends where one
         reference-loop run of the whole tape leaves it."""
         _, reference = _store_runs(["python"])
@@ -1566,9 +1636,9 @@ class TestStateContinuity:
             assert cuts[1][2] > stalled > 0
 
     def test_locks_and_barriers_held_across_a_cut(self):
-        """``setup`` imports the wait queues, the blocked flags and every
-        process's place in its chunk, ``release`` writes them back after
-        an abort too: a run cut by ``max_cycles`` and carried on by the
+        """``run`` imports the wait queues, the blocked flags and every
+        process's place in its chunk, and writes them back after an
+        abort too: a run cut by ``max_cycles`` and carried on by the
         other engine ends where one reference-loop run ends."""
         _, reference = _cut_run(["python"])
         assert _cut_run(["native"])[1] == reference
@@ -1761,7 +1831,7 @@ def _lost_line_cut():
 
 
 class TestLostLines:
-    """``scc._lost_lines`` is C words between ``setup`` and ``release``:
+    """``scc._lost_lines`` is C words for the length of a ``run``:
     an open-addressing table that grows and deletes with backward
     shifts, imported and written back as the fills and write buffers
     are."""
@@ -1849,10 +1919,9 @@ class TestNativeAbiGuard:
         assert native.load().ABI_VERSION == native.NATIVE_VERSION
         exported = {name for name in dir(native.load())
                     if not name.startswith("__")}
-        assert exported == {"ABI_VERSION", "setup", "run", "release",
-                            "ladder_setup", "ladder_drain",
-                            "ladder_release", "row_profile", "spec_burst",
-                            "mp3d_processes", "barnes_processes"}
+        assert exported == {"ABI_VERSION", "run", "ladder", "row_profile",
+                            "spec_burst", "mp3d_processes",
+                            "barnes_processes"}
 
     def test_stale_in_place_build_falls_back_to_on_demand(self,
                                                           monkeypatch):
@@ -1865,13 +1934,11 @@ class TestNativeAbiGuard:
         from repro.trace.engine import native
         real = native.load()
         stale = SimpleNamespace(
-            ABI_VERSION="5", __file__="old.so", setup=real.setup,
-            run=real.run, release=real.release,
-            ladder_setup=real.ladder_setup, ladder_drain=real.ladder_drain,
-            ladder_release=real.ladder_release)
-        assert native.NATIVE_VERSION == "19"
+            ABI_VERSION="5", __file__="old.so", run=real.run,
+            ladder=real.ladder)
+        assert native.NATIVE_VERSION == "20"
         assert native._stale_reason(stale) == (
-            "stale extension old.so: ABI '5', need '19'")
+            "stale extension old.so: ABI '5', need '20'")
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         loaded = native.load()
@@ -1896,7 +1963,7 @@ class TestNativeAbiGuard:
                             "echo 'fatal error: Python.h: no such file' >&2\n"
                             "exit 1\n")
         compiler.chmod(0o755)
-        stale = SimpleNamespace(__file__="old.so", ladder_setup=None)
+        stale = SimpleNamespace(__file__="old.so", ladder=None)
         monkeypatch.setattr(engine, "_native", stale, raising=False)
         monkeypatch.setattr(native, "_mod", None)
         monkeypatch.setattr(native, "_compiler", lambda: str(compiler))
@@ -1906,7 +1973,7 @@ class TestNativeAbiGuard:
             with pytest.raises(ImportError) as raised:
                 first_use()
             message = str(raised.value)
-            assert "stale extension old.so: ABI None, need '19'" in message
+            assert "stale extension old.so: ABI None, need '20'" in message
             assert f"compile failed ({compiler})" in message
             assert "Python.h: no such file" in message
         assert native._mod is None
@@ -1919,6 +1986,40 @@ class TestNativeAbiGuard:
         with pytest.raises(ImportError, match="compile failed") as raised:
             native._compile_on_demand()
         assert missing in str(raised.value)
+
+    def test_a_new_build_deletes_the_cache_s_day_old_files(self, monkeypatch,
+                                                            tmp_path):
+        """A build deletes the other builds and the temporaries in its
+        cache that are more than a day old, and keeps the newer ones."""
+        import os
+        import sys
+        import time
+        from repro.trace.engine import native
+        real = native.load().__file__
+        compiler = tmp_path / "copying-cc"      # "builds" the loaded .so
+        compiler.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; '
+                            f'done\ncp "{real}" "$2"\n')
+        compiler.chmod(0o755)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        aged = [cache / "_native_0123456789abcdef.so",
+                cache / "_native_0123456789abcdef.so.tmp4242"]
+        fresh = cache / "_native_fedcba9876543210.so"
+        for path in (*aged, fresh):
+            path.write_bytes(b"")
+        day_and_a_bit = time.time() - native._STALE_BUILD_S - 60
+        for path in aged:
+            os.utime(path, (day_and_a_bit, day_and_a_bit))
+        monkeypatch.setattr(native, "_compiler", lambda: str(compiler))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        # (a load registers the module, where a later ``load()`` would
+        # take the one built here for the in-place build)
+        name = "repro.trace.engine._native"
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])
+        built = native._compile_on_demand()
+        assert built.ABI_VERSION == native.NATIVE_VERSION
+        assert sorted(path.name for path in cache.iterdir()) == sorted(
+            [fresh.name, os.path.basename(built.__file__)])
 
 
 def _hostile(name, **change):

@@ -325,9 +325,9 @@ def fused_pass(configs, data):
 
 
 class TestRungState:
-    """A rung's fills, write buffers and lost lines are C words between
-    ``ladder_setup`` and ``ladder_release``; the python containers are
-    written once, at release, and must read as they always did."""
+    """A rung's fills, write buffers and lost lines are C words for the
+    length of the ``ladder`` call; the python containers are written
+    once, as it ends, and must read as they always did."""
 
     #: sha256 over ``end_state`` of every rung, recorded on the ladder
     #: that worked on the dicts and lists in place (the parent of the
@@ -398,8 +398,8 @@ class TestRungState:
             assert system.bus.transactions == 0
 
     def test_a_pass_that_raises_mid_tape_still_writes_its_state(self):
-        """``ladder_release`` runs in a ``finally``: the rungs get the
-        state of the events that were executed, as an aborted ``run``
+        """``ladder`` writes the rungs back after a raise too: they get
+        the state of the events that were executed, as an aborted ``run``
         leaves its machine."""
         configs = ladder(write_buffer_depth=2)
         good = array("q", [OP_WRITE, 0, OP_WRITE, 1024, OP_WRITE_SPAN,

@@ -8,8 +8,8 @@ exactly the ``native`` engine from the generic baseline.  So do row
 profiles -- the python functions of ``repro.model.profile`` and the C
 "profile" section -- where a second mutant
 (``off_by_one_stack_distance``) diverges exactly the ``profile``
-engine.  Two more sit in the state a native run keeps for itself between
-``setup`` and ``release`` -- the ready queue (``READY_TIE_BREAK`` between
+engine.  Two more sit in the state a native run keeps for itself for
+the length of the call -- the ready queue (``READY_TIE_BREAK`` between
 its window and its overflow heap, ``READY_BUCKET_LIFO`` inside a window
 bucket) and the in-flight fill words (``FILL_FORGOTTEN``) -- and two in
 the locks and barriers it keeps there as well (``WAITER_SKIPS_OVERHEAD``,
@@ -40,7 +40,11 @@ So do MP3D's C processes, which every engine runs: a mutant there
 (``tests/oracles/barnes_hut.py``).  A run steps both kinds itself,
 whichever workload's: one that resumed them as generators
 (``C_PROCESS_UNSEEN``) would count the same events, so what fails is
-each workload's check that a native run resumes nothing."""
+each workload's check that a native run resumes nothing.  Each driver
+writes its working state back even when it raises; one that skips that
+write-back after a raise (``RUN_RAISED_UNEXPORTED``,
+``LADDER_RAISED_UNEXPORTED``) fails the test that carries a cut run on,
+or that reads an aborted pass's rungs."""
 
 import pytest
 
@@ -51,12 +55,14 @@ from repro.verify.differ import _compare, engine_registry, fused_eligible
 
 from ..conftest import (BARRIER_EARLIEST, BH_RACED_REREAD,
                         C_PROCESS_UNSEEN, FILL_FORGOTTEN,
-                        ICACHE_REFILL_CHAIN, LADDER_LOCK_HELD, LADDER_SKEW,
+                        ICACHE_REFILL_CHAIN, LADDER_LOCK_HELD,
+                        LADDER_RAISED_UNEXPORTED, LADDER_SKEW,
                         LOST_NO_BACKWARD_SHIFT, MP3D_PARTNER_CARRY,
                         READ_MISS_DONE, READY_BUCKET_LIFO, READY_TIE_BREAK,
-                        SPEC_HOT_PARITY, SWITCH_PASSES_THE_HEAP,
-                        VICTIM_FILL_KEPT, WAITER_SKIPS_OVERHEAD,
-                        WBUF_NEWEST_FIRST, WRITEBACK_HOLDS_BUS)
+                        RUN_RAISED_UNEXPORTED, SPEC_HOT_PARITY,
+                        SWITCH_PASSES_THE_HEAP, VICTIM_FILL_KEPT,
+                        WAITER_SKIPS_OVERHEAD, WBUF_NEWEST_FIRST,
+                        WRITEBACK_HOLDS_BUS)
 from ..workloads import test_barnes_hut, test_mp3d
 from ..workloads.test_mp3d import assert_process_matches
 from ..workloads.test_spec import assert_kernel_matches
@@ -407,6 +413,28 @@ class TestProcessKindMutationIsCaught:
         monkeypatch.setattr(native, "_mod", mutant_native(*C_PROCESS_UNSEEN))
         with pytest.raises(AssertionError):
             workload().test_a_native_run_resumes_nothing()
+
+
+class TestWriteBackAfterARaiseMutationIsCaught:
+    def test_a_run_that_skips_it_fails_the_cut_continuity_test(
+            self, mutant_native, monkeypatch):
+        # (imported here: at module level pytest would collect it again)
+        from ..trace.test_engine import TestStateContinuity
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*RUN_RAISED_UNEXPORTED))
+        # (a ValueError where the cut run looks for the one process the
+        # limit stopped: the ready ones are not back on the heap either)
+        with pytest.raises((AssertionError, ValueError)):
+            TestStateContinuity().test_locks_and_barriers_held_across_a_cut()
+
+    def test_a_ladder_that_skips_it_fails_the_aborted_pass_test(
+            self, mutant_native, monkeypatch):
+        from ..trace.test_multiconfig import TestRungState
+        monkeypatch.setattr(native, "_mod",
+                            mutant_native(*LADDER_RAISED_UNEXPORTED))
+        with pytest.raises(AssertionError):
+            TestRungState(
+            ).test_a_pass_that_raises_mid_tape_still_writes_its_state()
 
 
 class TestUnmutatedBaseline:
