@@ -27,11 +27,7 @@ Quick start::
     print(result.execution_time, result.stats.read_miss_rate)
 """
 
-from .core.config import KB, SystemConfig
-from .core.stats import ProcessorStats, SccStats, SystemStats
-from .core.system import MultiprocessorSystem
-from .instrument import InstrumentationProbe, write_chrome_trace
-from .simulation import SimulationResult, build_system, run_simulation
+from ._lazy import lazy_exports
 
 __version__ = "1.6.0"
 
@@ -49,3 +45,11 @@ __all__ = [
     "run_simulation",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.config": ("KB", "SystemConfig"),
+    ".core.stats": ("ProcessorStats", "SccStats", "SystemStats"),
+    ".core.system": ("MultiprocessorSystem",),
+    ".instrument": ("InstrumentationProbe", "write_chrome_trace"),
+    ".simulation": ("SimulationResult", "build_system", "run_simulation"),
+})

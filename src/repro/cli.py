@@ -58,7 +58,6 @@ from typing import List, Optional
 
 from .core.config import KB, SystemConfig
 from .experiments.spec import KNOWN_BENCHMARKS
-from .simulation import run_simulation
 
 __all__ = ["main"]
 
@@ -413,6 +412,7 @@ def _cli_config(args) -> SystemConfig:
 
 def _cmd_simulate(args) -> int:
     from .experiments import PROFILES
+    from .simulation import run_simulation
     workload = PROFILES["quick"].workload(args.benchmark)
     result = run_simulation(args.config, workload)
     print(f"benchmark          : {args.benchmark}")
@@ -500,6 +500,7 @@ def _sparkline(values, peak: float = None) -> str:
 def _cmd_profile(args) -> int:
     from .instrument import InstrumentationProbe, write_chrome_trace
     from .experiments import PROFILES
+    from .simulation import run_simulation
     config = args.config
     # Only the Chrome trace reads the raw event log.  Probed, the run is
     # the reference loop's either way.

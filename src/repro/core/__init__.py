@@ -5,20 +5,7 @@ processors each sharing a banked, multi-ported Shared Cluster Cache, kept
 coherent over a snoopy invalidation bus (Sections 2.1-2.2).
 """
 
-from .bus import BusTransaction, SnoopyBus
-from .cache import (INVALID, MODIFIED, SHARED, STATE_NAMES,
-                    DirectMappedArray, SetAssociativeArray, make_array)
-from .cluster import Cluster
-from .coherence import AccessOutcome, CoherenceController
-from .directory import DirectoryController, DirectoryEntry
-from .config import KB, SystemConfig
-from .icache import INSTRUCTION_BYTES, InstructionCache
-from .interconnect import BankInterconnect
-from .private import PrivateCache, PrivateClusterSystem
-from .processor import ProcessorState
-from .scc import SharedClusterCache
-from .stats import ProcessorStats, SccStats, SystemStats
-from .system import MultiprocessorSystem
+from .._lazy import lazy_exports
 
 __all__ = [
     "BusTransaction", "SnoopyBus",
@@ -33,3 +20,20 @@ __all__ = [
     "ProcessorStats", "SccStats", "SystemStats",
     "MultiprocessorSystem",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bus": ("BusTransaction", "SnoopyBus"),
+    ".cache": ("INVALID", "MODIFIED", "SHARED", "STATE_NAMES",
+               "DirectMappedArray", "SetAssociativeArray", "make_array"),
+    ".cluster": ("Cluster",),
+    ".coherence": ("AccessOutcome", "CoherenceController"),
+    ".directory": ("DirectoryController", "DirectoryEntry"),
+    ".config": ("KB", "SystemConfig"),
+    ".icache": ("INSTRUCTION_BYTES", "InstructionCache"),
+    ".interconnect": ("BankInterconnect",),
+    ".private": ("PrivateCache", "PrivateClusterSystem"),
+    ".processor": ("ProcessorState",),
+    ".scc": ("SharedClusterCache",),
+    ".stats": ("ProcessorStats", "SccStats", "SystemStats"),
+    ".system": ("MultiprocessorSystem",),
+})

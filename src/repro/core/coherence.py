@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .bus import SnoopyBus
 from .cache import (EXCLUSIVE, INVALID, MODIFIED, SHARED,
                     DirectMappedArray)
@@ -314,6 +312,7 @@ def _direct_mapped_violator(arrays) -> Optional[int]:
     """
     if len(arrays) < 2:
         return None     # a line cannot be held twice in one array
+    import numpy as np
     states = [np.frombuffer(array._states, dtype=np.int64)
               for array in arrays]
     tags = [np.frombuffer(array._tags, dtype=np.int64) for array in arrays]

@@ -20,7 +20,6 @@ from .bus import SnoopyBus
 from .cluster import Cluster
 from .coherence import AccessOutcome, CoherenceController
 from .config import SystemConfig
-from .directory import DirectoryController
 from .stats import SystemStats
 from ..instrument.probes import NULL_PROBE
 
@@ -51,6 +50,7 @@ class MultiprocessorSystem:
         if config.inter_cluster == "directory":
             # Point-to-point transport for data; the bus object remains
             # only for instruction-cache refills.
+            from .directory import DirectoryController
             self.coherence = DirectoryController(config, sccs)
         else:
             self.coherence = CoherenceController(config, sccs, self.bus,
@@ -157,7 +157,7 @@ class MultiprocessorSystem:
         """Raise ``AssertionError`` on any coherence invariant violation."""
         for cluster in self.clusters:
             cluster.scc.check_fill_tracking()
-        if isinstance(self.coherence, DirectoryController):
+        if self.config.inter_cluster == "directory":
             self.coherence.check_consistency()
             return
         bad_line = self.coherence.check_exclusivity()

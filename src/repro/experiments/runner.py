@@ -33,10 +33,9 @@ import json
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
 from ..diskstore import FileCache, cache_root
@@ -46,6 +45,9 @@ from ..trace.multiconfig import (fused_ladder_results,
 from ..trace.record import ReplayApplication, StreamRecorder, TraceCache
 from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
                    ExperimentProfile, active_profile)
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
            "ResultCache", "default_cache", "row_tape", "replay_row",
@@ -247,6 +249,7 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
     from orphaning its workers.
     """
     global _POOL, _POOL_JOBS
+    from concurrent.futures import ProcessPoolExecutor
     if _POOL is not None and _POOL_JOBS != jobs:
         _POOL.shutdown(wait=True)
         _POOL = None

@@ -197,6 +197,13 @@ def _point_task(benchmark, profile, config,
     return _simulate(process_workload(benchmark, profile), config)
 
 
+def _truncating(path, flags: int) -> int:
+    """``open``'s opener for a log that starts empty and appends.  The
+    file is cut at open (``O_TRUNC``): an ``ftruncate`` after opening
+    would make ext4 write the file back when it is closed."""
+    return os.open(path, flags | os.O_TRUNC, 0o666)
+
+
 class SessionJournal:
     """Crash-safe per-sweep record of point outcomes.
 
@@ -207,11 +214,14 @@ class SessionJournal:
     overrides an earlier one.  A session's first record truncates the
     file to the header and its own line (unless :meth:`load` adopted
     the file, when it appends); every later record is one ``write`` of
-    one complete line in append mode.  So a SIGKILL keeps every line
-    whose ``write`` returned, and a line cut short (disk full, power
-    loss) can only be the last, which :meth:`load` drops.  Each
-    ``done`` entry carries the full :class:`RunStats` payload, making
-    resume independent of the result cache surviving the crash.
+    one complete line in append mode, flushed before :meth:`record`
+    returns.  The log is opened once, at the first record, and stays
+    open until :meth:`close` (a session closes it when it ends, raise
+    or not).  So a SIGKILL keeps every line whose ``write`` returned,
+    and a line cut short (disk full, power loss) can only be the last,
+    which :meth:`load` drops.  Each ``done`` entry carries the full
+    :class:`RunStats` payload, making resume independent of the result
+    cache surviving the crash.
     """
 
     def __init__(self, spec: SweepSpec,
@@ -224,6 +234,7 @@ class SessionJournal:
             if self.directory is not None else None)
         self.points: Dict[str, dict] = {}
         self._appending = False
+        self._log = None        # the open log, from the first record on
 
     def load(self) -> bool:
         """Adopt the on-disk log; ``True`` if a usable one for this spec
@@ -234,6 +245,7 @@ class SessionJournal:
         path = self.path
         if path is None:
             return False
+        self.close()
         try:
             data = path.read_bytes()
         except OSError:
@@ -258,9 +270,16 @@ class SessionJournal:
         return True
 
     def reset(self) -> None:
+        self.close()
         self.points = {}
         self._appending = False
         self._unlink()
+
+    def close(self) -> None:
+        """Close the log; a later :meth:`record` reopens it to append."""
+        log, self._log = self._log, None
+        if log is not None:
+            log.close()
 
     def record(self, point: GridPoint, status: str, *,
                stats: Optional[RunStats] = None,
@@ -278,18 +297,19 @@ class SessionJournal:
             return
         line = json.dumps({**entry, "point": label},
                           sort_keys=True).encode() + b"\n"
-        if self._appending:
-            with open(path, "ab") as fh:
-                fh.write(line)
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"version": JOURNAL_VERSION,
-                             "signature": self.signature,
-                             "spec": self.spec.describe()},
-                            sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(header + b"\n" + line)
-        self._appending = True
+        if self._log is None and not self._appending:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            header = json.dumps({"version": JOURNAL_VERSION,
+                                 "signature": self.signature,
+                                 "spec": self.spec.describe()},
+                                sort_keys=True).encode()
+            line = header + b"\n" + line
+            self._log = open(path, "ab", opener=_truncating)
+            self._appending = True
+        elif self._log is None:
+            self._log = open(path, "ab")
+        self._log.write(line)
+        self._log.flush()
 
     def entry(self, point: GridPoint) -> Optional[dict]:
         return self.points.get(_point_label(point))
@@ -425,6 +445,12 @@ class SweepSession:
     # ------------------------------------------------------------------
 
     def run(self) -> SessionResult:
+        try:
+            return self._run()
+        finally:
+            self.journal.close()
+
+    def _run(self) -> SessionResult:
         spec = self.spec
         self._count("total", self._total)
         sweep: Sweep = {}

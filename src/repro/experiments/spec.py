@@ -21,13 +21,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
-from ..workloads.barnes_hut import BarnesHut
-from ..workloads.cholesky import Cholesky
-from ..workloads.mp3d import MP3D
-from ..workloads.multiprog import MultiprogrammingWorkload
+
+if TYPE_CHECKING:
+    from ..workloads.barnes_hut import BarnesHut
+    from ..workloads.cholesky import Cholesky
+    from ..workloads.mp3d import MP3D
+    from ..workloads.multiprog import MultiprogrammingWorkload
 
 __all__ = ["ExperimentProfile", "PROFILES", "active_profile",
            "PAPER_LADDER", "PROCS_SWEPT", "KNOWN_BENCHMARKS",
@@ -92,19 +94,24 @@ class ExperimentProfile:
                      f"profile {count.name} must be an integer >= 1, "
                      f"not {value!r}")
 
-    # -- workload factories (fresh application object per call) ---------
+    # -- workload factories (fresh application object per call; each
+    #    imports only its own workload's module) --------------------------
 
     def barnes_hut(self) -> BarnesHut:
+        from ..workloads.barnes_hut import BarnesHut
         return BarnesHut(n_bodies=self.barnes_bodies,
                          steps=self.barnes_steps)
 
     def mp3d(self) -> MP3D:
+        from ..workloads.mp3d import MP3D
         return MP3D(n_particles=self.mp3d_particles, steps=self.mp3d_steps)
 
     def cholesky(self) -> Cholesky:
+        from ..workloads.cholesky import Cholesky
         return Cholesky(n=self.cholesky_n)
 
     def multiprogramming(self) -> MultiprogrammingWorkload:
+        from ..workloads.multiprog import MultiprogrammingWorkload
         return MultiprogrammingWorkload(
             instructions_per_app=self.multiprog_instructions,
             quantum_instructions=self.multiprog_quantum,

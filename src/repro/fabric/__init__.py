@@ -24,14 +24,7 @@ or as a service: ``python -m repro serve`` then
 ``python -m repro submit --benchmark multiprogramming --url ...``.
 """
 
-from .broker import Broker, DEFAULT_LEASE_TTL, SweepJob, WorkUnit
-from .client import (HttpTransport, JobHandle, LocalFabric,
-                     LocalTransport, SweepClient)
-from .service import FabricService, start_in_thread
-from .store import ArtifactStore, MemoryCache
-from .wire import (FabricError, parse_point_label, point_label,
-                   sweep_from_wire, sweep_to_wire)
-from .worker import Worker
+from .._lazy import lazy_exports
 
 __all__ = [
     "ArtifactStore", "Broker", "DEFAULT_LEASE_TTL", "FabricError",
@@ -40,3 +33,14 @@ __all__ = [
     "WorkUnit", "Worker", "parse_point_label", "point_label",
     "start_in_thread", "sweep_from_wire", "sweep_to_wire",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".broker": ("Broker", "DEFAULT_LEASE_TTL", "SweepJob", "WorkUnit"),
+    ".client": ("HttpTransport", "JobHandle", "LocalFabric", "LocalTransport",
+                "SweepClient"),
+    ".service": ("FabricService", "start_in_thread"),
+    ".store": ("ArtifactStore", "MemoryCache"),
+    ".wire": ("FabricError", "parse_point_label", "point_label",
+              "sweep_from_wire", "sweep_to_wire"),
+    ".worker": ("Worker",),
+})

@@ -33,11 +33,7 @@ Or, without writing Python::
     python -m repro profile mp3d --procs 8 --scc 4KB --trace-out mp3d.json
 """
 
-from .chrometrace import (BUS_PID, SCC_TID, bank_tid, chrome_trace,
-                          cluster_pid, proc_tid, write_chrome_trace)
-from .probes import NULL_PROBE, InstrumentationProbe, NullProbe
-from .sampling import EventLog
-from .timeline import Timeline
+from .._lazy import lazy_exports
 
 __all__ = [
     "NULL_PROBE", "NullProbe", "InstrumentationProbe",
@@ -45,3 +41,11 @@ __all__ = [
     "chrome_trace", "write_chrome_trace",
     "BUS_PID", "SCC_TID", "bank_tid", "cluster_pid", "proc_tid",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".chrometrace": ("BUS_PID", "SCC_TID", "bank_tid", "chrome_trace",
+                     "cluster_pid", "proc_tid", "write_chrome_trace"),
+    ".probes": ("NULL_PROBE", "InstrumentationProbe", "NullProbe"),
+    ".sampling": ("EventLog",),
+    ".timeline": ("Timeline",),
+})

@@ -15,14 +15,18 @@ repro sweep --fidelity analytical``); ``python -m repro model
 (:mod:`repro.model.validate`).
 """
 
-from .predictor import predict_point
-from .profile import (MODEL_VERSION, ProfileCache, RowProfile,
-                      build_row_profile, bucket_floor, coherence_ladder,
-                      extract_process, merge_refs)
-from .validate import DEFAULT_ROWS, cross_validate
+from .._lazy import lazy_exports
 
 __all__ = [
     "MODEL_VERSION", "RowProfile", "ProfileCache", "build_row_profile",
     "extract_process", "merge_refs", "coherence_ladder", "bucket_floor",
     "predict_point", "DEFAULT_ROWS", "cross_validate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".predictor": ("predict_point",),
+    ".profile": ("MODEL_VERSION", "ProfileCache", "RowProfile",
+                 "build_row_profile", "bucket_floor", "coherence_ladder",
+                 "extract_process", "merge_refs"),
+    ".validate": ("DEFAULT_ROWS", "cross_validate"),
+})

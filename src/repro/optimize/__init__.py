@@ -13,12 +13,7 @@ Entry points: build a :class:`DesignSpace` and a
 ``python -m repro optimize`` for the packaged CLI.
 """
 
-from .evaluate import (BudgetExhausted, BudgetLedger,
-                       DEFAULT_TIER_BUDGETS, Evaluation, FunnelEvaluator)
-from .report import render_frontier
-from .search import (FrontierPoint, OptimizeResult, PaperVerdict,
-                     optimize, pareto_front)
-from .space import PAPER_RECOMMENDATIONS, Candidate, DesignSpace
+from .._lazy import lazy_exports
 
 __all__ = [
     "BudgetExhausted", "BudgetLedger", "DEFAULT_TIER_BUDGETS",
@@ -28,3 +23,12 @@ __all__ = [
     "optimize", "pareto_front",
     "PAPER_RECOMMENDATIONS", "Candidate", "DesignSpace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".evaluate": ("BudgetExhausted", "BudgetLedger", "DEFAULT_TIER_BUDGETS",
+                  "Evaluation", "FunnelEvaluator"),
+    ".report": ("render_frontier",),
+    ".search": ("FrontierPoint", "OptimizeResult", "PaperVerdict", "optimize",
+                "pareto_front"),
+    ".space": ("PAPER_RECOMMENDATIONS", "Candidate", "DesignSpace"),
+})

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core.config import SystemConfig
-from .core.private import PrivateClusterSystem
 from .core.stats import SystemStats
 from .core.system import MultiprocessorSystem
 from .trace.interleave import TimingInterleaver
@@ -37,6 +36,7 @@ def build_system(config: SystemConfig, instrumentation=None):
     bus, and processor events as they happen.
     """
     if config.cluster_organization == "private":
+        from .core.private import PrivateClusterSystem
         return PrivateClusterSystem(config, instrumentation=instrumentation)
     return MultiprocessorSystem(config, instrumentation=instrumentation)
 

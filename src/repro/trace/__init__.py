@@ -11,17 +11,7 @@ interleaver (:mod:`~repro.trace.interleave`), whole-stream record/replay
 (:mod:`~repro.trace.analysis`).
 """
 
-from .analysis import (data_lines, miss_ratio_curve, stack_distances,
-                       working_set_lines)
-from .events import (Barrier, Compute, Ifetch, LockAcquire, LockRelease,
-                     Read, TaskDequeue, TaskEnqueue, TraceEvent, Write,
-                     is_memory_event)
-from .interleave import DeadlockError, SyncProtocolError, TimingInterleaver
-from .packed import (PackedChunk, PackedEncodingError, append_event,
-                     decode_events, encode_events, event_count,
-                     packed_from_bytes, packed_to_bytes)
-from .record import (ReplayApplication, StreamRecorder, TraceCache,
-                     default_trace_cache)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Barrier", "Compute", "Ifetch", "LockAcquire", "LockRelease", "Read",
@@ -34,3 +24,17 @@ __all__ = [
     "data_lines", "miss_ratio_curve", "stack_distances",
     "working_set_lines",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("data_lines", "miss_ratio_curve", "stack_distances",
+                  "working_set_lines"),
+    ".events": ("Barrier", "Compute", "Ifetch", "LockAcquire", "LockRelease",
+                "Read", "TaskDequeue", "TaskEnqueue", "TraceEvent", "Write",
+                "is_memory_event"),
+    ".interleave": ("DeadlockError", "SyncProtocolError", "TimingInterleaver"),
+    ".packed": ("PackedChunk", "PackedEncodingError", "append_event",
+                "decode_events", "encode_events", "event_count",
+                "packed_from_bytes", "packed_to_bytes"),
+    ".record": ("ReplayApplication", "StreamRecorder", "TraceCache",
+                "default_trace_cache"),
+})

@@ -76,6 +76,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 from array import array
 from collections import deque
@@ -104,6 +105,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off")
 _STALE_BUILD_S = 24 * 3600
 
 _mod = None
+_LOAD_LOCK = threading.Lock()   # one build and import per process
 
 _NO_LIMIT = (1 << 63) - 1
 
@@ -215,12 +217,21 @@ def _prune_builds(cache: Path, keep: Path) -> None:
 def load():
     """The native extension module, built on first use and cached.
 
+    Threads that ask together wait for one build and share its module.
     Raises ``ImportError`` when it can be neither imported nor built:
     the message names the compiler and gives its error, after a stale
     in-place build's reason when one was found."""
     global _mod
-    if _mod is not None:
-        return _mod
+    if _mod is None:
+        with _LOAD_LOCK:
+            if _mod is None:
+                _mod = _find()
+    return _mod
+
+
+def _find():
+    """:func:`load`'s search: the in-place build, else this tree's
+    source built into the cache."""
     stale = None
     try:
         from . import _native  # type: ignore[attr-defined]
@@ -229,8 +240,7 @@ def load():
     else:
         stale = _stale_reason(_native)
         if stale is None:
-            _mod = _native
-            return _mod
+            return _native
     # No in-place build, or a stale one: build this tree's source.
     try:
         module = _compile_on_demand()
@@ -239,8 +249,7 @@ def load():
     else:
         reason = _stale_reason(module)
     if reason is None:
-        _mod = module
-        return _mod
+        return module
     if stale is not None:
         reason = f"{stale}; {reason}"
     raise ImportError(f"the native extension (repro.trace.engine._native) "

@@ -25,12 +25,7 @@ obviously-correct functional model, over seeded adversarial inputs.
   ``python -m repro fuzz``.
 """
 
-from .differ import PathResult, TapeDivergence, diff_tape, run_tape
-from .fuzz import FuzzDivergence, FuzzReport, default_repro_dir, run_fuzz
-from .oracle import FunctionalOracle, OracleViolation
-from .shrink import shrink_tape, write_repro
-from .tapes import (Tape, TapeApplication, generate_tape, tape_from_json,
-                    tape_to_json)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Tape", "TapeApplication", "generate_tape", "tape_from_json",
@@ -40,3 +35,12 @@ __all__ = [
     "shrink_tape", "write_repro",
     "FuzzDivergence", "FuzzReport", "default_repro_dir", "run_fuzz",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".differ": ("PathResult", "TapeDivergence", "diff_tape", "run_tape"),
+    ".fuzz": ("FuzzDivergence", "FuzzReport", "default_repro_dir", "run_fuzz"),
+    ".oracle": ("FunctionalOracle", "OracleViolation"),
+    ".shrink": ("shrink_tape", "write_repro"),
+    ".tapes": ("Tape", "TapeApplication", "generate_tape", "tape_from_json",
+               "tape_to_json"),
+})

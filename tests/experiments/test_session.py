@@ -1,6 +1,8 @@
 """Tests for the checkpointed, fault-tolerant sweep session."""
 
+import builtins
 import json
+import os
 
 import pytest
 
@@ -405,6 +407,55 @@ class TestSessionStages:
         assert len(seen) == 4
         assert [done for _, _, done, _ in seen] == [1, 2, 3, 4]
         assert all(status == "computed" for _, status, _, _ in seen)
+
+    @pytest.fixture
+    def journal_opens(self, monkeypatch):
+        """Every file object ``open`` returns, by the path it opened."""
+        real_open, opened = builtins.open, []
+
+        def spy(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if isinstance(file, (str, os.PathLike)):
+                opened.append((os.fspath(file), handle))
+            return handle
+
+        monkeypatch.setattr(builtins, "open", spy)
+        return opened
+
+    def test_the_log_is_opened_once_per_session(
+            self, tmp_path, tiny_profile, no_trace_stage, journal_opens):
+        spec = _grid_spec(tiny_profile,
+                          ladder=(4 * KB, 8 * KB, 16 * KB, 32 * KB))
+        session = SweepSession(spec, cache=None, session_dir=tmp_path,
+                               compute=RecordingCompute())
+        assert session.run().counters["computed"] == 8
+        handles = [handle for path, handle in journal_opens
+                   if path == os.fspath(session.journal.path)]
+        assert len(handles) == 1
+        assert handles[0].closed
+        assert len(_lines(session.journal)) == 1 + 8
+
+    def test_a_session_that_raises_closes_its_log(
+            self, tmp_path, tiny_profile, no_trace_stage, journal_opens):
+        spec = _grid_spec(tiny_profile)
+        done = []
+
+        def compute(benchmark, profile, config, point):
+            if len(done) == 2:
+                raise KeyboardInterrupt
+            done.append(point)
+            return _stats(point[1])
+
+        session = SweepSession(spec, cache=None, session_dir=tmp_path,
+                               compute=compute)
+        with pytest.raises(KeyboardInterrupt):
+            session.run()
+        handles = [handle for path, handle in journal_opens
+                   if path == os.fspath(session.journal.path)]
+        assert len(handles) == 1
+        assert handles[0].closed
+        assert [entry["point"] for entry in _lines(session.journal)[1:]] \
+            == [f"{procs}/{size}" for procs, size in done]
 
 
 @pytest.fixture

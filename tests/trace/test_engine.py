@@ -2021,6 +2021,55 @@ class TestNativeAbiGuard:
         assert sorted(path.name for path in cache.iterdir()) == sorted(
             [fresh.name, os.path.basename(built.__file__)])
 
+    def test_threads_that_load_together_share_one_build(self, monkeypatch,
+                                                        tmp_path):
+        """Two threads asking for the extension on an empty cache run
+        the compiler once and get the same module object."""
+        import subprocess
+        import sys
+        import threading
+        import time
+        from types import SimpleNamespace
+        import repro.trace.engine as engine
+        from repro.trace.engine import native
+        real = native.load().__file__
+        compiler = tmp_path / "copying-cc"      # "builds" the loaded .so
+        compiler.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; '
+                            f'done\ncp "{real}" "$2"\n')
+        compiler.chmod(0o755)
+        real_run, compiles = subprocess.run, []
+
+        def slow_run(command, *args, **kwargs):
+            if command[0] == str(compiler):
+                compiles.append(command)
+                time.sleep(0.2)     # the other thread arrives meanwhile
+            return real_run(command, *args, **kwargs)
+
+        name = "repro.trace.engine._native"
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])
+        monkeypatch.setattr(engine, "_native",
+                            SimpleNamespace(__file__="old.so"),
+                            raising=False)
+        monkeypatch.setattr(native, "_mod", None)
+        monkeypatch.setattr(native, "_compiler", lambda: str(compiler))
+        monkeypatch.setattr(subprocess, "run", slow_run)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        start, loaded = threading.Barrier(2), []
+
+        def first_use():
+            start.wait(timeout=60)
+            loaded.append(native.load())
+
+        threads = [threading.Thread(target=first_use) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(compiles) == 1
+        assert len(loaded) == 2 and loaded[0] is loaded[1]
+        assert loaded[0].ABI_VERSION == native.NATIVE_VERSION
+
 
 def _hostile(name, **change):
     return pytest.param(change, id=name)
