@@ -156,38 +156,49 @@ def _build_key(source: bytes) -> str:
 
 
 def _compile_on_demand():
-    """Build ``_native.c`` into the cache dir and import it; raises
-    ``ImportError`` with the reason it could not."""
-    src = _source_path()
+    """Build this tree's ``_native.c`` into the cache dir and import it;
+    raises ``ImportError`` with the reason it could not."""
+    return _import(_compile(_source_path(), _cache_dir(), _compiler()))
+
+
+def _compile(src: Path, cache: Path, cc: str) -> Path:
+    """The path of ``src`` built by ``cc`` into ``cache``, compiled
+    unless a build of the same source is there already.  It reads no
+    environment and is handed its compiler, so that threads may build
+    into caches of their own.  Raises ``ImportError`` with the reason
+    it could not build."""
     if not src.is_file():
         raise ImportError(f"source missing: {src}")
     source = src.read_bytes()
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    cache = _cache_dir()
     so_path = cache / f"_native_{_build_key(source)}{suffix}"
-    if not so_path.is_file():
-        cc = _compiler()
-        include = sysconfig.get_paths()["include"]
-        tmp = so_path.with_suffix(so_path.suffix
-                                  + f".tmp{os.getpid()}")
+    if so_path.is_file():
+        return so_path
+    include = sysconfig.get_paths()["include"]
+    tmp = so_path.with_suffix(so_path.suffix + f".tmp{os.getpid()}")
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        result = subprocess.run(
+            [cc, *_CFLAGS, "-shared", "-fPIC", f"-I{include}",
+             str(src), "-o", str(tmp)],
+            capture_output=True, text=True, timeout=120)
+        if result.returncode != 0:
+            raise ImportError(f"compile failed ({cc}): "
+                              f"{result.stderr.strip()[:500]}")
+        os.replace(tmp, so_path)
+        _prune_builds(cache, so_path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise ImportError(f"compile failed ({cc}): {exc}") from exc
+    finally:
         try:
-            cache.mkdir(parents=True, exist_ok=True)
-            result = subprocess.run(
-                [cc, *_CFLAGS, "-shared", "-fPIC", f"-I{include}",
-                 str(src), "-o", str(tmp)],
-                capture_output=True, text=True, timeout=120)
-            if result.returncode != 0:
-                raise ImportError(f"compile failed ({cc}): "
-                                  f"{result.stderr.strip()[:500]}")
-            os.replace(tmp, so_path)
-            _prune_builds(cache, so_path)
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise ImportError(f"compile failed ({cc}): {exc}") from exc
-        finally:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            tmp.unlink()
+        except OSError:
+            pass
+    return so_path
+
+
+def _import(so_path: Path):
+    """The extension module built at ``so_path``."""
     try:
         # The last name component must be ``_native`` so the loader finds
         # ``PyInit__native`` in the shared object.

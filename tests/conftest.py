@@ -1,6 +1,11 @@
 """Fixtures and helpers shared by more than one test directory."""
 
+import functools
+import os
+import shutil
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -98,6 +103,16 @@ LADDER_WRITE_BACK_FAILS = (
     "if (words_export(&ctx->rungs[s].sccs->words) < 0 || (PyErr_SetString("
     "PyExc_MemoryError, \"write-back\"), 1))")
 
+#: The one list of mutants and faults: every ``(needle, replacement)``
+#: above, each built as the session starts (``mutant_native``).
+MUTANTS = tuple(value for name, value in dict(globals()).items()
+                if name.isupper() and type(value) is tuple)
+
+#: Each mutant's build in this session: its arguments and the future of
+#: its ``.so`` path; at most one compiler per processor but one runs.
+_BUILDS = {}
+_BUILDER = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1))
+
 
 def unpacked(app):
     """``app`` with every :class:`~repro.trace.packed.PackedChunk` its
@@ -153,44 +168,100 @@ def no_workload_kept_from_another_test():
     runner._WORKER_WORKLOADS.clear()
 
 
-@pytest.fixture(scope="session")
-def mutant_native(tmp_path_factory):
-    """``mutant_native(needle, replacement)``: ``_native`` with that one
-    statement changed, built from the source text into a cache of its
-    own (once per session) -- the production object carries no mutation
-    switch.  A mutant that does not build raises the loader's
-    ``ImportError``."""
-    from repro.trace.engine import native
-    built = {}
-    root = tmp_path_factory.mktemp("mutant-native")
+@pytest.fixture
+def tiny_profile():
+    """A profile whose every workload runs a grid point in moments."""
+    from repro.experiments.spec import ExperimentProfile
+    return ExperimentProfile(
+        name="tiny", ladder_scale=8,
+        barnes_bodies=32, barnes_steps=1,
+        mp3d_particles=60, mp3d_steps=1,
+        cholesky_n=64,
+        multiprog_instructions=2000, multiprog_quantum=500)
 
-    def build(needle, replacement):
-        if (needle, replacement) in built:
-            return built[needle, replacement]
-        source = native._source_path().read_text()
-        assert source.count(needle) == 1
-        mutated = root / f"mutant{len(built)}" / "_native.c"
-        mutated.parent.mkdir()
-        mutated.write_text(source.replace(needle, replacement))
+
+def _build(mutant):
+    """``mutant``'s build, queued if it was not: its arguments and its
+    future.  The source, the cache and the compiler are read here, in
+    the session's thread, before a test can replace them."""
+    if mutant not in _BUILDS:
+        from repro.trace.engine import native
+        args = (native._source_path().read_text(),
+                native._cache_dir() / "mutants", native._compiler(), *mutant)
+        _BUILDS[mutant] = args, _BUILDER.submit(_build_mutant, *args)
+    return _BUILDS[mutant]
+
+
+def _build_mutant(source, root, cc, needle, replacement):
+    """``source`` with ``needle`` replaced, built by ``cc`` into a
+    directory of ``root`` of its own, named by the mutated source's key
+    and made new again by each use."""
+    from repro.trace.engine import native
+    assert source.count(needle) == 1
+    mutated = source.replace(needle, replacement).encode()
+    home = root / native._build_key(mutated)
+    home.mkdir(parents=True, exist_ok=True)
+    os.utime(home)
+    path = home / "_native.c"
+    if not path.is_file():
+        tmp = home / f"_native.c.tmp{os.getpid()}"
+        tmp.write_bytes(mutated)
+        os.replace(tmp, path)
+    return native._compile(path, home, cc)
+
+
+def pytest_collection_finish(session):
+    """When a collected test asks for a mutant, start every build."""
+    if not session.config.option.collectonly and any(
+            "mutant_native" in getattr(item, "fixturenames", ())
+            for item in session.items):
+        for mutant in MUTANTS:
+            _build(mutant)
+
+
+def pytest_sessionfinish(session):
+    """Cancel the builds no test got to, wait for the running ones, and
+    delete the mutants no session has used for a day."""
+    _BUILDER.shutdown(wait=True, cancel_futures=True)
+    if _BUILDS:
+        from repro.trace.engine import native
+        cutoff = time.time() - native._STALE_BUILD_S
+        for home in (native._cache_dir() / "mutants").glob("*"):
+            try:
+                if home.stat().st_mtime < cutoff:
+                    shutil.rmtree(home)
+            except OSError:     # another session got there first
+                pass
+
+
+@pytest.fixture(scope="session")
+def mutant_native():
+    """``mutant_native(needle, replacement)``: ``_native`` with that one
+    statement changed -- the production object carries no mutation
+    switch --, imported once its build is done.  A mutant that does not
+    build raises the loader's ``ImportError``, one whose needle does not
+    occur exactly once an ``AssertionError``, in each test that asks."""
+    from repro.trace.engine import native
+
+    @functools.cache
+    def load(needle, replacement):
+        args, future = _build((needle, replacement))
+        # A build still queued runs here, not after the ones before it.
+        so_path = _build_mutant(*args) if future.cancel() else future.result()
         # Loading a single-phase extension also registers it in
         # sys.modules, where a later ``load()`` would find the mutant as
         # the in-place build.
         name = "repro.trace.engine._native"
         registered = sys.modules.get(name)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NATIVE_CACHE", str(root / "cache"))
-            patch.setattr(native, "_source_path", lambda: mutated)
-            try:
-                module = native._compile_on_demand()
-            finally:
-                if registered is None:
-                    sys.modules.pop(name, None)
-                else:
-                    sys.modules[name] = registered
-        built[needle, replacement] = module
-        return module
+        try:
+            return native._import(so_path)
+        finally:
+            if registered is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = registered
 
-    return build
+    return load
 
 
 @pytest.fixture

@@ -26,16 +26,6 @@ from repro.trace.packed import OP_COMPUTE, OP_READ
 from repro.trace.record import TraceCache
 
 
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
-
-
 def make_stats(**overrides):
     base = dict(execution_time=123, read_miss_rate=0.25, miss_rate=0.125,
                 invalidations=0, reads=80, writes=20, events=100)

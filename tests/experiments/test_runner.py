@@ -26,17 +26,6 @@ def mp3d_point(profile, cache, **knobs):
                      **knobs)[(1, 8 * KB)]
 
 
-@pytest.fixture
-def tiny_profile():
-    from repro.experiments.runner import ExperimentProfile
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
-
-
 class TestProfiles:
     def test_known_profiles(self):
         assert set(PROFILES) == {"quick", "paper"}

@@ -15,18 +15,8 @@ from repro.experiments.session import (FAULT_INJECT_ENV,
                                        SessionJournal, SweepSession,
                                        _maybe_inject_fault,
                                        prune_stale_journals, run_sweep)
-from repro.experiments.spec import ExperimentProfile, SweepSpec
+from repro.experiments.spec import SweepSpec
 from repro.trace.record import ReplayApplication, TraceCache
-
-
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
 
 
 @pytest.fixture

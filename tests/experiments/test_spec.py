@@ -12,16 +12,6 @@ from repro.experiments.spec import (KNOWN_BENCHMARKS, PAPER_LADDER,
                                     point_cache_key)
 
 
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
-
-
 class TestValidation:
     def test_defaults_cover_the_paper_grid(self, tiny_profile):
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile)

@@ -3,19 +3,8 @@
 import pytest
 
 from repro.core.config import KB
-from repro.experiments import ExperimentProfile
 from repro.experiments.runner import RunStats
 from repro.experiments.spec import SweepSpec
-
-
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
 
 
 @pytest.fixture

@@ -14,20 +14,9 @@ import pytest
 from repro.core.config import KB
 from repro.experiments.runner import ResultCache, RunStats
 from repro.experiments.session import SweepSession, run_sweep
-from repro.experiments.spec import (FIDELITIES, ExperimentProfile,
-                                    SweepSpec, point_cache_key)
+from repro.experiments.spec import FIDELITIES, SweepSpec, point_cache_key
 from repro.model.profile import MODEL_VERSION
 from repro.trace.record import TraceCache
-
-
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
 
 
 def _spec(tiny_profile, **knobs):

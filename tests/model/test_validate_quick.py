@@ -9,19 +9,8 @@ import pytest
 
 from repro.core.config import KB
 from repro.experiments.runner import ResultCache
-from repro.experiments.spec import ExperimentProfile
 from repro.model.validate import DEFAULT_ROWS, cross_validate
 from repro.trace.record import TraceCache
-
-
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
 
 
 def test_default_rows_cover_every_workload_and_the_procs_sweep():

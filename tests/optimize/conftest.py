@@ -2,18 +2,6 @@
 
 import pytest
 
-from repro.experiments.spec import ExperimentProfile
-
-
-@pytest.fixture
-def tiny_profile():
-    return ExperimentProfile(
-        name="tiny", ladder_scale=8,
-        barnes_bodies=32, barnes_steps=1,
-        mp3d_particles=60, mp3d_steps=1,
-        cholesky_n=64,
-        multiprog_instructions=2000, multiprog_quantum=500)
-
 
 @pytest.fixture
 def counting_simulator(monkeypatch):
